@@ -46,4 +46,10 @@ pub trait PathEngine {
     fn index_bytes(&self) -> usize;
     /// Evaluates one 2RPQ.
     fn run(&mut self, query: &RpqQuery, opts: &EngineOptions) -> Result<QueryOutput, QueryError>;
+    /// Bytes of working memory the queries run so far have left
+    /// allocated (Table 2's working-space column); 0 for engines that
+    /// keep none between queries.
+    fn working_space_bytes(&self) -> usize {
+        0
+    }
 }

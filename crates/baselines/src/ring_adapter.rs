@@ -18,11 +18,6 @@ impl<'r> RingEngine<'r> {
             engine: RpqEngine::new(ring),
         }
     }
-
-    /// The inner engine (for working-space accounting).
-    pub fn inner(&self) -> &RpqEngine<'r> {
-        &self.engine
-    }
 }
 
 impl PathEngine for RingEngine<'_> {
@@ -36,6 +31,10 @@ impl PathEngine for RingEngine<'_> {
 
     fn run(&mut self, query: &RpqQuery, opts: &EngineOptions) -> Result<QueryOutput, QueryError> {
         self.engine.evaluate(query, opts)
+    }
+
+    fn working_space_bytes(&self) -> usize {
+        self.engine.working_space_bytes()
     }
 }
 

@@ -7,7 +7,7 @@
 //! Scale with `RPQ_BENCH_EDGES` / `RPQ_BENCH_NODES` /
 //! `RPQ_BENCH_TIMEOUT_MS` / `RPQ_BENCH_LOG_SCALE`.
 
-use baselines::{AdjacencyIndex, RingEngine};
+use baselines::AdjacencyIndex;
 use rpq_bench::{build_ring, mean, median, run_log, BenchConfig, EngineSet, Measurement};
 use std::sync::Arc;
 use std::time::Instant;
@@ -124,8 +124,9 @@ fn main() {
     println!();
 
     // E6: working-space accounting (paper: D = 3.09 B/triple, B ≈ 9e-5).
-    let ring_engine = RingEngine::new(&ring);
-    let ws = ring_engine.inner().working_space_bytes() as f64;
+    // The tables are sized by the queries that ran, so read the engine
+    // that evaluated the log.
+    let ws = engines.engines[0].0.working_space_bytes() as f64;
     println!(
         "\nWorking space (ring): {:.2} bytes/triple (paper: 3.09 for D + ~0 for B)",
         ws / n_edges

@@ -16,6 +16,7 @@ use crate::plan::{EvalRoute, PreparedQuery};
 use crate::planner::{self, Direction};
 use crate::profile::{LevelProf, QueryProfile};
 use crate::query::{EngineOptions, QueryOutput, RpqQuery, Term, TraversalStats};
+use crate::scratch::{EngineScratch, TraverseScratch};
 use crate::source::{MergedView, ShardPart, TripleSource};
 use crate::stats::RingStatistics;
 use crate::{fastpath, merged, QueryError};
@@ -25,9 +26,13 @@ use crate::{fastpath, merged, QueryError};
 /// chunks, in order).
 const FRONTIER_CHUNK: usize = 1024;
 
-/// The RPQ engine: borrows a [`Ring`] and owns the per-query working
-/// memory (the `B[v]`, `D[v]` and `D[s]` mask tables with constant-time
-/// lazy reset, §4.1–4.2).
+/// The RPQ engine: borrows a source — a [`Ring`], optionally under a
+/// delta overlay or beside further shards — and owns an
+/// [`EngineScratch`], the working memory of its evaluations (the `B[v]`,
+/// `D[v]` and `D[s]` mask tables with constant-time lazy reset,
+/// §4.1–4.2). Construction is *O*(1): the scratch starts empty, and the
+/// one per-index table the traversal needs
+/// ([`Ring::ls_occupancy`]) belongs to the ring.
 ///
 /// ```
 /// use automata::Regex;
@@ -61,24 +66,9 @@ pub struct RpqEngine<'r> {
     /// routes every evaluation through the merged expansion — the
     /// extra shards are gathered after each base-ring step.
     shards: &'r [ShardPart],
-    /// `B[v]` masks over the wavelet nodes of `L_p`, heap-ordered.
-    lp_masks: EpochArray,
-    /// `D[v]`/`D[s]` masks over the wavelet nodes of `L_s`; the leaf level
-    /// (`node_index(width, s)`) holds the per-graph-node visited sets, and
-    /// internal nodes hold the intersection of the visited sets below them
-    /// (subject-free subtrees counting as saturated).
-    ls_masks: EpochArray,
-    /// `occ[v]`: whether any subject below wavelet node `v` of `L_s`
-    /// occurs in the sequence (static per ring; drives the intersection
-    /// semantics of `ls_masks`). Packed one bit per node so the whole
-    /// table stays cache-resident on large rings.
-    ls_occupancy: BitSet,
-    /// Reusable frontier-batching scratch (buffers persist across
-    /// queries; no per-query allocation on the traversal hot path).
-    scratch: TraverseScratch,
-    /// Per-node visited masks of the merged traversal (empty until the
-    /// first delta-backed evaluation; `O(1)` reset afterwards).
-    merged_masks: EpochArray,
+    /// Mask tables and traversal buffers: reused across this engine's
+    /// queries, each table sized by the first route that needs it.
+    scratch: EngineScratch,
     /// Threads the *current* evaluation may fan frontier work across —
     /// the planner's [`Plan::intra_query_threads`] decision, stashed
     /// here by `evaluate_prepared` so the traversal internals need no
@@ -92,25 +82,6 @@ pub struct RpqEngine<'r> {
     /// parameter. `None` (profiling off) costs one pointer check per
     /// BFS level.
     prof_levels: Option<LevelProf>,
-}
-
-/// Scratch buffers for the frontier-batched backward traversal.
-#[derive(Default)]
-struct TraverseScratch {
-    /// Batched `L_p` traversal state (layer-2 primitive).
-    mt: MultiTraversal,
-    /// The current BFS level: `(range of L_p, state mask)` per item.
-    frontier: Vec<(usize, usize, u64)>,
-    /// The next BFS level, accumulated while the current one is processed.
-    next_frontier: Vec<(usize, usize, u64)>,
-    /// Chunk ranges handed to the batched traversal.
-    ranges: Vec<(usize, usize)>,
-    /// Chunk state masks, parallel to `ranges`.
-    ds: Vec<u64>,
-    /// Per-item part-one output: `(pred, rank_b, rank_e, D & B[p])`.
-    pred_hits: Vec<Vec<(Label, usize, usize, u64)>>,
-    /// Part-two output: `(subject, fresh states)`.
-    subjects: Vec<(Id, u64)>,
 }
 
 /// Where a backward traversal starts.
@@ -133,8 +104,10 @@ enum Stop {
 }
 
 impl<'r> RpqEngine<'r> {
-    /// Creates an engine over `ring`. Allocates the mask tables once
-    /// (`O(|P| + |V|)` words); queries reset them in *O*(1).
+    /// Creates an engine over `ring`, in *O*(1): nothing is allocated
+    /// until the first query, which sizes the mask tables its route needs
+    /// (`O(|P| + |V|)` words on the pure path); later queries reset them
+    /// in *O*(1).
     pub fn new(ring: &'r Ring) -> Self {
         Self::with_delta(ring, None)
     }
@@ -144,47 +117,41 @@ impl<'r> RpqEngine<'r> {
     /// expansion step, or a sharded source whose parts it
     /// scatter-gathers.
     pub fn over<S: TripleSource + ?Sized>(source: &'r S) -> Self {
-        let mut engine = Self::with_delta(source.ring(), source.delta());
-        engine.shards = source.shard_parts();
-        engine
+        Self::with_scratch(source, EngineScratch::default())
     }
 
     /// Creates an engine over a ring plus an optional delta overlay (an
     /// empty delta selects the pure path).
     pub fn with_delta(ring: &'r Ring, delta: Option<&'r DeltaIndex>) -> Self {
-        let ls = ring.l_s();
-        let width = ls.width();
-        let table_len = ls.node_table_len();
-        // Leaf occupancy from the predicate boundary of L_s: a node acts
-        // as a subject iff its subject block is non-empty; internal nodes
-        // OR their children, bottom-up.
-        let mut occ = BitSet::new(table_len);
-        for s in 0..ring.n_nodes() {
-            let (b, e) = ring.subject_range(s);
-            if e > b {
-                occ.set(WaveletMatrix::node_index(width, s));
-            }
-        }
-        for level in (0..width).rev() {
-            for prefix in 0..(1usize << level) {
-                let v = WaveletMatrix::node_index(level, prefix as u64);
-                let l = WaveletMatrix::node_index(level + 1, (prefix as u64) << 1);
-                if occ.get(l) || occ.get(l + 1) {
-                    occ.set(v);
-                }
-            }
-        }
+        Self::from_parts(ring, delta, &[], EngineScratch::default())
+    }
+
+    /// [`Self::over`] around an existing scratch — typically one an
+    /// earlier engine gave back through [`Self::into_scratch`], over the
+    /// same source or any other: tables too small for this source grow in
+    /// place when a query first needs them.
+    pub fn with_scratch<S: TripleSource + ?Sized>(source: &'r S, scratch: EngineScratch) -> Self {
+        Self::from_parts(source.ring(), source.delta(), source.shard_parts(), scratch)
+    }
+
+    /// Detaches the working memory, ending the borrow of the source.
+    pub fn into_scratch(self) -> EngineScratch {
+        self.scratch
+    }
+
+    fn from_parts(
+        ring: &'r Ring,
+        delta: Option<&'r DeltaIndex>,
+        shards: &'r [ShardPart],
+        scratch: EngineScratch,
+    ) -> Self {
         Self {
-            lp_masks: EpochArray::new(ring.l_p().node_table_len()),
-            ls_masks: EpochArray::new(table_len),
-            ls_occupancy: occ,
-            scratch: TraverseScratch::default(),
-            merged_masks: EpochArray::new(0),
-            active_threads: 1,
-            prof_levels: None,
             ring,
             delta: delta.filter(|d| !d.is_empty()),
-            shards: &[],
+            shards,
+            scratch,
+            active_threads: 1,
+            prof_levels: None,
         }
     }
 
@@ -216,10 +183,13 @@ impl<'r> RpqEngine<'r> {
             .max(shard_max.unwrap_or(0))
     }
 
-    /// Bytes of per-query working memory (the `D` and `B` tables of
-    /// Table 2's working-space accounting).
+    /// Bytes of working memory this engine holds (Table 2's
+    /// working-space accounting): the mask tables the routes run so far
+    /// have sized — `B[v]` and `D[v]`/`D[s]` on the pure path, the
+    /// per-node masks on a delta or sharded source — plus the capacity of
+    /// the traversal buffers. Zero before the first query.
     pub fn working_space_bytes(&self) -> usize {
-        self.lp_masks.size_bytes() + self.ls_masks.size_bytes()
+        self.scratch.size_bytes()
     }
 
     /// Evaluates a 2RPQ under the given options: compiles a one-shot
@@ -329,12 +299,10 @@ impl<'r> RpqEngine<'r> {
                     .tables()
                     .expect("the planner only picks bit-parallel when tables exist");
                 let n = self.n_nodes_universe() as usize;
-                if self.merged_masks.len() < n {
-                    self.merged_masks = EpochArray::new(n);
-                }
+                self.scratch.merged_masks.ensure_len(n);
                 merged::evaluate_bitparallel(
                     &self.view(),
-                    &mut self.merged_masks,
+                    &mut self.scratch.merged_masks,
                     bp,
                     bp_rev,
                     plan.direction,
@@ -668,9 +636,6 @@ impl<'r> RpqEngine<'r> {
         let min_frontier = opts.parallel_min_frontier.max(2);
         let Self {
             ring,
-            lp_masks,
-            ls_masks,
-            ls_occupancy,
             scratch,
             prof_levels,
             ..
@@ -680,7 +645,16 @@ impl<'r> RpqEngine<'r> {
         let ls = ring.l_s();
         let width_p = lp.width();
         let width_s = ls.width();
+        let ls_occupancy = ring.ls_occupancy();
+        let EngineScratch {
+            lp_masks,
+            ls_masks,
+            traverse,
+            ..
+        } = scratch;
 
+        lp_masks.ensure_len(lp.node_table_len());
+        ls_masks.ensure_len(ls.node_table_len());
         lp_masks.reset();
         ls_masks.reset();
         // Seed B[v] for all wavelet-node ancestors of the query's labels
@@ -701,7 +675,7 @@ impl<'r> RpqEngine<'r> {
             ds,
             pred_hits,
             subjects,
-        } = scratch;
+        } = traverse;
         frontier.clear();
         next_frontier.clear();
         let d0 = bp.accept_mask();

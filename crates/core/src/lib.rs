@@ -27,7 +27,8 @@
 //! layer's metrics — executes or renders (one decision, no divergence).
 //!
 //! Modules: [`query`] (query types, options, outputs, statistics),
-//! [`engine`] (the traversal), [`planner`] (the §4.3/§6 cost-based route
+//! [`engine`] (the traversal), [`scratch`] (its reusable working memory
+//! and the pool facades share), [`planner`] (the §4.3/§6 cost-based route
 //! and direction choice), [`fastpath`] (§5 specializations), [`split`]
 //! (§2 rare-label splitting), [`stats`] (§6 on-the-fly selectivity),
 //! [`oracle`] (a naive reference evaluator for differential testing).
@@ -45,6 +46,7 @@ pub mod plan;
 pub mod planner;
 pub mod profile;
 pub mod query;
+pub mod scratch;
 pub mod source;
 pub mod split;
 pub mod stats;
@@ -54,6 +56,7 @@ pub use plan::{EvalRoute, PreparedQuery};
 pub use planner::{Direction, Plan};
 pub use profile::{LevelSample, QueryProfile};
 pub use query::{EngineOptions, QueryOutput, RpqQuery, Term, TraversalStats};
+pub use scratch::{EngineScratch, ScratchPool};
 pub use source::{MergedView, ShardPart, ShardedSource, SourceSnapshot, TripleSource};
 
 /// Errors from query evaluation.

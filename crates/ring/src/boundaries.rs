@@ -111,6 +111,61 @@ impl Boundaries {
         }
     }
 
+    /// Calls `f(c)`, ascending, for every symbol `c` whose block is
+    /// non-empty, in one sequential pass over the representation — no
+    /// `select` per symbol, and 64 positions per step on the unary bits
+    /// of [`Boundaries::Sparse`].
+    pub fn for_each_nonempty(&self, mut f: impl FnMut(Id)) {
+        match self {
+            Boundaries::Dense(v) => {
+                for (c, w) in v.windows(2).enumerate() {
+                    if w[1] > w[0] {
+                        f(c as Id);
+                    }
+                }
+            }
+            Boundaries::Sparse { bits, .. } => {
+                // Symbol `c` is the `c`-th one; its block is non-empty
+                // iff a zero follows it directly.
+                let n_words = bits.n_bit_words();
+                let mut symbol: Id = 0;
+                for w in 0..n_words {
+                    let word = bits.bit_word(w);
+                    // Bit `i + 1` under each bit `i` of this word.
+                    // Positions past the end count as ones: a trailing
+                    // one opens an empty block.
+                    let carry = if w + 1 < n_words {
+                        bits.bit_word(w + 1) & 1
+                    } else {
+                        1
+                    };
+                    let mut following = (word >> 1) | (carry << 63);
+                    let valid = bits.len() - w * 64;
+                    if valid < 64 {
+                        following |= !0u64 << (valid - 1);
+                    }
+                    let mut open = word & !following;
+                    while open != 0 {
+                        let bit = open & open.wrapping_neg();
+                        f(symbol + (word & (bit - 1)).count_ones() as Id);
+                        open ^= bit;
+                    }
+                    symbol += word.count_ones() as Id;
+                }
+            }
+            Boundaries::EliasFano(ef) => {
+                let mut values = ef.iter();
+                let mut prev = values.next().unwrap_or(0);
+                for (c, next) in values.enumerate() {
+                    if next > prev {
+                        f(c as Id);
+                    }
+                    prev = next;
+                }
+            }
+        }
+    }
+
     /// Number of symbols in the universe.
     pub fn universe(&self) -> u64 {
         match self {
@@ -147,6 +202,38 @@ mod tests {
         }
         assert_eq!(b.get(counts.len() as Id), acc);
         assert_eq!(b.universe(), counts.len() as u64);
+        let mut nonempty = Vec::new();
+        b.for_each_nonempty(|c| nonempty.push(c));
+        let want: Vec<Id> = (0..counts.len() as Id)
+            .filter(|&c| counts[c as usize] > 0)
+            .collect();
+        assert_eq!(nonempty, want, "non-empty symbols");
+    }
+
+    fn check_all(counts: &[u64]) {
+        check(&Boundaries::dense_from_counts(counts), counts);
+        check(&Boundaries::sparse_from_counts(counts), counts);
+        check(&Boundaries::elias_fano_from_counts(counts), counts);
+    }
+
+    /// The word-parallel sparse scan across word seams: blocks that start
+    /// on bit 63, end on bit 63, a vector that is an exact multiple of 64
+    /// bits, trailing empty symbols, and no symbols at all.
+    #[test]
+    fn nonempty_scan_across_word_boundaries() {
+        check_all(&[]);
+        check_all(&[0]);
+        check_all(&[0, 0, 0]);
+        check_all(&[62, 1, 0, 3]); // the second one sits on bit 63
+        check_all(&[63, 0, 1]); // a one on bit 63 followed by a one
+        check_all(&[63, 5]); // bit 64 is a one whose zeros follow
+        check_all(&[60, 1, 1]); // 64 bits exactly, ending in a zero
+        check_all(&[61, 1, 0]); // 64 bits exactly, ending in a one
+        let mut counts = vec![0u64; 300];
+        for (i, c) in counts.iter_mut().enumerate() {
+            *c = [0, 0, 1, 7, 0, 64, 0, 2][i % 8];
+        }
+        check_all(&counts);
     }
 
     #[test]

@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 
 use ring::Id;
 use rpq_core::{
-    EngineOptions, EvalRoute, PreparedQuery, RpqEngine, RpqQuery, SourceSnapshot, Term,
-    TraversalStats,
+    EngineOptions, EngineScratch, EvalRoute, PreparedQuery, RpqEngine, RpqQuery, SourceSnapshot,
+    Term, TraversalStats,
 };
 use succinct::util::FxHashMap;
 
@@ -790,54 +790,38 @@ fn pop_job(shared: &Shared) -> Option<Arc<Job>> {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Jobs run against the snapshot captured at their submit time. The
-    // engine's mask tables are sized to one snapshot's ring, so the
-    // worker keeps an engine per *epoch*, rebuilding only when the next
-    // job's snapshot epoch differs from the current one.
-    let mut next: Option<Arc<Job>> = None;
-    'epoch: loop {
-        let job = match next.take().or_else(|| pop_job(shared)) {
-            Some(job) => job,
-            None => return,
-        };
-        let snap = job.snapshot.clone();
-        let mut engine = RpqEngine::over(&snap);
-        let mut current = Some(job);
-        loop {
-            let job = match current.take().or_else(|| pop_job(shared)) {
-                Some(job) => job,
-                None => return,
-            };
-            if job.snapshot.epoch != snap.epoch {
-                next = Some(job);
-                continue 'epoch;
+    // Jobs run against the snapshot captured at their submit time, which
+    // may differ from job to job. The worker's mask tables belong to no
+    // snapshot: a job that misses the result cache builds its engine
+    // around them in O(1), and they grow in place when a commit or
+    // compaction enlarges the index.
+    let mut scratch = EngineScratch::default();
+    while let Some(job) = pop_job(shared) {
+        // Claim the job: skip it if a cancel won the race. A skipped
+        // job gives its in-flight slot (taken by `pop_job`) back.
+        {
+            let mut status = lock_ignore_poison(&job.status);
+            if !matches!(*status, QueryStatus::Queued) {
+                shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+                continue;
             }
-            // Claim the job: skip it if a cancel won the race. A skipped
-            // job gives its in-flight slot (taken by `pop_job`) back.
-            {
-                let mut status = lock_ignore_poison(&job.status);
-                if !matches!(*status, QueryStatus::Queued) {
-                    shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    continue;
-                }
-                *status = QueryStatus::Running;
-            }
-            // A panicking evaluation must not strand the job as Running
-            // (a `wait` would block forever) nor shrink the worker pool:
-            // fail the job, rebuild the engine (its mask tables may be
-            // mid-update), and keep serving.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(shared, &mut engine, &job)
-            }));
-            if outcome.is_err() {
-                shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                job.finish(QueryStatus::Failed(RpqError::Internal(
-                    "query evaluation panicked; see server logs".into(),
-                )));
-                engine = RpqEngine::over(&snap);
-            }
-            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+            *status = QueryStatus::Running;
         }
+        // A panicking evaluation must not strand the job as Running (a
+        // `wait` would block forever) nor shrink the worker pool: fail
+        // the job and keep serving. The scratch the evaluation took
+        // unwinds with its engine (the mask tables may be mid-update);
+        // the next one starts empty.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_job(shared, &mut scratch, &job)
+        }));
+        if outcome.is_err() {
+            shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
+            job.finish(QueryStatus::Failed(RpqError::Internal(
+                "query evaluation panicked; see server logs".into(),
+            )));
+        }
+        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -870,7 +854,7 @@ fn offer_slow(shared: &Shared, job: &Job, answer: &QueryAnswer, total_us: u64, q
     });
 }
 
-fn run_job(shared: &Shared, engine: &mut RpqEngine<'_>, job: &Job) {
+fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
     let metrics = &shared.metrics;
     let picked = Instant::now();
     let queue_wait = picked.duration_since(job.submitted);
@@ -958,7 +942,9 @@ fn run_job(shared: &Shared, engine: &mut RpqEngine<'_>, job: &Job) {
         profile: want_profile,
         ..EngineOptions::default()
     };
+    let mut engine = RpqEngine::with_scratch(&job.snapshot, std::mem::take(scratch));
     let result = engine.evaluate_prepared(&plan, job.query.subject, job.query.object, &opts);
+    *scratch = engine.into_scratch();
 
     let out = match result {
         Ok(out) => out,

@@ -129,11 +129,20 @@ impl BitSet {
 /// paper cites (\[40, App. C\]) for the per-node visited masks `D[s]` and the
 /// per-wavelet-node masks `B[v]`/`D[v]`: memory is allocated once and a
 /// 32-bit epoch stamp decides whether a cell's stored value is current.
+///
+/// The default array is empty; [`ensure_len`](Self::ensure_len) sizes it
+/// on first use.
 #[derive(Clone, Debug)]
 pub struct EpochArray {
     values: Vec<u64>,
     stamps: Vec<u32>,
     epoch: u32,
+}
+
+impl Default for EpochArray {
+    fn default() -> Self {
+        Self::new(0)
+    }
 }
 
 impl EpochArray {
@@ -143,6 +152,26 @@ impl EpochArray {
             values: vec![0; len],
             stamps: vec![0; len],
             epoch: 1,
+        }
+    }
+
+    /// Grows the array to at least `n` cells, in place: cells written
+    /// since the last [`reset`](Self::reset) keep their values, new cells
+    /// read 0 (their stamp 0 is never the current epoch, which stays
+    /// `>= 1`), and the epoch is unchanged. A no-op when the array is
+    /// already that long.
+    pub fn ensure_len(&mut self, n: usize) {
+        if n <= self.values.len() {
+            return;
+        }
+        if self.values.is_empty() {
+            // First sizing: zeroed allocations leave untouched pages
+            // unbacked, which `resize` (allocate, then fill) would not.
+            self.values = vec![0; n];
+            self.stamps = vec![0; n];
+        } else {
+            self.values.resize(n, 0);
+            self.stamps.resize(n, 0);
         }
     }
 
@@ -257,6 +286,51 @@ mod tests {
             assert_eq!(a.get(i), 0, "cell {i} after reset");
         }
         assert_eq!(a.or_with(3, 0b10), 0b10);
+    }
+
+    #[test]
+    fn epoch_array_grows_in_place() {
+        let mut a = EpochArray::default();
+        assert!(a.is_empty());
+        a.ensure_len(4);
+        a.reset();
+        a.set(1, 7);
+        a.or_with(3, 0b11);
+        a.ensure_len(10);
+        assert_eq!(a.len(), 10);
+        // Cells written before the grow read back; new cells read 0.
+        assert_eq!((a.get(1), a.get(3)), (7, 0b11));
+        for i in 4..10 {
+            assert_eq!(a.get(i), 0, "new cell {i}");
+        }
+        a.set(9, 5);
+        // Shrinking requests are no-ops.
+        a.ensure_len(2);
+        assert_eq!((a.len(), a.get(9)), (10, 5));
+        a.reset();
+        assert_eq!((a.get(1), a.get(9)), (0, 0));
+    }
+
+    #[test]
+    fn grown_epoch_array_survives_the_epoch_wrap() {
+        let mut a = EpochArray::new(2);
+        a.epoch = u32::MAX - 1;
+        a.set(0, 1);
+        a.ensure_len(5);
+        a.set(4, 2);
+        a.reset(); // epoch == u32::MAX
+        assert_eq!((a.get(0), a.get(4)), (0, 0));
+        a.set(4, 3);
+        a.reset(); // wraps: stamps wiped, epoch back to 1
+        assert_eq!(a.epoch, 1);
+        for i in 0..5 {
+            assert_eq!(a.get(i), 0, "cell {i} after the wrap");
+        }
+        // Growing right after the wrap: stamp-0 cells still read 0.
+        a.ensure_len(8);
+        assert_eq!(a.get(7), 0);
+        a.set(7, 9);
+        assert_eq!(a.get(7), 9);
     }
 
     #[test]

@@ -96,6 +96,15 @@ impl MultiTraversal {
         Self::default()
     }
 
+    /// Heap bytes held by the reusable buffers.
+    pub fn size_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.nodes.capacity() + self.next_nodes.capacity())
+            * size_of::<(u64, usize, usize, usize)>()
+            + (self.items.capacity() + self.next_items.capacity() + self.right.capacity())
+                * size_of::<(u32, usize, usize)>()
+    }
+
     /// Runs the batched traversal of `ranges` over `wm` (see
     /// [`WaveletMatrix::guided_traverse_multi`]).
     pub fn run<G: MultiRangeGuide>(

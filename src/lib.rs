@@ -58,7 +58,9 @@ use automata::parser::{self, LabelResolver};
 use ring::mapped::OpenMode;
 use ring::ring::RingOptions;
 use ring::{Dict, Graph, Id, Ring, Triple};
-use rpq_core::{EngineOptions, QueryOutput, RpqEngine, RpqQuery, SourceSnapshot, Term};
+use rpq_core::{
+    EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, Term, TripleSource,
+};
 use std::sync::{Arc, OnceLock};
 use succinct::ResidentMode;
 
@@ -107,6 +109,10 @@ pub struct RpqDatabase {
     nodes: Dict,
     preds: Dict,
     open_info: OpenInfo,
+    /// Mask tables reused from query to query (see
+    /// [`rpq_core::scratch`]): queries take `&self`, so each checks a
+    /// scratch out for its evaluation.
+    scratch: ScratchPool,
 }
 
 /// How a database was brought into memory — cold-start observability
@@ -192,6 +198,7 @@ impl RpqDatabase {
             nodes,
             preds,
             open_info: OpenInfo::default(),
+            scratch: ScratchPool::default(),
         }
     }
 
@@ -231,6 +238,7 @@ impl RpqDatabase {
             nodes,
             preds,
             open_info: OpenInfo::default(),
+            scratch: ScratchPool::default(),
         }
     }
 
@@ -333,11 +341,13 @@ impl RpqDatabase {
         opts: &EngineOptions,
     ) -> Result<QueryOutput, DbError> {
         let q = self.parse_query(subject, expr, object)?;
-        match &self.shards {
-            Some(src) => RpqEngine::over(src).evaluate(&q, opts),
-            None => RpqEngine::new(&self.ring).evaluate(&q, opts),
-        }
-        .map_err(DbError::Query)
+        let source: &dyn TripleSource = match &self.shards {
+            Some(src) => src,
+            None => &*self.ring,
+        };
+        self.scratch
+            .with_engine(source, |engine| engine.evaluate(&q, opts))
+            .map_err(DbError::Query)
     }
 
     /// Explains the evaluation plan for a query (route, direction,
@@ -446,6 +456,7 @@ impl RpqDatabase {
                     resident: idx.resident,
                     mapped_bytes: idx.mapped_bytes,
                 },
+                scratch: ScratchPool::default(),
             })
         } else {
             let mut db = Self::load(path)?;
@@ -521,6 +532,7 @@ impl RpqDatabase {
             nodes,
             preds,
             open_info: OpenInfo::default(),
+            scratch: ScratchPool::default(),
         })
     }
 
@@ -567,6 +579,7 @@ impl RpqDatabase {
                 resident,
                 mapped_bytes,
             },
+            scratch: ScratchPool::default(),
         })
     }
 
@@ -653,6 +666,60 @@ mod tests {
     fn database_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<RpqDatabase>();
+    }
+
+    /// `&self` queries from many threads share the scratch pool: every
+    /// answer equals the single-threaded one, and the pool ends up with
+    /// at most one scratch per thread that was ever in flight.
+    #[test]
+    fn concurrent_queries_reuse_pooled_scratches() {
+        const THREADS: usize = 8;
+        let mut text = String::new();
+        for i in 0..150u32 {
+            text.push_str(&format!("n{i} p n{}\n", (i * 7 + 1) % 150));
+            text.push_str(&format!("n{i} q n{}\n", (i * 11 + 3) % 150));
+            if i % 10 == 0 {
+                text.push_str(&format!("n{i} r n{}\n", (i + 75) % 150));
+            }
+        }
+        let db = RpqDatabase::from_text(&text).unwrap();
+        let queries = [
+            ("n0", "p+", "?y"),
+            ("?x", "(p|q)*/r", "n75"),
+            ("?x", "p*/r/q*", "?y"),
+            ("?x", "^q/p", "?y"),
+            ("n3", "p/q", "?y"),
+            ("n9", "(p|^q)+", "n2"),
+        ];
+        let opts = EngineOptions::default();
+        assert_eq!(db.scratch.pooled(), 0);
+        let expected: Vec<Vec<(Id, Id)>> = queries
+            .iter()
+            .map(|(s, e, o)| db.query_with(s, e, o, &opts).unwrap().pairs)
+            .collect();
+        assert!(expected.iter().all(|pairs| !pairs.is_empty()));
+        assert_eq!(db.scratch.pooled(), 1, "sequential queries share one");
+
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (db, start, expected) = (&db, &start, &expected);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..20 {
+                        let i = (t + round) % queries.len();
+                        let (s, e, o) = queries[i];
+                        let out = db.query_with(s, e, o, &opts).unwrap();
+                        assert_eq!(out.pairs, expected[i], "thread {t}, {s} {e} {o}");
+                    }
+                });
+            }
+        });
+        let pooled = db.scratch.pooled();
+        assert!(
+            (1..=THREADS).contains(&pooled),
+            "{pooled} scratches pooled after {THREADS} concurrent threads"
+        );
     }
 
     #[test]

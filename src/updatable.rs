@@ -19,7 +19,7 @@ use ring::delta::DeltaIndex;
 use ring::store::{StoreSnapshot, StoreStats, TripleStore};
 use ring::wal::{Wal, WalOp};
 use ring::{Dict, Graph, Id, Ring, Triple};
-use rpq_core::{EngineOptions, QueryOutput, RpqEngine, RpqQuery, SourceSnapshot, Term};
+use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, Term};
 use succinct::checksum::{CrcReader, CrcWriter};
 use succinct::io::Persist;
 
@@ -75,6 +75,9 @@ pub struct UpdatableDatabase {
     /// committed op is WAL'd first. Lock order: `durable` before
     /// `dicts` — never the other way around.
     durable: Mutex<Option<WalState>>,
+    /// Mask tables reused from query to query, across epochs: a commit
+    /// or compaction that enlarges the index grows them in place.
+    scratch: ScratchPool,
 }
 
 impl UpdatableDatabase {
@@ -87,6 +90,7 @@ impl UpdatableDatabase {
             store: TripleStore::from_built(graph, ring, DeltaIndex::empty(0), 0),
             dicts: RwLock::new(Dicts { nodes, preds }),
             durable: Mutex::new(None),
+            scratch: ScratchPool::default(),
         }
     }
 
@@ -401,8 +405,8 @@ impl UpdatableDatabase {
                 }
             }
         }
-        RpqEngine::over(snap)
-            .evaluate(q, opts)
+        self.scratch
+            .with_engine(snap, |engine| engine.evaluate(q, opts))
             .map_err(DbError::Query)
     }
 
@@ -544,6 +548,7 @@ impl UpdatableDatabase {
             store: TripleStore::from_built(graph, ring, delta, epoch),
             dicts: RwLock::new(Dicts { nodes, preds }),
             durable: Mutex::new(None),
+            scratch: ScratchPool::default(),
         })
     }
 
@@ -753,6 +758,116 @@ mod tests {
         db.compact();
         assert_eq!(db.query("?x", "p+", "?y").unwrap(), before);
         assert!(db.store().snapshot().delta.is_empty());
+    }
+
+    /// Eight threads query through `&self` while the main thread commits
+    /// between their rounds (growing the node universe, then compacting)
+    /// and buffers the next batch during them. Every answer equals what a
+    /// single-threaded twin replaying the same batches returns, and the
+    /// pool carries at most one scratch per reader across all epochs.
+    #[test]
+    fn concurrent_queries_across_commits_and_a_compaction() {
+        const READERS: usize = 8;
+        const PHASES: usize = 5;
+        let mut text = String::new();
+        for i in 0..60u32 {
+            text.push_str(&format!("n{i} p n{}\n", (i * 7 + 1) % 60));
+            text.push_str(&format!("n{i} q n{}\n", (i * 11 + 3) % 60));
+        }
+        let open = || {
+            UpdatableDatabase::from_text(&text)
+                .unwrap()
+                .with_auto_compact_ratio(None)
+        };
+        // Batch `k` hangs ten new nodes off the graph and removes a few
+        // base edges.
+        let buffer_batch = |db: &UpdatableDatabase, k: usize| {
+            for j in 0..10 {
+                let fresh = format!("m{k}_{j}");
+                db.insert(&format!("n{}", (k * 10 + j) % 60), "p", &fresh);
+                db.insert(&fresh, "q", &format!("n{}", (j * 5 + k) % 60));
+            }
+            let i = (k * 13) % 60;
+            db.delete(&format!("n{i}"), "p", &format!("n{}", (i * 7 + 1) % 60));
+        };
+        let publish = |db: &UpdatableDatabase, k: usize| {
+            if k == 3 {
+                db.commit();
+                db.compact();
+            } else if k > 0 {
+                db.commit();
+            }
+        };
+        let queries = [
+            ("n0", "p+", "?y"),
+            ("?x", "(p|q)+", "n5"),
+            ("?x", "p/q", "?y"),
+            ("?x", "^q/p*", "n7"),
+            ("n2", "(p|^q)+", "?y"),
+        ];
+
+        let twin = open();
+        let mut expected = Vec::new();
+        for k in 0..PHASES {
+            publish(&twin, k);
+            expected.push(
+                queries
+                    .iter()
+                    .map(|(s, e, o)| twin.query(s, e, o).unwrap())
+                    .collect::<Vec<_>>(),
+            );
+            buffer_batch(&twin, k);
+        }
+        assert_eq!(twin.scratch.pooled(), 1);
+        assert_ne!(expected[0], expected[PHASES - 1]);
+
+        let db = open();
+        let gate = std::sync::Barrier::new(READERS + 1);
+        // Readers report mismatches instead of panicking: a reader that
+        // died mid-phase would leave the others waiting at the gate.
+        let mismatches: Vec<String> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|t| {
+                    let (db, gate, expected) = (&db, &gate, &expected);
+                    scope.spawn(move || {
+                        let mut bad = Vec::new();
+                        for (k, want) in expected.iter().enumerate() {
+                            gate.wait(); // phase k is published
+                            for round in 0..queries.len() {
+                                let i = (t + round) % queries.len();
+                                let (s, e, o) = queries[i];
+                                let got = db.query(s, e, o);
+                                if got.as_ref() != Ok(&want[i]) {
+                                    bad.push(format!(
+                                        "reader {t}, phase {k}, {s} {e} {o}: {got:?}"
+                                    ));
+                                }
+                            }
+                            gate.wait(); // every reader is done with phase k
+                        }
+                        bad
+                    })
+                })
+                .collect();
+            for k in 0..PHASES {
+                publish(&db, k);
+                gate.wait();
+                // Uncommitted: interns names under the readers' feet but
+                // changes no answer.
+                buffer_batch(&db, k);
+                gate.wait();
+            }
+            readers
+                .into_iter()
+                .flat_map(|r| r.join().expect("readers do not panic"))
+                .collect()
+        });
+        assert!(mismatches.is_empty(), "{mismatches:#?}");
+        let pooled = db.scratch.pooled();
+        assert!(
+            (1..=READERS).contains(&pooled),
+            "{pooled} scratches pooled after {READERS} concurrent readers"
+        );
     }
 
     #[test]
