@@ -11,15 +11,16 @@ use succinct::util::{BitSet, EpochArray};
 use succinct::wavelet_matrix::{MultiRangeGuide, MultiTraversal, RangeGuide};
 use succinct::WaveletMatrix;
 
-use crate::pairbuf::PairBuffer;
+use crate::kernel::{self, Kernel, Start, Stop};
+use crate::merged::MergedKernel;
 use crate::plan::{EvalRoute, PreparedQuery};
-use crate::planner::{self, Direction};
+use crate::planner;
 use crate::profile::{LevelProf, QueryProfile};
 use crate::query::{EngineOptions, QueryOutput, RpqQuery, Term, TraversalStats};
 use crate::scratch::{EngineScratch, TraverseScratch};
-use crate::source::{MergedView, ShardPart, TripleSource};
+use crate::source::{MergedView, ShardSet, TripleSource};
 use crate::stats::RingStatistics;
-use crate::{fastpath, merged, QueryError};
+use crate::{fastpath, QueryError};
 
 /// Frontier items batched through one `L_p` traversal at a time (bounds
 /// the per-level scratch; a BFS level larger than this is processed in
@@ -61,11 +62,11 @@ pub struct RpqEngine<'r> {
     /// and non-empty. Routes evaluation through the merged (ring ⊎
     /// delta) expansion; `None` keeps the pure succinct hot path.
     delta: Option<&'r DeltaIndex>,
-    /// The shard partition of a sharded source (empty = unsharded;
-    /// `shards[0].ring` is `ring`). Like a delta, a non-empty partition
-    /// routes every evaluation through the merged expansion — the
-    /// extra shards are gathered after each base-ring step.
-    shards: &'r [ShardPart],
+    /// The shard set of a sharded source (`None` = unsharded; part 0's
+    /// ring is `ring`). Like a delta, a partition routes every
+    /// evaluation through the merged expansion — each step gathers from
+    /// the shards the set's routing table names.
+    shards: Option<&'r ShardSet>,
     /// Mask tables and traversal buffers: reused across this engine's
     /// queries, each table sized by the first route that needs it.
     scratch: EngineScratch,
@@ -82,25 +83,6 @@ pub struct RpqEngine<'r> {
     /// parameter. `None` (profiling off) costs one pointer check per
     /// BFS level.
     prof_levels: Option<LevelProf>,
-}
-
-/// Where a backward traversal starts.
-enum Start {
-    /// From one object's `L_p` block (queries with a constant endpoint).
-    Object(Id),
-    /// From the full `L_p` range — all objects at once (§4.4).
-    Full,
-}
-
-/// Why a backward traversal stopped early (if it did).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Stop {
-    /// Ran to completion (or the report callback asked to stop).
-    Completed,
-    /// The wall-clock deadline passed.
-    TimedOut,
-    /// The product-node budget ran out.
-    Budget,
 }
 
 impl<'r> RpqEngine<'r> {
@@ -123,7 +105,7 @@ impl<'r> RpqEngine<'r> {
     /// Creates an engine over a ring plus an optional delta overlay (an
     /// empty delta selects the pure path).
     pub fn with_delta(ring: &'r Ring, delta: Option<&'r DeltaIndex>) -> Self {
-        Self::from_parts(ring, delta, &[], EngineScratch::default())
+        Self::from_parts(ring, delta, None, EngineScratch::default())
     }
 
     /// [`Self::over`] around an existing scratch — typically one an
@@ -131,7 +113,7 @@ impl<'r> RpqEngine<'r> {
     /// same source or any other: tables too small for this source grow in
     /// place when a query first needs them.
     pub fn with_scratch<S: TripleSource + ?Sized>(source: &'r S, scratch: EngineScratch) -> Self {
-        Self::from_parts(source.ring(), source.delta(), source.shard_parts(), scratch)
+        Self::from_parts(source.ring(), source.delta(), source.shards(), scratch)
     }
 
     /// Detaches the working memory, ending the borrow of the source.
@@ -142,7 +124,7 @@ impl<'r> RpqEngine<'r> {
     fn from_parts(
         ring: &'r Ring,
         delta: Option<&'r DeltaIndex>,
-        shards: &'r [ShardPart],
+        shards: Option<&'r ShardSet>,
         scratch: EngineScratch,
     ) -> Self {
         Self {
@@ -165,22 +147,12 @@ impl<'r> RpqEngine<'r> {
     /// overlay or a multi-shard partition is layered over the base
     /// ring); `false` keeps the pure succinct hot path.
     pub(crate) fn layered(&self) -> bool {
-        self.delta.is_some() || !self.shards.is_empty()
+        self.view().layered()
     }
 
     /// The merged step-level view of this engine's source.
     pub(crate) fn view(&self) -> MergedView<'r> {
         MergedView::with_shards(self.ring, self.delta, self.shards)
-    }
-
-    /// The evaluation node universe (ring nodes plus delta nodes; shard
-    /// universes are global by construction, but max defensively).
-    fn n_nodes_universe(&self) -> Id {
-        let shard_max = self.shards.iter().map(|p| p.ring.n_nodes()).max();
-        self.ring
-            .n_nodes()
-            .max(self.delta.map_or(0, |d| d.n_nodes()))
-            .max(shard_max.unwrap_or(0))
     }
 
     /// Bytes of working memory this engine holds (Table 2's
@@ -238,7 +210,7 @@ impl<'r> RpqEngine<'r> {
         }
         for t in [subject, object] {
             if let Term::Const(c) = t {
-                if c >= self.n_nodes_universe() {
+                if c >= self.view().n_nodes() {
                     return Err(QueryError::NodeOutOfRange(c));
                 }
             }
@@ -249,7 +221,11 @@ impl<'r> RpqEngine<'r> {
         // either way.
         let prof_t0 = opts.profile.then(Instant::now);
         let plan = planner::plan(
-            &RingStatistics::with_parts(self.ring, self.delta, self.shards),
+            &RingStatistics::with_parts(
+                self.ring,
+                self.delta,
+                self.shards.map(|set| &set[..]).unwrap_or_default(),
+            ),
             prepared,
             subject,
             object,
@@ -294,78 +270,36 @@ impl<'r> RpqEngine<'r> {
                 let split = plan.split.clone().expect("a split plan carries its split");
                 crate::split::evaluate_split_in(self, &split, opts, deadline)?
             }
-            EvalRoute::BitParallel if self.layered() => {
-                let (bp, bp_rev) = prepared
-                    .tables()
-                    .expect("the planner only picks bit-parallel when tables exist");
-                let n = self.n_nodes_universe() as usize;
-                self.scratch.merged_masks.ensure_len(n);
-                merged::evaluate_bitparallel(
-                    &self.view(),
-                    &mut self.scratch.merged_masks,
-                    bp,
-                    bp_rev,
-                    plan.direction,
-                    subject,
-                    object,
-                    opts,
-                    deadline,
-                    plan.intra_query_threads,
-                    self.prof_levels.as_mut(),
-                )?
-            }
             EvalRoute::BitParallel => {
-                let (bp, bp_rev) = prepared
+                let tables = prepared
                     .tables()
                     .expect("the planner only picks bit-parallel when tables exist");
-                let mut out = QueryOutput::default();
-                match (subject, object) {
-                    (Term::Var, Term::Const(o)) => {
-                        self.eval_to_object(bp, o, None, opts, deadline, &mut out, |s, o| (s, o));
-                    }
-                    (Term::Const(s), Term::Var) => {
-                        // (s, E, y) ≡ (y, Ê, s): traverse backwards from s
-                        // with the reversed-and-inverted expression (§4.4).
-                        self.eval_to_object(bp_rev, s, None, opts, deadline, &mut out, |r, s| {
-                            (s, r)
-                        });
-                    }
-                    (Term::Const(s), Term::Const(o)) => {
-                        // Existence check from the endpoint the planner
-                        // found cheaper (§4.3 anchored range estimates).
-                        if plan.direction == Some(Direction::FromObject) {
-                            self.eval_to_object(
-                                bp,
-                                o,
-                                Some(s),
-                                opts,
-                                deadline,
-                                &mut out,
-                                |s, o| (s, o),
-                            );
-                        } else {
-                            self.eval_to_object(
-                                bp_rev,
-                                s,
-                                Some(o),
-                                opts,
-                                deadline,
-                                &mut out,
-                                |o, s| (s, o),
-                            );
-                        }
-                    }
-                    (Term::Var, Term::Var) => {
-                        out = self.eval_var_var(
-                            bp,
-                            bp_rev,
-                            plan.direction == Some(Direction::FromSubject),
-                            opts,
-                            deadline,
-                        )?;
-                    }
+                let nullable = tables.0.is_nullable();
+                let view = self.view();
+                if view.layered() {
+                    self.scratch
+                        .merged_masks
+                        .ensure_len(view.n_nodes() as usize);
+                    let mut kernel = MergedKernel {
+                        view,
+                        masks: &mut self.scratch.merged_masks,
+                        tables,
+                        opts,
+                        deadline,
+                        threads: plan.intra_query_threads,
+                        prof: self.prof_levels.as_mut(),
+                        labels: [None, None],
+                    };
+                    kernel::evaluate(&mut kernel, nullable, plan.direction, subject, object, opts)
+                } else {
+                    let mut kernel = PureKernel {
+                        engine: self,
+                        tables,
+                        opts,
+                        deadline,
+                    };
+                    kernel::evaluate(&mut kernel, nullable, plan.direction, subject, object, opts)
                 }
-                out
             }
         };
         out.plan = Some(plan);
@@ -393,181 +327,6 @@ impl<'r> RpqEngine<'r> {
             }));
         }
         Ok(out)
-    }
-
-    /// Evaluates the backward traversal anchored at object `anchor`,
-    /// reporting every node `r` where the initial state activates.
-    /// `pair_of(r, anchor)` shapes each reported pair; `target` turns the
-    /// run into an existence check for `(target, E, anchor)`.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_to_object(
-        &mut self,
-        bp: &BitParallel,
-        anchor: Id,
-        target: Option<Id>,
-        opts: &EngineOptions,
-        deadline: Option<Instant>,
-        out: &mut QueryOutput,
-        pair_of: impl Fn(Id, Id) -> (Id, Id),
-    ) {
-        let limit = opts.limit;
-        let budget = opts
-            .node_budget
-            .map(|nb| nb.saturating_sub(out.stats.product_nodes));
-        let mut stats = TraversalStats::default();
-        let mut truncated = false;
-        let mut done = false;
-        let mut trace = Vec::new();
-        let stop = self.backward_traverse(
-            bp,
-            Start::Object(anchor),
-            opts,
-            deadline,
-            budget,
-            &mut stats,
-            opts.collect_trace.then_some(&mut trace),
-            &mut |r| {
-                if let Some(t) = target {
-                    if r == t {
-                        out.pairs.push(pair_of(t, anchor));
-                        done = true;
-                        return false;
-                    }
-                    return true;
-                }
-                out.pairs.push(pair_of(r, anchor));
-                if out.pairs.len() >= limit {
-                    truncated = true;
-                    return false;
-                }
-                true
-            },
-        );
-        let _ = done;
-        out.trace.extend(trace);
-        out.truncated |= truncated;
-        out.timed_out |= stop == Stop::TimedOut;
-        out.budget_exhausted |= stop == Stop::Budget;
-        out.stats.add(&stats);
-    }
-
-    /// The `(x, E, y)` strategy of §4.4: one full-range backward pass finds
-    /// the useful anchors, then one anchored query per anchor. The
-    /// direction (`sources_first` vs targets-first) is the planner's §5
-    /// smallest-first-expansion choice, passed down from the [`Plan`]
-    /// being executed.
-    ///
-    /// [`Plan`]: crate::planner::Plan
-    fn eval_var_var(
-        &mut self,
-        bp_e: &BitParallel,
-        bp_rev: &BitParallel,
-        sources_first: bool,
-        opts: &EngineOptions,
-        deadline: Option<Instant>,
-    ) -> Result<QueryOutput, QueryError> {
-        let mut out = QueryOutput::default();
-        // Sorted-vec dedup instead of a hash set: pushes are a bump
-        // write, compaction amortizes, and truncation keeps a
-        // deterministic (smallest) subset. See [`PairBuffer`].
-        let mut pairs = PairBuffer::new();
-
-        // Zero-length paths: every existing node pairs with itself
-        // (already distinct, so the raw length is the distinct count).
-        if bp_e.is_nullable() {
-            for v in 0..self.ring.n_nodes() {
-                if self.node_exists(v) {
-                    pairs.push((v, v));
-                    if pairs.distinct_reached(opts.limit) {
-                        pairs.truncate_distinct(opts.limit);
-                        out.truncated = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Pass 1: collect the useful anchors from the full range.
-        let pass_bp = if sources_first { bp_e } else { bp_rev };
-        let mut anchors: Vec<Id> = Vec::new();
-        let mut stats = TraversalStats::default();
-        if !out.truncated {
-            let stop = self.backward_traverse(
-                pass_bp,
-                Start::Full,
-                opts,
-                deadline,
-                opts.node_budget,
-                &mut stats,
-                opts.collect_trace.then_some(&mut out.trace),
-                &mut |r| {
-                    anchors.push(r);
-                    true
-                },
-            );
-            out.timed_out |= stop == Stop::TimedOut;
-            out.budget_exhausted |= stop == Stop::Budget;
-        }
-        out.stats.add(&stats);
-
-        // Pass 2: one anchored query per useful node. The node budget is
-        // cumulative across the whole query: each anchored run gets what
-        // the previous passes left over.
-        let per_bp = if sources_first { bp_rev } else { bp_e };
-        'outer: for &a in &anchors {
-            if out.timed_out || out.truncated || out.budget_exhausted {
-                break;
-            }
-            let budget = opts
-                .node_budget
-                .map(|nb| nb.saturating_sub(out.stats.product_nodes));
-            let mut stats = TraversalStats::default();
-            let mut hit_limit = false;
-            let mut trace = Vec::new();
-            let stop = self.backward_traverse(
-                per_bp,
-                Start::Object(a),
-                opts,
-                deadline,
-                budget,
-                &mut stats,
-                opts.collect_trace.then_some(&mut trace),
-                &mut |r| {
-                    // Sources-first: a is a source, r its reachable target.
-                    let pair = if sources_first { (a, r) } else { (r, a) };
-                    pairs.push(pair);
-                    // Amortized probe; the post-loop settle is exact.
-                    if pairs.maybe_reached(opts.limit) {
-                        pairs.truncate_distinct(opts.limit);
-                        hit_limit = true;
-                        return false;
-                    }
-                    true
-                },
-            );
-            out.trace.extend(trace);
-            out.stats.add(&stats);
-            out.timed_out |= stop == Stop::TimedOut;
-            out.budget_exhausted |= stop == Stop::Budget;
-            if hit_limit {
-                out.truncated = true;
-                break 'outer;
-            }
-        }
-
-        // Exact settle: the amortized limit probe may have lagged.
-        if pairs.distinct_reached(opts.limit) {
-            pairs.truncate_distinct(opts.limit);
-            out.truncated = true;
-        }
-        pairs.compact();
-        out.stats.pair_compactions += pairs.compactions();
-        out.pairs = pairs.into_sorted_vec();
-        Ok(out)
-    }
-
-    fn node_exists(&self, v: Id) -> bool {
-        node_exists(self.ring, v)
     }
 
     /// The backward product-graph traversal (§4, parts one to three),
@@ -687,7 +446,7 @@ impl<'r> RpqEngine<'r> {
                 // Mark F on the start node (§4.2) and report a zero-length
                 // match if the initial state is already accepting.
                 ls_masks.set(WaveletMatrix::node_index(width_s, o), d0);
-                if d0 & INITIAL != 0 && node_exists(ring, o) {
+                if d0 & INITIAL != 0 && MergedView::ring_only(ring).node_exists(o) {
                     stats.reported += 1;
                     if !report(o) {
                         return Stop::Completed;
@@ -906,14 +665,50 @@ impl<'r> RpqEngine<'r> {
     }
 }
 
-/// Whether `v` occurs in the graph (as an object or a subject).
-fn node_exists(ring: &Ring, v: Id) -> bool {
-    let (b, e) = ring.object_range(v);
-    if e > b {
-        return true;
+/// The wavelet-batched kernel bound to one evaluation: the engine (ring,
+/// mask tables, thread grant, profiler), the query's `(E, Ê)` tables and
+/// the call's limits.
+struct PureKernel<'e, 'r> {
+    engine: &'e mut RpqEngine<'r>,
+    tables: (&'e BitParallel, &'e BitParallel),
+    opts: &'e EngineOptions,
+    deadline: Option<Instant>,
+}
+
+impl Kernel for PureKernel<'_, '_> {
+    fn traverse(
+        &mut self,
+        reversed: bool,
+        start: Start,
+        budget: Option<u64>,
+        stats: &mut TraversalStats,
+        trace: Option<&mut Vec<(Id, u64)>>,
+        report: &mut dyn FnMut(Id) -> bool,
+    ) -> Stop {
+        let bp = if reversed {
+            self.tables.1
+        } else {
+            self.tables.0
+        };
+        self.engine.backward_traverse(
+            bp,
+            start,
+            self.opts,
+            self.deadline,
+            budget,
+            stats,
+            trace,
+            report,
+        )
     }
-    let (b, e) = ring.subject_range(v);
-    e > b
+
+    fn n_nodes(&self) -> Id {
+        self.engine.ring.n_nodes()
+    }
+
+    fn node_exists(&self, v: Id) -> bool {
+        self.engine.view().node_exists(v)
+    }
 }
 
 /// §4.1, frontier-batched: prune `L_p` subtrees whose labels cannot

@@ -56,44 +56,19 @@ pub fn evaluate_view(
             });
         }
         (Term::Var, Term::Var) => {
-            // Per-source runs over existing nodes, like the classical ALP.
-            // The node budget is cumulative: each per-source run gets what
-            // the previous ones left over.
+            // Per-source runs over existing nodes, like the classical ALP,
+            // all into the one output: its pair count and node counter are
+            // what each run checks the limit and the budget against, so
+            // both are cumulative. Runs from different sources cannot
+            // repeat a pair.
             let nfa = Nfa::from_regex(&query.expr);
-            let mut pairs: FxHashSet<(Id, Id)> = FxHashSet::default();
-            for s in 0..view.n_nodes() {
+            for s in (0..view.n_nodes()).filter(|&s| view.node_exists(s)) {
                 if out.timed_out || out.truncated || out.budget_exhausted {
                     break;
                 }
-                if !view.node_exists(s) {
-                    continue;
-                }
-                let sub_opts = EngineOptions {
-                    node_budget: opts
-                        .node_budget
-                        .map(|nb| nb.saturating_sub(out.stats.product_nodes)),
-                    ..*opts
-                };
-                let mut sub = QueryOutput::default();
-                forward_bfs(
-                    view,
-                    &nfa,
-                    s,
-                    None,
-                    &sub_opts,
-                    deadline,
-                    &mut sub,
-                    |s, r| (s, r),
-                );
-                pairs.extend(sub.pairs);
-                out.timed_out |= sub.timed_out;
-                out.budget_exhausted |= sub.budget_exhausted;
-                out.stats.add(&sub.stats);
-                if pairs.len() >= opts.limit {
-                    out.truncated = true;
-                }
+                forward_bfs(view, &nfa, s, None, opts, deadline, &mut out, |s, r| (s, r));
             }
-            out.pairs = pairs.into_iter().collect();
+            out.pairs.sort_unstable();
         }
     }
     out.stats.reported = out.pairs.len() as u64;

@@ -38,6 +38,7 @@ pub mod explain;
 pub mod fallback;
 pub mod fastpath;
 pub mod jsonw;
+mod kernel;
 mod merged;
 pub mod oracle;
 pub mod pairbuf;
@@ -57,7 +58,7 @@ pub use planner::{Direction, Plan};
 pub use profile::{LevelSample, QueryProfile};
 pub use query::{EngineOptions, QueryOutput, RpqQuery, Term, TraversalStats};
 pub use scratch::{EngineScratch, ScratchPool};
-pub use source::{MergedView, ShardPart, ShardedSource, SourceSnapshot, TripleSource};
+pub use source::{MergedView, ShardPart, ShardSet, ShardedSource, SourceSnapshot, TripleSource};
 
 /// Errors from query evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,13 +1,15 @@
-//! The merged bit-parallel route: the §4 backward product-graph
+//! The layered bit-parallel kernel: the §4 backward product-graph
 //! traversal evaluated against a [`MergedView`] — node-granular
-//! expansion where every backward step merges ring subjects (tombstones
-//! masked) with delta adds. Selected by the engine only when the source
-//! carries a non-empty delta; the pure succinct hot path is untouched
-//! otherwise.
+//! expansion where every backward step reads its adjacency through the
+//! view (ring subjects with tombstones masked plus delta adds, or a
+//! gather from the shards owning the label). The engine selects it for
+//! every source that layers something over one ring — a non-empty delta
+//! or a shard partition; a bare ring keeps the wavelet-batched kernel.
 //!
 //! Same answers as the wavelet-batched traversal by construction: both
 //! are BFS over the product `G'_E` with the monotone visited masks
-//! `D[s]`; this one just reads its adjacency through the overlay.
+//! `D[s]`, visiting labels and subjects in ascending order; this one
+//! just reads its adjacency through the overlay.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -18,20 +20,10 @@ use automata::{BitParallel, Label};
 use ring::Id;
 use succinct::util::{EpochArray, FxHashMap};
 
-use crate::pairbuf::PairBuffer;
-use crate::planner::Direction;
+use crate::kernel::{Kernel, Start, Stop};
 use crate::profile::LevelProf;
-use crate::query::{EngineOptions, QueryOutput, Term, TraversalStats};
+use crate::query::{EngineOptions, TraversalStats};
 use crate::source::MergedView;
-use crate::QueryError;
-
-/// Why a merged traversal stopped early (if it did).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Stop {
-    Completed,
-    TimedOut,
-    Budget,
-}
 
 /// Per-label admission masks `B[p]` for every label that can fire, from
 /// the positive literal masks plus negated-class positions expanded
@@ -61,306 +53,154 @@ fn relevant_labels(view: &MergedView<'_>, bp: &BitParallel) -> Vec<(Label, u64)>
     out
 }
 
-/// Evaluates the bit-parallel route against a merged source. Mirrors the
-/// engine's pure-ring dispatch: anchored queries traverse backward from
-/// the constant, const-const is an existence check from the planner's
-/// cheaper end, and variable-to-variable runs §4.4's two-pass strategy.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_bitparallel(
-    view: &MergedView<'_>,
-    masks: &mut EpochArray,
-    bp: &BitParallel,
-    bp_rev: &BitParallel,
-    direction: Option<Direction>,
-    subject: Term,
-    object: Term,
-    opts: &EngineOptions,
-    deadline: Option<Instant>,
-    threads: usize,
-    mut prof: Option<&mut LevelProf>,
-) -> Result<QueryOutput, QueryError> {
-    let mut out = QueryOutput::default();
-    match (subject, object) {
-        (Term::Var, Term::Const(o)) => {
-            let labels = relevant_labels(view, bp);
-            eval_to_object(
-                view,
-                masks,
-                bp,
-                &labels,
-                o,
-                None,
-                opts,
-                deadline,
-                threads,
-                prof.as_deref_mut(),
-                &mut out,
-                |s, o| (s, o),
-            );
-        }
-        (Term::Const(s), Term::Var) => {
-            let labels = relevant_labels(view, bp_rev);
-            eval_to_object(
-                view,
-                masks,
-                bp_rev,
-                &labels,
-                s,
-                None,
-                opts,
-                deadline,
-                threads,
-                prof.as_deref_mut(),
-                &mut out,
-                |r, s| (s, r),
-            );
-        }
-        (Term::Const(s), Term::Const(o)) => {
-            if direction == Some(Direction::FromObject) {
-                let labels = relevant_labels(view, bp);
-                eval_to_object(
-                    view,
-                    masks,
-                    bp,
-                    &labels,
-                    o,
-                    Some(s),
-                    opts,
-                    deadline,
-                    threads,
-                    prof.as_deref_mut(),
-                    &mut out,
-                    |s, o| (s, o),
-                );
-            } else {
-                let labels = relevant_labels(view, bp_rev);
-                eval_to_object(
-                    view,
-                    masks,
-                    bp_rev,
-                    &labels,
-                    s,
-                    Some(o),
-                    opts,
-                    deadline,
-                    threads,
-                    prof.as_deref_mut(),
-                    &mut out,
-                    |o, s| (s, o),
-                );
-            }
-        }
-        (Term::Var, Term::Var) => {
-            out = eval_var_var(
-                view,
-                masks,
-                bp,
-                bp_rev,
-                direction == Some(Direction::FromSubject),
-                opts,
-                deadline,
-                threads,
-                prof,
-            )?;
-        }
-    }
-    Ok(out)
+/// The layered kernel bound to one evaluation: the view, the per-node
+/// visited masks, the query's `(E, Ê)` tables and the call's limits.
+pub(crate) struct MergedKernel<'a> {
+    pub(crate) view: MergedView<'a>,
+    pub(crate) masks: &'a mut EpochArray,
+    pub(crate) tables: (&'a BitParallel, &'a BitParallel),
+    pub(crate) opts: &'a EngineOptions,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) threads: usize,
+    pub(crate) prof: Option<&'a mut LevelProf>,
+    /// Label-admission tables per direction (`[E, Ê]`): they depend only
+    /// on `(view, tables)`, so every anchored run of a two-pass
+    /// evaluation shares the one built on first use.
+    pub(crate) labels: [Option<Vec<(Label, u64)>>; 2],
 }
 
-/// Anchored traversal from `anchor`, reporting every node where the
-/// initial state activates. `target` turns it into an existence check.
-#[allow(clippy::too_many_arguments)]
-fn eval_to_object(
-    view: &MergedView<'_>,
-    masks: &mut EpochArray,
-    bp: &BitParallel,
-    labels: &[(Label, u64)],
-    anchor: Id,
-    target: Option<Id>,
-    opts: &EngineOptions,
-    deadline: Option<Instant>,
-    threads: usize,
-    prof: Option<&mut LevelProf>,
-    out: &mut QueryOutput,
-    pair_of: impl Fn(Id, Id) -> (Id, Id),
-) {
-    let limit = opts.limit;
-    let budget = opts
-        .node_budget
-        .map(|nb| nb.saturating_sub(out.stats.product_nodes));
-    let mut stats = TraversalStats::default();
-    let mut truncated = false;
-    let mut trace = Vec::new();
-    let stop = traverse(
-        view,
-        masks,
-        bp,
-        labels,
-        &[anchor],
-        true,
-        deadline,
-        budget,
-        threads,
-        opts.parallel_min_frontier,
-        &mut stats,
-        prof,
-        opts.collect_trace.then_some(&mut trace),
-        &mut |r| {
-            if let Some(t) = target {
-                if r == t {
-                    out.pairs.push(pair_of(t, anchor));
-                    return false;
-                }
-                return true;
-            }
-            out.pairs.push(pair_of(r, anchor));
-            if out.pairs.len() >= limit {
-                truncated = true;
-                return false;
-            }
-            true
-        },
-    );
-    out.trace.extend(trace);
-    out.truncated |= truncated;
-    out.timed_out |= stop == Stop::TimedOut;
-    out.budget_exhausted |= stop == Stop::Budget;
-    out.stats.add(&stats);
-}
-
-/// §4.4 two-pass variable-to-variable strategy over the merged source:
-/// pass 1 seeds every live node at once (the merged stand-in for the
-/// full-range start) to collect useful anchors, pass 2 anchors one
-/// traversal per anchor. The node budget is cumulative across passes.
-#[allow(clippy::too_many_arguments)]
-fn eval_var_var(
-    view: &MergedView<'_>,
-    masks: &mut EpochArray,
-    bp_e: &BitParallel,
-    bp_rev: &BitParallel,
-    sources_first: bool,
-    opts: &EngineOptions,
-    deadline: Option<Instant>,
-    threads: usize,
-    mut prof: Option<&mut LevelProf>,
-) -> Result<QueryOutput, QueryError> {
-    let mut out = QueryOutput::default();
-    let mut pairs = PairBuffer::new();
-
-    let live: Vec<Id> = (0..view.n_nodes())
-        .filter(|&v| view.node_exists(v))
-        .collect();
-
-    // Zero-length paths: every live node pairs with itself.
-    if bp_e.is_nullable() {
-        for &v in &live {
-            pairs.push((v, v));
-            if pairs.distinct_reached(opts.limit) {
-                pairs.truncate_distinct(opts.limit);
-                out.truncated = true;
-                break;
-            }
-        }
-    }
-
-    // Pass 1: useful anchors, from all live nodes at once (seeds are
-    // unmarked, exactly like the full-range start of the pure path).
-    // Label-admission tables depend only on (view, bp): built once per
-    // direction, shared by every anchored traversal of pass 2.
-    let pass_bp = if sources_first { bp_e } else { bp_rev };
-    let pass_labels = relevant_labels(view, pass_bp);
-    let mut anchors: Vec<Id> = Vec::new();
-    let mut stats = TraversalStats::default();
-    if !out.truncated {
-        let stop = traverse(
-            view,
-            masks,
-            pass_bp,
-            &pass_labels,
-            &live,
-            false,
-            deadline,
-            opts.node_budget,
-            threads,
-            opts.parallel_min_frontier,
-            &mut stats,
-            prof.as_deref_mut(),
-            opts.collect_trace.then_some(&mut out.trace),
-            &mut |r| {
-                anchors.push(r);
-                true
-            },
-        );
-        out.timed_out |= stop == Stop::TimedOut;
-        out.budget_exhausted |= stop == Stop::Budget;
-    }
-    out.stats.add(&stats);
-
-    // Pass 2: one anchored traversal per useful node.
-    let per_bp = if sources_first { bp_rev } else { bp_e };
-    let per_labels = relevant_labels(view, per_bp);
-    'outer: for &a in &anchors {
-        if out.timed_out || out.truncated || out.budget_exhausted {
-            break;
-        }
-        let budget = opts
-            .node_budget
-            .map(|nb| nb.saturating_sub(out.stats.product_nodes));
-        let mut stats = TraversalStats::default();
-        let mut hit_limit = false;
-        let mut trace = Vec::new();
-        let stop = traverse(
-            view,
-            masks,
-            per_bp,
-            &per_labels,
-            &[a],
-            true,
-            deadline,
+impl Kernel for MergedKernel<'_> {
+    fn traverse(
+        &mut self,
+        reversed: bool,
+        start: Start,
+        budget: Option<u64>,
+        stats: &mut TraversalStats,
+        trace: Option<&mut Vec<(Id, u64)>>,
+        report: &mut dyn FnMut(Id) -> bool,
+    ) -> Stop {
+        let bp = if reversed {
+            self.tables.1
+        } else {
+            self.tables.0
+        };
+        let labels = self.labels[usize::from(reversed)]
+            .get_or_insert_with(|| relevant_labels(&self.view, bp));
+        let mut visit = Visit {
+            masks: self.masks,
             budget,
-            threads,
-            opts.parallel_min_frontier,
-            &mut stats,
-            prof.as_deref_mut(),
-            opts.collect_trace.then_some(&mut trace),
-            &mut |r| {
-                let pair = if sources_first { (a, r) } else { (r, a) };
-                pairs.push(pair);
-                if pairs.maybe_reached(opts.limit) {
-                    pairs.truncate_distinct(opts.limit);
-                    hit_limit = true;
-                    return false;
-                }
-                true
-            },
-        );
-        out.trace.extend(trace);
-        out.stats.add(&stats);
-        out.timed_out |= stop == Stop::TimedOut;
-        out.budget_exhausted |= stop == Stop::Budget;
-        if hit_limit {
-            out.truncated = true;
-            break 'outer;
+            stats,
+            trace,
+            report,
+            next: Vec::new(),
+        };
+        let stop = traverse(
+            &self.view,
+            bp,
+            labels,
+            start,
+            self.deadline,
+            self.threads.max(1),
+            self.opts.parallel_min_frontier.max(2),
+            self.prof.as_deref_mut(),
+            &mut visit,
+        )
+        .err()
+        .unwrap_or(Stop::Completed);
+        // Close the last open level with this run's final counters — the
+        // traversal exits early on deadline/budget/report aborts.
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.finish(visit.stats.rank_ops, visit.stats.parallel_chunks);
         }
+        stop
     }
 
-    if pairs.distinct_reached(opts.limit) {
-        pairs.truncate_distinct(opts.limit);
-        out.truncated = true;
+    fn n_nodes(&self) -> Id {
+        self.view.n_nodes()
     }
-    pairs.compact();
-    out.stats.pair_compactions += pairs.compactions();
-    out.pairs = pairs.into_sorted_vec();
-    Ok(out)
+
+    fn node_exists(&self, v: Id) -> bool {
+        self.view.node_exists(v)
+    }
 }
 
-/// The merged backward product BFS. `starts` seed the first level with
-/// the accepting mask; when `mark_starts` is set they are recorded in the
-/// visited masks and reported for zero-length matches (anchored starts),
-/// otherwise they behave like the pure path's full-range start (pass 1).
-/// Calls `report(r)` for every node where the initial state newly
-/// activates; a `false` return aborts. Mirrors the pure traversal's
-/// budget/deadline semantics.
+/// What a traversal run mutates on every product-node discovery.
+struct Visit<'a> {
+    masks: &'a mut EpochArray,
+    budget: Option<u64>,
+    stats: &'a mut TraversalStats,
+    trace: Option<&'a mut Vec<(Id, u64)>>,
+    report: &'a mut dyn FnMut(Id) -> bool,
+    /// The next BFS level, accumulated while the current one expands.
+    next: Vec<(Id, u64)>,
+}
+
+impl Visit<'_> {
+    /// Offers subject `s` the state set `d_new`: when that adds states,
+    /// the discovery is budgeted, recorded, traced, reported if the
+    /// initial state newly activates, and queued for the next level.
+    /// `Err` is the reason the whole traversal stops here.
+    #[inline]
+    fn admit(&mut self, s: Id, d_new: u64) -> Result<(), Stop> {
+        let old = self.masks.get(s as usize);
+        let fresh = d_new & !old;
+        if fresh == 0 {
+            return Ok(());
+        }
+        if self.budget.is_some_and(|nb| self.stats.product_nodes >= nb) {
+            return Err(Stop::Budget);
+        }
+        self.masks.set(s as usize, old | d_new);
+        self.stats.product_nodes += 1;
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.push((s, fresh));
+        }
+        if fresh & INITIAL != 0 {
+            self.stats.reported += 1;
+            if !(self.report)(s) {
+                return Err(Stop::Completed);
+            }
+        }
+        self.next.push((s, fresh));
+        Ok(())
+    }
+
+    /// One BFS step is about to expand: counts it and, every 64 steps,
+    /// checks the deadline.
+    #[inline]
+    fn step(&mut self, deadline: Option<Instant>) -> Result<(), Stop> {
+        self.stats.bfs_steps += 1;
+        match deadline {
+            Some(dl) if self.stats.bfs_steps.is_multiple_of(64) && Instant::now() >= dl => {
+                Err(Stop::TimedOut)
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Eq. 2 for one label: the state set every subject of a `p`-edge into a
+/// node holding `d` receives (the same for all of them, Fact 1) — `None`
+/// when `p` cannot fire from `d`.
+#[inline]
+fn step_states(bp: &BitParallel, d: u64, bmask: u64, edges: &mut u64) -> Option<u64> {
+    let d_and_b = d & bmask;
+    if d_and_b == 0 {
+        return None;
+    }
+    *edges += 1;
+    Some(bp.apply_bwd(d_and_b)).filter(|&d_new| d_new != 0)
+}
+
+/// The merged backward product BFS; `Err` carries why it stopped early.
+///
+/// [`Start::Object`] marks the start node and reports it for a
+/// zero-length match. [`Start::Full`] is the full `L_p` range of §4.4 as
+/// one BFS step: per label that can fire from the accepting states, all
+/// of the label's subjects at once ([`MergedView::subjects_of_pred`]) —
+/// the level the wavelet-batched kernel derives from the whole of `L_p`,
+/// reached without visiting a node that carries none of the query's
+/// labels.
 ///
 /// Levels are expanded level-synchronously (the queue was strictly FIFO,
 /// so per-level vectors visit nodes in the identical order). When
@@ -377,186 +217,98 @@ fn eval_var_var(
 #[allow(clippy::too_many_arguments)]
 fn traverse(
     view: &MergedView<'_>,
-    masks: &mut EpochArray,
     bp: &BitParallel,
     labels: &[(Label, u64)],
-    starts: &[Id],
-    mark_starts: bool,
+    start: Start,
     deadline: Option<Instant>,
-    budget: Option<u64>,
     threads: usize,
     min_frontier: usize,
-    stats: &mut TraversalStats,
     mut prof: Option<&mut LevelProf>,
-    trace: Option<&mut Vec<(Id, u64)>>,
-    report: &mut dyn FnMut(Id) -> bool,
-) -> Stop {
-    let stop = traverse_impl(
-        view,
-        masks,
-        bp,
-        labels,
-        starts,
-        mark_starts,
-        deadline,
-        budget,
-        threads,
-        min_frontier,
-        stats,
-        prof.as_deref_mut(),
-        trace,
-        report,
-    );
-    // Close the last open level with this run's final counters — the
-    // body below exits early on deadline/budget/report aborts.
-    if let Some(p) = prof {
-        p.finish(stats.rank_ops, stats.parallel_chunks);
-    }
-    stop
-}
-
-#[allow(clippy::too_many_arguments)]
-fn traverse_impl(
-    view: &MergedView<'_>,
-    masks: &mut EpochArray,
-    bp: &BitParallel,
-    labels: &[(Label, u64)],
-    starts: &[Id],
-    mark_starts: bool,
-    deadline: Option<Instant>,
-    budget: Option<u64>,
-    threads: usize,
-    min_frontier: usize,
-    stats: &mut TraversalStats,
-    mut prof: Option<&mut LevelProf>,
-    mut trace: Option<&mut Vec<(Id, u64)>>,
-    report: &mut dyn FnMut(Id) -> bool,
-) -> Stop {
+    visit: &mut Visit<'_>,
+) -> Result<(), Stop> {
     let d0 = bp.accept_mask();
     if d0 == 0 {
-        return Stop::Completed;
+        return Ok(());
     }
-    masks.reset();
-    let mut frontier: Vec<(Id, u64)> = Vec::with_capacity(starts.len());
-    let mut next: Vec<(Id, u64)> = Vec::new();
-    for &o in starts {
-        if mark_starts {
-            masks.set(o as usize, d0);
+    visit.masks.reset();
+    let mut frontier: Vec<(Id, u64)> = Vec::new();
+    let mut subjects: Vec<Id> = Vec::new();
+    match start {
+        Start::Object(o) => {
+            visit.masks.set(o as usize, d0);
             if d0 & INITIAL != 0 && view.node_exists(o) {
-                stats.reported += 1;
-                if !report(o) {
-                    return Stop::Completed;
+                visit.stats.reported += 1;
+                if !(visit.report)(o) {
+                    return Ok(());
                 }
             }
+            frontier.push((o, d0));
         }
-        frontier.push((o, d0));
+        Start::Full => {
+            if let Some(p) = prof.as_deref_mut() {
+                p.enter(1, visit.stats.rank_ops, visit.stats.parallel_chunks);
+            }
+            visit.step(deadline)?;
+            for &(p, bmask) in labels {
+                let Some(d_new) = step_states(bp, d0, bmask, &mut visit.stats.product_edges) else {
+                    continue;
+                };
+                view.subjects_of_pred(p, &mut subjects);
+                for &s in &subjects {
+                    visit.admit(s, d_new)?;
+                }
+            }
+            std::mem::swap(&mut frontier, &mut visit.next);
+        }
     }
-    let threads = threads.max(1);
-    let min_frontier = min_frontier.max(2);
-    let mut subjects: Vec<Id> = Vec::new();
     while !frontier.is_empty() {
         if let Some(p) = prof.as_deref_mut() {
-            p.enter(frontier.len() as u64, stats.rank_ops, stats.parallel_chunks);
+            p.enter(
+                frontier.len() as u64,
+                visit.stats.rank_ops,
+                visit.stats.parallel_chunks,
+            );
         }
         if threads > 1 && frontier.len() >= min_frontier {
             // Phase A: speculative chunk expansion against frozen masks.
-            let plans = expand_level_frozen(view, bp, labels, masks, &frontier, deadline, threads);
-            stats.parallel_levels += 1;
+            let plans =
+                expand_level_frozen(view, bp, labels, visit.masks, &frontier, deadline, threads);
+            visit.stats.parallel_levels += 1;
             // Phase B: ordered replay with live masks.
             for plan in &plans {
-                stats.parallel_chunks += 1;
+                visit.stats.parallel_chunks += 1;
                 if plan.deadline_hit {
-                    return Stop::TimedOut;
+                    return Err(Stop::TimedOut);
                 }
                 for item in &plan.items {
-                    stats.bfs_steps += 1;
-                    if let Some(dl) = deadline {
-                        if stats.bfs_steps.is_multiple_of(64) && Instant::now() >= dl {
-                            return Stop::TimedOut;
-                        }
-                    }
-                    stats.product_edges += item.n_edges;
+                    visit.step(deadline)?;
+                    visit.stats.product_edges += item.n_edges;
                     for &(d_new, ref cands) in &item.preds {
                         for &s in cands {
-                            let old = masks.get(s as usize);
-                            let fresh = d_new & !old;
-                            if fresh == 0 {
-                                continue;
-                            }
-                            if let Some(nb) = budget {
-                                if stats.product_nodes >= nb {
-                                    return Stop::Budget;
-                                }
-                            }
-                            masks.set(s as usize, old | d_new);
-                            stats.product_nodes += 1;
-                            if let Some(t) = trace.as_deref_mut() {
-                                t.push((s, fresh));
-                            }
-                            if fresh & INITIAL != 0 {
-                                stats.reported += 1;
-                                if !report(s) {
-                                    return Stop::Completed;
-                                }
-                            }
-                            next.push((s, fresh));
+                            visit.admit(s, d_new)?;
                         }
                     }
                 }
             }
-            std::mem::swap(&mut frontier, &mut next);
-            next.clear();
-            continue;
-        }
-        for &(o, d) in &frontier {
-            stats.bfs_steps += 1;
-            if let Some(dl) = deadline {
-                if stats.bfs_steps.is_multiple_of(64) && Instant::now() >= dl {
-                    return Stop::TimedOut;
-                }
-            }
-            for &(p, bmask) in labels {
-                let d_and_b = d & bmask;
-                if d_and_b == 0 {
-                    continue;
-                }
-                stats.product_edges += 1;
-                // Eq. 2: the same new state set for every subject (Fact 1).
-                let d_new = bp.apply_bwd(d_and_b);
-                if d_new == 0 {
-                    continue;
-                }
-                view.subjects_into(o, p, &mut subjects);
-                for &s in &subjects {
-                    let old = masks.get(s as usize);
-                    let fresh = d_new & !old;
-                    if fresh == 0 {
+        } else {
+            for &(o, d) in &frontier {
+                visit.step(deadline)?;
+                for &(p, bmask) in labels {
+                    let Some(d_new) = step_states(bp, d, bmask, &mut visit.stats.product_edges)
+                    else {
                         continue;
+                    };
+                    view.subjects_into(o, p, &mut subjects);
+                    for &s in &subjects {
+                        visit.admit(s, d_new)?;
                     }
-                    if let Some(nb) = budget {
-                        if stats.product_nodes >= nb {
-                            return Stop::Budget;
-                        }
-                    }
-                    masks.set(s as usize, old | d_new);
-                    stats.product_nodes += 1;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.push((s, fresh));
-                    }
-                    if fresh & INITIAL != 0 {
-                        stats.reported += 1;
-                        if !report(s) {
-                            return Stop::Completed;
-                        }
-                    }
-                    next.push((s, fresh));
                 }
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
+        std::mem::swap(&mut frontier, &mut visit.next);
+        visit.next.clear();
     }
-    Stop::Completed
+    Ok(())
 }
 
 /// A frontier chunk expanded speculatively against frozen masks: per
@@ -656,15 +408,9 @@ fn expand_chunk_frozen(
             preds: Vec::new(),
         };
         for &(p, bmask) in labels {
-            let d_and_b = d & bmask;
-            if d_and_b == 0 {
+            let Some(d_new) = step_states(bp, d, bmask, &mut item.n_edges) else {
                 continue;
-            }
-            item.n_edges += 1;
-            let d_new = bp.apply_bwd(d_and_b);
-            if d_new == 0 {
-                continue;
-            }
+            };
             view.subjects_into(o, p, &mut subjects);
             let cands: Vec<Id> = subjects
                 .iter()

@@ -11,23 +11,26 @@
 //! path — the overlay costs nothing until the first commit.
 //!
 //! Horizontal sharding rides the same seam: a [`ShardedSource`] exposes
-//! its partition as [`ShardPart`]s, and every [`MergedView`] primitive
-//! scatter-gathers the extra shards after the base ring — results stay
-//! sorted-distinct, so merged traversal orders (and therefore answers,
-//! traces, and truncation points) are independent of how the triples
-//! were partitioned.
+//! its partition as a [`ShardSet`], and every [`MergedView`] primitive
+//! gathers from the shards that *own* the probed label — the set's
+//! routing table names them, so a shard without the label is never
+//! consulted. Results stay sorted-distinct, so merged traversal orders
+//! (and therefore answers, traces, and truncation points) are
+//! independent of how the triples were partitioned.
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ring::delta::DeltaIndex;
 use ring::store::StoreSnapshot;
 use ring::{Id, Ring};
+use succinct::util::BitSet;
 
 /// One shard of a horizontally partitioned source: its sub-ring plus a
-/// relaxed probe counter (how many scatter-gather primitives actually
-/// consulted this shard's data — predicate routing skips shards whose
-/// alphabet slice is empty for the probed label).
+/// relaxed probe counter (how many gather primitives actually consulted
+/// this shard's data — routing never probes a shard whose alphabet slice
+/// is empty for the label).
 #[derive(Debug)]
 pub struct ShardPart {
     /// The shard's sub-ring, built over its triple partition with the
@@ -40,14 +43,6 @@ pub struct ShardPart {
 }
 
 impl ShardPart {
-    /// Wraps one sub-ring as a shard part with a zeroed probe counter.
-    pub fn new(ring: Arc<Ring>) -> Self {
-        Self {
-            ring,
-            probes: AtomicU64::new(0),
-        }
-    }
-
     /// Probes answered so far.
     pub fn probe_count(&self) -> u64 {
         self.probes.load(Ordering::Relaxed)
@@ -55,6 +50,132 @@ impl ShardPart {
 
     fn note_probe(&self) {
         self.probes.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The parts of a sharded source plus their **routing table**: per
+/// completed-alphabet label the shards holding at least one triple with
+/// it (a bitmask, one word per 64 shards), and the set of nodes with an
+/// edge in any shard. Both are derived from the sub-rings' boundary
+/// arrays in one pass when the set is assembled — `8·|Σ↔| + |V|/8`
+/// bytes, never persisted — so a primitive probes exactly the owners of
+/// its label and node existence is one bit test.
+///
+/// Dereferences to the part slice.
+#[derive(Debug)]
+pub struct ShardSet {
+    parts: Vec<ShardPart>,
+    /// `owners[p · words + i / 64]` bit `i % 64`: shard `i` holds `p`.
+    owners: Vec<u64>,
+    /// Mask words per label: `⌈parts / 64⌉`.
+    words: usize,
+    /// Nodes with at least one edge in some shard.
+    live: BitSet,
+}
+
+impl ShardSet {
+    /// Wraps the shard sub-rings and derives their routing table.
+    ///
+    /// # Panics
+    /// Panics if `rings` is empty or the rings disagree on the node or
+    /// predicate universe (`ring::sharded::ShardedIndex`-built ones
+    /// share the global ones).
+    pub fn new(rings: Vec<Arc<Ring>>) -> Self {
+        let first = rings.first().expect("a sharded source needs >= 1 ring");
+        let (n_nodes, n_preds) = (first.n_nodes(), first.n_preds());
+        assert!(
+            rings
+                .iter()
+                .all(|r| r.n_nodes() == n_nodes && r.n_preds() == n_preds),
+            "shards must share the global node and predicate universes"
+        );
+        let words = rings.len().div_ceil(64);
+        let mut owners = vec![0u64; n_preds as usize * words];
+        let mut live = BitSet::new(n_nodes as usize);
+        for (i, ring) in rings.iter().enumerate() {
+            ring.c_p_ref()
+                .for_each_nonempty(|p| owners[p as usize * words + i / 64] |= 1 << (i % 64));
+            // In the completed graph a node's subject block covers both
+            // directions of its incidence.
+            ring.c_s_ref().for_each_nonempty(|v| live.set(v as usize));
+        }
+        let parts = rings
+            .into_iter()
+            .map(|ring| ShardPart {
+                ring,
+                probes: AtomicU64::new(0),
+            })
+            .collect();
+        Self {
+            parts,
+            owners,
+            words,
+            live,
+        }
+    }
+
+    /// The partless set an unsharded [`SourceSnapshot`] carries.
+    fn empty() -> Self {
+        Self {
+            parts: Vec::new(),
+            owners: Vec::new(),
+            words: 0,
+            live: BitSet::new(0),
+        }
+    }
+
+    /// Indices of the shards holding at least one triple labeled `p`
+    /// (completed alphabet), ascending.
+    pub fn owners(&self, p: Id) -> impl Iterator<Item = usize> + '_ {
+        let row = &self.owners[p as usize * self.words..][..self.words];
+        row.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors(Some(word), |m| Some(m & m.wrapping_sub(1)))
+                .take_while(|&m| m != 0)
+                .map(move |m| w * 64 + m.trailing_zeros() as usize)
+        })
+    }
+
+    /// Whether `v` has at least one edge in some shard.
+    pub fn is_live(&self, v: Id) -> bool {
+        (v as usize) < self.live.len() && self.live.get(v as usize)
+    }
+
+    /// The shared node universe.
+    pub fn n_nodes(&self) -> Id {
+        self.live.len() as Id
+    }
+
+    /// Gathers into `out` the distinct `L_s` symbols of each owner's
+    /// `range_of` range, ascending. Every shard enumerates ascending, so
+    /// only an answer drawn from several shards is merged.
+    fn gather(&self, p: Id, out: &mut Vec<Id>, range_of: impl Fn(&Ring) -> (usize, usize)) {
+        let mut answered = 0;
+        for i in self.owners(p) {
+            let part = &self.parts[i];
+            part.note_probe();
+            let (b, e) = range_of(&part.ring);
+            let before = out.len();
+            part.ring
+                .l_s()
+                .range_distinct(b, e, &mut |s, _, _| out.push(s));
+            answered += usize::from(out.len() > before);
+        }
+        if answered > 1 {
+            // A subject can source `p` edges in several shards
+            // (subject-range splits of skewed predicates put its
+            // in-edges — hence its `p̂` sources — wherever the other
+            // endpoint lives), so merged gathers dedup.
+            out.sort_unstable();
+            out.dedup();
+        }
+    }
+}
+
+impl Deref for ShardSet {
+    type Target = [ShardPart];
+
+    fn deref(&self) -> &[ShardPart] {
+        &self.parts
     }
 }
 
@@ -68,12 +189,19 @@ pub trait TripleSource {
     fn delta(&self) -> Option<&DeltaIndex> {
         None
     }
-    /// The shard partition of a horizontally sharded source. Empty for
-    /// single-ring sources (the pure hot path); when non-empty it has at
-    /// least two parts and `shard_parts()[0].ring` is the same ring
+    /// The partition and routing table of a horizontally sharded source.
+    /// `None` for single-ring sources (the pure hot path); a returned
+    /// set has at least two parts and its part 0 is the ring
     /// [`TripleSource::ring`] returns.
+    fn shards(&self) -> Option<&ShardSet> {
+        None
+    }
+    /// The parts of [`TripleSource::shards`] (empty when unsharded).
     fn shard_parts(&self) -> &[ShardPart] {
-        &[]
+        match self.shards() {
+            Some(set) => set,
+            None => &[],
+        }
     }
 }
 
@@ -106,12 +234,9 @@ pub struct SourceSnapshot {
     /// The committed overlay, if any (never present together with
     /// shards: sharded sources are immutable).
     pub delta: Option<Arc<DeltaIndex>>,
-    /// The shard partition (empty for single-ring sources).
-    pub shards: Arc<[ShardPart]>,
-}
-
-fn no_shards() -> Arc<[ShardPart]> {
-    Arc::from(Vec::new())
+    /// The shard partition with its routing table, shared with the
+    /// source it was taken from (partless for single-ring sources).
+    pub shards: Arc<ShardSet>,
 }
 
 impl SourceSnapshot {
@@ -121,41 +246,23 @@ impl SourceSnapshot {
             epoch: 0,
             ring,
             delta: None,
-            shards: no_shards(),
+            shards: Arc::new(ShardSet::empty()),
         }
     }
 
     /// The snapshot of an updatable store.
     pub fn from_store(snap: &StoreSnapshot) -> Self {
         Self {
-            epoch: snap.epoch,
-            ring: Arc::clone(&snap.ring),
             delta: (!snap.delta.is_empty()).then(|| Arc::clone(&snap.delta)),
-            shards: no_shards(),
-        }
-    }
-
-    /// The snapshot of a sharded source (epoch 0 — sharded sources are
-    /// immutable). With fewer than two parts this degenerates to
-    /// [`SourceSnapshot::immutable`] over the single ring.
-    pub fn sharded(parts: Arc<[ShardPart]>) -> Self {
-        assert!(!parts.is_empty(), "a sharded snapshot needs >= 1 part");
-        Self {
-            epoch: 0,
-            ring: Arc::clone(&parts[0].ring),
-            delta: None,
-            shards: if parts.len() > 1 { parts } else { no_shards() },
+            epoch: snap.epoch,
+            ..Self::immutable(Arc::clone(&snap.ring))
         }
     }
 
     /// The evaluation node universe (ring nodes plus delta nodes; shards
     /// share the global universe by construction).
     pub fn n_nodes(&self) -> Id {
-        let shard_max = self.shards.iter().map(|p| p.ring.n_nodes()).max();
-        self.ring
-            .n_nodes()
-            .max(self.delta.as_ref().map_or(0, |d| d.n_nodes()))
-            .max(shard_max.unwrap_or(0))
+        MergedView::new(self).n_nodes()
     }
 }
 
@@ -168,71 +275,68 @@ impl TripleSource for SourceSnapshot {
         self.delta.as_deref().filter(|d| !d.is_empty())
     }
 
-    fn shard_parts(&self) -> &[ShardPart] {
-        &self.shards
+    fn shards(&self) -> Option<&ShardSet> {
+        (!self.shards.is_empty()).then_some(&*self.shards)
     }
 }
 
 /// An immutable horizontally sharded source: one sub-ring per shard,
-/// evaluated by scatter-gathering every [`MergedView`] primitive across
-/// the parts. A single-part source degenerates to the pure (unsharded)
-/// hot path.
+/// evaluated by gathering every [`MergedView`] primitive from the parts
+/// its [`ShardSet`] routes it to. A single-part source degenerates to
+/// the pure (unsharded) hot path.
 #[derive(Clone, Debug)]
 pub struct ShardedSource {
-    parts: Arc<[ShardPart]>,
+    set: Arc<ShardSet>,
 }
 
 impl ShardedSource {
-    /// Wraps the shard sub-rings. Every ring must share the global
-    /// node/predicate universes (as `ring::sharded::ShardedIndex`-built
-    /// ones do).
+    /// Wraps the shard sub-rings ([`ShardSet::new`]: the routing table
+    /// is built here, once for the life of the source).
     pub fn new(rings: Vec<Arc<Ring>>) -> Self {
-        assert!(!rings.is_empty(), "a sharded source needs >= 1 ring");
-        let parts: Vec<ShardPart> = rings.into_iter().map(ShardPart::new).collect();
         Self {
-            parts: Arc::from(parts),
+            set: Arc::new(ShardSet::new(rings)),
         }
     }
 
-    /// Wraps pre-built shard parts (at least one).
-    pub fn from_parts(parts: Arc<[ShardPart]>) -> Self {
-        assert!(!parts.is_empty(), "a sharded source needs >= 1 part");
-        Self { parts }
-    }
-
-    /// The shard parts, including part 0.
-    pub fn parts(&self) -> &Arc<[ShardPart]> {
-        &self.parts
+    /// The shard set, including part 0.
+    pub fn parts(&self) -> &Arc<ShardSet> {
+        &self.set
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.parts.len()
+        self.set.len()
     }
 
     /// Total indexed triples across the partition (completed graph G↔).
     pub fn n_triples(&self) -> usize {
-        self.parts.iter().map(|p| p.ring.n_triples()).sum()
+        self.set.iter().map(|p| p.ring.n_triples()).sum()
     }
 
-    /// An epoch-0 snapshot sharing these parts (and their probe
-    /// counters).
+    /// An epoch-0 snapshot sharing this source's set (parts, probe
+    /// counters and routing table). With a single part it degenerates to
+    /// [`SourceSnapshot::immutable`] over that ring.
     pub fn snapshot(&self) -> SourceSnapshot {
-        SourceSnapshot::sharded(Arc::clone(&self.parts))
+        let ring = Arc::clone(&self.set[0].ring);
+        if self.set.len() == 1 {
+            return SourceSnapshot::immutable(ring);
+        }
+        SourceSnapshot {
+            epoch: 0,
+            ring,
+            delta: None,
+            shards: Arc::clone(&self.set),
+        }
     }
 }
 
 impl TripleSource for ShardedSource {
     fn ring(&self) -> &Ring {
-        &self.parts[0].ring
+        &self.set[0].ring
     }
 
-    fn shard_parts(&self) -> &[ShardPart] {
-        if self.parts.len() > 1 {
-            &self.parts
-        } else {
-            &[]
-        }
+    fn shards(&self) -> Option<&ShardSet> {
+        (self.set.len() > 1).then_some(&*self.set)
     }
 }
 
@@ -243,62 +347,47 @@ impl TripleSource for ShardedSource {
 /// traversal orders deterministic (and, for shards, independent of the
 /// partitioning).
 ///
-/// A delta and shards never co-occur: sharded sources are immutable. The
-/// base-ring portion of every primitive is byte-for-byte the single-ring
-/// code; shard contributions are appended afterwards and re-sorted.
+/// A delta and shards never co-occur: sharded sources are immutable, and
+/// their primitives are answered by the owners of the probed label alone
+/// — the base ring is consulted only when it is one of them.
 #[derive(Clone, Copy)]
 pub struct MergedView<'a> {
     /// The succinct base index (shard 0's ring when sharded).
     pub ring: &'a Ring,
     /// The committed overlay (`None` = pure ring semantics).
     pub delta: Option<&'a DeltaIndex>,
-    /// All shard parts of a sharded source (empty = unsharded; when
-    /// non-empty, `shards[0].ring` is the ring `ring` points at and the
-    /// primitives gather `shards[1..]` after the base code runs).
-    pub shards: &'a [ShardPart],
+    /// The shard set of a sharded source (`None` = unsharded).
+    pub shards: Option<&'a ShardSet>,
 }
 
 impl<'a> MergedView<'a> {
     /// A view over a source (delta present only when non-empty).
     pub fn new(source: &'a (impl TripleSource + ?Sized)) -> Self {
-        Self {
-            ring: source.ring(),
-            delta: source.delta().filter(|d| !d.is_empty()),
-            shards: source.shard_parts(),
-        }
+        Self::with_shards(source.ring(), source.delta(), source.shards())
     }
 
     /// A delta-free view (pure ring semantics).
     pub fn ring_only(ring: &'a Ring) -> Self {
-        Self {
-            ring,
-            delta: None,
-            shards: &[],
-        }
+        Self::with_shards(ring, None, None)
     }
 
     /// Builds a view from already-split parts (unsharded).
     pub fn from_parts(ring: &'a Ring, delta: Option<&'a DeltaIndex>) -> Self {
-        Self {
-            ring,
-            delta: delta.filter(|d| !d.is_empty()),
-            shards: &[],
-        }
+        Self::with_shards(ring, delta, None)
     }
 
-    /// Builds a view over a shard partition (`shards[0].ring` must be
-    /// `ring`; pass the full part list or an empty slice).
+    /// Builds a view over a shard set (whose part 0 must be `ring`).
     pub fn with_shards(
         ring: &'a Ring,
         delta: Option<&'a DeltaIndex>,
-        shards: &'a [ShardPart],
+        shards: Option<&'a ShardSet>,
     ) -> Self {
         debug_assert!(
-            shards.is_empty() || std::ptr::eq(&*shards[0].ring, ring),
+            shards.is_none_or(|set| std::ptr::eq(&*set[0].ring, ring)),
             "shards[0] must be the view's base ring"
         );
         debug_assert!(
-            shards.is_empty() || delta.is_none(),
+            shards.is_none() || delta.is_none(),
             "sharded sources are immutable"
         );
         Self {
@@ -310,60 +399,30 @@ impl<'a> MergedView<'a> {
 
     /// Whether this view merges more than the base ring's own data.
     pub fn layered(&self) -> bool {
-        self.delta.is_some() || !self.shards.is_empty()
-    }
-
-    /// The extra shard parts past the base ring (empty when unsharded).
-    fn extra_shards(&self) -> &'a [ShardPart] {
-        if self.shards.is_empty() {
-            &[]
-        } else {
-            &self.shards[1..]
-        }
-    }
-
-    /// Counts a probe against shard 0 when the view is sharded.
-    fn note_base_probe(&self) {
-        if let Some(base) = self.shards.first() {
-            base.note_probe();
-        }
+        self.delta.is_some() || self.shards.is_some()
     }
 
     /// The evaluation node universe.
     pub fn n_nodes(&self) -> Id {
-        let shard_max = self.shards.iter().map(|p| p.ring.n_nodes()).max();
         self.ring
             .n_nodes()
             .max(self.delta.map_or(0, |d| d.n_nodes()))
-            .max(shard_max.unwrap_or(0))
+            .max(self.shards.map_or(0, |set| set.n_nodes()))
     }
 
     /// Whether `v` has at least one live edge (completed-graph
     /// incidence: in the completed graph a node's subject block already
     /// covers both directions).
     pub fn node_exists(&self, v: Id) -> bool {
+        if let Some(set) = self.shards {
+            return set.is_live(v);
+        }
         let ring_incidence = if v < self.ring.n_nodes() {
             let (b, e) = self.ring.subject_range(v);
             e - b
         } else {
             0
         };
-        if !self.shards.is_empty() {
-            self.note_base_probe();
-            if ring_incidence > 0 {
-                return true;
-            }
-            return self.extra_shards().iter().any(|part| {
-                part.note_probe();
-                let r = &part.ring;
-                if v < r.n_nodes() {
-                    let (b, e) = r.subject_range(v);
-                    e > b
-                } else {
-                    false
-                }
-            });
-        }
         match self.delta {
             None => ring_incidence > 0,
             Some(d) => ring_incidence + d.added_incidence(v) > d.deleted_incidence(v),
@@ -372,6 +431,12 @@ impl<'a> MergedView<'a> {
 
     /// Whether the completed-alphabet edge `(s, p, o)` is live.
     pub fn has_edge(&self, s: Id, p: Id, o: Id) -> bool {
+        if let Some(set) = self.shards {
+            return set.owners(p).any(|i| {
+                set[i].note_probe();
+                set[i].ring.contains(s, p, o)
+            });
+        }
         if let Some(d) = self.delta {
             if d.del_contains(s, p, o) {
                 return false;
@@ -380,28 +445,7 @@ impl<'a> MergedView<'a> {
                 return true;
             }
         }
-        if self.ring.contains(s, p, o) {
-            if !self.shards.is_empty() {
-                self.note_base_probe();
-            }
-            return true;
-        }
-        if !self.shards.is_empty() {
-            self.note_base_probe();
-            for part in self.extra_shards() {
-                // Predicate routing: a shard with no `p` edges at all
-                // cannot hold this one.
-                let (pb, pe) = part.ring.pred_range(p);
-                if pe == pb {
-                    continue;
-                }
-                part.note_probe();
-                if part.ring.contains(s, p, o) {
-                    return true;
-                }
-            }
-        }
-        false
+        self.ring.contains(s, p, o)
     }
 
     /// Replaces `out` with the distinct subjects of live edges
@@ -410,6 +454,9 @@ impl<'a> MergedView<'a> {
     /// sorted ascending.
     pub fn subjects_into(&self, o: Id, p: Id, out: &mut Vec<Id>) {
         out.clear();
+        if let Some(set) = self.shards {
+            return set.gather(p, out, |r| r.backward_step_by_pred(r.object_range(o), p));
+        }
         if o < self.ring.n_nodes() {
             let r = self
                 .ring
@@ -432,27 +479,6 @@ impl<'a> MergedView<'a> {
                 out.dedup();
             }
         }
-        if !self.shards.is_empty() {
-            self.note_base_probe();
-            let base_len = out.len();
-            for part in self.extra_shards() {
-                let r = &part.ring;
-                let (pb, pe) = r.pred_range(p);
-                if pe == pb {
-                    continue;
-                }
-                part.note_probe();
-                if o < r.n_nodes() {
-                    let range = r.backward_step_by_pred(r.object_range(o), p);
-                    r.l_s()
-                        .range_distinct(range.0, range.1, &mut |s, _, _| out.push(s));
-                }
-            }
-            if out.len() > base_len {
-                out.sort_unstable();
-                out.dedup();
-            }
-        }
     }
 
     /// Replaces `out` with the distinct subjects that have at least one
@@ -460,6 +486,9 @@ impl<'a> MergedView<'a> {
     /// every `p`-edge is tombstoned is excluded.
     pub fn subjects_of_pred(&self, p: Id, out: &mut Vec<Id>) {
         out.clear();
+        if let Some(set) = self.shards {
+            return set.gather(p, out, |r| r.pred_range(p));
+        }
         let (b, e) = self.ring.pred_range(p);
         self.ring
             .l_s()
@@ -481,27 +510,6 @@ impl<'a> MergedView<'a> {
             let ring_len = out.len();
             d.added_sources(p, out);
             if out.len() > ring_len {
-                out.sort_unstable();
-                out.dedup();
-            }
-        }
-        if !self.shards.is_empty() {
-            self.note_base_probe();
-            let base_len = out.len();
-            for part in self.extra_shards() {
-                let r = &part.ring;
-                let (pb, pe) = r.pred_range(p);
-                if pe == pb {
-                    continue;
-                }
-                part.note_probe();
-                r.l_s().range_distinct(pb, pe, &mut |s, _, _| out.push(s));
-            }
-            if out.len() > base_len {
-                // A subject can source `p` edges in several shards
-                // (subject-range splits of skewed predicates put its
-                // in-edges — hence its `p̂` sources — wherever the other
-                // endpoint lives), so gathers dedup.
                 out.sort_unstable();
                 out.dedup();
             }
@@ -576,5 +584,113 @@ mod tests {
         let v = MergedView::from_parts(&ring, Some(&delta));
         assert!(!v.node_exists(0));
         assert!(!v.node_exists(1));
+    }
+
+    fn sharded(graph: &Graph, n_shards: usize) -> ShardedSource {
+        let idx = ring::sharded::ShardedIndex::build(graph, n_shards, RingOptions::default());
+        ShardedSource::new(idx.into_shards().into_iter().map(Arc::new).collect())
+    }
+
+    /// 40 nodes (38 and 39 isolated), six predicates: 0 holds 60 of the
+    /// 84 triples — the partitioner cuts it by subject range — 1..=4
+    /// hold six each, 5 none.
+    fn skewed_graph() -> Graph {
+        let mut triples: Vec<Triple> = (0..60).map(|i| t(i % 36, 0, (i * 7 + 1) % 38)).collect();
+        for p in 1..=4 {
+            triples.extend((0..6).map(|i| t(p * 6 + i, p, (p + i * 5) % 38)));
+        }
+        Graph::new(triples, 40, 6)
+    }
+
+    #[test]
+    fn routing_table_names_exactly_the_owners_and_the_live_nodes() {
+        let tiny = Graph::from_triples(vec![t(0, 0, 1), t(1, 0, 2)]);
+        let mut hot_split = false;
+        let mut empty_shard = false;
+        for (graph, n_shards) in [
+            (skewed_graph(), 1),
+            (skewed_graph(), 2),
+            (skewed_graph(), 4),
+            (skewed_graph(), 8),
+            (tiny, 4),
+        ] {
+            let source = sharded(&graph, n_shards);
+            let set = source.parts();
+            assert_eq!(set.len(), n_shards);
+            empty_shard |= set.iter().any(|part| part.ring.n_triples() == 0);
+            // Every label of the completed alphabet, inverses included.
+            for p in 0..set[0].ring.n_preds() {
+                let holders: Vec<usize> = (0..n_shards)
+                    .filter(|&i| {
+                        let (b, e) = set[i].ring.pred_range(p);
+                        e > b
+                    })
+                    .collect();
+                assert_eq!(
+                    set.owners(p).collect::<Vec<_>>(),
+                    holders,
+                    "{n_shards} shards: owners of label {p}"
+                );
+                hot_split |= holders.len() > 1;
+            }
+            assert_eq!(set.n_nodes(), graph.n_nodes());
+            for v in 0..graph.n_nodes() + 2 {
+                // Node existence as it was probed before the table: some
+                // shard holds an edge at `v`.
+                let probed = set.iter().any(|part| {
+                    v < part.ring.n_nodes() && {
+                        let (b, e) = part.ring.subject_range(v);
+                        e > b
+                    }
+                });
+                assert_eq!(set.is_live(v), probed, "{n_shards} shards: node {v}");
+                if n_shards > 1 {
+                    assert_eq!(MergedView::new(&source).node_exists(v), probed);
+                }
+            }
+        }
+        assert!(hot_split, "fixture lost its subject-split predicate");
+        assert!(empty_shard, "fixture lost its empty shard");
+    }
+
+    #[test]
+    fn routing_table_is_built_once_per_source() {
+        let source = sharded(&skewed_graph(), 4);
+        let snap = source.snapshot();
+        let again = source.snapshot().clone();
+        assert!(Arc::ptr_eq(&snap.shards, source.parts()));
+        assert!(Arc::ptr_eq(&snap.shards, &again.shards));
+        assert!(std::ptr::eq(
+            snap.shards().expect("four parts"),
+            source.shards().expect("four parts")
+        ));
+    }
+
+    #[test]
+    fn a_single_predicate_query_probes_one_shard() {
+        use crate::{EngineOptions, RpqEngine, RpqQuery, Term};
+        use automata::Regex;
+
+        // Four predicates of ten triples each: one per shard, none split.
+        let triples = (0..4)
+            .flat_map(|p| (0..10).map(move |i| t(i, p, (i + p + 1) % 12)))
+            .collect();
+        let source = sharded(&Graph::from_triples(triples), 4);
+        let set = source.parts();
+        let probes = || -> Vec<u64> { set.iter().map(ShardPart::probe_count).collect() };
+        for p in 0..4 {
+            let owner: Vec<usize> = set.owners(p).collect();
+            assert_eq!(owner.len(), 1, "predicate {p} must not be split");
+            for expr in [Regex::label(p), Regex::Plus(Box::new(Regex::label(p)))] {
+                let before = probes();
+                let query = RpqQuery::new(Term::Const(3), expr, Term::Var);
+                let out = RpqEngine::over(&source)
+                    .evaluate(&query, &EngineOptions::default())
+                    .unwrap();
+                assert!(!out.pairs.is_empty());
+                let moved: Vec<usize> = (0..4).filter(|&i| probes()[i] > before[i]).collect();
+                assert_eq!(moved, owner, "predicate {p}: {query:?}");
+            }
+        }
     }
 }

@@ -9,13 +9,19 @@
 //! every `(query, forcing)` combination unconditionally, while route
 //! assertions apply where feasibility is known by construction.
 
+use std::sync::Arc;
+
 use automata::Regex;
 use ring::ring::RingOptions;
+use ring::sharded::ShardedIndex;
+use ring::store::TripleStore;
 use ring::{Graph, Ring, Triple};
 use rpq_core::oracle::evaluate_naive;
 use rpq_core::planner::{self, Direction};
 use rpq_core::stats::RingStatistics;
-use rpq_core::{EngineOptions, EvalRoute, PreparedQuery, RpqEngine, RpqQuery, Term};
+use rpq_core::{
+    EngineOptions, EvalRoute, PreparedQuery, RpqEngine, RpqQuery, ShardedSource, Term, TripleSource,
+};
 use workload::{GraphGen, GraphGenConfig, QueryGen};
 
 fn star(l: u64) -> Regex {
@@ -144,6 +150,81 @@ fn every_forced_route_matches_the_oracle() {
         }
     }
     assert!(checked >= 300, "corpus shrank: only {checked} combinations");
+}
+
+/// A result limit caps every route on every kind of source: never more
+/// than `limit` pairs, all of them answers, and variable-to-variable
+/// answers sorted. (The fallback's per-source runs used to get the whole
+/// limit each and returned their union unsorted.)
+#[test]
+fn every_forced_route_honors_the_limit_on_every_source() {
+    let graph = workload_graph(0x11417);
+    let ring = Ring::build(&graph, RingOptions::default());
+    let sharded = ShardedSource::new(
+        ShardedIndex::build(&graph, 4, RingOptions::default())
+            .into_shards()
+            .into_iter()
+            .map(Arc::new)
+            .collect(),
+    );
+    let store = TripleStore::new(graph.clone()).with_auto_compact_ratio(None);
+    for i in 0..6 {
+        store.insert(Triple::new(i, i % 4, 29 - i));
+    }
+    for t in graph.triples().iter().step_by(11) {
+        store.delete(*t);
+    }
+    store.commit();
+    let snapshot = store.snapshot();
+    assert!(snapshot.delta().is_some());
+
+    let sources: [(&str, &dyn TripleSource); 3] = [
+        ("pure", &ring),
+        ("4-shard", &sharded),
+        ("ring+delta", &*snapshot),
+    ];
+    let mut truncated = [0usize; 4];
+    for (name, source) in sources {
+        let mut engine = RpqEngine::over(source);
+        for query in corpus(&graph, 10) {
+            let all = engine
+                .evaluate(&query, &EngineOptions::default())
+                .unwrap()
+                .sorted_pairs();
+            for (r, forced) in EvalRoute::ALL.into_iter().enumerate() {
+                for limit in [1usize, 4, 17] {
+                    let opts = EngineOptions {
+                        forced_route: Some(forced),
+                        limit,
+                        ..EngineOptions::default()
+                    };
+                    let out = engine.evaluate(&query, &opts).unwrap();
+                    let context = format!("{name}: forced {forced:?}, limit {limit}, {query:?}");
+                    assert!(
+                        out.pairs.len() <= limit,
+                        "{context}: {} pairs",
+                        out.pairs.len()
+                    );
+                    assert!(
+                        out.pairs.iter().all(|p| all.binary_search(p).is_ok()),
+                        "{context}: a pair that is no answer"
+                    );
+                    assert!(
+                        out.truncated || out.pairs.len() == all.len(),
+                        "{context}: answers dropped without the flag"
+                    );
+                    if query.is_var_to_var() {
+                        assert!(out.pairs.is_sorted(), "{context}: unsorted");
+                    }
+                    truncated[r] += usize::from(out.truncated);
+                }
+            }
+        }
+    }
+    assert!(
+        truncated.iter().all(|&n| n > 0),
+        "a route never hit a limit: {truncated:?}"
+    );
 }
 
 /// The acceptance criterion: for every corpus query, the explained

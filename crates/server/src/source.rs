@@ -128,7 +128,7 @@ pub trait QuerySource: Send + Sync {
 /// use.
 pub struct IndexSource {
     ring: Arc<Ring>,
-    shards: Option<Arc<[rpq_core::ShardPart]>>,
+    shards: Option<rpq_core::ShardedSource>,
     nodes: Option<Dict>,
     preds: Option<Dict>,
 }
@@ -162,17 +162,12 @@ impl IndexSource {
     /// [`IndexSource::id_only`].
     ///
     /// # Panics
-    /// Panics if `rings` is empty.
+    /// Panics if `rings` is empty or the rings disagree on a universe.
     pub fn sharded_id_only(rings: Vec<Ring>) -> Self {
-        assert!(!rings.is_empty(), "a sharded source needs >= 1 ring");
-        let parts: Vec<rpq_core::ShardPart> = rings
-            .into_iter()
-            .map(|r| rpq_core::ShardPart::new(Arc::new(r)))
-            .collect();
-        let parts: Arc<[rpq_core::ShardPart]> = Arc::from(parts);
+        let source = rpq_core::ShardedSource::new(rings.into_iter().map(Arc::new).collect());
         Self {
-            ring: Arc::clone(&parts[0].ring),
-            shards: (parts.len() > 1).then_some(parts),
+            ring: Arc::clone(&source.parts()[0].ring),
+            shards: (source.n_shards() > 1).then_some(source),
             nodes: None,
             preds: None,
         }
@@ -182,7 +177,7 @@ impl IndexSource {
 impl QuerySource for IndexSource {
     fn snapshot(&self) -> SourceSnapshot {
         match &self.shards {
-            Some(parts) => SourceSnapshot::sharded(Arc::clone(parts)),
+            Some(source) => source.snapshot(),
             None => SourceSnapshot::immutable(Arc::clone(&self.ring)),
         }
     }
@@ -215,9 +210,10 @@ impl QuerySource for IndexSource {
     }
 
     fn shard_stats(&self) -> Option<Vec<ShardStat>> {
-        let parts = self.shards.as_ref()?;
+        let source = self.shards.as_ref()?;
         Some(
-            parts
+            source
+                .parts()
                 .iter()
                 .map(|p| ShardStat {
                     triples: p.ring.n_triples(),

@@ -219,3 +219,42 @@ fn prometheus_export_covers_the_registry() {
     );
     server.shutdown();
 }
+
+/// A sharded source's routing table is built once, when the source is
+/// assembled: every snapshot the server captures (one per submit) shares
+/// it. And the per-shard probe counters the exporters render count only
+/// the shards a query was routed to — a single-predicate query moves one.
+#[test]
+fn sharded_snapshots_share_the_routing_table_and_probe_only_owners() {
+    use ring::sharded::ShardedIndex;
+    use ring::Triple;
+    use rpq_server::QuerySource;
+
+    // Four predicates of ten triples each: one per shard, none split.
+    let triples = (0..4)
+        .flat_map(|p| (0..10).map(move |i| Triple::new(i, p, (i + p + 1) % 12)))
+        .collect();
+    let idx = ShardedIndex::build(&Graph::from_triples(triples), 4, RingOptions::default());
+    let source = Arc::new(IndexSource::sharded_id_only(idx.into_shards()));
+    let first = source.snapshot();
+    assert_eq!(first.shards.len(), 4);
+
+    let server = RpqServer::start(
+        Arc::clone(&source) as Arc<dyn QuerySource>,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let probes = || -> Vec<u64> {
+        let rows = source.shard_stats().expect("a sharded source has rows");
+        rows.iter().map(|row| row.probes).collect()
+    };
+    for p in 0..4u64 {
+        let before = probes();
+        let answer = server.query_blocking("3", &format!("{p}+"), "?y").unwrap();
+        assert!(!answer.pairs.is_empty());
+        let moved = (0..4).filter(|&i| probes()[i] > before[i]).count();
+        assert_eq!(moved, 1, "predicate {p} lives in one shard");
+    }
+    assert!(Arc::ptr_eq(&first.shards, &source.snapshot().shards));
+    server.shutdown();
+}
