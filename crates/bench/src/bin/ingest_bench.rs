@@ -66,6 +66,57 @@ fn generate_dump(path: &Path, n: u64) -> std::io::Result<()> {
     w.flush()
 }
 
+/// Microseconds one 256-operation commit takes once the overlay holds
+/// `overlay` entries (median of five): 192 inserts of new triples and 64
+/// tombstones per batch, auto-compaction off, on a 2^16-edge store.
+/// A commit merges its batch into the overlay, so this may grow with the
+/// overlay's length but must not with its logarithm times its length.
+fn commit_us_at(overlays: &[usize]) -> Vec<f64> {
+    use ring::store::{TripleStore, UpdateOp};
+    use ring::{Graph, Triple};
+    const NODES: u64 = 1 << 13;
+    let mut state = 0x5EED_CAFE_F00Du64;
+    let mut next = |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 24) % m
+    };
+    let base: Vec<Triple> = (0..1 << 16)
+        .map(|_| Triple::new(next(NODES), next(32), next(NODES)))
+        .collect();
+    let graph = Graph::new(base, NODES, 32);
+    let victims = graph.triples().to_vec();
+    let store = TripleStore::new(graph).with_auto_compact_ratio(None);
+    let mut commit = |store: &TripleStore| {
+        store.apply((0..256).map(|i| {
+            if i % 4 == 3 {
+                UpdateOp::Delete(victims[next(victims.len() as u64) as usize])
+            } else {
+                UpdateOp::Insert(Triple::new(next(NODES), next(32), next(NODES)))
+            }
+        }));
+        let t = Instant::now();
+        store.commit();
+        t.elapsed().as_nanos() as f64 / 1000.0
+    };
+    overlays
+        .iter()
+        .map(|&overlay| {
+            let len = |store: &TripleStore| {
+                let s = store.stats();
+                s.delta_adds + s.delta_deletes
+            };
+            while len(&store) < overlay {
+                commit(&store);
+            }
+            let mut us: Vec<f64> = (0..5).map(|_| commit(&store)).collect();
+            us.sort_by(f64::total_cmp);
+            us[2]
+        })
+        .collect()
+}
+
 /// What one cold-open child reports back on stdout.
 struct ChildReport {
     open_us: f64,
@@ -205,6 +256,15 @@ fn main() {
         db.ring().n_triples()
     );
 
+    // Where a build spends its time: the same graph once more through
+    // the instrumented entry point.
+    let (_, phases) = ring::Ring::build_timed(db.graph(), ring::ring::RingOptions::default());
+    eprintln!(
+        "  build phases: completed {:.3} s, order {:.3} s, wavelet {:.3} s, boundaries {:.3} s \
+         (column seconds summed over {} thread(s))",
+        phases.completed_s, phases.order_s, phases.wavelet_s, phases.boundaries_s, phases.threads
+    );
+
     let t = Instant::now();
     db.save(&stream_path).expect("stream save");
     let save_stream_ms = t.elapsed().as_secs_f64() * 1000.0;
@@ -299,8 +359,22 @@ fn main() {
         wal_replay_us / stream.open_us.max(1e-9)
     );
 
+    let commit_us = commit_us_at(&[1 << 10, 1 << 15]);
+    let (commit_1k, commit_32k) = (commit_us[0], commit_us[1]);
+    eprintln!(
+        "  commit of 256 ops: {commit_1k:.0} us at overlay 1k, {commit_32k:.0} us at overlay 32k"
+    );
+    let ring::ring::BuildTimings {
+        completed_s,
+        order_s,
+        wavelet_s,
+        boundaries_s,
+        threads: build_threads,
+    } = phases;
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+
     let json = format!(
-        "{{\"quick\":{quick},\"triples_requested\":{n_triples},\"triples_parsed\":{parsed_triples},\
+        "{{\"quick\":{quick},\"host_threads\":{host_threads},\"triples_requested\":{n_triples},\"triples_parsed\":{parsed_triples},\
 \"triples_indexed\":{indexed_triples},\"dump_bytes\":{dump_bytes},\"gen_ms\":{gen_ms:.1},\
 \"parse_ms\":{parse_ms:.1},\"build_ms\":{build_ms:.1},\"construct_ms\":{:.1},\
 \"rss_after_build_kb\":{rss_after_build_kb},\"save_stream_ms\":{save_stream_ms:.1},\
@@ -309,6 +383,9 @@ fn main() {
 \"cold_open_mmap_us\":{:.1},\"rss_open_stream_kb\":{},\"rss_open_heap_kb\":{},\
 \"rss_open_mmap_kb\":{},\"open_speedup\":{open_speedup:.1},\"mmap_supported\":{mmap_supported},\
 \"wal_replay_us\":{wal_replay_us:.1},\"wal_replay_ops\":{wal_replay_ops},\
+\"completed_s\":{completed_s:.3},\"order_s\":{order_s:.3},\"wavelet_s\":{wavelet_s:.3},\
+\"boundaries_s\":{boundaries_s:.3},\"build_threads\":{build_threads},\
+\"commit_us_overlay_1k\":{commit_1k:.1},\"commit_us_overlay_32k\":{commit_32k:.1},\
 \"probe_rows\":{}}}",
         parse_ms + build_ms,
         stream.open_us,

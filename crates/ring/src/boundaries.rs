@@ -62,12 +62,11 @@ impl Boundaries {
     /// Builds the succinct representation from per-symbol occurrence counts.
     pub fn sparse_from_counts(counts_per_symbol: &[u64]) -> Self {
         let n: u64 = counts_per_symbol.iter().sum();
-        let mut bits = BitVec::with_capacity(n as usize + counts_per_symbol.len());
+        let mut bits = BitVec::zeros(n as usize + counts_per_symbol.len());
+        let mut at = 0usize;
         for &k in counts_per_symbol {
-            bits.push(true);
-            for _ in 0..k {
-                bits.push(false);
-            }
+            bits.set(at, true);
+            at += 1 + k as usize;
         }
         Boundaries::Sparse {
             bits: RankSelect::new(bits),

@@ -11,9 +11,15 @@
 //! how [`crate::Ring`] indexes the completed graph.
 //!
 //! Invariants (maintained by [`crate::store::TripleStore`], not enforced
-//! here beyond debug assertions): adds and deletes are disjoint, deletes
-//! refer to triples present in the base ring, and adds to triples absent
-//! from it.
+//! here): adds and deletes are disjoint, deletes refer to triples present
+//! in the base ring, and adds to triples absent from it.
+//!
+//! A delta is never edited in place. A commit derives its successor with
+//! `DeltaIndex::merged`: each of the six arrays is one linear merge of
+//! the old array with the batch's insertions and removals, so a commit
+//! costs `O(b log b + |δ|)` for a batch of `b` operations — it sorts the
+//! batch, never the overlay. [`DeltaIndex::new`] (six sorts) is what
+//! loading a saved delta and the tests use.
 
 use std::io::{self, Read, Write};
 
@@ -55,6 +61,65 @@ fn order_by(mut v: Vec<Triple>, key: fn(&Triple) -> (Id, Id, Id)) -> Vec<Triple>
     v.sort_unstable_by_key(key);
     v.dedup();
     v
+}
+
+/// What one commit changes on one side (adds or tombstones) of a delta:
+/// the triples it puts in and the triples it takes out. The two lists
+/// are disjoint; putting in a triple that is there, or taking out one
+/// that is not, changes nothing.
+#[derive(Debug, Default)]
+pub(crate) struct SideChange {
+    pub(crate) plus: Vec<Triple>,
+    pub(crate) minus: Vec<Triple>,
+}
+
+impl SideChange {
+    /// `(old ∪ plus) ∖ minus` in the order of `key`, which `old` is in
+    /// already. The batch is sorted and each of its triples located in
+    /// `old` ahead of the one before; the runs of `old` in between are
+    /// copied whole.
+    pub(crate) fn merge<K>(&mut self, old: &[Triple], key: K) -> Vec<Triple>
+    where
+        K: Fn(&Triple) -> (Id, Id, Id),
+    {
+        self.plus.sort_unstable_by_key(&key);
+        self.minus.sort_unstable_by_key(&key);
+        let mut out = Vec::with_capacity(old.len() + self.plus.len());
+        let mut rest = old;
+        let mut plus = self.plus.iter().peekable();
+        let mut minus = self.minus.iter().peekable();
+        loop {
+            // The batch's next triple in key order; the lists are disjoint.
+            let (t, put) = match (plus.peek(), minus.peek()) {
+                (Some(p), Some(m)) if key(m) < key(p) => (minus.next(), false),
+                (Some(_), _) => (plus.next(), true),
+                (None, _) => (minus.next(), false),
+            };
+            let Some(t) = t else { break };
+            let k = key(t);
+            // Walk `old` a block at a time — one comparison per block,
+            // front to back as the copy will read it — then search the
+            // block the triple falls into.
+            const BLOCK: usize = 32;
+            let mut skip = 0;
+            while skip + BLOCK <= rest.len() && key(&rest[skip + BLOCK - 1]) < k {
+                skip += BLOCK;
+            }
+            let window = &rest[skip..rest.len().min(skip + BLOCK)];
+            let at = skip + window.partition_point(|x| key(x) < k);
+            let (before, from) = rest.split_at(at);
+            out.extend_from_slice(before);
+            rest = match from.split_first() {
+                Some((x, tail)) if x == t => tail,
+                _ => from,
+            };
+            if put {
+                out.push(*t);
+            }
+        }
+        out.extend_from_slice(rest);
+        out
+    }
 }
 
 /// The contiguous block of `v` (sorted by `key`) whose key starts with
@@ -113,6 +178,34 @@ impl DeltaIndex {
             dels_spo: order_by(dels, Triple::spo_key),
             n_preds_base,
             n_nodes,
+        }
+    }
+
+    /// The delta one commit leaves behind: `adds` and `dels` applied to
+    /// the respective side, every array by one merge (see the module
+    /// docs). Equal, field for field, to [`Self::new`] over the resulting
+    /// triple sets.
+    pub(crate) fn merged(&self, mut adds: SideChange, mut dels: SideChange) -> Self {
+        let adds_spo = adds.merge(&self.adds_spo, Triple::spo_key);
+        let adds_osp = adds.merge(&self.adds_osp, Triple::osp_key);
+        let dels_spo = dels.merge(&self.dels_spo, Triple::spo_key);
+        let dels_osp = dels.merge(&self.dels_osp, Triple::osp_key);
+        // The largest subject ends an spo array, the largest object an
+        // osp one.
+        let bound = |spo: &[Triple], osp: &[Triple]| {
+            let s = spo.last().map_or(0, |t| t.s + 1);
+            let o = osp.last().map_or(0, |t| t.o + 1);
+            s.max(o)
+        };
+        Self {
+            n_nodes: bound(&adds_spo, &adds_osp).max(bound(&dels_spo, &dels_osp)),
+            adds_pos: adds.merge(&self.adds_pos, Triple::pos_key),
+            dels_pos: dels.merge(&self.dels_pos, Triple::pos_key),
+            adds_spo,
+            adds_osp,
+            dels_spo,
+            dels_osp,
+            n_preds_base: self.n_preds_base,
         }
     }
 
@@ -430,6 +523,68 @@ mod tests {
         assert_eq!(d.n_nodes(), 0);
         assert_eq!(d.add_count_label(7), 0);
         assert!(!d.add_contains(0, 0, 0));
+    }
+
+    /// `merged` against `new` on overlays long enough that whole blocks
+    /// of the old arrays are skipped, with puts and takes that hit, miss,
+    /// precede and follow everything that is there.
+    #[test]
+    fn merged_equals_new_over_the_resulting_sets() {
+        use std::collections::BTreeSet;
+        struct Lcg(u64);
+        impl Lcg {
+            fn below(&mut self, m: u64) -> u64 {
+                self.0 = self
+                    .0
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (self.0 >> 33) % m
+            }
+            fn draw(&mut self, n: usize, nodes: u64) -> BTreeSet<Triple> {
+                (0..n)
+                    .map(|_| t(self.below(nodes), self.below(3), self.below(nodes)))
+                    .collect()
+            }
+            /// Half of each list from what is there, half from anywhere
+            /// (nodes up to 99 sort after everything in every order).
+            fn change(&mut self, side: &BTreeSet<Triple>, batch: usize) -> SideChange {
+                let there: Vec<Triple> = side.iter().copied().collect();
+                let mut plus = self.draw(batch, 100);
+                let mut minus = self.draw(batch / 2, 100);
+                for _ in 0..batch.min(there.len()) {
+                    plus.insert(there[self.below(there.len() as u64) as usize]);
+                    minus.insert(there[self.below(there.len() as u64) as usize]);
+                }
+                SideChange {
+                    plus: plus.difference(&minus).copied().collect(),
+                    minus: minus.into_iter().collect(),
+                }
+            }
+        }
+        let apply = |side: &BTreeSet<Triple>, change: &SideChange| -> Vec<Triple> {
+            let mut side = side.clone();
+            side.extend(change.plus.iter().copied());
+            for m in &change.minus {
+                side.remove(m);
+            }
+            side.into_iter().collect()
+        };
+        let mut rng = Lcg(0x9E37_79B9_7F4A_7C15);
+        for (size, batch) in [(0, 5), (40, 0), (700, 1), (700, 24), (700, 400)] {
+            let (adds, dels) = (rng.draw(size, 60), rng.draw(size / 3, 60));
+            let old = DeltaIndex::new(
+                adds.iter().copied().collect(),
+                dels.iter().copied().collect(),
+                3,
+            );
+            let (add_change, del_change) = (rng.change(&adds, batch), rng.change(&dels, batch));
+            let expected = DeltaIndex::new(apply(&adds, &add_change), apply(&dels, &del_change), 3);
+            assert_eq!(
+                old.merged(add_change, del_change),
+                expected,
+                "overlay {size}, batch {batch}"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,55 @@ pub struct Graph {
     n_preds: Id,
 }
 
+/// Stable counting sort: lists the items by ascending key, items of one
+/// key in the order they arrive. `counts[k]` is the number of items with
+/// key `k` — the callers count in a pass they make anyway.
+pub(crate) fn scatter<T: Copy + Default>(
+    counts: &[u64],
+    items: impl Iterator<Item = (Id, T)>,
+) -> Vec<T> {
+    let mut total = 0usize;
+    let mut slot: Vec<usize> = counts
+        .iter()
+        .map(|&c| {
+            let first = total;
+            total += c as usize;
+            first
+        })
+        .collect();
+    let mut out = vec![T::default(); total];
+    let mut placed = 0usize;
+    for (key, item) in items {
+        let at = &mut slot[key as usize];
+        out[*at] = item;
+        *at += 1;
+        placed += 1;
+    }
+    assert_eq!(
+        placed, total,
+        "counting sort: counts do not match the items"
+    );
+    out
+}
+
+/// Merges two strictly increasing runs that share no element.
+pub(crate) fn merge_sorted(a: &[Triple], b: &[Triple]) -> Vec<Triple> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 impl Graph {
     /// Builds a graph from `triples`; node and predicate universes are
     /// `0..n_nodes` and `0..n_preds`.
@@ -23,6 +72,19 @@ impl Graph {
     /// # Panics
     /// Panics if a triple mentions an out-of-range id.
     pub fn new(mut triples: Vec<Triple>, n_nodes: Id, n_preds: Id) -> Self {
+        triples.sort_unstable();
+        triples.dedup();
+        Self::from_sorted(triples, n_nodes, n_preds)
+    }
+
+    /// [`Self::new`] for a run that is already strictly increasing in
+    /// `(s, p, o)` — a merge of sorted runs — checked here in the one
+    /// pass that checks the id ranges.
+    ///
+    /// # Panics
+    /// Panics if a triple mentions an out-of-range id or the run is not
+    /// sorted and duplicate-free.
+    pub(crate) fn from_sorted(triples: Vec<Triple>, n_nodes: Id, n_preds: Id) -> Self {
         for t in &triples {
             assert!(
                 t.s < n_nodes && t.o < n_nodes,
@@ -33,8 +95,10 @@ impl Graph {
                 "triple {t} mentions a predicate >= {n_preds}"
             );
         }
-        triples.sort_unstable();
-        triples.dedup();
+        assert!(
+            triples.windows(2).all(|w| w[0] < w[1]),
+            "triples are not in strictly increasing (s, p, o) order"
+        );
         Self {
             triples,
             n_nodes,
@@ -83,12 +147,28 @@ impl Graph {
     /// `p̂ = p + n_preds`, doubling the predicate alphabet (§5: "if an edge
     /// is labeled with predicate p, its reverse edge has predicate
     /// p̂ = p + |P|").
+    ///
+    /// The inverse edges are put into `(o, p, s)` order — their own
+    /// `(s, p, o)` order — by two stable counting sorts over the bounded
+    /// universes and merged with the edges; the two runs share no triple,
+    /// so nothing is compared twice or deduplicated.
     pub fn completed(&self) -> Graph {
         let np = self.n_preds;
-        let mut all = Vec::with_capacity(self.triples.len() * 2);
-        all.extend_from_slice(&self.triples);
-        all.extend(self.triples.iter().map(|t| Triple::new(t.o, t.p + np, t.s)));
-        Graph::new(all, self.n_nodes, np * 2)
+        let mut pred_counts = vec![0u64; np as usize];
+        let mut obj_counts = vec![0u64; self.n_nodes as usize];
+        for t in &self.triples {
+            pred_counts[t.p as usize] += 1;
+            obj_counts[t.o as usize] += 1;
+        }
+        let by_pred = scatter(&pred_counts, self.triples.iter().map(|t| (t.p, *t)));
+        let inverses = scatter(
+            &obj_counts,
+            by_pred
+                .iter()
+                .map(|t| (t.o, Triple::new(t.o, t.p + np, t.s))),
+        );
+        let all = merge_sorted(&self.triples, &inverses);
+        Graph::from_sorted(all, self.n_nodes, np * 2)
     }
 
     /// Parses the whitespace text format: one `subject predicate object`

@@ -3,10 +3,12 @@
 //! enumeration (§3.4 of the paper).
 
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use succinct::util::BitSet;
 use succinct::{SpaceUsage, WaveletMatrix};
 
+use crate::graph::scatter;
 use crate::{Boundaries, Graph, Id, Triple};
 
 /// Representation of the node boundary arrays `C_s`/`C_o`.
@@ -88,63 +90,158 @@ pub struct Ring {
     ls_occupancy: OnceLock<BitSet>,
 }
 
+/// Where one [`Ring::build_timed`] call spent its time, phase by phase.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct BuildTimings {
+    /// [`Graph::completed`] (0 without inverses).
+    pub completed_s: f64,
+    /// Counting the symbols and deriving the `osp` and `pos` orders.
+    pub order_s: f64,
+    /// The three [`WaveletMatrix`] builds, summed over the columns: with
+    /// threads they overlap, so the sum can exceed the wall time.
+    pub wavelet_s: f64,
+    /// The three boundary arrays, summed like `wavelet_s`.
+    pub boundaries_s: f64,
+    /// Threads the columns were built on (1: inline).
+    pub threads: usize,
+}
+
+/// Completed-graph size from which the three columns are built on three
+/// threads; below it a build takes a few milliseconds and a thread spawn
+/// is a measurable share of that.
+const THREADED_BUILD_MIN_TRIPLES: usize = 1 << 16;
+
 impl Ring {
     /// Builds the ring for `graph` with the given options.
     ///
     /// The paper constructs the BWT with a suffix array; sorting the triple
     /// list in the three circular orders yields the identical columns (see
-    /// DESIGN.md §2), in `O(n log n)`.
+    /// DESIGN.md §2). The graph is `(s, p, o)`-sorted already, so a stable
+    /// counting sort by object gives the `(o, s, p)` order and one more by
+    /// predicate the `(p, o, s)` order: `O(n + |V| + |P|)`, no comparison
+    /// sort.
+    ///
+    /// # Panics
+    /// Panics if a universe exceeds 2³² ids: the columns are built from
+    /// 32-bit symbols (the per-id count arrays alone would take 32 GiB
+    /// there).
     pub fn build(graph: &Graph, options: RingOptions) -> Self {
+        Self::build_timed(graph, options).0
+    }
+
+    /// [`Self::build`], also reporting where the time went.
+    pub fn build_timed(graph: &Graph, options: RingOptions) -> (Self, BuildTimings) {
+        let n = graph.len() * if options.with_inverses { 2 } else { 1 };
+        Self::build_on(graph, options, n >= THREADED_BUILD_MIN_TRIPLES)
+    }
+
+    /// [`Self::build_timed`] with the choice between three threads and
+    /// the calling one made by the caller; both give the same ring.
+    fn build_on(graph: &Graph, options: RingOptions, threaded: bool) -> (Self, BuildTimings) {
+        let started = Instant::now();
         let completed;
-        let (g, n_preds_base) = if options.with_inverses {
+        let g = if options.with_inverses {
             completed = graph.completed();
-            (&completed, graph.n_preds())
+            &completed
         } else {
-            (graph, graph.n_preds())
+            graph
         };
+        let completed_s = started.elapsed().as_secs_f64();
         let n = g.len();
         let n_nodes = g.n_nodes().max(1);
         let n_preds = g.n_preds().max(1);
+        assert!(
+            n_nodes <= 1 << 32 && n_preds <= 1 << 32,
+            "ring universes are limited to 2^32 ids ({n_nodes} nodes, {n_preds} predicates)"
+        );
 
-        // Three orders; Graph keeps (s,p,o) sorted already.
+        let started = Instant::now();
         let spo = g.triples();
-        let mut pos: Vec<&Triple> = spo.iter().collect();
-        pos.sort_unstable_by_key(|t| t.pos_key());
-        let mut osp: Vec<&Triple> = spo.iter().collect();
-        osp.sort_unstable_by_key(|t| t.osp_key());
-
-        let l_o_syms: Vec<u64> = spo.iter().map(|t| t.o).collect();
-        let l_s_syms: Vec<u64> = pos.iter().map(|t| t.s).collect();
-        let l_p_syms: Vec<u64> = osp.iter().map(|t| t.p).collect();
-
         let mut subj_counts = vec![0u64; n_nodes as usize];
         let mut obj_counts = vec![0u64; n_nodes as usize];
         let mut pred_counts = vec![0u64; n_preds as usize];
+        let mut l_o_syms = Vec::with_capacity(n);
         for t in spo {
             subj_counts[t.s as usize] += 1;
             obj_counts[t.o as usize] += 1;
             pred_counts[t.p as usize] += 1;
+            l_o_syms.push(t.o as u32);
         }
-        let node_bounds = |counts: &[u64]| match options.node_boundaries {
-            BoundaryKind::Dense => Boundaries::dense_from_counts(counts),
-            BoundaryKind::Sparse => Boundaries::sparse_from_counts(counts),
-            BoundaryKind::EliasFano => Boundaries::elias_fano_from_counts(counts),
-        };
+        // `(s, p)` in `(o, s, p)` order, then `s` in `(p, o, s)` order.
+        let osp = scatter(
+            &obj_counts,
+            spo.iter().map(|t| (t.o, (t.s as u32, t.p as u32))),
+        );
+        let l_p_syms: Vec<u32> = osp.iter().map(|&(_, p)| p).collect();
+        let l_s_syms = scatter(&pred_counts, osp.iter().map(|&(s, p)| (Id::from(p), s)));
+        drop(osp);
+        let order_s = started.elapsed().as_secs_f64();
 
-        Self {
-            l_o: WaveletMatrix::new(&l_o_syms, n_nodes),
-            l_s: WaveletMatrix::new(&l_s_syms, n_nodes),
-            l_p: WaveletMatrix::new(&l_p_syms, n_preds),
-            c_s: node_bounds(&subj_counts),
-            c_p: Boundaries::dense_from_counts(&pred_counts),
-            c_o: node_bounds(&obj_counts),
+        // One column and the boundary array that partitions it, with the
+        // seconds each took.
+        struct Column {
+            wm: WaveletMatrix,
+            bounds: Boundaries,
+            wavelet_s: f64,
+            boundaries_s: f64,
+        }
+        let column = |symbols: Vec<u32>, sigma: Id, counts: &[u64], kind: BoundaryKind| {
+            let started = Instant::now();
+            let wm = WaveletMatrix::from_u32_symbols(symbols, sigma);
+            let wavelet_s = started.elapsed().as_secs_f64();
+            let started = Instant::now();
+            let bounds = match kind {
+                BoundaryKind::Dense => Boundaries::dense_from_counts(counts),
+                BoundaryKind::Sparse => Boundaries::sparse_from_counts(counts),
+                BoundaryKind::EliasFano => Boundaries::elias_fano_from_counts(counts),
+            };
+            Column {
+                wm,
+                bounds,
+                wavelet_s,
+                boundaries_s: started.elapsed().as_secs_f64(),
+            }
+        };
+        let nodes = options.node_boundaries;
+        let build_l_o = || column(l_o_syms, n_nodes, &subj_counts, nodes);
+        let build_l_s = || column(l_s_syms, n_nodes, &pred_counts, BoundaryKind::Dense);
+        let build_l_p = || column(l_p_syms, n_preds, &obj_counts, nodes);
+        let (o, s, p) = if threaded {
+            std::thread::scope(|scope| {
+                let o = scope.spawn(build_l_o);
+                let s = scope.spawn(build_l_s);
+                let p = build_l_p();
+                (
+                    o.join().expect("the L_o builder panicked"),
+                    s.join().expect("the L_s builder panicked"),
+                    p,
+                )
+            })
+        } else {
+            (build_l_o(), build_l_s(), build_l_p())
+        };
+        let timings = BuildTimings {
+            completed_s,
+            order_s,
+            wavelet_s: o.wavelet_s + s.wavelet_s + p.wavelet_s,
+            boundaries_s: o.boundaries_s + s.boundaries_s + p.boundaries_s,
+            threads: if threaded { 3 } else { 1 },
+        };
+        let ring = Self {
+            l_o: o.wm,
+            l_s: s.wm,
+            l_p: p.wm,
+            c_s: o.bounds,
+            c_p: s.bounds,
+            c_o: p.bounds,
             n,
             n_nodes,
             n_preds,
-            n_preds_base,
+            n_preds_base: graph.n_preds(),
             has_inverses: options.with_inverses,
             ls_occupancy: OnceLock::new(),
-        }
+        };
+        (ring, timings)
     }
 
     /// Number of indexed triples (after completion, if enabled).
@@ -686,6 +783,118 @@ mod tests {
         assert_eq!(r.full_range(), (0, 0));
         assert_eq!(r.iter_triples().count(), 0);
         assert!(!r.contains(0, 0, 0));
+    }
+
+    /// The builder this crate shipped before the counting sorts: the
+    /// completion re-sorted, `pos` and `osp` by comparison sorts, the
+    /// columns from 64-bit symbols.
+    fn build_reference(graph: &Graph, options: RingOptions) -> Ring {
+        let completed;
+        let g = if options.with_inverses {
+            let np = graph.n_preds();
+            let mut all = graph.triples().to_vec();
+            all.extend(
+                graph
+                    .triples()
+                    .iter()
+                    .map(|t| Triple::new(t.o, t.p + np, t.s)),
+            );
+            completed = Graph::new(all, graph.n_nodes(), np * 2);
+            &completed
+        } else {
+            graph
+        };
+        let (n_nodes, n_preds) = (g.n_nodes().max(1), g.n_preds().max(1));
+        let spo = g.triples();
+        let mut pos = spo.to_vec();
+        pos.sort_unstable_by_key(Triple::pos_key);
+        let mut osp = spo.to_vec();
+        osp.sort_unstable_by_key(Triple::osp_key);
+        let column = |ts: &[Triple], sym: fn(&Triple) -> Id, sigma: Id| {
+            WaveletMatrix::new(&ts.iter().map(sym).collect::<Vec<_>>(), sigma)
+        };
+        let bounds = |kind: BoundaryKind, universe: Id, sym: fn(&Triple) -> Id| {
+            let mut counts = vec![0u64; universe as usize];
+            for t in spo {
+                counts[sym(t) as usize] += 1;
+            }
+            match kind {
+                BoundaryKind::Dense => Boundaries::dense_from_counts(&counts),
+                BoundaryKind::Sparse => Boundaries::sparse_from_counts(&counts),
+                BoundaryKind::EliasFano => Boundaries::elias_fano_from_counts(&counts),
+            }
+        };
+        Ring::from_raw_parts(
+            column(spo, |t| t.o, n_nodes),
+            column(&pos, |t| t.s, n_nodes),
+            column(&osp, |t| t.p, n_preds),
+            bounds(options.node_boundaries, n_nodes, |t| t.s),
+            bounds(BoundaryKind::Dense, n_preds, |t| t.p),
+            bounds(options.node_boundaries, n_nodes, |t| t.o),
+            g.len(),
+            n_nodes,
+            n_preds,
+            graph.n_preds(),
+            options.with_inverses,
+        )
+    }
+
+    /// The `RRPQM01` bytes of `ring`: every level word and directory.
+    fn mapped_bytes(ring: &Ring, tag: &str) -> Vec<u8> {
+        let path = std::env::temp_dir().join(format!(
+            "rpq_ring_build_identity_{}_{tag}.rpqm",
+            std::process::id()
+        ));
+        crate::mapped::write_index(&path, ring, &crate::Dict::new(), &crate::Dict::new()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    /// Threaded or inline, the build writes the file the comparison-sort
+    /// builder wrote, for every boundary kind with and without inverses.
+    #[test]
+    fn every_build_path_saves_the_reference_bytes() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        // 300 nodes (some isolated), 7 predicates of which one unused.
+        let triples: Vec<Triple> = (0..4000)
+            .map(|_| Triple::new(next(290), next(6), next(290) / (1 + next(3))))
+            .collect();
+        let graphs = [
+            Graph::new(triples, 300, 7),
+            Graph::new(vec![Triple::new(2, 0, 2)], 3, 1),
+            Graph::from_triples(vec![]),
+        ];
+        for (g, graph) in graphs.iter().enumerate() {
+            for kind in [
+                BoundaryKind::Dense,
+                BoundaryKind::Sparse,
+                BoundaryKind::EliasFano,
+            ] {
+                for with_inverses in [false, true] {
+                    let options = RingOptions {
+                        with_inverses,
+                        node_boundaries: kind,
+                    };
+                    let tag = format!("{g}_{kind:?}_{with_inverses}");
+                    let reference = mapped_bytes(&build_reference(graph, options), &tag);
+                    for threaded in [false, true] {
+                        let (ring, timings) = Ring::build_on(graph, options, threaded);
+                        assert_eq!(timings.threads, if threaded { 3 } else { 1 });
+                        assert!(
+                            mapped_bytes(&ring, &tag) == reference,
+                            "graph {g}, {kind:?}, inverses {with_inverses}, threaded {threaded}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

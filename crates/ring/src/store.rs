@@ -2,12 +2,18 @@
 //! committed [`DeltaIndex`] overlay behind atomic, versioned snapshots.
 //!
 //! LSM-style life cycle: [`TripleStore::insert`]/[`TripleStore::delete`]
-//! buffer operations; [`TripleStore::commit`] folds the buffer into a new
+//! buffer operations; [`TripleStore::commit`] merges the buffer into a new
 //! immutable delta and publishes a new [`StoreSnapshot`] under an `Arc`
 //! (readers that captured the previous snapshot keep evaluating against
 //! it — no torn reads); [`TripleStore::compact`] rebuilds the ring from
 //! ring ⊎ delta and swaps it in. Every publication bumps the snapshot
 //! **epoch**, the value caches key their entries by.
+//!
+//! What the write path costs: a commit of `b` operations over an overlay
+//! of `|δ|` entries is `O(b log b + |δ|)` — the batch is sorted, the
+//! overlay only merged (see [`crate::delta`]); a compaction is one
+//! two-pointer merge of base and overlay plus one [`Ring::build`]. Both
+//! run on the calling thread, outside the lock readers take.
 //!
 //! Node and predicate ids are stable forever: compaction preserves the
 //! id universes (a node keeps its id even if all its edges are deleted),
@@ -16,11 +22,11 @@
 //! has a fixed completed alphabet, such a commit performs an immediate
 //! rebuild (counted as both a commit and a compaction).
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::time::Instant;
 
-use crate::delta::DeltaIndex;
+use crate::delta::{DeltaIndex, SideChange};
 use crate::ring::RingOptions;
 use crate::{Graph, Id, Ring, Triple};
 
@@ -63,19 +69,25 @@ impl StoreSnapshot {
         self.delta.add_contains(s, p, o) || self.ring.contains(s, p, o)
     }
 
-    /// The live canonical triples (base − deletes + adds), sorted.
+    /// The live canonical triples (base − deletes + adds), sorted: one
+    /// two-pointer merge, all three inputs being `(s, p, o)`-sorted with
+    /// the deletes a subset of the base and the adds disjoint from it.
     /// `O(base + delta)`; compaction and tests use this, not queries.
     pub fn live_triples(&self) -> Vec<Triple> {
-        let dels: BTreeSet<&Triple> = self.delta.dels().iter().collect();
-        let mut live: Vec<Triple> = self
-            .graph
-            .triples()
-            .iter()
-            .filter(|t| !dels.contains(t))
-            .copied()
-            .collect();
-        live.extend_from_slice(self.delta.adds());
-        live.sort_unstable();
+        let base = self.graph.triples();
+        let (adds, dels) = (self.delta.adds(), self.delta.dels());
+        let mut live = Vec::with_capacity((base.len() + adds.len()).saturating_sub(dels.len()));
+        let mut adds = adds.iter().peekable();
+        let mut dels = dels.iter().peekable();
+        for t in base {
+            while let Some(a) = adds.next_if(|a| *a < t) {
+                live.push(*a);
+            }
+            if dels.next_if_eq(&t).is_none() {
+                live.push(*t);
+            }
+        }
+        live.extend(adds);
         live
     }
 }
@@ -90,6 +102,13 @@ pub struct StoreStats {
     /// Ring rebuilds (explicit `compact`, auto-compactions, and
     /// alphabet-extending commits).
     pub compactions: u64,
+    /// Nanoseconds commits spent merging their batch into the overlay
+    /// and publishing it, since construction; the rebuild a commit
+    /// triggers is counted in `compact_ns` instead.
+    pub commit_ns: u64,
+    /// Nanoseconds spent in ring rebuilds, since construction: the
+    /// stall `compactions` times over.
+    pub compact_ns: u64,
     /// Added triples in the current committed delta.
     pub delta_adds: usize,
     /// Tombstoned triples in the current committed delta.
@@ -98,21 +117,56 @@ pub struct StoreStats {
     pub pending_ops: usize,
 }
 
+/// The distinct triples of a batch in `(s, p, o)` order, each with
+/// whether its last operation inserts it: applied in order, only the
+/// last operation on a triple decides whether it is live.
+fn last_ops(batch: &[UpdateOp]) -> impl Iterator<Item = (Triple, bool)> {
+    let mut ops: Vec<(Triple, bool)> = batch
+        .iter()
+        .map(|op| match *op {
+            UpdateOp::Insert(t) => (t, true),
+            UpdateOp::Delete(t) => (t, false),
+        })
+        .collect();
+    // Stable: a triple's operations stay in batch order.
+    ops.sort_by_key(|&(t, _)| t);
+    let mut ops = ops.into_iter().peekable();
+    std::iter::from_fn(move || loop {
+        let op = ops.next()?;
+        if ops.peek().is_none_or(|next| next.0 != op.0) {
+            return Some(op);
+        }
+    })
+}
+
 struct Inner {
     snap: Arc<StoreSnapshot>,
     pending: Vec<UpdateOp>,
 }
 
-/// The updatable database core. All methods take `&self`; mutation is
-/// serialized behind an internal lock, and readers never block writers
-/// longer than one `Arc` clone.
+/// The updatable database core. All methods take `&self`. Writers
+/// ([`Self::commit`], [`Self::compact`]) are serialized on a mutex of
+/// their own and build the next snapshot outside the reader–writer lock,
+/// which is held only to buffer an operation, to take the buffer, to
+/// clone the snapshot `Arc` and to swap it: neither a commit nor a ring
+/// rebuild blocks [`Self::snapshot`], [`Self::epoch`] or [`Self::stats`]
+/// for longer than a pointer swap. Operations buffered while a commit is
+/// in flight belong to the next one.
 pub struct TripleStore {
     inner: RwLock<Inner>,
+    /// Held by the one writer deriving the next snapshot; only its holder
+    /// replaces `inner.snap`.
+    writer: Mutex<()>,
     /// Auto-compaction trigger: rebuild when `delta.len() ≥ ratio ·
     /// max(1, base edges)` after a commit. `None` disables.
     auto_compact_ratio: Option<f64>,
     commits: AtomicU64,
     compactions: AtomicU64,
+    commit_ns: AtomicU64,
+    compact_ns: AtomicU64,
+    /// Called when a ring rebuild starts, with no lock but `writer` held.
+    #[cfg(test)]
+    on_rebuild: Mutex<Option<Box<dyn Fn() + Send>>>,
 }
 
 impl TripleStore {
@@ -145,9 +199,14 @@ impl TripleStore {
                 }),
                 pending: Vec::new(),
             }),
+            writer: Mutex::new(()),
             auto_compact_ratio: Some(Self::DEFAULT_AUTO_COMPACT_RATIO),
             commits: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
+            commit_ns: AtomicU64::new(0),
+            compact_ns: AtomicU64::new(0),
+            #[cfg(test)]
+            on_rebuild: Mutex::new(None),
         }
     }
 
@@ -202,6 +261,8 @@ impl TripleStore {
             epoch: inner.snap.epoch,
             commits: self.commits.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
+            commit_ns: self.commit_ns.load(Ordering::Relaxed),
+            compact_ns: self.compact_ns.load(Ordering::Relaxed),
             delta_adds: inner.snap.delta.n_adds(),
             delta_deletes: inner.snap.delta.n_dels(),
             pending_ops: inner.pending.len(),
@@ -213,103 +274,108 @@ impl TripleStore {
     /// with an empty buffer is a no-op. Commits that introduce new
     /// predicate labels rebuild the ring (the succinct alphabet is
     /// fixed); commits that push the overlay past the auto-compaction
-    /// ratio trigger a rebuild too. Returns the resulting epoch.
+    /// ratio publish their snapshot and then a compacted one. Returns
+    /// the resulting epoch.
     pub fn commit(&self) -> u64 {
-        let mut inner = self.inner.write().unwrap();
-        if inner.pending.is_empty() {
-            return inner.snap.epoch;
-        }
-        let pending = std::mem::take(&mut inner.pending);
-        let snap = Arc::clone(&inner.snap);
+        let writer = self.writer.lock().expect("a writer panicked");
+        let started = Instant::now();
+        let (pending, snap) = {
+            let mut inner = self.inner.write().unwrap();
+            if inner.pending.is_empty() {
+                return inner.snap.epoch;
+            }
+            (std::mem::take(&mut inner.pending), Arc::clone(&inner.snap))
+        };
+        self.commits.fetch_add(1, Ordering::Relaxed);
         let base = &*snap.graph;
         let new_preds = pending.iter().any(|op| match op {
             UpdateOp::Insert(t) => t.p >= base.n_preds(),
             UpdateOp::Delete(_) => false,
         });
-        self.commits.fetch_add(1, Ordering::Relaxed);
         if new_preds {
             // The completed alphabet must grow: fold everything into a
             // fresh graph and ring in one step.
-            self.rebuild_locked(&mut inner, &pending);
-            self.compactions.fetch_add(1, Ordering::Relaxed);
-            return inner.snap.epoch;
+            return self.rebuild(&writer, &snap, &pending);
         }
 
-        let mut adds: BTreeSet<Triple> = snap.delta.adds().iter().copied().collect();
-        let mut dels: BTreeSet<Triple> = snap.delta.dels().iter().copied().collect();
-        for op in &pending {
-            match *op {
-                UpdateOp::Insert(t) => {
-                    // Re-inserting a tombstoned base triple revives it;
-                    // inserting a base triple is a no-op.
-                    if base.contains(t.s, t.p, t.o) {
-                        dels.remove(&t);
-                    } else {
-                        adds.insert(t);
-                    }
-                }
-                UpdateOp::Delete(t) => {
-                    if base.contains(t.s, t.p, t.o) {
-                        dels.insert(t);
-                    } else {
-                        adds.remove(&t);
-                    }
-                }
+        let (mut adds, mut dels) = (SideChange::default(), SideChange::default());
+        for (t, insert) in last_ops(&pending) {
+            // A base triple is live unless tombstoned (inserting it
+            // revives it), any other one only while it is an add.
+            match (base.contains(t.s, t.p, t.o), insert) {
+                (true, true) => dels.minus.push(t),
+                (true, false) => dels.plus.push(t),
+                (false, true) => adds.plus.push(t),
+                (false, false) => adds.minus.push(t),
             }
         }
-        let delta = DeltaIndex::new(
-            adds.into_iter().collect(),
-            dels.into_iter().collect(),
-            base.n_preds(),
-        );
+        let delta = snap.delta.merged(adds, dels);
         let overlay = delta.len();
-        inner.snap = Arc::new(StoreSnapshot {
-            graph: Arc::clone(&snap.graph),
-            ring: Arc::clone(&snap.ring),
-            delta: Arc::new(delta),
-            epoch: snap.epoch + 1,
-        });
-        if let Some(ratio) = self.auto_compact_ratio {
-            if overlay > 0 && overlay as f64 >= ratio * base.len().max(1) as f64 {
-                self.compact_locked(&mut inner);
+        let snap = self.publish(
+            &writer,
+            StoreSnapshot {
+                graph: Arc::clone(&snap.graph),
+                ring: Arc::clone(&snap.ring),
+                delta: Arc::new(delta),
+                epoch: snap.epoch + 1,
+            },
+        );
+        self.commit_ns
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        match self.auto_compact_ratio {
+            Some(ratio) if overlay > 0 && overlay as f64 >= ratio * base.len().max(1) as f64 => {
+                self.rebuild(&writer, &snap, &[])
             }
+            _ => snap.epoch,
         }
-        inner.snap.epoch
     }
 
     /// Rebuilds the ring from ring ⊎ delta and swaps it in (the overlay
     /// becomes empty). Buffered, uncommitted operations are untouched.
     /// A no-op when the overlay is already empty. Returns the epoch.
     pub fn compact(&self) -> u64 {
-        let mut inner = self.inner.write().unwrap();
-        if inner.snap.delta.is_empty() {
-            return inner.snap.epoch;
+        let writer = self.writer.lock().expect("a writer panicked");
+        let snap = self.snapshot();
+        if snap.delta.is_empty() {
+            return snap.epoch;
         }
-        self.compact_locked(&mut inner);
-        inner.snap.epoch
+        self.rebuild(&writer, &snap, &[])
     }
 
-    fn compact_locked(&self, inner: &mut Inner) {
-        self.rebuild_locked(inner, &[]);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
+    /// Swaps in the next snapshot. Taking the writer's guard says that
+    /// `next` was derived from the current one.
+    fn publish(&self, _writer: &MutexGuard<'_, ()>, next: StoreSnapshot) -> Arc<StoreSnapshot> {
+        let next = Arc::new(next);
+        self.inner.write().unwrap().snap = Arc::clone(&next);
+        next
     }
 
-    /// Materializes live triples (plus `extra_ops`, applied in order) and
-    /// rebuilds graph + ring, preserving the id universes.
-    fn rebuild_locked(&self, inner: &mut Inner, extra_ops: &[UpdateOp]) {
-        let snap = &inner.snap;
-        let mut live: BTreeSet<Triple> = snap.live_triples().into_iter().collect();
-        for op in extra_ops {
-            match *op {
-                UpdateOp::Insert(t) => {
-                    live.insert(t);
-                }
-                UpdateOp::Delete(t) => {
-                    live.remove(&t);
+    /// Materializes the live triples of `snap` (plus `extra_ops`, applied
+    /// in order) and publishes a rebuilt graph + ring with an empty
+    /// overlay, preserving the id universes. Returns the new epoch.
+    fn rebuild(
+        &self,
+        writer: &MutexGuard<'_, ()>,
+        snap: &StoreSnapshot,
+        extra_ops: &[UpdateOp],
+    ) -> u64 {
+        let started = Instant::now();
+        #[cfg(test)]
+        if let Some(hook) = self.on_rebuild.lock().unwrap().as_ref() {
+            hook();
+        }
+        let mut live = snap.live_triples();
+        if !extra_ops.is_empty() {
+            let mut change = SideChange::default();
+            for (t, insert) in last_ops(extra_ops) {
+                if insert {
+                    change.plus.push(t);
+                } else {
+                    change.minus.push(t);
                 }
             }
+            live = change.merge(&live, Triple::spo_key);
         }
-        let live: Vec<Triple> = live.into_iter().collect();
         let n_nodes = live
             .iter()
             .map(|t| t.s.max(t.o) + 1)
@@ -323,14 +389,23 @@ impl TripleStore {
             .max()
             .unwrap_or(0)
             .max(snap.graph.n_preds());
-        let graph = Graph::new(live, n_nodes, n_preds);
+        let graph = Graph::from_sorted(live, n_nodes, n_preds);
         let ring = Ring::build(&graph, RingOptions::default());
-        inner.snap = Arc::new(StoreSnapshot {
-            delta: Arc::new(DeltaIndex::empty(graph.n_preds())),
-            graph: Arc::new(graph),
-            ring: Arc::new(ring),
-            epoch: snap.epoch + 1,
-        });
+        let epoch = self
+            .publish(
+                writer,
+                StoreSnapshot {
+                    delta: Arc::new(DeltaIndex::empty(graph.n_preds())),
+                    graph: Arc::new(graph),
+                    ring: Arc::new(ring),
+                    epoch: snap.epoch + 1,
+                },
+            )
+            .epoch;
+        self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.compact_ns
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        epoch
     }
 }
 
@@ -481,6 +556,50 @@ mod tests {
         let snap = store.snapshot();
         assert_eq!(snap.graph.len(), 0);
         assert_eq!(snap.ring.n_nodes(), 3, "ids stay valid after deletion");
+    }
+
+    /// Readers are served from the old snapshot for the whole of a ring
+    /// rebuild: the hook parks the compaction at its start, and
+    /// `snapshot`, `epoch` and `stats` must return meanwhile.
+    #[test]
+    fn readers_get_the_old_snapshot_while_a_compaction_is_in_flight() {
+        use std::sync::mpsc;
+        let store = base_store();
+        store.insert(t(2, 0, 0));
+        assert_eq!(store.commit(), 1);
+
+        let (started_tx, started_rx) = mpsc::channel();
+        let (resume_tx, resume_rx) = mpsc::channel::<()>();
+        *store.on_rebuild.lock().unwrap() = Some(Box::new(move || {
+            started_tx.send(()).unwrap();
+            resume_rx.recv().unwrap();
+        }));
+        std::thread::scope(|scope| {
+            let compaction = scope.spawn(|| store.compact());
+            started_rx.recv().unwrap();
+            // The rebuild has begun and cannot finish before `resume`.
+            let snap = store.snapshot();
+            assert_eq!(snap.epoch, 1);
+            assert!(!snap.delta.is_empty());
+            assert!(snap.contains(2, 0, 0));
+            assert_eq!(store.epoch(), 1);
+            assert_eq!(store.stats().compactions, 0);
+            // Buffering does not wait for the writer either.
+            store.insert(t(1, 1, 1));
+            assert_eq!(store.pending_ops(), 1);
+            resume_tx.send(()).unwrap();
+            assert_eq!(compaction.join().unwrap(), 2);
+        });
+        let snap = store.snapshot();
+        assert_eq!(snap.epoch, 2);
+        assert!(snap.delta.is_empty());
+        assert!(snap.contains(2, 0, 0));
+        // The operation buffered mid-rebuild is still pending.
+        assert!(!snap.contains(1, 1, 1));
+        assert_eq!(store.pending_ops(), 1);
+        let stats = store.stats();
+        assert_eq!((stats.commits, stats.compactions), (1, 1));
+        assert!(stats.commit_ns > 0 && stats.compact_ns > 0);
     }
 
     #[test]

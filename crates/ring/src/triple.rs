@@ -3,7 +3,7 @@
 use crate::Id;
 
 /// A labeled edge `s --p--> o` of the graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Triple {
     /// Subject (source node).
     pub s: Id,

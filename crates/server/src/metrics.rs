@@ -414,6 +414,8 @@ pub(crate) fn registry_json(
         .field_u64("epoch_bumps_observed", g(&m.epoch_bumps))
         .field_u64("commits", u.commits)
         .field_u64("compactions", u.compactions)
+        .field_u64("commit_ns", u.commit_ns)
+        .field_u64("compact_ns", u.compact_ns)
         .field_u64("delta_adds", u.delta_adds as u64)
         .field_u64("delta_deletes", u.delta_deletes as u64)
         .field_u64("pending_ops", u.pending_ops as u64)
@@ -828,6 +830,16 @@ pub(crate) fn registry_prometheus(
             "rpq_update_compactions_total",
             "Delta compactions into the ring.",
             u.compactions,
+        ),
+        (
+            "rpq_update_commit_nanoseconds_total",
+            "Time spent merging update batches into the delta overlay.",
+            u.commit_ns,
+        ),
+        (
+            "rpq_update_compact_nanoseconds_total",
+            "Time spent rebuilding the ring (the compaction stall).",
+            u.compact_ns,
         ),
         (
             "rpq_delta_adds_total",

@@ -25,6 +25,10 @@ pub struct UpdateStats {
     pub commits: u64,
     /// Ring rebuilds (explicit, automatic, or alphabet-extending).
     pub compactions: u64,
+    /// Nanoseconds spent merging batches into the overlay, cumulative.
+    pub commit_ns: u64,
+    /// Nanoseconds spent in ring rebuilds, cumulative.
+    pub compact_ns: u64,
     /// Added triples in the committed overlay.
     pub delta_adds: usize,
     /// Tombstoned triples in the committed overlay.
@@ -39,6 +43,8 @@ impl From<ring::store::StoreStats> for UpdateStats {
             epoch: s.epoch,
             commits: s.commits,
             compactions: s.compactions,
+            commit_ns: s.commit_ns,
+            compact_ns: s.compact_ns,
             delta_adds: s.delta_adds,
             delta_deletes: s.delta_deletes,
             pending_ops: s.pending_ops,

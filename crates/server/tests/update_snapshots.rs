@@ -131,6 +131,28 @@ fn concurrent_commits_never_tear_answers() {
     let expect_commits = format!("\"commits\":{}", VERSIONS + 1);
     assert!(metrics.contains(&expect_commits), "{metrics}");
     assert!(metrics.contains("\"compactions\":1"), "{metrics}");
+    // The write path's cumulative time, in both exporters.
+    let stats = source.store().stats();
+    assert!(stats.commit_ns > 0 && stats.compact_ns > 0, "{stats:?}");
+    let prom = server.prometheus_metrics();
+    for (json_key, prom_name, ns) in [
+        (
+            "commit_ns",
+            "rpq_update_commit_nanoseconds_total",
+            stats.commit_ns,
+        ),
+        (
+            "compact_ns",
+            "rpq_update_compact_nanoseconds_total",
+            stats.compact_ns,
+        ),
+    ] {
+        assert!(
+            metrics.contains(&format!("\"{json_key}\":{ns}")),
+            "{metrics}"
+        );
+        assert!(prom.contains(&format!("{prom_name} {ns}")), "{prom}");
+    }
     let expect_epoch = format!("\"epoch\":{}", source.store().epoch());
     assert!(metrics.contains(&expect_epoch), "{metrics}");
     assert!(!metrics.contains("\"epoch_bumps_observed\":0"), "{metrics}");

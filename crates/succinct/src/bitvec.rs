@@ -117,6 +117,21 @@ impl BitVec {
         (self.words, self.len)
     }
 
+    /// The inverse of [`Self::into_raw`]: adopts `words` as the first
+    /// `len` bits, for builders that assemble a vector a word at a time.
+    ///
+    /// # Panics
+    /// Panics unless `words` holds exactly `⌈len / 64⌉` words with every
+    /// bit beyond `len` zero.
+    pub fn from_raw(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "word count for {len} bits");
+        if !len.is_multiple_of(64) {
+            let padding = words[words.len() - 1] >> (len % 64);
+            assert_eq!(padding, 0, "bits beyond the length must be zero");
+        }
+        Self { words, len }
+    }
+
     /// Iterates over all bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -183,6 +198,22 @@ mod tests {
         let bv = BitVec::from_bits((0..65).map(|_| true));
         assert_eq!(bv.words().len(), 2);
         assert_eq!(bv.words()[1], 1);
+    }
+
+    #[test]
+    fn raw_roundtrip() {
+        let bv = BitVec::from_bits((0..130).map(|i| i % 3 == 0));
+        let (words, len) = bv.clone().into_raw();
+        let back = BitVec::from_raw(words, len);
+        assert_eq!(back.len(), 130);
+        assert!(back.iter().eq(bv.iter()));
+        assert!(BitVec::from_raw(Vec::new(), 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the length")]
+    fn from_raw_rejects_dirty_padding() {
+        BitVec::from_raw(vec![0b100], 2);
     }
 
     #[test]

@@ -273,16 +273,125 @@ pub struct WaveletMatrix {
     sigma: u64,
 }
 
+/// A symbol word the level builder partitions. The ring feeds `u32`
+/// (its universes fit 32 bits, and a level sweep is bound by the bytes it
+/// moves); [`WaveletMatrix::new`] widens to `u64` only for alphabets
+/// beyond 32 bits.
+trait Symbol: Copy + Default {
+    /// Bit `shift` of the symbol, as 0 or 1.
+    fn bit(self, shift: usize) -> u64;
+}
+
+impl Symbol for u32 {
+    #[inline]
+    fn bit(self, shift: usize) -> u64 {
+        ((self >> shift) & 1) as u64
+    }
+}
+
+impl Symbol for u64 {
+    #[inline]
+    fn bit(self, shift: usize) -> u64 {
+        (self >> shift) & 1
+    }
+}
+
+/// The bits of `cur` at `shift`, packed 64 to a word.
+fn level_words<S: Symbol>(cur: &[S], shift: usize) -> Vec<u64> {
+    cur.chunks(64)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |word, (i, s)| word | s.bit(shift) << i)
+        })
+        .collect()
+}
+
+fn check_alphabet(symbols: impl Iterator<Item = u64>, sigma: u64) {
+    assert!(sigma > 0, "alphabet must be non-empty");
+    for s in symbols {
+        assert!(s < sigma, "symbol {s} out of alphabet range [0, {sigma})");
+    }
+}
+
 impl WaveletMatrix {
     /// Builds a wavelet matrix for `symbols`, all of which must be `< sigma`.
     ///
     /// # Panics
     /// Panics if `sigma == 0` or any symbol is out of range.
     pub fn new(symbols: &[u64], sigma: u64) -> Self {
-        assert!(sigma > 0, "alphabet must be non-empty");
-        for &s in symbols {
-            assert!(s < sigma, "symbol {s} out of alphabet range [0, {sigma})");
+        check_alphabet(symbols.iter().copied(), sigma);
+        if sigma <= 1 << 32 {
+            Self::from_symbols(symbols.iter().map(|&s| s as u32).collect(), sigma)
+        } else {
+            Self::from_symbols(symbols.to_vec(), sigma)
         }
+    }
+
+    /// [`Self::new`] over 32-bit symbols, taking the vector as the
+    /// builder's working buffer — what [`Self::new`] itself runs on for
+    /// alphabets up to 2³².
+    ///
+    /// # Panics
+    /// Panics if `sigma == 0` or any symbol is out of range.
+    pub fn from_u32_symbols(symbols: Vec<u32>, sigma: u64) -> Self {
+        check_alphabet(symbols.iter().map(|&s| u64::from(s)), sigma);
+        Self::from_symbols(symbols, sigma)
+    }
+
+    /// One sweep per level: the level's bits are assembled a word at a
+    /// time while the symbols are stably partitioned into the next
+    /// level's order (zeros from slot 0, ones from slot `z`). `z` is a
+    /// count, so it does not depend on the order the symbols arrive in:
+    /// the first level's takes its own pass, every later level's is
+    /// counted by the sweep before it. The last level partitions nothing.
+    /// The callers have checked the symbols against `sigma`.
+    fn from_symbols<S: Symbol>(mut cur: Vec<S>, sigma: u64) -> Self {
+        let len = cur.len();
+        let width = bits_for(sigma.saturating_sub(1)).max(1);
+        let mut levels = Vec::with_capacity(width);
+        let mut zeros = Vec::with_capacity(width);
+        let mut next = vec![S::default(); if width > 1 { len } else { 0 }];
+        let mut z = len - cur.iter().map(|s| s.bit(width - 1) as usize).sum::<usize>();
+        for shift in (1..width).rev() {
+            let mut words = Vec::with_capacity(len.div_ceil(64));
+            // Next free slot of the zero run and of the one run.
+            let mut slot = [0usize, z];
+            let mut next_ones = 0usize;
+            for chunk in cur.chunks(64) {
+                let mut word = 0u64;
+                for (i, &s) in chunk.iter().enumerate() {
+                    let bit = s.bit(shift);
+                    word |= bit << i;
+                    next[slot[bit as usize]] = s;
+                    slot[bit as usize] += 1;
+                    next_ones += s.bit(shift - 1) as usize;
+                }
+                words.push(word);
+            }
+            zeros.push(z);
+            levels.push(RankSelect::new(BitVec::from_raw(words, len)));
+            std::mem::swap(&mut cur, &mut next);
+            z = len - next_ones;
+        }
+        zeros.push(z);
+        levels.push(RankSelect::new(BitVec::from_raw(level_words(&cur, 0), len)));
+        Self {
+            levels,
+            zeros,
+            len,
+            width,
+            sigma,
+        }
+    }
+
+    /// The level builder this crate shipped before [`Self::from_symbols`]
+    /// (three iterator passes per level over 64-bit symbols), kept as the
+    /// reference the construction tests compare bytes against.
+    #[cfg(test)]
+    fn new_reference(symbols: &[u64], sigma: u64) -> Self {
+        assert!(sigma > 0, "alphabet must be non-empty");
         let width = bits_for(sigma.saturating_sub(1)).max(1);
         let mut levels = Vec::with_capacity(width);
         let mut zeros = Vec::with_capacity(width);
@@ -945,6 +1054,75 @@ mod tests {
         assert!(wm.is_empty());
         assert_eq!(wm.rank(4, 0), 0);
         assert_eq!(wm.count_distinct(0, 0), 0);
+    }
+
+    /// `n` symbols below `sigma`: uniform, or Zipf(1) — symbol `k` with
+    /// probability about `1 / ((k + 1) ln σ)` — by a log-uniform draw.
+    fn drawn(n: usize, sigma: u64, zipf: bool) -> Vec<u64> {
+        let mut state = 0x2545_F491_4F6C_DD1Du64 ^ sigma;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = state >> 11;
+                if zipf {
+                    let u = r as f64 / (1u64 << 53) as f64;
+                    (((sigma as f64).powf(u) as u64).max(1) - 1).min(sigma - 1)
+                } else {
+                    r % sigma
+                }
+            })
+            .collect()
+    }
+
+    fn stored(wm: &WaveletMatrix) -> Vec<u8> {
+        use crate::io::Persist;
+        let mut bytes = Vec::new();
+        wm.write_to(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// The one-sweep builder lays out exactly what the old three-pass one
+    /// did: same `Persist` bytes, and — since those only replay the
+    /// symbols — the same level words, rank and select directories.
+    #[test]
+    fn one_sweep_construction_is_byte_identical_to_the_reference() {
+        // Widths 1, 7, 8, 17, and 40 for the 64-bit symbol path.
+        for sigma in [2u64, 100, 256, (1 << 16) + 3, (1 << 39) + 5] {
+            for n in [0usize, 1, 63, 64, 65, (1 << 16) + 3] {
+                for zipf in [false, true] {
+                    let syms = drawn(n, sigma, zipf);
+                    let built = WaveletMatrix::new(&syms, sigma);
+                    let reference = WaveletMatrix::new_reference(&syms, sigma);
+                    let what = format!("sigma {sigma}, n {n}, zipf {zipf}");
+                    assert_eq!(stored(&built), stored(&reference), "{what}");
+                    assert_eq!(built.zeros, reference.zeros, "{what}");
+                    assert_eq!(built.width, reference.width, "{what}");
+                    for (l, (a, b)) in built.levels.iter().zip(&reference.levels).enumerate() {
+                        assert_eq!(a.len(), b.len(), "{what}, level {l}");
+                        assert_eq!(a.count_ones(), b.count_ones(), "{what}, level {l}");
+                        assert!(a.raw_parts() == b.raw_parts(), "{what}, level {l}");
+                        assert_eq!(
+                            a.select_sample_rates(),
+                            b.select_sample_rates(),
+                            "{what}, level {l}"
+                        );
+                    }
+                    if sigma <= 1 << 32 {
+                        let narrow = syms.iter().map(|&s| s as u32).collect();
+                        let from_u32 = WaveletMatrix::from_u32_symbols(narrow, sigma);
+                        assert_eq!(stored(&from_u32), stored(&reference), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of alphabet range")]
+    fn from_u32_symbols_checks_the_alphabet() {
+        WaveletMatrix::from_u32_symbols(vec![0, 5, 2], 5);
     }
 
     #[test]

@@ -191,3 +191,25 @@ fn text_graphs_are_portable_across_apis() {
     // Completion is consistent between the ring and the plain graph.
     assert_eq!(db.ring().n_triples(), graph.completed().len());
 }
+
+/// The mapped index of the bundled metro graph, pinned by its CRC32C: a
+/// change to ring construction, to a succinct layout or to the `RRPQM01`
+/// writer that moves a single byte fails here, naming the file, and not
+/// as a drift of the scoreboard's `index_bytes_per_triple`.
+#[test]
+fn mapped_metro_index_bytes_are_pinned() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("data/metro.nt");
+    let db = RpqDatabase::from_graph_file(&fixture).unwrap();
+    let path = std::env::temp_dir().join(format!("rpq_golden_metro_{}.rpqm", std::process::id()));
+    let written = db.save_mapped(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(written, 2224);
+    assert_eq!(bytes.len(), 2224);
+    assert_eq!(
+        succinct::crc32c(&bytes),
+        0xd50b_956e,
+        "save_mapped(data/metro.nt) changed: if the format moved on purpose, \
+         bump its version and re-pin"
+    );
+}
