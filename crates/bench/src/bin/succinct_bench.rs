@@ -266,6 +266,102 @@ fn bench_traversal(
     ));
 }
 
+/// All-admitting guides that decline the leaf ranks, as the engine's
+/// subject sweep does.
+struct CountSyms(usize);
+impl RangeGuide for CountSyms {
+    const LEAF_RANKS: bool = false;
+    fn enter(&mut self, _: usize, _: u64) -> bool {
+        true
+    }
+    fn leaf(&mut self, _: u64, _: usize, _: usize) {
+        self.0 += 1;
+    }
+}
+
+struct CountSymsMulti(usize);
+impl MultiRangeGuide for CountSymsMulti {
+    const LEAF_RANKS: bool = false;
+    const UNIT_SHORTCUT: bool = true;
+    fn enter_node(&mut self, _: usize, _: u64) -> bool {
+        true
+    }
+    fn enter_item(&mut self, _: u32, _: usize, _: u64) -> bool {
+        true
+    }
+    fn leaf(&mut self, _: u32, _: u64, _: usize, _: usize) {
+        self.0 += 1;
+    }
+}
+
+/// The memory-level parallelism of the level-synchronous sweep, at the
+/// scale of a ring's `L_s`: 2^21 symbols of a 2^17 alphabet (17 levels of
+/// 320 KiB each, more than any L2 holds), and ranges one or two positions
+/// wide, as a backward step by predicate leaves them. A leaf costs one
+/// rank per level either way; `access` and the per-range traversal walk
+/// the levels as a chain of dependent cache misses, the sweep takes
+/// `frontier` ranges down a level together.
+fn bench_narrow_ranges(reps: usize, out: &mut Vec<(String, f64)>) {
+    const SIGMA: u64 = 1 << 17;
+    const N: usize = 1 << 21;
+    let mut s = 0x1357u64;
+    let syms: Vec<u64> = (0..N).map(|_| lcg(&mut s) % SIGMA).collect();
+    let wm = WaveletMatrix::new(&syms, SIGMA);
+    let ranges: Vec<(usize, usize)> = (0..1024)
+        .map(|_| {
+            let b = lcg(&mut s) as usize % (N - 2);
+            (b, b + 1 + lcg(&mut s) as usize % 2)
+        })
+        .collect();
+
+    let per_leaf = |samples: &[f64], leaves: usize| median(samples) / leaves as f64;
+    let mut samples = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let t = Instant::now();
+        let acc: u64 = ranges.iter().map(|&(b, _)| wm.access(b)).sum();
+        std::hint::black_box(acc);
+        samples.push(t.elapsed().as_nanos() as f64);
+    }
+    out.push((
+        "narrow_access_chain_ns".to_string(),
+        per_leaf(&samples, ranges.len()),
+    ));
+
+    let mut samples = Vec::with_capacity(reps);
+    let mut leaves = 0;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let mut g = CountSyms(0);
+        for &(b, e) in &ranges {
+            wm.guided_traverse(b, e, &mut g);
+        }
+        samples.push(t.elapsed().as_nanos() as f64);
+        leaves = std::hint::black_box(g.0);
+    }
+    out.push((
+        "narrow_per_range_leaf_ns".to_string(),
+        per_leaf(&samples, leaves),
+    ));
+
+    let mut mt = MultiTraversal::new();
+    for frontier in [2usize, 1024] {
+        let mut samples = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let t = Instant::now();
+            let mut g = CountSymsMulti(0);
+            for batch in ranges.chunks(frontier) {
+                mt.run(&wm, batch, &mut g);
+            }
+            samples.push(t.elapsed().as_nanos() as f64);
+            assert_eq!(g.0, leaves, "batched traversal dropped leaves");
+        }
+        out.push((
+            format!("narrow_batched_f{frontier}_leaf_ns"),
+            per_leaf(&samples, leaves),
+        ));
+    }
+}
+
 /// Extracts `"key":<number>` from a flat JSON text.
 fn json_number(text: &str, key: &str) -> Option<f64> {
     let tag = format!("\"{key}\":");
@@ -346,6 +442,10 @@ fn main() {
     for frontier in [4usize, 64, 256] {
         bench_traversal(&wm, frontier, 48, reps, &mut results);
     }
+
+    // Narrow ranges at `L_s` scale — the same size in quick mode: the
+    // row is about cache misses, which a smaller matrix would not have.
+    bench_narrow_ranges(reps, &mut results);
 
     // Batched backward-step rank vs per-position wavelet rank.
     let mut s = 0xABu64;

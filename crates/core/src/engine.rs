@@ -4,11 +4,10 @@ use automata::glushkov::INITIAL;
 use automata::{BitParallel, Label};
 use ring::delta::DeltaIndex;
 use ring::{Id, Ring};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use succinct::util::{BitSet, EpochArray};
-use succinct::wavelet_matrix::{MultiRangeGuide, MultiTraversal, RangeGuide};
+use succinct::wavelet_matrix::MultiRangeGuide;
 use succinct::WaveletMatrix;
 
 use crate::kernel::{self, Kernel, Start, Stop};
@@ -17,7 +16,7 @@ use crate::plan::{EvalRoute, PreparedQuery};
 use crate::planner;
 use crate::profile::{LevelProf, QueryProfile};
 use crate::query::{EngineOptions, QueryOutput, RpqQuery, Term, TraversalStats};
-use crate::scratch::{EngineScratch, TraverseScratch};
+use crate::scratch::{ChunkExpansion, EngineScratch, PredHit, TraverseScratch};
 use crate::source::{MergedView, ShardSet, TripleSource};
 use crate::stats::RingStatistics;
 use crate::{fastpath, QueryError};
@@ -25,7 +24,7 @@ use crate::{fastpath, QueryError};
 /// Frontier items batched through one `L_p` traversal at a time (bounds
 /// the per-level scratch; a BFS level larger than this is processed in
 /// chunks, in order).
-const FRONTIER_CHUNK: usize = 1024;
+pub(crate) const FRONTIER_CHUNK: usize = 1024;
 
 /// The RPQ engine: borrows a source — a [`Ring`], optionally under a
 /// delta overlay or beside further shards — and owns an
@@ -329,34 +328,36 @@ impl<'r> RpqEngine<'r> {
         Ok(out)
     }
 
-    /// The backward product-graph traversal (§4, parts one to three),
-    /// frontier-batched: each BFS level's part-one (`L_p`) traversals run
-    /// as **one** batched wavelet sweep over the whole frontier
-    /// ([`WaveletMatrix::guided_traverse_multi`]), sharing node-start
-    /// ranks, `B[v]` mask lookups and cache lines across the level's
-    /// ranges. Part one only reads the static `B` masks, so batching it
-    /// is semantically transparent; items are then processed in exact
-    /// FIFO order (a FIFO queue visits whole levels consecutively), so
-    /// visit order, traces and the product-graph counters match the
-    /// item-at-a-time traversal bit for bit. (`wavelet_nodes` is the
-    /// exception: batched part-one consults each `L_p` node once per
-    /// frontier chunk instead of once per range, so that counter now
-    /// measures the batched workload.)
+    /// The backward product-graph traversal (§4, parts one to three): a
+    /// FIFO queue visits whole BFS levels consecutively, so it runs level
+    /// by level, each level in frontier chunks, each chunk in two steps.
+    ///
+    /// *Expand* ([`Expander::expand`]) writes nothing shared. Part one is
+    /// one level-synchronous sweep of `L_p` over the chunk's ranges, under
+    /// the static `B[v]` masks; part two is one sweep of `L_s` over all
+    /// the `(item, predicate)` ranges part one found, under the `D[v]`
+    /// masks as they stood when the chunk began. Masks only ever grow, so
+    /// those frozen masks admit a superset of the subjects the live ones
+    /// would, in the same order. *Replay* then walks the chunk's work in
+    /// FIFO order and applies the exact leaf filter `D' & !D[s]` against
+    /// the live masks — discarding precisely what the frozen masks let
+    /// through in excess — followed by the mask update, budget, trace and
+    /// `report`; part three maps the subjects a chunk admitted to their
+    /// `C_o` blocks in one batch. Pairs, flags, traces, stop points and
+    /// the product-graph counters are therefore those of a traversal that
+    /// expands one item at a time (`level_sync_identity` holds it to
+    /// that); `wavelet_nodes` and `rank_ops` count what the sweeps did.
     ///
     /// When the planner granted `intra_query_threads > 1` and a level's
-    /// frontier reaches `parallel_min_frontier`, that level expands via
-    /// the speculative two-phase scheme ([`expand_level_speculative`]):
-    /// answers, flags, traces and the budget stop point stay bit-for-bit
-    /// identical; `wavelet_nodes`/`rank_ops` then measure the
-    /// *speculative* workload (frozen-mask pruning admits more nodes,
-    /// and budget-aborted levels were already fully expanded) — the same
-    /// "counters measure the executed strategy" convention the batching
-    /// above established.
-    #[allow(clippy::too_many_arguments)]
+    /// frontier reaches `parallel_min_frontier`, the level is cut into
+    /// smaller chunks and several are expanded at once before they are
+    /// replayed in order; nothing else changes.
+    ///
     /// Calls `report(r)` for every node where the initial NFA state newly
     /// activates; a `false` return aborts the traversal. `budget` caps
     /// the product-graph nodes visited by *this* run. Returns why the
     /// traversal stopped.
+    #[allow(clippy::too_many_arguments)]
     fn backward_traverse(
         &mut self,
         bp: &BitParallel,
@@ -400,10 +401,7 @@ impl<'r> RpqEngine<'r> {
             ..
         } = self;
         let ring: &Ring = ring;
-        let lp = ring.l_p();
-        let ls = ring.l_s();
-        let width_p = lp.width();
-        let width_s = ls.width();
+        let width_s = ring.l_s().width();
         let ls_occupancy = ring.ls_occupancy();
         let EngineScratch {
             lp_masks,
@@ -412,31 +410,19 @@ impl<'r> RpqEngine<'r> {
             ..
         } = scratch;
 
-        lp_masks.ensure_len(lp.node_table_len());
-        ls_masks.ensure_len(ls.node_table_len());
-        lp_masks.reset();
+        seed_label_masks(lp_masks, ring.l_p(), bp);
+        ls_masks.ensure_len(ring.l_s().node_table_len());
         ls_masks.reset();
-        // Seed B[v] for all wavelet-node ancestors of the query's labels
-        // (lazy initialization, O(m log |P|), §4.1).
-        for &(label, mask) in bp.positive_label_masks() {
-            for level in 0..=width_p {
-                let prefix = label >> (width_p - level);
-                lp_masks.or_with(WaveletMatrix::node_index(level, prefix), mask);
-            }
-        }
-        let neg = bp.negated_positions();
 
         let TraverseScratch {
-            mt,
             frontier,
             next_frontier,
-            ranges,
-            ds,
-            pred_hits,
-            subjects,
+            expansions,
+            admitted,
         } = traverse;
         frontier.clear();
         next_frontier.clear();
+        admitted.clear();
         let d0 = bp.accept_mask();
         if d0 == 0 {
             return Stop::Completed;
@@ -469,51 +455,64 @@ impl<'r> RpqEngine<'r> {
             if let Some(p) = prof_levels.as_mut() {
                 p.enter(frontier.len() as u64, stats.rank_ops, stats.parallel_chunks);
             }
-            if threads > 1 && frontier.len() >= min_frontier {
-                // Two-phase parallel expansion. Phase A (concurrent,
-                // read-only): every chunk speculatively runs part one and
-                // a *frozen-mask* part two, producing an ordered
-                // candidate plan. Phase B (sequential, below): replay the
-                // plans in chunk/item/pred/candidate order against the
-                // live masks — recomputing `fresh` exactly where the
-                // sequential loop would — so pairs, flags, traces and the
-                // budget stop point are bit-for-bit identical to the
-                // sequential path. (Frozen pruning admits a superset of
-                // candidates in the same traversal order; the replay's
-                // `fresh == 0` skip is precisely the sequential leaf
-                // filter, see `FrozenSubjGuide`.)
-                let plans = expand_level_speculative(
+            // A level wide enough for the threads the planner granted is
+            // cut into ~4 chunks per thread, so that claiming them one by
+            // one balances skew, and a wave of them is expanded at once.
+            // The geometry depends on `(frontier.len(), threads)` only —
+            // never on how many helpers the pool can spare right now.
+            let grant = (threads > 1 && frontier.len() >= min_frontier)
+                .then(|| crate::parallel::acquire_helpers(threads - 1));
+            let (chunk_size, wave_chunks) = match grant {
+                Some(_) => {
+                    stats.parallel_levels += 1;
+                    let size = frontier.len().div_ceil(threads * 4);
+                    (size.clamp(64, FRONTIER_CHUNK), threads * 4)
+                }
+                None => (FRONTIER_CHUNK, 1),
+            };
+            for wave in frontier.chunks(chunk_size * wave_chunks) {
+                let n_chunks = wave.len().div_ceil(chunk_size);
+                if expansions.len() < n_chunks {
+                    expansions.resize_with(n_chunks, ChunkExpansion::default);
+                }
+                Expander {
                     ring,
                     bp,
-                    neg,
-                    lp_masks,
-                    ls_masks,
-                    opts.node_pruning,
-                    frontier,
-                    deadline,
-                    threads,
+                    lp_masks: &*lp_masks,
+                    ls_masks: &*ls_masks,
+                    node_pruning: opts.node_pruning,
+                }
+                .expand_wave(
+                    wave,
+                    chunk_size,
+                    &mut expansions[..n_chunks],
+                    grant.as_ref().map_or(0, |g| g.count()),
                 );
-                stats.parallel_levels += 1;
-                for plan in &plans {
-                    stats.parallel_chunks += 1;
-                    stats.rank_ops += plan.rank_ops;
-                    stats.rank_ops_saved += plan.rank_ops_saved;
-                    stats.wavelet_nodes += plan.wavelet_nodes;
-                    if plan.deadline_hit {
-                        // A worker saw the (monotone) deadline pass, so
-                        // the sequential run would also time out by now.
-                        return Stop::TimedOut;
-                    }
-                    for item in &plan.items {
+
+                for x in &expansions[..n_chunks] {
+                    stats.parallel_chunks += u64::from(grant.is_some());
+                    stats.rank_ops += x.rank_ops;
+                    stats.rank_ops_saved += x.rank_ops_saved;
+                    stats.wavelet_nodes += x.wavelet_nodes;
+                    let (mut work, mut next_subject) = (0, 0);
+                    for &item_end in &x.item_end {
                         stats.bfs_steps += 1;
                         if let Some(dl) = deadline {
                             if stats.bfs_steps.is_multiple_of(64) && Instant::now() >= dl {
                                 return Stop::TimedOut;
                             }
                         }
-                        stats.product_edges += item.n_hits;
-                        for &(d_new, ref cands) in &item.preds {
-                            for &s in cands {
+                        while work < item_end {
+                            stats.product_edges += 1;
+                            // Eq. 2: the same new state set for every
+                            // subject of the work item (Fact 1).
+                            let d_new = x.work_d[work];
+                            let subjects = &x.subjects[next_subject..x.work_end[work]];
+                            next_subject = x.work_end[work];
+                            work += 1;
+                            for &s in subjects {
+                                // The per-node visited filter D[s]:
+                                // soundness and Theorem 4.1 depend on it.
                                 let idx = WaveletMatrix::node_index(width_s, s);
                                 let old = ls_masks.get(idx);
                                 let fresh = d_new & !old;
@@ -539,129 +538,39 @@ impl<'r> RpqEngine<'r> {
                                         return Stop::Completed;
                                     }
                                 }
-                                let (ob, oe) = ring.object_range(s);
-                                if oe > ob {
-                                    next_frontier.push((ob, oe, fresh));
-                                }
+                                admitted.push((s, fresh));
                             }
                         }
                     }
-                }
-                std::mem::swap(frontier, next_frontier);
-                next_frontier.clear();
-                continue;
-            }
-            let mut chunk_start = 0;
-            while chunk_start < frontier.len() {
-                let chunk =
-                    &frontier[chunk_start..(chunk_start + FRONTIER_CHUNK).min(frontier.len())];
-                chunk_start += chunk.len();
-
-                // Part one, batched over the chunk: distinct relevant
-                // predicates reaching each range, found in one sweep.
-                ranges.clear();
-                ds.clear();
-                for &(b, e, d) in chunk {
-                    ranges.push((b, e));
-                    ds.push(d);
-                }
-                if pred_hits.len() < chunk.len() {
-                    pred_hits.resize_with(chunk.len(), Vec::new);
-                }
-                for hits in pred_hits[..chunk.len()].iter_mut() {
-                    hits.clear();
-                }
-                let union_d = ds.iter().fold(0u64, |a, &d| a | d);
-                {
-                    let mut guide = PredGuideMulti {
-                        ds,
-                        union_d,
-                        masks: lp_masks,
-                        neg,
-                        width: width_p,
-                        out: pred_hits,
-                        nodes_entered: &mut stats.wavelet_nodes,
-                        node_mask: 0,
-                        pending: 0,
-                    };
-                    mt.run(lp, ranges, &mut guide);
-                }
-                stats.rank_ops += mt.ranks;
-                stats.rank_ops_saved += mt.ranks_saved;
-                // The batched sweep emits leaves in unspecified order;
-                // ascending-label order restores the exact predicate
-                // processing sequence (and traces) of the per-range
-                // traversal.
-                for hits in pred_hits[..chunk.len()].iter_mut() {
-                    hits.sort_unstable_by_key(|&(p, ..)| p);
-                }
-
-                // Items in FIFO order, each with its precomputed preds.
-                for (i, _) in chunk.iter().enumerate() {
-                    stats.bfs_steps += 1;
-                    if let Some(dl) = deadline {
-                        if stats.bfs_steps.is_multiple_of(64) && Instant::now() >= dl {
-                            return Stop::TimedOut;
+                    // Part three: each admitted subject becomes an object
+                    // again, on the next BFS level.
+                    for &(s, fresh) in admitted.iter() {
+                        let (ob, oe) = ring.object_range(s);
+                        if oe > ob {
+                            next_frontier.push((ob, oe, fresh));
                         }
                     }
-
-                    for &(p, rb, re, d_and_b) in pred_hits[i].iter() {
-                        stats.product_edges += 1;
-                        // Eq. 2: the same new state set for every subject
-                        // (Fact 1).
-                        let d_new = bp.apply_bwd(d_and_b);
-                        if d_new == 0 {
-                            continue;
-                        }
-                        let base = ring.pred_range(p).0;
-                        let (sb, se) = (base + rb, base + re);
-
-                        // Part two: distinct unvisited subjects in range.
-                        subjects.clear();
-                        {
-                            let mut guide = SubjGuide {
-                                d_new,
-                                masks: ls_masks,
-                                occ: ls_occupancy,
-                                width: width_s,
-                                node_pruning: opts.node_pruning,
-                                out: subjects,
-                                nodes_entered: &mut stats.wavelet_nodes,
-                                pending_fresh: 0,
-                            };
-                            ls.guided_traverse(sb, se, &mut guide);
-                        }
-
-                        for &(s, fresh) in subjects.iter() {
-                            if let Some(nb) = budget {
-                                if stats.product_nodes >= nb {
-                                    return Stop::Budget;
-                                }
-                            }
-                            stats.product_nodes += 1;
-                            if let Some(t) = trace.as_deref_mut() {
-                                t.push((s, fresh));
-                            }
-                            if fresh & INITIAL != 0 {
-                                stats.reported += 1;
-                                if !report(s) {
-                                    return Stop::Completed;
-                                }
-                            }
-                            // Part three: the subject becomes an object
-                            // again, on the next BFS level.
-                            let (ob, oe) = ring.object_range(s);
-                            if oe > ob {
-                                next_frontier.push((ob, oe, fresh));
-                            }
-                        }
-                    }
+                    admitted.clear();
                 }
             }
             std::mem::swap(frontier, next_frontier);
             next_frontier.clear();
         }
         Stop::Completed
+    }
+}
+
+/// Resets `B[v]` and seeds it for all wavelet-node ancestors of the
+/// query's labels (lazy initialization, O(m log |P|), §4.1).
+pub(crate) fn seed_label_masks(lp_masks: &mut EpochArray, lp: &WaveletMatrix, bp: &BitParallel) {
+    let width_p = lp.width();
+    lp_masks.ensure_len(lp.node_table_len());
+    lp_masks.reset();
+    for &(label, mask) in bp.positive_label_masks() {
+        for level in 0..=width_p {
+            let prefix = label >> (width_p - level);
+            lp_masks.or_with(WaveletMatrix::node_index(level, prefix), mask);
+        }
     }
 }
 
@@ -724,8 +633,8 @@ struct PredGuideMulti<'a> {
     masks: &'a EpochArray,
     neg: &'a [(u64, Vec<Label>)],
     width: usize,
-    /// Per-item output: `(pred, rank_b, rank_e, D_i & B[p])`.
-    out: &'a mut Vec<Vec<(Label, usize, usize, u64)>>,
+    /// `(item, pred, rank_b, rank_e, D_i & B[p])`, in arrival order.
+    out: &'a mut Vec<PredHit>,
     nodes_entered: &'a mut u64,
     /// `B[v] | neg` of the node admitted most recently.
     node_mask: u64,
@@ -756,14 +665,19 @@ impl MultiRangeGuide for PredGuideMulti<'_> {
     }
 
     fn leaf(&mut self, item: u32, sym: u64, rank_b: usize, rank_e: usize) {
-        self.out[item as usize].push((sym, rank_b, rank_e, self.pending));
+        self.out.push((item, sym, rank_b, rank_e, self.pending));
     }
 }
 
 /// Mask contributed by negated-class positions to the wavelet node
 /// `(level, prefix)` covering labels `[prefix·2^span, (prefix+1)·2^span)`:
 /// the position fires unless the whole interval is excluded.
-fn neg_range_mask(neg: &[(u64, Vec<Label>)], level: usize, prefix: u64, width: usize) -> u64 {
+pub(crate) fn neg_range_mask(
+    neg: &[(u64, Vec<Label>)],
+    level: usize,
+    prefix: u64,
+    width: usize,
+) -> u64 {
     let span = width - level;
     let lo = prefix << span;
     let len = 1u64 << span;
@@ -778,60 +692,67 @@ fn neg_range_mask(neg: &[(u64, Vec<Label>)], level: usize, prefix: u64, width: u
     mask
 }
 
-/// §4.2: skip subjects (and subtrees) already visited with every active
-/// state. Internal nodes hold the **intersection** of the visited sets of
-/// the occupied leaves below them — the invariant the paper states for
-/// `D[v]` — maintained by upward propagation from each leaf update.
-struct SubjGuide<'a> {
-    d_new: u64,
-    masks: &'a mut EpochArray,
-    occ: &'a BitSet,
+/// §4.2 over a whole chunk: skip subjects (and subtrees) already visited
+/// with every state their work item would add. Internal nodes hold the
+/// **intersection** of the visited sets of the occupied leaves below them
+/// — the invariant the paper states for `D[v]`, maintained by
+/// [`propagate_up`] from each leaf update.
+///
+/// The masks are read, never written: they are the ones the chunk began
+/// under, and since masks only grow every test against them passes
+/// whenever the test against the live masks would. The sweep thus admits
+/// a superset of what a traversal updating the masks as it goes admits,
+/// in the same order, and the replay's leaf filter removes the excess.
+struct SubjGuideMulti<'a> {
+    /// Per work item, its `D'`.
+    d_new: &'a [u64],
+    masks: &'a EpochArray,
     width: usize,
     node_pruning: bool,
-    out: &'a mut Vec<(Id, u64)>,
+    /// `(work item, subject)`, in arrival order.
+    out: &'a mut Vec<(u32, Id)>,
     nodes_entered: &'a mut u64,
-    pending_fresh: u64,
+    /// Table index of the node entered most recently, and its mask once
+    /// an item has asked for it.
+    node: usize,
+    node_mask: Option<u64>,
 }
 
-impl RangeGuide for SubjGuide<'_> {
-    fn enter(&mut self, level: usize, prefix: u64) -> bool {
+impl MultiRangeGuide for SubjGuideMulti<'_> {
+    const LEAF_RANKS: bool = false;
+    // A node is refused only if every leaf below it would be.
+    const UNIT_SHORTCUT: bool = true;
+
+    fn enter_node(&mut self, level: usize, prefix: u64) -> bool {
         *self.nodes_entered += 1;
-        let idx = WaveletMatrix::node_index(level, prefix);
-        if level == self.width {
-            // Leaf: the per-node visited filter D[s] (always on; soundness
-            // and Theorem 4.1 depend on it).
-            let old = self.masks.get(idx);
-            let fresh = self.d_new & !old;
-            if fresh == 0 {
-                return false;
-            }
-            self.masks.set(idx, old | self.d_new);
-            self.pending_fresh = fresh;
-            true
-        } else if self.node_pruning {
-            // Prune when every occupied subject below already carries all
-            // of d_new. Sound because masks[idx] is an intersection lower
-            // bound (default 0 never over-prunes).
-            self.d_new & !self.masks.get(idx) != 0
-        } else {
-            true
-        }
+        self.node = WaveletMatrix::node_index(level, prefix);
+        self.node_mask = None;
+        true
     }
 
-    fn leaf(&mut self, sym: u64, _rank_b: usize, _rank_e: usize) {
-        self.out.push((sym, self.pending_fresh));
-        if self.node_pruning {
-            propagate_up(self.masks, self.occ, self.width, sym);
+    fn enter_item(&mut self, item: u32, level: usize, _prefix: u64) -> bool {
+        if level < self.width && !self.node_pruning {
+            return true;
         }
+        // At a leaf, the per-node visited filter `D[s]`. Above, a node is
+        // pruned when every occupied subject below already carries all
+        // of `D'` — sound because the mask is an intersection lower
+        // bound (default 0 never over-prunes).
+        let visited = *self
+            .node_mask
+            .get_or_insert_with(|| self.masks.get(self.node));
+        self.d_new[item as usize] & !visited != 0
+    }
+
+    fn leaf(&mut self, item: u32, sym: u64, _rank_b: usize, _rank_e: usize) {
+        self.out.push((item, sym));
     }
 }
 
 /// Re-establishes the intersection invariant of the internal `D[v]`
 /// masks on the leaf-to-root path above `sym`, stopping as soon as an
-/// ancestor's value is unchanged. Shared by the sequential leaf update
-/// ([`SubjGuide::leaf`]) and the parallel merge replay, which must
-/// mutate the masks identically.
-fn propagate_up(masks: &mut EpochArray, occ: &BitSet, width: usize, sym: u64) {
+/// ancestor's value is unchanged.
+pub(crate) fn propagate_up(masks: &mut EpochArray, occ: &BitSet, width: usize, sym: u64) {
     let mut prefix = sym;
     for level in (0..width).rev() {
         prefix >>= 1;
@@ -855,209 +776,171 @@ fn propagate_up(masks: &mut EpochArray, occ: &BitSet, width: usize, sym: u64) {
     }
 }
 
-/// One frontier chunk's speculative expansion plan (Phase A output):
-/// everything the sequential loop would need, computed against *frozen*
-/// visited masks so it can run concurrently.
-struct ChunkPlan {
-    /// Per frontier item, in order.
-    items: Vec<ItemPlan>,
-    /// This chunk's part-one rank count.
-    rank_ops: u64,
-    /// Ranks the batched part-one avoided.
-    rank_ops_saved: u64,
-    /// Wavelet nodes entered (part one + frozen part two).
-    wavelet_nodes: u64,
-    /// The worker saw the deadline pass and skipped expansion; the merge
-    /// turns this into `Stop::TimedOut` when it reaches the chunk.
-    deadline_hit: bool,
-}
-
-/// One frontier item's speculative expansion: its part-one hit count
-/// (for exact `product_edges` accounting — hits with a dead `d_new` are
-/// counted by the sequential loop too) and, per surviving predicate in
-/// ascending-label order, the backward state set and the candidate
-/// subjects the frozen part two emitted.
-struct ItemPlan {
-    n_hits: u64,
-    preds: Vec<(u64, Vec<Id>)>,
-}
-
-/// Phase A: expands every chunk of `frontier` speculatively, fanning
-/// chunks across up to `threads − 1` pool helpers plus the calling
-/// thread. Chunk geometry depends only on `(frontier.len(), threads)` —
-/// never on how many helpers the pool actually granted — and per-item
-/// part-one output is independent of chunk grouping (the multi-range
-/// guide filters per item), so results are deterministic.
-#[allow(clippy::too_many_arguments)]
-fn expand_level_speculative(
-    ring: &Ring,
-    bp: &BitParallel,
-    neg: &[(u64, Vec<Label>)],
-    lp_masks: &EpochArray,
-    ls_masks: &EpochArray,
+/// Everything expanding a chunk reads: the index, the query's tables and
+/// the two mask tables as they stand.
+struct Expander<'a> {
+    ring: &'a Ring,
+    bp: &'a BitParallel,
+    lp_masks: &'a EpochArray,
+    ls_masks: &'a EpochArray,
     node_pruning: bool,
-    frontier: &[(usize, usize, u64)],
-    deadline: Option<Instant>,
-    threads: usize,
-) -> Vec<ChunkPlan> {
-    // Aim for ~4 chunks per requested thread so dynamic claiming can
-    // balance skew, but never exceed the sequential chunk bound (the
-    // part-one scratch size) and don't shatter small levels.
-    let chunk_size = frontier
-        .len()
-        .div_ceil(threads * 4)
-        .clamp(64, FRONTIER_CHUNK);
-    let n_chunks = frontier.len().div_ceil(chunk_size);
-    let grant = crate::parallel::acquire_helpers(threads.saturating_sub(1));
-    let slots: Vec<OnceLock<ChunkPlan>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let work = || loop {
-            let c = cursor.fetch_add(1, Ordering::Relaxed);
-            if c >= n_chunks {
-                break;
+}
+
+impl Expander<'_> {
+    /// Expands the chunks of `wave`, each into its slot, on this thread
+    /// and up to `helpers` more; chunks are claimed one at a time. What a
+    /// slot ends up holding depends on its chunk alone.
+    fn expand_wave(
+        &self,
+        wave: &[(usize, usize, u64)],
+        chunk_size: usize,
+        slots: &mut [ChunkExpansion],
+        helpers: usize,
+    ) {
+        let spawn = helpers.min(slots.len() - 1);
+        let jobs = slots.iter_mut().zip(wave.chunks(chunk_size));
+        if spawn == 0 {
+            return jobs.for_each(|(x, chunk)| self.expand(chunk, x));
+        }
+        let jobs = Mutex::new(jobs);
+        std::thread::scope(|scope| {
+            let work = || loop {
+                let job = jobs
+                    .lock()
+                    .expect("the job queue is only locked to take a job")
+                    .next();
+                match job {
+                    Some((x, chunk)) => self.expand(chunk, x),
+                    None => break,
+                }
+            };
+            for _ in 0..spawn {
+                scope.spawn(work);
             }
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(frontier.len());
-            let plan = expand_chunk_speculative(
-                ring,
-                bp,
-                neg,
-                lp_masks,
-                ls_masks,
-                node_pruning,
-                &frontier[lo..hi],
-                deadline,
-            );
-            let _ = slots[c].set(plan);
-        };
-        for _ in 0..grant.count().min(n_chunks.saturating_sub(1)) {
-            scope.spawn(work);
-        }
-        work();
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("phase A fills every chunk slot"))
-        .collect()
-}
-
-/// Expands one chunk against frozen masks: part one (identical to the
-/// sequential sweep — it only reads the static `B[v]` table) plus a
-/// read-only part two per surviving predicate.
-#[allow(clippy::too_many_arguments)]
-fn expand_chunk_speculative(
-    ring: &Ring,
-    bp: &BitParallel,
-    neg: &[(u64, Vec<Label>)],
-    lp_masks: &EpochArray,
-    ls_masks: &EpochArray,
-    node_pruning: bool,
-    chunk: &[(usize, usize, u64)],
-    deadline: Option<Instant>,
-) -> ChunkPlan {
-    let mut plan = ChunkPlan {
-        items: Vec::with_capacity(chunk.len()),
-        rank_ops: 0,
-        rank_ops_saved: 0,
-        wavelet_nodes: 0,
-        deadline_hit: false,
-    };
-    if let Some(dl) = deadline {
-        if Instant::now() >= dl {
-            plan.deadline_hit = true;
-            return plan;
-        }
+            work();
+        });
     }
-    let lp = ring.l_p();
-    let ls = ring.l_s();
-    let width_p = lp.width();
-    let width_s = ls.width();
-    let ranges: Vec<(usize, usize)> = chunk.iter().map(|&(b, e, _)| (b, e)).collect();
-    let ds: Vec<u64> = chunk.iter().map(|&(_, _, d)| d).collect();
-    let union_d = ds.iter().fold(0u64, |a, &d| a | d);
-    let mut pred_hits: Vec<Vec<(Label, usize, usize, u64)>> = vec![Vec::new(); chunk.len()];
-    let mut mt = MultiTraversal::default();
-    {
+
+    /// Parts one and two for one chunk: which work items it has, and the
+    /// subjects each of them may reach.
+    fn expand(&self, chunk: &[(usize, usize, u64)], x: &mut ChunkExpansion) {
+        let (lp, ls) = (self.ring.l_p(), self.ring.l_s());
+        let ChunkExpansion {
+            mt,
+            ranges,
+            ds,
+            hits,
+            item_end,
+            work_d,
+            candidates,
+            work_end,
+            subjects,
+            rank_ops,
+            rank_ops_saved,
+            wavelet_nodes,
+        } = x;
+        *wavelet_nodes = 0;
+
+        // Part one: the distinct relevant predicates reaching each range.
+        ranges.clear();
+        ds.clear();
+        hits.clear();
+        let mut union_d = 0;
+        for &(b, e, d) in chunk {
+            ranges.push((b, e));
+            ds.push(d);
+            union_d |= d;
+        }
         let mut guide = PredGuideMulti {
-            ds: &ds,
+            ds,
             union_d,
-            masks: lp_masks,
-            neg,
-            width: width_p,
-            out: &mut pred_hits,
-            nodes_entered: &mut plan.wavelet_nodes,
+            masks: self.lp_masks,
+            neg: self.bp.negated_positions(),
+            width: lp.width(),
+            out: hits,
+            nodes_entered: wavelet_nodes,
             node_mask: 0,
             pending: 0,
         };
-        mt.run(lp, &ranges, &mut guide);
+        mt.run(lp, ranges, &mut guide);
+        (*rank_ops, *rank_ops_saved) = (mt.ranks, mt.ranks_saved);
+
+        // The leaves arrived predicate by predicate; item by item they
+        // are the chunk's work items, each with its backward step taken.
+        ranges.clear();
+        ranges.resize(hits.len(), (0, 0));
+        work_d.clear();
+        work_d.resize(hits.len(), 0);
+        group_by_key(
+            item_end,
+            chunk.len(),
+            hits,
+            |hit| hit.0 as usize,
+            |work, &(_, p, rank_b, rank_e, d_and_b)| {
+                let d_new = self.bp.apply_bwd(d_and_b);
+                if d_new != 0 {
+                    let base = self.ring.c_p_ref().get(p);
+                    work_d[work] = d_new;
+                    ranges[work] = (base + rank_b, base + rank_e);
+                }
+            },
+        );
+
+        // Part two: the distinct subjects in each work item's range that
+        // the visited masks do not rule out.
+        candidates.clear();
+        let mut guide = SubjGuideMulti {
+            d_new: work_d,
+            masks: self.ls_masks,
+            width: ls.width(),
+            node_pruning: self.node_pruning,
+            out: candidates,
+            nodes_entered: wavelet_nodes,
+            node: 0,
+            node_mask: None,
+        };
+        mt.run(ls, ranges, &mut guide);
+        *rank_ops += mt.ranks;
+        *rank_ops_saved += mt.ranks_saved;
+
+        // They arrived subject by subject; the replay wants them work
+        // item by work item, and finds each work item's ascending.
+        subjects.clear();
+        subjects.resize(candidates.len(), 0);
+        group_by_key(
+            work_end,
+            hits.len(),
+            candidates,
+            |candidate| candidate.0 as usize,
+            |slot, &(_, s)| subjects[slot] = s,
+        );
     }
-    plan.rank_ops += mt.ranks;
-    plan.rank_ops_saved += mt.ranks_saved;
-    for hits in pred_hits.iter_mut() {
-        hits.sort_unstable_by_key(|&(p, ..)| p);
-    }
-    for hits in pred_hits.iter() {
-        let mut preds = Vec::new();
-        for &(p, rb, re, d_and_b) in hits {
-            let d_new = bp.apply_bwd(d_and_b);
-            if d_new == 0 {
-                continue;
-            }
-            let base = ring.pred_range(p).0;
-            let mut cands = Vec::new();
-            {
-                let mut guide = FrozenSubjGuide {
-                    d_new,
-                    masks: ls_masks,
-                    width: width_s,
-                    node_pruning,
-                    out: &mut cands,
-                    nodes_entered: &mut plan.wavelet_nodes,
-                };
-                ls.guided_traverse(base + rb, base + re, &mut guide);
-            }
-            preds.push((d_new, cands));
-        }
-        plan.items.push(ItemPlan {
-            n_hits: hits.len() as u64,
-            preds,
-        });
-    }
-    plan
 }
 
-/// The read-only counterpart of [`SubjGuide`] for Phase A: filters
-/// subjects against a *frozen* snapshot of the visited masks without
-/// mutating them. Because the masks only ever grow, every frozen-mask
-/// check is a lower bound on the live one: this guide admits a
-/// **superset** of the subjects the sequential traversal would emit, in
-/// the same left-to-right order (pruning removes whole subtrees without
-/// reordering survivors) — and the merge replay re-applies the exact
-/// leaf filter (`fresh == 0` skip) against the live masks, discarding
-/// exactly the speculative extras.
-struct FrozenSubjGuide<'a> {
-    d_new: u64,
-    masks: &'a EpochArray,
-    width: usize,
-    node_pruning: bool,
-    out: &'a mut Vec<Id>,
-    nodes_entered: &'a mut u64,
-}
-
-impl RangeGuide for FrozenSubjGuide<'_> {
-    fn enter(&mut self, level: usize, prefix: u64) -> bool {
-        *self.nodes_entered += 1;
-        if level == self.width || self.node_pruning {
-            let idx = WaveletMatrix::node_index(level, prefix);
-            self.d_new & !self.masks.get(idx) != 0
-        } else {
-            true
-        }
+/// A stable bucket pass over `records`, whose keys are below `n_keys`:
+/// `place(slot, record)` hands every record its slot in key order —
+/// records of one key keep their order — and `ends[k]` is left holding
+/// where key `k`'s slots end (they begin where key `k − 1`'s end).
+pub(crate) fn group_by_key<T>(
+    ends: &mut Vec<usize>,
+    n_keys: usize,
+    records: &[T],
+    key: impl Fn(&T) -> usize,
+    mut place: impl FnMut(usize, &T),
+) {
+    ends.clear();
+    ends.resize(n_keys, 0);
+    for record in records {
+        ends[key(record)] += 1;
     }
-
-    fn leaf(&mut self, sym: u64, _rank_b: usize, _rank_e: usize) {
-        self.out.push(sym);
+    let mut next = 0;
+    for end in ends.iter_mut() {
+        next += std::mem::replace(end, next);
+    }
+    for record in records {
+        let slot = &mut ends[key(record)];
+        place(*slot, record);
+        *slot += 1;
     }
 }
 

@@ -12,6 +12,7 @@ use ring::{Id, Ring};
 use std::time::Instant;
 use succinct::wavelet_matrix::MultiRangeGuide;
 
+use crate::engine::group_by_key;
 use crate::pairbuf::PairBuffer;
 use crate::query::{EngineOptions, QueryOutput, Term};
 use crate::source::MergedView;
@@ -241,7 +242,7 @@ fn merged_single(
         }
         (Term::Var, Term::Var) => {
             let mut subjects = Vec::new();
-            view.subjects_of_pred(p, &mut subjects);
+            view.first_subjects_of_pred(p, sink.usable_subjects(), &mut subjects);
             let extra = par.extra_for(subjects.len());
             if extra > 0 {
                 // The sequential loop consults `full()` once per subject,
@@ -474,6 +475,15 @@ impl Sink {
         }
     }
 
+    /// How many subjects of one label, taken in ascending order, a
+    /// variable-to-variable sweep can use: each owns at least one pair no
+    /// other subject of the label shares, all of them smaller than every
+    /// pair of a later subject, so the first `limit` fill the answer and
+    /// one more is what can still trip a node budget equal to the limit.
+    fn usable_subjects(&self) -> usize {
+        self.limit.saturating_add(1)
+    }
+
     fn full(&mut self) -> bool {
         if self.truncated || self.budget_exhausted {
             return true;
@@ -491,17 +501,22 @@ impl Sink {
     }
 }
 
-/// Distinct symbols of a wavelet range of `L_s`, pushed through `f`.
+/// Distinct symbols of a wavelet range of `L_s`, ascending, pushed
+/// through `f`.
 fn distinct_ls(ring: &Ring, range: (usize, usize), f: &mut impl FnMut(Id)) {
-    ring.l_s()
-        .range_distinct(range.0, range.1, &mut |v, _, _| f(v));
+    ring.l_s().range_symbols(range.0, range.1, &mut |v| {
+        f(v);
+        true
+    });
 }
 
-/// Distinct symbols of many `L_s` ranges in one batched sweep:
-/// `f(item, sym)` per distinct symbol of `ranges[item]`.
+/// Distinct symbols of many `L_s` ranges in one level-synchronous sweep:
+/// `f(item, sym)` per distinct symbol of `ranges[item]`, symbol by symbol.
 fn distinct_ls_multi(ring: &Ring, ranges: &[(usize, usize)], f: &mut impl FnMut(u32, Id)) {
     struct All<'a, F>(&'a mut F);
     impl<F: FnMut(u32, u64)> MultiRangeGuide for All<'_, F> {
+        const LEAF_RANKS: bool = false;
+        const UNIT_SHORTCUT: bool = true;
         fn enter_node(&mut self, _: usize, _: u64) -> bool {
             true
         }
@@ -513,6 +528,47 @@ fn distinct_ls_multi(ring: &Ring, ranges: &[(usize, usize)], f: &mut impl FnMut(
         }
     }
     ring.l_s().guided_traverse_multi(ranges, &mut All(f));
+}
+
+/// Buffers of [`pairs_of_batch`], reused batch after batch.
+#[derive(Default)]
+struct Batch {
+    ranges: Vec<(usize, usize)>,
+    stepped: Vec<(usize, usize)>,
+    found: Vec<(u32, Id)>,
+    ends: Vec<usize>,
+    /// The batch's `(s, o)` pairs, ascending.
+    pairs: Vec<(Id, Id)>,
+}
+
+/// Every `(s, o)` with `s` in `subjects` (ascending) and `s --p--> o`,
+/// `pi` being `p̂`: one batched backward step and one sweep of `L_s` for
+/// the whole batch. The sweep reports object by object; the pairs are
+/// handed on subject by subject, so that a limit reached inside a batch
+/// keeps the smallest pairs whatever the batch boundaries are.
+fn pairs_of_batch(ring: &Ring, pi: Label, subjects: &[Id], batch: &mut Batch) {
+    let Batch {
+        ranges,
+        stepped,
+        found,
+        ends,
+        pairs,
+    } = batch;
+    ranges.clear();
+    ranges.extend(subjects.iter().map(|&s| ring.object_range(s)));
+    stepped.clear();
+    ring.backward_step_by_pred_multi(ranges, pi, stepped);
+    found.clear();
+    distinct_ls_multi(ring, stepped, &mut |item, o| found.push((item, o)));
+    pairs.clear();
+    pairs.resize(found.len(), (0, 0));
+    group_by_key(
+        ends,
+        subjects.len(),
+        found,
+        |&(item, _)| item as usize,
+        |slot, &(item, o)| pairs[slot] = (subjects[item as usize], o),
+    );
 }
 
 /// `(x, p, y)` and its anchored forms, via backward search only (§5):
@@ -536,11 +592,16 @@ fn single(ring: &Ring, p: Label, subject: Term, object: Term, sink: &mut Sink, p
             distinct_ls(ring, r, &mut |o| sink.push((s, o)));
         }
         (Term::Var, Term::Var) => {
-            // All subjects of p, then the objects of each — backward
-            // steps and distinct sweeps batched STEP_BATCH subjects at
-            // a time.
+            // The subjects of p the sink can use, then the objects of
+            // each — backward steps and distinct sweeps batched
+            // STEP_BATCH subjects at a time.
             let mut subjects = Vec::new();
-            distinct_ls(ring, ring.pred_range(p), &mut |s| subjects.push(s));
+            let (b, e) = ring.pred_range(p);
+            let usable = sink.usable_subjects();
+            ring.l_s().range_symbols(b, e, &mut |s| {
+                subjects.push(s);
+                subjects.len() < usable
+            });
             let extra = par.extra_for(subjects.len());
             if extra > 0 {
                 // Same STEP_BATCH geometry as below, chunks mapped
@@ -553,15 +614,9 @@ fn single(ring: &Ring, p: Label, subject: Term, object: Term, sink: &mut Sink, p
                     STEP_BATCH,
                     extra,
                     |_, chunk| {
-                        let ranges: Vec<(usize, usize)> =
-                            chunk.iter().map(|&s| ring.object_range(s)).collect();
-                        let mut stepped = Vec::with_capacity(chunk.len());
-                        ring.backward_step_by_pred_multi(&ranges, pi, &mut stepped);
-                        let mut pairs = Vec::new();
-                        distinct_ls_multi(ring, &stepped, &mut |item, o| {
-                            pairs.push((chunk[item as usize], o))
-                        });
-                        pairs
+                        let mut batch = Batch::default();
+                        pairs_of_batch(ring, pi, chunk, &mut batch);
+                        batch.pairs
                     },
                     |pairs| {
                         if sink.full() {
@@ -576,18 +631,15 @@ fn single(ring: &Ring, p: Label, subject: Term, object: Term, sink: &mut Sink, p
                 );
                 return;
             }
-            let mut stepped = Vec::with_capacity(STEP_BATCH);
+            let mut batch = Batch::default();
             for chunk in subjects.chunks(STEP_BATCH) {
                 if sink.full() {
                     return;
                 }
-                let ranges: Vec<(usize, usize)> =
-                    chunk.iter().map(|&s| ring.object_range(s)).collect();
-                stepped.clear();
-                ring.backward_step_by_pred_multi(&ranges, pi, &mut stepped);
-                distinct_ls_multi(ring, &stepped, &mut |item, o| {
-                    sink.push((chunk[item as usize], o))
-                });
+                pairs_of_batch(ring, pi, chunk, &mut batch);
+                for &pair in &batch.pairs {
+                    sink.push(pair);
+                }
             }
         }
     }
@@ -610,6 +662,9 @@ fn concat2(
     let p2i = ring.inverse_label(p2);
     match (subject, object) {
         (Term::Var, Term::Var) => {
+            // All midpoints, whatever the limit: two of them can lead to
+            // the same pair, so no count of midpoints bounds the answer
+            // the way a count of subjects does in `single`.
             let targets_of_p1 = ring.pred_range(p1i);
             let sources_of_p2 = ring.pred_range(p2);
             let mids = ring.l_s().range_intersect(targets_of_p1, sources_of_p2);

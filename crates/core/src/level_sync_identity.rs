@@ -1,0 +1,418 @@
+//! The traversal the pure kernel's chunked expansion is pinned to: §4 as
+//! written, one queue item at a time, every wavelet range traversed on
+//! its own under masks that are updated as it goes — and the tests that
+//! hold [`crate::engine`] to it.
+//!
+//! The engine expands a whole frontier chunk against the visited masks as
+//! they stood when the chunk began and replays the result in queue order;
+//! its claim is that nothing observable tells the two apart: the pair
+//! stream, the flags, the trace and the four product-graph counters that
+//! depend on visit order. (`wavelet_nodes` and `rank_ops` describe the
+//! work a strategy did and differ by design.)
+
+use std::collections::VecDeque;
+
+use automata::glushkov::INITIAL;
+use automata::{BitParallel, Label, Regex};
+use ring::ring::RingOptions;
+use ring::{Graph, Id, Ring, Triple};
+use succinct::util::{BitSet, EpochArray};
+use succinct::wavelet_matrix::RangeGuide;
+use succinct::WaveletMatrix;
+use workload::{GraphGen, GraphGenConfig, QueryGen};
+
+use crate::engine::{neg_range_mask, propagate_up, seed_label_masks, RpqEngine};
+use crate::kernel::{self, Kernel, Start, Stop};
+use crate::plan::{EvalRoute, PreparedQuery};
+use crate::query::{EngineOptions, RpqQuery, Term, TraversalStats};
+use crate::source::MergedView;
+
+/// The item-at-a-time kernel: a FIFO queue of `(L_p range, D)` items.
+struct Reference<'a> {
+    ring: &'a Ring,
+    tables: (&'a BitParallel, &'a BitParallel),
+    node_pruning: bool,
+    lp_masks: EpochArray,
+    ls_masks: EpochArray,
+}
+
+impl Kernel for Reference<'_> {
+    fn traverse(
+        &mut self,
+        reversed: bool,
+        start: Start,
+        budget: Option<u64>,
+        stats: &mut TraversalStats,
+        mut trace: Option<&mut Vec<(Id, u64)>>,
+        report: &mut dyn FnMut(Id) -> bool,
+    ) -> Stop {
+        let bp = if reversed {
+            self.tables.1
+        } else {
+            self.tables.0
+        };
+        let ring = self.ring;
+        let (lp, ls) = (ring.l_p(), ring.l_s());
+        let width_s = ls.width();
+        seed_label_masks(&mut self.lp_masks, lp, bp);
+        self.ls_masks.ensure_len(ls.node_table_len());
+        self.ls_masks.reset();
+
+        let mut queue = VecDeque::new();
+        let d0 = bp.accept_mask();
+        if d0 == 0 {
+            return Stop::Completed;
+        }
+        match start {
+            Start::Object(o) => {
+                self.ls_masks.set(WaveletMatrix::node_index(width_s, o), d0);
+                if d0 & INITIAL != 0 && MergedView::ring_only(ring).node_exists(o) {
+                    stats.reported += 1;
+                    if !report(o) {
+                        return Stop::Completed;
+                    }
+                }
+                queue.push_back((ring.object_range(o), d0));
+            }
+            Start::Full => queue.push_back((ring.full_range(), d0)),
+        }
+
+        let mut preds = Vec::new();
+        let mut subjects = Vec::new();
+        while let Some(((b, e), d)) = queue.pop_front() {
+            if b == e {
+                continue;
+            }
+            stats.bfs_steps += 1;
+
+            // Part one: the relevant predicates reaching the range.
+            preds.clear();
+            lp.guided_traverse(
+                b,
+                e,
+                &mut PredGuide {
+                    d,
+                    masks: &self.lp_masks,
+                    neg: bp.negated_positions(),
+                    width: lp.width(),
+                    out: &mut preds,
+                    pending: 0,
+                },
+            );
+            for &(p, rank_b, rank_e, d_and_b) in &preds {
+                stats.product_edges += 1;
+                let d_new = bp.apply_bwd(d_and_b);
+                if d_new == 0 {
+                    continue;
+                }
+                let base = ring.pred_range(p).0;
+
+                // Part two: distinct subjects with something new to add.
+                subjects.clear();
+                ls.guided_traverse(
+                    base + rank_b,
+                    base + rank_e,
+                    &mut SubjGuide {
+                        d_new,
+                        masks: &mut self.ls_masks,
+                        occ: ring.ls_occupancy(),
+                        width: width_s,
+                        node_pruning: self.node_pruning,
+                        out: &mut subjects,
+                        pending_fresh: 0,
+                    },
+                );
+                for &(s, fresh) in &subjects {
+                    if budget.is_some_and(|nb| stats.product_nodes >= nb) {
+                        return Stop::Budget;
+                    }
+                    stats.product_nodes += 1;
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.push((s, fresh));
+                    }
+                    if fresh & INITIAL != 0 {
+                        stats.reported += 1;
+                        if !report(s) {
+                            return Stop::Completed;
+                        }
+                    }
+                    // Part three: the subject becomes an object again.
+                    queue.push_back((ring.object_range(s), fresh));
+                }
+            }
+        }
+        Stop::Completed
+    }
+
+    fn n_nodes(&self) -> Id {
+        self.ring.n_nodes()
+    }
+
+    fn node_exists(&self, v: Id) -> bool {
+        MergedView::ring_only(self.ring).node_exists(v)
+    }
+}
+
+/// §4.1 for one range: prune `L_p` subtrees whose labels cannot reach an
+/// active state of `d`.
+struct PredGuide<'a> {
+    d: u64,
+    masks: &'a EpochArray,
+    neg: &'a [(u64, Vec<Label>)],
+    width: usize,
+    /// `(pred, rank_b, rank_e, D & B[pred])`.
+    out: &'a mut Vec<(Label, usize, usize, u64)>,
+    pending: u64,
+}
+
+impl RangeGuide for PredGuide<'_> {
+    fn enter(&mut self, level: usize, prefix: u64) -> bool {
+        let mut mask = self.masks.get(WaveletMatrix::node_index(level, prefix));
+        if !self.neg.is_empty() {
+            mask |= neg_range_mask(self.neg, level, prefix, self.width);
+        }
+        self.pending = mask & self.d;
+        self.pending != 0
+    }
+
+    fn leaf(&mut self, sym: u64, rank_b: usize, rank_e: usize) {
+        self.out.push((sym, rank_b, rank_e, self.pending));
+    }
+}
+
+/// §4.2 for one range, updating the masks as it goes: a subject is
+/// marked the moment it is found, and its ancestors right after.
+struct SubjGuide<'a> {
+    d_new: u64,
+    masks: &'a mut EpochArray,
+    occ: &'a BitSet,
+    width: usize,
+    node_pruning: bool,
+    /// `(subject, fresh states)`.
+    out: &'a mut Vec<(Id, u64)>,
+    pending_fresh: u64,
+}
+
+impl RangeGuide for SubjGuide<'_> {
+    fn enter(&mut self, level: usize, prefix: u64) -> bool {
+        let idx = WaveletMatrix::node_index(level, prefix);
+        if level == self.width {
+            let old = self.masks.get(idx);
+            let fresh = self.d_new & !old;
+            if fresh == 0 {
+                return false;
+            }
+            self.masks.set(idx, old | self.d_new);
+            self.pending_fresh = fresh;
+            true
+        } else {
+            !self.node_pruning || self.d_new & !self.masks.get(idx) != 0
+        }
+    }
+
+    fn leaf(&mut self, sym: u64, _rank_b: usize, _rank_e: usize) {
+        self.out.push((sym, self.pending_fresh));
+        if self.node_pruning {
+            propagate_up(self.masks, self.occ, self.width, sym);
+        }
+    }
+}
+
+/// Thread counts above 1 to run the engine at, besides 1
+/// (`RPQ_TEST_THREADS`, comma-separated, as in the differential suites).
+fn test_threads() -> Vec<usize> {
+    match std::env::var("RPQ_TEST_THREADS") {
+        Ok(v) => v
+            .split(',')
+            .filter_map(|s| s.trim().parse::<usize>().ok())
+            .filter(|&t| t > 1)
+            .collect(),
+        Err(_) => vec![2, 4],
+    }
+}
+
+fn star(l: Label) -> Regex {
+    Regex::Star(Box::new(Regex::label(l)))
+}
+
+/// One query per Table 1 pattern over `graph`, plus closures from both
+/// ends and from neither.
+fn corpus(graph: &Graph, seed: u64, hub: Id) -> Vec<RpqQuery> {
+    // `workload` is built against this crate as a dependency, whose
+    // `RpqQuery` is not this build's: rebuilt from its parts.
+    let term = |c: Option<Id>| c.map_or(Term::Var, Term::Const);
+    let mut queries: Vec<RpqQuery> = QueryGen::new(graph, seed)
+        .scaled_log(0.0)
+        .into_iter()
+        .map(|gq| {
+            RpqQuery::new(
+                term(gq.query.subject.as_const()),
+                gq.query.expr,
+                term(gq.query.object.as_const()),
+            )
+        })
+        .collect();
+    let both = Regex::Plus(Box::new(Regex::alt(Regex::label(0), Regex::label(1))));
+    queries.push(RpqQuery::new(Term::Var, star(0), Term::Const(hub)));
+    queries.push(RpqQuery::new(Term::Const(hub), both.clone(), Term::Var));
+    queries.push(RpqQuery::new(Term::Var, both, Term::Const(hub)));
+    queries.push(RpqQuery::new(
+        Term::Var,
+        Regex::concat(Regex::label(1), star(0)),
+        Term::Var,
+    ));
+    queries
+}
+
+/// A hub every node of a first rank points to, a second rank pointing
+/// into the first, a third into the second: the levels of `(?x, 0*, hub)`
+/// are `width` items wide, every subject is reached from two items of
+/// its level, and label-1 shortcuts reach some a level early.
+fn fan_in_graph(width: u64) -> Graph {
+    let rank = |r: u64, i: u64| 1 + r * width + i % width;
+    let mut triples = Vec::new();
+    for i in 0..width {
+        triples.push(Triple::new(rank(0, i), 0, 0));
+        triples.push(Triple::new(rank(1, i), 0, rank(0, i)));
+        triples.push(Triple::new(rank(1, i), 0, rank(0, i * 7 + 3)));
+        triples.push(Triple::new(rank(2, i), 0, rank(1, i)));
+        triples.push(Triple::new(rank(2, i), 0, rank(1, i + 1)));
+        if i % 3 == 0 {
+            triples.push(Triple::new(rank(2, i), 1, rank(0, i)));
+            triples.push(Triple::new(rank(1, i), 1, 0));
+        }
+    }
+    Graph::from_triples(triples)
+}
+
+/// Runs `query` on the engine — at one thread and at every test thread
+/// count — and on the reference, under the same plan.
+fn assert_identical(ring: &Ring, query: &RpqQuery, opts: &EngineOptions, what: &str) -> bool {
+    let prepared =
+        PreparedQuery::compile(&query.expr, &|l| ring.inverse_label(l), opts.bp_split_width)
+            .unwrap();
+    let mut engine = RpqEngine::new(ring);
+    let sequential = engine
+        .evaluate_prepared(&prepared, query.subject, query.object, opts)
+        .unwrap();
+    let plan = sequential.plan.clone().unwrap();
+    if plan.route != EvalRoute::BitParallel {
+        return false;
+    }
+    let tables = prepared.tables().unwrap();
+    let mut reference = Reference {
+        ring,
+        tables,
+        node_pruning: opts.node_pruning,
+        lp_masks: EpochArray::default(),
+        ls_masks: EpochArray::default(),
+    };
+    let want = kernel::evaluate(
+        &mut reference,
+        tables.0.is_nullable(),
+        plan.direction,
+        query.subject,
+        query.object,
+        opts,
+    );
+    let counters = |s: &TraversalStats| (s.product_nodes, s.product_edges, s.bfs_steps, s.reported);
+    let mut runs = vec![(1, sequential)];
+    for threads in test_threads() {
+        let fanned = EngineOptions {
+            intra_query_threads: threads,
+            parallel_min_frontier: 2,
+            ..*opts
+        };
+        let out = engine
+            .evaluate_prepared(&prepared, query.subject, query.object, &fanned)
+            .unwrap();
+        runs.push((threads, out));
+    }
+    for (threads, got) in runs {
+        let what = format!("{what}, {threads} thread(s), {query:?}");
+        assert_eq!(
+            got.plan.as_ref().unwrap().direction,
+            plan.direction,
+            "{what}"
+        );
+        assert_eq!(got.pairs, want.pairs, "{what}: pairs");
+        assert_eq!(
+            (got.truncated, got.budget_exhausted),
+            (want.truncated, want.budget_exhausted),
+            "{what}: flags"
+        );
+        assert_eq!(got.trace, want.trace, "{what}: trace");
+        assert_eq!(
+            counters(&got.stats),
+            counters(&want.stats),
+            "{what}: counters"
+        );
+    }
+    true
+}
+
+/// Every query × limit × budget × pruning combination on `graph`.
+/// `budget` is chosen to run out in the middle of a chunk.
+fn sweep(graph: &Graph, seed: u64, hub: Id, budget: u64, label: &str) -> usize {
+    let ring = Ring::build(graph, RingOptions::default());
+    let mut compared = 0;
+    for query in corpus(graph, seed, hub) {
+        for limit in [1, 5, 64, EngineOptions::default().limit] {
+            for node_budget in [None, Some(budget)] {
+                for node_pruning in [true, false] {
+                    let opts = EngineOptions {
+                        limit,
+                        node_budget,
+                        node_pruning,
+                        collect_trace: true,
+                        forced_route: Some(EvalRoute::BitParallel),
+                        ..EngineOptions::default()
+                    };
+                    let what = format!(
+                        "{label}: limit {limit}, budget {node_budget:?}, pruning {node_pruning}"
+                    );
+                    compared += usize::from(assert_identical(&ring, &query, &opts, &what));
+                }
+            }
+        }
+    }
+    compared
+}
+
+/// The graphs of `tests/differential.rs`: small, Wikidata-shaped.
+#[test]
+fn generated_workloads_match_the_item_at_a_time_traversal() {
+    let configs = [
+        // (n_nodes, n_preds, n_edges, pred_zipf, node_skew, seed)
+        (12u64, 3u64, 40usize, 1.0, 0.8, 0xA1),
+        (24, 4, 110, 1.2, 1.0, 0xB2),
+        (32, 6, 160, 1.5, 0.6, 0xC3),
+        (20, 5, 90, 0.8, 1.4, 0xD4),
+    ];
+    let mut compared = 0;
+    for (n_nodes, n_preds, n_edges, pred_zipf, node_skew, seed) in configs {
+        let graph = GraphGen::new(GraphGenConfig {
+            n_nodes,
+            n_preds,
+            n_edges,
+            pred_zipf,
+            node_skew,
+            seed,
+        })
+        .generate();
+        compared += sweep(&graph, seed, 0, 7, &format!("graph {seed:#x}"));
+    }
+    assert!(compared >= 1000, "only {compared} combinations compared");
+}
+
+/// Frontiers of more than two chunks: every level of the closure into
+/// the hub is expanded chunk by chunk, subjects recur within a chunk and
+/// across chunks, and the budget — the hub's `width` sources and 700 of
+/// theirs — runs out inside the first chunk of the next level.
+#[test]
+fn frontiers_of_several_chunks_match_the_item_at_a_time_traversal() {
+    let width = 2 * crate::engine::FRONTIER_CHUNK as u64 + 300;
+    let graph = fan_in_graph(width);
+    let compared = sweep(&graph, 0xFA9, 0, width + 700, "fan-in");
+    assert!(compared >= 300, "only {compared} combinations compared");
+}

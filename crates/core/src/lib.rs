@@ -21,6 +21,12 @@
 //!    object via `C_o`, and the BFS continues; subjects whose state set
 //!    contains the initial state are reported as answers.
 //!
+//! The three parts run a frontier chunk at a time, each as one
+//! level-synchronous sweep over `L_p`, `L_s` and `C_o` whose memory
+//! accesses overlap; the crate's `README.md` ("How one BFS level is
+//! expanded") has the scheme and why it visits what §4 visits, in §4's
+//! order.
+//!
 //! All four query shapes of §4.4 are supported; route, traversal
 //! direction and rare-label splits are chosen by the shared cost-based
 //! [`planner`], which every layer — the engine, [`explain`], a serving
@@ -39,6 +45,8 @@ pub mod fallback;
 pub mod fastpath;
 pub mod jsonw;
 mod kernel;
+#[cfg(test)]
+mod level_sync_identity;
 mod merged;
 pub mod oracle;
 pub mod pairbuf;

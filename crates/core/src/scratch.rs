@@ -59,37 +59,79 @@ impl EngineScratch {
 /// Scratch buffers for the frontier-batched backward traversal.
 #[derive(Default)]
 pub(crate) struct TraverseScratch {
-    /// Batched `L_p` traversal state (layer-2 primitive).
-    pub(crate) mt: MultiTraversal,
     /// The current BFS level: `(range of L_p, state mask)` per item.
     pub(crate) frontier: Vec<(usize, usize, u64)>,
     /// The next BFS level, accumulated while the current one is processed.
     pub(crate) next_frontier: Vec<(usize, usize, u64)>,
-    /// Chunk ranges handed to the batched traversal.
-    pub(crate) ranges: Vec<(usize, usize)>,
-    /// Chunk state masks, parallel to `ranges`.
-    pub(crate) ds: Vec<u64>,
-    /// Per-item part-one output: `(pred, rank_b, rank_e, D & B[p])`.
-    pub(crate) pred_hits: Vec<Vec<(Label, usize, usize, u64)>>,
-    /// Part-two output: `(subject, fresh states)`.
-    pub(crate) subjects: Vec<(Id, u64)>,
+    /// One expansion per frontier chunk in flight: a single one, reused
+    /// chunk after chunk, unless a level fans out across threads.
+    pub(crate) expansions: Vec<ChunkExpansion>,
+    /// `(subject, fresh states)` of the product nodes a chunk's replay
+    /// admitted, until part three turns them into the next frontier.
+    pub(crate) admitted: Vec<(Id, u64)>,
 }
 
 impl TraverseScratch {
     fn size_bytes(&self) -> usize {
-        type Hit = (Label, usize, usize, u64);
-        self.mt.size_bytes()
-            + (self.frontier.capacity() + self.next_frontier.capacity())
-                * size_of::<(usize, usize, u64)>()
-            + self.ranges.capacity() * size_of::<(usize, usize)>()
-            + self.ds.capacity() * size_of::<u64>()
-            + self.pred_hits.capacity() * size_of::<Vec<Hit>>()
+        (self.frontier.capacity() + self.next_frontier.capacity())
+            * size_of::<(usize, usize, u64)>()
+            + self.expansions.capacity() * size_of::<ChunkExpansion>()
             + self
-                .pred_hits
+                .expansions
                 .iter()
-                .map(|hits| hits.capacity() * size_of::<Hit>())
+                .map(ChunkExpansion::heap_bytes)
                 .sum::<usize>()
-            + self.subjects.capacity() * size_of::<(Id, u64)>()
+            + self.admitted.capacity() * size_of::<(Id, u64)>()
+    }
+}
+
+/// A part-one leaf: `(item, pred, rank_b, rank_e, D_item & B[pred])`.
+pub(crate) type PredHit = (u32, Label, usize, usize, u64);
+
+/// What expanding one frontier chunk read-only produces, and the buffers
+/// it is produced in (all flat, all reused). A chunk's *work items* are
+/// its `(item, predicate)` pairs in FIFO order — items as they stand in
+/// the chunk, each item's predicates ascending.
+#[derive(Default)]
+pub(crate) struct ChunkExpansion {
+    /// Level-synchronous traversal state, used for `L_p` and then `L_s`.
+    pub(crate) mt: MultiTraversal,
+    /// The ranges of the sweep in progress: the items' in part one, the
+    /// work items' in part two.
+    pub(crate) ranges: Vec<(usize, usize)>,
+    /// The items' state masks.
+    pub(crate) ds: Vec<u64>,
+    /// Part one's leaves in arrival order (predicate by predicate).
+    pub(crate) hits: Vec<PredHit>,
+    /// Per item, where its work items end.
+    pub(crate) item_end: Vec<usize>,
+    /// Per work item, the state set `D'` of Eq. 2 its subjects are
+    /// reached with; 0 where the automaton has no way back.
+    pub(crate) work_d: Vec<u64>,
+    /// Part two's leaves in arrival order (subject by subject):
+    /// `(work item, subject)`.
+    pub(crate) candidates: Vec<(u32, Id)>,
+    /// Per work item, where its subjects end.
+    pub(crate) work_end: Vec<usize>,
+    /// The candidates by work item, each work item's ascending.
+    pub(crate) subjects: Vec<Id>,
+    /// Rank computations of the two sweeps.
+    pub(crate) rank_ops: u64,
+    /// Ranks the batching avoided.
+    pub(crate) rank_ops_saved: u64,
+    /// Wavelet nodes the two sweeps entered.
+    pub(crate) wavelet_nodes: u64,
+}
+
+impl ChunkExpansion {
+    fn heap_bytes(&self) -> usize {
+        self.mt.size_bytes()
+            + self.ranges.capacity() * size_of::<(usize, usize)>()
+            + (self.ds.capacity() + self.work_d.capacity()) * size_of::<u64>()
+            + self.hits.capacity() * size_of::<PredHit>()
+            + (self.item_end.capacity() + self.work_end.capacity()) * size_of::<usize>()
+            + self.candidates.capacity() * size_of::<(u32, Id)>()
+            + self.subjects.capacity() * size_of::<Id>()
     }
 }
 

@@ -145,19 +145,24 @@ impl ShardSet {
         self.live.len() as Id
     }
 
-    /// Gathers into `out` the distinct `L_s` symbols of each owner's
-    /// `range_of` range, ascending. Every shard enumerates ascending, so
-    /// only an answer drawn from several shards is merged.
-    fn gather(&self, p: Id, out: &mut Vec<Id>, range_of: impl Fn(&Ring) -> (usize, usize)) {
+    /// Gathers into `out` the first `cap` distinct `L_s` symbols of the
+    /// owners' `range_of` ranges, ascending. Every shard enumerates
+    /// ascending — so none has to list more than `cap` — and only an
+    /// answer drawn from several shards is merged.
+    fn gather(
+        &self,
+        p: Id,
+        cap: usize,
+        out: &mut Vec<Id>,
+        range_of: impl Fn(&Ring) -> (usize, usize),
+    ) {
         let mut answered = 0;
         for i in self.owners(p) {
             let part = &self.parts[i];
             part.note_probe();
             let (b, e) = range_of(&part.ring);
             let before = out.len();
-            part.ring
-                .l_s()
-                .range_distinct(b, e, &mut |s, _, _| out.push(s));
+            list_subjects(&part.ring, (b, e), before.saturating_add(cap), out);
             answered += usize::from(out.len() > before);
         }
         if answered > 1 {
@@ -167,6 +172,7 @@ impl ShardSet {
             // endpoint lives), so merged gathers dedup.
             out.sort_unstable();
             out.dedup();
+            out.truncate(cap);
         }
     }
 }
@@ -176,6 +182,17 @@ impl Deref for ShardSet {
 
     fn deref(&self) -> &[ShardPart] {
         &self.parts
+    }
+}
+
+/// Appends to `out` the distinct symbols of the range `[b, e)` of
+/// `ring`'s `L_s`, ascending, until `out` holds `cap` elements.
+fn list_subjects(ring: &Ring, (b, e): (usize, usize), cap: usize, out: &mut Vec<Id>) {
+    if out.len() < cap {
+        ring.l_s().range_symbols(b, e, &mut |s| {
+            out.push(s);
+            out.len() < cap
+        });
     }
 }
 
@@ -455,16 +472,15 @@ impl<'a> MergedView<'a> {
     pub fn subjects_into(&self, o: Id, p: Id, out: &mut Vec<Id>) {
         out.clear();
         if let Some(set) = self.shards {
-            return set.gather(p, out, |r| r.backward_step_by_pred(r.object_range(o), p));
+            return set.gather(p, usize::MAX, out, |r| {
+                r.backward_step_by_pred(r.object_range(o), p)
+            });
         }
         if o < self.ring.n_nodes() {
             let r = self
                 .ring
                 .backward_step_by_pred(self.ring.object_range(o), p);
-            self.ring
-                .l_s()
-                .range_distinct(r.0, r.1, &mut |s, _, _| out.push(s));
-            out.sort_unstable();
+            list_subjects(self.ring, r, usize::MAX, out);
             if let Some(d) = self.delta {
                 if d.del_count_into(o, p) > 0 {
                     out.retain(|&s| !d.del_contains(s, p, o));
@@ -485,15 +501,21 @@ impl<'a> MergedView<'a> {
     /// live edge labeled `p`, sorted ascending. A ring subject whose
     /// every `p`-edge is tombstoned is excluded.
     pub fn subjects_of_pred(&self, p: Id, out: &mut Vec<Id>) {
+        self.first_subjects_of_pred(p, usize::MAX, out)
+    }
+
+    /// The first `cap` subjects of [`Self::subjects_of_pred`], listed at
+    /// their cost and not the label's — unless the delta holds tombstones
+    /// of `p`, which can take any listed subject away again.
+    pub fn first_subjects_of_pred(&self, p: Id, cap: usize, out: &mut Vec<Id>) {
         out.clear();
         if let Some(set) = self.shards {
-            return set.gather(p, out, |r| r.pred_range(p));
+            return set.gather(p, cap, out, |r| r.pred_range(p));
         }
         let (b, e) = self.ring.pred_range(p);
-        self.ring
-            .l_s()
-            .range_distinct(b, e, &mut |s, _, _| out.push(s));
-        out.sort_unstable();
+        let tombstoned = self.delta.is_some_and(|d| d.del_count_label(p) > 0);
+        let ring_cap = if tombstoned { usize::MAX } else { cap };
+        list_subjects(self.ring, (b, e), ring_cap, out);
         if let Some(d) = self.delta {
             if d.del_count_label(p) > 0 {
                 out.retain(|&s| {
@@ -513,6 +535,7 @@ impl<'a> MergedView<'a> {
                 out.sort_unstable();
                 out.dedup();
             }
+            out.truncate(cap);
         }
     }
 }

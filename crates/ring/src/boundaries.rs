@@ -12,6 +12,11 @@ use succinct::{BitVec, EliasFano, RankSelect, Slab, SpaceUsage};
 
 use crate::Id;
 
+/// Words of a [`Boundaries::Sparse`] bit vector [`Boundaries::block`]
+/// scans for the end of a block before it falls back to `select1`: blocks
+/// of up to 192 occurrences are always found.
+const SPARSE_BLOCK_SCAN_WORDS: usize = 4;
+
 /// A monotone boundary sequence over symbols `0..=universe`.
 #[derive(Clone, Debug)]
 pub enum Boundaries {
@@ -95,7 +100,25 @@ impl Boundaries {
     /// The block `[C[c], C[c+1])` of symbol `c`.
     #[inline]
     pub fn block(&self, c: Id) -> (usize, usize) {
-        (self.get(c), self.get(c + 1))
+        match self {
+            // The block ends at the next one after the symbol's own: a
+            // few words further on unless the block is very long, and
+            // then a second `select1` finds it.
+            Boundaries::Sparse { bits, universe, n } if c < *universe => {
+                let one = bits.select1(c as usize).expect("symbol in universe");
+                let begin = one - c as usize;
+                let end = if c + 1 == *universe {
+                    *n
+                } else {
+                    match bits.next_one_within(one + 1, SPARSE_BLOCK_SCAN_WORDS) {
+                        Some(next) => next - (c as usize + 1),
+                        None => self.get(c + 1),
+                    }
+                };
+                (begin, end)
+            }
+            _ => (self.get(c), self.get(c + 1)),
+        }
     }
 
     /// The symbol whose block contains position `pos` (`pos < n`).
@@ -233,6 +256,40 @@ mod tests {
             *c = [0, 0, 1, 7, 0, 64, 0, 2][i % 8];
         }
         check_all(&counts);
+    }
+
+    /// `block` is `(get(c), get(c + 1))` on every representation: empty
+    /// symbols, the last symbol, blocks longer than the sparse scan, and
+    /// universes that end mid-word, on a word seam and past a superblock.
+    #[test]
+    fn block_is_the_pair_of_gets() {
+        for universe in [67usize, 300, 1031] {
+            let counts: Vec<u64> = (0..universe)
+                .map(|c| match c % 11 {
+                    0 | 1 | 5 => 0,
+                    3 => 700, // three superblocks of zeros
+                    7 => 64 * SPARSE_BLOCK_SCAN_WORDS as u64 - 1,
+                    _ => (c as u64 * 7) % 13,
+                })
+                .collect();
+            for trailing in [0u64, 1, 300] {
+                let mut counts = counts.clone();
+                *counts.last_mut().unwrap() = trailing;
+                for b in [
+                    Boundaries::dense_from_counts(&counts),
+                    Boundaries::sparse_from_counts(&counts),
+                    Boundaries::elias_fano_from_counts(&counts),
+                ] {
+                    for c in 0..universe as Id {
+                        assert_eq!(
+                            b.block(c),
+                            (b.get(c), b.get(c + 1)),
+                            "universe {universe}, last count {trailing}, symbol {c}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //! * [`WaveletMatrix`]: the wavelet matrix of Claude, Navarro and
 //!   Ordóñez \[11\], the representation the paper's implementation uses for
 //!   the large-alphabet sequences `L_s` and `L_p` (§5). It exposes the
-//!   *guided traversal* API ([`wavelet_matrix::RangeGuide`]) that the RPQ
-//!   engine uses to realize the B-masked and D-masked range searches of
-//!   §4.1–§4.2.
+//!   *guided traversal* API that the RPQ engine uses to realize the
+//!   B-masked and D-masked range searches of §4.1–§4.2: one range at a
+//!   time ([`wavelet_matrix::RangeGuide`], depth first), or a whole
+//!   frontier of ranges level by level
+//!   ([`wavelet_matrix::MultiTraversal`]), where a level's rank probes
+//!   are independent of one another and their cache misses overlap.
 //!
 //! All structures report their heap footprint through [`SpaceUsage`], which
 //! the benchmark harness uses to regenerate the space column of Table 2.

@@ -365,6 +365,25 @@ impl RankSelect {
         i - self.rank1(i)
     }
 
+    /// `(rank1(i), get(i))` for `i < len` from one superblock record: the
+    /// step of a wavelet descent that follows a single position.
+    #[inline]
+    pub fn rank1_get(&self, i: usize) -> (usize, bool) {
+        debug_assert!(i < self.len);
+        let word = i / 64;
+        let base = (word / WORDS_PER_SUPER) * SUPER_STRIDE;
+        let j = word % WORDS_PER_SUPER;
+        let mut r = self.data[base] as usize;
+        if j > 0 {
+            r += ((self.data[base + 1] >> (9 * (j - 1))) & 0x1FF) as usize;
+        }
+        let word = self.data[base + 2 + j];
+        let from_i = word >> (i % 64);
+        // Clearing the bits from `i` up leaves the `i % 64` bits below it.
+        let below = word ^ (from_i << (i % 64));
+        (r + below.count_ones() as usize, from_i & 1 == 1)
+    }
+
     /// `(rank1(b), rank1(e))` for `b <= e`, from a single directory probe
     /// when both positions fall in the same superblock — the common case
     /// for the short ranges a wavelet-matrix traversal produces.
@@ -398,6 +417,24 @@ impl RankSelect {
     pub fn rank0_pair(&self, b: usize, e: usize) -> (usize, usize) {
         let (rb, re) = self.rank1_pair(b, e);
         (b - rb, e - re)
+    }
+
+    /// Position of the first set bit at or after `from`, reading at most
+    /// `max_words` payload words; `None` when those hold none or the
+    /// vector ends first. Where ones are rarely far apart this replaces
+    /// the second `select1` of a pair of consecutive ones.
+    #[inline]
+    pub fn next_one_within(&self, from: usize, max_words: usize) -> Option<usize> {
+        let first = from / 64;
+        let mut mask = !0u64 << (from % 64);
+        for w in first..(first + max_words).min(self.n_bit_words()) {
+            let word = self.bit_word(w) & mask;
+            if word != 0 {
+                return Some(w * 64 + word.trailing_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
     }
 
     /// Whether `b` and `e` share a superblock (their rank pair costs one
@@ -619,6 +656,40 @@ mod tests {
                     "rank1_pair({b}, {e})"
                 );
                 assert_eq!(rs.rank0_pair(b, e), (rs.rank0(b), rs.rank0(e)));
+            }
+        }
+    }
+
+    #[test]
+    fn rank1_get_matches_rank_and_get() {
+        let (bits, rs) = make(
+            |i| i % 7 == 0 || i % 13 == 3 || (600..700).contains(&i),
+            2100,
+        );
+        for (i, &bit) in bits.iter().enumerate() {
+            assert_eq!(
+                rs.rank1_get(i),
+                (naive_rank1(&bits, i), bit),
+                "position {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn next_one_within_finds_the_next_one_or_gives_up() {
+        let ones = [0usize, 5, 63, 64, 200, 1023, 1024, 2999];
+        let (_, rs) = make(|i| ones.contains(&i), 3000);
+        for from in 0..=3000 {
+            let next = ones.iter().copied().find(|&p| p >= from);
+            for max_words in [1usize, 2, 4, 64] {
+                // Words `from / 64 ..` are read, `max_words` of them.
+                let horizon = (from / 64 + max_words) * 64;
+                let want = next.filter(|&p| p < horizon);
+                assert_eq!(
+                    rs.next_one_within(from, max_words),
+                    want,
+                    "from {from}, {max_words} words"
+                );
             }
         }
     }

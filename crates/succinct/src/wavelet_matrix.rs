@@ -15,20 +15,52 @@
 //! descending into a node (where the engine tests `D & B[v] != 0` or prunes
 //! already-visited subtrees), and `leaf` receives each surviving symbol with
 //! the rank offsets that complete a backward-search step (Eqs. 4–5).
+//!
+//! # Many ranges at once
+//!
+//! A depth-first traversal of one range is a chain of dependent memory
+//! accesses: the position at level `l + 1` is a rank at level `l`, and on
+//! a sequence the size of a ring's `L_s` every level is a cache miss.
+//! [`MultiTraversal`] takes a whole batch of ranges — a BFS frontier —
+//! down the matrix **level-synchronously** ([`MultiRangeGuide`]): at each
+//! level it first ranks both ends of every live range, a loop whose
+//! iterations do not depend on each other, so the processor has many
+//! misses in flight at once; then it walks the level's nodes in prefix
+//! order, asks the guide, and lays out the next level. The contract:
+//!
+//! * every range sees its symbols in increasing order, as its own
+//!   [`WaveletMatrix::guided_traverse`] reports them, and leaves of
+//!   different ranges arrive symbol by symbol;
+//! * node-level work (the node-start rank, the guide's
+//!   [`enter_node`](MultiRangeGuide::enter_node)) is done once per node,
+//!   whatever number of ranges cross it;
+//! * a guide that does not read leaf ranks says so
+//!   ([`MultiRangeGuide::LEAF_RANKS`]) and no node start is ever ranked;
+//! * a guide whose internal-node tests only anticipate its leaf tests
+//!   says so ([`MultiRangeGuide::UNIT_SHORTCUT`]) and a range that has
+//!   narrowed to one position — the usual width after a backward step —
+//!   goes to its leaf like an `access`, one rank per level.
 
 use crate::int_vec::bits_for;
 use crate::{BitVec, RankSelect, SpaceUsage};
 
 /// Visitor guiding a pruned wavelet-matrix range traversal.
 pub trait RangeGuide {
+    /// Whether [`leaf`](Self::leaf) reads its rank arguments. A guide
+    /// that only wants the symbols sets this to `false`, and the
+    /// traversal skips the node-start rank of every level — a third of
+    /// its rank computations; `leaf` then receives unspecified ranks.
+    const LEAF_RANKS: bool = true;
+
     /// Whether to enter the node at `(level, prefix)`. The root is
     /// `(0, 0)`; the children of `(l, v)` are `(l+1, 2v)` and `(l+1, 2v+1)`.
     /// Nodes whose interval restricted to the query range is empty are
     /// skipped without consulting the guide.
     fn enter(&mut self, level: usize, prefix: u64) -> bool;
 
-    /// Called once per surviving symbol `sym` in the range, with
-    /// `rank_b = rank(sym, b)` and `rank_e = rank(sym, e)`.
+    /// Called once per surviving symbol `sym` in the range, in increasing
+    /// symbol order, with `rank_b = rank(sym, b)` and
+    /// `rank_e = rank(sym, e)` (see [`Self::LEAF_RANKS`]).
     fn leaf(&mut self, sym: u64, rank_b: usize, rank_e: usize);
 }
 
@@ -36,25 +68,47 @@ pub trait RangeGuide {
 pub type IntersectionHit = (u64, (usize, usize), (usize, usize));
 
 /// Visitor guiding a **frontier-batched** traversal over many ranges at
-/// once ([`WaveletMatrix::guided_traverse_multi`]).
+/// once ([`MultiTraversal::run`]).
 ///
-/// The traversal pushes all ranges through the levels together, so the
-/// per-node work (the node-start rank, and whatever per-node state the
-/// guide consults in [`enter_node`](Self::enter_node)) is paid once per
-/// node instead of once per `(range, node)` pair. Semantically the
-/// batched traversal is equivalent to running [`WaveletMatrix::guided_traverse`]
+/// The traversal is level-synchronous: all ranges move down one level of
+/// the matrix together, so the per-node work (the node-start rank, and
+/// whatever per-node state the guide consults in
+/// [`enter_node`](Self::enter_node)) is paid once per node instead of
+/// once per `(range, node)` pair, and the rank probes of one level are
+/// independent loads the processor overlaps instead of one chain of
+/// cache misses per range. Semantically the batched traversal is
+/// equivalent to running [`WaveletMatrix::guided_traverse`]
 /// independently for every range with a guide whose `enter` is
 /// `enter_node(..) && enter_item(item, ..)` — `enter_node` must therefore
 /// be a *range-independent* predicate of the node.
 ///
-/// Call-order contract: `enter_node` is called once per admitted node,
-/// followed by `enter_item` for that node's live ranges; at leaf depth,
-/// each admitted item's [`leaf`](Self::leaf) call immediately follows
-/// its `enter_item`, so a guide may carry per-item context from one to
-/// the other in a single field. The order in which *different* leaves
-/// arrive is unspecified (subtrees whose batch narrows to one range are
-/// finished eagerly) — guides needing sorted symbols sort their output.
+/// Call-order contract: nodes are visited level by level, each level in
+/// increasing prefix order. `enter_node` is called once per node some
+/// range reaches, followed — if it admits the node — by `enter_item` for
+/// that node's live ranges in increasing item order; at leaf depth, each
+/// admitted item's [`leaf`](Self::leaf) call immediately follows its
+/// `enter_item`, so a guide may carry per-item context from one to the
+/// other in a single field. Leaves therefore arrive in increasing symbol
+/// order, and within one symbol in increasing item order: every item
+/// sees its symbols ascending, exactly as its own `guided_traverse`
+/// would report them.
 pub trait MultiRangeGuide {
+    /// Whether [`leaf`](Self::leaf) reads its rank arguments; see
+    /// [`RangeGuide::LEAF_RANKS`]. `false` drops the one rank per node
+    /// the batched traversal spends on node starts.
+    const LEAF_RANKS: bool = true;
+
+    /// Whether a range that has narrowed to one position may be taken
+    /// straight to the leaf of the one symbol it holds — one rank per
+    /// level, no node bookkeeping — without consulting the guide on the
+    /// way down. The guide is asked at the root and at the leaf as ever;
+    /// what it is spared, and loses, are the internal nodes in between.
+    /// Sound for a guide whose answer at a node is implied by its answer
+    /// at every leaf below — one that prunes only what the leaves would
+    /// reject anyway. (A position on its own can save no more by pruning
+    /// than the ranks left to its leaf.)
+    const UNIT_SHORTCUT: bool = false;
+
     /// Whether any range may enter the node at `(level, prefix)`.
     /// Returning `false` prunes the node for *every* range.
     fn enter_node(&mut self, level: usize, prefix: u64) -> bool;
@@ -64,29 +118,41 @@ pub trait MultiRangeGuide {
     fn enter_item(&mut self, item: u32, level: usize, prefix: u64) -> bool;
 
     /// Called per surviving `(item, sym)` with the item's rank offsets
-    /// (leaf arrival order unspecified; see the trait docs).
+    /// (see [`Self::LEAF_RANKS`]).
     fn leaf(&mut self, item: u32, sym: u64, rank_b: usize, rank_e: usize);
 }
 
-/// Reusable scratch for [`WaveletMatrix::guided_traverse_multi`]: callers
-/// on a hot path (a BFS expanding frontier after frontier) keep one
-/// `MultiTraversal` and reuse its buffers across calls.
+/// A range one position wide on its way to its leaf: the position and
+/// its node's start (both at the current level), the node's prefix, the
+/// item.
+type Unit = (usize, usize, u64, u32);
+
+/// Level-synchronous batched traversal, and the reusable scratch it runs
+/// in: callers on a hot path (a BFS expanding frontier after frontier)
+/// keep one `MultiTraversal` and reuse its buffers across calls.
 #[derive(Clone, Debug, Default)]
 pub struct MultiTraversal {
-    /// `(prefix, start, item_lo, item_hi)` per live node of the level.
-    nodes: Vec<(u64, usize, usize, usize)>,
-    next_nodes: Vec<(u64, usize, usize, usize)>,
+    /// `(prefix, start, item_hi)` per live node of the level, in
+    /// increasing prefix order; a node's items end at `item_hi` and begin
+    /// where the previous node's end.
+    nodes: Vec<(u64, usize, usize)>,
+    next_nodes: Vec<(u64, usize, usize)>,
     /// `(item, b, e)` runs, indexed by the node records.
     items: Vec<(u32, usize, usize)>,
     next_items: Vec<(u32, usize, usize)>,
-    /// Per-node scratch: the right-child `(item, b1, e1)` bounds, held
-    /// back until the left child has been fully admitted.
-    right: Vec<(u32, usize, usize)>,
+    /// `(rank0(b), rank0(e))` of every live range of the level.
+    zeros: Vec<(usize, usize)>,
+    /// Single positions of a [`MultiRangeGuide::UNIT_SHORTCUT`] guide.
+    units: Vec<Unit>,
+    /// `(sym, item, rank_b, rank_e)` of such a guide, until the leaves of
+    /// both kinds of range are handed over in order.
+    leaves: Vec<(u64, u32, usize, usize)>,
     /// Rank computations performed by the last run.
     pub ranks: u64,
     /// Rank computations a per-range traversal would have needed on top
-    /// of [`ranks`](Self::ranks): shared node-start ranks and directory
-    /// probes merged by [`RankSelect::rank1_pair`].
+    /// of [`ranks`](Self::ranks): shared node-start ranks, directory
+    /// probes merged by [`RankSelect::rank1_pair`], and the second end of
+    /// single positions.
     pub ranks_saved: u64,
 }
 
@@ -99,14 +165,23 @@ impl MultiTraversal {
     /// Heap bytes held by the reusable buffers.
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.nodes.capacity() + self.next_nodes.capacity())
-            * size_of::<(u64, usize, usize, usize)>()
-            + (self.items.capacity() + self.next_items.capacity() + self.right.capacity())
+        (self.nodes.capacity() + self.next_nodes.capacity()) * size_of::<(u64, usize, usize)>()
+            + (self.items.capacity() + self.next_items.capacity())
                 * size_of::<(u32, usize, usize)>()
+            + self.zeros.capacity() * size_of::<(usize, usize)>()
+            + self.units.capacity() * size_of::<Unit>()
+            + self.leaves.capacity() * size_of::<(u64, u32, usize, usize)>()
     }
 
     /// Runs the batched traversal of `ranges` over `wm` (see
-    /// [`WaveletMatrix::guided_traverse_multi`]).
+    /// [`MultiRangeGuide`] for the contract).
+    ///
+    /// Every level is two passes over the live ranges. The first maps
+    /// both ends of every range through the level's bit vector — nothing
+    /// in it depends on anything else in it, so the cache misses of a
+    /// whole frontier overlap. The second walks the nodes in order,
+    /// consults the guide, and lays out the next level: a node's left
+    /// child first, then its right child.
     pub fn run<G: MultiRangeGuide>(
         &mut self,
         wm: &WaveletMatrix,
@@ -117,6 +192,8 @@ impl MultiTraversal {
         self.ranks_saved = 0;
         self.nodes.clear();
         self.items.clear();
+        self.units.clear();
+        self.leaves.clear();
         for (i, &(b, e)) in ranges.iter().enumerate() {
             assert!(b <= e && e <= wm.len, "range {i} out of bounds");
         }
@@ -125,127 +202,148 @@ impl MultiTraversal {
         }
         for (i, &(b, e)) in ranges.iter().enumerate() {
             if b < e && guide.enter_item(i as u32, 0, 0) {
-                self.items.push((i as u32, b, e));
+                if G::UNIT_SHORTCUT && e - b == 1 {
+                    self.units.push((b, 0, 0, i as u32));
+                } else {
+                    self.items.push((i as u32, b, e));
+                }
             }
         }
-        if self.items.is_empty() {
-            return;
+        if !self.items.is_empty() {
+            self.nodes.push((0, 0, self.items.len()));
         }
-        self.nodes.push((0, 0, 0, self.items.len()));
 
         for level in 0..wm.width {
+            if self.nodes.is_empty() && self.units.is_empty() {
+                return;
+            }
             let lvl = &wm.levels[level];
             let z = wm.zeros[level];
             let at_leaves = level + 1 == wm.width;
+
+            self.zeros.clear();
+            for &(_, b, e) in &self.items {
+                self.zeros.push(if e - b == 1 {
+                    // One position: one rank and the bit beside it.
+                    self.ranks += 1;
+                    self.ranks_saved += 1;
+                    let (ones, bit) = lvl.rank1_get(b);
+                    (b - ones, b - ones + usize::from(!bit))
+                } else if RankSelect::same_superblock(b, e) {
+                    self.ranks += 1;
+                    self.ranks_saved += 1;
+                    lvl.rank0_pair(b, e)
+                } else {
+                    self.ranks += 2;
+                    (lvl.rank0(b), lvl.rank0(e))
+                });
+            }
+
+            // Single positions follow their bit; those the pass below
+            // adds are a level further down already.
+            self.ranks += self.units.len() as u64 * (1 + u64::from(G::LEAF_RANKS));
+            self.ranks_saved += self.units.len() as u64;
+            for (at, start, prefix, _) in self.units.iter_mut() {
+                let (ones, bit) = lvl.rank1_get(*at);
+                *at = if bit { z + ones } else { *at - ones };
+                *prefix = *prefix << 1 | u64::from(bit);
+                if G::LEAF_RANKS {
+                    let ones = lvl.rank1(*start);
+                    *start = if bit { z + ones } else { *start - ones };
+                }
+            }
+
             self.next_nodes.clear();
             self.next_items.clear();
+            let mut lo = 0;
             for n in 0..self.nodes.len() {
-                let (prefix, start, lo, hi) = self.nodes[n];
-                let s0 = lvl.rank0(start);
+                let (prefix, start, hi) = self.nodes[n];
                 // One start rank amortized over the node's whole batch; a
                 // per-range traversal recomputes it for every range.
-                self.ranks += 1;
-                self.ranks_saved += (hi - lo) as u64 - 1;
-
-                // One pass over the node's items: admit left-child items
-                // immediately (enter_node lazily on the first live one),
-                // hold right-child bounds back so the left child is fully
-                // handled first — mirroring `traverse_rec`'s
-                // enter-then-descend order per range.
-                let left = prefix << 1;
-                let mut left_entered = None;
-                let left_lo = self.next_items.len();
-                self.right.clear();
-                for i in lo..hi {
-                    let (id, b, e) = self.items[i];
-                    let (b0, e0) = if RankSelect::same_superblock(b, e) {
-                        self.ranks += 1;
-                        self.ranks_saved += 1;
-                        lvl.rank0_pair(b, e)
-                    } else {
-                        self.ranks += 2;
-                        (lvl.rank0(b), lvl.rank0(e))
-                    };
-                    if e0 > b0 {
-                        let entered =
-                            *left_entered.get_or_insert_with(|| guide.enter_node(level + 1, left));
-                        if entered && guide.enter_item(id, level + 1, left) {
+                let (s0, s1) = if G::LEAF_RANKS {
+                    self.ranks += 1;
+                    self.ranks_saved += (hi - lo) as u64 - 1;
+                    let s0 = lvl.rank0(start);
+                    (s0, z + (start - s0))
+                } else {
+                    (0, 0)
+                };
+                for (child, child_start) in [(prefix << 1, s0), (prefix << 1 | 1, s1)] {
+                    // The guide hears of a child when the first range
+                    // reaches it, and of no range after it refused.
+                    let mut entered = None;
+                    for i in lo..hi {
+                        let (id, b, e) = self.items[i];
+                        let (b0, e0) = self.zeros[i];
+                        let (cb, ce) = if child & 1 == 0 {
+                            (b0, e0)
+                        } else {
+                            (z + (b - b0), z + (e - e0))
+                        };
+                        if ce == cb {
+                            continue;
+                        }
+                        if G::UNIT_SHORTCUT && at_leaves {
+                            self.leaves
+                                .push((child, id, cb - child_start, ce - child_start));
+                            continue;
+                        }
+                        if G::UNIT_SHORTCUT && ce - cb == 1 {
+                            self.units.push((cb, child_start, child, id));
+                            continue;
+                        }
+                        if !*entered.get_or_insert_with(|| guide.enter_node(level + 1, child)) {
+                            break;
+                        }
+                        if guide.enter_item(id, level + 1, child) {
                             if at_leaves {
-                                guide.leaf(id, left, b0 - s0, e0 - s0);
+                                guide.leaf(id, child, cb - child_start, ce - child_start);
                             } else {
-                                self.next_items.push((id, b0, e0));
+                                self.next_items.push((id, cb, ce));
                             }
                         }
                     }
-                    let (b1, e1) = (z + (b - b0), z + (e - e0));
-                    if e1 > b1 {
-                        self.right.push((id, b1, e1));
+                    if self.next_nodes.last().map_or(0, |n| n.2) < self.next_items.len() {
+                        self.next_nodes
+                            .push((child, child_start, self.next_items.len()));
                     }
                 }
-                self.seal_child(wm, level, left, s0, left_lo, at_leaves, guide);
-
-                let right = left | 1;
-                let right_start = z + (start - s0);
-                let right_lo = self.next_items.len();
-                if !self.right.is_empty() && guide.enter_node(level + 1, right) {
-                    for i in 0..self.right.len() {
-                        let (id, b1, e1) = self.right[i];
-                        if guide.enter_item(id, level + 1, right) {
-                            if at_leaves {
-                                guide.leaf(id, right, b1 - right_start, e1 - right_start);
-                            } else {
-                                self.next_items.push((id, b1, e1));
-                            }
-                        }
-                    }
-                }
-                self.seal_child(wm, level, right, right_start, right_lo, at_leaves, guide);
+                lo = hi;
             }
             std::mem::swap(&mut self.nodes, &mut self.next_nodes);
             std::mem::swap(&mut self.items, &mut self.next_items);
-            if self.nodes.is_empty() {
-                return;
-            }
         }
-    }
 
-    /// Closes out a child node's item run: empty runs vanish, singleton
-    /// runs finish eagerly through the allocation-free recursive descent
-    /// (level buffering gains nothing for one range), larger runs become
-    /// a node of the next level.
-    #[allow(clippy::too_many_arguments)]
-    fn seal_child<G: MultiRangeGuide>(
-        &mut self,
-        wm: &WaveletMatrix,
-        level: usize,
-        child: u64,
-        child_start: usize,
-        item_lo: usize,
-        at_leaves: bool,
-        guide: &mut G,
-    ) {
-        if at_leaves {
-            return; // leaves were emitted inline
-        }
-        match self.next_items.len() - item_lo {
-            0 => {}
-            1 => {
-                let (id, cb, ce) = self.next_items.pop().expect("just pushed");
-                wm.descend_single(
-                    id,
-                    level + 1,
-                    child,
-                    child_start,
-                    cb,
-                    ce,
-                    guide,
-                    &mut self.ranks,
-                    &mut self.ranks_saved,
-                );
+        // The leaves a shortcut guide has not seen yet: those of wider
+        // ranges are in order, the single positions arrived as they
+        // were born; merged, they are in the order of the contract.
+        let width = wm.width;
+        self.units
+            .sort_unstable_by_key(|&(_, _, sym, id)| (sym, id));
+        let mut wide = self.leaves.iter().copied().peekable();
+        let mut single = self
+            .units
+            .iter()
+            .map(|&(at, start, sym, id)| (sym, id, at - start, at + 1 - start))
+            .peekable();
+        let mut node = None;
+        loop {
+            let next = match (wide.peek(), single.peek()) {
+                (Some(w), Some(s)) if (s.0, s.1) < (w.0, w.1) => single.next(),
+                (Some(_), _) => wide.next(),
+                (None, _) => single.next(),
+            };
+            let Some((sym, id, rank_b, rank_e)) = next else {
+                return;
+            };
+            let entered = match node {
+                Some((at, entered)) if at == sym => entered,
+                _ => guide.enter_node(width, sym),
+            };
+            node = Some((sym, entered));
+            if entered && guide.enter_item(id, width, sym) {
+                guide.leaf(id, sym, rank_b, rank_e);
             }
-            _ => self
-                .next_nodes
-                .push((child, child_start, item_lo, self.next_items.len())),
         }
     }
 }
@@ -572,93 +670,27 @@ impl WaveletMatrix {
             return;
         }
         let lvl = &self.levels[level];
-        let (s0, b0, e0) = (lvl.rank0(start), lvl.rank0(b), lvl.rank0(e));
+        let z = self.zeros[level];
+        let (b0, e0) = (lvl.rank0(b), lvl.rank0(e));
+        // Node starts only feed the leaf ranks.
+        let (s0, s1) = if G::LEAF_RANKS {
+            let s0 = lvl.rank0(start);
+            (s0, z + (start - s0))
+        } else {
+            (0, 0)
+        };
         if e0 > b0 && guide.enter(level + 1, prefix << 1) {
             self.traverse_rec(level + 1, prefix << 1, s0, b0, e0, guide);
         }
-        let z = self.zeros[level];
-        let (s1, b1, e1) = (z + (start - s0), z + (b - b0), z + (e - e0));
+        let (b1, e1) = (z + (b - b0), z + (e - e0));
         if e1 > b1 && guide.enter(level + 1, (prefix << 1) | 1) {
             self.traverse_rec(level + 1, (prefix << 1) | 1, s1, b1, e1, guide);
         }
     }
 
-    /// [`MultiTraversal`]'s tail descent for a subtree holding a single
-    /// live range: plain recursion, no level buffers. The node itself is
-    /// already admitted; only its children consult the guide.
-    #[allow(clippy::too_many_arguments)]
-    fn descend_single<G: MultiRangeGuide>(
-        &self,
-        item: u32,
-        level: usize,
-        prefix: u64,
-        start: usize,
-        b: usize,
-        e: usize,
-        guide: &mut G,
-        ranks: &mut u64,
-        ranks_saved: &mut u64,
-    ) {
-        if level == self.width {
-            guide.leaf(item, prefix, b - start, e - start);
-            return;
-        }
-        let lvl = &self.levels[level];
-        let s0 = lvl.rank0(start);
-        *ranks += 1;
-        let (b0, e0) = if RankSelect::same_superblock(b, e) {
-            *ranks += 1;
-            *ranks_saved += 1;
-            lvl.rank0_pair(b, e)
-        } else {
-            *ranks += 2;
-            (lvl.rank0(b), lvl.rank0(e))
-        };
-        if e0 > b0
-            && guide.enter_node(level + 1, prefix << 1)
-            && guide.enter_item(item, level + 1, prefix << 1)
-        {
-            self.descend_single(
-                item,
-                level + 1,
-                prefix << 1,
-                s0,
-                b0,
-                e0,
-                guide,
-                ranks,
-                ranks_saved,
-            );
-        }
-        let z = self.zeros[level];
-        let (s1, b1, e1) = (z + (start - s0), z + (b - b0), z + (e - e0));
-        let child = (prefix << 1) | 1;
-        if e1 > b1 && guide.enter_node(level + 1, child) && guide.enter_item(item, level + 1, child)
-        {
-            self.descend_single(
-                item,
-                level + 1,
-                child,
-                s1,
-                b1,
-                e1,
-                guide,
-                ranks,
-                ranks_saved,
-            );
-        }
-    }
-
-    /// Frontier-batched guided traversal: pushes every range of `ranges`
-    /// through the levels together (see [`MultiRangeGuide`]), so per-node
-    /// work — the node-start rank, the guide's node admission — is shared
-    /// across the whole frontier and the boundary ranks of adjacent
-    /// ranges land on the same cache lines. Equivalent to a
-    /// [`Self::guided_traverse`] per range; a BFS over a frontier of 64+
-    /// ranges runs severalfold fewer rank computations this way.
-    ///
-    /// Allocates scratch per call; hot paths should hold a
-    /// [`MultiTraversal`] and call [`MultiTraversal::run`] instead.
+    /// Frontier-batched guided traversal: [`MultiTraversal::run`] on
+    /// scratch allocated for this call. Hot paths hold a
+    /// [`MultiTraversal`] and reuse it.
     pub fn guided_traverse_multi<G: MultiRangeGuide>(
         &self,
         ranges: &[(usize, usize)],
@@ -696,6 +728,26 @@ impl WaveletMatrix {
         for p in positions.iter_mut() {
             *p -= start;
         }
+    }
+
+    /// Calls `f(sym)` for the distinct symbols of `[b, e)` in increasing
+    /// order, until `f` returns `false` — at the cost of the symbols
+    /// visited, not of the range, and without ranking node starts.
+    pub fn range_symbols<F: FnMut(u64) -> bool>(&self, b: usize, e: usize, f: &mut F) {
+        struct While<'a, F> {
+            f: &'a mut F,
+            more: bool,
+        }
+        impl<F: FnMut(u64) -> bool> RangeGuide for While<'_, F> {
+            const LEAF_RANKS: bool = false;
+            fn enter(&mut self, _: usize, _: u64) -> bool {
+                self.more
+            }
+            fn leaf(&mut self, sym: u64, _: usize, _: usize) {
+                self.more = (self.f)(sym);
+            }
+        }
+        self.guided_traverse(b, e, &mut While { f, more: true });
     }
 
     /// Calls `f(sym, rank_b, rank_e)` for every distinct symbol in `[b, e)`,
@@ -1276,6 +1328,190 @@ mod tests {
         wm.guided_traverse_multi(&[], &mut guide);
         wm.guided_traverse_multi(&[(0, 0), (3, 3)], &mut guide);
         assert!(guide.0.is_empty());
+    }
+
+    /// The ranges the equivalence tests push through every matrix: one
+    /// position wide (first, last, mid-word), empty, the whole sequence,
+    /// ending at `len`, and narrow ones on either side of and across a
+    /// 512-bit superblock seam.
+    fn probe_ranges(len: usize) -> Vec<(usize, usize)> {
+        let mut ranges = vec![
+            (0, 1),
+            (len - 1, len),
+            (77, 78),
+            (300, 300),
+            (len, len),
+            (0, len),
+            (len / 2, len),
+            (100, 2000),
+            (500, 530),
+            (510, 513),
+            (511, 512),
+            (512, 513),
+            (1020, 1030),
+            (1536, 1538),
+        ];
+        ranges.extend((0..40).map(|i| (i * 61 + 3, i * 61 + 3 + i % 3)));
+        ranges
+    }
+
+    /// A pruning rule with an item part and a node part, usable from both
+    /// traversals. The item part keeps odd items out of the upper half of
+    /// the alphabet. The node part is either arbitrary — one subtree in
+    /// five dropped, wherever it is — or `hereditary`: the subtrees under
+    /// one three-bit prefix dropped, so that a node goes exactly when all
+    /// its leaves go, which is what the shortcut for single positions
+    /// asks of a guide (the item part is hereditary as it stands).
+    struct Pruner {
+        width: usize,
+        leaf_ranks: bool,
+        hereditary: bool,
+    }
+
+    impl Pruner {
+        fn node(&self, level: usize, prefix: u64) -> bool {
+            if self.hereditary {
+                let k = self.width.min(3);
+                level < k || prefix >> (level - k) != 0b010 & ((1 << k) - 1)
+            } else {
+                level == 0 || !(prefix.wrapping_mul(0x9E37_79B9) >> 7).is_multiple_of(5)
+            }
+        }
+        fn item(&self, item: u32, level: usize, prefix: u64) -> bool {
+            item.is_multiple_of(2) || level == 0 || prefix >> (level - 1) == 0
+        }
+        fn ranks(&self, rb: usize, re: usize) -> (usize, usize) {
+            if self.leaf_ranks {
+                (rb, re)
+            } else {
+                (0, 0)
+            }
+        }
+    }
+
+    struct PrunedSingle<'a, const RANKS: bool>(&'a Pruner, u32, Vec<(u32, u64, usize, usize)>);
+    impl<const RANKS: bool> RangeGuide for PrunedSingle<'_, RANKS> {
+        const LEAF_RANKS: bool = RANKS;
+        fn enter(&mut self, level: usize, prefix: u64) -> bool {
+            self.0.node(level, prefix) && self.0.item(self.1, level, prefix)
+        }
+        fn leaf(&mut self, sym: u64, rb: usize, re: usize) {
+            let (rb, re) = self.0.ranks(rb, re);
+            self.2.push((self.1, sym, rb, re));
+        }
+    }
+
+    struct PrunedMulti<'a, const RANKS: bool, const SHORTCUT: bool> {
+        rule: &'a Pruner,
+        leaves: Vec<(u32, u64, usize, usize)>,
+        /// `enter_item` calls above the leaves.
+        asked_inside: usize,
+    }
+    impl<const RANKS: bool, const SHORTCUT: bool> MultiRangeGuide for PrunedMulti<'_, RANKS, SHORTCUT> {
+        const LEAF_RANKS: bool = RANKS;
+        const UNIT_SHORTCUT: bool = SHORTCUT;
+        fn enter_node(&mut self, level: usize, prefix: u64) -> bool {
+            self.rule.node(level, prefix)
+        }
+        fn enter_item(&mut self, item: u32, level: usize, prefix: u64) -> bool {
+            self.asked_inside += usize::from(level < self.rule.width);
+            self.rule.item(item, level, prefix)
+        }
+        fn leaf(&mut self, item: u32, sym: u64, rb: usize, re: usize) {
+            let (rb, re) = self.rule.ranks(rb, re);
+            self.leaves.push((item, sym, rb, re));
+        }
+    }
+
+    /// The level-synchronous traversal reports, for every range, what
+    /// that range's own `guided_traverse` reports — same symbols, same
+    /// order, same ranks when the guide reads them — under a guide that
+    /// prunes by node and by item, with and without the shortcut for
+    /// single positions, and its leaves arrive symbol by symbol.
+    #[test]
+    fn level_synchronous_multi_equals_per_range_traversal() {
+        fn check<const RANKS: bool, const SHORTCUT: bool>(
+            wm: &WaveletMatrix,
+            ranges: &[(usize, usize)],
+            hereditary: bool,
+            what: &str,
+        ) -> usize {
+            assert!(
+                hereditary || !SHORTCUT,
+                "the shortcut wants a hereditary rule"
+            );
+            let what = format!("{what}, ranks {RANKS}, shortcut {SHORTCUT}");
+            let rule = Pruner {
+                width: wm.width(),
+                leaf_ranks: RANKS,
+                hereditary,
+            };
+            let fresh = || PrunedMulti::<RANKS, SHORTCUT> {
+                rule: &rule,
+                leaves: Vec::new(),
+                asked_inside: 0,
+            };
+            let mut multi = fresh();
+            let mut mt = MultiTraversal::new();
+            mt.run(wm, ranges, &mut multi);
+            let arrival: Vec<(u64, u32)> = multi.leaves.iter().map(|&(i, s, ..)| (s, i)).collect();
+            assert!(
+                arrival.windows(2).all(|w| w[0] < w[1]),
+                "{what}: leaves out of (symbol, item) order"
+            );
+            for (i, &(b, e)) in ranges.iter().enumerate() {
+                let mut single = PrunedSingle::<RANKS>(&rule, i as u32, Vec::new());
+                wm.guided_traverse(b, e, &mut single);
+                let got: Vec<_> = multi
+                    .leaves
+                    .iter()
+                    .filter(|l| l.0 == i as u32)
+                    .copied()
+                    .collect();
+                assert_eq!(got, single.2, "{what}: range {i} = [{b}, {e})");
+            }
+            // The scratch carries nothing over: a second run agrees.
+            let mut again = fresh();
+            mt.run(wm, ranges, &mut again);
+            assert_eq!(again.leaves, multi.leaves, "{what}: second run");
+            multi.asked_inside
+        }
+        // Widths 1, 7, 8 and 17.
+        for sigma in [2u64, 100, 256, (1 << 16) + 3] {
+            for zipf in [false, true] {
+                let syms = drawn(2500, sigma, zipf);
+                let wm = WaveletMatrix::new(&syms, sigma);
+                let ranges = probe_ranges(syms.len());
+                let what = format!("sigma {sigma}, zipf {zipf}");
+                check::<true, false>(&wm, &ranges, false, &what);
+                check::<false, false>(&wm, &ranges, false, &what);
+                let asked = check::<true, false>(&wm, &ranges, true, &what);
+                assert_eq!(asked, check::<false, false>(&wm, &ranges, true, &what));
+                let spared = check::<false, true>(&wm, &ranges, true, &what);
+                assert_eq!(spared, check::<true, true>(&wm, &ranges, true, &what));
+                // The shortcut spares the narrow ranges everything
+                // between the root and their leaves.
+                assert!(sigma == 2 || spared < asked, "{what}: {spared} of {asked}");
+            }
+        }
+    }
+
+    #[test]
+    fn range_symbols_lists_ascending_until_told_to_stop() {
+        let syms = sample(900, 300);
+        let wm = WaveletMatrix::new(&syms, 300);
+        for (b, e) in [(0usize, 900usize), (10, 11), (400, 400), (250, 700)] {
+            let mut all = Vec::new();
+            wm.range_distinct(b, e, &mut |s, _, _| all.push(s));
+            for take in [1usize, 5, all.len(), usize::MAX] {
+                let mut got = Vec::new();
+                wm.range_symbols(b, e, &mut |s| {
+                    got.push(s);
+                    got.len() < take
+                });
+                assert_eq!(got, all[..take.min(all.len())], "[{b}, {e}), {take}");
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,23 @@ impl MultiRangeGuide for CollectMulti {
     }
 }
 
+/// All-admitting guide that declines the leaf ranks and takes the
+/// shortcut for single positions.
+struct SymbolsMulti(Vec<(u32, u64)>);
+impl MultiRangeGuide for SymbolsMulti {
+    const LEAF_RANKS: bool = false;
+    const UNIT_SHORTCUT: bool = true;
+    fn enter_node(&mut self, _: usize, _: u64) -> bool {
+        true
+    }
+    fn enter_item(&mut self, _: u32, _: usize, _: u64) -> bool {
+        true
+    }
+    fn leaf(&mut self, item: u32, sym: u64, _: usize, _: usize) {
+        self.0.push((item, sym));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -101,32 +118,44 @@ proptest! {
         }
     }
 
-    /// The frontier-batched traversal is exactly the union of per-range
-    /// guided traversals (item-tagged), for arbitrary range frontiers.
+    /// The level-synchronous batched traversal reports, range by range,
+    /// what that range's own guided traversal reports — symbols ascending
+    /// per range, leaves arriving symbol by symbol — on alphabets 1, 6 and
+    /// 17 bits wide, and for a guide that does not read the leaf ranks.
     #[test]
-    fn guided_traverse_multi_equals_per_range_union(
-        syms in prop::collection::vec(0u64..60, 1..500),
-        raw_ranges in prop::collection::vec((0usize..500, 0usize..500), 0..40),
+    fn guided_traverse_multi_equals_per_range_traversals(
+        raw_syms in prop::collection::vec(0u64..(1 << 17), 1..500),
+        width in 0usize..3,
+        raw_ranges in prop::collection::vec((0usize..500, 0usize..4), 0..40),
+        wide in prop::collection::vec((0usize..500, 0usize..500), 0..6),
     ) {
+        // 1, 6 (not a power of two) and 17 bits.
+        let sigma = [2u64, 60, 1 << 17][width];
+        let syms: Vec<u64> = raw_syms.iter().map(|s| s % sigma).collect();
         let n = syms.len();
-        let wm = WaveletMatrix::new(&syms, 60);
+        let wm = WaveletMatrix::new(&syms, sigma);
+        // Mostly ranges zero to three positions wide, a few of any width.
         let ranges: Vec<(usize, usize)> = raw_ranges
             .iter()
-            .map(|&(x, y)| {
-                let (b, e) = (x.min(n), y.min(n));
-                (b.min(e), b.max(e))
-            })
+            .map(|&(b, w)| (b.min(n), (b + w).min(n)))
+            .chain(wide.iter().map(|&(x, y)| (x.min(y).min(n), x.max(y).min(n))))
             .collect();
         let mut guide = CollectMulti(Vec::new());
         wm.guided_traverse_multi(&ranges, &mut guide);
         let mut got = guide.0;
-        got.sort_unstable();
+        prop_assert!(got.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)));
+        got.sort_by_key(|&(item, ..)| item);
         let mut expected = Vec::new();
         for (i, &(b, e)) in ranges.iter().enumerate() {
             wm.range_distinct(b, e, &mut |s, rb, re| expected.push((i as u32, s, rb, re)));
         }
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(&got, &expected);
+
+        let mut symbols_only = SymbolsMulti(Vec::new());
+        wm.guided_traverse_multi(&ranges, &mut symbols_only);
+        symbols_only.0.sort_by_key(|&(item, _)| item);
+        let expected: Vec<(u32, u64)> = expected.iter().map(|&(i, s, ..)| (i, s)).collect();
+        prop_assert_eq!(symbols_only.0, expected);
     }
 
     /// Batched wavelet rank ≡ per-position rank.
