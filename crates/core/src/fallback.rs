@@ -16,6 +16,7 @@ use succinct::util::FxHashSet;
 
 use crate::query::{EngineOptions, QueryOutput, RpqQuery, Term};
 use crate::source::MergedView;
+use crate::step::{step_label, ChunkExpansion};
 use crate::QueryError;
 
 /// Evaluates `query` with the explicit-state fallback over the pure
@@ -103,7 +104,7 @@ fn forward_bfs(
     visited.insert((start, nfa.initial as u32));
     queue.push_back((start, nfa.initial as u32));
     let mut pops = 0u64;
-    let mut step_buf: Vec<Id> = Vec::new();
+    let mut step = ChunkExpansion::default();
     while let Some((v, q)) = queue.pop_front() {
         pops += 1;
         out.stats.bfs_steps += 1;
@@ -140,8 +141,8 @@ fn forward_bfs(
                 // v --p--> w  ⟺  w --p̂--> v in the completed graph:
                 // enumerate the live subjects of p̂ into v.
                 let pi = ring.inverse_label(p);
-                view.subjects_into(v, pi, &mut step_buf);
-                for &w in &step_buf {
+                step_label(view, pi, &[(v, 1)], &mut step);
+                for &w in &step.subjects {
                     out.stats.product_edges += 1;
                     if visited.insert((w, *q2 as u32)) {
                         out.stats.product_nodes += 1;

@@ -1,26 +1,26 @@
 //! The §5 fast paths: query patterns `v p v`, `v ^p v`, `v p|q v`,
 //! `v p/q v` (and their anchored variants) evaluated with plain backward
-//! search and wavelet-tree range operations, bypassing the automaton.
+//! steps and distinct-subject sweeps, bypassing the automaton.
 //!
 //! "Such paths can be solved as join queries, with more efficient
 //! algorithms" — the paper concedes these patterns to the competitors'
-//! join machinery; these handlers are the ring's equivalent.
+//! join machinery; these handlers are the ring's equivalent. They are
+//! written once over the step source, like the traversal: a bare ring
+//! answers a batch with one shared rank chain and one sweep of `L_s`, a
+//! delta or sharded view with the same per owner, merged — and the
+//! limit is tested at the same points on every source.
 
 use automata::ast::{Lit, Regex};
 use automata::Label;
-use ring::{Id, Ring};
+use ring::Id;
 use std::time::Instant;
-use succinct::wavelet_matrix::MultiRangeGuide;
 
-use crate::engine::group_by_key;
 use crate::pairbuf::PairBuffer;
 use crate::query::{EngineOptions, QueryOutput, Term};
-use crate::source::MergedView;
-use crate::QueryError;
+use crate::step::{step_label, ChunkExpansion, StepSource};
 
-/// Midpoints/subjects stepped through the wavelet layers per batch: the
-/// backward-search ranks of a whole batch share one node-start chain
-/// ([`ring::Ring::backward_step_by_pred_multi`]) and the distinct-subject
+/// Midpoints/subjects stepped through the index per batch: the backward
+/// steps of a whole batch share one rank chain and the distinct-subject
 /// sweeps share node entries; limits are re-checked between batches.
 const STEP_BATCH: usize = 256;
 
@@ -77,83 +77,43 @@ pub fn shape_of(expr: &Regex) -> Shape {
     }
 }
 
-/// Intra-query fan-out policy for the batched fast-path sweeps: engage
-/// `threads − 1` pool helpers only when a batch has at least
-/// `min_items` items (small joins pay zero overhead). Chunk geometry is
-/// always the sequential [`STEP_BATCH`], and results are consumed in
-/// chunk order, so output — including limit/budget truncation points —
-/// is bit-for-bit identical to the sequential sweep.
-#[derive(Clone, Copy)]
-struct Par {
-    threads: usize,
-    min_items: usize,
-}
-
-impl Par {
-    fn of(opts: &EngineOptions, threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            min_items: opts.parallel_min_frontier.max(2),
-        }
-    }
-
-    /// Extra threads to request for a sweep over `n_items` (0 = stay
-    /// sequential).
-    fn extra_for(&self, n_items: usize) -> usize {
-        if self.threads > 1 && n_items >= self.min_items {
-            self.threads - 1
-        } else {
-            0
-        }
-    }
-}
-
 /// Evaluates a specializable shape anchored at the given endpoints,
 /// fanning large variable-to-variable sweeps across up to `threads`
 /// pool workers.
-pub fn evaluate(
-    ring: &Ring,
+pub(crate) fn evaluate<S: StepSource + ?Sized>(
+    src: &S,
     shape: &Shape,
     subject: Term,
     object: Term,
     opts: &EngineOptions,
     deadline: Option<Instant>,
     threads: usize,
-) -> Result<QueryOutput, QueryError> {
-    let par = Par::of(opts, threads);
+) -> QueryOutput {
     let mut sink = Sink {
-        buf: PairBuffer::new(),
         limit: opts.limit,
         // The fast paths touch one product node per reported pair, so the
         // node budget degenerates to a pair cap here.
         node_budget: opts.node_budget.map_or(usize::MAX, |nb| nb as usize),
-        at_budget: false,
         deadline,
-        truncated: false,
-        timed_out: false,
-        budget_exhausted: false,
-        par_levels: 0,
-        par_chunks: 0,
+        fan_out: (threads > 1).then(|| (threads - 1, opts.parallel_min_frontier.max(2))),
+        ..Sink::default()
     };
+    // The buffers the anchored forms step in.
+    let x = &mut ChunkExpansion::default();
     match shape {
-        Shape::Single(p) => single(ring, *p, subject, object, &mut sink, par),
+        Shape::Single(p) => single(src, *p, subject, object, &mut sink, x),
         Shape::Disjunction(ps) => {
             for &p in ps {
-                single(ring, p, subject, object, &mut sink, par);
+                single(src, p, subject, object, &mut sink, x);
                 if sink.full() {
                     break;
                 }
             }
         }
-        Shape::Concat2(p1, p2) => concat2(ring, *p1, *p2, subject, object, &mut sink, par),
+        Shape::Concat2(p1, p2) => concat2(src, *p1, *p2, subject, object, &mut sink, x),
         Shape::Other => unreachable!("fastpath::evaluate called on a general shape"),
     }
-    Ok(finish(sink))
-}
 
-/// Drains a sink into a finished output (shared by the pure and merged
-/// entry points).
-fn finish(mut sink: Sink) -> QueryOutput {
     let mut out = QueryOutput::default();
     sink.settle();
     let distinct = sink.buf.distinct_len() as u64;
@@ -169,252 +129,19 @@ fn finish(mut sink: Sink) -> QueryOutput {
     out
 }
 
-/// Evaluates a specializable shape against a merged source: the same §5
-/// join algorithms, with every backward step and source enumeration
-/// merged with the delta (tombstones masked, adds included) at node
-/// granularity.
-pub(crate) fn evaluate_merged(
-    view: &MergedView<'_>,
-    shape: &Shape,
-    subject: Term,
-    object: Term,
-    opts: &EngineOptions,
-    deadline: Option<Instant>,
-    threads: usize,
-) -> Result<QueryOutput, QueryError> {
-    let par = Par::of(opts, threads);
-    let mut sink = Sink {
-        buf: PairBuffer::new(),
-        limit: opts.limit,
-        node_budget: opts.node_budget.map_or(usize::MAX, |nb| nb as usize),
-        at_budget: false,
-        deadline,
-        truncated: false,
-        timed_out: false,
-        budget_exhausted: false,
-        par_levels: 0,
-        par_chunks: 0,
-    };
-    match shape {
-        Shape::Single(p) => merged_single(view, *p, subject, object, &mut sink, par),
-        Shape::Disjunction(ps) => {
-            for &p in ps {
-                merged_single(view, p, subject, object, &mut sink, par);
-                if sink.full() {
-                    break;
-                }
-            }
-        }
-        Shape::Concat2(p1, p2) => merged_concat2(view, *p1, *p2, subject, object, &mut sink, par),
-        Shape::Other => unreachable!("fastpath::evaluate_merged called on a general shape"),
-    }
-    Ok(finish(sink))
-}
-
-/// `(x, p, y)` and anchored forms over the merged source.
-fn merged_single(
-    view: &MergedView<'_>,
-    p: Label,
-    subject: Term,
-    object: Term,
-    sink: &mut Sink,
-    par: Par,
-) {
-    let pi = view.ring.inverse_label(p);
-    let mut buf = Vec::new();
-    match (subject, object) {
-        (Term::Const(s), Term::Const(o)) => {
-            if view.has_edge(s, p, o) {
-                sink.push((s, o));
-            }
-        }
-        (Term::Var, Term::Const(o)) => {
-            view.subjects_into(o, p, &mut buf);
-            for &s in &buf {
-                sink.push((s, o));
-            }
-        }
-        (Term::Const(s), Term::Var) => {
-            view.subjects_into(s, pi, &mut buf);
-            for &o in &buf {
-                sink.push((s, o));
-            }
-        }
-        (Term::Var, Term::Var) => {
-            let mut subjects = Vec::new();
-            view.first_subjects_of_pred(p, sink.usable_subjects(), &mut subjects);
-            let extra = par.extra_for(subjects.len());
-            if extra > 0 {
-                // The sequential loop consults `full()` once per subject,
-                // so the replay keeps per-subject granularity: each chunk
-                // maps to one pair list per subject.
-                sink.par_levels += 1;
-                crate::parallel::map_chunks_ordered(
-                    &subjects,
-                    STEP_BATCH,
-                    extra,
-                    |_, chunk| {
-                        let mut buf = Vec::new();
-                        let mut per_subject = Vec::with_capacity(chunk.len());
-                        for &s in chunk {
-                            view.subjects_into(s, pi, &mut buf);
-                            per_subject.push(buf.iter().map(|&o| (s, o)).collect::<Vec<_>>());
-                        }
-                        per_subject
-                    },
-                    |per_subject| {
-                        sink.par_chunks += 1;
-                        for pairs in per_subject {
-                            if sink.full() {
-                                return false;
-                            }
-                            for pair in pairs {
-                                sink.push(pair);
-                            }
-                        }
-                        true
-                    },
-                );
-                return;
-            }
-            for s in subjects {
-                if sink.full() {
-                    return;
-                }
-                view.subjects_into(s, pi, &mut buf);
-                for &o in &buf {
-                    sink.push((s, o));
-                }
-            }
-        }
-    }
-}
-
-/// `(x, p1/p2, y)` and anchored forms over the merged source: midpoints
-/// are live targets of `p1` intersected with live sources of `p2`.
-fn merged_concat2(
-    view: &MergedView<'_>,
-    p1: Label,
-    p2: Label,
-    subject: Term,
-    object: Term,
-    sink: &mut Sink,
-    par: Par,
-) {
-    let p1i = view.ring.inverse_label(p1);
-    let p2i = view.ring.inverse_label(p2);
-    let mut mids = Vec::new();
-    let mut buf = Vec::new();
-    match (subject, object) {
-        (Term::Var, Term::Var) => {
-            // Live targets of p1 ∩ live sources of p2 (both come back
-            // sorted, so the intersection is a linear merge).
-            let mut targets = Vec::new();
-            view.subjects_of_pred(p1i, &mut targets);
-            let mut sources = Vec::new();
-            view.subjects_of_pred(p2, &mut sources);
-            let mut i = 0;
-            for &z in &targets {
-                while i < sources.len() && sources[i] < z {
-                    i += 1;
-                }
-                if i < sources.len() && sources[i] == z {
-                    mids.push(z);
-                }
-            }
-            let extra = par.extra_for(mids.len());
-            if extra > 0 {
-                // Per-midpoint replay granularity, matching the
-                // sequential loop's `full()` cadence.
-                sink.par_levels += 1;
-                crate::parallel::map_chunks_ordered(
-                    &mids,
-                    STEP_BATCH,
-                    extra,
-                    |_, chunk| {
-                        let mut srcs = Vec::new();
-                        let mut objs = Vec::new();
-                        let mut per_mid = Vec::with_capacity(chunk.len());
-                        for &z in chunk {
-                            view.subjects_into(z, p1, &mut srcs);
-                            view.subjects_into(z, p2i, &mut objs);
-                            let mut pairs = Vec::with_capacity(srcs.len() * objs.len());
-                            for &s in &srcs {
-                                for &o in &objs {
-                                    pairs.push((s, o));
-                                }
-                            }
-                            per_mid.push(pairs);
-                        }
-                        per_mid
-                    },
-                    |per_mid| {
-                        sink.par_chunks += 1;
-                        for pairs in per_mid {
-                            if sink.full() {
-                                return false;
-                            }
-                            for pair in pairs {
-                                sink.push(pair);
-                            }
-                        }
-                        true
-                    },
-                );
-                return;
-            }
-            let mut srcs = Vec::new();
-            for z in mids {
-                if sink.full() {
-                    return;
-                }
-                view.subjects_into(z, p1, &mut srcs);
-                view.subjects_into(z, p2i, &mut buf);
-                for &s in &srcs {
-                    for &o in &buf {
-                        sink.push((s, o));
-                    }
-                }
-            }
-        }
-        (Term::Const(s), Term::Var) => {
-            view.subjects_into(s, p1i, &mut mids);
-            for &z in &mids {
-                if sink.full() {
-                    return;
-                }
-                view.subjects_into(z, p2i, &mut buf);
-                for &o in &buf {
-                    sink.push((s, o));
-                }
-            }
-        }
-        (Term::Var, Term::Const(o)) => {
-            view.subjects_into(o, p2, &mut mids);
-            for &z in &mids {
-                if sink.full() {
-                    return;
-                }
-                view.subjects_into(z, p1, &mut buf);
-                for &s in &buf {
-                    sink.push((s, o));
-                }
-            }
-        }
-        (Term::Const(s), Term::Const(o)) => {
-            view.subjects_into(s, p1i, &mut mids);
-            for &z in &mids {
-                if view.has_edge(z, p2, o) {
-                    sink.push((s, o));
-                    return;
-                }
-            }
-        }
-    }
+/// The buffers one batch of a variable-to-variable sweep is stepped in,
+/// and the pairs it came to.
+#[derive(Default)]
+struct Batch {
+    x: ChunkExpansion,
+    y: ChunkExpansion,
+    /// The batch's `(s, o)` pairs, item by item.
+    pairs: Vec<(Id, Id)>,
 }
 
 /// Result collector: a [`PairBuffer`] (sorted-vec dedup, no hashing on
 /// the hot path) plus exact limit/budget threshold tracking.
+#[derive(Default)]
 struct Sink {
     buf: PairBuffer,
     limit: usize,
@@ -426,10 +153,15 @@ struct Sink {
     truncated: bool,
     timed_out: bool,
     budget_exhausted: bool,
+    /// Pool helpers a sweep may ask for, and the fewest items it must
+    /// have to ask (small joins pay nothing); `None` on one thread.
+    fan_out: Option<(usize, usize)>,
     /// Sweeps that fanned out across pool workers.
     par_levels: u64,
     /// Chunks whose speculative results were merged from the pool.
     par_chunks: u64,
+    /// The buffers sweeps step their batches in, kept from one to the next.
+    batches: Vec<Batch>,
 }
 
 impl Sink {
@@ -475,15 +207,6 @@ impl Sink {
         }
     }
 
-    /// How many subjects of one label, taken in ascending order, a
-    /// variable-to-variable sweep can use: each owns at least one pair no
-    /// other subject of the label shares, all of them smaller than every
-    /// pair of a later subject, so the first `limit` fill the answer and
-    /// one more is what can still trip a node budget equal to the limit.
-    fn usable_subjects(&self) -> usize {
-        self.limit.saturating_add(1)
-    }
-
     fn full(&mut self) -> bool {
         if self.truncated || self.budget_exhausted {
             return true;
@@ -499,314 +222,165 @@ impl Sink {
         }
         false
     }
-}
 
-/// Distinct symbols of a wavelet range of `L_s`, ascending, pushed
-/// through `f`.
-fn distinct_ls(ring: &Ring, range: (usize, usize), f: &mut impl FnMut(Id)) {
-    ring.l_s().range_symbols(range.0, range.1, &mut |v| {
-        f(v);
-        true
-    });
-}
-
-/// Distinct symbols of many `L_s` ranges in one level-synchronous sweep:
-/// `f(item, sym)` per distinct symbol of `ranges[item]`, symbol by symbol.
-fn distinct_ls_multi(ring: &Ring, ranges: &[(usize, usize)], f: &mut impl FnMut(u32, Id)) {
-    struct All<'a, F>(&'a mut F);
-    impl<F: FnMut(u32, u64)> MultiRangeGuide for All<'_, F> {
-        const LEAF_RANKS: bool = false;
-        const UNIT_SHORTCUT: bool = true;
-        fn enter_node(&mut self, _: usize, _: u64) -> bool {
-            true
-        }
-        fn enter_item(&mut self, _: u32, _: usize, _: u64) -> bool {
-            true
-        }
-        fn leaf(&mut self, item: u32, sym: u64, _: usize, _: usize) {
-            (self.0)(item, sym)
-        }
+    /// Sweeps `items` a [`STEP_BATCH`] at a time — on the pool when there
+    /// are enough of them — handing on what `pairs_of` makes of each
+    /// batch in batch order, until the sink is full. Chunk geometry is
+    /// the same on every thread count and results are consumed in order,
+    /// so the output, truncation point included, is too.
+    fn sweep(&mut self, items: &[(Id, u64)], pairs_of: impl Fn(&[(Id, u64)], &mut Batch) + Sync) {
+        let fan_out = self
+            .fan_out
+            .filter(|&(_, min_items)| items.len() >= min_items);
+        let extra = fan_out.map_or(0, |(helpers, _)| helpers);
+        self.par_levels += u64::from(extra > 0);
+        let mut batches = std::mem::take(&mut self.batches);
+        crate::parallel::map_chunks_into(
+            self,
+            items,
+            STEP_BATCH,
+            extra,
+            &mut batches,
+            |_, chunk, batch: &mut Batch| pairs_of(chunk, batch),
+            |sink, batch| {
+                if sink.full() {
+                    return false;
+                }
+                sink.par_chunks += u64::from(extra > 0);
+                for &pair in &batch.pairs {
+                    sink.push(pair);
+                }
+                !(sink.truncated || sink.budget_exhausted)
+            },
+        );
+        self.batches = batches;
     }
-    ring.l_s().guided_traverse_multi(ranges, &mut All(f));
 }
 
-/// Buffers of [`pairs_of_batch`], reused batch after batch.
-#[derive(Default)]
-struct Batch {
-    ranges: Vec<(usize, usize)>,
-    stepped: Vec<(usize, usize)>,
-    found: Vec<(u32, Id)>,
-    ends: Vec<usize>,
-    /// The batch's `(s, o)` pairs, ascending.
-    pairs: Vec<(Id, Id)>,
+/// The nodes of a list as the items of a label step.
+fn as_items(nodes: &[Id]) -> Vec<(Id, u64)> {
+    nodes.iter().map(|&v| (v, 1)).collect()
 }
 
-/// Every `(s, o)` with `s` in `subjects` (ascending) and `s --p--> o`,
-/// `pi` being `p̂`: one batched backward step and one sweep of `L_s` for
-/// the whole batch. The sweep reports object by object; the pairs are
-/// handed on subject by subject, so that a limit reached inside a batch
-/// keeps the smallest pairs whatever the batch boundaries are.
-fn pairs_of_batch(ring: &Ring, pi: Label, subjects: &[Id], batch: &mut Batch) {
-    let Batch {
-        ranges,
-        stepped,
-        found,
-        ends,
-        pairs,
-    } = batch;
-    ranges.clear();
-    ranges.extend(subjects.iter().map(|&s| ring.object_range(s)));
-    stepped.clear();
-    ring.backward_step_by_pred_multi(ranges, pi, stepped);
-    found.clear();
-    distinct_ls_multi(ring, stepped, &mut |item, o| found.push((item, o)));
-    pairs.clear();
-    pairs.resize(found.len(), (0, 0));
-    group_by_key(
-        ends,
-        subjects.len(),
-        found,
-        |&(item, _)| item as usize,
-        |slot, &(item, o)| pairs[slot] = (subjects[item as usize], o),
-    );
-}
-
-/// `(x, p, y)` and its anchored forms, via backward search only (§5):
-/// subjects of `p` come from `L_s[C_p[p]..C_p[p+1])`; objects of a given
-/// subject `s` are the subjects of `p̂` into `s`.
-fn single(ring: &Ring, p: Label, subject: Term, object: Term, sink: &mut Sink, par: Par) {
-    let pi = ring.inverse_label(p);
+/// `(x, p, y)` and its anchored forms, via backward steps only (§5):
+/// subjects of `p` are listed off the label; objects of a given subject
+/// `s` are the subjects of `p̂` into `s`.
+fn single<S: StepSource + ?Sized>(
+    src: &S,
+    p: Label,
+    subject: Term,
+    object: Term,
+    sink: &mut Sink,
+    x: &mut ChunkExpansion,
+) {
+    let pi = src.ring().inverse_label(p);
     match (subject, object) {
         (Term::Const(s), Term::Const(o)) => {
-            let r = ring.backward_step_by_pred(ring.object_range(o), p);
-            if ring.l_s().rank(s, r.1) > ring.l_s().rank(s, r.0) {
+            if src.has_edge(s, p, o) {
                 sink.push((s, o));
             }
         }
         (Term::Var, Term::Const(o)) => {
-            let r = ring.backward_step_by_pred(ring.object_range(o), p);
-            distinct_ls(ring, r, &mut |s| sink.push((s, o)));
+            step_label(src, p, &[(o, 1)], x);
+            for &s in &x.subjects {
+                sink.push((s, o));
+            }
         }
         (Term::Const(s), Term::Var) => {
-            let r = ring.backward_step_by_pred(ring.object_range(s), pi);
-            distinct_ls(ring, r, &mut |o| sink.push((s, o)));
+            step_label(src, pi, &[(s, 1)], x);
+            for &o in &x.subjects {
+                sink.push((s, o));
+            }
         }
         (Term::Var, Term::Var) => {
-            // The subjects of p the sink can use, then the objects of
-            // each — backward steps and distinct sweeps batched
-            // STEP_BATCH subjects at a time.
+            // The subjects of p the sink can use: taken in ascending
+            // order, each owns at least one pair no other shares, all of
+            // them smaller than every pair of a later subject, so the
+            // first `limit` fill the answer and one more is what can
+            // still trip a node budget equal to the limit. Then the
+            // objects of each. A batch's sweep reports object by object;
+            // its pairs are handed on subject by subject, so that a limit
+            // reached inside a batch keeps the smallest pairs whatever
+            // the batch boundaries are.
             let mut subjects = Vec::new();
-            let (b, e) = ring.pred_range(p);
-            let usable = sink.usable_subjects();
-            ring.l_s().range_symbols(b, e, &mut |s| {
-                subjects.push(s);
-                subjects.len() < usable
+            src.label_subjects(p, sink.limit.saturating_add(1), &mut subjects);
+            sink.sweep(&as_items(&subjects), |chunk, batch| {
+                step_label(src, pi, chunk, &mut batch.x);
+                batch.pairs.clear();
+                for (item, &(s, _)) in chunk.iter().enumerate() {
+                    let objects = batch.x.item_subjects(item);
+                    batch.pairs.extend(objects.iter().map(|&o| (s, o)));
+                }
             });
-            let extra = par.extra_for(subjects.len());
-            if extra > 0 {
-                // Same STEP_BATCH geometry as below, chunks mapped
-                // speculatively on the pool and replayed in order: the
-                // `full()` check / push sequence the sink observes is
-                // identical to the sequential loop's.
-                sink.par_levels += 1;
-                crate::parallel::map_chunks_ordered(
-                    &subjects,
-                    STEP_BATCH,
-                    extra,
-                    |_, chunk| {
-                        let mut batch = Batch::default();
-                        pairs_of_batch(ring, pi, chunk, &mut batch);
-                        batch.pairs
-                    },
-                    |pairs| {
-                        if sink.full() {
-                            return false;
-                        }
-                        sink.par_chunks += 1;
-                        for pair in pairs {
-                            sink.push(pair);
-                        }
-                        true
-                    },
-                );
-                return;
-            }
-            let mut batch = Batch::default();
-            for chunk in subjects.chunks(STEP_BATCH) {
-                if sink.full() {
-                    return;
-                }
-                pairs_of_batch(ring, pi, chunk, &mut batch);
-                for &pair in &batch.pairs {
-                    sink.push(pair);
-                }
-            }
         }
     }
 }
 
 /// `(x, p1/p2, y)` and anchored forms. The variable-to-variable case is
-/// the paper's intersection algorithm: midpoints `z` are the wavelet
-/// intersection of the subjects of `p̂1` (targets of `p1`) and the
-/// subjects of `p2` (sources of `p2`).
-fn concat2(
-    ring: &Ring,
+/// the paper's intersection algorithm: midpoints `z` are the nodes that
+/// are both subjects of `p̂1` (targets of `p1`) and subjects of `p2`.
+fn concat2<S: StepSource + ?Sized>(
+    src: &S,
     p1: Label,
     p2: Label,
     subject: Term,
     object: Term,
     sink: &mut Sink,
-    par: Par,
+    x: &mut ChunkExpansion,
 ) {
-    let p1i = ring.inverse_label(p1);
-    let p2i = ring.inverse_label(p2);
+    let p1i = src.ring().inverse_label(p1);
+    let p2i = src.ring().inverse_label(p2);
     match (subject, object) {
         (Term::Var, Term::Var) => {
             // All midpoints, whatever the limit: two of them can lead to
             // the same pair, so no count of midpoints bounds the answer
             // the way a count of subjects does in `single`.
-            let targets_of_p1 = ring.pred_range(p1i);
-            let sources_of_p2 = ring.pred_range(p2);
-            let mids = ring.l_s().range_intersect(targets_of_p1, sources_of_p2);
-            let extra = par.extra_for(mids.len());
-            if extra > 0 {
-                // Speculative per-chunk expansion on the pool, replayed
-                // in chunk order with the sequential loop's exact
-                // `full()` cadence.
-                sink.par_levels += 1;
-                crate::parallel::map_chunks_ordered(
-                    &mids,
-                    STEP_BATCH,
-                    extra,
-                    |_, chunk| {
-                        let ranges: Vec<(usize, usize)> = chunk
-                            .iter()
-                            .map(|&(z, _, _)| ring.object_range(z))
-                            .collect();
-                        let mut sources: Vec<Vec<Id>> = vec![Vec::new(); chunk.len()];
-                        let mut objects: Vec<Vec<Id>> = vec![Vec::new(); chunk.len()];
-                        let mut stepped = Vec::with_capacity(chunk.len());
-                        ring.backward_step_by_pred_multi(&ranges, p1, &mut stepped);
-                        distinct_ls_multi(ring, &stepped, &mut |item, s| {
-                            sources[item as usize].push(s)
-                        });
-                        stepped.clear();
-                        ring.backward_step_by_pred_multi(&ranges, p2i, &mut stepped);
-                        distinct_ls_multi(ring, &stepped, &mut |item, o| {
-                            objects[item as usize].push(o)
-                        });
-                        let mut pairs = Vec::new();
-                        for i in 0..chunk.len() {
-                            for &s in &sources[i] {
-                                for &o in &objects[i] {
-                                    pairs.push((s, o));
-                                }
-                            }
-                        }
-                        pairs
-                    },
-                    |pairs| {
-                        if sink.full() {
-                            return false;
-                        }
-                        sink.par_chunks += 1;
-                        for pair in pairs {
-                            sink.push(pair);
-                        }
-                        true
-                    },
-                );
-                return;
-            }
-            // Per batch of midpoints: both backward steps share their
-            // rank chains, and the source/object sweeps each run as one
-            // batched traversal.
-            let mut sources: Vec<Vec<Id>> = Vec::new();
-            let mut objects: Vec<Vec<Id>> = Vec::new();
-            let mut stepped = Vec::with_capacity(STEP_BATCH);
-            for chunk in mids.chunks(STEP_BATCH) {
-                if sink.full() {
-                    return;
-                }
-                let ranges: Vec<(usize, usize)> = chunk
-                    .iter()
-                    .map(|&(z, _, _)| ring.object_range(z))
-                    .collect();
-                sources.iter_mut().for_each(Vec::clear);
-                sources.resize_with(sources.len().max(chunk.len()), Vec::new);
-                stepped.clear();
-                ring.backward_step_by_pred_multi(&ranges, p1, &mut stepped);
-                distinct_ls_multi(ring, &stepped, &mut |item, s| {
-                    sources[item as usize].push(s)
-                });
-                objects.iter_mut().for_each(Vec::clear);
-                objects.resize_with(objects.len().max(chunk.len()), Vec::new);
-                stepped.clear();
-                ring.backward_step_by_pred_multi(&ranges, p2i, &mut stepped);
-                distinct_ls_multi(ring, &stepped, &mut |item, o| {
-                    objects[item as usize].push(o)
-                });
-                for i in 0..chunk.len() {
-                    for &s in &sources[i] {
-                        for &o in &objects[i] {
-                            sink.push((s, o));
-                        }
+            let mut mids = Vec::new();
+            src.common_subjects(p1i, p2, &mut mids);
+            sink.sweep(&as_items(&mids), |chunk, batch| {
+                step_label(src, p1, chunk, &mut batch.x);
+                step_label(src, p2i, chunk, &mut batch.y);
+                batch.pairs.clear();
+                for item in 0..chunk.len() {
+                    for &s in batch.x.item_subjects(item) {
+                        let objects = batch.y.item_subjects(item);
+                        batch.pairs.extend(objects.iter().map(|&o| (s, o)));
                     }
                 }
-            }
+            });
         }
-        (Term::Const(s), Term::Var) => {
-            let mut mids = Vec::new();
-            distinct_ls(
-                ring,
-                ring.backward_step_by_pred(ring.object_range(s), p1i),
-                &mut |z| mids.push(z),
-            );
-            let mut stepped = Vec::with_capacity(STEP_BATCH);
-            for chunk in mids.chunks(STEP_BATCH) {
-                if sink.full() {
-                    return;
-                }
-                let ranges: Vec<(usize, usize)> =
-                    chunk.iter().map(|&z| ring.object_range(z)).collect();
-                stepped.clear();
-                ring.backward_step_by_pred_multi(&ranges, p2i, &mut stepped);
-                distinct_ls_multi(ring, &stepped, &mut |_, o| sink.push((s, o)));
-            }
-        }
-        (Term::Var, Term::Const(o)) => {
-            let mut mids = Vec::new();
-            distinct_ls(
-                ring,
-                ring.backward_step_by_pred(ring.object_range(o), p2),
-                &mut |z| mids.push(z),
-            );
-            let mut stepped = Vec::with_capacity(STEP_BATCH);
-            for chunk in mids.chunks(STEP_BATCH) {
-                if sink.full() {
-                    return;
-                }
-                let ranges: Vec<(usize, usize)> =
-                    chunk.iter().map(|&z| ring.object_range(z)).collect();
-                stepped.clear();
-                ring.backward_step_by_pred_multi(&ranges, p1, &mut stepped);
-                distinct_ls_multi(ring, &stepped, &mut |_, s| sink.push((s, o)));
-            }
-        }
+        (Term::Const(s), Term::Var) => through(src, s, p1i, p2i, |o| (s, o), sink, x),
+        (Term::Var, Term::Const(o)) => through(src, o, p2, p1, |s| (s, o), sink, x),
         (Term::Const(s), Term::Const(o)) => {
-            let mut mids = Vec::new();
-            distinct_ls(
-                ring,
-                ring.backward_step_by_pred(ring.object_range(s), p1i),
-                &mut |z| mids.push(z),
-            );
-            for z in mids {
-                let r = ring.backward_step_by_pred(ring.object_range(o), p2);
-                if ring.l_s().rank(z, r.1) > ring.l_s().rank(z, r.0) {
-                    sink.push((s, o));
-                    return;
-                }
+            step_label(src, p1i, &[(s, 1)], x);
+            if x.subjects.iter().any(|&z| src.has_edge(z, p2, o)) {
+                sink.push((s, o));
             }
+        }
+    }
+}
+
+/// The two-step join from a constant endpoint: the midpoints one
+/// `to_mids` step from `near`, then the far side of each batch of them
+/// by `onward`, node by node as the sweep finds it.
+fn through<S: StepSource + ?Sized>(
+    src: &S,
+    near: Id,
+    to_mids: Label,
+    onward: Label,
+    pair_of: impl Fn(Id) -> (Id, Id),
+    sink: &mut Sink,
+    x: &mut ChunkExpansion,
+) {
+    step_label(src, to_mids, &[(near, 1)], x);
+    let mids = as_items(&x.subjects);
+    for chunk in mids.chunks(STEP_BATCH) {
+        if sink.full() {
+            return;
+        }
+        step_label(src, onward, chunk, x);
+        for &(_, far) in &x.candidates {
+            sink.push(pair_of(far));
         }
     }
 }

@@ -1,14 +1,16 @@
-//! The traversal the pure kernel's chunked expansion is pinned to: §4 as
-//! written, one queue item at a time, every wavelet range traversed on
-//! its own under masks that are updated as it goes — and the tests that
-//! hold [`crate::engine`] to it.
+//! The traversal the kernel's chunked expansion is pinned to: §4 as
+//! written, one queue item at a time, every wavelet range of one ring
+//! traversed on its own under masks that are updated as it goes — and
+//! the tests that hold [`crate::kernel`] to it on every kind of source.
 //!
-//! The engine expands a whole frontier chunk against the visited masks as
-//! they stood when the chunk began and replays the result in queue order;
-//! its claim is that nothing observable tells the two apart: the pair
-//! stream, the flags, the trace and the four product-graph counters that
-//! depend on visit order. (`wavelet_nodes` and `rank_ops` describe the
-//! work a strategy did and differ by design.)
+//! The kernel expands a whole frontier chunk against the visited masks as
+//! they stood when the chunk began and replays the result in queue order
+//! — over a bare ring, over the same graph cut into shards, over a ring
+//! and a delta that add up to it; its claim is that nothing observable
+//! tells any of them from this reference over the one rebuilt ring: the
+//! pair stream, the flags, the trace and the four product-graph counters
+//! that depend on visit order. (`wavelet_nodes` and `rank_ops` describe
+//! the work a strategy did and differ by design.)
 
 use std::collections::VecDeque;
 
@@ -21,11 +23,12 @@ use succinct::wavelet_matrix::RangeGuide;
 use succinct::WaveletMatrix;
 use workload::{GraphGen, GraphGenConfig, QueryGen};
 
-use crate::engine::{neg_range_mask, propagate_up, seed_label_masks, RpqEngine};
+use crate::engine::RpqEngine;
 use crate::kernel::{self, Kernel, Start, Stop};
 use crate::plan::{EvalRoute, PreparedQuery};
 use crate::query::{EngineOptions, RpqQuery, Term, TraversalStats};
-use crate::source::MergedView;
+use crate::source::{MergedView, ShardedSource, TripleSource};
+use crate::step::{neg_range_mask, propagate_up, seed_label_masks};
 
 /// The item-at-a-time kernel: a FIFO queue of `(L_p range, D)` items.
 struct Reference<'a> {
@@ -285,68 +288,133 @@ fn fan_in_graph(width: u64) -> Graph {
     Graph::from_triples(triples)
 }
 
-/// Runs `query` on the engine — at one thread and at every test thread
-/// count — and on the reference, under the same plan.
-fn assert_identical(ring: &Ring, query: &RpqQuery, opts: &EngineOptions, what: &str) -> bool {
+/// The graph three ways: its ring, the ring cut into four shards, and a
+/// store whose base ring lacks every fifth triple and holds strays, with
+/// a committed delta that adds the former and tombstones the latter.
+struct Sources {
+    ring: Ring,
+    sharded: ShardedSource,
+    store: ring::TripleStore,
+}
+
+impl Sources {
+    fn of(graph: &Graph) -> Self {
+        let ring = Ring::build(graph, RingOptions::default());
+        let shards = ring::sharded::ShardedIndex::build(graph, 4, RingOptions::default());
+        let sharded = ShardedSource::new(
+            shards
+                .into_shards()
+                .into_iter()
+                .map(std::sync::Arc::new)
+                .collect(),
+        );
+        let have: std::collections::BTreeSet<Triple> = graph.triples().iter().copied().collect();
+        let late: Vec<Triple> = have.iter().copied().step_by(5).collect();
+        let early: Vec<Triple> = (have.iter().copied().enumerate())
+            .filter(|(i, _)| i % 5 != 0)
+            .map(|(_, t)| t)
+            .collect();
+        let strays: Vec<Triple> = early
+            .iter()
+            .step_by(7)
+            .map(|t| Triple::new(t.s, t.p, (t.o + 1) % graph.n_nodes()))
+            .filter(|t| !have.contains(t))
+            .collect();
+        let base = Graph::new(
+            early.iter().chain(&strays).copied().collect(),
+            graph.n_nodes(),
+            graph.n_preds(),
+        );
+        let store = ring::TripleStore::new(base).with_auto_compact_ratio(None);
+        late.into_iter().for_each(|t| store.insert(t));
+        strays.into_iter().for_each(|t| store.delete(t));
+        store.commit();
+        Self {
+            ring,
+            sharded,
+            store,
+        }
+    }
+}
+
+/// Runs `query` on the engine — over every kind of source, at one thread
+/// and at every test thread count — and on the reference over the one
+/// ring, under the same plan.
+fn assert_identical(sources: &Sources, query: &RpqQuery, opts: &EngineOptions, what: &str) -> bool {
+    let ring = &sources.ring;
     let prepared =
         PreparedQuery::compile(&query.expr, &|l| ring.inverse_label(l), opts.bp_split_width)
             .unwrap();
-    let mut engine = RpqEngine::new(ring);
-    let sequential = engine
-        .evaluate_prepared(&prepared, query.subject, query.object, opts)
-        .unwrap();
-    let plan = sequential.plan.clone().unwrap();
-    if plan.route != EvalRoute::BitParallel {
-        return false;
-    }
     let tables = prepared.tables().unwrap();
-    let mut reference = Reference {
-        ring,
-        tables,
-        node_pruning: opts.node_pruning,
-        lp_masks: EpochArray::default(),
-        ls_masks: EpochArray::default(),
-    };
-    let want = kernel::evaluate(
-        &mut reference,
-        tables.0.is_nullable(),
-        plan.direction,
-        query.subject,
-        query.object,
-        opts,
-    );
+    let snapshot = sources.store.snapshot();
+    let kinds: [(&str, &dyn TripleSource); 3] = [
+        ("ring", ring),
+        ("4 shards", &sources.sharded),
+        ("ring + delta", &*snapshot),
+    ];
     let counters = |s: &TraversalStats| (s.product_nodes, s.product_edges, s.bfs_steps, s.reported);
-    let mut runs = vec![(1, sequential)];
-    for threads in test_threads() {
-        let fanned = EngineOptions {
-            intra_query_threads: threads,
-            parallel_min_frontier: 2,
-            ..*opts
-        };
-        let out = engine
-            .evaluate_prepared(&prepared, query.subject, query.object, &fanned)
+    // One reference run per direction the planner picks.
+    let mut wanted: Vec<(Option<crate::planner::Direction>, crate::QueryOutput)> = Vec::new();
+    for (kind, source) in kinds {
+        let mut engine = RpqEngine::over(source);
+        let sequential = engine
+            .evaluate_prepared(&prepared, query.subject, query.object, opts)
             .unwrap();
-        runs.push((threads, out));
-    }
-    for (threads, got) in runs {
-        let what = format!("{what}, {threads} thread(s), {query:?}");
-        assert_eq!(
-            got.plan.as_ref().unwrap().direction,
-            plan.direction,
-            "{what}"
-        );
-        assert_eq!(got.pairs, want.pairs, "{what}: pairs");
-        assert_eq!(
-            (got.truncated, got.budget_exhausted),
-            (want.truncated, want.budget_exhausted),
-            "{what}: flags"
-        );
-        assert_eq!(got.trace, want.trace, "{what}: trace");
-        assert_eq!(
-            counters(&got.stats),
-            counters(&want.stats),
-            "{what}: counters"
-        );
+        let plan = sequential.plan.clone().unwrap();
+        if plan.route != EvalRoute::BitParallel {
+            return false;
+        }
+        if !wanted.iter().any(|(d, _)| *d == plan.direction) {
+            let mut reference = Reference {
+                ring,
+                tables,
+                node_pruning: opts.node_pruning,
+                lp_masks: EpochArray::default(),
+                ls_masks: EpochArray::default(),
+            };
+            let want = kernel::evaluate(
+                &mut reference,
+                tables.0.is_nullable(),
+                plan.direction,
+                query.subject,
+                query.object,
+                opts,
+            );
+            wanted.push((plan.direction, want));
+        }
+        let want = &wanted.iter().find(|(d, _)| *d == plan.direction).unwrap().1;
+        let mut runs = vec![(1, sequential)];
+        for threads in test_threads() {
+            let fanned = EngineOptions {
+                intra_query_threads: threads,
+                parallel_min_frontier: 2,
+                ..*opts
+            };
+            let out = engine
+                .evaluate_prepared(&prepared, query.subject, query.object, &fanned)
+                .unwrap();
+            runs.push((threads, out));
+        }
+        for (threads, got) in runs {
+            let what = format!("{what}, {kind}, {threads} thread(s), {query:?}");
+            assert_eq!(
+                got.plan.as_ref().unwrap().direction,
+                plan.direction,
+                "{what}"
+            );
+            assert_eq!(got.pairs, want.pairs, "{what}: pairs");
+            assert_eq!(
+                (got.truncated, got.budget_exhausted),
+                (want.truncated, want.budget_exhausted),
+                "{what}: flags"
+            );
+            assert_eq!(got.trace, want.trace, "{what}: trace");
+            assert_eq!(
+                counters(&got.stats),
+                counters(&want.stats),
+                "{what}: counters"
+            );
+        }
     }
     true
 }
@@ -354,7 +422,7 @@ fn assert_identical(ring: &Ring, query: &RpqQuery, opts: &EngineOptions, what: &
 /// Every query × limit × budget × pruning combination on `graph`.
 /// `budget` is chosen to run out in the middle of a chunk.
 fn sweep(graph: &Graph, seed: u64, hub: Id, budget: u64, label: &str) -> usize {
-    let ring = Ring::build(graph, RingOptions::default());
+    let sources = Sources::of(graph);
     let mut compared = 0;
     for query in corpus(graph, seed, hub) {
         for limit in [1, 5, 64, EngineOptions::default().limit] {
@@ -371,7 +439,7 @@ fn sweep(graph: &Graph, seed: u64, hub: Id, budget: u64, label: &str) -> usize {
                     let what = format!(
                         "{label}: limit {limit}, budget {node_budget:?}, pruning {node_pruning}"
                     );
-                    compared += usize::from(assert_identical(&ring, &query, &opts, &what));
+                    compared += usize::from(assert_identical(&sources, &query, &opts, &what));
                 }
             }
         }
@@ -411,7 +479,7 @@ fn generated_workloads_match_the_item_at_a_time_traversal() {
 /// theirs — runs out inside the first chunk of the next level.
 #[test]
 fn frontiers_of_several_chunks_match_the_item_at_a_time_traversal() {
-    let width = 2 * crate::engine::FRONTIER_CHUNK as u64 + 300;
+    let width = 2 * crate::kernel::FRONTIER_CHUNK as u64 + 300;
     let graph = fan_in_graph(width);
     let compared = sweep(&graph, 0xFA9, 0, width + 700, "fan-in");
     assert!(compared >= 300, "only {compared} combinations compared");

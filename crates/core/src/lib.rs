@@ -21,11 +21,15 @@
 //!    object via `C_o`, and the BFS continues; subjects whose state set
 //!    contains the initial state are reported as answers.
 //!
-//! The three parts run a frontier chunk at a time, each as one
-//! level-synchronous sweep over `L_p`, `L_s` and `C_o` whose memory
-//! accesses overlap; the crate's `README.md` ("How one BFS level is
-//! expanded") has the scheme and why it visits what §4 visits, in §4's
-//! order.
+//! There is one traversal, and it takes the three parts a frontier chunk
+//! at a time over a crate-private batch *step source*: over a bare ring
+//! each part is one level-synchronous sweep (`L_p`, `L_s`, `C_o`) whose
+//! memory accesses overlap; over a delta overlay or a shard partition
+//! ([`MergedView`]) the same batch is stepped through every shard owning
+//! the label and merged with the delta. The §5 fast paths run over the
+//! same source. The crate's `README.md` ("How one BFS level is expanded")
+//! has the scheme and why it visits what §4 visits, in §4's order, on
+//! every source.
 //!
 //! All four query shapes of §4.4 are supported; route, traversal
 //! direction and rare-label splits are chosen by the shared cost-based
@@ -33,8 +37,10 @@
 //! layer's metrics — executes or renders (one decision, no divergence).
 //!
 //! Modules: [`query`] (query types, options, outputs, statistics),
-//! [`engine`] (the traversal), [`scratch`] (its reusable working memory
-//! and the pool facades share), [`planner`] (the §4.3/§6 cost-based route
+//! [`engine`] (the engine: planning, dispatch, profiles), [`scratch`]
+//! (the traversal's reusable working memory and the pool facades share),
+//! [`source`] (what an engine evaluates over, and the layered step
+//! source), [`planner`] (the §4.3/§6 cost-based route
 //! and direction choice), [`fastpath`] (§5 specializations), [`split`]
 //! (§2 rare-label splitting), [`stats`] (§6 on-the-fly selectivity),
 //! [`oracle`] (a naive reference evaluator for differential testing).
@@ -47,7 +53,6 @@ pub mod jsonw;
 mod kernel;
 #[cfg(test)]
 mod level_sync_identity;
-mod merged;
 pub mod oracle;
 pub mod pairbuf;
 pub mod parallel;
@@ -59,6 +64,7 @@ pub mod scratch;
 pub mod source;
 pub mod split;
 pub mod stats;
+mod step;
 
 pub use engine::RpqEngine;
 pub use plan::{EvalRoute, PreparedQuery};

@@ -21,7 +21,7 @@
 
 use ring::Ring;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use crate::engine::RpqEngine;
 use crate::query::{EngineOptions, QueryOutput, RpqQuery};
@@ -104,71 +104,99 @@ pub fn acquire_helpers(want: usize) -> HelperGrant {
     }
 }
 
-/// Maps `items` chunk-by-chunk on the shared pool and consumes results
-/// **in chunk order** — the primitive behind the deterministic fast-path
-/// fan-out. `map(chunk_index, chunk)` must be pure with respect to shared
-/// state (it runs concurrently); `consume` runs on the caller thread, in
-/// ascending chunk order, and returns `false` to stop early (pending
-/// speculative chunks are discarded, exactly like the sequential loop
-/// never computing them).
+/// Maps `items` chunk by chunk on the shared pool and consumes the
+/// results **in chunk order** — the one fan-out behind a BFS level, a
+/// fast-path sweep and the chunked ingest. `map(state, chunk, slot)`
+/// fills a slot from its chunk alone, reading `state` (it runs
+/// concurrently); `consume(state, slot)` runs on the caller thread, in
+/// ascending chunk order, may change `state`, and returns `false` to
+/// stop early (pending speculative chunks are discarded, exactly like a
+/// sequential loop never computing them). `slots` are the buffers the
+/// chunks are mapped into, reused wave after wave and call after call.
 ///
-/// Scheduling is in waves of `4 × workers` chunks so an early stop
-/// bounds wasted speculation; within a wave chunks are claimed from an
-/// atomic cursor, so skew balances. With an empty grant this degrades to
-/// the plain sequential map-consume loop.
-pub fn map_chunks_ordered<I, T, M, C>(
+/// A wave of `4 × workers` chunks is mapped at once — every one against
+/// the state the wave began under — so an early stop bounds wasted
+/// speculation; within a wave each thread claims the next chunk when it
+/// is done with its last, so skew balances. With an empty grant a wave
+/// is one chunk and this is the plain sequential map-consume loop.
+pub(crate) fn map_chunks_into<S, I, T>(
+    state: &mut S,
     items: &[I],
     chunk_size: usize,
     extra_threads: usize,
-    map: M,
-    mut consume: C,
+    slots: &mut Vec<T>,
+    map: impl Fn(&S, &[I], &mut T) + Sync,
+    mut consume: impl FnMut(&mut S, &mut T) -> bool,
 ) where
+    S: Sync,
     I: Sync,
-    T: Send + Sync,
-    M: Fn(usize, &[I]) -> T + Sync,
-    C: FnMut(T) -> bool,
+    T: Default + Send,
 {
     let grant = acquire_helpers(extra_threads);
-    if grant.count() == 0 {
-        for (c, chunk) in items.chunks(chunk_size).enumerate() {
-            if !consume(map(c, chunk)) {
-                return;
-            }
+    let wave = match grant.count() {
+        0 => 1,
+        helpers => (helpers + 1) * 4,
+    };
+    for wave_items in items.chunks(chunk_size * wave) {
+        let n_chunks = wave_items.len().div_ceil(chunk_size);
+        if slots.len() < n_chunks {
+            slots.resize_with(n_chunks, T::default);
         }
-        return;
-    }
-    let n_chunks = items.len().div_ceil(chunk_size);
-    let wave = (grant.count() + 1) * 4;
-    let mut start = 0;
-    while start < n_chunks {
-        let end = (start + wave).min(n_chunks);
-        let slots: Vec<OnceLock<T>> = (start..end).map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(start);
-        std::thread::scope(|scope| {
-            let work = || loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= end {
-                    break;
+        let slots = &mut slots[..n_chunks];
+        let shared = &*state;
+        let jobs = slots.iter_mut().zip(wave_items.chunks(chunk_size));
+        let spawn = grant.count().min(n_chunks - 1);
+        if spawn == 0 {
+            jobs.for_each(|(slot, chunk)| map(shared, chunk, slot));
+        } else {
+            let jobs = Mutex::new(jobs);
+            std::thread::scope(|scope| {
+                let work = || loop {
+                    let job = jobs
+                        .lock()
+                        .expect("the job queue is only locked to take a job")
+                        .next();
+                    match job {
+                        Some((slot, chunk)) => map(shared, chunk, slot),
+                        None => break,
+                    }
+                };
+                for _ in 0..spawn {
+                    scope.spawn(work);
                 }
-                let lo = c * chunk_size;
-                let hi = (lo + chunk_size).min(items.len());
-                let _ = slots[c - start].set(map(c, &items[lo..hi]));
-            };
-            for _ in 0..grant.count().min(end - start - 1) {
-                scope.spawn(work);
-            }
-            work();
-        });
+                work();
+            });
+        }
         for slot in slots {
-            let t = slot
-                .into_inner()
-                .expect("every chunk of a completed wave is filled");
-            if !consume(t) {
+            if !consume(state, slot) {
                 return;
             }
         }
-        start = end;
     }
+}
+
+/// Maps `items` chunk by chunk on the shared pool and consumes the
+/// results **in chunk order**: `map(chunk_index, chunk)` runs
+/// concurrently, `consume` on the caller thread, and its `false` stops
+/// early. The closure-returning form of the crate's one ordered fan-out,
+/// for callers with no state to share and no buffers to keep.
+pub fn map_chunks_ordered<I: Sync, T: Send>(
+    items: &[I],
+    chunk_size: usize,
+    extra_threads: usize,
+    map: impl Fn(usize, &[I]) -> T + Sync,
+    mut consume: impl FnMut(T) -> bool,
+) {
+    let chunks: Vec<(usize, &[I])> = items.chunks(chunk_size).enumerate().collect();
+    map_chunks_into(
+        &mut (),
+        &chunks,
+        1,
+        extra_threads,
+        &mut Vec::new(),
+        |_, numbered, slot| *slot = Some(map(numbered[0].0, numbered[0].1)),
+        |_, slot| consume(slot.take().expect("every chunk of a wave is mapped")),
+    );
 }
 
 /// Evaluates `queries` over `ring` using up to `n_threads` workers
@@ -490,6 +518,22 @@ mod tests {
                 },
             );
             assert_eq!(n, 3, "extra={extra}");
+            // What a chunk maps to sees the state the consumed ones left.
+            let mut n = 0;
+            let see = |n: &usize, _: &[usize], slot: &mut usize| *slot = *n;
+            map_chunks_into(
+                &mut n,
+                &items,
+                64,
+                extra,
+                &mut Vec::new(),
+                see,
+                |n, slot| {
+                    assert!(*slot <= *n && (extra > 0 || *slot == *n));
+                    *n += 1;
+                    true
+                },
+            );
         }
     }
 }

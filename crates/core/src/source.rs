@@ -1,31 +1,33 @@
 //! The [`TripleSource`] abstraction: what the engine evaluates against —
 //! an immutable ring alone, or a ring plus a committed [`DeltaIndex`]
 //! overlay (live updates). [`MergedView`] is the step-level merge: every
-//! expansion primitive the evaluation routes use (backward step by
+//! primitive the evaluation routes use (batched backward steps by
 //! predicate, per-label source enumeration, node existence, edge
 //! membership) answered as *ring results minus tombstones plus delta
 //! adds*, so deletes mask ring edges during traversal and adds extend
-//! it, triple by triple.
-//!
-//! When the delta is empty every route runs the unmodified succinct hot
-//! path — the overlay costs nothing until the first commit.
+//! it, triple by triple. Its `StepSource` implementation (at the end of
+//! this module) is the layered instantiation of the one traversal and
+//! of the §5 joins; a bare ring is the other (`step.rs`).
 //!
 //! Horizontal sharding rides the same seam: a [`ShardedSource`] exposes
 //! its partition as a [`ShardSet`], and every [`MergedView`] primitive
-//! gathers from the shards that *own* the probed label — the set's
+//! is answered by the shards that *own* the probed label — the set's
 //! routing table names them, so a shard without the label is never
-//! consulted. Results stay sorted-distinct, so merged traversal orders
-//! (and therefore answers, traces, and truncation points) are
+//! consulted. Results stay sorted-distinct, so traversal orders (and
+//! therefore answers, traces, truncation points and counters) are
 //! independent of how the triples were partitioned.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use automata::{BitParallel, Label};
 use ring::delta::DeltaIndex;
 use ring::store::StoreSnapshot;
 use ring::{Id, Ring};
-use succinct::util::BitSet;
+use succinct::util::{BitSet, EpochArray};
+
+use crate::step::{ChunkExpansion, Firing, Hit, StepSource, Visited, VisitedLayout};
 
 /// One shard of a horizontally partitioned source: its sub-ring plus a
 /// relaxed probe counter (how many gather primitives actually consulted
@@ -145,25 +147,16 @@ impl ShardSet {
         self.live.len() as Id
     }
 
-    /// Gathers into `out` the first `cap` distinct `L_s` symbols of the
-    /// owners' `range_of` ranges, ascending. Every shard enumerates
-    /// ascending — so none has to list more than `cap` — and only an
-    /// answer drawn from several shards is merged.
-    fn gather(
-        &self,
-        p: Id,
-        cap: usize,
-        out: &mut Vec<Id>,
-        range_of: impl Fn(&Ring) -> (usize, usize),
-    ) {
-        let mut answered = 0;
+    /// Gathers into `out` the first `cap` subjects of `p`-edges, ascending.
+    /// Every owner lists ascending — so none has to list more than `cap`
+    /// — and only an answer drawn from several shards is merged.
+    fn gather(&self, p: Id, cap: usize, out: &mut Vec<Id>) {
+        let (mut answered, mut listed) = (0, Vec::new());
         for i in self.owners(p) {
-            let part = &self.parts[i];
-            part.note_probe();
-            let (b, e) = range_of(&part.ring);
-            let before = out.len();
-            list_subjects(&part.ring, (b, e), before.saturating_add(cap), out);
-            answered += usize::from(out.len() > before);
+            self.parts[i].note_probe();
+            self.parts[i].ring.label_subjects(p, cap, &mut listed);
+            answered += usize::from(!listed.is_empty());
+            out.append(&mut listed);
         }
         if answered > 1 {
             // A subject can source `p` edges in several shards
@@ -182,17 +175,6 @@ impl Deref for ShardSet {
 
     fn deref(&self) -> &[ShardPart] {
         &self.parts
-    }
-}
-
-/// Appends to `out` the distinct symbols of the range `[b, e)` of
-/// `ring`'s `L_s`, ascending, until `out` holds `cap` elements.
-fn list_subjects(ring: &Ring, (b, e): (usize, usize), cap: usize, out: &mut Vec<Id>) {
-    if out.len() < cap {
-        ring.l_s().range_symbols(b, e, &mut |s| {
-            out.push(s);
-            out.len() < cap
-        });
     }
 }
 
@@ -414,11 +396,6 @@ impl<'a> MergedView<'a> {
         }
     }
 
-    /// Whether this view merges more than the base ring's own data.
-    pub fn layered(&self) -> bool {
-        self.delta.is_some() || self.shards.is_some()
-    }
-
     /// The evaluation node universe.
     pub fn n_nodes(&self) -> Id {
         self.ring
@@ -442,7 +419,12 @@ impl<'a> MergedView<'a> {
         };
         match self.delta {
             None => ring_incidence > 0,
-            Some(d) => ring_incidence + d.added_incidence(v) > d.deleted_incidence(v),
+            // The adds are searched only if they can still change the
+            // answer: every traversal starts here, most of them short.
+            Some(d) => {
+                let deleted = d.deleted_incidence(v);
+                ring_incidence > deleted || ring_incidence + d.added_incidence(v) > deleted
+            }
         }
     }
 
@@ -465,59 +447,22 @@ impl<'a> MergedView<'a> {
         self.ring.contains(s, p, o)
     }
 
-    /// Replaces `out` with the distinct subjects of live edges
-    /// `(s, p, o)` — one merged backward step by predicate into object
-    /// `o`: ring subjects (tombstoned edges masked) plus delta adds,
-    /// sorted ascending.
-    pub fn subjects_into(&self, o: Id, p: Id, out: &mut Vec<Id>) {
-        out.clear();
-        if let Some(set) = self.shards {
-            return set.gather(p, usize::MAX, out, |r| {
-                r.backward_step_by_pred(r.object_range(o), p)
-            });
-        }
-        if o < self.ring.n_nodes() {
-            let r = self
-                .ring
-                .backward_step_by_pred(self.ring.object_range(o), p);
-            list_subjects(self.ring, r, usize::MAX, out);
-            if let Some(d) = self.delta {
-                if d.del_count_into(o, p) > 0 {
-                    out.retain(|&s| !d.del_contains(s, p, o));
-                }
-            }
-        }
-        if let Some(d) = self.delta {
-            let ring_len = out.len();
-            d.added_into(o, p, out);
-            if out.len() > ring_len {
-                out.sort_unstable();
-                out.dedup();
-            }
-        }
-    }
-
-    /// Replaces `out` with the distinct subjects that have at least one
-    /// live edge labeled `p`, sorted ascending. A ring subject whose
-    /// every `p`-edge is tombstoned is excluded.
-    pub fn subjects_of_pred(&self, p: Id, out: &mut Vec<Id>) {
-        self.first_subjects_of_pred(p, usize::MAX, out)
-    }
-
-    /// The first `cap` subjects of [`Self::subjects_of_pred`], listed at
-    /// their cost and not the label's — unless the delta holds tombstones
-    /// of `p`, which can take any listed subject away again.
+    /// Replaces `out` with the first `cap` distinct subjects that have at
+    /// least one live edge labeled `p`, ascending (a ring subject whose
+    /// every `p`-edge is tombstoned is excluded) — listed at their cost
+    /// and not the label's, unless the delta holds tombstones of `p`,
+    /// which can take any listed subject away again.
     pub fn first_subjects_of_pred(&self, p: Id, cap: usize, out: &mut Vec<Id>) {
         out.clear();
         if let Some(set) = self.shards {
-            return set.gather(p, cap, out, |r| r.pred_range(p));
+            return set.gather(p, cap, out);
         }
-        let (b, e) = self.ring.pred_range(p);
         let tombstoned = self.delta.is_some_and(|d| d.del_count_label(p) > 0);
         let ring_cap = if tombstoned { usize::MAX } else { cap };
-        list_subjects(self.ring, (b, e), ring_cap, out);
+        self.ring.label_subjects(p, ring_cap, out);
         if let Some(d) = self.delta {
-            if d.del_count_label(p) > 0 {
+            if tombstoned {
+                let (b, e) = self.ring.pred_range(p);
                 out.retain(|&s| {
                     // Cheap delta probe first: only tombstoned subjects
                     // pay the two wavelet ranks.
@@ -540,9 +485,197 @@ impl<'a> MergedView<'a> {
     }
 }
 
+/// The pseudo-part of subjects part one listed itself: a delta's adds
+/// into an item.
+const LISTED: u32 = u32::MAX;
+
+/// What a layered source keeps of a chunk between part one and part two.
+#[derive(Default)]
+pub(crate) struct LayeredWork {
+    /// Per work item: its object, its label, and whether the delta holds
+    /// tombstones that can take swept subjects away.
+    keys: Vec<(Id, Label, bool)>,
+    /// `(part, work item, range)`: a range of the part's `L_s`, or of
+    /// `listed` for [`LISTED`].
+    ranges: Vec<(u32, u32, (usize, usize))>,
+    /// Subjects part one listed itself.
+    listed: Vec<Id>,
+}
+
+impl LayeredWork {
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.ranges.clear();
+        self.listed.clear();
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.keys.capacity() * size_of::<(Id, Label, bool)>()
+            + self.ranges.capacity() * size_of::<(u32, u32, (usize, usize))>()
+            + self.listed.capacity() * size_of::<Id>()
+    }
+}
+
+/// The layered instantiation: every step is taken in each shard that
+/// owns the label — batched over the chunk, as on a bare ring — and the
+/// per-shard answers are merged; a delta's adds join the same merge and
+/// its tombstones are filtered out of it. Work items and subject lists
+/// come out exactly as one ring over the merged triples would give them.
+impl StepSource for MergedView<'_> {
+    fn ring(&self) -> &Ring {
+        self.ring
+    }
+
+    fn n_nodes(&self) -> Id {
+        MergedView::n_nodes(self)
+    }
+
+    fn node_exists(&self, v: Id) -> bool {
+        MergedView::node_exists(self, v)
+    }
+
+    fn has_edge(&self, s: Id, p: Label, o: Id) -> bool {
+        MergedView::has_edge(self, s, p, o)
+    }
+
+    fn label_subjects(&self, p: Label, cap: usize, out: &mut Vec<Id>) {
+        self.first_subjects_of_pred(p, cap, out)
+    }
+
+    /// One `D[s]` cell per graph node, no internal nodes to prune by.
+    fn prepare(&self, _: &BitParallel, _: &mut EpochArray) -> VisitedLayout<'_> {
+        VisitedLayout {
+            base: 0,
+            len: MergedView::n_nodes(self) as usize,
+            tree: None,
+        }
+    }
+
+    /// One batched backward step per firing label and owner, then the
+    /// hits regrouped item by item and the owners' ranges of one `(item,
+    /// label)` folded into one work item.
+    fn fire(&self, firing: &Firing<'_>, chunk: &[(Id, u64)], x: &mut ChunkExpansion) {
+        x.begin();
+        let union_d = chunk.iter().fold(0, |all, &(_, d)| all | d);
+        let adds = self.delta.filter(|d| d.n_adds() > 0);
+        let dels = self.delta.filter(|d| d.n_dels() > 0);
+        for &(label, bmask) in firing.labels.iter().filter(|l| l.1 & union_d != 0) {
+            // Every ring holding the label: the owners the routing table
+            // names (each noted as probed), or the one ring.
+            match self.shards {
+                None => x.step_hits((0, self.ring), (label, bmask), chunk),
+                Some(set) => set.owners(label).for_each(|i| {
+                    set[i].note_probe();
+                    x.step_hits((i as u32, &set[i].ring), (label, bmask), chunk)
+                }),
+            }
+            if let Some(delta) = adds {
+                let listed = &mut x.layered.listed;
+                let firing_from = chunk.iter().enumerate().filter(|(_, it)| it.1 & bmask != 0);
+                for (item, &(o, d)) in firing_from {
+                    let before = listed.len();
+                    delta.added_into(o, label, listed);
+                    if listed.len() > before {
+                        x.hits.push(Hit {
+                            item: item as u32,
+                            part: LISTED,
+                            label,
+                            range: (before, listed.len()),
+                            d: d & bmask,
+                        });
+                    }
+                }
+            }
+        }
+
+        // The hits arrived label by label; the stable sort leaves each
+        // item's label by label still, a label's owner by owner.
+        x.hits.sort_by_key(|hit| hit.item);
+        let mut hits = x.hits.iter().peekable();
+        for (item, &(o, _)) in chunk.iter().enumerate() {
+            while let Some(&&first) = hits.peek().filter(|hit| hit.item as usize == item) {
+                let (work, first_range) = (x.work_d.len() as u32, x.layered.ranges.len());
+                let mut edges = 0;
+                let same = |hit: &&Hit| (hit.item, hit.label) == (first.item, first.label);
+                while let Some(hit) = hits.next_if(same) {
+                    edges += hit.range.1 - hit.range.0;
+                    x.layered.ranges.push((hit.part, work, hit.range));
+                }
+                // Tombstones are of ring edges, adds are not in the ring:
+                // the work item stands while live edges remain.
+                let deleted = dels.map_or(0, |d| d.del_count_into(o, first.label));
+                if edges > deleted {
+                    x.work_d.push(firing.back(first.d));
+                    x.layered.keys.push((o, first.label, deleted > 0));
+                } else {
+                    x.layered.ranges.truncate(first_range);
+                }
+            }
+            x.item_end.push(x.work_d.len());
+        }
+    }
+
+    /// One sweep of `L_s` per part that holds ranges; the answers of
+    /// several parts, and a delta's adds, are merged subject by subject.
+    fn subjects(&self, visited: Option<Visited<'_>>, x: &mut ChunkExpansion) {
+        x.candidates.clear();
+        let n_work = x.work_d.len();
+        // Whether `candidates` holds more than one sorted run.
+        let (mut swept, mut merge) = (false, false);
+        for part in 0..self.shards.map_or(1, |set| set.len()) as u32 {
+            x.ranges.clear();
+            x.ranges.resize(n_work, (0, 0));
+            let mut any = false;
+            for &(of, work, range) in &x.layered.ranges {
+                if of == part && x.work_d[work as usize] != 0 {
+                    x.ranges[work as usize] = range;
+                    any = true;
+                }
+            }
+            if any {
+                let before = x.candidates.len();
+                let ring = self
+                    .shards
+                    .map_or(self.ring, |set| &set[part as usize].ring);
+                x.sweep_subjects(ring.l_s(), visited);
+                if x.candidates.len() > before {
+                    merge |= swept;
+                    swept = true;
+                }
+            }
+        }
+        let keys = &x.layered.keys;
+        if let Some(delta) = self.delta.filter(|_| keys.iter().any(|key| key.2)) {
+            x.candidates.retain(|&(work, s)| match keys[work as usize] {
+                (_, _, false) => true,
+                (o, p, true) => !delta.del_contains(s, p, o),
+            });
+        }
+        for &(part, work, (b, e)) in &x.layered.ranges {
+            if part == LISTED && x.work_d[work as usize] != 0 {
+                // (Not read against `visited`: the replay's leaf filter is
+                // exact, and a delta's adds are few.)
+                let listed = &x.layered.listed[b..e];
+                x.candidates.extend(listed.iter().map(|&s| (work, s)));
+                merge = true;
+            }
+        }
+        if merge {
+            // The stable sort finds the runs and merges them. A subject
+            // can source the label in several shards, or in the ring and
+            // the adds both.
+            x.candidates.sort_by_key(|&(work, s)| (s, work));
+            x.candidates.dedup();
+        }
+        x.group_candidates();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::step_label;
     use ring::ring::RingOptions;
     use ring::{Graph, Triple};
 
@@ -563,22 +696,21 @@ mod tests {
     fn merged_steps_mask_deletes_and_add_edges() {
         let (ring, delta) = fixture();
         let v = MergedView::from_parts(&ring, Some(&delta));
-        let mut out = Vec::new();
+        let (mut x, mut out) = (ChunkExpansion::default(), Vec::new());
         // Into node 2 by a: ring gives {1}, tombstoned; delta adds {0}.
-        v.subjects_into(2, 0, &mut out);
-        assert_eq!(out, vec![0]);
+        step_label(&v, 0, &[(2, 1)], &mut x);
+        assert_eq!(x.subjects, vec![0]);
         // Into node 0 by b: ring {2} plus delta {4}.
-        v.subjects_into(0, 1, &mut out);
-        assert_eq!(out, vec![2, 4]);
+        step_label(&v, 1, &[(0, 1)], &mut x);
+        assert_eq!(x.subjects, vec![2, 4]);
         // Inverse direction: subjects of ^b into 4 is {0}.
-        let bi = ring.inverse_label(1);
-        v.subjects_into(4, bi, &mut out);
-        assert_eq!(out, vec![0]);
+        step_label(&v, ring.inverse_label(1), &[(4, 1)], &mut x);
+        assert_eq!(x.subjects, vec![0]);
         // Sources of a: ring {0, 1}, but 1 lost its only a-edge.
-        v.subjects_of_pred(0, &mut out);
+        v.first_subjects_of_pred(0, usize::MAX, &mut out);
         assert_eq!(out, vec![0]);
         // Sources of b: ring {2} plus delta {4}.
-        v.subjects_of_pred(1, &mut out);
+        v.first_subjects_of_pred(1, usize::MAX, &mut out);
         assert_eq!(out, vec![2, 4]);
         assert!(v.has_edge(0, 0, 2));
         assert!(!v.has_edge(1, 0, 2));
@@ -591,9 +723,9 @@ mod tests {
     fn delta_free_view_matches_the_ring() {
         let (ring, _) = fixture();
         let v = MergedView::ring_only(&ring);
-        let mut out = Vec::new();
-        v.subjects_into(2, 0, &mut out);
-        assert_eq!(out, vec![1]);
+        let mut x = ChunkExpansion::default();
+        step_label(&v, 0, &[(2, 1)], &mut x);
+        assert_eq!(x.subjects, vec![1]);
         assert!(v.node_exists(0));
         assert!(!v.node_exists(4));
         assert_eq!(v.n_nodes(), 3);

@@ -26,6 +26,7 @@ use crate::engine::RpqEngine;
 use crate::pairbuf::PairBuffer;
 use crate::plan::PreparedQuery;
 use crate::query::{EngineOptions, QueryOutput, Term};
+use crate::step::{step_label, ChunkExpansion, StepSource};
 use crate::QueryError;
 
 /// A split of a top-level concatenation `E = prefix / label / suffix`
@@ -100,12 +101,13 @@ pub fn evaluate_split(
     opts: &EngineOptions,
 ) -> Result<QueryOutput, QueryError> {
     let deadline = opts.timeout.map(|t| Instant::now() + t);
-    evaluate_split_in(&mut RpqEngine::new(ring), split, opts, deadline)
+    evaluate_split_in(&mut RpqEngine::new(ring), ring, split, opts, deadline)
 }
 
 /// Evaluates a split on the caller's engine, enumerating the label's
-/// edges and completing both sides with anchored sub-queries, caching
-/// per-endpoint sub-results.
+/// edges off `src` — the step source the engine evaluates over — and
+/// completing both sides with anchored sub-queries, caching per-endpoint
+/// sub-results.
 ///
 /// Budgets are cumulative: each sub-query runs under the node budget the
 /// previous ones left over, and `deadline` (derived once from
@@ -117,8 +119,9 @@ pub fn evaluate_split(
 /// Produces exactly the default engine's answer set when no run hits a
 /// limit; under truncation the strategies keep different (equally valid)
 /// subsets of the answer set, with the same flags raised.
-pub(crate) fn evaluate_split_in(
+pub(crate) fn evaluate_split_in<S: StepSource + ?Sized>(
     engine: &mut RpqEngine<'_>,
+    src: &S,
     split: &Split,
     opts: &EngineOptions,
     deadline: Option<Instant>,
@@ -150,19 +153,11 @@ pub(crate) fn evaluate_split_in(
         ..*opts
     };
 
-    // Enumerate the split label's edges (u, p, v) — through the merged
-    // view whenever the engine's source carries a delta overlay or shard
-    // parts beyond the base ring.
-    let view = engine.view();
-    let delta = engine.layered();
+    // Enumerate the split label's edges (u, p, v): its subjects, then
+    // per subject u the subjects of p̂ into u.
     let mut subjects: Vec<Id> = Vec::new();
-    if delta {
-        view.subjects_of_pred(split.label, &mut subjects);
-    } else {
-        let (b, e) = ring.pred_range(split.label);
-        ring.l_s()
-            .range_distinct(b, e, &mut |u, _, _| subjects.push(u));
-    }
+    src.label_subjects(split.label, usize::MAX, &mut subjects);
+    let mut step = ChunkExpansion::default();
 
     'outer: for u in subjects {
         if let Some(dl) = deadline {
@@ -195,19 +190,9 @@ pub(crate) fn evaluate_split_in(
             continue;
         }
 
-        // Objects v of (u, p, v): narrow the label's L_s block to u's
-        // occurrences; the backward step lands on their objects in L_o.
-        // With a delta, objects are the live subjects of p̂ into u.
-        let mut objects: Vec<Id> = Vec::new();
-        if delta {
-            view.subjects_into(u, ring.inverse_label(split.label), &mut objects);
-        } else {
-            let vr = ring.backward_step_by_subject(ring.pred_range(split.label), u);
-            ring.l_o()
-                .range_distinct(vr.0, vr.1, &mut |v, _, _| objects.push(v));
-        }
-
-        for v in objects {
+        // Objects v of (u, p, v): the subjects of p̂ into u.
+        step_label(src, inv(split.label), &[(u, 1)], &mut step);
+        for &v in &step.subjects {
             if out.budget_exhausted || out.timed_out {
                 break 'outer;
             }

@@ -10,8 +10,14 @@
 //! snapshot — through **all four forced evaluation routes** plus the
 //! planner's natural choice — and every answer must be byte-identical
 //! (sorted) to `evaluate_naive` over a graph rebuilt from scratch from
-//! the mirror. Mid-batch queries additionally pin snapshot isolation:
-//! uncommitted operations are invisible.
+//! the mirror — and, pair stream and product-graph counters included, to
+//! the engine over a ring rebuilt from that graph: ring + delta and the
+//! rebuilt ring are two step sources under one traversal. Mid-batch
+//! queries additionally pin snapshot isolation: uncommitted operations
+//! are invisible.
+//!
+//! `RPQ_TEST_THREADS` (comma-separated) overrides the intra-query thread
+//! counts the snapshot engines run under, as in `differential.rs`.
 //!
 //! Coverage: 5 fixed seed bases × 40 derived interleavings = 200
 //! deterministic interleavings (plus an extra base from `RPQ_TEST_SEED`,
@@ -25,7 +31,7 @@ use ring::ring::RingOptions;
 use ring::store::TripleStore;
 use ring::{Graph, Ring, Triple};
 use rpq_core::oracle::evaluate_naive;
-use rpq_core::{EngineOptions, EvalRoute, RpqEngine, RpqQuery};
+use rpq_core::{EngineOptions, EvalRoute, QueryOutput, RpqEngine, RpqQuery, TripleSource};
 use succinct::io::Persist;
 use workload::updates::{apply_op, StreamOp, UpdateGen, UpdateGenConfig};
 use workload::{GraphGen, GraphGenConfig, QueryGen};
@@ -38,17 +44,33 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Evaluates `query` on the store snapshot through one route choice.
+/// Intra-query thread counts the snapshot engines run under; the
+/// rebuilt ring they are compared with runs at one thread.
+fn test_threads() -> Vec<usize> {
+    match std::env::var("RPQ_TEST_THREADS") {
+        Ok(v) => v
+            .split(',')
+            .filter_map(|s| s.trim().parse::<usize>().ok())
+            .filter(|&t| t > 0)
+            .collect(),
+        Err(_) => vec![1, 4],
+    }
+}
+
+/// Evaluates `query` over `source` through one route choice.
 fn run_route(
-    snap: &ring::store::StoreSnapshot,
+    source: &(impl TripleSource + ?Sized),
     query: &RpqQuery,
     forced: Option<EvalRoute>,
-) -> Vec<(u64, u64)> {
+    threads: usize,
+) -> QueryOutput {
     let opts = EngineOptions {
         forced_route: forced,
+        intra_query_threads: threads,
+        parallel_min_frontier: if threads > 1 { 2 } else { 2048 },
         ..EngineOptions::default()
     };
-    let mut engine = RpqEngine::over(snap);
+    let mut engine = RpqEngine::over(source);
     let out = engine
         .evaluate(query, &opts)
         .unwrap_or_else(|e| panic!("engine failed on {query:?} (forced {forced:?}): {e}"));
@@ -56,7 +78,7 @@ fn run_route(
         !out.truncated && !out.timed_out && !out.budget_exhausted,
         "unexpected limit on {query:?}"
     );
-    out.sorted_pairs()
+    out
 }
 
 /// Oracle graph for the committed mirror, aligned to the snapshot's id
@@ -84,6 +106,11 @@ fn check_snapshot(
         return;
     }
     let base = oracle_graph(snap, committed);
+    let rebuilt = Ring::build(&base, RingOptions::default());
+    let counters = |out: &QueryOutput| {
+        let s = &out.stats;
+        (s.product_nodes, s.product_edges, s.bfs_steps, s.reported)
+    };
     let mut qgen = QueryGen::new(&base, seed);
     let routes = [
         None,
@@ -99,13 +126,29 @@ fn check_snapshot(
     for gq in picks.map(|i| log[i].clone()) {
         let expected = evaluate_naive(&base, &gq.query);
         for forced in routes {
-            let got = run_route(snap, &gq.query, forced);
-            assert_eq!(
-                got, expected,
-                "{context}: route {forced:?} diverged from the rebuild oracle on \
-                 pattern {:?} ({:?})",
-                gq.pattern, gq.query
-            );
+            let want = run_route(&rebuilt, &gq.query, forced, 1);
+            for threads in test_threads() {
+                let what = format!(
+                    "{context}: route {forced:?}, {threads} threads, pattern {:?} ({:?})",
+                    gq.pattern, gq.query
+                );
+                let got = run_route(snap, &gq.query, forced, threads);
+                assert_eq!(
+                    got.sorted_pairs(),
+                    expected,
+                    "{what}: diverged from the rebuild oracle"
+                );
+                assert_eq!(
+                    got.pairs, want.pairs,
+                    "{what}: raw pair stream diverged from the rebuilt ring"
+                );
+                assert_eq!(
+                    counters(&got),
+                    counters(&want),
+                    "{what}: (product_nodes, product_edges, bfs_steps, reported) diverged \
+                     from the rebuilt ring"
+                );
+            }
         }
     }
 }

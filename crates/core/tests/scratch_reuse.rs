@@ -190,8 +190,9 @@ fn one_scratch_through_every_kind_of_source_matches_fresh_engines() {
 }
 
 /// `working_space_bytes` reports the tables the routes run so far have
-/// allocated: `B[v]` and `D[v]` on a pure ring, the per-node masks alone
-/// on a delta or sharded source, nothing before the first traversal.
+/// allocated — `B[v]` and `D[v]` on a pure ring, the per-node masks alone
+/// on a delta or sharded source, nothing before the first traversal —
+/// plus, on every source, the buffers of the one traversal.
 #[test]
 fn working_space_counts_the_tables_actually_allocated() {
     // 8 bytes of value and 4 of stamp per mask cell.
@@ -223,6 +224,7 @@ fn working_space_counts_the_tables_actually_allocated() {
         "{pure_bytes} B must cover both wavelet-node tables ({wavelet_tables} B) and the \
          traversal buffers"
     );
+    assert_eq!(pure.into_scratch().table_bytes(), wavelet_tables);
 
     let store = TripleStore::new(graph.clone()).with_auto_compact_ratio(None);
     store.insert(Triple::new(80, 0, 3));
@@ -230,10 +232,12 @@ fn working_space_counts_the_tables_actually_allocated() {
     let snapshot = store.snapshot();
     let mut layered = RpqEngine::over(&*snapshot);
     layered.evaluate(&closure, &bit_parallel).unwrap();
+    let per_node = CELL * snapshot.n_nodes() as usize;
+    assert!(layered.working_space_bytes() > per_node);
     assert_eq!(
-        layered.working_space_bytes(),
-        CELL * snapshot.n_nodes() as usize,
-        "a delta source allocates the per-node masks and nothing else"
+        layered.into_scratch().table_bytes(),
+        per_node,
+        "a delta source allocates the per-node masks and no other table"
     );
 
     let sharded = ShardedSource::new(
@@ -245,9 +249,11 @@ fn working_space_counts_the_tables_actually_allocated() {
     );
     let mut gathered = RpqEngine::over(&sharded);
     gathered.evaluate(&closure, &bit_parallel).unwrap();
+    let per_node = CELL * ring.n_nodes() as usize;
+    assert!(gathered.working_space_bytes() > per_node);
     assert_eq!(
-        gathered.working_space_bytes(),
-        CELL * ring.n_nodes() as usize,
-        "a sharded source allocates the per-node masks and nothing else"
+        gathered.into_scratch().table_bytes(),
+        per_node,
+        "a sharded source allocates the per-node masks and no other table"
     );
 }

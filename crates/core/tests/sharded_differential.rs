@@ -1,9 +1,13 @@
 //! Sharded differential suite: a [`ShardedSource`] scatter-gathering a
 //! predicate-partitioned [`ShardedIndex`] must be **bit-identical** to
 //! the unsharded ring — same sorted answers (equal to the naive oracle),
-//! same raw pair stream, same traces and truncation points, same plans —
-//! under every forced route, every shard count, and both residency modes
-//! of the on-disk `RRPQSH01` directory.
+//! same raw pair stream, same traces, truncation points and product-graph
+//! counters, same plans — under every forced route, every shard count,
+//! every intra-query thread count, and both residency modes of the
+//! on-disk `RRPQSH01` directory.
+//!
+//! `RPQ_TEST_THREADS` (comma-separated) overrides the thread counts,
+//! matching the other differential suites.
 
 use std::sync::Arc;
 
@@ -17,6 +21,29 @@ use rpq_core::{EngineOptions, EvalRoute, RpqEngine, RpqQuery, ShardedSource, Ter
 use workload::{GraphGen, GraphGenConfig, QueryGen};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// Intra-query thread counts the sharded engines run under; the
+/// unsharded side of every comparison runs at one thread.
+fn test_threads() -> Vec<usize> {
+    match std::env::var("RPQ_TEST_THREADS") {
+        Ok(v) => v
+            .split(',')
+            .filter_map(|s| s.trim().parse::<usize>().ok())
+            .filter(|&t| t > 0)
+            .collect(),
+        Err(_) => vec![1, 4],
+    }
+}
+
+/// `opts` at `threads` intra-query threads, fanning out from the
+/// smallest frontier when there is more than one.
+fn at_threads(opts: EngineOptions, threads: usize) -> EngineOptions {
+    EngineOptions {
+        intra_query_threads: threads,
+        parallel_min_frontier: if threads > 1 { 2 } else { 2048 },
+        ..opts
+    }
+}
 
 fn star(l: u64) -> Regex {
     Regex::Star(Box::new(Regex::label(l)))
@@ -90,25 +117,28 @@ fn every_forced_route_is_bit_identical_across_shard_counts() {
                         forced_route: Some(forced),
                         ..EngineOptions::default()
                     };
-                    let out = engine
-                        .evaluate(&query, &opts)
-                        .unwrap_or_else(|e| panic!("{n_shards} shards, {forced:?}: {e}"));
-                    assert_eq!(
-                        out.sorted_pairs(),
-                        expected,
-                        "{n_shards} shards: forced {forced:?} disagrees with the oracle on {query:?}"
-                    );
                     let base_out = base.evaluate(&query, &opts).unwrap();
-                    assert_eq!(
-                        out.pairs, base_out.pairs,
-                        "{n_shards} shards: raw pair stream diverges from unsharded on {query:?} ({forced:?})"
-                    );
-                    assert_eq!(
-                        out.plan.as_ref().map(|p| p.route),
-                        base_out.plan.as_ref().map(|p| p.route),
-                        "{n_shards} shards: executed route diverges on {query:?}"
-                    );
-                    checked += 1;
+                    for threads in test_threads() {
+                        let what = format!("{n_shards} shards, {threads} threads, {forced:?}");
+                        let out = engine
+                            .evaluate(&query, &at_threads(opts, threads))
+                            .unwrap_or_else(|e| panic!("{what}: {e}"));
+                        assert_eq!(
+                            out.sorted_pairs(),
+                            expected,
+                            "{what}: disagrees with the oracle on {query:?}"
+                        );
+                        assert_eq!(
+                            out.pairs, base_out.pairs,
+                            "{what}: raw pair stream diverges from unsharded on {query:?}"
+                        );
+                        assert_eq!(
+                            out.plan.as_ref().map(|p| p.route),
+                            base_out.plan.as_ref().map(|p| p.route),
+                            "{what}: executed route diverges on {query:?}"
+                        );
+                        checked += 1;
+                    }
                 }
             }
         }
@@ -150,81 +180,89 @@ fn natural_plans_are_partition_independent() {
     }
 }
 
-/// Traces and truncation points are part of the partition-independence
-/// contract: every merged enumeration primitive returns sorted-distinct
-/// nodes, so the BFS visit sequence and the exact prefix surviving a
+/// Traces, truncation points and the product-graph counters are part of
+/// the partition-independence contract: every step primitive returns its
+/// work items label-ascending and their subjects sorted-distinct, so the
+/// BFS visit sequence, what it counts, and the exact prefix surviving a
 /// result limit cannot depend on how the triples were partitioned — and
-/// both equal the unsharded engine's. The wavelet-batched and the merged
-/// kernel visit labels and subjects in the same ascending order, from
-/// the same level-one set (a full-range start seeds the merged kernel by
-/// predicate), so anchored and variable-to-variable queries, nullable or
-/// not, leave the same trace and keep the same pairs under a limit.
-///
-/// One case still differs, in the pairs kept only: the variable-to-
-/// variable shapes of the §5 fast path. Over a bare ring it tests the
-/// limit once per batch of subjects, through the merged view once per
-/// subject, so the two stop at different (equally valid) points; there
-/// the pairs are compared across shard counts alone. (Shard count 1
-/// degenerates to the pure path and is excluded.)
+/// all equal the unsharded engine's, on every route and thread count:
+/// one traversal and one set of §5 joins run over both, testing the limit
+/// at the same points. (Shard count 1 is the bare ring and is excluded.)
 #[test]
-fn traces_and_truncation_points_are_partition_independent() {
+fn traces_counters_and_truncation_points_are_partition_independent() {
     let graph = workload_graph(0x7ACE);
     let ring = Ring::build(&graph, RingOptions::default());
     let mut base = RpqEngine::new(&ring);
     let mut truncations = 0usize;
-    let mut against_unsharded = 0usize;
     let traced = EngineOptions {
         collect_trace: true,
         ..EngineOptions::default()
     };
+    let counters = |out: &rpq_core::QueryOutput| {
+        let s = &out.stats;
+        (s.product_nodes, s.product_edges, s.bfs_steps, s.reported)
+    };
     for query in corpus(&graph, 45) {
-        let base_trace = base.evaluate(&query, &traced).unwrap().trace;
+        for forced in [None, Some(EvalRoute::BitParallel)] {
+            let traced = EngineOptions {
+                forced_route: forced,
+                ..traced
+            };
+            let base_out = base.evaluate(&query, &traced).unwrap();
+            for n_shards in [2usize, 4, 8] {
+                let source = sharded_source(&graph, n_shards);
+                let mut engine = RpqEngine::over(&source);
+                for threads in test_threads() {
+                    let what = format!("{n_shards} shards, {threads} threads, forced {forced:?}");
+                    let out = engine
+                        .evaluate(&query, &at_threads(traced, threads))
+                        .unwrap();
+                    assert_eq!(
+                        out.trace, base_out.trace,
+                        "{what}: BFS trace diverges from unsharded on {query:?}"
+                    );
+                    assert_eq!(
+                        counters(&out),
+                        counters(&base_out),
+                        "{what}: (product_nodes, product_edges, bfs_steps, reported) diverge \
+                         from unsharded on {query:?}"
+                    );
+                }
+            }
+        }
         for limit in [1usize, 5, 64] {
             let limited = EngineOptions {
                 limit,
                 ..EngineOptions::default()
             };
             let base_out = base.evaluate(&query, &limited).unwrap();
-            let batched_limit_checks = query.is_var_to_var()
-                && base_out.plan.as_ref().map(|p| p.route) == Some(EvalRoute::FastPath);
-            let mut previous: Option<(usize, Vec<(u64, u64)>)> = None;
             for n_shards in [2usize, 4, 8] {
                 let source = sharded_source(&graph, n_shards);
                 let mut engine = RpqEngine::over(&source);
-                let trace = engine.evaluate(&query, &traced).unwrap().trace;
-                assert_eq!(
-                    trace, base_trace,
-                    "{n_shards} shards: BFS trace diverges from unsharded on {query:?}"
-                );
-                let out = engine.evaluate(&query, &limited).unwrap();
-                assert_eq!(
-                    out.truncated, base_out.truncated,
-                    "{n_shards} shards, limit {limit}: truncated flag diverges on {query:?}"
-                );
-                truncations += usize::from(out.truncated);
-                if !batched_limit_checks {
+                for threads in test_threads() {
+                    let what = format!("{n_shards} shards, {threads} threads, limit {limit}");
+                    let out = engine
+                        .evaluate(&query, &at_threads(limited, threads))
+                        .unwrap();
+                    assert_eq!(
+                        out.truncated, base_out.truncated,
+                        "{what}: truncated flag diverges on {query:?}"
+                    );
+                    truncations += usize::from(out.truncated);
                     assert_eq!(
                         out.pairs, base_out.pairs,
-                        "{n_shards} shards, limit {limit}: truncation point diverges from \
-                         unsharded on {query:?}"
+                        "{what}: truncation point diverges from unsharded on {query:?}"
                     );
-                    against_unsharded += usize::from(out.truncated);
-                }
-                if let Some((n_prev, pairs_prev)) = &previous {
                     assert_eq!(
-                        &out.pairs, pairs_prev,
-                        "limit {limit}: truncation point depends on the partition ({n_prev} vs \
-                         {n_shards} shards) on {query:?}"
+                        counters(&out),
+                        counters(&base_out),
+                        "{what}: counters diverge from unsharded on {query:?}"
                     );
                 }
-                previous = Some((n_shards, out.pairs));
             }
         }
     }
-    assert!(
-        truncations > 0 && against_unsharded > 0,
-        "the limits never bit — fixture too small"
-    );
+    assert!(truncations > 0, "the limits never bit — fixture too small");
 }
 
 /// Shard counts exceeding the partition's unit count leave some shards
