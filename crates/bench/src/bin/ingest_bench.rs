@@ -45,7 +45,11 @@ fn rss_kb() -> u64 {
 
 /// Writes `n` pseudo-random triples as N-Triples lines: `nodes = n/10`
 /// subjects/objects, 32 predicates with trailing-zero skew (predicate 0
-/// carries half the dump, like a Wikidata top property).
+/// carries half the dump, like a Wikidata top property). One object in
+/// eight is a literal — plain, `@en` or `^^<…#date>` by turns, one in
+/// 256 of them with escapes — so the dump exercises the literal paths of
+/// the scanner the way a truthy dump does (about half of whose objects
+/// are literals).
 fn generate_dump(path: &Path, n: u64) -> std::io::Result<()> {
     let n_nodes = (n / 10).max(16);
     let mut w = std::io::BufWriter::with_capacity(1 << 20, std::fs::File::create(path)?);
@@ -61,7 +65,25 @@ fn generate_dump(path: &Path, n: u64) -> std::io::Result<()> {
         let o = next() % n_nodes;
         let r = next();
         let p = if r % 2 == 0 { 0 } else { 1 + (r >> 1) % 31 };
-        writeln!(w, "<http://g/n{s}> <http://g/p{p}> <http://g/n{o}> .")?;
+        write!(w, "<http://g/n{s}> <http://g/p{p}> ")?;
+        let l = next();
+        if l % 8 != 0 {
+            writeln!(w, "<http://g/n{o}> .")?;
+        } else if (l >> 3) % 256 == 0 {
+            writeln!(w, "\"item \\\"{o}\\\" of\\t{n_nodes}\\n\" .")?;
+        } else {
+            match (l >> 11) % 3 {
+                0 => writeln!(w, "\"item {o}\" .")?,
+                1 => writeln!(w, "\"item {o}\"@en .")?,
+                _ => writeln!(
+                    w,
+                    "\"{}-{:02}-{:02}\"^^<http://www.w3.org/2001/XMLSchema#date> .",
+                    1900 + o % 120,
+                    1 + o % 12,
+                    1 + o % 28
+                )?,
+            }
+        }
     }
     w.flush()
 }
@@ -237,14 +259,27 @@ fn main() {
     eprintln!("  generated {dump_bytes} bytes in {gen_ms:.0} ms");
 
     let t = Instant::now();
-    let (graph, nodes, preds) = ingest::load_ntriples_file(&dump).expect("streaming parse");
+    let ((graph, nodes, preds), ingest_phases) =
+        ingest::load_ntriples_file_timed(&dump).expect("streaming parse");
     let parse_ms = t.elapsed().as_secs_f64() * 1000.0;
+    let parse_mb_per_s = dump_bytes as f64 / 1e6 / (parse_ms / 1000.0);
     let parsed_triples = graph.len() as u64;
     eprintln!(
-        "  parsed {} distinct triples ({} nodes, {} preds) in {parse_ms:.0} ms",
+        "  parsed {} distinct triples ({} nodes, {} preds) in {parse_ms:.0} ms ({parse_mb_per_s:.0} MB/s)",
         graph.len(),
         nodes.len(),
         preds.len()
+    );
+    let ingest::IngestTimings {
+        read_s,
+        scan_s,
+        merge_s,
+        sort_s,
+        threads: ingest_threads,
+    } = ingest_phases;
+    eprintln!(
+        "  ingest phases: read {read_s:.3} s, scan {scan_s:.3} s, merge {merge_s:.3} s, \
+         sort {sort_s:.3} s (wall clock of the calling thread; scans on {ingest_threads} thread(s))"
     );
 
     let t = Instant::now();
@@ -376,7 +411,9 @@ fn main() {
     let json = format!(
         "{{\"quick\":{quick},\"host_threads\":{host_threads},\"triples_requested\":{n_triples},\"triples_parsed\":{parsed_triples},\
 \"triples_indexed\":{indexed_triples},\"dump_bytes\":{dump_bytes},\"gen_ms\":{gen_ms:.1},\
-\"parse_ms\":{parse_ms:.1},\"build_ms\":{build_ms:.1},\"construct_ms\":{:.1},\
+\"parse_ms\":{parse_ms:.1},\"parse_mb_per_s\":{parse_mb_per_s:.1},\"read_s\":{read_s:.3},\
+\"scan_s\":{scan_s:.3},\"merge_s\":{merge_s:.3},\"sort_s\":{sort_s:.3},\
+\"ingest_threads\":{ingest_threads},\"build_ms\":{build_ms:.1},\"construct_ms\":{:.1},\
 \"rss_after_build_kb\":{rss_after_build_kb},\"save_stream_ms\":{save_stream_ms:.1},\
 \"save_mapped_ms\":{save_mapped_ms:.1},\"stream_bytes\":{stream_bytes},\
 \"mapped_bytes\":{mapped_bytes},\"cold_open_stream_us\":{:.1},\"cold_open_heap_us\":{:.1},\

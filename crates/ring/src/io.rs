@@ -154,13 +154,14 @@ impl Persist for Dict {
     fn read_payload(r: &mut impl Read) -> io::Result<Self> {
         let n = read_len(r, MAX_LEN)?;
         let mut d = Dict::new();
+        let mut buf = Vec::new();
         for i in 0..n {
             let len = read_len(r, 1 << 24)?;
-            let mut buf = vec![0u8; len];
+            buf.resize(len, 0);
             r.read_exact(&mut buf)?;
             let name =
-                String::from_utf8(buf).map_err(|_| bad_data("dictionary name is not UTF-8"))?;
-            let id = d.intern(&name);
+                std::str::from_utf8(&buf).map_err(|_| bad_data("dictionary name is not UTF-8"))?;
+            let id = d.intern(name);
             if id != i as u64 {
                 return Err(bad_data("duplicate dictionary name"));
             }

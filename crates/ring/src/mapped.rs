@@ -202,9 +202,9 @@ fn write_dict<W: Write>(w: &mut SectionWriter<W>, d: &Dict) -> io::Result<()> {
     let (blob, offsets, order) = d.to_mapped_parts();
     w.u64(order.len() as u64)?;
     w.u64(blob.len() as u64)?;
-    w.u64s(&offsets)?;
+    w.u64s(offsets)?;
     w.u64s(&order)?;
-    w.bytes(&blob)?;
+    w.bytes(blob)?;
     w.pad()
 }
 

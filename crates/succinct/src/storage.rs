@@ -104,6 +104,21 @@ impl<T: Pod> Slab<T> {
         }
     }
 
+    /// Appends a run of elements. Only owned slabs grow.
+    ///
+    /// # Panics
+    /// Panics on a mapped slab (mapped structures are immutable).
+    pub fn extend_from_slice(&mut self, xs: &[T]) {
+        match &mut self.backing {
+            Backing::Owned(v) => {
+                v.extend_from_slice(xs);
+                self.ptr = v.as_ptr();
+                self.len = v.len();
+            }
+            Backing::Mapped(_) => panic!("cannot grow a mapped slab"),
+        }
+    }
+
     /// Reserves capacity for `additional` more elements. Only owned
     /// slabs grow.
     ///
@@ -215,6 +230,8 @@ mod tests {
         }
         assert_eq!(s.len(), 1003);
         assert_eq!(s[1002], 999);
+        s.extend_from_slice(&[5; 3000]);
+        assert_eq!((s.len(), s[1002], s[4002]), (4003, 999, 5));
         let c = s.clone();
         assert_eq!(c, s);
         s.as_mut_slice()[0] = 7;

@@ -1,6 +1,6 @@
 //! Small utilities shared across the workspace: a fast hasher for integer
-//! keys and an epoch-stamped array realizing constant-time lazy
-//! initialization.
+//! keys and byte strings, and an epoch-stamped array realizing
+//! constant-time lazy initialization.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -8,6 +8,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// The FxHash multiplication-based hasher (as used by rustc). The paper's
 /// duplicate-elimination sets (`std::unordered_set` in C++) are hot; the
 /// default SipHash is needlessly slow for `u64` keys.
+///
+/// A byte slice is folded eight bytes a step, and its last step carries
+/// the slice's length, so slices that differ only in trailing zero bytes
+/// or in length hash apart. The hash of a slice is a detail of this
+/// implementation: nothing persisted or printed may depend on it, nor on
+/// the iteration order of an [`FxHashMap`] keyed by strings.
 #[derive(Default, Clone)]
 pub struct FxHasher {
     hash: u64,
@@ -23,9 +29,18 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u8(b);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(
+                word.try_into().expect("chunks_exact(8) yields 8 bytes"),
+            ));
         }
+        // The tail: up to seven bytes below the length's low byte.
+        let rest = words.remainder();
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        tail[7] = bytes.len() as u8;
+        self.add(u64::from_le_bytes(tail));
     }
 
     #[inline]
@@ -241,6 +256,39 @@ mod tests {
         assert_eq!(set.len(), 10_000);
         assert!(set.contains(&6400));
         assert!(!set.contains(&6401));
+    }
+
+    #[test]
+    fn fxhash_tells_slices_apart_by_length_and_trailing_zeros() {
+        let hash = |bytes: &[u8]| {
+            let mut h = FxHasher::default();
+            h.write(bytes);
+            h.finish()
+        };
+        let mut seen = FxHashSet::default();
+        // Every length around the 8-byte step, with and without trailing
+        // zero bytes, and the all-zero slices of those lengths.
+        for len in 0..=25usize {
+            let text: Vec<u8> = (1..=len as u8).collect();
+            assert!(seen.insert(hash(&text)), "prefix of length {len}");
+            for zeros in 1..=9 {
+                let mut padded = text.clone();
+                padded.resize(len + zeros, 0);
+                if len > 0 {
+                    assert_ne!(hash(&padded), hash(&text), "{len} bytes + {zeros} zeros");
+                }
+            }
+            if len > 0 {
+                assert!(seen.insert(hash(&vec![0u8; len])), "{len} zero bytes");
+            }
+        }
+        // A difference in any byte of a word or of the tail is seen.
+        let base = *b"<http://example.org/node/12345>";
+        for i in 0..base.len() {
+            let mut other = base;
+            other[i] ^= 1;
+            assert_ne!(hash(&other), hash(&base), "byte {i}");
+        }
     }
 
     #[test]
