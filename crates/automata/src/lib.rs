@@ -3,8 +3,10 @@
 //! Regular expressions over graph edge labels, and their automata.
 //!
 //! This crate implements §3.3 of the paper (Arroyuelo et al.,
-//! arXiv:2111.04556) plus the classical machinery needed by the baseline
-//! engines and the test oracles:
+//! arXiv:2111.04556) plus the classical machinery needed by the fallback
+//! route, the baseline engines and the test oracles. There is one
+//! automaton path — parse → Glushkov → bit-parallel tables — and the query
+//! engine simulates those tables directly; nothing is determinized.
 //!
 //! * [`ast`]: the regular-expression AST over integer edge labels, with
 //!   two-way (inverse) literals, label classes and negated label classes
@@ -17,22 +19,22 @@
 //!   \[42\]: word `D` of active states, table `B` of label-target masks,
 //!   forward table `T` and reverse table `T'`, both split vertically into
 //!   `d`-bit subtables to avoid the `O(2^m)` blow-up (§3.3).
-//! * [`thompson`]: Thompson's construction with ε-removal — the NFA the
-//!   classical product-graph baselines use, and a correctness oracle.
+//! * [`thompson`]: Thompson's construction with ε-removal — the NFA of
+//!   the engine's fallback route (expressions past the 63-position word),
+//!   of `explain`, of the classical product-graph baselines and of the
+//!   naive oracle.
 //! * [`derivative`]: a Brzozowski-derivative matcher, a second independent
 //!   oracle for the property tests.
 
 pub mod ast;
 pub mod bitparallel;
 pub mod derivative;
-pub mod dfa;
 pub mod glushkov;
 pub mod parser;
 pub mod thompson;
 
 pub use ast::{Lit, Regex};
 pub use bitparallel::BitParallel;
-pub use dfa::LazyDfa;
 pub use glushkov::Glushkov;
 pub use parser::{parse, ParseError};
 pub use thompson::Nfa;

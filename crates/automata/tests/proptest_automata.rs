@@ -85,26 +85,6 @@ proptest! {
     }
 
     #[test]
-    fn lazy_dfa_agrees_with_simulation(
-        e in regex_strategy(),
-        words in prop::collection::vec(prop::collection::vec(0..SIGMA, 0..8), 1..10),
-    ) {
-        let g = Glushkov::new(&e).unwrap();
-        let bp = BitParallel::new(&g);
-        let mut dfa = automata::LazyDfa::new(&bp);
-        for w in &words {
-            prop_assert_eq!(
-                dfa.matches(w),
-                bp.matches(w),
-                "dfa vs simulation on {:?} for {}", w, e
-            );
-        }
-        // The DFA can never materialize more states than the powerset
-        // bound allows.
-        prop_assert!(dfa.n_states() <= 1 << (g.positions() + 1));
-    }
-
-    #[test]
     fn nullability_consistent(e in regex_strategy()) {
         let g = Glushkov::new(&e).unwrap();
         prop_assert_eq!(g.nullable(), e.nullable());

@@ -4,8 +4,7 @@
 //!
 //! The paper compares the ring against Jena, Virtuoso and Blazegraph
 //! (§5). Those systems are not available offline, so this crate implements
-//! one engine per *algorithmic family* they represent (the substitution
-//! table in DESIGN.md §3):
+//! one engine per *algorithmic family* they represent:
 //!
 //! * [`NfaBfsEngine`] — navigational node-at-a-time product-graph BFS with
 //!   a Thompson NFA: the SPARQL "Arbitrary Length Paths" procedure that

@@ -1,10 +1,9 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of two of the paper's design choices:
 //!
 //! * **A1** — §4.1's B-masked wavelet traversal vs probing every query
 //!   label with a plain backward-search step (what a ring without the
 //!   per-node masks would do).
-//! * **A2** — wavelet matrix vs pointer wavelet tree for the range-distinct
-//!   workload the traversal runs on.
+//! * **Node pruning** — §4.2's `D[v]` masks on vs off.
 
 use automata::parser::{parse, NumericResolver};
 use automata::{BitParallel, Glushkov};
@@ -13,7 +12,6 @@ use ring::ring::RingOptions;
 use ring::Ring;
 use rpq_core::{EngineOptions, RpqEngine, RpqQuery, Term};
 use std::time::Duration;
-use succinct::{WaveletMatrix, WaveletTree};
 use workload::{GraphGen, GraphGenConfig};
 
 fn lcg(seed: &mut u64) -> u64 {
@@ -92,34 +90,6 @@ fn bench_masked_vs_probing(c: &mut Criterion) {
     });
 }
 
-/// A2: wavelet matrix vs pointer wavelet tree on range-distinct.
-fn bench_wm_vs_wt(c: &mut Criterion) {
-    let n = 1 << 17;
-    let sigma = 1 << 14;
-    let mut s = 77u64;
-    let syms: Vec<u64> = (0..n).map(|_| lcg(&mut s) % sigma).collect();
-    let wm = WaveletMatrix::new(&syms, sigma);
-    let wt = WaveletTree::new(&syms, sigma);
-
-    let mut q = 5u64;
-    c.bench_function("a2_wm_range_distinct", |b| {
-        b.iter(|| {
-            let start = (lcg(&mut q) as usize) % (n - 256);
-            let mut k = 0usize;
-            wm.range_distinct(start, start + 256, &mut |_, _, _| k += 1);
-            black_box(k)
-        })
-    });
-    c.bench_function("a2_wt_range_distinct", |b| {
-        b.iter(|| {
-            let start = (lcg(&mut q) as usize) % (n - 256);
-            let mut k = 0usize;
-            wt.range_distinct(start, start + 256, &mut |_, _, _| k += 1);
-            black_box(k)
-        })
-    });
-}
-
 /// Node-pruning ablation: the intersection-maintained D[v] masks on vs off
 /// for a saturating closure query.
 fn bench_node_pruning(c: &mut Criterion) {
@@ -155,6 +125,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    targets = bench_masked_vs_probing, bench_wm_vs_wt, bench_node_pruning
+    targets = bench_masked_vs_probing, bench_node_pruning
 }
 criterion_main!(benches);

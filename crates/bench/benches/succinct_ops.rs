@@ -2,7 +2,7 @@
 //! wavelet access/rank — the inner loops every ring operation reduces to.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use succinct::{BitVec, RankSelect, WaveletMatrix, WaveletTree};
+use succinct::{BitVec, RankSelect, WaveletMatrix};
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed
@@ -45,7 +45,6 @@ fn bench_wavelet(c: &mut Criterion) {
     let mut s = 99u64;
     let syms: Vec<u64> = (0..n).map(|_| lcg(&mut s) % sigma).collect();
     let wm = WaveletMatrix::new(&syms, sigma);
-    let wt = WaveletTree::new(&syms, sigma);
 
     let mut q = 3u64;
     c.bench_function("wm_access", |b| {
@@ -56,13 +55,6 @@ fn bench_wavelet(c: &mut Criterion) {
             let sym = lcg(&mut q) % sigma;
             let i = (lcg(&mut q) as usize) % (n + 1);
             black_box(wm.rank(sym, i))
-        })
-    });
-    c.bench_function("wt_rank", |b| {
-        b.iter(|| {
-            let sym = lcg(&mut q) % sigma;
-            let i = (lcg(&mut q) as usize) % (n + 1);
-            black_box(wt.rank(sym, i))
         })
     });
     c.bench_function("wm_range_distinct_1k", |b| {

@@ -1,7 +1,8 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! Every binary in `src/bin/` corresponds to one experiment of DESIGN.md's
-//! index (E1–E6); this library holds the common pieces: the benchmark
+//! Every binary in `src/bin/` regenerates one table or figure of the
+//! paper's §5 (each names it in its header); this library holds the
+//! common pieces: the benchmark
 //! configuration (env-var overridable), engine construction, log
 //! execution, and the summary statistics the paper reports.
 

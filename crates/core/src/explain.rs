@@ -12,7 +12,7 @@
 //!
 //! [`RpqEngine::evaluate_prepared`]: crate::RpqEngine::evaluate_prepared
 
-use ring::{Id, Ring};
+use ring::Id;
 
 use crate::jsonw::JsonWriter;
 use crate::plan::{EvalRoute, PreparedQuery};
@@ -49,28 +49,23 @@ pub struct QueryPlan {
     pub split_candidates: Vec<(Id, usize)>,
 }
 
-/// Explains `query` against `ring` under default options (dry run; no
+/// Explains `query` against `source` under default options (dry run; no
 /// traversal happens).
-pub fn explain(ring: &Ring, query: &RpqQuery) -> Result<QueryPlan, QueryError> {
-    explain_with(ring, query, &EngineOptions::default())
+pub fn explain(
+    source: &(impl TripleSource + ?Sized),
+    query: &RpqQuery,
+) -> Result<QueryPlan, QueryError> {
+    explain_with(source, query, &EngineOptions::default())
 }
 
 /// Explains `query` under explicit options — the same options a later
 /// [`RpqEngine::evaluate`](crate::RpqEngine::evaluate) call would use,
-/// so toggles like `fast_paths` and `forced_route` show their effect.
+/// so toggles like `fast_paths` and `forced_route` show their effect —
+/// against any [`TripleSource`]: a bare ring, a live-store snapshot, or a
+/// sharded source, whose per-shard cardinalities the statistics provider
+/// sums so the explained plan is byte-for-byte the plan the engine would
+/// execute over that source.
 pub fn explain_with(
-    ring: &Ring,
-    query: &RpqQuery,
-    opts: &EngineOptions,
-) -> Result<QueryPlan, QueryError> {
-    explain_source_with(ring, query, opts)
-}
-
-/// Explains `query` against any [`TripleSource`] — a bare ring, a
-/// live-store snapshot, or a sharded source, whose per-shard
-/// cardinalities the statistics provider sums so the explained plan is
-/// byte-for-byte the plan the engine would execute over that source.
-pub fn explain_source_with(
     source: &(impl TripleSource + ?Sized),
     query: &RpqQuery,
     opts: &EngineOptions,
@@ -93,7 +88,7 @@ pub fn explain_source_with(
     }
     let prepared =
         PreparedQuery::compile(&query.expr, &|l| ring.inverse_label(l), opts.bp_split_width)?;
-    Ok(explain_prepared_source(
+    Ok(explain_prepared(
         source,
         &prepared,
         query.subject,
@@ -103,21 +98,11 @@ pub fn explain_source_with(
 }
 
 /// Explains an already-compiled query (what a serving layer holds in its
-/// plan cache) anchored at the given endpoints. Endpoint validity is the
-/// caller's responsibility here; the string entry points check it.
+/// plan cache) anchored at the given endpoints, over any [`TripleSource`]
+/// (delta overlays and shard parts feed the same statistics the engine
+/// plans with). Endpoint validity is the caller's responsibility here;
+/// the string entry points check it.
 pub fn explain_prepared(
-    ring: &Ring,
-    prepared: &PreparedQuery,
-    subject: Term,
-    object: Term,
-    opts: &EngineOptions,
-) -> QueryPlan {
-    explain_prepared_source(ring, prepared, subject, object, opts)
-}
-
-/// [`explain_prepared`] over any [`TripleSource`] (delta overlays and
-/// shard parts feed the same statistics the engine plans with).
-pub fn explain_prepared_source(
     source: &(impl TripleSource + ?Sized),
     prepared: &PreparedQuery,
     subject: Term,
@@ -335,7 +320,7 @@ impl std::fmt::Display for QueryPlan {
 mod tests {
     use super::*;
     use ring::ring::RingOptions;
-    use ring::{Graph, Triple};
+    use ring::{Graph, Ring, Triple};
 
     fn ring() -> Ring {
         Ring::build(

@@ -19,7 +19,6 @@
 //! caller-only sequential path. Tokens are released on drop, making the
 //! accounting panic-safe.
 
-use ring::Ring;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -199,9 +198,12 @@ pub fn map_chunks_ordered<I: Sync, T: Send>(
     );
 }
 
-/// Evaluates `queries` over `ring` using up to `n_threads` workers
-/// (clamped to at least 1), returning one result per query in input
-/// order.
+/// Evaluates `queries` over `source` — a ring, a store snapshot or a
+/// sharded source — using up to `n_threads` workers (clamped to at
+/// least 1), returning one result per query in input order. Each
+/// worker's engine is built with [`RpqEngine::over`], so delta overlays
+/// and shard parts merge into every evaluation exactly as they do
+/// single-threaded.
 ///
 /// Work is distributed dynamically (an atomic cursor), so skewed query
 /// costs — the norm in RPQ logs — balance across workers. A panicking
@@ -209,51 +211,21 @@ pub fn map_chunks_ordered<I: Sync, T: Send>(
 /// [`QueryError::Internal`] and every other query still completes (the
 /// calling thread re-claims whatever the dead worker would have run).
 pub fn evaluate_batch(
-    ring: &Ring,
-    queries: &[RpqQuery],
-    opts: &EngineOptions,
-    n_threads: usize,
-) -> Vec<Result<QueryOutput, QueryError>> {
-    evaluate_batch_with(ring, queries, opts, n_threads, &|engine, q, opts| {
-        engine.evaluate(q, opts)
-    })
-}
-
-/// [`evaluate_batch`] over any [`TripleSource`] — each worker's engine is
-/// built with [`RpqEngine::over`], so delta overlays and shard parts
-/// merge into every evaluation exactly as they do single-threaded.
-pub fn evaluate_batch_over(
     source: &(impl TripleSource + Sync + ?Sized),
     queries: &[RpqQuery],
     opts: &EngineOptions,
     n_threads: usize,
 ) -> Vec<Result<QueryOutput, QueryError>> {
-    evaluate_batch_core(
-        &|| RpqEngine::over(source),
-        queries,
-        opts,
-        n_threads,
-        &|engine, q, opts| engine.evaluate(q, opts),
-    )
+    evaluate_batch_with(source, queries, opts, n_threads, &|engine, q, opts| {
+        engine.evaluate(q, opts)
+    })
 }
 
-/// The generic core of [`evaluate_batch`], with the per-query evaluation
-/// injected — the seam the panic-containment tests use.
+/// [`evaluate_batch`] with the per-query evaluation injected — the seam
+/// the panic-containment tests use. One engine per worker, dynamic work
+/// claiming, panic containment.
 pub(crate) fn evaluate_batch_with(
-    ring: &Ring,
-    queries: &[RpqQuery],
-    opts: &EngineOptions,
-    n_threads: usize,
-    eval: &(dyn Fn(&mut RpqEngine, &RpqQuery, &EngineOptions) -> Result<QueryOutput, QueryError>
-          + Sync),
-) -> Vec<Result<QueryOutput, QueryError>> {
-    evaluate_batch_core(&|| RpqEngine::new(ring), queries, opts, n_threads, eval)
-}
-
-/// The shared worker loop: one engine per worker (built by
-/// `make_engine`), dynamic work claiming, panic containment.
-fn evaluate_batch_core<'r>(
-    make_engine: &(dyn Fn() -> RpqEngine<'r> + Sync),
+    source: &(impl TripleSource + Sync + ?Sized),
     queries: &[RpqQuery],
     opts: &EngineOptions,
     n_threads: usize,
@@ -273,7 +245,7 @@ fn evaluate_batch_core<'r>(
         // worker, and the explicit join below swallows it so the scope
         // does not re-raise. Its in-flight query keeps an empty slot.
         let worker = || {
-            let mut engine = make_engine();
+            let mut engine = RpqEngine::over(source);
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
@@ -286,7 +258,7 @@ fn evaluate_batch_core<'r>(
         // The caller participates too, but guards each query so one
         // poisoned evaluation cannot sink the whole batch: on a panic the
         // engine (whose mask tables may be mid-update) is rebuilt.
-        let mut engine = make_engine();
+        let mut engine = RpqEngine::over(source);
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= n {
@@ -296,7 +268,7 @@ fn evaluate_batch_core<'r>(
                 eval(&mut engine, &queries[i], opts)
             }));
             let r = r.unwrap_or_else(|cause| {
-                engine = make_engine();
+                engine = RpqEngine::over(source);
                 Err(QueryError::Internal(panic_message(&cause)))
             });
             let _ = done[i].set(r);
@@ -336,6 +308,7 @@ mod tests {
     use crate::query::Term;
     use automata::Regex;
     use ring::ring::RingOptions;
+    use ring::Ring;
     use ring::{Graph, Triple};
 
     fn ring() -> Ring {

@@ -80,7 +80,7 @@ pub struct EngineOptions {
     /// paper's own Fig. 6 trace — so we propagate leaf updates upward
     /// instead, treating subject-free subtrees as saturated. The leaf-level
     /// filter `D[s]`, which termination and Theorem 4.1 rely on, is always
-    /// on. See DESIGN.md "Deviations".
+    /// on. See "Deviations from the paper" in this crate's `README.md`.
     pub node_pruning: bool,
     /// Vertical split width `d` of the §3.3 **bit-parallel transition
     /// tables** (each table row is split into `⌈m/d⌉` chunks of `d`

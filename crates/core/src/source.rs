@@ -234,7 +234,8 @@ pub struct SourceSnapshot {
     /// shards: sharded sources are immutable).
     pub delta: Option<Arc<DeltaIndex>>,
     /// The shard partition with its routing table, shared with the
-    /// source it was taken from (partless for single-ring sources).
+    /// source it was taken from (partless for single-ring sources; a
+    /// single part is evaluated as the ring it is).
     pub shards: Arc<ShardSet>,
 }
 
@@ -275,7 +276,7 @@ impl TripleSource for SourceSnapshot {
     }
 
     fn shards(&self) -> Option<&ShardSet> {
-        (!self.shards.is_empty()).then_some(&*self.shards)
+        (self.shards.len() > 1).then_some(&*self.shards)
     }
 }
 
@@ -313,18 +314,11 @@ impl ShardedSource {
     }
 
     /// An epoch-0 snapshot sharing this source's set (parts, probe
-    /// counters and routing table). With a single part it degenerates to
-    /// [`SourceSnapshot::immutable`] over that ring.
+    /// counters and routing table).
     pub fn snapshot(&self) -> SourceSnapshot {
-        let ring = Arc::clone(&self.set[0].ring);
-        if self.set.len() == 1 {
-            return SourceSnapshot::immutable(ring);
-        }
         SourceSnapshot {
-            epoch: 0,
-            ring,
-            delta: None,
             shards: Arc::clone(&self.set),
+            ..SourceSnapshot::immutable(Arc::clone(&self.set[0].ring))
         }
     }
 }

@@ -115,8 +115,9 @@ impl Ring {
     /// Builds the ring for `graph` with the given options.
     ///
     /// The paper constructs the BWT with a suffix array; sorting the triple
-    /// list in the three circular orders yields the identical columns (see
-    /// DESIGN.md §2). The graph is `(s, p, o)`-sorted already, so a stable
+    /// list in the three circular orders yields the identical columns: row
+    /// `i` of the BWT matrix of §3.2 is the `i`-th triple in one of those
+    /// orders. The graph is `(s, p, o)`-sorted already, so a stable
     /// counting sort by object gives the `(o, s, p)` order and one more by
     /// predicate the `(p, o, s)` order: `O(n + |V| + |P|)`, no comparison
     /// sort.
@@ -680,15 +681,12 @@ mod tests {
         assert_eq!(r.l_s().access(15), 0); // SA
     }
 
-    /// Fig. 4's worked example: on the wavelet tree of `L_p`,
+    /// Fig. 4's worked example: on the wavelet structure of `L_p`,
     /// `rank_bus(L_p, 5) = 2` (1-based) and `C_p[bus] + 2 = LF_p(5) = 12`.
     #[test]
     fn fig4_wavelet_rank_walk() {
         let r = paper_ring();
-        let lp_syms: Vec<u64> = (0..16).map(|i| r.l_p().access(i)).collect();
-        let wt = succinct::WaveletTree::new(&lp_syms, 5);
         // 0-based: symbol 3 = bus (paper id 4), prefix of length 5.
-        assert_eq!(wt.rank(3, 5), 2);
         assert_eq!(r.l_p().rank(3, 5), 2);
         // C_p[bus] = 10 (l1:4 + l2:2 + l5:4); the tracked position is
         // LF_p(5) = 12, i.e. 0-based lf_p(4) = 11.

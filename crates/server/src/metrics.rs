@@ -8,18 +8,22 @@
 //! quantile estimation a single scan. Everything is atomics — recording
 //! a sample on the hot path is a handful of relaxed adds.
 //!
-//! Both exporters render the same registry: `registry_json` is the
-//! structured snapshot the CLI's `stats`/`.metrics` surfaces print, and
-//! `registry_prometheus` maps the identical atomics onto the
-//! Prometheus text exposition format (the log₂-µs buckets become
-//! cumulative `le`-labelled buckets in seconds).
+//! Every exported metric is one row of `TABLE`: its place in the JSON
+//! document, its Prometheus family and help text, and where its samples
+//! are read. `registry_json` (what the CLI's `stats`/`.metrics` print)
+//! and `registry_prometheus` (the text exposition format; the log₂-µs
+//! buckets become cumulative `le` buckets in seconds) both walk it.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use rpq_core::jsonw::JsonWriter;
 use rpq_core::EvalRoute;
+
+use crate::source::{IndexStats, ShardStat, UpdateStats};
+use crate::ServerConfig;
 
 const BUCKETS: usize = 32;
 
@@ -291,7 +295,8 @@ impl Metrics {
     }
 }
 
-/// Cache counters the server snapshots into the JSON export.
+/// Cache counters the server snapshots into both exports.
+#[derive(Clone, Copy)]
 pub(crate) struct CacheStats {
     pub hits: u64,
     pub misses: u64,
@@ -302,721 +307,339 @@ pub(crate) struct CacheStats {
     pub budget: usize,
 }
 
-impl CacheStats {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object()
-            .field_u64("hits", self.hits)
-            .field_u64("misses", self.misses)
-            .field_u64("evictions", self.evictions)
-            .field_u64("invalidations", self.invalidations)
-            .field_u64("entries", self.entries as u64)
-            .field_u64("used", self.used as u64)
-            .field_u64("budget", self.budget as u64)
-            .end_object();
+/// Everything an export reads: the registry, and what the server
+/// snapshots around it at render time.
+pub(crate) struct View<'a> {
+    pub m: &'a Metrics,
+    pub config: &'a ServerConfig,
+    /// The plan cache, then the result cache.
+    pub caches: [CacheStats; 2],
+    pub epoch: u64,
+    pub updates: UpdateStats,
+    pub index: IndexStats,
+    /// An unsharded source has no shard section at all — an always-zero
+    /// `rpq_shards` would read as "sharded, 0 shards".
+    pub sharded: bool,
+    pub shards: Vec<ShardStat>,
+}
+
+/// What a metric has one sample per: the server; a route (`Latency`: or
+/// the result cache, as route `cached`); a cache; a place the index can
+/// live, as 0 or 1 (in JSON, the one place's name); the shard set, which
+/// an unsharded source does not have; a shard.
+#[derive(Clone, Copy, PartialEq)]
+enum Per {
+    One,
+    Route,
+    Latency,
+    Cache,
+    Mode,
+    Sharded,
+    Shard,
+}
+
+impl Per {
+    /// How many samples `v` holds, `None` where it has no such section.
+    fn len(self, v: &View) -> Option<usize> {
+        Some(match self {
+            Per::One => 1,
+            Per::Route => ROUTES,
+            Per::Latency => ROUTES + 1,
+            Per::Cache | Per::Mode => 2,
+            Per::Sharded => v.sharded.then_some(1)?,
+            Per::Shard => v.sharded.then_some(v.shards.len())?,
+        })
+    }
+
+    /// The Prometheus label of sample `i` and its value (a route's is also
+    /// its JSON member name); neither where there is one sample.
+    fn label(self, i: usize) -> (&'static str, Cow<'static, str>) {
+        let route = EvalRoute::ALL.get(i).map_or("cached", |r| r.name());
+        match self {
+            Per::One | Per::Sharded => ("", "".into()),
+            Per::Route | Per::Latency => ("route", route.into()),
+            Per::Cache => ("cache", ["plan", "result"][i].into()),
+            Per::Mode => ("mode", ["heap", "mmap"][i].into()),
+            Per::Shard => ("shard", i.to_string().into()),
+        }
     }
 }
 
-/// Renders the full registry (plus cache snapshots, worker count, and
-/// the source's update counters) as one JSON object.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn registry_json(
-    m: &Metrics,
-    workers: usize,
-    intra_query_threads: usize,
-    queue_capacity: usize,
-    plan_cache: &CacheStats,
-    result_cache: &CacheStats,
-    epoch: u64,
-    updates: Option<crate::source::UpdateStats>,
-    index: Option<crate::source::IndexStats>,
-    shards: Option<&[crate::source::ShardStat]>,
-) -> String {
-    let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_u64(
-            "uptime_ms",
-            m.uptime().as_millis().min(u128::from(u64::MAX)) as u64,
-        )
-        .field_u64("workers", workers as u64);
-    w.key("queries")
-        .begin_object()
-        .field_u64("submitted", g(&m.submitted))
-        .field_u64("completed", g(&m.completed))
-        .field_u64("failed", g(&m.failed))
-        .field_u64("cancelled", g(&m.cancelled))
-        .field_u64("rejected_overload", g(&m.rejected_overload))
-        .field_u64("budget_exceeded", g(&m.budget_exceeded))
-        .end_object();
-    w.key("queue")
-        .begin_object()
-        .field_u64("depth", m.queue_depth.load(Ordering::Relaxed) as u64)
-        .field_u64("peak", m.queue_peak.load(Ordering::Relaxed) as u64)
-        .field_u64("capacity", queue_capacity as u64)
-        .end_object();
-    w.key("planner")
-        .begin_object()
-        .key("decisions")
-        .begin_object();
-    for r in EvalRoute::ALL {
-        w.field_u64(
-            r.name(),
-            m.planner_decisions[r.index()].load(Ordering::Relaxed),
-        );
-    }
-    w.end_object();
-    w.key("accuracy").begin_object();
-    for r in EvalRoute::ALL {
-        let i = r.index();
-        if !m.misprediction_by_route[i].non_empty() {
-            continue;
+/// Where a sample is read from.
+#[derive(Clone, Copy)]
+enum Value {
+    Num(fn(&View, usize) -> u64),
+    /// A histogram, and how many of its raw units make one exported unit
+    /// (10⁶ turns µs buckets into seconds).
+    Hist(fn(&Metrics, usize) -> &Histogram, f64),
+    /// Time since start: whole milliseconds in JSON, seconds in Prometheus.
+    Uptime,
+}
+use Value::{Hist, Num};
+
+impl Value {
+    fn is_empty(self, v: &View, i: usize) -> bool {
+        match self {
+            Num(get) => get(v, i) == 0,
+            Hist(get, _) => !get(v.m, i).non_empty(),
+            Value::Uptime => false,
         }
-        w.key(r.name())
-            .begin_object()
-            .field_u64("estimated_cost_sum", g(&m.est_cost_by_route[i]))
-            .field_u64("actual_nodes_sum", g(&m.actual_nodes_by_route[i]))
-            .field_u64("actual_rank_ops_sum", g(&m.actual_rank_ops_by_route[i]))
-            .key("misprediction_x1000");
-        m.misprediction_by_route[i].write_json(&mut w);
+    }
+
+    fn write_json(self, w: &mut JsonWriter, v: &View, i: usize) {
+        let n = match self {
+            Num(get) => get(v, i),
+            Hist(get, _) => return get(v.m, i).write_json(w),
+            Value::Uptime => v.m.uptime().as_millis().min(u128::from(u64::MAX)) as u64,
+        };
+        w.u64(n);
+    }
+}
+
+type Path = &'static [&'static str];
+
+/// One metric: where it is in the JSON document, its Prometheus family if
+/// it has one, and where its samples come from.
+struct Desc {
+    /// Path of the JSON object the metric is in. For anything but
+    /// [`Per::One`], [`Per::Sharded`] and [`Per::Mode`] that object has a
+    /// member per sample, holding the `key`s of the consecutive rows that
+    /// share `dir` and `per`.
+    dir: Path,
+    /// The member name; empty where the per-sample member is the value.
+    key: &'static str,
+    per: Per,
+    value: Value,
+    /// JSON leaves a member out while it has no sample (all of a
+    /// per-sample member's values are zero or empty).
+    sparse: bool,
+    /// Block, name and help text. Families print in block order, and in
+    /// table order within a block; a name that ends in `_total` is a
+    /// counter's, and of the others a histogram value's is a histogram
+    /// and the rest are gauges.
+    family: Option<(u8, &'static str, &'static str)>,
+}
+
+const fn row(dir: Path, key: &'static str, per: Per, value: Value) -> Desc {
+    Desc {
+        dir,
+        key,
+        per,
+        value,
+        sparse: false,
+        family: None,
+    }
+}
+
+impl Desc {
+    const fn sparse(mut self) -> Self {
+        self.sparse = true;
+        self
+    }
+
+    const fn prom(mut self, block: u8, name: &'static str, help: &'static str) -> Self {
+        self.family = Some((block, name, help));
+        self
+    }
+}
+
+fn g(c: &AtomicU64) -> u64 {
+    c.load(Ordering::Relaxed)
+}
+
+/// Every exported metric, once, in JSON document order.
+#[rustfmt::skip]
+static TABLE: &[Desc] = {
+    use Per::{Cache, Latency, Mode, One, Route, Shard, Sharded};
+    &[
+    row(&[], "uptime_ms", One, Value::Uptime).prom(0, "rpq_uptime_seconds", "Seconds since the server started."),
+    row(&[], "workers", One, Num(|v, _| v.config.workers as u64)).prom(0, "rpq_workers", "Configured worker threads."),
+    row(&["queries"], "submitted", One, Num(|v, _| g(&v.m.submitted))).prom(1, "rpq_queries_submitted_total", "Queries accepted into the queue."),
+    row(&["queries"], "completed", One, Num(|v, _| g(&v.m.completed))).prom(1, "rpq_queries_completed_total", "Queries that produced an answer."),
+    row(&["queries"], "failed", One, Num(|v, _| g(&v.m.failed))).prom(1, "rpq_queries_failed_total", "Queries that failed evaluation."),
+    row(&["queries"], "cancelled", One, Num(|v, _| g(&v.m.cancelled))).prom(1, "rpq_queries_cancelled_total", "Queries cancelled before an answer."),
+    row(&["queries"], "rejected_overload", One, Num(|v, _| g(&v.m.rejected_overload))).prom(1, "rpq_queries_rejected_overload_total", "Submissions rejected by admission control."),
+    row(&["queries"], "budget_exceeded", One, Num(|v, _| g(&v.m.budget_exceeded))).prom(1, "rpq_queries_budget_exceeded_total", "Queries aborted on an exhausted node budget."),
+    row(&["queue"], "depth", One, Num(|v, _| v.m.queue_depth.load(Ordering::Relaxed) as u64)).prom(4, "rpq_queue_depth", "Jobs currently queued."),
+    row(&["queue"], "peak", One, Num(|v, _| v.m.queue_peak.load(Ordering::Relaxed) as u64)).prom(4, "rpq_queue_peak", "Queue-depth high-water mark."),
+    row(&["queue"], "capacity", One, Num(|v, _| v.config.max_pending as u64)).prom(4, "rpq_queue_capacity", "Configured queue capacity."),
+    row(&["planner", "decisions"], "", Route, Num(|v, i| g(&v.m.planner_decisions[i]))).prom(5, "rpq_planner_decisions_total", "Planner route decisions."),
+    row(&["planner", "accuracy"], "estimated_cost_sum", Route, Num(|v, i| g(&v.m.est_cost_by_route[i]))).sparse().prom(5, "rpq_planner_estimated_cost_total", "Sum of planner cost estimates per executed route."),
+    row(&["planner", "accuracy"], "actual_nodes_sum", Route, Num(|v, i| g(&v.m.actual_nodes_by_route[i]))).sparse().prom(5, "rpq_planner_actual_nodes_total", "Sum of product-graph nodes actually visited per executed route."),
+    row(&["planner", "accuracy"], "actual_rank_ops_sum", Route, Num(|v, i| g(&v.m.actual_rank_ops_by_route[i]))).sparse().prom(5, "rpq_planner_actual_rank_ops_total", "Sum of rank operations actually performed per executed route."),
+    row(&["planner", "accuracy"], "misprediction_x1000", Route, Hist(|m, i| &m.misprediction_by_route[i], 1.0)).sparse().prom(5, "rpq_planner_misprediction_x1000", "Actual-vs-estimated cost ratio x1000 per executed route (1000 = perfect)."),
+    row(&["traversal"], "rank_ops", One, Num(|v, _| g(&v.m.rank_ops))).prom(3, "rpq_rank_ops_total", "Wavelet rank operations performed."),
+    row(&["traversal"], "rank_ops_saved", One, Num(|v, _| g(&v.m.rank_ops_saved))).prom(3, "rpq_rank_ops_saved_total", "Rank operations avoided by frontier batching."),
+    row(&["parallel"], "intra_query_threads", One, Num(|v, _| v.config.intra_query_threads as u64)).prom(0, "rpq_intra_query_threads", "Threads one query may fan its BFS levels across."),
+    row(&["parallel"], "pool_capacity", One, Num(|_, _| rpq_core::parallel::pool_capacity() as u64)).prom(7, "rpq_helper_pool_capacity", "Process-wide intra-query helper token capacity."),
+    row(&["parallel"], "pool_in_use", One, Num(|_, _| rpq_core::parallel::pool_in_use() as u64)).prom(7, "rpq_helper_pool_in_use", "Helper tokens currently checked out."),
+    row(&["parallel"], "levels", One, Num(|v, _| g(&v.m.parallel_levels))),
+    row(&["parallel"], "chunks", One, Num(|v, _| g(&v.m.parallel_chunks))),
+    row(&["parallel", "by_route"], "levels", Route, Num(|v, i| g(&v.m.parallel_levels_by_route[i]))).sparse().prom(6, "rpq_parallel_levels_total", "BFS levels fanned across the intra-query pool, per route."),
+    row(&["parallel", "by_route"], "chunks", Route, Num(|v, i| g(&v.m.parallel_chunks_by_route[i]))).sparse().prom(6, "rpq_parallel_chunks_total", "Frontier chunks merged back from the pool, per route."),
+    row(&["updates"], "epoch", One, Num(|v, _| v.epoch)).prom(9, "rpq_snapshot_epoch", "Current snapshot epoch."),
+    row(&["updates"], "epoch_bumps_observed", One, Num(|v, _| g(&v.m.epoch_bumps))).prom(2, "rpq_epoch_bumps_total", "Snapshot-epoch bumps observed at submit time."),
+    row(&["updates"], "commits", One, Num(|v, _| v.updates.commits)).prom(9, "rpq_update_commits_total", "Update batches committed."),
+    row(&["updates"], "compactions", One, Num(|v, _| v.updates.compactions)).prom(9, "rpq_update_compactions_total", "Delta compactions into the ring."),
+    row(&["updates"], "commit_ns", One, Num(|v, _| v.updates.commit_ns)).prom(9, "rpq_update_commit_nanoseconds_total", "Time spent merging update batches into the delta overlay."),
+    row(&["updates"], "compact_ns", One, Num(|v, _| v.updates.compact_ns)).prom(9, "rpq_update_compact_nanoseconds_total", "Time spent rebuilding the ring (the compaction stall)."),
+    row(&["updates"], "delta_adds", One, Num(|v, _| v.updates.delta_adds as u64)).prom(9, "rpq_delta_adds_total", "Triples added through the delta overlay."),
+    row(&["updates"], "delta_deletes", One, Num(|v, _| v.updates.delta_deletes as u64)).prom(9, "rpq_delta_deletes_total", "Triples deleted through the delta overlay."),
+    row(&["updates"], "pending_ops", One, Num(|v, _| v.updates.pending_ops as u64)).prom(9, "rpq_pending_ops", "Update operations not yet committed."),
+    row(&["durability"], "drains", One, Num(|v, _| g(&v.m.drains))).prom(9, "rpq_drains_total", "Graceful drains started."),
+    row(&["durability"], "drained_jobs", One, Num(|v, _| g(&v.m.drained_jobs))).prom(9, "rpq_drained_jobs_total", "Backlogged queries finished within a drain deadline."),
+    row(&["durability"], "aborted_jobs", One, Num(|v, _| g(&v.m.aborted_jobs))).prom(9, "rpq_aborted_jobs_total", "Queries a drain deadline aborted while queued."),
+    row(&["durability"], "checkpoints", One, Num(|v, _| g(&v.m.checkpoints))).prom(9, "rpq_checkpoints_total", "Durable checkpoints (snapshot persisted, WAL rotated)."),
+    row(&["durability"], "checkpoint_failures", One, Num(|v, _| g(&v.m.checkpoint_failures))).prom(9, "rpq_checkpoint_failures_total", "Checkpoint attempts that failed."),
+    row(&["index"], "open_us", One, Num(|v, _| v.index.open_us)).prom(9, "rpq_index_open_us", "Wall time of the index open call, microseconds (0 = built in memory)."),
+    row(&["index"], "resident_mode", Mode, Num(|v, i| u64::from(Mode.label(i).1 == v.index.resident_mode))).prom(9, "rpq_index_resident_mode", "Where the index payload lives: 1 on the active mode label."),
+    row(&["index"], "mapped_bytes", One, Num(|v, _| v.index.mapped_bytes)).prom(9, "rpq_index_mapped_bytes", "Bytes of the index held by a kernel mapping (0 in heap mode)."),
+    row(&["shards"], "count", Sharded, Num(|v, _| v.shards.len() as u64)).prom(9, "rpq_shards", "Shards of the served index (absent when unsharded)."),
+    row(&["shards"], "triples", Shard, Num(|v, i| v.shards[i].triples as u64)).prom(9, "rpq_shard_triples", "Completed triples held by one shard."),
+    row(&["shards"], "bytes", Shard, Num(|v, i| v.shards[i].bytes as u64)).prom(9, "rpq_shard_bytes", "Index bytes of one shard's ring."),
+    row(&["shards"], "probes", Shard, Num(|v, i| v.shards[i].probes)).prom(9, "rpq_shard_probes_total", "Scatter-gather probes served by one shard."),
+    row(&[], "hits", Cache, Num(|v, i| v.caches[i].hits)).prom(8, "rpq_cache_hits_total", "Cache hits."),
+    row(&[], "misses", Cache, Num(|v, i| v.caches[i].misses)).prom(8, "rpq_cache_misses_total", "Cache misses."),
+    row(&[], "evictions", Cache, Num(|v, i| v.caches[i].evictions)).prom(8, "rpq_cache_evictions_total", "Cache evictions."),
+    row(&[], "invalidations", Cache, Num(|v, i| v.caches[i].invalidations)).prom(8, "rpq_cache_invalidations_total", "Cache invalidations."),
+    row(&[], "entries", Cache, Num(|v, i| v.caches[i].entries as u64)).prom(8, "rpq_cache_entries", "Live cache entries."),
+    row(&[], "used", Cache, Num(|v, i| v.caches[i].used as u64)).prom(8, "rpq_cache_used_bytes", "Bytes held by the cache."),
+    row(&[], "budget", Cache, Num(|v, i| v.caches[i].budget as u64)).prom(8, "rpq_cache_budget_bytes", "Cache byte budget."),
+    row(&["latency_us"], "all", One, Hist(|m, _| &m.latency_all, 1e6)).prom(9, "rpq_query_latency_seconds", "End-to-end query latency (queue wait included)."),
+    row(&["latency_us"], "queue_wait", One, Hist(|m, _| &m.queue_wait, 1e6)).sparse().prom(9, "rpq_queue_wait_seconds", "Time jobs waited in the queue."),
+    row(&["latency_us"], "exec", One, Hist(|m, _| &m.latency_exec, 1e6)).sparse().prom(9, "rpq_query_exec_seconds", "Pure evaluation time (cache hits excluded)."),
+    row(&["latency_us"], "", Latency, Hist(|m, i| m.latency_by_route.get(i).unwrap_or(&m.latency_cached), 1e6)).sparse().prom(9, "rpq_query_route_latency_seconds", "Evaluation latency per route (result-cache hits as route=\"cached\")."),
+    ]
+};
+
+/// Makes `dir` the innermost open object of `w`, given that `open` is:
+/// closes what `dir` is not inside of, opens the rest of its path.
+fn enter(w: &mut JsonWriter, open: &mut Path, dir: Path) {
+    let shared = open.iter().zip(dir).take_while(|(a, b)| a == b).count();
+    for _ in shared..open.len() {
         w.end_object();
     }
-    w.end_object().end_object();
-    w.key("traversal")
-        .begin_object()
-        .field_u64("rank_ops", g(&m.rank_ops))
-        .field_u64("rank_ops_saved", g(&m.rank_ops_saved))
-        .end_object();
-    w.key("parallel")
-        .begin_object()
-        .field_u64("intra_query_threads", intra_query_threads as u64)
-        .field_u64("pool_capacity", rpq_core::parallel::pool_capacity() as u64)
-        .field_u64("pool_in_use", rpq_core::parallel::pool_in_use() as u64)
-        .field_u64("levels", g(&m.parallel_levels))
-        .field_u64("chunks", g(&m.parallel_chunks))
-        .key("by_route")
-        .begin_object();
-    for r in EvalRoute::ALL {
-        let levels = m.parallel_levels_by_route[r.index()].load(Ordering::Relaxed);
-        let chunks = m.parallel_chunks_by_route[r.index()].load(Ordering::Relaxed);
-        if levels > 0 {
-            w.key(r.name())
-                .begin_object()
-                .field_u64("levels", levels)
-                .field_u64("chunks", chunks)
-                .end_object();
+    for k in &dir[shared..] {
+        w.key(k).begin_object();
+    }
+    *open = dir;
+}
+
+/// Renders the registry, and what the server snapshots around it, as one
+/// JSON object.
+pub(crate) fn registry_json(v: &View) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    let mut open: Path = &[];
+    let mut rows = TABLE;
+    while let Some(d) = rows.first() {
+        let single = matches!(d.per, Per::One | Per::Sharded);
+        // Otherwise, the rows that make up one per-sample member.
+        let same = |r: &&Desc| !single && r.dir == d.dir && r.per == d.per;
+        let (run, rest) = rows.split_at(rows.iter().take_while(same).count().max(1));
+        rows = rest;
+        let Some(n) = d.per.len(v) else { continue };
+        enter(&mut w, &mut open, d.dir);
+        if single {
+            if !(d.sparse && d.value.is_empty(v, 0)) {
+                d.value.write_json(w.key(d.key), v, 0);
+            }
+            continue;
+        }
+        if d.per == Per::Mode {
+            w.key(d.key).str(v.index.resident_mode);
+            continue;
+        }
+        if d.per == Per::Shard {
+            w.key("rows").begin_array();
+        }
+        for i in (0..n).filter(|&i| !(d.sparse && run.iter().all(|r| r.value.is_empty(v, i)))) {
+            match d.per {
+                Per::Shard => &mut w,
+                Per::Cache => w.key(["plan_cache", "result_cache"][i]),
+                per => w.key(&per.label(i).1),
+            };
+            if d.key.is_empty() {
+                d.value.write_json(&mut w, v, i);
+                continue;
+            }
+            w.begin_object();
+            for r in run {
+                r.value.write_json(w.key(r.key), v, i);
+            }
+            w.end_object();
+        }
+        if d.per == Per::Shard {
+            w.end_array();
         }
     }
-    w.end_object().end_object();
-    let u = updates.unwrap_or_default();
-    w.key("updates")
-        .begin_object()
-        .field_u64("epoch", epoch)
-        .field_u64("epoch_bumps_observed", g(&m.epoch_bumps))
-        .field_u64("commits", u.commits)
-        .field_u64("compactions", u.compactions)
-        .field_u64("commit_ns", u.commit_ns)
-        .field_u64("compact_ns", u.compact_ns)
-        .field_u64("delta_adds", u.delta_adds as u64)
-        .field_u64("delta_deletes", u.delta_deletes as u64)
-        .field_u64("pending_ops", u.pending_ops as u64)
-        .end_object();
-    w.key("durability")
-        .begin_object()
-        .field_u64("drains", g(&m.drains))
-        .field_u64("drained_jobs", g(&m.drained_jobs))
-        .field_u64("aborted_jobs", g(&m.aborted_jobs))
-        .field_u64("checkpoints", g(&m.checkpoints))
-        .field_u64("checkpoint_failures", g(&m.checkpoint_failures))
-        .end_object();
-    let ix = index.unwrap_or_default();
-    w.key("index")
-        .begin_object()
-        .field_u64("open_us", ix.open_us)
-        .field_str("resident_mode", ix.resident_mode)
-        .field_u64("mapped_bytes", ix.mapped_bytes)
-        .end_object();
-    if let Some(shards) = shards {
-        w.key("shards")
-            .begin_object()
-            .field_u64("count", shards.len() as u64)
-            .key("rows")
-            .begin_array();
-        for s in shards {
-            w.begin_object()
-                .field_u64("triples", s.triples as u64)
-                .field_u64("bytes", s.bytes as u64)
-                .field_u64("probes", s.probes)
-                .end_object();
-        }
-        w.end_array().end_object();
-    }
-    w.key("plan_cache");
-    plan_cache.write_json(&mut w);
-    w.key("result_cache");
-    result_cache.write_json(&mut w);
-    w.key("latency_us").begin_object().key("all");
-    m.latency_all.write_json(&mut w);
-    if m.queue_wait.non_empty() {
-        w.key("queue_wait");
-        m.queue_wait.write_json(&mut w);
-    }
-    if m.latency_exec.non_empty() {
-        w.key("exec");
-        m.latency_exec.write_json(&mut w);
-    }
-    for r in EvalRoute::ALL {
-        let hist = m.route_histogram(r);
-        if hist.non_empty() {
-            w.key(r.name());
-            hist.write_json(&mut w);
-        }
-    }
-    if m.latency_cached.non_empty() {
-        w.key("cached");
-        m.latency_cached.write_json(&mut w);
-    }
-    w.end_object().end_object();
+    enter(&mut w, &mut open, &[]);
+    w.end_object();
     w.finish()
 }
 
-/// Appends one `# HELP` / `# TYPE` header pair.
-fn prom_header(out: &mut String, name: &str, help: &str, kind: &str) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-}
-
-/// Appends one unlabelled sample line.
-fn prom_sample(out: &mut String, name: &str, value: impl std::fmt::Display) {
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// Appends one sample line with a single label.
-fn prom_labeled(
-    out: &mut String,
-    name: &str,
-    label: &str,
-    label_value: &str,
-    value: impl std::fmt::Display,
-) {
-    let _ = writeln!(out, "{name}{{{label}=\"{label_value}\"}} {value}");
+/// Appends one sample line, under `label` unless that is `("", _)`.
+fn prom_sample(out: &mut String, name: &str, label: (&str, &str), value: impl Display) {
+    let _ = match label {
+        ("", _) => writeln!(out, "{name} {value}"),
+        (k, v) => writeln!(out, "{name}{{{k}=\"{v}\"}} {value}"),
+    };
 }
 
 /// Appends a full Prometheus histogram: cumulative `_bucket` lines up to
-/// the last non-zero bucket plus `+Inf`, then `_sum` and `_count`.
-/// `label`/`label_value` (optional) tag every line; `scale` divides the
-/// raw log₂ bucket upper bounds (1e6 turns µs buckets into seconds, 1.0
-/// keeps raw magnitudes).
-fn prom_histogram(
-    out: &mut String,
-    name: &str,
-    label: Option<(&str, &str)>,
-    h: &Histogram,
-    scale: f64,
-) {
-    let tag = |le: &str| match label {
-        Some((k, v)) => format!("{{{k}=\"{v}\",le=\"{le}\"}}"),
-        None => format!("{{le=\"{le}\"}}"),
-    };
-    let suffix = match label {
-        Some((k, v)) => format!("{{{k}=\"{v}\"}}"),
-        None => String::new(),
+/// the last non-zero bucket plus `+Inf`, then `_sum` and `_count`, every
+/// line under `label`; `scale` divides the raw log₂ bucket upper bounds
+/// (1e6 turns µs buckets into seconds, 1.0 keeps raw magnitudes).
+fn prom_histogram(out: &mut String, name: &str, label: (&str, &str), h: &Histogram, scale: f64) {
+    let bucket = |le: &str| match label {
+        ("", _) => format!("{name}_bucket{{le=\"{le}\"}}"),
+        (k, v) => format!("{name}_bucket{{{k}=\"{v}\",le=\"{le}\"}}"),
     };
     let counts = h.bucket_counts();
+    let filled = counts
+        .iter()
+        .rposition(|&c| c > 0)
+        .map_or(0, |last| last + 1);
     let mut cum = 0u64;
-    if let Some(last) = counts.iter().rposition(|&c| c > 0) {
-        for (i, &c) in counts.iter().take(last + 1).enumerate() {
-            cum += c;
-            let le = (1u64 << i) as f64 / scale;
-            let _ = writeln!(out, "{name}_bucket{} {cum}", tag(&le.to_string()));
-        }
+    for (i, c) in counts[..filled].iter().enumerate() {
+        cum += c;
+        let le = (1u64 << i) as f64 / scale;
+        prom_sample(out, &bucket(&le.to_string()), ("", ""), cum);
     }
-    let _ = writeln!(out, "{name}_bucket{} {}", tag("+Inf"), h.count());
-    let _ = writeln!(out, "{name}_sum{suffix} {}", h.sum_us() as f64 / scale);
-    let _ = writeln!(out, "{name}_count{suffix} {}", h.count());
+    prom_sample(out, &bucket("+Inf"), ("", ""), h.count());
+    let sum = h.sum_us() as f64 / scale;
+    prom_sample(out, &format!("{name}_sum"), label, sum);
+    prom_sample(out, &format!("{name}_count"), label, h.count());
 }
 
-/// Renders the registry in the Prometheus text exposition format
-/// (v0.0.4): the same atomics as [`registry_json`], one `# HELP`/`#
-/// TYPE` pair per family, log₂-µs histogram buckets mapped to cumulative
-/// `le` bounds in seconds.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn registry_prometheus(
-    m: &Metrics,
-    workers: usize,
-    intra_query_threads: usize,
-    queue_capacity: usize,
-    plan_cache: &CacheStats,
-    result_cache: &CacheStats,
-    epoch: u64,
-    updates: Option<crate::source::UpdateStats>,
-    index: Option<crate::source::IndexStats>,
-    shards: Option<&[crate::source::ShardStat]>,
-) -> String {
-    let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
+/// Renders what [`registry_json`] renders in the Prometheus text
+/// exposition format (v0.0.4): one `# HELP`/`# TYPE` pair per family,
+/// log₂-µs histogram buckets mapped to cumulative `le` bounds in seconds.
+/// Every labelled sample is listed, except that a labelled histogram
+/// without samples has no lines.
+pub(crate) fn registry_prometheus(v: &View) -> String {
     let mut out = String::with_capacity(8192);
-
-    prom_header(
-        &mut out,
-        "rpq_uptime_seconds",
-        "Seconds since the server started.",
-        "gauge",
-    );
-    prom_sample(&mut out, "rpq_uptime_seconds", m.uptime().as_secs_f64());
-    prom_header(
-        &mut out,
-        "rpq_workers",
-        "Configured worker threads.",
-        "gauge",
-    );
-    prom_sample(&mut out, "rpq_workers", workers);
-    prom_header(
-        &mut out,
-        "rpq_intra_query_threads",
-        "Threads one query may fan its BFS levels across.",
-        "gauge",
-    );
-    prom_sample(&mut out, "rpq_intra_query_threads", intra_query_threads);
-
-    for (name, help, v) in [
-        (
-            "rpq_queries_submitted_total",
-            "Queries accepted into the queue.",
-            g(&m.submitted),
-        ),
-        (
-            "rpq_queries_completed_total",
-            "Queries that produced an answer.",
-            g(&m.completed),
-        ),
-        (
-            "rpq_queries_failed_total",
-            "Queries that failed evaluation.",
-            g(&m.failed),
-        ),
-        (
-            "rpq_queries_cancelled_total",
-            "Queries cancelled before an answer.",
-            g(&m.cancelled),
-        ),
-        (
-            "rpq_queries_rejected_overload_total",
-            "Submissions rejected by admission control.",
-            g(&m.rejected_overload),
-        ),
-        (
-            "rpq_queries_budget_exceeded_total",
-            "Queries aborted on an exhausted node budget.",
-            g(&m.budget_exceeded),
-        ),
-        (
-            "rpq_epoch_bumps_total",
-            "Snapshot-epoch bumps observed at submit time.",
-            g(&m.epoch_bumps),
-        ),
-        (
-            "rpq_rank_ops_total",
-            "Wavelet rank operations performed.",
-            g(&m.rank_ops),
-        ),
-        (
-            "rpq_rank_ops_saved_total",
-            "Rank operations avoided by frontier batching.",
-            g(&m.rank_ops_saved),
-        ),
-    ] {
-        prom_header(&mut out, name, help, "counter");
-        prom_sample(&mut out, name, v);
-    }
-
-    prom_header(
-        &mut out,
-        "rpq_queue_depth",
-        "Jobs currently queued.",
-        "gauge",
-    );
-    prom_sample(
-        &mut out,
-        "rpq_queue_depth",
-        m.queue_depth.load(Ordering::Relaxed),
-    );
-    prom_header(
-        &mut out,
-        "rpq_queue_peak",
-        "Queue-depth high-water mark.",
-        "gauge",
-    );
-    prom_sample(
-        &mut out,
-        "rpq_queue_peak",
-        m.queue_peak.load(Ordering::Relaxed),
-    );
-    prom_header(
-        &mut out,
-        "rpq_queue_capacity",
-        "Configured queue capacity.",
-        "gauge",
-    );
-    prom_sample(&mut out, "rpq_queue_capacity", queue_capacity);
-
-    prom_header(
-        &mut out,
-        "rpq_planner_decisions_total",
-        "Planner route decisions.",
-        "counter",
-    );
-    for r in EvalRoute::ALL {
-        prom_labeled(
-            &mut out,
-            "rpq_planner_decisions_total",
-            "route",
-            r.name(),
-            m.planner_decisions[r.index()].load(Ordering::Relaxed),
-        );
-    }
-    {
-        let accuracy: [(&str, &str, &[AtomicU64; ROUTES]); 3] = [
-            (
-                "rpq_planner_estimated_cost_total",
-                "Sum of planner cost estimates per executed route.",
-                &m.est_cost_by_route,
-            ),
-            (
-                "rpq_planner_actual_nodes_total",
-                "Sum of product-graph nodes actually visited per executed route.",
-                &m.actual_nodes_by_route,
-            ),
-            (
-                "rpq_planner_actual_rank_ops_total",
-                "Sum of rank operations actually performed per executed route.",
-                &m.actual_rank_ops_by_route,
-            ),
-        ];
-        for (name, help, arr) in accuracy {
-            prom_header(&mut out, name, help, "counter");
-            for r in EvalRoute::ALL {
-                prom_labeled(&mut out, name, "route", r.name(), g(&arr[r.index()]));
+    let mut families: Vec<_> = TABLE.iter().filter_map(|d| Some((d.family?, d))).collect();
+    // Stable: table order within a block.
+    families.sort_by_key(|((block, ..), _)| *block);
+    for ((_, name, help), d) in families {
+        let Some(n) = d.per.len(v) else { continue };
+        let kind = match d.value {
+            Hist(..) => "histogram",
+            _ if name.ends_with("_total") => "counter",
+            _ => "gauge",
+        };
+        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+        for i in 0..n {
+            let (label, of) = d.per.label(i);
+            let label = (label, &*of);
+            match d.value {
+                Num(get) => prom_sample(&mut out, name, label, get(v, i)),
+                Hist(get, _) if !label.0.is_empty() && !get(v.m, i).non_empty() => {}
+                Hist(get, scale) => prom_histogram(&mut out, name, label, get(v.m, i), scale),
+                Value::Uptime => prom_sample(&mut out, name, label, v.m.uptime().as_secs_f64()),
             }
         }
-    }
-    prom_header(
-        &mut out,
-        "rpq_planner_misprediction_x1000",
-        "Actual-vs-estimated cost ratio x1000 per executed route (1000 = perfect).",
-        "histogram",
-    );
-    for r in EvalRoute::ALL {
-        let h = &m.misprediction_by_route[r.index()];
-        if h.non_empty() {
-            prom_histogram(
-                &mut out,
-                "rpq_planner_misprediction_x1000",
-                Some(("route", r.name())),
-                h,
-                1.0,
-            );
-        }
-    }
-
-    prom_header(
-        &mut out,
-        "rpq_parallel_levels_total",
-        "BFS levels fanned across the intra-query pool, per route.",
-        "counter",
-    );
-    for r in EvalRoute::ALL {
-        prom_labeled(
-            &mut out,
-            "rpq_parallel_levels_total",
-            "route",
-            r.name(),
-            m.parallel_levels_by_route[r.index()].load(Ordering::Relaxed),
-        );
-    }
-    prom_header(
-        &mut out,
-        "rpq_parallel_chunks_total",
-        "Frontier chunks merged back from the pool, per route.",
-        "counter",
-    );
-    for r in EvalRoute::ALL {
-        prom_labeled(
-            &mut out,
-            "rpq_parallel_chunks_total",
-            "route",
-            r.name(),
-            m.parallel_chunks_by_route[r.index()].load(Ordering::Relaxed),
-        );
-    }
-    prom_header(
-        &mut out,
-        "rpq_helper_pool_capacity",
-        "Process-wide intra-query helper token capacity.",
-        "gauge",
-    );
-    prom_sample(
-        &mut out,
-        "rpq_helper_pool_capacity",
-        rpq_core::parallel::pool_capacity(),
-    );
-    prom_header(
-        &mut out,
-        "rpq_helper_pool_in_use",
-        "Helper tokens currently checked out.",
-        "gauge",
-    );
-    prom_sample(
-        &mut out,
-        "rpq_helper_pool_in_use",
-        rpq_core::parallel::pool_in_use(),
-    );
-
-    {
-        type CacheField = fn(&CacheStats) -> u64;
-        let caches: [(&str, &str, &str, CacheField); 7] = [
-            ("rpq_cache_hits_total", "Cache hits.", "counter", |c| c.hits),
-            ("rpq_cache_misses_total", "Cache misses.", "counter", |c| {
-                c.misses
-            }),
-            (
-                "rpq_cache_evictions_total",
-                "Cache evictions.",
-                "counter",
-                |c| c.evictions,
-            ),
-            (
-                "rpq_cache_invalidations_total",
-                "Cache invalidations.",
-                "counter",
-                |c| c.invalidations,
-            ),
-            ("rpq_cache_entries", "Live cache entries.", "gauge", |c| {
-                c.entries as u64
-            }),
-            (
-                "rpq_cache_used_bytes",
-                "Bytes held by the cache.",
-                "gauge",
-                |c| c.used as u64,
-            ),
-            (
-                "rpq_cache_budget_bytes",
-                "Cache byte budget.",
-                "gauge",
-                |c| c.budget as u64,
-            ),
-        ];
-        for (name, help, kind, f) in caches {
-            prom_header(&mut out, name, help, kind);
-            prom_labeled(&mut out, name, "cache", "plan", f(plan_cache));
-            prom_labeled(&mut out, name, "cache", "result", f(result_cache));
-        }
-    }
-
-    let u = updates.unwrap_or_default();
-    prom_header(
-        &mut out,
-        "rpq_snapshot_epoch",
-        "Current snapshot epoch.",
-        "gauge",
-    );
-    prom_sample(&mut out, "rpq_snapshot_epoch", epoch);
-    for (name, help, v) in [
-        (
-            "rpq_update_commits_total",
-            "Update batches committed.",
-            u.commits,
-        ),
-        (
-            "rpq_update_compactions_total",
-            "Delta compactions into the ring.",
-            u.compactions,
-        ),
-        (
-            "rpq_update_commit_nanoseconds_total",
-            "Time spent merging update batches into the delta overlay.",
-            u.commit_ns,
-        ),
-        (
-            "rpq_update_compact_nanoseconds_total",
-            "Time spent rebuilding the ring (the compaction stall).",
-            u.compact_ns,
-        ),
-        (
-            "rpq_delta_adds_total",
-            "Triples added through the delta overlay.",
-            u.delta_adds as u64,
-        ),
-        (
-            "rpq_delta_deletes_total",
-            "Triples deleted through the delta overlay.",
-            u.delta_deletes as u64,
-        ),
-    ] {
-        prom_header(&mut out, name, help, "counter");
-        prom_sample(&mut out, name, v);
-    }
-    prom_header(
-        &mut out,
-        "rpq_pending_ops",
-        "Update operations not yet committed.",
-        "gauge",
-    );
-    prom_sample(&mut out, "rpq_pending_ops", u.pending_ops);
-
-    for (name, help, v) in [
-        ("rpq_drains_total", "Graceful drains started.", g(&m.drains)),
-        (
-            "rpq_drained_jobs_total",
-            "Backlogged queries finished within a drain deadline.",
-            g(&m.drained_jobs),
-        ),
-        (
-            "rpq_aborted_jobs_total",
-            "Queries a drain deadline aborted while queued.",
-            g(&m.aborted_jobs),
-        ),
-        (
-            "rpq_checkpoints_total",
-            "Durable checkpoints (snapshot persisted, WAL rotated).",
-            g(&m.checkpoints),
-        ),
-        (
-            "rpq_checkpoint_failures_total",
-            "Checkpoint attempts that failed.",
-            g(&m.checkpoint_failures),
-        ),
-    ] {
-        prom_header(&mut out, name, help, "counter");
-        prom_sample(&mut out, name, v);
-    }
-
-    let ix = index.unwrap_or_default();
-    prom_header(
-        &mut out,
-        "rpq_index_open_us",
-        "Wall time of the index open call, microseconds (0 = built in memory).",
-        "gauge",
-    );
-    prom_sample(&mut out, "rpq_index_open_us", ix.open_us);
-    prom_header(
-        &mut out,
-        "rpq_index_resident_mode",
-        "Where the index payload lives: 1 on the active mode label.",
-        "gauge",
-    );
-    for mode in ["heap", "mmap"] {
-        prom_labeled(
-            &mut out,
-            "rpq_index_resident_mode",
-            "mode",
-            mode,
-            u64::from(mode == ix.resident_mode),
-        );
-    }
-    prom_header(
-        &mut out,
-        "rpq_index_mapped_bytes",
-        "Bytes of the index held by a kernel mapping (0 in heap mode).",
-        "gauge",
-    );
-    prom_sample(&mut out, "rpq_index_mapped_bytes", ix.mapped_bytes);
-
-    if let Some(shards) = shards {
-        prom_header(
-            &mut out,
-            "rpq_shards",
-            "Shards of the served index (absent when unsharded).",
-            "gauge",
-        );
-        prom_sample(&mut out, "rpq_shards", shards.len());
-        type ShardField = fn(&crate::source::ShardStat) -> u64;
-        let per_shard: [(&str, &str, &str, ShardField); 3] = [
-            (
-                "rpq_shard_triples",
-                "Completed triples held by one shard.",
-                "gauge",
-                |s| s.triples as u64,
-            ),
-            (
-                "rpq_shard_bytes",
-                "Index bytes of one shard's ring.",
-                "gauge",
-                |s| s.bytes as u64,
-            ),
-            (
-                "rpq_shard_probes_total",
-                "Scatter-gather probes served by one shard.",
-                "counter",
-                |s| s.probes,
-            ),
-        ];
-        for (name, help, kind, f) in per_shard {
-            prom_header(&mut out, name, help, kind);
-            for (i, s) in shards.iter().enumerate() {
-                prom_labeled(&mut out, name, "shard", &i.to_string(), f(s));
-            }
-        }
-    }
-
-    prom_header(
-        &mut out,
-        "rpq_query_latency_seconds",
-        "End-to-end query latency (queue wait included).",
-        "histogram",
-    );
-    prom_histogram(
-        &mut out,
-        "rpq_query_latency_seconds",
-        None,
-        &m.latency_all,
-        1e6,
-    );
-    prom_header(
-        &mut out,
-        "rpq_queue_wait_seconds",
-        "Time jobs waited in the queue.",
-        "histogram",
-    );
-    prom_histogram(&mut out, "rpq_queue_wait_seconds", None, &m.queue_wait, 1e6);
-    prom_header(
-        &mut out,
-        "rpq_query_exec_seconds",
-        "Pure evaluation time (cache hits excluded).",
-        "histogram",
-    );
-    prom_histogram(
-        &mut out,
-        "rpq_query_exec_seconds",
-        None,
-        &m.latency_exec,
-        1e6,
-    );
-    prom_header(
-        &mut out,
-        "rpq_query_route_latency_seconds",
-        "Evaluation latency per route (result-cache hits as route=\"cached\").",
-        "histogram",
-    );
-    for r in EvalRoute::ALL {
-        let h = m.route_histogram(r);
-        if h.non_empty() {
-            prom_histogram(
-                &mut out,
-                "rpq_query_route_latency_seconds",
-                Some(("route", r.name())),
-                h,
-                1e6,
-            );
-        }
-    }
-    if m.latency_cached.non_empty() {
-        prom_histogram(
-            &mut out,
-            "rpq_query_route_latency_seconds",
-            Some(("route", "cached")),
-            &m.latency_cached,
-            1e6,
-        );
     }
     out
 }
@@ -1024,6 +647,22 @@ pub(crate) fn registry_prometheus(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The default configuration over an unsharded heap index that takes
+    /// no updates.
+    fn view(m: &Metrics, cache: CacheStats) -> View<'_> {
+        static CONFIG: std::sync::OnceLock<ServerConfig> = std::sync::OnceLock::new();
+        View {
+            m,
+            config: CONFIG.get_or_init(ServerConfig::default),
+            caches: [cache; 2],
+            epoch: 0,
+            updates: UpdateStats::default(),
+            index: IndexStats::default(),
+            sharded: false,
+            shards: Vec::new(),
+        }
+    }
 
     #[test]
     fn histogram_buckets_and_quantiles() {
@@ -1115,33 +754,33 @@ mod tests {
             budget: 1024,
         };
         let shard_rows = [
-            crate::source::ShardStat {
+            ShardStat {
                 triples: 10,
                 bytes: 2048,
                 probes: 7,
             },
-            crate::source::ShardStat {
+            ShardStat {
                 triples: 6,
                 bytes: 1024,
                 probes: 0,
             },
         ];
-        let text = registry_prometheus(
-            &m,
-            2,
-            1,
-            16,
-            &cache,
-            &cache,
-            0,
-            None,
-            Some(crate::source::IndexStats {
+        let config = ServerConfig {
+            workers: 2,
+            max_pending: 16,
+            ..ServerConfig::default()
+        };
+        let text = registry_prometheus(&View {
+            config: &config,
+            index: IndexStats {
                 open_us: 1234,
                 resident_mode: "mmap",
                 mapped_bytes: 4096,
-            }),
-            Some(&shard_rows),
-        );
+            },
+            sharded: true,
+            shards: shard_rows.to_vec(),
+            ..view(&m, cache)
+        });
 
         let mut declared = std::collections::HashSet::new();
         let mut helps = std::collections::HashSet::new();
@@ -1210,7 +849,7 @@ mod tests {
             used: 0,
             budget: 0,
         };
-        let text = registry_prometheus(&m, 1, 1, 8, &cache, &cache, 0, None, None, None);
+        let text = registry_prometheus(&view(&m, cache));
         assert!(!text.contains("rpq_shard"));
     }
 
@@ -1226,7 +865,7 @@ mod tests {
             used: 16,
             budget: 1024,
         };
-        let json = registry_json(&m, 1, 1, 8, &cache, &cache, 0, None, None, None);
+        let json = registry_json(&view(&m, cache));
         // The CI server-smoke step greps for this exact byte shape.
         assert!(json.contains("\"result_cache\":{\"hits\":1"), "{json}");
         assert!(json.contains("\"latency_us\":{\"all\":{\"count\":0"));
@@ -1234,12 +873,16 @@ mod tests {
         // Unsharded sources have no shards section at all.
         assert!(!json.contains("\"shards\""));
 
-        let rows = [crate::source::ShardStat {
+        let rows = [ShardStat {
             triples: 4,
             bytes: 512,
             probes: 9,
         }];
-        let sharded = registry_json(&m, 1, 1, 8, &cache, &cache, 0, None, None, Some(&rows));
+        let sharded = registry_json(&View {
+            sharded: true,
+            shards: rows.to_vec(),
+            ..view(&m, cache)
+        });
         assert!(
             sharded.contains(
                 "\"shards\":{\"count\":1,\"rows\":[{\"triples\":4,\"bytes\":512,\"probes\":9}]}"

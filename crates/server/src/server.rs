@@ -27,7 +27,7 @@ use rpq_core::{
 };
 use succinct::util::FxHashMap;
 
-use crate::metrics::{registry_json, registry_prometheus, Metrics};
+use crate::metrics::{registry_json, registry_prometheus, Metrics, View};
 use crate::plan_cache::PlanCache;
 use crate::result_cache::{ResultCache, ResultKey};
 use crate::slowlog::{SlowEntry, SlowLog};
@@ -610,45 +610,35 @@ impl RpqServer {
         lock_ignore_poison(&self.shared.queue).len()
     }
 
+    /// What both metrics exports render: the registry, the configuration,
+    /// and the caches' and the source's counters as of now.
+    fn metrics_view(&self) -> View<'_> {
+        let Shared { source, config, .. } = &*self.shared;
+        let shards = source.shard_stats();
+        View {
+            m: &self.shared.metrics,
+            config,
+            caches: [
+                self.shared.plan_cache.stats(),
+                self.shared.result_cache.stats(),
+            ],
+            epoch: source.snapshot().epoch,
+            updates: source.update_stats().unwrap_or_default(),
+            index: source.index_info().unwrap_or_default(),
+            sharded: shards.is_some(),
+            shards: shards.unwrap_or_default(),
+        }
+    }
+
     /// The full metrics registry as a JSON object.
     pub fn metrics_json(&self) -> String {
-        let updates = self.shared.source.update_stats();
-        let index = self.shared.source.index_info();
-        let shards = self.shared.source.shard_stats();
-        let epoch = self.shared.source.snapshot().epoch;
-        registry_json(
-            &self.shared.metrics,
-            self.shared.config.workers,
-            self.shared.config.intra_query_threads,
-            self.shared.config.max_pending,
-            &self.shared.plan_cache.stats(),
-            &self.shared.result_cache.stats(),
-            epoch,
-            updates,
-            index,
-            shards.as_deref(),
-        )
+        registry_json(&self.metrics_view())
     }
 
     /// The full metrics registry in the Prometheus text exposition
     /// format (the same atomics as [`Self::metrics_json`]).
     pub fn prometheus_metrics(&self) -> String {
-        let updates = self.shared.source.update_stats();
-        let index = self.shared.source.index_info();
-        let shards = self.shared.source.shard_stats();
-        let epoch = self.shared.source.snapshot().epoch;
-        registry_prometheus(
-            &self.shared.metrics,
-            self.shared.config.workers,
-            self.shared.config.intra_query_threads,
-            self.shared.config.max_pending,
-            &self.shared.plan_cache.stats(),
-            &self.shared.result_cache.stats(),
-            epoch,
-            updates,
-            index,
-            shards.as_deref(),
-        )
+        registry_prometheus(&self.metrics_view())
     }
 
     /// The slow-query log (worst queries by end-to-end latency; empty

@@ -133,8 +133,8 @@ pub trait QuerySource: Send + Sync {
 /// dictionaries, names are decimal ids — the form synthetic workloads
 /// use.
 pub struct IndexSource {
-    ring: Arc<Ring>,
-    shards: Option<rpq_core::ShardedSource>,
+    /// The one ring, or the shard set.
+    snapshot: SourceSnapshot,
     nodes: Option<Dict>,
     preds: Option<Dict>,
 }
@@ -143,18 +143,16 @@ impl IndexSource {
     /// A source with name dictionaries.
     pub fn new(ring: Ring, nodes: Dict, preds: Dict) -> Self {
         Self {
-            ring: Arc::new(ring),
-            shards: None,
             nodes: Some(nodes),
             preds: Some(preds),
+            ..Self::id_only(ring)
         }
     }
 
     /// A dictionary-less source: node and predicate names are decimal ids.
     pub fn id_only(ring: Ring) -> Self {
         Self {
-            ring: Arc::new(ring),
-            shards: None,
+            snapshot: SourceSnapshot::immutable(Arc::new(ring)),
             nodes: None,
             preds: None,
         }
@@ -169,11 +167,13 @@ impl IndexSource {
     ///
     /// # Panics
     /// Panics if `rings` is empty or the rings disagree on a universe.
-    pub fn sharded_id_only(rings: Vec<Ring>) -> Self {
+    pub fn sharded_id_only(mut rings: Vec<Ring>) -> Self {
+        if rings.len() == 1 {
+            return Self::id_only(rings.remove(0));
+        }
         let source = rpq_core::ShardedSource::new(rings.into_iter().map(Arc::new).collect());
         Self {
-            ring: Arc::clone(&source.parts()[0].ring),
-            shards: (source.n_shards() > 1).then_some(source),
+            snapshot: source.snapshot(),
             nodes: None,
             preds: None,
         }
@@ -182,10 +182,7 @@ impl IndexSource {
 
 impl QuerySource for IndexSource {
     fn snapshot(&self) -> SourceSnapshot {
-        match &self.shards {
-            Some(source) => source.snapshot(),
-            None => SourceSnapshot::immutable(Arc::clone(&self.ring)),
-        }
+        self.snapshot.clone()
     }
 
     fn node_id(&self, name: &str) -> Option<Id> {
@@ -194,14 +191,14 @@ impl QuerySource for IndexSource {
             None => name
                 .parse::<Id>()
                 .ok()
-                .filter(|&id| id < self.ring.n_nodes()),
+                .filter(|&id| id < self.snapshot.ring.n_nodes()),
         }
     }
 
     fn node_name(&self, id: Id) -> Option<String> {
         match &self.nodes {
             Some(d) => (id < d.len() as Id).then(|| d.name(id).to_string()),
-            None => (id < self.ring.n_nodes()).then(|| id.to_string()),
+            None => (id < self.snapshot.ring.n_nodes()).then(|| id.to_string()),
         }
     }
 
@@ -211,23 +208,17 @@ impl QuerySource for IndexSource {
             None => name
                 .parse::<Id>()
                 .ok()
-                .filter(|&id| id < self.ring.n_preds_base()),
+                .filter(|&id| id < self.snapshot.ring.n_preds_base()),
         }
     }
 
     fn shard_stats(&self) -> Option<Vec<ShardStat>> {
-        let source = self.shards.as_ref()?;
-        Some(
-            source
-                .parts()
-                .iter()
-                .map(|p| ShardStat {
-                    triples: p.ring.n_triples(),
-                    bytes: p.ring.size_bytes(),
-                    probes: p.probe_count(),
-                })
-                .collect(),
-        )
+        let rows = self.snapshot.shards.iter().map(|p| ShardStat {
+            triples: p.ring.n_triples(),
+            bytes: p.ring.size_bytes(),
+            probes: p.probe_count(),
+        });
+        (!self.snapshot.shards.is_empty()).then(|| rows.collect())
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::{BitVec, IntVec, RankSelect, WaveletMatrix, WaveletTree};
+use crate::{BitVec, IntVec, RankSelect, WaveletMatrix};
 
 /// Format version written after each magic tag.
 pub const FORMAT_VERSION: u32 = 1;
@@ -244,36 +244,6 @@ impl Persist for WaveletMatrix {
     }
 }
 
-impl Persist for WaveletTree {
-    const MAGIC: [u8; 4] = *b"RWt1";
-
-    fn write_payload(&self, w: &mut impl Write) -> io::Result<()> {
-        write_u64(w, self.sigma())?;
-        write_u64(w, self.len() as u64)?;
-        for i in 0..self.len() {
-            write_u64(w, self.access(i))?;
-        }
-        Ok(())
-    }
-
-    fn read_payload(r: &mut impl Read) -> io::Result<Self> {
-        let sigma = read_u64(r)?;
-        if sigma == 0 {
-            return Err(bad_data("wavelet tree with empty alphabet"));
-        }
-        let n = read_len(r, MAX_LEN)?;
-        let mut syms = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let s = read_u64(r)?;
-            if s >= sigma {
-                return Err(bad_data("wavelet tree symbol out of alphabet"));
-            }
-            syms.push(s);
-        }
-        Ok(WaveletTree::new(&syms, sigma))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,11 +343,6 @@ mod tests {
         let back = roundtrip(&wm);
         for i in 0..200 {
             assert_eq!(wm.access(i), back.access(i));
-        }
-        let wt = WaveletTree::new(&syms, 50);
-        let back = roundtrip(&wt);
-        for i in 0..200 {
-            assert_eq!(wt.access(i), back.access(i));
         }
     }
 

@@ -12,9 +12,6 @@
 //!   paper, \[10, 39\]).
 //! * [`IntVec`]: a fixed-width packed integer vector (the "plain
 //!   representation" the paper compares index sizes against).
-//! * [`WaveletTree`]: the classical pointer-based wavelet tree of
-//!   Grossi, Gupta and Vitter \[23\], used here as a readable reference
-//!   implementation and for cross-validation.
 //! * [`WaveletMatrix`]: the wavelet matrix of Claude, Navarro and
 //!   Ordóñez \[11\], the representation the paper's implementation uses for
 //!   the large-alphabet sequences `L_s` and `L_p` (§5). It exposes the
@@ -39,7 +36,6 @@ pub mod rank_select;
 pub mod storage;
 pub mod util;
 pub mod wavelet_matrix;
-pub mod wavelet_tree;
 
 pub use bitvec::BitVec;
 pub use checksum::{crc32c, Crc32c};
@@ -49,7 +45,6 @@ pub use mmap::{MappedFile, ResidentMode};
 pub use rank_select::RankSelect;
 pub use storage::Slab;
 pub use wavelet_matrix::WaveletMatrix;
-pub use wavelet_tree::WaveletTree;
 
 /// Heap space accounting, in bytes, for regenerating the paper's Table 2
 /// (index space in bytes per edge).

@@ -772,8 +772,8 @@ impl WaveletMatrix {
         n
     }
 
-    /// Symbols occurring in **both** ranges, with rank offsets in each
-    /// (cf. [`crate::WaveletTree::range_intersect`]).
+    /// Symbols occurring in **both** ranges, in increasing order, with rank
+    /// offsets in each.
     pub fn range_intersect(&self, r1: (usize, usize), r2: (usize, usize)) -> Vec<IntersectionHit> {
         assert!(r1.0 <= r1.1 && r1.1 <= self.len);
         assert!(r2.0 <= r2.1 && r2.1 <= self.len);
@@ -970,12 +970,26 @@ impl SpaceUsage for WaveletMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WaveletTree;
 
     fn sample(n: usize, sigma: u64) -> Vec<u64> {
         (0..n)
             .map(|i| ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 17) % sigma)
             .collect()
+    }
+
+    /// `rank` on the plain sequence.
+    fn slice_rank(syms: &[u64], sym: u64, i: usize) -> usize {
+        syms[..i].iter().filter(|&&s| s == sym).count()
+    }
+
+    /// `range_distinct` on the plain sequence: `(sym, rank_b, rank_e)` of
+    /// every symbol of `[b, e)`, in increasing symbol order.
+    fn slice_distinct(syms: &[u64], b: usize, e: usize) -> Vec<(u64, usize, usize)> {
+        let mut distinct = syms[b..e].to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let ranks = |s| (s, slice_rank(syms, s, b), slice_rank(syms, s, e));
+        distinct.into_iter().map(ranks).collect()
     }
 
     #[test]
@@ -988,13 +1002,16 @@ mod tests {
     }
 
     #[test]
-    fn rank_matches_wavelet_tree() {
+    fn rank_matches_slice_model() {
         let syms = sample(500, 43);
         let wm = WaveletMatrix::new(&syms, 43);
-        let wt = WaveletTree::new(&syms, 43);
         for sym in 0..43 {
             for i in (0..=500).step_by(13) {
-                assert_eq!(wm.rank(sym, i), wt.rank(sym, i), "rank({sym}, {i})");
+                assert_eq!(
+                    wm.rank(sym, i),
+                    slice_rank(&syms, sym, i),
+                    "rank({sym}, {i})"
+                );
             }
         }
     }
@@ -1013,16 +1030,13 @@ mod tests {
     }
 
     #[test]
-    fn range_distinct_matches_wavelet_tree() {
+    fn range_distinct_matches_slice_model() {
         let syms = sample(350, 29);
         let wm = WaveletMatrix::new(&syms, 29);
-        let wt = WaveletTree::new(&syms, 29);
         for (b, e) in [(0, 350), (17, 18), (40, 200), (349, 350), (60, 60)] {
             let mut got = Vec::new();
             wm.range_distinct(b, e, &mut |s, rb, re| got.push((s, rb, re)));
-            let mut expected = Vec::new();
-            wt.range_distinct(b, e, &mut |s, rb, re| expected.push((s, rb, re)));
-            assert_eq!(got, expected, "range [{b}, {e})");
+            assert_eq!(got, slice_distinct(&syms, b, e), "range [{b}, {e})");
         }
     }
 
@@ -1062,33 +1076,38 @@ mod tests {
     }
 
     #[test]
-    fn intersect_matches_wavelet_tree() {
+    fn intersect_matches_slice_model() {
         let syms = sample(280, 23);
         let wm = WaveletMatrix::new(&syms, 23);
-        let wt = WaveletTree::new(&syms, 23);
         for (r1, r2) in [
             ((0, 140), (70, 280)),
             ((5, 10), (200, 230)),
             ((0, 0), (0, 280)),
         ] {
-            assert_eq!(
-                wm.range_intersect(r1, r2),
-                wt.range_intersect(r1, r2),
-                "ranges {r1:?} {r2:?}"
-            );
+            let in_r2 = slice_distinct(&syms, r2.0, r2.1);
+            let expected: Vec<IntersectionHit> = slice_distinct(&syms, r1.0, r1.1)
+                .into_iter()
+                .filter_map(|(s, b1, e1)| {
+                    let &(_, b2, e2) = in_r2.iter().find(|hit| hit.0 == s)?;
+                    Some((s, (b1, e1), (b2, e2)))
+                })
+                .collect();
+            assert_eq!(wm.range_intersect(r1, r2), expected, "ranges {r1:?} {r2:?}");
         }
     }
 
     #[test]
-    fn next_value_matches_wavelet_tree() {
+    fn next_value_matches_slice_model() {
         let syms = sample(260, 31);
         let wm = WaveletMatrix::new(&syms, 31);
-        let wt = WaveletTree::new(&syms, 31);
         for x in 0..32 {
             for (b, e) in [(0usize, 260usize), (25, 80), (100, 103)] {
+                let expected = slice_distinct(&syms, b, e)
+                    .into_iter()
+                    .find(|&(s, ..)| s >= x);
                 assert_eq!(
                     wm.range_next_value(b, e, x),
-                    wt.range_next_value(b, e, x),
+                    expected,
                     "x={x} range [{b},{e})"
                 );
             }

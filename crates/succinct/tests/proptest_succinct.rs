@@ -1,13 +1,23 @@
-//! Property-based cross-validation of the succinct structures: the wavelet
-//! matrix, pointer wavelet tree, and a naive vector-backed reference must
-//! agree on every operation for arbitrary inputs.
+//! Property-based cross-validation of the succinct structures: the
+//! wavelet matrix and a naive vector-backed reference must agree on every
+//! operation for arbitrary inputs.
 
 use proptest::prelude::*;
 use succinct::wavelet_matrix::MultiRangeGuide;
-use succinct::{BitVec, IntVec, RankSelect, WaveletMatrix, WaveletTree};
+use succinct::{BitVec, IntVec, RankSelect, WaveletMatrix};
 
 fn naive_rank(syms: &[u64], sym: u64, i: usize) -> usize {
     syms[..i].iter().filter(|&&s| s == sym).count()
+}
+
+/// `(sym, rank_b, rank_e)` of every symbol of `syms[b..e]`, in increasing
+/// symbol order.
+fn naive_distinct(syms: &[u64], b: usize, e: usize) -> Vec<(u64, usize, usize)> {
+    let mut distinct = syms[b..e].to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let ranks = |s| (s, naive_rank(syms, s, b), naive_rank(syms, s, e));
+    distinct.into_iter().map(ranks).collect()
 }
 
 /// All-admitting multi-range guide collecting `(item, sym, rb, re)`.
@@ -188,24 +198,18 @@ proptest! {
         syms in prop::collection::vec(0u64..50, 0..400),
         queries in prop::collection::vec((0u64..50, 0usize..400), 1..20),
     ) {
-        let sigma = 50;
-        let wt = WaveletTree::new(&syms, sigma);
-        let wm = WaveletMatrix::new(&syms, sigma);
+        let wm = WaveletMatrix::new(&syms, 50);
         for &(sym, raw_i) in &queries {
             let i = raw_i.min(syms.len());
-            let expected = naive_rank(&syms, sym, i);
-            prop_assert_eq!(wt.rank(sym, i), expected);
-            prop_assert_eq!(wm.rank(sym, i), expected);
+            prop_assert_eq!(wm.rank(sym, i), naive_rank(&syms, sym, i));
         }
         for (i, &s) in syms.iter().enumerate() {
-            prop_assert_eq!(wt.access(i), s);
             prop_assert_eq!(wm.access(i), s);
         }
     }
 
     #[test]
     fn wavelet_select_agrees(syms in prop::collection::vec(0u64..12, 0..300)) {
-        let wt = WaveletTree::new(&syms, 12);
         let wm = WaveletMatrix::new(&syms, 12);
         for sym in 0..12u64 {
             let total = naive_rank(&syms, sym, syms.len());
@@ -214,10 +218,8 @@ proptest! {
                     .filter(|(_, &s)| s == sym)
                     .map(|(i, _)| i)
                     .nth(k);
-                prop_assert_eq!(wt.select(sym, k), expected);
                 prop_assert_eq!(wm.select(sym, k), expected);
             }
-            prop_assert_eq!(wt.select(sym, total), None);
             prop_assert_eq!(wm.select(sym, total), None);
         }
     }
@@ -234,18 +236,30 @@ proptest! {
             (e_frac * n as f64) as usize,
         );
         if b > e { std::mem::swap(&mut b, &mut e); }
-        let wt = WaveletTree::new(&syms, 30);
         let wm = WaveletMatrix::new(&syms, 30);
-        let mut from_wt = Vec::new();
-        wt.range_distinct(b, e, &mut |s, rb, re| from_wt.push((s, rb, re)));
         let mut from_wm = Vec::new();
         wm.range_distinct(b, e, &mut |s, rb, re| from_wm.push((s, rb, re)));
-        prop_assert_eq!(&from_wt, &from_wm);
-        // Rank offsets must reconstruct per-symbol occurrence counts.
-        for &(s, rb, re) in &from_wt {
-            prop_assert_eq!(re - rb, syms[b..e].iter().filter(|&&x| x == s).count());
-            prop_assert_eq!(rb, naive_rank(&syms, s, b));
-        }
+        prop_assert_eq!(from_wm, naive_distinct(&syms, b, e));
+    }
+
+    #[test]
+    fn range_intersect_agrees(
+        syms in prop::collection::vec(0u64..20, 1..300),
+        cuts in prop::collection::vec(0.0f64..1.0, 4),
+    ) {
+        let at = |f: f64| (f * syms.len() as f64) as usize;
+        let range = |x: usize, y: usize| (x.min(y), x.max(y));
+        let (r1, r2) = (range(at(cuts[0]), at(cuts[1])), range(at(cuts[2]), at(cuts[3])));
+        let wm = WaveletMatrix::new(&syms, 20);
+        let in_r2 = naive_distinct(&syms, r2.0, r2.1);
+        let expected: Vec<_> = naive_distinct(&syms, r1.0, r1.1)
+            .into_iter()
+            .filter_map(|(s, b1, e1)| {
+                let &(_, b2, e2) = in_r2.iter().find(|hit| hit.0 == s)?;
+                Some((s, (b1, e1), (b2, e2)))
+            })
+            .collect();
+        prop_assert_eq!(wm.range_intersect(r1, r2), expected);
     }
 
     #[test]
@@ -253,12 +267,10 @@ proptest! {
         syms in prop::collection::vec(0u64..40, 1..250),
         x in 0u64..45,
     ) {
-        let wt = WaveletTree::new(&syms, 40);
         let wm = WaveletMatrix::new(&syms, 40);
         let b = syms.len() / 4;
         let e = syms.len();
-        let expected = syms[b..e].iter().copied().filter(|&s| s >= x).min();
-        prop_assert_eq!(wt.range_next_value(b, e, x).map(|t| t.0), expected);
-        prop_assert_eq!(wm.range_next_value(b, e, x).map(|t| t.0), expected);
+        let expected = naive_distinct(&syms, b, e).into_iter().find(|&(s, ..)| s >= x);
+        prop_assert_eq!(wm.range_next_value(b, e, x), expected);
     }
 }

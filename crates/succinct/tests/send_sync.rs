@@ -2,7 +2,7 @@
 //! worker threads must be free of interior mutability. The succinct
 //! layer is the foundation — a `Ring` is built out of these.
 
-use succinct::{BitVec, EliasFano, IntVec, RankSelect, WaveletMatrix, WaveletTree};
+use succinct::{BitVec, EliasFano, IntVec, RankSelect, WaveletMatrix};
 
 fn assert_send_sync<T: Send + Sync>() {}
 
@@ -12,6 +12,5 @@ fn shared_structures_are_send_sync() {
     assert_send_sync::<RankSelect>();
     assert_send_sync::<IntVec>();
     assert_send_sync::<EliasFano>();
-    assert_send_sync::<WaveletTree>();
     assert_send_sync::<WaveletMatrix>();
 }

@@ -5,8 +5,7 @@
 //!
 //! The paper benchmarks on a 958 M-edge Wikidata dump and 1 952 real
 //! timeout-inducing RPQs from the Wikidata query logs \[34\]; neither is
-//! available offline, so this crate generates faithful stand-ins (see
-//! DESIGN.md §3 "Substitutions"):
+//! available offline, so this crate generates stand-ins:
 //!
 //! * [`graphgen::GraphGen`] draws predicates from a Zipf distribution and
 //!   endpoints from a heavy-tailed node distribution, matching the

@@ -407,10 +407,7 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let [index, s, expr, o] = args else {
         return Err(format!("explain needs <index.db> <s> <expr> <o>\n{USAGE}").into());
     };
-    let db = load(index)?;
-    let q = db.parse_query(s, expr, o)?;
-    let plan = rpq_core::explain::explain(db.ring(), &q).map_err(|e| e.to_string())?;
-    print!("{plan}");
+    print!("{}", load(index)?.explain(s, expr, o)?);
     Ok(())
 }
 

@@ -13,7 +13,7 @@
 //! [`RpqDatabase`], a name-level convenience API. For id-level control use
 //! the re-exported building blocks:
 //!
-//! * [`succinct`] — bit vectors, rank/select, wavelet trees and matrices;
+//! * [`succinct`] — bit vectors, rank/select, the wavelet matrix;
 //! * [`automata`] — path expressions, parsing, Glushkov bit-parallelism;
 //! * [`ring`] — the succinct graph index (and a Leapfrog-TrieJoin);
 //! * [`rpq_core`] — the RPQ engine itself;
@@ -57,10 +57,8 @@ pub use updatable::UpdatableDatabase;
 use automata::parser::{self, LabelResolver};
 use ring::mapped::OpenMode;
 use ring::ring::RingOptions;
-use ring::{Dict, Graph, Id, Ring, Triple};
-use rpq_core::{
-    EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, Term, TripleSource,
-};
+use ring::{Dict, Graph, Id, Ring};
+use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, Term};
 use std::sync::{Arc, OnceLock};
 use succinct::ResidentMode;
 
@@ -101,11 +99,10 @@ pub struct RpqDatabase {
     /// Lazily materialized: a database opened from a mapped `RRPQM01`
     /// file reconstructs the base graph from the ring only if asked.
     graph: OnceLock<Graph>,
-    ring: Arc<Ring>,
-    /// Present when the database was opened from (or built as) a sharded
-    /// index; queries then scatter-gather across the parts. `ring` is
-    /// the first shard in that case.
-    shards: Option<rpq_core::ShardedSource>,
+    /// What every query, plan and server job evaluates against: the one
+    /// ring, or — opened from a sharded index — the shard set, across
+    /// whose parts queries scatter-gather (its `ring` is the first part).
+    source: SourceSnapshot,
     nodes: Dict,
     preds: Dict,
     open_info: OpenInfo,
@@ -191,15 +188,7 @@ impl RpqDatabase {
     /// Builds a database from pre-encoded parts.
     pub fn from_parts(graph: Graph, nodes: Dict, preds: Dict) -> Self {
         let ring = Arc::new(Ring::build(&graph, RingOptions::default()));
-        Self {
-            graph: OnceLock::from(graph),
-            ring,
-            shards: None,
-            nodes,
-            preds,
-            open_info: OpenInfo::default(),
-            scratch: ScratchPool::default(),
-        }
+        Self::from_built_parts(graph, ring, nodes, preds)
     }
 
     /// Converts this immutable database into an [`UpdatableDatabase`]
@@ -210,15 +199,16 @@ impl RpqDatabase {
 
     pub(crate) fn into_raw_parts(mut self) -> (Graph, Arc<Ring>, Dict, Dict) {
         self.graph();
+        let sharded = self.is_sharded();
         let graph = self.graph.into_inner().expect("graph just materialized");
         // Downstream mutators (the updatable store) intern names; hand
         // them the heap dictionary form up front. A sharded database
         // carries only per-shard rings, so the updatable store gets a
         // freshly built monolithic one.
-        let ring = if self.shards.is_some() {
+        let ring = if sharded {
             Arc::new(Ring::build(&graph, RingOptions::default()))
         } else {
-            self.ring
+            self.source.ring
         };
         self.nodes.make_owned();
         self.preds.make_owned();
@@ -233,8 +223,7 @@ impl RpqDatabase {
     ) -> Self {
         Self {
             graph: OnceLock::from(graph),
-            ring,
-            shards: None,
+            source: SourceSnapshot::immutable(ring),
             nodes,
             preds,
             open_info: OpenInfo::default(),
@@ -242,9 +231,13 @@ impl RpqDatabase {
         }
     }
 
-    /// The underlying ring index.
+    /// The underlying ring index — of a sharded database, its **first
+    /// part** only: the alphabet, the node universe and `inverse_label`
+    /// are every part's, the triples and their cardinalities are not.
+    /// Evaluate and plan through [`Self::query_with`] and
+    /// [`Self::explain_plan`], which see the whole partition.
     pub fn ring(&self) -> &Ring {
-        &self.ring
+        &self.source.ring
     }
 
     /// The underlying graph. Databases opened from a mapped `RRPQM01`
@@ -253,18 +246,17 @@ impl RpqDatabase {
     /// triples `p < n_preds_base` only).
     pub fn graph(&self) -> &Graph {
         self.graph.get_or_init(|| {
-            let base = self.ring.n_preds_base();
-            let triples: Vec<Triple> = match &self.shards {
-                // Shards partition the base triples, so their union is
-                // exact (no dedup needed).
-                Some(src) => src
-                    .parts()
-                    .iter()
-                    .flat_map(|p| p.ring.iter_triples().filter(|t| t.p < base))
-                    .collect(),
-                None => self.ring.iter_triples().filter(|t| t.p < base).collect(),
-            };
-            Graph::new(triples, self.ring.n_nodes(), base)
+            let ring = self.ring();
+            let base = ring.n_preds_base();
+            // The ring, and the other parts of a sharded database: shards
+            // partition the base triples, so their union is exact (no
+            // dedup needed).
+            let rest = self.source.shards.iter().skip(1).map(|p| &*p.ring);
+            let triples = std::iter::once(ring)
+                .chain(rest)
+                .flat_map(|r| r.iter_triples().filter(|t| t.p < base))
+                .collect();
+            Graph::new(triples, ring.n_nodes(), base)
         })
     }
 
@@ -294,7 +286,7 @@ impl RpqDatabase {
     ) -> Result<RpqQuery, DbError> {
         let resolver = DictResolver {
             preds: &self.preds,
-            ring: &self.ring,
+            ring: self.ring(),
         };
         let e = parser::parse(expr, &resolver).map_err(DbError::Parse)?;
         let term = |name: &str| -> Result<Term, DbError> {
@@ -341,12 +333,8 @@ impl RpqDatabase {
         opts: &EngineOptions,
     ) -> Result<QueryOutput, DbError> {
         let q = self.parse_query(subject, expr, object)?;
-        let source: &dyn TripleSource = match &self.shards {
-            Some(src) => src,
-            None => &*self.ring,
-        };
         self.scratch
-            .with_engine(source, |engine| engine.evaluate(&q, opts))
+            .with_engine(&self.source, |engine| engine.evaluate(&q, opts))
             .map_err(DbError::Query)
     }
 
@@ -370,11 +358,7 @@ impl RpqDatabase {
         object: &str,
     ) -> Result<rpq_core::explain::QueryPlan, DbError> {
         let q = self.parse_query(subject, expr, object)?;
-        match &self.shards {
-            Some(src) => rpq_core::explain::explain_source_with(src, &q, &EngineOptions::default()),
-            None => rpq_core::explain::explain(&self.ring, &q),
-        }
-        .map_err(DbError::Query)
+        rpq_core::explain::explain(&self.source, &q).map_err(DbError::Query)
     }
 
     /// Evaluates many queries concurrently (`n_threads` workers, dynamic
@@ -385,10 +369,7 @@ impl RpqDatabase {
         opts: &EngineOptions,
         n_threads: usize,
     ) -> Vec<Result<QueryOutput, rpq_core::QueryError>> {
-        match &self.shards {
-            Some(src) => rpq_core::parallel::evaluate_batch_over(src, queries, opts, n_threads),
-            None => rpq_core::parallel::evaluate_batch(&self.ring, queries, opts, n_threads),
-        }
+        rpq_core::parallel::evaluate_batch(&self.source, queries, opts, n_threads)
     }
 
     /// Persists the database (graph, dictionaries and the prebuilt ring)
@@ -403,7 +384,7 @@ impl RpqDatabase {
             self.graph().write_to(&mut cw)?;
             self.nodes.write_to(&mut cw)?;
             self.preds.write_to(&mut cw)?;
-            self.ring.write_to(&mut cw)?;
+            self.ring().write_to(&mut cw)?;
             ring::durable::finish_footer(&mut cw)
         })
         .map(|_| ())
@@ -415,7 +396,7 @@ impl RpqDatabase {
     /// deserializing, so cold starts cost page faults instead of a full
     /// index rebuild. Returns the total bytes written.
     pub fn save_mapped(&self, path: &std::path::Path) -> std::io::Result<u64> {
-        ring::mapped::write_index(path, &self.ring, &self.nodes, &self.preds)
+        ring::mapped::write_index(path, self.ring(), &self.nodes, &self.preds)
     }
 
     /// Opens a persisted database, dispatching on the file magic:
@@ -447,8 +428,7 @@ impl RpqDatabase {
             let idx = ring::mapped::open_index(path, mode)?;
             Ok(Self {
                 graph: OnceLock::new(),
-                ring: Arc::new(idx.ring),
-                shards: None,
+                source: SourceSnapshot::immutable(Arc::new(idx.ring)),
                 nodes: idx.nodes,
                 preds: idx.preds,
                 open_info: OpenInfo {
@@ -525,15 +505,7 @@ impl RpqDatabase {
         if ring.n_preds_base() != graph.n_preds() {
             return Err(bad_data("ring alphabet does not match the graph"));
         }
-        Ok(Self {
-            graph: OnceLock::from(graph),
-            ring: Arc::new(ring),
-            shards: None,
-            nodes,
-            preds,
-            open_info: OpenInfo::default(),
-            scratch: ScratchPool::default(),
-        })
+        Ok(Self::from_built_parts(graph, Arc::new(ring), nodes, preds))
     }
 
     /// Persists the database as a **sharded** index directory: the base
@@ -567,11 +539,9 @@ impl RpqDatabase {
             }
             rings.push(Arc::new(idx.ring));
         }
-        let source = rpq_core::ShardedSource::new(rings);
         Ok(Self {
             graph: OnceLock::new(),
-            ring: Arc::clone(&source.parts()[0].ring),
-            shards: Some(source),
+            source: rpq_core::ShardedSource::new(rings).snapshot(),
             nodes: nodes.expect("manifest guarantees >= 1 shard"),
             preds: preds.expect("manifest guarantees >= 1 shard"),
             open_info: OpenInfo {
@@ -585,12 +555,12 @@ impl RpqDatabase {
 
     /// Whether this database scatter-gathers over a sharded index.
     pub fn is_sharded(&self) -> bool {
-        self.shards.is_some()
+        !self.source.shards.is_empty()
     }
 
     /// Number of shards backing this database (1 when unsharded).
     pub fn n_shards(&self) -> usize {
-        self.shards.as_ref().map_or(1, |s| s.n_shards())
+        self.source.shards.len().max(1)
     }
 }
 
@@ -600,10 +570,7 @@ impl RpqDatabase {
 /// snapshot is the same epoch-0 view).
 impl rpq_server::QuerySource for RpqDatabase {
     fn snapshot(&self) -> SourceSnapshot {
-        match &self.shards {
-            Some(src) => src.snapshot(),
-            None => SourceSnapshot::immutable(Arc::clone(&self.ring)),
-        }
+        self.source.clone()
     }
 
     fn node_id(&self, name: &str) -> Option<Id> {
@@ -627,17 +594,12 @@ impl rpq_server::QuerySource for RpqDatabase {
     }
 
     fn shard_stats(&self) -> Option<Vec<rpq_server::ShardStat>> {
-        let src = self.shards.as_ref()?;
-        Some(
-            src.parts()
-                .iter()
-                .map(|p| rpq_server::ShardStat {
-                    triples: p.ring.n_triples(),
-                    bytes: p.ring.size_bytes(),
-                    probes: p.probe_count(),
-                })
-                .collect(),
-        )
+        let rows = self.source.shards.iter().map(|p| rpq_server::ShardStat {
+            triples: p.ring.n_triples(),
+            bytes: p.ring.size_bytes(),
+            probes: p.probe_count(),
+        });
+        self.is_sharded().then(|| rows.collect())
     }
 }
 

@@ -80,6 +80,20 @@ pub struct UpdatableDatabase {
     scratch: ScratchPool,
 }
 
+/// Updates go to a single-ring index: a sharded directory has no delta
+/// overlay and no write-ahead log, and reading it as a snapshot file
+/// would only say `Is a directory`.
+fn refuse_sharded(path: &Path) -> std::io::Result<()> {
+    if !ring::sharded::is_sharded_dir(path) {
+        return Ok(());
+    }
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "sharded indexes are read-only: update the unsharded index (or the \
+         triples it was built from) and rebuild with `build --shards <n>`",
+    ))
+}
+
 impl UpdatableDatabase {
     /// Wraps an immutable database (consumes it; the ring is reused, not
     /// rebuilt).
@@ -492,9 +506,11 @@ impl UpdatableDatabase {
 
     /// Loads a database persisted by [`Self::save`] **or**
     /// [`RpqDatabase::save`] (an immutable file loads with an empty
-    /// overlay at epoch 0).
+    /// overlay at epoch 0). A sharded index directory is refused with
+    /// [`std::io::ErrorKind::Unsupported`]: sharded indexes are read-only.
     pub fn load(path: &Path) -> std::io::Result<Self> {
         use succinct::io::bad_data;
+        refuse_sharded(path)?;
         let file = std::fs::File::open(path)?;
         let mut f = CrcReader::new(std::io::BufReader::new(ring::durable::FaultReader::new(
             file,
@@ -572,6 +588,8 @@ impl UpdatableDatabase {
     /// epoch is *ahead* of the snapshot is rejected — it belongs to a
     /// newer snapshot that was lost or rolled back.
     pub fn open_durable(path: &Path) -> std::io::Result<Self> {
+        // Before recovery touches anything next to it.
+        refuse_sharded(path)?;
         let orphans = ring::durable::cleanup_orphans(path);
         if orphans > 0 {
             eprintln!(

@@ -485,3 +485,100 @@ fn malformed_ntriples_is_rejected() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 2"), "{stderr}");
 }
+
+/// Builds `data/metro.nt` into `index` (with `extra` flags).
+fn build_metro(index: &std::path::Path, extra: &[&str]) {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/data/metro.nt");
+    let out = cli()
+        .args(["build", fixture, index.to_str().unwrap()])
+        .args(extra)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+}
+
+/// `explain` plans over the whole partition: its text on a 4-shard index
+/// is the unsharded index's. (It once planned from shard 0's ring alone
+/// and printed `label 3: 0 edges` for a label another shard holds.)
+#[test]
+fn explain_on_a_sharded_index_matches_the_unsharded_one() {
+    let dir = tmpdir("explain_sharded");
+    let (plain, sharded) = (dir.join("metro.db"), dir.join("metro-sharded"));
+    build_metro(&plain, &[]);
+    build_metro(&sharded, &["--shards", "4"]);
+    for query in [
+        ["<baquedano>", "<l5>+/<bus>", "?y"],
+        ["?x", "(<l1>|<l2>|<l5>)+", "?y"],
+        ["?x", "^<bus>", "<santa_ana>"],
+        ["?x", "<l1>*/<bus>/<l5>*", "?y"],
+    ] {
+        let explain = |index: &PathBuf| {
+            let out = cli()
+                .arg("explain")
+                .arg(index)
+                .args(query)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{query:?}");
+            String::from_utf8(out.stdout).unwrap()
+        };
+        let on_plain = explain(&plain);
+        assert!(on_plain.contains("strategy:"), "{on_plain}");
+        let on_sharded = explain(&sharded);
+        assert_eq!(
+            on_plain.lines().collect::<Vec<_>>(),
+            on_sharded.lines().collect::<Vec<_>>(),
+            "{query:?}"
+        );
+    }
+}
+
+/// Sharded indexes are read-only: the three updating verbs, and the two
+/// library entry points under them, refuse one with a typed error that
+/// says so and names the way out — and leave the directory as it was.
+/// (They used to fail with `Is a directory (os error 21)`.)
+#[test]
+fn updates_refuse_a_sharded_index_and_leave_it_untouched() {
+    use ring_rpq::UpdatableDatabase;
+    let dir = tmpdir("update_sharded");
+    let sharded = dir.join("metro-sharded");
+    build_metro(&sharded, &["--shards", "4"]);
+    let delta = dir.join("delta.nt");
+    std::fs::write(&delta, "<baquedano> <l5> <u_de_chile> .\n").unwrap();
+    let contents = || {
+        let mut files: Vec<_> = std::fs::read_dir(&sharded)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .map(|path| (std::fs::read(&path).unwrap(), path))
+            .collect();
+        files.sort();
+        files
+    };
+    let before = contents();
+
+    for verb in ["insert", "delete", "compact"] {
+        let operands = if verb == "compact" { 1 } else { 2 };
+        let out = cli()
+            .arg(verb)
+            .args([&sharded, &delta][..operands].iter())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{verb}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("sharded indexes are read-only"), "{err}");
+        assert!(err.contains("build --shards"), "{err}");
+    }
+    type Open = fn(&std::path::Path) -> std::io::Result<UpdatableDatabase>;
+    for open in [
+        UpdatableDatabase::load as Open,
+        UpdatableDatabase::open_durable,
+    ] {
+        let err = open(&sharded).err().expect("a sharded directory");
+        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
+    }
+
+    assert!(contents() == before, "the directory changed");
+    // ... and nothing (a write-ahead log, a temp file) appeared beside it.
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+}
