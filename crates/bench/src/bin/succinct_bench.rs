@@ -5,7 +5,8 @@
 //! in-bench reimplementation of the pre-interleaving **binary-search
 //! select** so the speedup is measured, not asserted), wavelet
 //! `guided_traverse` per-range vs the frontier-batched
-//! `guided_traverse_multi` at several frontier widths, and the batched
+//! `guided_traverse_multi` at several frontier widths, one wide sweep
+//! over ascending and over shuffled ranges, and the batched
 //! backward-step rank. Distributions: dense/sparse/clustered synthetic
 //! bits plus a metro-ring-derived pattern (the MSB sequence of the
 //! bundled fixture's `L_s`, tiled), so the numbers track real ring data
@@ -220,10 +221,10 @@ fn bench_traversal(
 ) {
     let n = wm.len();
     let mut s = 0xF0u64 + frontier as u64;
-    let mut ranges: Vec<(usize, usize)> = (0..frontier)
+    let mut ranges: Vec<(u32, u32)> = (0..frontier)
         .map(|_| {
             let b = lcg(&mut s) as usize % (n - range_len);
-            (b, b + range_len)
+            (b as u32, (b + range_len) as u32)
         })
         .collect();
     ranges.sort_unstable();
@@ -234,7 +235,7 @@ fn bench_traversal(
         let t = Instant::now();
         let mut g = CountLeaves(0);
         for &(b, e) in &ranges {
-            wm.guided_traverse(b, e, &mut g);
+            wm.guided_traverse(b as usize, e as usize, &mut g);
         }
         samples.push(t.elapsed().as_nanos() as f64 / 1000.0);
         leaves = g.0;
@@ -307,18 +308,22 @@ fn bench_narrow_ranges(reps: usize, out: &mut Vec<(String, f64)>) {
     let mut s = 0x1357u64;
     let syms: Vec<u64> = (0..N).map(|_| lcg(&mut s) % SIGMA).collect();
     let wm = WaveletMatrix::new(&syms, SIGMA);
-    let ranges: Vec<(usize, usize)> = (0..1024)
-        .map(|_| {
-            let b = lcg(&mut s) as usize % (N - 2);
-            (b, b + 1 + lcg(&mut s) as usize % 2)
-        })
-        .collect();
+    let mut narrow_ranges = |n: usize| -> Vec<(u32, u32)> {
+        (0..n)
+            .map(|_| {
+                let b = (lcg(&mut s) as usize % (N - 2)) as u32;
+                (b, b + 1 + lcg(&mut s) as u32 % 2)
+            })
+            .collect()
+    };
+    let ranges = narrow_ranges(1024);
+    let shuffled = narrow_ranges(8192);
 
     let per_leaf = |samples: &[f64], leaves: usize| median(samples) / leaves as f64;
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t = Instant::now();
-        let acc: u64 = ranges.iter().map(|&(b, _)| wm.access(b)).sum();
+        let acc: u64 = ranges.iter().map(|&(b, _)| wm.access(b as usize)).sum();
         std::hint::black_box(acc);
         samples.push(t.elapsed().as_nanos() as f64);
     }
@@ -333,7 +338,7 @@ fn bench_narrow_ranges(reps: usize, out: &mut Vec<(String, f64)>) {
         let t = Instant::now();
         let mut g = CountSyms(0);
         for &(b, e) in &ranges {
-            wm.guided_traverse(b, e, &mut g);
+            wm.guided_traverse(b as usize, e as usize, &mut g);
         }
         samples.push(t.elapsed().as_nanos() as f64);
         leaves = std::hint::black_box(g.0);
@@ -359,6 +364,24 @@ fn bench_narrow_ranges(reps: usize, out: &mut Vec<(String, f64)>) {
             format!("narrow_batched_f{frontier}_leaf_ns"),
             per_leaf(&samples, leaves),
         ));
+    }
+
+    // What the order of a frontier is worth: one sweep of 8192 such
+    // ranges as a BFS level visited in node order hands them over —
+    // ascending, every level's bit vector walked front to back — and the
+    // same ranges as a FIFO queue does.
+    let mut sorted = shuffled.clone();
+    sorted.sort_unstable();
+    for (order, ranges) in [("sorted", &sorted), ("shuffled", &shuffled)] {
+        let (mut samples, mut leaves) = (Vec::with_capacity(reps), 0);
+        for _ in 0..reps {
+            let t = Instant::now();
+            let mut g = CountSymsMulti(0);
+            mt.run(&wm, ranges, &mut g);
+            samples.push(t.elapsed().as_nanos() as f64);
+            leaves = std::hint::black_box(g.0);
+        }
+        out.push((format!("sweep_{order}_leaf_ns"), per_leaf(&samples, leaves)));
     }
 }
 

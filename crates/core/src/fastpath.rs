@@ -380,7 +380,7 @@ fn through<S: StepSource + ?Sized>(
         }
         step_label(src, onward, chunk, x);
         for &(_, far) in &x.candidates {
-            sink.push(pair_of(far));
+            sink.push(pair_of(Id::from(far)));
         }
     }
 }

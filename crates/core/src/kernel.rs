@@ -18,12 +18,61 @@ use crate::profile::LevelProf;
 use crate::query::{EngineOptions, QueryOutput, Term, TraversalStats};
 use crate::scratch::EngineScratch;
 use crate::step::{
-    negated_firing_labels, propagate_up, ChunkExpansion, Firing, StepSource, VisitedLayout,
+    group_by_key, negated_firing_labels, propagate_up, ChunkExpansion, Firing, StepSource,
+    VisitedLayout,
 };
 
-/// The most frontier items expanded at a time (bounds the per-chunk
-/// scratch; a BFS level is processed in chunks, in order).
+/// The frontier items a traversal's first chunk holds. A BFS level is
+/// swept in chunks, in node order, and the chunk **grows with the
+/// traversal**: every chunk that was full doubles the next one, up to
+/// [`FRONTIER_CHUNK_MAX`]. A wide chunk walks the bit vectors of `L_p`,
+/// `L_s` and `C_o` once, front to back, where narrow ones walk them over
+/// and over; a narrow first chunk keeps a traversal the limit cuts short
+/// from paying for a level it abandons. The geometry is a function of the
+/// traversal's own history: the same on every source and thread count.
 pub(crate) const FRONTIER_CHUNK: usize = 1024;
+
+/// The most frontier items expanded at a time (bounds the per-chunk
+/// scratch, and what an early stop wastes).
+pub(crate) const FRONTIER_CHUNK_MAX: usize = 8 * FRONTIER_CHUNK;
+
+/// Levels at least this wide are ordered by a radix sort.
+const RADIX_MIN: usize = 512;
+
+/// Bits per radix digit: two passes order ids below 2^22.
+const RADIX_BITS: usize = 11;
+
+/// Puts a BFS level in visiting order: ascending by node, a node reached
+/// more than once kept once with its state sets united (`T'` distributes
+/// over union, so one step from the union is the steps from the parts).
+/// `spare` is a buffer to sort through; its contents are not kept.
+pub(crate) fn order_level(level: &mut Vec<(Id, u64)>, spare: &mut Vec<(Id, u64)>) {
+    if level.len() < RADIX_MIN {
+        level.sort_unstable_by_key(|entry| entry.0);
+    } else {
+        // Least significant digit first, over the digits in use.
+        let in_use = level.iter().fold(0, |bits, entry| bits | entry.0);
+        let mut ends = Vec::new();
+        spare.clear();
+        spare.resize(level.len(), (0, 0));
+        for shift in (0..Id::BITS as usize).step_by(RADIX_BITS) {
+            if in_use >> shift == 0 {
+                break;
+            }
+            let digit = |entry: &(Id, u64)| (entry.0 >> shift) as usize & ((1 << RADIX_BITS) - 1);
+            group_by_key(&mut ends, 1 << RADIX_BITS, level, digit, |slot, entry| {
+                spare[slot] = *entry
+            });
+            std::mem::swap(level, spare);
+        }
+    }
+    level.dedup_by(|later, kept| {
+        kept.0 == later.0 && {
+            kept.1 |= later.1;
+            true
+        }
+    });
+}
 
 /// Where a backward traversal starts.
 #[derive(Clone, Copy)]
@@ -249,14 +298,16 @@ fn eval_var_var(
 /// The backward product-graph traversal (§4, parts one to three) over any
 /// [`StepSource`], bound to one evaluation.
 ///
-/// A FIFO queue visits whole BFS levels consecutively, so the traversal
-/// runs level by level, each level in frontier chunks of `(node, D)`
-/// items, each chunk in two steps. *Expand* writes nothing shared: the
-/// source's part one finds the chunk's work items, its part two their
-/// subjects under the visited masks as they stood when the chunk began
-/// — a superset of what the live masks admit, in the same order, since
-/// masks only grow. *Replay* ([`Replay::chunk`]) then walks the chunk's
-/// work in FIFO order against the live masks and discards precisely that
+/// A BFS whose levels are visited in node order: the traversal runs
+/// level by level, each level's `(node, D)` items ascending by node
+/// ([`order_level`]) so that every sweep reads its bit vectors front to
+/// back, in chunks that grow with the traversal ([`FRONTIER_CHUNK`]),
+/// each chunk in two steps. *Expand* writes nothing shared: the source's
+/// part one finds the chunk's work items, its part two their subjects
+/// under the visited masks as they stood when the chunk began — a
+/// superset of what the live masks admit, in the same order, since masks
+/// only grow. *Replay* ([`Replay::chunk`]) then walks the chunk's work in
+/// visiting order against the live masks and discards precisely that
 /// excess; the subjects it admits are the next level's items. Nothing
 /// observable tells the result from a traversal that expands one item
 /// at a time, on any source or thread count (the crate's `README.md`,
@@ -378,7 +429,7 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
                             return Ok(());
                         }
                     }
-                    frontier.push((o, d0));
+                    replay.next.push((o, d0));
                 }
             }
             Start::Full => {
@@ -403,51 +454,65 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
                 }
                 x.item_end.push(x.work_d.len());
                 replay.chunk(visited, x)?;
-                std::mem::swap(frontier, replay.next);
-                replay.next.clear();
             }
         }
 
         let threads = self.threads.max(1);
-        while !frontier.is_empty() {
+        let mut chunk = FRONTIER_CHUNK;
+        loop {
+            order_level(replay.next, frontier);
+            std::mem::swap(frontier, replay.next);
+            replay.next.clear();
+            if frontier.is_empty() {
+                return Ok(());
+            }
             if let Some(p) = self.prof.as_deref_mut() {
                 let stats = &replay.stats;
                 p.enter(frontier.len() as u64, stats.rank_ops, stats.parallel_chunks);
             }
-            // A level wide enough for the threads the planner granted is
-            // cut into ~4 chunks per thread, so that claiming them one by
-            // one balances skew: by `(frontier.len(), threads)` alone, never
-            // by how many helpers the pool can spare right now.
+            // A level wide enough for the threads the planner granted has
+            // every chunk cut into ~4 pieces per thread, so that claiming
+            // them one by one balances skew: by `(frontier.len(), threads)`
+            // alone, never by how many helpers the pool can spare right now.
             let fan = threads > 1 && frontier.len() >= opts.parallel_min_frontier.max(2);
             let (cuts, extra) = if fan {
                 (threads * 4, threads - 1)
             } else {
                 (1, 0)
             };
-            let chunk_size = frontier.len().div_ceil(cuts).clamp(64, FRONTIER_CHUNK);
             replay.stats.parallel_levels += u64::from(fan);
-            let mut stopped = Ok(());
-            crate::parallel::map_chunks_into(
-                visited,
-                frontier,
-                chunk_size,
-                extra,
-                expansions,
-                |visited, chunk, x| {
-                    src.fire(&firing, chunk, x);
-                    src.subjects(Some((visited, base, tree.is_some())), x);
-                },
-                |visited, x| {
-                    replay.stats.parallel_chunks += u64::from(fan);
-                    stopped = replay.chunk(visited, x);
-                    stopped.is_ok()
-                },
-            );
-            stopped?;
-            std::mem::swap(frontier, replay.next);
-            replay.next.clear();
+            let mut rest = frontier.as_slice();
+            while !rest.is_empty() {
+                // One chunk's expansion cannot be interrupted: the clock
+                // is read between chunks, however few steps they replay.
+                if self.deadline.is_some_and(|dl| Instant::now() >= dl) {
+                    return Err(Stop::TimedOut);
+                }
+                let (now, later) = rest.split_at(rest.len().min(chunk));
+                rest = later;
+                if now.len() == chunk {
+                    chunk = (2 * chunk).min(FRONTIER_CHUNK_MAX);
+                }
+                let mut stopped = Ok(());
+                crate::parallel::map_chunks_into(
+                    visited,
+                    now,
+                    now.len().div_ceil(cuts).max(64),
+                    extra,
+                    expansions,
+                    |visited, piece, x| {
+                        src.fire(&firing, piece, x);
+                        src.subjects(Some((visited, base, tree.is_some())), x);
+                    },
+                    |visited, x| {
+                        replay.stats.parallel_chunks += u64::from(fan);
+                        stopped = replay.chunk(visited, x);
+                        stopped.is_ok()
+                    },
+                );
+                stopped?;
+            }
         }
-        Ok(())
     }
 }
 
@@ -469,7 +534,7 @@ struct Replay<'a> {
 }
 
 impl Replay<'_> {
-    /// Replays one expanded chunk in FIFO order against the live masks.
+    /// Replays one expanded chunk in visiting order against the live masks.
     /// `Err` is the reason the whole traversal stops here.
     fn chunk(&mut self, visited: &mut EpochArray, x: &ChunkExpansion) -> Result<(), Stop> {
         let stats = &mut *self.stats;
@@ -525,5 +590,78 @@ impl Replay<'_> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The visiting order as the spec words it: sorted by node, the
+    /// duplicates of a node OR-ed into one entry.
+    fn specified(level: &[(Id, u64)]) -> Vec<(Id, u64)> {
+        let mut sorted = level.to_vec();
+        sorted.sort_unstable_by_key(|entry| entry.0);
+        let mut merged: Vec<(Id, u64)> = Vec::new();
+        for (node, d) in sorted {
+            match merged.last_mut() {
+                Some(last) if last.0 == node => last.1 |= d,
+                _ => merged.push((node, d)),
+            }
+        }
+        merged
+    }
+
+    fn ordered(level: &[(Id, u64)]) -> Vec<(Id, u64)> {
+        // The spare buffer's contents are nobody's business.
+        let (mut level, mut spare) = (level.to_vec(), vec![(7, 7); 3]);
+        order_level(&mut level, &mut spare);
+        level
+    }
+
+    #[test]
+    fn a_level_is_ordered_by_node_and_merged() {
+        assert_eq!(ordered(&[]), vec![]);
+        assert_eq!(ordered(&[(9, 0b10)]), vec![(9, 0b10)]);
+        assert_eq!(
+            ordered(&[(5, 0b001), (2, 0b100), (5, 0b010), (2, 0b100)]),
+            vec![(2, 0b100), (5, 0b011)]
+        );
+        // One node, many masks, on either side of the radix threshold.
+        for n in [3, RADIX_MIN - 1, RADIX_MIN, 3 * RADIX_MIN] {
+            let level: Vec<(Id, u64)> = (0..n).map(|i| (1 << 30, 1 << (i % 64))).collect();
+            let all = if n < 64 { (1 << n) - 1 } else { u64::MAX };
+            assert_eq!(ordered(&level), vec![(1 << 30, all)], "{n} entries");
+        }
+        // Wide levels whose ids need one, two, three and six digits.
+        for top in [1u64 << 9, 1 << 17, 1 << 24, 1 << 33, u64::MAX] {
+            let level: Vec<(Id, u64)> = (0..4 * RADIX_MIN as u64)
+                .map(|i| (top - (i * 0x9E37_79B9) % top.min(5000), 1 << (i % 7)))
+                .collect();
+            assert_eq!(ordered(&level), specified(&level), "ids up to {top}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn level_order_equals_sort_then_merge(
+            raw in prop::collection::vec((any::<u64>(), any::<u64>(), 0u32..4), 0..1500),
+        ) {
+            // Ids from a handful (every entry a duplicate), from a dense
+            // universe, from above 2^24, and from all of u64.
+            let level: Vec<(Id, u64)> = raw
+                .into_iter()
+                .map(|(id, d, kind)| match kind {
+                    0 => (id % 5, d),
+                    1 => (id % 3000, d),
+                    2 => ((1 << 24) + id % (1 << 20), d),
+                    _ => (id, d),
+                })
+                .collect();
+            prop_assert_eq!(ordered(&level), specified(&level));
+        }
     }
 }

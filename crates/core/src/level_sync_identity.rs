@@ -1,18 +1,17 @@
 //! The traversal the kernel's chunked expansion is pinned to: §4 as
-//! written, one queue item at a time, every wavelet range of one ring
-//! traversed on its own under masks that are updated as it goes — and
-//! the tests that hold [`crate::kernel`] to it on every kind of source.
+//! written, as a BFS whose levels are visited in node order — one item
+//! at a time, every wavelet range of one ring traversed on its own under
+//! masks that are updated as it goes — and the tests that hold
+//! [`crate::kernel`] to it on every kind of source.
 //!
 //! The kernel expands a whole frontier chunk against the visited masks as
-//! they stood when the chunk began and replays the result in queue order
-//! — over a bare ring, over the same graph cut into shards, over a ring
-//! and a delta that add up to it; its claim is that nothing observable
-//! tells any of them from this reference over the one rebuilt ring: the
-//! pair stream, the flags, the trace and the four product-graph counters
-//! that depend on visit order. (`wavelet_nodes` and `rank_ops` describe
-//! the work a strategy did and differ by design.)
-
-use std::collections::VecDeque;
+//! they stood when the chunk began and replays the result in visiting
+//! order — over a bare ring, over the same graph cut into shards, over a
+//! ring and a delta that add up to it; its claim is that nothing
+//! observable tells any of them from this reference over the one rebuilt
+//! ring: the pair stream, the flags, the trace and the four product-graph
+//! counters that depend on visit order. (`wavelet_nodes` and `rank_ops`
+//! describe the work a strategy did and differ by design.)
 
 use automata::glushkov::INITIAL;
 use automata::{BitParallel, Label, Regex};
@@ -30,7 +29,8 @@ use crate::query::{EngineOptions, RpqQuery, Term, TraversalStats};
 use crate::source::{MergedView, ShardedSource, TripleSource};
 use crate::step::{neg_range_mask, propagate_up, seed_label_masks};
 
-/// The item-at-a-time kernel: a FIFO queue of `(L_p range, D)` items.
+/// The item-at-a-time kernel: level by level, a level's `(node, D)` items
+/// in ascending node order, the items of one node united into one.
 struct Reference<'a> {
     ring: &'a Ring,
     tables: (&'a BitParallel, &'a BitParallel),
@@ -61,7 +61,10 @@ impl Kernel for Reference<'_> {
         self.ls_masks.ensure_len(ls.node_table_len());
         self.ls_masks.reset();
 
-        let mut queue = VecDeque::new();
+        // A level as `(L_p range, D)` items in visiting order, and the
+        // `(node, fresh states)` found while it is visited.
+        let mut level = Vec::new();
+        let mut found: Vec<(Id, u64)> = Vec::new();
         let d0 = bp.accept_mask();
         if d0 == 0 {
             return Stop::Completed;
@@ -75,73 +78,82 @@ impl Kernel for Reference<'_> {
                         return Stop::Completed;
                     }
                 }
-                queue.push_back((ring.object_range(o), d0));
+                level.push((ring.object_range(o), d0));
             }
-            Start::Full => queue.push_back((ring.full_range(), d0)),
+            Start::Full => level.push((ring.full_range(), d0)),
         }
 
         let mut preds = Vec::new();
         let mut subjects = Vec::new();
-        while let Some(((b, e), d)) = queue.pop_front() {
-            if b == e {
-                continue;
-            }
-            stats.bfs_steps += 1;
+        while !level.is_empty() {
+            for ((b, e), d) in level.drain(..).filter(|((b, e), _)| b < e) {
+                stats.bfs_steps += 1;
 
-            // Part one: the relevant predicates reaching the range.
-            preds.clear();
-            lp.guided_traverse(
-                b,
-                e,
-                &mut PredGuide {
-                    d,
-                    masks: &self.lp_masks,
-                    neg: bp.negated_positions(),
-                    width: lp.width(),
-                    out: &mut preds,
-                    pending: 0,
-                },
-            );
-            for &(p, rank_b, rank_e, d_and_b) in &preds {
-                stats.product_edges += 1;
-                let d_new = bp.apply_bwd(d_and_b);
-                if d_new == 0 {
-                    continue;
-                }
-                let base = ring.pred_range(p).0;
-
-                // Part two: distinct subjects with something new to add.
-                subjects.clear();
-                ls.guided_traverse(
-                    base + rank_b,
-                    base + rank_e,
-                    &mut SubjGuide {
-                        d_new,
-                        masks: &mut self.ls_masks,
-                        occ: ring.ls_occupancy(),
-                        width: width_s,
-                        node_pruning: self.node_pruning,
-                        out: &mut subjects,
-                        pending_fresh: 0,
+                // Part one: the relevant predicates reaching the range.
+                preds.clear();
+                lp.guided_traverse(
+                    b,
+                    e,
+                    &mut PredGuide {
+                        d,
+                        masks: &self.lp_masks,
+                        neg: bp.negated_positions(),
+                        width: lp.width(),
+                        out: &mut preds,
+                        pending: 0,
                     },
                 );
-                for &(s, fresh) in &subjects {
-                    if budget.is_some_and(|nb| stats.product_nodes >= nb) {
-                        return Stop::Budget;
+                for &(p, rank_b, rank_e, d_and_b) in &preds {
+                    stats.product_edges += 1;
+                    let d_new = bp.apply_bwd(d_and_b);
+                    if d_new == 0 {
+                        continue;
                     }
-                    stats.product_nodes += 1;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.push((s, fresh));
-                    }
-                    if fresh & INITIAL != 0 {
-                        stats.reported += 1;
-                        if !report(s) {
-                            return Stop::Completed;
+                    let base = ring.pred_range(p).0;
+
+                    // Part two: distinct subjects with something new to add.
+                    subjects.clear();
+                    ls.guided_traverse(
+                        base + rank_b,
+                        base + rank_e,
+                        &mut SubjGuide {
+                            d_new,
+                            masks: &mut self.ls_masks,
+                            occ: ring.ls_occupancy(),
+                            width: width_s,
+                            node_pruning: self.node_pruning,
+                            out: &mut subjects,
+                            pending_fresh: 0,
+                        },
+                    );
+                    for &(s, fresh) in &subjects {
+                        if budget.is_some_and(|nb| stats.product_nodes >= nb) {
+                            return Stop::Budget;
                         }
+                        stats.product_nodes += 1;
+                        if let Some(t) = trace.as_deref_mut() {
+                            t.push((s, fresh));
+                        }
+                        if fresh & INITIAL != 0 {
+                            stats.reported += 1;
+                            if !report(s) {
+                                return Stop::Completed;
+                            }
+                        }
+                        found.push((s, fresh));
                     }
-                    // Part three: the subject becomes an object again.
-                    queue.push_back((ring.object_range(s), fresh));
                 }
+            }
+            // Part three: the subjects become objects again, in node
+            // order, a node found more than once with its sets united.
+            found.sort_by_key(|&(s, _)| s);
+            let mut last = None;
+            for (s, fresh) in found.drain(..) {
+                match level.last_mut() {
+                    Some((_, d)) if last == Some(s) => *d |= fresh,
+                    _ => level.push((ring.object_range(s), fresh)),
+                }
+                last = Some(s);
             }
         }
         Stop::Completed
@@ -421,13 +433,19 @@ fn assert_identical(sources: &Sources, query: &RpqQuery, opts: &EngineOptions, w
 
 /// Every query × limit × budget × pruning combination on `graph`.
 /// `budget` is chosen to run out in the middle of a chunk.
-fn sweep(graph: &Graph, seed: u64, hub: Id, budget: u64, label: &str) -> usize {
+fn sweep(
+    graph: &Graph,
+    queries: &[RpqQuery],
+    budget: u64,
+    prunings: &[bool],
+    label: &str,
+) -> usize {
     let sources = Sources::of(graph);
     let mut compared = 0;
-    for query in corpus(graph, seed, hub) {
+    for query in queries {
         for limit in [1, 5, 64, EngineOptions::default().limit] {
             for node_budget in [None, Some(budget)] {
-                for node_pruning in [true, false] {
+                for &node_pruning in prunings {
                     let opts = EngineOptions {
                         limit,
                         node_budget,
@@ -439,7 +457,7 @@ fn sweep(graph: &Graph, seed: u64, hub: Id, budget: u64, label: &str) -> usize {
                     let what = format!(
                         "{label}: limit {limit}, budget {node_budget:?}, pruning {node_pruning}"
                     );
-                    compared += usize::from(assert_identical(&sources, &query, &opts, &what));
+                    compared += usize::from(assert_identical(&sources, query, &opts, &what));
                 }
             }
         }
@@ -468,19 +486,51 @@ fn generated_workloads_match_the_item_at_a_time_traversal() {
             seed,
         })
         .generate();
-        compared += sweep(&graph, seed, 0, 7, &format!("graph {seed:#x}"));
+        let queries = corpus(&graph, seed, 0);
+        compared += sweep(
+            &graph,
+            &queries,
+            7,
+            &[true, false],
+            &format!("graph {seed:#x}"),
+        );
     }
     assert!(compared >= 1000, "only {compared} combinations compared");
 }
 
 /// Frontiers of more than two chunks: every level of the closure into
-/// the hub is expanded chunk by chunk, subjects recur within a chunk and
-/// across chunks, and the budget — the hub's `width` sources and 700 of
-/// theirs — runs out inside the first chunk of the next level.
+/// the hub is expanded chunk by chunk — the second chunk twice the first
+/// — subjects recur within a chunk and across chunks, and the budget —
+/// the hub's `width` sources and 700 of theirs — runs out inside the
+/// first chunk of the next level.
 #[test]
 fn frontiers_of_several_chunks_match_the_item_at_a_time_traversal() {
     let width = 2 * crate::kernel::FRONTIER_CHUNK as u64 + 300;
     let graph = fan_in_graph(width);
-    let compared = sweep(&graph, 0xFA9, 0, width + 700, "fan-in");
+    let queries = corpus(&graph, 0xFA9, 0);
+    let compared = sweep(&graph, &queries, width + 700, &[true, false], "fan-in");
     assert!(compared >= 300, "only {compared} combinations compared");
+}
+
+/// Levels wider than the largest chunk: the chunks of a level double
+/// from the first to the largest and the level still has a rest. The
+/// budget runs out inside the second — the first doubled — chunk: the
+/// first 1024 of the hub's sources have at most 2048 sources between
+/// them, the next 2048 about 3800.
+#[test]
+fn levels_wider_than_the_largest_chunk_match_the_item_at_a_time_traversal() {
+    let width = 2 * crate::kernel::FRONTIER_CHUNK_MAX as u64 + 300;
+    let graph = fan_in_graph(width);
+    let both = Regex::Plus(Box::new(Regex::alt(Regex::label(0), Regex::label(1))));
+    let queries = [
+        RpqQuery::new(Term::Var, star(0), Term::Const(0)),
+        RpqQuery::new(Term::Var, both, Term::Const(0)),
+        RpqQuery::new(
+            Term::Var,
+            Regex::concat(Regex::label(1), star(0)),
+            Term::Var,
+        ),
+    ];
+    let compared = sweep(&graph, &queries, width + 3000, &[true], "wide fan-in");
+    assert_eq!(compared, 24);
 }

@@ -65,9 +65,14 @@ impl RpqQuery {
 /// limit, 60 s timeout — scaled down by the bench harness).
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
-    /// Stop after this many result pairs (the paper uses 10^6).
+    /// Stop after this many result pairs (the paper uses 10^6). Which
+    /// pairs a truncated answer holds is fixed but not meaningful: an
+    /// anchored traversal keeps the first `limit` it reports, in BFS
+    /// level and then node-id order.
     pub limit: usize,
     /// Give up after this much wall-clock time (the paper uses 60 s).
+    /// The clock is read between frontier chunks and every 64 BFS steps
+    /// within one, so a run overshoots by at most one chunk's expansion.
     pub timeout: Option<Duration>,
     /// Use the §5 fast paths for single-predicate, disjunction and
     /// two-step concatenation patterns.
@@ -174,7 +179,9 @@ pub struct TraversalStats {
     pub product_edges: u64,
     /// Wavelet-matrix nodes entered across all guided traversals.
     pub wavelet_nodes: u64,
-    /// BFS steps (queue pops).
+    /// BFS steps: `(node, D)` items visited, a node reached several
+    /// times within one level counting once (its state sets are united
+    /// before the level is visited).
     pub bfs_steps: u64,
     /// Answers reported before deduplication.
     pub reported: u64,

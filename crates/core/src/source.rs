@@ -27,7 +27,7 @@ use ring::store::StoreSnapshot;
 use ring::{Id, Ring};
 use succinct::util::{BitSet, EpochArray};
 
-use crate::step::{ChunkExpansion, Firing, Hit, StepSource, Visited, VisitedLayout};
+use crate::step::{ChunkExpansion, Firing, Hit, Range, StepSource, Visited, VisitedLayout};
 
 /// One shard of a horizontally partitioned source: its sub-ring plus a
 /// relaxed probe counter (how many gather primitives actually consulted
@@ -491,7 +491,7 @@ pub(crate) struct LayeredWork {
     keys: Vec<(Id, Label, bool)>,
     /// `(part, work item, range)`: a range of the part's `L_s`, or of
     /// `listed` for [`LISTED`].
-    ranges: Vec<(u32, u32, (usize, usize))>,
+    ranges: Vec<(u32, u32, Range)>,
     /// Subjects part one listed itself.
     listed: Vec<Id>,
 }
@@ -506,7 +506,7 @@ impl LayeredWork {
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.keys.capacity() * size_of::<(Id, Label, bool)>()
-            + self.ranges.capacity() * size_of::<(u32, u32, (usize, usize))>()
+            + self.ranges.capacity() * size_of::<(u32, u32, Range)>()
             + self.listed.capacity() * size_of::<Id>()
     }
 }
@@ -575,7 +575,7 @@ impl StepSource for MergedView<'_> {
                             item: item as u32,
                             part: LISTED,
                             label,
-                            range: (before, listed.len()),
+                            range: crate::step::narrow((before, listed.len())),
                             d: d & bmask,
                         });
                     }
@@ -593,7 +593,7 @@ impl StepSource for MergedView<'_> {
                 let mut edges = 0;
                 let same = |hit: &&Hit| (hit.item, hit.label) == (first.item, first.label);
                 while let Some(hit) = hits.next_if(same) {
-                    edges += hit.range.1 - hit.range.0;
+                    edges += (hit.range.1 - hit.range.0) as usize;
                     x.layered.ranges.push((hit.part, work, hit.range));
                 }
                 // Tombstones are of ring edges, adds are not in the ring:
@@ -643,15 +643,17 @@ impl StepSource for MergedView<'_> {
         if let Some(delta) = self.delta.filter(|_| keys.iter().any(|key| key.2)) {
             x.candidates.retain(|&(work, s)| match keys[work as usize] {
                 (_, _, false) => true,
-                (o, p, true) => !delta.del_contains(s, p, o),
+                (o, p, true) => !delta.del_contains(Id::from(s), p, o),
             });
         }
         for &(part, work, (b, e)) in &x.layered.ranges {
             if part == LISTED && x.work_d[work as usize] != 0 {
                 // (Not read against `visited`: the replay's leaf filter is
                 // exact, and a delta's adds are few.)
-                let listed = &x.layered.listed[b..e];
-                x.candidates.extend(listed.iter().map(|&s| (work, s)));
+                let listed = &x.layered.listed[b as usize..e as usize];
+                let narrow = |&s| u32::try_from(s).expect("node ids fit 32 bits");
+                x.candidates
+                    .extend(listed.iter().map(|s| (work, narrow(s))));
                 merge = true;
             }
         }

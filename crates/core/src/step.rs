@@ -73,6 +73,20 @@ pub(crate) struct VisitedLayout<'a> {
 /// refuse a subtree.
 pub(crate) type Visited<'a> = (&'a EpochArray, usize, bool);
 
+/// A range of positions of one `L_p` or `L_s`, as a chunk's buffers keep
+/// them: a chunk holds several per item and per edge, and the sweeps
+/// address 32-bit positions ([`MultiTraversal::run`]).
+pub(crate) type Range = (u32, u32);
+
+/// Narrows a range `b <= e` of a ring's positions.
+///
+/// # Panics
+/// Panics on a ring of more than 2^32 − 1 positions.
+pub(crate) fn narrow((b, e): (usize, usize)) -> Range {
+    let e = u32::try_from(e).expect("a chunk addresses 32-bit positions");
+    (b as u32, e)
+}
+
 /// A part-one leaf: label `label` reaches item `item` with `range` of
 /// some `L_s` holding the subjects.
 #[derive(Clone, Copy)]
@@ -81,14 +95,14 @@ pub(crate) struct Hit {
     /// The part of a layered source that found it (0 on a bare ring).
     pub(crate) part: u32,
     pub(crate) label: Label,
-    pub(crate) range: (usize, usize),
+    pub(crate) range: Range,
     /// `D_item & B[label]`.
     pub(crate) d: u64,
 }
 
 /// What expanding one chunk read-only produces, and the buffers it is
 /// produced in (all flat, all reused). A chunk's *work items* are its
-/// `(item, label)` pairs in FIFO order — items as they stand in the
+/// `(item, label)` pairs in visiting order — items as they stand in the
 /// chunk, each item's labels ascending.
 #[derive(Default)]
 pub(crate) struct ChunkExpansion {
@@ -96,7 +110,7 @@ pub(crate) struct ChunkExpansion {
     pub(crate) mt: MultiTraversal,
     /// The ranges of the sweep in progress: the items' in part one, the
     /// work items' in part two.
-    pub(crate) ranges: Vec<(usize, usize)>,
+    pub(crate) ranges: Vec<Range>,
     /// Part one's leaves in arrival order (label by label).
     pub(crate) hits: Vec<Hit>,
     /// The items a batched backward step is taken for, each with its
@@ -108,8 +122,9 @@ pub(crate) struct ChunkExpansion {
     /// Per work item, the state set `D'` of Eq. 2 its subjects are
     /// reached with; 0 where the automaton has no way back.
     pub(crate) work_d: Vec<u64>,
-    /// Part two's leaves, subject by subject: `(work item, subject)`.
-    pub(crate) candidates: Vec<(u32, Id)>,
+    /// Part two's leaves, subject by subject: `(work item, subject)` (a
+    /// ring's node ids fit 32 bits).
+    pub(crate) candidates: Vec<(u32, u32)>,
     /// Per work item, where its subjects end.
     pub(crate) work_end: Vec<usize>,
     /// The candidates by work item, each work item's ascending.
@@ -171,7 +186,7 @@ impl ChunkExpansion {
         let base = ring.c_p_ref().get(label);
         let steps = self.stepped_items.iter().zip(self.stepped.chunks_exact(2));
         for (&(item, d), ranks) in steps.filter(|(_, ranks)| ranks[1] > ranks[0]) {
-            let range = (base + ranks[0], base + ranks[1]);
+            let range = narrow((base + ranks[0], base + ranks[1]));
             self.hits.push(Hit {
                 item,
                 part,
@@ -210,19 +225,19 @@ impl ChunkExpansion {
             self.work_d.len(),
             &self.candidates,
             |candidate| candidate.0 as usize,
-            |slot, &(_, s)| subjects[slot] = s,
+            |slot, &(_, s)| subjects[slot] = Id::from(s),
         );
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
         self.mt.size_bytes()
-            + self.ranges.capacity() * size_of::<(usize, usize)>()
+            + self.ranges.capacity() * size_of::<Range>()
             + self.stepped_items.capacity() * size_of::<(u32, u64)>()
             + self.stepped.capacity() * size_of::<usize>()
             + self.work_d.capacity() * size_of::<u64>()
             + self.hits.capacity() * size_of::<Hit>()
             + (self.item_end.capacity() + self.work_end.capacity()) * size_of::<usize>()
-            + self.candidates.capacity() * size_of::<(u32, Id)>()
+            + self.candidates.capacity() * size_of::<(u32, u32)>()
             + self.subjects.capacity() * size_of::<Id>()
             + self.layered.heap_bytes()
     }
@@ -343,7 +358,7 @@ impl StepSource for Ring {
         match firing.automaton {
             Some((bp, lp_masks)) => {
                 x.ranges
-                    .extend(chunk.iter().map(|&(o, _)| self.object_range(o)));
+                    .extend(chunk.iter().map(|&(o, _)| narrow(self.object_range(o))));
                 let mut guide = PredGuideMulti {
                     ring: self,
                     chunk,
@@ -463,7 +478,7 @@ impl MultiRangeGuide for PredGuideMulti<'_> {
             item,
             part: 0,
             label,
-            range: (self.base.1 + rank_b, self.base.1 + rank_e),
+            range: narrow((self.base.1 + rank_b, self.base.1 + rank_e)),
             d: self.pending,
         });
     }
@@ -506,7 +521,7 @@ struct SubjGuideMulti<'a> {
     visited: Option<Visited<'a>>,
     width: usize,
     /// `(work item, subject)`, in arrival order.
-    out: &'a mut Vec<(u32, Id)>,
+    out: &'a mut Vec<(u32, u32)>,
     nodes_entered: &'a mut u64,
     /// Table index of the node entered most recently, and its mask once
     /// an item has asked for it.
@@ -545,7 +560,7 @@ impl MultiRangeGuide for SubjGuideMulti<'_> {
     }
 
     fn leaf(&mut self, item: u32, sym: u64, _rank_b: usize, _rank_e: usize) {
-        self.out.push((item, sym));
+        self.out.push((item, sym as u32));
     }
 }
 

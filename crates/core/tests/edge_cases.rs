@@ -293,3 +293,84 @@ fn node_budget_boundaries() {
         assert!(full.contains(&pair), "budget-aborted answers must be sound");
     }
 }
+
+/// A deadline is honoured to within one frontier chunk's expansion,
+/// however wide the chunks have grown: the clock is read between chunks,
+/// not only every 64 replayed steps. A closure into the root of a
+/// four-ary in-tree with cross edges (87 381 nodes, ids scrambled), on a
+/// ring, four shards and a ring plus delta, with a deadline that passes
+/// while chunks are still narrow (1 ms) and one that passes among the
+/// widest (half the closure's own time).
+#[test]
+fn timeout_overshoot_is_bounded() {
+    use ring::sharded::ShardedIndex;
+    use rpq_core::{ShardedSource, TripleSource};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    // Unoptimized builds take about ten times as long over a chunk (the
+    // widest take 6 ms optimized, 66 ms not).
+    let bound = Duration::from_millis(if cfg!(debug_assertions) { 400 } else { 25 });
+    const NODES: u64 = 87_381;
+    let id = |level_start: u64, j: u64| ((level_start + j) * 48_271) % NODES;
+    let mut triples = Vec::new();
+    let (mut start, mut width) = (0u64, 1u64);
+    while start + width < NODES {
+        let below = start + width;
+        for j in 0..4 * width {
+            triples.push(Triple::new(id(below, j), 0, id(start, j / 4)));
+            triples.push(Triple::new(id(below, j), 0, id(start, (j * 7 + 3) % width)));
+        }
+        (start, width) = (below, 4 * width);
+    }
+    let graph = Graph::from_triples(triples);
+    assert_eq!(graph.n_nodes(), NODES);
+
+    let ring = Ring::build(&graph, RingOptions::default());
+    let shards = ShardedIndex::build(&graph, 4, RingOptions::default());
+    let sharded = ShardedSource::new(shards.into_shards().into_iter().map(Arc::new).collect());
+    let (late, early): (Vec<_>, Vec<_>) =
+        (graph.triples().iter().enumerate()).partition(|(i, _)| i % 5 == 0);
+    let base = Graph::new(early.into_iter().map(|(_, t)| *t).collect(), NODES, 1);
+    let store = ring::TripleStore::new(base).with_auto_compact_ratio(None);
+    late.into_iter().for_each(|(_, t)| store.insert(*t));
+    store.commit();
+    let snapshot = store.snapshot();
+
+    let closure = RpqQuery::new(
+        Term::Var,
+        Regex::Star(Box::new(Regex::label(0))),
+        Term::Const(id(0, 0)),
+    );
+    let kinds: [(&str, &dyn TripleSource); 3] = [
+        ("ring", &ring),
+        ("4 shards", &sharded),
+        ("ring + delta", &*snapshot),
+    ];
+    for (kind, source) in kinds {
+        let mut engine = RpqEngine::over(source);
+        let started = Instant::now();
+        let full = engine
+            .evaluate(&closure, &EngineOptions::default())
+            .unwrap();
+        let whole = started.elapsed();
+        assert!(!full.timed_out && full.stats.product_nodes >= 50_000);
+        for timeout in [Duration::from_millis(1), whole / 2] {
+            let opts = EngineOptions {
+                timeout: Some(timeout),
+                ..EngineOptions::default()
+            };
+            let started = Instant::now();
+            let out = engine.evaluate(&closure, &opts).unwrap();
+            let took = started.elapsed();
+            assert!(
+                out.timed_out,
+                "{kind}: {timeout:?} of {whole:?} passed unnoticed"
+            );
+            assert!(
+                took <= timeout + bound,
+                "{kind}: a {timeout:?} timeout returned after {took:?}"
+            );
+        }
+    }
+}

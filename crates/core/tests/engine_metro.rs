@@ -111,12 +111,15 @@ fn all_shapes_match_oracle() {
     }
 }
 
-/// The full Fig. 6 trace, visit by visit. The engine rewrites
+/// The full Fig. 6 trace, level by level. The engine rewrites
 /// (Baq, l5+/bus, y) to the reversed ^bus/^l5*/^l5 (the paper keeps l5
 /// un-inverted because the metro lines are symmetric; the completed graph
-/// makes both traces isomorphic). The product-graph visits must be, in
-/// BFS order: BA{1,2}, SA{1,2}, Baq{1,2}, SA{0}→report, UCh{0}→report —
-/// exactly the five bold nodes of Fig. 7.
+/// makes both traces isomorphic). The product-graph visits must be, BFS
+/// level by BFS level: BA{1,2}; then SA{1,2}, Baq{1,2} and SA{0}→report;
+/// then UCh{0}→report — exactly the five bold nodes of Fig. 7. The figure
+/// fixes which visits a level holds, not their order inside it: the
+/// sequence is asserted where a level is one visit, the set where it is
+/// three.
 #[test]
 fn fig6_exact_product_graph_trace() {
     let ring = metro_ring();
@@ -136,17 +139,16 @@ fn fig6_exact_product_graph_trace() {
     let first_arrival = 0b110;
     let baq_fresh = 0b010;
     let initial = 0b001;
+    assert_eq!(out.trace.len(), 5, "Fig. 7 has five bold nodes");
+    assert_eq!(out.trace[0], (BA, first_arrival), "level one");
+    let mut level_two = out.trace[1..4].to_vec();
+    level_two.sort_unstable();
     assert_eq!(
-        out.trace,
-        vec![
-            (BA, first_arrival),
-            (SA, first_arrival),
-            (BAQ, baq_fresh),
-            (SA, initial),
-            (UCH, initial),
-        ],
-        "Fig. 6 visit sequence"
+        level_two,
+        vec![(SA, initial), (SA, first_arrival), (BAQ, baq_fresh)],
+        "level two, as a set"
     );
+    assert_eq!(out.trace[4], (UCH, initial), "level three");
     assert_eq!(out.sorted_pairs(), vec![(BAQ, SA), (BAQ, UCH)]);
 }
 

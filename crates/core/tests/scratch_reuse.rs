@@ -257,3 +257,53 @@ fn working_space_counts_the_tables_actually_allocated() {
         "a sharded source allocates the per-node masks and no other table"
     );
 }
+
+/// What a traversal leaves behind besides its two tables is bounded by
+/// its widest level and its widest chunk, not by the closure: a
+/// Table-1-shaped giant closure — a rare label, then the closure of the
+/// commonest one, into the hub of a graph shaped like the benchmark's
+/// (2^17 nodes, 128 predicates, 2^20 edges; 73 610 product nodes) — keeps
+/// 2 664 704 B of level and chunk buffers. With chunks of at most 1024
+/// items the parent commit kept `PARENT_BYTES` for the same query; chunks
+/// of up to 8192 would have kept 3 988 992 B in the parent's layouts
+/// (`usize` positions, 40-byte hits), and keep what they do because
+/// every per-item and per-edge record of a chunk holds 32-bit positions.
+#[test]
+fn chunk_buffers_are_bounded() {
+    const PARENT_BYTES: usize = 1_248_832;
+    const BOUND: usize = 2_700_000;
+    let graph = GraphGen::new(GraphGenConfig {
+        n_nodes: 1 << 17,
+        n_preds: 128,
+        n_edges: 1 << 20,
+        pred_zipf: 1.0,
+        node_skew: 2.0,
+        seed: 0x7AB1E,
+    })
+    .generate();
+    let ring = Ring::build(&graph, RingOptions::default());
+    let giant = RpqQuery::new(
+        Term::Var,
+        Regex::concat(Regex::label(100), star(0)),
+        Term::Const(0),
+    );
+    let mut engine = RpqEngine::new(&ring);
+    let out = engine.evaluate(&giant, &EngineOptions::default()).unwrap();
+    assert!(
+        out.stats.product_nodes >= 50_000 && !out.truncated,
+        "the closure shrank to {} product nodes",
+        out.stats.product_nodes
+    );
+    let scratch = engine.into_scratch();
+    let buffers = scratch.size_bytes() - scratch.table_bytes();
+    assert!(
+        buffers <= BOUND,
+        "{buffers} B of traversal buffers ({PARENT_BYTES} B with 1024-item chunks)"
+    );
+    // A second closure into another hub grows nothing.
+    let mut engine = RpqEngine::with_scratch(&ring, scratch);
+    let again = RpqQuery::new(Term::Var, star(0), Term::Const(1));
+    engine.evaluate(&again, &EngineOptions::default()).unwrap();
+    let scratch = engine.into_scratch();
+    assert!(scratch.size_bytes() - scratch.table_bytes() <= BOUND);
+}

@@ -200,10 +200,12 @@ fn a_small_limit_bounds_the_anchors_collected() {
 }
 
 /// Bounding pass 1 changes no answer: the reference takes the anchors in
-/// the order an *unbounded* pass 1 reports them (read off the trace of a
-/// run without a limit), replays pass 2 as one anchored query per anchor,
-/// and cuts the concatenated reports at the limit — what the two-pass
-/// strategy returned before pass 1 knew about limits.
+/// the order an *unbounded* pass 1 reports them — BFS level by BFS level,
+/// a level's nodes visited in ascending order, so not ascending
+/// themselves: read off the trace of a run without a limit — replays
+/// pass 2 as one anchored query per anchor, and cuts the concatenated
+/// reports at the limit — what the two-pass strategy returned before
+/// pass 1 knew about limits.
 #[test]
 fn bounded_pass_one_returns_what_the_unbounded_order_would() {
     on_every_source(|source, run| {

@@ -122,10 +122,16 @@ pub trait MultiRangeGuide {
     fn leaf(&mut self, item: u32, sym: u64, rank_b: usize, rank_e: usize);
 }
 
+/// A position of the sequence, or a symbol, as the batched traversal
+/// keeps them: its scratch holds several per range and per edge of a
+/// frontier thousands wide, so they are narrowed ([`MultiTraversal::run`]
+/// refuses a matrix they would not address).
+type Pos = u32;
+
 /// A range one position wide on its way to its leaf: the position and
 /// its node's start (both at the current level), the node's prefix, the
 /// item.
-type Unit = (usize, usize, u64, u32);
+type Unit = (Pos, Pos, Pos, u32);
 
 /// Level-synchronous batched traversal, and the reusable scratch it runs
 /// in: callers on a hot path (a BFS expanding frontier after frontier)
@@ -135,18 +141,18 @@ pub struct MultiTraversal {
     /// `(prefix, start, item_hi)` per live node of the level, in
     /// increasing prefix order; a node's items end at `item_hi` and begin
     /// where the previous node's end.
-    nodes: Vec<(u64, usize, usize)>,
-    next_nodes: Vec<(u64, usize, usize)>,
+    nodes: Vec<(Pos, Pos, u32)>,
+    next_nodes: Vec<(Pos, Pos, u32)>,
     /// `(item, b, e)` runs, indexed by the node records.
-    items: Vec<(u32, usize, usize)>,
-    next_items: Vec<(u32, usize, usize)>,
+    items: Vec<(u32, Pos, Pos)>,
+    next_items: Vec<(u32, Pos, Pos)>,
     /// `(rank0(b), rank0(e))` of every live range of the level.
-    zeros: Vec<(usize, usize)>,
+    zeros: Vec<(Pos, Pos)>,
     /// Single positions of a [`MultiRangeGuide::UNIT_SHORTCUT`] guide.
     units: Vec<Unit>,
     /// `(sym, item, rank_b, rank_e)` of such a guide, until the leaves of
     /// both kinds of range are handed over in order.
-    leaves: Vec<(u64, u32, usize, usize)>,
+    leaves: Vec<(Pos, u32, Pos, Pos)>,
     /// Rank computations performed by the last run.
     pub ranks: u64,
     /// Rank computations a per-range traversal would have needed on top
@@ -165,12 +171,11 @@ impl MultiTraversal {
     /// Heap bytes held by the reusable buffers.
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.nodes.capacity() + self.next_nodes.capacity()) * size_of::<(u64, usize, usize)>()
-            + (self.items.capacity() + self.next_items.capacity())
-                * size_of::<(u32, usize, usize)>()
-            + self.zeros.capacity() * size_of::<(usize, usize)>()
+        (self.nodes.capacity() + self.next_nodes.capacity()) * size_of::<(Pos, Pos, u32)>()
+            + (self.items.capacity() + self.next_items.capacity()) * size_of::<(u32, Pos, Pos)>()
+            + self.zeros.capacity() * size_of::<(Pos, Pos)>()
             + self.units.capacity() * size_of::<Unit>()
-            + self.leaves.capacity() * size_of::<(u64, u32, usize, usize)>()
+            + self.leaves.capacity() * size_of::<(Pos, u32, Pos, Pos)>()
     }
 
     /// Runs the batched traversal of `ranges` over `wm` (see
@@ -182,10 +187,15 @@ impl MultiTraversal {
     /// whole frontier overlap. The second walks the nodes in order,
     /// consults the guide, and lays out the next level: a node's left
     /// child first, then its right child.
+    ///
+    /// # Panics
+    /// Panics if `wm` is longer than 2^32 − 1 or wider than 32 bits (the
+    /// scratch keeps positions and symbols in 32), or a range is out of
+    /// bounds.
     pub fn run<G: MultiRangeGuide>(
         &mut self,
         wm: &WaveletMatrix,
-        ranges: &[(usize, usize)],
+        ranges: &[(u32, u32)],
         guide: &mut G,
     ) {
         self.ranks = 0;
@@ -194,8 +204,12 @@ impl MultiTraversal {
         self.items.clear();
         self.units.clear();
         self.leaves.clear();
+        assert!(
+            Pos::try_from(wm.len).is_ok() && wm.width <= Pos::BITS as usize,
+            "a batched traversal addresses 32-bit positions and symbols"
+        );
         for (i, &(b, e)) in ranges.iter().enumerate() {
-            assert!(b <= e && e <= wm.len, "range {i} out of bounds");
+            assert!(b <= e && e as usize <= wm.len, "range {i} out of bounds");
         }
         if ranges.iter().all(|&(b, e)| b == e) || !guide.enter_node(0, 0) {
             return;
@@ -210,7 +224,7 @@ impl MultiTraversal {
             }
         }
         if !self.items.is_empty() {
-            self.nodes.push((0, 0, self.items.len()));
+            self.nodes.push((0, 0, self.items.len() as u32));
         }
 
         for level in 0..wm.width {
@@ -218,12 +232,13 @@ impl MultiTraversal {
                 return;
             }
             let lvl = &wm.levels[level];
-            let z = wm.zeros[level];
+            let z = wm.zeros[level] as Pos;
             let at_leaves = level + 1 == wm.width;
 
             self.zeros.clear();
             for &(_, b, e) in &self.items {
-                self.zeros.push(if e - b == 1 {
+                let (b, e) = (b as usize, e as usize);
+                let (b0, e0) = if e - b == 1 {
                     // One position: one rank and the bit beside it.
                     self.ranks += 1;
                     self.ranks_saved += 1;
@@ -236,7 +251,8 @@ impl MultiTraversal {
                 } else {
                     self.ranks += 2;
                     (lvl.rank0(b), lvl.rank0(e))
-                });
+                };
+                self.zeros.push((b0 as Pos, e0 as Pos));
             }
 
             // Single positions follow their bit; those the pass below
@@ -244,11 +260,15 @@ impl MultiTraversal {
             self.ranks += self.units.len() as u64 * (1 + u64::from(G::LEAF_RANKS));
             self.ranks_saved += self.units.len() as u64;
             for (at, start, prefix, _) in self.units.iter_mut() {
-                let (ones, bit) = lvl.rank1_get(*at);
-                *at = if bit { z + ones } else { *at - ones };
-                *prefix = *prefix << 1 | u64::from(bit);
+                let (ones, bit) = lvl.rank1_get(*at as usize);
+                *at = if bit {
+                    z + ones as Pos
+                } else {
+                    *at - ones as Pos
+                };
+                *prefix = *prefix << 1 | Pos::from(bit);
                 if G::LEAF_RANKS {
-                    let ones = lvl.rank1(*start);
+                    let ones = lvl.rank1(*start as usize) as Pos;
                     *start = if bit { z + ones } else { *start - ones };
                 }
             }
@@ -258,12 +278,13 @@ impl MultiTraversal {
             let mut lo = 0;
             for n in 0..self.nodes.len() {
                 let (prefix, start, hi) = self.nodes[n];
+                let hi = hi as usize;
                 // One start rank amortized over the node's whole batch; a
                 // per-range traversal recomputes it for every range.
                 let (s0, s1) = if G::LEAF_RANKS {
                     self.ranks += 1;
                     self.ranks_saved += (hi - lo) as u64 - 1;
-                    let s0 = lvl.rank0(start);
+                    let s0 = lvl.rank0(start as usize) as Pos;
                     (s0, z + (start - s0))
                 } else {
                     (0, 0)
@@ -292,20 +313,22 @@ impl MultiTraversal {
                             self.units.push((cb, child_start, child, id));
                             continue;
                         }
-                        if !*entered.get_or_insert_with(|| guide.enter_node(level + 1, child)) {
+                        let below = u64::from(child);
+                        if !*entered.get_or_insert_with(|| guide.enter_node(level + 1, below)) {
                             break;
                         }
-                        if guide.enter_item(id, level + 1, child) {
+                        if guide.enter_item(id, level + 1, below) {
                             if at_leaves {
-                                guide.leaf(id, child, cb - child_start, ce - child_start);
+                                let (rank_b, rank_e) = (cb - child_start, ce - child_start);
+                                guide.leaf(id, below, rank_b as usize, rank_e as usize);
                             } else {
                                 self.next_items.push((id, cb, ce));
                             }
                         }
                     }
-                    if self.next_nodes.last().map_or(0, |n| n.2) < self.next_items.len() {
-                        self.next_nodes
-                            .push((child, child_start, self.next_items.len()));
+                    let placed = self.next_items.len() as u32;
+                    if self.next_nodes.last().map_or(0, |n| n.2) < placed {
+                        self.next_nodes.push((child, child_start, placed));
                     }
                 }
                 lo = hi;
@@ -336,13 +359,14 @@ impl MultiTraversal {
             let Some((sym, id, rank_b, rank_e)) = next else {
                 return;
             };
+            let sym = u64::from(sym);
             let entered = match node {
                 Some((at, entered)) if at == sym => entered,
                 _ => guide.enter_node(width, sym),
             };
             node = Some((sym, entered));
             if entered && guide.enter_item(id, width, sym) {
-                guide.leaf(id, sym, rank_b, rank_e);
+                guide.leaf(id, sym, rank_b as usize, rank_e as usize);
             }
         }
     }
@@ -691,12 +715,21 @@ impl WaveletMatrix {
     /// Frontier-batched guided traversal: [`MultiTraversal::run`] on
     /// scratch allocated for this call. Hot paths hold a
     /// [`MultiTraversal`] and reuse it.
+    ///
+    /// # Panics
+    /// Panics where [`MultiTraversal::run`] does, and if a range does not
+    /// fit its 32-bit positions.
     pub fn guided_traverse_multi<G: MultiRangeGuide>(
         &self,
         ranges: &[(usize, usize)],
         guide: &mut G,
     ) {
-        MultiTraversal::new().run(self, ranges, guide)
+        let narrow = |p: usize| u32::try_from(p).expect("range out of bounds");
+        let ranges: Vec<(u32, u32)> = ranges
+            .iter()
+            .map(|&(b, e)| (narrow(b), narrow(e)))
+            .collect();
+        MultiTraversal::new().run(self, &ranges, guide)
     }
 
     /// Batched [`Self::rank`]: replaces each `positions[i]` with
@@ -1323,7 +1356,7 @@ mod tests {
     fn multi_traversal_counts_saved_ranks() {
         let syms = sample(2000, 64);
         let wm = WaveletMatrix::new(&syms, 64);
-        let ranges: Vec<(usize, usize)> = (0..64).map(|i| (i * 30, i * 30 + 25)).collect();
+        let ranges: Vec<(u32, u32)> = (0..64).map(|i| (i * 30, i * 30 + 25)).collect();
         let mut mt = MultiTraversal::new();
         let mut guide = CollectMulti(Vec::new());
         mt.run(&wm, &ranges, &mut guide);
@@ -1472,7 +1505,9 @@ mod tests {
             };
             let mut multi = fresh();
             let mut mt = MultiTraversal::new();
-            mt.run(wm, ranges, &mut multi);
+            let narrow: Vec<(u32, u32)> =
+                ranges.iter().map(|&(b, e)| (b as u32, e as u32)).collect();
+            mt.run(wm, &narrow, &mut multi);
             let arrival: Vec<(u64, u32)> = multi.leaves.iter().map(|&(i, s, ..)| (s, i)).collect();
             assert!(
                 arrival.windows(2).all(|w| w[0] < w[1]),
@@ -1491,7 +1526,7 @@ mod tests {
             }
             // The scratch carries nothing over: a second run agrees.
             let mut again = fresh();
-            mt.run(wm, ranges, &mut again);
+            mt.run(wm, &narrow, &mut again);
             assert_eq!(again.leaves, multi.leaves, "{what}: second run");
             multi.asked_inside
         }
