@@ -197,10 +197,10 @@ impl Boundaries {
         }
     }
 
-    /// Heap bytes.
+    /// Payload bytes, on the heap or in a mapped file.
     pub fn size_bytes(&self) -> usize {
         match self {
-            Boundaries::Dense(v) => v.heap_bytes(),
+            Boundaries::Dense(v) => v.size_bytes(),
             Boundaries::Sparse { bits, .. } => bits.size_bytes(),
             Boundaries::EliasFano(ef) => ef.size_bytes(),
         }

@@ -28,7 +28,7 @@ use std::hash::Hasher;
 
 use crate::Id;
 use succinct::util::FxHasher;
-use succinct::Slab;
+use succinct::{Slab, SpaceUsage};
 
 /// A two-way map between names and dense ids `0..len`.
 #[derive(Clone, Debug)]
@@ -411,14 +411,14 @@ impl Dict {
         (0..self.len() as Id).map(move |id| (id, self.name(id)))
     }
 
-    /// Heap bytes: the arena plus the table on the heap form; zero
-    /// payload on the mapped form, whose bytes stay in the page cache.
+    /// Payload bytes: the arena plus the hash table on the heap form,
+    /// the arena plus the name-sorted ids on the mapped form.
     pub fn size_bytes(&self) -> usize {
-        self.blob.heap_bytes()
-            + self.offsets.heap_bytes()
+        self.blob.size_bytes()
+            + self.offsets.size_bytes()
             + match &self.lookup {
                 Lookup::Table(table) => table.capacity() * std::mem::size_of::<Slot>(),
-                Lookup::Sorted(order) => order.heap_bytes(),
+                Lookup::Sorted(order) => order.size_bytes(),
             }
     }
 }

@@ -28,6 +28,12 @@
 //! and the component `R??1` records) remain supported by [`crate::io`];
 //! this module is the fast path beside them.
 //!
+//! The shards of a sharded index ([`crate::sharded`]) are files of this
+//! format too. Their ids are global, so the directory keeps one copy of
+//! the dictionaries, in its first shard; the other shards store empty
+//! `NODES`/`PREDS` sections and are opened with [`open_ring`], which reads
+//! sections 1–7 only.
+//!
 //! Alignment is a **soundness** invariant, not a preference: a
 //! misaligned `&[u64]` reinterpretation is undefined behavior, so the
 //! reader rejects any table-of-contents offset off the 8-byte grid
@@ -71,7 +77,8 @@ const TAG_C_P: u64 = 6;
 const TAG_C_O: u64 = 7;
 const TAG_NODES: u64 = 8;
 const TAG_PREDS: u64 = 9;
-const N_SECTIONS: usize = 9;
+/// Number of sections in a `RRPQM01` file.
+pub const N_SECTIONS: usize = 9;
 
 /// Header bytes before the first section: magic + version + count +
 /// the table of contents (32 bytes per entry in v2). 312 bytes —
@@ -110,6 +117,18 @@ pub struct MappedIndex {
     pub nodes: Dict,
     /// Predicate dictionary (mapped form).
     pub preds: Dict,
+    /// Whether the bytes live in a kernel mapping or on the heap.
+    pub resident: ResidentMode,
+    /// Bytes held by the kernel mapping (0 in heap mode).
+    pub mapped_bytes: u64,
+}
+
+/// The ring of a `RRPQM01` file opened without its dictionaries (see
+/// [`open_ring`]).
+#[derive(Debug)]
+pub struct MappedRing {
+    /// The ring, its arrays borrowing the opened file.
+    pub ring: Ring,
     /// Whether the bytes live in a kernel mapping or on the heap.
     pub resident: ResidentMode,
     /// Bytes held by the kernel mapping (0 in heap mode).
@@ -389,6 +408,53 @@ pub fn verify_index_checksums(path: &Path) -> io::Result<usize> {
 /// the succinct payloads are neither copied nor rebuilt (the dictionary
 /// section is scanned once for UTF-8/order validation).
 pub fn open_index(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
+    let (map, toc) = open_map(path, mode)?;
+    let ring = read_ring(&map, &toc)?;
+    let (nodes, preds) = read_dicts(&map, &toc, &ring, path)?;
+    let (resident, mapped_bytes) = residency(&map);
+    Ok(MappedIndex {
+        ring,
+        nodes,
+        preds,
+        resident,
+        mapped_bytes,
+    })
+}
+
+/// [`open_index`] without the dictionaries: sections `NODES` and `PREDS`
+/// are not read (under `mmap`, not paged in), whatever they hold. This is
+/// how [`crate::sharded::open_dir`] opens every shard but the one whose
+/// dictionaries the directory uses; the ring gets exactly the validation
+/// a full open gives it.
+pub fn open_ring(path: &Path, mode: OpenMode) -> io::Result<MappedRing> {
+    let (map, toc) = open_map(path, mode)?;
+    let ring = read_ring(&map, &toc)?;
+    let (resident, mapped_bytes) = residency(&map);
+    Ok(MappedRing {
+        ring,
+        resident,
+        mapped_bytes,
+    })
+}
+
+/// Byte length of every section of the `RRPQM01` file at `path`, indexed
+/// like [`SECTION_NAMES`] — the file's own space table, read off its
+/// table of contents.
+pub fn section_lens(path: &Path) -> io::Result<[u64; N_SECTIONS]> {
+    let toc = read_toc(&*MappedFile::open(path)?)?;
+    Ok(toc.sections.map(|(_, len)| len as u64))
+}
+
+fn residency(map: &MappedFile) -> (ResidentMode, u64) {
+    match map.mode() {
+        ResidentMode::Mmap => (ResidentMode::Mmap, map.len() as u64),
+        ResidentMode::Heap => (ResidentMode::Heap, 0),
+    }
+}
+
+/// Brings the file in under `mode`, parses its table of contents and
+/// applies the checksum policy.
+fn open_map(path: &Path, mode: OpenMode) -> io::Result<(Arc<MappedFile>, Toc)> {
     if !host_supported() {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -409,10 +475,6 @@ pub fn open_index(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
             m
         }
     };
-    open_from_map(map)
-}
-
-fn open_from_map(map: Arc<MappedFile>) -> io::Result<MappedIndex> {
     let toc = read_toc(&map)?;
     if toc.crcs.is_none() {
         eprintln!(
@@ -427,20 +489,38 @@ fn open_from_map(map: Arc<MappedFile>) -> io::Result<MappedIndex> {
     if map.mode() == ResidentMode::Heap || verify_env {
         check_section_crcs(&map, &toc)?;
     }
-    let toc = toc.sections;
-    let reader = |i: usize| MapReader::new(Arc::clone(&map), toc[i].0, toc[i].1);
+    Ok((map, toc))
+}
 
-    let mut meta = reader(0)?;
-    let n = meta.len_u64(MAX_LEN)?;
-    let n_nodes: Id = meta.u64()?;
-    let n_preds: Id = meta.u64()?;
-    let n_preds_base: Id = meta.u64()?;
-    let has_inverses = match meta.u64()? {
-        0 => false,
-        1 => true,
-        _ => return Err(err_data("invalid has_inverses flag")),
-    };
-    meta.finish()?;
+/// Reads the whole of section `tag` with `read`.
+fn read_section<T>(
+    map: &Arc<MappedFile>,
+    toc: &Toc,
+    tag: u64,
+    read: impl FnOnce(&mut MapReader) -> io::Result<T>,
+) -> io::Result<T> {
+    let (off, len) = toc.sections[tag as usize - 1];
+    let mut sec = MapReader::new(Arc::clone(map), off, len)?;
+    let value = read(&mut sec)?;
+    sec.finish()?;
+    Ok(value)
+}
+
+/// Sections `META` to `C_O`: the ring, shape- and cross-checked.
+fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<Ring> {
+    let (n, n_nodes, n_preds, n_preds_base, has_inverses) =
+        read_section(map, toc, TAG_META, |meta| {
+            let n = meta.len_u64(MAX_LEN)?;
+            let n_nodes: Id = meta.u64()?;
+            let n_preds: Id = meta.u64()?;
+            let n_preds_base: Id = meta.u64()?;
+            let has_inverses = match meta.u64()? {
+                0 => false,
+                1 => true,
+                _ => return Err(err_data("invalid has_inverses flag")),
+            };
+            Ok((n, n_nodes, n_preds, n_preds_base, has_inverses))
+        })?;
     if n_nodes > MAX_LEN || n_preds > MAX_LEN {
         return Err(err_data("alphabet size out of range"));
     }
@@ -453,30 +533,12 @@ fn open_from_map(map: Arc<MappedFile>) -> io::Result<MappedIndex> {
         return Err(err_data("inverse alphabet size mismatch"));
     }
 
-    let mut sec = reader(1)?;
-    let l_o = read_wavelet_matrix(&mut sec)?;
-    sec.finish()?;
-    let mut sec = reader(2)?;
-    let l_s = read_wavelet_matrix(&mut sec)?;
-    sec.finish()?;
-    let mut sec = reader(3)?;
-    let l_p = read_wavelet_matrix(&mut sec)?;
-    sec.finish()?;
-    let mut sec = reader(4)?;
-    let c_s = read_boundaries(&mut sec)?;
-    sec.finish()?;
-    let mut sec = reader(5)?;
-    let c_p = read_boundaries(&mut sec)?;
-    sec.finish()?;
-    let mut sec = reader(6)?;
-    let c_o = read_boundaries(&mut sec)?;
-    sec.finish()?;
-    let mut sec = reader(7)?;
-    let nodes = read_dict(&mut sec)?;
-    sec.finish()?;
-    let mut sec = reader(8)?;
-    let preds = read_dict(&mut sec)?;
-    sec.finish()?;
+    let l_o = read_section(map, toc, TAG_L_O, read_wavelet_matrix)?;
+    let l_s = read_section(map, toc, TAG_L_S, read_wavelet_matrix)?;
+    let l_p = read_section(map, toc, TAG_L_P, read_wavelet_matrix)?;
+    let c_s = read_section(map, toc, TAG_C_S, read_boundaries)?;
+    let c_p = read_section(map, toc, TAG_C_P, read_boundaries)?;
+    let c_o = read_section(map, toc, TAG_C_O, read_boundaries)?;
 
     // The same cross-component consistency checks the stream loader
     // makes (crate::io), so a structurally valid but inconsistent file
@@ -504,38 +566,51 @@ fn open_from_map(map: Arc<MappedFile>) -> io::Result<MappedIndex> {
             return Err(err_data(format!("{name} total mismatch")));
         }
     }
+    Ok(Ring::from_raw_parts(
+        l_o,
+        l_s,
+        l_p,
+        c_s,
+        c_p,
+        c_o,
+        n,
+        n_nodes,
+        n_preds,
+        n_preds_base,
+        has_inverses,
+    ))
+}
+
+/// Sections `NODES` and `PREDS`, checked against `ring`'s universes.
+fn read_dicts(
+    map: &Arc<MappedFile>,
+    toc: &Toc,
+    ring: &Ring,
+    path: &Path,
+) -> io::Result<(Dict, Dict)> {
+    let nodes = read_section(map, toc, TAG_NODES, read_dict)?;
+    let preds = read_section(map, toc, TAG_PREDS, read_dict)?;
+    // A sharded directory keeps its dictionaries in shard 0 alone: a
+    // file with a predicate universe and no name for any of it is one of
+    // the other shards, not an index of its own.
+    if nodes.is_empty() && preds.is_empty() && ring.n_preds_base() > 0 {
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        return Err(err_data(format!(
+            "no dictionaries in this file: it is one shard of a sharded index; open the directory {} instead",
+            dir.display()
+        )));
+    }
     // `Ring::build` clamps the node universe to >= 1 even for an empty
     // graph, so an empty index legitimately pairs n_nodes == 1 with an
     // empty dictionary (mirroring the inverse-alphabet clamp above).
-    if nodes.len() as Id != n_nodes && !(n == 0 && nodes.is_empty()) {
+    if nodes.len() as Id != ring.n_nodes() && !(ring.n_triples() == 0 && nodes.is_empty()) {
         return Err(err_data("node dictionary size mismatch"));
     }
-    if preds.len() as Id != n_preds_base {
+    if preds.len() as Id != ring.n_preds_base() {
         return Err(err_data("predicate dictionary size mismatch"));
     }
-
-    let resident = map.mode();
-    let mapped_bytes = match resident {
-        ResidentMode::Mmap => map.len() as u64,
-        ResidentMode::Heap => 0,
-    };
-    Ok(MappedIndex {
-        ring: Ring::from_raw_parts(
-            l_o,
-            l_s,
-            l_p,
-            c_s,
-            c_p,
-            c_o,
-            n,
-            n_nodes,
-            n_preds,
-            n_preds_base,
-            has_inverses,
-        ),
-        nodes,
-        preds,
-        resident,
-        mapped_bytes,
-    })
+    Ok((nodes, preds))
 }

@@ -541,7 +541,8 @@ impl Ring {
         e - b
     }
 
-    /// Index heap size in bytes (Table 2 accounting).
+    /// Index size in bytes (Table 2 accounting), the same whether the
+    /// arrays are on the heap or in a mapped file.
     pub fn size_bytes(&self) -> usize {
         self.l_o.size_bytes()
             + self.l_s.size_bytes()

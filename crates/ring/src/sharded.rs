@@ -6,27 +6,35 @@
 //! predicates: a predicate holding more than `⌈total/n_shards⌉` triples
 //! is cut into contiguous subject-sorted chunks that bin independently,
 //! so one hot predicate cannot capsize a shard. Every shard ring is built
-//! over the *global* node and predicate universes (`Graph::new` with the
-//! source graph's `n_nodes`/`n_preds`), which keeps ids, inverse labels
+//! over the *global* node and predicate universes (the source graph's
+//! `n_nodes`/`n_preds`), which keeps ids, inverse labels
 //! (`p̂ = p + |P|`) and wavelet-matrix alphabets identical across shards:
 //! a scatter-gather union of per-shard results equals the unsharded
 //! answer exactly.
 //!
-//! On disk a sharded index is a directory: one self-contained
-//! [`crate::mapped`] `RRPQM01` file per shard (each carrying the full
-//! dictionaries, so any shard can resolve any name) plus a CRC-footered
-//! `MANIFEST` binding them together. Both are written atomically through
+//! On disk a sharded index is a directory: one [`crate::mapped`]
+//! `RRPQM01` file per shard plus a CRC-footered `MANIFEST` binding them
+//! together. The directory holds **one** copy of the dictionaries, in
+//! `shard-000.rpqm`; the other shard files keep the nine-section
+//! container with empty `NODES`/`PREDS`. Ids are global, so one
+//! dictionary names every shard's triples, and a copy per shard was
+//! 3 B/triple of names stored, written, validated and paged in once per
+//! shard for nothing. [`open_dir`] opens shard 0 whole and every other
+//! shard ring-only — whatever its `NODES`/`PREDS` hold, so a directory
+//! whose shards each carry a copy (as earlier builds wrote them) opens
+//! the same way. All files are written atomically through
 //! [`crate::durable`], so an interrupted save never corrupts an existing
-//! index.
+//! file; a re-save over an existing directory is atomic per file, not
+//! per directory.
 
-use std::collections::BTreeMap;
 use std::io::{self, BufReader, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use succinct::checksum::{CrcReader, CrcWriter};
+use succinct::ResidentMode;
 
 use crate::durable::{atomic_write, finish_footer, verify_footer, FaultReader};
-use crate::mapped::{self, MappedIndex, OpenMode};
+use crate::mapped::{self, OpenMode};
 use crate::ring::RingOptions;
 use crate::{Dict, Graph, Id, Ring, Triple};
 
@@ -39,6 +47,13 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 /// File name of shard `i`'s `RRPQM01` file inside the directory.
 pub fn shard_file_name(i: usize) -> String {
     format!("shard-{i:03}.rpqm")
+}
+
+/// The `i` of a canonical [`shard_file_name`], if `name` is one.
+fn shard_index(name: &str) -> Option<usize> {
+    let i = name.strip_prefix("shard-")?.strip_suffix(".rpqm")?;
+    let i: usize = i.parse().ok()?;
+    (shard_file_name(i) == name).then_some(i)
 }
 
 /// A predicate-partitioned set of sub-rings over one graph.
@@ -58,10 +73,12 @@ impl ShardedIndex {
     /// Panics if `n_shards` is zero.
     pub fn build(graph: &Graph, n_shards: usize, options: RingOptions) -> Self {
         assert!(n_shards >= 1, "a sharded index needs at least one shard");
-        let parts = partition_triples(graph.triples(), n_shards);
-        let shards = parts
+        let shards = partition_triples(graph, n_shards)
             .into_iter()
-            .map(|ts| Ring::build(&Graph::new(ts, graph.n_nodes(), graph.n_preds()), options))
+            .map(|run| {
+                let part = Graph::from_sorted(run, graph.n_nodes(), graph.n_preds());
+                Ring::build(&part, options)
+            })
             .collect();
         Self { shards }
     }
@@ -87,18 +104,71 @@ impl ShardedIndex {
         self.shards.iter().map(|r| r.n_triples()).sum()
     }
 
-    /// Persists the index as a directory: `shard-NNN.rpqm` per shard
-    /// (each a complete `RRPQM01` file with full dictionaries) plus the
-    /// CRC-footered `MANIFEST`. Returns total bytes written.
+    /// Persists the index as a directory: `shard-NNN.rpqm` per shard —
+    /// the dictionaries in shard 0's file only — plus the CRC-footered
+    /// `MANIFEST`. Once the new manifest is durable, shard files of an
+    /// earlier save with more shards are removed. Returns total bytes
+    /// written.
     pub fn save_dir(&self, dir: &Path, nodes: &Dict, preds: &Dict) -> io::Result<u64> {
         std::fs::create_dir_all(dir)?;
+        let empty = Dict::new();
         let mut total = 0u64;
         for (i, ring) in self.shards.iter().enumerate() {
+            let (nodes, preds) = if i == 0 {
+                (nodes, preds)
+            } else {
+                (&empty, &empty)
+            };
             total += mapped::write_index(&dir.join(shard_file_name(i)), ring, nodes, preds)?;
         }
         total += write_manifest(&dir.join(MANIFEST_FILE), &self.shards)?;
+        for stale in unnamed_files(dir, self.shards.len()).stale {
+            let name = stale.file_name().and_then(|n| n.to_str());
+            if name.and_then(shard_index).is_some() {
+                std::fs::remove_file(&stale)?;
+            }
+        }
         Ok(total)
     }
+}
+
+/// What a sharded directory holds besides its `MANIFEST` and the
+/// `n_shards` shard files the manifest names.
+#[derive(Debug, Default)]
+pub struct UnnamedFiles {
+    /// `MANIFEST.*.tmp` / `shard-NNN.rpqm.*.tmp`: what an interrupted
+    /// atomic save strands.
+    pub orphan_tmps: Vec<PathBuf>,
+    /// Everything else — shard files past `n_shards` included.
+    pub stale: Vec<PathBuf>,
+}
+
+/// Lists the files of `dir` that an index of `n_shards` shards does not
+/// use (an unreadable directory lists nothing).
+pub fn unnamed_files(dir: &Path, n_shards: usize) -> UnnamedFiles {
+    let mut out = UnnamedFiles::default();
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return out;
+    };
+    let saved = |file: &str| file == MANIFEST_FILE || shard_index(file).is_some();
+    for entry in entries.flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name == MANIFEST_FILE || shard_index(&name).is_some_and(|i| i < n_shards) {
+            continue;
+        }
+        // `durable::atomic_write` stages `<file>` as `<file>.<pid>.<seq>.tmp`.
+        let staged = name
+            .strip_suffix(".tmp")
+            .is_some_and(|n| n.match_indices('.').any(|(at, _)| saved(&n[..at])));
+        if staged {
+            out.orphan_tmps.push(entry.path());
+        } else {
+            out.stale.push(entry.path());
+        }
+    }
+    out.orphan_tmps.sort();
+    out.stale.sort();
+    out
 }
 
 /// Whether `path` is a sharded index directory (a directory holding a
@@ -114,30 +184,61 @@ pub fn is_sharded_dir(path: &Path) -> bool {
     f.read_exact(&mut magic).is_ok() && magic == MANIFEST_MAGIC
 }
 
+/// A sharded index directory, opened: the sub-rings and the one pair of
+/// dictionaries that names their (global) ids.
+#[derive(Debug)]
+pub struct OpenedDir {
+    /// The sub-rings, in shard order.
+    pub rings: Vec<Ring>,
+    /// Node dictionary (mapped form), from shard 0's file.
+    pub nodes: Dict,
+    /// Predicate dictionary (mapped form), from shard 0's file.
+    pub preds: Dict,
+    /// Whether the bytes live in kernel mappings or on the heap.
+    pub resident: ResidentMode,
+    /// Bytes held by the kernel mappings, all shards (0 in heap mode).
+    pub mapped_bytes: u64,
+}
+
 /// Opens a sharded index directory: verifies the manifest checksum, then
-/// opens every shard file under `mode` (each shard validates its own
-/// section CRCs and cross-component shapes) and cross-checks it against
-/// the manifest — shard count, per-shard triple count, and the shared
-/// node/predicate universes.
-pub fn open_dir(dir: &Path, mode: OpenMode) -> io::Result<Vec<MappedIndex>> {
+/// opens shard 0 with its dictionaries and every other shard ring-only
+/// under `mode` (each file validates its own ring's cross-component
+/// shapes, and its section CRCs on a heap open) and cross-checks every
+/// ring against the manifest — shard count, per-shard triple count, and
+/// the shared node/predicate universes, which shard 0's open has already
+/// held the dictionaries to.
+pub fn open_dir(dir: &Path, mode: OpenMode) -> io::Result<OpenedDir> {
     let manifest = read_manifest(&dir.join(MANIFEST_FILE))?;
-    let mut shards = Vec::with_capacity(manifest.shard_triples.len());
-    for (i, &want_triples) in manifest.shard_triples.iter().enumerate() {
-        let path = dir.join(shard_file_name(i));
-        let idx = mapped::open_index(&path, mode)?;
+    let check = |i: usize, ring: &Ring| {
         let context = || format!("{}: shard {i}", dir.display());
-        if idx.ring.n_triples() as u64 != want_triples {
+        if ring.n_triples() as u64 != manifest.shard_triples[i] {
             return Err(manifest_mismatch(&context(), "triple count"));
         }
-        if idx.ring.n_nodes() != manifest.n_nodes {
+        if ring.n_nodes() != manifest.n_nodes {
             return Err(manifest_mismatch(&context(), "node universe"));
         }
-        if idx.ring.n_preds_base() != manifest.n_preds_base {
+        if ring.n_preds_base() != manifest.n_preds_base {
             return Err(manifest_mismatch(&context(), "predicate universe"));
         }
-        shards.push(idx);
+        Ok(())
+    };
+    let first = mapped::open_index(&dir.join(shard_file_name(0)), mode)?;
+    check(0, &first.ring)?;
+    let mut opened = OpenedDir {
+        rings: Vec::with_capacity(manifest.shard_triples.len()),
+        nodes: first.nodes,
+        preds: first.preds,
+        resident: first.resident,
+        mapped_bytes: first.mapped_bytes,
+    };
+    opened.rings.push(first.ring);
+    for i in 1..manifest.shard_triples.len() {
+        let shard = mapped::open_ring(&dir.join(shard_file_name(i)), mode)?;
+        check(i, &shard.ring)?;
+        opened.mapped_bytes += shard.mapped_bytes;
+        opened.rings.push(shard.ring);
     }
-    Ok(shards)
+    Ok(opened)
 }
 
 fn manifest_mismatch(context: &str, what: &str) -> io::Error {
@@ -210,50 +311,67 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(buf))
 }
 
-/// Partitions base triples across `n_shards`: whole predicates bin
+/// Partitions the base triples across `n_shards`: whole predicates bin
 /// greedily onto the least-loaded shard (largest first, ties broken by
 /// predicate id, so the partition is deterministic); a predicate larger
 /// than `⌈total/n_shards⌉` is first cut into contiguous subject-sorted
-/// chunks that bin as independent units.
-fn partition_triples(triples: &[Triple], n_shards: usize) -> Vec<Vec<Triple>> {
-    if n_shards <= 1 {
-        return vec![triples.to_vec()];
-    }
-    let mut by_pred: BTreeMap<Id, Vec<Triple>> = BTreeMap::new();
-    for &t in triples {
-        by_pred.entry(t.p).or_default().push(t);
+/// chunks that bin as independent units. Each shard's run comes back in
+/// the graph's `(s, p, o)` order.
+fn partition_triples(graph: &Graph, n_shards: usize) -> Vec<Vec<Triple>> {
+    let triples = graph.triples();
+    let mut counts = vec![0usize; graph.n_preds() as usize];
+    for t in triples {
+        counts[t.p as usize] += 1;
     }
     let threshold = triples.len().div_ceil(n_shards).max(1);
 
-    // (size, pred, chunk index, triples) — chunk index orders the
-    // subject-range pieces of a split predicate.
-    let mut units: Vec<(usize, Id, usize, Vec<Triple>)> = Vec::new();
-    for (p, ts) in by_pred {
-        if ts.len() <= threshold {
-            units.push((ts.len(), p, 0, ts));
-        } else {
-            // Triples of one predicate arrive sorted by (s, o), so equal
-            // chunks are contiguous subject ranges.
-            let n_chunks = ts.len().div_ceil(threshold);
-            let chunk = ts.len().div_ceil(n_chunks);
-            for (i, c) in ts.chunks(chunk).enumerate() {
-                units.push((c.len(), p, i, c.to_vec()));
-            }
+    // The units, in (predicate, chunk) order: `unit_sizes[first_unit[p] + i]`
+    // is chunk `i` of predicate `p`, `chunk_len[p]` triples but for the last.
+    let mut unit_sizes = Vec::new();
+    let mut first_unit = vec![0usize; counts.len()];
+    let mut chunk_len = vec![0usize; counts.len()];
+    for (p, &count) in counts.iter().enumerate() {
+        if count == 0 {
+            continue;
         }
+        let n_chunks = count.div_ceil(threshold);
+        chunk_len[p] = count.div_ceil(n_chunks);
+        first_unit[p] = unit_sizes.len();
+        unit_sizes.extend(
+            (0..count)
+                .step_by(chunk_len[p])
+                .map(|at| chunk_len[p].min(count - at)),
+        );
     }
-    units.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
-    let mut shards: Vec<Vec<Triple>> = vec![Vec::new(); n_shards];
+    // Largest unit first onto the least-loaded shard; the sort is stable,
+    // so equal sizes keep their (predicate, chunk) order.
+    let mut by_size: Vec<usize> = (0..unit_sizes.len()).collect();
+    by_size.sort_by_key(|&u| std::cmp::Reverse(unit_sizes[u]));
     let mut loads = vec![0usize; n_shards];
-    for (size, _, _, ts) in units {
-        let target = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &l)| (l, i))
-            .expect("n_shards >= 1")
-            .0;
-        loads[target] += size;
-        shards[target].extend(ts);
+    let mut shard_of = vec![0usize; unit_sizes.len()];
+    for u in by_size {
+        let target = (0..n_shards)
+            .min_by_key(|&i| (loads[i], i))
+            .expect("n_shards >= 1");
+        loads[target] += unit_sizes[u];
+        shard_of[u] = target;
+    }
+
+    // One scan deals the triples out. Those of one predicate pass in
+    // `(s, o)` order — the restriction of `(s, p, o)` order to it — so a
+    // running count per predicate says which of its chunks a triple is in.
+    let mut shards: Vec<Vec<Triple>> = loads.iter().map(|&l| Vec::with_capacity(l)).collect();
+    let mut unit = first_unit;
+    let mut left = chunk_len.clone();
+    for &t in triples {
+        let p = t.p as usize;
+        if left[p] == 0 {
+            unit[p] += 1;
+            left[p] = chunk_len[p];
+        }
+        left[p] -= 1;
+        shards[shard_of[unit[p]]].push(t);
     }
     shards
 }
@@ -261,6 +379,7 @@ fn partition_triples(triples: &[Triple], n_shards: usize) -> Vec<Vec<Triple>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn graph() -> Graph {
         let mut triples = Vec::new();
@@ -281,7 +400,7 @@ mod tests {
     fn partition_is_exact_and_balanced() {
         let g = graph();
         for n_shards in [1, 2, 4, 7] {
-            let parts = partition_triples(g.triples(), n_shards);
+            let parts = partition_triples(&g, n_shards);
             assert_eq!(parts.len(), n_shards);
             let mut union: Vec<Triple> = parts.iter().flatten().copied().collect();
             union.sort_unstable();
@@ -302,10 +421,83 @@ mod tests {
     #[test]
     fn skewed_predicate_splits_by_subject_range() {
         let g = graph();
-        let parts = partition_triples(g.triples(), 4);
+        let parts = partition_triples(&g, 4);
         // Predicate 0 (28 of 37 triples) must span several shards.
         let holding = parts.iter().filter(|p| p.iter().any(|t| t.p == 0)).count();
         assert!(holding >= 2, "hot predicate stayed on {holding} shard(s)");
+    }
+
+    fn ring_bytes(ring: &Ring) -> Vec<u8> {
+        use succinct::io::Persist;
+        let mut out = Vec::new();
+        ring.write_to(&mut out).unwrap();
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// What the one-scan deal promises, on graphs with few and with
+        /// many predicates, one of them (`p = 0`, three draws in four)
+        /// holding most of the triples; `n_shards` from 1 to past the
+        /// predicate count.
+        #[test]
+        fn partition_deals_every_triple_once_in_order(
+            n_preds in 1u64..7,
+            raw in prop::collection::vec((0u64..24, 0u64..28, 0u64..24), 0..160),
+            n_shards in 1usize..10,
+        ) {
+            let triples = raw
+                .into_iter()
+                .map(|(s, p, o)| Triple::new(s, if p % 4 == 0 { p % n_preds } else { 0 }, o))
+                .collect();
+            let g = Graph::new(triples, 24, n_preds);
+            let parts = partition_triples(&g, n_shards);
+            prop_assert_eq!(parts.len(), n_shards);
+
+            // Every base triple lands in exactly one shard, and each
+            // shard's run is strictly increasing.
+            let mut union: Vec<Triple> = parts.iter().flatten().copied().collect();
+            union.sort_unstable();
+            prop_assert_eq!(union.as_slice(), g.triples());
+            for run in &parts {
+                prop_assert!(run.windows(2).all(|w| w[0] < w[1]));
+            }
+
+            let threshold = g.len().div_ceil(n_shards).max(1);
+            for p in 0..n_preds {
+                let of_p: Vec<Triple> = g.triples().iter().filter(|t| t.p == p).copied().collect();
+                let holders: Vec<&Vec<Triple>> =
+                    parts.iter().filter(|run| run.iter().any(|t| t.p == p)).collect();
+                if of_p.len() <= threshold {
+                    // A predicate at or under the threshold lands whole.
+                    prop_assert!(holders.len() <= 1);
+                    continue;
+                }
+                // A split predicate: equal chunks of its (s, o) order, so
+                // what one shard holds of it is a union of those chunks.
+                let chunk = of_p.len().div_ceil(of_p.len().div_ceil(threshold));
+                for run in holders {
+                    let held: Vec<Triple> = run.iter().filter(|t| t.p == p).copied().collect();
+                    let mut rest = held.as_slice();
+                    for c in of_p.chunks(chunk) {
+                        if rest.first() == c.first() {
+                            prop_assert!(rest.starts_with(c));
+                            rest = &rest[c.len()..];
+                        }
+                    }
+                    prop_assert!(rest.is_empty(), "shard holds part of a chunk of {}", p);
+                }
+            }
+
+            // The shard rings are those of the same sets, sorted the
+            // slow way.
+            let idx = ShardedIndex::build(&g, n_shards, RingOptions::default());
+            for (ring, run) in idx.shards().iter().zip(parts) {
+                let want = Ring::build(&Graph::new(run, 24, n_preds), RingOptions::default());
+                prop_assert_eq!(ring_bytes(ring), ring_bytes(&want));
+            }
+        }
     }
 
     #[test]
@@ -321,10 +513,15 @@ mod tests {
         }
     }
 
+    fn tmpdir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rpq-sharded-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
     #[test]
     fn save_open_roundtrip_with_validation() {
-        let dir = std::env::temp_dir().join(format!("rpq-sharded-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = tmpdir("roundtrip");
         let g = graph();
         let idx = ShardedIndex::build(&g, 3, RingOptions::default());
         let nodes = full_dict(g.n_nodes(), "n");
@@ -335,26 +532,71 @@ mod tests {
         assert!(!is_sharded_dir(&dir.join("nope")));
 
         let opened = open_dir(&dir, OpenMode::Heap).unwrap();
-        assert_eq!(opened.len(), 3);
-        for (got, want) in opened.iter().zip(idx.shards()) {
-            assert_eq!(got.ring.n_triples(), want.n_triples());
-            assert_eq!(got.nodes.len() as Id, g.n_nodes());
+        assert_eq!(opened.rings.len(), 3);
+        for (got, want) in opened.rings.iter().zip(idx.shards()) {
+            assert_eq!(got.n_triples(), want.n_triples());
         }
+        assert_eq!(opened.nodes.len() as Id, g.n_nodes());
+        assert_eq!(opened.preds.len() as Id, g.n_preds());
 
-        // A manifest/shard mismatch is rejected: drop one shard file and
-        // rewrite the manifest for a single shard of the wrong size.
-        write_manifest(&dir.join(MANIFEST_FILE), &idx.shards()[..1]).unwrap();
-        std::fs::remove_file(dir.join(shard_file_name(0))).unwrap();
-        std::fs::rename(dir.join(shard_file_name(1)), dir.join(shard_file_name(0))).unwrap();
+        // A manifest/shard mismatch is rejected: a manifest for a single
+        // shard of another size.
+        write_manifest(&dir.join(MANIFEST_FILE), &idx.shards()[1..2]).unwrap();
         let err = open_dir(&dir, OpenMode::Heap).unwrap_err();
         assert!(err.to_string().contains("manifest"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A save over a directory that held more shards leaves none of them
+    /// behind, and says what else is lying around without touching it.
+    #[test]
+    fn resave_with_fewer_shards_removes_the_stale_ones() {
+        let dir = tmpdir("resave");
+        let g = graph();
+        let (nodes, preds) = (full_dict(g.n_nodes(), "n"), full_dict(g.n_preds(), "p"));
+        let save = |n| {
+            ShardedIndex::build(&g, n, RingOptions::default())
+                .save_dir(&dir, &nodes, &preds)
+                .unwrap()
+        };
+        save(4);
+        let tmp = dir.join(format!("{}.77.0.tmp", shard_file_name(1)));
+        std::fs::write(&tmp, b"torn").unwrap();
+        std::fs::write(dir.join("MANIFEST.77.1.tmp"), b"torn").unwrap();
+        std::fs::write(dir.join("notes.txt"), b"mine").unwrap();
+        let written = save(2);
+
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            [
+                "MANIFEST",
+                "MANIFEST.77.1.tmp",
+                "notes.txt",
+                "shard-000.rpqm",
+                "shard-001.rpqm",
+                "shard-001.rpqm.77.0.tmp"
+            ]
+        );
+        let on_disk = |f: &str| std::fs::metadata(dir.join(f)).unwrap().len();
+        assert_eq!(
+            written,
+            on_disk("MANIFEST") + on_disk("shard-000.rpqm") + on_disk("shard-001.rpqm")
+        );
+        let unnamed = unnamed_files(&dir, 2);
+        assert_eq!(unnamed.orphan_tmps, [dir.join("MANIFEST.77.1.tmp"), tmp]);
+        assert_eq!(unnamed.stale, [dir.join("notes.txt")]);
+        assert_eq!(open_dir(&dir, OpenMode::Heap).unwrap().rings.len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn corrupt_manifest_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("rpq-sharded-bad-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = tmpdir("bad");
         let g = graph();
         let idx = ShardedIndex::build(&g, 2, RingOptions::default());
         idx.save_dir(

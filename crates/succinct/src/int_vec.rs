@@ -178,7 +178,7 @@ impl IntVec {
 
 impl SpaceUsage for IntVec {
     fn size_bytes(&self) -> usize {
-        self.data.heap_bytes()
+        self.data.size_bytes()
     }
 }
 

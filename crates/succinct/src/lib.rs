@@ -46,11 +46,12 @@ pub use rank_select::RankSelect;
 pub use storage::Slab;
 pub use wavelet_matrix::WaveletMatrix;
 
-/// Heap space accounting, in bytes, for regenerating the paper's Table 2
+/// Space accounting, in bytes, for regenerating the paper's Table 2
 /// (index space in bytes per edge).
 pub trait SpaceUsage {
-    /// Total heap bytes owned by this structure (excluding `size_of::<Self>()`
-    /// unless noted otherwise).
+    /// Total bytes of this structure's payload, on the heap or in a mapped
+    /// file — the figure does not depend on where an index was opened
+    /// from (excluding `size_of::<Self>()` unless noted otherwise).
     fn size_bytes(&self) -> usize;
 }
 

@@ -529,11 +529,9 @@ impl RankSelect {
 
 impl SpaceUsage for RankSelect {
     fn size_bytes(&self) -> usize {
-        // Mapped slabs report zero: their bytes belong to the page
-        // cache, not this process's heap.
-        self.data.heap_bytes()
-            + self.select1_samples.heap_bytes()
-            + self.select0_samples.heap_bytes()
+        self.data.size_bytes()
+            + self.select1_samples.size_bytes()
+            + self.select0_samples.size_bytes()
     }
 }
 

@@ -210,9 +210,14 @@ impl<T: Pod + PartialEq> PartialEq for Slab<T> {
 
 impl<T: Pod + Eq> Eq for Slab<T> {}
 
+/// The bytes the elements occupy wherever they live: the vector's
+/// allocation, or this slab's part of the mapped file.
 impl<T: Pod> SpaceUsage for Slab<T> {
     fn size_bytes(&self) -> usize {
-        self.heap_bytes()
+        match &self.backing {
+            Backing::Owned(_) => self.heap_bytes(),
+            Backing::Mapped(_) => self.len * std::mem::size_of::<T>(),
+        }
     }
 }
 

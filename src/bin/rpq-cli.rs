@@ -831,6 +831,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             rpq_only_bytes as f64 / g.len().max(1) as f64
         );
     }
+    print_section_table(Path::new(index), &db).map_err(|e| format!("reading {index}: {e}"))?;
     // Top predicates by cardinality — the selectivity the planner uses.
     // For a sharded index the base graph (the shards' exact union) is
     // counted directly; per-shard `pred_cardinality` would need summing
@@ -854,6 +855,63 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     println!("top predicates:");
     for &(p, c) in cards.iter().take(5) {
         println!("  {:<24} {c} edges", db.preds().name(p));
+    }
+    Ok(())
+}
+
+/// The space table of a mapped index, from the files' own tables of
+/// contents: one line per `RRPQM01` section, bytes and bytes per base
+/// triple — of a sharded directory, summed over the shards and then shard
+/// by shard. Stream-format indexes have no sections and print nothing.
+fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
+    use ring_rpq::ring::{mapped, sharded};
+    let files: Vec<std::path::PathBuf> = if db.is_sharded() {
+        (0..db.n_shards())
+            .map(|i| index.join(sharded::shard_file_name(i)))
+            .collect()
+    } else if mapped::is_mapped_file(index) {
+        vec![index.to_path_buf()]
+    } else {
+        return Ok(());
+    };
+    let edges = db.graph().len().max(1) as f64;
+    let row = |name: &str, bytes: u64| {
+        println!(
+            "  {name:<18} {bytes:>12} {:>7.2} B/edge",
+            bytes as f64 / edges
+        );
+    };
+    // `total` is the bytes on disk: the sections below, the five words of
+    // META and the headers.
+    let table = |title: &str, lens: &[u64; mapped::N_SECTIONS], total: (&str, u64)| {
+        println!("sections, {title}:");
+        for (name, &bytes) in mapped::SECTION_NAMES.iter().zip(lens).skip(1) {
+            row(name, bytes);
+        }
+        row(total.0, total.1);
+    };
+    let mut summed = [0u64; mapped::N_SECTIONS];
+    let mut per_file = Vec::with_capacity(files.len());
+    for file in &files {
+        let lens = mapped::section_lens(file)?;
+        for (sum, len) in summed.iter_mut().zip(lens) {
+            *sum += len;
+        }
+        per_file.push((lens, std::fs::metadata(file)?.len()));
+    }
+    if db.is_sharded() {
+        let manifest = std::fs::metadata(index.join(sharded::MANIFEST_FILE))?.len();
+        let all = per_file.iter().map(|&(_, bytes)| bytes).sum::<u64>() + manifest;
+        table(
+            &format!("all {} shards", files.len()),
+            &summed,
+            ("files + MANIFEST", all),
+        );
+        for (i, (lens, bytes)) in per_file.iter().enumerate() {
+            table(&format!("shard {i}"), lens, ("file", *bytes));
+        }
+    } else {
+        table("RRPQM01", &summed, ("file", per_file[0].1));
     }
     Ok(())
 }
@@ -991,25 +1049,28 @@ fn verify_sharded_dir(index: &str, dir: &Path) -> Result<(), CliError> {
     }
     // Manifest integrity + per-shard cross-checks (triple counts and
     // universes against the manifest).
-    let opened = match ring_rpq::ring::sharded::open_dir(dir, OpenMode::Heap) {
-        Ok(o) => o,
+    let n_shards = match ring_rpq::ring::sharded::open_dir(dir, OpenMode::Heap) {
+        Ok(opened) => opened.rings.len(),
         Err(e) => return fail("manifest", e.to_string()),
     };
     let mut sections = 0u64;
-    for i in 0..opened.len() {
+    for i in 0..n_shards {
         let shard = dir.join(ring_rpq::ring::sharded::shard_file_name(i));
         match ring_rpq::ring::mapped::verify_index_checksums(&shard) {
             Ok(n) => sections += n as u64,
             Err(e) => return fail(&format!("shard {i} checksums"), e.to_string()),
         }
     }
-    let orphans = count_orphan_tmps(&dir.join(ring_rpq::ring::sharded::MANIFEST_FILE));
+    // Informational: what an interrupted save stranded (opening the
+    // directory sweeps it) and whatever else the manifest does not name.
+    let unnamed = ring_rpq::ring::sharded::unnamed_files(dir, n_shards);
     println!(
         "{{\"path\":{},\"format\":\"RRPQSH01\",\"status\":\"ok\",\"checksummed\":true,\
-         \"checksum_sections\":{sections},\"shards\":{},\"epoch\":null,\"wal\":null,\
-         \"orphan_tmp\":{orphans}}}",
+         \"checksum_sections\":{sections},\"shards\":{n_shards},\"epoch\":null,\"wal\":null,\
+         \"orphan_tmp\":{},\"stale_files\":{}}}",
         rpq_core::jsonw::quoted(index),
-        opened.len(),
+        unnamed.orphan_tmps.len(),
+        unnamed.stale.len(),
     );
     Ok(())
 }

@@ -511,8 +511,9 @@ impl RpqDatabase {
     /// Persists the database as a **sharded** index directory: the base
     /// graph is partitioned by predicate (subject ranges for skewed
     /// predicates, see [`ring::sharded`]) into `n_shards` sub-rings,
-    /// each written as a self-contained mappable `RRPQM01` file next to
-    /// a checksummed `MANIFEST`. Returns total bytes written.
+    /// each written as a mappable `RRPQM01` file — the first carrying the
+    /// one copy of the dictionaries — next to a checksummed `MANIFEST`.
+    /// Returns total bytes written.
     pub fn save_sharded(&self, dir: &std::path::Path, n_shards: usize) -> std::io::Result<u64> {
         let idx =
             ring::sharded::ShardedIndex::build(self.graph(), n_shards, RingOptions::default());
@@ -525,29 +526,28 @@ impl RpqDatabase {
     /// directory paths, so callers rarely need this directly.
     pub fn open_sharded(dir: &std::path::Path, mode: OpenMode) -> std::io::Result<Self> {
         let t0 = std::time::Instant::now();
-        ring::durable::cleanup_orphans(&dir.join(ring::sharded::MANIFEST_FILE));
         let opened = ring::sharded::open_dir(dir, mode)?;
-        let resident = opened[0].resident;
-        let mapped_bytes: u64 = opened.iter().map(|s| s.mapped_bytes).sum();
-        let mut nodes = None;
-        let mut preds = None;
-        let mut rings = Vec::with_capacity(opened.len());
-        for (i, idx) in opened.into_iter().enumerate() {
-            if i == 0 {
-                nodes = Some(idx.nodes);
-                preds = Some(idx.preds);
-            }
-            rings.push(Arc::new(idx.ring));
+        let orphans = ring::sharded::unnamed_files(dir, opened.rings.len()).orphan_tmps;
+        let removed = orphans
+            .iter()
+            .filter(|tmp| std::fs::remove_file(tmp).is_ok())
+            .count();
+        if removed > 0 {
+            eprintln!(
+                "recovery: removed {removed} orphaned temp file(s) from an interrupted save of {}",
+                dir.display()
+            );
         }
+        let rings = opened.rings.into_iter().map(Arc::new).collect();
         Ok(Self {
             graph: OnceLock::new(),
             source: rpq_core::ShardedSource::new(rings).snapshot(),
-            nodes: nodes.expect("manifest guarantees >= 1 shard"),
-            preds: preds.expect("manifest guarantees >= 1 shard"),
+            nodes: opened.nodes,
+            preds: opened.preds,
             open_info: OpenInfo {
                 open_us: t0.elapsed().as_micros() as u64,
-                resident,
-                mapped_bytes,
+                resident: opened.resident,
+                mapped_bytes: opened.mapped_bytes,
             },
             scratch: ScratchPool::default(),
         })
@@ -810,6 +810,30 @@ mod tests {
         let answer = server.query_blocking("n0", "p+", "?y").unwrap();
         assert_eq!(server.resolve_pairs(&answer).len(), 40);
         server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Shard 0's file is a complete index of its partition; the others
+    /// carry no dictionaries and say where the index is.
+    #[test]
+    fn a_dictionary_less_shard_is_not_a_database() {
+        let dir = std::env::temp_dir().join(format!("rpq-facade-shardfile-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let db = RpqDatabase::from_text("a p b\nb p c\nc q a\nc r b\n").unwrap();
+        db.save_sharded(&dir, 3).unwrap();
+        for mode in [OpenMode::Auto, OpenMode::Heap] {
+            let err = RpqDatabase::open_with(&dir.join("shard-001.rpqm"), mode)
+                .err()
+                .expect("shard 1 has no dictionaries");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains("shard of a sharded index"), "{msg}");
+            assert!(msg.contains(&format!("{} instead", dir.display())), "{msg}");
+        }
+        let first = RpqDatabase::open(&dir.join("shard-000.rpqm")).unwrap();
+        assert!(!first.is_sharded());
+        assert_eq!(first.nodes().len(), 3);
+        assert!(!first.graph().is_empty() && first.graph().len() < db.graph().len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

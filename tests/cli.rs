@@ -582,3 +582,144 @@ fn updates_refuse_a_sharded_index_and_leave_it_untouched() {
     // ... and nothing (a write-ahead log, a temp file) appeared beside it.
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
 }
+
+/// A directory is what its manifest names: a re-save with fewer shards
+/// removes the shard files it no longer uses, an open sweeps the temp
+/// files an interrupted save of a shard or of the manifest stranded, and
+/// `verify` counts whatever else is lying there. (A `--shards 2` build
+/// over a `--shards 4` one used to leave `shard-002`/`shard-003` behind,
+/// with `verify` answering ok without a word.)
+#[test]
+fn a_resaved_sharded_directory_holds_no_stale_shards() {
+    let dir = tmpdir("resave_sharded");
+    let sharded = dir.join("metro-sharded");
+    build_metro(&sharded, &["--shards", "4"]);
+    build_metro(&sharded, &["--shards", "2"]);
+    let names = || {
+        let mut names: Vec<String> = std::fs::read_dir(&sharded)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(), ["MANIFEST", "shard-000.rpqm", "shard-001.rpqm"]);
+
+    std::fs::write(sharded.join("shard-001.rpqm.4242.0.tmp"), b"torn").unwrap();
+    std::fs::write(sharded.join("MANIFEST.4242.1.tmp"), b"torn").unwrap();
+    std::fs::write(sharded.join("shard-007.rpqm"), b"left over").unwrap();
+    let verify = || {
+        let out = cli().arg("verify").arg(&sharded).output().unwrap();
+        assert!(out.status.success());
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let report = verify();
+    assert!(report.contains("\"status\":\"ok\""), "{report}");
+    assert!(report.contains("\"checksum_sections\":18"), "{report}");
+    assert!(report.contains("\"orphan_tmp\":2"), "{report}");
+    assert!(report.contains("\"stale_files\":1"), "{report}");
+
+    // Opening sweeps the temp files; only a save removes a shard file.
+    let out = cli()
+        .arg("query")
+        .arg(&sharded)
+        .args(["<baquedano>", "<l5>+/<bus>", "?y"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("<u_de_chile>"));
+    assert_eq!(
+        names(),
+        [
+            "MANIFEST",
+            "shard-000.rpqm",
+            "shard-001.rpqm",
+            "shard-007.rpqm"
+        ]
+    );
+    let report = verify();
+    assert!(report.contains("\"orphan_tmp\":0"), "{report}");
+    assert!(report.contains("\"stale_files\":1"), "{report}");
+}
+
+/// One shard file of a directory is not an index: all but the first carry
+/// no dictionaries, and `query` on one says which directory to open.
+#[test]
+fn querying_one_shard_file_names_the_directory() {
+    let dir = tmpdir("shard_file");
+    let sharded = dir.join("metro-sharded");
+    build_metro(&sharded, &["--shards", "4"]);
+    let out = cli()
+        .arg("query")
+        .arg(sharded.join("shard-001.rpqm"))
+        .args(["<baquedano>", "<l5>+", "?y"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("shard of a sharded index"), "{err}");
+    assert!(
+        err.contains(&format!("{} instead", sharded.display())),
+        "{err}"
+    );
+}
+
+/// `stats` reports the space of what it opened, not of this process's
+/// heap: a mapped index has a size, and its file's sections add up to it.
+#[test]
+fn stats_sizes_a_mapped_index_from_its_sections() {
+    let dir = tmpdir("stats_sections");
+    let (plain, sharded) = (dir.join("metro.rpqm"), dir.join("metro-sharded"));
+    build_metro(&plain, &["--mmap"]);
+    build_metro(&sharded, &["--shards", "4"]);
+    let stats = |index: &PathBuf, flag: &str| {
+        let out = cli().arg("stats").arg(index).arg(flag).output().unwrap();
+        assert!(out.status.success());
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let number_after = |text: &str, label: &str| -> f64 {
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with(label))
+            .unwrap_or_else(|| panic!("no '{label}' line in:\n{text}"));
+        let rest = line.trim_start()[label.len()..].trim_start();
+        rest.split_whitespace().next().unwrap().parse().unwrap()
+    };
+    for flag in ["--mmap", "--heap"] {
+        let text = stats(&plain, flag);
+        assert!(
+            number_after(&text, "ring bytes:") > 336.0,
+            "{flag}:\n{text}"
+        );
+        assert!(
+            number_after(&text, "ring bytes/edge:") > 0.0,
+            "{flag}:\n{text}"
+        );
+        // The six ring sections are the ring, to a few header words each.
+        let ring: f64 = ["L_O", "L_S", "L_P", "C_S", "C_P", "C_O"]
+            .iter()
+            .map(|name| number_after(&text, name))
+            .sum();
+        let reported = number_after(&text, "ring bytes:");
+        assert!(
+            ring >= reported && ring <= reported + 1024.0,
+            "{flag}: sections {ring} B, ring {reported} B"
+        );
+        let sections: f64 = ["NODES", "PREDS"]
+            .iter()
+            .map(|name| number_after(&text, name))
+            .sum::<f64>()
+            + ring;
+        let file = std::fs::metadata(&plain).unwrap().len() as f64;
+        assert_eq!(number_after(&text, "file"), file);
+        assert!(sections < file && sections > file - 512.0);
+    }
+    let text = stats(&sharded, "--mmap");
+    assert!(text.contains("sections, all 4 shards:"), "{text}");
+    assert!(text.contains("sections, shard 3:"), "{text}");
+    let shard0 = text.split("sections, shard 0:").nth(1).unwrap();
+    let shard1 = text.split("sections, shard 1:").nth(1).unwrap();
+    assert!(number_after(shard0, "NODES") > 24.0);
+    assert_eq!(number_after(shard1, "NODES"), 24.0);
+    assert!(number_after(&text, "shard 2") > 0.0);
+}
