@@ -12,8 +12,8 @@ fn main() {
     let cfg = BenchConfig::from_env();
     println!("Index construction sweep (seed {})", cfg.seed);
     println!(
-        "{:>12} {:>12} {:>12} {:>14} {:>12} {:>14}",
-        "edges", "ring (s)", "ring B/edge", "ring-RPQ B/e", "adj (s)", "adj B/edge"
+        "{:>12} {:>12} {:>12} {:>12} {:>14}",
+        "edges", "ring (s)", "ring B/edge", "adj (s)", "adj B/edge"
     );
     for shift in [
         cfg.n_edges / 8,
@@ -40,11 +40,10 @@ fn main() {
         let adj_secs = t.elapsed().as_secs_f64();
 
         println!(
-            "{:>12} {:>12.2} {:>12.2} {:>14.2} {:>12.2} {:>14.2}",
+            "{:>12} {:>12.2} {:>12.2} {:>12.2} {:>14.2}",
             graph.len(),
             ring_secs,
             ring.size_bytes() as f64 / n,
-            ring.size_bytes_rpq_only() as f64 / n,
             adj_secs,
             adj.size_bytes() as f64 / n
         );

@@ -179,7 +179,8 @@ impl Persist for Ring {
         write_u64(w, self.n_preds())?;
         write_u64(w, self.n_preds_base())?;
         write_u64(w, self.has_inverses() as u64)?;
-        self.l_o().write_to(w)?;
+        // The slot of the `(s, p, o)`-order column no ring has any more.
+        WaveletMatrix::new(&[], 1).write_to(w)?;
         self.l_s().write_to(w)?;
         self.l_p().write_to(w)?;
         self.c_s_ref().write_to(w)?;
@@ -207,21 +208,23 @@ impl Persist for Ring {
         if has_inverses && n_preds != expected_preds {
             return Err(bad_data("inverse alphabet size mismatch"));
         }
-        let l_o = WaveletMatrix::read_from(r)?;
+        // Empty in records written since the ring stopped storing that
+        // column, `n` symbols in older ones; dropped either way.
+        let l_o_len = WaveletMatrix::read_from(r)?.len();
+        if l_o_len != 0 && l_o_len != n {
+            return Err(bad_data("L_o length mismatch"));
+        }
         let l_s = WaveletMatrix::read_from(r)?;
         let l_p = WaveletMatrix::read_from(r)?;
         let c_s = Boundaries::read_from(r)?;
         let c_p = Boundaries::read_from(r)?;
         let c_o = Boundaries::read_from(r)?;
-        for (name, wm) in [("L_o", &l_o), ("L_s", &l_s), ("L_p", &l_p)] {
+        for (name, wm) in [("L_s", &l_s), ("L_p", &l_p)] {
             if wm.len() != n {
                 return Err(bad_data(format!("{name} length mismatch")));
             }
         }
-        if l_o.sigma() != n_nodes.max(1)
-            || l_s.sigma() != n_nodes.max(1)
-            || l_p.sigma() != n_preds.max(1)
-        {
+        if l_s.sigma() != n_nodes.max(1) || l_p.sigma() != n_preds.max(1) {
             return Err(bad_data("column alphabet mismatch"));
         }
         for (name, b, uni) in [
@@ -237,7 +240,6 @@ impl Persist for Ring {
             }
         }
         Ok(Ring::from_raw_parts(
-            l_o,
             l_s,
             l_p,
             c_s,

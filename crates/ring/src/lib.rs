@@ -5,17 +5,30 @@
 //! engine navigates.
 //!
 //! A graph is a set of triples `(s, p, o)`. Viewing each triple as a
-//! circular string, the ring stores three columns (§3.4 of the RPQ paper):
+//! circular string, the paper's ring has three columns (§3.4 of the RPQ
+//! paper), of which this index stores two:
 //!
-//! * `L_o`: objects of the triples sorted by `(s, p, o)`,
 //! * `L_s`: subjects of the triples sorted by `(p, o, s)`,
 //! * `L_p`: predicates of the triples sorted by `(o, s, p)`,
 //!
 //! each as a wavelet matrix, plus the boundary arrays `C_s`, `C_p`, `C_o`
 //! counting, for every symbol, how many triples sort strictly before it in
-//! the respective order. LF-steps and range backward-search steps
-//! (Eqs. 3–5) move between the columns; together they answer every triple
-//! pattern and power the RPQ traversal.
+//! the respective order. The `L_p → L_s` LF-step and the range
+//! backward-search step by predicate (Eqs. 3–5) decode every triple and
+//! power the RPQ traversal.
+//!
+//! **Deviation from the paper, stated once.** The paper's 16.41 B/triple
+//! is the full ring; this index is its RPQ-only subset. §4's algorithm
+//! reads "the wavelet trees representing sequences `L_p` and `L_s`, as
+//! well as all the arrays `C`" and never the third column, `L_o` (the
+//! objects sorted by `(s, p, o)`), so it is not built, held or written —
+//! a third of the ring's bytes. Given up with it: `objects_for(s, p)` as
+//! a direct enumeration (with inverses indexed, ask
+//! `subjects_for(inverse_label(p), s)`; without them there is no
+//! substitute), the LF-steps out of `L_s` and `L_o` and with them the
+//! closed three-step cycle, and the backward step by object. Both file
+//! formats keep the column's slot, empty, so files written with it still
+//! open ([`mapped`], [`io`]).
 //!
 //! Modules:
 //! * [`triple`]: the `Triple` type and sort orders.
@@ -29,9 +42,6 @@
 //!   into between ring rebuilds.
 //! * [`store`]: the updatable store — ring + delta behind atomic,
 //!   versioned snapshots with commit/compact.
-//! * [`ltj`]: a Leapfrog-TrieJoin evaluator over rings — the worst-case
-//!   optimal join the ring was originally built for, and the integration
-//!   target §6 describes for mixing RPQs into multijoins.
 //! * [`durable`]: crash-safe IO — atomic replace-writes, checksum
 //!   footers, typed corruption errors, and the fault-injection layer the
 //!   crash-consistency battery drives.
@@ -48,7 +58,6 @@ pub mod dict;
 pub mod durable;
 pub mod graph;
 pub mod io;
-pub mod ltj;
 pub mod mapped;
 pub mod ntriples;
 pub mod ring;

@@ -9,7 +9,7 @@
 //! │ TOC: (tag u64, offset u64, byte_len u64, crc32c u64) × 9     │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ 1 META    n, n_nodes, n_preds, n_preds_base, has_inverses    │
-//! │ 2 L_O     wavelet matrix (objects in (s,p) order)            │
+//! │ 2 L_O     an empty wavelet matrix (48 bytes; see below)      │
 //! │ 3 L_S     wavelet matrix (subjects in (p,o) order)           │
 //! │ 4 L_P     wavelet matrix (predicates in (o,s) order)         │
 //! │ 5 C_S     boundaries                                         │
@@ -32,7 +32,15 @@
 //! format too. Their ids are global, so the directory keeps one copy of
 //! the dictionaries, in its first shard; the other shards store empty
 //! `NODES`/`PREDS` sections and are opened with [`open_ring`], which reads
-//! sections 1–7 only.
+//! neither.
+//!
+//! Section 2 is the slot of the paper's third column, the objects in
+//! `(s, p, o)` order. §4's algorithm never reads it and [`Ring`] does not
+//! have it, so [`write_index`] fills the slot with an empty matrix and no
+//! open reads it: a file written when the slot held the column still
+//! opens and answers the same, its `L_O` bytes covered by the checksum
+//! walk and, under `mmap`, never paged in. `rpq-cli stats` says how many
+//! bytes a rebuild reclaims.
 //!
 //! Alignment is a **soundness** invariant, not a preference: a
 //! misaligned `&[u64]` reinterpretation is undefined behavior, so the
@@ -58,7 +66,7 @@ use succinct::mapped::{
     err_data, host_supported, read_elias_fano, read_rank_select, read_wavelet_matrix,
     write_elias_fano, write_rank_select, write_wavelet_matrix, MapReader, SectionWriter, MAX_LEN,
 };
-use succinct::{MappedFile, ResidentMode};
+use succinct::{MappedFile, ResidentMode, WaveletMatrix};
 
 use crate::{Boundaries, Dict, Id, Ring};
 
@@ -77,6 +85,10 @@ const TAG_C_P: u64 = 6;
 const TAG_C_O: u64 = 7;
 const TAG_NODES: u64 = 8;
 const TAG_PREDS: u64 = 9;
+/// Byte length of the `L_O` section [`write_index`] writes: `[sigma,
+/// len]` and the one empty level of an empty [`WaveletMatrix`]. A longer
+/// one holds a column nothing reads.
+pub const EMPTY_L_O_LEN: u64 = (2 + 4) * 8;
 /// Number of sections in a `RRPQM01` file.
 pub const N_SECTIONS: usize = 9;
 
@@ -253,7 +265,10 @@ pub fn write_index(path: &Path, ring: &Ring, nodes: &Dict, preds: &Dict) -> io::
                 w.u64(ring.has_inverses() as u64)
             })?,
         ),
-        (TAG_L_O, section(|w| write_wavelet_matrix(w, ring.l_o()))?),
+        (
+            TAG_L_O,
+            section(|w| write_wavelet_matrix(w, &WaveletMatrix::new(&[], 1)))?,
+        ),
         (TAG_L_S, section(|w| write_wavelet_matrix(w, ring.l_s()))?),
         (TAG_L_P, section(|w| write_wavelet_matrix(w, ring.l_p()))?),
         (TAG_C_S, section(|w| write_boundaries(w, ring.c_s_ref()))?),
@@ -506,7 +521,8 @@ fn read_section<T>(
     Ok(value)
 }
 
-/// Sections `META` to `C_O`: the ring, shape- and cross-checked.
+/// Sections `META` and `L_S` to `C_O`: the ring, shape- and
+/// cross-checked. `L_O` is not read, whatever it holds.
 fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<Ring> {
     let (n, n_nodes, n_preds, n_preds_base, has_inverses) =
         read_section(map, toc, TAG_META, |meta| {
@@ -533,7 +549,6 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<Ring> {
         return Err(err_data("inverse alphabet size mismatch"));
     }
 
-    let l_o = read_section(map, toc, TAG_L_O, read_wavelet_matrix)?;
     let l_s = read_section(map, toc, TAG_L_S, read_wavelet_matrix)?;
     let l_p = read_section(map, toc, TAG_L_P, read_wavelet_matrix)?;
     let c_s = read_section(map, toc, TAG_C_S, read_boundaries)?;
@@ -543,15 +558,12 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<Ring> {
     // The same cross-component consistency checks the stream loader
     // makes (crate::io), so a structurally valid but inconsistent file
     // cannot produce out-of-range ids at query time.
-    for (name, wm) in [("L_o", &l_o), ("L_s", &l_s), ("L_p", &l_p)] {
+    for (name, wm) in [("L_s", &l_s), ("L_p", &l_p)] {
         if wm.len() != n {
             return Err(err_data(format!("{name} length mismatch")));
         }
     }
-    if l_o.sigma() != n_nodes.max(1)
-        || l_s.sigma() != n_nodes.max(1)
-        || l_p.sigma() != n_preds.max(1)
-    {
+    if l_s.sigma() != n_nodes.max(1) || l_p.sigma() != n_preds.max(1) {
         return Err(err_data("column alphabet mismatch"));
     }
     for (name, b, uni) in [
@@ -567,7 +579,6 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<Ring> {
         }
     }
     Ok(Ring::from_raw_parts(
-        l_o,
         l_s,
         l_p,
         c_s,

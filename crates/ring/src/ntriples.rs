@@ -833,7 +833,7 @@ _:b0 <http://wd/P31> <http://wd/Q5> .
         let p = preds.get("<p>").unwrap();
         let a = nodes.get("<a>").unwrap();
         let mut objs = Vec::new();
-        ring.objects_for(a, p, &mut |o| objs.push(o));
+        ring.subjects_for(ring.inverse_label(p), a, &mut |o| objs.push(o));
         assert_eq!(objs, vec![nodes.get("<b>").unwrap()]);
     }
 

@@ -1,6 +1,9 @@
-//! The ring index: three wavelet-matrix columns plus boundary arrays,
-//! supporting LF-steps, range backward search, and triple-pattern
-//! enumeration (§3.4 of the paper).
+//! The ring index, as the RPQ algorithm reads it: the two wavelet-matrix
+//! columns `L_s` and `L_p` plus the three boundary arrays, supporting the
+//! `L_p → L_s` LF-step, range backward search and triple decoding (§3.4
+//! and §4 of the paper). The paper's third column — the objects in
+//! `(s, p, o)` order — is never read by §4's traversal and is not built,
+//! stored or written; see the crate docs for what that gives up.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -66,13 +69,12 @@ impl Default for RingOptions {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Ring {
-    /// Objects in `(s, p, o)` order.
-    l_o: WaveletMatrix,
     /// Subjects in `(p, o, s)` order.
     l_s: WaveletMatrix,
     /// Predicates in `(o, s, p)` order.
     l_p: WaveletMatrix,
-    /// `C_s[s]` = triples with subject `< s` (partitions `L_o`).
+    /// `C_s[s]` = triples with subject `< s` (the `(s, p, o)` order's
+    /// partition: which nodes are subjects, and of how many triples).
     c_s: Boundaries,
     /// `C_p[p]` = triples with predicate `< p` (partitions `L_s`).
     c_p: Boundaries,
@@ -97,7 +99,7 @@ pub struct BuildTimings {
     pub completed_s: f64,
     /// Counting the symbols and deriving the `osp` and `pos` orders.
     pub order_s: f64,
-    /// The three [`WaveletMatrix`] builds, summed over the columns: with
+    /// The two [`WaveletMatrix`] builds, summed over the columns: with
     /// threads they overlap, so the sum can exceed the wall time.
     pub wavelet_s: f64,
     /// The three boundary arrays, summed like `wavelet_s`.
@@ -106,7 +108,7 @@ pub struct BuildTimings {
     pub threads: usize,
 }
 
-/// Completed-graph size from which the three columns are built on three
+/// Completed-graph size from which the two columns are built on two
 /// threads; below it a build takes a few milliseconds and a thread spawn
 /// is a measurable share of that.
 const THREADED_BUILD_MIN_TRIPLES: usize = 1 << 16;
@@ -136,8 +138,8 @@ impl Ring {
         Self::build_on(graph, options, n >= THREADED_BUILD_MIN_TRIPLES)
     }
 
-    /// [`Self::build_timed`] with the choice between three threads and
-    /// the calling one made by the caller; both give the same ring.
+    /// [`Self::build_timed`] with the choice between two threads and the
+    /// calling one made by the caller; both give the same ring.
     fn build_on(graph: &Graph, options: RingOptions, threaded: bool) -> (Self, BuildTimings) {
         let started = Instant::now();
         let completed;
@@ -161,12 +163,10 @@ impl Ring {
         let mut subj_counts = vec![0u64; n_nodes as usize];
         let mut obj_counts = vec![0u64; n_nodes as usize];
         let mut pred_counts = vec![0u64; n_preds as usize];
-        let mut l_o_syms = Vec::with_capacity(n);
         for t in spo {
             subj_counts[t.s as usize] += 1;
             obj_counts[t.o as usize] += 1;
             pred_counts[t.p as usize] += 1;
-            l_o_syms.push(t.o as u32);
         }
         // `(s, p)` in `(o, s, p)` order, then `s` in `(p, o, s)` order.
         let osp = scatter(
@@ -178,63 +178,60 @@ impl Ring {
         drop(osp);
         let order_s = started.elapsed().as_secs_f64();
 
-        // One column and the boundary array that partitions it, with the
-        // seconds each took.
-        struct Column {
-            wm: WaveletMatrix,
-            bounds: Boundaries,
-            wavelet_s: f64,
-            boundaries_s: f64,
-        }
-        let column = |symbols: Vec<u32>, sigma: Id, counts: &[u64], kind: BoundaryKind| {
+        // Each part with the seconds it took.
+        let column = |symbols: Vec<u32>, sigma: Id| {
             let started = Instant::now();
             let wm = WaveletMatrix::from_u32_symbols(symbols, sigma);
-            let wavelet_s = started.elapsed().as_secs_f64();
+            (wm, started.elapsed().as_secs_f64())
+        };
+        let bounds = |counts: &[u64], kind: BoundaryKind| {
             let started = Instant::now();
             let bounds = match kind {
                 BoundaryKind::Dense => Boundaries::dense_from_counts(counts),
                 BoundaryKind::Sparse => Boundaries::sparse_from_counts(counts),
                 BoundaryKind::EliasFano => Boundaries::elias_fano_from_counts(counts),
             };
-            Column {
-                wm,
-                bounds,
-                wavelet_s,
-                boundaries_s: started.elapsed().as_secs_f64(),
-            }
+            (bounds, started.elapsed().as_secs_f64())
         };
         let nodes = options.node_boundaries;
-        let build_l_o = || column(l_o_syms, n_nodes, &subj_counts, nodes);
-        let build_l_s = || column(l_s_syms, n_nodes, &pred_counts, BoundaryKind::Dense);
-        let build_l_p = || column(l_p_syms, n_preds, &obj_counts, nodes);
-        let (o, s, p) = if threaded {
+        // `L_s` has a level per bit of a node id, `L_p` one per bit of a
+        // predicate id: the shorter column's thread takes both node
+        // boundary arrays.
+        let build_l_s = || {
+            let (l_s, wavelet_s) = column(l_s_syms, n_nodes);
+            let (c_p, boundaries_s) = bounds(&pred_counts, BoundaryKind::Dense);
+            (l_s, c_p, wavelet_s, boundaries_s)
+        };
+        let build_l_p = || {
+            let (l_p, wavelet_s) = column(l_p_syms, n_preds);
+            let (c_o, c_o_s) = bounds(&obj_counts, nodes);
+            let (c_s, c_s_s) = bounds(&subj_counts, nodes);
+            (l_p, c_o, c_s, wavelet_s, c_o_s + c_s_s)
+        };
+        let (s_side, p_side) = if threaded {
             std::thread::scope(|scope| {
-                let o = scope.spawn(build_l_o);
                 let s = scope.spawn(build_l_s);
                 let p = build_l_p();
-                (
-                    o.join().expect("the L_o builder panicked"),
-                    s.join().expect("the L_s builder panicked"),
-                    p,
-                )
+                (s.join().expect("the L_s builder panicked"), p)
             })
         } else {
-            (build_l_o(), build_l_s(), build_l_p())
+            (build_l_s(), build_l_p())
         };
+        let (l_s, c_p, s_wavelet_s, s_boundaries_s) = s_side;
+        let (l_p, c_o, c_s, p_wavelet_s, p_boundaries_s) = p_side;
         let timings = BuildTimings {
             completed_s,
             order_s,
-            wavelet_s: o.wavelet_s + s.wavelet_s + p.wavelet_s,
-            boundaries_s: o.boundaries_s + s.boundaries_s + p.boundaries_s,
-            threads: if threaded { 3 } else { 1 },
+            wavelet_s: s_wavelet_s + p_wavelet_s,
+            boundaries_s: s_boundaries_s + p_boundaries_s,
+            threads: if threaded { 2 } else { 1 },
         };
         let ring = Self {
-            l_o: o.wm,
-            l_s: s.wm,
-            l_p: p.wm,
-            c_s: o.bounds,
-            c_p: s.bounds,
-            c_o: p.bounds,
+            l_s,
+            l_p,
+            c_s,
+            c_p,
+            c_o,
             n,
             n_nodes,
             n_preds,
@@ -294,9 +291,15 @@ impl Ring {
         &self.l_s
     }
 
-    /// The wavelet matrix of `L_o` (objects in `(s, p)` order).
+    /// The column this index does not have: an empty matrix, shared by
+    /// every ring. Kept only because the benchmark driver, which a PR
+    /// claiming a gain may not edit, sizes it for
+    /// `ring.l_o_bytes_per_triple`; owed to the next `[benchmark]` PR,
+    /// which deletes the row and this accessor (ROADMAP item 1).
+    #[doc(hidden)]
     pub fn l_o(&self) -> &WaveletMatrix {
-        &self.l_o
+        static EMPTY: OnceLock<WaveletMatrix> = OnceLock::new();
+        EMPTY.get_or_init(|| WaveletMatrix::new(&[], 1))
     }
 
     /// The boundary array `C_s` (for persistence).
@@ -319,7 +322,6 @@ impl Ring {
     /// loader validates lengths, alphabets and totals).
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
-        l_o: WaveletMatrix,
         l_s: WaveletMatrix,
         l_p: WaveletMatrix,
         c_s: Boundaries,
@@ -332,7 +334,6 @@ impl Ring {
         has_inverses: bool,
     ) -> Self {
         Self {
-            l_o,
             l_s,
             l_p,
             c_s,
@@ -379,7 +380,8 @@ impl Ring {
         self.c_o.block(o)
     }
 
-    /// The block of subject `s` in `L_o`.
+    /// The block of subject `s` in the `(s, p, o)` order: empty exactly
+    /// when `s` is the subject of no triple.
     #[inline]
     pub fn subject_range(&self, s: Id) -> (usize, usize) {
         self.c_s.block(s)
@@ -441,39 +443,17 @@ impl Ring {
         out.extend(pos.chunks_exact(2).map(|c| (base + c[0], base + c[1])));
     }
 
-    /// Batched [`Self::backward_step_by_subject`] (ranges over `L_s`,
-    /// results over `L_o`), sharing the rank chain like
-    /// [`Self::backward_step_by_pred_multi`].
-    pub fn backward_step_by_subject_multi(
-        &self,
-        ranges: &[(usize, usize)],
-        s: Id,
-        out: &mut Vec<(usize, usize)>,
-    ) {
-        let base = self.c_s.get(s);
-        let mut pos: Vec<usize> = Vec::with_capacity(ranges.len() * 2);
-        for &(b, e) in ranges {
-            pos.push(b);
-            pos.push(e);
-        }
-        self.l_s.rank_batch(s, &mut pos);
-        out.extend(pos.chunks_exact(2).map(|c| (base + c[0], base + c[1])));
-    }
-
     /// Backward-search step by subject: maps a range of `L_s` to the range
-    /// of `L_o` holding the objects of those triples with subject `s`.
+    /// of the `(s, p, o)` order holding those of its triples with subject
+    /// `s`. No column is stored in that order, so nothing in this
+    /// workspace takes the step; the benchmark driver times it
+    /// (`ring.backward_step_subject_ns`), and the method goes when that
+    /// row does (ROADMAP item 1).
+    #[doc(hidden)]
     #[inline]
     pub fn backward_step_by_subject(&self, (b, e): (usize, usize), s: Id) -> (usize, usize) {
         let base = self.c_s.get(s);
         (base + self.l_s.rank(s, b), base + self.l_s.rank(s, e))
-    }
-
-    /// Backward-search step by object: maps a range of `L_o` to the range
-    /// of `L_p` holding the predicates of those triples with object `o`.
-    #[inline]
-    pub fn backward_step_by_object(&self, (b, e): (usize, usize), o: Id) -> (usize, usize) {
-        let base = self.c_o.get(o);
-        (base + self.l_o.rank(o, b), base + self.l_o.rank(o, e))
     }
 
     /// LF-step on `L_p` (Eq. 3): position of the triple at `L_p[i]` in `L_s`.
@@ -481,20 +461,6 @@ impl Ring {
     pub fn lf_p(&self, i: usize) -> usize {
         let c = self.l_p.access(i);
         self.c_p.get(c) + self.l_p.rank(c, i)
-    }
-
-    /// LF-step on `L_s`: position of the triple at `L_s[i]` in `L_o`.
-    #[inline]
-    pub fn lf_s(&self, i: usize) -> usize {
-        let c = self.l_s.access(i);
-        self.c_s.get(c) + self.l_s.rank(c, i)
-    }
-
-    /// LF-step on `L_o`: position of the triple at `L_o[i]` in `L_p`.
-    #[inline]
-    pub fn lf_o(&self, i: usize) -> usize {
-        let c = self.l_o.access(i);
-        self.c_o.get(c) + self.l_o.rank(c, i)
     }
 
     /// Decodes the triple referenced by position `i` of `L_p`, walking the
@@ -511,25 +477,20 @@ impl Ring {
         (0..self.n).map(move |i| self.triple_at_lp(i))
     }
 
-    /// Whether `(s, p, o)` is indexed.
+    /// Whether `(s, p, o)` is indexed: one backward step from `o`'s block
+    /// by `p`, then whether `s` occurs in the subjects it reaches.
     pub fn contains(&self, s: Id, p: Id, o: Id) -> bool {
         if s >= self.n_nodes || p >= self.n_preds || o >= self.n_nodes {
             return false;
         }
-        let r = self.backward_step_by_subject(self.pred_range(p), s);
-        self.l_o.rank(o, r.1) > self.l_o.rank(o, r.0)
+        let (b, e) = self.backward_step_by_pred(self.object_range(o), p);
+        self.l_s.rank(s, e) > self.l_s.rank(s, b)
     }
 
     /// Calls `f(s)` for each distinct subject with an edge `s --p--> o`.
     pub fn subjects_for(&self, p: Id, o: Id, f: &mut impl FnMut(Id)) {
         let r = self.backward_step_by_pred(self.object_range(o), p);
         self.l_s.range_distinct(r.0, r.1, &mut |s, _, _| f(s));
-    }
-
-    /// Calls `f(o)` for each distinct object with an edge `s --p--> o`.
-    pub fn objects_for(&self, s: Id, p: Id, f: &mut impl FnMut(Id)) {
-        let r = self.backward_step_by_subject(self.pred_range(p), s);
-        self.l_o.range_distinct(r.0, r.1, &mut |o, _, _| f(o));
     }
 
     /// Number of edges labeled `p` (predicate cardinality; drives the
@@ -544,20 +505,11 @@ impl Ring {
     /// Index size in bytes (Table 2 accounting), the same whether the
     /// arrays are on the heap or in a mapped file.
     pub fn size_bytes(&self) -> usize {
-        self.l_o.size_bytes()
-            + self.l_s.size_bytes()
+        self.l_s.size_bytes()
             + self.l_p.size_bytes()
             + self.c_s.size_bytes()
             + self.c_p.size_bytes()
             + self.c_o.size_bytes()
-    }
-
-    /// Index size excluding `L_o`, which the RPQ algorithm never reads
-    /// (§4: "we use the wavelet trees representing sequences L_p and L_s,
-    /// as well as all the arrays C"). Reported alongside the full ring in
-    /// the space experiment.
-    pub fn size_bytes_rpq_only(&self) -> usize {
-        self.size_bytes() - self.l_o.size_bytes()
     }
 }
 
@@ -620,18 +572,13 @@ mod tests {
         )
     }
 
-    /// Fig. 3: the exact contents of the three columns (converted to
+    /// Fig. 3: the exact contents of the two stored columns (converted to
     /// 0-based ids).
     #[test]
     fn fig3_columns() {
         let r = paper_ring();
         assert_eq!(r.n_triples(), 16);
         let col = |wm: &WaveletMatrix| (0..16).map(|i| wm.access(i)).collect::<Vec<_>>();
-        // L_o (objects in spo order), derived in the paper's Fig. 3 top row.
-        assert_eq!(
-            col(r.l_o()),
-            vec![2, 3, 1, 3, 2, 4, 3, 0, 1, 0, 0, 4, 0, 1, 1, 3]
-        );
         // L_s (subjects in pos order).
         assert_eq!(
             col(r.l_s()),
@@ -645,8 +592,7 @@ mod tests {
     }
 
     /// Fig. 3's C_o and the §3.4 worked example: the triple at (1-based)
-    /// L_p[16] is BA --l5--> Baq, with LF_p(16) = 10 and LF_s(10) = 12 and
-    /// LF_o(12) = 16.
+    /// L_p[16] is BA --l5--> Baq, with LF_p(16) = 10.
     #[test]
     fn fig3_lf_walk() {
         let r = paper_ring();
@@ -659,9 +605,6 @@ mod tests {
         assert_eq!(r.object_of_lp_position(15), 4); // Baq
         assert_eq!(r.lf_p(15), 9); // paper: LF_p(16) = 10
         assert_eq!(r.l_s().access(9), 3); // BA
-        assert_eq!(r.lf_s(9), 11); // paper: LF_s(10) = 12
-        assert_eq!(r.l_o().access(11), 4); // Baq
-        assert_eq!(r.lf_o(11), 15); // paper: LF_o(12) = 16 — the cycle closes
         assert_eq!(r.triple_at_lp(15), Triple::new(3, 2, 4)); // BA --l5--> Baq
     }
 
@@ -710,13 +653,22 @@ mod tests {
         assert!(!r.contains(99, 0, 0));
     }
 
+    /// The LF cycle, two columns long: from `L_p[i]` the LF-step lands on
+    /// the triple's subject in `L_s`, inside the range the backward step
+    /// from the triple's object by its predicate reaches — and on a
+    /// different position for every `i`.
     #[test]
     fn lf_cycle_is_identity() {
         let r = paper_ring();
+        let mut reached = BitSet::new(r.n_triples());
         for i in 0..r.n_triples() {
+            let t = r.triple_at_lp(i);
             let j = r.lf_p(i);
-            let k = r.lf_s(j);
-            assert_eq!(r.lf_o(k), i, "LF cycle from L_p position {i}");
+            let (b, e) = r.backward_step_by_pred(r.object_range(t.o), t.p);
+            assert!(b <= j && j < e, "LF from L_p position {i}");
+            assert_eq!(r.l_s().access(j), t.s);
+            assert!(!reached.get(j), "L_s position {j} reached twice");
+            reached.set(j);
         }
     }
 
@@ -746,16 +698,6 @@ mod tests {
                 .collect();
             assert_eq!(batched, single, "pred {p}");
         }
-        let ls_ranges: Vec<(usize, usize)> = (0..5).map(|p| r.pred_range(p)).collect();
-        for s in 0..5 {
-            let mut batched = Vec::new();
-            r.backward_step_by_subject_multi(&ls_ranges, s, &mut batched);
-            let single: Vec<(usize, usize)> = ls_ranges
-                .iter()
-                .map(|&rg| r.backward_step_by_subject(rg, s))
-                .collect();
-            assert_eq!(batched, single, "subject {s}");
-        }
     }
 
     #[test]
@@ -765,10 +707,11 @@ mod tests {
         let mut subs = Vec::new();
         r.subjects_for(2, 3, &mut |s| subs.push(s));
         assert_eq!(subs, vec![0, 4]);
-        // Objects from UCh (1) by l1 (0): Baq (4) and LH (2).
+        // Objects from UCh (1) by bus (3), through the inverse label ^bus
+        // (4): BA (3).
         let mut objs = Vec::new();
-        r.objects_for(1, 0, &mut |o| objs.push(o));
-        assert_eq!(objs, vec![2, 4]);
+        r.subjects_for(4, 1, &mut |o| objs.push(o));
+        assert_eq!(objs, vec![3]);
         // Cardinalities: l1 has 4 edges, bus has 3.
         assert_eq!(r.pred_cardinality(0), 4);
         assert_eq!(r.pred_cardinality(3), 3);
@@ -824,7 +767,6 @@ mod tests {
             }
         };
         Ring::from_raw_parts(
-            column(spo, |t| t.o, n_nodes),
             column(&pos, |t| t.s, n_nodes),
             column(&osp, |t| t.p, n_preds),
             bounds(options.node_boundaries, n_nodes, |t| t.s),
@@ -885,7 +827,7 @@ mod tests {
                     let reference = mapped_bytes(&build_reference(graph, options), &tag);
                     for threaded in [false, true] {
                         let (ring, timings) = Ring::build_on(graph, options, threaded);
-                        assert_eq!(timings.threads, if threaded { 3 } else { 1 });
+                        assert_eq!(timings.threads, if threaded { 2 } else { 1 });
                         assert!(
                             mapped_bytes(&ring, &tag) == reference,
                             "graph {g}, {kind:?}, inverses {with_inverses}, threaded {threaded}"

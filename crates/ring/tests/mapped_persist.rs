@@ -2,13 +2,22 @@
 //! over every boundary representation, heap-vs-mmap load equivalence,
 //! and corruption rejection — truncation at every section boundary,
 //! oversized declared lengths, wrong magic (naming both stream
-//! formats), version skew, and misaligned table-of-contents offsets.
+//! formats), version skew, and misaligned table-of-contents offsets —
+//! and files from when the `L_O` slot held a column.
+
+mod common;
 
 use std::path::PathBuf;
 
-use ring::mapped::{open_index, write_index, OpenMode, HEADER_LEN, MAPPED_MAGIC};
+use common::{put_u64, u64_at};
+
+use ring::mapped::{
+    open_index, section_lens, verify_index_checksums, write_index, OpenMode, EMPTY_L_O_LEN,
+    HEADER_LEN, MAPPED_MAGIC, N_SECTIONS,
+};
 use ring::ring::{BoundaryKind, RingOptions};
 use ring::{Dict, Graph, Ring, Triple};
+use succinct::io::Persist;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rpq_mapped_{name}_{}", std::process::id()));
@@ -50,6 +59,17 @@ fn assert_rings_equal(a: &Ring, b: &Ring) {
     for p in 0..a.n_preds() {
         assert_eq!(a.pred_range(p), b.pred_range(p), "pred {p}");
         assert_eq!(a.pred_cardinality(p), b.pred_cardinality(p));
+        for o in 0..a.n_nodes() {
+            let subjects = |r: &Ring| {
+                let mut out = Vec::new();
+                r.subjects_for(p, o, &mut |s| out.push(s));
+                out
+            };
+            assert_eq!(subjects(a), subjects(b), "subjects of ({p}, {o})");
+            for s in 0..a.n_nodes() {
+                assert_eq!(a.contains(s, p, o), b.contains(s, p, o), "({s}, {p}, {o})");
+            }
+        }
     }
 }
 
@@ -127,19 +147,66 @@ fn heap_and_mmap_opens_are_equivalent() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A file written while `L_O` still held the objects column opens under
+/// both residencies as the ring a fresh save opens as, and its extra
+/// section stays under the checksum walk.
+#[test]
+fn files_with_a_full_l_o_section_still_open() {
+    let dir = tmpdir("legacy_l_o");
+    let (graph, nodes, preds) = sample();
+    for with_inverses in [true, false] {
+        let ring = Ring::build(
+            &graph,
+            RingOptions {
+                with_inverses,
+                ..Default::default()
+            },
+        );
+        let fresh = dir.join("fresh.rpqm");
+        write_index(&fresh, &ring, &nodes, &preds).unwrap();
+        assert_eq!(section_lens(&fresh).unwrap()[common::L_O], EMPTY_L_O_LEN);
+
+        let legacy = dir.join("legacy.rpqm");
+        let image = common::mapped_with_l_o(&std::fs::read(&fresh).unwrap(), &ring);
+        std::fs::write(&legacy, &image).unwrap();
+        assert!(section_lens(&legacy).unwrap()[common::L_O] > EMPTY_L_O_LEN);
+        assert_eq!(verify_index_checksums(&legacy).unwrap(), N_SECTIONS);
+        for mode in common::modes() {
+            let old = open_index(&legacy, mode).unwrap();
+            let new = open_index(&fresh, mode).unwrap();
+            assert_rings_equal(&old.ring, &new.ring);
+            assert_rings_equal(&old.ring, &ring);
+            assert_dicts_equal(&old.nodes, &nodes);
+            assert_dicts_equal(&old.preds, &preds);
+        }
+
+        // The section nothing reads is still bytes the file vouches for.
+        let mut flipped = image.clone();
+        let l_o_at = u64_at(&image, 24 + common::L_O * 32 + 8) as usize;
+        flipped[l_o_at + 40] ^= 0x10;
+        std::fs::write(&legacy, &flipped).unwrap();
+        let err = verify_index_checksums(&legacy).unwrap_err().to_string();
+        assert!(err.contains("L_O"), "{err}");
+
+        // The stream record: a full column or none in the slot, nothing else.
+        let record = common::stream_record_with_l_o(&ring);
+        let old = Ring::read_from(&mut record.as_slice()).unwrap();
+        assert_rings_equal(&old, &ring);
+        // One symbol fewer than the ring has triples is neither.
+        let mut short = record.clone();
+        let len_at = 8 + 5 * 8 + 8 + 8;
+        put_u64(&mut short, len_at, ring.n_triples() as u64 - 1);
+        let err = Ring::read_from(&mut short.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("L_o length"), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Writes `bytes` to a file and opens it heap-resident.
 fn open_bytes(dir: &std::path::Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
     let path = dir.join(name);
     std::fs::write(&path, bytes).unwrap();
     open_index(&path, OpenMode::Heap).map(|_| ())
-}
-
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
-}
-
-fn put_u64(bytes: &mut [u8], at: usize, v: u64) {
-    bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
 /// Recomputes section `i`'s CRC32C and patches it into the TOC, so a

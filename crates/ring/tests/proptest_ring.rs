@@ -1,5 +1,6 @@
-//! Property tests for the ring: construction round-trips, LF-cycle laws,
-//! backward-search consistency with a naive triple scan, on random graphs.
+//! Property tests for the ring: construction round-trips, the `L_p → L_s`
+//! walk, backward-search consistency with a naive triple scan, on random
+//! graphs.
 
 use proptest::prelude::*;
 use ring::ring::{BoundaryKind, RingOptions};
@@ -31,28 +32,36 @@ proptest! {
         prop_assert_eq!(decoded.as_slice(), g.triples());
     }
 
+    /// The LF cycle, two columns long: `lf_p` is a bijection between the
+    /// positions of `L_p` and of `L_s`, and the walk through it decodes
+    /// exactly the completed graph.
     #[test]
     fn lf_cycle_identity(g in arb_graph()) {
-        let r = Ring::build(&g, RingOptions { with_inverses: false, node_boundaries: BoundaryKind::EliasFano });
-        for i in 0..r.n_triples() {
-            prop_assert_eq!(r.lf_o(r.lf_s(r.lf_p(i))), i);
-        }
+        let r = Ring::build(&g, RingOptions { with_inverses: true, node_boundaries: BoundaryKind::EliasFano });
+        let mut reached: Vec<usize> = (0..r.n_triples()).map(|i| r.lf_p(i)).collect();
+        reached.sort_unstable();
+        prop_assert!(reached.into_iter().eq(0..r.n_triples()));
+        let mut decoded: Vec<Triple> = r.iter_triples().collect();
+        decoded.sort_unstable();
+        let completed = g.completed();
+        prop_assert_eq!(decoded.as_slice(), completed.triples());
     }
 
+    /// `contains` goes `L_p → L_s`: pinned to the completed graph on every
+    /// id triple of the universes and one past them, with and without
+    /// inverses.
     #[test]
-    fn contains_matches_graph(g in arb_graph()) {
-        let r = Ring::build(&g, RingOptions { with_inverses: false, node_boundaries: BoundaryKind::Sparse });
-        for t in g.triples() {
-            prop_assert!(r.contains(t.s, t.p, t.o));
-        }
-        // Some random non-edges.
-        for s in 0..g.n_nodes().min(4) {
-            for p in 0..g.n_preds().min(3) {
-                for o in 0..g.n_nodes().min(4) {
-                    prop_assert_eq!(r.contains(s, p, o), g.contains(s, p, o));
+    fn contains_matches_graph(g in arb_graph(), with_inverses in any::<bool>()) {
+        let r = Ring::build(&g, RingOptions { with_inverses, node_boundaries: BoundaryKind::Sparse });
+        let indexed = if with_inverses { g.completed() } else { g.clone() };
+        for s in 0..=indexed.n_nodes() {
+            for p in 0..=indexed.n_preds() {
+                for o in 0..=indexed.n_nodes() {
+                    prop_assert_eq!(r.contains(s, p, o), indexed.contains(s, p, o), "({}, {}, {})", s, p, o);
                 }
             }
         }
+        prop_assert!(!r.contains(Id::MAX, 0, 0) && !r.contains(0, Id::MAX, 0) && !r.contains(0, 0, Id::MAX));
     }
 
     #[test]
@@ -87,13 +96,15 @@ proptest! {
         prop_assert_eq!(r.n_triples(), g.completed().len());
     }
 
+    /// Objects of `(s, p)` are the subjects of `(p̂, s)`: what replaces the
+    /// enumeration the `(s, p, o)`-order column gave.
     #[test]
     fn objects_for_matches_graph(g in arb_graph()) {
-        let r = Ring::build(&g, RingOptions { with_inverses: false, node_boundaries: BoundaryKind::EliasFano });
+        let r = Ring::build(&g, RingOptions { with_inverses: true, node_boundaries: BoundaryKind::EliasFano });
         for s in 0..g.n_nodes() {
             for p in 0..g.n_preds() {
                 let mut got = Vec::new();
-                r.objects_for(s, p, &mut |o| got.push(o));
+                r.subjects_for(r.inverse_label(p), s, &mut |o| got.push(o));
                 let mut expected: Vec<Id> = g
                     .triples()
                     .iter()
@@ -102,7 +113,7 @@ proptest! {
                     .collect();
                 expected.sort_unstable();
                 expected.dedup();
-                prop_assert_eq!(got, expected, "objects_for({}, {})", s, p);
+                prop_assert_eq!(got, expected, "objects of ({}, {})", s, p);
             }
         }
     }

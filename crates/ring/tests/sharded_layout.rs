@@ -1,8 +1,13 @@
 //! The on-disk layout of a sharded index directory (`RRPQSH01`): one copy
 //! of the dictionaries, in shard 0's file; every other shard opened
-//! ring-only, whatever its `NODES`/`PREDS` sections hold.
+//! ring-only, whatever its `NODES`/`PREDS` sections hold — and no shard's
+//! `L_O` section read, whatever it holds.
+
+mod common;
 
 use std::path::{Path, PathBuf};
+
+use common::{modes, u64_at};
 
 use ring::mapped::{open_index, verify_index_checksums, write_index, OpenMode, HEADER_LEN};
 use ring::ring::RingOptions;
@@ -15,13 +20,6 @@ fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rpq_layout_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn modes() -> Vec<OpenMode> {
-    let mut modes = vec![OpenMode::Heap];
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    modes.push(OpenMode::Mmap);
-    modes
 }
 
 /// `n_edges` distinct-ish pseudo-random triples over `n_nodes` nodes and
@@ -50,10 +48,6 @@ fn generated(n_nodes: u64, n_edges: usize) -> (Graph, Dict, Dict) {
         preds.intern(&format!("<http://example.org/prop/P{i}>"));
     }
     (Graph::new(triples, n_nodes, 8), nodes, preds)
-}
-
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
 /// `(offset, len)` of section `i` of a v2 `RRPQM01` image.
@@ -186,5 +180,38 @@ fn leftover_dictionary_copies_are_unread_but_still_checksummed() {
     assert!(err.contains("NODES"), "{err}");
     let err = open_dir(&dir, OpenMode::Heap).unwrap_err().to_string();
     assert!(err.contains("NODES"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory saved over in part: one shard file from when `L_O` held
+/// the objects column, beside shards written today. It opens as the same
+/// rings under both residencies and its checksums verify.
+#[test]
+fn a_shard_with_a_full_l_o_section_opens_beside_new_ones() {
+    let dir = tmpdir("legacy_shard");
+    let (graph, nodes, preds) = generated(64, 400);
+    let idx = ShardedIndex::build(&graph, 4, RingOptions::default());
+    idx.save_dir(&dir, &nodes, &preds).unwrap();
+    let shard2 = dir.join(shard_file_name(2));
+    let image = std::fs::read(&shard2).unwrap();
+    let legacy = common::mapped_with_l_o(&image, &idx.shards()[2]);
+    assert!(section(&legacy, common::L_O).1 > section(&image, common::L_O).1);
+    std::fs::write(&shard2, &legacy).unwrap();
+
+    assert_eq!(verify_index_checksums(&shard2).unwrap(), 9);
+    for mode in modes() {
+        let opened = open_dir(&dir, mode).unwrap();
+        assert_eq!(opened.nodes.len(), 64);
+        for (old, new) in opened.rings.iter().zip(idx.shards()) {
+            assert!(old.iter_triples().eq(new.iter_triples()), "{mode:?}");
+            for p in 0..new.n_preds() {
+                assert_eq!(old.pred_range(p), new.pred_range(p), "{mode:?}");
+            }
+            for v in 0..new.n_nodes() {
+                assert_eq!(old.object_range(v), new.object_range(v), "{mode:?}");
+                assert_eq!(old.subject_range(v), new.subject_range(v), "{mode:?}");
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

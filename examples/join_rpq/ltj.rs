@@ -1,5 +1,7 @@
 //! Leapfrog-TrieJoin over the ring: worst-case optimal multijoins of
 //! triple patterns (Veldhuizen \[50\]; Arroyuelo et al. SIGMOD'21 \[4\]).
+//! Part of this example, not of the `ring` crate: it needs nothing but
+//! the ring's public steps over `L_p` and `L_s`.
 //!
 //! This is the evaluation engine the ring was originally designed for, and
 //! the integration target §6 of the RPQ paper describes ("our technique is
@@ -13,9 +15,8 @@
 //! `range_next_value` seeks over contiguous ring ranges — `O(log n)` per
 //! seek, with no materialization.
 
+use ring::{Id, Ring};
 use succinct::WaveletMatrix;
-
-use crate::{Id, Ring};
 
 /// A join term: a constant id or a query variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -225,8 +226,8 @@ fn build_seekers<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::RingOptions;
-    use crate::{Graph, Triple};
+    use ring::ring::RingOptions;
+    use ring::{Graph, Triple};
 
     /// A small social graph: knows (p=0), likes (p=1).
     fn social() -> Ring {

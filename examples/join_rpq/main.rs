@@ -14,7 +14,9 @@
 //!
 //! Run with: `cargo run --release --example join_rpq`
 
-use ring::ltj::{leapfrog_join, Term as JoinTerm, TriplePattern};
+mod ltj;
+
+use ltj::{leapfrog_join, Term as JoinTerm, TriplePattern};
 use ring_rpq::RpqDatabase;
 use rpq_core::{EngineOptions, RpqEngine, RpqQuery, Term};
 use std::path::Path;
@@ -78,4 +80,36 @@ fn main() {
         results.iter().map(|(p, _)| p.as_str()).collect::<Vec<_>>(),
         vec!["<ada>", "<bruno>", "<carla>"]
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ltj_and_rpq_compose_on_one_ring() {
+        let db = RpqDatabase::from_text(
+            "a follows b\nb follows c\nc follows a\na likes x\nb likes x\nc likes y\n",
+        )
+        .unwrap();
+        let follows = db.preds().get("follows").unwrap();
+        let likes = db.preds().get("likes").unwrap();
+
+        // ?u follows ?v, ?u likes ?w, ?v likes ?w — mutual interests.
+        let pats = [
+            TriplePattern::new(JoinTerm::Var(0), follows, JoinTerm::Var(1)),
+            TriplePattern::new(JoinTerm::Var(0), likes, JoinTerm::Var(2)),
+            TriplePattern::new(JoinTerm::Var(1), likes, JoinTerm::Var(2)),
+        ];
+        let rows = leapfrog_join(db.ring(), &pats, &[0, 1, 2]);
+        let named: Vec<Vec<&str>> = rows
+            .iter()
+            .map(|r| r.iter().map(|&v| db.nodes().name(v)).collect())
+            .collect();
+        assert_eq!(named, vec![vec!["a", "b", "x"]]);
+
+        // And an RPQ on the same index.
+        let closure = db.query("a", "follows+", "?y").unwrap();
+        assert_eq!(closure.len(), 3); // a, b, c (cycle)
+    }
 }

@@ -807,13 +807,12 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     }
     let g = db.graph();
     let r = db.ring();
-    let (indexed, ring_bytes, rpq_only_bytes) = if shard_rows.is_empty() {
-        (r.n_triples(), r.size_bytes(), r.size_bytes_rpq_only())
+    let (indexed, ring_bytes) = if shard_rows.is_empty() {
+        (r.n_triples(), r.size_bytes())
     } else {
         (
             shard_rows.iter().map(|s| s.triples).sum(),
             shard_rows.iter().map(|s| s.bytes).sum(),
-            0,
         )
     };
     println!("edges (base):        {}", g.len());
@@ -825,12 +824,6 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         "ring bytes/edge:     {:.2}",
         ring_bytes as f64 / g.len().max(1) as f64
     );
-    if rpq_only_bytes > 0 {
-        println!(
-            "rpq-only bytes/edge: {:.2}",
-            rpq_only_bytes as f64 / g.len().max(1) as f64
-        );
-    }
     print_section_table(Path::new(index), &db).map_err(|e| format!("reading {index}: {e}"))?;
     // Top predicates by cardinality — the selectivity the planner uses.
     // For a sharded index the base graph (the shards' exact union) is
@@ -875,21 +868,32 @@ fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
         return Ok(());
     };
     let edges = db.graph().len().max(1) as f64;
-    let row = |name: &str, bytes: u64| {
+    let row = |name: &str, bytes: u64, note: &str| {
         println!(
-            "  {name:<18} {bytes:>12} {:>7.2} B/edge",
+            "  {name:<18} {bytes:>12} {:>7.2} B/edge{note}",
             bytes as f64 / edges
         );
     };
     // `total` is the bytes on disk: the sections below, the five words of
-    // META and the headers.
-    let table = |title: &str, lens: &[u64; mapped::N_SECTIONS], total: (&str, u64)| {
-        println!("sections, {title}:");
-        for (name, &bytes) in mapped::SECTION_NAMES.iter().zip(lens).skip(1) {
-            row(name, bytes);
-        }
-        row(total.0, total.1);
-    };
+    // META and the headers. `L_O` is the slot of a column no open reads:
+    // what it holds beyond the empty matrix a save writes (one per file)
+    // is an older file's dead weight.
+    let table =
+        |title: &str, lens: &[u64; mapped::N_SECTIONS], n_files: usize, total: (&str, u64)| {
+            println!("sections, {title}:");
+            for (name, &bytes) in mapped::SECTION_NAMES.iter().zip(lens).skip(1) {
+                let unused = match *name {
+                    "L_O" => bytes.saturating_sub(mapped::EMPTY_L_O_LEN * n_files as u64),
+                    _ => 0,
+                };
+                let note = match unused {
+                    0 => String::new(),
+                    n => format!("  unused — rebuild to reclaim {n} bytes"),
+                };
+                row(name, bytes, &note);
+            }
+            row(total.0, total.1, "");
+        };
     let mut summed = [0u64; mapped::N_SECTIONS];
     let mut per_file = Vec::with_capacity(files.len());
     for file in &files {
@@ -905,13 +909,14 @@ fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
         table(
             &format!("all {} shards", files.len()),
             &summed,
+            files.len(),
             ("files + MANIFEST", all),
         );
         for (i, (lens, bytes)) in per_file.iter().enumerate() {
-            table(&format!("shard {i}"), lens, ("file", *bytes));
+            table(&format!("shard {i}"), lens, 1, ("file", *bytes));
         }
     } else {
-        table("RRPQM01", &summed, ("file", per_file[0].1));
+        table("RRPQM01", &summed, 1, ("file", per_file[0].1));
     }
     Ok(())
 }

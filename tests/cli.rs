@@ -713,8 +713,14 @@ fn stats_sizes_a_mapped_index_from_its_sections() {
         let file = std::fs::metadata(&plain).unwrap().len() as f64;
         assert_eq!(number_after(&text, "file"), file);
         assert!(sections < file && sections > file - 512.0);
+        assert_eq!(number_after(&text, "L_O"), 48.0);
+        assert!(
+            !text.contains("unused") && !text.contains("rpq-only"),
+            "{text}"
+        );
     }
     let text = stats(&sharded, "--mmap");
+    assert!(!text.contains("unused"), "{text}");
     assert!(text.contains("sections, all 4 shards:"), "{text}");
     assert!(text.contains("sections, shard 3:"), "{text}");
     let shard0 = text.split("sections, shard 0:").nth(1).unwrap();
@@ -722,4 +728,64 @@ fn stats_sizes_a_mapped_index_from_its_sections() {
     assert!(number_after(shard0, "NODES") > 24.0);
     assert_eq!(number_after(shard1, "NODES"), 24.0);
     assert!(number_after(&text, "shard 2") > 0.0);
+}
+
+/// Indexes the build before `L_O` left the ring wrote from `data/metro.nt`
+/// (`--mmap` and stream, committed as they were written): both open and
+/// answer as a fresh build does, and `stats` names the dead section and
+/// what a rebuild reclaims — the 352 bytes by which the file written
+/// today is smaller.
+#[test]
+fn indexes_written_with_a_full_l_o_still_serve_and_say_what_is_unused() {
+    let dir = tmpdir("full_l_o");
+    let fresh = dir.join("metro.rpqm");
+    build_metro(&fresh, &["--mmap"]);
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    let old_mapped = PathBuf::from(fixtures).join("metro_with_l_o.rpqm");
+    let old_stream = PathBuf::from(fixtures).join("metro_with_l_o.db");
+    let run = |args: &[&str], index: &PathBuf| {
+        let out = cli()
+            .arg(args[0])
+            .arg(index)
+            .args(&args[1..])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "{args:?} on {}: {err}",
+            index.display()
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    for query in [
+        ["<baquedano>", "<l5>+/<bus>", "?y"],
+        ["?x", "(<l1>|<l2>|<l5>)+", "?y"],
+        ["?x", "^<bus>", "<santa_ana>"],
+    ] {
+        let args = [&["query"][..], &query[..]].concat();
+        let expected = run(&args, &fresh);
+        assert!(!expected.is_empty());
+        for (old, flag) in [
+            (&old_mapped, "--mmap"),
+            (&old_mapped, "--heap"),
+            (&old_stream, "--heap"),
+        ] {
+            let args = [&args[..], &[flag][..]].concat();
+            assert_eq!(run(&args, old), expected, "{query:?} {flag}");
+        }
+    }
+    assert!(run(&["verify"], &old_mapped).contains("\"checksum_sections\":9"));
+    assert!(run(&["verify"], &old_stream).contains("\"status\":\"ok\""));
+
+    let text = run(&["stats"], &old_mapped);
+    let l_o = text.lines().find(|l| l.contains("L_O")).unwrap();
+    assert!(
+        l_o.contains("400") && l_o.ends_with("unused — rebuild to reclaim 352 bytes"),
+        "{text}"
+    );
+    let saved =
+        std::fs::metadata(&old_mapped).unwrap().len() - std::fs::metadata(&fresh).unwrap().len();
+    assert_eq!(saved, 352);
+    assert_eq!(text.matches("unused").count(), 1, "{text}");
 }
