@@ -3,12 +3,13 @@
 //!
 //! Generates a synthetic N-Triples dump (deterministic LCG, Zipf-ish
 //! predicate skew), streams it through the chunk-parallel ingest path
-//! into a ring, persists it in both the stream (`RRPQDB02`) and mapped
-//! (`RRPQM01`) formats, then measures **cold opens in child processes**
+//! into a ring, persists it as an `RRPQM01` file, decodes the graph back
+//! out of the reopened ring (`graph_decode_s`, beside the `build_s` of
+//! the ring it decodes), then measures **cold opens in child processes**
 //! — re-executing this binary per mode — so allocator reuse in a warm
 //! parent cannot flatter the resident-memory numbers. Every child
 //! reports a probe-query checksum and the triple count; the parent
-//! asserts all resident modes agree bit-for-bit before any number is
+//! asserts both residencies agree bit-for-bit before any number is
 //! written.
 //!
 //! Modes follow the other benches: `--quick` / `RPQ_BENCH_QUICK=1`
@@ -17,7 +18,8 @@
 //! <baseline.json>` exits non-zero when a timing key regresses more
 //! than [`CHECK_FACTOR`]x, and the output path honours `RPQ_BENCH_OUT`.
 //! `RPQ_BENCH_MIN_OPEN_SPEEDUP` arms the cold-open gate: mmap open must
-//! beat the stream-format heap deserialize by at least that factor.
+//! beat the checksummed heap read of the same file by at least that
+//! factor.
 
 use ring::mapped::OpenMode;
 use ring_rpq::{ingest, RpqDatabase};
@@ -151,7 +153,7 @@ struct ChildReport {
 /// Child mode: open `path` with `mode`, run the probe query, report.
 fn run_child(path: &str, mode: &str) {
     let mode = match mode {
-        "stream" | "heap" => OpenMode::Heap,
+        "heap" => OpenMode::Heap,
         "auto" => OpenMode::Auto,
         "mmap" => OpenMode::Mmap,
         other => panic!("unknown open mode {other}"),
@@ -243,7 +245,6 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("rpq_ingest_bench_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench scratch dir");
     let dump: PathBuf = dir.join("dump.nt");
-    let stream_path = dir.join("index.db");
     let mapped_path = dir.join("index.rpqm");
 
     eprintln!(
@@ -293,32 +294,38 @@ fn main() {
 
     // Where a build spends its time: the same graph once more through
     // the instrumented entry point.
+    let t = Instant::now();
     let (_, phases) = ring::Ring::build_timed(db.graph(), ring::ring::RingOptions::default());
+    let build_s = t.elapsed().as_secs_f64();
     eprintln!(
-        "  build phases: completed {:.3} s, order {:.3} s, wavelet {:.3} s, boundaries {:.3} s \
-         (column seconds summed over {} thread(s))",
+        "  ring build {build_s:.3} s: completed {:.3} s, order {:.3} s, wavelet {:.3} s, \
+         boundaries {:.3} s (column seconds summed over {} thread(s))",
         phases.completed_s, phases.order_s, phases.wavelet_s, phases.boundaries_s, phases.threads
     );
-
-    let t = Instant::now();
-    db.save(&stream_path).expect("stream save");
-    let save_stream_ms = t.elapsed().as_secs_f64() * 1000.0;
-    let stream_bytes = std::fs::metadata(&stream_path)
-        .expect("stream metadata")
-        .len();
 
     let t = Instant::now();
     let mapped_bytes = db.save_mapped(&mapped_path).expect("mapped save");
     let save_mapped_ms = t.elapsed().as_secs_f64() * 1000.0;
     let indexed_triples = db.ring().n_triples() as u64;
-    drop(db);
-    eprintln!(
-        "  saved stream {stream_bytes} B in {save_stream_ms:.0} ms, \
-         mapped {mapped_bytes} B in {save_mapped_ms:.0} ms"
+    eprintln!("  saved {mapped_bytes} B in {save_mapped_ms:.0} ms");
+
+    // The way back: the graph decoded out of the reopened ring.
+    let reopened = RpqDatabase::open(&mapped_path).expect("reopen");
+    let t = Instant::now();
+    let decoded = reopened.graph();
+    let graph_decode_s = t.elapsed().as_secs_f64();
+    assert!(
+        decoded.triples() == db.graph().triples(),
+        "the decoded graph is not the one the ring was built from"
     );
+    eprintln!(
+        "  graph decode {graph_decode_s:.3} s ({:.2}x the ring build)",
+        graph_decode_s / build_s.max(1e-9)
+    );
+    drop(reopened);
+    drop(db);
 
     // Cold opens, one fresh process per mode.
-    let stream = spawn_child(&stream_path, "stream");
     let heap = spawn_child(&mapped_path, "heap");
     let mmap_supported = cfg!(all(unix, target_pointer_width = "64"));
     let mmap = if mmap_supported {
@@ -326,25 +333,16 @@ fn main() {
     } else {
         spawn_child(&mapped_path, "auto")
     };
-    for (label, r) in [("heap", &heap), ("mmap", &mmap)] {
-        assert_eq!(
-            r.n_triples, stream.n_triples,
-            "{label}: triple count diverged"
-        );
-        assert_eq!(
-            r.probe_rows, stream.probe_rows,
-            "{label}: probe rows diverged"
-        );
-        assert_eq!(
-            r.probe_checksum, stream.probe_checksum,
-            "{label}: probe answers diverged from the stream-format load"
-        );
-    }
-    let open_speedup = stream.open_us / mmap.open_us.max(1e-9);
+    assert_eq!(mmap.n_triples, heap.n_triples, "triple count diverged");
+    assert_eq!(mmap.probe_rows, heap.probe_rows, "probe rows diverged");
+    assert_eq!(
+        mmap.probe_checksum, heap.probe_checksum,
+        "probe answers diverged between the residencies"
+    );
+    let open_speedup = heap.open_us / mmap.open_us.max(1e-9);
     eprintln!(
-        "  cold open: stream {:.0} us (rss {} KiB) | mapped-heap {:.0} us (rss {} KiB) \
-         | mmap {:.1} us (rss {} KiB) -> {open_speedup:.1}x",
-        stream.open_us, stream.rss_kb, heap.open_us, heap.rss_kb, mmap.open_us, mmap.rss_kb
+        "  cold open: heap {:.0} us (rss {} KiB) | mmap {:.1} us (rss {} KiB) -> {open_speedup:.1}x",
+        heap.open_us, heap.rss_kb, mmap.open_us, mmap.rss_kb
     );
 
     // WAL replay: a tiny snapshot plus a committed-but-uncheckpointed
@@ -389,9 +387,9 @@ fn main() {
     );
     drop(revived);
     eprintln!(
-        "  wal replay: {wal_replay_ops} op(s) in {:.0} us ({:.2}x the stream cold open)",
+        "  wal replay: {wal_replay_ops} op(s) in {:.0} us ({:.2}x the heap cold open)",
         wal_replay_us,
-        wal_replay_us / stream.open_us.max(1e-9)
+        wal_replay_us / heap.open_us.max(1e-9)
     );
 
     let commit_us = commit_us_at(&[1 << 10, 1 << 15]);
@@ -414,10 +412,10 @@ fn main() {
 \"parse_ms\":{parse_ms:.1},\"parse_mb_per_s\":{parse_mb_per_s:.1},\"read_s\":{read_s:.3},\
 \"scan_s\":{scan_s:.3},\"merge_s\":{merge_s:.3},\"sort_s\":{sort_s:.3},\
 \"ingest_threads\":{ingest_threads},\"build_ms\":{build_ms:.1},\"construct_ms\":{:.1},\
-\"rss_after_build_kb\":{rss_after_build_kb},\"save_stream_ms\":{save_stream_ms:.1},\
-\"save_mapped_ms\":{save_mapped_ms:.1},\"stream_bytes\":{stream_bytes},\
-\"mapped_bytes\":{mapped_bytes},\"cold_open_stream_us\":{:.1},\"cold_open_heap_us\":{:.1},\
-\"cold_open_mmap_us\":{:.1},\"rss_open_stream_kb\":{},\"rss_open_heap_kb\":{},\
+\"rss_after_build_kb\":{rss_after_build_kb},\"build_s\":{build_s:.3},\
+\"graph_decode_s\":{graph_decode_s:.3},\"save_mapped_ms\":{save_mapped_ms:.1},\
+\"mapped_bytes\":{mapped_bytes},\"cold_open_heap_us\":{:.1},\
+\"cold_open_mmap_us\":{:.1},\"rss_open_heap_kb\":{},\
 \"rss_open_mmap_kb\":{},\"open_speedup\":{open_speedup:.1},\"mmap_supported\":{mmap_supported},\
 \"wal_replay_us\":{wal_replay_us:.1},\"wal_replay_ops\":{wal_replay_ops},\
 \"completed_s\":{completed_s:.3},\"order_s\":{order_s:.3},\"wavelet_s\":{wavelet_s:.3},\
@@ -425,13 +423,11 @@ fn main() {
 \"commit_us_overlay_1k\":{commit_1k:.1},\"commit_us_overlay_32k\":{commit_32k:.1},\
 \"probe_rows\":{}}}",
         parse_ms + build_ms,
-        stream.open_us,
         heap.open_us,
         mmap.open_us,
-        stream.rss_kb,
         heap.rss_kb,
         mmap.rss_kb,
-        stream.probe_rows,
+        heap.probe_rows,
     );
     let out = std::env::var("RPQ_BENCH_OUT").unwrap_or_else(|_| "BENCH_ingest.json".to_string());
     std::fs::write(&out, json.clone() + "\n").expect("writing the bench artifact");
@@ -440,7 +436,7 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 
     // The zero-copy gate (opt-in, like the parallel speedup gate): the
-    // mmap cold open must beat the stream deserialize by this factor.
+    // mmap cold open must beat the checksummed heap read by this factor.
     if let Ok(min) = std::env::var("RPQ_BENCH_MIN_OPEN_SPEEDUP") {
         let min: f64 = min
             .parse()
@@ -459,7 +455,6 @@ fn main() {
         for (key, value) in [
             ("parse_ms", parse_ms),
             ("build_ms", build_ms),
-            ("cold_open_stream_us", stream.open_us),
             ("cold_open_heap_us", heap.open_us),
             ("cold_open_mmap_us", mmap.open_us),
             ("wal_replay_us", wal_replay_us),

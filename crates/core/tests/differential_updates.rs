@@ -22,17 +22,20 @@
 //! Coverage: 5 fixed seed bases × 40 derived interleavings = 200
 //! deterministic interleavings (plus an extra base from `RPQ_TEST_SEED`,
 //! the knob CI's `test-seeds` job turns), and a proptest sweep whose
-//! failing seeds persist under `proptest-regressions/`.
+//! failing seeds persist under `proptest-regressions/`. A store's base
+//! is the ring it built or — what a reopened database runs on — the ring
+//! of an index file with the graph decoded back out of it, heap-resident
+//! and mapped: every fifth interleaving of each base runs all three ways.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use ring::mapped::OpenMode;
 use ring::ring::RingOptions;
 use ring::store::TripleStore;
-use ring::{Graph, Ring, Triple};
+use ring::{DeltaIndex, Dict, Graph, Ring, Triple};
 use rpq_core::oracle::evaluate_naive;
 use rpq_core::{EngineOptions, EvalRoute, QueryOutput, RpqEngine, RpqQuery, TripleSource};
-use succinct::io::Persist;
 use workload::updates::{apply_op, StreamOp, UpdateGen, UpdateGenConfig};
 use workload::{GraphGen, GraphGenConfig, QueryGen};
 
@@ -153,10 +156,56 @@ fn check_snapshot(
     }
 }
 
+/// Where an interleaving's store gets the ring under its first snapshots.
+#[derive(Clone, Copy, Debug)]
+enum Base {
+    /// Built from the graph, as `TripleStore::new` does.
+    Built,
+    /// Opened from an index file under this residency, the graph decoded
+    /// back out of it: what a reopened database runs on.
+    Opened(OpenMode),
+}
+
+fn index_path(seed: u64) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!(
+        "rpq_diff_updates_{}_{seed:x}.rpqm",
+        std::process::id()
+    ))
+}
+
+/// Everything an index file stores of `ring`: the canonical bytes two
+/// builds are compared by.
+fn stored_bytes(ring: &Ring, seed: u64) -> Vec<u8> {
+    let path = index_path(seed);
+    ring::mapped::write_index(&path, ring, &Dict::new(), &Dict::new()).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+fn store_over(graph: &Graph, base: Base, seed: u64) -> TripleStore {
+    let Base::Opened(mode) = base else {
+        return TripleStore::new(graph.clone());
+    };
+    let path = index_path(seed);
+    let built = Ring::build(graph, RingOptions::default());
+    ring::mapped::write_index(&path, &built, &Dict::new(), &Dict::new()).unwrap();
+    let ring = ring::mapped::open_ring(&path, mode).unwrap().ring;
+    // Unlinked while open: a mapping keeps its file.
+    std::fs::remove_file(&path).ok();
+    let decoded = Graph::new(
+        ring.decode_triples(true).unwrap(),
+        ring.n_nodes(),
+        ring.n_preds_base(),
+    );
+    assert_eq!(decoded.triples(), graph.triples(), "seed {seed:#x}");
+    TripleStore::from_built(decoded, ring, DeltaIndex::empty(0), 0)
+}
+
 /// One full interleaving: seeded base graph, seeded op stream, a
 /// differential checkpoint at every published version, and a final
-/// compaction equivalence check (answers *and* `Persist` bytes).
-fn run_interleaving(seed: u64) {
+/// compaction equivalence check (answers *and* stored bytes).
+fn run_interleaving(seed: u64, from: Base) {
     let base = GraphGen::new(GraphGenConfig {
         n_nodes: 8 + mix(seed) % 16,
         n_preds: 2 + mix(seed ^ 1) % 3,
@@ -171,7 +220,7 @@ fn run_interleaving(seed: u64) {
         1 => Some(0.75),
         _ => Some(2.0),
     };
-    let store = TripleStore::new(base.clone()).with_auto_compact_ratio(auto_ratio);
+    let store = store_over(&base, from, seed).with_auto_compact_ratio(auto_ratio);
     let mut pending: BTreeSet<Triple> = base.triples().iter().copied().collect();
     let mut committed = pending.clone();
 
@@ -213,7 +262,7 @@ fn run_interleaving(seed: u64) {
                 &store.snapshot(),
                 &committed,
                 mix(seed ^ (0x1000 + u64::from(checkpoints))),
-                &format!("seed {seed:#x}, op #{i}, epoch {}", store.epoch()),
+                &format!("seed {seed:#x}, {from:?}, op #{i}, epoch {}", store.epoch()),
             );
         } else if !mid_batch_checked && store.pending_ops() > 0 && pending != committed {
             // Snapshot isolation: a query placed mid-batch sees only the
@@ -223,7 +272,7 @@ fn run_interleaving(seed: u64) {
                 &store.snapshot(),
                 &committed,
                 mix(seed ^ 0x2000),
-                &format!("seed {seed:#x}, mid-batch at op #{i}"),
+                &format!("seed {seed:#x}, {from:?}, mid-batch at op #{i}"),
             );
         }
     }
@@ -239,7 +288,7 @@ fn run_interleaving(seed: u64) {
         &snap,
         &committed,
         mix(seed ^ 0x3000),
-        &format!("seed {seed:#x}, after final compaction"),
+        &format!("seed {seed:#x}, {from:?}, after final compaction"),
     );
     let clean = Ring::build(
         &Graph::new(
@@ -249,14 +298,19 @@ fn run_interleaving(seed: u64) {
         ),
         RingOptions::default(),
     );
-    let mut compacted_bytes = Vec::new();
-    snap.ring.write_to(&mut compacted_bytes).unwrap();
-    let mut clean_bytes = Vec::new();
-    clean.write_to(&mut clean_bytes).unwrap();
-    assert_eq!(
-        compacted_bytes, clean_bytes,
-        "seed {seed:#x}: compacted ring bytes diverge from a clean build"
+    assert!(
+        stored_bytes(&snap.ring, seed) == stored_bytes(&clean, seed),
+        "seed {seed:#x}, {from:?}: compacted ring bytes diverge from a clean build"
     );
+}
+
+/// The residencies an index file opens under here: heap everywhere, a
+/// kernel mapping too where there is one.
+fn opened_bases() -> Vec<Base> {
+    let mut bases = vec![Base::Opened(OpenMode::Heap)];
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    bases.push(Base::Opened(OpenMode::Mmap));
+    bases
 }
 
 /// The five fixed seed bases, plus one from `RPQ_TEST_SEED` when set
@@ -280,7 +334,13 @@ fn seed_bases() -> Vec<u64> {
 fn two_hundred_interleavings_match_the_rebuild_oracle() {
     for base in seed_bases() {
         for i in 0..40u64 {
-            run_interleaving(mix(base.wrapping_add(i * 0x9E37_79B9)));
+            let seed = mix(base.wrapping_add(i * 0x9E37_79B9));
+            run_interleaving(seed, Base::Built);
+            if i % 5 == 0 {
+                for from in opened_bases() {
+                    run_interleaving(seed, from);
+                }
+            }
         }
     }
 }
@@ -291,7 +351,8 @@ proptest! {
     /// Fresh random interleavings on every run; failures persist their
     /// seed under `proptest-regressions/` and replay first.
     #[test]
-    fn random_interleavings_match_the_rebuild_oracle(seed in 0u64..u64::MAX) {
-        run_interleaving(seed);
+    fn random_interleavings_match_the_rebuild_oracle(seed in 0u64..u64::MAX, from in 0usize..3) {
+        let bases = [&[Base::Built][..], &opened_bases()].concat();
+        run_interleaving(seed, bases[from % bases.len()]);
     }
 }

@@ -18,17 +18,13 @@
 //! `DeltaIndex::merged`: each of the six arrays is one linear merge of
 //! the old array with the batch's insertions and removals, so a commit
 //! costs `O(b log b + |δ|)` for a batch of `b` operations — it sorts the
-//! batch, never the overlay. [`DeltaIndex::new`] (six sorts) is what
-//! loading a saved delta and the tests use.
-
-use std::io::{self, Read, Write};
-
-use succinct::io::{bad_data, read_len, read_u64, write_u64, Persist};
+//! batch, never the overlay. [`DeltaIndex::new`] (six sorts) is what the
+//! tests use.
+//!
+//! A delta is not persisted: a saved database is one ring with the
+//! overlay folded in, and the commits since are in its write-ahead log.
 
 use crate::{Id, Triple};
-
-/// Sanity cap on serialized delta sizes (matches the succinct codec).
-const MAX_LEN: u64 = 1 << 40;
 
 /// An immutable, committed delta: sorted adds plus tombstoned deletes in
 /// the three ring orders. See the module docs for the label-space
@@ -395,54 +391,6 @@ impl DeltaIndex {
     /// Heap bytes of the six sorted orders.
     pub fn size_bytes(&self) -> usize {
         6 * self.len() * std::mem::size_of::<Triple>()
-    }
-}
-
-fn write_triples(w: &mut impl Write, ts: &[Triple]) -> io::Result<()> {
-    write_u64(w, ts.len() as u64)?;
-    for t in ts {
-        write_u64(w, t.s)?;
-        write_u64(w, t.p)?;
-        write_u64(w, t.o)?;
-    }
-    Ok(())
-}
-
-fn read_triples(r: &mut impl Read, base: Id) -> io::Result<Vec<Triple>> {
-    let n = read_len(r, MAX_LEN)?;
-    // The length is untrusted input: cap the pre-allocation and let a
-    // short read fail with an EOF error instead of an OOM abort.
-    let mut ts = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let t = Triple::new(read_u64(r)?, read_u64(r)?, read_u64(r)?);
-        if t.p >= base {
-            return Err(bad_data(format!(
-                "delta triple predicate {} outside the base alphabet {base}",
-                t.p
-            )));
-        }
-        ts.push(t);
-    }
-    Ok(ts)
-}
-
-impl Persist for DeltaIndex {
-    const MAGIC: [u8; 4] = *b"RDl1";
-
-    fn write_payload(&self, w: &mut impl Write) -> io::Result<()> {
-        // Only the canonical spo lists are serialized; the pos/osp orders
-        // (and the node bound) are derived state rebuilt on load, so the
-        // on-disk bytes are a pure function of the triple sets.
-        write_u64(w, self.n_preds_base)?;
-        write_triples(w, &self.adds_spo)?;
-        write_triples(w, &self.dels_spo)
-    }
-
-    fn read_payload(r: &mut impl Read) -> io::Result<Self> {
-        let base = read_u64(r)?;
-        let adds = read_triples(r, base)?;
-        let dels = read_triples(r, base)?;
-        Ok(DeltaIndex::new(adds, dels, base))
     }
 }
 

@@ -540,15 +540,6 @@ mod tests {
             order.sort_unstable_by(|&a, &b| self.names[a as usize].cmp(&self.names[b as usize]));
             (blob, offsets, order)
         }
-
-        fn rdc1_payload(&self) -> Vec<u8> {
-            let mut out = (self.names.len() as u64).to_le_bytes().to_vec();
-            for name in &self.names {
-                out.extend_from_slice(&(name.len() as u64).to_le_bytes());
-                out.extend_from_slice(name.as_bytes());
-            }
-            out
-        }
     }
 
     /// A stream of names with repeats: IRIs sharing long prefixes, blank
@@ -599,18 +590,11 @@ mod tests {
                 assert_eq!(d.get("<never interned>"), None);
                 assert_eq!(d.get("\0"), None);
 
-                // The arrays of the mapped writer and the stream payload.
+                // The arrays of the mapped writer.
                 let (blob, offsets, order) = d.to_mapped_parts();
                 let (r_blob, r_offsets, r_order) = r.to_mapped_parts();
                 assert_eq!((blob, offsets), (&r_blob[..], &r_offsets[..]));
                 assert_eq!(order, r_order, "seed {seed}, n {n}");
-                let mut payload = Vec::new();
-                succinct::io::Persist::write_payload(&d, &mut payload).unwrap();
-                assert_eq!(
-                    payload,
-                    r.rdc1_payload(),
-                    "RDc1 payload, seed {seed}, n {n}"
-                );
 
                 // Mapped form and back: same answers, and interning goes on
                 // where the ids left off.

@@ -9,7 +9,7 @@
 //! mixture — and at worst an orphaned `*.tmp` that [`cleanup_orphans`]
 //! removes on the next open.
 //!
-//! Heap formats additionally carry a 16-byte checksum footer
+//! The shard manifest additionally carries a 16-byte checksum footer
 //! (`[crc32c u32][covered_len u64][b"RPQF"]`, all little-endian) produced
 //! by [`finish_footer`] and checked by [`verify_footer`]; corruption and
 //! truncation surface as the typed [`DurabilityError`] wrapped in an
@@ -32,7 +32,7 @@ use std::sync::Mutex;
 
 use succinct::checksum::{CrcReader, CrcWriter};
 
-/// Magic closing the whole-file checksum footer of the heap formats.
+/// Magic closing the whole-file checksum footer.
 pub const FOOTER_MAGIC: [u8; 4] = *b"RPQF";
 /// Size of the checksum footer: crc `u32` + covered length `u64` + magic.
 pub const FOOTER_LEN: usize = 16;
@@ -500,24 +500,6 @@ pub fn finish_footer<W: Write>(w: &mut CrcWriter<W>) -> io::Result<()> {
 /// the CRC32C, and that nothing trails the footer. Errors are the typed
 /// [`DurabilityError`] variants.
 pub fn verify_footer<R: Read>(r: &mut CrcReader<R>, context: &str) -> io::Result<()> {
-    if read_footer(r, context)? {
-        Ok(())
-    } else {
-        Err(truncated_error(format!(
-            "{context}: missing checksum footer"
-        )))
-    }
-}
-
-/// Like [`verify_footer`], but a clean EOF right after the payload is
-/// accepted as a legacy pre-checksum file. Returns whether a footer was
-/// present (and verified); `false` means the caller should warn that the
-/// file has no integrity protection.
-pub fn verify_footer_or_legacy<R: Read>(r: &mut CrcReader<R>, context: &str) -> io::Result<bool> {
-    read_footer(r, context)
-}
-
-fn read_footer<R: Read>(r: &mut CrcReader<R>, context: &str) -> io::Result<bool> {
     let actual = r.digest();
     let covered = r.read_count();
     let mut footer = [0u8; FOOTER_LEN];
@@ -530,7 +512,9 @@ fn read_footer<R: Read>(r: &mut CrcReader<R>, context: &str) -> io::Result<bool>
         got += n;
     }
     if got == 0 {
-        return Ok(false);
+        return Err(truncated_error(format!(
+            "{context}: missing checksum footer"
+        )));
     }
     if got < FOOTER_LEN {
         return Err(truncated_error(format!(
@@ -558,7 +542,7 @@ fn read_footer<R: Read>(r: &mut CrcReader<R>, context: &str) -> io::Result<bool>
             "{context}: trailing bytes after checksum footer"
         )));
     }
-    Ok(true)
+    Ok(())
 }
 
 #[cfg(test)]

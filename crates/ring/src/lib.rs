@@ -26,9 +26,9 @@
 //! a direct enumeration (with inverses indexed, ask
 //! `subjects_for(inverse_label(p), s)`; without them there is no
 //! substitute), the LF-steps out of `L_s` and `L_o` and with them the
-//! closed three-step cycle, and the backward step by object. Both file
-//! formats keep the column's slot, empty, so files written with it still
-//! open ([`mapped`], [`io`]).
+//! closed three-step cycle, and the backward step by object. The file
+//! format keeps the column's slot, empty, so files written with it still
+//! open ([`mapped`]).
 //!
 //! Modules:
 //! * [`triple`]: the `Triple` type and sort orders.
@@ -37,7 +37,9 @@
 //!   edges) and a whitespace text format.
 //! * [`boundaries`]: the `C` arrays, dense (plain words) or succinct
 //!   (bit vector + select), as in §5 of the paper.
-//! * [`ring`]: the index itself.
+//! * [`ring`]: the index itself, and the bulk decode of its triples.
+//! * [`mapped`]: the one index file format, `RRPQM01` — the ring's arrays
+//!   as they are in memory, mapped in place on open.
 //! * [`delta`]: the sorted add/tombstone overlay live updates accumulate
 //!   into between ring rebuilds.
 //! * [`store`]: the updatable store — ring + delta behind atomic,
@@ -57,7 +59,6 @@ pub mod delta;
 pub mod dict;
 pub mod durable;
 pub mod graph;
-pub mod io;
 pub mod mapped;
 pub mod ntriples;
 pub mod ring;

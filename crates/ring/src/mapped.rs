@@ -8,7 +8,8 @@
 //! │ "RRPQM01\0" │ version u64 │ n_sections u64                   │
 //! │ TOC: (tag u64, offset u64, byte_len u64, crc32c u64) × 9     │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ 1 META    n, n_nodes, n_preds, n_preds_base, has_inverses    │
+//! │ 1 META    n, n_nodes, n_preds, n_preds_base, has_inverses,   │
+//! │           snapshot epoch                                     │
 //! │ 2 L_O     an empty wavelet matrix (48 bytes; see below)      │
 //! │ 3 L_S     wavelet matrix (subjects in (p,o) order)           │
 //! │ 4 L_P     wavelet matrix (predicates in (o,s) order)         │
@@ -24,9 +25,15 @@
 //! in-memory form and 8-byte aligned relative to the file start, so
 //! [`open_index`] can point the succinct structures straight into an
 //! `mmap` of the file: cold open validates shapes and headers but never
-//! copies or rebuilds the payload. The old stream formats (`RRPQDB01`
-//! and the component `R??1` records) remain supported by [`crate::io`];
-//! this module is the fast path beside them.
+//! copies or rebuilds the payload. This is the one index file format:
+//! an immutable database is such a file, an updatable one such a file
+//! plus its write-ahead log ([`crate::wal`]), and a sharded one
+//! ([`crate::sharded`]) a directory of them.
+//!
+//! `META`'s sixth word is the epoch of the snapshot the file holds — what
+//! a write-ahead log beside it is based on. A file without the word is at
+//! epoch 0, and an index at epoch 0 is written without it: byte for byte
+//! the file builds from before the word existed wrote, and still open.
 //!
 //! The shards of a sharded index ([`crate::sharded`]) are files of this
 //! format too. Their ids are global, so the directory keeps one copy of
@@ -47,18 +54,22 @@
 //! reader rejects any table-of-contents offset off the 8-byte grid
 //! unconditionally (see `toc_offsets_must_be_aligned` in the tests).
 //!
-//! ## Versions and checksums
+//! ## Checksums, and the formats this one replaced
 //!
-//! Version 2 (current) stores a CRC32C per section in the TOC and is
-//! written atomically (temp file + fsync + rename) by [`write_index`].
-//! Version 1 files (24-byte TOC entries, no checksums) still open, with
-//! a warning that they carry no integrity protection. To preserve the
-//! O(header) zero-copy cold open — the whole point of this format — an
-//! `mmap` open validates structure only; checksums are verified on heap
-//! opens (which touch every byte anyway), when `RPQ_VERIFY_ON_OPEN=1`,
-//! and by [`verify_index_checksums`] (the `verify` CLI subcommand).
+//! A file stores a CRC32C per section in the TOC and is written
+//! atomically (temp file + fsync + rename) by [`write_index`]. To
+//! preserve the O(header) zero-copy cold open — the whole point of this
+//! format — an `mmap` open validates structure only; checksums are
+//! verified by [`open_index_verified`] (how an updatable database opens:
+//! it decodes every byte anyway), on heap opens (which touch every byte
+//! anyway), when `RPQ_VERIFY_ON_OPEN=1`, and by
+//! [`verify_index_checksums`] (the `verify` CLI subcommand).
+//!
+//! Version 1 of this format (no checksums) and the stream formats of
+//! earlier builds are refused with [`io::ErrorKind::Unsupported`] and the
+//! command that rebuilds the index, not read.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -72,8 +83,7 @@ use crate::{Boundaries, Dict, Id, Ring};
 
 /// Magic bytes opening a mappable index file.
 pub const MAPPED_MAGIC: [u8; 8] = *b"RRPQM01\0";
-/// Current version of the mapped format (2 = per-section CRC32C in the
-/// TOC; 1 = checksum-less, still readable).
+/// Version of the mapped format (per-section CRC32C in the TOC).
 pub const MAPPED_VERSION: u64 = 2;
 
 const TAG_META: u64 = 1;
@@ -93,12 +103,9 @@ pub const EMPTY_L_O_LEN: u64 = (2 + 4) * 8;
 pub const N_SECTIONS: usize = 9;
 
 /// Header bytes before the first section: magic + version + count +
-/// the table of contents (32 bytes per entry in v2). 312 bytes —
-/// itself a multiple of 8, so the first section starts aligned.
+/// the table of contents (32 bytes per entry). 312 bytes — itself a
+/// multiple of 8, so the first section starts aligned.
 pub const HEADER_LEN: usize = 8 + 8 + 8 + N_SECTIONS * 32;
-
-/// Header size of the legacy checksum-less v1 layout (24-byte entries).
-const HEADER_LEN_V1: usize = 8 + 8 + 8 + N_SECTIONS * 24;
 
 /// Human names per section, indexed `tag - 1` (error messages, verify
 /// reports).
@@ -129,6 +136,9 @@ pub struct MappedIndex {
     pub nodes: Dict,
     /// Predicate dictionary (mapped form).
     pub preds: Dict,
+    /// Epoch of the snapshot the file holds (0 for a file that stores
+    /// none).
+    pub epoch: u64,
     /// Whether the bytes live in a kernel mapping or on the heap.
     pub resident: ResidentMode,
     /// Bytes held by the kernel mapping (0 in heap mode).
@@ -145,16 +155,6 @@ pub struct MappedRing {
     pub resident: ResidentMode,
     /// Bytes held by the kernel mapping (0 in heap mode).
     pub mapped_bytes: u64,
-}
-
-/// Whether `path` starts with the mapped-format magic (a cheap sniff
-/// for dispatching between `RRPQM01` and the stream formats).
-pub fn is_mapped_file(path: &Path) -> bool {
-    let Ok(mut f) = std::fs::File::open(path) else {
-        return false;
-    };
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic).is_ok() && magic == MAPPED_MAGIC
 }
 
 fn section(
@@ -248,35 +248,27 @@ fn read_dict(r: &mut MapReader) -> io::Result<Dict> {
     Dict::from_mapped_parts(blob, offsets, order).map_err(err_data)
 }
 
-/// Writes `ring` plus its dictionaries as a mappable `RRPQM01` file
-/// (version 2: per-section CRC32C in the TOC), atomically — the bytes go
-/// to a same-directory temp file that is fsync'd and renamed over
-/// `path`, so a crash mid-save preserves the previous index. Returns the
-/// total bytes written.
+/// Writes `ring` plus its dictionaries as a mappable `RRPQM01` file at
+/// snapshot epoch 0 (an index nothing has been committed to); see
+/// [`write_index_at`].
 pub fn write_index(path: &Path, ring: &Ring, nodes: &Dict, preds: &Dict) -> io::Result<u64> {
-    let sections: Vec<(u64, Vec<u8>)> = vec![
-        (
-            TAG_META,
-            section(|w| {
-                w.u64(ring.n_triples() as u64)?;
-                w.u64(ring.n_nodes())?;
-                w.u64(ring.n_preds())?;
-                w.u64(ring.n_preds_base())?;
-                w.u64(ring.has_inverses() as u64)
-            })?,
-        ),
-        (
-            TAG_L_O,
-            section(|w| write_wavelet_matrix(w, &WaveletMatrix::new(&[], 1)))?,
-        ),
-        (TAG_L_S, section(|w| write_wavelet_matrix(w, ring.l_s()))?),
-        (TAG_L_P, section(|w| write_wavelet_matrix(w, ring.l_p()))?),
-        (TAG_C_S, section(|w| write_boundaries(w, ring.c_s_ref()))?),
-        (TAG_C_P, section(|w| write_boundaries(w, ring.c_p_ref()))?),
-        (TAG_C_O, section(|w| write_boundaries(w, ring.c_o_ref()))?),
-        (TAG_NODES, section(|w| write_dict(w, nodes))?),
-        (TAG_PREDS, section(|w| write_dict(w, preds))?),
-    ];
+    write_index_at(path, ring, nodes, preds, 0)
+}
+
+/// Writes `ring` plus its dictionaries as a mappable `RRPQM01` file
+/// holding the snapshot of `epoch`, atomically — the bytes go to a
+/// same-directory temp file that is fsync'd and renamed over `path`, so
+/// a crash mid-save preserves the previous index and a process that has
+/// the previous file mapped keeps reading it. Returns the total bytes
+/// written.
+pub fn write_index_at(
+    path: &Path,
+    ring: &Ring,
+    nodes: &Dict,
+    preds: &Dict,
+    epoch: u64,
+) -> io::Result<u64> {
+    let sections = index_sections(ring, nodes, preds, epoch)?;
     crate::durable::atomic_write(path, |out| {
         out.write_all(&MAPPED_MAGIC)?;
         out.write_all(&MAPPED_VERSION.to_le_bytes())?;
@@ -300,49 +292,102 @@ pub fn write_index(path: &Path, ring: &Ring, nodes: &Dict, preds: &Dict) -> io::
     })
 }
 
+/// The nine sections of a file, each with its tag, in file order.
+fn index_sections(
+    ring: &Ring,
+    nodes: &Dict,
+    preds: &Dict,
+    epoch: u64,
+) -> io::Result<Vec<(u64, Vec<u8>)>> {
+    Ok(vec![
+        (
+            TAG_META,
+            section(|w| {
+                w.u64(ring.n_triples() as u64)?;
+                w.u64(ring.n_nodes())?;
+                w.u64(ring.n_preds())?;
+                w.u64(ring.n_preds_base())?;
+                w.u64(ring.has_inverses() as u64)?;
+                if epoch != 0 {
+                    w.u64(epoch)?;
+                }
+                Ok(())
+            })?,
+        ),
+        (
+            TAG_L_O,
+            section(|w| write_wavelet_matrix(w, &WaveletMatrix::new(&[], 1)))?,
+        ),
+        (TAG_L_S, section(|w| write_wavelet_matrix(w, ring.l_s()))?),
+        (TAG_L_P, section(|w| write_wavelet_matrix(w, ring.l_p()))?),
+        (TAG_C_S, section(|w| write_boundaries(w, ring.c_s_ref()))?),
+        (TAG_C_P, section(|w| write_boundaries(w, ring.c_p_ref()))?),
+        (TAG_C_O, section(|w| write_boundaries(w, ring.c_o_ref()))?),
+        (TAG_NODES, section(|w| write_dict(w, nodes))?),
+        (TAG_PREDS, section(|w| write_dict(w, preds))?),
+    ])
+}
+
+/// Everything a file stores of `ring` — every level word, directory and
+/// boundary array: the canonical bytes two builders are compared by.
+#[cfg(test)]
+pub(crate) fn stored_bytes(ring: &Ring) -> Vec<u8> {
+    let sections = index_sections(ring, &Dict::new(), &Dict::new(), 0).unwrap();
+    sections.into_iter().flat_map(|(_, buf)| buf).collect()
+}
+
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
 /// A parsed and structurally validated table of contents.
 struct Toc {
-    /// On-disk format version (1 or 2).
-    version: u64,
     /// `(offset, byte_len)` per section, indexed `tag - 1`.
     sections: [(usize, usize); N_SECTIONS],
-    /// Per-section CRC32C from the TOC (`None` for checksum-less v1).
-    crcs: Option<[u32; N_SECTIONS]>,
+    /// Per-section CRC32C.
+    crcs: [u32; N_SECTIONS],
+}
+
+/// The refusal of an index format this build no longer reads.
+fn unsupported_format(what: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::Unsupported,
+        format!(
+            "{what} index: this format is no longer read; rebuild the index from its graph \
+             with `rpq-cli build <graph> <index>`"
+        ),
+    )
 }
 
 /// Parses and validates the header (the TOC must list the nine known
 /// tags in order). Every offset is checked to be 8-byte aligned — the
 /// soundness invariant behind the zero-copy `&[u64]` views — and in
-/// bounds. Understands both the current 32-byte-entry v2 layout and the
-/// legacy 24-byte-entry v1 layout.
+/// bounds.
 fn read_toc(map: &MappedFile) -> io::Result<Toc> {
     let bytes = map.as_bytes();
+    for stream_magic in ["RRPQDB01", "RRPQDB02", "RRPQDU01", "RRPQDU02"] {
+        if bytes.starts_with(stream_magic.as_bytes()) {
+            return Err(unsupported_format(&format!(
+                "stream-format ({stream_magic})"
+            )));
+        }
+    }
     if bytes.len() < 24 {
         return Err(err_data("file too short for a mapped index header"));
     }
     if bytes[..8] != MAPPED_MAGIC {
-        if bytes.starts_with(b"RRPQDB01") || bytes.starts_with(b"RRPQDU01") {
-            return Err(err_data(
-                "stream-format index (RRPQDB01/RRPQDU01), not a mapped RRPQM01 file",
-            ));
-        }
         return Err(err_data("bad magic: not a RRPQM01 mapped index"));
     }
-    let version = u64_at(bytes, 8);
-    let (entry_len, header_len) = match version {
-        1 => (24usize, HEADER_LEN_V1),
-        2 => (32usize, HEADER_LEN),
+    match u64_at(bytes, 8) {
+        MAPPED_VERSION => {}
+        1 => return Err(unsupported_format("RRPQM01 version 1 (checksum-less)")),
         v => {
             return Err(err_data(format!(
-                "unsupported mapped format version {v} (supported: 1, {MAPPED_VERSION})"
+                "unsupported mapped format version {v} (supported: {MAPPED_VERSION})"
             )))
         }
-    };
-    if bytes.len() < header_len {
+    }
+    if bytes.len() < HEADER_LEN {
         return Err(err_data("file too short for a mapped index header"));
     }
     if u64_at(bytes, 16) != N_SECTIONS as u64 {
@@ -351,7 +396,7 @@ fn read_toc(map: &MappedFile) -> io::Result<Toc> {
     let mut sections = [(0usize, 0usize); N_SECTIONS];
     let mut crcs = [0u32; N_SECTIONS];
     for (i, entry) in sections.iter_mut().enumerate() {
-        let at = 24 + i * entry_len;
+        let at = 24 + i * 32;
         let tag = u64_at(bytes, at);
         let off = u64_at(bytes, at + 8);
         let len = u64_at(bytes, at + 16);
@@ -363,25 +408,19 @@ fn read_toc(map: &MappedFile) -> io::Result<Toc> {
                 "section {tag} offset {off} is not 8-byte aligned"
             )));
         }
-        if (off as usize) < header_len
+        if (off as usize) < HEADER_LEN
             || off.checked_add(len).is_none_or(|e| e > bytes.len() as u64)
         {
             return Err(err_data(format!("section {tag} extends past end of file")));
         }
         *entry = (off as usize, len as usize);
-        if entry_len == 32 {
-            let crc = u64_at(bytes, at + 24);
-            if crc > u32::MAX as u64 {
-                return Err(err_data(format!("section {tag} checksum out of range")));
-            }
-            crcs[i] = crc as u32;
+        let crc = u64_at(bytes, at + 24);
+        if crc > u32::MAX as u64 {
+            return Err(err_data(format!("section {tag} checksum out of range")));
         }
+        crcs[i] = crc as u32;
     }
-    Ok(Toc {
-        version,
-        sections,
-        crcs: (version >= 2).then_some(crcs),
-    })
+    Ok(Toc { sections, crcs })
 }
 
 /// Checks every section's bytes against the CRC32C recorded in the TOC.
@@ -389,16 +428,13 @@ fn read_toc(map: &MappedFile) -> io::Result<Toc> {
 /// [`ChecksumMismatch`](crate::durable::DurabilityError::ChecksumMismatch)
 /// error on the first disagreement.
 fn check_section_crcs(map: &MappedFile, toc: &Toc) -> io::Result<()> {
-    let Some(crcs) = &toc.crcs else {
-        return Ok(());
-    };
     let bytes = map.as_bytes();
     for (i, &(off, len)) in toc.sections.iter().enumerate() {
         let actual = succinct::checksum::crc32c(&bytes[off..off + len]);
-        if actual != crcs[i] {
+        if actual != toc.crcs[i] {
             return Err(crate::durable::checksum_error(
                 format!("mapped index section {}", SECTION_NAMES[i]),
-                crcs[i],
+                toc.crcs[i],
                 actual,
             ));
         }
@@ -406,16 +442,12 @@ fn check_section_crcs(map: &MappedFile, toc: &Toc) -> io::Result<()> {
     Ok(())
 }
 
-/// Deep-checks the section checksums of the `RRPQM01` file at `path`
-/// against its TOC (every byte is read). Returns the number of sections
-/// verified: `N_SECTIONS` for a v2 file, `0` for a checksum-less v1
-/// file. Structural and cross-component validation is [`open_index`]'s
-/// job; the `verify` CLI subcommand runs both.
-pub fn verify_index_checksums(path: &Path) -> io::Result<usize> {
+/// Deep-checks the [`N_SECTIONS`] section checksums of the `RRPQM01`
+/// file at `path` against its TOC (every byte is read). Structural and
+/// cross-component validation is [`open_index`]'s job.
+pub fn verify_index_checksums(path: &Path) -> io::Result<()> {
     let map = MappedFile::open_heap(path)?;
-    let toc = read_toc(&map)?;
-    check_section_crcs(&map, &toc)?;
-    Ok(if toc.crcs.is_some() { N_SECTIONS } else { 0 })
+    check_section_crcs(&map, &read_toc(&map)?)
 }
 
 /// Opens a `RRPQM01` file, pointing the index structures into the file
@@ -423,14 +455,25 @@ pub fn verify_index_checksums(path: &Path) -> io::Result<usize> {
 /// the succinct payloads are neither copied nor rebuilt (the dictionary
 /// section is scanned once for UTF-8/order validation).
 pub fn open_index(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
-    let (map, toc) = open_map(path, mode)?;
-    let ring = read_ring(&map, &toc)?;
+    open_index_checked(path, mode, false)
+}
+
+/// [`open_index`] with every section checked against its CRC32C first,
+/// whatever the residency: for a caller about to read every byte anyway.
+pub fn open_index_verified(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
+    open_index_checked(path, mode, true)
+}
+
+fn open_index_checked(path: &Path, mode: OpenMode, verify: bool) -> io::Result<MappedIndex> {
+    let (map, toc) = open_map(path, mode, verify)?;
+    let (ring, epoch) = read_ring(&map, &toc)?;
     let (nodes, preds) = read_dicts(&map, &toc, &ring, path)?;
     let (resident, mapped_bytes) = residency(&map);
     Ok(MappedIndex {
         ring,
         nodes,
         preds,
+        epoch,
         resident,
         mapped_bytes,
     })
@@ -442,8 +485,8 @@ pub fn open_index(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
 /// dictionaries the directory uses; the ring gets exactly the validation
 /// a full open gives it.
 pub fn open_ring(path: &Path, mode: OpenMode) -> io::Result<MappedRing> {
-    let (map, toc) = open_map(path, mode)?;
-    let ring = read_ring(&map, &toc)?;
+    let (map, toc) = open_map(path, mode, false)?;
+    let (ring, _) = read_ring(&map, &toc)?;
     let (resident, mapped_bytes) = residency(&map);
     Ok(MappedRing {
         ring,
@@ -468,8 +511,8 @@ fn residency(map: &MappedFile) -> (ResidentMode, u64) {
 }
 
 /// Brings the file in under `mode`, parses its table of contents and
-/// applies the checksum policy.
-fn open_map(path: &Path, mode: OpenMode) -> io::Result<(Arc<MappedFile>, Toc)> {
+/// applies the checksum policy (`verify` asks for the check outright).
+fn open_map(path: &Path, mode: OpenMode, verify: bool) -> io::Result<(Arc<MappedFile>, Toc)> {
     if !host_supported() {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -491,17 +534,11 @@ fn open_map(path: &Path, mode: OpenMode) -> io::Result<(Arc<MappedFile>, Toc)> {
         }
     };
     let toc = read_toc(&map)?;
-    if toc.crcs.is_none() {
-        eprintln!(
-            "warning: mapped index is format v{} (no section checksums); re-save to upgrade",
-            toc.version
-        );
-    }
     // Checksum policy: heap opens touch every byte anyway, so verifying
     // is nearly free; mmap opens stay O(header) to preserve the
     // zero-copy cold-open contract unless explicitly asked.
     let verify_env = std::env::var("RPQ_VERIFY_ON_OPEN").is_ok_and(|v| v != "0" && !v.is_empty());
-    if map.mode() == ResidentMode::Heap || verify_env {
+    if verify || map.mode() == ResidentMode::Heap || verify_env {
         check_section_crcs(&map, &toc)?;
     }
     Ok((map, toc))
@@ -522,9 +559,10 @@ fn read_section<T>(
 }
 
 /// Sections `META` and `L_S` to `C_O`: the ring, shape- and
-/// cross-checked. `L_O` is not read, whatever it holds.
-fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<Ring> {
-    let (n, n_nodes, n_preds, n_preds_base, has_inverses) =
+/// cross-checked, and the snapshot epoch. `L_O` is not read, whatever it
+/// holds.
+fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<(Ring, u64)> {
+    let (n, n_nodes, n_preds, n_preds_base, has_inverses, epoch) =
         read_section(map, toc, TAG_META, |meta| {
             let n = meta.len_u64(MAX_LEN)?;
             let n_nodes: Id = meta.u64()?;
@@ -535,7 +573,8 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<Ring> {
                 1 => true,
                 _ => return Err(err_data("invalid has_inverses flag")),
             };
-            Ok((n, n_nodes, n_preds, n_preds_base, has_inverses))
+            let epoch = if meta.remaining() > 0 { meta.u64()? } else { 0 };
+            Ok((n, n_nodes, n_preds, n_preds_base, has_inverses, epoch))
         })?;
     if n_nodes > MAX_LEN || n_preds > MAX_LEN {
         return Err(err_data("alphabet size out of range"));
@@ -555,9 +594,8 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<Ring> {
     let c_p = read_section(map, toc, TAG_C_P, read_boundaries)?;
     let c_o = read_section(map, toc, TAG_C_O, read_boundaries)?;
 
-    // The same cross-component consistency checks the stream loader
-    // makes (crate::io), so a structurally valid but inconsistent file
-    // cannot produce out-of-range ids at query time.
+    // Cross-component consistency: a structurally valid but inconsistent
+    // file must not produce out-of-range ids at query time.
     for (name, wm) in [("L_s", &l_s), ("L_p", &l_p)] {
         if wm.len() != n {
             return Err(err_data(format!("{name} length mismatch")));
@@ -578,7 +616,7 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<Ring> {
             return Err(err_data(format!("{name} total mismatch")));
         }
     }
-    Ok(Ring::from_raw_parts(
+    let ring = Ring::from_raw_parts(
         l_s,
         l_p,
         c_s,
@@ -589,7 +627,8 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<Ring> {
         n_preds,
         n_preds_base,
         has_inverses,
-    ))
+    );
+    Ok((ring, epoch))
 }
 
 /// Sections `NODES` and `PREDS`, checked against `ring`'s universes.

@@ -318,7 +318,7 @@ impl Ring {
     }
 
     /// Reassembles a ring from persisted parts. Intended for
-    /// [`crate::io`]; the caller is responsible for consistency (the
+    /// [`crate::mapped`]; the caller is responsible for consistency (the
     /// loader validates lengths, alphabets and totals).
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
@@ -472,9 +472,69 @@ impl Ring {
         Triple::new(s, p, o)
     }
 
-    /// Iterates all indexed triples (by scanning `L_p`; `O(n log σ)`).
+    /// Iterates all indexed triples (by scanning `L_p`; `O(n log σ)`,
+    /// three cold root-to-leaf walks per triple). The per-position form
+    /// of [`Self::decode_triples`], and the oracle its tests compare with.
     pub fn iter_triples(&self) -> impl Iterator<Item = Triple> + '_ {
         (0..self.n).map(move |i| self.triple_at_lp(i))
+    }
+
+    /// Every indexed triple in `L_p` position order — what
+    /// [`Self::iter_triples`] yields — or, with `base_only`, those with a
+    /// base label (the graph the ring was built from, without its
+    /// completion). Both columns are decoded in bulk
+    /// ([`WaveletMatrix::decode_all`]); the object of a position is the
+    /// `C_o` block it falls in, and its LF-step the next unread `L_s`
+    /// position of its label's `C_p` block: a running counter per label,
+    /// no rank.
+    ///
+    /// The arrays may come from a file: an error names the first way they
+    /// contradict each other (a symbol outside its alphabet, a label with
+    /// more occurrences than its block has room for).
+    pub fn decode_triples(&self, base_only: bool) -> Result<Vec<Triple>, &'static str> {
+        let l_p = self.l_p.decode_all();
+        let l_s = self.l_s.decode_all();
+        // Label `p` owns `L_s[bounds[p]..bounds[p + 1]]`; `next[p]` is the
+        // first position of it not yet handed out.
+        let bounds: Vec<usize> = (0..=self.n_preds).map(|p| self.c_p.get(p)).collect();
+        let mut next = bounds.clone();
+        let kept = if base_only && self.has_inverses {
+            self.n_preds_base
+        } else {
+            self.n_preds
+        };
+        let mut triples = Vec::with_capacity(if kept < self.n_preds {
+            self.n / 2
+        } else {
+            self.n
+        });
+        let mut i = 0;
+        for o in 0..self.n_nodes {
+            let end = self.c_o.get(o + 1).min(self.n);
+            while i < end {
+                let p = l_p[i];
+                i += 1;
+                if p >= self.n_preds {
+                    return Err("L_p holds a label outside the alphabet");
+                }
+                let slot = &mut next[p as usize];
+                if *slot >= bounds[p as usize + 1] {
+                    return Err("a label occurs more often in L_p than C_p allows");
+                }
+                let s = l_s[*slot];
+                *slot += 1;
+                if s >= self.n_nodes {
+                    return Err("L_s holds a node outside the universe");
+                }
+                if p < kept {
+                    triples.push(Triple::new(s, p, o));
+                }
+            }
+        }
+        if i < self.n {
+            return Err("C_o does not cover L_p");
+        }
+        Ok(triples)
     }
 
     /// Whether `(s, p, o)` is indexed: one backward step from `o`'s block
@@ -516,6 +576,7 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapped::stored_bytes;
 
     /// The paper's running example (Figs. 1 and 3), 0-based:
     /// nodes SA=0, UCh=1, LH=2, BA=3, Baq=4;
@@ -672,6 +733,49 @@ mod tests {
         }
     }
 
+    /// The bulk decode on arrays that contradict each other — what a file
+    /// with valid checksums may still hold — is an error, not a panic.
+    #[test]
+    fn bulk_decode_refuses_inconsistent_arrays() {
+        let r = paper_ring();
+        assert!(r
+            .decode_triples(false)
+            .unwrap()
+            .into_iter()
+            .eq(r.iter_triples()));
+        // The same 16 triples, four labels' worth of room taken from `l1`.
+        let shifted = Boundaries::dense_from_counts(&[0, 6, 4, 3, 3]);
+        let bad = Ring::from_raw_parts(
+            r.l_s.clone(),
+            r.l_p.clone(),
+            r.c_s.clone(),
+            shifted,
+            r.c_o.clone(),
+            16,
+            5,
+            5,
+            5,
+            false,
+        );
+        let err = bad.decode_triples(false).unwrap_err();
+        assert!(err.contains("more often"), "{err}");
+        // An alphabet smaller than the symbols `L_p` holds.
+        let narrow = Ring::from_raw_parts(
+            r.l_s.clone(),
+            r.l_p.clone(),
+            r.c_s.clone(),
+            Boundaries::dense_from_counts(&[4, 2, 4, 6]),
+            r.c_o.clone(),
+            16,
+            5,
+            4,
+            4,
+            false,
+        );
+        let err = narrow.decode_triples(false).unwrap_err();
+        assert!(err.contains("outside the alphabet"), "{err}");
+    }
+
     #[test]
     fn automatic_completion_inverse_labels() {
         let g = Graph::from_triples(vec![Triple::new(0, 0, 1), Triple::new(1, 1, 2)]);
@@ -780,18 +884,6 @@ mod tests {
         )
     }
 
-    /// The `RRPQM01` bytes of `ring`: every level word and directory.
-    fn mapped_bytes(ring: &Ring, tag: &str) -> Vec<u8> {
-        let path = std::env::temp_dir().join(format!(
-            "rpq_ring_build_identity_{}_{tag}.rpqm",
-            std::process::id()
-        ));
-        crate::mapped::write_index(&path, ring, &crate::Dict::new(), &crate::Dict::new()).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        bytes
-    }
-
     /// Threaded or inline, the build writes the file the comparison-sort
     /// builder wrote, for every boundary kind with and without inverses.
     #[test]
@@ -823,13 +915,12 @@ mod tests {
                         with_inverses,
                         node_boundaries: kind,
                     };
-                    let tag = format!("{g}_{kind:?}_{with_inverses}");
-                    let reference = mapped_bytes(&build_reference(graph, options), &tag);
+                    let reference = stored_bytes(&build_reference(graph, options));
                     for threaded in [false, true] {
                         let (ring, timings) = Ring::build_on(graph, options, threaded);
                         assert_eq!(timings.threads, if threaded { 2 } else { 1 });
                         assert!(
-                            mapped_bytes(&ring, &tag) == reference,
+                            stored_bytes(&ring) == reference,
                             "graph {g}, {kind:?}, inverses {with_inverses}, threaded {threaded}"
                         );
                     }

@@ -31,6 +31,7 @@ use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 use succinct::checksum::{CrcReader, CrcWriter};
+use succinct::io::{read_u64, write_u64};
 use succinct::ResidentMode;
 
 use crate::durable::{atomic_write, finish_footer, verify_footer, FaultReader};
@@ -301,16 +302,6 @@ fn read_manifest(path: &Path) -> io::Result<Manifest> {
     })
 }
 
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
 /// Partitions the base triples across `n_shards`: whole predicates bin
 /// greedily onto the least-loaded shard (largest first, ties broken by
 /// predicate id, so the partition is deterministic); a predicate larger
@@ -427,13 +418,6 @@ mod tests {
         assert!(holding >= 2, "hot predicate stayed on {holding} shard(s)");
     }
 
-    fn ring_bytes(ring: &Ring) -> Vec<u8> {
-        use succinct::io::Persist;
-        let mut out = Vec::new();
-        ring.write_to(&mut out).unwrap();
-        out
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -495,7 +479,7 @@ mod tests {
             let idx = ShardedIndex::build(&g, n_shards, RingOptions::default());
             for (ring, run) in idx.shards().iter().zip(parts) {
                 let want = Ring::build(&Graph::new(run, 24, n_preds), RingOptions::default());
-                prop_assert_eq!(ring_bytes(ring), ring_bytes(&want));
+                prop_assert!(mapped::stored_bytes(ring) == mapped::stored_bytes(&want));
             }
         }
     }

@@ -8,7 +8,6 @@
 
 use ring::mapped::OpenMode;
 use ring::{Ring, Triple};
-use succinct::io::Persist;
 use succinct::mapped::{write_wavelet_matrix, SectionWriter};
 use succinct::WaveletMatrix;
 
@@ -61,20 +60,4 @@ pub fn mapped_with_l_o(image: &[u8], ring: &Ring) -> Vec<u8> {
         put_u64(&mut out, entry(i) + 8, moved);
     }
     out
-}
-
-/// `ring`'s `RRg1` stream record with the full column in the slot that
-/// now holds a zero-length one (right after the record's header and five
-/// metadata words).
-pub fn stream_record_with_l_o(ring: &Ring) -> Vec<u8> {
-    let mut record = Vec::new();
-    ring.write_to(&mut record).unwrap();
-    let mut empty = Vec::new();
-    WaveletMatrix::new(&[], 1).write_to(&mut empty).unwrap();
-    let at = 8 + 5 * 8;
-    assert_eq!(record[at..at + empty.len()], empty[..]);
-    let mut full = Vec::new();
-    l_o_column(ring).write_to(&mut full).unwrap();
-    record.splice(at..at + empty.len(), full);
-    record
 }

@@ -12,13 +12,12 @@
 //!
 //! Fault state is process-global, so all tests serialize on one mutex.
 //! CI runs individual categories by test-name filter
-//! (`cargo test --test crash_consistency heap_save`, …).
+//! (`cargo test --test crash_consistency mapped_write`, …).
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 use ring::durable::{arm, disarm, is_injected, IoPolicy};
-use ring::io::{load_from_file, save_to_file};
 use ring::mapped::{open_index, write_index, OpenMode};
 use ring::ring::RingOptions;
 use ring::wal::{Wal, WalBatch, WalOp};
@@ -66,26 +65,6 @@ fn policy(category: &str, n: u64) -> IoPolicy {
 /// Hard cap on sweep length; every save path here has far fewer IO
 /// calls, so hitting this means the sweep is not terminating.
 const SWEEP_LIMIT: u64 = 10_000;
-
-fn old_ring() -> Ring {
-    let g = Graph::from_triples(vec![
-        Triple::new(0, 0, 1),
-        Triple::new(1, 0, 2),
-        Triple::new(2, 1, 0),
-    ]);
-    Ring::build(&g, RingOptions::default())
-}
-
-fn new_ring() -> Ring {
-    let g = Graph::from_triples(vec![
-        Triple::new(0, 0, 2),
-        Triple::new(1, 1, 3),
-        Triple::new(2, 0, 3),
-        Triple::new(3, 1, 0),
-        Triple::new(3, 0, 1),
-    ]);
-    Ring::build(&g, RingOptions::default())
-}
 
 fn triples(ring: &Ring) -> Vec<Triple> {
     let mut v: Vec<Triple> = ring.iter_triples().collect();
@@ -139,35 +118,6 @@ fn sweep<R: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// Killing `save_to_file` (heap stream format, checksum footer) at any
-/// point leaves the previous file bytes untouched; only a fully clean
-/// save publishes the new ring.
-#[test]
-fn heap_save_is_old_or_new_under_every_fault() {
-    let _guard = lock_faults();
-    let dir = tmpdir("heap");
-    let path = dir.join("ring.bin");
-    let old = old_ring();
-    let new = new_ring();
-    let (old_t, new_t) = (triples(&old), triples(&new));
-
-    for category in CATEGORIES {
-        sweep(
-            category,
-            &old_t,
-            &new_t,
-            || save_to_file(&old, &path).unwrap(),
-            || save_to_file(&new, &path),
-            || {
-                let loaded: Ring = load_from_file(&path).unwrap_or_else(|e| {
-                    panic!("[{category}] interrupted save left {path:?} unreadable: {e}")
-                });
-                triples(&loaded)
-            },
-        );
-    }
-}
-
 fn sample_index(which: &str) -> (Ring, Dict, Dict) {
     let text = match which {
         "old" => {
@@ -187,8 +137,9 @@ fn sample_index(which: &str) -> (Ring, Dict, Dict) {
     (Ring::build(&g, RingOptions::default()), nodes, preds)
 }
 
-/// Killing `mapped::write_index` (`RRPQM01` v2, per-section CRCs) at
-/// any point leaves the previous index intact and checksum-verifiable.
+/// Killing `mapped::write_index` (`RRPQM01`, per-section CRCs) at any
+/// point leaves the previous index intact and checksum-verifiable; only
+/// a fully clean save publishes the new one.
 #[test]
 fn mapped_write_is_old_or_new_under_every_fault() {
     let _guard = lock_faults();
@@ -356,16 +307,16 @@ fn wal_rotate_is_old_or_new_under_every_fault() {
 fn interrupted_saves_never_accumulate_temp_files() {
     let _guard = lock_faults();
     let dir = tmpdir("orphans");
-    let path = dir.join("ring.bin");
-    let old = old_ring();
-    let new = new_ring();
-    save_to_file(&old, &path).unwrap();
+    let path = dir.join("index.rpqm");
+    let (old_ring, old_nodes, old_preds) = sample_index("old");
+    let (new_ring, new_nodes, new_preds) = sample_index("new");
+    write_index(&path, &old_ring, &old_nodes, &old_preds).unwrap();
 
     for category in CATEGORIES {
         let mut n = 0u64;
         loop {
             arm(policy(category, n));
-            let res = save_to_file(&new, &path);
+            let res = write_index(&path, &new_ring, &new_nodes, &new_preds);
             let fired = disarm();
             if !fired {
                 res.unwrap();
@@ -381,7 +332,7 @@ fn interrupted_saves_never_accumulate_temp_files() {
     let leftovers: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name())
-        .filter(|name| name != "ring.bin")
+        .filter(|name| name != "index.rpqm")
         .collect();
     assert!(leftovers.is_empty(), "stranded files: {leftovers:?}");
 }

@@ -1,9 +1,10 @@
 //! Mapped-format (`RRPQM01`) persistence suite: write/open round-trips
 //! over every boundary representation, heap-vs-mmap load equivalence,
 //! and corruption rejection — truncation at every section boundary,
-//! oversized declared lengths, wrong magic (naming both stream
-//! formats), version skew, and misaligned table-of-contents offsets —
-//! and files from when the `L_O` slot held a column.
+//! oversized declared lengths, wrong magic, version skew, and misaligned
+//! table-of-contents offsets — the refusal of the formats this one
+//! replaced, the snapshot epoch in `META`, and files from when the `L_O`
+//! slot held a column.
 
 mod common;
 
@@ -12,12 +13,11 @@ use std::path::PathBuf;
 use common::{put_u64, u64_at};
 
 use ring::mapped::{
-    open_index, section_lens, verify_index_checksums, write_index, OpenMode, EMPTY_L_O_LEN,
-    HEADER_LEN, MAPPED_MAGIC, N_SECTIONS,
+    open_index, open_index_verified, section_lens, verify_index_checksums, write_index,
+    write_index_at, OpenMode, EMPTY_L_O_LEN, HEADER_LEN, MAPPED_MAGIC,
 };
 use ring::ring::{BoundaryKind, RingOptions};
 use ring::{Dict, Graph, Ring, Triple};
-use succinct::io::Persist;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rpq_mapped_{name}_{}", std::process::id()));
@@ -170,7 +170,7 @@ fn files_with_a_full_l_o_section_still_open() {
         let image = common::mapped_with_l_o(&std::fs::read(&fresh).unwrap(), &ring);
         std::fs::write(&legacy, &image).unwrap();
         assert!(section_lens(&legacy).unwrap()[common::L_O] > EMPTY_L_O_LEN);
-        assert_eq!(verify_index_checksums(&legacy).unwrap(), N_SECTIONS);
+        verify_index_checksums(&legacy).unwrap();
         for mode in common::modes() {
             let old = open_index(&legacy, mode).unwrap();
             let new = open_index(&fresh, mode).unwrap();
@@ -187,17 +187,6 @@ fn files_with_a_full_l_o_section_still_open() {
         std::fs::write(&legacy, &flipped).unwrap();
         let err = verify_index_checksums(&legacy).unwrap_err().to_string();
         assert!(err.contains("L_O"), "{err}");
-
-        // The stream record: a full column or none in the slot, nothing else.
-        let record = common::stream_record_with_l_o(&ring);
-        let old = Ring::read_from(&mut record.as_slice()).unwrap();
-        assert_rings_equal(&old, &ring);
-        // One symbol fewer than the ring has triples is neither.
-        let mut short = record.clone();
-        let len_at = 8 + 5 * 8 + 8 + 8;
-        put_u64(&mut short, len_at, ring.n_triples() as u64 - 1);
-        let err = Ring::read_from(&mut short.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("L_o length"), "{err}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -285,20 +274,36 @@ fn oversized_declared_lengths_are_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The formats this one replaced are refused by name, with the way out —
+/// whatever follows the magic, and however short the file.
 #[test]
 fn wrong_magic_names_the_stream_formats() {
     let dir = tmpdir("magic");
     let (bytes, _) = valid_image(&dir);
-    for stream_magic in [b"RRPQDB01", b"RRPQDU01"] {
-        let mut bad = bytes.clone();
-        bad[..8].copy_from_slice(stream_magic);
-        let err = open_bytes(&dir, "stream.rpqm", &bad).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("RRPQDB01") && msg.contains("RRPQDU01"),
-            "error must name the stream formats: {msg}"
+    let refused = |name: &str, image: &[u8], format: &str| {
+        let err = open_bytes(&dir, name, image).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::Unsupported,
+            "{format}: {err}"
         );
+        let msg = err.to_string();
+        assert!(msg.contains(format), "error must name the format: {msg}");
+        assert!(
+            msg.contains("rpq-cli build <graph> <index>"),
+            "error must name the rebuild command: {msg}"
+        );
+    };
+    for stream_magic in ["RRPQDB01", "RRPQDB02", "RRPQDU01", "RRPQDU02"] {
+        let mut bad = bytes.clone();
+        bad[..8].copy_from_slice(stream_magic.as_bytes());
+        refused("stream.rpqm", &bad, stream_magic);
+        refused("stream-short.rpqm", &bad[..12], stream_magic);
     }
+    // Version 1 of this format: 24-byte TOC entries, no checksums.
+    let mut v1 = bytes.clone();
+    put_u64(&mut v1, 8, 1);
+    refused("v1.rpqm", &v1, "version 1");
     let mut garbage = bytes.clone();
     garbage[..8].copy_from_slice(b"GARBAGE!");
     let msg = open_bytes(&dir, "garbage.rpqm", &garbage)
@@ -369,8 +374,52 @@ fn magic_matches_the_public_constant() {
     let dir = tmpdir("sniff");
     let (bytes, _) = valid_image(&dir);
     assert_eq!(&bytes[..8], &MAPPED_MAGIC);
-    assert!(ring::mapped::is_mapped_file(&dir.join("valid.rpqm")));
-    assert!(!ring::mapped::is_mapped_file(&dir.join("absent.rpqm")));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `META`'s sixth word is the snapshot epoch: what was written comes
+/// back, under the section's checksum; a `META` of five words — an index
+/// at epoch 0, and every file written before the word existed — is at
+/// epoch 0.
+#[test]
+fn the_snapshot_epoch_is_the_sixth_word_of_meta() {
+    let dir = tmpdir("epoch");
+    let (graph, nodes, preds) = sample();
+    let ring = Ring::build(&graph, RingOptions::default());
+    let path = dir.join("epoch.rpqm");
+    // Epoch 0 is the five-word `META` files have always had.
+    write_index(&path, &ring, &nodes, &preds).unwrap();
+    let plain = std::fs::read(&path).unwrap();
+    assert_eq!(u64_at(&plain, 24 + 16), 5 * 8);
+    for mode in common::modes() {
+        let old = open_index_verified(&path, mode).unwrap();
+        assert_eq!(old.epoch, 0, "{mode:?}");
+        assert_rings_equal(&old.ring, &ring);
+    }
+    write_index_at(&path, &ring, &nodes, &preds, 41).unwrap();
+    let image = std::fs::read(&path).unwrap();
+    assert_eq!(image.len(), plain.len() + 8);
+    for mode in common::modes() {
+        assert_eq!(open_index(&path, mode).unwrap().epoch, 41, "{mode:?}");
+        assert_eq!(open_index_verified(&path, mode).unwrap().epoch, 41);
+    }
+    let (meta_off, meta_len) = (u64_at(&image, 24 + 8) as usize, u64_at(&image, 24 + 16));
+    assert_eq!(meta_len, 6 * 8);
+    assert_eq!(u64_at(&image, meta_off + 40), 41);
+    // Seven words are not a META.
+    let mut seven = image.clone();
+    put_u64(&mut seven, 24 + 16, 7 * 8);
+    assert!(open_bytes(&dir, "seven.rpqm", &seven).is_err());
+
+    // The word is under the checksum a verified open checks whatever the
+    // residency; a plain mapped open stays O(header) and does not look.
+    let mut flipped = image.clone();
+    flipped[meta_off + 40] ^= 1;
+    std::fs::write(&path, &flipped).unwrap();
+    for mode in common::modes() {
+        let err = open_index_verified(&path, mode).unwrap_err().to_string();
+        assert!(err.contains("META"), "{err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,17 +1,34 @@
 //! Persistence round-trips on random inputs: every boundary
-//! representation, graphs, dictionaries, and full rings must survive a
-//! write/read cycle bit-exactly in behaviour.
+//! representation, dictionaries and full rings must survive a write/open
+//! cycle through the `RRPQM01` file bit-exactly in behaviour, under both
+//! residencies, and a cut file must be refused.
+
+use std::path::PathBuf;
 
 use proptest::prelude::*;
-use ring::delta::DeltaIndex;
+use ring::mapped::{open_index, open_ring, write_index};
 use ring::ring::{BoundaryKind, RingOptions};
-use ring::{Boundaries, Dict, Graph, Ring, Triple};
-use succinct::io::Persist;
+use ring::{Dict, Graph, Ring, Triple};
 
-fn roundtrip<T: Persist>(x: &T) -> T {
-    let mut buf = Vec::new();
-    x.write_to(&mut buf).unwrap();
-    T::read_from(&mut buf.as_slice()).unwrap()
+mod common;
+
+const KINDS: [BoundaryKind; 3] = [
+    BoundaryKind::Dense,
+    BoundaryKind::Sparse,
+    BoundaryKind::EliasFano,
+];
+
+fn tmp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("rpq_ppersist_{name}_{}.rpqm", std::process::id()))
+}
+
+/// `ring` written to `path` and opened again, once per residency.
+fn reopened(path: &std::path::Path, ring: &Ring) -> Vec<Ring> {
+    write_index(path, ring, &Dict::new(), &Dict::new()).unwrap();
+    common::modes()
+        .into_iter()
+        .map(|mode| open_ring(path, mode).unwrap().ring)
+        .collect()
 }
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -34,51 +51,80 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// `C_o` of a graph whose node `c` is the object of `counts[c]`
+    /// triples is the boundary array of `counts`, in every representation.
     #[test]
     fn boundaries_roundtrip_all_kinds(counts in prop::collection::vec(0u64..20, 1..30)) {
-        for b in [
-            Boundaries::dense_from_counts(&counts),
-            Boundaries::sparse_from_counts(&counts),
-            Boundaries::elias_fano_from_counts(&counts),
-        ] {
-            let back = roundtrip(&b);
-            for c in 0..=counts.len() as u64 {
-                prop_assert_eq!(b.get(c), back.get(c), "C[{}]", c);
-            }
-            let n = b.get(counts.len() as u64);
-            for pos in 0..n {
-                prop_assert_eq!(b.owner(pos), back.owner(pos));
+        let path = tmp("boundaries");
+        let n_nodes = (counts.len() as u64).max(20);
+        let triples = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(o, &c)| (0..c).map(move |s| Triple::new(s, 0, o as u64)))
+            .collect();
+        let graph = Graph::new(triples, n_nodes, 1);
+        for kind in KINDS {
+            let ring = Ring::build(&graph, RingOptions { with_inverses: false, node_boundaries: kind });
+            let b = ring.c_o_ref();
+            for back in reopened(&path, &ring) {
+                let back = back.c_o_ref();
+                for c in 0..=n_nodes {
+                    prop_assert_eq!(b.get(c), back.get(c), "C[{}]", c);
+                }
+                for pos in 0..b.get(n_nodes) {
+                    prop_assert_eq!(b.owner(pos), back.owner(pos));
+                }
             }
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn ring_roundtrip_all_kinds(g in arb_graph()) {
-        for kind in [BoundaryKind::Dense, BoundaryKind::Sparse, BoundaryKind::EliasFano] {
+        let path = tmp("ring");
+        for kind in KINDS {
             let ring = Ring::build(&g, RingOptions { with_inverses: true, node_boundaries: kind });
-            let back = roundtrip(&ring);
-            prop_assert_eq!(back.n_triples(), ring.n_triples());
-            prop_assert_eq!(back.n_preds_base(), ring.n_preds_base());
-            let a: Vec<Triple> = ring.iter_triples().collect();
-            let b: Vec<Triple> = back.iter_triples().collect();
-            prop_assert_eq!(a, b, "{:?}", kind);
+            for back in reopened(&path, &ring) {
+                prop_assert_eq!(back.n_triples(), ring.n_triples());
+                prop_assert_eq!(back.n_preds_base(), ring.n_preds_base());
+                let a: Vec<Triple> = ring.iter_triples().collect();
+                let b: Vec<Triple> = back.iter_triples().collect();
+                prop_assert_eq!(a, b, "{:?}", kind);
+            }
         }
+        std::fs::remove_file(&path).ok();
     }
 
+    /// A file stores no triple list: the graph comes back out of the ring,
+    /// the dictionaries as they were interned.
     #[test]
     fn graph_and_dict_roundtrip(g in arb_graph(), names in prop::collection::vec("[a-z]{1,8}", 0..20)) {
-        let back = roundtrip(&g);
-        prop_assert_eq!(g.triples(), back.triples());
-
-        let mut d = Dict::new();
-        for n in &names {
-            d.intern(n);
+        let path = tmp("graph_dict");
+        let mut nodes = Dict::new();
+        for v in 0..g.n_nodes() {
+            nodes.intern(&format!("n{v}"));
         }
-        let back = roundtrip(&d);
-        prop_assert_eq!(back.len(), d.len());
-        for (id, name) in d.iter() {
-            prop_assert_eq!(back.get(name), Some(id));
+        let mut preds = Dict::new();
+        for p in 0..g.n_preds() {
+            // Distinct whatever was drawn: the index as a prefix.
+            preds.intern(&format!("{p}{}", names.get(p as usize).map_or("", |n| n.as_str())));
         }
+        let ring = Ring::build(&g, RingOptions::default());
+        write_index(&path, &ring, &nodes, &preds).unwrap();
+        for mode in common::modes() {
+            let back = open_index(&path, mode).unwrap();
+            let mut triples = back.ring.decode_triples(true).unwrap();
+            triples.sort_unstable();
+            prop_assert_eq!(triples.as_slice(), g.triples());
+            for (d, back) in [(&nodes, &back.nodes), (&preds, &back.preds)] {
+                prop_assert_eq!(back.len(), d.len());
+                for (id, name) in d.iter() {
+                    prop_assert_eq!(back.get(name), Some(id));
+                    prop_assert_eq!(back.name(id), name);
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -86,134 +132,29 @@ proptest! {
         g in arb_graph(),
         cut_frac in 0.0f64..1.0,
     ) {
+        let path = tmp("truncated");
         let ring = Ring::build(&g, RingOptions::default());
-        let mut buf = Vec::new();
-        ring.write_to(&mut buf).unwrap();
-        let cut = ((buf.len() as f64) * cut_frac) as usize;
+        write_index(&path, &ring, &Dict::new(), &Dict::new()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let cut = ((bytes.len() as f64) * cut_frac) as usize;
         // Every truncation must produce Err, never a panic or a bogus Ok.
-        if cut < buf.len() {
-            prop_assert!(Ring::read_from(&mut &buf[..cut]).is_err());
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        for mode in common::modes() {
+            prop_assert!(open_ring(&path, mode).is_err(), "cut at {} of {}", cut, bytes.len());
         }
+        std::fs::remove_file(&path).ok();
     }
-}
-
-fn arb_delta() -> impl Strategy<Value = DeltaIndex> {
-    (
-        2u64..5,
-        prop::collection::vec((0u64..12, 0u64..5, 0u64..12), 0..20),
-        prop::collection::vec((0u64..12, 0u64..5, 0u64..12), 0..20),
-    )
-        .prop_map(|(base, adds, dels)| {
-            let canon = |v: Vec<(u64, u64, u64)>| -> Vec<Triple> {
-                v.into_iter()
-                    .map(|(s, p, o)| Triple::new(s, p % base, o))
-                    .collect()
-            };
-            // Keep the store invariant (adds and dels disjoint).
-            let adds = canon(adds);
-            let dels: Vec<Triple> = canon(dels)
-                .into_iter()
-                .filter(|t| !adds.contains(t))
-                .collect();
-            DeltaIndex::new(adds, dels, base)
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Delta store round-trip: the reloaded overlay compares equal,
-    /// answers every completed-alphabet lookup identically, and
-    /// write → read → write is byte-stable (the pos/osp orders are
-    /// derived state, like the succinct rank directories).
-    #[test]
-    fn delta_roundtrip_and_byte_stability(d in arb_delta()) {
-        let mut first = Vec::new();
-        d.write_to(&mut first).unwrap();
-        let back = DeltaIndex::read_from(&mut first.as_slice()).unwrap();
-        prop_assert_eq!(&back, &d);
-        let mut second = Vec::new();
-        back.write_to(&mut second).unwrap();
-        prop_assert_eq!(first, second, "write-read-write bytes diverged");
-        // Spot-check the completed-alphabet accessors line up.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for o in 0..12 {
-            for p in 0..2 * d.n_preds_base() {
-                d.added_into(o, p, &mut a);
-                back.added_into(o, p, &mut b);
-                prop_assert_eq!(&a, &b);
-                prop_assert_eq!(d.del_count_into(o, p), back.del_count_into(o, p));
-            }
-        }
-    }
-
-    /// Truncated or bit-flipped delta payloads fail cleanly, never panic.
-    #[test]
-    fn corrupted_delta_payloads_never_panic(
-        d in arb_delta(),
-        cut in 0usize..64,
-        flip in 0usize..32,
-    ) {
-        let mut buf = Vec::new();
-        d.write_to(&mut buf).unwrap();
-        let cut = cut.min(buf.len());
-        let _ = DeltaIndex::read_from(&mut &buf[..cut]);
-        let mut bad = buf.clone();
-        if !bad.is_empty() {
-            let i = flip % bad.len();
-            bad[i] ^= 0xFF;
-            let _ = DeltaIndex::read_from(&mut bad.as_slice());
-        }
-    }
-}
-
-/// A future format bump must fail with an error naming both versions
-/// (the `crates/succinct/src/io.rs` convention), not a decode panic.
-#[test]
-fn delta_future_format_version_is_a_clear_error() {
-    use succinct::io::FORMAT_VERSION;
-    let d = DeltaIndex::new(vec![Triple::new(0, 0, 1)], vec![Triple::new(1, 1, 0)], 2);
-    let mut buf = Vec::new();
-    d.write_to(&mut buf).unwrap();
-    buf[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    let err = DeltaIndex::read_from(&mut buf.as_slice()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    let msg = err.to_string();
-    assert!(
-        msg.contains(&format!("{}", FORMAT_VERSION + 1))
-            && msg.contains(&format!("expected {FORMAT_VERSION}")),
-        "unhelpful version error: {msg}"
-    );
-}
-
-/// Out-of-alphabet predicates in a tampered payload are a typed error.
-#[test]
-fn delta_out_of_alphabet_predicate_is_rejected() {
-    let d = DeltaIndex::new(vec![Triple::new(0, 1, 2)], vec![], 2);
-    let mut buf = Vec::new();
-    d.write_to(&mut buf).unwrap();
-    // Payload layout after magic+version: base u64, adds-len u64, then
-    // (s, p, o) words; patch p up to the base alphabet size.
-    let p_off = 8 + 8 + 8 + 8;
-    buf[p_off..p_off + 8].copy_from_slice(&2u64.to_le_bytes());
-    let err = DeltaIndex::read_from(&mut buf.as_slice()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("base alphabet"), "{err}");
 }
 
 /// Degenerate alphabet: an empty graph (zero predicates) stores its
-/// wavelet sigma clamped to 1; the load-time inverse-alphabet check
+/// wavelet sigma clamped to 1; the open-time inverse-alphabet check
 /// must accept it (found by CLI probing: `build empty.nt` produced an
 /// index that then failed to load).
 #[test]
 fn empty_graph_ring_roundtrips() {
+    let path = tmp("empty");
     let g = Graph::new(vec![], 0, 0);
-    for kind in [
-        BoundaryKind::Dense,
-        BoundaryKind::Sparse,
-        BoundaryKind::EliasFano,
-    ] {
+    for kind in KINDS {
         let ring = Ring::build(
             &g,
             RingOptions {
@@ -221,9 +162,12 @@ fn empty_graph_ring_roundtrips() {
                 node_boundaries: kind,
             },
         );
-        let back = roundtrip(&ring);
-        assert_eq!(back.n_triples(), 0);
-        assert_eq!(back.n_preds_base(), 0);
-        assert_eq!(back.iter_triples().count(), 0);
+        for back in reopened(&path, &ring) {
+            assert_eq!(back.n_triples(), 0);
+            assert_eq!(back.n_preds_base(), 0);
+            assert_eq!(back.iter_triples().count(), 0);
+            assert_eq!(back.decode_triples(true).unwrap(), vec![]);
+        }
     }
+    std::fs::remove_file(&path).ok();
 }

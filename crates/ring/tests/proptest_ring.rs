@@ -32,6 +32,39 @@ proptest! {
         prop_assert_eq!(decoded.as_slice(), g.triples());
     }
 
+    /// The bulk decode is the per-position one: the same triples in the
+    /// same (`L_p` position) order, the base graph's when asked — built
+    /// in memory and opened from a file under both residencies, on graphs
+    /// that may be empty or have one node or one label.
+    #[test]
+    fn bulk_decode_matches_iter_triples(
+        g in arb_graph(),
+        with_inverses in any::<bool>(),
+        kind in 0usize..3,
+    ) {
+        let kind = [BoundaryKind::Dense, BoundaryKind::Sparse, BoundaryKind::EliasFano][kind];
+        let built = Ring::build(&g, RingOptions { with_inverses, node_boundaries: kind });
+        let path = std::env::temp_dir().join(format!("rpq_bulk_decode_{}.rpqm", std::process::id()));
+        ring::mapped::write_index(&path, &built, &ring::Dict::new(), &ring::Dict::new()).unwrap();
+        let mut rings = vec![built];
+        for mode in [ring::mapped::OpenMode::Heap, ring::mapped::OpenMode::Auto] {
+            rings.push(ring::mapped::open_ring(&path, mode).unwrap().ring);
+        }
+        for r in &rings {
+            let all: Vec<Triple> = r.iter_triples().collect();
+            prop_assert_eq!(r.decode_triples(false).unwrap(), all.clone());
+            let mut base = r.decode_triples(true).unwrap();
+            if with_inverses {
+                prop_assert!(base.iter().eq(all.iter().filter(|t| t.p < g.n_preds())));
+            } else {
+                prop_assert_eq!(&base, &all);
+            }
+            base.sort_unstable();
+            prop_assert_eq!(base.as_slice(), g.triples());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     /// The LF cycle, two columns long: `lf_p` is a bijection between the
     /// positions of `L_p` and of `L_s`, and the walk through it decodes
     /// exactly the completed graph.

@@ -198,7 +198,7 @@ fn a_shard_with_a_full_l_o_section_opens_beside_new_ones() {
     assert!(section(&legacy, common::L_O).1 > section(&image, common::L_O).1);
     std::fs::write(&shard2, &legacy).unwrap();
 
-    assert_eq!(verify_index_checksums(&shard2).unwrap(), 9);
+    verify_index_checksums(&shard2).unwrap();
     for mode in modes() {
         let opened = open_dir(&dir, mode).unwrap();
         assert_eq!(opened.nodes.len(), 64);

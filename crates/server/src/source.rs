@@ -278,8 +278,11 @@ pub(crate) struct SourceResolver<'a> {
 }
 
 impl LabelResolver for SourceResolver<'_> {
+    // A label the source interned for an uncommitted insert is not in
+    // this snapshot's alphabet yet: its id there is an inverse label's.
     fn resolve(&self, name: &str) -> Option<Id> {
-        self.source.pred_id(name)
+        let known = |p: &Id| *p < self.snapshot.ring.n_preds_base();
+        self.source.pred_id(name).filter(known)
     }
 
     fn inverse(&self, label: Id) -> Id {

@@ -1,17 +1,14 @@
 //! Building blocks of the mappable on-disk format.
 //!
-//! Unlike [`crate::io`] (a portable stream format whose reader copies
-//! everything onto the heap and rebuilds the select directories), this
-//! module defines **in-place** encodings: every array lands in the file
-//! 8-byte aligned and byte-for-byte identical to its in-memory layout,
-//! so loading is a bounds/shape check plus a [`Slab`] pointing into the
-//! mapped file. The directories are stored, not rebuilt — that is what
-//! makes cold open O(header) instead of O(index).
+//! This module defines **in-place** encodings: every array lands in the
+//! file 8-byte aligned and byte-for-byte identical to its in-memory
+//! layout, so loading is a bounds/shape check plus a [`Slab`] pointing
+//! into the mapped file. The directories are stored, not rebuilt — that
+//! is what makes cold open O(header) instead of O(index).
 //!
 //! The format is little-endian and the in-place reader reinterprets file
-//! bytes as native `u64`/`u32`, so mapped opening is gated to
-//! little-endian hosts (the portable [`crate::io`] format remains
-//! available everywhere).
+//! bytes as native `u64`/`u32`, so opening is gated to little-endian
+//! hosts.
 //!
 //! [`SectionWriter`] serializes one section (tracking its own offset so
 //! it can self-align); [`MapReader`] walks a section of a
@@ -32,7 +29,7 @@ use crate::{EliasFano, IntVec, RankSelect, WaveletMatrix};
 /// alignment of the element types (`u64`).
 pub const ALIGN: usize = 8;
 
-/// A corrupt-data error (same flavor the stream format uses).
+/// A corrupt-data error.
 pub fn err_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -404,6 +401,8 @@ mod tests {
             assert_eq!(back.select0(k), rs.select0(k));
         }
         back.verify_deep().unwrap();
+        // Write → read → write is byte-stable.
+        assert_eq!(write_section(|w| write_rank_select(w, &back)), buf);
     }
 
     #[test]
@@ -419,6 +418,7 @@ mod tests {
             assert_eq!(back.access(i), s, "access({i})");
         }
         assert_eq!(back.rank(33, 2500), wm.rank(33, 2500));
+        assert_eq!(write_section(|w| write_wavelet_matrix(w, &back)), buf);
     }
 
     #[test]

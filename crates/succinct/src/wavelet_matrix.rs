@@ -620,6 +620,34 @@ impl WaveletMatrix {
         sym
     }
 
+    /// Every symbol, in sequence order: [`Self::access`] at all `len`
+    /// positions for one sequential pass per level and no rank. Bottom
+    /// level up, each level's stable partition is undone: scanning the
+    /// level's bits, the `k`-th zero is the element the partition put in
+    /// slot `k`, the `k`-th one the element in slot `zeros + k`, so two
+    /// cursors over the level below replace the two ranks of an
+    /// `access` step. Two `len`-word buffers.
+    pub fn decode_all(&self) -> Vec<u64> {
+        let mut below = vec![0u64; self.len];
+        let mut cur = vec![0u64; self.len];
+        for l in (0..self.width).rev() {
+            let lvl = &self.levels[l];
+            let shift = self.width - 1 - l;
+            // Next unread slot of the zero run and of the one run.
+            let mut slot = [0usize, self.zeros[l]];
+            for (w, chunk) in cur.chunks_mut(64).enumerate() {
+                let word = lvl.bit_word(w);
+                for (i, sym) in chunk.iter_mut().enumerate() {
+                    let bit = (word >> i) & 1;
+                    *sym = below[slot[bit as usize]] | bit << shift;
+                    slot[bit as usize] += 1;
+                }
+            }
+            std::mem::swap(&mut below, &mut cur);
+        }
+        below
+    }
+
     /// Number of occurrences of `sym` in `[0, i)`, in *O*(log σ).
     pub fn rank(&self, sym: u64, i: usize) -> usize {
         assert!(i <= self.len);
@@ -1034,6 +1062,18 @@ mod tests {
         }
     }
 
+    /// Widths 1, 7, 17 and 40, lengths around the word size.
+    #[test]
+    fn decode_all_matches_access() {
+        for sigma in [1u64, 2, 100, (1 << 16) + 3, (1 << 39) + 5] {
+            for n in [0usize, 1, 63, 64, 65, 1000] {
+                let syms = drawn(n, sigma, n % 2 == 1);
+                let wm = WaveletMatrix::new(&syms, sigma);
+                assert_eq!(wm.decode_all(), syms, "sigma {sigma}, n {n}");
+            }
+        }
+    }
+
     #[test]
     fn rank_matches_slice_model() {
         let syms = sample(500, 43);
@@ -1180,16 +1220,17 @@ mod tests {
             .collect()
     }
 
+    /// The matrix as a mapped index file stores it.
     fn stored(wm: &WaveletMatrix) -> Vec<u8> {
-        use crate::io::Persist;
         let mut bytes = Vec::new();
-        wm.write_to(&mut bytes).unwrap();
+        crate::mapped::write_wavelet_matrix(&mut crate::mapped::SectionWriter::new(&mut bytes), wm)
+            .unwrap();
         bytes
     }
 
     /// The one-sweep builder lays out exactly what the old three-pass one
-    /// did: same `Persist` bytes, and — since those only replay the
-    /// symbols — the same level words, rank and select directories.
+    /// did: the same stored bytes — level words, rank and select
+    /// directories.
     #[test]
     fn one_sweep_construction_is_byte_identical_to_the_reference() {
         // Widths 1, 7, 8, 17, and 40 for the 64-bit symbol path.

@@ -6,11 +6,11 @@
 
 use automata::Regex;
 use ring::ring::RingOptions;
-use ring::Ring;
+use ring::{Dict, Ring};
+use ring_rpq::RpqDatabase;
 use rpq_core::split::{best_split, evaluate_split};
 use rpq_core::stats::RingStatistics;
 use rpq_core::{EngineOptions, RpqEngine, RpqQuery, Term};
-use succinct::io::Persist;
 use workload::{GraphGen, GraphGenConfig};
 
 fn main() {
@@ -74,23 +74,29 @@ fn main() {
     );
 
     // --- Persistence -----------------------------------------------------
-    let path = std::env::temp_dir().join("advanced_planning.ring");
-    {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
-        ring.write_to(&mut f).unwrap();
+    // One file format: the ring's arrays as they are in memory, plus the
+    // dictionaries; `open` maps it and queries run on the file in place.
+    let path = std::env::temp_dir().join("advanced_planning.rpqm");
+    let (mut nodes, mut preds) = (Dict::new(), Dict::new());
+    for v in 0..graph.n_nodes() {
+        nodes.intern(&format!("n{v}"));
     }
-    let loaded = {
-        let mut f = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
-        Ring::read_from(&mut f).unwrap()
-    };
+    for p in 0..graph.n_preds() {
+        preds.intern(&format!("p{p}"));
+    }
+    let bytes = RpqDatabase::from_parts(graph, nodes, preds)
+        .save_mapped(&path)
+        .unwrap();
+    let loaded = RpqDatabase::open(&path).unwrap();
     println!(
-        "\npersisted ring: {} bytes on disk, {} triples reload identically",
-        std::fs::metadata(&path).unwrap().len(),
-        loaded.n_triples()
+        "\npersisted index: {bytes} bytes on disk, opened {} in {} us, {} triples",
+        loaded.open_info().resident.as_str(),
+        loaded.open_info().open_us,
+        loaded.ring().n_triples()
     );
     let q = RpqQuery::new(Term::Const(hub), star(0), Term::Var);
     assert_eq!(
-        RpqEngine::new(&loaded)
+        RpqEngine::new(loaded.ring())
             .evaluate(&q, &opts)
             .unwrap()
             .sorted_pairs(),

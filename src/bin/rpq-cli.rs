@@ -94,23 +94,23 @@ const USAGE: &str = "usage:
   rpq-cli verify <index.db>                      deep-check an index: header, checksums,
                                                  cross-component consistency, WAL tail;
                                                  prints a one-line JSON report and exits
-                                                 0 (healthy) or 2 (corrupt); works on
+                                                 0 (healthy) or 2 (corrupt, or a format
+                                                 this build no longer reads); works on
                                                  sharded index directories too
   rpq-cli bench <index.db> <s> <expr> <o> [n]    time a query n times
+build writes the aligned RRPQM01 format: the file is usable in place, so
+opens map it zero-copy instead of deserializing. insert/delete/compact
+rewrite it the same way and keep a write-ahead log beside it (<index.db>.wal).
 build options:
-  --mmap           write the aligned RRPQM01 format: the file is usable
-                   in place, so later opens map it zero-copy instead of
-                   deserializing (default: the RRPQDB02 stream format)
   --shards <n>     write a horizontally sharded index instead: <index.db>
                    becomes a directory of n mappable RRPQM01 shard files
                    plus a checksummed manifest; query/serve/batch/stats
                    open it transparently and answers are bit-identical
                    to the unsharded index
 query/serve/batch/stats/bench options:
-  --mmap | --heap  for RRPQM01 index files, require a kernel mapping /
-                   force an aligned heap read (default: map when the
-                   platform supports it); stream-format files always
-                   load to the heap
+  --mmap | --heap  require a kernel mapping / force an aligned heap read
+                   of the index (default: map when the platform supports
+                   it)
 query/batch options:
   --explain        print the planner's chosen plan (route, direction,
                    split label, cost estimate) as stable JSON, one object
@@ -161,13 +161,11 @@ impl From<String> for CliError {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), CliError> {
-    let (mmap, rest) = split_flag(args, "--mmap");
-    let (shards, rest) = split_uint_flag(&rest, "--shards")?;
+    let (shards, rest) = split_uint_flag(args, "--shards")?;
     let [input, output] = &rest[..] else {
-        return Err(format!(
-            "build needs <graph.txt|graph.nt> <index.db> [--mmap] [--shards n]\n{USAGE}"
-        )
-        .into());
+        return Err(
+            format!("build needs <graph.txt|graph.nt> <index.db> [--shards n]\n{USAGE}").into(),
+        );
     };
     if shards == Some(0) {
         return Err("--shards must be at least 1".to_string().into());
@@ -196,23 +194,13 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    if mmap {
-        db.save_mapped(Path::new(output))
-            .map_err(|e| format!("writing {output}: {e}"))?;
-    } else {
-        db.save(Path::new(output))
-            .map_err(|e| format!("writing {output}: {e}"))?;
-    }
+    db.save_mapped(Path::new(output))
+        .map_err(|e| format!("writing {output}: {e}"))?;
     println!(
-        "ring: {} bytes ({:.2} bytes/edge) -> {} ({})",
+        "ring: {} bytes ({:.2} bytes/edge) -> {} (RRPQM01, mappable)",
         db.ring().size_bytes(),
         db.ring().size_bytes() as f64 / db.graph().len().max(1) as f64,
         output,
-        if mmap {
-            "RRPQM01, mappable"
-        } else {
-            "RRPQDB02"
-        }
     );
     Ok(())
 }
@@ -237,17 +225,8 @@ fn split_residency(args: &[String]) -> Result<(OpenMode, Vec<String>), CliError>
 }
 
 fn load_as(path: &str, mode: OpenMode) -> Result<RpqDatabase, CliError> {
-    // `open` dispatches on the magic (RRPQM01 is mapped in place,
-    // RRPQDB01 deserializes); updatable files (those carrying a delta
-    // overlay) load too: the overlay is folded in memory; the file
-    // itself is left as-is.
-    match RpqDatabase::open_with(Path::new(path), mode) {
-        Ok(db) => Ok(db),
-        Err(first) => match UpdatableDatabase::load(Path::new(path)) {
-            Ok(db) => Ok(db.into_database()),
-            Err(_) => Err(CliError::Other(format!("loading {path}: {first}"))),
-        },
-    }
+    RpqDatabase::open_with(Path::new(path), mode)
+        .map_err(|e| CliError::Other(format!("loading {path}: {e}")))
 }
 
 fn load(path: &str) -> Result<RpqDatabase, CliError> {
@@ -255,17 +234,10 @@ fn load(path: &str) -> Result<RpqDatabase, CliError> {
 }
 
 fn load_updatable(path: &str) -> Result<UpdatableDatabase, CliError> {
-    // A mapped index is immutable on disk; promote it to an in-memory
-    // updatable database (dictionaries go to the heap on first intern).
-    if ring_rpq::ring::mapped::is_mapped_file(Path::new(path)) {
-        return RpqDatabase::open(Path::new(path))
-            .map(RpqDatabase::into_updatable)
-            .map_err(|e| CliError::Other(format!("loading {path}: {e}")));
-    }
-    // Stream-format indexes open durably: orphaned temp files from an
-    // interrupted save are cleaned up, the `<path>.wal` log is recovered
-    // (replaying commits a crash kept from reaching the snapshot), and
-    // subsequent commits are write-ahead logged.
+    // Durably: orphaned temp files from an interrupted save are cleaned
+    // up, the `<path>.wal` log is recovered (replaying commits a crash
+    // kept from reaching the snapshot), and subsequent commits are
+    // write-ahead logged.
     UpdatableDatabase::open_durable(Path::new(path))
         .map_err(|e| CliError::Other(format!("loading {path}: {e}")))
 }
@@ -293,16 +265,8 @@ fn cmd_update(args: &[String], is_insert: bool) -> Result<(), CliError> {
     .map_err(|e| CliError::Other(e.to_string()))?;
     let epoch = db.commit();
     let stats = db.stats();
-    if ring_rpq::ring::mapped::is_mapped_file(Path::new(index)) {
-        // Keep a mapped index mapped: fold the delta and rewrite the
-        // RRPQM01 file in place.
-        db.into_database()
-            .save_mapped(Path::new(index))
-            .map_err(|e| format!("writing {index}: {e}"))?;
-    } else {
-        db.save(Path::new(index))
-            .map_err(|e| format!("writing {index}: {e}"))?;
-    }
+    db.save(Path::new(index))
+        .map_err(|e| format!("writing {index}: {e}"))?;
     println!(
         "{verb}: {n} triples committed at epoch {epoch} (delta: +{} -{}; compactions: {})",
         stats.delta_adds, stats.delta_deletes, stats.compactions
@@ -310,8 +274,7 @@ fn cmd_update(args: &[String], is_insert: bool) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `compact`: rebuild the ring from ring + delta and persist the result
-/// (the file returns to the immutable format).
+/// `compact`: rebuild the ring from ring + delta and persist the result.
 fn cmd_compact(args: &[String]) -> Result<(), CliError> {
     let [index] = args else {
         return Err(format!("compact needs <index.db>\n{USAGE}").into());
@@ -321,14 +284,8 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
     let t = Instant::now();
     let epoch = db.compact();
     let secs = t.elapsed().as_secs_f64();
-    if ring_rpq::ring::mapped::is_mapped_file(Path::new(index)) {
-        db.into_database()
-            .save_mapped(Path::new(index))
-            .map_err(|e| format!("writing {index}: {e}"))?;
-    } else {
-        db.save(Path::new(index))
-            .map_err(|e| format!("writing {index}: {e}"))?;
-    }
+    db.save(Path::new(index))
+        .map_err(|e| format!("writing {index}: {e}"))?;
     println!(
         "compacted {} adds and {} deletes into the ring in {secs:.2}s (epoch {epoch})",
         before.delta_adds, before.delta_deletes
@@ -852,20 +809,17 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The space table of a mapped index, from the files' own tables of
-/// contents: one line per `RRPQM01` section, bytes and bytes per base
-/// triple — of a sharded directory, summed over the shards and then shard
-/// by shard. Stream-format indexes have no sections and print nothing.
+/// The space table of an index, from the files' own tables of contents:
+/// one line per `RRPQM01` section, bytes and bytes per base triple — of a
+/// sharded directory, summed over the shards and then shard by shard.
 fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
     use ring_rpq::ring::{mapped, sharded};
     let files: Vec<std::path::PathBuf> = if db.is_sharded() {
         (0..db.n_shards())
             .map(|i| index.join(sharded::shard_file_name(i)))
             .collect()
-    } else if mapped::is_mapped_file(index) {
-        vec![index.to_path_buf()]
     } else {
-        return Ok(());
+        vec![index.to_path_buf()]
     };
     let edges = db.graph().len().max(1) as f64;
     let row = |name: &str, bytes: u64, note: &str| {
@@ -921,11 +875,12 @@ fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
     Ok(())
 }
 
-/// `verify`: deep-check an index file without modifying it — header
-/// magic, whole-file or per-section checksums, cross-component
-/// consistency (dictionary/alphabet/universe invariants), and the
-/// write-ahead-log tail when a `<index>.wal` sibling exists. Prints a
-/// one-line JSON report to stdout; exits 0 when healthy, 2 when corrupt.
+/// `verify`: deep-check an index file without modifying it — header,
+/// per-section checksums, cross-component consistency
+/// (dictionary/alphabet/universe invariants), and the write-ahead-log
+/// tail when a `<index>.wal` sibling exists. Prints a one-line JSON report
+/// to stdout; exits 0 when healthy, 2 when corrupt or in a format this
+/// build no longer reads.
 fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     let [index] = args else {
         return Err(format!("verify needs <index.db>\n{USAGE}").into());
@@ -934,11 +889,11 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     if path.is_dir() {
         return verify_sharded_dir(index, path);
     }
-    let fail = |format: &str, stage: &str, err: String| -> Result<(), CliError> {
+    let report = |status: &str, stage: &str, err: String| -> Result<(), CliError> {
         println!(
-            "{{\"path\":{},\"format\":{},\"status\":\"corrupt\",\"stage\":{},\"error\":{}}}",
+            "{{\"path\":{},\"status\":{},\"stage\":{},\"error\":{}}}",
             rpq_core::jsonw::quoted(index),
-            rpq_core::jsonw::quoted(format),
+            rpq_core::jsonw::quoted(status),
             rpq_core::jsonw::quoted(stage),
             rpq_core::jsonw::quoted(&err),
         );
@@ -946,39 +901,21 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
             "{index} failed verification ({stage}): {err}"
         )))
     };
-    let mut magic = [0u8; 8];
-    {
-        use std::io::Read;
-        let mut f = std::fs::File::open(path)
-            .map_err(|e| CliError::Other(format!("opening {index}: {e}")))?;
-        if let Err(e) = f.read_exact(&mut magic) {
-            return fail(
-                "unknown",
-                "header",
-                format!("file shorter than a magic: {e}"),
-            );
-        }
+    let fail = |stage: &str, err: String| report("corrupt", stage, err);
+    if let Err(e) = std::fs::metadata(path) {
+        return Err(CliError::Other(format!("opening {index}: {e}")));
     }
-    let format = match &magic {
-        b"RRPQM01\0" => "RRPQM01",
-        b"RRPQDB02" => "RRPQDB02",
-        b"RRPQDB01" => "RRPQDB01",
-        b"RRPQDU02" => "RRPQDU02",
-        b"RRPQDU01" => "RRPQDU01",
-        _ => return fail("unknown", "header", "unrecognised magic".to_string()),
-    };
-    // Payload integrity + cross-component consistency. Both paths touch
-    // every byte: the mapped verifier heap-opens with section CRCs, the
-    // stream loader hashes the file against its footer while parsing.
-    let (checksummed, sections, epoch) = match format {
-        "RRPQM01" => match ring_rpq::ring::mapped::verify_index_checksums(path) {
-            Ok(n) => (n > 0, n as u64, None),
-            Err(e) => return fail(format, "checksums", e.to_string()),
-        },
-        _ => match UpdatableDatabase::load(path) {
-            Ok(db) => (format.ends_with("02"), 0, Some(db.epoch())),
-            Err(e) => return fail(format, "checksums", e.to_string()),
-        },
+    // A heap open reads every byte: the header, every section against its
+    // CRC32C, then the cross-component checks.
+    let epoch = match ring_rpq::ring::mapped::open_index(path, OpenMode::Heap) {
+        Ok(idx) => idx.epoch,
+        Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
+            return report("unsupported", "header", e.to_string())
+        }
+        Err(e) => {
+            let typed = ring_rpq::ring::durable::durability_error(&e).is_some();
+            return fail(if typed { "checksums" } else { "structure" }, e.to_string());
+        }
     };
     // WAL tail: parse-only (no truncation), committed batches counted,
     // and the base epoch must not be ahead of the snapshot.
@@ -992,19 +929,16 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     } else if wal_path.exists() {
         let rec = match ring_rpq::ring::wal::Wal::inspect(&wal_path) {
             Ok(rec) => rec,
-            Err(e) => return fail(format, "wal", e.to_string()),
+            Err(e) => return fail("wal", e.to_string()),
         };
-        if let Some(epoch) = epoch {
-            if rec.base_epoch > epoch {
-                return fail(
-                    format,
-                    "wal",
-                    format!(
-                        "WAL base epoch {} is ahead of snapshot epoch {epoch}",
-                        rec.base_epoch
-                    ),
-                );
-            }
+        if rec.base_epoch > epoch {
+            return fail(
+                "wal",
+                format!(
+                    "WAL base epoch {} is ahead of snapshot epoch {epoch}",
+                    rec.base_epoch
+                ),
+            );
         }
         format!(
             "{{\"base_epoch\":{},\"batches\":{},\"ops\":{},\"torn_bytes\":{}}}",
@@ -1020,11 +954,10 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     // opening the index durably would clean them up).
     let orphans = count_orphan_tmps(path);
     println!(
-        "{{\"path\":{},\"format\":{},\"status\":\"ok\",\"checksummed\":{checksummed},\
-         \"checksum_sections\":{sections},\"epoch\":{},\"wal\":{wal_json},\"orphan_tmp\":{orphans}}}",
+        "{{\"path\":{},\"format\":\"RRPQM01\",\"status\":\"ok\",\"checksummed\":true,\
+         \"checksum_sections\":{},\"epoch\":{epoch},\"wal\":{wal_json},\"orphan_tmp\":{orphans}}}",
         rpq_core::jsonw::quoted(index),
-        rpq_core::jsonw::quoted(format),
-        epoch.map_or_else(|| "null".to_string(), |e| e.to_string()),
+        ring_rpq::ring::mapped::N_SECTIONS,
     );
     Ok(())
 }
@@ -1058,14 +991,13 @@ fn verify_sharded_dir(index: &str, dir: &Path) -> Result<(), CliError> {
         Ok(opened) => opened.rings.len(),
         Err(e) => return fail("manifest", e.to_string()),
     };
-    let mut sections = 0u64;
     for i in 0..n_shards {
         let shard = dir.join(ring_rpq::ring::sharded::shard_file_name(i));
-        match ring_rpq::ring::mapped::verify_index_checksums(&shard) {
-            Ok(n) => sections += n as u64,
-            Err(e) => return fail(&format!("shard {i} checksums"), e.to_string()),
+        if let Err(e) = ring_rpq::ring::mapped::verify_index_checksums(&shard) {
+            return fail(&format!("shard {i} checksums"), e.to_string());
         }
     }
+    let sections = n_shards * ring_rpq::ring::mapped::N_SECTIONS;
     // Informational: what an interrupted save stranded (opening the
     // directory sweeps it) and whatever else the manifest does not name.
     let unnamed = ring_rpq::ring::sharded::unnamed_files(dir, n_shards);

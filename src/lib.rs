@@ -55,7 +55,7 @@ pub use rpq_core::{LevelSample, QueryProfile};
 pub use updatable::UpdatableDatabase;
 
 use automata::parser::{self, LabelResolver};
-use ring::mapped::OpenMode;
+use ring::mapped::{MappedIndex, OpenMode};
 use ring::ring::RingOptions;
 use ring::{Dict, Graph, Id, Ring};
 use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, Term};
@@ -197,10 +197,14 @@ impl RpqDatabase {
         UpdatableDatabase::from_database(self)
     }
 
-    pub(crate) fn into_raw_parts(mut self) -> (Graph, Arc<Ring>, Dict, Dict) {
-        self.graph();
+    /// The parts an updatable store is assembled from; the error is that
+    /// of [`Self::decode_graph`], where the graph has to be decoded.
+    pub(crate) fn into_raw_parts(mut self) -> Result<(Graph, Arc<Ring>, Dict, Dict), String> {
+        let graph = match self.graph.take() {
+            Some(graph) => graph,
+            None => self.decode_graph()?,
+        };
         let sharded = self.is_sharded();
-        let graph = self.graph.into_inner().expect("graph just materialized");
         // Downstream mutators (the updatable store) intern names; hand
         // them the heap dictionary form up front. A sharded database
         // carries only per-shard rings, so the updatable store gets a
@@ -212,7 +216,7 @@ impl RpqDatabase {
         };
         self.nodes.make_owned();
         self.preds.make_owned();
-        (graph, ring, self.nodes, self.preds)
+        Ok((graph, ring, self.nodes, self.preds))
     }
 
     pub(crate) fn from_built_parts(
@@ -240,24 +244,31 @@ impl RpqDatabase {
         &self.source.ring
     }
 
-    /// The underlying graph. Databases opened from a mapped `RRPQM01`
-    /// file carry no graph payload; the first call reconstructs it from
-    /// the ring (the ring stores `G↔`, so decoding keeps the base
-    /// triples `p < n_preds_base` only).
+    /// The underlying graph. A database opened from a file carries no
+    /// graph payload; the first call decodes it from the ring in bulk
+    /// ([`Ring::decode_triples`]: the ring stores `G↔`, the graph is its
+    /// base-label triples).
+    ///
+    /// # Panics
+    /// Panics if the file's columns and boundaries contradict each other
+    /// (they are not checksummed on a mapped open: `rpq-cli verify` is).
     pub fn graph(&self) -> &Graph {
         self.graph.get_or_init(|| {
-            let ring = self.ring();
-            let base = ring.n_preds_base();
-            // The ring, and the other parts of a sharded database: shards
-            // partition the base triples, so their union is exact (no
-            // dedup needed).
-            let rest = self.source.shards.iter().skip(1).map(|p| &*p.ring);
-            let triples = std::iter::once(ring)
-                .chain(rest)
-                .flat_map(|r| r.iter_triples().filter(|t| t.p < base))
-                .collect();
-            Graph::new(triples, ring.n_nodes(), base)
+            self.decode_graph()
+                .unwrap_or_else(|e| panic!("the index does not decode to a graph: {e}"))
         })
+    }
+
+    /// The base graph, decoded from the ring — and the other parts of a
+    /// sharded database: shards partition the base triples, so their
+    /// union is exact.
+    fn decode_graph(&self) -> Result<Graph, String> {
+        let ring = self.ring();
+        let mut triples = ring.decode_triples(true)?;
+        for part in self.source.shards.iter().skip(1) {
+            triples.extend(part.ring.decode_triples(true)?);
+        }
+        Ok(Graph::new(triples, ring.n_nodes(), ring.n_preds_base()))
     }
 
     /// How this database was opened (wall time, heap vs mmap residency,
@@ -372,51 +383,38 @@ impl RpqDatabase {
         rpq_core::parallel::evaluate_batch(&self.source, queries, opts, n_threads)
     }
 
-    /// Persists the database (graph, dictionaries and the prebuilt ring)
-    /// to a file; [`Self::load`] restores it without re-indexing. The
-    /// write is atomic (temp file + fsync + rename) and the `RRPQDB02`
-    /// format carries a whole-file CRC32C footer verified on load.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use succinct::io::Persist;
-        ring::durable::atomic_write(path, |w| {
-            let mut cw = succinct::checksum::CrcWriter::new(w);
-            std::io::Write::write_all(&mut cw, b"RRPQDB02")?;
-            self.graph().write_to(&mut cw)?;
-            self.nodes.write_to(&mut cw)?;
-            self.preds.write_to(&mut cw)?;
-            self.ring().write_to(&mut cw)?;
-            ring::durable::finish_footer(&mut cw)
-        })
-        .map(|_| ())
-    }
-
-    /// Persists the database to the aligned, mappable `RRPQM01` format
-    /// (see [`ring::mapped`]). Unlike [`Self::save`], the file is usable
-    /// *in place*: [`Self::open`] maps it and answers queries without
-    /// deserializing, so cold starts cost page faults instead of a full
-    /// index rebuild. Returns the total bytes written.
+    /// Persists the database as an `RRPQM01` file — the one index file
+    /// format (see [`ring::mapped`]): the ring's arrays as they are in
+    /// memory, aligned, plus the dictionaries, written atomically (temp
+    /// file + fsync + rename) with a CRC32C per section. The file is
+    /// usable *in place*: [`Self::open`] maps it and answers queries
+    /// without deserializing, so cold starts cost page faults instead of
+    /// an index rebuild. Returns the total bytes written.
     pub fn save_mapped(&self, path: &std::path::Path) -> std::io::Result<u64> {
         ring::mapped::write_index(path, self.ring(), &self.nodes, &self.preds)
     }
 
-    /// Opens a persisted database, dispatching on the file magic:
-    /// `RRPQM01` files ([`Self::save_mapped`]) are mapped zero-copy,
-    /// `RRPQDB01` files ([`Self::save`]) are deserialized to the heap.
-    /// [`Self::open_info`] reports which path was taken and how long it
-    /// took.
+    /// Opens a persisted database: an `RRPQM01` file
+    /// ([`Self::save_mapped`], [`UpdatableDatabase::save`]) is mapped
+    /// zero-copy, a sharded index directory ([`Self::save_sharded`]) shard
+    /// by shard. [`Self::open_info`] reports how the index is resident and
+    /// how long the open took. A file in a format this build no longer
+    /// reads (the stream formats of earlier builds, checksum-less
+    /// `RRPQM01`) is refused with [`std::io::ErrorKind::Unsupported`] and
+    /// the command that rebuilds it.
     pub fn open(path: &std::path::Path) -> std::io::Result<Self> {
         Self::open_with(path, OpenMode::Auto)
     }
 
-    /// [`Self::open`] with an explicit residency request for mapped
-    /// files: [`OpenMode::Mmap`] requires a real kernel mapping,
+    /// [`Self::open`] with an explicit residency request:
+    /// [`OpenMode::Mmap`] requires a real kernel mapping,
     /// [`OpenMode::Heap`] forces an aligned heap read (the differential-
-    /// testing path). Stream-format files always load to the heap.
+    /// testing path).
     pub fn open_with(path: &std::path::Path, mode: OpenMode) -> std::io::Result<Self> {
         if ring::sharded::is_sharded_dir(path) {
             return Self::open_sharded(path, mode);
         }
-        let t0 = std::time::Instant::now();
+        let started = std::time::Instant::now();
         let orphans = ring::durable::cleanup_orphans(path);
         if orphans > 0 {
             eprintln!(
@@ -424,24 +422,24 @@ impl RpqDatabase {
                 path.display()
             );
         }
-        if ring::mapped::is_mapped_file(path) {
-            let idx = ring::mapped::open_index(path, mode)?;
-            Ok(Self {
-                graph: OnceLock::new(),
-                source: SourceSnapshot::immutable(Arc::new(idx.ring)),
-                nodes: idx.nodes,
-                preds: idx.preds,
-                open_info: OpenInfo {
-                    open_us: t0.elapsed().as_micros() as u64,
-                    resident: idx.resident,
-                    mapped_bytes: idx.mapped_bytes,
-                },
-                scratch: ScratchPool::default(),
-            })
-        } else {
-            let mut db = Self::load(path)?;
-            db.open_info.open_us = t0.elapsed().as_micros() as u64;
-            Ok(db)
+        let idx = ring::mapped::open_index(path, mode)?;
+        Ok(Self::from_mapped(idx, started))
+    }
+
+    /// The database over an opened file, `started` being when its open
+    /// began.
+    pub(crate) fn from_mapped(idx: MappedIndex, started: std::time::Instant) -> Self {
+        Self {
+            graph: OnceLock::new(),
+            source: SourceSnapshot::immutable(Arc::new(idx.ring)),
+            nodes: idx.nodes,
+            preds: idx.preds,
+            open_info: OpenInfo {
+                open_us: started.elapsed().as_micros() as u64,
+                resident: idx.resident,
+                mapped_bytes: idx.mapped_bytes,
+            },
+            scratch: ScratchPool::default(),
         }
     }
 
@@ -469,43 +467,6 @@ impl RpqDatabase {
         config: rpq_server::ServerConfig,
     ) -> Result<rpq_server::RpqServer, rpq_server::RpqError> {
         rpq_server::RpqServer::start(std::sync::Arc::new(self), config)
-    }
-
-    /// Loads a database persisted with [`Self::save`]. `RRPQDB02` files
-    /// are verified against their checksum footer; legacy `RRPQDB01`
-    /// files still load, with a warning that they carry no integrity
-    /// protection.
-    pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
-        use succinct::io::{bad_data, Persist};
-        let file = ring::durable::FaultReader::new(std::fs::File::open(path)?);
-        let mut f = succinct::checksum::CrcReader::new(std::io::BufReader::new(file));
-        let mut magic = [0u8; 8];
-        std::io::Read::read_exact(&mut f, &mut magic)?;
-        let checksummed = match &magic {
-            b"RRPQDB02" => true,
-            b"RRPQDB01" => {
-                eprintln!(
-                    "warning: {} is format RRPQDB01 (no checksum footer); re-save to upgrade",
-                    path.display()
-                );
-                false
-            }
-            _ => return Err(bad_data("not a ring-rpq database file")),
-        };
-        let graph = Graph::read_from(&mut f)?;
-        let nodes = Dict::read_from(&mut f)?;
-        let preds = Dict::read_from(&mut f)?;
-        let ring = Ring::read_from(&mut f)?;
-        if checksummed {
-            ring::durable::verify_footer(&mut f, &path.display().to_string())?;
-        }
-        if nodes.len() as Id != graph.n_nodes() || preds.len() as Id != graph.n_preds() {
-            return Err(bad_data("dictionary sizes do not match the graph"));
-        }
-        if ring.n_preds_base() != graph.n_preds() {
-            return Err(bad_data("ring alphabet does not match the graph"));
-        }
-        Ok(Self::from_built_parts(graph, Arc::new(ring), nodes, preds))
     }
 
     /// Persists the database as a **sharded** index directory: the base
@@ -733,15 +694,6 @@ mod tests {
             assert_eq!(back.graph().triples(), db.graph().triples());
             assert_eq!(back.open_info().mapped_bytes == 0, mode == OpenMode::Heap);
         }
-        // `open` also dispatches on the stream format.
-        let stream = dir.join("idx.rpqdb");
-        db.save(&stream).unwrap();
-        let back = RpqDatabase::open(&stream).unwrap();
-        assert_eq!(back.open_info().resident, ResidentMode::Heap);
-        assert_eq!(
-            back.query("a", "p+", "?y").unwrap(),
-            db.query("a", "p+", "?y").unwrap()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

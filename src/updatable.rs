@@ -11,34 +11,46 @@
 //! half-applied batch; [`UpdatableDatabase::compact`] (or the size-ratio
 //! auto-trigger, or a commit that introduces new predicate labels)
 //! rebuilds the ring from ring ⊎ delta and swaps it in.
+//!
+//! On disk a database is the same `RRPQM01` file an immutable one is
+//! ([`ring::mapped`]) — one ring, the committed overlay folded in, at the
+//! snapshot's epoch — plus, opened durably, the write-ahead log of the
+//! commits since (`<path>.wal`). Opening decodes the base triples the
+//! store's commits and compactions read back out of the ring in bulk.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
 use ring::delta::DeltaIndex;
+use ring::mapped::OpenMode;
+use ring::ring::RingOptions;
 use ring::store::{StoreSnapshot, StoreStats, TripleStore};
 use ring::wal::{Wal, WalOp};
 use ring::{Dict, Graph, Id, Ring, Triple};
 use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, Term};
-use succinct::checksum::{CrcReader, CrcWriter};
-use succinct::io::Persist;
 
 use crate::{DbError, RpqDatabase};
-
-/// File magic of the updatable on-disk format ([`UpdatableDatabase::save`]),
-/// current (checksum-footed) revision.
-const MAGIC_UPDATABLE: &[u8; 8] = b"RRPQDU02";
-/// File magic of the immutable format ([`RpqDatabase::save`]), current
-/// (checksum-footed) revision.
-const MAGIC_IMMUTABLE: &[u8; 8] = b"RRPQDB02";
-/// Pre-checksum revision of the updatable format (read-compat only).
-const MAGIC_UPDATABLE_V1: &[u8; 8] = b"RRPQDU01";
-/// Pre-checksum revision of the immutable format (read-compat only).
-const MAGIC_IMMUTABLE_V1: &[u8; 8] = b"RRPQDB01";
 
 struct Dicts {
     nodes: Dict,
     preds: Dict,
+}
+
+/// `snap` as a file holds it: one ring with the overlay folded in, over
+/// universes as large as the dictionaries — append-only interning leaves
+/// those larger than the store's whenever a name is used only by
+/// uncommitted or deleted triples, and a file's dictionaries and ring
+/// must agree. The store's own ring when that is already it; the graph
+/// is the one the ring indexes.
+fn folded(snap: &StoreSnapshot, dicts: &Dicts) -> (Arc<Graph>, Arc<Ring>) {
+    let n_nodes = (dicts.nodes.len() as Id).max(snap.graph.n_nodes());
+    let n_preds = (dicts.preds.len() as Id).max(snap.graph.n_preds());
+    if snap.delta.is_empty() && (n_nodes, n_preds) == (snap.graph.n_nodes(), snap.graph.n_preds()) {
+        return (Arc::clone(&snap.graph), Arc::clone(&snap.ring));
+    }
+    let graph = Graph::new(snap.live_triples(), n_nodes, n_preds);
+    let ring = Ring::build(&graph, RingOptions::default());
+    (Arc::new(graph), Arc::new(ring))
 }
 
 /// The durability side-car of a database opened with
@@ -97,11 +109,21 @@ fn refuse_sharded(path: &Path) -> std::io::Result<()> {
 impl UpdatableDatabase {
     /// Wraps an immutable database (consumes it; the ring is reused, not
     /// rebuilt).
+    ///
+    /// # Panics
+    /// Panics where [`RpqDatabase::graph`] does.
     pub fn from_database(db: RpqDatabase) -> Self {
-        let (graph, ring, nodes, preds) = db.into_raw_parts();
+        let parts = db
+            .into_raw_parts()
+            .unwrap_or_else(|e| panic!("the index does not decode to a graph: {e}"));
+        Self::over(parts, 0)
+    }
+
+    /// The database over an index's parts, at `epoch`.
+    fn over((graph, ring, nodes, preds): (Graph, Arc<Ring>, Dict, Dict), epoch: u64) -> Self {
         let ring = Arc::try_unwrap(ring).unwrap_or_else(|a| (*a).clone());
         Self {
-            store: TripleStore::from_built(graph, ring, DeltaIndex::empty(0), 0),
+            store: TripleStore::from_built(graph, ring, DeltaIndex::empty(0), epoch),
             dicts: RwLock::new(Dicts { nodes, preds }),
             durable: Mutex::new(None),
             scratch: ScratchPool::default(),
@@ -297,15 +319,15 @@ impl UpdatableDatabase {
         self.store.stats()
     }
 
-    /// Compacts and unwraps into an immutable [`RpqDatabase`] (buffered,
-    /// uncommitted operations are committed first).
+    /// Folds the overlay and unwraps into an immutable [`RpqDatabase`]
+    /// (buffered, uncommitted operations are committed first).
     pub fn into_database(self) -> RpqDatabase {
         self.store.commit();
-        self.store.compact();
         let snap = self.store.snapshot();
         let dicts = self.dicts.into_inner().unwrap();
-        let graph = (*snap.graph).clone();
-        RpqDatabase::from_built_parts(graph, Arc::clone(&snap.ring), dicts.nodes, dicts.preds)
+        let (graph, ring) = folded(&snap, &dicts);
+        let graph = Arc::try_unwrap(graph).unwrap_or_else(|g| (*g).clone());
+        RpqDatabase::from_built_parts(graph, ring, dicts.nodes, dicts.preds)
     }
 
     /// Parses endpoints and expression against the given snapshot.
@@ -321,8 +343,11 @@ impl UpdatableDatabase {
             ring: &'a Ring,
         }
         impl automata::parser::LabelResolver for Resolver<'_> {
+            // A label interned by an uncommitted insert is not in this
+            // snapshot's alphabet yet: its id there is an inverse label's.
             fn resolve(&self, name: &str) -> Option<Id> {
-                self.preds.get(name)
+                let known = |p: &Id| *p < self.ring.n_preds_base();
+                self.preds.get(name).filter(known)
             }
             fn inverse(&self, label: Id) -> Id {
                 self.ring.inverse_label(label)
@@ -424,18 +449,18 @@ impl UpdatableDatabase {
             .map_err(DbError::Query)
     }
 
-    /// Persists the committed state (graph, dictionaries, ring, delta,
-    /// epoch). Buffered, *uncommitted* operations are not saved. When
-    /// the overlay is empty **and** the dictionaries match the graph's
-    /// id universes exactly, the file uses the immutable format,
-    /// loadable by [`RpqDatabase::load`] too; otherwise the updatable
-    /// format carries the larger (append-only) dictionaries safely.
-    /// (Writes are atomic: a temp file in the same directory is fsynced
-    /// and renamed over `path`, so a crashed save leaves the previous
-    /// file intact. The payload carries a CRC32C footer that loads
-    /// verify. On a [`Self::open_durable`] database, saving to the
+    /// Persists the committed state as an `RRPQM01` file
+    /// ([`ring::mapped`]) holding the snapshot's epoch: one ring over the
+    /// dictionaries' universes, a non-empty overlay folded into it (for
+    /// the file only: the database keeps its overlay and its epoch).
+    /// Buffered, *uncommitted* operations are not saved. The write is
+    /// atomic — a temp file in the same directory is fsynced and renamed
+    /// over `path`, so a crashed save leaves the previous file intact,
+    /// and a snapshot still mapped from the previous file keeps reading
+    /// it — and every section carries a CRC32C that [`Self::load`]
+    /// verifies. On a [`Self::open_durable`] database, saving to the
     /// opened path is a **checkpoint**: the write-ahead log is rotated
-    /// back to empty once the snapshot covers it.)
+    /// back to empty once the snapshot covers it.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         // Hold the durability lock across snapshot → write → rotate so
         // no commit can slip between the persisted snapshot and the
@@ -443,37 +468,11 @@ impl UpdatableDatabase {
         let mut durable = self.durable.lock().unwrap();
         let snap = self.store.snapshot();
         let dicts = self.dicts.read().unwrap();
-        // Append-only interning can leave the dicts larger than the
-        // committed graph (names used only by uncommitted or deleted
-        // triples); RpqDatabase::load requires exact sizes.
-        let immutable = snap.delta.is_empty()
-            && dicts.nodes.len() as Id == snap.graph.n_nodes()
-            && dicts.preds.len() as Id == snap.graph.n_preds();
-        ring::durable::atomic_write(path, |out| {
-            use std::io::Write;
-            let mut f = CrcWriter::new(out);
-            f.write_all(if immutable {
-                MAGIC_IMMUTABLE
-            } else {
-                MAGIC_UPDATABLE
-            })?;
-            snap.graph.write_to(&mut f)?;
-            dicts.nodes.write_to(&mut f)?;
-            dicts.preds.write_to(&mut f)?;
-            snap.ring.write_to(&mut f)?;
-            if !immutable {
-                snap.delta.write_to(&mut f)?;
-                succinct::io::write_u64(&mut f, snap.epoch)?;
-            }
-            ring::durable::finish_footer(&mut f)
-        })?;
+        let (_, ring) = folded(&snap, &dicts);
+        ring::mapped::write_index_at(path, &ring, &dicts.nodes, &dicts.preds, snap.epoch)?;
         if let Some(state) = durable.as_mut() {
             if state.path == path {
-                // The immutable format carries no epoch field and
-                // reloads at 0, so the rotated log must base itself on
-                // the epoch the file actually persists — a log ahead of
-                // its snapshot is rejected on open as another index's.
-                state.wal.rotate(if immutable { 0 } else { snap.epoch })?;
+                state.wal.rotate(snap.epoch)?;
             }
         }
         Ok(())
@@ -504,68 +503,24 @@ impl UpdatableDatabase {
         self.durable.lock().unwrap().is_some()
     }
 
-    /// Loads a database persisted by [`Self::save`] **or**
-    /// [`RpqDatabase::save`] (an immutable file loads with an empty
-    /// overlay at epoch 0). A sharded index directory is refused with
-    /// [`std::io::ErrorKind::Unsupported`]: sharded indexes are read-only.
+    /// Loads a database persisted by [`Self::save`] or
+    /// [`RpqDatabase::save_mapped`], at the epoch the file holds (0 for
+    /// an index nothing was ever committed to). The file is mapped where
+    /// the platform allows, every section is checked against its CRC32C,
+    /// and the base triples are decoded out of the ring
+    /// ([`Ring::decode_triples`]). A sharded index directory is refused
+    /// with [`std::io::ErrorKind::Unsupported`] (sharded indexes are
+    /// read-only), and so is a file in a format this build no longer
+    /// reads (see [`RpqDatabase::open`]).
     pub fn load(path: &Path) -> std::io::Result<Self> {
-        use succinct::io::bad_data;
         refuse_sharded(path)?;
-        let file = std::fs::File::open(path)?;
-        let mut f = CrcReader::new(std::io::BufReader::new(ring::durable::FaultReader::new(
-            file,
-        )));
-        let mut magic = [0u8; 8];
-        std::io::Read::read_exact(&mut f, &mut magic)?;
-        let (updatable, checksummed) = match &magic {
-            m if m == MAGIC_UPDATABLE => (true, true),
-            m if m == MAGIC_IMMUTABLE => (false, true),
-            m if m == MAGIC_UPDATABLE_V1 => (true, false),
-            m if m == MAGIC_IMMUTABLE_V1 => (false, false),
-            _ => return Err(bad_data("not a ring-rpq database file")),
-        };
-        if !checksummed {
-            eprintln!(
-                "warning: {} predates checksums (no integrity footer); re-save to upgrade",
-                path.display()
-            );
-        }
-        let graph = Graph::read_from(&mut f)?;
-        let nodes = Dict::read_from(&mut f)?;
-        let preds = Dict::read_from(&mut f)?;
-        let ring = Ring::read_from(&mut f)?;
-        let (delta, epoch) = if updatable {
-            let delta = DeltaIndex::read_from(&mut f)?;
-            let epoch = succinct::io::read_u64(&mut f)?;
-            (delta, epoch)
-        } else {
-            (DeltaIndex::empty(graph.n_preds()), 0)
-        };
-        // Verify integrity before any structural check: a corrupt file
-        // should say "checksum mismatch", not a misleading shape error.
-        if checksummed {
-            ring::durable::verify_footer(&mut f, &path.display().to_string())?;
-        }
-        if (preds.len() as Id) < graph.n_preds() {
-            return Err(bad_data(
-                "predicate dictionary smaller than the graph alphabet",
-            ));
-        }
-        if ring.n_preds_base() != graph.n_preds() {
-            return Err(bad_data("ring alphabet does not match the graph"));
-        }
-        if updatable && delta.n_preds_base() != graph.n_preds() {
-            return Err(bad_data("delta alphabet does not match the graph"));
-        }
-        if (nodes.len() as Id) < graph.n_nodes().max(delta.n_nodes()) {
-            return Err(bad_data("dictionary smaller than the node universe"));
-        }
-        Ok(Self {
-            store: TripleStore::from_built(graph, ring, delta, epoch),
-            dicts: RwLock::new(Dicts { nodes, preds }),
-            durable: Mutex::new(None),
-            scratch: ScratchPool::default(),
-        })
+        let started = std::time::Instant::now();
+        let idx = ring::mapped::open_index_verified(path, OpenMode::Auto)?;
+        let epoch = idx.epoch;
+        let parts = RpqDatabase::from_mapped(idx, started)
+            .into_raw_parts()
+            .map_err(|e| succinct::mapped::err_data(format!("{}: {e}", path.display())))?;
+        Ok(Self::over(parts, epoch))
     }
 
     /// The write-ahead-log sibling of a snapshot file: `<path>.wal`.
@@ -764,6 +719,22 @@ mod tests {
         );
     }
 
+    /// A label only an uncommitted insert has used is unknown until the
+    /// commit: its dictionary id is, in the current snapshot's completed
+    /// alphabet, the inverse of another label (regression: `q` answered
+    /// with the edges of `^p`).
+    #[test]
+    fn uncommitted_labels_are_unknown_not_inverses() {
+        let db = UpdatableDatabase::from_text("a p b\n").unwrap();
+        db.insert("b", "q", "a");
+        assert!(matches!(db.query("?x", "q", "?y"), Err(DbError::Parse(_))));
+        db.commit();
+        assert_eq!(
+            db.query("?x", "q", "?y").unwrap(),
+            vec![("b".into(), "a".into())]
+        );
+    }
+
     #[test]
     fn compaction_preserves_answers_and_names() {
         let db = UpdatableDatabase::from_text("a p b\nb p c\nc q a\n")
@@ -916,28 +887,34 @@ mod tests {
         db.delete("a", "p", "b");
         db.commit();
         db.save(&path).unwrap();
+        // The overlay is folded into the file, not out of the database.
+        assert_eq!(db.epoch(), 1);
+        assert!(!db.store().snapshot().delta.is_empty());
         let back = UpdatableDatabase::load(&path).unwrap();
         assert_eq!(back.epoch(), 1);
+        assert!(back.store().snapshot().delta.is_empty());
         assert_eq!(
             back.query("?x", "p+", "?y").unwrap(),
             db.query("?x", "p+", "?y").unwrap()
         );
-        // Compacted state saves in the immutable format.
-        db.compact();
-        db.save(&path).unwrap();
-        let plain = RpqDatabase::load(&path).unwrap();
+        // Every saved database is an index the immutable API opens.
+        let plain = RpqDatabase::open(&path).unwrap();
         assert_eq!(
             plain.query("?x", "p+", "?y").unwrap(),
             db.query("?x", "p+", "?y").unwrap()
         );
+        db.compact();
+        db.save(&path).unwrap();
+        assert_eq!(UpdatableDatabase::load(&path).unwrap().epoch(), 2);
         std::fs::remove_file(&path).ok();
     }
 
     /// Append-only dictionaries legitimately outgrow the committed
     /// graph — names interned by uncommitted triples, or nodes whose
     /// edges were committed and later deleted — and save/load must
-    /// round-trip anyway (regression: both cases once produced files
-    /// the loaders rejected with size-mismatch errors).
+    /// round-trip anyway: the file's ring is built over the
+    /// dictionaries' universes (regression: both cases once produced
+    /// files the loaders rejected with size-mismatch errors).
     #[test]
     fn oversized_dictionaries_survive_save_load() {
         let dir = std::env::temp_dir().join(format!("rpq-updatable-dicts-{}", std::process::id()));
@@ -958,8 +935,7 @@ mod tests {
 
         // Case 2: new nodes interned, committed, then deleted away — the
         // delta cancels to empty while the dicts keep the names; the
-        // saved file must stay loadable (updatable format, since the
-        // immutable one requires exact dictionary sizes).
+        // saved file must stay loadable.
         let path = dir.join("node.db");
         let db = UpdatableDatabase::from_text("a p b\n")
             .unwrap()
@@ -976,6 +952,26 @@ mod tests {
             vec![("a".into(), "b".into())]
         );
         // The vanished node's name still resolves — to an empty answer.
+        assert_eq!(back.query("x", "p", "?y").unwrap(), vec![]);
+
+        // Case 3: the same names through `into_database` — the path an
+        // index takes to an immutable file (regression: `save_mapped`
+        // wrote a file `open` refused with `node dictionary size
+        // mismatch`, 5 names over a ring universe of 3).
+        let path = dir.join("folded.rpqm");
+        let db = UpdatableDatabase::from_text("a p b\nb p c\n").unwrap();
+        db.insert("x", "p", "y");
+        db.delete("x", "p", "y");
+        db.commit();
+        let folded = db.into_database();
+        assert_eq!(folded.ring().n_nodes(), 5);
+        folded.save_mapped(&path).unwrap();
+        let back = RpqDatabase::open(&path).unwrap();
+        assert_eq!(back.nodes().len(), 5);
+        assert_eq!(
+            back.query("?x", "p", "?y").unwrap(),
+            vec![("a".into(), "b".into()), ("b".into(), "c".into())]
+        );
         assert_eq!(back.query("x", "p", "?y").unwrap(), vec![]);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -385,33 +385,29 @@ fn batch_is_deterministic_across_worker_counts() {
     assert!(one.contains("a\td"), "{one}");
 }
 
-/// `build --mmap` writes the RRPQM01 format; queries over the mapped
-/// index are byte-identical to the stream-format heap load, `stats`
-/// reports the residency, and updates fold back into a mapped file.
+/// `build` writes the RRPQM01 format (it has no flag that chooses one);
+/// queries over the index are byte-identical under every residency,
+/// `stats` reports the residency, and updates fold back into a mapped
+/// file at the next epoch, with a rotated write-ahead log beside it.
 #[test]
 fn mmap_build_query_roundtrip() {
     let dir = tmpdir("mmap");
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("data/metro.nt");
-    let stream = dir.join("metro.db");
     let mapped = dir.join("metro.rpqm");
-
-    for (flagged, index) in [(false, &stream), (true, &mapped)] {
-        let mut args = vec!["build", fixture.to_str().unwrap(), index.to_str().unwrap()];
-        if flagged {
-            args.push("--mmap");
-        }
-        let out = cli().args(&args).output().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
+    build_metro(&mapped, &[]);
     let magic = std::fs::read(&mapped).unwrap()[..8].to_vec();
     assert_eq!(&magic, b"RRPQM01\0");
+    let out = cli()
+        .args(["build", fixture.to_str().unwrap()])
+        .arg(dir.join("flagged.rpqm"))
+        .arg("--mmap")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "build takes no --mmap");
+    assert!(!dir.join("flagged.rpqm").exists());
 
-    // Identical rows from the stream-format load and from the mapped
-    // index under both forced residencies.
+    // Identical rows from the index under the default and both forced
+    // residencies.
     let ask = |index: &std::path::Path, extra: &[&str]| {
         let mut args = vec![
             "query",
@@ -429,12 +425,11 @@ fn mmap_build_query_roundtrip() {
         );
         String::from_utf8_lossy(&out.stdout).to_string()
     };
-    let reference = ask(&stream, &[]);
+    let reference = ask(&mapped, &[]);
     assert!(
         reference.contains("<baquedano>\t<u_de_chile>"),
         "{reference}"
     );
-    assert_eq!(ask(&mapped, &[]), reference);
     assert_eq!(ask(&mapped, &["--heap"]), reference);
     #[cfg(all(unix, target_pointer_width = "64"))]
     assert_eq!(ask(&mapped, &["--mmap"]), reference);
@@ -448,7 +443,7 @@ fn mmap_build_query_roundtrip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("(heap, 0 mapped bytes)"), "{stdout}");
 
-    // Inserting into a mapped index keeps the file mapped.
+    // Inserting into an index rewrites the file, in the same format.
     let delta = dir.join("delta.nt");
     std::fs::write(&delta, "<u_de_chile> <l5> <baquedano> .\n").unwrap();
     let out = cli()
@@ -464,6 +459,26 @@ fn mmap_build_query_roundtrip() {
     assert_eq!(&magic, b"RRPQM01\0", "insert must preserve the format");
     let rows = ask(&mapped, &[]);
     assert!(rows.contains("<baquedano>\t<u_de_chile>"), "{rows}");
+    let out = cli()
+        .arg("query")
+        .arg(&mapped)
+        .args(["<u_de_chile>", "<l5>", "?y"])
+        .output()
+        .unwrap();
+    let rows = String::from_utf8_lossy(&out.stdout);
+    assert!(rows.contains("<u_de_chile>\t<baquedano>"), "{rows}");
+
+    // The file holds the epoch of the commit; the log was rotated to it.
+    let out = cli().arg("verify").arg(&mapped).output().unwrap();
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{report}");
+    assert!(report.contains("\"format\":\"RRPQM01\""), "{report}");
+    assert!(report.contains("\"checksum_sections\":9"), "{report}");
+    assert!(report.contains("\"epoch\":1"), "{report}");
+    assert!(
+        report.contains("\"wal\":{\"base_epoch\":1,\"batches\":0,"),
+        "{report}"
+    );
 }
 
 /// A malformed N-Triples file is rejected with a positioned error, not
@@ -670,7 +685,7 @@ fn querying_one_shard_file_names_the_directory() {
 fn stats_sizes_a_mapped_index_from_its_sections() {
     let dir = tmpdir("stats_sections");
     let (plain, sharded) = (dir.join("metro.rpqm"), dir.join("metro-sharded"));
-    build_metro(&plain, &["--mmap"]);
+    build_metro(&plain, &[]);
     build_metro(&sharded, &["--shards", "4"]);
     let stats = |index: &PathBuf, flag: &str| {
         let out = cli().arg("stats").arg(index).arg(flag).output().unwrap();
@@ -731,15 +746,17 @@ fn stats_sizes_a_mapped_index_from_its_sections() {
 }
 
 /// Indexes the build before `L_O` left the ring wrote from `data/metro.nt`
-/// (`--mmap` and stream, committed as they were written): both open and
-/// answer as a fresh build does, and `stats` names the dead section and
-/// what a rebuild reclaims — the 352 bytes by which the file written
-/// today is smaller.
+/// (`--mmap` and stream, committed as they were written). The mapped one
+/// opens and answers as a fresh build does, and `stats` names the dead
+/// section and what a rebuild reclaims — the 352 bytes by which the file
+/// written today is smaller. The stream one is in a
+/// format no longer read: every verb refuses it by name, with the
+/// command that rebuilds it, and `verify` reports it unsupported.
 #[test]
 fn indexes_written_with_a_full_l_o_still_serve_and_say_what_is_unused() {
     let dir = tmpdir("full_l_o");
     let fresh = dir.join("metro.rpqm");
-    build_metro(&fresh, &["--mmap"]);
+    build_metro(&fresh, &[]);
     let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
     let old_mapped = PathBuf::from(fixtures).join("metro_with_l_o.rpqm");
     let old_stream = PathBuf::from(fixtures).join("metro_with_l_o.db");
@@ -766,17 +783,42 @@ fn indexes_written_with_a_full_l_o_still_serve_and_say_what_is_unused() {
         let args = [&["query"][..], &query[..]].concat();
         let expected = run(&args, &fresh);
         assert!(!expected.is_empty());
-        for (old, flag) in [
-            (&old_mapped, "--mmap"),
-            (&old_mapped, "--heap"),
-            (&old_stream, "--heap"),
-        ] {
+        for flag in ["--mmap", "--heap"] {
             let args = [&args[..], &[flag][..]].concat();
-            assert_eq!(run(&args, old), expected, "{query:?} {flag}");
+            assert_eq!(run(&args, &old_mapped), expected, "{query:?} {flag}");
         }
     }
-    assert!(run(&["verify"], &old_mapped).contains("\"checksum_sections\":9"));
-    assert!(run(&["verify"], &old_stream).contains("\"status\":\"ok\""));
+    let report = run(&["verify"], &old_mapped);
+    assert!(report.contains("\"checksum_sections\":9"), "{report}");
+    assert!(report.contains("\"epoch\":0"), "{report}");
+
+    for verb in [
+        &["query", "?x", "<l5>", "?y"][..],
+        &["stats"],
+        &["compact"],
+        &["verify"],
+    ] {
+        let out = cli()
+            .arg(verb[0])
+            .arg(&old_stream)
+            .args(&verb[1..])
+            .output()
+            .unwrap();
+        let refused = if verb[0] == "verify" { 2 } else { 1 };
+        assert_eq!(out.status.code(), Some(refused), "{verb:?}");
+        let said = if verb[0] == "verify" {
+            let report = String::from_utf8_lossy(&out.stdout).to_string();
+            assert!(report.contains("\"status\":\"unsupported\""), "{report}");
+            report
+        } else {
+            String::from_utf8_lossy(&out.stderr).to_string()
+        };
+        assert!(said.contains("RRPQDB02"), "{verb:?}: {said}");
+        assert!(said.contains("rpq-cli build <graph> <index>"), "{said}");
+    }
+    assert!(!PathBuf::from(fixtures)
+        .join("metro_with_l_o.db.wal")
+        .exists());
 
     let text = run(&["stats"], &old_mapped);
     let l_o = text.lines().find(|l| l.contains("L_O")).unwrap();

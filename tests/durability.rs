@@ -1,15 +1,19 @@
 //! Durability suite over the name-level façade: WAL'd commits survive
 //! a crash (reopen replays them), interrupted saves leave the previous
-//! snapshot bytes untouched, checksum-less v1 files still load,
-//! bit-flipped snapshots are detected, and a drain on a durable server
-//! checkpoints the source.
+//! snapshot bytes untouched, the snapshot's epoch survives a checkpoint,
+//! a checkpoint leaves a mapped reader its file, the formats earlier
+//! builds wrote are refused, bit-flipped snapshots are detected, random
+//! update/save/reopen sequences come back as their model, and a drain on
+//! a durable server checkpoints the source.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+use proptest::prelude::*;
 use ring::durable::{arm, disarm, IoPolicy};
-use ring_rpq::UpdatableDatabase;
+use ring_rpq::{RpqDatabase, UpdatableDatabase};
 
 /// Fault-injection state is process-global: serialize every test that
 /// arms a policy (and any test an armed policy could bleed into).
@@ -79,10 +83,9 @@ fn walled_commits_survive_a_crash() {
     assert_eq!(edges(&again), want2);
 }
 
-/// A checkpoint after compaction writes the *immutable* format, which
-/// carries no epoch field and reloads at 0 — the rotated WAL must base
-/// itself on that persisted epoch, not the in-memory one, or the next
-/// open rejects the log as belonging to a different index.
+/// A checkpoint after compaction: the file holds the epoch it was taken
+/// at and the rotated WAL is based on it, so the next open accepts the
+/// log as this index's.
 #[test]
 fn checkpoint_after_compaction_stays_openable() {
     let _guard = lock_faults();
@@ -93,18 +96,93 @@ fn checkpoint_after_compaction_stays_openable() {
     db.insert("d", "p", "e");
     db.commit();
     db.compact();
-    db.checkpoint().unwrap();
+    let epoch = db.checkpoint().unwrap();
+    assert_eq!(epoch, 2);
     let want = edges(&db);
     drop(db);
 
     let wal = ring::wal::Wal::inspect(&UpdatableDatabase::wal_path(&path)).unwrap();
-    assert_eq!(
-        wal.base_epoch, 0,
-        "an immutable-format snapshot persists epoch 0; the WAL must match"
-    );
+    assert_eq!(wal.base_epoch, epoch, "the WAL is based on the snapshot");
     let back = UpdatableDatabase::open_durable(&path)
         .expect("snapshot + rotated WAL must agree on the base epoch");
+    assert_eq!(back.epoch(), epoch);
     assert_eq!(edges(&back), want);
+}
+
+/// Save at epoch *k* → reopen reports *k*, overlay folded or not; a log
+/// based ahead of the file belongs to a snapshot that was lost.
+#[test]
+fn the_epoch_survives_a_checkpoint() {
+    let _guard = lock_faults();
+    let dir = tmpdir("epoch");
+    let path = fresh_saved(&dir, "db.rpq");
+    assert_eq!(UpdatableDatabase::load(&path).unwrap().epoch(), 0);
+
+    let db = UpdatableDatabase::open_durable(&path)
+        .unwrap()
+        .with_auto_compact_ratio(None);
+    for k in 1..=3u64 {
+        db.insert(&format!("n{k}"), "p", "a");
+        assert_eq!(db.commit(), k);
+        assert_eq!(db.checkpoint().unwrap(), k);
+        assert_eq!(db.epoch(), k, "a checkpoint publishes nothing");
+        assert_eq!(UpdatableDatabase::load(&path).unwrap().epoch(), k);
+    }
+    let want = edges(&db);
+    drop(db);
+    let back = UpdatableDatabase::open_durable(&path).unwrap();
+    assert_eq!(back.epoch(), 3);
+    assert_eq!(edges(&back), want);
+    drop(back);
+
+    // The file rolled back to an older snapshot under a newer log.
+    let older = fresh_saved(&dir, "older.rpq");
+    std::fs::copy(&older, &path).unwrap();
+    let err = UpdatableDatabase::open_durable(&path)
+        .err()
+        .expect("a log ahead of its snapshot");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(
+        msg.contains("is based on epoch 3 but the snapshot is at epoch 0"),
+        "{msg}"
+    );
+}
+
+/// A checkpoint replaces the file by rename, never in place: a query
+/// that captured its snapshot before — its ring mapped from the file the
+/// checkpoint supersedes — keeps its answer through two of them.
+#[test]
+fn a_checkpoint_leaves_a_mapped_reader_its_file() {
+    let _guard = lock_faults();
+    let dir = tmpdir("mapped_reader");
+    let path = fresh_saved(&dir, "db.rpq");
+    let db = UpdatableDatabase::open_durable(&path).unwrap();
+    if cfg!(all(unix, target_pointer_width = "64")) {
+        let open = RpqDatabase::open(&path).unwrap();
+        assert_eq!(open.open_info().resident.as_str(), "mmap");
+    }
+    let held = db.store().snapshot();
+    let query = db.parse_query("?x", "p+|q", "?y").unwrap();
+    let answer = |snap: &ring::StoreSnapshot| {
+        rpq_core::RpqEngine::over(snap)
+            .evaluate(&query, &rpq_core::EngineOptions::default())
+            .unwrap()
+            .sorted_pairs()
+    };
+    let before = answer(&held);
+    assert_eq!(before.len(), 4);
+    for round in 0..2 {
+        for i in 0..40 {
+            db.insert(&format!("r{round}n{i}"), "p", "a");
+            db.delete("c", "q", "a");
+        }
+        db.commit();
+        db.checkpoint().unwrap();
+        assert_eq!(answer(&held), before, "after checkpoint {round}");
+        assert_eq!(held.ring.decode_triples(true).unwrap().len(), 3);
+    }
+    assert_ne!(answer(&db.store().snapshot()), before);
 }
 
 /// A checkpoint rotates the WAL: reopen after it replays nothing and
@@ -188,35 +266,34 @@ fn open_durable_cleans_orphaned_temp_files() {
     drop(db);
 }
 
-/// Checksum-less v1 stream files (same payload, `RRPQDU01`/`RRPQDB01`
-/// magic, no footer) still load — with a warning, not an error.
+/// The formats earlier builds wrote are refused, not misread: every way
+/// in names the format and the command that rebuilds the index, and
+/// touches nothing beside the file.
 #[test]
-fn v1_files_without_checksums_still_load() {
+fn old_formats_are_refused_not_misread() {
     let _guard = lock_faults();
-    let dir = tmpdir("v1compat");
-    let path = dir.join("db.rpq");
-    // A committed delta forces the *updatable* stream format.
-    let fresh = UpdatableDatabase::from_text(BASE).unwrap();
-    fresh.insert("d", "p", "e");
-    fresh.commit();
-    fresh.save(&path).unwrap();
-    let v2 = std::fs::read(&path).unwrap();
-    assert_eq!(&v2[..8], b"RRPQDU02");
-
-    // v1 image: v1 magic, same payload, no 16-byte checksum footer.
-    let mut v1 = v2.clone();
-    v1[..8].copy_from_slice(b"RRPQDU01");
-    v1.truncate(v2.len() - 16);
-    let v1_path = dir.join("old.rpq");
-    std::fs::write(&v1_path, &v1).unwrap();
-
-    let old = UpdatableDatabase::load(&v1_path).unwrap();
-    let new = UpdatableDatabase::load(&path).unwrap();
-    assert_eq!(edges(&old), edges(&new));
-
-    // Re-saving upgrades to the checksummed format.
-    old.save(&v1_path).unwrap();
-    assert_eq!(&std::fs::read(&v1_path).unwrap()[..8], b"RRPQDU02");
+    let dir = tmpdir("refused");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/metro_with_l_o.db");
+    let old = dir.join("old.db");
+    std::fs::copy(&fixture, &old).unwrap();
+    let check = |err: std::io::Error| {
+        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("RRPQDB02"), "{msg}");
+        assert!(msg.contains("rpq-cli build <graph> <index>"), "{msg}");
+    };
+    check(RpqDatabase::open(&old).err().expect("open"));
+    check(UpdatableDatabase::load(&old).err().expect("load"));
+    check(
+        UpdatableDatabase::open_durable(&old)
+            .err()
+            .expect("durable"),
+    );
+    assert!(!UpdatableDatabase::wal_path(&old).exists());
+    assert_eq!(
+        std::fs::read(&old).unwrap(),
+        std::fs::read(&fixture).unwrap()
+    );
 }
 
 /// Killing the WAL append under `commit` must not lose acknowledged
@@ -301,13 +378,13 @@ impl XorShift {
     }
 }
 
-/// Seeded single-bit flips over a full `RRPQDU02` image: every flip is
+/// Seeded single-bit flips over a full snapshot image: every flip is
 /// either detected (typed load error) or harmless (loads with identical
 /// answers). Never a panic, never silently wrong data.
 #[test]
-fn stream_bit_flip_fuzz_never_yields_wrong_answers() {
+fn snapshot_bit_flip_fuzz_never_yields_wrong_answers() {
     let _guard = lock_faults();
-    let dir = tmpdir("streamflip");
+    let dir = tmpdir("snapflip");
     let path = fresh_saved(&dir, "db.rpq");
     let bytes = std::fs::read(&path).unwrap();
     let expect = edges(&UpdatableDatabase::load(&path).unwrap());
@@ -315,7 +392,7 @@ fn stream_bit_flip_fuzz_never_yields_wrong_answers() {
     let mut flips: Vec<(usize, u8)> = Vec::new();
     for off in 0..64.min(bytes.len()) {
         for bit in 0..8u8 {
-            flips.push((off, bit)); // magic + leading counts: exhaustive
+            flips.push((off, bit)); // magic, version and first TOC entry: exhaustive
         }
     }
     let mut rng = XorShift(0xD00D_F00D_1CDE_2022);
@@ -374,4 +451,121 @@ fn drain_checkpoints_a_durable_source() {
     // The checkpointed snapshot holds the committed edge.
     let revived = UpdatableDatabase::open_durable(&path).unwrap();
     assert!(edges(&revived).contains(&("d".into(), "p".into(), "e".into())));
+}
+
+const NODES: [&str; 6] = ["a", "b", "c", "n3", "n4", "n5"];
+const PREDS: [&str; 3] = ["p", "q", "r"];
+
+#[derive(Clone, Debug)]
+enum Step {
+    Insert(usize, usize, usize),
+    Delete(usize, usize, usize),
+    Commit,
+    Compact,
+    Save,
+    Reopen,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let triple = (0..NODES.len(), 0..PREDS.len(), 0..NODES.len());
+    prop_oneof![
+        4 => triple.clone().prop_map(|(s, p, o)| Step::Insert(s, p, o)),
+        3 => triple.prop_map(|(s, p, o)| Step::Delete(s, p, o)),
+        2 => Just(Step::Commit),
+        1 => Just(Step::Compact),
+        2 => Just(Step::Save),
+        1 => Just(Step::Reopen),
+    ]
+}
+
+/// Every edge of `db` over the step alphabet (a label no triple ever
+/// used is unknown to the parser: no edges).
+fn all_edges(query: impl Fn(&str) -> Option<Vec<(String, String)>>) -> BTreeSet<[String; 3]> {
+    PREDS
+        .iter()
+        .flat_map(|p| {
+            let pairs = query(p).unwrap_or_default();
+            pairs.into_iter().map(|(s, o)| [s, p.to_string(), o])
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random insert/delete/commit/compact/save/reopen sequences against
+    /// a set of name triples: what a reopen finds is what was committed
+    /// (durably) or saved (otherwise), every save is a file the immutable
+    /// API opens to the same edges at the same epoch, and names that
+    /// only uncommitted or deleted triples used never make a file its
+    /// readers refuse.
+    #[test]
+    fn random_update_save_reopen_sequences_match_the_model(
+        steps in prop::collection::vec(arb_step(), 1..40),
+        durable in any::<bool>(),
+    ) {
+        let _guard = lock_faults();
+        let dir = tmpdir("sequences");
+        let path = fresh_saved(&dir, "db.rpq");
+        let open = |path: &Path| {
+            if durable {
+                UpdatableDatabase::open_durable(path)
+            } else {
+                UpdatableDatabase::load(path)
+            }
+            .map(|db| db.with_auto_compact_ratio(Some(0.75)))
+        };
+        let name = |(s, p, o): (usize, usize, usize)| {
+            [NODES[s].to_string(), PREDS[p].to_string(), NODES[o].to_string()]
+        };
+        let mut db = open(&path).unwrap();
+        let mut committed: BTreeSet<[String; 3]> =
+            all_edges(|p| db.query("?x", p, "?y").ok());
+        prop_assert_eq!(committed.len(), 3);
+        let mut saved = committed.clone();
+        let mut pending: Vec<(bool, [String; 3])> = Vec::new();
+        for step in steps {
+            match step {
+                Step::Insert(s, p, o) => {
+                    let t = name((s, p, o));
+                    db.insert(&t[0], &t[1], &t[2]);
+                    pending.push((true, t));
+                }
+                Step::Delete(s, p, o) => {
+                    let t = name((s, p, o));
+                    db.delete(&t[0], &t[1], &t[2]);
+                    pending.push((false, t));
+                }
+                Step::Commit => {
+                    db.commit();
+                    for (insert, t) in pending.drain(..) {
+                        if insert {
+                            committed.insert(t);
+                        } else {
+                            committed.remove(&t);
+                        }
+                    }
+                }
+                Step::Compact => {
+                    db.compact();
+                }
+                Step::Save => {
+                    db.save(&path).unwrap();
+                    saved = committed.clone();
+                    let plain = RpqDatabase::open(&path).unwrap();
+                    prop_assert_eq!(&all_edges(|p| plain.query("?x", p, "?y").ok()), &saved);
+                    prop_assert_eq!(UpdatableDatabase::load(&path).unwrap().epoch(), db.epoch());
+                }
+                Step::Reopen => {
+                    drop(db);
+                    db = open(&path).unwrap();
+                    pending.clear();
+                    if !durable {
+                        committed = saved.clone();
+                    }
+                }
+            }
+            prop_assert_eq!(&all_edges(|p| db.query("?x", p, "?y").ok()), &committed);
+        }
+    }
 }

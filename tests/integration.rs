@@ -78,10 +78,10 @@ fn database_persistence_roundtrip() {
     let dir = std::env::temp_dir().join("ring_rpq_db_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("metro.db");
-    db.save(&path).unwrap();
+    db.save_mapped(&path).unwrap();
 
-    let loaded = RpqDatabase::load(&path).unwrap();
-    // The loaded index answers identically without rebuilding.
+    let loaded = RpqDatabase::open(&path).unwrap();
+    // The opened index answers identically without rebuilding.
     for (expr, anchor) in [("l5+/bus", "Baquedano"), ("(l1|l2|l5)+", "SantaAna")] {
         assert_eq!(
             loaded.query(anchor, expr, "?y").unwrap(),
@@ -94,8 +94,8 @@ fn database_persistence_roundtrip() {
 
     // Corrupt file is rejected.
     let bad = dir.join("bad.db");
-    std::fs::write(&bad, b"RRPQDB01 garbage").unwrap();
-    assert!(RpqDatabase::load(&bad).is_err());
+    std::fs::write(&bad, b"RRPQM01\0 garbage").unwrap();
+    assert!(RpqDatabase::open(&bad).is_err());
 }
 
 #[test]

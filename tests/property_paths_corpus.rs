@@ -231,8 +231,8 @@ fn corpus_matches_oracle() {
 fn corpus_is_stable_under_persistence() {
     let db = RpqDatabase::from_text(DATA).unwrap();
     let path = std::env::temp_dir().join("corpus_roundtrip.db");
-    db.save(&path).unwrap();
-    let loaded = RpqDatabase::load(&path).unwrap();
+    db.save_mapped(&path).unwrap();
+    let loaded = RpqDatabase::open(&path).unwrap();
     for (s, e, o, expected) in corpus() {
         let got = loaded.query(s, e, o).unwrap();
         let got: Vec<(&str, &str)> = got.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
