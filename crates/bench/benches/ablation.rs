@@ -1,16 +1,14 @@
-//! Ablations of two of the paper's design choices:
-//!
-//! * **A1** — §4.1's B-masked wavelet traversal vs probing every query
-//!   label with a plain backward-search step (what a ring without the
-//!   per-node masks would do).
-//! * **Node pruning** — §4.2's `D[v]` masks on vs off.
+//! Ablation **A1** of the paper's design choices: §4.1's B-masked
+//! wavelet traversal vs probing every query label with a plain
+//! backward-search step (what a ring without the per-node masks would
+//! do). §4.2's internal-node masks are not implemented;
+//! `crates/core/README.md` ("What each mechanism buys") says why.
 
 use automata::parser::{parse, NumericResolver};
 use automata::{BitParallel, Glushkov};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ring::ring::RingOptions;
 use ring::Ring;
-use rpq_core::{EngineOptions, RpqEngine, RpqQuery, Term};
 use std::time::Duration;
 use workload::{GraphGen, GraphGenConfig};
 
@@ -90,41 +88,12 @@ fn bench_masked_vs_probing(c: &mut Criterion) {
     });
 }
 
-/// Node-pruning ablation: the intersection-maintained D[v] masks on vs off
-/// for a saturating closure query.
-fn bench_node_pruning(c: &mut Criterion) {
-    let graph = GraphGen::new(GraphGenConfig {
-        n_nodes: 1 << 12,
-        n_preds: 16,
-        n_edges: 1 << 15,
-        ..Default::default()
-    })
-    .generate();
-    let ring = Ring::build(&graph, RingOptions::default());
-    let mut engine = RpqEngine::new(&ring);
-    let r = NumericResolver { n_base: 16 };
-    let expr = parse("(0|1|2)+", &r).unwrap();
-    let query = RpqQuery::new(Term::Var, expr, Term::Var);
-
-    for pruning in [false, true] {
-        let opts = EngineOptions {
-            node_pruning: pruning,
-            fast_paths: false,
-            limit: 1_000_000,
-            ..EngineOptions::default()
-        };
-        c.bench_function(&format!("node_pruning_{pruning}"), |b| {
-            b.iter(|| black_box(engine.evaluate(&query, &opts).unwrap().pairs.len()))
-        });
-    }
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    targets = bench_masked_vs_probing, bench_node_pruning
+    targets = bench_masked_vs_probing
 }
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! fit, plus the wavelet-node count (the constant the log factor hides).
 
 use rpq_bench::{build_ring, BenchConfig};
-use rpq_core::{EngineOptions, RpqEngine};
+use rpq_core::{EngineOptions, EvalRoute, RpqEngine};
 use std::time::Instant;
 
 fn main() {
@@ -15,9 +15,9 @@ fn main() {
     let ring = build_ring(&graph);
     let log = cfg.log(&graph);
     let mut engine = RpqEngine::new(&ring);
-    // Fast paths off: the theorem is about the general traversal.
+    // The traversal forced: the theorem is about it, not the §5 joins.
     let opts = EngineOptions {
-        fast_paths: false,
+        forced_route: Some(EvalRoute::BitParallel),
         limit: cfg.limit,
         timeout: Some(cfg.timeout),
         ..EngineOptions::default()

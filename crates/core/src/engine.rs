@@ -17,11 +17,10 @@ use crate::{fastpath, QueryError};
 
 /// The RPQ engine: borrows a source — a [`Ring`], optionally under a
 /// delta overlay or beside further shards — and owns an
-/// [`EngineScratch`], the working memory of its evaluations (the `B[v]`,
-/// `D[v]` and `D[s]` mask tables with constant-time lazy reset,
-/// §4.1–4.2). Construction is *O*(1): the scratch starts empty, and the
-/// one per-index table the traversal needs
-/// ([`Ring::ls_occupancy`]) belongs to the ring.
+/// [`EngineScratch`], the working memory of its evaluations (the `B[v]`
+/// and `D[s]` mask tables with constant-time lazy reset, §4.1–4.2).
+/// Construction is *O*(1): the scratch starts empty, and the traversal
+/// needs no per-index table beside the source itself.
 ///
 /// ```
 /// use automata::Regex;
@@ -104,9 +103,9 @@ impl<'r> RpqEngine<'r> {
 
     /// Bytes of working memory this engine holds (Table 2's
     /// working-space accounting): the mask tables the traversals run so
-    /// far have sized — `B[v]` and `D[v]`/`D[s]` over a bare ring, the
-    /// per-node `D[s]` over a delta or sharded source — plus the capacity
-    /// of the traversal buffers. Zero before the first traversal.
+    /// far have sized — the per-node `D[s]` on every source, and `B[v]`
+    /// over a bare ring — plus the capacity of the traversal buffers.
+    /// Zero before the first traversal.
     pub fn working_space_bytes(&self) -> usize {
         self.scratch.size_bytes()
     }
@@ -143,8 +142,8 @@ impl<'r> RpqEngine<'r> {
     /// server's metrics — observe exactly what ran. The prepared
     /// query's transition tables are used as-is (the
     /// `opts.bp_split_width` of this call is ignored); everything else
-    /// in `opts` — limits, timeout, node budget, fast paths, pruning,
-    /// route forcing — applies per call.
+    /// in `opts` — limits, timeout, node budget, route forcing — applies
+    /// per call.
     pub fn evaluate_prepared(
         &mut self,
         prepared: &PreparedQuery,

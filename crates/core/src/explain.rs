@@ -60,7 +60,7 @@ pub fn explain(
 
 /// Explains `query` under explicit options — the same options a later
 /// [`RpqEngine::evaluate`](crate::RpqEngine::evaluate) call would use,
-/// so toggles like `fast_paths` and `forced_route` show their effect —
+/// so a `forced_route` or a thread grant shows its effect —
 /// against any [`TripleSource`]: a bare ring, a live-store snapshot, or a
 /// sharded source, whose per-shard cardinalities the statistics provider
 /// sums so the explained plan is byte-for-byte the plan the engine would

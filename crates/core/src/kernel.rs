@@ -10,17 +10,14 @@ use std::time::Instant;
 use automata::glushkov::INITIAL;
 use automata::{BitParallel, Label};
 use ring::Id;
-use succinct::util::{BitSet, EpochArray};
+use succinct::util::EpochArray;
 
 use crate::pairbuf::PairBuffer;
 use crate::planner::Direction;
 use crate::profile::LevelProf;
 use crate::query::{EngineOptions, QueryOutput, Term, TraversalStats};
 use crate::scratch::EngineScratch;
-use crate::step::{
-    group_by_key, negated_firing_labels, propagate_up, ChunkExpansion, Firing, StepSource,
-    VisitedLayout,
-};
+use crate::step::{group_by_key, negated_firing_labels, ChunkExpansion, Firing, StepSource};
 
 /// The frontier items a traversal's first chunk holds. A BFS level is
 /// swept in chunks, in node order, and the chunk **grows with the
@@ -393,22 +390,19 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
             next_frontier,
             expansions,
         } = &mut *self.scratch;
-        let VisitedLayout { base, len, tree } = src.prepare(bp, lp_masks);
-        visited.ensure_len(len);
+        src.prepare(bp, lp_masks);
+        visited.ensure_len(src.n_nodes() as usize);
         visited.reset();
         let firing = Firing {
             labels,
             automaton: Some((bp, lp_masks)),
         };
-        let tree = tree.filter(|_| opts.node_pruning);
         frontier.clear();
         next_frontier.clear();
         if expansions.is_empty() {
             expansions.push(ChunkExpansion::default());
         }
         let mut replay = Replay {
-            base,
-            tree,
             budget,
             deadline: self.deadline,
             stats,
@@ -421,7 +415,7 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
             Start::Object(o) => {
                 // Mark F on the start node (§4.2) and report a zero-length
                 // match if the initial state is already accepting.
-                visited.set(base + o as usize, d0);
+                visited.set(o as usize, d0);
                 if src.node_exists(o) {
                     if d0 & INITIAL != 0 {
                         replay.stats.reported += 1;
@@ -502,7 +496,7 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
                     expansions,
                     |visited, piece, x| {
                         src.fire(&firing, piece, x);
-                        src.subjects(Some((visited, base, tree.is_some())), x);
+                        src.subjects(Some(visited), x);
                     },
                     |visited, x| {
                         replay.stats.parallel_chunks += u64::from(fan);
@@ -520,10 +514,6 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
 /// of the visited masks, and the one place budget, deadline, trace,
 /// `report` and the product-graph counters live.
 struct Replay<'a> {
-    /// [`VisitedLayout::base`] and, under node pruning,
-    /// [`VisitedLayout::tree`].
-    base: usize,
-    tree: Option<(&'a BitSet, usize)>,
     budget: Option<u64>,
     deadline: Option<Instant>,
     stats: &'a mut TraversalStats,
@@ -560,8 +550,7 @@ impl Replay<'_> {
                 for &s in subjects {
                     // The per-node visited filter D[s]: soundness and
                     // Theorem 4.1 depend on it.
-                    let idx = self.base + s as usize;
-                    let old = visited.get(idx);
+                    let old = visited.get(s as usize);
                     let fresh = d_new & !old;
                     if fresh == 0 {
                         continue;
@@ -569,10 +558,7 @@ impl Replay<'_> {
                     if self.budget.is_some_and(|nb| stats.product_nodes >= nb) {
                         return Err(Stop::Budget);
                     }
-                    visited.set(idx, old | d_new);
-                    if let Some((occupancy, width)) = self.tree {
-                        propagate_up(visited, occupancy, width, s);
-                    }
+                    visited.set(s as usize, old | d_new);
                     stats.product_nodes += 1;
                     if let Some(t) = self.trace.as_deref_mut() {
                         t.push((s, fresh));

@@ -247,7 +247,7 @@ fn choose_route(
             return forced;
         }
     }
-    if opts.fast_paths && !matches!(prepared.shape(), Shape::Other) {
+    if !matches!(prepared.shape(), Shape::Other) {
         return EvalRoute::FastPath;
     }
     if prepared.uses_fallback() {
@@ -405,7 +405,7 @@ mod tests {
         assert_eq!(plan.route, EvalRoute::FastPath);
         assert_eq!(plan.direction, None);
         let opts = EngineOptions {
-            fast_paths: false,
+            forced_route: Some(EvalRoute::BitParallel),
             ..opts
         };
         let plan = super::plan(&stats, &p, Term::Var, Term::Var, &opts);

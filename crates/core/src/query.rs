@@ -74,19 +74,6 @@ pub struct EngineOptions {
     /// The clock is read between frontier chunks and every 64 BFS steps
     /// within one, so a run overshoots by at most one chunk's expansion.
     pub timeout: Option<Duration>,
-    /// Use the §5 fast paths for single-predicate, disjunction and
-    /// two-step concatenation patterns.
-    pub fast_paths: bool,
-    /// Apply the §4.2 pruning masks `D[v]` at *internal* wavelet nodes of
-    /// `L_s`, maintained as the **intersection** of the visited sets below
-    /// each node (the invariant the paper states). The update rule printed
-    /// in the paper (`D[v] ← D | D[v]`) would violate that invariant and
-    /// over-prunes — our differential tests demonstrate lost answers on the
-    /// paper's own Fig. 6 trace — so we propagate leaf updates upward
-    /// instead, treating subject-free subtrees as saturated. The leaf-level
-    /// filter `D[s]`, which termination and Theorem 4.1 rely on, is always
-    /// on. See "Deviations from the paper" in this crate's `README.md`.
-    pub node_pruning: bool,
     /// Vertical split width `d` of the §3.3 **bit-parallel transition
     /// tables** (each table row is split into `⌈m/d⌉` chunks of `d`
     /// bits, trading table size against lookups per step). This is a
@@ -96,12 +83,13 @@ pub struct EngineOptions {
     /// field was renamed from `split_width` so the two concepts cannot
     /// be confused.
     pub bp_split_width: usize,
-    /// Force the planner's evaluation route, bypassing its cost model
-    /// (the `fast_paths` toggle included). Infeasible forcings — a fast
-    /// path on a non-§5 shape, bit-parallel beyond the word width, a
-    /// split on an anchored or split-free query — fall back to the
-    /// natural choice. Differential tests use this to drive every route
-    /// over one corpus; `None` (the default) plans normally.
+    /// Force the planner's evaluation route, bypassing its cost model.
+    /// Infeasible forcings — a fast path on a non-§5 shape, bit-parallel
+    /// beyond the word width, a split on an anchored or split-free query
+    /// — fall back to the natural choice. `Some(EvalRoute::BitParallel)`
+    /// runs a §5 shape through the traversal instead of its join.
+    /// Differential tests use this to drive every route over one corpus;
+    /// `None` (the default) plans normally.
     pub forced_route: Option<crate::plan::EvalRoute>,
     /// Record every product-graph visit `(node, fresh state mask)` into
     /// [`QueryOutput::trace`] — the information Fig. 6 tabulates. Costs
@@ -156,8 +144,6 @@ impl Default for EngineOptions {
         Self {
             limit: 1_000_000,
             timeout: None,
-            fast_paths: true,
-            node_pruning: true,
             bp_split_width: automata::bitparallel::DEFAULT_SPLIT_WIDTH,
             forced_route: None,
             collect_trace: false,
@@ -281,7 +267,6 @@ mod tests {
     fn default_options_match_paper() {
         let o = EngineOptions::default();
         assert_eq!(o.limit, 1_000_000);
-        assert!(o.fast_paths);
-        assert!(o.node_pruning);
+        assert_eq!(o.forced_route, None);
     }
 }

@@ -1,12 +1,11 @@
 //! Reusable working memory: what an [`RpqEngine`] mutates while it
 //! evaluates, kept apart from the source it evaluates against.
 //!
-//! An engine is three things with three lifetimes. The `L_s` occupancy
-//! table is static per index and lives in the [`ring::Ring`]; the
-//! source (ring, delta overlay, shard parts) is borrowed per query; the
-//! mask tables and traversal buffers — this module — depend on neither,
-//! so one [`EngineScratch`] serves any sequence of sources and
-//! constructing an engine around it costs *O*(1).
+//! An engine is two things with two lifetimes. The source (ring, delta
+//! overlay, shard parts) is borrowed per query; the mask tables and
+//! traversal buffers — this module — do not depend on it, so one
+//! [`EngineScratch`] serves any sequence of sources and constructing an
+//! engine around it costs *O*(1).
 
 use std::mem::size_of;
 use std::sync::Mutex;
@@ -22,7 +21,7 @@ use crate::step::ChunkExpansion;
 /// logical reset, and its frontier buffers. A fresh scratch holds
 /// nothing; the first bit-parallel evaluation sizes what its source
 /// reads — `B[v]` only where `L_p` is swept (a bare ring), the visited
-/// table in the layout the source asks for — and later ones grow it in
+/// table to the source's node universe — and later ones grow it in
 /// place. The §5 fast paths keep their batch buffers to themselves.
 ///
 /// Detach it from one engine ([`RpqEngine::into_scratch`]) and attach it
@@ -33,12 +32,8 @@ use crate::step::ChunkExpansion;
 pub struct EngineScratch {
     /// `B[v]` masks over the wavelet nodes of `L_p`, heap-ordered.
     pub(crate) lp_masks: EpochArray,
-    /// The visited sets `D[s]`, one table for every source. A bare ring
-    /// lays it out over the wavelet nodes of `L_s`: the leaf level
-    /// (`node_index(width, s)`) holds the per-graph-node sets, and
-    /// internal nodes hold the intersection of the sets below them
-    /// (subject-free subtrees counting as saturated). A delta or sharded
-    /// source keeps one cell per graph node.
+    /// The visited sets, one cell per graph node: `D[s]` in cell `s`, on
+    /// every source.
     pub(crate) visited: EpochArray,
     /// The current BFS level: `(node, state mask)` per item.
     pub(crate) frontier: Vec<(Id, u64)>,

@@ -21,13 +21,13 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use automata::{BitParallel, Label};
+use automata::Label;
 use ring::delta::DeltaIndex;
 use ring::store::StoreSnapshot;
 use ring::{Id, Ring};
 use succinct::util::{BitSet, EpochArray};
 
-use crate::step::{ChunkExpansion, Firing, Hit, Range, StepSource, Visited, VisitedLayout};
+use crate::step::{ChunkExpansion, Firing, Hit, Range, StepSource};
 
 /// One shard of a horizontally partitioned source: its sub-ring plus a
 /// relaxed probe counter (how many gather primitives actually consulted
@@ -537,15 +537,6 @@ impl StepSource for MergedView<'_> {
         self.first_subjects_of_pred(p, cap, out)
     }
 
-    /// One `D[s]` cell per graph node, no internal nodes to prune by.
-    fn prepare(&self, _: &BitParallel, _: &mut EpochArray) -> VisitedLayout<'_> {
-        VisitedLayout {
-            base: 0,
-            len: MergedView::n_nodes(self) as usize,
-            tree: None,
-        }
-    }
-
     /// One batched backward step per firing label and owner, then the
     /// hits regrouped item by item and the owners' ranges of one `(item,
     /// label)` folded into one work item.
@@ -612,7 +603,7 @@ impl StepSource for MergedView<'_> {
 
     /// One sweep of `L_s` per part that holds ranges; the answers of
     /// several parts, and a delta's adds, are merged subject by subject.
-    fn subjects(&self, visited: Option<Visited<'_>>, x: &mut ChunkExpansion) {
+    fn subjects(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion) {
         x.candidates.clear();
         let n_work = x.work_d.len();
         // Whether `candidates` holds more than one sorted run.

@@ -9,19 +9,21 @@
 //!   label)` with at least one live edge, item by item, each item's
 //!   labels ascending;
 //! * **part two** ([`StepSource::subjects`]): the subjects of every work
-//!   item, ascending and distinct, read-only against the visited masks.
+//!   item, ascending and distinct, read-only against the visited table —
+//!   one cell per graph node, `D[s]` in cell `s`, on every source.
 //!
 //! A bare [`Ring`] answers each with one level-synchronous sweep (`L_p`,
 //! then `L_s`); a [`MergedView`](crate::MergedView) over a delta or a
 //! shard set answers with per-owner-shard sweeps merged with the delta
-//! arrays ([`crate::source`]). Everything else — frontier, replay,
-//! budget, trace, limits — is written once over this trait.
+//! arrays ([`crate::source`]). Everything else — frontier, visited
+//! table, replay, budget, trace, limits — is written once over this
+//! trait.
 
 use std::mem::size_of;
 
 use automata::{BitParallel, Label};
 use ring::{Id, Ring};
-use succinct::util::{BitSet, EpochArray};
+use succinct::util::EpochArray;
 use succinct::wavelet_matrix::{MultiRangeGuide, MultiTraversal};
 use succinct::WaveletMatrix;
 
@@ -54,24 +56,6 @@ pub(crate) fn negated_firing_labels(n_preds: Id, bp: &BitParallel) -> Vec<(Label
         .filter(|&(_, mask)| mask != 0)
         .collect()
 }
-
-/// Where a source wants the visited sets `D[s]` kept.
-pub(crate) struct VisitedLayout<'a> {
-    /// `D[s]` sits in cell `base + s`.
-    pub(crate) base: usize,
-    /// Cells the table needs.
-    pub(crate) len: usize,
-    /// Set when the cells below `base` are the internal wavelet nodes of
-    /// the one `L_s` part two sweeps (its occupancy table and width):
-    /// they then hold the intersection of the sets below them and prune
-    /// the sweep (§4.2).
-    pub(crate) tree: Option<(&'a BitSet, usize)>,
-}
-
-/// The visited table as part two reads it: the masks, where `D[s]` sits
-/// in them ([`VisitedLayout::base`]), and whether internal nodes may
-/// refuse a subtree.
-pub(crate) type Visited<'a> = (&'a EpochArray, usize, bool);
 
 /// A range of positions of one `L_p` or `L_s`, as a chunk's buffers keep
 /// them: a chunk holds several per item and per edge, and the sweeps
@@ -198,16 +182,16 @@ impl ChunkExpansion {
     }
 
     /// One sweep of `ls` over `ranges` — one range per work item — under
-    /// `visited`: appends what it finds to `candidates`.
-    pub(crate) fn sweep_subjects(&mut self, ls: &WaveletMatrix, visited: Option<Visited<'_>>) {
+    /// the `visited` table, `D[s]` in cell `s`: appends what it finds to
+    /// `candidates`.
+    pub(crate) fn sweep_subjects(&mut self, ls: &WaveletMatrix, visited: Option<&EpochArray>) {
         let mut guide = SubjGuideMulti {
             d_new: &self.work_d,
             visited,
             width: ls.width(),
             out: &mut self.candidates,
             nodes_entered: &mut self.wavelet_nodes,
-            node: 0,
-            node_mask: None,
+            seen: None,
         };
         self.mt.run(ls, &self.ranges, &mut guide);
         self.rank_ops += self.mt.ranks;
@@ -274,16 +258,17 @@ pub(crate) trait StepSource: Sync {
     }
 
     /// Readies `lp_masks` for [`Self::fire`] under `bp`, if part one
-    /// reads them, and says how the visited table is to be laid out.
-    fn prepare(&self, bp: &BitParallel, lp_masks: &mut EpochArray) -> VisitedLayout<'_>;
+    /// reads them.
+    fn prepare(&self, _bp: &BitParallel, _lp_masks: &mut EpochArray) {}
 
     /// Part one: replaces `x`'s work items with those of `chunk`.
     fn fire(&self, firing: &Firing<'_>, chunk: &[(Id, u64)], x: &mut ChunkExpansion);
 
     /// Part two: the subjects of `x`'s work items not ruled out by the
-    /// `visited` masks (all of them under `None`) — `x.candidates` subject
-    /// by subject, `x.subjects` / `x.work_end` work item by work item.
-    fn subjects(&self, visited: Option<Visited<'_>>, x: &mut ChunkExpansion);
+    /// `visited` table — one cell per node, `D[s]` in cell `s`; all of
+    /// them under `None` — `x.candidates` subject by subject,
+    /// `x.subjects` / `x.work_end` work item by work item.
+    fn subjects(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion);
 }
 
 /// One label into one batch of nodes with no automaton in between: both
@@ -340,14 +325,8 @@ impl StepSource for Ring {
         out.extend(hits.iter().map(|hit| hit.0));
     }
 
-    fn prepare(&self, bp: &BitParallel, lp_masks: &mut EpochArray) -> VisitedLayout<'_> {
+    fn prepare(&self, bp: &BitParallel, lp_masks: &mut EpochArray) {
         seed_label_masks(lp_masks, self.l_p(), bp);
-        let ls = self.l_s();
-        VisitedLayout {
-            base: WaveletMatrix::node_index(ls.width(), 0),
-            len: ls.node_table_len(),
-            tree: Some((self.ls_occupancy(), ls.width())),
-        }
     }
 
     /// With an automaton, one sweep of `L_p` over the items' object
@@ -402,7 +381,7 @@ impl StepSource for Ring {
         );
     }
 
-    fn subjects(&self, visited: Option<Visited<'_>>, x: &mut ChunkExpansion) {
+    fn subjects(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion) {
         x.candidates.clear();
         x.sweep_subjects(self.l_s(), visited);
         x.group_candidates();
@@ -507,87 +486,46 @@ pub(crate) fn neg_range_mask(
     mask
 }
 
-/// §4.2 over a whole chunk: skip subjects (and subtrees) already visited
-/// with every state their work item would add. Internal nodes hold the
-/// **intersection** of the visited sets of the occupied leaves below them
-/// — the invariant the paper states for `D[v]`, maintained by
-/// [`propagate_up`] from each leaf update. The masks are read, never
-/// written: what that admits in excess the replay's leaf filter removes
-/// ([`crate::kernel::Traversal`]).
+/// §4.2's leaf filter over a whole chunk: skip subjects already visited
+/// with every state their work item would add. Internal nodes are never
+/// refused (the crate's `README.md`, "Deviations from the paper"). The
+/// masks are read, never written: what that admits in excess the
+/// replay's leaf filter removes ([`crate::kernel::Traversal`]).
 struct SubjGuideMulti<'a> {
     /// Per work item, its `D'`.
     d_new: &'a [u64],
     /// `None`: every subject is wanted (the §5 joins).
-    visited: Option<Visited<'a>>,
+    visited: Option<&'a EpochArray>,
     width: usize,
     /// `(work item, subject)`, in arrival order.
     out: &'a mut Vec<(u32, u32)>,
     nodes_entered: &'a mut u64,
-    /// Table index of the node entered most recently, and its mask once
-    /// an item has asked for it.
-    node: usize,
-    node_mask: Option<u64>,
+    /// `D[s]` of the leaf entered most recently, once an item has asked
+    /// for it.
+    seen: Option<u64>,
 }
 
 impl MultiRangeGuide for SubjGuideMulti<'_> {
     const LEAF_RANKS: bool = false;
-    // A node is refused only if every leaf below it would be.
+    // Only leaves are refused.
     const UNIT_SHORTCUT: bool = true;
 
-    fn enter_node(&mut self, level: usize, prefix: u64) -> bool {
+    fn enter_node(&mut self, _level: usize, _prefix: u64) -> bool {
         *self.nodes_entered += 1;
-        self.node = match self.visited {
-            Some((_, base, _)) if level == self.width => base + prefix as usize,
-            _ => WaveletMatrix::node_index(level, prefix),
-        };
-        self.node_mask = None;
+        self.seen = None;
         true
     }
 
-    fn enter_item(&mut self, item: u32, level: usize, _prefix: u64) -> bool {
-        let Some((masks, _, pruning)) = self.visited else {
+    fn enter_item(&mut self, item: u32, level: usize, prefix: u64) -> bool {
+        let Some(masks) = self.visited.filter(|_| level == self.width) else {
             return true;
         };
-        if level < self.width && !pruning {
-            return true;
-        }
-        // At a leaf, the per-node visited filter `D[s]`. Above, a node is
-        // pruned when every occupied subject below already carries all
-        // of `D'` — sound because the mask is an intersection lower
-        // bound (default 0 never over-prunes).
-        let seen = *self.node_mask.get_or_insert_with(|| masks.get(self.node));
+        let seen = *self.seen.get_or_insert_with(|| masks.get(prefix as usize));
         self.d_new[item as usize] & !seen != 0
     }
 
     fn leaf(&mut self, item: u32, sym: u64, _rank_b: usize, _rank_e: usize) {
         self.out.push((item, sym as u32));
-    }
-}
-
-/// Re-establishes the intersection invariant of the internal `D[v]`
-/// masks on the leaf-to-root path above `sym`, stopping as soon as an
-/// ancestor's value is unchanged.
-pub(crate) fn propagate_up(masks: &mut EpochArray, occ: &BitSet, width: usize, sym: u64) {
-    let mut prefix = sym;
-    for level in (0..width).rev() {
-        prefix >>= 1;
-        let left = WaveletMatrix::node_index(level + 1, prefix << 1);
-        let dl = if occ.get(left) {
-            masks.get(left)
-        } else {
-            u64::MAX
-        };
-        let dr = if occ.get(left + 1) {
-            masks.get(left + 1)
-        } else {
-            u64::MAX
-        };
-        let v = WaveletMatrix::node_index(level, prefix);
-        let merged = dl & dr;
-        if masks.get(v) == merged {
-            break;
-        }
-        masks.set(v, merged);
     }
 }
 

@@ -4,8 +4,8 @@
 //! Every query engine in the workspace must produce the *same answer
 //! set* on the same `(graph, query)` pair:
 //!
-//! * [`RpqEngine`] — the paper's ring traversal, in all four
-//!   fast-path × node-pruning option combinations;
+//! * [`RpqEngine`] — the paper's ring traversal, planned freely and
+//!   forced onto the bit-parallel traversal (so §5 shapes run both ways);
 //! * `rpq_core::oracle::evaluate_naive` — the naive product-graph BFS,
 //!   used as ground truth;
 //! * the `baselines` engines over a shared [`AdjacencyIndex`]:
@@ -24,7 +24,7 @@ use baselines::{
 use ring::ring::RingOptions;
 use ring::{Graph, Ring};
 use rpq_core::oracle::evaluate_naive;
-use rpq_core::{EngineOptions, RpqEngine, RpqQuery};
+use rpq_core::{EngineOptions, EvalRoute, RpqEngine, RpqQuery};
 use std::sync::Arc;
 use workload::{GraphGen, GraphGenConfig, QueryGen};
 
@@ -57,31 +57,27 @@ fn assert_all_engines_agree(
     // The ring engine, across its option matrix (including intra-query
     // parallelism, which must be invisible in the answers).
     let mut engine = RpqEngine::new(ring);
-    for fast_paths in [false, true] {
-        for node_pruning in [false, true] {
-            for threads in test_threads() {
-                let opts = EngineOptions {
-                    fast_paths,
-                    node_pruning,
-                    intra_query_threads: threads,
-                    parallel_min_frontier: if threads > 1 { 2 } else { 2048 },
-                    ..Default::default()
-                };
-                let out = engine
-                    .evaluate(query, &opts)
-                    .unwrap_or_else(|e| panic!("{context}: ring engine failed: {e}"));
-                assert!(
-                    !out.truncated && !out.timed_out,
-                    "{context}: ring engine hit limits unexpectedly"
-                );
-                assert_eq!(
-                    out.sorted_pairs(),
-                    expected,
-                    "{context}: ring engine (fast_paths={fast_paths}, \
-                     node_pruning={node_pruning}, threads={threads}) \
-                     disagrees with oracle on {query:?}"
-                );
-            }
+    for forced_route in [None, Some(EvalRoute::BitParallel)] {
+        for threads in test_threads() {
+            let opts = EngineOptions {
+                forced_route,
+                intra_query_threads: threads,
+                parallel_min_frontier: if threads > 1 { 2 } else { 2048 },
+                ..Default::default()
+            };
+            let out = engine
+                .evaluate(query, &opts)
+                .unwrap_or_else(|e| panic!("{context}: ring engine failed: {e}"));
+            assert!(
+                !out.truncated && !out.timed_out,
+                "{context}: ring engine hit limits unexpectedly"
+            );
+            assert_eq!(
+                out.sorted_pairs(),
+                expected,
+                "{context}: ring engine (forced_route={forced_route:?}, \
+                 threads={threads}) disagrees with oracle on {query:?}"
+            );
         }
     }
 
@@ -250,8 +246,7 @@ fn concurrent_readers_match_sequential_oracle() {
                 let mut engine = RpqEngine::new(ring);
                 // Each thread stresses a different option combination.
                 let opts = EngineOptions {
-                    fast_paths: t % 2 == 0,
-                    node_pruning: (t / 2) % 2 == 0,
+                    forced_route: (t % 2 == 1).then_some(EvalRoute::BitParallel),
                     ..Default::default()
                 };
                 // Offset the starting point so threads touch the ring in

@@ -6,7 +6,7 @@ use automata::ast::{Lit, Regex};
 use ring::ring::RingOptions;
 use ring::{Graph, Ring, Triple};
 use rpq_core::oracle::evaluate_naive;
-use rpq_core::{EngineOptions, RpqEngine, RpqQuery, Term};
+use rpq_core::{EngineOptions, EvalRoute, RpqEngine, RpqQuery, Term};
 use std::time::Duration;
 
 fn ring_of(triples: Vec<Triple>) -> (Graph, Ring) {
@@ -155,7 +155,7 @@ fn limit_one_and_zero_timeout() {
             &q,
             &EngineOptions {
                 timeout: Some(Duration::ZERO),
-                fast_paths: false,
+                forced_route: Some(EvalRoute::BitParallel),
                 ..Default::default()
             },
         )
@@ -260,12 +260,12 @@ fn node_budget_boundaries() {
     assert!(!out.budget_exhausted, "duplicate pair must not count twice");
     assert_eq!(out.sorted_pairs(), vec![(0, 1)]);
 
-    // The same shape through the general engine (fast paths off).
+    // The same shape through the general engine (forced traversal).
     let out = RpqEngine::new(&r)
         .evaluate(
             &q,
             &EngineOptions {
-                fast_paths: false,
+                forced_route: Some(EvalRoute::BitParallel),
                 node_budget: Some(8),
                 ..Default::default()
             },

@@ -6,7 +6,7 @@ use automata::Regex;
 use ring::ring::RingOptions;
 use ring::{Graph, Id, Ring, Triple};
 use rpq_core::oracle::evaluate_naive;
-use rpq_core::{EngineOptions, RpqEngine, RpqQuery, Term};
+use rpq_core::{EngineOptions, EvalRoute, RpqEngine, RpqQuery, Term};
 
 // Nodes: SA=0, UCh=1, LH=2, BA=3, Baq=4.
 // Base predicates: l1=0, l2=1, l5=2, bus=3 (inverses get +4).
@@ -55,19 +55,16 @@ fn run(q: &RpqQuery, opts: &EngineOptions) -> Vec<(Id, Id)> {
 
 fn check_against_oracle(q: &RpqQuery) {
     let expected = evaluate_naive(&metro(), q);
-    for fast in [false, true] {
-        for pruning in [false, true] {
-            let opts = EngineOptions {
-                fast_paths: fast,
-                node_pruning: pruning,
-                ..EngineOptions::default()
-            };
-            assert_eq!(
-                run(q, &opts),
-                expected,
-                "engine (fast={fast}, pruning={pruning}) disagrees with oracle on {q:?}"
-            );
-        }
+    for forced_route in [None, Some(EvalRoute::BitParallel)] {
+        let opts = EngineOptions {
+            forced_route,
+            ..EngineOptions::default()
+        };
+        assert_eq!(
+            run(q, &opts),
+            expected,
+            "engine (forced_route={forced_route:?}) disagrees with oracle on {q:?}"
+        );
     }
 }
 
@@ -126,7 +123,7 @@ fn fig6_exact_product_graph_trace() {
     let mut engine = RpqEngine::new(&ring);
     let q = RpqQuery::new(Term::Const(BAQ), expr("2+/3"), Term::Var);
     let opts = EngineOptions {
-        fast_paths: false,
+        forced_route: Some(EvalRoute::BitParallel),
         collect_trace: true,
         ..EngineOptions::default()
     };
@@ -182,7 +179,7 @@ fn stats_are_populated() {
     let mut engine = RpqEngine::new(&ring);
     let q = RpqQuery::new(Term::Const(BAQ), expr("2+/3"), Term::Var);
     let opts = EngineOptions {
-        fast_paths: false,
+        forced_route: Some(EvalRoute::BitParallel),
         ..EngineOptions::default()
     };
     let out = engine.evaluate(&q, &opts).unwrap();

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use ring::ring::RingOptions;
 use ring::{Graph, Ring, Triple};
 use rpq_core::oracle::evaluate_naive;
-use rpq_core::{EngineOptions, RpqEngine, RpqQuery, Term};
+use rpq_core::{EngineOptions, EvalRoute, RpqEngine, RpqQuery, Term};
 
 const N_NODES: u64 = 9;
 const N_PREDS: u64 = 3; // completed alphabet: 0..6
@@ -65,16 +65,14 @@ proptest! {
         let expected = evaluate_naive(&g, &query);
         let ring = Ring::build(&g, RingOptions::default());
         let mut engine = RpqEngine::new(&ring);
-        for fast in [false, true] {
-            for pruning in [false, true] {
-                let opts = EngineOptions { fast_paths: fast, node_pruning: pruning, ..Default::default() };
-                let out = engine.evaluate(&query, &opts).unwrap();
-                prop_assert!(!out.truncated && !out.timed_out);
-                prop_assert_eq!(
-                    out.sorted_pairs(), expected.clone(),
-                    "mismatch (fast={}, pruning={}) on {:?}", fast, pruning, query
-                );
-            }
+        for forced_route in [None, Some(EvalRoute::BitParallel)] {
+            let opts = EngineOptions { forced_route, ..Default::default() };
+            let out = engine.evaluate(&query, &opts).unwrap();
+            prop_assert!(!out.truncated && !out.timed_out);
+            prop_assert_eq!(
+                out.sorted_pairs(), expected.clone(),
+                "mismatch (forced_route={:?}) on {:?}", forced_route, query
+            );
         }
     }
 

@@ -236,9 +236,9 @@ fn explain_equals_execution_for_the_whole_corpus() {
     for (graph, seed) in [(workload_graph(0xCAFE), 21), (rare_label_graph(), 22)] {
         let ring = Ring::build(&graph, RingOptions::default());
         let mut engine = RpqEngine::new(&ring);
-        for fast_paths in [false, true] {
+        for forced_route in [None, Some(EvalRoute::BitParallel)] {
             let opts = EngineOptions {
-                fast_paths,
+                forced_route,
                 ..EngineOptions::default()
             };
             for query in corpus(&graph, seed) {
@@ -247,7 +247,7 @@ fn explain_equals_execution_for_the_whole_corpus() {
                 let executed = out.plan.expect("engine outputs carry their plan");
                 assert_eq!(
                     explained.plan.route, executed.route,
-                    "explain/execute route divergence on {query:?} (fast_paths={fast_paths})"
+                    "explain/execute route divergence on {query:?} (forced_route={forced_route:?})"
                 );
                 assert_eq!(
                     explained.plan.direction, executed.direction,
@@ -341,10 +341,10 @@ fn const_const_direction_follows_anchored_costs() {
     }
     let graph = Graph::from_triples(triples);
     let ring = Ring::build(&graph, RingOptions::default());
-    // a/a is a §5 Concat2 shape; disable fast paths to exercise the
+    // a/a is a §5 Concat2 shape; force the traversal to exercise the
     // bit-parallel existence check.
     let opts = EngineOptions {
-        fast_paths: false,
+        forced_route: Some(EvalRoute::BitParallel),
         ..EngineOptions::default()
     };
     let q = RpqQuery::new(

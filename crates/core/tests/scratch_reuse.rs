@@ -190,9 +190,9 @@ fn one_scratch_through_every_kind_of_source_matches_fresh_engines() {
 }
 
 /// `working_space_bytes` reports the tables the routes run so far have
-/// allocated — `B[v]` and `D[v]` on a pure ring, the per-node masks alone
-/// on a delta or sharded source, nothing before the first traversal —
-/// plus, on every source, the buffers of the one traversal.
+/// allocated — the per-node masks `D[s]` on every source, plus `B[v]` on
+/// a pure ring, nothing before the first traversal — plus, on every
+/// source, the buffers of the one traversal.
 #[test]
 fn working_space_counts_the_tables_actually_allocated() {
     // 8 bytes of value and 4 of stamp per mask cell.
@@ -217,14 +217,14 @@ fn working_space_counts_the_tables_actually_allocated() {
     assert_eq!(out.plan.unwrap().route, EvalRoute::FastPath);
     assert_eq!(pure.working_space_bytes(), 0);
     pure.evaluate(&closure, &bit_parallel).unwrap();
-    let wavelet_tables = CELL * (ring.l_p().node_table_len() + ring.l_s().node_table_len());
+    let tables = CELL * (ring.l_p().node_table_len() + ring.n_nodes() as usize);
     let pure_bytes = pure.working_space_bytes();
     assert!(
-        pure_bytes > wavelet_tables,
-        "{pure_bytes} B must cover both wavelet-node tables ({wavelet_tables} B) and the \
+        pure_bytes > tables,
+        "{pure_bytes} B must cover `B[v]`, the per-node masks ({tables} B) and the \
          traversal buffers"
     );
-    assert_eq!(pure.into_scratch().table_bytes(), wavelet_tables);
+    assert_eq!(pure.into_scratch().table_bytes(), tables);
 
     let store = TripleStore::new(graph.clone()).with_auto_compact_ratio(None);
     store.insert(Triple::new(80, 0, 3));

@@ -8,7 +8,6 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use succinct::util::BitSet;
 use succinct::{SpaceUsage, WaveletMatrix};
 
 use crate::graph::scatter;
@@ -87,9 +86,6 @@ pub struct Ring {
     /// Base (non-inverse) predicate count.
     n_preds_base: Id,
     has_inverses: bool,
-    /// See [`Ring::ls_occupancy`]: derived from `l_s` and `c_s` on first
-    /// use, never persisted.
-    ls_occupancy: OnceLock<BitSet>,
 }
 
 /// Where one [`Ring::build_timed`] call spent its time, phase by phase.
@@ -237,7 +233,6 @@ impl Ring {
             n_preds,
             n_preds_base: graph.n_preds(),
             has_inverses: options.with_inverses,
-            ls_occupancy: OnceLock::new(),
         };
         (ring, timings)
     }
@@ -344,33 +339,7 @@ impl Ring {
             n_preds,
             n_preds_base,
             has_inverses,
-            ls_occupancy: OnceLock::new(),
         }
-    }
-
-    /// `occ[v]`, one bit per wavelet node of `L_s` in
-    /// [`WaveletMatrix::node_index`] order: whether any node below `v`
-    /// occurs as a subject. Static per ring, so it is built once — on
-    /// the first call, in one sequential pass over `C_s` plus one
-    /// bottom-up OR over the node table — and shared by every engine
-    /// over this ring; the traversal's `D[v]` intersection masks (§4.2)
-    /// treat unoccupied subtrees as saturated.
-    pub fn ls_occupancy(&self) -> &BitSet {
-        self.ls_occupancy.get_or_init(|| {
-            let width = self.l_s.width();
-            let mut occ = BitSet::new(self.l_s.node_table_len());
-            self.c_s
-                .for_each_nonempty(|s| occ.set(WaveletMatrix::node_index(width, s)));
-            for level in (0..width).rev() {
-                for prefix in 0..(1u64 << level) {
-                    let left = WaveletMatrix::node_index(level + 1, prefix << 1);
-                    if occ.get(left) || occ.get(left + 1) {
-                        occ.set(WaveletMatrix::node_index(level, prefix));
-                    }
-                }
-            }
-            occ
-        })
     }
 
     /// The block of object `o` in `L_p` — the starting range of the RPQ
@@ -577,6 +546,7 @@ impl Ring {
 mod tests {
     use super::*;
     use crate::mapped::stored_bytes;
+    use succinct::util::BitSet;
 
     /// The paper's running example (Figs. 1 and 3), 0-based:
     /// nodes SA=0, UCh=1, LH=2, BA=3, Baq=4;

@@ -180,27 +180,22 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         db.graph().n_preds(),
         build_secs
     );
-    if let Some(n) = shards {
+    let (written, what) = match shards {
         // A sharded index is a directory: one mappable RRPQM01 file per
         // shard, bound by a checksummed RRPQSH01 manifest.
-        let bytes = db
-            .save_sharded(Path::new(output), n)
-            .map_err(|e| format!("writing {output}: {e}"))?;
-        println!(
-            "ring: {} bytes ({:.2} bytes/edge) -> {}/ (RRPQSH01, {n} shards, mappable)",
-            bytes,
-            bytes as f64 / db.graph().len().max(1) as f64,
-            output,
-        );
-        return Ok(());
-    }
-    db.save_mapped(Path::new(output))
-        .map_err(|e| format!("writing {output}: {e}"))?;
+        Some(n) => (
+            db.save_sharded(Path::new(output), n),
+            format!("{output}/ (RRPQSH01, {n} shards, mappable)"),
+        ),
+        None => (
+            db.save_mapped(Path::new(output)),
+            format!("{output} (RRPQM01, mappable)"),
+        ),
+    };
+    let bytes = written.map_err(|e| format!("writing {output}: {e}"))?;
     println!(
-        "ring: {} bytes ({:.2} bytes/edge) -> {} (RRPQM01, mappable)",
-        db.ring().size_bytes(),
-        db.ring().size_bytes() as f64 / db.graph().len().max(1) as f64,
-        output,
+        "index: {bytes} bytes ({:.2} bytes/edge) -> {what}",
+        bytes as f64 / db.graph().len().max(1) as f64,
     );
     Ok(())
 }

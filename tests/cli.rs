@@ -513,6 +513,41 @@ fn build_metro(index: &std::path::Path, extra: &[&str]) {
     assert!(out.status.success(), "{err}");
 }
 
+/// `build` prints the bytes it wrote: the size of the file, or of every
+/// file in the directory. (The one-file branch printed the ring's heap
+/// size: 1016 bytes for the 1872-byte file of `data/metro.nt`.)
+#[test]
+fn build_prints_the_size_of_what_it_wrote() {
+    let dir = tmpdir("build_bytes");
+    for (name, extra) in [("metro.db", &[][..]), ("metro-sharded", &["--shards", "4"])] {
+        let index = dir.join(name);
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/data/metro.nt");
+        let out = cli()
+            .args(["build", fixture])
+            .arg(&index)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let printed: u64 = stdout
+            .lines()
+            .find(|line| line.contains(" bytes/edge) -> "))
+            .and_then(|line| line.split_whitespace().nth(1))
+            .and_then(|bytes| bytes.parse().ok())
+            .unwrap_or_else(|| panic!("no byte count in:\n{stdout}"));
+        let on_disk: u64 = if index.is_dir() {
+            std::fs::read_dir(&index)
+                .unwrap()
+                .map(|entry| entry.unwrap().metadata().unwrap().len())
+                .sum()
+        } else {
+            std::fs::metadata(&index).unwrap().len()
+        };
+        assert_eq!(printed, on_disk, "{name}:\n{stdout}");
+    }
+}
+
 /// `explain` plans over the whole partition: its text on a 4-shard index
 /// is the unsharded index's. (It once planned from shard 0's ring alone
 /// and printed `label 3: 0 edges` for a label another shard holds.)
