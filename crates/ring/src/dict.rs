@@ -3,55 +3,63 @@
 //!
 //! The paper works on "a dictionary-encoded version of the graph" (§5);
 //! string-to-id translation is orthogonal to the index (they report ~3
-//! extra bytes/triple and ~3 ms/query for it). A dictionary is one name
-//! arena — every name once, concatenated in id order in a UTF-8 blob,
-//! with an offset table for `id → name` — plus a search structure for
-//! `name → id`, which is the only thing its two forms differ in:
+//! extra bytes/triple and ~3 ms/query for it). Ids are the ones the ingest
+//! assigned, in the order it met the names; a dictionary has two forms:
 //!
-//! * the mutable **heap form** (the build path) keeps an open-addressing
-//!   table of ids, hashed eight bytes a step, so [`Dict::intern`] and
-//!   [`Dict::get`] allocate nothing per call and a new name costs its
-//!   bytes, one offset and a table slot; a slot carries where its name
-//!   lies, so a lookup touches the table and the name and nothing else,
-//!   and `Dict::intern_many` fetches the slots of a block of names
-//!   side by side — the bulk path of the N-Triples loader;
-//! * the read-only **mapped form** borrows the arena from a `RRPQM01`
-//!   file together with a name-sorted id permutation searched by
-//!   bisection, so opening a saved index allocates no per-name strings
-//!   at all.
+//! * the mutable **heap form** (the build path) is one name arena — every
+//!   name once, concatenated in id order in a UTF-8 blob, with an offset
+//!   table for `id → name` — plus an open-addressing table of ids, hashed
+//!   eight bytes a step, so [`Dict::intern`] and [`Dict::get`] allocate
+//!   nothing per call and a new name costs its bytes, one offset and a
+//!   table slot; a slot carries where its name lies, so a lookup touches
+//!   the table and the name and nothing else, and `Dict::intern_many`
+//!   fetches the slots of a block of names side by side — the bulk path of
+//!   the N-Triples loader, whose chunk-local dictionaries are this form;
+//! * the read-only **mapped form** borrows a `RRPQM01` section: the names
+//!   in byte order, front-coded in buckets of [`BUCKET`] — a bucket's first
+//!   name (its *head*) in full, every other one as the length of the prefix
+//!   it shares with the name before it and the bytes after that prefix —
+//!   beside the start of every bucket and two packed permutations, `order`
+//!   (sorted rank → id) and `rank` (id → sorted rank), ⌈log₂ n⌉ bits an
+//!   entry. [`Dict::get`] bisects the bucket heads in place and scans one
+//!   bucket without copying a byte; [`Dict::name`] finds the bucket through
+//!   `rank` and decodes into it. Opening allocates nothing per name.
 //!
-//! The arena of the heap form *is* what the mapped writer stores
-//! (`Dict::to_mapped_parts` lends it out), and the N-Triples scanner's
-//! chunk-local dictionaries are this same type.
+//! The writer sorts the names (`Dict::to_mapped_parts`), so it accepts
+//! any id order, including the names an updatable store appended after a
+//! load; [`Dict::make_owned`] decodes a mapped dictionary back into the
+//! heap form, ids unchanged.
 
+use std::borrow::Cow;
 use std::hash::Hasher;
 
 use crate::Id;
+use succinct::int_vec::bits_for;
 use succinct::util::FxHasher;
-use succinct::{Slab, SpaceUsage};
+use succinct::{IntVec, Slab, SpaceUsage};
 
 /// A two-way map between names and dense ids `0..len`.
 #[derive(Clone, Debug)]
-pub struct Dict {
-    /// All names concatenated in id order; every name's slice is valid
-    /// UTF-8 ([`Dict::name`] relies on it).
-    blob: Slab<u8>,
-    /// `blob[offsets[i] .. offsets[i+1]]` is name `i`; `len + 1` entries.
-    offsets: Slab<u64>,
-    lookup: Lookup,
+pub struct Dict(Form);
+
+#[derive(Clone, Debug)]
+enum Form {
+    Heap(Heap),
+    Mapped(FrontCoded),
 }
 
-/// The `name → id` side of a [`Dict`].
+/// The heap form: the name arena and the table that searches it.
 #[derive(Clone, Debug)]
-enum Lookup {
-    /// Heap form: an open-addressing table with linear probing, a power
-    /// of two slots, at most half of them taken. A name's home
-    /// slot is the top bits of its `hash32`, so the table grows without
-    /// reading a name.
-    Table(Vec<Slot>),
-    /// Mapped form: the ids permuted so their names are in strictly
-    /// increasing byte order.
-    Sorted(Slab<u64>),
+struct Heap {
+    /// All names concatenated in id order; every name's slice is valid
+    /// UTF-8 ([`Heap::name`] relies on it).
+    blob: Vec<u8>,
+    /// `blob[offsets[i] .. offsets[i+1]]` is name `i`; `len + 1` entries.
+    offsets: Vec<u64>,
+    /// An open-addressing table with linear probing, a power of two
+    /// slots, at most half of them taken. A name's home slot is the top
+    /// bits of its `hash32`, so the table grows without reading a name.
+    table: Vec<Slot>,
 }
 
 /// One slot of the heap form's table. It holds what a probe needs to
@@ -133,120 +141,48 @@ fn place(table: &mut [Slot], slot: Slot) {
     table[at] = slot;
 }
 
-impl Default for Dict {
+impl Default for Heap {
     fn default() -> Self {
         Self {
-            blob: Slab::new(),
-            offsets: vec![0u64].into(),
-            lookup: Lookup::Table(vec![Slot::default(); MIN_SLOTS]),
+            blob: Vec::new(),
+            offsets: vec![0],
+            table: vec![Slot::default(); MIN_SLOTS],
         }
     }
 }
 
-impl Dict {
-    /// Creates an empty dictionary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Assembles the mapped, read-only representation from the arrays of
-    /// a `RRPQM01` dictionary section, validating every invariant
-    /// [`Dict::name`]/[`Dict::get`] later rely on: offset monotonicity
-    /// and bounds, per-name UTF-8, and that `order` is a permutation
-    /// sorting the names strictly (which also proves the names are
-    /// distinct). O(blob) once at open, allocating only a transient
-    /// presence bitmap.
-    pub(crate) fn from_mapped_parts(
-        blob: Slab<u8>,
-        offsets: Slab<u64>,
-        order: Slab<u64>,
-    ) -> Result<Self, &'static str> {
-        let n = order.len();
-        if offsets.len() != n + 1 {
-            return Err("dictionary offset table has wrong length");
-        }
-        if offsets[0] != 0 || offsets[n] != blob.len() as u64 {
-            return Err("dictionary offsets do not span the name blob");
-        }
-        for w in offsets.windows(2) {
-            if w[0] > w[1] {
-                return Err("dictionary offsets are not monotone");
-            }
-        }
-        for i in 0..n {
-            let bytes = &blob[offsets[i] as usize..offsets[i + 1] as usize];
-            if std::str::from_utf8(bytes).is_err() {
-                return Err("dictionary name is not valid UTF-8");
-            }
-        }
-        let mut seen = vec![false; n];
-        let mut prev: Option<&[u8]> = None;
-        for &id in order.iter() {
-            let id = id as usize;
-            if id >= n || seen[id] {
-                return Err("dictionary order is not a permutation of the ids");
-            }
-            seen[id] = true;
-            let name = &blob[offsets[id] as usize..offsets[id + 1] as usize];
-            if let Some(p) = prev {
-                if p >= name {
-                    return Err("dictionary order does not sort the names strictly");
-                }
-            }
-            prev = Some(name);
-        }
-        Ok(Self {
-            blob,
-            offsets,
-            lookup: Lookup::Sorted(order),
-        })
-    }
-
-    /// The mapped-form arrays `(blob, offsets, order)` of this
-    /// dictionary — the `RRPQM01` writer. The arena is lent as it is;
-    /// only the name-sorted permutation is made here.
-    pub(crate) fn to_mapped_parts(&self) -> (&[u8], &[u64], Vec<u64>) {
-        let order = match &self.lookup {
-            Lookup::Sorted(order) => order.to_vec(),
-            Lookup::Table(_) => {
-                let mut order: Vec<u64> = (0..self.len() as u64).collect();
-                order.sort_unstable_by(|&a, &b| self.name(a).cmp(self.name(b)));
-                order
-            }
-        };
-        (&self.blob, &self.offsets, order)
-    }
-
-    /// Whether this dictionary borrows a mapped index file.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.lookup, Lookup::Sorted(_))
-    }
-
-    /// Rewrites a mapped dictionary into the mutable heap form (no-op on
-    /// heap dictionaries). O(names); called once before mutation, e.g.
-    /// when a mapped index is promoted to an updatable store.
-    pub fn make_owned(&mut self) {
-        if !self.is_mapped() {
-            return;
-        }
-        if self.blob.is_mapped() {
-            self.blob = self.blob.to_vec().into();
-        }
-        if self.offsets.is_mapped() {
-            self.offsets = self.offsets.to_vec().into();
-        }
-        let slots = (self.len() * 2).next_power_of_two().max(MIN_SLOTS);
-        let mut table = vec![Slot::default(); slots];
-        for (id, name) in self.iter() {
-            let slot = Slot::new(
-                hash32(name.as_bytes()),
-                id,
-                self.offsets[id as usize] as usize,
-                name.len(),
-            );
+impl Heap {
+    /// The heap form over an arena of distinct names: the table is built
+    /// without a single comparison.
+    fn from_arena(blob: Vec<u8>, offsets: Vec<u64>) -> Self {
+        let n = offsets.len() - 1;
+        let mut table = vec![Slot::default(); (n * 2).next_power_of_two().max(MIN_SLOTS)];
+        for id in 0..n {
+            let (start, end) = (offsets[id] as usize, offsets[id + 1] as usize);
+            let slot = Slot::new(hash32(&blob[start..end]), id as Id, start, end - start);
             place(&mut table, slot);
         }
-        self.lookup = Lookup::Table(table);
+        Self {
+            blob,
+            offsets,
+            table,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn bytes(&self, id: Id) -> &[u8] {
+        let i = id as usize;
+        &self.blob[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    fn name(&self, id: Id) -> &str {
+        // SAFETY: `intern` appends the bytes of a `&str` and records
+        // exactly their ends, and `make_owned` copies names the mapped form
+        // validated whole.
+        unsafe { std::str::from_utf8_unchecked(self.bytes(id)) }
     }
 
     /// Whether the name `slot` stands for is `name`, given that the slot
@@ -256,16 +192,15 @@ impl Dict {
             let start = (slot.span >> 24) as usize;
             self.blob[start..start + name.len()] == *name
         } else {
-            self.name(slot.id()).as_bytes() == name
+            self.bytes(slot.id()) == name
         }
     }
 
-    /// Looks `name` up in the heap form's `table`.
-    fn find(&self, table: &[Slot], name: &[u8], hash: u32) -> Option<Id> {
-        let mask = table.len() - 1;
-        let mut at = home(hash, table.len());
+    fn find(&self, name: &[u8], hash: u32) -> Option<Id> {
+        let mask = self.table.len() - 1;
+        let mut at = home(hash, self.table.len());
         loop {
-            let slot = table[at];
+            let slot = self.table[at];
             if slot.is_free() {
                 return None;
             }
@@ -276,56 +211,35 @@ impl Dict {
         }
     }
 
-    /// Returns the id of `name`, interning it if new. A mapped
-    /// dictionary is first materialized to the heap ([`Self::make_owned`]).
-    pub fn intern(&mut self, name: &str) -> Id {
-        self.make_owned();
-        let Lookup::Table(table) = &self.lookup else {
-            unreachable!("make_owned leaves the heap representation");
-        };
+    fn intern(&mut self, name: &str) -> Id {
         let hash = hash32(name.as_bytes());
-        if let Some(id) = self.find(table, name.as_bytes(), hash) {
+        if let Some(id) = self.find(name.as_bytes(), hash) {
             return id;
         }
         let id = self.len() as Id;
         let slot = Slot::new(hash, id, self.blob.len(), name.len());
         self.blob.extend_from_slice(name.as_bytes());
         self.offsets.push(self.blob.len() as u64);
-        let Lookup::Table(table) = &mut self.lookup else {
-            unreachable!("checked above");
-        };
-        if self.offsets.len() * 2 > table.len() {
+        if self.offsets.len() * 2 > self.table.len() {
             // `offsets.len()` is the new name count + 1: at most half the
             // slots are ever taken, so every probe ends at a free one.
-            let mut grown = vec![Slot::default(); table.len() * 2];
-            for &slot in table.iter().filter(|slot| !slot.is_free()) {
+            let mut grown = vec![Slot::default(); self.table.len() * 2];
+            for &slot in self.table.iter().filter(|slot| !slot.is_free()) {
                 place(&mut grown, slot);
             }
-            *table = grown;
+            self.table = grown;
         }
-        place(table, slot);
+        place(&mut self.table, slot);
         id
     }
 
-    /// Interns `names` in order and appends their ids to `ids` — what
-    /// [`Self::intern`] on one after the other does, a block of names at a
-    /// time. A lookup in a dictionary that has outgrown the caches is two
-    /// dependent misses, the table slot and then the name's bytes; here
-    /// the home slots of a whole block are gathered in one short loop
-    /// before any is looked at, so the misses overlap instead of queueing
-    /// up. Names the block pass does not find (new ones, repeats of new
-    /// ones, and those behind a slot that only looks like theirs) take
-    /// [`Self::intern`].
-    pub(crate) fn intern_many(&mut self, names: &[&str], ids: &mut Vec<Id>) {
-        self.make_owned();
+    fn intern_many(&mut self, names: &[&str], ids: &mut Vec<Id>) {
         ids.reserve(names.len());
         let mut hashes = [0u32; BLOCK];
         let mut slots = [Slot::default(); BLOCK];
         let mut found = [false; BLOCK];
         for block in names.chunks(BLOCK) {
-            let Lookup::Table(table) = &self.lookup else {
-                unreachable!("make_owned leaves the heap representation");
-            };
+            let table = &self.table;
             for (k, name) in block.iter().enumerate() {
                 hashes[k] = hash32(name.as_bytes());
             }
@@ -354,51 +268,428 @@ impl Dict {
         }
     }
 
+    /// The mapped form of these names: sorted, then front-coded.
+    fn front_coded(&self) -> FrontCoded {
+        let mut order: Vec<u64> = (0..self.len() as u64).collect();
+        order.sort_unstable_by(|&a, &b| self.bytes(a).cmp(self.bytes(b)));
+        let mut rank = vec![0u64; order.len()];
+        let mut data = Vec::new();
+        let mut buckets = Vec::with_capacity(order.len().div_ceil(BUCKET));
+        let mut prev: &[u8] = &[];
+        for (r, &id) in order.iter().enumerate() {
+            rank[id as usize] = r as u64;
+            let name = self.bytes(id);
+            if r.is_multiple_of(BUCKET) {
+                buckets.push(data.len() as u64);
+                put_varint(&mut data, name.len());
+                data.extend_from_slice(name);
+            } else {
+                let lcp = common_prefix(prev, name);
+                put_varint(&mut data, lcp);
+                put_varint(&mut data, name.len() - lcp);
+                data.extend_from_slice(&name[lcp..]);
+            }
+            prev = name;
+        }
+        // A permutation of `0..n` packs into ⌈log₂ n⌉ bits.
+        FrontCoded {
+            data: data.into(),
+            buckets: buckets.into(),
+            order: IntVec::from_slice(&order),
+            rank: IntVec::from_slice(&rank),
+        }
+    }
+}
+
+/// Names a bucket of the mapped form holds. `crates/ring/README.md`
+/// records what 8, 16, 32 and 64 cost (`examples/dict_probe.rs`): on the
+/// benchmark's 2^17 `<n…>` names each doubling saves half the bytes the
+/// one before did (0.82, 0.41, 0.20 B a name) for more decode time in
+/// [`Dict::name`] (+23, +34, +67 ns), and `get` does not move. 16 takes
+/// the first halving and not the second.
+pub const BUCKET: usize = 16;
+
+/// The mapped form's arrays, as a `RRPQM01` `NODES`/`PREDS` section
+/// stores them, each borrowed from the file in place.
+#[derive(Clone, Debug)]
+pub(crate) struct FrontCoded {
+    /// The buckets, back to back. A bucket is its head — `len` varint,
+    /// then the bytes — and then, for every later name of the bucket, the
+    /// length of the prefix it shares with the name before (varint), the
+    /// length of the rest (varint) and the rest.
+    pub(crate) data: Slab<u8>,
+    /// Where each bucket starts in `data`; ⌈n / [`BUCKET`]⌉ entries.
+    pub(crate) buckets: Slab<u64>,
+    /// Sorted rank → id.
+    pub(crate) order: IntVec,
+    /// Id → sorted rank.
+    pub(crate) rank: IntVec,
+}
+
+/// Appends `x` as a LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut x: usize) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+/// Length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// A reader over one bucket's bytes. Every read is bounds-checked, so the
+/// validation at open and the lookups after it share one decoder.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn varint(&mut self) -> Option<usize> {
+        let mut x = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = *self.bytes.get(self.at)?;
+            self.at += 1;
+            x |= u64::from(byte & 0x7F) << shift;
+            if byte < 0x80 {
+                return usize::try_from(x).ok();
+            }
+        }
+        None
+    }
+
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let bytes = self.bytes.get(self.at..self.at.checked_add(n)?)?;
+        self.at += n;
+        Some(bytes)
+    }
+
+    /// A bucket's first name.
+    fn head(&mut self) -> Option<&'a [u8]> {
+        let len = self.varint()?;
+        self.take(len)
+    }
+
+    /// A later name: the prefix it shares with the one before, and the
+    /// bytes after it.
+    fn entry(&mut self) -> Option<(usize, &'a [u8])> {
+        let lcp = self.varint()?;
+        let len = self.varint()?;
+        Some((lcp, self.take(len)?))
+    }
+}
+
+/// What a lookup in a validated section cannot fail on.
+const VALID: &str = "dictionary sections are validated at open";
+
+impl FrontCoded {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Names in bucket `b`.
+    fn bucket_len(&self, b: usize) -> usize {
+        BUCKET.min(self.len() - b * BUCKET)
+    }
+
+    fn bucket(&self, b: usize) -> Cursor<'_> {
+        let start = self.buckets[b] as usize;
+        let end = self
+            .buckets
+            .get(b + 1)
+            .map_or(self.data.len(), |&end| end as usize);
+        Cursor {
+            bytes: &self.data[start..end],
+            at: 0,
+        }
+    }
+
+    /// The id of `name`: the last bucket whose head is at most `name`,
+    /// then a scan of it that keeps `m`, the prefix the name last decoded
+    /// shares with `name`, and so compares each entry's suffix and nothing
+    /// before it. Every name passed is smaller than `name`; the scan stops
+    /// at the first that is not.
+    fn get(&self, name: &[u8]) -> Option<Id> {
+        let (mut lo, mut hi) = (0, self.buckets.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.bucket(mid).head().expect(VALID) <= name {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let b = lo.checked_sub(1)?;
+        let mut cursor = self.bucket(b);
+        let head = cursor.head().expect(VALID);
+        if head == name {
+            return Some(self.order.get(b * BUCKET));
+        }
+        let mut m = common_prefix(head, name);
+        for i in 1..self.bucket_len(b) {
+            let (lcp, suffix) = cursor.entry().expect(VALID);
+            if lcp > m {
+                // It keeps the byte at `m` of the name before, where that
+                // name fell below `name`: so does this one.
+                continue;
+            }
+            let rest = &name[lcp..];
+            let k = common_prefix(suffix, rest);
+            m = lcp + k;
+            match (suffix.get(k), rest.get(k)) {
+                (None, None) => return Some(self.order.get(b * BUCKET + i)),
+                (None, Some(_)) => {}
+                (Some(s), Some(q)) if s < q => {}
+                _ => return None,
+            }
+        }
+        None
+    }
+
+    /// The bytes of the name of sorted rank `r`: borrowed when it heads a
+    /// bucket, decoded otherwise.
+    fn name(&self, r: usize) -> Cow<'_, [u8]> {
+        let mut cursor = self.bucket(r / BUCKET);
+        let head = cursor.head().expect(VALID);
+        if r.is_multiple_of(BUCKET) {
+            return Cow::Borrowed(head);
+        }
+        let mut name = head.to_vec();
+        for _ in 0..r % BUCKET {
+            let (lcp, suffix) = cursor.entry().expect(VALID);
+            name.truncate(lcp);
+            name.extend_from_slice(suffix);
+        }
+        Cow::Owned(name)
+    }
+
+    /// Decodes every name in sorted order, calling `visit(name)` on each,
+    /// and checks as it goes every invariant the lookups rely on: each
+    /// bucket holds exactly its names, each shared prefix exists, each name
+    /// is UTF-8 and greater than the one before. One sequential pass.
+    fn walk(&self, mut visit: impl FnMut(&[u8])) -> Result<(), &'static str> {
+        let mut name = Vec::new();
+        for b in 0..self.buckets.len() {
+            let mut cursor = self.bucket(b);
+            for i in 0..self.bucket_len(b) {
+                let truncated = "dictionary bucket ends inside a name";
+                if i == 0 {
+                    let head = cursor.head().ok_or(truncated)?;
+                    if b > 0 && head <= &name[..] {
+                        return Err("dictionary names are not strictly increasing");
+                    }
+                    name.clear();
+                    name.extend_from_slice(head);
+                } else {
+                    let (lcp, suffix) = cursor.entry().ok_or(truncated)?;
+                    if lcp > name.len() {
+                        return Err("dictionary prefix is longer than the name before it");
+                    }
+                    if suffix <= &name[lcp..] {
+                        return Err("dictionary names are not strictly increasing");
+                    }
+                    name.truncate(lcp);
+                    name.extend_from_slice(suffix);
+                }
+                if std::str::from_utf8(&name).is_err() {
+                    return Err("dictionary name is not valid UTF-8");
+                }
+                visit(&name);
+            }
+            if cursor.at != cursor.bytes.len() {
+                return Err("dictionary bucket has bytes after its last name");
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the arrays of a section before any lookup reads them. O(n)
+    /// and sequential but for `order[rank[i]]`, allocating one name.
+    fn validate(&self) -> Result<(), &'static str> {
+        let n = self.len();
+        if self.rank.len() != n {
+            return Err("dictionary permutations differ in length");
+        }
+        let width = bits_for(n.saturating_sub(1) as u64);
+        if self.order.width() != width || self.rank.width() != width {
+            return Err("dictionary permutations have the wrong width");
+        }
+        if self.buckets.len() != n.div_ceil(BUCKET) {
+            return Err("dictionary bucket table has the wrong length");
+        }
+        let data_len = self.data.len() as u64;
+        if self.buckets.first().is_some_and(|&start| start != 0)
+            || self.buckets.iter().any(|&start| start > data_len)
+            || (n == 0 && data_len != 0)
+        {
+            return Err("dictionary bucket offsets are out of bounds");
+        }
+        if self.buckets.windows(2).any(|w| w[0] > w[1]) {
+            return Err("dictionary bucket offsets are not monotone");
+        }
+        self.walk(|_| {})?;
+        for id in 0..n {
+            let r = self.rank.get(id);
+            if r >= n as u64 || self.order.get(r as usize) != id as u64 {
+                return Err("dictionary rank is not the inverse of order");
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Default for Dict {
+    fn default() -> Self {
+        Self(Form::Heap(Heap::default()))
+    }
+}
+
+impl Dict {
+    /// Creates an empty dictionary.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Assembles the mapped, read-only representation from the arrays of
+    /// a `RRPQM01` dictionary section, validating every invariant
+    /// [`Dict::name`]/[`Dict::get`] later rely on: bucket offsets in
+    /// bounds and monotone, each shared prefix no longer than the name
+    /// before it, each name valid UTF-8 and strictly greater than the one
+    /// before (which also proves the names distinct), and `order[rank[i]]
+    /// == i` for every id.
+    pub(crate) fn from_mapped_parts(parts: FrontCoded) -> Result<Self, &'static str> {
+        parts.validate()?;
+        Ok(Self(Form::Mapped(parts)))
+    }
+
+    /// The mapped-form arrays of this dictionary — the `RRPQM01` writer.
+    /// A mapped dictionary lends its own; a heap one is sorted and
+    /// encoded here.
+    pub(crate) fn to_mapped_parts(&self) -> FrontCoded {
+        match &self.0 {
+            Form::Heap(heap) => heap.front_coded(),
+            Form::Mapped(parts) => parts.clone(),
+        }
+    }
+
+    /// Whether this dictionary borrows a mapped index file.
+    pub fn is_mapped(&self) -> bool {
+        matches!(self.0, Form::Mapped(_))
+    }
+
+    /// Rewrites a mapped dictionary into the mutable heap form (no-op on
+    /// heap dictionaries), ids unchanged. O(names); called once before
+    /// mutation, e.g. when a mapped index is promoted to an updatable
+    /// store.
+    pub fn make_owned(&mut self) {
+        let Form::Mapped(parts) = &self.0 else {
+            return;
+        };
+        // The names in sorted order, then re-laid in id order.
+        let mut sorted = Vec::new();
+        let mut ends = Vec::with_capacity(parts.len());
+        parts
+            .walk(|name| {
+                sorted.extend_from_slice(name);
+                ends.push(sorted.len());
+            })
+            .expect(VALID);
+        let mut blob = Vec::with_capacity(sorted.len());
+        let mut offsets = Vec::with_capacity(parts.len() + 1);
+        offsets.push(0);
+        for id in 0..parts.len() {
+            let r = parts.rank.get(id) as usize;
+            let start = r.checked_sub(1).map_or(0, |prev| ends[prev]);
+            blob.extend_from_slice(&sorted[start..ends[r]]);
+            offsets.push(blob.len() as u64);
+        }
+        self.0 = Form::Heap(Heap::from_arena(blob, offsets));
+    }
+
+    /// The heap form, made so first.
+    fn heap_mut(&mut self) -> &mut Heap {
+        self.make_owned();
+        match &mut self.0 {
+            Form::Heap(heap) => heap,
+            Form::Mapped(_) => unreachable!("make_owned leaves the heap representation"),
+        }
+    }
+
+    /// Returns the id of `name`, interning it if new. A mapped
+    /// dictionary is first materialized to the heap ([`Self::make_owned`]).
+    pub fn intern(&mut self, name: &str) -> Id {
+        self.heap_mut().intern(name)
+    }
+
+    /// Interns `names` in order and appends their ids to `ids` — what
+    /// [`Self::intern`] on one after the other does, a block of names at a
+    /// time. A lookup in a dictionary that has outgrown the caches is two
+    /// dependent misses, the table slot and then the name's bytes; here
+    /// the home slots of a whole block are gathered in one short loop
+    /// before any is looked at, so the misses overlap instead of queueing
+    /// up. Names the block pass does not find (new ones, repeats of new
+    /// ones, and those behind a slot that only looks like theirs) take
+    /// [`Self::intern`].
+    pub(crate) fn intern_many(&mut self, names: &[&str], ids: &mut Vec<Id>) {
+        self.heap_mut().intern_many(names, ids);
+    }
+
     /// Interns every name of `other` and returns their ids here, in
     /// `other`'s id order ([`Self::intern_many`] over its names).
     pub(crate) fn intern_all(&mut self, other: &Dict) -> Vec<Id> {
         let mut ids = Vec::with_capacity(other.len());
-        let mut names = [""; BLOCK];
+        let mut block = Vec::with_capacity(BLOCK);
         for first in (0..other.len()).step_by(BLOCK) {
-            let n = BLOCK.min(other.len() - first);
-            for (k, name) in names[..n].iter_mut().enumerate() {
-                *name = other.name((first + k) as Id);
+            block.clear();
+            block.extend((first..other.len().min(first + BLOCK)).map(|id| other.name(id as Id)));
+            let mut names = [""; BLOCK];
+            for (name, owned) in names.iter_mut().zip(&block) {
+                *name = &**owned;
             }
-            self.intern_many(&names[..n], &mut ids);
+            self.intern_many(&names[..block.len()], &mut ids);
         }
         ids
     }
 
-    /// The id of `name`, if interned. O(1) on the heap form, O(log n)
-    /// string comparisons on the mapped form.
+    /// The id of `name`, if interned. O(1) on the heap form; on the mapped
+    /// form O(log(n / [`BUCKET`])) head comparisons and one bucket scan.
     pub fn get(&self, name: &str) -> Option<Id> {
-        match &self.lookup {
-            Lookup::Table(table) => self.find(table, name.as_bytes(), hash32(name.as_bytes())),
-            Lookup::Sorted(order) => {
-                let k = order
-                    .binary_search_by(|&id| self.name(id).as_bytes().cmp(name.as_bytes()))
-                    .ok()?;
-                Some(order[k])
+        match &self.0 {
+            Form::Heap(heap) => heap.find(name.as_bytes(), hash32(name.as_bytes())),
+            Form::Mapped(parts) => parts.get(name.as_bytes()),
+        }
+    }
+
+    /// The name of `id`: borrowed from the arena on the heap form, decoded
+    /// out of its bucket on the mapped form (borrowed when it heads one).
+    ///
+    /// # Panics
+    /// Panics if `id` was never interned.
+    pub fn name(&self, id: Id) -> Cow<'_, str> {
+        match &self.0 {
+            Form::Heap(heap) => Cow::Borrowed(heap.name(id)),
+            Form::Mapped(parts) => {
+                assert!((id as usize) < parts.len(), "id {id} was never interned");
+                // SAFETY: `from_mapped_parts` validated every name whole.
+                match parts.name(parts.rank.get(id as usize) as usize) {
+                    Cow::Borrowed(bytes) => {
+                        Cow::Borrowed(unsafe { std::str::from_utf8_unchecked(bytes) })
+                    }
+                    Cow::Owned(bytes) => Cow::Owned(unsafe { String::from_utf8_unchecked(bytes) }),
+                }
             }
         }
     }
 
-    /// The name of `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` was never interned.
-    pub fn name(&self, id: Id) -> &str {
-        let i = id as usize;
-        let bytes = &self.blob[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-        // SAFETY: a name's slice is valid UTF-8 in both forms — `intern`
-        // appends the bytes of a `&str` and records exactly their ends,
-        // and `from_mapped_parts` validated every slice.
-        unsafe { std::str::from_utf8_unchecked(bytes) }
-    }
-
     /// Number of interned names.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        match &self.0 {
+            Form::Heap(heap) => heap.len(),
+            Form::Mapped(parts) => parts.len(),
+        }
     }
 
     /// Whether the dictionary is empty.
@@ -407,19 +698,26 @@ impl Dict {
     }
 
     /// Iterates `(id, name)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (Id, &str)> {
+    pub fn iter(&self) -> impl Iterator<Item = (Id, Cow<'_, str>)> {
         (0..self.len() as Id).map(move |id| (id, self.name(id)))
     }
 
-    /// Payload bytes: the arena plus the hash table on the heap form,
-    /// the arena plus the name-sorted ids on the mapped form.
+    /// Payload bytes: the arena plus the hash table on the heap form, the
+    /// four arrays of the section on the mapped form.
     pub fn size_bytes(&self) -> usize {
-        self.blob.size_bytes()
-            + self.offsets.size_bytes()
-            + match &self.lookup {
-                Lookup::Table(table) => table.capacity() * std::mem::size_of::<Slot>(),
-                Lookup::Sorted(order) => order.size_bytes(),
+        match &self.0 {
+            Form::Heap(heap) => {
+                heap.blob.capacity()
+                    + heap.offsets.capacity() * std::mem::size_of::<u64>()
+                    + heap.table.capacity() * std::mem::size_of::<Slot>()
             }
+            Form::Mapped(parts) => {
+                parts.data.size_bytes()
+                    + parts.buckets.size_bytes()
+                    + parts.order.size_bytes()
+                    + parts.rank.size_bytes()
+            }
+        }
     }
 }
 
@@ -446,11 +744,26 @@ mod tests {
         for (i, n) in ["x", "y", "z"].iter().enumerate() {
             assert_eq!(d.intern(n), i as Id);
         }
-        let pairs: Vec<(Id, String)> = d.iter().map(|(i, n)| (i, n.to_string())).collect();
+        let pairs: Vec<(Id, String)> = d.iter().map(|(i, n)| (i, n.into_owned())).collect();
         assert_eq!(
             pairs,
             vec![(0, "x".into()), (1, "y".into()), (2, "z".into())]
         );
+    }
+
+    /// The mapped form of `d`, over heap-owned copies of its arrays.
+    fn mapped(d: &Dict) -> Dict {
+        Dict::from_mapped_parts(d.to_mapped_parts()).expect("the writer's arrays are valid")
+    }
+
+    /// The four arrays of a section, to compare.
+    fn arrays(p: &FrontCoded) -> (Vec<u8>, Vec<u64>, Vec<u64>, Vec<u64>) {
+        (
+            p.data.to_vec(),
+            p.buckets.to_vec(),
+            p.order.iter().collect(),
+            p.rank.iter().collect(),
+        )
     }
 
     #[test]
@@ -459,15 +772,12 @@ mod tests {
         for n in ["<zeta>", "<alpha>", "_:b0", "\"lit\"@en", "<mid>"] {
             d.intern(n);
         }
-        let (blob, offsets, order) = d.to_mapped_parts();
-        let m =
-            Dict::from_mapped_parts(blob.to_vec().into(), offsets.to_vec().into(), order.into())
-                .expect("valid");
+        let m = mapped(&d);
         assert!(m.is_mapped());
         assert_eq!(m.len(), d.len());
         for (id, name) in d.iter() {
             assert_eq!(m.name(id), name, "name({id})");
-            assert_eq!(m.get(name), Some(id), "get({name})");
+            assert_eq!(m.get(&name), Some(id), "get({name})");
         }
         assert_eq!(m.get("<nope>"), None);
         let mut owned = m.clone();
@@ -476,42 +786,147 @@ mod tests {
         assert_eq!(owned.intern("<new>"), d.len() as Id);
     }
 
+    /// A section put together by hand: `data` and `buckets` as given, the
+    /// permutations the identity.
+    fn by_hand(data: &[u8], buckets: &[u64], n: usize) -> FrontCoded {
+        let ids: Vec<u64> = (0..n as u64).collect();
+        FrontCoded {
+            data: data.to_vec().into(),
+            buckets: buckets.to_vec().into(),
+            order: IntVec::from_slice(&ids),
+            rank: IntVec::from_slice(&ids),
+        }
+    }
+
+    /// Every rule `from_mapped_parts` checks rejects its own corruption,
+    /// with its own message.
     #[test]
     fn mapped_parts_validation_rejects_corruption() {
         let mut d = Dict::new();
-        d.intern("<a>");
-        d.intern("<b>");
-        let (blob, offsets, order) = d.to_mapped_parts();
-        let (blob, offsets) = (blob.to_vec(), offsets.to_vec());
-        // Non-permutation order.
-        assert!(Dict::from_mapped_parts(
-            blob.clone().into(),
-            offsets.clone().into(),
-            vec![0u64, 0].into()
-        )
-        .is_err());
-        // Unsorted order.
-        assert!(Dict::from_mapped_parts(
-            blob.clone().into(),
-            offsets.clone().into(),
-            vec![1u64, 0].into()
-        )
-        .is_err());
-        // Offsets not spanning the blob.
-        let mut bad = offsets.clone();
-        *bad.last_mut().unwrap() += 1;
-        assert!(
-            Dict::from_mapped_parts(blob.clone().into(), bad.into(), order.clone().into()).is_err()
+        for i in 0..40 {
+            d.intern(&format!("<n{i}>"));
+        }
+        let valid = d.to_mapped_parts();
+        let rejects = |parts: FrontCoded, message: &str| {
+            assert_eq!(Dict::from_mapped_parts(parts).unwrap_err(), message);
+        };
+        let (data, buckets, order, rank) = arrays(&valid);
+        assert_eq!(buckets.len(), 3);
+
+        let mut p = valid.clone();
+        p.rank = IntVec::from_slice(&rank[..39]);
+        rejects(p, "dictionary permutations differ in length");
+
+        let mut p = valid.clone();
+        let mut wide = IntVec::new(p.order.width() + 1);
+        order.iter().for_each(|&id| wide.push(id));
+        p.order = wide;
+        rejects(p, "dictionary permutations have the wrong width");
+
+        let mut p = valid.clone();
+        p.buckets = buckets[..2].to_vec().into();
+        rejects(p, "dictionary bucket table has the wrong length");
+
+        for (at, bad) in [(0, 1), (2, data.len() as u64 + 1)] {
+            let mut p = valid.clone();
+            let mut moved = buckets.clone();
+            moved[at] = bad;
+            p.buckets = moved.into();
+            rejects(p, "dictionary bucket offsets are out of bounds");
+        }
+        rejects(
+            by_hand(&[1, b'a'], &[], 0),
+            "dictionary bucket offsets are out of bounds",
         );
-        // Invalid UTF-8 in a name.
-        let mut bad_blob = blob.clone();
-        bad_blob[1] = 0xFF;
-        assert!(Dict::from_mapped_parts(bad_blob.into(), offsets.into(), order.into()).is_err());
+
+        let mut p = valid.clone();
+        p.buckets = vec![0, buckets[2], buckets[1]].into();
+        rejects(p, "dictionary bucket offsets are not monotone");
+
+        let mut p = valid.clone();
+        p.data = data[..data.len() - 1].to_vec().into();
+        rejects(p, "dictionary bucket ends inside a name");
+        // ... and a length varint that never ends.
+        rejects(
+            by_hand(&[0x80; 11], &[0], 1),
+            "dictionary bucket ends inside a name",
+        );
+
+        let mut p = valid.clone();
+        p.data = [&data[..], b"!"].concat().into();
+        rejects(p, "dictionary bucket has bytes after its last name");
+
+        // "a", then 2 bytes shared with it.
+        rejects(
+            by_hand(&[1, b'a', 2, 1, b'b'], &[0], 2),
+            "dictionary prefix is longer than the name before it",
+        );
+
+        rejects(
+            by_hand(&[1, 0xFF], &[0], 1),
+            "dictionary name is not valid UTF-8",
+        );
+        // "é" as its two bytes, then its first byte and 0xFF: sorted, and
+        // the shared prefix splits the character.
+        rejects(
+            by_hand(&[2, 0xC3, 0xA9, 1, 1, 0xFF], &[0], 2),
+            "dictionary name is not valid UTF-8",
+        );
+
+        // "b", then "a": in a bucket, and across two.
+        rejects(
+            by_hand(&[1, b'b', 0, 1, b'a'], &[0], 2),
+            "dictionary names are not strictly increasing",
+        );
+        let mut across = vec![1, b'b'];
+        for _ in 1..BUCKET {
+            across.extend([1, 1, b'c']);
+        }
+        let second = across.len() as u64;
+        across.extend([1, b'b']);
+        rejects(
+            by_hand(&across, &[0, second], BUCKET + 1),
+            "dictionary names are not strictly increasing",
+        );
+        // The same name twice.
+        rejects(
+            by_hand(&[1, b'a', 1, 0], &[0], 2),
+            "dictionary names are not strictly increasing",
+        );
+
+        let mut p = valid.clone();
+        let mut swapped = order.clone();
+        swapped.swap(3, 4);
+        p.order = IntVec::from_slice(&swapped);
+        rejects(p, "dictionary rank is not the inverse of order");
+
+        assert!(Dict::from_mapped_parts(valid).is_ok());
+    }
+
+    /// A shared prefix shorter than the longest one is still a valid
+    /// encoding, and a lookup does not rely on it being the longest.
+    #[test]
+    fn lookups_do_not_assume_the_longest_shared_prefix() {
+        // "ab", "abc" written out in full, "abd" as "a" + "bd".
+        let d = Dict::from_mapped_parts(by_hand(
+            &[2, b'a', b'b', 0, 3, b'a', b'b', b'c', 1, 2, b'b', b'd'],
+            &[0],
+            3,
+        ))
+        .expect("sorted and well-formed");
+        for (id, name) in ["ab", "abc", "abd"].into_iter().enumerate() {
+            assert_eq!(d.get(name), Some(id as Id));
+            assert_eq!(d.name(id as Id), name);
+        }
+        for miss in ["", "a", "aa", "abb", "abca", "abe", "b"] {
+            assert_eq!(d.get(miss), None, "{miss:?}");
+        }
     }
 
     /// The parent's heap dictionary — every name a `String`, kept in a
-    /// vector and again as a map key — with the arrays and the `RDc1`
-    /// payload it produced: what the arena must reproduce byte for byte.
+    /// vector and again as a map key — and a second, plain encoder of the
+    /// section: what the arena and the writer must reproduce byte for
+    /// byte.
     #[derive(Default)]
     struct Reference {
         names: Vec<String>,
@@ -529,22 +944,48 @@ mod tests {
             id
         }
 
-        fn to_mapped_parts(&self) -> (Vec<u8>, Vec<u64>, Vec<u64>) {
-            let mut blob = Vec::new();
-            let mut offsets = vec![0u64];
-            for name in &self.names {
-                blob.extend_from_slice(name.as_bytes());
-                offsets.push(blob.len() as u64);
-            }
+        fn front_coded(&self) -> (Vec<u8>, Vec<u64>, Vec<u64>, Vec<u64>) {
+            let leb128 = |data: &mut Vec<u8>, mut x: usize| loop {
+                let low = (x & 0x7F) as u8;
+                x >>= 7;
+                if x == 0 {
+                    data.push(low);
+                    break;
+                }
+                data.push(low | 0x80);
+            };
             let mut order: Vec<u64> = (0..self.names.len() as u64).collect();
             order.sort_unstable_by(|&a, &b| self.names[a as usize].cmp(&self.names[b as usize]));
-            (blob, offsets, order)
+            let mut rank = vec![0u64; order.len()];
+            for (r, &id) in order.iter().enumerate() {
+                rank[id as usize] = r as u64;
+            }
+            let (mut data, mut buckets) = (Vec::new(), Vec::new());
+            for bucket in order.chunks(16) {
+                buckets.push(data.len() as u64);
+                let head = self.names[bucket[0] as usize].as_bytes();
+                leb128(&mut data, head.len());
+                data.extend_from_slice(head);
+                for pair in bucket.windows(2) {
+                    let [prev, name] =
+                        [pair[0], pair[1]].map(|id| self.names[id as usize].as_bytes());
+                    let lcp = (0..prev.len().min(name.len()))
+                        .find(|&i| prev[i] != name[i])
+                        .unwrap_or(prev.len().min(name.len()));
+                    leb128(&mut data, lcp);
+                    leb128(&mut data, name.len() - lcp);
+                    data.extend_from_slice(&name[lcp..]);
+                }
+            }
+            (data, buckets, order, rank)
         }
     }
 
     /// A stream of names with repeats: IRIs sharing long prefixes, blank
-    /// nodes, literals, multi-byte text, the empty name, and names that
-    /// differ only in length or in trailing NULs.
+    /// nodes, literals, multi-byte text (some of it sharing a prefix that
+    /// ends inside a character), the empty name and names that are
+    /// prefixes of each other or differ only in trailing NULs, and names of
+    /// 128 bytes and more, whose lengths take two varint bytes.
     fn name_stream(seed: u64, n: usize) -> Vec<String> {
         let mut state = seed | 1;
         let mut next = |m: u64| {
@@ -556,62 +997,71 @@ mod tests {
         (0..n)
             .map(|_| {
                 let k = next(n as u64 / 2 + 1);
-                match next(8) {
+                match next(10) {
                     0 => format!("_:b{k}"),
                     1 => format!("\"name {k}\"@en"),
                     2 => format!("\"größe {k} → ∞\""),
                     3 => "x".repeat(k as usize % 20),
                     4 => format!("x{}", "\0".repeat(k as usize % 20)),
+                    // é ê → ← : C3 A9, C3 AA, E2 86 92, E2 86 90.
+                    5 => format!("{}{}", ['é', 'ê', '→', '←'][k as usize % 4], k / 4),
+                    6 => format!(
+                        "<http://example.org/{}/{k}>",
+                        "long".repeat(k as usize % 64)
+                    ),
                     _ => format!("<http://example.org/entity/Q{k}>"),
                 }
             })
             .collect()
     }
 
+    /// `d` answers as `expected` (id order) does, through every accessor.
+    fn assert_answers(d: &Dict, expected: &[(Id, &str)], context: &str) {
+        assert_eq!(d.len(), expected.len(), "{context}");
+        assert_eq!(d.is_empty(), expected.is_empty(), "{context}");
+        let listed: Vec<(Id, String)> = d.iter().map(|(id, n)| (id, n.into_owned())).collect();
+        let want: Vec<(Id, String)> = expected.iter().map(|&(id, n)| (id, n.into())).collect();
+        assert_eq!(listed, want, "iter, {context}");
+        for &(id, name) in expected {
+            assert_eq!(d.get(name), Some(id), "{context}: get({name:?})");
+            assert_eq!(d.name(id), name, "{context}: name({id})");
+        }
+        for miss in ["<never interned>", "\0", "x\u{1}", "é", "\u{10FFFF}"] {
+            if !expected.iter().any(|&(_, n)| n == miss) {
+                assert_eq!(d.get(miss), None, "{context}: get({miss:?})");
+            }
+        }
+    }
+
     #[test]
     fn arena_matches_the_reference_dictionary() {
         for seed in [1u64, 2, 3] {
             for n in [0usize, 1, 15, 16, 17, 1000, 20_000] {
+                let context = format!("seed {seed}, n {n}");
                 let mut d = Dict::new();
                 let mut r = Reference::default();
                 for name in name_stream(seed, n) {
                     assert_eq!(d.intern(&name), r.intern(&name), "intern({name:?})");
                 }
-                assert_eq!(d.len(), r.names.len());
-                assert_eq!(d.is_empty(), r.names.is_empty());
-                let listed: Vec<(Id, &str)> = d.iter().collect();
                 let expected: Vec<(Id, &str)> =
                     (0..).zip(r.names.iter().map(String::as_str)).collect();
-                assert_eq!(listed, expected, "iter, seed {seed}, n {n}");
-                for (id, name) in &expected {
-                    assert_eq!(d.get(name), Some(*id), "get({name:?})");
-                    assert_eq!(d.name(*id), *name);
-                }
-                assert_eq!(d.get("<never interned>"), None);
-                assert_eq!(d.get("\0"), None);
+                assert_answers(&d, &expected, &format!("heap, {context}"));
 
                 // The arrays of the mapped writer.
-                let (blob, offsets, order) = d.to_mapped_parts();
-                let (r_blob, r_offsets, r_order) = r.to_mapped_parts();
-                assert_eq!((blob, offsets), (&r_blob[..], &r_offsets[..]));
-                assert_eq!(order, r_order, "seed {seed}, n {n}");
+                assert_eq!(arrays(&d.to_mapped_parts()), r.front_coded(), "{context}");
 
                 // Mapped form and back: same answers, and interning goes on
                 // where the ids left off.
-                let mut m =
-                    Dict::from_mapped_parts(r_blob.into(), r_offsets.into(), r_order.into())
-                        .expect("the reference arrays are valid");
+                let mut m = mapped(&d);
                 for round in 0..2 {
-                    for (id, name) in &expected {
-                        assert_eq!(m.get(name), Some(*id), "round {round}: get({name:?})");
-                        assert_eq!(m.name(*id), *name);
-                    }
-                    assert_eq!(m.get("<never interned>"), None);
-                    assert_eq!(m.to_mapped_parts(), d.to_mapped_parts(), "round {round}");
+                    let context = format!("round {round}, {context}");
+                    assert_answers(&m, &expected, &context);
+                    assert_eq!(arrays(&m.to_mapped_parts()), r.front_coded(), "{context}");
                     m.make_owned();
                     assert!(!m.is_mapped());
                 }
-                assert_eq!(m.intern("<fresh>"), d.intern("<fresh>"));
+                assert_eq!(m.intern("<fresh>"), r.names.len() as Id);
+                assert_eq!(d.intern("<fresh>"), r.names.len() as Id);
                 if let Some((id, name)) = expected.first() {
                     assert_eq!(m.intern(name), *id);
                 }
@@ -640,27 +1090,30 @@ mod tests {
                 }
             }
             assert_eq!(ids, expected, "seed {seed}");
-            assert_eq!(many.to_mapped_parts(), one.to_mapped_parts());
+            assert_eq!(
+                arrays(&many.to_mapped_parts()),
+                arrays(&one.to_mapped_parts())
+            );
             // A whole dictionary into another that knows half its names.
             let mut half = Dict::new();
             for name in names.iter().step_by(2) {
                 half.intern(name);
             }
             let mut model = half.clone();
-            let expected: Vec<Id> = one.iter().map(|(_, n)| model.intern(n)).collect();
+            let expected: Vec<Id> = one.iter().map(|(_, n)| model.intern(&n)).collect();
             assert_eq!(half.intern_all(&one), expected, "seed {seed}");
-            assert_eq!(half.to_mapped_parts(), model.to_mapped_parts());
+            assert_eq!(
+                arrays(&half.to_mapped_parts()),
+                arrays(&model.to_mapped_parts())
+            );
             // ... and into a mapped one, which it makes owned.
-            let (blob, offsets, order) = one.to_mapped_parts();
-            let mut mapped = Dict::from_mapped_parts(
-                blob.to_vec().into(),
-                offsets.to_vec().into(),
-                order.into(),
-            )
-            .expect("valid");
+            let mut from_mapped = mapped(&one);
             let same: Vec<Id> = (0..one.len() as Id).collect();
-            assert_eq!(mapped.intern_all(&one), same);
-            assert!(!mapped.is_mapped());
+            assert_eq!(from_mapped.intern_all(&one), same);
+            assert!(!from_mapped.is_mapped());
+            // ... and from a mapped one.
+            let mut into = Dict::new();
+            assert_eq!(into.intern_all(&mapped(&one)), same);
         }
     }
 
@@ -683,14 +1136,52 @@ mod tests {
         assert_eq!(d.len(), 4);
     }
 
+    /// Names a random stream may miss, in every form: one longer than a
+    /// heap slot can record, the names that are its prefixes, the empty
+    /// name, NULs, names sharing a prefix that ends inside a character.
+    #[test]
+    fn edge_names_survive_the_mapped_form() {
+        let long = "x".repeat(LONG + 1);
+        let names = [
+            long.as_str(),
+            "x",
+            "",
+            "\0",
+            "\0\0",
+            "x\0",
+            &long[..200],
+            &long[..128],
+            "é",
+            "ê",
+            "→",
+            "←",
+            "ab",
+            "a",
+        ];
+        let mut d = Dict::new();
+        for name in names {
+            d.intern(name);
+        }
+        let expected: Vec<(Id, &str)> = (0..).zip(names).collect();
+        let mut m = mapped(&d);
+        assert_answers(&m, &expected, "mapped");
+        assert_eq!(m.get(&long[..LONG]), None);
+        assert_eq!(m.get(&format!("{long}x")), None);
+        m.make_owned();
+        assert_answers(&m, &expected, "made owned");
+        assert_eq!(m.intern("b"), names.len() as Id);
+    }
+
     #[test]
     fn heap_form_holds_each_name_once() {
         let n = 100_000usize;
         let mut d = Dict::new();
+        let mut blob = 0;
         for i in 0..n {
-            d.intern(&format!("<http://example.org/entity/Q{i}>"));
+            let name = format!("<http://example.org/entity/Q{i}>");
+            blob += name.len();
+            d.intern(&name);
         }
-        let blob = d.to_mapped_parts().0.len();
         // At most half the slots taken, and a table only doubles: fewer
         // than 4 slots a name. The two arena vectors grow by doubling too.
         let table = std::mem::size_of::<Slot>() * 4 * n;
@@ -701,5 +1192,14 @@ mod tests {
         );
         // Less than the least the two-`String`s-a-name form could take.
         assert!(d.size_bytes() < 2 * blob + n * (2 * std::mem::size_of::<String>() + 8));
+        // The mapped form: a fraction of the names' bytes, then two packed
+        // permutations of 17 bits an id and a word per bucket.
+        let m = mapped(&d);
+        let packed = 2 * (n * 17).div_ceil(64) * 8 + n.div_ceil(BUCKET) * 8;
+        assert!(
+            m.size_bytes() < blob / 2 + packed,
+            "{} bytes mapped over a {blob}-byte blob",
+            m.size_bytes()
+        );
     }
 }

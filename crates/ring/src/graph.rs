@@ -206,11 +206,11 @@ impl Graph {
     pub fn to_text(&self, nodes: &Dict, preds: &Dict) -> String {
         let mut out = String::new();
         for t in &self.triples {
-            out.push_str(nodes.name(t.s));
+            out.push_str(&nodes.name(t.s));
             out.push(' ');
-            out.push_str(preds.name(t.p));
+            out.push_str(&preds.name(t.p));
             out.push(' ');
-            out.push_str(nodes.name(t.o));
+            out.push_str(&nodes.name(t.o));
             out.push('\n');
         }
         out

@@ -6,18 +6,17 @@
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
 //! │ "RRPQM01\0" │ version u64 │ n_sections u64                   │
-//! │ TOC: (tag u64, offset u64, byte_len u64, crc32c u64) × 9     │
+//! │ TOC: (tag u64, offset u64, byte_len u64, crc32c u64) × 8     │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ 1 META    n, n_nodes, n_preds, n_preds_base, has_inverses,   │
 //! │           snapshot epoch                                     │
-//! │ 2 L_O     an empty wavelet matrix (48 bytes; see below)      │
-//! │ 3 L_S     wavelet matrix (subjects in (p,o) order)           │
-//! │ 4 L_P     wavelet matrix (predicates in (o,s) order)         │
-//! │ 5 C_S     boundaries                                         │
-//! │ 6 C_P     boundaries                                         │
-//! │ 7 C_O     boundaries                                         │
-//! │ 8 NODES   dictionary (blob + offsets + name-sorted ids)      │
-//! │ 9 PREDS   dictionary                                         │
+//! │ 2 L_S     wavelet matrix (subjects in (p,o) order)           │
+//! │ 3 L_P     wavelet matrix (predicates in (o,s) order)         │
+//! │ 4 C_S     boundaries                                         │
+//! │ 5 C_P     boundaries                                         │
+//! │ 6 C_O     boundaries                                         │
+//! │ 7 NODES   dictionary (front-coded buckets; see below)        │
+//! │ 8 PREDS   dictionary                                         │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -31,9 +30,22 @@
 //! ([`crate::sharded`]) a directory of them.
 //!
 //! `META`'s sixth word is the epoch of the snapshot the file holds — what
-//! a write-ahead log beside it is based on. A file without the word is at
-//! epoch 0, and an index at epoch 0 is written without it: byte for byte
-//! the file builds from before the word existed wrote, and still open.
+//! a write-ahead log beside it is based on. An index at epoch 0 is written
+//! without it, and a file without it is at epoch 0.
+//!
+//! A dictionary section is the mapped form of a [`Dict`]: the names in
+//! byte order, front-coded in buckets of [`BUCKET`], and two packed
+//! permutations between sorted rank and id:
+//!
+//! ```text
+//! data_len u64
+//! order    IntVec [width, len, words]   sorted rank → id, ⌈log₂ n⌉ bits
+//! rank     IntVec [width, len, words]   id → sorted rank
+//! buckets  u64 × ⌈n / 16⌉               where each bucket starts in data
+//! data     u8 × data_len, padded        per bucket: head_len varint, head,
+//!                                       then (lcp varint, len varint,
+//!                                       suffix) for each later name
+//! ```
 //!
 //! The shards of a sharded index ([`crate::sharded`]) are files of this
 //! format too. Their ids are global, so the directory keeps one copy of
@@ -41,13 +53,9 @@
 //! `NODES`/`PREDS` sections and are opened with [`open_ring`], which reads
 //! neither.
 //!
-//! Section 2 is the slot of the paper's third column, the objects in
-//! `(s, p, o)` order. §4's algorithm never reads it and [`Ring`] does not
-//! have it, so [`write_index`] fills the slot with an empty matrix and no
-//! open reads it: a file written when the slot held the column still
-//! opens and answers the same, its `L_O` bytes covered by the checksum
-//! walk and, under `mmap`, never paged in. `rpq-cli stats` says how many
-//! bytes a rebuild reclaims.
+//! The ring stores two of the paper's three columns, `L_s` and `L_p`; the
+//! third, the objects in `(s, p, o)` order, is never read by §4's
+//! algorithm and has no section (version 2 kept an unread slot for it).
 //!
 //! Alignment is a **soundness** invariant, not a preference: a
 //! misaligned `&[u64]` reinterpretation is undefined behavior, so the
@@ -62,56 +70,54 @@
 //! format — an `mmap` open validates structure only; checksums are
 //! verified by [`open_index_verified`] (how an updatable database opens:
 //! it decodes every byte anyway), on heap opens (which touch every byte
-//! anyway), when `RPQ_VERIFY_ON_OPEN=1`, and by
-//! [`verify_index_checksums`] (the `verify` CLI subcommand).
+//! anyway; `rpq-cli verify` is one), and when `RPQ_VERIFY_ON_OPEN=1`.
 //!
-//! Version 1 of this format (no checksums) and the stream formats of
-//! earlier builds are refused with [`io::ErrorKind::Unsupported`] and the
-//! command that rebuilds the index, not read.
+//! Versions 1 (no checksums) and 2 (a `NODES` section of two `u64` arrays
+//! around the names, and the unread third-column slot) of this format,
+//! and the stream formats of earlier builds, are refused with
+//! [`io::ErrorKind::Unsupported`] and the command that rebuilds the
+//! index, not read.
 
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 use succinct::mapped::{
-    err_data, host_supported, read_elias_fano, read_rank_select, read_wavelet_matrix,
-    write_elias_fano, write_rank_select, write_wavelet_matrix, MapReader, SectionWriter, MAX_LEN,
+    err_data, host_supported, read_elias_fano, read_int_vec, read_rank_select, read_wavelet_matrix,
+    write_elias_fano, write_int_vec, write_rank_select, write_wavelet_matrix, MapReader,
+    SectionWriter, MAX_LEN,
 };
-use succinct::{MappedFile, ResidentMode, WaveletMatrix};
+use succinct::{MappedFile, ResidentMode};
 
+use crate::dict::{FrontCoded, BUCKET};
 use crate::{Boundaries, Dict, Id, Ring};
 
 /// Magic bytes opening a mappable index file.
 pub const MAPPED_MAGIC: [u8; 8] = *b"RRPQM01\0";
-/// Version of the mapped format (per-section CRC32C in the TOC).
-pub const MAPPED_VERSION: u64 = 2;
+/// Version of the mapped format (front-coded dictionaries, eight
+/// sections).
+pub const MAPPED_VERSION: u64 = 3;
 
 const TAG_META: u64 = 1;
-const TAG_L_O: u64 = 2;
-const TAG_L_S: u64 = 3;
-const TAG_L_P: u64 = 4;
-const TAG_C_S: u64 = 5;
-const TAG_C_P: u64 = 6;
-const TAG_C_O: u64 = 7;
-const TAG_NODES: u64 = 8;
-const TAG_PREDS: u64 = 9;
-/// Byte length of the `L_O` section [`write_index`] writes: `[sigma,
-/// len]` and the one empty level of an empty [`WaveletMatrix`]. A longer
-/// one holds a column nothing reads.
-pub const EMPTY_L_O_LEN: u64 = (2 + 4) * 8;
+const TAG_L_S: u64 = 2;
+const TAG_L_P: u64 = 3;
+const TAG_C_S: u64 = 4;
+const TAG_C_P: u64 = 5;
+const TAG_C_O: u64 = 6;
+const TAG_NODES: u64 = 7;
+const TAG_PREDS: u64 = 8;
 /// Number of sections in a `RRPQM01` file.
-pub const N_SECTIONS: usize = 9;
+pub const N_SECTIONS: usize = 8;
 
 /// Header bytes before the first section: magic + version + count +
-/// the table of contents (32 bytes per entry). 312 bytes — itself a
+/// the table of contents (32 bytes per entry). 280 bytes — itself a
 /// multiple of 8, so the first section starts aligned.
 pub const HEADER_LEN: usize = 8 + 8 + 8 + N_SECTIONS * 32;
 
 /// Human names per section, indexed `tag - 1` (error messages, verify
 /// reports).
-pub const SECTION_NAMES: [&str; N_SECTIONS] = [
-    "META", "L_O", "L_S", "L_P", "C_S", "C_P", "C_O", "NODES", "PREDS",
-];
+pub const SECTION_NAMES: [&str; N_SECTIONS] =
+    ["META", "L_S", "L_P", "C_S", "C_P", "C_O", "NODES", "PREDS"];
 
 /// How [`open_index`] should back the loaded structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -230,22 +236,28 @@ fn read_boundaries(r: &mut MapReader) -> io::Result<Boundaries> {
 }
 
 fn write_dict<W: Write>(w: &mut SectionWriter<W>, d: &Dict) -> io::Result<()> {
-    let (blob, offsets, order) = d.to_mapped_parts();
-    w.u64(order.len() as u64)?;
-    w.u64(blob.len() as u64)?;
-    w.u64s(offsets)?;
-    w.u64s(&order)?;
-    w.bytes(blob)?;
+    let parts = d.to_mapped_parts();
+    w.u64(parts.data.len() as u64)?;
+    write_int_vec(w, &parts.order)?;
+    write_int_vec(w, &parts.rank)?;
+    w.u64s(&parts.buckets)?;
+    w.bytes(&parts.data)?;
     w.pad()
 }
 
 fn read_dict(r: &mut MapReader) -> io::Result<Dict> {
-    let n = r.len_u64(MAX_LEN)?;
-    let blob_len = r.len_u64(MAX_LEN)?;
-    let offsets = r.slab_u64(n + 1)?;
-    let order = r.slab_u64(n)?;
-    let blob = r.slab_u8(blob_len)?;
-    Dict::from_mapped_parts(blob, offsets, order).map_err(err_data)
+    let data_len = r.len_u64(MAX_LEN)?;
+    let order = read_int_vec(r)?;
+    let rank = read_int_vec(r)?;
+    let buckets = r.slab_u64(order.len().div_ceil(BUCKET))?;
+    let data = r.slab_u8(data_len)?;
+    Dict::from_mapped_parts(FrontCoded {
+        data,
+        buckets,
+        order,
+        rank,
+    })
+    .map_err(err_data)
 }
 
 /// Writes `ring` plus its dictionaries as a mappable `RRPQM01` file at
@@ -292,7 +304,8 @@ pub fn write_index_at(
     })
 }
 
-/// The nine sections of a file, each with its tag, in file order.
+/// The [`N_SECTIONS`] sections of a file, each with its tag, in file
+/// order.
 fn index_sections(
     ring: &Ring,
     nodes: &Dict,
@@ -313,10 +326,6 @@ fn index_sections(
                 }
                 Ok(())
             })?,
-        ),
-        (
-            TAG_L_O,
-            section(|w| write_wavelet_matrix(w, &WaveletMatrix::new(&[], 1)))?,
         ),
         (TAG_L_S, section(|w| write_wavelet_matrix(w, ring.l_s()))?),
         (TAG_L_P, section(|w| write_wavelet_matrix(w, ring.l_p()))?),
@@ -359,7 +368,7 @@ fn unsupported_format(what: &str) -> io::Error {
     )
 }
 
-/// Parses and validates the header (the TOC must list the nine known
+/// Parses and validates the header (the TOC must list the eight known
 /// tags in order). Every offset is checked to be 8-byte aligned — the
 /// soundness invariant behind the zero-copy `&[u64]` views — and in
 /// bounds.
@@ -381,6 +390,11 @@ fn read_toc(map: &MappedFile) -> io::Result<Toc> {
     match u64_at(bytes, 8) {
         MAPPED_VERSION => {}
         1 => return Err(unsupported_format("RRPQM01 version 1 (checksum-less)")),
+        2 => {
+            return Err(unsupported_format(
+                "RRPQM01 version 2 (uncompressed dictionaries)",
+            ))
+        }
         v => {
             return Err(err_data(format!(
                 "unsupported mapped format version {v} (supported: {MAPPED_VERSION})"
@@ -442,18 +456,11 @@ fn check_section_crcs(map: &MappedFile, toc: &Toc) -> io::Result<()> {
     Ok(())
 }
 
-/// Deep-checks the [`N_SECTIONS`] section checksums of the `RRPQM01`
-/// file at `path` against its TOC (every byte is read). Structural and
-/// cross-component validation is [`open_index`]'s job.
-pub fn verify_index_checksums(path: &Path) -> io::Result<()> {
-    let map = MappedFile::open_heap(path)?;
-    check_section_crcs(&map, &read_toc(&map)?)
-}
-
 /// Opens a `RRPQM01` file, pointing the index structures into the file
 /// in place. Cold-open cost is header parsing plus shape validation —
 /// the succinct payloads are neither copied nor rebuilt (the dictionary
-/// section is scanned once for UTF-8/order validation).
+/// sections are decoded once, in one sequential pass each, to validate
+/// them).
 pub fn open_index(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
     open_index_checked(path, mode, false)
 }
@@ -559,8 +566,7 @@ fn read_section<T>(
 }
 
 /// Sections `META` and `L_S` to `C_O`: the ring, shape- and
-/// cross-checked, and the snapshot epoch. `L_O` is not read, whatever it
-/// holds.
+/// cross-checked, and the snapshot epoch.
 fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<(Ring, u64)> {
     let (n, n_nodes, n_preds, n_preds_base, has_inverses, epoch) =
         read_section(map, toc, TAG_META, |meta| {

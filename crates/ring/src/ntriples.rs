@@ -129,11 +129,11 @@ pub fn parse_ntriples(text: &str) -> Result<(Graph, Dict, Dict), NtError> {
 pub fn to_ntriples(graph: &Graph, nodes: &Dict, preds: &Dict) -> String {
     let mut out = String::new();
     for t in graph.triples() {
-        push_term(&mut out, nodes.name(t.s));
+        push_term(&mut out, &nodes.name(t.s));
         out.push(' ');
-        push_term(&mut out, preds.name(t.p));
+        push_term(&mut out, &preds.name(t.p));
         out.push(' ');
-        push_term(&mut out, nodes.name(t.o));
+        push_term(&mut out, &nodes.name(t.o));
         out.push_str(" .\n");
     }
     out

@@ -15,7 +15,7 @@
 //! On disk a sharded index is a directory: one [`crate::mapped`]
 //! `RRPQM01` file per shard plus a CRC-footered `MANIFEST` binding them
 //! together. The directory holds **one** copy of the dictionaries, in
-//! `shard-000.rpqm`; the other shard files keep the nine-section
+//! `shard-000.rpqm`; the other shard files keep the eight-section
 //! container with empty `NODES`/`PREDS`. Ids are global, so one
 //! dictionary names every shard's triples, and a copy per shard was
 //! 3 B/triple of names stored, written, validated and paged in once per
@@ -34,7 +34,10 @@ use succinct::checksum::{CrcReader, CrcWriter};
 use succinct::io::{read_u64, write_u64};
 use succinct::ResidentMode;
 
-use crate::durable::{atomic_write, finish_footer, verify_footer, FaultReader};
+use crate::durable::{
+    atomic_write, checksum_error, durability_error, finish_footer, verify_footer, DurabilityError,
+    FaultReader,
+};
 use crate::mapped::{self, OpenMode};
 use crate::ring::RingOptions;
 use crate::{Dict, Graph, Id, Ring, Triple};
@@ -207,7 +210,8 @@ pub struct OpenedDir {
 /// shapes, and its section CRCs on a heap open) and cross-checks every
 /// ring against the manifest — shard count, per-shard triple count, and
 /// the shared node/predicate universes, which shard 0's open has already
-/// held the dictionaries to.
+/// held the dictionaries to. A section checksum error names its shard:
+/// its context starts `shard {i}:`.
 pub fn open_dir(dir: &Path, mode: OpenMode) -> io::Result<OpenedDir> {
     let manifest = read_manifest(&dir.join(MANIFEST_FILE))?;
     let check = |i: usize, ring: &Ring| {
@@ -223,7 +227,7 @@ pub fn open_dir(dir: &Path, mode: OpenMode) -> io::Result<OpenedDir> {
         }
         Ok(())
     };
-    let first = mapped::open_index(&dir.join(shard_file_name(0)), mode)?;
+    let first = mapped::open_index(&dir.join(shard_file_name(0)), mode).map_err(in_shard(0))?;
     check(0, &first.ring)?;
     let mut opened = OpenedDir {
         rings: Vec::with_capacity(manifest.shard_triples.len()),
@@ -234,12 +238,25 @@ pub fn open_dir(dir: &Path, mode: OpenMode) -> io::Result<OpenedDir> {
     };
     opened.rings.push(first.ring);
     for i in 1..manifest.shard_triples.len() {
-        let shard = mapped::open_ring(&dir.join(shard_file_name(i)), mode)?;
+        let shard = mapped::open_ring(&dir.join(shard_file_name(i)), mode).map_err(in_shard(i))?;
         check(i, &shard.ring)?;
         opened.mapped_bytes += shard.mapped_bytes;
         opened.rings.push(shard.ring);
     }
     Ok(opened)
+}
+
+/// Prefixes `shard {i}: ` to the context of a checksum error from opening
+/// shard `i`'s file; any other error passes as it is.
+fn in_shard(i: usize) -> impl FnOnce(io::Error) -> io::Error {
+    move |e| match durability_error(&e) {
+        Some(DurabilityError::ChecksumMismatch {
+            context,
+            expected,
+            actual,
+        }) => checksum_error(format!("shard {i}: {context}"), *expected, *actual),
+        _ => e,
+    }
 }
 
 fn manifest_mismatch(context: &str, what: &str) -> io::Error {

@@ -3,8 +3,7 @@
 //! and corruption rejection — truncation at every section boundary,
 //! oversized declared lengths, wrong magic, version skew, and misaligned
 //! table-of-contents offsets — the refusal of the formats this one
-//! replaced, the snapshot epoch in `META`, and files from when the `L_O`
-//! slot held a column.
+//! replaced, and the snapshot epoch in `META`.
 
 mod common;
 
@@ -13,8 +12,8 @@ use std::path::PathBuf;
 use common::{put_u64, u64_at};
 
 use ring::mapped::{
-    open_index, open_index_verified, section_lens, verify_index_checksums, write_index,
-    write_index_at, OpenMode, EMPTY_L_O_LEN, HEADER_LEN, MAPPED_MAGIC,
+    open_index, open_index_verified, write_index, write_index_at, OpenMode, HEADER_LEN,
+    MAPPED_MAGIC, N_SECTIONS,
 };
 use ring::ring::{BoundaryKind, RingOptions};
 use ring::{Dict, Graph, Ring, Triple};
@@ -77,7 +76,7 @@ fn assert_dicts_equal(a: &Dict, b: &Dict) {
     assert_eq!(a.len(), b.len());
     for (id, name) in a.iter() {
         assert_eq!(b.name(id), name);
-        assert_eq!(b.get(name), Some(id), "lookup of {name}");
+        assert_eq!(b.get(&name), Some(id), "lookup of {name}");
     }
     assert_eq!(b.get("<no-such-name>"), None);
 }
@@ -147,50 +146,6 @@ fn heap_and_mmap_opens_are_equivalent() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A file written while `L_O` still held the objects column opens under
-/// both residencies as the ring a fresh save opens as, and its extra
-/// section stays under the checksum walk.
-#[test]
-fn files_with_a_full_l_o_section_still_open() {
-    let dir = tmpdir("legacy_l_o");
-    let (graph, nodes, preds) = sample();
-    for with_inverses in [true, false] {
-        let ring = Ring::build(
-            &graph,
-            RingOptions {
-                with_inverses,
-                ..Default::default()
-            },
-        );
-        let fresh = dir.join("fresh.rpqm");
-        write_index(&fresh, &ring, &nodes, &preds).unwrap();
-        assert_eq!(section_lens(&fresh).unwrap()[common::L_O], EMPTY_L_O_LEN);
-
-        let legacy = dir.join("legacy.rpqm");
-        let image = common::mapped_with_l_o(&std::fs::read(&fresh).unwrap(), &ring);
-        std::fs::write(&legacy, &image).unwrap();
-        assert!(section_lens(&legacy).unwrap()[common::L_O] > EMPTY_L_O_LEN);
-        verify_index_checksums(&legacy).unwrap();
-        for mode in common::modes() {
-            let old = open_index(&legacy, mode).unwrap();
-            let new = open_index(&fresh, mode).unwrap();
-            assert_rings_equal(&old.ring, &new.ring);
-            assert_rings_equal(&old.ring, &ring);
-            assert_dicts_equal(&old.nodes, &nodes);
-            assert_dicts_equal(&old.preds, &preds);
-        }
-
-        // The section nothing reads is still bytes the file vouches for.
-        let mut flipped = image.clone();
-        let l_o_at = u64_at(&image, 24 + common::L_O * 32 + 8) as usize;
-        flipped[l_o_at + 40] ^= 0x10;
-        std::fs::write(&legacy, &flipped).unwrap();
-        let err = verify_index_checksums(&legacy).unwrap_err().to_string();
-        assert!(err.contains("L_O"), "{err}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Writes `bytes` to a file and opens it heap-resident.
 fn open_bytes(dir: &std::path::Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
     let path = dir.join(name);
@@ -215,7 +170,7 @@ fn valid_image(dir: &std::path::Path) -> (Vec<u8>, Vec<(usize, usize)>) {
     let path = dir.join("valid.rpqm");
     write_index(&path, &ring, &nodes, &preds).unwrap();
     let bytes = std::fs::read(&path).unwrap();
-    let toc = (0..9)
+    let toc = (0..N_SECTIONS)
         .map(|i| {
             let at = 24 + i * 32;
             (
@@ -304,6 +259,10 @@ fn wrong_magic_names_the_stream_formats() {
     let mut v1 = bytes.clone();
     put_u64(&mut v1, 8, 1);
     refused("v1.rpqm", &v1, "version 1");
+    // Version 2: nine sections, dictionaries of two `u64` arrays.
+    let mut v2 = bytes.clone();
+    put_u64(&mut v2, 8, 2);
+    refused("v2.rpqm", &v2, "version 2");
     let mut garbage = bytes.clone();
     garbage[..8].copy_from_slice(b"GARBAGE!");
     let msg = open_bytes(&dir, "garbage.rpqm", &garbage)

@@ -119,7 +119,7 @@ proptest! {
             for (d, back) in [(&nodes, &back.nodes), (&preds, &back.preds)] {
                 prop_assert_eq!(back.len(), d.len());
                 for (id, name) in d.iter() {
-                    prop_assert_eq!(back.get(name), Some(id));
+                    prop_assert_eq!(back.get(&name), Some(id));
                     prop_assert_eq!(back.name(id), name);
                 }
             }

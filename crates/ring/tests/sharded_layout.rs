@@ -1,7 +1,6 @@
 //! The on-disk layout of a sharded index directory (`RRPQSH01`): one copy
 //! of the dictionaries, in shard 0's file; every other shard opened
-//! ring-only, whatever its `NODES`/`PREDS` sections hold — and no shard's
-//! `L_O` section read, whatever it holds.
+//! ring-only, whatever its `NODES`/`PREDS` sections hold.
 
 mod common;
 
@@ -9,12 +8,12 @@ use std::path::{Path, PathBuf};
 
 use common::{modes, u64_at};
 
-use ring::mapped::{open_index, verify_index_checksums, write_index, OpenMode, HEADER_LEN};
+use ring::mapped::{open_index, write_index, OpenMode, HEADER_LEN};
 use ring::ring::RingOptions;
 use ring::sharded::{open_dir, shard_file_name, ShardedIndex};
 use ring::{Dict, Graph, Triple};
 
-const NODES: usize = 7; // index of the section in the table of contents
+const NODES: usize = 6; // index of the section in the table of contents
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rpq_layout_{name}_{}", std::process::id()));
@@ -50,7 +49,7 @@ fn generated(n_nodes: u64, n_edges: usize) -> (Graph, Dict, Dict) {
     (Graph::new(triples, n_nodes, 8), nodes, preds)
 }
 
-/// `(offset, len)` of section `i` of a v2 `RRPQM01` image.
+/// `(offset, len)` of section `i` of a `RRPQM01` image.
 fn section(bytes: &[u8], i: usize) -> (usize, usize) {
     let at = 24 + i * 32;
     (
@@ -97,7 +96,8 @@ fn four_shards_cost_one_dictionary() {
     );
     for i in 1..4 {
         let image = std::fs::read(sharded.join(shard_file_name(i))).unwrap();
-        assert_eq!(section(&image, NODES).1, 24, "shard {i} stores no names");
+        // `data_len` and the two empty permutations' `[width, len]`.
+        assert_eq!(section(&image, NODES).1, 40, "shard {i} stores no names");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -113,22 +113,27 @@ fn a_malformed_dictionary_in_shard_0_is_rejected() {
         .unwrap();
     let shard0 = dir.join(shard_file_name(0));
     let valid = std::fs::read(&shard0).unwrap();
+    // `data_len`, then `order` and `rank` as `[width, len, words]`, then
+    // where each bucket of 16 names starts.
     let (off, _) = section(&valid, NODES);
-    let n = u64_at(&valid, off) as usize;
-    assert_eq!(n, 64);
-    let offsets_at = off + 16;
-    let order_at = offsets_at + (n + 1) * 8;
+    let words_after = |at: usize| {
+        let bits = u64_at(&valid, at) * u64_at(&valid, at + 8);
+        at + 16 + bits.div_ceil(64) as usize * 8
+    };
+    let order_at = off + 8;
+    assert_eq!(u64_at(&valid, order_at + 8), 64);
+    let buckets_at = words_after(words_after(order_at));
 
-    // An offset running backwards.
+    // A bucket start running backwards.
     let mut backwards = valid.clone();
-    let later = u64_at(&valid, offsets_at + 6 * 8);
-    backwards[offsets_at + 5 * 8..][..8].copy_from_slice(&(later + 1).to_le_bytes());
-    // Two neighbours of the name-sorted permutation swapped.
+    let later = u64_at(&valid, buckets_at + 3 * 8);
+    backwards[buckets_at + 2 * 8..][..8].copy_from_slice(&(later + 1).to_le_bytes());
+    // The first id of the name-sorted permutation changed: two ranks now
+    // name the same id.
     let mut unsorted = valid.clone();
-    unsorted.copy_within(order_at..order_at + 8, order_at + 8);
-    unsorted[order_at..][..8].copy_from_slice(&valid[order_at + 8..][..8]);
+    unsorted[order_at + 16] ^= 1;
 
-    for (image, want) in [(backwards, "not monotone"), (unsorted, "does not sort")] {
+    for (image, want) in [(backwards, "not monotone"), (unsorted, "not the inverse")] {
         let mut image = image;
         fix_crc(&mut image, NODES);
         std::fs::write(&shard0, &image).unwrap();
@@ -176,42 +181,9 @@ fn leftover_dictionary_copies_are_unread_but_still_checksummed() {
         assert_eq!(opened.rings.len(), 4);
         assert_eq!(opened.nodes.name(63), nodes.name(63));
     }
-    let err = verify_index_checksums(&shard2).unwrap_err().to_string();
+    let err = open_index(&shard2, OpenMode::Heap).unwrap_err().to_string();
     assert!(err.contains("NODES"), "{err}");
     let err = open_dir(&dir, OpenMode::Heap).unwrap_err().to_string();
     assert!(err.contains("NODES"), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A directory saved over in part: one shard file from when `L_O` held
-/// the objects column, beside shards written today. It opens as the same
-/// rings under both residencies and its checksums verify.
-#[test]
-fn a_shard_with_a_full_l_o_section_opens_beside_new_ones() {
-    let dir = tmpdir("legacy_shard");
-    let (graph, nodes, preds) = generated(64, 400);
-    let idx = ShardedIndex::build(&graph, 4, RingOptions::default());
-    idx.save_dir(&dir, &nodes, &preds).unwrap();
-    let shard2 = dir.join(shard_file_name(2));
-    let image = std::fs::read(&shard2).unwrap();
-    let legacy = common::mapped_with_l_o(&image, &idx.shards()[2]);
-    assert!(section(&legacy, common::L_O).1 > section(&image, common::L_O).1);
-    std::fs::write(&shard2, &legacy).unwrap();
-
-    verify_index_checksums(&shard2).unwrap();
-    for mode in modes() {
-        let opened = open_dir(&dir, mode).unwrap();
-        assert_eq!(opened.nodes.len(), 64);
-        for (old, new) in opened.rings.iter().zip(idx.shards()) {
-            assert!(old.iter_triples().eq(new.iter_triples()), "{mode:?}");
-            for p in 0..new.n_preds() {
-                assert_eq!(old.pred_range(p), new.pred_range(p), "{mode:?}");
-            }
-            for v in 0..new.n_nodes() {
-                assert_eq!(old.object_range(v), new.object_range(v), "{mode:?}");
-                assert_eq!(old.subject_range(v), new.subject_range(v), "{mode:?}");
-            }
-        }
-    }
     std::fs::remove_dir_all(&dir).ok();
 }

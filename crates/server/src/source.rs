@@ -197,7 +197,7 @@ impl QuerySource for IndexSource {
 
     fn node_name(&self, id: Id) -> Option<String> {
         match &self.nodes {
-            Some(d) => (id < d.len() as Id).then(|| d.name(id).to_string()),
+            Some(d) => (id < d.len() as Id).then(|| d.name(id).into_owned()),
             None => (id < self.snapshot.ring.n_nodes()).then(|| id.to_string()),
         }
     }

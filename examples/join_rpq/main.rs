@@ -70,7 +70,7 @@ fn main() {
     let mut results: Vec<(String, String)> = bindings
         .iter()
         .filter(|b| connected.contains(&b[0]) || b[0] == ada)
-        .map(|b| (nodes.name(b[0]).to_string(), nodes.name(b[1]).to_string()))
+        .map(|b| (nodes.name(b[0]).into_owned(), nodes.name(b[1]).into_owned()))
         .collect();
     results.sort();
     for (person, city) in &results {
@@ -102,9 +102,9 @@ mod tests {
             TriplePattern::new(JoinTerm::Var(1), likes, JoinTerm::Var(2)),
         ];
         let rows = leapfrog_join(db.ring(), &pats, &[0, 1, 2]);
-        let named: Vec<Vec<&str>> = rows
+        let named: Vec<Vec<String>> = rows
             .iter()
-            .map(|r| r.iter().map(|&v| db.nodes().name(v)).collect())
+            .map(|r| r.iter().map(|&v| db.nodes().name(v).into_owned()).collect())
             .collect();
         assert_eq!(named, vec![vec!["a", "b", "x"]]);
 

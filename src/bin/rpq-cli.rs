@@ -319,8 +319,8 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         .iter()
         .map(|&(a, b)| {
             (
-                db.nodes().name(a).to_string(),
-                db.nodes().name(b).to_string(),
+                db.nodes().name(a).into_owned(),
+                db.nodes().name(b).into_owned(),
             )
         })
         .collect();
@@ -804,9 +804,15 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The paper's ring on Wikidata, all three columns (§5), in bytes per
+/// triple: the figure the space line of `stats` sets the index against.
+const PAPER_RING_BYTES_PER_TRIPLE: f64 = 16.41;
+
 /// The space table of an index, from the files' own tables of contents:
 /// one line per `RRPQM01` section, bytes and bytes per base triple — of a
-/// sharded directory, summed over the shards and then shard by shard.
+/// sharded directory, summed over the shards and then shard by shard —
+/// and then the whole index against the adjacency lists the baselines
+/// share and against the paper's ring.
 fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
     use ring_rpq::ring::{mapped, sharded};
     let files: Vec<std::path::PathBuf> = if db.is_sharded() {
@@ -817,32 +823,21 @@ fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
         vec![index.to_path_buf()]
     };
     let edges = db.graph().len().max(1) as f64;
-    let row = |name: &str, bytes: u64, note: &str| {
+    let row = |name: &str, bytes: u64| {
         println!(
-            "  {name:<18} {bytes:>12} {:>7.2} B/edge{note}",
+            "  {name:<18} {bytes:>12} {:>7.2} B/edge",
             bytes as f64 / edges
         );
     };
     // `total` is the bytes on disk: the sections below, the five words of
-    // META and the headers. `L_O` is the slot of a column no open reads:
-    // what it holds beyond the empty matrix a save writes (one per file)
-    // is an older file's dead weight.
-    let table =
-        |title: &str, lens: &[u64; mapped::N_SECTIONS], n_files: usize, total: (&str, u64)| {
-            println!("sections, {title}:");
-            for (name, &bytes) in mapped::SECTION_NAMES.iter().zip(lens).skip(1) {
-                let unused = match *name {
-                    "L_O" => bytes.saturating_sub(mapped::EMPTY_L_O_LEN * n_files as u64),
-                    _ => 0,
-                };
-                let note = match unused {
-                    0 => String::new(),
-                    n => format!("  unused — rebuild to reclaim {n} bytes"),
-                };
-                row(name, bytes, &note);
-            }
-            row(total.0, total.1, "");
-        };
+    // META and the headers.
+    let table = |title: &str, lens: &[u64; mapped::N_SECTIONS], total: (&str, u64)| {
+        println!("sections, {title}:");
+        for (name, &bytes) in mapped::SECTION_NAMES.iter().zip(lens).skip(1) {
+            row(name, bytes);
+        }
+        row(total.0, total.1);
+    };
     let mut summed = [0u64; mapped::N_SECTIONS];
     let mut per_file = Vec::with_capacity(files.len());
     for file in &files {
@@ -852,21 +847,29 @@ fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
         }
         per_file.push((lens, std::fs::metadata(file)?.len()));
     }
-    if db.is_sharded() {
+    let on_disk = if db.is_sharded() {
         let manifest = std::fs::metadata(index.join(sharded::MANIFEST_FILE))?.len();
         let all = per_file.iter().map(|&(_, bytes)| bytes).sum::<u64>() + manifest;
         table(
             &format!("all {} shards", files.len()),
             &summed,
-            files.len(),
             ("files + MANIFEST", all),
         );
         for (i, (lens, bytes)) in per_file.iter().enumerate() {
-            table(&format!("shard {i}"), lens, 1, ("file", *bytes));
+            table(&format!("shard {i}"), lens, ("file", *bytes));
         }
+        all
     } else {
-        table("RRPQM01", &summed, 1, ("file", per_file[0].1));
-    }
+        table("RRPQM01", &summed, ("file", per_file[0].1));
+        per_file[0].1
+    };
+    let adjacency = ring_rpq::baselines::AdjacencyIndex::from_graph(db.graph()).size_bytes();
+    println!(
+        "space, B/edge:       {:.2} this index, {:.2} adjacency baseline, \
+         {PAPER_RING_BYTES_PER_TRIPLE:.2} the paper's ring",
+        on_disk as f64 / edges,
+        adjacency as f64 / edges,
+    );
     Ok(())
 }
 
@@ -959,8 +962,8 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
 
 /// `verify` on a sharded index directory: the RRPQSH01 manifest is read
 /// (CRC footer verified) and cross-checked against every shard file,
-/// then each shard's RRPQM01 section checksums are validated — every
-/// payload byte is touched. Same report/exit-code contract as the
+/// whose RRPQM01 section checksums a heap open validates — every payload
+/// byte is read once. Same report/exit-code contract as the
 /// single-file path.
 fn verify_sharded_dir(index: &str, dir: &Path) -> Result<(), CliError> {
     let fail = |stage: &str, err: String| -> Result<(), CliError> {
@@ -980,18 +983,25 @@ fn verify_sharded_dir(index: &str, dir: &Path) -> Result<(), CliError> {
             "directory has no RRPQSH01 manifest (not a sharded index)".to_string(),
         );
     }
-    // Manifest integrity + per-shard cross-checks (triple counts and
-    // universes against the manifest).
+    // Manifest integrity, every shard's section checksums (a heap open
+    // reads every byte), and the per-shard cross-checks (triple counts and
+    // universes against the manifest). A checksum error names its shard.
     let n_shards = match ring_rpq::ring::sharded::open_dir(dir, OpenMode::Heap) {
         Ok(opened) => opened.rings.len(),
-        Err(e) => return fail("manifest", e.to_string()),
-    };
-    for i in 0..n_shards {
-        let shard = dir.join(ring_rpq::ring::sharded::shard_file_name(i));
-        if let Err(e) = ring_rpq::ring::mapped::verify_index_checksums(&shard) {
-            return fail(&format!("shard {i} checksums"), e.to_string());
+        Err(e) => {
+            use ring_rpq::ring::durable::{durability_error, DurabilityError};
+            let shard = match durability_error(&e) {
+                Some(DurabilityError::ChecksumMismatch { context, .. }) => {
+                    context.split_once(':').map(|(shard, _)| shard)
+                }
+                _ => None,
+            };
+            return match shard {
+                Some(shard) => fail(&format!("{shard} checksums"), e.to_string()),
+                None => fail("manifest", e.to_string()),
+            };
         }
-    }
+    };
     let sections = n_shards * ring_rpq::ring::mapped::N_SECTIONS;
     // Informational: what an interrupted save stranded (opening the
     // directory sweeps it) and whatever else the manifest does not name.

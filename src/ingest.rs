@@ -228,11 +228,11 @@ mod tests {
             assert_eq!(g1.triples(), g2.triples(), "chunk={chunk_bytes}");
             assert_eq!(g1.n_nodes(), g2.n_nodes());
             assert_eq!(g1.n_preds(), g2.n_preds());
-            let names1: Vec<&str> = n1.iter().map(|(_, n)| n).collect();
-            let names2: Vec<&str> = n2.iter().map(|(_, n)| n).collect();
+            let names1: Vec<_> = n1.iter().map(|(_, n)| n).collect();
+            let names2: Vec<_> = n2.iter().map(|(_, n)| n).collect();
             assert_eq!(names1, names2, "node ids must match the sequential parse");
-            let preds1: Vec<&str> = p1.iter().map(|(_, n)| n).collect();
-            let preds2: Vec<&str> = p2.iter().map(|(_, n)| n).collect();
+            let preds1: Vec<_> = p1.iter().map(|(_, n)| n).collect();
+            let preds2: Vec<_> = p2.iter().map(|(_, n)| n).collect();
             assert_eq!(preds1, preds2);
         }
     }

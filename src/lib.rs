@@ -326,8 +326,8 @@ impl RpqDatabase {
             .iter()
             .map(|&(s, o)| {
                 (
-                    self.nodes.name(s).to_string(),
-                    self.nodes.name(o).to_string(),
+                    self.nodes.name(s).into_owned(),
+                    self.nodes.name(o).into_owned(),
                 )
             })
             .collect();
@@ -539,7 +539,7 @@ impl rpq_server::QuerySource for RpqDatabase {
     }
 
     fn node_name(&self, id: Id) -> Option<String> {
-        (id < self.nodes.len() as Id).then(|| self.nodes.name(id).to_string())
+        (id < self.nodes.len() as Id).then(|| self.nodes.name(id).into_owned())
     }
 
     fn pred_id(&self, name: &str) -> Option<Id> {

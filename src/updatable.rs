@@ -247,9 +247,9 @@ impl UpdatableDatabase {
             let p = preds.name(t.p);
             let o = nodes.name(t.o);
             if is_insert {
-                self.insert(s, p, o);
+                self.insert(&s, &p, &o);
                 n += 1;
-            } else if self.delete(s, p, o) {
+            } else if self.delete(&s, &p, &o) {
                 n += 1;
             }
         }
@@ -404,8 +404,8 @@ impl UpdatableDatabase {
             .iter()
             .map(|&(s, o)| {
                 (
-                    dicts.nodes.name(s).to_string(),
-                    dicts.nodes.name(o).to_string(),
+                    dicts.nodes.name(s).into_owned(),
+                    dicts.nodes.name(o).into_owned(),
                 )
             })
             .collect();
@@ -646,7 +646,7 @@ impl rpq_server::QuerySource for UpdatableDatabase {
 
     fn node_name(&self, id: Id) -> Option<String> {
         let dicts = self.dicts.read().unwrap();
-        (id < dicts.nodes.len() as Id).then(|| dicts.nodes.name(id).to_string())
+        (id < dicts.nodes.len() as Id).then(|| dicts.nodes.name(id).into_owned())
     }
 
     fn pred_id(&self, name: &str) -> Option<Id> {

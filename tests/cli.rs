@@ -473,7 +473,7 @@ fn mmap_build_query_roundtrip() {
     let report = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{report}");
     assert!(report.contains("\"format\":\"RRPQM01\""), "{report}");
-    assert!(report.contains("\"checksum_sections\":9"), "{report}");
+    assert!(report.contains("\"checksum_sections\":8"), "{report}");
     assert!(report.contains("\"epoch\":1"), "{report}");
     assert!(
         report.contains("\"wal\":{\"base_epoch\":1,\"batches\":0,"),
@@ -515,7 +515,7 @@ fn build_metro(index: &std::path::Path, extra: &[&str]) {
 
 /// `build` prints the bytes it wrote: the size of the file, or of every
 /// file in the directory. (The one-file branch printed the ring's heap
-/// size: 1016 bytes for the 1872-byte file of `data/metro.nt`.)
+/// size: 1016 bytes for the then 1872-byte file of `data/metro.nt`.)
 #[test]
 fn build_prints_the_size_of_what_it_wrote() {
     let dir = tmpdir("build_bytes");
@@ -665,7 +665,7 @@ fn a_resaved_sharded_directory_holds_no_stale_shards() {
     };
     let report = verify();
     assert!(report.contains("\"status\":\"ok\""), "{report}");
-    assert!(report.contains("\"checksum_sections\":18"), "{report}");
+    assert!(report.contains("\"checksum_sections\":16"), "{report}");
     assert!(report.contains("\"orphan_tmp\":2"), "{report}");
     assert!(report.contains("\"stale_files\":1"), "{report}");
 
@@ -745,8 +745,8 @@ fn stats_sizes_a_mapped_index_from_its_sections() {
             number_after(&text, "ring bytes/edge:") > 0.0,
             "{flag}:\n{text}"
         );
-        // The six ring sections are the ring, to a few header words each.
-        let ring: f64 = ["L_O", "L_S", "L_P", "C_S", "C_P", "C_O"]
+        // The five ring sections are the ring, to a few header words each.
+        let ring: f64 = ["L_S", "L_P", "C_S", "C_P", "C_O"]
             .iter()
             .map(|name| number_after(&text, name))
             .sum();
@@ -763,106 +763,120 @@ fn stats_sizes_a_mapped_index_from_its_sections() {
         let file = std::fs::metadata(&plain).unwrap().len() as f64;
         assert_eq!(number_after(&text, "file"), file);
         assert!(sections < file && sections > file - 512.0);
-        assert_eq!(number_after(&text, "L_O"), 48.0);
-        assert!(
-            !text.contains("unused") && !text.contains("rpq-only"),
-            "{text}"
-        );
+        assert!(!text.contains("L_O"), "{text}");
     }
     let text = stats(&sharded, "--mmap");
-    assert!(!text.contains("unused"), "{text}");
     assert!(text.contains("sections, all 4 shards:"), "{text}");
     assert!(text.contains("sections, shard 3:"), "{text}");
     let shard0 = text.split("sections, shard 0:").nth(1).unwrap();
     let shard1 = text.split("sections, shard 1:").nth(1).unwrap();
-    assert!(number_after(shard0, "NODES") > 24.0);
-    assert_eq!(number_after(shard1, "NODES"), 24.0);
+    // An empty dictionary section: `data_len` and two empty permutations.
+    assert!(number_after(shard0, "NODES") > 40.0);
+    assert_eq!(number_after(shard1, "NODES"), 40.0);
     assert!(number_after(&text, "shard 2") > 0.0);
 }
 
-/// Indexes the build before `L_O` left the ring wrote from `data/metro.nt`
-/// (`--mmap` and stream, committed as they were written). The mapped one
-/// opens and answers as a fresh build does, and `stats` names the dead
-/// section and what a rebuild reclaims — the 352 bytes by which the file
-/// written today is smaller. The stream one is in a
-/// format no longer read: every verb refuses it by name, with the
-/// command that rebuilds it, and `verify` reports it unsupported.
+/// `stats` sets the index against the space claims in one line: the whole
+/// index per base edge, the adjacency lists the baselines share, and the
+/// paper's ring.
 #[test]
-fn indexes_written_with_a_full_l_o_still_serve_and_say_what_is_unused() {
-    let dir = tmpdir("full_l_o");
-    let fresh = dir.join("metro.rpqm");
-    build_metro(&fresh, &[]);
-    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
-    let old_mapped = PathBuf::from(fixtures).join("metro_with_l_o.rpqm");
-    let old_stream = PathBuf::from(fixtures).join("metro_with_l_o.db");
-    let run = |args: &[&str], index: &PathBuf| {
-        let out = cli()
-            .arg(args[0])
-            .arg(index)
-            .args(&args[1..])
-            .output()
-            .unwrap();
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            out.status.success(),
-            "{args:?} on {}: {err}",
-            index.display()
-        );
-        String::from_utf8(out.stdout).unwrap()
-    };
-    for query in [
-        ["<baquedano>", "<l5>+/<bus>", "?y"],
-        ["?x", "(<l1>|<l2>|<l5>)+", "?y"],
-        ["?x", "^<bus>", "<santa_ana>"],
+fn stats_prints_the_space_claim() {
+    use ring_rpq::{baselines::AdjacencyIndex, RpqDatabase};
+    let dir = tmpdir("stats_space");
+    for (name, extra) in [
+        ("metro.rpqm", &[][..]),
+        ("metro-sharded", &["--shards", "4"]),
     ] {
-        let args = [&["query"][..], &query[..]].concat();
-        let expected = run(&args, &fresh);
-        assert!(!expected.is_empty());
-        for flag in ["--mmap", "--heap"] {
-            let args = [&args[..], &[flag][..]].concat();
-            assert_eq!(run(&args, &old_mapped), expected, "{query:?} {flag}");
-        }
-    }
-    let report = run(&["verify"], &old_mapped);
-    assert!(report.contains("\"checksum_sections\":9"), "{report}");
-    assert!(report.contains("\"epoch\":0"), "{report}");
-
-    for verb in [
-        &["query", "?x", "<l5>", "?y"][..],
-        &["stats"],
-        &["compact"],
-        &["verify"],
-    ] {
-        let out = cli()
-            .arg(verb[0])
-            .arg(&old_stream)
-            .args(&verb[1..])
-            .output()
-            .unwrap();
-        let refused = if verb[0] == "verify" { 2 } else { 1 };
-        assert_eq!(out.status.code(), Some(refused), "{verb:?}");
-        let said = if verb[0] == "verify" {
-            let report = String::from_utf8_lossy(&out.stdout).to_string();
-            assert!(report.contains("\"status\":\"unsupported\""), "{report}");
-            report
+        let index = dir.join(name);
+        build_metro(&index, extra);
+        let out = cli().arg("stats").arg(&index).output().unwrap();
+        assert!(out.status.success());
+        let text = String::from_utf8(out.stdout).unwrap();
+        let db = RpqDatabase::open(&index).unwrap();
+        let edges = db.graph().len() as f64;
+        let on_disk: u64 = if index.is_dir() {
+            std::fs::read_dir(&index)
+                .unwrap()
+                .map(|entry| entry.unwrap().metadata().unwrap().len())
+                .sum()
         } else {
-            String::from_utf8_lossy(&out.stderr).to_string()
+            std::fs::metadata(&index).unwrap().len()
         };
-        assert!(said.contains("RRPQDB02"), "{verb:?}: {said}");
-        assert!(said.contains("rpq-cli build <graph> <index>"), "{said}");
+        let adjacency = AdjacencyIndex::from_graph(db.graph()).size_bytes();
+        let expected = format!(
+            "space, B/edge:       {:.2} this index, {:.2} adjacency baseline, 16.41 the paper's ring",
+            on_disk as f64 / edges,
+            adjacency as f64 / edges,
+        );
+        assert!(text.lines().any(|l| l == expected), "{expected}\n{text}");
     }
-    assert!(!PathBuf::from(fixtures)
-        .join("metro_with_l_o.db.wal")
-        .exists());
+}
 
-    let text = run(&["stats"], &old_mapped);
-    let l_o = text.lines().find(|l| l.contains("L_O")).unwrap();
+/// Indexes in formats this build no longer reads, as earlier builds wrote
+/// them from `data/metro.nt`: a stream-format file and a version-2
+/// `RRPQM01` one (a dictionary of two `u64` arrays around every name, and a
+/// slot holding the paper's third column). Every verb refuses each by
+/// name, with the command that rebuilds it, `verify` reports it
+/// unsupported (exit 2), and neither file is touched.
+#[test]
+fn indexes_in_formats_no_longer_read_are_refused_by_name() {
+    let fixtures = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures"));
+    for (file, format) in [
+        ("metro_with_l_o.db", "RRPQDB02"),
+        ("metro_with_l_o.rpqm", "RRPQM01 version 2"),
+    ] {
+        let old = fixtures.join(file);
+        let before = std::fs::read(&old).unwrap();
+        for verb in [
+            &["query", "?x", "<l5>", "?y"][..],
+            &["stats"],
+            &["compact"],
+            &["verify"],
+        ] {
+            let out = cli()
+                .arg(verb[0])
+                .arg(&old)
+                .args(&verb[1..])
+                .output()
+                .unwrap();
+            let refused = if verb[0] == "verify" { 2 } else { 1 };
+            assert_eq!(out.status.code(), Some(refused), "{file} {verb:?}");
+            let said = if verb[0] == "verify" {
+                let report = String::from_utf8_lossy(&out.stdout).to_string();
+                assert!(report.contains("\"status\":\"unsupported\""), "{report}");
+                report
+            } else {
+                String::from_utf8_lossy(&out.stderr).to_string()
+            };
+            assert!(said.contains(format), "{file} {verb:?}: {said}");
+            assert!(said.contains("rpq-cli build <graph> <index>"), "{said}");
+        }
+        assert_eq!(std::fs::read(&old).unwrap(), before, "{file} changed");
+        let wal = PathBuf::from(format!("{}.wal", old.display()));
+        assert!(!wal.exists(), "{}", wal.display());
+    }
+}
+
+/// `verify` on a sharded directory reads every shard once, in its heap
+/// open, and a checksum error there names the shard it is in.
+#[test]
+fn verify_names_the_shard_whose_checksum_fails() {
+    let dir = tmpdir("verify_shard_crc");
+    let sharded = dir.join("metro-sharded");
+    build_metro(&sharded, &["--shards", "4"]);
+    let shard1 = sharded.join("shard-001.rpqm");
+    let mut image = std::fs::read(&shard1).unwrap();
+    // A payload byte: past the 280-byte header, inside the ring.
+    assert!(image.len() > 560);
+    let at = image.len() / 2;
+    image[at] ^= 0x01;
+    std::fs::write(&shard1, &image).unwrap();
+    let out = cli().arg("verify").arg(&sharded).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains("\"status\":\"corrupt\""), "{report}");
     assert!(
-        l_o.contains("400") && l_o.ends_with("unused — rebuild to reclaim 352 bytes"),
-        "{text}"
+        report.contains("\"stage\":\"shard 1 checksums\""),
+        "{report}"
     );
-    let saved =
-        std::fs::metadata(&old_mapped).unwrap().len() - std::fs::metadata(&fresh).unwrap().len();
-    assert_eq!(saved, 352);
-    assert_eq!(text.matches("unused").count(), 1, "{text}");
 }

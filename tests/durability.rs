@@ -273,27 +273,34 @@ fn open_durable_cleans_orphaned_temp_files() {
 fn old_formats_are_refused_not_misread() {
     let _guard = lock_faults();
     let dir = tmpdir("refused");
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/metro_with_l_o.db");
-    let old = dir.join("old.db");
-    std::fs::copy(&fixture, &old).unwrap();
-    let check = |err: std::io::Error| {
-        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
-        let msg = err.to_string();
-        assert!(msg.contains("RRPQDB02"), "{msg}");
-        assert!(msg.contains("rpq-cli build <graph> <index>"), "{msg}");
-    };
-    check(RpqDatabase::open(&old).err().expect("open"));
-    check(UpdatableDatabase::load(&old).err().expect("load"));
-    check(
-        UpdatableDatabase::open_durable(&old)
-            .err()
-            .expect("durable"),
-    );
-    assert!(!UpdatableDatabase::wal_path(&old).exists());
-    assert_eq!(
-        std::fs::read(&old).unwrap(),
-        std::fs::read(&fixture).unwrap()
-    );
+    for (file, format) in [
+        ("metro_with_l_o.db", "RRPQDB02"),
+        ("metro_with_l_o.rpqm", "RRPQM01 version 2"),
+    ] {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(file);
+        let old = dir.join(file);
+        std::fs::copy(&fixture, &old).unwrap();
+        let check = |err: std::io::Error| {
+            assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(format), "{msg}");
+            assert!(msg.contains("rpq-cli build <graph> <index>"), "{msg}");
+        };
+        check(RpqDatabase::open(&old).err().expect("open"));
+        check(UpdatableDatabase::load(&old).err().expect("load"));
+        check(
+            UpdatableDatabase::open_durable(&old)
+                .err()
+                .expect("durable"),
+        );
+        assert!(!UpdatableDatabase::wal_path(&old).exists());
+        assert_eq!(
+            std::fs::read(&old).unwrap(),
+            std::fs::read(&fixture).unwrap()
+        );
+    }
 }
 
 /// Killing the WAL append under `commit` must not lose acknowledged

@@ -174,32 +174,29 @@ fn mapped_metro_index_bytes_are_pinned() {
     let written = db.save_mapped(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(written, 1872);
-    assert_eq!(bytes.len(), 1872);
+    assert_eq!(written, 1728);
+    assert_eq!(bytes.len(), 1728);
     assert_eq!(
         succinct::crc32c(&bytes),
-        0xf159_90ad,
+        0xe335_7ad1,
         "save_mapped(data/metro.nt) changed: if the format moved on purpose, \
          re-pin, and bump its version unless older and newer files both \
-         still open (as when `L_O` was emptied: 2224 B before)"
+         still open (version 3's front-coded dictionaries: 1872 B before)"
     );
 }
 
 /// The space claim, host-independent: on a generated 2^14-edge graph the
-/// mapped file is its sections and its header and nothing else, the
-/// `L_O` slot holds an empty matrix, and the file is at most 0.70 of what
-/// it would be with the paper's third column in that slot.
+/// mapped file is its sections and its header and nothing else, the node
+/// dictionary stores at most 10 bytes per `<n…>` name (24 when it kept two
+/// `u64` arrays around every name), and the file is at most 0.70 of what
+/// it would be with the paper's third column.
 #[test]
 fn the_mapped_file_stores_two_columns() {
-    use ring::mapped::{section_lens, EMPTY_L_O_LEN, HEADER_LEN, SECTION_NAMES};
+    use ring::mapped::{section_lens, HEADER_LEN, SECTION_NAMES};
     use succinct::SpaceUsage;
 
     // The scoreboard's generator and `<n17>`-style names, with 16 edges a
-    // node where the scoreboard has 8: a node's dictionary entry costs the
-    // same 24 bytes beside 10-bit symbols as beside 17-bit ones, and at 8
-    // edges a node it would weigh more here (file 0.704 of the
-    // three-column one) than there (0.65). Here: 120 216 B against
-    // 176 616 B, 0.68.
+    // node where the scoreboard has 8.
     let graph = GraphGen::new(GraphGenConfig {
         n_nodes: 1 << 10,
         n_preds: 16,
@@ -231,8 +228,12 @@ fn the_mapped_file_stores_two_columns() {
     std::fs::remove_file(&path).ok();
 
     assert_eq!(file, lens.iter().sum::<u64>() + HEADER_LEN as u64);
-    let l_o = SECTION_NAMES.iter().position(|&n| n == "L_O").unwrap();
-    assert_eq!(lens[l_o], EMPTY_L_O_LEN);
+    let nodes = SECTION_NAMES.iter().position(|&n| n == "NODES").unwrap();
+    assert!(
+        lens[nodes] <= 10 * n_nodes,
+        "NODES: {} B for {n_nodes} names",
+        lens[nodes]
+    );
     let third = succinct::WaveletMatrix::from_u32_symbols(l_o_syms, n_nodes).size_bytes();
     assert!(
         file as f64 <= 0.70 * (file + third as u64) as f64,
