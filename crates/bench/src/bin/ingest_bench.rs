@@ -7,10 +7,12 @@
 //! out of the reopened ring (`graph_decode_s`, beside the `build_s` of
 //! the ring it decodes), then measures **cold opens in child processes**
 //! — re-executing this binary per mode — so allocator reuse in a warm
-//! parent cannot flatter the resident-memory numbers. Every child
-//! reports a probe-query checksum and the triple count; the parent
-//! asserts both residencies agree bit-for-bit before any number is
-//! written.
+//! parent cannot flatter the resident-memory numbers: a heap and a
+//! mapped `RpqDatabase` open, and an `UpdatableDatabase::open_durable`
+//! of the same file (`cold_open_durable_us`, and its peak resident set
+//! `hwm_open_durable_kb`). Every child reports a probe-query checksum and
+//! the triple count; the parent asserts the three opens agree
+//! bit-for-bit before any number is written.
 //!
 //! Modes follow the other benches: `--quick` / `RPQ_BENCH_QUICK=1`
 //! shrinks the dump for the CI perf smoke (the full run defaults to
@@ -22,7 +24,7 @@
 //! factor.
 
 use ring::mapped::OpenMode;
-use ring_rpq::{ingest, RpqDatabase};
+use ring_rpq::{ingest, RpqDatabase, UpdatableDatabase};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -30,19 +32,23 @@ use std::time::Instant;
 /// Allowed regression factor for `--check`.
 const CHECK_FACTOR: f64 = 3.0;
 
-/// Resident set size of this process, in KiB, from `/proc/self/status`
-/// (0 where procfs is unavailable).
-fn rss_kb() -> u64 {
+/// A `/proc/self/status` size of this process, in KiB: `VmRSS` (resident
+/// now) or `VmHWM` (resident at its peak). 0 where procfs is unavailable.
+fn status_kb(key: &str) -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmRSS:")).and_then(|l| {
+            s.lines().find(|l| l.starts_with(key)).and_then(|l| {
                 l.split_whitespace()
                     .nth(1)
                     .and_then(|v| v.parse::<u64>().ok())
             })
         })
         .unwrap_or(0)
+}
+
+fn rss_kb() -> u64 {
+    status_kb("VmRSS:")
 }
 
 /// Writes `n` pseudo-random triples as N-Triples lines: `nodes = n/10`
@@ -145,32 +151,39 @@ fn commit_us_at(overlays: &[usize]) -> Vec<f64> {
 struct ChildReport {
     open_us: f64,
     rss_kb: u64,
+    hwm_kb: u64,
     n_triples: u64,
     probe_rows: u64,
     probe_checksum: u64,
 }
 
-/// Child mode: open `path` with `mode`, run the probe query, report.
+/// Child mode: open `path` as `mode` says — `heap`, `auto` or `mmap`
+/// through `RpqDatabase::open_with`, `durable` through
+/// `UpdatableDatabase::open_durable` — run the probe query, report.
 fn run_child(path: &str, mode: &str) {
-    let mode = match mode {
-        "heap" => OpenMode::Heap,
-        "auto" => OpenMode::Auto,
-        "mmap" => OpenMode::Mmap,
-        other => panic!("unknown open mode {other}"),
-    };
+    // Touch the index: one anchored single-label probe, exercising
+    // rank/select over the mapped columns.
+    let [s, e, o] = ["<http://g/n0>", "<http://g/p0>", "?o"];
+    let opts = rpq_core::EngineOptions::default();
+    let path = Path::new(path);
     let t = Instant::now();
-    let db = RpqDatabase::open_with(Path::new(path), mode).expect("cold open");
-    let open_us = t.elapsed().as_nanos() as f64 / 1000.0;
-    // Touch the index: one anchored single-label probe plus a one-step
-    // closure, exercising rank/select over the mapped columns.
-    let out = db
-        .query_with(
-            "<http://g/n0>",
-            "<http://g/p0>",
-            "?o",
-            &rpq_core::EngineOptions::default(),
-        )
-        .expect("probe query");
+    let (open_us, out, n_triples) = if mode == "durable" {
+        let db = UpdatableDatabase::open_durable(path).expect("durable cold open");
+        let open_us = t.elapsed().as_nanos() as f64 / 1000.0;
+        let out = db.query_with(s, e, o, &opts).expect("probe query");
+        (open_us, out, db.store().snapshot().ring.n_triples())
+    } else {
+        let mode = match mode {
+            "heap" => OpenMode::Heap,
+            "auto" => OpenMode::Auto,
+            "mmap" => OpenMode::Mmap,
+            other => panic!("unknown open mode {other}"),
+        };
+        let db = RpqDatabase::open_with(path, mode).expect("cold open");
+        let open_us = t.elapsed().as_nanos() as f64 / 1000.0;
+        let out = db.query_with(s, e, o, &opts).expect("probe query");
+        (open_us, out, db.ring().n_triples())
+    };
     let mut checksum = 0u64;
     for &(s, o) in &out.pairs {
         checksum = checksum
@@ -178,14 +191,10 @@ fn run_child(path: &str, mode: &str) {
             .wrapping_add(s.wrapping_mul(1_000_003).wrapping_add(o));
     }
     println!(
-        "{{\"open_us\":{:.1},\"rss_kb\":{},\"n_triples\":{},\"probe_rows\":{},\"probe_checksum\":{},\"resident\":\"{}\",\"mapped_bytes\":{}}}",
-        open_us,
+        "{{\"open_us\":{open_us:.1},\"rss_kb\":{},\"hwm_kb\":{},\"n_triples\":{n_triples},\"probe_rows\":{},\"probe_checksum\":{checksum}}}",
         rss_kb(),
-        db.ring().n_triples(),
+        status_kb("VmHWM:"),
         out.pairs.len(),
-        checksum,
-        db.open_info().resident.as_str(),
-        db.open_info().mapped_bytes,
     );
 }
 
@@ -218,6 +227,7 @@ fn spawn_child(index: &Path, mode: &str) -> ChildReport {
     ChildReport {
         open_us: field("open_us"),
         rss_kb: field("rss_kb") as u64,
+        hwm_kb: field("hwm_kb") as u64,
         n_triples: field("n_triples") as u64,
         probe_rows: field("probe_rows") as u64,
         probe_checksum: field("probe_checksum") as u64,
@@ -344,6 +354,20 @@ fn main() {
         "  cold open: heap {:.0} us (rss {} KiB) | mmap {:.1} us (rss {} KiB) -> {open_speedup:.1}x",
         heap.open_us, heap.rss_kb, mmap.open_us, mmap.rss_kb
     );
+    // The same file opened for updates (its write-ahead log is created
+    // beside it), measured by the peak resident set: it counts what the
+    // open allocates and frees again before the probe.
+    let durable = spawn_child(&mapped_path, "durable");
+    assert_eq!(durable.n_triples, heap.n_triples, "triple count diverged");
+    assert_eq!(durable.probe_rows, heap.probe_rows, "probe rows diverged");
+    assert_eq!(
+        durable.probe_checksum, heap.probe_checksum,
+        "probe answers diverged between the immutable and the durable open"
+    );
+    eprintln!(
+        "  durable cold open: {:.0} us (peak rss {} KiB)",
+        durable.open_us, durable.hwm_kb
+    );
 
     // WAL replay: a tiny snapshot plus a committed-but-uncheckpointed
     // log, timed through the durable open (crash-recovery cold start).
@@ -417,7 +441,7 @@ fn main() {
 \"mapped_bytes\":{mapped_bytes},\"cold_open_heap_us\":{:.1},\
 \"cold_open_mmap_us\":{:.1},\"rss_open_heap_kb\":{},\
 \"rss_open_mmap_kb\":{},\"open_speedup\":{open_speedup:.1},\"mmap_supported\":{mmap_supported},\
-\"wal_replay_us\":{wal_replay_us:.1},\"wal_replay_ops\":{wal_replay_ops},\
+\"cold_open_durable_us\":{:.1},\"hwm_open_durable_kb\":{},\"wal_replay_us\":{wal_replay_us:.1},\"wal_replay_ops\":{wal_replay_ops},\
 \"completed_s\":{completed_s:.3},\"order_s\":{order_s:.3},\"wavelet_s\":{wavelet_s:.3},\
 \"boundaries_s\":{boundaries_s:.3},\"build_threads\":{build_threads},\
 \"commit_us_overlay_1k\":{commit_1k:.1},\"commit_us_overlay_32k\":{commit_32k:.1},\
@@ -427,6 +451,8 @@ fn main() {
         mmap.open_us,
         heap.rss_kb,
         mmap.rss_kb,
+        durable.open_us,
+        durable.hwm_kb,
         heap.probe_rows,
     );
     let out = std::env::var("RPQ_BENCH_OUT").unwrap_or_else(|_| "BENCH_ingest.json".to_string());
@@ -457,6 +483,7 @@ fn main() {
             ("build_ms", build_ms),
             ("cold_open_heap_us", heap.open_us),
             ("cold_open_mmap_us", mmap.open_us),
+            ("cold_open_durable_us", durable.open_us),
             ("wal_replay_us", wal_replay_us),
         ] {
             match json_number(&baseline, key) {

@@ -24,10 +24,11 @@
 //! the knob CI's `test-seeds` job turns), and a proptest sweep whose
 //! failing seeds persist under `proptest-regressions/`. A store's base
 //! is the ring it built or — what a reopened database runs on — the ring
-//! of an index file with the graph decoded back out of it, heap-resident
-//! and mapped: every fifth interleaving of each base runs all three ways.
+//! of an index file, heap-resident and mapped: every fifth interleaving
+//! of each base runs all three ways.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use ring::mapped::OpenMode;
@@ -161,8 +162,8 @@ fn check_snapshot(
 enum Base {
     /// Built from the graph, as `TripleStore::new` does.
     Built,
-    /// Opened from an index file under this residency, the graph decoded
-    /// back out of it: what a reopened database runs on.
+    /// Opened from an index file under this residency: what a reopened
+    /// database runs on.
     Opened(OpenMode),
 }
 
@@ -199,7 +200,7 @@ fn store_over(graph: &Graph, base: Base, seed: u64) -> TripleStore {
         ring.n_preds_base(),
     );
     assert_eq!(decoded.triples(), graph.triples(), "seed {seed:#x}");
-    TripleStore::from_built(decoded, ring, DeltaIndex::empty(0), 0)
+    TripleStore::from_built(Arc::new(ring), DeltaIndex::empty(0), 0)
 }
 
 /// One full interleaving: seeded base graph, seeded op stream, a

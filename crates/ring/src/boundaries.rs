@@ -205,6 +205,15 @@ impl Boundaries {
             Boundaries::EliasFano(ef) => ef.size_bytes(),
         }
     }
+
+    /// Payload bytes on the heap: 0 when the array borrows a mapped file.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Boundaries::Dense(v) => v.heap_bytes(),
+            Boundaries::Sparse { bits, .. } => bits.heap_bytes(),
+            Boundaries::EliasFano(ef) => ef.heap_bytes(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -248,6 +248,16 @@ impl DeltaIndex {
         &self.dels_spo
     }
 
+    /// The added triples in `(o, s, p)` order (canonical labels).
+    pub(crate) fn adds_osp(&self) -> &[Triple] {
+        &self.adds_osp
+    }
+
+    /// The tombstoned triples in `(o, s, p)` order (canonical labels).
+    pub(crate) fn dels_osp(&self) -> &[Triple] {
+        &self.dels_osp
+    }
+
     /// Canonicalizes a completed-alphabet edge: `(s, p̂, o)` is stored as
     /// `(o, p, s)`.
     #[inline]

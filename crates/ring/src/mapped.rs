@@ -69,8 +69,9 @@
 //! preserve the O(header) zero-copy cold open — the whole point of this
 //! format — an `mmap` open validates structure only; checksums are
 //! verified by [`open_index_verified`] (how an updatable database opens:
-//! it decodes every byte anyway), on heap opens (which touch every byte
-//! anyway; `rpq-cli verify` is one), and when `RPQ_VERIFY_ON_OPEN=1`.
+//! its saves rewrite the file from what it reads, under fresh
+//! checksums), on heap opens (which touch every byte anyway;
+//! `rpq-cli verify` is one), and when `RPQ_VERIFY_ON_OPEN=1`.
 //!
 //! Versions 1 (no checksums) and 2 (a `NODES` section of two `u64` arrays
 //! around the names, and the unread third-column slot) of this format,
@@ -466,7 +467,8 @@ pub fn open_index(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
 }
 
 /// [`open_index`] with every section checked against its CRC32C first,
-/// whatever the residency: for a caller about to read every byte anyway.
+/// whatever the residency: for a caller that will write what it reads
+/// into a new file, whose checksums would otherwise cover a corruption.
 pub fn open_index_verified(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
     open_index_checked(path, mode, true)
 }

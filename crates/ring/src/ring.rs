@@ -540,6 +540,16 @@ impl Ring {
             + self.c_p.size_bytes()
             + self.c_o.size_bytes()
     }
+
+    /// Heap bytes of the columns' and boundaries' arrays: 0 for a ring
+    /// whose arrays all borrow a mapped index file.
+    pub fn heap_bytes(&self) -> usize {
+        self.l_s.heap_bytes()
+            + self.l_p.heap_bytes()
+            + self.c_s.heap_bytes()
+            + self.c_p.heap_bytes()
+            + self.c_o.heap_bytes()
+    }
 }
 
 #[cfg(test)]

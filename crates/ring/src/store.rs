@@ -9,11 +9,15 @@
 //! ring ⊎ delta and swaps it in. Every publication bumps the snapshot
 //! **epoch**, the value caches key their entries by.
 //!
-//! What the write path costs: a commit of `b` operations over an overlay
-//! of `|δ|` entries is `O(b log b + |δ|)` — the batch is sorted, the
-//! overlay only merged (see [`crate::delta`]); a compaction is one
-//! two-pointer merge of base and overlay plus one [`Ring::build`]. Both
-//! run on the calling thread, outside the lock readers take.
+//! The ring is the only copy of the base graph: over a mapped index file
+//! the base stays in the mapping, and only the overlay is on the heap. A
+//! commit of `b` operations over an overlay of `|δ|` entries costs
+//! `O(b log b + b log σ + |δ|)` — the batch is sorted, each of its
+//! triples looked up in the ring ([`Ring::contains`]), the overlay only
+//! merged (see [`crate::delta`]); a compaction decodes the base out of
+//! the ring ([`Ring::decode_triples`]), merges the overlay in and runs
+//! one [`Ring::build`]. Both run on the calling thread, outside the lock
+//! readers take.
 //!
 //! Node and predicate ids are stable forever: compaction preserves the
 //! id universes (a node keeps its id even if all its edges are deleted),
@@ -27,6 +31,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 use crate::delta::{DeltaIndex, SideChange};
+use crate::graph::scatter;
 use crate::ring::RingOptions;
 use crate::{Graph, Id, Ring, Triple};
 
@@ -39,12 +44,55 @@ pub enum UpdateOp {
     Delete(Triple),
 }
 
+/// The shape of the base graph a ring indexes — its universes and its
+/// edge count, without its edges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GraphShape {
+    n_nodes: Id,
+    n_preds: Id,
+    len: usize,
+}
+
+impl GraphShape {
+    /// The shape of the (uncompleted) graph `ring` was built from.
+    pub fn of(ring: &Ring) -> Self {
+        let completion = if ring.has_inverses() { 2 } else { 1 };
+        Self {
+            n_nodes: ring.n_nodes(),
+            n_preds: ring.n_preds_base(),
+            len: ring.n_triples() / completion,
+        }
+    }
+
+    /// Node universe size.
+    pub fn n_nodes(&self) -> Id {
+        self.n_nodes
+    }
+
+    /// Base predicate universe size.
+    pub fn n_preds(&self) -> Id {
+        self.n_preds
+    }
+
+    /// Number of base edges.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the base graph has no edges.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// A consistent, immutable view of the store at one epoch. Cheap to
-/// clone (four `Arc`s); queries hold one for their whole evaluation.
+/// clone (two `Arc`s); queries hold one for their whole evaluation.
 #[derive(Clone, Debug)]
 pub struct StoreSnapshot {
-    /// The base (uncompleted) graph the ring was built from.
-    pub graph: Arc<Graph>,
+    /// The shape of the base graph `ring` indexes ([`GraphShape::of`]
+    /// it). The ring holds the graph's triples; this is not a copy of
+    /// them.
+    pub graph: GraphShape,
     /// The succinct index over the completed base graph.
     pub ring: Arc<Ring>,
     /// The committed overlay (possibly empty).
@@ -54,6 +102,15 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
+    fn new(ring: Arc<Ring>, delta: Arc<DeltaIndex>, epoch: u64) -> Self {
+        Self {
+            graph: GraphShape::of(&ring),
+            ring,
+            delta,
+            epoch,
+        }
+    }
+
     /// The evaluation node universe: ring nodes plus any delta-introduced
     /// nodes.
     pub fn n_nodes(&self) -> Id {
@@ -69,18 +126,28 @@ impl StoreSnapshot {
         self.delta.add_contains(s, p, o) || self.ring.contains(s, p, o)
     }
 
-    /// The live canonical triples (base − deletes + adds), sorted: one
-    /// two-pointer merge, all three inputs being `(s, p, o)`-sorted with
-    /// the deletes a subset of the base and the adds disjoint from it.
-    /// `O(base + delta)`; compaction and tests use this, not queries.
+    /// The live canonical triples (base − deletes + adds), sorted by
+    /// `(s, p, o)`. The base comes out of the ring in `(o, s, p)` order
+    /// ([`Ring::decode_triples`]); one two-pointer merge with the
+    /// overlay's arrays in that order — the deletes a subset of the base,
+    /// the adds disjoint from it — then two stable counting passes, by
+    /// predicate and by subject. `O(base + delta + |V| + |P|)`;
+    /// compaction and tests use this, not queries.
+    ///
+    /// # Panics
+    /// Panics if the ring's columns and boundaries contradict each other
+    /// (the ring of a file whose checksums were not verified).
     pub fn live_triples(&self) -> Vec<Triple> {
-        let base = self.graph.triples();
-        let (adds, dels) = (self.delta.adds(), self.delta.dels());
+        let base = self
+            .ring
+            .decode_triples(true)
+            .unwrap_or_else(|e| panic!("the index does not decode to a graph: {e}"));
+        let (adds, dels) = (self.delta.adds_osp(), self.delta.dels_osp());
         let mut live = Vec::with_capacity((base.len() + adds.len()).saturating_sub(dels.len()));
         let mut adds = adds.iter().peekable();
         let mut dels = dels.iter().peekable();
-        for t in base {
-            while let Some(a) = adds.next_if(|a| *a < t) {
+        for t in &base {
+            while let Some(a) = adds.next_if(|a| a.osp_key() < t.osp_key()) {
                 live.push(*a);
             }
             if dels.next_if_eq(&t).is_none() {
@@ -88,7 +155,15 @@ impl StoreSnapshot {
             }
         }
         live.extend(adds);
-        live
+        drop(base);
+        let mut subj_counts = vec![0u64; self.n_nodes() as usize];
+        let mut pred_counts = vec![0u64; self.ring.n_preds_base() as usize];
+        for t in &live {
+            subj_counts[t.s as usize] += 1;
+            pred_counts[t.p as usize] += 1;
+        }
+        let pos = scatter(&pred_counts, live.into_iter().map(|t| (t.p, t)));
+        scatter(&subj_counts, pos.into_iter().map(|t| (t.s, t)))
     }
 }
 
@@ -174,29 +249,26 @@ impl TripleStore {
     /// half the base size.
     pub const DEFAULT_AUTO_COMPACT_RATIO: f64 = 0.5;
 
-    /// A store over `graph` (builds the ring; epoch 0, default
-    /// auto-compaction).
+    /// A store over `graph` (builds the ring and drops the graph; epoch
+    /// 0, default auto-compaction).
     pub fn new(graph: Graph) -> Self {
         let ring = Ring::build(&graph, RingOptions::default());
-        Self::from_built(graph, ring, DeltaIndex::empty(0), 0)
+        Self::from_built(Arc::new(ring), DeltaIndex::empty(0), 0)
     }
 
-    /// Reassembles a store from persisted parts (the delta's base
-    /// alphabet is aligned to the graph's).
-    pub fn from_built(graph: Graph, ring: Ring, delta: DeltaIndex, epoch: u64) -> Self {
+    /// Reassembles a store from persisted parts: `ring` — built with
+    /// inverses, as [`Self::new`] builds it, and perhaps borrowing a
+    /// mapped file — is used as it is (the delta's base alphabet is
+    /// aligned to the ring's).
+    pub fn from_built(ring: Arc<Ring>, delta: DeltaIndex, epoch: u64) -> Self {
         let delta = if delta.is_empty() {
-            DeltaIndex::empty(graph.n_preds())
+            DeltaIndex::empty(ring.n_preds_base())
         } else {
             delta
         };
         Self {
             inner: RwLock::new(Inner {
-                snap: Arc::new(StoreSnapshot {
-                    graph: Arc::new(graph),
-                    ring: Arc::new(ring),
-                    delta: Arc::new(delta),
-                    epoch,
-                }),
+                snap: Arc::new(StoreSnapshot::new(ring, Arc::new(delta), epoch)),
                 pending: Vec::new(),
             }),
             writer: Mutex::new(()),
@@ -287,11 +359,11 @@ impl TripleStore {
             (std::mem::take(&mut inner.pending), Arc::clone(&inner.snap))
         };
         self.commits.fetch_add(1, Ordering::Relaxed);
-        let base = &*snap.graph;
-        let new_preds = pending.iter().any(|op| match op {
-            UpdateOp::Insert(t) => t.p >= base.n_preds(),
-            UpdateOp::Delete(_) => false,
-        });
+        let base = &*snap.ring;
+        let n_preds = base.n_preds_base();
+        let new_preds = pending
+            .iter()
+            .any(|op| matches!(op, UpdateOp::Insert(t) if t.p >= n_preds));
         if new_preds {
             // The completed alphabet must grow: fold everything into a
             // fresh graph and ring in one step.
@@ -301,8 +373,11 @@ impl TripleStore {
         let (mut adds, mut dels) = (SideChange::default(), SideChange::default());
         for (t, insert) in last_ops(&pending) {
             // A base triple is live unless tombstoned (inserting it
-            // revives it), any other one only while it is an add.
-            match (base.contains(t.s, t.p, t.o), insert) {
+            // revives it), any other one only while it is an add. A
+            // label past the base alphabet is, to the ring, an inverse:
+            // a delete naming one deletes nothing.
+            let in_base = t.p < n_preds && base.contains(t.s, t.p, t.o);
+            match (in_base, insert) {
                 (true, true) => dels.minus.push(t),
                 (true, false) => dels.plus.push(t),
                 (false, true) => adds.plus.push(t),
@@ -313,17 +388,14 @@ impl TripleStore {
         let overlay = delta.len();
         let snap = self.publish(
             &writer,
-            StoreSnapshot {
-                graph: Arc::clone(&snap.graph),
-                ring: Arc::clone(&snap.ring),
-                delta: Arc::new(delta),
-                epoch: snap.epoch + 1,
-            },
+            StoreSnapshot::new(Arc::clone(&snap.ring), Arc::new(delta), snap.epoch + 1),
         );
         self.commit_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         match self.auto_compact_ratio {
-            Some(ratio) if overlay > 0 && overlay as f64 >= ratio * base.len().max(1) as f64 => {
+            Some(ratio)
+                if overlay > 0 && overlay as f64 >= ratio * snap.graph.len().max(1) as f64 =>
+            {
                 self.rebuild(&writer, &snap, &[])
             }
             _ => snap.epoch,
@@ -351,7 +423,7 @@ impl TripleStore {
     }
 
     /// Materializes the live triples of `snap` (plus `extra_ops`, applied
-    /// in order) and publishes a rebuilt graph + ring with an empty
+    /// in order) and publishes a ring rebuilt from them with an empty
     /// overlay, preserving the id universes. Returns the new epoch.
     fn rebuild(
         &self,
@@ -381,25 +453,23 @@ impl TripleStore {
             .map(|t| t.s.max(t.o) + 1)
             .max()
             .unwrap_or(0)
-            .max(snap.graph.n_nodes())
+            .max(snap.ring.n_nodes())
             .max(snap.delta.n_nodes());
         let n_preds = live
             .iter()
             .map(|t| t.p + 1)
             .max()
             .unwrap_or(0)
-            .max(snap.graph.n_preds());
-        let graph = Graph::from_sorted(live, n_nodes, n_preds);
-        let ring = Ring::build(&graph, RingOptions::default());
+            .max(snap.ring.n_preds_base());
+        let ring = Ring::build(
+            &Graph::from_sorted(live, n_nodes, n_preds),
+            RingOptions::default(),
+        );
+        let delta = DeltaIndex::empty(ring.n_preds_base());
         let epoch = self
             .publish(
                 writer,
-                StoreSnapshot {
-                    delta: Arc::new(DeltaIndex::empty(graph.n_preds())),
-                    graph: Arc::new(graph),
-                    ring: Arc::new(ring),
-                    epoch: snap.epoch + 1,
-                },
+                StoreSnapshot::new(Arc::new(ring), Arc::new(delta), snap.epoch + 1),
             )
             .epoch;
         self.compactions.fetch_add(1, Ordering::Relaxed);
@@ -531,6 +601,62 @@ mod tests {
         );
     }
 
+    /// Over a ring read from an index file — what a reopened database
+    /// runs on — every `(s, p, o)` of a grid that reaches past the node
+    /// universe and into the inverse labels is classified as a set model
+    /// says: each commit's adds and tombstones are the model's difference
+    /// from the base, and `live_triples` is the model, before and after
+    /// a compaction.
+    #[test]
+    fn commits_over_a_mapped_ring_follow_a_set_model() {
+        use crate::mapped::{open_ring, write_index, OpenMode};
+        use std::collections::BTreeSet;
+        let mut state = 0x5EED_u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        // 6 nodes and 2 labels; the grid's ids run to 8 and 4.
+        let triples = (0..24).map(|_| t(next(6), next(2), next(6))).collect();
+        let graph = Graph::new(triples, 6, 2);
+        let base: BTreeSet<Triple> = graph.triples().iter().copied().collect();
+        let path = std::env::temp_dir().join(format!("rpq_store_grid_{}.rpqm", std::process::id()));
+        let built = Ring::build(&graph, RingOptions::default());
+        write_index(&path, &built, &crate::Dict::new(), &crate::Dict::new()).unwrap();
+        let ring = open_ring(&path, OpenMode::Auto).unwrap().ring;
+        std::fs::remove_file(&path).ok();
+        let store = TripleStore::from_built(Arc::new(ring), DeltaIndex::empty(0), 0)
+            .with_auto_compact_ratio(None);
+        let mut model = base.clone();
+        let grid = (0..8).flat_map(|s| (0..4).flat_map(move |p| (0..8).map(move |o| t(s, p, o))));
+        for (i, tr) in grid.enumerate() {
+            // Inserts stay in the base alphabet (a new label rebuilds);
+            // deletes name inverse labels too, and those delete nothing.
+            if tr.p < 2 && next(2) == 0 {
+                store.insert(tr);
+                model.insert(tr);
+            } else {
+                store.delete(tr);
+                model.remove(&tr);
+            }
+            if i % 16 == 15 {
+                store.commit();
+                let snap = store.snapshot();
+                let adds: Vec<Triple> = model.difference(&base).copied().collect();
+                let dels: Vec<Triple> = base.difference(&model).copied().collect();
+                assert_eq!(snap.delta.adds(), adds, "adds after grid triple {i}");
+                assert_eq!(snap.delta.dels(), dels, "tombstones after grid triple {i}");
+                assert!(snap.live_triples().iter().eq(&model), "live after {i}");
+            }
+        }
+        assert_eq!(store.compact(), 17);
+        let snap = store.snapshot();
+        assert!(snap.delta.is_empty());
+        assert!(snap.live_triples().iter().eq(&model));
+    }
+
     #[test]
     fn auto_compaction_triggers_on_the_size_ratio() {
         let store = TripleStore::new(Graph::from_triples(vec![t(0, 0, 1), t(1, 0, 2)]))
@@ -546,7 +672,7 @@ mod tests {
     #[test]
     fn deleting_every_edge_keeps_the_node_universe() {
         let store = base_store();
-        for tr in store.snapshot().graph.triples().to_vec() {
+        for tr in store.snapshot().live_triples() {
             store.delete(tr);
         }
         store.commit();

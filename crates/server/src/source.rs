@@ -261,7 +261,7 @@ impl QuerySource for LiveSource {
         let snap = self.store.snapshot();
         name.parse::<Id>()
             .ok()
-            .filter(|&id| id < snap.ring.n_preds_base().max(snap.graph.n_preds()))
+            .filter(|&id| id < snap.ring.n_preds_base())
     }
 
     fn update_stats(&self) -> Option<UpdateStats> {

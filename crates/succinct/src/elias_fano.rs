@@ -194,6 +194,11 @@ impl EliasFano {
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.n).map(move |i| self.get(i))
     }
+
+    /// Heap bytes of the arrays: 0 when both halves borrow a mapped file.
+    pub fn heap_bytes(&self) -> usize {
+        self.lows.heap_bytes() + self.highs.heap_bytes()
+    }
 }
 
 impl SpaceUsage for EliasFano {

@@ -149,6 +149,11 @@ impl IntVec {
         &self.data
     }
 
+    /// Heap bytes of the packed words ([`Slab::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.data.heap_bytes()
+    }
+
     /// Reassembles a vector from stored parts — the mapped-format load
     /// path. Validates the word count against `width`/`len` so every
     /// `get` stays in bounds (a straddling read touches `word + 1`,

@@ -172,6 +172,14 @@ impl RankSelect {
         (&self.data, &self.select1_samples, &self.select0_samples)
     }
 
+    /// Heap bytes of the arrays ([`Slab::heap_bytes`]): 0 when all of
+    /// them borrow a mapped file.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.heap_bytes()
+            + self.select1_samples.heap_bytes()
+            + self.select0_samples.heap_bytes()
+    }
+
     /// Reassembles a vector from stored parts — the mapped-format load
     /// path, where the slabs may point straight into a mapped file.
     ///

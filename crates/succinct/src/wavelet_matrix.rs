@@ -545,6 +545,12 @@ impl WaveletMatrix {
         &self.levels
     }
 
+    /// Heap bytes of the level bit vectors: 0 when every level borrows a
+    /// mapped file.
+    pub fn heap_bytes(&self) -> usize {
+        self.levels.iter().map(RankSelect::heap_bytes).sum()
+    }
+
     /// Reassembles a matrix from stored levels — the mapped-format load
     /// path. The `zeros` array is recomputed from the levels (it is the
     /// per-level zero count by construction), so it is never serialized

@@ -55,7 +55,7 @@ pub use rpq_core::{LevelSample, QueryProfile};
 pub use updatable::UpdatableDatabase;
 
 use automata::parser::{self, LabelResolver};
-use ring::mapped::{MappedIndex, OpenMode};
+use ring::mapped::OpenMode;
 use ring::ring::RingOptions;
 use ring::{Dict, Graph, Id, Ring};
 use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, Term};
@@ -97,7 +97,8 @@ impl std::error::Error for DbError {}
 /// closures, `^p` inverse steps, `!(p|q)` negated label sets.
 pub struct RpqDatabase {
     /// Lazily materialized: a database opened from a mapped `RRPQM01`
-    /// file reconstructs the base graph from the ring only if asked.
+    /// file, or folded out of an updatable one, reconstructs the base
+    /// graph from the ring only if asked.
     graph: OnceLock<Graph>,
     /// What every query, plan and server job evaluates against: the one
     /// ring, or — opened from a sharded index — the shard set, across
@@ -188,7 +189,10 @@ impl RpqDatabase {
     /// Builds a database from pre-encoded parts.
     pub fn from_parts(graph: Graph, nodes: Dict, preds: Dict) -> Self {
         let ring = Arc::new(Ring::build(&graph, RingOptions::default()));
-        Self::from_built_parts(graph, ring, nodes, preds)
+        Self {
+            graph: OnceLock::from(graph),
+            ..Self::from_source(SourceSnapshot::immutable(ring), nodes, preds)
+        }
     }
 
     /// Converts this immutable database into an [`UpdatableDatabase`]
@@ -197,37 +201,26 @@ impl RpqDatabase {
         UpdatableDatabase::from_database(self)
     }
 
-    /// The parts an updatable store is assembled from; the error is that
-    /// of [`Self::decode_graph`], where the graph has to be decoded.
-    pub(crate) fn into_raw_parts(mut self) -> Result<(Graph, Arc<Ring>, Dict, Dict), String> {
-        let graph = match self.graph.take() {
-            Some(graph) => graph,
-            None => self.decode_graph()?,
-        };
-        let sharded = self.is_sharded();
-        // Downstream mutators (the updatable store) intern names; hand
-        // them the heap dictionary form up front. A sharded database
-        // carries only per-shard rings, so the updatable store gets a
-        // freshly built monolithic one.
-        let ring = if sharded {
-            Arc::new(Ring::build(&graph, RingOptions::default()))
+    /// The parts an updatable store is assembled from: the ring as it is
+    /// (mapped, for a database opened from a file) and the dictionaries
+    /// in whichever form they are. A sharded database carries only
+    /// per-shard rings, so the store gets a monolithic one built from
+    /// the decoded graph; the error is that of [`Self::decode_graph`].
+    pub(crate) fn into_raw_parts(self) -> Result<(Arc<Ring>, Dict, Dict), String> {
+        let ring = if self.is_sharded() {
+            Arc::new(Ring::build(&self.decode_graph()?, RingOptions::default()))
         } else {
             self.source.ring
         };
-        self.nodes.make_owned();
-        self.preds.make_owned();
-        Ok((graph, ring, self.nodes, self.preds))
+        Ok((ring, self.nodes, self.preds))
     }
 
-    pub(crate) fn from_built_parts(
-        graph: Graph,
-        ring: Arc<Ring>,
-        nodes: Dict,
-        preds: Dict,
-    ) -> Self {
+    /// A database over `source`, with the open info of one built in
+    /// memory; its graph is decoded only if asked.
+    pub(crate) fn from_source(source: SourceSnapshot, nodes: Dict, preds: Dict) -> Self {
         Self {
-            graph: OnceLock::from(graph),
-            source: SourceSnapshot::immutable(ring),
+            graph: OnceLock::new(),
+            source,
             nodes,
             preds,
             open_info: OpenInfo::default(),
@@ -423,24 +416,15 @@ impl RpqDatabase {
             );
         }
         let idx = ring::mapped::open_index(path, mode)?;
-        Ok(Self::from_mapped(idx, started))
-    }
-
-    /// The database over an opened file, `started` being when its open
-    /// began.
-    pub(crate) fn from_mapped(idx: MappedIndex, started: std::time::Instant) -> Self {
-        Self {
-            graph: OnceLock::new(),
-            source: SourceSnapshot::immutable(Arc::new(idx.ring)),
-            nodes: idx.nodes,
-            preds: idx.preds,
+        let source = SourceSnapshot::immutable(Arc::new(idx.ring));
+        Ok(Self {
             open_info: OpenInfo {
                 open_us: started.elapsed().as_micros() as u64,
                 resident: idx.resident,
                 mapped_bytes: idx.mapped_bytes,
             },
-            scratch: ScratchPool::default(),
-        }
+            ..Self::from_source(source, idx.nodes, idx.preds)
+        })
     }
 
     /// Starts a concurrent query server over this database (see
@@ -500,17 +484,14 @@ impl RpqDatabase {
             );
         }
         let rings = opened.rings.into_iter().map(Arc::new).collect();
+        let source = rpq_core::ShardedSource::new(rings).snapshot();
         Ok(Self {
-            graph: OnceLock::new(),
-            source: rpq_core::ShardedSource::new(rings).snapshot(),
-            nodes: opened.nodes,
-            preds: opened.preds,
             open_info: OpenInfo {
                 open_us: t0.elapsed().as_micros() as u64,
                 resident: opened.resident,
                 mapped_bytes: opened.mapped_bytes,
             },
-            scratch: ScratchPool::default(),
+            ..Self::from_source(source, opened.nodes, opened.preds)
         })
     }
 

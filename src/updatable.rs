@@ -15,8 +15,12 @@
 //! On disk a database is the same `RRPQM01` file an immutable one is
 //! ([`ring::mapped`]) — one ring, the committed overlay folded in, at the
 //! snapshot's epoch — plus, opened durably, the write-ahead log of the
-//! commits since (`<path>.wal`). Opening decodes the base triples the
-//! store's commits and compactions read back out of the ring in bulk.
+//! commits since (`<path>.wal`). Opening costs what
+//! [`RpqDatabase::open`] costs plus a check of every section's checksum:
+//! the base ring and both dictionaries stay in the mapping, commits look
+//! triples up in the ring, and only the overlay, the write-ahead log's
+//! tail and — from the first insert on — the dictionaries live on the
+//! heap. A compaction decodes the base out of the ring.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
@@ -40,17 +44,16 @@ struct Dicts {
 /// universes as large as the dictionaries — append-only interning leaves
 /// those larger than the store's whenever a name is used only by
 /// uncommitted or deleted triples, and a file's dictionaries and ring
-/// must agree. The store's own ring when that is already it; the graph
-/// is the one the ring indexes.
-fn folded(snap: &StoreSnapshot, dicts: &Dicts) -> (Arc<Graph>, Arc<Ring>) {
-    let n_nodes = (dicts.nodes.len() as Id).max(snap.graph.n_nodes());
-    let n_preds = (dicts.preds.len() as Id).max(snap.graph.n_preds());
-    if snap.delta.is_empty() && (n_nodes, n_preds) == (snap.graph.n_nodes(), snap.graph.n_preds()) {
-        return (Arc::clone(&snap.graph), Arc::clone(&snap.ring));
+/// must agree. The store's own ring when that is already it.
+fn folded(snap: &StoreSnapshot, dicts: &Dicts) -> Arc<Ring> {
+    let base = (snap.ring.n_nodes(), snap.ring.n_preds_base());
+    let n_nodes = (dicts.nodes.len() as Id).max(base.0);
+    let n_preds = (dicts.preds.len() as Id).max(base.1);
+    if snap.delta.is_empty() && (n_nodes, n_preds) == base {
+        return Arc::clone(&snap.ring);
     }
     let graph = Graph::new(snap.live_triples(), n_nodes, n_preds);
-    let ring = Ring::build(&graph, RingOptions::default());
-    (Arc::new(graph), Arc::new(ring))
+    Arc::new(Ring::build(&graph, RingOptions::default()))
 }
 
 /// The durability side-car of a database opened with
@@ -108,10 +111,11 @@ fn refuse_sharded(path: &Path) -> std::io::Result<()> {
 
 impl UpdatableDatabase {
     /// Wraps an immutable database (consumes it; the ring is reused, not
-    /// rebuilt).
+    /// rebuilt — except for a sharded database, whose parts are decoded
+    /// into one ring).
     ///
     /// # Panics
-    /// Panics where [`RpqDatabase::graph`] does.
+    /// Panics, for a sharded database, where [`RpqDatabase::graph`] does.
     pub fn from_database(db: RpqDatabase) -> Self {
         let parts = db
             .into_raw_parts()
@@ -120,10 +124,9 @@ impl UpdatableDatabase {
     }
 
     /// The database over an index's parts, at `epoch`.
-    fn over((graph, ring, nodes, preds): (Graph, Arc<Ring>, Dict, Dict), epoch: u64) -> Self {
-        let ring = Arc::try_unwrap(ring).unwrap_or_else(|a| (*a).clone());
+    fn over((ring, nodes, preds): (Arc<Ring>, Dict, Dict), epoch: u64) -> Self {
         Self {
-            store: TripleStore::from_built(graph, ring, DeltaIndex::empty(0), epoch),
+            store: TripleStore::from_built(ring, DeltaIndex::empty(0), epoch),
             dicts: RwLock::new(Dicts { nodes, preds }),
             durable: Mutex::new(None),
             scratch: ScratchPool::default(),
@@ -325,9 +328,8 @@ impl UpdatableDatabase {
         self.store.commit();
         let snap = self.store.snapshot();
         let dicts = self.dicts.into_inner().unwrap();
-        let (graph, ring) = folded(&snap, &dicts);
-        let graph = Arc::try_unwrap(graph).unwrap_or_else(|g| (*g).clone());
-        RpqDatabase::from_built_parts(graph, ring, dicts.nodes, dicts.preds)
+        let source = SourceSnapshot::immutable(folded(&snap, &dicts));
+        RpqDatabase::from_source(source, dicts.nodes, dicts.preds)
     }
 
     /// Parses endpoints and expression against the given snapshot.
@@ -468,7 +470,7 @@ impl UpdatableDatabase {
         let mut durable = self.durable.lock().unwrap();
         let snap = self.store.snapshot();
         let dicts = self.dicts.read().unwrap();
-        let (_, ring) = folded(&snap, &dicts);
+        let ring = folded(&snap, &dicts);
         ring::mapped::write_index_at(path, &ring, &dicts.nodes, &dicts.preds, snap.epoch)?;
         if let Some(state) = durable.as_mut() {
             if state.path == path {
@@ -506,21 +508,18 @@ impl UpdatableDatabase {
     /// Loads a database persisted by [`Self::save`] or
     /// [`RpqDatabase::save_mapped`], at the epoch the file holds (0 for
     /// an index nothing was ever committed to). The file is mapped where
-    /// the platform allows, every section is checked against its CRC32C,
-    /// and the base triples are decoded out of the ring
-    /// ([`Ring::decode_triples`]). A sharded index directory is refused
+    /// the platform allows and every section is checked against its
+    /// CRC32C; nothing is decoded. A sharded index directory is refused
     /// with [`std::io::ErrorKind::Unsupported`] (sharded indexes are
     /// read-only), and so is a file in a format this build no longer
     /// reads (see [`RpqDatabase::open`]).
     pub fn load(path: &Path) -> std::io::Result<Self> {
         refuse_sharded(path)?;
-        let started = std::time::Instant::now();
         let idx = ring::mapped::open_index_verified(path, OpenMode::Auto)?;
-        let epoch = idx.epoch;
-        let parts = RpqDatabase::from_mapped(idx, started)
-            .into_raw_parts()
-            .map_err(|e| succinct::mapped::err_data(format!("{}: {e}", path.display())))?;
-        Ok(Self::over(parts, epoch))
+        Ok(Self::over(
+            (Arc::new(idx.ring), idx.nodes, idx.preds),
+            idx.epoch,
+        ))
     }
 
     /// The write-ahead-log sibling of a snapshot file: `<path>.wal`.
@@ -907,6 +906,53 @@ mod tests {
         db.save(&path).unwrap();
         assert_eq!(UpdatableDatabase::load(&path).unwrap().epoch(), 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A loaded database reads its base from the file until it has to
+    /// write: the ring's arrays and both dictionaries stay there through
+    /// queries, deletes and their commit, and the first insert, which
+    /// interns, moves the dictionaries to the heap.
+    #[test]
+    fn a_loaded_store_stays_mapped_until_it_is_written_to() {
+        let dir = std::env::temp_dir().join(format!("rpq-updatable-mapped-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("live.db");
+        UpdatableDatabase::from_text("a p b\nb p c\nc q a\n")
+            .unwrap()
+            .save(&path)
+            .unwrap();
+        let db = UpdatableDatabase::load(&path)
+            .unwrap()
+            .with_auto_compact_ratio(None);
+        let mapped = |db: &UpdatableDatabase| {
+            let dicts = db.dicts.read().unwrap();
+            (dicts.nodes.is_mapped(), dicts.preds.is_mapped())
+        };
+        let ring_heap_bytes = |db: &UpdatableDatabase| db.store().snapshot().ring.heap_bytes();
+        assert_eq!(mapped(&db), (true, true));
+        assert_eq!(ring_heap_bytes(&db), 0);
+
+        assert_eq!(db.query("a", "p+", "?y").unwrap().len(), 2);
+        assert!(db.delete("a", "p", "b"));
+        db.commit();
+        assert_eq!(db.query("a", "p+", "?y").unwrap(), vec![]);
+        assert_eq!(mapped(&db), (true, true));
+        assert_eq!(ring_heap_bytes(&db), 0);
+
+        db.insert("c", "p", "d");
+        assert!(!mapped(&db).0, "the first insert interns");
+        db.commit();
+        assert_eq!(ring_heap_bytes(&db), 0, "commits leave the base ring alone");
+        assert_eq!(
+            db.query("?x", "p", "?y").unwrap(),
+            vec![("b".into(), "c".into()), ("c".into(), "d".into())]
+        );
+        db.compact();
+        assert!(
+            ring_heap_bytes(&db) > 0,
+            "a compaction builds the ring anew"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Append-only dictionaries legitimately outgrow the committed

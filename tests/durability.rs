@@ -185,6 +185,83 @@ fn a_checkpoint_leaves_a_mapped_reader_its_file() {
     assert_ne!(answer(&db.store().snapshot()), before);
 }
 
+/// The live triples of `db` by name, over the step alphabet.
+fn live_names(db: &UpdatableDatabase) -> BTreeSet<[String; 3]> {
+    use rpq_server::QuerySource;
+    let pred = |id| PREDS.iter().find(|p| db.pred_id(p) == Some(id)).unwrap();
+    let node = |id| db.node_name(id).unwrap();
+    let live = db.store().snapshot().live_triples();
+    live.into_iter()
+        .map(|t| [node(t.s), pred(t.p).to_string(), node(t.o)])
+        .collect()
+}
+
+/// A durable database reads its base ring and dictionaries from the
+/// mapping of its file, and a checkpoint renames a new file over that
+/// path: the commits, answers and compaction after it still read the
+/// file the database was mapped from, and a reopen reads the new one.
+#[test]
+fn a_checkpoint_replaces_the_file_the_database_is_mapped_from() {
+    let _guard = lock_faults();
+    let dir = tmpdir("ckpt_mapped");
+    let path = fresh_saved(&dir, "db.rpq");
+    let db = UpdatableDatabase::open_durable(&path)
+        .unwrap()
+        .with_auto_compact_ratio(None);
+    let mut model = all_edges(|p| db.query("?x", p, "?y").ok());
+    let mut commit = |ops: [(bool, [&str; 3]); 2]| {
+        for (insert, [s, p, o]) in ops {
+            let t = [s.to_string(), p.to_string(), o.to_string()];
+            if insert {
+                db.insert(s, p, o);
+                model.insert(t);
+            } else {
+                db.delete(s, p, o);
+                model.remove(&t);
+            }
+        }
+        db.commit();
+        model.clone()
+    };
+    let check = |db: &UpdatableDatabase, model: &BTreeSet<[String; 3]>| {
+        assert_eq!(&all_edges(|p| db.query("?x", p, "?y").ok()), model);
+        assert_eq!(&live_names(db), model);
+    };
+    let after = commit([(true, ["d", "p", "a"]), (false, ["a", "p", "b"])]);
+    assert_eq!(db.checkpoint().unwrap(), 1);
+    check(&db, &after);
+    let model = commit([(true, ["b", "q", "d"]), (false, ["c", "q", "a"])]);
+    check(&db, &model);
+    db.compact();
+    assert!(db.store().snapshot().delta.is_empty());
+    check(&db, &model);
+    drop(db);
+    check(&UpdatableDatabase::open_durable(&path).unwrap(), &model);
+}
+
+/// Saves from a loaded database that has interned nothing write its
+/// dictionaries from the mapping — to another path, and over the file
+/// they are mapped from — and both files reload to the same edges.
+#[test]
+fn a_save_writes_the_mapped_dictionaries() {
+    let _guard = lock_faults();
+    let dir = tmpdir("save_mapped_dicts");
+    let path = fresh_saved(&dir, "db.rpq");
+    let db = UpdatableDatabase::load(&path).unwrap();
+    db.delete("a", "p", "b");
+    db.commit();
+    let want = edges(&db);
+    let copy = dir.join("copy.rpq");
+    db.save(&copy).unwrap();
+    db.save(&path).unwrap();
+    assert_eq!(edges(&db), want);
+    for file in [&copy, &path] {
+        assert_eq!(edges(&UpdatableDatabase::load(file).unwrap()), want);
+        let plain = RpqDatabase::open(file).unwrap();
+        assert_eq!(plain.nodes().len(), 3, "{}", file.display());
+    }
+}
+
 /// A checkpoint rotates the WAL: reopen after it replays nothing and
 /// still sees every update (now in the snapshot).
 #[test]
