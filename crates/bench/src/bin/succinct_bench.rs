@@ -5,9 +5,10 @@
 //! in-bench reimplementation of the pre-interleaving **binary-search
 //! select** so the speedup is measured, not asserted), wavelet
 //! `guided_traverse` per-range vs the frontier-batched
-//! `guided_traverse_multi` at several frontier widths, one wide sweep
-//! over ascending and over shuffled ranges, and the batched
-//! backward-step rank. Distributions: dense/sparse/clustered synthetic
+//! `guided_traverse_multi` at several frontier widths, the batched
+//! `access_batch` part two runs over narrow ranges (in batches of
+//! several widths, and one wide batch of ascending and of shuffled
+//! ranges), and the batched backward-step rank. Distributions: dense/sparse/clustered synthetic
 //! bits plus a metro-ring-derived pattern (the MSB sequence of the
 //! bundled fixture's `L_s`, tiled), so the numbers track real ring data
 //! and not just uniform noise.
@@ -267,8 +268,7 @@ fn bench_traversal(
     ));
 }
 
-/// All-admitting guides that decline the leaf ranks, as the engine's
-/// subject sweep does.
+/// An all-admitting guide that declines the leaf ranks.
 struct CountSyms(usize);
 impl RangeGuide for CountSyms {
     const LEAF_RANKS: bool = false;
@@ -280,28 +280,21 @@ impl RangeGuide for CountSyms {
     }
 }
 
-struct CountSymsMulti(usize);
-impl MultiRangeGuide for CountSymsMulti {
-    const LEAF_RANKS: bool = false;
-    const UNIT_SHORTCUT: bool = true;
-    fn enter_node(&mut self, _: usize, _: u64) -> bool {
-        true
-    }
-    fn enter_item(&mut self, _: u32, _: usize, _: u64) -> bool {
-        true
-    }
-    fn leaf(&mut self, _: u32, _: u64, _: usize, _: usize) {
-        self.0 += 1;
-    }
+/// Every position of `ranges`, range after range, as `access_batch`
+/// takes them.
+fn positions_of(ranges: &[(u32, u32)], units: &mut Vec<(u32, u32)>) {
+    units.clear();
+    units.extend(ranges.iter().flat_map(|&(b, e)| (b..e).map(|at| (at, 0))));
 }
 
-/// The memory-level parallelism of the level-synchronous sweep, at the
-/// scale of a ring's `L_s`: 2^21 symbols of a 2^17 alphabet (17 levels of
-/// 320 KiB each, more than any L2 holds), and ranges one or two positions
-/// wide, as a backward step by predicate leaves them. A leaf costs one
-/// rank per level either way; `access` and the per-range traversal walk
-/// the levels as a chain of dependent cache misses, the sweep takes
-/// `frontier` ranges down a level together.
+/// The memory-level parallelism of a batched descent, at the scale of a
+/// ring's `L_s`: 2^21 symbols of a 2^17 alphabet (17 levels of 320 KiB
+/// each, more than any L2 holds), and ranges one or two positions wide,
+/// as a backward step by predicate leaves them. A leaf costs one rank per
+/// level either way; `access` and the per-range traversal walk the levels
+/// as a chain of dependent cache misses, `access_batch` — the engine's
+/// part two — takes the positions of `frontier` ranges down a level
+/// together. Per leaf is per position there.
 fn bench_narrow_ranges(reps: usize, out: &mut Vec<(String, f64)>) {
     const SIGMA: u64 = 1 << 17;
     const N: usize = 1 << 21;
@@ -348,17 +341,26 @@ fn bench_narrow_ranges(reps: usize, out: &mut Vec<(String, f64)>) {
         per_leaf(&samples, leaves),
     ));
 
-    let mut mt = MultiTraversal::new();
+    let mut units = Vec::new();
+    positions_of(&ranges, &mut units);
+    let wanted: Vec<u64> = units
+        .iter()
+        .map(|&(at, _)| wm.access(at as usize))
+        .collect();
+    wm.access_batch(&mut units);
+    let got: Vec<u64> = units.iter().map(|&(_, sym)| u64::from(sym)).collect();
+    assert_eq!(got, wanted, "batched access read other symbols");
     for frontier in [2usize, 1024] {
-        let mut samples = Vec::with_capacity(reps);
+        let (mut samples, mut leaves) = (Vec::with_capacity(reps), 0);
         for _ in 0..reps {
             let t = Instant::now();
-            let mut g = CountSymsMulti(0);
+            leaves = 0;
             for batch in ranges.chunks(frontier) {
-                mt.run(&wm, batch, &mut g);
+                positions_of(batch, &mut units);
+                wm.access_batch(&mut units);
+                leaves += std::hint::black_box(units.len());
             }
             samples.push(t.elapsed().as_nanos() as f64);
-            assert_eq!(g.0, leaves, "batched traversal dropped leaves");
         }
         out.push((
             format!("narrow_batched_f{frontier}_leaf_ns"),
@@ -366,20 +368,20 @@ fn bench_narrow_ranges(reps: usize, out: &mut Vec<(String, f64)>) {
         ));
     }
 
-    // What the order of a frontier is worth: one sweep of 8192 such
+    // What the order of a frontier is worth: one batch of 8192 such
     // ranges as a BFS level visited in node order hands them over —
-    // ascending, every level's bit vector walked front to back — and the
-    // same ranges as a FIFO queue does.
+    // ascending, every level's first probes front to back — and the same
+    // ranges as a FIFO queue does.
     let mut sorted = shuffled.clone();
     sorted.sort_unstable();
     for (order, ranges) in [("sorted", &sorted), ("shuffled", &shuffled)] {
         let (mut samples, mut leaves) = (Vec::with_capacity(reps), 0);
         for _ in 0..reps {
             let t = Instant::now();
-            let mut g = CountSymsMulti(0);
-            mt.run(&wm, ranges, &mut g);
+            positions_of(ranges, &mut units);
+            wm.access_batch(&mut units);
             samples.push(t.elapsed().as_nanos() as f64);
-            leaves = std::hint::black_box(g.0);
+            leaves = std::hint::black_box(units.len());
         }
         out.push((format!("sweep_{order}_leaf_ns"), per_leaf(&samples, leaves)));
     }

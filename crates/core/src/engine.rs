@@ -192,11 +192,13 @@ impl<'r> RpqEngine<'r> {
         };
         out.plan = Some(plan);
         if let (Some(t0), Some(planned)) = (prof_t0, prof_planned) {
+            let mut phases = levels.as_ref().map(|l| l.phases).unwrap_or_default();
             let mut levels = levels.map(LevelProf::into_samples).unwrap_or_default();
             // The split route evaluates through nested sub-queries; its
             // partial profile carries the concatenated sub-levels up.
             if let Some(sub) = out.profile.take() {
                 levels.extend(sub.levels);
+                phases.add(&sub.phases);
             }
             let done = Instant::now();
             out.profile = Some(Box::new(QueryProfile {
@@ -205,6 +207,7 @@ impl<'r> RpqEngine<'r> {
                 total_us: done.duration_since(t0).as_micros() as u64,
                 levels,
                 compactions: out.stats.pair_compactions,
+                phases,
                 queue_wait_us: None,
                 compile_us: None,
                 cache_hit: None,

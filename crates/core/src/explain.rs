@@ -217,6 +217,10 @@ impl QueryProfile {
             .field_u64("exec_us", self.exec_us)
             .field_u64("total_us", self.total_us)
             .field_u64("compactions", self.compactions)
+            .field_u64("part_one_ns", self.phases.part_one_ns)
+            .field_u64("part_two_ns", self.phases.part_two_ns)
+            .field_u64("replay_ns", self.phases.replay_ns)
+            .field_u64("order_ns", self.phases.order_ns)
             .key("levels")
             .begin_array();
         for l in &self.levels {
@@ -415,6 +419,12 @@ mod tests {
             exec_us: 2,
             total_us: 3,
             compactions: 1,
+            phases: crate::profile::PhaseTimes {
+                part_one_ns: 6,
+                part_two_ns: 7,
+                replay_ns: 8,
+                order_ns: 9,
+            },
             levels: vec![LevelSample {
                 frontier: 4,
                 rank_ops: 5,
@@ -428,6 +438,7 @@ mod tests {
         assert_eq!(
             p.to_json(),
             "{\"plan_us\":1,\"exec_us\":2,\"total_us\":3,\"compactions\":1,\
+             \"part_one_ns\":6,\"part_two_ns\":7,\"replay_ns\":8,\"order_ns\":9,\
              \"levels\":[{\"frontier\":4,\"rank_ops\":5,\"chunks\":0,\"parallel\":false}]}"
         );
         // Server-path keys appear exactly when filled, in fixed order.

@@ -1,14 +1,14 @@
 //! The §5 fast paths: query patterns `v p v`, `v ^p v`, `v p|q v`,
 //! `v p/q v` (and their anchored variants) evaluated with plain backward
-//! steps and distinct-subject sweeps, bypassing the automaton.
+//! steps and batched subject lookups, bypassing the automaton.
 //!
 //! "Such paths can be solved as join queries, with more efficient
 //! algorithms" — the paper concedes these patterns to the competitors'
 //! join machinery; these handlers are the ring's equivalent. They are
 //! written once over the step source, like the traversal: a bare ring
-//! answers a batch with one shared rank chain and one sweep of `L_s`, a
-//! delta or sharded view with the same per owner, merged — and the
-//! limit is tested at the same points on every source.
+//! answers a batch with one shared rank chain and one batched access of
+//! `L_s`, a delta or sharded view with the same per owner, merged — and
+//! the limit is tested at the same points on every source.
 
 use automata::ast::{Lit, Regex};
 use automata::Label;
@@ -17,11 +17,11 @@ use std::time::Instant;
 
 use crate::pairbuf::PairBuffer;
 use crate::query::{EngineOptions, QueryOutput, Term};
-use crate::step::{step_label, ChunkExpansion, StepSource};
+use crate::step::{step_label, ChunkExpansion, CommonWalk, StepSource};
 
 /// Midpoints/subjects stepped through the index per batch: the backward
-/// steps of a whole batch share one rank chain and the distinct-subject
-/// sweeps share node entries; limits are re-checked between batches.
+/// steps of a whole batch share one rank chain and one batched access;
+/// limits are re-checked between batches.
 const STEP_BATCH: usize = 256;
 
 /// Recognized specializable expression shapes.
@@ -332,22 +332,32 @@ fn concat2<S: StepSource + ?Sized>(
     let p2i = src.ring().inverse_label(p2);
     match (subject, object) {
         (Term::Var, Term::Var) => {
-            // All midpoints, whatever the limit: two of them can lead to
-            // the same pair, so no count of midpoints bounds the answer
-            // the way a count of subjects does in `single`.
-            let mut mids = Vec::new();
-            src.common_subjects(p1i, p2, &mut mids);
-            sink.sweep(&as_items(&mids), |chunk, batch| {
-                step_label(src, p1, chunk, &mut batch.x);
-                step_label(src, p2i, chunk, &mut batch.y);
-                batch.pairs.clear();
-                for item in 0..chunk.len() {
-                    for &s in batch.x.item_subjects(item) {
-                        let objects = batch.y.item_subjects(item);
-                        batch.pairs.extend(objects.iter().map(|&o| (s, o)));
-                    }
+            // The midpoints ascending, a batch at a time, each batch swept
+            // before the next is found: two midpoints can lead to the same
+            // pair, so no count of them bounds the answer the way a count
+            // of subjects does in `single`, but a sink the limit has
+            // filled stops asking for more.
+            let (mut walk, mut mids) = (CommonWalk::new(p1i, p2), Vec::new());
+            loop {
+                src.common_subjects(&mut walk, STEP_BATCH, &mut mids);
+                if mids.is_empty() {
+                    return;
                 }
-            });
+                sink.sweep(&as_items(&mids), |chunk, batch| {
+                    step_label(src, p1, chunk, &mut batch.x);
+                    step_label(src, p2i, chunk, &mut batch.y);
+                    batch.pairs.clear();
+                    for item in 0..chunk.len() {
+                        for &s in batch.x.item_subjects(item) {
+                            let objects = batch.y.item_subjects(item);
+                            batch.pairs.extend(objects.iter().map(|&o| (s, o)));
+                        }
+                    }
+                });
+                if sink.truncated || sink.budget_exhausted || sink.timed_out {
+                    return;
+                }
+            }
         }
         (Term::Const(s), Term::Var) => through(src, s, p1i, p2i, |o| (s, o), sink, x),
         (Term::Var, Term::Const(o)) => through(src, o, p2, p1, |s| (s, o), sink, x),
@@ -362,7 +372,9 @@ fn concat2<S: StepSource + ?Sized>(
 
 /// The two-step join from a constant endpoint: the midpoints one
 /// `to_mids` step from `near`, then the far side of each batch of them
-/// by `onward`, node by node as the sweep finds it.
+/// by `onward`, pushed in ascending node order — a node reached from
+/// several midpoints once for each — so that a limit reached inside a
+/// batch keeps the same pairs whatever order the step lists them in.
 fn through<S: StepSource + ?Sized>(
     src: &S,
     near: Id,
@@ -379,8 +391,9 @@ fn through<S: StepSource + ?Sized>(
             return;
         }
         step_label(src, onward, chunk, x);
-        for &(_, far) in &x.candidates {
-            sink.push(pair_of(Id::from(far)));
+        x.subjects.sort_unstable();
+        for &far in &x.subjects {
+            sink.push(pair_of(far));
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The traversal kernel: the §4.4 dispatch over the four endpoint shapes
 //! and the one backward product-graph BFS behind it, both written once.
 //! What differs between sources — how a batch of backward steps reads
-//! its adjacency — is behind [`StepSource`]: three level-synchronous
-//! sweeps over a bare ring, per-owner-shard sweeps merged with the delta
-//! arrays over a layered view.
+//! its adjacency — is behind [`StepSource`]: a level-synchronous sweep of
+//! `L_p` and one batched access of `L_s` over a bare ring, the same per
+//! owner shard merged with the delta arrays over a layered view.
 
 use std::time::Instant;
 
@@ -14,7 +14,7 @@ use succinct::util::EpochArray;
 
 use crate::pairbuf::PairBuffer;
 use crate::planner::Direction;
-use crate::profile::LevelProf;
+use crate::profile::{LevelProf, PhaseTimes};
 use crate::query::{EngineOptions, QueryOutput, Term, TraversalStats};
 use crate::scratch::EngineScratch;
 use crate::step::{group_by_key, negated_firing_labels, ChunkExpansion, Firing, StepSource};
@@ -27,11 +27,16 @@ use crate::step::{group_by_key, negated_firing_labels, ChunkExpansion, Firing, S
 /// and over; a narrow first chunk keeps a traversal the limit cuts short
 /// from paying for a level it abandons. The geometry is a function of the
 /// traversal's own history: the same on every source and thread count.
+/// A run whose `report` stops after a known number of reports also caps
+/// its chunks by what is still wanted ([`Bounds::wanted`]).
 pub(crate) const FRONTIER_CHUNK: usize = 1024;
 
 /// The most frontier items expanded at a time (bounds the per-chunk
 /// scratch, and what an early stop wastes).
 pub(crate) const FRONTIER_CHUNK_MAX: usize = 8 * FRONTIER_CHUNK;
+
+/// The fewest items a chunk capped by the reports still wanted holds.
+const CAPPED_CHUNK_MIN: usize = 64;
 
 /// Levels at least this wide are ordered by a radix sort.
 const RADIX_MIN: usize = 512;
@@ -82,6 +87,22 @@ pub(crate) enum Start {
     Full,
 }
 
+/// What a traversal run may spend, and what its caller asks of it.
+#[derive(Clone, Copy)]
+pub(crate) struct Bounds {
+    /// The product nodes the run may visit.
+    pub(crate) budget: Option<u64>,
+    /// The number of reports after which `report` stops the run, when the
+    /// caller knows it. The run then expands about what it needs: after
+    /// its first report, a chunk holds at most twice the items the
+    /// reports still wanted would take at the run's own ratio so far of
+    /// items expanded per report (and at least [`CAPPED_CHUNK_MIN`]), and
+    /// a full-range first level lists a label whose step reports only as
+    /// far as the replay consumes it. Work only: answers, flags, traces
+    /// and product-graph counters are what a run without it gives.
+    pub(crate) wanted: Option<usize>,
+}
+
 /// Why a backward traversal stopped early (if it did).
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Stop {
@@ -100,12 +121,13 @@ pub(crate) trait Kernel {
     /// Traverses the product graph backwards from `start` under `E`'s
     /// tables, or `Ê`'s when `reversed`. Calls `report(r)` for every
     /// node where the initial state newly activates (a `false` return
-    /// aborts); `budget` caps the product nodes *this* run may visit.
+    /// aborts); `bounds` caps the product nodes *this* run may visit, and
+    /// says when `report` will stop it.
     fn traverse(
         &mut self,
         reversed: bool,
         start: Start,
-        budget: Option<u64>,
+        bounds: Bounds,
         stats: &mut TraversalStats,
         trace: Option<&mut Vec<(Id, u64)>>,
         report: &mut dyn FnMut(Id) -> bool,
@@ -176,10 +198,14 @@ fn eval_anchored(
         stats,
         ..
     } = out;
+    let bounds = Bounds {
+        budget: opts.node_budget,
+        wanted: target.is_none().then_some(opts.limit),
+    };
     let stop = kernel.traverse(
         reversed,
         Start::Object(anchor),
-        opts.node_budget,
+        bounds,
         stats,
         opts.collect_trace.then_some(trace),
         &mut |r| match target {
@@ -239,10 +265,14 @@ fn eval_var_var(
     let mut anchors: Vec<Id> = Vec::new();
     if !out.truncated {
         let enough = if nullable { usize::MAX } else { opts.limit };
+        let bounds = Bounds {
+            budget: opts.node_budget,
+            wanted: (!nullable).then_some(enough),
+        };
         let stop = kernel.traverse(
             !sources_first,
             Start::Full,
-            opts.node_budget,
+            bounds,
             &mut out.stats,
             opts.collect_trace.then_some(&mut out.trace),
             &mut |r| {
@@ -262,11 +292,16 @@ fn eval_var_var(
             break;
         }
         let mut stats = TraversalStats::default();
+        let bounds = Bounds {
+            budget: opts
+                .node_budget
+                .map(|nb| nb.saturating_sub(out.stats.product_nodes)),
+            wanted: None,
+        };
         let stop = kernel.traverse(
             sources_first,
             Start::Object(a),
-            opts.node_budget
-                .map(|nb| nb.saturating_sub(out.stats.product_nodes)),
+            bounds,
             &mut stats,
             opts.collect_trace.then_some(&mut out.trace),
             &mut |r| {
@@ -332,13 +367,13 @@ impl<S: StepSource + ?Sized> Kernel for Traversal<'_, S> {
         &mut self,
         reversed: bool,
         start: Start,
-        budget: Option<u64>,
+        bounds: Bounds,
         stats: &mut TraversalStats,
         trace: Option<&mut Vec<(Id, u64)>>,
         report: &mut dyn FnMut(Id) -> bool,
     ) -> Stop {
         let stop = self
-            .run(reversed, start, budget, stats, trace, report)
+            .run(reversed, start, bounds, stats, trace, report)
             .err()
             .unwrap_or(Stop::Completed);
         // Close the last open level sample with this run's final
@@ -365,7 +400,7 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
         &mut self,
         reversed: bool,
         start: Start,
-        budget: Option<u64>,
+        bounds: Bounds,
         stats: &mut TraversalStats,
         trace: Option<&mut Vec<(Id, u64)>>,
         report: &mut dyn FnMut(Id) -> bool,
@@ -402,13 +437,16 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
         if expansions.is_empty() {
             expansions.push(ChunkExpansion::default());
         }
+        let profiled = self.prof.is_some();
         let mut replay = Replay {
-            budget,
+            budget: bounds.budget,
             deadline: self.deadline,
+            reported_before: stats.reported,
             stats,
             trace,
             report,
             next: next_frontier,
+            prof: self.prof.as_deref_mut(),
         };
 
         match start {
@@ -429,38 +467,58 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
             Start::Full => {
                 // The full `L_p` range of §4.4 as one BFS step, seeded
                 // by label: every firing label's edges at once, none of
-                // the labels the query does not mention.
-                if let Some(p) = self.prof.as_deref_mut() {
+                // the labels the query does not mention. Nothing is
+                // visited yet, so every listed subject is fresh but for
+                // what the labels before it found. A label whose step
+                // holds the initial state reports what it lists: under a
+                // known `wanted` it is listed as far as the reports still
+                // wanted, then twice as far — the new part replayed —
+                // until the replay stops or the label runs out.
+                if let Some(p) = replay.prof.as_deref_mut() {
                     p.enter(1, replay.stats.rank_ops, replay.stats.parallel_chunks);
                 }
-                // Nothing is visited yet: every listed subject is fresh.
-                let (x, mut listed) = (&mut expansions[0], Vec::new());
-                x.begin();
-                x.subjects.clear();
-                x.work_end.clear();
+                replay.step()?;
+                let mut listed = Vec::new();
                 for &(label, bmask) in labels.iter().filter(|l| l.1 & d0 != 0) {
-                    src.label_subjects(label, usize::MAX, &mut listed);
-                    if !listed.is_empty() {
-                        x.work_d.push(bp.apply_bwd(d0 & bmask));
-                        x.subjects.append(&mut listed);
-                        x.work_end.push(x.subjects.len());
+                    let d_new = bp.apply_bwd(d0 & bmask);
+                    let mut cap = match bounds.wanted {
+                        Some(wanted) if d_new & INITIAL != 0 => replay.still_wanted(wanted).max(1),
+                        _ => usize::MAX,
+                    };
+                    let mut done = 0;
+                    loop {
+                        let t = replay.clock();
+                        src.label_subjects(label, cap, &mut listed);
+                        replay.charge(t, |phases| &mut phases.part_two_ns);
+                        if done == 0 && !listed.is_empty() {
+                            replay.stats.product_edges += 1;
+                        }
+                        let t = replay.clock();
+                        let replayed = replay.subjects(visited, d_new, &listed[done..]);
+                        replay.charge(t, |phases| &mut phases.replay_ns);
+                        replayed?;
+                        if listed.len() < cap {
+                            break;
+                        }
+                        done = listed.len();
+                        cap = cap.saturating_mul(2);
                     }
                 }
-                x.item_end.push(x.work_d.len());
-                replay.chunk(visited, x)?;
             }
         }
 
         let threads = self.threads.max(1);
-        let mut chunk = FRONTIER_CHUNK;
+        let (mut chunk, mut expanded) = (FRONTIER_CHUNK, 0);
         loop {
+            let t = replay.clock();
             order_level(replay.next, frontier);
+            replay.charge(t, |phases| &mut phases.order_ns);
             std::mem::swap(frontier, replay.next);
             replay.next.clear();
             if frontier.is_empty() {
                 return Ok(());
             }
-            if let Some(p) = self.prof.as_deref_mut() {
+            if let Some(p) = replay.prof.as_deref_mut() {
                 let stats = &replay.stats;
                 p.enter(frontier.len() as u64, stats.rank_ops, stats.parallel_chunks);
             }
@@ -482,8 +540,17 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
                 if self.deadline.is_some_and(|dl| Instant::now() >= dl) {
                     return Err(Stop::TimedOut);
                 }
-                let (now, later) = rest.split_at(rest.len().min(chunk));
+                let take = match (bounds.wanted, replay.reported()) {
+                    (Some(wanted), reports) if reports > 0 => {
+                        let still = replay.still_wanted(wanted);
+                        let cap = still.saturating_mul(2 * expanded) / reports;
+                        chunk.min(cap.max(CAPPED_CHUNK_MIN))
+                    }
+                    _ => chunk,
+                };
+                let (now, later) = rest.split_at(rest.len().min(take));
                 rest = later;
+                expanded += now.len();
                 if now.len() == chunk {
                     chunk = (2 * chunk).min(FRONTIER_CHUNK_MAX);
                 }
@@ -495,8 +562,13 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
                     extra,
                     expansions,
                     |visited, piece, x| {
+                        let t0 = profiled.then(Instant::now);
                         src.fire(&firing, piece, x);
+                        let t1 = profiled.then(Instant::now);
                         src.subjects(Some(visited), x);
+                        if let (Some(t0), Some(t1)) = (t0, t1) {
+                            x.phase_ns = [nanos(t1 - t0), nanos(t1.elapsed())];
+                        }
                     },
                     |visited, x| {
                         replay.stats.parallel_chunks += u64::from(fan);
@@ -510,70 +582,127 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
     }
 }
 
+/// A duration in whole nanoseconds.
+fn nanos(d: std::time::Duration) -> u64 {
+    d.as_nanos().try_into().unwrap_or(u64::MAX)
+}
+
 /// What a traversal run mutates as it replays chunks — the only writer
 /// of the visited masks, and the one place budget, deadline, trace,
-/// `report` and the product-graph counters live.
+/// `report`, the product-graph counters and the profile live.
 struct Replay<'a> {
     budget: Option<u64>,
     deadline: Option<Instant>,
+    /// `stats.reported` when the run began.
+    reported_before: u64,
     stats: &'a mut TraversalStats,
     trace: Option<&'a mut Vec<(Id, u64)>>,
     report: &'a mut dyn FnMut(Id) -> bool,
     /// The next BFS level, accumulated while the current one is replayed.
     next: &'a mut Vec<(Id, u64)>,
+    prof: Option<&'a mut LevelProf>,
 }
 
 impl Replay<'_> {
+    /// The reports of this run so far.
+    fn reported(&self) -> usize {
+        (self.stats.reported - self.reported_before) as usize
+    }
+
+    /// How many of `wanted` reports this run has still to make.
+    fn still_wanted(&self, wanted: usize) -> usize {
+        wanted.saturating_sub(self.reported())
+    }
+
+    /// The clock, read only when the run is profiled.
+    fn clock(&self) -> Option<Instant> {
+        self.prof.is_some().then(Instant::now)
+    }
+
+    /// Adds the time since `since` to one of the profile's phases.
+    fn charge(&mut self, since: Option<Instant>, phase: impl FnOnce(&mut PhaseTimes) -> &mut u64) {
+        if let (Some(t0), Some(p)) = (since, self.prof.as_deref_mut()) {
+            *phase(&mut p.phases) += nanos(t0.elapsed());
+        }
+    }
+
     /// Replays one expanded chunk in visiting order against the live masks.
     /// `Err` is the reason the whole traversal stops here.
     fn chunk(&mut self, visited: &mut EpochArray, x: &ChunkExpansion) -> Result<(), Stop> {
-        let stats = &mut *self.stats;
-        stats.rank_ops += x.rank_ops;
-        stats.rank_ops_saved += x.rank_ops_saved;
-        stats.wavelet_nodes += x.wavelet_nodes;
+        let t = self.clock();
+        let replayed = self.work_items(visited, x);
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.phases.part_one_ns += x.phase_ns[0];
+            p.phases.part_two_ns += x.phase_ns[1];
+        }
+        self.charge(t, |phases| &mut phases.replay_ns);
+        replayed
+    }
+
+    fn work_items(&mut self, visited: &mut EpochArray, x: &ChunkExpansion) -> Result<(), Stop> {
+        self.stats.rank_ops += x.rank_ops;
+        self.stats.rank_ops_saved += x.rank_ops_saved;
+        self.stats.wavelet_nodes += x.wavelet_nodes;
         let (mut work, mut next_subject) = (0, 0);
         for &item_end in &x.item_end {
-            stats.bfs_steps += 1;
-            if let Some(dl) = self.deadline {
-                if stats.bfs_steps.is_multiple_of(64) && Instant::now() >= dl {
-                    return Err(Stop::TimedOut);
-                }
-            }
+            self.step()?;
             while work < item_end {
-                stats.product_edges += 1;
-                // Eq. 2: the same new state set for every subject of the
-                // work item (Fact 1).
-                let d_new = x.work_d[work];
+                self.stats.product_edges += 1;
                 let subjects = &x.subjects[next_subject..x.work_end[work]];
                 next_subject = x.work_end[work];
+                self.subjects(visited, x.work_d[work], subjects)?;
                 work += 1;
-                for &s in subjects {
-                    // The per-node visited filter D[s]: soundness and
-                    // Theorem 4.1 depend on it.
-                    let old = visited.get(s as usize);
-                    let fresh = d_new & !old;
-                    if fresh == 0 {
-                        continue;
-                    }
-                    if self.budget.is_some_and(|nb| stats.product_nodes >= nb) {
-                        return Err(Stop::Budget);
-                    }
-                    visited.set(s as usize, old | d_new);
-                    stats.product_nodes += 1;
-                    if let Some(t) = self.trace.as_deref_mut() {
-                        t.push((s, fresh));
-                    }
-                    if fresh & INITIAL != 0 {
-                        stats.reported += 1;
-                        if !(self.report)(s) {
-                            return Err(Stop::Completed);
-                        }
-                    }
-                    // Part three: the subject becomes an object again, on
-                    // the next BFS level.
-                    self.next.push((s, fresh));
+            }
+        }
+        Ok(())
+    }
+
+    /// One BFS step — an item of a level — taken: counted, and every 64th
+    /// reads the deadline.
+    fn step(&mut self) -> Result<(), Stop> {
+        self.stats.bfs_steps += 1;
+        match self.deadline {
+            Some(dl) if self.stats.bfs_steps.is_multiple_of(64) && Instant::now() >= dl => {
+                Err(Stop::TimedOut)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The subjects of one work item, reached with `d_new` — Eq. 2: the
+    /// same new state set for every subject of the work item (Fact 1).
+    fn subjects(
+        &mut self,
+        visited: &mut EpochArray,
+        d_new: u64,
+        subjects: &[Id],
+    ) -> Result<(), Stop> {
+        let stats = &mut *self.stats;
+        for &s in subjects {
+            // The per-node visited filter D[s]: soundness and Theorem
+            // 4.1 depend on it.
+            let old = visited.get(s as usize);
+            let fresh = d_new & !old;
+            if fresh == 0 {
+                continue;
+            }
+            if self.budget.is_some_and(|nb| stats.product_nodes >= nb) {
+                return Err(Stop::Budget);
+            }
+            visited.set(s as usize, old | d_new);
+            stats.product_nodes += 1;
+            if let Some(t) = self.trace.as_deref_mut() {
+                t.push((s, fresh));
+            }
+            if fresh & INITIAL != 0 {
+                stats.reported += 1;
+                if !(self.report)(s) {
+                    return Err(Stop::Completed);
                 }
             }
+            // Part three: the subject becomes an object again, on the
+            // next BFS level.
+            self.next.push((s, fresh));
         }
         Ok(())
     }

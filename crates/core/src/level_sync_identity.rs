@@ -23,7 +23,7 @@ use succinct::WaveletMatrix;
 use workload::{GraphGen, GraphGenConfig, QueryGen};
 
 use crate::engine::RpqEngine;
-use crate::kernel::{self, Kernel, Start, Stop};
+use crate::kernel::{self, Bounds, Kernel, Start, Stop};
 use crate::plan::{EvalRoute, PreparedQuery};
 use crate::query::{EngineOptions, RpqQuery, Term, TraversalStats};
 use crate::source::{MergedView, ShardedSource, TripleSource};
@@ -44,7 +44,7 @@ impl Kernel for Reference<'_> {
         &mut self,
         reversed: bool,
         start: Start,
-        budget: Option<u64>,
+        bounds: Bounds,
         stats: &mut TraversalStats,
         mut trace: Option<&mut Vec<(Id, u64)>>,
         report: &mut dyn FnMut(Id) -> bool,
@@ -124,7 +124,7 @@ impl Kernel for Reference<'_> {
                         },
                     );
                     for &(s, fresh) in &subjects {
-                        if budget.is_some_and(|nb| stats.product_nodes >= nb) {
+                        if bounds.budget.is_some_and(|nb| stats.product_nodes >= nb) {
                             return Stop::Budget;
                         }
                         stats.product_nodes += 1;

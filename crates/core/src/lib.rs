@@ -14,17 +14,19 @@
 //!    `D & B[v] ≠ 0` prunes whole subtrees, so no time is spent on
 //!    irrelevant labels (Fact 1).
 //! 2. **Part two** (§4.2): each surviving predicate's backward-search range
-//!    of `L_s` is traversed with a visited-mask filter, yielding every
-//!    subject that contributes *new* NFA states; the bit-parallel reverse
-//!    step `D ← T'[D & B[p]]` (Eq. 2) applies to all of them at once.
+//!    of `L_s` is read position by position under a visited-mask filter,
+//!    yielding every subject that contributes *new* NFA states; the
+//!    bit-parallel reverse step `D ← T'[D & B[p]]` (Eq. 2) applies to all
+//!    of them at once.
 //! 3. **Part three** (§4.3): each fresh subject is re-interpreted as an
 //!    object via `C_o`, and the BFS continues; subjects whose state set
 //!    contains the initial state are reported as answers.
 //!
 //! There is one traversal, and it takes the three parts a frontier chunk
 //! at a time over a crate-private batch *step source*: over a bare ring
-//! each part is one level-synchronous sweep (`L_p`, `L_s`, `C_o`) whose
-//! memory accesses overlap; over a delta overlay or a shard partition
+//! each part is one pass taken level by level — a sweep of `L_p`, a
+//! batched access of `L_s`, the `C_o` lookups — whose memory accesses
+//! overlap; over a delta overlay or a shard partition
 //! ([`MergedView`]) the same batch is stepped through every shard owning
 //! the label and merged with the delta. The §5 fast paths run over the
 //! same source. The crate's `README.md` ("How one BFS level is expanded")
@@ -69,7 +71,7 @@ mod step;
 pub use engine::RpqEngine;
 pub use plan::{EvalRoute, PreparedQuery};
 pub use planner::{Direction, Plan};
-pub use profile::{LevelSample, QueryProfile};
+pub use profile::{LevelSample, PhaseTimes, QueryProfile};
 pub use query::{EngineOptions, QueryOutput, RpqQuery, Term, TraversalStats};
 pub use scratch::{EngineScratch, ScratchPool};
 pub use source::{MergedView, ShardPart, ShardSet, ShardedSource, SourceSnapshot, TripleSource};

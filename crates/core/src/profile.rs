@@ -3,9 +3,10 @@
 //!
 //! [`explain`](crate::explain) answers *what the planner decided*;
 //! a [`QueryProfile`] answers *what the execution actually did*:
-//! per-phase wall time (planning vs. execution), a per-BFS-level record
-//! of frontier sizes, rank-operation deltas and fan-out decisions, and
-//! the [`PairBuffer`](crate::pairbuf::PairBuffer) compaction count. The paper's
+//! per-phase wall time (planning vs. execution), where the traversal
+//! kernel's time went ([`PhaseTimes`]), a per-BFS-level record of
+//! frontier sizes, rank-operation deltas and fan-out decisions, and the
+//! [`PairBuffer`](crate::pairbuf::PairBuffer) compaction count. The paper's
 //! whole argument is cost accounting — rank/select operations decide
 //! whether the ring beats the baselines — and the profile is where
 //! those costs become visible per query instead of as process-wide
@@ -37,6 +38,39 @@ pub struct LevelSample {
     pub parallel: bool,
 }
 
+/// Where a traversal's time went, in nanoseconds summed over its chunks
+/// and over every traversal of the query (the passes of a
+/// variable-to-variable query, the sub-queries of a split). The four
+/// phases are the kernel's: `part_one_ns` finds a chunk's work items (the
+/// labels firing into it, §4.1), `part_two_ns` their subjects (§4.2, and
+/// the label listing of a full-range first level), `replay_ns` walks them
+/// against the live visited table, and `order_ns` puts each BFS level in
+/// node order. Parts one and two of a level fanned across intra-query
+/// threads are timed on the thread that expanded them, so there the sum
+/// is CPU time and may exceed the wall time it was spent in. All zero on
+/// routes without a traversal (the §5 fast paths, the fallback).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseTimes {
+    /// Part one: the labels firing into each chunk, ns.
+    pub part_one_ns: u64,
+    /// Part two: the subjects of each chunk's work items, ns.
+    pub part_two_ns: u64,
+    /// The replay of each chunk against the live visited table, ns.
+    pub replay_ns: u64,
+    /// Putting each BFS level in node order, ns.
+    pub order_ns: u64,
+}
+
+impl PhaseTimes {
+    /// Adds `other`'s times to these.
+    pub fn add(&mut self, other: &PhaseTimes) {
+        self.part_one_ns += other.part_one_ns;
+        self.part_two_ns += other.part_two_ns;
+        self.replay_ns += other.replay_ns;
+        self.order_ns += other.order_ns;
+    }
+}
+
 /// A per-query execution profile. Attached to
 /// [`QueryOutput::profile`](crate::QueryOutput::profile) when
 /// [`EngineOptions::profile`](crate::EngineOptions::profile) is set;
@@ -60,6 +94,8 @@ pub struct QueryProfile {
     /// `PairBuffer` compactions that did real work (mirrors
     /// [`TraversalStats::pair_compactions`](crate::TraversalStats::pair_compactions)).
     pub compactions: u64,
+    /// The traversal kernel's time, phase by phase.
+    pub phases: PhaseTimes,
     /// Server path only: wall time the job waited in the queue before a
     /// worker picked it up, µs.
     pub queue_wait_us: Option<u64>,
@@ -71,7 +107,8 @@ pub struct QueryProfile {
     pub cache_hit: Option<bool>,
 }
 
-/// Per-level sample collector threaded through the traversal loops.
+/// Per-level sample collector threaded through the traversal loops, and
+/// the kernel's [`PhaseTimes`] they add up as they go.
 ///
 /// The loops feed it *cumulative* counters; the collector turns them
 /// into per-level deltas. Protocol: call [`enter`](Self::enter) at each
@@ -87,6 +124,7 @@ pub struct LevelProf {
     mark_rank: u64,
     mark_chunks: u64,
     open: bool,
+    pub(crate) phases: PhaseTimes,
 }
 
 impl LevelProf {

@@ -494,6 +494,9 @@ pub(crate) struct LayeredWork {
     ranges: Vec<(u32, u32, Range)>,
     /// Subjects part one listed itself.
     listed: Vec<Id>,
+    /// Part two's answers of every part, and the adds: `(work item,
+    /// subject)` (node ids fit 32 bits).
+    found: Vec<(u32, u32)>,
 }
 
 impl LayeredWork {
@@ -508,6 +511,7 @@ impl LayeredWork {
         self.keys.capacity() * size_of::<(Id, Label, bool)>()
             + self.ranges.capacity() * size_of::<(u32, u32, Range)>()
             + self.listed.capacity() * size_of::<Id>()
+            + self.found.capacity() * size_of::<(u32, u32)>()
     }
 }
 
@@ -601,12 +605,15 @@ impl StepSource for MergedView<'_> {
         }
     }
 
-    /// One sweep of `L_s` per part that holds ranges; the answers of
-    /// several parts, and a delta's adds, are merged subject by subject.
+    /// Part two in each part that holds ranges, as on a bare ring (one
+    /// batched access of its `L_s`); the answers of several parts, and a
+    /// delta's adds, are merged by `(work item, subject)`.
     fn subjects(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion) {
-        x.candidates.clear();
         let n_work = x.work_d.len();
-        // Whether `candidates` holds more than one sorted run.
+        let narrow = |s: Id| u32::try_from(s).expect("node ids fit 32 bits");
+        let mut found = std::mem::take(&mut x.layered.found);
+        found.clear();
+        // Whether `found` holds more than one sorted run.
         let (mut swept, mut merge) = (false, false);
         for part in 0..self.shards.map_or(1, |set| set.len()) as u32 {
             x.ranges.clear();
@@ -619,20 +626,20 @@ impl StepSource for MergedView<'_> {
                 }
             }
             if any {
-                let before = x.candidates.len();
                 let ring = self
                     .shards
                     .map_or(self.ring, |set| &set[part as usize].ring);
-                x.sweep_subjects(ring.l_s(), visited);
-                if x.candidates.len() > before {
+                x.access_subjects(ring.l_s(), visited);
+                if !x.subjects.is_empty() {
                     merge |= swept;
                     swept = true;
                 }
+                found.extend(x.work_subjects().map(|(work, s)| (work, narrow(s))));
             }
         }
         let keys = &x.layered.keys;
         if let Some(delta) = self.delta.filter(|_| keys.iter().any(|key| key.2)) {
-            x.candidates.retain(|&(work, s)| match keys[work as usize] {
+            found.retain(|&(work, s)| match keys[work as usize] {
                 (_, _, false) => true,
                 (o, p, true) => !delta.del_contains(Id::from(s), p, o),
             });
@@ -642,20 +649,26 @@ impl StepSource for MergedView<'_> {
                 // (Not read against `visited`: the replay's leaf filter is
                 // exact, and a delta's adds are few.)
                 let listed = &x.layered.listed[b as usize..e as usize];
-                let narrow = |&s| u32::try_from(s).expect("node ids fit 32 bits");
-                x.candidates
-                    .extend(listed.iter().map(|s| (work, narrow(s))));
+                found.extend(listed.iter().map(|&s| (work, narrow(s))));
                 merge = true;
             }
         }
         if merge {
-            // The stable sort finds the runs and merges them. A subject
-            // can source the label in several shards, or in the ring and
-            // the adds both.
-            x.candidates.sort_by_key(|&(work, s)| (s, work));
-            x.candidates.dedup();
+            // A subject can source the label in several shards, or in the
+            // ring and the adds both.
+            found.sort_unstable();
+            found.dedup();
         }
-        x.group_candidates();
+        x.subjects.clear();
+        x.work_end.clear();
+        let mut next = found.iter().peekable();
+        for work in 0..n_work as u32 {
+            while let Some(&(_, s)) = next.next_if(|found| found.0 == work) {
+                x.subjects.push(Id::from(s));
+            }
+            x.work_end.push(x.subjects.len());
+        }
+        x.layered.found = found;
     }
 }
 

@@ -242,18 +242,17 @@ pub(crate) fn evaluate_split_in<S: StepSource + ?Sized>(
 /// profiled (split sub-queries inherit the caller's
 /// [`EngineOptions::profile`]), its per-level samples are moved into a
 /// partial profile on `out`, which `evaluate_prepared` folds into the
-/// final one — so a split's profile shows the concatenated levels of
-/// every completion it ran.
+/// final one — so a split's profile shows the concatenated levels, and
+/// the summed phase times, of every completion it ran.
 fn absorb(out: &mut QueryOutput, sub: &mut QueryOutput) {
     out.stats.add(&sub.stats);
     out.timed_out |= sub.timed_out;
     out.truncated |= sub.truncated;
     out.budget_exhausted |= sub.budget_exhausted;
     if let Some(p) = sub.profile.take() {
-        out.profile
-            .get_or_insert_with(Default::default)
-            .levels
-            .extend(p.levels);
+        let profile = out.profile.get_or_insert_with(Default::default);
+        profile.levels.extend(p.levels);
+        profile.phases.add(&p.phases);
     }
 }
 

@@ -12,12 +12,13 @@
 //!   item, ascending and distinct, read-only against the visited table —
 //!   one cell per graph node, `D[s]` in cell `s`, on every source.
 //!
-//! A bare [`Ring`] answers each with one level-synchronous sweep (`L_p`,
-//! then `L_s`); a [`MergedView`](crate::MergedView) over a delta or a
-//! shard set answers with per-owner-shard sweeps merged with the delta
-//! arrays ([`crate::source`]). Everything else — frontier, visited
-//! table, replay, budget, trace, limits — is written once over this
-//! trait.
+//! A bare [`Ring`] answers part one with one level-synchronous sweep of
+//! `L_p` and part two with one batched access of `L_s` over every
+//! position of every work item; a [`MergedView`](crate::MergedView) over
+//! a delta or a shard set answers with the same per owner shard, merged
+//! with the delta arrays ([`crate::source`]). Everything else — frontier,
+//! visited table, replay, budget, trace, limits — is written once over
+//! this trait.
 
 use std::mem::size_of;
 
@@ -58,8 +59,9 @@ pub(crate) fn negated_firing_labels(n_preds: Id, bp: &BitParallel) -> Vec<(Label
 }
 
 /// A range of positions of one `L_p` or `L_s`, as a chunk's buffers keep
-/// them: a chunk holds several per item and per edge, and the sweeps
-/// address 32-bit positions ([`MultiTraversal::run`]).
+/// them: a chunk holds several per item and per edge, and the steps
+/// address 32-bit positions ([`MultiTraversal::run`],
+/// [`WaveletMatrix::access_batch`]).
 pub(crate) type Range = (u32, u32);
 
 /// Narrows a range `b <= e` of a ring's positions.
@@ -90,9 +92,9 @@ pub(crate) struct Hit {
 /// chunk, each item's labels ascending.
 #[derive(Default)]
 pub(crate) struct ChunkExpansion {
-    /// Level-synchronous traversal state, used for `L_p` and then `L_s`.
+    /// Level-synchronous traversal state of part one's sweep of `L_p`.
     pub(crate) mt: MultiTraversal,
-    /// The ranges of the sweep in progress: the items' in part one, the
+    /// The ranges of the step in progress: the items' in part one, the
     /// work items' in part two.
     pub(crate) ranges: Vec<Range>,
     /// Part one's leaves in arrival order (label by label).
@@ -106,21 +108,25 @@ pub(crate) struct ChunkExpansion {
     /// Per work item, the state set `D'` of Eq. 2 its subjects are
     /// reached with; 0 where the automaton has no way back.
     pub(crate) work_d: Vec<u64>,
-    /// Part two's leaves, subject by subject: `(work item, subject)` (a
-    /// ring's node ids fit 32 bits).
-    pub(crate) candidates: Vec<(u32, u32)>,
+    /// Part two's positions of `L_s`, work item after work item, each
+    /// taken to its subject in place: `(position, subject)` (a ring's
+    /// positions and node ids fit 32 bits).
+    positions: Vec<(u32, u32)>,
     /// Per work item, where its subjects end.
     pub(crate) work_end: Vec<usize>,
-    /// The candidates by work item, each work item's ascending.
+    /// The subjects, work item by work item, each work item's ascending.
     pub(crate) subjects: Vec<Id>,
     /// What a layered source keeps per chunk ([`crate::source`]).
     pub(crate) layered: crate::source::LayeredWork,
-    /// Rank computations of the sweeps.
+    /// Rank computations of both parts.
     pub(crate) rank_ops: u64,
     /// Ranks the batching avoided.
     pub(crate) rank_ops_saved: u64,
-    /// Wavelet nodes the sweeps entered.
+    /// Wavelet nodes part one's sweeps entered.
     pub(crate) wavelet_nodes: u64,
+    /// Nanoseconds parts one and two took, when the traversal is
+    /// profiled (the kernel sets them; unread otherwise).
+    pub(crate) phase_ns: [u64; 2],
 }
 
 impl ChunkExpansion {
@@ -181,36 +187,46 @@ impl ChunkExpansion {
         }
     }
 
-    /// One sweep of `ls` over `ranges` — one range per work item — under
-    /// the `visited` table, `D[s]` in cell `s`: appends what it finds to
-    /// `candidates`.
-    pub(crate) fn sweep_subjects(&mut self, ls: &WaveletMatrix, visited: Option<&EpochArray>) {
-        let mut guide = SubjGuideMulti {
-            d_new: &self.work_d,
-            visited,
-            width: ls.width(),
-            out: &mut self.candidates,
-            nodes_entered: &mut self.wavelet_nodes,
-            seen: None,
-        };
-        self.mt.run(ls, &self.ranges, &mut guide);
-        self.rank_ops += self.mt.ranks;
-        self.rank_ops_saved += self.mt.ranks_saved;
+    /// Part two in one `L_s`: every position of every live work item's
+    /// range (`ranges[w]` where `work_d[w] != 0`), work item after work
+    /// item, taken to its subject by one [`WaveletMatrix::access_batch`];
+    /// then, in one pass that lays out `subjects` and `work_end`, the
+    /// subjects the `visited` table rules out — `D[s]` already holds all
+    /// of the work item's `D'` — are dropped (none under `None`). A work
+    /// item's subjects come out ascending and distinct: its range is one
+    /// `(p, o)` block of `L_s`, which is in `(p, o, s)` order.
+    pub(crate) fn access_subjects(&mut self, ls: &WaveletMatrix, visited: Option<&EpochArray>) {
+        self.positions.clear();
+        for (&(b, e), &d) in self.ranges.iter().zip(&self.work_d) {
+            if d != 0 {
+                self.positions.extend((b..e).map(|at| (at, 0)));
+            }
+        }
+        ls.access_batch(&mut self.positions);
+        self.rank_ops += (self.positions.len() * ls.width()) as u64;
+        self.subjects.clear();
+        self.work_end.clear();
+        let mut found = self.positions.iter().map(|&(_, s)| Id::from(s));
+        for (&(b, e), &d) in self.ranges.iter().zip(&self.work_d) {
+            if d != 0 {
+                let fresh = |&s: &Id| visited.is_none_or(|seen| d & !seen.get(s as usize) != 0);
+                let range = found.by_ref().take((e - b) as usize);
+                self.subjects.extend(range.filter(fresh));
+            }
+            self.work_end.push(self.subjects.len());
+        }
     }
 
-    /// The candidates arrived subject by subject; the replay wants them
-    /// work item by work item, and finds each work item's ascending.
-    pub(crate) fn group_candidates(&mut self) {
-        let subjects = &mut self.subjects;
-        subjects.clear();
-        subjects.resize(self.candidates.len(), 0);
-        group_by_key(
-            &mut self.work_end,
-            self.work_d.len(),
-            &self.candidates,
-            |candidate| candidate.0 as usize,
-            |slot, &(_, s)| subjects[slot] = Id::from(s),
-        );
+    /// `(work item, subject)` of every subject, work item after work item.
+    pub(crate) fn work_subjects(&self) -> impl Iterator<Item = (u32, Id)> + '_ {
+        let mut begin = 0;
+        self.work_end
+            .iter()
+            .enumerate()
+            .flat_map(move |(work, &end)| {
+                let subjects = &self.subjects[std::mem::replace(&mut begin, end)..end];
+                subjects.iter().map(move |&s| (work as u32, s))
+            })
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -221,9 +237,39 @@ impl ChunkExpansion {
             + self.work_d.capacity() * size_of::<u64>()
             + self.hits.capacity() * size_of::<Hit>()
             + (self.item_end.capacity() + self.work_end.capacity()) * size_of::<usize>()
-            + self.candidates.capacity() * size_of::<(u32, u32)>()
+            + self.positions.capacity() * size_of::<(u32, u32)>()
             + self.subjects.capacity() * size_of::<Id>()
             + self.layered.heap_bytes()
+    }
+}
+
+/// An ascending walk over the nodes that are subjects of both a live
+/// `a`-edge and a live `b`-edge — the midpoints of a `p1/p2` join —
+/// handed out a batch at a time by [`StepSource::common_subjects`].
+pub(crate) struct CommonWalk {
+    labels: (Label, Label),
+    /// Every common subject below this node has been handed out.
+    from: Id,
+    /// The two label lists of a source that does not intersect in place:
+    /// listed once, on the first batch, and merged from `from` on.
+    lists: Option<(Vec<Id>, Vec<Id>)>,
+}
+
+impl CommonWalk {
+    /// A walk from the smallest node on.
+    pub(crate) fn new(a: Label, b: Label) -> Self {
+        Self {
+            labels: (a, b),
+            from: 0,
+            lists: None,
+        }
+    }
+
+    /// Marks the batch `out` handed out.
+    fn passed(&mut self, out: &[Id]) {
+        if let Some(&last) = out.last() {
+            self.from = last + 1;
+        }
     }
 }
 
@@ -248,13 +294,31 @@ pub(crate) trait StepSource: Sync {
     /// listed at their cost where the source can.
     fn label_subjects(&self, p: Label, cap: usize, out: &mut Vec<Id>);
 
-    /// Replaces `out` with the nodes that are subjects of both a live
-    /// `a`-edge and a live `b`-edge.
-    fn common_subjects(&self, a: Label, b: Label, out: &mut Vec<Id>) {
-        let mut of_b = Vec::new();
-        self.label_subjects(a, usize::MAX, out);
-        self.label_subjects(b, usize::MAX, &mut of_b);
-        out.retain(|z| of_b.binary_search(z).is_ok());
+    /// Replaces `out` with the next `cap` nodes of `walk`, ascending. Both
+    /// label lists are taken once, on the first batch, and merged a batch
+    /// at a time.
+    fn common_subjects(&self, walk: &mut CommonWalk, cap: usize, out: &mut Vec<Id>) {
+        let (a, b) = walk.labels;
+        let (of_a, of_b) = walk.lists.get_or_insert_with(|| {
+            let mut lists = (Vec::new(), Vec::new());
+            self.label_subjects(a, usize::MAX, &mut lists.0);
+            self.label_subjects(b, usize::MAX, &mut lists.1);
+            lists
+        });
+        let from = |list: &[Id]| list.partition_point(|&z| z < walk.from);
+        let (mut i, mut j) = (from(of_a), from(of_b));
+        out.clear();
+        while out.len() < cap && i < of_a.len() && j < of_b.len() {
+            match of_a[i].cmp(&of_b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    out.push(of_a[i]);
+                    (i, j) = (i + 1, j + 1);
+                }
+            }
+        }
+        walk.passed(out);
     }
 
     /// Readies `lp_masks` for [`Self::fire`] under `bp`, if part one
@@ -266,8 +330,8 @@ pub(crate) trait StepSource: Sync {
 
     /// Part two: the subjects of `x`'s work items not ruled out by the
     /// `visited` table — one cell per node, `D[s]` in cell `s`; all of
-    /// them under `None` — `x.candidates` subject by subject,
-    /// `x.subjects` / `x.work_end` work item by work item.
+    /// them under `None` — in `x.subjects` / `x.work_end`, work item by
+    /// work item.
     fn subjects(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion);
 }
 
@@ -316,13 +380,17 @@ impl StepSource for Ring {
         }
     }
 
-    /// The paper's intersection algorithm (§5) over the two `L_s` blocks.
-    fn common_subjects(&self, a: Label, b: Label, out: &mut Vec<Id>) {
-        let hits = self
-            .l_s()
-            .range_intersect(self.pred_range(a), self.pred_range(b));
+    /// The paper's intersection algorithm (§5) over the two `L_s` blocks,
+    /// from where the walk stands and no further than the batch.
+    fn common_subjects(&self, walk: &mut CommonWalk, cap: usize, out: &mut Vec<Id>) {
+        let (a, b) = walk.labels;
+        let mut hits = Vec::new();
+        let blocks = (self.pred_range(a), self.pred_range(b));
+        self.l_s()
+            .range_intersect_from(blocks.0, blocks.1, walk.from, cap, &mut hits);
         out.clear();
         out.extend(hits.iter().map(|hit| hit.0));
+        walk.passed(out);
     }
 
     fn prepare(&self, bp: &BitParallel, lp_masks: &mut EpochArray) {
@@ -382,9 +450,7 @@ impl StepSource for Ring {
     }
 
     fn subjects(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion) {
-        x.candidates.clear();
-        x.sweep_subjects(self.l_s(), visited);
-        x.group_candidates();
+        x.access_subjects(self.l_s(), visited);
     }
 }
 
@@ -484,49 +550,6 @@ pub(crate) fn neg_range_mask(
         }
     }
     mask
-}
-
-/// §4.2's leaf filter over a whole chunk: skip subjects already visited
-/// with every state their work item would add. Internal nodes are never
-/// refused (the crate's `README.md`, "Deviations from the paper"). The
-/// masks are read, never written: what that admits in excess the
-/// replay's leaf filter removes ([`crate::kernel::Traversal`]).
-struct SubjGuideMulti<'a> {
-    /// Per work item, its `D'`.
-    d_new: &'a [u64],
-    /// `None`: every subject is wanted (the §5 joins).
-    visited: Option<&'a EpochArray>,
-    width: usize,
-    /// `(work item, subject)`, in arrival order.
-    out: &'a mut Vec<(u32, u32)>,
-    nodes_entered: &'a mut u64,
-    /// `D[s]` of the leaf entered most recently, once an item has asked
-    /// for it.
-    seen: Option<u64>,
-}
-
-impl MultiRangeGuide for SubjGuideMulti<'_> {
-    const LEAF_RANKS: bool = false;
-    // Only leaves are refused.
-    const UNIT_SHORTCUT: bool = true;
-
-    fn enter_node(&mut self, _level: usize, _prefix: u64) -> bool {
-        *self.nodes_entered += 1;
-        self.seen = None;
-        true
-    }
-
-    fn enter_item(&mut self, item: u32, level: usize, prefix: u64) -> bool {
-        let Some(masks) = self.visited.filter(|_| level == self.width) else {
-            return true;
-        };
-        let seen = *self.seen.get_or_insert_with(|| masks.get(prefix as usize));
-        self.d_new[item as usize] & !seen != 0
-    }
-
-    fn leaf(&mut self, item: u32, sym: u64, _rank_b: usize, _rank_e: usize) {
-        self.out.push((item, sym as u32));
-    }
 }
 
 /// A stable bucket pass over `records`, whose keys are below `n_keys`:

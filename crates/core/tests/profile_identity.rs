@@ -208,6 +208,16 @@ fn profiles_record_levels_and_fanout() {
     );
     assert!(profile.levels.iter().any(|l| l.frontier > 0));
     assert_eq!(profile.compactions, out.stats.pair_compactions);
+    // The kernel's phases are timed inside the execution they split, on
+    // one thread here: together they take no longer than it.
+    let phases = profile.phases;
+    assert!(phases.part_one_ns > 0 && phases.part_two_ns > 0 && phases.replay_ns > 0);
+    let total_ns = phases.part_one_ns + phases.part_two_ns + phases.replay_ns + phases.order_ns;
+    assert!(
+        total_ns / 1000 <= profile.exec_us,
+        "phases {phases:?} outlast the execution's {} µs",
+        profile.exec_us
+    );
 
     // With helpers granted, fanned-out levels carry their chunk counts.
     let par = engine

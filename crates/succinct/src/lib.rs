@@ -16,11 +16,13 @@
 //!   Ordóñez \[11\], the representation the paper's implementation uses for
 //!   the large-alphabet sequences `L_s` and `L_p` (§5). It exposes the
 //!   *guided traversal* API that the RPQ engine uses to realize the
-//!   B-masked and D-masked range searches of §4.1–§4.2: one range at a
-//!   time ([`wavelet_matrix::RangeGuide`], depth first), or a whole
-//!   frontier of ranges level by level
-//!   ([`wavelet_matrix::MultiTraversal`]), where a level's rank probes
-//!   are independent of one another and their cache misses overlap.
+//!   B-masked range searches of §4.1: one range at a time
+//!   ([`wavelet_matrix::RangeGuide`], depth first), or a whole frontier
+//!   of ranges level by level ([`wavelet_matrix::MultiTraversal`]), where
+//!   a level's rank probes are independent of one another and their cache
+//!   misses overlap. §4.2's subjects are read the same way, position by
+//!   position: [`WaveletMatrix::access_batch`] takes a batch of positions
+//!   down the levels together, in the order it was given.
 //!
 //! All structures report their heap footprint through [`SpaceUsage`], which
 //! the benchmark harness uses to regenerate the space column of Table 2.

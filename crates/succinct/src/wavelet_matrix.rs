@@ -20,26 +20,24 @@
 //!
 //! A depth-first traversal of one range is a chain of dependent memory
 //! accesses: the position at level `l + 1` is a rank at level `l`, and on
-//! a sequence the size of a ring's `L_s` every level is a cache miss.
-//! [`MultiTraversal`] takes a whole batch of ranges — a BFS frontier —
-//! down the matrix **level-synchronously** ([`MultiRangeGuide`]): at each
-//! level it first ranks both ends of every live range, a loop whose
-//! iterations do not depend on each other, so the processor has many
-//! misses in flight at once; then it walks the level's nodes in prefix
-//! order, asks the guide, and lays out the next level. The contract:
+//! a sequence the size of a ring's `L_s` every level is a cache miss. Two
+//! batched forms take a whole frontier down the matrix **level by
+//! level**, so that the probes of one level do not depend on each other
+//! and the processor has many misses in flight at once:
 //!
-//! * every range sees its symbols in increasing order, as its own
-//!   [`WaveletMatrix::guided_traverse`] reports them, and leaves of
-//!   different ranges arrive symbol by symbol;
-//! * node-level work (the node-start rank, the guide's
+//! * [`MultiTraversal`] takes a batch of ranges under a
+//!   [`MultiRangeGuide`]: at each level it first ranks both ends of every
+//!   live range, then walks the level's nodes in prefix order, asks the
+//!   guide, and lays out the next level. Every range sees its symbols in
+//!   increasing order, as its own [`WaveletMatrix::guided_traverse`]
+//!   reports them, and leaves of different ranges arrive symbol by
+//!   symbol; node-level work (the node-start rank, the guide's
 //!   [`enter_node`](MultiRangeGuide::enter_node)) is done once per node,
-//!   whatever number of ranges cross it;
-//! * a guide that does not read leaf ranks says so
-//!   ([`MultiRangeGuide::LEAF_RANKS`]) and no node start is ever ranked;
-//! * a guide whose internal-node tests only anticipate its leaf tests
-//!   says so ([`MultiRangeGuide::UNIT_SHORTCUT`]) and a range that has
-//!   narrowed to one position — the usual width after a backward step —
-//!   goes to its leaf like an `access`, one rank per level.
+//!   whatever number of ranges cross it.
+//! * [`WaveletMatrix::access_batch`] takes a batch of positions to their
+//!   symbols — one rank per level per position, no node, no guide — and
+//!   hands them back in the order they were given. A range the caller
+//!   wants every symbol of, with multiplicity, is its positions.
 
 use crate::int_vec::bits_for;
 use crate::{BitVec, RankSelect, SpaceUsage};
@@ -93,22 +91,6 @@ pub type IntersectionHit = (u64, (usize, usize), (usize, usize));
 /// sees its symbols ascending, exactly as its own `guided_traverse`
 /// would report them.
 pub trait MultiRangeGuide {
-    /// Whether [`leaf`](Self::leaf) reads its rank arguments; see
-    /// [`RangeGuide::LEAF_RANKS`]. `false` drops the one rank per node
-    /// the batched traversal spends on node starts.
-    const LEAF_RANKS: bool = true;
-
-    /// Whether a range that has narrowed to one position may be taken
-    /// straight to the leaf of the one symbol it holds — one rank per
-    /// level, no node bookkeeping — without consulting the guide on the
-    /// way down. The guide is asked at the root and at the leaf as ever;
-    /// what it is spared, and loses, are the internal nodes in between.
-    /// Sound for a guide whose answer at a node is implied by its answer
-    /// at every leaf below — one that prunes only what the leaves would
-    /// reject anyway. (A position on its own can save no more by pruning
-    /// than the ranks left to its leaf.)
-    const UNIT_SHORTCUT: bool = false;
-
     /// Whether any range may enter the node at `(level, prefix)`.
     /// Returning `false` prunes the node for *every* range.
     fn enter_node(&mut self, level: usize, prefix: u64) -> bool;
@@ -117,8 +99,8 @@ pub trait MultiRangeGuide {
     /// admitted node.
     fn enter_item(&mut self, item: u32, level: usize, prefix: u64) -> bool;
 
-    /// Called per surviving `(item, sym)` with the item's rank offsets
-    /// (see [`Self::LEAF_RANKS`]).
+    /// Called per surviving `(item, sym)` with the item's rank offsets,
+    /// `rank_b = rank(sym, b)` and `rank_e = rank(sym, e)`.
     fn leaf(&mut self, item: u32, sym: u64, rank_b: usize, rank_e: usize);
 }
 
@@ -127,11 +109,6 @@ pub trait MultiRangeGuide {
 /// frontier thousands wide, so they are narrowed ([`MultiTraversal::run`]
 /// refuses a matrix they would not address).
 type Pos = u32;
-
-/// A range one position wide on its way to its leaf: the position and
-/// its node's start (both at the current level), the node's prefix, the
-/// item.
-type Unit = (Pos, Pos, Pos, u32);
 
 /// Level-synchronous batched traversal, and the reusable scratch it runs
 /// in: callers on a hot path (a BFS expanding frontier after frontier)
@@ -148,11 +125,6 @@ pub struct MultiTraversal {
     next_items: Vec<(u32, Pos, Pos)>,
     /// `(rank0(b), rank0(e))` of every live range of the level.
     zeros: Vec<(Pos, Pos)>,
-    /// Single positions of a [`MultiRangeGuide::UNIT_SHORTCUT`] guide.
-    units: Vec<Unit>,
-    /// `(sym, item, rank_b, rank_e)` of such a guide, until the leaves of
-    /// both kinds of range are handed over in order.
-    leaves: Vec<(Pos, u32, Pos, Pos)>,
     /// Rank computations performed by the last run.
     pub ranks: u64,
     /// Rank computations a per-range traversal would have needed on top
@@ -174,8 +146,6 @@ impl MultiTraversal {
         (self.nodes.capacity() + self.next_nodes.capacity()) * size_of::<(Pos, Pos, u32)>()
             + (self.items.capacity() + self.next_items.capacity()) * size_of::<(u32, Pos, Pos)>()
             + self.zeros.capacity() * size_of::<(Pos, Pos)>()
-            + self.units.capacity() * size_of::<Unit>()
-            + self.leaves.capacity() * size_of::<(Pos, u32, Pos, Pos)>()
     }
 
     /// Runs the batched traversal of `ranges` over `wm` (see
@@ -202,8 +172,6 @@ impl MultiTraversal {
         self.ranks_saved = 0;
         self.nodes.clear();
         self.items.clear();
-        self.units.clear();
-        self.leaves.clear();
         assert!(
             Pos::try_from(wm.len).is_ok() && wm.width <= Pos::BITS as usize,
             "a batched traversal addresses 32-bit positions and symbols"
@@ -216,11 +184,7 @@ impl MultiTraversal {
         }
         for (i, &(b, e)) in ranges.iter().enumerate() {
             if b < e && guide.enter_item(i as u32, 0, 0) {
-                if G::UNIT_SHORTCUT && e - b == 1 {
-                    self.units.push((b, 0, 0, i as u32));
-                } else {
-                    self.items.push((i as u32, b, e));
-                }
+                self.items.push((i as u32, b, e));
             }
         }
         if !self.items.is_empty() {
@@ -228,7 +192,7 @@ impl MultiTraversal {
         }
 
         for level in 0..wm.width {
-            if self.nodes.is_empty() && self.units.is_empty() {
+            if self.nodes.is_empty() {
                 return;
             }
             let lvl = &wm.levels[level];
@@ -255,24 +219,6 @@ impl MultiTraversal {
                 self.zeros.push((b0 as Pos, e0 as Pos));
             }
 
-            // Single positions follow their bit; those the pass below
-            // adds are a level further down already.
-            self.ranks += self.units.len() as u64 * (1 + u64::from(G::LEAF_RANKS));
-            self.ranks_saved += self.units.len() as u64;
-            for (at, start, prefix, _) in self.units.iter_mut() {
-                let (ones, bit) = lvl.rank1_get(*at as usize);
-                *at = if bit {
-                    z + ones as Pos
-                } else {
-                    *at - ones as Pos
-                };
-                *prefix = *prefix << 1 | Pos::from(bit);
-                if G::LEAF_RANKS {
-                    let ones = lvl.rank1(*start as usize) as Pos;
-                    *start = if bit { z + ones } else { *start - ones };
-                }
-            }
-
             self.next_nodes.clear();
             self.next_items.clear();
             let mut lo = 0;
@@ -281,14 +227,10 @@ impl MultiTraversal {
                 let hi = hi as usize;
                 // One start rank amortized over the node's whole batch; a
                 // per-range traversal recomputes it for every range.
-                let (s0, s1) = if G::LEAF_RANKS {
-                    self.ranks += 1;
-                    self.ranks_saved += (hi - lo) as u64 - 1;
-                    let s0 = lvl.rank0(start as usize) as Pos;
-                    (s0, z + (start - s0))
-                } else {
-                    (0, 0)
-                };
+                self.ranks += 1;
+                self.ranks_saved += (hi - lo) as u64 - 1;
+                let s0 = lvl.rank0(start as usize) as Pos;
+                let s1 = z + (start - s0);
                 for (child, child_start) in [(prefix << 1, s0), (prefix << 1 | 1, s1)] {
                     // The guide hears of a child when the first range
                     // reaches it, and of no range after it refused.
@@ -302,15 +244,6 @@ impl MultiTraversal {
                             (z + (b - b0), z + (e - e0))
                         };
                         if ce == cb {
-                            continue;
-                        }
-                        if G::UNIT_SHORTCUT && at_leaves {
-                            self.leaves
-                                .push((child, id, cb - child_start, ce - child_start));
-                            continue;
-                        }
-                        if G::UNIT_SHORTCUT && ce - cb == 1 {
-                            self.units.push((cb, child_start, child, id));
                             continue;
                         }
                         let below = u64::from(child);
@@ -335,39 +268,6 @@ impl MultiTraversal {
             }
             std::mem::swap(&mut self.nodes, &mut self.next_nodes);
             std::mem::swap(&mut self.items, &mut self.next_items);
-        }
-
-        // The leaves a shortcut guide has not seen yet: those of wider
-        // ranges are in order, the single positions arrived as they
-        // were born; merged, they are in the order of the contract.
-        let width = wm.width;
-        self.units
-            .sort_unstable_by_key(|&(_, _, sym, id)| (sym, id));
-        let mut wide = self.leaves.iter().copied().peekable();
-        let mut single = self
-            .units
-            .iter()
-            .map(|&(at, start, sym, id)| (sym, id, at - start, at + 1 - start))
-            .peekable();
-        let mut node = None;
-        loop {
-            let next = match (wide.peek(), single.peek()) {
-                (Some(w), Some(s)) if (s.0, s.1) < (w.0, w.1) => single.next(),
-                (Some(_), _) => wide.next(),
-                (None, _) => single.next(),
-            };
-            let Some((sym, id, rank_b, rank_e)) = next else {
-                return;
-            };
-            let sym = u64::from(sym);
-            let entered = match node {
-                Some((at, entered)) if at == sym => entered,
-                _ => guide.enter_node(width, sym),
-            };
-            node = Some((sym, entered));
-            if entered && guide.enter_item(id, width, sym) {
-                guide.leaf(id, sym, rank_b as usize, rank_e as usize);
-            }
         }
     }
 }
@@ -626,6 +526,40 @@ impl WaveletMatrix {
         sym
     }
 
+    /// Batched [`Self::access`]: `units` come in as `(position, _)` and
+    /// leave as `(_, symbol)`, in the order they were given — duplicated
+    /// and unsorted positions included. One `rank1_get` per level per
+    /// unit, level by level, so the probes of a level are independent
+    /// loads; the units are never reordered between levels (keeping a
+    /// level's probes ascending would cost a stable partition per level,
+    /// which costs more than the locality it buys). The first component
+    /// is left unspecified.
+    ///
+    /// # Panics
+    /// Panics if a position is out of bounds, or the matrix is wider than
+    /// 32 bits.
+    pub fn access_batch(&self, units: &mut [(u32, u32)]) {
+        assert!(
+            self.width <= u32::BITS as usize,
+            "a batched access returns 32-bit symbols"
+        );
+        for (i, (at, sym)) in units.iter_mut().enumerate() {
+            assert!((*at as usize) < self.len, "position {i} out of bounds");
+            *sym = 0;
+        }
+        for (lvl, &z) in self.levels.iter().zip(&self.zeros) {
+            for (at, sym) in units.iter_mut() {
+                let (ones, bit) = lvl.rank1_get(*at as usize);
+                *at = if bit {
+                    (z + ones) as u32
+                } else {
+                    *at - ones as u32
+                };
+                *sym = *sym << 1 | u32::from(bit);
+            }
+        }
+    }
+
     /// Every symbol, in sequence order: [`Self::access`] at all `len`
     /// positions for one sequential pass per level and no rank. Bottom
     /// level up, each level's stable partition is undone: scanning the
@@ -842,13 +776,32 @@ impl WaveletMatrix {
     /// Symbols occurring in **both** ranges, in increasing order, with rank
     /// offsets in each.
     pub fn range_intersect(&self, r1: (usize, usize), r2: (usize, usize)) -> Vec<IntersectionHit> {
+        let mut out = Vec::new();
+        self.range_intersect_from(r1, r2, 0, usize::MAX, &mut out);
+        out
+    }
+
+    /// Replaces `out` with the first `cap` symbols `>= from` that occur in
+    /// both ranges, as [`Self::range_intersect`] lists them: a subtree
+    /// whose symbols all lie below `from` is not entered, and the
+    /// traversal ends at the `cap`-th hit — so walking an intersection a
+    /// batch at a time, each batch from one past the last, costs what the
+    /// batches hold and `O(log σ)` more per batch.
+    pub fn range_intersect_from(
+        &self,
+        r1: (usize, usize),
+        r2: (usize, usize),
+        from: u64,
+        cap: usize,
+        out: &mut Vec<IntersectionHit>,
+    ) {
         assert!(r1.0 <= r1.1 && r1.1 <= self.len);
         assert!(r2.0 <= r2.1 && r2.1 <= self.len);
-        let mut out = Vec::new();
+        out.clear();
         if r1.0 < r1.1 && r2.0 < r2.1 {
-            self.intersect_rec(0, 0, (0, r1.0, r1.1), (0, r2.0, r2.1), &mut out);
+            let bounds = (from, cap);
+            self.intersect_rec(0, 0, (0, r1.0, r1.1), (0, r2.0, r2.1), bounds, out);
         }
-        out
     }
 
     #[allow(clippy::type_complexity)]
@@ -858,8 +811,14 @@ impl WaveletMatrix {
         prefix: u64,
         t1: (usize, usize, usize),
         t2: (usize, usize, usize),
+        (from, cap): (u64, usize),
         out: &mut Vec<IntersectionHit>,
     ) {
+        // The node's symbols are `[prefix·2^span, (prefix + 1)·2^span)`.
+        let span = self.width - level;
+        if out.len() >= cap || (u128::from(prefix) + 1) << span <= u128::from(from) {
+            return;
+        }
         if level == self.width {
             out.push((
                 prefix,
@@ -873,8 +832,9 @@ impl WaveletMatrix {
         let map0 = |t: (usize, usize, usize)| (lvl.rank0(t.0), lvl.rank0(t.1), lvl.rank0(t.2));
         let l1 = map0(t1);
         let l2 = map0(t2);
+        let bounds = (from, cap);
         if l1.2 > l1.1 && l2.2 > l2.1 {
-            self.intersect_rec(level + 1, prefix << 1, l1, l2, out);
+            self.intersect_rec(level + 1, prefix << 1, l1, l2, bounds, out);
         }
         let map1 = |t: (usize, usize, usize), l: (usize, usize, usize)| {
             (z + (t.0 - l.0), z + (t.1 - l.1), z + (t.2 - l.2))
@@ -882,7 +842,7 @@ impl WaveletMatrix {
         let h1 = map1(t1, l1);
         let h2 = map1(t2, l2);
         if h1.2 > h1.1 && h2.2 > h2.1 {
-            self.intersect_rec(level + 1, (prefix << 1) | 1, h1, h2, out);
+            self.intersect_rec(level + 1, (prefix << 1) | 1, h1, h2, bounds, out);
         }
     }
 
@@ -1459,11 +1419,9 @@ mod tests {
     /// the alphabet. The node part is either arbitrary — one subtree in
     /// five dropped, wherever it is — or `hereditary`: the subtrees under
     /// one three-bit prefix dropped, so that a node goes exactly when all
-    /// its leaves go, which is what the shortcut for single positions
-    /// asks of a guide (the item part is hereditary as it stands).
+    /// its leaves go.
     struct Pruner {
         width: usize,
-        leaf_ranks: bool,
         hereditary: bool,
     }
 
@@ -1479,76 +1437,49 @@ mod tests {
         fn item(&self, item: u32, level: usize, prefix: u64) -> bool {
             item.is_multiple_of(2) || level == 0 || prefix >> (level - 1) == 0
         }
-        fn ranks(&self, rb: usize, re: usize) -> (usize, usize) {
-            if self.leaf_ranks {
-                (rb, re)
-            } else {
-                (0, 0)
-            }
-        }
     }
 
-    struct PrunedSingle<'a, const RANKS: bool>(&'a Pruner, u32, Vec<(u32, u64, usize, usize)>);
-    impl<const RANKS: bool> RangeGuide for PrunedSingle<'_, RANKS> {
-        const LEAF_RANKS: bool = RANKS;
+    struct PrunedSingle<'a>(&'a Pruner, u32, Vec<(u32, u64, usize, usize)>);
+    impl RangeGuide for PrunedSingle<'_> {
         fn enter(&mut self, level: usize, prefix: u64) -> bool {
             self.0.node(level, prefix) && self.0.item(self.1, level, prefix)
         }
         fn leaf(&mut self, sym: u64, rb: usize, re: usize) {
-            let (rb, re) = self.0.ranks(rb, re);
             self.2.push((self.1, sym, rb, re));
         }
     }
 
-    struct PrunedMulti<'a, const RANKS: bool, const SHORTCUT: bool> {
+    struct PrunedMulti<'a> {
         rule: &'a Pruner,
         leaves: Vec<(u32, u64, usize, usize)>,
-        /// `enter_item` calls above the leaves.
-        asked_inside: usize,
     }
-    impl<const RANKS: bool, const SHORTCUT: bool> MultiRangeGuide for PrunedMulti<'_, RANKS, SHORTCUT> {
-        const LEAF_RANKS: bool = RANKS;
-        const UNIT_SHORTCUT: bool = SHORTCUT;
+    impl MultiRangeGuide for PrunedMulti<'_> {
         fn enter_node(&mut self, level: usize, prefix: u64) -> bool {
             self.rule.node(level, prefix)
         }
         fn enter_item(&mut self, item: u32, level: usize, prefix: u64) -> bool {
-            self.asked_inside += usize::from(level < self.rule.width);
             self.rule.item(item, level, prefix)
         }
         fn leaf(&mut self, item: u32, sym: u64, rb: usize, re: usize) {
-            let (rb, re) = self.rule.ranks(rb, re);
             self.leaves.push((item, sym, rb, re));
         }
     }
 
     /// The level-synchronous traversal reports, for every range, what
     /// that range's own `guided_traverse` reports — same symbols, same
-    /// order, same ranks when the guide reads them — under a guide that
-    /// prunes by node and by item, with and without the shortcut for
-    /// single positions, and its leaves arrive symbol by symbol.
+    /// order, same ranks — under a guide that prunes by node and by item,
+    /// and its leaves arrive symbol by symbol.
     #[test]
     fn level_synchronous_multi_equals_per_range_traversal() {
-        fn check<const RANKS: bool, const SHORTCUT: bool>(
-            wm: &WaveletMatrix,
-            ranges: &[(usize, usize)],
-            hereditary: bool,
-            what: &str,
-        ) -> usize {
-            assert!(
-                hereditary || !SHORTCUT,
-                "the shortcut wants a hereditary rule"
-            );
-            let what = format!("{what}, ranks {RANKS}, shortcut {SHORTCUT}");
+        fn check(wm: &WaveletMatrix, ranges: &[(usize, usize)], hereditary: bool, what: &str) {
+            let what = format!("{what}, hereditary {hereditary}");
             let rule = Pruner {
                 width: wm.width(),
-                leaf_ranks: RANKS,
                 hereditary,
             };
-            let fresh = || PrunedMulti::<RANKS, SHORTCUT> {
+            let fresh = || PrunedMulti {
                 rule: &rule,
                 leaves: Vec::new(),
-                asked_inside: 0,
             };
             let mut multi = fresh();
             let mut mt = MultiTraversal::new();
@@ -1561,7 +1492,7 @@ mod tests {
                 "{what}: leaves out of (symbol, item) order"
             );
             for (i, &(b, e)) in ranges.iter().enumerate() {
-                let mut single = PrunedSingle::<RANKS>(&rule, i as u32, Vec::new());
+                let mut single = PrunedSingle(&rule, i as u32, Vec::new());
                 wm.guided_traverse(b, e, &mut single);
                 let got: Vec<_> = multi
                     .leaves
@@ -1575,7 +1506,6 @@ mod tests {
             let mut again = fresh();
             mt.run(wm, &narrow, &mut again);
             assert_eq!(again.leaves, multi.leaves, "{what}: second run");
-            multi.asked_inside
         }
         // Widths 1, 7, 8 and 17.
         for sigma in [2u64, 100, 256, (1 << 16) + 3] {
@@ -1584,15 +1514,72 @@ mod tests {
                 let wm = WaveletMatrix::new(&syms, sigma);
                 let ranges = probe_ranges(syms.len());
                 let what = format!("sigma {sigma}, zipf {zipf}");
-                check::<true, false>(&wm, &ranges, false, &what);
-                check::<false, false>(&wm, &ranges, false, &what);
-                let asked = check::<true, false>(&wm, &ranges, true, &what);
-                assert_eq!(asked, check::<false, false>(&wm, &ranges, true, &what));
-                let spared = check::<false, true>(&wm, &ranges, true, &what);
-                assert_eq!(spared, check::<true, true>(&wm, &ranges, true, &what));
-                // The shortcut spares the narrow ranges everything
-                // between the root and their leaves.
-                assert!(sigma == 2 || spared < asked, "{what}: {spared} of {asked}");
+                check(&wm, &ranges, false, &what);
+                check(&wm, &ranges, true, &what);
+            }
+        }
+    }
+
+    /// Every position of the probe ranges, range after range — so
+    /// positions repeat where ranges overlap and fall back where one range
+    /// starts below the last — comes back from one batched access as the
+    /// symbol `access` reads there, in the order given.
+    #[test]
+    fn access_batch_equals_access_in_the_order_given() {
+        // Widths 1, 7, 8, 17 and 32.
+        for sigma in [2u64, 100, 256, (1 << 16) + 3, u64::from(u32::MAX) + 1] {
+            for zipf in [false, true] {
+                let syms = drawn(2500, sigma, zipf);
+                let wm = WaveletMatrix::new(&syms, sigma);
+                let positions: Vec<u32> = probe_ranges(syms.len())
+                    .into_iter()
+                    .flat_map(|(b, e)| b as u32..e as u32)
+                    .collect();
+                let mut units: Vec<(u32, u32)> = positions.iter().map(|&p| (p, 7)).collect();
+                wm.access_batch(&mut units);
+                for (&p, &(_, sym)) in positions.iter().zip(&units) {
+                    assert_eq!(
+                        u64::from(sym),
+                        syms[p as usize],
+                        "sigma {sigma}, position {p}"
+                    );
+                }
+            }
+        }
+        WaveletMatrix::new(&[1, 2], 3).access_batch(&mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "position 1 out of bounds")]
+    fn access_batch_checks_its_positions() {
+        WaveletMatrix::new(&[1, 2], 3).access_batch(&mut [(1, 0), (2, 0)]);
+    }
+
+    /// Walking an intersection a batch at a time, each batch from one
+    /// past the last symbol of the one before, hands out the whole
+    /// intersection once, in order.
+    #[test]
+    fn range_intersect_from_walks_the_intersection_in_batches() {
+        for sigma in [2u64, 23, 1 << 12] {
+            let syms = drawn(3000, sigma, true);
+            let wm = WaveletMatrix::new(&syms, sigma);
+            for (r1, r2) in [
+                ((0, 1500), (900, 3000)),
+                ((0, 3000), (0, 3000)),
+                ((5, 6), (0, 3000)),
+            ] {
+                let all = wm.range_intersect(r1, r2);
+                for cap in [1usize, 3, 64] {
+                    let (mut walked, mut batch, mut from) = (Vec::new(), Vec::new(), 0);
+                    loop {
+                        wm.range_intersect_from(r1, r2, from, cap, &mut batch);
+                        assert!(batch.len() <= cap);
+                        let Some(last) = batch.last() else { break };
+                        from = last.0 + 1;
+                        walked.append(&mut batch);
+                    }
+                    assert_eq!(walked, all, "sigma {sigma}, {r1:?} {r2:?}, cap {cap}");
+                }
             }
         }
     }

@@ -3,8 +3,10 @@
 //! operation for arbitrary inputs.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use succinct::mapped::{read_wavelet_matrix, write_wavelet_matrix, MapReader, SectionWriter};
 use succinct::wavelet_matrix::MultiRangeGuide;
-use succinct::{BitVec, IntVec, RankSelect, WaveletMatrix};
+use succinct::{BitVec, IntVec, MappedFile, RankSelect, WaveletMatrix};
 
 fn naive_rank(syms: &[u64], sym: u64, i: usize) -> usize {
     syms[..i].iter().filter(|&&s| s == sym).count()
@@ -34,21 +36,25 @@ impl MultiRangeGuide for CollectMulti {
     }
 }
 
-/// All-admitting guide that declines the leaf ranks and takes the
-/// shortcut for single positions.
-struct SymbolsMulti(Vec<(u32, u64)>);
-impl MultiRangeGuide for SymbolsMulti {
-    const LEAF_RANKS: bool = false;
-    const UNIT_SHORTCUT: bool = true;
-    fn enter_node(&mut self, _: usize, _: u64) -> bool {
-        true
-    }
-    fn enter_item(&mut self, _: u32, _: usize, _: u64) -> bool {
-        true
-    }
-    fn leaf(&mut self, item: u32, sym: u64, _: usize, _: usize) {
-        self.0.push((item, sym));
-    }
+/// `wm` as a mapped index file holds it: written, mapped, read in place.
+fn mapped(wm: &WaveletMatrix) -> WaveletMatrix {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let mut bytes = Vec::new();
+    let mut w = SectionWriter::new(&mut bytes);
+    write_wavelet_matrix(&mut w, wm).unwrap();
+    w.pad().unwrap();
+    let path = std::env::temp_dir().join(format!(
+        "proptest_succinct_{}_{}",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, &bytes).unwrap();
+    let map = MappedFile::open(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let mut r = MapReader::new(map, 0, bytes.len()).unwrap();
+    let back = read_wavelet_matrix(&mut r).unwrap();
+    r.finish().unwrap();
+    back
 }
 
 proptest! {
@@ -131,7 +137,7 @@ proptest! {
     /// The level-synchronous batched traversal reports, range by range,
     /// what that range's own guided traversal reports — symbols ascending
     /// per range, leaves arriving symbol by symbol — on alphabets 1, 6 and
-    /// 17 bits wide, and for a guide that does not read the leaf ranks.
+    /// 17 bits wide.
     #[test]
     fn guided_traverse_multi_equals_per_range_traversals(
         raw_syms in prop::collection::vec(0u64..(1 << 17), 1..500),
@@ -160,12 +166,35 @@ proptest! {
             wm.range_distinct(b, e, &mut |s, rb, re| expected.push((i as u32, s, rb, re)));
         }
         prop_assert_eq!(&got, &expected);
+    }
 
-        let mut symbols_only = SymbolsMulti(Vec::new());
-        wm.guided_traverse_multi(&ranges, &mut symbols_only);
-        symbols_only.0.sort_by_key(|&(item, _)| item);
-        let expected: Vec<(u32, u64)> = expected.iter().map(|&(i, s, ..)| (i, s)).collect();
-        prop_assert_eq!(symbols_only.0, expected);
+    /// Batched access ≡ `access` at every unit, in the order given: on a
+    /// heap and on a mapped matrix, alphabets 1 to 20 bits wide, batches
+    /// empty or not, positions repeated and in any order.
+    #[test]
+    fn access_batch_equals_access(
+        raw_syms in prop::collection::vec(any::<u64>(), 1..400),
+        width in 1usize..=20,
+        raw_pos in prop::collection::vec(any::<usize>(), 0..120),
+        repeat in 0usize..4,
+    ) {
+        let sigma = 1u64 << width;
+        let syms: Vec<u64> = raw_syms.iter().map(|s| s % sigma).collect();
+        let heap = WaveletMatrix::new(&syms, sigma);
+        let positions: Vec<u32> = raw_pos
+            .iter()
+            .map(|&p| (p % syms.len()) as u32)
+            .flat_map(|p| std::iter::repeat_n(p, 1 + repeat % 2))
+            .collect();
+        for wm in [&heap, &mapped(&heap)] {
+            let mut units: Vec<(u32, u32)> = positions.iter().map(|&p| (p, u32::MAX)).collect();
+            wm.access_batch(&mut units);
+            let got: Vec<u64> = units.iter().map(|&(_, s)| u64::from(s)).collect();
+            let expected: Vec<u64> = positions.iter().map(|&p| wm.access(p as usize)).collect();
+            prop_assert_eq!(&got, &expected);
+            let plain: Vec<u64> = positions.iter().map(|&p| syms[p as usize]).collect();
+            prop_assert_eq!(got, plain);
+        }
     }
 
     /// Batched wavelet rank ≡ per-position rank.
