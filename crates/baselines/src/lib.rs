@@ -36,8 +36,8 @@ pub use seminaive::SemiNaiveEngine;
 
 use rpq_core::{EngineOptions, QueryError, QueryOutput, RpqQuery};
 
-/// A uniform interface over all engines, for the benchmark harness
-/// regenerating Table 2 and Fig. 8.
+/// A uniform interface over all engines, for the differential tests and
+/// the scoreboard's `baselines.*` rows (Table 2 and Fig. 8).
 pub trait PathEngine {
     /// Display name used in the result tables.
     fn name(&self) -> &'static str;
@@ -45,10 +45,4 @@ pub trait PathEngine {
     fn index_bytes(&self) -> usize;
     /// Evaluates one 2RPQ.
     fn run(&mut self, query: &RpqQuery, opts: &EngineOptions) -> Result<QueryOutput, QueryError>;
-    /// Bytes of working memory the queries run so far have left
-    /// allocated (Table 2's working-space column); 0 for engines that
-    /// keep none between queries.
-    fn working_space_bytes(&self) -> usize {
-        0
-    }
 }

@@ -1,5 +1,5 @@
-//! [`PathEngine`] adapter for the ring engine, so the benchmark harness
-//! treats all four systems uniformly.
+//! [`PathEngine`] adapter for the ring engine, so the differential tests
+//! treat all four systems uniformly.
 
 use ring::Ring;
 use rpq_core::{EngineOptions, QueryError, QueryOutput, RpqEngine, RpqQuery};
@@ -31,10 +31,6 @@ impl PathEngine for RingEngine<'_> {
 
     fn run(&mut self, query: &RpqQuery, opts: &EngineOptions) -> Result<QueryOutput, QueryError> {
         self.engine.evaluate(query, opts)
-    }
-
-    fn working_space_bytes(&self) -> usize {
-        self.engine.working_space_bytes()
     }
 }
 

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use automata::{Label, Regex};
-use rpq_core::{PreparedQuery, QueryError};
+use rpq_core::{EngineOptions, PreparedQuery, QueryError};
 
 use crate::lru::Lru;
 use crate::metrics::CacheStats;
@@ -39,23 +39,22 @@ pub struct PlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
-    split_width: usize,
 }
 
 impl PlanCache {
     /// A cache holding at most `budget_bytes` of compiled tables.
-    pub fn new(budget_bytes: usize, split_width: usize) -> Self {
+    pub fn new(budget_bytes: usize) -> Self {
         Self {
             inner: Mutex::new(Lru::new(budget_bytes)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-            split_width,
         }
     }
 
-    /// Looks up the plan for `expr` at `epoch`, compiling and caching
-    /// it on a miss. `inv` is the involution of *that epoch's* ring.
+    /// Looks up the plan for `expr` at `epoch`, compiling (at the
+    /// engine's default §3.3 split width) and caching it on a miss. `inv`
+    /// is the involution of *that epoch's* ring.
     pub fn get_or_compile(
         &self,
         expr: &Regex,
@@ -68,7 +67,8 @@ impl PlanCache {
             return Ok(Arc::clone(plan));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(PreparedQuery::compile(expr, inv, self.split_width)?);
+        let split_width = EngineOptions::default().bp_split_width;
+        let plan = Arc::new(PreparedQuery::compile(expr, inv, split_width)?);
         let cost = plan.size_bytes() + std::mem::size_of::<u64>();
         self.inner
             .lock()
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn hit_returns_same_plan() {
-        let cache = PlanCache::new(1 << 20, 8);
+        let cache = PlanCache::new(1 << 20);
         let e = Regex::Plus(Box::new(Regex::label(1)));
         let p1 = cache.get_or_compile(&e, 0, &inv).unwrap();
         let p2 = cache.get_or_compile(&e, 0, &inv).unwrap();
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn structurally_equal_exprs_share_a_plan() {
-        let cache = PlanCache::new(1 << 20, 8);
+        let cache = PlanCache::new(1 << 20);
         let a = Regex::concat(Regex::label(0), Regex::label(1));
         let b = Regex::concat(Regex::label(0), Regex::label(1));
         cache.get_or_compile(&a, 0, &inv).unwrap();
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn invalidate_clears() {
-        let cache = PlanCache::new(1 << 20, 8);
+        let cache = PlanCache::new(1 << 20);
         cache.get_or_compile(&Regex::label(0), 0, &inv).unwrap();
         cache.invalidate_all();
         assert!(cache.is_empty());
@@ -167,7 +167,7 @@ mod tests {
     /// the alphabet (hence the compiled inverse tables) may differ.
     #[test]
     fn epochs_do_not_share_plans() {
-        let cache = PlanCache::new(1 << 20, 8);
+        let cache = PlanCache::new(1 << 20);
         let e = Regex::label(0);
         let p1 = cache.get_or_compile(&e, 1, &inv).unwrap();
         let p2 = cache.get_or_compile(&e, 2, &inv).unwrap();

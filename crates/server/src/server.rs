@@ -89,11 +89,6 @@ pub struct ServerConfig {
     pub result_cache_bytes: usize,
     /// Budget applied to queries submitted without an explicit one.
     pub default_budget: QueryBudget,
-    /// §3.3 vertical split width `d` of the bit-parallel transition
-    /// tables compiled into cached plans (a table-layout knob — not
-    /// rare-label splitting, which the planner chooses per query as
-    /// `EvalRoute::Split`).
-    pub bp_split_width: usize,
     /// Collect a [`rpq_core::QueryProfile`] for every evaluated query
     /// and attach it to the [`QueryAnswer`]. Off by default — profiling
     /// is opt-in and evaluation is bit-identical either way (the planner
@@ -119,7 +114,6 @@ impl Default for ServerConfig {
             plan_cache_bytes: 4 << 20,
             result_cache_bytes: 16 << 20,
             default_budget: QueryBudget::default(),
-            bp_split_width: automata::bitparallel::DEFAULT_SPLIT_WIDTH,
             profile: false,
             slow_log_capacity: 0,
             slow_log_threshold: Duration::from_millis(100),
@@ -296,7 +290,7 @@ impl RpqServer {
             in_flight: std::sync::atomic::AtomicUsize::new(0),
             jobs: Mutex::new(FxHashMap::default()),
             next_id: AtomicU64::new(1),
-            plan_cache: PlanCache::new(config.plan_cache_bytes, config.bp_split_width),
+            plan_cache: PlanCache::new(config.plan_cache_bytes),
             result_cache: ResultCache::new(config.result_cache_bytes),
             metrics: Metrics::new(),
             slow_log: SlowLog::new(config.slow_log_capacity, config.slow_log_threshold),
@@ -927,7 +921,6 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
         limit: job.budget.max_results,
         timeout: job.budget.timeout,
         node_budget: job.budget.node_budget,
-        bp_split_width: shared.config.bp_split_width,
         intra_query_threads: shared.config.intra_query_threads,
         profile: want_profile,
         ..EngineOptions::default()

@@ -3,16 +3,16 @@
 //! needed to parse string-level queries.
 //!
 //! The façade crate's `RpqDatabase` and `UpdatableDatabase` implement
-//! [`QuerySource`]; id-level embedders (benchmarks, tests) can use
-//! [`IndexSource`] (immutable) or [`LiveSource`] (an updatable
-//! [`TripleStore`] behind the same interface) directly, with or without
-//! dictionaries.
+//! [`QuerySource`] with their dictionaries; id-level embedders
+//! (benchmarks, tests) can use [`IndexSource`] (immutable) or
+//! [`LiveSource`] (an updatable [`TripleStore`] behind the same
+//! interface) directly, where names are decimal ids.
 
 use std::sync::Arc;
 
 use automata::parser::LabelResolver;
 use ring::store::TripleStore;
-use ring::{Dict, Id, Ring};
+use ring::{Id, Ring};
 use rpq_core::SourceSnapshot;
 
 /// Live update counters an updatable source exports (rendered into the
@@ -129,38 +129,25 @@ pub trait QuerySource: Send + Sync {
     }
 }
 
-/// An immutable [`QuerySource`] over explicit parts. Without
-/// dictionaries, names are decimal ids — the form synthetic workloads
+/// An immutable [`QuerySource`] over explicit parts, without
+/// dictionaries: names are decimal ids — the form synthetic workloads
 /// use.
 pub struct IndexSource {
     /// The one ring, or the shard set.
     snapshot: SourceSnapshot,
-    nodes: Option<Dict>,
-    preds: Option<Dict>,
 }
 
 impl IndexSource {
-    /// A source with name dictionaries.
-    pub fn new(ring: Ring, nodes: Dict, preds: Dict) -> Self {
-        Self {
-            nodes: Some(nodes),
-            preds: Some(preds),
-            ..Self::id_only(ring)
-        }
-    }
-
-    /// A dictionary-less source: node and predicate names are decimal ids.
+    /// A source over one ring.
     pub fn id_only(ring: Ring) -> Self {
         Self {
             snapshot: SourceSnapshot::immutable(Arc::new(ring)),
-            nodes: None,
-            preds: None,
         }
     }
 
-    /// A dictionary-less horizontally sharded source: one sub-ring per
-    /// shard, every query scatter-gathered across the partition. The
-    /// rings must share the global node/predicate universes (as
+    /// A horizontally sharded source: one sub-ring per shard, every
+    /// query scatter-gathered across the partition. The rings must share
+    /// the global node/predicate universes (as
     /// `ring::sharded::ShardedIndex`-built ones do); name resolution
     /// uses shard 0's universes. A single ring degenerates to
     /// [`IndexSource::id_only`].
@@ -174,8 +161,6 @@ impl IndexSource {
         let source = rpq_core::ShardedSource::new(rings.into_iter().map(Arc::new).collect());
         Self {
             snapshot: source.snapshot(),
-            nodes: None,
-            preds: None,
         }
     }
 }
@@ -186,30 +171,19 @@ impl QuerySource for IndexSource {
     }
 
     fn node_id(&self, name: &str) -> Option<Id> {
-        match &self.nodes {
-            Some(d) => d.get(name),
-            None => name
-                .parse::<Id>()
-                .ok()
-                .filter(|&id| id < self.snapshot.ring.n_nodes()),
-        }
+        let ring = &self.snapshot.ring;
+        name.parse::<Id>().ok().filter(|&id| id < ring.n_nodes())
     }
 
     fn node_name(&self, id: Id) -> Option<String> {
-        match &self.nodes {
-            Some(d) => (id < d.len() as Id).then(|| d.name(id).into_owned()),
-            None => (id < self.snapshot.ring.n_nodes()).then(|| id.to_string()),
-        }
+        (id < self.snapshot.ring.n_nodes()).then(|| id.to_string())
     }
 
     fn pred_id(&self, name: &str) -> Option<Id> {
-        match &self.preds {
-            Some(d) => d.get(name),
-            None => name
-                .parse::<Id>()
-                .ok()
-                .filter(|&id| id < self.snapshot.ring.n_preds_base()),
-        }
+        let ring = &self.snapshot.ring;
+        name.parse::<Id>()
+            .ok()
+            .filter(|&id| id < ring.n_preds_base())
     }
 
     fn shard_stats(&self) -> Option<Vec<ShardStat>> {

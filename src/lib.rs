@@ -104,8 +104,7 @@ pub struct RpqDatabase {
     /// ring, or — opened from a sharded index — the shard set, across
     /// whose parts queries scatter-gather (its `ring` is the first part).
     source: SourceSnapshot,
-    nodes: Dict,
-    preds: Dict,
+    dicts: Dicts,
     open_info: OpenInfo,
     /// Mask tables reused from query to query (see
     /// [`rpq_core::scratch`]): queries take `&self`, so each checks a
@@ -135,18 +134,72 @@ impl Default for OpenInfo {
     }
 }
 
+/// A database's two name dictionaries.
+pub(crate) struct Dicts {
+    pub(crate) nodes: Dict,
+    pub(crate) preds: Dict,
+}
+
+/// Predicate names through the dictionary, inverses through `ring`'s
+/// completed alphabet.
 struct DictResolver<'a> {
     preds: &'a Dict,
     ring: &'a Ring,
 }
 
 impl LabelResolver for DictResolver<'_> {
+    // A label an updatable database interned for an uncommitted insert is
+    // not in `ring`'s alphabet yet: its id there is an inverse label's.
+    // (Every label of an immutable database is.)
     fn resolve(&self, name: &str) -> Option<Id> {
-        self.preds.get(name)
+        let known = |p: &Id| *p < self.ring.n_preds_base();
+        self.preds.get(name).filter(known)
     }
 
     fn inverse(&self, label: Id) -> Id {
         self.ring.inverse_label(label)
+    }
+}
+
+impl Dicts {
+    /// Parses endpoints and expression into an id-level [`RpqQuery`] over
+    /// `ring`'s alphabet.
+    fn parse(
+        &self,
+        ring: &Ring,
+        subject: &str,
+        expr: &str,
+        object: &str,
+    ) -> Result<RpqQuery, DbError> {
+        let resolver = DictResolver {
+            preds: &self.preds,
+            ring,
+        };
+        let e = parser::parse(expr, &resolver).map_err(DbError::Parse)?;
+        let term = |name: &str| -> Result<Term, DbError> {
+            if name.starts_with('?') {
+                Ok(Term::Var)
+            } else {
+                self.nodes
+                    .get(name)
+                    .map(Term::Const)
+                    .ok_or_else(|| DbError::UnknownNode(name.to_string()))
+            }
+        };
+        Ok(RpqQuery::new(term(subject)?, e, term(object)?))
+    }
+
+    /// `pairs` by name, sorted lexicographically.
+    fn named(&self, pairs: &[(Id, Id)]) -> Vec<(String, String)> {
+        let name = |v: Id| self.nodes.name(v).into_owned();
+        let mut named: Vec<_> = pairs.iter().map(|&(s, o)| (name(s), name(o))).collect();
+        named.sort();
+        named
+    }
+
+    /// The name of node `id`, if the dictionary has one.
+    fn node_name(&self, id: Id) -> Option<String> {
+        (id < self.nodes.len() as Id).then(|| self.nodes.name(id).into_owned())
     }
 }
 
@@ -206,13 +259,13 @@ impl RpqDatabase {
     /// in whichever form they are. A sharded database carries only
     /// per-shard rings, so the store gets a monolithic one built from
     /// the decoded graph; the error is that of [`Self::decode_graph`].
-    pub(crate) fn into_raw_parts(self) -> Result<(Arc<Ring>, Dict, Dict), String> {
+    pub(crate) fn into_raw_parts(self) -> Result<(Arc<Ring>, Dicts), String> {
         let ring = if self.is_sharded() {
             Arc::new(Ring::build(&self.decode_graph()?, RingOptions::default()))
         } else {
             self.source.ring
         };
-        Ok((ring, self.nodes, self.preds))
+        Ok((ring, self.dicts))
     }
 
     /// A database over `source`, with the open info of one built in
@@ -221,8 +274,7 @@ impl RpqDatabase {
         Self {
             graph: OnceLock::new(),
             source,
-            nodes,
-            preds,
+            dicts: Dicts { nodes, preds },
             open_info: OpenInfo::default(),
             scratch: ScratchPool::default(),
         }
@@ -273,12 +325,12 @@ impl RpqDatabase {
 
     /// The node dictionary.
     pub fn nodes(&self) -> &Dict {
-        &self.nodes
+        &self.dicts.nodes
     }
 
     /// The predicate dictionary.
     pub fn preds(&self) -> &Dict {
-        &self.preds
+        &self.dicts.preds
     }
 
     /// Parses endpoints and expression into an id-level [`RpqQuery`].
@@ -288,22 +340,7 @@ impl RpqDatabase {
         expr: &str,
         object: &str,
     ) -> Result<RpqQuery, DbError> {
-        let resolver = DictResolver {
-            preds: &self.preds,
-            ring: self.ring(),
-        };
-        let e = parser::parse(expr, &resolver).map_err(DbError::Parse)?;
-        let term = |name: &str| -> Result<Term, DbError> {
-            if name.starts_with('?') {
-                Ok(Term::Var)
-            } else {
-                self.nodes
-                    .get(name)
-                    .map(Term::Const)
-                    .ok_or_else(|| DbError::UnknownNode(name.to_string()))
-            }
-        };
-        Ok(RpqQuery::new(term(subject)?, e, term(object)?))
+        self.dicts.parse(self.ring(), subject, expr, object)
     }
 
     /// Evaluates a query, returning name pairs sorted lexicographically.
@@ -314,18 +351,7 @@ impl RpqDatabase {
         object: &str,
     ) -> Result<Vec<(String, String)>, DbError> {
         let out = self.query_with(subject, expr, object, &EngineOptions::default())?;
-        let mut named: Vec<(String, String)> = out
-            .pairs
-            .iter()
-            .map(|&(s, o)| {
-                (
-                    self.nodes.name(s).into_owned(),
-                    self.nodes.name(o).into_owned(),
-                )
-            })
-            .collect();
-        named.sort();
-        Ok(named)
+        Ok(self.dicts.named(&out.pairs))
     }
 
     /// Evaluates with explicit options, returning the raw id-level output.
@@ -384,7 +410,7 @@ impl RpqDatabase {
     /// without deserializing, so cold starts cost page faults instead of
     /// an index rebuild. Returns the total bytes written.
     pub fn save_mapped(&self, path: &std::path::Path) -> std::io::Result<u64> {
-        ring::mapped::write_index(path, self.ring(), &self.nodes, &self.preds)
+        ring::mapped::write_index(path, self.ring(), self.nodes(), self.preds())
     }
 
     /// Opens a persisted database: an `RRPQM01` file
@@ -462,7 +488,7 @@ impl RpqDatabase {
     pub fn save_sharded(&self, dir: &std::path::Path, n_shards: usize) -> std::io::Result<u64> {
         let idx =
             ring::sharded::ShardedIndex::build(self.graph(), n_shards, RingOptions::default());
-        idx.save_dir(dir, &self.nodes, &self.preds)
+        idx.save_dir(dir, self.nodes(), self.preds())
     }
 
     /// Opens a sharded index directory ([`Self::save_sharded`]); queries
@@ -516,15 +542,15 @@ impl rpq_server::QuerySource for RpqDatabase {
     }
 
     fn node_id(&self, name: &str) -> Option<Id> {
-        self.nodes.get(name)
+        self.dicts.nodes.get(name)
     }
 
     fn node_name(&self, id: Id) -> Option<String> {
-        (id < self.nodes.len() as Id).then(|| self.nodes.name(id).into_owned())
+        self.dicts.node_name(id)
     }
 
     fn pred_id(&self, name: &str) -> Option<Id> {
-        self.preds.get(name)
+        self.dicts.preds.get(name)
     }
 
     fn index_info(&self) -> Option<rpq_server::IndexStats> {

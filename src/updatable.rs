@@ -33,12 +33,7 @@ use ring::wal::{Wal, WalOp};
 use ring::{Dict, Graph, Id, Ring, Triple};
 use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, Term};
 
-use crate::{DbError, RpqDatabase};
-
-struct Dicts {
-    nodes: Dict,
-    preds: Dict,
-}
+use crate::{DbError, Dicts, RpqDatabase};
 
 /// `snap` as a file holds it: one ring with the overlay folded in, over
 /// universes as large as the dictionaries — append-only interning leaves
@@ -124,10 +119,10 @@ impl UpdatableDatabase {
     }
 
     /// The database over an index's parts, at `epoch`.
-    fn over((ring, nodes, preds): (Arc<Ring>, Dict, Dict), epoch: u64) -> Self {
+    fn over((ring, dicts): (Arc<Ring>, Dicts), epoch: u64) -> Self {
         Self {
             store: TripleStore::from_built(ring, DeltaIndex::empty(0), epoch),
-            dicts: RwLock::new(Dicts { nodes, preds }),
+            dicts: RwLock::new(dicts),
             durable: Mutex::new(None),
             scratch: ScratchPool::default(),
         }
@@ -340,42 +335,8 @@ impl UpdatableDatabase {
         expr: &str,
         object: &str,
     ) -> Result<RpqQuery, DbError> {
-        struct Resolver<'a> {
-            preds: &'a Dict,
-            ring: &'a Ring,
-        }
-        impl automata::parser::LabelResolver for Resolver<'_> {
-            // A label interned by an uncommitted insert is not in this
-            // snapshot's alphabet yet: its id there is an inverse label's.
-            fn resolve(&self, name: &str) -> Option<Id> {
-                let known = |p: &Id| *p < self.ring.n_preds_base();
-                self.preds.get(name).filter(known)
-            }
-            fn inverse(&self, label: Id) -> Id {
-                self.ring.inverse_label(label)
-            }
-        }
         let dicts = self.dicts.read().unwrap();
-        let e = automata::parser::parse(
-            expr,
-            &Resolver {
-                preds: &dicts.preds,
-                ring: &snap.ring,
-            },
-        )
-        .map_err(DbError::Parse)?;
-        let term = |name: &str| -> Result<Term, DbError> {
-            if name.starts_with('?') {
-                Ok(Term::Var)
-            } else {
-                dicts
-                    .nodes
-                    .get(name)
-                    .map(Term::Const)
-                    .ok_or_else(|| DbError::UnknownNode(name.to_string()))
-            }
-        };
-        Ok(RpqQuery::new(term(subject)?, e, term(object)?))
+        dicts.parse(&snap.ring, subject, expr, object)
     }
 
     /// Parses endpoints and expression into an id-level [`RpqQuery`]
@@ -400,19 +361,7 @@ impl UpdatableDatabase {
         object: &str,
     ) -> Result<Vec<(String, String)>, DbError> {
         let out = self.query_with(subject, expr, object, &EngineOptions::default())?;
-        let dicts = self.dicts.read().unwrap();
-        let mut named: Vec<(String, String)> = out
-            .pairs
-            .iter()
-            .map(|&(s, o)| {
-                (
-                    dicts.nodes.name(s).into_owned(),
-                    dicts.nodes.name(o).into_owned(),
-                )
-            })
-            .collect();
-        named.sort();
-        Ok(named)
+        Ok(self.dicts.read().unwrap().named(&out.pairs))
     }
 
     /// Evaluates with explicit options, returning the raw id-level
@@ -516,10 +465,11 @@ impl UpdatableDatabase {
     pub fn load(path: &Path) -> std::io::Result<Self> {
         refuse_sharded(path)?;
         let idx = ring::mapped::open_index_verified(path, OpenMode::Auto)?;
-        Ok(Self::over(
-            (Arc::new(idx.ring), idx.nodes, idx.preds),
-            idx.epoch,
-        ))
+        let dicts = Dicts {
+            nodes: idx.nodes,
+            preds: idx.preds,
+        };
+        Ok(Self::over((Arc::new(idx.ring), dicts), idx.epoch))
     }
 
     /// The write-ahead-log sibling of a snapshot file: `<path>.wal`.
@@ -644,8 +594,7 @@ impl rpq_server::QuerySource for UpdatableDatabase {
     }
 
     fn node_name(&self, id: Id) -> Option<String> {
-        let dicts = self.dicts.read().unwrap();
-        (id < dicts.nodes.len() as Id).then(|| dicts.nodes.name(id).into_owned())
+        self.dicts.read().unwrap().node_name(id)
     }
 
     fn pred_id(&self, name: &str) -> Option<Id> {
