@@ -17,7 +17,10 @@
 //! CI perf smoke; `--check <baseline.json>` exits non-zero if any
 //! `*_ns` median regresses more than [`CHECK_FACTOR`]× against the
 //! committed baseline — a guard against accidental O(n) fallbacks, not
-//! against machine noise. Output path honours `RPQ_BENCH_OUT`.
+//! against machine noise. Output path honours `RPQ_BENCH_OUT`. The
+//! artifact names the copy of the batched kernels that ran (`"popcount":
+//! "hardware"` where the CPU has the instruction, else `"portable"`;
+//! `succinct::with_popcnt`): the two differ by the cost of a popcount.
 
 use ring::ring::RingOptions;
 use ring::Ring;
@@ -501,8 +504,14 @@ fn main() {
         .iter()
         .map(|(k, v)| format!("\"{k}\":{v:.2}"))
         .collect();
+    // Which copy of the batched kernels ran: `succinct::with_popcnt`'s.
+    let popcount = if succinct::hardware_popcount() {
+        "hardware"
+    } else {
+        "portable"
+    };
     let json = format!(
-        "{{\"quick\":{quick},\"bits\":{n_bits},\"symbols\":{n_syms},{}}}",
+        "{{\"quick\":{quick},\"popcount\":\"{popcount}\",\"bits\":{n_bits},\"symbols\":{n_syms},{}}}",
         body.join(",")
     );
     let out = std::env::var("RPQ_BENCH_OUT").unwrap_or_else(|_| "BENCH_succinct.json".to_string());

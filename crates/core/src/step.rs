@@ -162,15 +162,19 @@ impl ChunkExpansion {
     ) {
         self.stepped_items.clear();
         self.stepped.clear();
-        for (item, &(o, d)) in chunk.iter().enumerate() {
-            if d & bmask != 0 && o < ring.n_nodes() {
-                let (b, e) = ring.object_range(o);
-                if e > b {
-                    self.stepped_items.push((item as u32, d & bmask));
-                    self.stepped.extend([b, e]);
-                }
+        let firing = chunk
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(o, d))| d & bmask != 0 && o < ring.n_nodes());
+        let mut items = firing.clone();
+        let (stepped_items, stepped) = (&mut self.stepped_items, &mut self.stepped);
+        ring.object_ranges(firing.map(|(_, &(o, _))| o), |(b, e)| {
+            let (item, &(_, d)) = items.next().expect("one block per firing item");
+            if e > b {
+                stepped_items.push((item as u32, d & bmask));
+                stepped.extend([b, e]);
             }
-        }
+        });
         ring.l_p().rank_batch(label, &mut self.stepped);
         self.rank_ops += (self.stepped.len() * ring.l_p().width()) as u64;
         let base = ring.c_p_ref().get(label);
@@ -404,8 +408,11 @@ impl StepSource for Ring {
         x.begin();
         match firing.automaton {
             Some((bp, lp_masks)) => {
-                x.ranges
-                    .extend(chunk.iter().map(|&(o, _)| narrow(self.object_range(o))));
+                let ranges = &mut x.ranges;
+                ranges.reserve(chunk.len());
+                self.object_ranges(chunk.iter().map(|&(o, _)| o), |block| {
+                    ranges.push(narrow(block))
+                });
                 let mut guide = PredGuideMulti {
                     ring: self,
                     chunk,

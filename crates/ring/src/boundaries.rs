@@ -97,8 +97,10 @@ impl Boundaries {
         }
     }
 
-    /// The block `[C[c], C[c+1])` of symbol `c`.
-    #[inline]
+    /// The block `[C[c], C[c+1])` of symbol `c`. Inlined into every
+    /// caller, so that the selects of [`crate::Ring::object_ranges`]
+    /// compile inside its popcount kernel.
+    #[inline(always)]
     pub fn block(&self, c: Id) -> (usize, usize) {
         match self {
             // The block ends at the next one after the symbol's own: a

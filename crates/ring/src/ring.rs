@@ -8,7 +8,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use succinct::{SpaceUsage, WaveletMatrix};
+use succinct::{PopcntKernel, SpaceUsage, WaveletMatrix};
 
 use crate::graph::scatter;
 use crate::{Boundaries, Graph, Id, Triple};
@@ -347,6 +347,35 @@ impl Ring {
     #[inline]
     pub fn object_range(&self, o: Id) -> (usize, usize) {
         self.c_o.block(o)
+    }
+
+    /// [`Self::object_range`] of every object of `objects`, handed to
+    /// `out` in order: the `C_o` lookups of a whole batch in one run of
+    /// the popcount kernels ([`succinct::with_popcnt`]).
+    pub fn object_ranges(
+        &self,
+        objects: impl IntoIterator<Item = Id>,
+        out: impl FnMut((usize, usize)),
+    ) {
+        #[inline(always)]
+        fn blocks(
+            c_o: &Boundaries,
+            objects: impl IntoIterator<Item = Id>,
+            mut out: impl FnMut((usize, usize)),
+        ) {
+            for o in objects {
+                out(c_o.block(o));
+            }
+        }
+        struct Blocks<'a, I, O>(&'a Boundaries, I, O);
+        impl<I: IntoIterator<Item = Id>, O: FnMut((usize, usize))> PopcntKernel for Blocks<'_, I, O> {
+            type Output = ();
+            #[inline(always)]
+            fn run(self) {
+                blocks(self.0, self.1, self.2)
+            }
+        }
+        succinct::with_popcnt(Blocks(&self.c_o, objects, out));
     }
 
     /// The block of subject `s` in the `(s, p, o)` order: empty exactly

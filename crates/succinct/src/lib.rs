@@ -24,6 +24,10 @@
 //!   position: [`WaveletMatrix::access_batch`] takes a batch of positions
 //!   down the levels together, in the order it was given.
 //!
+//! The batched kernels run on the CPU's `popcnt` instruction where it
+//! has one, detected at run time ([`with_popcnt`], [`hardware_popcount`];
+//! the [`rank_select`] module docs say why and where).
+//!
 //! All structures report their heap footprint through [`SpaceUsage`], which
 //! the benchmark harness uses to regenerate the space column of Table 2.
 
@@ -44,7 +48,7 @@ pub use checksum::{crc32c, Crc32c};
 pub use elias_fano::EliasFano;
 pub use int_vec::IntVec;
 pub use mmap::{MappedFile, ResidentMode};
-pub use rank_select::RankSelect;
+pub use rank_select::{hardware_popcount, with_popcnt, PopcntKernel, RankSelect};
 pub use storage::Slab;
 pub use wavelet_matrix::WaveletMatrix;
 

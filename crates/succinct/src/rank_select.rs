@@ -18,6 +18,28 @@
 //! select. [`RankSelect::rank1_pair`] answers both ends of a range from
 //! one directory probe when they share a superblock — the common case
 //! in wavelet-matrix traversals over small ranges.
+//!
+//! # The popcount instruction, where the CPU has one
+//!
+//! Every rank ends in a `u64::count_ones`. The default x86-64 target
+//! predates the `popcnt` instruction, so a plain build compiles each one
+//! to a dozen-instruction software sequence, and its binaries held no
+//! `popcnt` at all. [`with_popcnt`] runs a batch ([`PopcntKernel`])
+//! inside a function compiled with the instruction enabled when
+//! `is_x86_feature_detected!` finds it on the running CPU; on any other
+//! CPU or architecture the batch runs as compiled. The batched kernels —
+//! the wavelet matrix's `access_batch`, `rank_batch`, `guided_traverse`
+//! (and so `range_symbols` / `range_distinct`), `range_intersect_from`,
+//! [`MultiTraversal::run`](crate::wavelet_matrix::MultiTraversal::run),
+//! and the ring's `object_ranges` (part one's `C_o` selects) — run
+//! through it, so one source is compiled twice and the platform picks
+//! the copy; there is no option, feature or build flag. Scalar calls
+//! outside them run as compiled. Everything a kernel calls that counts
+//! bits (`rank1`, `rank1_get`, `rank1_pair`, `select1`, …) is
+//! `#[inline(always)]`, or its popcount would stay in one shared copy
+//! built without the instruction. The one `unsafe` block is the call
+//! into the feature-enabled copy, made only after the detection
+//! succeeded; [`hardware_popcount`] reports which copy runs.
 
 use crate::storage::Slab;
 use crate::{BitVec, SpaceUsage};
@@ -42,6 +64,64 @@ const TARGET_WINDOW: usize = 1;
 /// Window length up to which the superblock hunt scans linearly; longer
 /// windows binary-search (sparse or highly skewed vectors).
 const LINEAR_HUNT: usize = 8;
+
+/// Whether [`with_popcnt`] runs its kernels with the CPU's `popcnt`
+/// instruction: the running CPU has it (detected at run time, once, and
+/// cached by the standard library). Always `false` off x86.
+pub fn hardware_popcount() -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        std::arch::is_x86_feature_detected!("popcnt")
+    }
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    {
+        false
+    }
+}
+
+/// A batch of ranks and selects for [`with_popcnt`] to run: the batch's
+/// inputs as fields, its loop as [`run`](Self::run).
+pub trait PopcntKernel {
+    /// What the batch returns.
+    type Output;
+
+    /// Runs the batch. Implementations are `#[inline(always)]`: that is
+    /// what gives [`with_popcnt`] a copy of the body to compile with the
+    /// instruction and one to compile without. (A closure would not do:
+    /// the compiler may keep a single copy of it, built without the
+    /// instruction, and call it from both.) They pass their fields, as
+    /// arguments, to an `#[inline(always)]` function holding the loop:
+    /// references held in a struct lose what the compiler knows of
+    /// reference arguments — that the output does not alias the bit
+    /// vectors — and the loop would reload a vector's words pointer at
+    /// every rank.
+    fn run(self) -> Self::Output;
+}
+
+/// Runs `kernel`, compiled with the `popcnt` instruction enabled when
+/// the running CPU has it ([`hardware_popcount`]), as compiled
+/// otherwise; what the kernel inlines — `rank1`, `rank1_get`,
+/// `rank1_pair`, `select1`, … — compiles to the instruction in the
+/// first copy. Wrap a whole batch, not one rank: the check is a cached
+/// load and a branch.
+#[inline]
+pub fn with_popcnt<K: PopcntKernel>(kernel: K) -> K::Output {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        #[target_feature(enable = "popcnt")]
+        fn with_instruction<K: PopcntKernel>(kernel: K) -> K::Output {
+            kernel.run()
+        }
+        if hardware_popcount() {
+            // SAFETY: the only precondition of calling a
+            // `#[target_feature]` function is that the CPU has the
+            // feature, and `is_x86_feature_detected!("popcnt")` has just
+            // found it does.
+            return unsafe { with_instruction(kernel) };
+        }
+    }
+    kernel.run()
+}
 
 /// An immutable bit vector supporting `rank` and `select`.
 #[derive(Clone, Debug)]
@@ -345,47 +425,42 @@ impl RankSelect {
         self.len.div_ceil(64)
     }
 
+    /// The superblock record holding bit `i`: one bounds check, after
+    /// which the record's ten words index by constants and `word % 8`.
+    #[inline(always)]
+    fn record(&self, i: usize) -> &[u64; SUPER_STRIDE] {
+        &self.data.as_chunks::<SUPER_STRIDE>().0[i / BITS_PER_SUPER]
+    }
+
     /// Number of ones in `[0, i)`. `i` may equal `len`. *O*(1): one
     /// superblock record read and one masked popcount.
-    #[inline]
+    #[inline(always)]
     pub fn rank1(&self, i: usize) -> usize {
         debug_assert!(i <= self.len, "rank index {i} > len {}", self.len);
         if i == self.len {
             return self.n_ones;
         }
-        let word = i / 64;
-        let base = (word / WORDS_PER_SUPER) * SUPER_STRIDE;
-        let j = word % WORDS_PER_SUPER;
-        let mut r = self.data[base] as usize;
-        if j > 0 {
-            r += ((self.data[base + 1] >> (9 * (j - 1))) & 0x1FF) as usize;
-        }
-        let rem = i % 64;
-        if rem != 0 {
-            r += (self.data[base + 2 + j] & ((1u64 << rem) - 1)).count_ones() as usize;
-        }
-        r
+        rank_in(self.record(i), i)
     }
 
     /// Number of zeros in `[0, i)`.
-    #[inline]
+    #[inline(always)]
     pub fn rank0(&self, i: usize) -> usize {
         i - self.rank1(i)
     }
 
     /// `(rank1(i), get(i))` for `i < len` from one superblock record: the
     /// step of a wavelet descent that follows a single position.
-    #[inline]
+    #[inline(always)]
     pub fn rank1_get(&self, i: usize) -> (usize, bool) {
         debug_assert!(i < self.len);
-        let word = i / 64;
-        let base = (word / WORDS_PER_SUPER) * SUPER_STRIDE;
-        let j = word % WORDS_PER_SUPER;
-        let mut r = self.data[base] as usize;
+        let rec = self.record(i);
+        let j = (i / 64) % WORDS_PER_SUPER;
+        let mut r = rec[0] as usize;
         if j > 0 {
-            r += ((self.data[base + 1] >> (9 * (j - 1))) & 0x1FF) as usize;
+            r += ((rec[1] >> (9 * (j - 1))) & 0x1FF) as usize;
         }
-        let word = self.data[base + 2 + j];
+        let word = rec[2 + j];
         let from_i = word >> (i % 64);
         // Clearing the bits from `i` up leaves the `i % 64` bits below it.
         let below = word ^ (from_i << (i % 64));
@@ -395,33 +470,19 @@ impl RankSelect {
     /// `(rank1(b), rank1(e))` for `b <= e`, from a single directory probe
     /// when both positions fall in the same superblock — the common case
     /// for the short ranges a wavelet-matrix traversal produces.
-    #[inline]
+    #[inline(always)]
     pub fn rank1_pair(&self, b: usize, e: usize) -> (usize, usize) {
         debug_assert!(b <= e && e <= self.len);
         if e == self.len || b / BITS_PER_SUPER != e / BITS_PER_SUPER {
             return (self.rank1(b), self.rank1(e));
         }
-        let base = (b / BITS_PER_SUPER) * SUPER_STRIDE;
-        let abs = self.data[base] as usize;
-        let subs = self.data[base + 1];
-        let one = |i: usize| {
-            let j = (i / 64) % WORDS_PER_SUPER;
-            let mut r = abs;
-            if j > 0 {
-                r += ((subs >> (9 * (j - 1))) & 0x1FF) as usize;
-            }
-            let rem = i % 64;
-            if rem != 0 {
-                r += (self.data[base + 2 + j] & ((1u64 << rem) - 1)).count_ones() as usize;
-            }
-            r
-        };
-        (one(b), one(e))
+        let rec = self.record(b);
+        (rank_in(rec, b), rank_in(rec, e))
     }
 
     /// `(rank0(b), rank0(e))`, sharing the directory probe like
     /// [`Self::rank1_pair`].
-    #[inline]
+    #[inline(always)]
     pub fn rank0_pair(&self, b: usize, e: usize) -> (usize, usize) {
         let (rb, re) = self.rank1_pair(b, e);
         (b - rb, e - re)
@@ -431,7 +492,7 @@ impl RankSelect {
     /// `max_words` payload words; `None` when those hold none or the
     /// vector ends first. Where ones are rarely far apart this replaces
     /// the second `select1` of a pair of consecutive ones.
-    #[inline]
+    #[inline(always)]
     pub fn next_one_within(&self, from: usize, max_words: usize) -> Option<usize> {
         let first = from / 64;
         let mut mask = !0u64 << (from % 64);
@@ -455,7 +516,9 @@ impl RankSelect {
     /// Position of the `k`-th one (0-based): the returned position `p`
     /// satisfies `rank1(p) == k` and `get(p) == true`. Returns `None` if
     /// fewer than `k + 1` ones exist. Sample lookup + bounded superblock
-    /// hunt + broadword in-word select.
+    /// hunt + broadword in-word select. Inlined into every caller, so that
+    /// a [`with_popcnt`] kernel's selects count with the instruction.
+    #[inline(always)]
     pub fn select1(&self, k: usize) -> Option<usize> {
         if k >= self.n_ones {
             return None;
@@ -541,6 +604,21 @@ impl SpaceUsage for RankSelect {
             + self.select1_samples.size_bytes()
             + self.select0_samples.size_bytes()
     }
+}
+
+/// `rank1(i)` from `rec`, the superblock record holding bit `i`.
+#[inline(always)]
+fn rank_in(rec: &[u64; SUPER_STRIDE], i: usize) -> usize {
+    let j = (i / 64) % WORDS_PER_SUPER;
+    let mut r = rec[0] as usize;
+    if j > 0 {
+        r += ((rec[1] >> (9 * (j - 1))) & 0x1FF) as usize;
+    }
+    let rem = i % 64;
+    if rem != 0 {
+        r += (rec[2 + j] & ((1u64 << rem) - 1)).count_ones() as usize;
+    }
+    r
 }
 
 const ONES_STEP_8: u64 = 0x0101_0101_0101_0101;
@@ -823,6 +901,85 @@ mod tests {
         for k in 0..rs.count_ones() {
             assert_eq!(rs.select1(k), Some(k * 512));
         }
+    }
+
+    /// `rs` written as a mapped index file stores it, and read back in
+    /// place from a mapping of that file.
+    fn mapped_copy(rs: &RankSelect) -> RankSelect {
+        use crate::mapped::{read_rank_select, write_rank_select, MapReader, SectionWriter};
+        let mut bytes = Vec::new();
+        let mut w = SectionWriter::new(&mut bytes);
+        write_rank_select(&mut w, rs).unwrap();
+        w.pad().unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "rpq_rank_select_edges_{}_{}",
+            std::process::id(),
+            rs.len()
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let map = crate::MappedFile::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut r = MapReader::new(map, 0, bytes.len()).unwrap();
+        read_rank_select(&mut r).unwrap()
+    }
+
+    /// Lengths on a superblock seam and one bit either side: where a
+    /// rank's superblock record is the last one, or `rank1(len)` would
+    /// ask for the record after it. Heap and mapped vectors, against a
+    /// naive count.
+    #[test]
+    fn ranks_at_superblock_multiple_lengths() {
+        for seam in [0usize, 512, 1024, 2048] {
+            for len in [seam.saturating_sub(1), seam, seam + 1] {
+                let (bits, heap) = make(|i| i % 3 == 0 || i % 64 == 63, len);
+                // `naive[i]` = ones in `[0, i)`.
+                let naive: Vec<usize> = (0..=len).map(|i| naive_rank1(&bits, i)).collect();
+                let mapped = mapped_copy(&heap);
+                for (form, rs) in [("heap", &heap), ("mapped", &mapped)] {
+                    let what = format!("{form}, len {len}");
+                    for (i, &ones) in naive.iter().enumerate() {
+                        assert_eq!(rs.rank1(i), ones, "{what}: rank1({i})");
+                        assert_eq!(
+                            rs.rank1_pair(i, len),
+                            (ones, naive[len]),
+                            "{what}: rank1_pair({i}, len)"
+                        );
+                    }
+                    for (i, &bit) in bits.iter().enumerate() {
+                        assert_eq!(rs.rank1_get(i), (naive[i], bit), "{what}: rank1_get({i})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The copy [`with_popcnt`] picks on this CPU and the portable copy
+    /// (`run` called as compiled) answer alike.
+    #[test]
+    fn both_kernel_copies_agree() {
+        struct Answers<'a>(&'a RankSelect);
+        impl PopcntKernel for Answers<'_> {
+            type Output = Vec<usize>;
+            #[inline(always)]
+            fn run(self) -> Vec<usize> {
+                let rs = self.0;
+                let mut out = Vec::new();
+                for i in 0..rs.len() {
+                    let (ones, bit) = rs.rank1_get(i);
+                    let (b, e) = rs.rank1_pair(i, (i + 300).min(rs.len()));
+                    out.extend([rs.rank1(i), ones, usize::from(bit), b, e]);
+                }
+                for k in 0..rs.count_ones() {
+                    out.push(rs.select1(k).unwrap());
+                }
+                out
+            }
+        }
+        let (_, rs) = make(
+            |i| i % 7 == 0 || i % 13 == 3 || (600..700).contains(&i),
+            3000,
+        );
+        assert_eq!(with_popcnt(Answers(&rs)), Answers(&rs).run());
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!   wants every symbol of, with multiplicity, is its positions.
 
 use crate::int_vec::bits_for;
-use crate::{BitVec, RankSelect, SpaceUsage};
+use crate::{with_popcnt, BitVec, PopcntKernel, RankSelect, SpaceUsage};
 
 /// Visitor guiding a pruned wavelet-matrix range traversal.
 pub trait RangeGuide {
@@ -179,6 +179,31 @@ impl MultiTraversal {
         for (i, &(b, e)) in ranges.iter().enumerate() {
             assert!(b <= e && e as usize <= wm.len, "range {i} out of bounds");
         }
+        struct Descend<'a, G>(
+            &'a mut MultiTraversal,
+            &'a WaveletMatrix,
+            &'a [(u32, u32)],
+            &'a mut G,
+        );
+        impl<G: MultiRangeGuide> PopcntKernel for Descend<'_, G> {
+            type Output = ();
+            #[inline(always)]
+            fn run(self) {
+                let Descend(mt, wm, ranges, guide) = self;
+                mt.descend(wm, ranges, guide)
+            }
+        }
+        with_popcnt(Descend(self, wm, ranges, guide))
+    }
+
+    /// [`Self::run`] past its checks.
+    #[inline(always)]
+    fn descend<G: MultiRangeGuide>(
+        &mut self,
+        wm: &WaveletMatrix,
+        ranges: &[(u32, u32)],
+        guide: &mut G,
+    ) {
         if ranges.iter().all(|&(b, e)| b == e) || !guide.enter_node(0, 0) {
             return;
         }
@@ -547,6 +572,20 @@ impl WaveletMatrix {
             assert!((*at as usize) < self.len, "position {i} out of bounds");
             *sym = 0;
         }
+        struct Access<'a>(&'a WaveletMatrix, &'a mut [(u32, u32)]);
+        impl PopcntKernel for Access<'_> {
+            type Output = ();
+            #[inline(always)]
+            fn run(self) {
+                self.0.access_levels(self.1)
+            }
+        }
+        with_popcnt(Access(self, units))
+    }
+
+    /// [`Self::access_batch`] past its checks.
+    #[inline(always)]
+    fn access_levels(&self, units: &mut [(u32, u32)]) {
         for (lvl, &z) in self.levels.iter().zip(&self.zeros) {
             for (at, sym) in units.iter_mut() {
                 let (ones, bit) = lvl.rank1_get(*at as usize);
@@ -640,43 +679,60 @@ impl WaveletMatrix {
     /// Only nodes with a non-empty restriction of the range are visited, and
     /// only if the guide admits them, so the cost is *O*(log σ) per admitted
     /// leaf — the property Theorem 4.1 charges traversal costs with.
+    ///
+    /// Depth first, left child first, off a stack of the non-empty nodes
+    /// not yet offered to the guide (a right child waits there while the
+    /// subtree left of it is walked; `width + 1` entries at most): the
+    /// guide hears of the nodes in the order a recursive walk would tell
+    /// it.
     pub fn guided_traverse<G: RangeGuide>(&self, b: usize, e: usize, guide: &mut G) {
         assert!(b <= e && e <= self.len);
-        if b == e || !guide.enter(0, 0) {
-            return;
+        struct Traverse<'a, G>(&'a WaveletMatrix, usize, usize, &'a mut G);
+        impl<G: RangeGuide> PopcntKernel for Traverse<'_, G> {
+            type Output = ();
+            #[inline(always)]
+            fn run(self) {
+                let Traverse(wm, b, e, guide) = self;
+                wm.traverse(b, e, guide)
+            }
         }
-        self.traverse_rec(0, 0, 0, b, e, guide);
+        if b != e {
+            with_popcnt(Traverse(self, b, e, guide));
+        }
     }
 
-    fn traverse_rec<G: RangeGuide>(
-        &self,
-        level: usize,
-        prefix: u64,
-        start: usize,
-        b: usize,
-        e: usize,
-        guide: &mut G,
-    ) {
-        if level == self.width {
-            guide.leaf(prefix, b - start, e - start);
-            return;
-        }
-        let lvl = &self.levels[level];
-        let z = self.zeros[level];
-        let (b0, e0) = (lvl.rank0(b), lvl.rank0(e));
-        // Node starts only feed the leaf ranks.
-        let (s0, s1) = if G::LEAF_RANKS {
-            let s0 = lvl.rank0(start);
-            (s0, z + (start - s0))
-        } else {
-            (0, 0)
-        };
-        if e0 > b0 && guide.enter(level + 1, prefix << 1) {
-            self.traverse_rec(level + 1, prefix << 1, s0, b0, e0, guide);
-        }
-        let (b1, e1) = (z + (b - b0), z + (e - e0));
-        if e1 > b1 && guide.enter(level + 1, (prefix << 1) | 1) {
-            self.traverse_rec(level + 1, (prefix << 1) | 1, s1, b1, e1, guide);
+    /// [`Self::guided_traverse`] of a non-empty range.
+    #[inline(always)]
+    fn traverse<G: RangeGuide>(&self, b: usize, e: usize, guide: &mut G) {
+        // `(level, prefix, start, b, e)`: a node, the start of its
+        // interval, and the range restricted to it.
+        let mut stack = Vec::with_capacity(self.width + 1);
+        stack.push((0, 0, 0, b, e));
+        while let Some((level, prefix, start, b, e)) = stack.pop() {
+            if !guide.enter(level, prefix) {
+                continue;
+            }
+            if level == self.width {
+                guide.leaf(prefix, b - start, e - start);
+                continue;
+            }
+            let lvl = &self.levels[level];
+            let z = self.zeros[level];
+            let (b0, e0) = (lvl.rank0(b), lvl.rank0(e));
+            // Node starts only feed the leaf ranks.
+            let (s0, s1) = if G::LEAF_RANKS {
+                let s0 = lvl.rank0(start);
+                (s0, z + (start - s0))
+            } else {
+                (0, 0)
+            };
+            let (b1, e1) = (z + (b - b0), z + (e - e0));
+            if e1 > b1 {
+                stack.push((level + 1, (prefix << 1) | 1, s1, b1, e1));
+            }
+            if e0 > b0 {
+                stack.push((level + 1, prefix << 1, s0, b0, e0));
+            }
         }
     }
 
@@ -710,6 +766,20 @@ impl WaveletMatrix {
         for (i, &p) in positions.iter().enumerate() {
             assert!(p <= self.len, "position {i} out of bounds");
         }
+        struct Rank<'a>(&'a WaveletMatrix, u64, &'a mut [usize]);
+        impl PopcntKernel for Rank<'_> {
+            type Output = ();
+            #[inline(always)]
+            fn run(self) {
+                self.0.rank_levels(self.1, self.2)
+            }
+        }
+        with_popcnt(Rank(self, sym, positions))
+    }
+
+    /// [`Self::rank_batch`] past its checks.
+    #[inline(always)]
+    fn rank_levels(&self, sym: u64, positions: &mut [usize]) {
         let mut start = 0usize;
         for l in 0..self.width {
             let lvl = &self.levels[l];
@@ -797,52 +867,73 @@ impl WaveletMatrix {
     ) {
         assert!(r1.0 <= r1.1 && r1.1 <= self.len);
         assert!(r2.0 <= r2.1 && r2.1 <= self.len);
+        struct Intersect<'a>(
+            &'a WaveletMatrix,
+            (usize, usize),
+            (usize, usize),
+            (u64, usize),
+            &'a mut Vec<IntersectionHit>,
+        );
+        impl PopcntKernel for Intersect<'_> {
+            type Output = ();
+            #[inline(always)]
+            fn run(self) {
+                let Intersect(wm, r1, r2, bounds, out) = self;
+                wm.intersect(r1, r2, bounds, out)
+            }
+        }
         out.clear();
         if r1.0 < r1.1 && r2.0 < r2.1 {
-            let bounds = (from, cap);
-            self.intersect_rec(0, 0, (0, r1.0, r1.1), (0, r2.0, r2.1), bounds, out);
+            with_popcnt(Intersect(self, r1, r2, (from, cap), out));
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn intersect_rec(
+    /// [`Self::range_intersect_from`] of two non-empty ranges: depth
+    /// first, left child first, off a stack as [`Self::guided_traverse`]
+    /// walks.
+    #[inline(always)]
+    fn intersect(
         &self,
-        level: usize,
-        prefix: u64,
-        t1: (usize, usize, usize),
-        t2: (usize, usize, usize),
+        r1: (usize, usize),
+        r2: (usize, usize),
         (from, cap): (u64, usize),
         out: &mut Vec<IntersectionHit>,
     ) {
-        // The node's symbols are `[prefix·2^span, (prefix + 1)·2^span)`.
-        let span = self.width - level;
-        if out.len() >= cap || (u128::from(prefix) + 1) << span <= u128::from(from) {
-            return;
-        }
-        if level == self.width {
-            out.push((
-                prefix,
-                (t1.1 - t1.0, t1.2 - t1.0),
-                (t2.1 - t2.0, t2.2 - t2.0),
-            ));
-            return;
-        }
-        let lvl = &self.levels[level];
-        let z = self.zeros[level];
-        let map0 = |t: (usize, usize, usize)| (lvl.rank0(t.0), lvl.rank0(t.1), lvl.rank0(t.2));
-        let l1 = map0(t1);
-        let l2 = map0(t2);
-        let bounds = (from, cap);
-        if l1.2 > l1.1 && l2.2 > l2.1 {
-            self.intersect_rec(level + 1, prefix << 1, l1, l2, bounds, out);
-        }
-        let map1 = |t: (usize, usize, usize), l: (usize, usize, usize)| {
-            (z + (t.0 - l.0), z + (t.1 - l.1), z + (t.2 - l.2))
-        };
-        let h1 = map1(t1, l1);
-        let h2 = map1(t2, l2);
-        if h1.2 > h1.1 && h2.2 > h2.1 {
-            self.intersect_rec(level + 1, (prefix << 1) | 1, h1, h2, bounds, out);
+        // `(level, prefix, t1, t2)`: a node and, per range, the start of
+        // the node's interval and the range restricted to it.
+        let mut stack = Vec::with_capacity(self.width + 1);
+        stack.push((0, 0, (0, r1.0, r1.1), (0, r2.0, r2.1)));
+        while let Some((level, prefix, t1, t2)) = stack.pop() {
+            if out.len() >= cap {
+                return;
+            }
+            // The node's symbols are `[prefix·2^span, (prefix + 1)·2^span)`.
+            let span = self.width - level;
+            if (u128::from(prefix) + 1) << span <= u128::from(from) {
+                continue;
+            }
+            if level == self.width {
+                out.push((
+                    prefix,
+                    (t1.1 - t1.0, t1.2 - t1.0),
+                    (t2.1 - t2.0, t2.2 - t2.0),
+                ));
+                continue;
+            }
+            let lvl = &self.levels[level];
+            let z = self.zeros[level];
+            let l1 = (lvl.rank0(t1.0), lvl.rank0(t1.1), lvl.rank0(t1.2));
+            let l2 = (lvl.rank0(t2.0), lvl.rank0(t2.1), lvl.rank0(t2.2));
+            let map1 = |t: (usize, usize, usize), l: (usize, usize, usize)| {
+                (z + (t.0 - l.0), z + (t.1 - l.1), z + (t.2 - l.2))
+            };
+            let (h1, h2) = (map1(t1, l1), map1(t2, l2));
+            if h1.2 > h1.1 && h2.2 > h2.1 {
+                stack.push((level + 1, (prefix << 1) | 1, h1, h2));
+            }
+            if l1.2 > l1.1 && l2.2 > l2.1 {
+                stack.push((level + 1, prefix << 1, l1, l2));
+            }
         }
     }
 

@@ -812,6 +812,22 @@ fn stats_prints_the_space_claim() {
     }
 }
 
+/// `stats` names the copy of the batched rank kernels this CPU runs.
+#[test]
+fn stats_names_the_popcount_kernels() {
+    let index = tmpdir("stats_kernels").join("metro.rpqm");
+    build_metro(&index, &[]);
+    let out = cli().arg("stats").arg(&index).output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    let expected = if ring_rpq::succinct::hardware_popcount() {
+        "kernels:             popcount: hardware (popcnt, detected at run time)"
+    } else {
+        "kernels:             popcount: portable"
+    };
+    assert!(text.lines().any(|l| l == expected), "{expected}\n{text}");
+}
+
 /// Indexes in formats this build no longer reads, as earlier builds wrote
 /// them from `data/metro.nt`: a stream-format file and a version-2
 /// `RRPQM01` one (a dictionary of two `u64` arrays around every name, and a
