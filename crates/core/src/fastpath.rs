@@ -15,8 +15,10 @@ use automata::Label;
 use ring::Id;
 use std::time::Instant;
 
+use crate::kernel::nanos;
 use crate::pairbuf::PairBuffer;
-use crate::query::{EngineOptions, QueryOutput, Term};
+use crate::profile::{PhaseTimes, QueryProfile};
+use crate::query::{EngineOptions, QueryOutput, Term, TraversalStats};
 use crate::step::{step_label, ChunkExpansion, CommonWalk, StepSource};
 
 /// Midpoints/subjects stepped through the index per batch: the backward
@@ -96,6 +98,7 @@ pub(crate) fn evaluate<S: StepSource + ?Sized>(
         node_budget: opts.node_budget.map_or(usize::MAX, |nb| nb as usize),
         deadline,
         fan_out: (threads > 1).then(|| (threads - 1, opts.parallel_min_frontier.max(2))),
+        phases: opts.profile.then(PhaseTimes::default),
         ..Sink::default()
     };
     // The buffers the anchored forms step in.
@@ -117,11 +120,20 @@ pub(crate) fn evaluate<S: StepSource + ?Sized>(
     let mut out = QueryOutput::default();
     sink.settle();
     let distinct = sink.buf.distinct_len() as u64;
-    out.stats.reported = distinct;
-    out.stats.product_nodes = distinct;
-    out.stats.parallel_levels = sink.par_levels;
-    out.stats.parallel_chunks = sink.par_chunks;
-    out.stats.pair_compactions = sink.buf.compactions();
+    out.stats = TraversalStats {
+        reported: distinct,
+        product_nodes: distinct,
+        parallel_levels: sink.par_levels,
+        parallel_chunks: sink.par_chunks,
+        pair_compactions: sink.buf.compactions(),
+        ..sink.work
+    };
+    out.profile = sink.phases.map(|phases| {
+        Box::new(QueryProfile {
+            phases,
+            ..QueryProfile::default()
+        })
+    });
     out.truncated = sink.truncated;
     out.timed_out = sink.timed_out;
     out.budget_exhausted = sink.budget_exhausted;
@@ -137,6 +149,8 @@ struct Batch {
     y: ChunkExpansion,
     /// The batch's `(s, o)` pairs, item by item.
     pairs: Vec<(Id, Id)>,
+    /// Nanoseconds the batch took, when the query is profiled.
+    ns: u64,
 }
 
 /// Result collector: a [`PairBuffer`] (sorted-vec dedup, no hashing on
@@ -162,9 +176,52 @@ struct Sink {
     par_chunks: u64,
     /// The buffers sweeps step their batches in, kept from one to the next.
     batches: Vec<Batch>,
+    /// What the steps, listings and intersections did: their
+    /// `rank_ops`, `rank_ops_saved` and `wavelet_nodes`.
+    work: TraversalStats,
+    /// Where the time went, when the query is profiled: the listings and
+    /// intersections are the joins' part one, the steps their part two.
+    phases: Option<PhaseTimes>,
 }
 
 impl Sink {
+    /// The clock, read only when the query is profiled.
+    fn clock(&self) -> Option<Instant> {
+        self.phases.is_some().then(Instant::now)
+    }
+
+    /// Counts a listing or intersection begun at `since` that took
+    /// `ranks` rank computations.
+    fn listed(&mut self, since: Option<Instant>, ranks: u64) {
+        self.work.rank_ops += ranks;
+        if let (Some(t), Some(phases)) = (since, self.phases.as_mut()) {
+            phases.part_one_ns += nanos(t.elapsed());
+        }
+    }
+
+    /// Counts what a step did in `x`, `ns` nanoseconds of it.
+    fn stepped(&mut self, x: &ChunkExpansion, ns: u64) {
+        self.work.rank_ops += x.rank_ops;
+        self.work.rank_ops_saved += x.rank_ops_saved;
+        self.work.wavelet_nodes += x.wavelet_nodes;
+        if let Some(phases) = self.phases.as_mut() {
+            phases.part_two_ns += ns;
+        }
+    }
+
+    /// [`step_label`], counted.
+    fn step<S: StepSource + ?Sized>(
+        &mut self,
+        src: &S,
+        p: Label,
+        nodes: &[(Id, u64)],
+        x: &mut ChunkExpansion,
+    ) {
+        let t = self.clock();
+        step_label(src, p, nodes, x);
+        self.stepped(x, t.map_or(0, |t| nanos(t.elapsed())));
+    }
+
     fn push(&mut self, pair: (Id, Id)) {
         if self.at_budget {
             // Only a pair that would *grow* the set exhausts the budget;
@@ -241,8 +298,14 @@ impl Sink {
             STEP_BATCH,
             extra,
             &mut batches,
-            |_, chunk, batch: &mut Batch| pairs_of(chunk, batch),
+            |sink, chunk, batch: &mut Batch| {
+                let t = sink.clock();
+                pairs_of(chunk, batch);
+                batch.ns = t.map_or(0, |t| nanos(t.elapsed()));
+            },
             |sink, batch| {
+                sink.stepped(&batch.x, batch.ns);
+                sink.stepped(&batch.y, 0);
                 if sink.full() {
                     return false;
                 }
@@ -281,13 +344,13 @@ fn single<S: StepSource + ?Sized>(
             }
         }
         (Term::Var, Term::Const(o)) => {
-            step_label(src, p, &[(o, 1)], x);
+            sink.step(src, p, &[(o, 1)], x);
             for &s in &x.subjects {
                 sink.push((s, o));
             }
         }
         (Term::Const(s), Term::Var) => {
-            step_label(src, pi, &[(s, 1)], x);
+            sink.step(src, pi, &[(s, 1)], x);
             for &o in &x.subjects {
                 sink.push((s, o));
             }
@@ -302,8 +365,9 @@ fn single<S: StepSource + ?Sized>(
             // its pairs are handed on subject by subject, so that a limit
             // reached inside a batch keeps the smallest pairs whatever
             // the batch boundaries are.
-            let mut subjects = Vec::new();
-            src.label_subjects(p, sink.limit.saturating_add(1), &mut subjects);
+            let (t, mut subjects) = (sink.clock(), Vec::new());
+            let ranks = src.label_subjects(p, sink.limit.saturating_add(1), &mut subjects);
+            sink.listed(t, ranks);
             sink.sweep(&as_items(&subjects), |chunk, batch| {
                 step_label(src, pi, chunk, &mut batch.x);
                 batch.pairs.clear();
@@ -339,7 +403,9 @@ fn concat2<S: StepSource + ?Sized>(
             // filled stops asking for more.
             let (mut walk, mut mids) = (CommonWalk::new(p1i, p2), Vec::new());
             loop {
-                src.common_subjects(&mut walk, STEP_BATCH, &mut mids);
+                let t = sink.clock();
+                let ranks = src.common_subjects(&mut walk, STEP_BATCH, &mut mids);
+                sink.listed(t, ranks);
                 if mids.is_empty() {
                     return;
                 }
@@ -362,7 +428,7 @@ fn concat2<S: StepSource + ?Sized>(
         (Term::Const(s), Term::Var) => through(src, s, p1i, p2i, |o| (s, o), sink, x),
         (Term::Var, Term::Const(o)) => through(src, o, p2, p1, |s| (s, o), sink, x),
         (Term::Const(s), Term::Const(o)) => {
-            step_label(src, p1i, &[(s, 1)], x);
+            sink.step(src, p1i, &[(s, 1)], x);
             if x.subjects.iter().any(|&z| src.has_edge(z, p2, o)) {
                 sink.push((s, o));
             }
@@ -384,13 +450,13 @@ fn through<S: StepSource + ?Sized>(
     sink: &mut Sink,
     x: &mut ChunkExpansion,
 ) {
-    step_label(src, to_mids, &[(near, 1)], x);
+    sink.step(src, to_mids, &[(near, 1)], x);
     let mids = as_items(&x.subjects);
     for chunk in mids.chunks(STEP_BATCH) {
         if sink.full() {
             return;
         }
-        step_label(src, onward, chunk, x);
+        sink.step(src, onward, chunk, x);
         x.subjects.sort_unstable();
         for &far in &x.subjects {
             sink.push(pair_of(far));

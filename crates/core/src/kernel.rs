@@ -488,6 +488,8 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
                     let mut done = 0;
                     loop {
                         let t = replay.clock();
+                        // (`rank_ops` counts the steps': a listing's
+                        // ranks are left out on every source.)
                         src.label_subjects(label, cap, &mut listed);
                         replay.charge(t, |phases| &mut phases.part_two_ns);
                         if done == 0 && !listed.is_empty() {
@@ -583,7 +585,7 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
 }
 
 /// A duration in whole nanoseconds.
-fn nanos(d: std::time::Duration) -> u64 {
+pub(crate) fn nanos(d: std::time::Duration) -> u64 {
     d.as_nanos().try_into().unwrap_or(u64::MAX)
 }
 

@@ -47,8 +47,9 @@ pub struct LevelSample {
 /// against the live visited table, and `order_ns` puts each BFS level in
 /// node order. Parts one and two of a level fanned across intra-query
 /// threads are timed on the thread that expanded them, so there the sum
-/// is CPU time and may exceed the wall time it was spent in. All zero on
-/// routes without a traversal (the §5 fast paths, the fallback).
+/// is CPU time and may exceed the wall time it was spent in. The §5 fast
+/// paths charge their label listings and intersections to part one and
+/// their steps to part two; the fallback leaves all four zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Part one: the labels firing into each chunk, ns.

@@ -27,7 +27,25 @@ use ring::store::StoreSnapshot;
 use ring::{Id, Ring};
 use succinct::util::{BitSet, EpochArray};
 
-use crate::step::{ChunkExpansion, Firing, Hit, Range, StepSource};
+use succinct::wavelet_matrix::IntersectionHit;
+
+use crate::step::{list_from, ChunkExpansion, CommonWalk, Firing, Hit, Range, StepSource};
+
+/// The fewest subjects a layered listing takes at a time when what it
+/// takes can be dropped — tombstoned subjects, or subjects of one label
+/// the other label lacks ([`next_batch`]).
+const LIST_BATCH: usize = 16;
+
+/// The next batch of a listing that kept `kept` of the `listed` subjects
+/// it took so far and still wants `missing`: twice what the rate it kept
+/// them at says is needed, and at least [`LIST_BATCH`]; twice the last
+/// `batch` while it has kept none.
+fn next_batch(batch: usize, listed: usize, kept: usize, missing: usize) -> usize {
+    if kept == 0 {
+        return batch.saturating_mul(2);
+    }
+    (missing.saturating_mul(2).saturating_mul(listed) / kept).max(LIST_BATCH)
+}
 
 /// One shard of a horizontally partitioned source: its sub-ring plus a
 /// relaxed probe counter (how many gather primitives actually consulted
@@ -147,16 +165,18 @@ impl ShardSet {
         self.live.len() as Id
     }
 
-    /// Gathers into `out` the first `cap` subjects of `p`-edges, ascending.
-    /// Every owner lists ascending — so none has to list more than `cap`
-    /// — and only an answer drawn from several shards is merged.
-    fn gather(&self, p: Id, cap: usize, out: &mut Vec<Id>) {
-        let (mut answered, mut listed) = (0, Vec::new());
+    /// Replaces `out` with the first `cap` subjects of `p`-edges from
+    /// `from` on, ascending. Every owner lists from `from` ascending — so
+    /// none has to list more than `cap` — and only an answer drawn from
+    /// several shards is merged. Returns the listings' rank computations.
+    fn gather(&self, p: Id, from: Id, cap: usize, out: &mut Vec<Id>) -> u64 {
+        out.clear();
+        let (mut answered, mut ranks) = (0, 0);
         for i in self.owners(p) {
             self.parts[i].note_probe();
-            self.parts[i].ring.label_subjects(p, cap, &mut listed);
-            answered += usize::from(!listed.is_empty());
-            out.append(&mut listed);
+            let before = out.len();
+            ranks += list_from(&self.parts[i].ring, p, from, cap, out);
+            answered += usize::from(out.len() > before);
         }
         if answered > 1 {
             // A subject can source `p` edges in several shards
@@ -167,7 +187,137 @@ impl ShardSet {
             out.dedup();
             out.truncate(cap);
         }
+        ranks
     }
+
+    /// Replaces `out` with the first `cap` nodes from `from` on that are
+    /// subjects of an `a`-edge in some shard and of a `b`-edge in some
+    /// shard: both labels gathered from where the walk stands, in growing
+    /// batches, and intersected as far as both gathers reach. Returns the
+    /// rank computations.
+    fn common(&self, (a, b): (Id, Id), from: Id, cap: usize, out: &mut Vec<Id>) -> u64 {
+        let (mut at, mut batch, mut ranks) = (from, cap.max(LIST_BATCH), 0);
+        let (mut of_a, mut of_b) = (Vec::new(), Vec::new());
+        loop {
+            ranks += self.gather(a, at, batch, &mut of_a) + self.gather(b, at, batch, &mut of_b);
+            // A gather cut at the batch is whole up to its last subject.
+            let whole_to = [&of_a, &of_b]
+                .into_iter()
+                .filter(|list| list.len() == batch)
+                .filter_map(|list| list.last().copied())
+                .min();
+            let upto = whole_to.unwrap_or(Id::MAX);
+            let (mut i, mut j) = (0, 0);
+            while i < of_a.len() && j < of_b.len() && of_a[i] <= upto && out.len() < cap {
+                match of_a[i].cmp(&of_b[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        out.push(of_a[i]);
+                        (i, j) = (i + 1, j + 1);
+                    }
+                }
+            }
+            match whole_to {
+                Some(last) if out.len() < cap => (at, batch) = (last + 1, batch.saturating_mul(2)),
+                _ => return ranks,
+            }
+        }
+    }
+}
+
+/// Keeps the elements of `v[start..]` that `keep` holds, in order.
+fn retain_from(v: &mut Vec<Id>, start: usize, mut keep: impl FnMut(Id) -> bool) {
+    let mut kept = start;
+    for at in start..v.len() {
+        if keep(v[at]) {
+            v[kept] = v[at];
+            kept += 1;
+        }
+    }
+    v.truncate(kept);
+}
+
+/// Drops the repeats of the ascending `v[start..]`.
+fn dedup_from(v: &mut Vec<Id>, start: usize) {
+    let mut last = None;
+    retain_from(v, start, |s| last.replace(s) != Some(s));
+}
+
+/// Merges the ascending, distinct `more` into the ascending, distinct
+/// `v`, once each.
+fn merge_into(v: &mut Vec<Id>, more: &[Id]) {
+    if more.is_empty() {
+        return;
+    }
+    let old = std::mem::take(v);
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < more.len() {
+        let (a, b) = (old[i], more[j]);
+        v.push(a.min(b));
+        i += usize::from(a <= b);
+        j += usize::from(b <= a);
+    }
+    v.extend_from_slice(&old[i..]);
+    v.extend_from_slice(&more[j..]);
+}
+
+/// What a delta holds of one label: the subjects of its added edges,
+/// ascending and distinct, and those of its tombstoned edges, ascending,
+/// a subject once per tombstone.
+struct LabelDelta {
+    adds: Vec<Id>,
+    dels: Vec<Id>,
+}
+
+impl LabelDelta {
+    fn of(delta: &DeltaIndex, p: Id) -> Self {
+        let (mut adds, mut dels) = (Vec::new(), Vec::new());
+        delta.added_sources(p, &mut adds);
+        delta.deleted_sources(p, &mut dels);
+        Self { adds, dels }
+    }
+
+    /// The tombstones of `s`'s edges.
+    fn deleted(&self, s: Id) -> usize {
+        let from = self.dels.partition_point(|&d| d < s);
+        self.dels[from..].partition_point(|&d| d == s)
+    }
+
+    /// Whether `s`, the subject of `ring_edges` ring edges of the label,
+    /// has a live one.
+    fn live(&self, s: Id, ring_edges: usize) -> bool {
+        ring_edges > self.deleted(s) || self.adds.binary_search(&s).is_ok()
+    }
+}
+
+/// The first `cap` nodes from `from` on that are subjects of both an
+/// `a`-edge and a `b`-edge of `ring`, each with its rank range in both
+/// labels' blocks — §5's intersection of two blocks of `L_s`
+/// (`WaveletMatrix::range_intersect_from`). Returns its rank
+/// computations.
+fn intersect_from(
+    ring: &Ring,
+    (a, b): (Id, Id),
+    from: Id,
+    cap: usize,
+    hits: &mut Vec<IntersectionHit>,
+) -> u64 {
+    let blocks = (ring.pred_range(a), ring.pred_range(b));
+    ring.l_s()
+        .range_intersect_from(blocks.0, blocks.1, from, cap, hits) as u64
+}
+
+/// How many edges of the block `(b, e)` of `ring`'s `L_s` have the
+/// subject `s`, and the rank computations counting them took: both ends
+/// and the node start they share, per level.
+fn edges_in(ring: &Ring, s: Id, (b, e): (usize, usize)) -> (usize, u64) {
+    if s >= ring.n_nodes() {
+        return (0, 0);
+    }
+    let mut ends = [b, e];
+    ring.l_s().rank_batch(s, &mut ends);
+    (ends[1] - ends[0], 3 * ring.l_s().width() as u64)
 }
 
 impl Deref for ShardSet {
@@ -443,39 +593,152 @@ impl<'a> MergedView<'a> {
 
     /// Replaces `out` with the first `cap` distinct subjects that have at
     /// least one live edge labeled `p`, ascending (a ring subject whose
-    /// every `p`-edge is tombstoned is excluded) — listed at their cost
-    /// and not the label's, unless the delta holds tombstones of `p`,
-    /// which can take any listed subject away again.
-    pub fn first_subjects_of_pred(&self, p: Id, cap: usize, out: &mut Vec<Id>) {
+    /// every `p`-edge is tombstoned is excluded), listed at their cost
+    /// and not the label's; returns the listing's rank computations.
+    pub fn first_subjects_of_pred(&self, p: Id, cap: usize, out: &mut Vec<Id>) -> u64 {
         out.clear();
-        if let Some(set) = self.shards {
-            return set.gather(p, cap, out);
+        if cap == 0 {
+            return 0;
         }
-        let tombstoned = self.delta.is_some_and(|d| d.del_count_label(p) > 0);
-        let ring_cap = if tombstoned { usize::MAX } else { cap };
-        self.ring.label_subjects(p, ring_cap, out);
-        if let Some(d) = self.delta {
-            if tombstoned {
-                let (b, e) = self.ring.pred_range(p);
-                out.retain(|&s| {
-                    // Cheap delta probe first: only tombstoned subjects
-                    // pay the two wavelet ranks.
-                    let deleted = d.del_count_from(s, p);
-                    if deleted == 0 {
-                        return true;
+        match (self.shards, self.delta) {
+            (Some(set), _) => set.gather(p, 0, cap, out),
+            (None, None) => list_from(self.ring, p, 0, cap, out),
+            (None, Some(delta)) => self.live_subjects(delta, p, cap, out),
+        }
+    }
+
+    /// [`Self::first_subjects_of_pred`] under a delta: the ring's subjects
+    /// in growing batches, each whose every `p`-edge is tombstoned
+    /// dropped (its ring edges counted by rank), until `cap` are live or
+    /// the label runs out; then the adds merged in.
+    fn live_subjects(&self, delta: &DeltaIndex, p: Id, cap: usize, out: &mut Vec<Id>) -> u64 {
+        let label = LabelDelta::of(delta, p);
+        let mut ranks = 0;
+        if label.dels.is_empty() {
+            ranks += list_from(self.ring, p, 0, cap, out);
+        } else {
+            let block = self.ring.pred_range(p);
+            let (mut from, mut batch, mut listed) = (0, cap.max(LIST_BATCH), Vec::new());
+            let mut taken = 0;
+            loop {
+                listed.clear();
+                ranks += list_from(self.ring, p, from, batch, &mut listed);
+                taken += listed.len();
+                for &s in &listed {
+                    let deleted = label.deleted(s);
+                    if deleted > 0 {
+                        let (edges, took) = edges_in(self.ring, s, block);
+                        ranks += took;
+                        if edges <= deleted {
+                            continue;
+                        }
                     }
-                    let ring_count = self.ring.l_s().rank(s, e) - self.ring.l_s().rank(s, b);
-                    ring_count > deleted
-                });
+                    out.push(s);
+                }
+                match listed.last() {
+                    Some(&last) if listed.len() == batch && out.len() < cap => {
+                        from = last + 1;
+                        batch = next_batch(batch, taken, out.len(), cap - out.len());
+                    }
+                    _ => break,
+                }
             }
-            let ring_len = out.len();
-            d.added_sources(p, out);
-            if out.len() > ring_len {
-                out.sort_unstable();
-                out.dedup();
-            }
-            out.truncate(cap);
         }
+        merge_into(out, &label.adds);
+        out.truncate(cap);
+        ranks
+    }
+
+    /// Replaces `out` with the first `cap` nodes from `from` on that are
+    /// subjects of both a live `a`-edge and a live `b`-edge, ascending —
+    /// found no further than the batch on every source; returns the rank
+    /// computations that took.
+    pub fn common_subjects_from(
+        &self,
+        labels: (Id, Id),
+        from: Id,
+        cap: usize,
+        out: &mut Vec<Id>,
+    ) -> u64 {
+        out.clear();
+        if cap == 0 {
+            return 0;
+        }
+        match (self.shards, self.delta) {
+            (Some(set), _) => set.common(labels, from, cap, out),
+            (None, None) => {
+                let mut hits = Vec::new();
+                let ranks = intersect_from(self.ring, labels, from, cap, &mut hits);
+                out.extend(hits.iter().map(|hit| hit.0));
+                ranks
+            }
+            (None, Some(delta)) => self.live_common(delta, labels, from, cap, out),
+        }
+    }
+
+    /// [`Self::common_subjects_from`] under a delta: the ring's common
+    /// subjects in growing batches, each kept while it has a live edge of
+    /// both labels (the intersection counts its ring edges of each), then
+    /// the subjects an add gives one label, checked against the other.
+    fn live_common(
+        &self,
+        delta: &DeltaIndex,
+        (a, b): (Id, Id),
+        from: Id,
+        cap: usize,
+        out: &mut Vec<Id>,
+    ) -> u64 {
+        let (of_a, of_b) = (LabelDelta::of(delta, a), LabelDelta::of(delta, b));
+        let (mut at, mut batch, mut hits, mut ranks) = (from, cap.max(LIST_BATCH), Vec::new(), 0);
+        let mut taken = 0;
+        loop {
+            ranks += intersect_from(self.ring, (a, b), at, batch, &mut hits);
+            taken += hits.len();
+            for &(s, (ab, ae), (bb, be)) in &hits {
+                if of_a.live(s, ae - ab) && of_b.live(s, be - bb) {
+                    out.push(s);
+                }
+            }
+            match hits.last() {
+                Some(&(last, ..)) if hits.len() == batch && out.len() < cap => {
+                    at = last + 1;
+                    batch = next_batch(batch, taken, out.len(), cap - out.len());
+                }
+                _ => break,
+            }
+        }
+        // Past the `cap`-th common subject of the ring nothing is wanted.
+        let bound = out.get(cap - 1).copied().unwrap_or(Id::MAX);
+        let mut added = Vec::new();
+        let sides = [
+            (&of_a, &of_b, self.ring.pred_range(b)),
+            (&of_b, &of_a, self.ring.pred_range(a)),
+        ];
+        for (this, other, other_block) in sides {
+            let wanted = this.adds.iter().skip_while(|&&s| s < from);
+            for &s in wanted.take_while(|&&s| s < bound) {
+                // Counted by rank only if neither the ring's intersection
+                // nor the other label's adds already settled it.
+                if out.binary_search(&s).is_ok() {
+                    continue;
+                }
+                let edges = if other.adds.binary_search(&s).is_ok() {
+                    0
+                } else {
+                    let (edges, took) = edges_in(self.ring, s, other_block);
+                    ranks += took;
+                    edges
+                };
+                if other.live(s, edges) {
+                    added.push(s);
+                }
+            }
+        }
+        added.sort_unstable();
+        added.dedup();
+        merge_into(out, &added);
+        out.truncate(cap);
+        ranks
     }
 }
 
@@ -494,9 +757,14 @@ pub(crate) struct LayeredWork {
     ranges: Vec<(u32, u32, Range)>,
     /// Subjects part one listed itself.
     listed: Vec<Id>,
-    /// Part two's answers of every part, and the adds: `(work item,
-    /// subject)` (node ids fit 32 bits).
-    found: Vec<(u32, u32)>,
+    /// `(item, label, tombstones)` of every `(item, label)` the delta
+    /// holds tombstoned edges into.
+    deleted: Vec<(u32, Label, usize)>,
+    /// Part two's answers of each part: its subjects and, per work item,
+    /// where they end (no ends where the part holds no range).
+    runs: Vec<(Vec<Id>, Vec<usize>)>,
+    /// The tombstoned subjects of one work item.
+    tombstoned: Vec<Id>,
 }
 
 impl LayeredWork {
@@ -504,14 +772,25 @@ impl LayeredWork {
         self.keys.clear();
         self.ranges.clear();
         self.listed.clear();
+        self.deleted.clear();
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
+        let runs: usize = self
+            .runs
+            .iter()
+            .map(|(subjects, ends)| {
+                subjects.capacity() * size_of::<Id>() + ends.capacity() * size_of::<usize>()
+            })
+            .sum();
         self.keys.capacity() * size_of::<(Id, Label, bool)>()
             + self.ranges.capacity() * size_of::<(u32, u32, Range)>()
             + self.listed.capacity() * size_of::<Id>()
-            + self.found.capacity() * size_of::<(u32, u32)>()
+            + self.deleted.capacity() * size_of::<(u32, Label, usize)>()
+            + self.runs.capacity() * size_of::<(Vec<Id>, Vec<usize>)>()
+            + runs
+            + self.tombstoned.capacity() * size_of::<Id>()
     }
 }
 
@@ -537,12 +816,21 @@ impl StepSource for MergedView<'_> {
         MergedView::has_edge(self, s, p, o)
     }
 
-    fn label_subjects(&self, p: Label, cap: usize, out: &mut Vec<Id>) {
+    fn label_subjects(&self, p: Label, cap: usize, out: &mut Vec<Id>) -> u64 {
         self.first_subjects_of_pred(p, cap, out)
     }
 
-    /// One batched backward step per firing label and owner, then the
-    /// hits regrouped item by item and the owners' ranges of one `(item,
+    fn common_subjects(&self, walk: &mut CommonWalk, cap: usize, out: &mut Vec<Id>) -> u64 {
+        let ranks = self.common_subjects_from(walk.labels, walk.from, cap, out);
+        walk.passed(out);
+        ranks
+    }
+
+    /// One batched backward step per firing label and owner, and the
+    /// delta's adds and tombstones into the items, read with one forward
+    /// cursor per label (a chunk's items ascend by node: a level is put in
+    /// node order, and a join steps ascending batches); then the hits
+    /// regrouped item by item and the owners' ranges of one `(item,
     /// label)` folded into one work item.
     fn fire(&self, firing: &Firing<'_>, chunk: &[(Id, u64)], x: &mut ChunkExpansion) {
         x.begin();
@@ -559,12 +847,15 @@ impl StepSource for MergedView<'_> {
                     x.step_hits((i as u32, &set[i].ring), (label, bmask), chunk)
                 }),
             }
+            let firing_from = || {
+                let items = chunk.iter().enumerate();
+                items.filter(move |(_, it)| it.1 & bmask != 0)
+            };
             if let Some(delta) = adds {
-                let listed = &mut x.layered.listed;
-                let firing_from = chunk.iter().enumerate().filter(|(_, it)| it.1 & bmask != 0);
-                for (item, &(o, d)) in firing_from {
+                let (mut into, listed) = (delta.added_into_cursor(label), &mut x.layered.listed);
+                for (item, &(o, d)) in firing_from() {
                     let before = listed.len();
-                    delta.added_into(o, label, listed);
+                    listed.extend(into.seek(o));
                     if listed.len() > before {
                         x.hits.push(Hit {
                             item: item as u32,
@@ -576,24 +867,39 @@ impl StepSource for MergedView<'_> {
                     }
                 }
             }
+            if let Some(delta) = dels {
+                let mut into = delta.deleted_into_cursor(label);
+                for (item, &(o, _)) in firing_from() {
+                    let tombstones = into.seek(o).len();
+                    if tombstones > 0 {
+                        x.layered.deleted.push((item as u32, label, tombstones));
+                    }
+                }
+            }
         }
 
         // The hits arrived label by label; the stable sort leaves each
-        // item's label by label still, a label's owner by owner.
+        // item's label by label still, a label's owner by owner. The
+        // tombstone counts, few, are put in the same order.
         x.hits.sort_by_key(|hit| hit.item);
+        x.layered.deleted.sort_unstable();
+        let mut tombstones = x.layered.deleted.iter().peekable();
         let mut hits = x.hits.iter().peekable();
         for (item, &(o, _)) in chunk.iter().enumerate() {
             while let Some(&&first) = hits.peek().filter(|hit| hit.item as usize == item) {
                 let (work, first_range) = (x.work_d.len() as u32, x.layered.ranges.len());
                 let mut edges = 0;
-                let same = |hit: &&Hit| (hit.item, hit.label) == (first.item, first.label);
-                while let Some(hit) = hits.next_if(same) {
+                let key = (first.item, first.label);
+                while let Some(hit) = hits.next_if(|hit| (hit.item, hit.label) == key) {
                     edges += (hit.range.1 - hit.range.0) as usize;
                     x.layered.ranges.push((hit.part, work, hit.range));
                 }
                 // Tombstones are of ring edges, adds are not in the ring:
                 // the work item stands while live edges remain.
-                let deleted = dels.map_or(0, |d| d.del_count_into(o, first.label));
+                while tombstones.next_if(|del| (del.0, del.1) < key).is_some() {}
+                let deleted = tombstones
+                    .next_if(|del| (del.0, del.1) == key)
+                    .map_or(0, |del| del.2);
                 if edges > deleted {
                     x.work_d.push(firing.back(first.d));
                     x.layered.keys.push((o, first.label, deleted > 0));
@@ -606,69 +912,74 @@ impl StepSource for MergedView<'_> {
     }
 
     /// Part two in each part that holds ranges, as on a bare ring (one
-    /// batched access of its `L_s`); the answers of several parts, and a
-    /// delta's adds, are merged by `(work item, subject)`.
+    /// batched access of its `L_s`); then work item by work item, the
+    /// parts' runs and the adds' run — each ascending — are laid out,
+    /// merged only where more than one answered, and filtered against
+    /// the work item's tombstones.
     fn subjects(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion) {
         let n_work = x.work_d.len();
-        let narrow = |s: Id| u32::try_from(s).expect("node ids fit 32 bits");
-        let mut found = std::mem::take(&mut x.layered.found);
-        found.clear();
-        // Whether `found` holds more than one sorted run.
-        let (mut swept, mut merge) = (false, false);
-        for part in 0..self.shards.map_or(1, |set| set.len()) as u32 {
+        let mut runs = std::mem::take(&mut x.layered.runs);
+        runs.resize_with(self.shards.map_or(1, |set| set.len()), Default::default);
+        for (part, run) in runs.iter_mut().enumerate() {
             x.ranges.clear();
             x.ranges.resize(n_work, (0, 0));
             let mut any = false;
             for &(of, work, range) in &x.layered.ranges {
-                if of == part && x.work_d[work as usize] != 0 {
+                if of == part as u32 && x.work_d[work as usize] != 0 {
                     x.ranges[work as usize] = range;
                     any = true;
                 }
             }
+            run.1.clear();
             if any {
-                let ring = self
-                    .shards
-                    .map_or(self.ring, |set| &set[part as usize].ring);
+                let ring = self.shards.map_or(self.ring, |set| &set[part].ring);
                 x.access_subjects(ring.l_s(), visited);
-                if !x.subjects.is_empty() {
-                    merge |= swept;
-                    swept = true;
-                }
-                found.extend(x.work_subjects().map(|(work, s)| (work, narrow(s))));
+                std::mem::swap(&mut x.subjects, &mut run.0);
+                std::mem::swap(&mut x.work_end, &mut run.1);
             }
-        }
-        let keys = &x.layered.keys;
-        if let Some(delta) = self.delta.filter(|_| keys.iter().any(|key| key.2)) {
-            found.retain(|&(work, s)| match keys[work as usize] {
-                (_, _, false) => true,
-                (o, p, true) => !delta.del_contains(Id::from(s), p, o),
-            });
-        }
-        for &(part, work, (b, e)) in &x.layered.ranges {
-            if part == LISTED && x.work_d[work as usize] != 0 {
-                // (Not read against `visited`: the replay's leaf filter is
-                // exact, and a delta's adds are few.)
-                let listed = &x.layered.listed[b as usize..e as usize];
-                found.extend(listed.iter().map(|&s| (work, narrow(s))));
-                merge = true;
-            }
-        }
-        if merge {
-            // A subject can source the label in several shards, or in the
-            // ring and the adds both.
-            found.sort_unstable();
-            found.dedup();
         }
         x.subjects.clear();
         x.work_end.clear();
-        let mut next = found.iter().peekable();
-        for work in 0..n_work as u32 {
-            while let Some(&(_, s)) = next.next_if(|found| found.0 == work) {
-                x.subjects.push(Id::from(s));
+        let mut listed = x
+            .layered
+            .ranges
+            .iter()
+            .filter(|range| range.0 == LISTED)
+            .peekable();
+        for work in 0..n_work {
+            let start = x.subjects.len();
+            let mut answered = 0;
+            for (subjects, ends) in runs.iter().filter(|run| !run.1.is_empty()) {
+                let run = &subjects[work.checked_sub(1).map_or(0, |w| ends[w])..ends[work]];
+                answered += usize::from(!run.is_empty());
+                x.subjects.extend_from_slice(run);
+            }
+            while let Some(&(_, _, (b, e))) = listed.next_if(|range| range.1 as usize == work) {
+                // (Not read against `visited`: the replay's leaf filter is
+                // exact, and a delta's adds are few.)
+                if x.work_d[work] != 0 {
+                    x.subjects
+                        .extend_from_slice(&x.layered.listed[b as usize..e as usize]);
+                    answered += 1;
+                }
+            }
+            if answered > 1 {
+                // A subject can source the label in several shards, or in
+                // the ring and the adds both.
+                x.subjects[start..].sort_unstable();
+                dedup_from(&mut x.subjects, start);
+            }
+            if let (Some(delta), (o, p, true)) = (self.delta, x.layered.keys[work]) {
+                let tombstoned = &mut x.layered.tombstoned;
+                tombstoned.clear();
+                delta.deleted_into(o, p, tombstoned);
+                retain_from(&mut x.subjects, start, |s| {
+                    tombstoned.binary_search(&s).is_err()
+                });
             }
             x.work_end.push(x.subjects.len());
         }
-        x.layered.found = found;
+        x.layered.runs = runs;
     }
 }
 

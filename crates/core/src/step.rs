@@ -25,7 +25,7 @@ use std::mem::size_of;
 use automata::{BitParallel, Label};
 use ring::{Id, Ring};
 use succinct::util::EpochArray;
-use succinct::wavelet_matrix::{MultiRangeGuide, MultiTraversal};
+use succinct::wavelet_matrix::{MultiRangeGuide, MultiTraversal, RangeGuide};
 use succinct::WaveletMatrix;
 
 /// Which labels fire from which states: what part one is asked with.
@@ -221,18 +221,6 @@ impl ChunkExpansion {
         }
     }
 
-    /// `(work item, subject)` of every subject, work item after work item.
-    pub(crate) fn work_subjects(&self) -> impl Iterator<Item = (u32, Id)> + '_ {
-        let mut begin = 0;
-        self.work_end
-            .iter()
-            .enumerate()
-            .flat_map(move |(work, &end)| {
-                let subjects = &self.subjects[std::mem::replace(&mut begin, end)..end];
-                subjects.iter().map(move |&s| (work as u32, s))
-            })
-    }
-
     pub(crate) fn heap_bytes(&self) -> usize {
         self.mt.size_bytes()
             + self.ranges.capacity() * size_of::<Range>()
@@ -251,12 +239,9 @@ impl ChunkExpansion {
 /// `a`-edge and a live `b`-edge — the midpoints of a `p1/p2` join —
 /// handed out a batch at a time by [`StepSource::common_subjects`].
 pub(crate) struct CommonWalk {
-    labels: (Label, Label),
+    pub(crate) labels: (Label, Label),
     /// Every common subject below this node has been handed out.
-    from: Id,
-    /// The two label lists of a source that does not intersect in place:
-    /// listed once, on the first batch, and merged from `from` on.
-    lists: Option<(Vec<Id>, Vec<Id>)>,
+    pub(crate) from: Id,
 }
 
 impl CommonWalk {
@@ -265,16 +250,58 @@ impl CommonWalk {
         Self {
             labels: (a, b),
             from: 0,
-            lists: None,
         }
     }
 
     /// Marks the batch `out` handed out.
-    fn passed(&mut self, out: &[Id]) {
+    pub(crate) fn passed(&mut self, out: &[Id]) {
         if let Some(&last) = out.last() {
             self.from = last + 1;
         }
     }
+}
+
+/// Appends to `out` the subjects of `ring`'s `p`-edges from `from` on,
+/// ascending, until `cap` are listed: one guided walk of the label's
+/// block of `L_s` that enters no subtree below `from` and stops at the
+/// `cap`-th leaf, so it costs what it lists. Returns its rank
+/// computations, two per node it descends from.
+pub(crate) fn list_from(ring: &Ring, p: Label, from: Id, cap: usize, out: &mut Vec<Id>) -> u64 {
+    struct From<'a> {
+        from: Id,
+        width: usize,
+        left: usize,
+        out: &'a mut Vec<Id>,
+        ranks: u64,
+    }
+    impl RangeGuide for From<'_> {
+        const LEAF_RANKS: bool = false;
+
+        fn enter(&mut self, level: usize, prefix: u64) -> bool {
+            // The node's symbols are `[prefix·2^span, (prefix + 1)·2^span)`.
+            let below = (u128::from(prefix) + 1) << (self.width - level) <= u128::from(self.from);
+            if self.left == 0 || below {
+                return false;
+            }
+            self.ranks += 2 * u64::from(level < self.width);
+            true
+        }
+
+        fn leaf(&mut self, sym: u64, _: usize, _: usize) {
+            self.out.push(sym);
+            self.left -= 1;
+        }
+    }
+    let (b, e) = ring.pred_range(p);
+    let mut guide = From {
+        from,
+        width: ring.l_s().width(),
+        left: cap,
+        out,
+        ranks: 0,
+    };
+    ring.l_s().guided_traverse(b, e, &mut guide);
+    guide.ranks
 }
 
 /// An index the product graph can be searched backwards over, a batch of
@@ -295,35 +322,14 @@ pub(crate) trait StepSource: Sync {
     fn has_edge(&self, s: Id, p: Label, o: Id) -> bool;
 
     /// Replaces `out` with the first `cap` subjects of live `p`-edges,
-    /// listed at their cost where the source can.
-    fn label_subjects(&self, p: Label, cap: usize, out: &mut Vec<Id>);
+    /// ascending, listed at their cost; returns the listing's rank
+    /// computations.
+    fn label_subjects(&self, p: Label, cap: usize, out: &mut Vec<Id>) -> u64;
 
-    /// Replaces `out` with the next `cap` nodes of `walk`, ascending. Both
-    /// label lists are taken once, on the first batch, and merged a batch
-    /// at a time.
-    fn common_subjects(&self, walk: &mut CommonWalk, cap: usize, out: &mut Vec<Id>) {
-        let (a, b) = walk.labels;
-        let (of_a, of_b) = walk.lists.get_or_insert_with(|| {
-            let mut lists = (Vec::new(), Vec::new());
-            self.label_subjects(a, usize::MAX, &mut lists.0);
-            self.label_subjects(b, usize::MAX, &mut lists.1);
-            lists
-        });
-        let from = |list: &[Id]| list.partition_point(|&z| z < walk.from);
-        let (mut i, mut j) = (from(of_a), from(of_b));
-        out.clear();
-        while out.len() < cap && i < of_a.len() && j < of_b.len() {
-            match of_a[i].cmp(&of_b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(of_a[i]);
-                    (i, j) = (i + 1, j + 1);
-                }
-            }
-        }
-        walk.passed(out);
-    }
+    /// Replaces `out` with the next `cap` nodes of `walk`, ascending,
+    /// found from where the walk stands and no further than the batch;
+    /// returns the rank computations that took.
+    fn common_subjects(&self, walk: &mut CommonWalk, cap: usize, out: &mut Vec<Id>) -> u64;
 
     /// Readies `lp_masks` for [`Self::fire`] under `bp`, if part one
     /// reads them.
@@ -373,28 +379,15 @@ impl StepSource for Ring {
         self.contains(s, p, o)
     }
 
-    fn label_subjects(&self, p: Label, cap: usize, out: &mut Vec<Id>) {
+    fn label_subjects(&self, p: Label, cap: usize, out: &mut Vec<Id>) -> u64 {
         out.clear();
-        let (b, e) = self.pred_range(p);
-        if cap > 0 {
-            self.l_s().range_symbols(b, e, &mut |s| {
-                out.push(s);
-                out.len() < cap
-            });
-        }
+        list_from(self, p, 0, cap, out)
     }
 
     /// The paper's intersection algorithm (§5) over the two `L_s` blocks,
     /// from where the walk stands and no further than the batch.
-    fn common_subjects(&self, walk: &mut CommonWalk, cap: usize, out: &mut Vec<Id>) {
-        let (a, b) = walk.labels;
-        let mut hits = Vec::new();
-        let blocks = (self.pred_range(a), self.pred_range(b));
-        self.l_s()
-            .range_intersect_from(blocks.0, blocks.1, walk.from, cap, &mut hits);
-        out.clear();
-        out.extend(hits.iter().map(|hit| hit.0));
-        walk.passed(out);
+    fn common_subjects(&self, walk: &mut CommonWalk, cap: usize, out: &mut Vec<Id>) -> u64 {
+        crate::MergedView::ring_only(self).common_subjects(walk, cap, out)
     }
 
     fn prepare(&self, bp: &BitParallel, lp_masks: &mut EpochArray) {

@@ -136,6 +136,77 @@ fn block1(v: &[Triple], key: fn(&Triple) -> (Id, Id, Id), a: Id) -> &[Triple] {
     &v[lo..hi]
 }
 
+/// The first index at or after `from` whose triple is not `before`, in a
+/// `v` that is `before` up to some point and not after it: a galloping
+/// search, `O(log d)` for an answer `d` places on.
+fn gallop(v: &[Triple], from: usize, before: impl Fn(&Triple) -> bool) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < v.len() && before(&v[hi]) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(v.len());
+    lo + v[lo..hi].partition_point(before)
+}
+
+/// A forward cursor over the `(·, p, o)` blocks of one side of a delta,
+/// for one completed-alphabet label `p`: asked for objects in ascending
+/// order, as a batch of nodes sorted by id asks, each lookup gallops on
+/// from where the one before ended instead of searching the whole side.
+/// An object below the last one asked restarts from the front.
+#[derive(Clone, Debug)]
+pub struct IntoCursor<'a> {
+    /// The `pos` array for a canonical label, the `spo` array for an
+    /// inverse one (whose `(·, p̂, o)` edges are the canonical `(o, p, ·)`).
+    side: &'a [Triple],
+    /// The canonical label.
+    p: Id,
+    inverse: bool,
+    /// Where the block of the last object asked ends.
+    at: usize,
+}
+
+impl<'a> IntoCursor<'a> {
+    fn new(pos: &'a [Triple], spo: &'a [Triple], base: Id, p: Id) -> Self {
+        let inverse = p >= base;
+        Self {
+            side: if inverse { spo } else { pos },
+            p: if inverse { p - base } else { p },
+            inverse,
+            at: 0,
+        }
+    }
+
+    /// The block's two leading key components, in the side's order.
+    fn key(&self, t: &Triple) -> (Id, Id) {
+        if self.inverse {
+            (t.s, t.p)
+        } else {
+            (t.p, t.o)
+        }
+    }
+
+    /// The subjects of the edges `(·, p, o)`, ascending.
+    pub fn seek(&mut self, o: Id) -> impl ExactSizeIterator<Item = Id> + 'a {
+        let want = if self.inverse {
+            (o, self.p)
+        } else {
+            (self.p, o)
+        };
+        if self.at > 0 && self.key(&self.side[self.at - 1]) >= want {
+            self.at = 0;
+        }
+        let lo = gallop(self.side, self.at, |t| self.key(t) < want);
+        let hi = gallop(self.side, lo, |t| self.key(t) <= want);
+        self.at = hi;
+        let inverse = self.inverse;
+        self.side[lo..hi]
+            .iter()
+            .map(move |t| if inverse { t.o } else { t.s })
+    }
+}
+
 impl DeltaIndex {
     /// An empty delta over the given base alphabet.
     pub fn empty(n_preds_base: Id) -> Self {
@@ -279,59 +350,54 @@ impl DeltaIndex {
         self.dels_spo.binary_search(&self.canon(s, p, o)).is_ok()
     }
 
-    /// Pushes the subjects of added completed-alphabet edges `(s, p, o)`
-    /// into `out`, in ascending order without duplicates — the delta
-    /// counterpart of one ring backward step by predicate.
-    pub fn added_into(&self, o: Id, p: Id, out: &mut Vec<Id>) {
-        Self::into_side(&self.adds_pos, &self.adds_spo, self.n_preds_base, o, p, out);
+    /// The subjects of the added completed-alphabet edges `(s, p, o)`, the
+    /// delta counterpart of ring backward steps by predicate, for objects
+    /// asked in ascending order. Canonical `(·, p, o)` edges are a `(p,
+    /// o)` block of the pos order, subjects ascending; inverse `(x, p̂, o)`
+    /// ones are the canonical `(o, p, x)`, an `(o, p)` block of the spo
+    /// order, objects ascending.
+    pub fn added_into_cursor(&self, p: Id) -> IntoCursor<'_> {
+        IntoCursor::new(&self.adds_pos, &self.adds_spo, self.n_preds_base, p)
     }
 
-    /// Like [`Self::added_into`], over the tombstones.
+    /// Like [`Self::added_into_cursor`], over the tombstones.
+    pub fn deleted_into_cursor(&self, p: Id) -> IntoCursor<'_> {
+        IntoCursor::new(&self.dels_pos, &self.dels_spo, self.n_preds_base, p)
+    }
+
+    /// Pushes the subjects of tombstoned completed-alphabet edges `(s, p,
+    /// o)` into `out`, in ascending order without duplicates.
     pub fn deleted_into(&self, o: Id, p: Id, out: &mut Vec<Id>) {
-        Self::into_side(&self.dels_pos, &self.dels_spo, self.n_preds_base, o, p, out);
+        out.extend(self.deleted_into_cursor(p).seek(o));
     }
 
-    fn into_side(pos: &[Triple], spo: &[Triple], base: Id, o: Id, p: Id, out: &mut Vec<Id>) {
-        if p < base {
-            // Canonical `(·, p, o)`: a `(p, o)` block of the pos order,
-            // subjects ascending (each triple is distinct, so subjects
-            // within one block are too).
-            out.extend(block2(pos, Triple::pos_key, p, o).iter().map(|t| t.s));
+    /// Pushes the subjects of completed-alphabet edges labeled `p` of one
+    /// side (its pos order) into `out`, ascending, once per edge.
+    fn sources(&self, pos: &[Triple], p: Id, out: &mut Vec<Id>) {
+        let before = out.len();
+        if p < self.n_preds_base {
+            out.extend(block1(pos, Triple::pos_key, p).iter().map(|t| t.s));
+            out[before..].sort_unstable();
         } else {
-            // Inverse `(x, p̂, o)` ⟺ canonical `(o, p, x)`: the `(o, p)`
-            // prefix of o's spo block, objects ascending.
-            out.extend(
-                block2(spo, Triple::spo_key, o, p - base)
-                    .iter()
-                    .map(|t| t.o),
-            );
+            // Subjects of p̂ are the canonical objects of p, ascending in
+            // the pos order already.
+            let canonical = p - self.n_preds_base;
+            out.extend(block1(pos, Triple::pos_key, canonical).iter().map(|t| t.o));
         }
     }
 
     /// Pushes the distinct subjects of added completed-alphabet edges
     /// labeled `p` into `out` (ascending).
     pub fn added_sources(&self, p: Id, out: &mut Vec<Id>) {
-        if p < self.n_preds_base {
-            let before = out.len();
-            out.extend(
-                block1(&self.adds_pos, Triple::pos_key, p)
-                    .iter()
-                    .map(|t| t.s),
-            );
-            out[before..].sort_unstable();
-            out.dedup();
-        } else {
-            // Subjects of p̂ are the canonical objects of p, ascending in
-            // the pos order already.
-            let before = out.len();
-            out.extend(
-                block1(&self.adds_pos, Triple::pos_key, p - self.n_preds_base)
-                    .iter()
-                    .map(|t| t.o),
-            );
-            out[before..].sort_unstable();
-            out.dedup();
-        }
+        self.sources(&self.adds_pos, p, out);
+        out.dedup();
+    }
+
+    /// Pushes the subjects of tombstoned completed-alphabet edges labeled
+    /// `p` into `out`, ascending, a subject once per tombstone: how many
+    /// of its `p`-edges a ring subject lost.
+    pub fn deleted_sources(&self, p: Id, out: &mut Vec<Id>) {
+        self.sources(&self.dels_pos, p, out);
     }
 
     /// Number of added edges with the completed-alphabet label `p`
@@ -373,17 +439,6 @@ impl DeltaIndex {
         }
     }
 
-    /// Number of tombstoned completed-alphabet edges `(s, p, ·)` — the
-    /// count that decides whether a ring subject still has a live
-    /// `p`-edge.
-    pub fn del_count_from(&self, s: Id, p: Id) -> usize {
-        if p < self.n_preds_base {
-            block2(&self.dels_spo, Triple::spo_key, s, p).len()
-        } else {
-            block2(&self.dels_pos, Triple::pos_key, p - self.n_preds_base, s).len()
-        }
-    }
-
     /// Completed-graph incidence the adds contribute at node `v` (as a
     /// subject of the completed graph: canonical out-edges plus canonical
     /// in-edges).
@@ -398,9 +453,18 @@ impl DeltaIndex {
             + block1(&self.dels_osp, Triple::osp_key, v).len()
     }
 
-    /// Heap bytes of the six sorted orders.
+    /// Bytes of the six sorted orders: three hold every add, three every
+    /// tombstone.
     pub fn size_bytes(&self) -> usize {
-        6 * self.len() * std::mem::size_of::<Triple>()
+        let orders = [
+            &self.adds_spo,
+            &self.adds_pos,
+            &self.adds_osp,
+            &self.dels_spo,
+            &self.dels_pos,
+            &self.dels_osp,
+        ];
+        orders.iter().map(|order| order.len()).sum::<usize>() * std::mem::size_of::<Triple>()
     }
 }
 
@@ -438,14 +502,19 @@ mod tests {
     #[test]
     fn into_and_source_enumeration() {
         let d = sample();
-        let mut out = Vec::new();
-        d.added_into(2, 1, &mut out);
-        assert_eq!(out, vec![0]);
-        out.clear();
+        let into = |cursor: &mut IntoCursor<'_>, o: Id| cursor.seek(o).collect::<Vec<_>>();
+        let mut adds = d.added_into_cursor(1);
+        assert_eq!(into(&mut adds, 2), vec![0]);
+        assert_eq!(into(&mut adds, 3), vec![0]);
+        assert_eq!(into(&mut adds, 9), vec![]);
+        // Asked back: the cursor starts over.
+        assert_eq!(into(&mut adds, 2), vec![0]);
         // Inverse direction: edges (x, ^1, 0) ⟺ canonical (0, 1, x).
-        d.added_into(0, 4, &mut out);
-        assert_eq!(out, vec![2, 3]);
-        out.clear();
+        let mut inverse = d.added_into_cursor(4);
+        assert_eq!(into(&mut inverse, 0), vec![2, 3]);
+        assert_eq!(into(&mut inverse, 5), vec![]);
+        assert_eq!(into(&mut d.deleted_into_cursor(1), 2), vec![1]);
+        let mut out = Vec::new();
         d.deleted_into(2, 1, &mut out);
         assert_eq!(out, vec![1]);
         out.clear();
@@ -454,14 +523,53 @@ mod tests {
         out.clear();
         d.added_sources(4, &mut out); // subjects of ^1 = objects of 1
         assert_eq!(out, vec![2, 3]);
+        out.clear();
+        d.deleted_sources(1, &mut out);
+        assert_eq!(out, vec![1]);
+        out.clear();
+        // (0, ^0, ·) edges are canonical (·, 0, 0): the tombstone (2,0,0).
+        d.deleted_sources(3, &mut out);
+        assert_eq!(out, vec![0]);
         assert_eq!(d.add_count_label(1), 2);
         assert_eq!(d.add_count_label(4), 2);
         assert_eq!(d.del_count_label(0), 1);
         assert_eq!(d.add_count_into(2, 1), 1);
-        assert_eq!(d.del_count_from(1, 1), 1);
-        // (0, ^0, ·) edges are canonical (·, 0, 0): the tombstone (2,0,0).
-        assert_eq!(d.del_count_from(0, 3), 1);
-        assert_eq!(d.del_count_from(2, 3), 0);
+    }
+
+    /// Forward cursors answer what a search of the whole side answers, for
+    /// objects asked ascending (with gaps and repeats) and asked back.
+    #[test]
+    fn cursors_answer_what_a_search_answers() {
+        let triples: Vec<Triple> = (0..400u64)
+            .map(|i| t((i * 37) % 61, i % 3, (i * 11) % 53))
+            .collect();
+        let d = DeltaIndex::new(triples.clone(), vec![], 3);
+        for p in 0..6 {
+            let searched = |o: Id| -> Vec<Id> {
+                let mut want: Vec<Id> = triples
+                    .iter()
+                    .filter_map(|x| match p < 3 {
+                        true => (x.p == p && x.o == o).then_some(x.s),
+                        false => (x.p == p - 3 && x.s == o).then_some(x.o),
+                    })
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                want
+            };
+            let mut cursor = d.added_into_cursor(p);
+            for o in (0..70).chain([3, 3, 60, 1]) {
+                assert_eq!(cursor.seek(o).collect::<Vec<_>>(), searched(o), "{p} {o}");
+            }
+        }
+    }
+
+    #[test]
+    fn size_counts_each_order_once() {
+        // Four adds and two tombstones, three orders each, 24 B a triple.
+        assert_eq!(std::mem::size_of::<Triple>(), 24);
+        assert_eq!(sample().size_bytes(), 18 * 24);
+        assert_eq!(DeltaIndex::empty(3).size_bytes(), 0);
     }
 
     #[test]

@@ -856,7 +856,9 @@ impl WaveletMatrix {
     /// whose symbols all lie below `from` is not entered, and the
     /// traversal ends at the `cap`-th hit — so walking an intersection a
     /// batch at a time, each batch from one past the last, costs what the
-    /// batches hold and `O(log σ)` more per batch.
+    /// batches hold and `O(log σ)` more per batch. Returns the rank
+    /// computations it took: six per node it descends from (the node
+    /// start and both ends of each range).
     pub fn range_intersect_from(
         &self,
         r1: (usize, usize),
@@ -864,7 +866,7 @@ impl WaveletMatrix {
         from: u64,
         cap: usize,
         out: &mut Vec<IntersectionHit>,
-    ) {
+    ) -> usize {
         assert!(r1.0 <= r1.1 && r1.1 <= self.len);
         assert!(r2.0 <= r2.1 && r2.1 <= self.len);
         struct Intersect<'a>(
@@ -875,16 +877,18 @@ impl WaveletMatrix {
             &'a mut Vec<IntersectionHit>,
         );
         impl PopcntKernel for Intersect<'_> {
-            type Output = ();
+            type Output = usize;
             #[inline(always)]
-            fn run(self) {
+            fn run(self) -> usize {
                 let Intersect(wm, r1, r2, bounds, out) = self;
                 wm.intersect(r1, r2, bounds, out)
             }
         }
         out.clear();
         if r1.0 < r1.1 && r2.0 < r2.1 {
-            with_popcnt(Intersect(self, r1, r2, (from, cap), out));
+            with_popcnt(Intersect(self, r1, r2, (from, cap), out))
+        } else {
+            0
         }
     }
 
@@ -898,14 +902,15 @@ impl WaveletMatrix {
         r2: (usize, usize),
         (from, cap): (u64, usize),
         out: &mut Vec<IntersectionHit>,
-    ) {
+    ) -> usize {
         // `(level, prefix, t1, t2)`: a node and, per range, the start of
         // the node's interval and the range restricted to it.
         let mut stack = Vec::with_capacity(self.width + 1);
         stack.push((0, 0, (0, r1.0, r1.1), (0, r2.0, r2.1)));
+        let mut ranks = 0;
         while let Some((level, prefix, t1, t2)) = stack.pop() {
             if out.len() >= cap {
-                return;
+                return ranks;
             }
             // The node's symbols are `[prefix·2^span, (prefix + 1)·2^span)`.
             let span = self.width - level;
@@ -924,6 +929,7 @@ impl WaveletMatrix {
             let z = self.zeros[level];
             let l1 = (lvl.rank0(t1.0), lvl.rank0(t1.1), lvl.rank0(t1.2));
             let l2 = (lvl.rank0(t2.0), lvl.rank0(t2.1), lvl.rank0(t2.2));
+            ranks += 6;
             let map1 = |t: (usize, usize, usize), l: (usize, usize, usize)| {
                 (z + (t.0 - l.0), z + (t.1 - l.1), z + (t.2 - l.2))
             };
@@ -935,6 +941,7 @@ impl WaveletMatrix {
                 stack.push((level + 1, prefix << 1, l1, l2));
             }
         }
+        ranks
     }
 
     /// The smallest symbol `>= x` in `[b, e)`, with rank offsets, or `None`.
