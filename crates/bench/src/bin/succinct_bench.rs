@@ -5,7 +5,7 @@
 //! in-bench reimplementation of the pre-interleaving **binary-search
 //! select** so the speedup is measured, not asserted), wavelet
 //! `guided_traverse` per-range vs the frontier-batched
-//! `guided_traverse_multi` at several frontier widths, the batched
+//! `MultiTraversal::run` at several frontier widths, the batched
 //! `access_batch` part two runs over narrow ranges (in batches of
 //! several widths, and one wide batch of ascending and of shuffled
 //! ranges), and the batched backward-step rank. Distributions: dense/sparse/clustered synthetic

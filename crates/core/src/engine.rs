@@ -2,7 +2,7 @@
 
 use ring::delta::DeltaIndex;
 use ring::Ring;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::kernel::{self, Traversal};
 use crate::plan::{EvalRoute, PreparedQuery};
@@ -119,12 +119,6 @@ impl<'r> RpqEngine<'r> {
         query: &RpqQuery,
         opts: &EngineOptions,
     ) -> Result<QueryOutput, QueryError> {
-        // Checked again by evaluate_prepared, but compilation itself
-        // reverses the expression through `inverse_label`, which needs the
-        // completed alphabet.
-        if !self.view.ring.has_inverses() {
-            return Err(QueryError::InversesRequired);
-        }
         let plan = PreparedQuery::compile(
             &query.expr,
             &|l| self.view.ring.inverse_label(l),
@@ -153,9 +147,6 @@ impl<'r> RpqEngine<'r> {
     ) -> Result<QueryOutput, QueryError> {
         let view = self.view;
         let (ring, delta, shards) = (view.ring, view.delta, view.shards);
-        if !ring.has_inverses() {
-            return Err(QueryError::InversesRequired);
-        }
         for t in [subject, object] {
             if let Term::Const(c) = t {
                 if c >= view.n_nodes() {
@@ -273,22 +264,4 @@ impl<'r> RpqEngine<'r> {
             }
         }
     }
-}
-
-/// Convenience: evaluate one query with default options.
-pub fn evaluate_query(ring: &Ring, query: &RpqQuery) -> Result<QueryOutput, QueryError> {
-    RpqEngine::new(ring).evaluate(query, &EngineOptions::default())
-}
-
-/// Convenience: evaluate with a timeout.
-pub fn evaluate_with_timeout(
-    ring: &Ring,
-    query: &RpqQuery,
-    timeout: Duration,
-) -> Result<QueryOutput, QueryError> {
-    let opts = EngineOptions {
-        timeout: Some(timeout),
-        ..EngineOptions::default()
-    };
-    RpqEngine::new(ring).evaluate(query, &opts)
 }

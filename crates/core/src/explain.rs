@@ -71,9 +71,6 @@ pub fn explain_with(
     opts: &EngineOptions,
 ) -> Result<QueryPlan, QueryError> {
     let ring = source.ring();
-    if !ring.has_inverses() {
-        return Err(QueryError::InversesRequired);
-    }
     let n_nodes = source
         .shard_parts()
         .iter()
@@ -102,7 +99,7 @@ pub fn explain_with(
 /// (delta overlays and shard parts feed the same statistics the engine
 /// plans with). Endpoint validity is the caller's responsibility here;
 /// the string entry points check it.
-pub fn explain_prepared(
+fn explain_prepared(
     source: &(impl TripleSource + ?Sized),
     prepared: &PreparedQuery,
     subject: Term,

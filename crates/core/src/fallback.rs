@@ -171,15 +171,10 @@ fn forward_bfs(
     }
 }
 
-/// Whether an expression needs the fallback (more positions than the
-/// bit-parallel word holds).
-pub fn needs_fallback(expr: &Regex) -> bool {
-    needs_fallback_fused(&expr.fuse_classes())
-}
-
-/// The same test on an already class-fused expression — the single
-/// definition of the word-width regime boundary (`PreparedQuery` reuses
-/// it on the fused form it builds anyway).
+/// Whether a class-fused expression needs the fallback (more positions
+/// than the bit-parallel word holds) — the single definition of the
+/// word-width regime boundary (`PreparedQuery` applies it to the fused
+/// form it builds anyway).
 pub fn needs_fallback_fused(fused: &Regex) -> bool {
     fused.literal_count() > 63
 }
@@ -202,6 +197,10 @@ mod tests {
             e = Regex::concat(e, Regex::label(0));
         }
         e
+    }
+
+    fn needs_fallback(expr: &Regex) -> bool {
+        needs_fallback_fused(&expr.fuse_classes())
     }
 
     #[test]

@@ -83,8 +83,6 @@ pub enum QueryError {
     Automaton(automata::AutomatonError),
     /// A constant term is outside the graph's node universe.
     NodeOutOfRange(ring::Id),
-    /// The query needs inverse edges but the ring was built without them.
-    InversesRequired,
     /// The evaluation machinery itself failed (a panicked batch worker,
     /// a poisoned engine) — not a property of the query. The payload is
     /// a human-readable diagnostic.
@@ -96,9 +94,6 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::Automaton(e) => write!(f, "automaton construction failed: {e}"),
             QueryError::NodeOutOfRange(id) => write!(f, "node id {id} out of range"),
-            QueryError::InversesRequired => {
-                write!(f, "query requires a ring built with inverse edges")
-            }
             QueryError::Internal(msg) => write!(f, "internal evaluation failure: {msg}"),
         }
     }

@@ -18,8 +18,7 @@ pub struct NaiveOracle {
 
 impl NaiveOracle {
     /// Builds the oracle from the **base** graph (completion with inverse
-    /// labels `p̂ = p + |P|` happens internally, matching
-    /// `Ring::build(.., with_inverses: true)`).
+    /// labels `p̂ = p + |P|` happens internally, as in `Ring::build`).
     pub fn new(base: &Graph) -> Self {
         let completed = base.completed();
         let n_nodes = completed.n_nodes() as usize;

@@ -43,13 +43,6 @@ impl PairBuffer {
         self.pairs.push(pair);
     }
 
-    /// Number of raw pushes currently buffered (an upper bound on the
-    /// distinct count).
-    #[inline]
-    pub fn raw_len(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Sorts and deduplicates: afterwards the buffer holds exactly the
     /// distinct pairs, in order. The sorted prefix from the previous
     /// compaction is merged, not re-sorted.
@@ -171,7 +164,6 @@ mod tests {
         for p in [(3, 1), (1, 2), (3, 1), (0, 0), (1, 2), (9, 9), (0, 0)] {
             b.push(p);
         }
-        assert_eq!(b.raw_len(), 7);
         assert_eq!(b.distinct_len(), 4);
         assert_eq!(b.into_sorted_vec(), vec![(0, 0), (1, 2), (3, 1), (9, 9)]);
     }

@@ -121,7 +121,7 @@ const SPLIT_COST_FACTOR: u64 = 8;
 /// backward expansion: labels whose `B[p]` intersects the accepting
 /// set. Negated-class positions can fire on any label, so they charge
 /// the whole triple count.
-pub fn first_expansion_cost(stats: &RingStatistics<'_>, bp: &BitParallel) -> u64 {
+fn first_expansion_cost(stats: &RingStatistics<'_>, bp: &BitParallel) -> u64 {
     let accept = bp.accept_mask();
     let mut cost: u64 = 0;
     for &(label, mask) in bp.positive_label_masks() {
@@ -140,7 +140,7 @@ pub fn first_expansion_cost(stats: &RingStatistics<'_>, bp: &BitParallel) -> u64
 /// First-expansion cost anchored at `anchor`: edges into the anchor
 /// whose label can fire on the first backward step — one backward-search
 /// range per label (the §4.3 range/degree estimate).
-pub fn anchored_expansion_cost(stats: &RingStatistics<'_>, bp: &BitParallel, anchor: Id) -> u64 {
+fn anchored_expansion_cost(stats: &RingStatistics<'_>, bp: &BitParallel, anchor: Id) -> u64 {
     let accept = bp.accept_mask();
     let mut cost: u64 = 0;
     for &(label, mask) in bp.positive_label_masks() {

@@ -45,15 +45,6 @@ impl RpqQuery {
         }
     }
 
-    /// The paper's pattern taxonomy key (§5, Table 1): `c`/`v` for each
-    /// endpoint, e.g. `(Const, p+, Var)` is a "c-to-v" query.
-    pub fn is_const_to_var(&self) -> bool {
-        matches!(
-            (self.subject, self.object),
-            (Term::Const(_), Term::Var) | (Term::Var, Term::Const(_))
-        )
-    }
-
     /// Whether both endpoints are variables ("v-to-v", 15.3% of the
     /// paper's log).
     pub fn is_var_to_var(&self) -> bool {
@@ -254,12 +245,10 @@ mod tests {
     fn taxonomy_classification() {
         let e = Regex::label(0);
         let q = RpqQuery::new(Term::Const(1), e.clone(), Term::Var);
-        assert!(q.is_const_to_var());
         assert!(!q.is_var_to_var());
         let q = RpqQuery::new(Term::Var, e.clone(), Term::Var);
         assert!(q.is_var_to_var());
         let q = RpqQuery::new(Term::Const(0), e, Term::Const(1));
-        assert!(!q.is_const_to_var());
         assert!(!q.is_var_to_var());
     }
 

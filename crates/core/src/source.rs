@@ -520,7 +520,7 @@ impl<'a> MergedView<'a> {
     }
 
     /// Builds a view over a shard set (whose part 0 must be `ring`).
-    pub fn with_shards(
+    fn with_shards(
         ring: &'a Ring,
         delta: Option<&'a DeltaIndex>,
         shards: Option<&'a ShardSet>,

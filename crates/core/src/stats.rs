@@ -125,32 +125,6 @@ impl<'r> RingStatistics<'r> {
             .sum::<usize>()
     }
 
-    /// Out-degree of `s` (live).
-    pub fn out_degree(&self, s: Id) -> usize {
-        let base = if s < self.ring.n_nodes() {
-            let (b, e) = self.ring.subject_range(s);
-            e - b
-        } else {
-            0
-        };
-        let base = match self.delta {
-            None => base,
-            Some(d) => (base + d.added_incidence(s)).saturating_sub(d.deleted_incidence(s)),
-        };
-        base + self
-            .extra
-            .iter()
-            .map(|part| {
-                if s < part.ring.n_nodes() {
-                    let (b, e) = part.ring.subject_range(s);
-                    e - b
-                } else {
-                    0
-                }
-            })
-            .sum::<usize>()
-    }
-
     /// Number of **distinct** labels on edges arriving at `o`, in
     /// *O*(log |P|) per distinct label (§6's first example statistic).
     /// Summed per shard, so a label arriving at `o` in several shards
@@ -208,17 +182,6 @@ impl<'r> RingStatistics<'r> {
             .sum::<usize>()
     }
 
-    /// Number of edges whose subject lies in the id interval
-    /// `[s_lo, s_hi)` among edges labeled `p` — a 2-D count via
-    /// [`succinct::WaveletMatrix::range_count_within`].
-    pub fn edges_of_pred_from_subject_range(&self, p: Id, s_lo: Id, s_hi: Id) -> usize {
-        let one = |r: &Ring| {
-            let (b, e) = r.pred_range(p);
-            r.l_s().range_count_within(b, e, s_lo, s_hi)
-        };
-        one(self.ring) + self.extra.iter().map(|s| one(&s.ring)).sum::<usize>()
-    }
-
     /// The rarest plain label mentioned by `expr`, with its cardinality —
     /// the split point the rare-label strategy wants (§2, \[30\]).
     pub fn rarest_label(&self, expr: &Regex) -> Option<(Id, usize)> {
@@ -257,7 +220,6 @@ mod tests {
         assert_eq!(s.pred_cardinality(2), 1);
         // Node 2: incoming a, b, b, c plus inverse edges of its out-edge
         // (2 -b-> 2 contributes ^b into 2 as well).
-        assert_eq!(s.out_degree(0), 2);
         assert_eq!(s.in_degree(1), 1 + 1); // a from 0, ^b from 2? no: 1 -b-> 2 gives ^b into 1.
     }
 
@@ -272,16 +234,6 @@ mod tests {
         assert_eq!(s.edges_into(1, 2), 2);
         assert_eq!(s.edges_into(0, 1), 1);
         assert_eq!(s.edges_into(2, 1), 0);
-    }
-
-    #[test]
-    fn subject_range_counts() {
-        let r = ring();
-        let s = RingStatistics::new(&r);
-        // Edges labeled a with subject in [0, 1): both a-edges start at 0.
-        assert_eq!(s.edges_of_pred_from_subject_range(0, 0, 1), 2);
-        assert_eq!(s.edges_of_pred_from_subject_range(0, 1, 4), 0);
-        assert_eq!(s.edges_of_pred_from_subject_range(1, 0, 4), 2);
     }
 
     #[test]

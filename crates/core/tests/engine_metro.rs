@@ -200,20 +200,6 @@ fn errors_are_typed() {
         engine.evaluate(&q, &EngineOptions::default()),
         Err(rpq_core::QueryError::NodeOutOfRange(99))
     ));
-    // Ring without inverses.
-    let no_inv = Ring::build(
-        &metro(),
-        RingOptions {
-            with_inverses: false,
-            ..RingOptions::default()
-        },
-    );
-    let mut engine2 = RpqEngine::new(&no_inv);
-    let q = RpqQuery::new(Term::Var, expr("0"), Term::Var);
-    assert!(matches!(
-        engine2.evaluate(&q, &EngineOptions::default()),
-        Err(rpq_core::QueryError::InversesRequired)
-    ));
     // Oversized expressions (> 63 positions) evaluate through the
     // explicit-state fallback rather than erroring.
     let mut big = String::from("0");

@@ -77,19 +77,6 @@ proptest! {
     }
 
     #[test]
-    fn boundary_kinds_agree(
-        g in arb_graph(),
-        e in arb_regex(),
-    ) {
-        let query = RpqQuery::new(Term::Var, e, Term::Var);
-        let sparse = Ring::build(&g, RingOptions::default());
-        let dense = Ring::build(&g, RingOptions { node_boundaries: ring::ring::BoundaryKind::EliasFano, ..Default::default() });
-        let a = RpqEngine::new(&sparse).evaluate(&query, &Default::default()).unwrap();
-        let b = RpqEngine::new(&dense).evaluate(&query, &Default::default()).unwrap();
-        prop_assert_eq!(a.sorted_pairs(), b.sorted_pairs());
-    }
-
-    #[test]
     fn fallback_matches_oracle(
         g in arb_graph(),
         e in arb_regex(),

@@ -8,7 +8,7 @@
 //! with select (used for the large node alphabet; "C_o is represented
 //! using a plain bitvector").
 
-use succinct::{BitVec, EliasFano, RankSelect, Slab, SpaceUsage};
+use succinct::{BitVec, RankSelect, Slab, SpaceUsage};
 
 use crate::Id;
 
@@ -33,9 +33,6 @@ pub enum Boundaries {
         /// Total number of occurrences.
         n: usize,
     },
-    /// Elias–Fano encoding of the cumulative counts — the most compact
-    /// option for large, duplicate-heavy boundary arrays.
-    EliasFano(EliasFano),
 }
 
 impl Boundaries {
@@ -49,19 +46,6 @@ impl Boundaries {
             c.push(acc);
         }
         Boundaries::Dense(c.into())
-    }
-
-    /// Builds the Elias–Fano representation from per-symbol occurrence
-    /// counts.
-    pub fn elias_fano_from_counts(counts_per_symbol: &[u64]) -> Self {
-        let mut acc = 0u64;
-        let mut cum = Vec::with_capacity(counts_per_symbol.len() + 1);
-        cum.push(0);
-        for &k in counts_per_symbol {
-            acc += k;
-            cum.push(acc);
-        }
-        Boundaries::EliasFano(EliasFano::new(&cum, acc + 1))
     }
 
     /// Builds the succinct representation from per-symbol occurrence counts.
@@ -93,7 +77,6 @@ impl Boundaries {
                     bits.select1(c as usize).expect("symbol in universe") - c as usize
                 }
             }
-            Boundaries::EliasFano(ef) => ef.get(c as usize) as usize,
         }
     }
 
@@ -131,7 +114,6 @@ impl Boundaries {
                 let zero_pos = bits.select0(pos).expect("position within occurrences");
                 (bits.rank1(zero_pos) - 1) as Id
             }
-            Boundaries::EliasFano(ef) => (ef.rank_leq(pos as u64) - 1) as Id,
         }
     }
 
@@ -177,16 +159,6 @@ impl Boundaries {
                     symbol += word.count_ones() as Id;
                 }
             }
-            Boundaries::EliasFano(ef) => {
-                let mut values = ef.iter();
-                let mut prev = values.next().unwrap_or(0);
-                for (c, next) in values.enumerate() {
-                    if next > prev {
-                        f(c as Id);
-                    }
-                    prev = next;
-                }
-            }
         }
     }
 
@@ -195,7 +167,6 @@ impl Boundaries {
         match self {
             Boundaries::Dense(v) => (v.len() - 1) as u64,
             Boundaries::Sparse { universe, .. } => *universe,
-            Boundaries::EliasFano(ef) => (ef.len() - 1) as u64,
         }
     }
 
@@ -204,7 +175,6 @@ impl Boundaries {
         match self {
             Boundaries::Dense(v) => v.size_bytes(),
             Boundaries::Sparse { bits, .. } => bits.size_bytes(),
-            Boundaries::EliasFano(ef) => ef.size_bytes(),
         }
     }
 
@@ -213,7 +183,6 @@ impl Boundaries {
         match self {
             Boundaries::Dense(v) => v.heap_bytes(),
             Boundaries::Sparse { bits, .. } => bits.heap_bytes(),
-            Boundaries::EliasFano(ef) => ef.heap_bytes(),
         }
     }
 }
@@ -246,7 +215,6 @@ mod tests {
     fn check_all(counts: &[u64]) {
         check(&Boundaries::dense_from_counts(counts), counts);
         check(&Boundaries::sparse_from_counts(counts), counts);
-        check(&Boundaries::elias_fano_from_counts(counts), counts);
     }
 
     /// The word-parallel sparse scan across word seams: blocks that start
@@ -289,7 +257,6 @@ mod tests {
                 for b in [
                     Boundaries::dense_from_counts(&counts),
                     Boundaries::sparse_from_counts(&counts),
-                    Boundaries::elias_fano_from_counts(&counts),
                 ] {
                     for c in 0..universe as Id {
                         assert_eq!(
@@ -308,7 +275,6 @@ mod tests {
         let counts = [4u64, 4, 2, 4, 2];
         check(&Boundaries::dense_from_counts(&counts), &counts);
         check(&Boundaries::sparse_from_counts(&counts), &counts);
-        check(&Boundaries::elias_fano_from_counts(&counts), &counts);
     }
 
     #[test]
@@ -316,7 +282,6 @@ mod tests {
         let counts = [0u64, 3, 0, 0, 2, 0];
         check(&Boundaries::dense_from_counts(&counts), &counts);
         check(&Boundaries::sparse_from_counts(&counts), &counts);
-        check(&Boundaries::elias_fano_from_counts(&counts), &counts);
         let b = Boundaries::sparse_from_counts(&counts);
         assert_eq!(b.block(0), (0, 0));
         assert_eq!(b.block(2), (3, 3));

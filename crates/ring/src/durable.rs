@@ -98,7 +98,7 @@ pub fn checksum_error(context: impl Into<String>, expected: u32, actual: u32) ->
 }
 
 /// Builds the [`io::Error`] carrying a [`DurabilityError::TruncatedFile`].
-pub fn truncated_error(context: impl Into<String>) -> io::Error {
+fn truncated_error(context: impl Into<String>) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         DurabilityError::TruncatedFile {

@@ -201,20 +201,6 @@ impl Graph {
         let g = Graph::new(triples, nodes.len() as Id, preds.len() as Id);
         Ok((g, nodes, preds))
     }
-
-    /// Serializes to the text format using the given dictionaries.
-    pub fn to_text(&self, nodes: &Dict, preds: &Dict) -> String {
-        let mut out = String::new();
-        for t in &self.triples {
-            out.push_str(&nodes.name(t.s));
-            out.push(' ');
-            out.push_str(&preds.name(t.p));
-            out.push(' ');
-            out.push_str(&nodes.name(t.o));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +246,18 @@ mod tests {
             preds.get("knows").unwrap(),
             nodes.get("b").unwrap()
         ));
-        let text2 = g.to_text(&nodes, &preds);
+        let text2: String = g
+            .triples()
+            .iter()
+            .map(|t| {
+                format!(
+                    "{} {} {}\n",
+                    nodes.name(t.s),
+                    preds.name(t.p),
+                    nodes.name(t.o)
+                )
+            })
+            .collect();
         let (g2, _, _) = Graph::parse_text(&text2).unwrap();
         assert_eq!(g.triples(), g2.triples());
     }

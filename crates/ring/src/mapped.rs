@@ -8,13 +8,13 @@
 //! │ "RRPQM01\0" │ version u64 │ n_sections u64                   │
 //! │ TOC: (tag u64, offset u64, byte_len u64, crc32c u64) × 8     │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ 1 META    n, n_nodes, n_preds, n_preds_base, has_inverses,   │
-//! │           snapshot epoch                                     │
+//! │ 1 META    n, n_nodes, n_preds, n_preds_base, 1 (the ring is  │
+//! │           completed with inverse edges), snapshot epoch      │
 //! │ 2 L_S     wavelet matrix (subjects in (p,o) order)           │
 //! │ 3 L_P     wavelet matrix (predicates in (o,s) order)         │
-//! │ 4 C_S     boundaries                                         │
-//! │ 5 C_P     boundaries                                         │
-//! │ 6 C_O     boundaries                                         │
+//! │ 4 C_S     boundaries, tag 1 (unary bits)                     │
+//! │ 5 C_P     boundaries, tag 0 (dense words)                    │
+//! │ 6 C_O     boundaries, tag 1 (unary bits)                     │
 //! │ 7 NODES   dictionary (front-coded buckets; see below)        │
 //! │ 8 PREDS   dictionary                                         │
 //! └──────────────────────────────────────────────────────────────┘
@@ -75,7 +75,9 @@
 //!
 //! Versions 1 (no checksums) and 2 (a `NODES` section of two `u64` arrays
 //! around the names, and the unread third-column slot) of this format,
-//! and the stream formats of earlier builds, are refused with
+//! version-3 files that earlier builds wrote with Elias–Fano node
+//! boundaries (boundaries tag 2) or without inverse edges (`META` word
+//! 0), and the stream formats of earlier builds, are refused with
 //! [`io::ErrorKind::Unsupported`] and the command that rebuilds the
 //! index, not read.
 
@@ -84,9 +86,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use succinct::mapped::{
-    err_data, host_supported, read_elias_fano, read_int_vec, read_rank_select, read_wavelet_matrix,
-    write_elias_fano, write_int_vec, write_rank_select, write_wavelet_matrix, MapReader,
-    SectionWriter, MAX_LEN,
+    err_data, host_supported, read_int_vec, read_rank_select, read_wavelet_matrix, write_int_vec,
+    write_rank_select, write_wavelet_matrix, MapReader, SectionWriter, MAX_LEN,
 };
 use succinct::{MappedFile, ResidentMode};
 
@@ -107,6 +108,12 @@ const TAG_C_P: u64 = 5;
 const TAG_C_O: u64 = 6;
 const TAG_NODES: u64 = 7;
 const TAG_PREDS: u64 = 8;
+/// Boundaries tag of a dense array (`C_p`).
+const DENSE: u64 = 0;
+/// Boundaries tag of a unary bit vector (`C_s`, `C_o`).
+const SPARSE: u64 = 1;
+/// Boundaries tag earlier builds wrote for Elias–Fano node boundaries.
+const ELIAS_FANO: u64 = 2;
 /// Number of sections in a `RRPQM01` file.
 pub const N_SECTIONS: usize = 8;
 
@@ -177,26 +184,27 @@ fn section(
 fn write_boundaries<W: Write>(w: &mut SectionWriter<W>, b: &Boundaries) -> io::Result<()> {
     match b {
         Boundaries::Dense(v) => {
-            w.u64(0)?;
+            w.u64(DENSE)?;
             w.u64(v.len() as u64)?;
             w.u64s(v)
         }
         Boundaries::Sparse { bits, universe, n } => {
-            w.u64(1)?;
+            w.u64(SPARSE)?;
             w.u64(*universe)?;
             w.u64(*n as u64)?;
             write_rank_select(w, bits)
         }
-        Boundaries::EliasFano(ef) => {
-            w.u64(2)?;
-            write_elias_fano(w, ef)
-        }
     }
 }
 
-fn read_boundaries(r: &mut MapReader) -> io::Result<Boundaries> {
+/// Reads a boundary array that must be stored under tag `want`.
+fn read_boundaries(r: &mut MapReader, want: u64) -> io::Result<Boundaries> {
     match r.u64()? {
-        0 => {
+        ELIAS_FANO => Err(unsupported_format("RRPQM01 (elias-fano node boundaries)")),
+        t if t != want => Err(err_data(format!(
+            "boundaries tag {t} where tag {want} belongs"
+        ))),
+        DENSE => {
             let n = r.len_u64(MAX_LEN)?;
             let v = r.slab_u64(n)?;
             if v.is_empty() {
@@ -210,7 +218,7 @@ fn read_boundaries(r: &mut MapReader) -> io::Result<Boundaries> {
             }
             Ok(Boundaries::Dense(v))
         }
-        1 => {
+        SPARSE => {
             let universe = r.u64()?;
             let n = r.len_u64(MAX_LEN)?;
             let bits = read_rank_select(r)?;
@@ -221,16 +229,6 @@ fn read_boundaries(r: &mut MapReader) -> io::Result<Boundaries> {
                 return Err(err_data("sparse boundary ones-count mismatch"));
             }
             Ok(Boundaries::Sparse { bits, universe, n })
-        }
-        2 => {
-            let ef = read_elias_fano(r)?;
-            if ef.is_empty() {
-                return Err(err_data("empty elias-fano boundaries"));
-            }
-            if ef.get(0) != 0 {
-                return Err(err_data("boundaries must start at 0"));
-            }
-            Ok(Boundaries::EliasFano(ef))
         }
         t => Err(err_data(format!("unknown boundaries tag {t}"))),
     }
@@ -321,7 +319,8 @@ fn index_sections(
                 w.u64(ring.n_nodes())?;
                 w.u64(ring.n_preds())?;
                 w.u64(ring.n_preds_base())?;
-                w.u64(ring.has_inverses() as u64)?;
+                // Every ring is completed with its inverse edges.
+                w.u64(1)?;
                 if epoch != 0 {
                     w.u64(epoch)?;
                 }
@@ -570,20 +569,19 @@ fn read_section<T>(
 /// Sections `META` and `L_S` to `C_O`: the ring, shape- and
 /// cross-checked, and the snapshot epoch.
 fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<(Ring, u64)> {
-    let (n, n_nodes, n_preds, n_preds_base, has_inverses, epoch) =
-        read_section(map, toc, TAG_META, |meta| {
-            let n = meta.len_u64(MAX_LEN)?;
-            let n_nodes: Id = meta.u64()?;
-            let n_preds: Id = meta.u64()?;
-            let n_preds_base: Id = meta.u64()?;
-            let has_inverses = match meta.u64()? {
-                0 => false,
-                1 => true,
-                _ => return Err(err_data("invalid has_inverses flag")),
-            };
-            let epoch = if meta.remaining() > 0 { meta.u64()? } else { 0 };
-            Ok((n, n_nodes, n_preds, n_preds_base, has_inverses, epoch))
-        })?;
+    let (n, n_nodes, n_preds, n_preds_base, epoch) = read_section(map, toc, TAG_META, |meta| {
+        let n = meta.len_u64(MAX_LEN)?;
+        let n_nodes: Id = meta.u64()?;
+        let n_preds: Id = meta.u64()?;
+        let n_preds_base: Id = meta.u64()?;
+        match meta.u64()? {
+            1 => {}
+            0 => return Err(unsupported_format("RRPQM01 (a ring without inverse edges)")),
+            _ => return Err(err_data("invalid inverse-edges flag")),
+        }
+        let epoch = if meta.remaining() > 0 { meta.u64()? } else { 0 };
+        Ok((n, n_nodes, n_preds, n_preds_base, epoch))
+    })?;
     if n_nodes > MAX_LEN || n_preds > MAX_LEN {
         return Err(err_data("alphabet size out of range"));
     }
@@ -592,15 +590,15 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<(Ring, u64)> {
     } else {
         2 * n_preds_base
     };
-    if has_inverses && n_preds != expected_preds {
+    if n_preds != expected_preds {
         return Err(err_data("inverse alphabet size mismatch"));
     }
 
     let l_s = read_section(map, toc, TAG_L_S, read_wavelet_matrix)?;
     let l_p = read_section(map, toc, TAG_L_P, read_wavelet_matrix)?;
-    let c_s = read_section(map, toc, TAG_C_S, read_boundaries)?;
-    let c_p = read_section(map, toc, TAG_C_P, read_boundaries)?;
-    let c_o = read_section(map, toc, TAG_C_O, read_boundaries)?;
+    let c_s = read_section(map, toc, TAG_C_S, |r| read_boundaries(r, SPARSE))?;
+    let c_p = read_section(map, toc, TAG_C_P, |r| read_boundaries(r, DENSE))?;
+    let c_o = read_section(map, toc, TAG_C_O, |r| read_boundaries(r, SPARSE))?;
 
     // Cross-component consistency: a structurally valid but inconsistent
     // file must not produce out-of-range ids at query time.
@@ -624,18 +622,7 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<(Ring, u64)> {
             return Err(err_data(format!("{name} total mismatch")));
         }
     }
-    let ring = Ring::from_raw_parts(
-        l_s,
-        l_p,
-        c_s,
-        c_p,
-        c_o,
-        n,
-        n_nodes,
-        n_preds,
-        n_preds_base,
-        has_inverses,
-    );
+    let ring = Ring::from_raw_parts(l_s, l_p, c_s, c_p, c_o, n, n_nodes, n_preds, n_preds_base);
     Ok((ring, epoch))
 }
 
@@ -671,4 +658,71 @@ fn read_dicts(
         return Err(err_data("predicate dictionary size mismatch"));
     }
     Ok((nodes, preds))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ring::RingOptions;
+    use crate::{Graph, Triple};
+
+    /// The bytes of a small index, and where its file lives.
+    fn image(name: &str) -> (std::path::PathBuf, Vec<u8>) {
+        let path =
+            std::env::temp_dir().join(format!("rpq_mapped_unit_{name}_{}", std::process::id()));
+        let g = Graph::from_triples(vec![Triple::new(0, 0, 1), Triple::new(1, 1, 2)]);
+        let ring = Ring::build(&g, RingOptions::default());
+        write_index(&path, &ring, &Dict::new(), &Dict::new()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
+    /// `bytes` with the word at `at` of section `tag` set to `value` and
+    /// the section's CRC32C recomputed, opened from `path`.
+    fn open_patched(path: &Path, bytes: &[u8], tag: u64, at: usize, value: u64) -> io::Error {
+        let mut bytes = bytes.to_vec();
+        let entry = 24 + (tag as usize - 1) * 32;
+        let off = u64_at(&bytes, entry + 8) as usize;
+        let len = u64_at(&bytes, entry + 16) as usize;
+        bytes[off + at..off + at + 8].copy_from_slice(&value.to_le_bytes());
+        let crc = succinct::crc32c(&bytes[off..off + len]) as u64;
+        bytes[entry + 24..entry + 32].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+        let err = open_ring(path, OpenMode::Heap).unwrap_err();
+        std::fs::remove_file(path).ok();
+        err
+    }
+
+    /// A `META` inverse-edges word of 0 — a ring earlier builds could
+    /// write without its inverse edges — is refused by name, under a
+    /// valid checksum.
+    #[test]
+    fn a_ring_without_inverse_edges_is_refused() {
+        let (path, bytes) = image("no_inverses");
+        let err = open_patched(&path, &bytes, TAG_META, 32, 0);
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
+        assert!(err.to_string().contains("without inverse edges"), "{err}");
+        assert!(
+            err.to_string().contains("rpq-cli build <graph> <index>"),
+            "{err}"
+        );
+    }
+
+    /// Each boundary array is read only in its own form: a dense tag in
+    /// the `C_s` slot is an error, and the Elias–Fano tag is refused by
+    /// name.
+    #[test]
+    fn boundary_tags_are_read_in_their_slot_only() {
+        let (path, bytes) = image("tags");
+        let err = open_patched(&path, &bytes, TAG_C_S, 0, DENSE);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("where tag 1 belongs"), "{err}");
+        let err = open_patched(&path, &bytes, TAG_C_P, 0, SPARSE);
+        assert!(err.to_string().contains("where tag 0 belongs"), "{err}");
+        for tag in [TAG_C_S, TAG_C_O] {
+            let err = open_patched(&path, &bytes, tag, 0, ELIAS_FANO);
+            assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
+            assert!(err.to_string().contains("elias-fano"), "{err}");
+        }
+    }
 }

@@ -13,40 +13,17 @@ use succinct::{PopcntKernel, SpaceUsage, WaveletMatrix};
 use crate::graph::scatter;
 use crate::{Boundaries, Graph, Id, Triple};
 
-/// Representation of the node boundary arrays `C_s`/`C_o`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BoundaryKind {
-    /// Plain cumulative word array (fastest, `(|V|+1)·8` bytes).
-    Dense,
-    /// Unary bit vector with select (§5 uses this for `C_o`).
-    #[default]
-    Sparse,
-    /// Elias–Fano (most compact for large node sets).
-    EliasFano,
-}
+/// Construction options for [`Ring::build`]: none. Every ring is built
+/// over the graph completed with its inverse edges (§5 "Index
+/// construction"), with a dense `C_p` and unary `C_s`/`C_o` (§5: "`C_p`
+/// is represented as a simple array", "`C_o` … using a plain
+/// bitvector"). The argument stays only because the benchmark driver
+/// passes it; the next change to the driver removes both (ROADMAP item
+/// 1(f)).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RingOptions {}
 
-/// Construction options for [`Ring::build`].
-#[derive(Clone, Copy, Debug)]
-pub struct RingOptions {
-    /// Complete the graph with inverse edges `(o, p̂, s)`, `p̂ = p + |P|`,
-    /// before indexing — required to evaluate 2RPQs (§5 "Index
-    /// construction"). Doubles edges and predicates.
-    pub with_inverses: bool,
-    /// Representation of the node boundary arrays `C_s`/`C_o` (§5 uses a
-    /// plain bitvector for `C_o`; `C_p` is always a dense array).
-    pub node_boundaries: BoundaryKind,
-}
-
-impl Default for RingOptions {
-    fn default() -> Self {
-        Self {
-            with_inverses: true,
-            node_boundaries: BoundaryKind::Sparse,
-        }
-    }
-}
-
-/// The ring index over a (possibly completed) graph.
+/// The ring index over a graph completed with its inverse edges.
 ///
 /// ```
 /// use ring::{Graph, Ring, Triple};
@@ -81,17 +58,16 @@ pub struct Ring {
     c_o: Boundaries,
     n: usize,
     n_nodes: Id,
-    /// Completed predicate alphabet size (2·base when inverses are on).
+    /// Completed predicate alphabet size (2·base).
     n_preds: Id,
     /// Base (non-inverse) predicate count.
     n_preds_base: Id,
-    has_inverses: bool,
 }
 
 /// Where one [`Ring::build_timed`] call spent its time, phase by phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BuildTimings {
-    /// [`Graph::completed`] (0 without inverses).
+    /// [`Graph::completed`].
     pub completed_s: f64,
     /// Counting the symbols and deriving the `osp` and `pos` orders.
     pub order_s: f64,
@@ -110,7 +86,8 @@ pub struct BuildTimings {
 const THREADED_BUILD_MIN_TRIPLES: usize = 1 << 16;
 
 impl Ring {
-    /// Builds the ring for `graph` with the given options.
+    /// Builds the ring for `graph`, completed with its inverse edges
+    /// `(o, p̂, s)`, `p̂ = p + |P|`, so that 2RPQs can be evaluated.
     ///
     /// The paper constructs the BWT with a suffix array; sorting the triple
     /// list in the three circular orders yields the identical columns: row
@@ -129,23 +106,29 @@ impl Ring {
     }
 
     /// [`Self::build`], also reporting where the time went.
-    pub fn build_timed(graph: &Graph, options: RingOptions) -> (Self, BuildTimings) {
-        let n = graph.len() * if options.with_inverses { 2 } else { 1 };
-        Self::build_on(graph, options, n >= THREADED_BUILD_MIN_TRIPLES)
+    pub fn build_timed(graph: &Graph, _options: RingOptions) -> (Self, BuildTimings) {
+        Self::build_on(graph, 2 * graph.len() >= THREADED_BUILD_MIN_TRIPLES)
     }
 
     /// [`Self::build_timed`] with the choice between two threads and the
     /// calling one made by the caller; both give the same ring.
-    fn build_on(graph: &Graph, options: RingOptions, threaded: bool) -> (Self, BuildTimings) {
+    fn build_on(graph: &Graph, threaded: bool) -> (Self, BuildTimings) {
         let started = Instant::now();
-        let completed;
-        let g = if options.with_inverses {
-            completed = graph.completed();
-            &completed
-        } else {
-            graph
-        };
+        let completed = graph.completed();
         let completed_s = started.elapsed().as_secs_f64();
+        let (ring, timings) = Self::index(&completed, graph.n_preds(), threaded);
+        (
+            ring,
+            BuildTimings {
+                completed_s,
+                ..timings
+            },
+        )
+    }
+
+    /// The ring of `g` as it stands — [`Self::build_on`] after the
+    /// completion — with the labels below `n_preds_base` its base ones.
+    fn index(g: &Graph, n_preds_base: Id, threaded: bool) -> (Self, BuildTimings) {
         let n = g.len();
         let n_nodes = g.n_nodes().max(1);
         let n_preds = g.n_preds().max(1);
@@ -180,28 +163,22 @@ impl Ring {
             let wm = WaveletMatrix::from_u32_symbols(symbols, sigma);
             (wm, started.elapsed().as_secs_f64())
         };
-        let bounds = |counts: &[u64], kind: BoundaryKind| {
+        let bounds = |counts: &[u64], build: fn(&[u64]) -> Boundaries| {
             let started = Instant::now();
-            let bounds = match kind {
-                BoundaryKind::Dense => Boundaries::dense_from_counts(counts),
-                BoundaryKind::Sparse => Boundaries::sparse_from_counts(counts),
-                BoundaryKind::EliasFano => Boundaries::elias_fano_from_counts(counts),
-            };
-            (bounds, started.elapsed().as_secs_f64())
+            (build(counts), started.elapsed().as_secs_f64())
         };
-        let nodes = options.node_boundaries;
         // `L_s` has a level per bit of a node id, `L_p` one per bit of a
         // predicate id: the shorter column's thread takes both node
         // boundary arrays.
         let build_l_s = || {
             let (l_s, wavelet_s) = column(l_s_syms, n_nodes);
-            let (c_p, boundaries_s) = bounds(&pred_counts, BoundaryKind::Dense);
+            let (c_p, boundaries_s) = bounds(&pred_counts, Boundaries::dense_from_counts);
             (l_s, c_p, wavelet_s, boundaries_s)
         };
         let build_l_p = || {
             let (l_p, wavelet_s) = column(l_p_syms, n_preds);
-            let (c_o, c_o_s) = bounds(&obj_counts, nodes);
-            let (c_s, c_s_s) = bounds(&subj_counts, nodes);
+            let (c_o, c_o_s) = bounds(&obj_counts, Boundaries::sparse_from_counts);
+            let (c_s, c_s_s) = bounds(&subj_counts, Boundaries::sparse_from_counts);
             (l_p, c_o, c_s, wavelet_s, c_o_s + c_s_s)
         };
         let (s_side, p_side) = if threaded {
@@ -216,7 +193,7 @@ impl Ring {
         let (l_s, c_p, s_wavelet_s, s_boundaries_s) = s_side;
         let (l_p, c_o, c_s, p_wavelet_s, p_boundaries_s) = p_side;
         let timings = BuildTimings {
-            completed_s,
+            completed_s: 0.0,
             order_s,
             wavelet_s: s_wavelet_s + p_wavelet_s,
             boundaries_s: s_boundaries_s + p_boundaries_s,
@@ -231,13 +208,12 @@ impl Ring {
             n,
             n_nodes,
             n_preds,
-            n_preds_base: graph.n_preds(),
-            has_inverses: options.with_inverses,
+            n_preds_base,
         };
         (ring, timings)
     }
 
-    /// Number of indexed triples (after completion, if enabled).
+    /// Number of indexed triples (after completion).
     pub fn n_triples(&self) -> usize {
         self.n
     }
@@ -257,18 +233,9 @@ impl Ring {
         self.n_preds_base
     }
 
-    /// Whether inverse edges are indexed.
-    pub fn has_inverses(&self) -> bool {
-        self.has_inverses
-    }
-
     /// The inversion involution `p ↔ p̂` over the completed alphabet.
-    ///
-    /// # Panics
-    /// Panics if the ring was built without inverses.
     #[inline]
     pub fn inverse_label(&self, p: Id) -> Id {
-        assert!(self.has_inverses, "ring built without inverse edges");
         if p < self.n_preds_base {
             p + self.n_preds_base
         } else {
@@ -326,7 +293,6 @@ impl Ring {
         n_nodes: Id,
         n_preds: Id,
         n_preds_base: Id,
-        has_inverses: bool,
     ) -> Self {
         Self {
             l_s,
@@ -338,7 +304,6 @@ impl Ring {
             n_nodes,
             n_preds,
             n_preds_base,
-            has_inverses,
         }
     }
 
@@ -398,18 +363,6 @@ impl Ring {
         (0, self.n)
     }
 
-    /// The object owning position `i` of `L_p`.
-    #[inline]
-    pub fn object_of_lp_position(&self, i: usize) -> Id {
-        self.c_o.owner(i)
-    }
-
-    /// `C_o[o]` (needed by part three of the traversal, §4.3).
-    #[inline]
-    pub fn c_o_get(&self, o: Id) -> usize {
-        self.c_o.get(o)
-    }
-
     /// Backward-search step by predicate (Eqs. 4–5): maps a range of `L_p`
     /// (triples grouped by object) to the range of `L_s` holding the
     /// subjects of those triples that carry predicate `p`.
@@ -417,28 +370,6 @@ impl Ring {
     pub fn backward_step_by_pred(&self, (b, e): (usize, usize), p: Id) -> (usize, usize) {
         let base = self.c_p.get(p);
         (base + self.l_p.rank(p, b), base + self.l_p.rank(p, e))
-    }
-
-    /// Batched [`Self::backward_step_by_pred`]: maps every range of
-    /// `ranges` (over `L_p`) to its subject range in `L_s` in one pass,
-    /// appending to `out`. All the ranges step by the *same* predicate, so
-    /// the per-level node-start chain of the wavelet rank is shared across
-    /// the batch ([`WaveletMatrix::rank_batch`]) — the LF-walk/backward-step
-    /// helper the batched frontier expansion uses.
-    pub fn backward_step_by_pred_multi(
-        &self,
-        ranges: &[(usize, usize)],
-        p: Id,
-        out: &mut Vec<(usize, usize)>,
-    ) {
-        let base = self.c_p.get(p);
-        let mut pos: Vec<usize> = Vec::with_capacity(ranges.len() * 2);
-        for &(b, e) in ranges {
-            pos.push(b);
-            pos.push(e);
-        }
-        self.l_p.rank_batch(p, &mut pos);
-        out.extend(pos.chunks_exact(2).map(|c| (base + c[0], base + c[1])));
     }
 
     /// Backward-search step by subject: maps a range of `L_s` to the range
@@ -496,7 +427,7 @@ impl Ring {
         // first position of it not yet handed out.
         let bounds: Vec<usize> = (0..=self.n_preds).map(|p| self.c_p.get(p)).collect();
         let mut next = bounds.clone();
-        let kept = if base_only && self.has_inverses {
+        let kept = if base_only {
             self.n_preds_base
         } else {
             self.n_preds
@@ -632,14 +563,9 @@ mod tests {
         )
     }
 
+    /// The fixture is already completed: it is indexed as it stands.
     fn paper_ring() -> Ring {
-        Ring::build(
-            &paper_graph(),
-            RingOptions {
-                with_inverses: false, // the fixture is already completed
-                node_boundaries: BoundaryKind::Sparse,
-            },
-        )
+        Ring::index(&paper_graph(), 5, false).0
     }
 
     /// Fig. 3: the exact contents of the two stored columns (converted to
@@ -668,11 +594,11 @@ mod tests {
         let r = paper_ring();
         // C_o = [0,4,8,10,14,16]
         for (c, expected) in [0usize, 4, 8, 10, 14, 16].into_iter().enumerate() {
-            assert_eq!(r.c_o_get(c as Id), expected, "C_o[{c}]");
+            assert_eq!(r.c_o_ref().get(c as Id), expected, "C_o[{c}]");
         }
         // 0-based: position 15 of L_p.
         assert_eq!(r.l_p().access(15), 2); // l5
-        assert_eq!(r.object_of_lp_position(15), 4); // Baq
+        assert_eq!(r.c_o_ref().owner(15), 4); // Baq
         assert_eq!(r.lf_p(15), 9); // paper: LF_p(16) = 10
         assert_eq!(r.l_s().access(9), 3); // BA
         assert_eq!(r.triple_at_lp(15), Triple::new(3, 2, 4)); // BA --l5--> Baq
@@ -764,7 +690,6 @@ mod tests {
             5,
             5,
             5,
-            false,
         );
         let err = bad.decode_triples(false).unwrap_err();
         assert!(err.contains("more often"), "{err}");
@@ -779,7 +704,6 @@ mod tests {
             5,
             4,
             4,
-            false,
         );
         let err = narrow.decode_triples(false).unwrap_err();
         assert!(err.contains("outside the alphabet"), "{err}");
@@ -796,21 +720,6 @@ mod tests {
         assert_eq!(r.inverse_label(3), 1);
         assert!(r.contains(1, 2, 0));
         assert!(r.contains(2, 3, 1));
-    }
-
-    #[test]
-    fn batched_backward_steps_match_single() {
-        let r = paper_ring();
-        let ranges: Vec<(usize, usize)> = (0..5).map(|o| r.object_range(o)).collect();
-        for p in 0..5 {
-            let mut batched = Vec::new();
-            r.backward_step_by_pred_multi(&ranges, p, &mut batched);
-            let single: Vec<(usize, usize)> = ranges
-                .iter()
-                .map(|&rg| r.backward_step_by_pred(rg, p))
-                .collect();
-            assert_eq!(batched, single, "pred {p}");
-        }
     }
 
     #[test]
@@ -843,22 +752,16 @@ mod tests {
     /// The builder this crate shipped before the counting sorts: the
     /// completion re-sorted, `pos` and `osp` by comparison sorts, the
     /// columns from 64-bit symbols.
-    fn build_reference(graph: &Graph, options: RingOptions) -> Ring {
-        let completed;
-        let g = if options.with_inverses {
-            let np = graph.n_preds();
-            let mut all = graph.triples().to_vec();
-            all.extend(
-                graph
-                    .triples()
-                    .iter()
-                    .map(|t| Triple::new(t.o, t.p + np, t.s)),
-            );
-            completed = Graph::new(all, graph.n_nodes(), np * 2);
-            &completed
-        } else {
+    fn build_reference(graph: &Graph) -> Ring {
+        let np = graph.n_preds();
+        let mut all = graph.triples().to_vec();
+        all.extend(
             graph
-        };
+                .triples()
+                .iter()
+                .map(|t| Triple::new(t.o, t.p + np, t.s)),
+        );
+        let g = Graph::new(all, graph.n_nodes(), np * 2);
         let (n_nodes, n_preds) = (g.n_nodes().max(1), g.n_preds().max(1));
         let spo = g.triples();
         let mut pos = spo.to_vec();
@@ -868,33 +771,28 @@ mod tests {
         let column = |ts: &[Triple], sym: fn(&Triple) -> Id, sigma: Id| {
             WaveletMatrix::new(&ts.iter().map(sym).collect::<Vec<_>>(), sigma)
         };
-        let bounds = |kind: BoundaryKind, universe: Id, sym: fn(&Triple) -> Id| {
+        let bounds = |build: fn(&[u64]) -> Boundaries, universe: Id, sym: fn(&Triple) -> Id| {
             let mut counts = vec![0u64; universe as usize];
             for t in spo {
                 counts[sym(t) as usize] += 1;
             }
-            match kind {
-                BoundaryKind::Dense => Boundaries::dense_from_counts(&counts),
-                BoundaryKind::Sparse => Boundaries::sparse_from_counts(&counts),
-                BoundaryKind::EliasFano => Boundaries::elias_fano_from_counts(&counts),
-            }
+            build(&counts)
         };
         Ring::from_raw_parts(
             column(&pos, |t| t.s, n_nodes),
             column(&osp, |t| t.p, n_preds),
-            bounds(options.node_boundaries, n_nodes, |t| t.s),
-            bounds(BoundaryKind::Dense, n_preds, |t| t.p),
-            bounds(options.node_boundaries, n_nodes, |t| t.o),
+            bounds(Boundaries::sparse_from_counts, n_nodes, |t| t.s),
+            bounds(Boundaries::dense_from_counts, n_preds, |t| t.p),
+            bounds(Boundaries::sparse_from_counts, n_nodes, |t| t.o),
             g.len(),
             n_nodes,
             n_preds,
-            graph.n_preds(),
-            options.with_inverses,
+            np,
         )
     }
 
     /// Threaded or inline, the build writes the file the comparison-sort
-    /// builder wrote, for every boundary kind with and without inverses.
+    /// builder wrote.
     #[test]
     fn every_build_path_saves_the_reference_bytes() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -914,51 +812,35 @@ mod tests {
             Graph::from_triples(vec![]),
         ];
         for (g, graph) in graphs.iter().enumerate() {
-            for kind in [
-                BoundaryKind::Dense,
-                BoundaryKind::Sparse,
-                BoundaryKind::EliasFano,
-            ] {
-                for with_inverses in [false, true] {
-                    let options = RingOptions {
-                        with_inverses,
-                        node_boundaries: kind,
-                    };
-                    let reference = stored_bytes(&build_reference(graph, options));
-                    for threaded in [false, true] {
-                        let (ring, timings) = Ring::build_on(graph, options, threaded);
-                        assert_eq!(timings.threads, if threaded { 2 } else { 1 });
-                        assert!(
-                            stored_bytes(&ring) == reference,
-                            "graph {g}, {kind:?}, inverses {with_inverses}, threaded {threaded}"
-                        );
-                    }
-                }
+            let reference = stored_bytes(&build_reference(graph));
+            for threaded in [false, true] {
+                let (ring, timings) = Ring::build_on(graph, threaded);
+                assert_eq!(timings.threads, if threaded { 2 } else { 1 });
+                assert!(
+                    stored_bytes(&ring) == reference,
+                    "graph {g}, threaded {threaded}"
+                );
             }
         }
     }
 
+    /// The ring's unary `C_s`/`C_o` and dense `C_p` agree with dense
+    /// arrays of the paper graph's counts: every `C[c]` and every owner.
     #[test]
     fn dense_and_sparse_boundaries_agree() {
         let g = paper_graph();
-        let sparse = paper_ring();
-        for kind in [BoundaryKind::Dense, BoundaryKind::EliasFano] {
-            let other = Ring::build(
-                &g,
-                RingOptions {
-                    with_inverses: false,
-                    node_boundaries: kind,
-                },
-            );
-            for o in 0..=5 {
-                assert_eq!(other.c_o_get(o), sparse.c_o_get(o), "{kind:?}");
+        let r = paper_ring();
+        for (b, column) in [(r.c_s_ref(), 0), (r.c_p_ref(), 1), (r.c_o_ref(), 2)] {
+            let mut counts = vec![0u64; 5];
+            for t in g.triples() {
+                counts[[t.s, t.p, t.o][column] as usize] += 1;
+            }
+            let dense = Boundaries::dense_from_counts(&counts);
+            for c in 0..=5 {
+                assert_eq!(b.get(c), dense.get(c), "C[{c}]");
             }
             for i in 0..16 {
-                assert_eq!(
-                    other.object_of_lp_position(i),
-                    sparse.object_of_lp_position(i)
-                );
-                assert_eq!(other.lf_p(i), sparse.lf_p(i));
+                assert_eq!(b.owner(i), dense.owner(i), "owner of {i}");
             }
         }
     }

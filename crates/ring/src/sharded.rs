@@ -510,7 +510,6 @@ mod tests {
         for r in idx.shards() {
             assert_eq!(r.n_nodes(), g.n_nodes());
             assert_eq!(r.n_preds_base(), g.n_preds());
-            assert!(r.has_inverses());
         }
     }
 

@@ -56,11 +56,10 @@ pub struct GraphShape {
 impl GraphShape {
     /// The shape of the (uncompleted) graph `ring` was built from.
     pub fn of(ring: &Ring) -> Self {
-        let completion = if ring.has_inverses() { 2 } else { 1 };
         Self {
             n_nodes: ring.n_nodes(),
             n_preds: ring.n_preds_base(),
-            len: ring.n_triples() / completion,
+            len: ring.n_triples() / 2,
         }
     }
 

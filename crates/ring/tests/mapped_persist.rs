@@ -1,5 +1,5 @@
-//! Mapped-format (`RRPQM01`) persistence suite: write/open round-trips
-//! over every boundary representation, heap-vs-mmap load equivalence,
+//! Mapped-format (`RRPQM01`) persistence suite: write/open round-trips,
+//! heap-vs-mmap load equivalence,
 //! and corruption rejection — truncation at every section boundary,
 //! oversized declared lengths, wrong magic, version skew, and misaligned
 //! table-of-contents offsets — the refusal of the formats this one
@@ -15,7 +15,7 @@ use ring::mapped::{
     open_index, open_index_verified, write_index, write_index_at, OpenMode, HEADER_LEN,
     MAPPED_MAGIC, N_SECTIONS,
 };
-use ring::ring::{BoundaryKind, RingOptions};
+use ring::ring::RingOptions;
 use ring::{Dict, Graph, Ring, Triple};
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -47,7 +47,6 @@ fn assert_rings_equal(a: &Ring, b: &Ring) {
     assert_eq!(a.n_nodes(), b.n_nodes());
     assert_eq!(a.n_preds(), b.n_preds());
     assert_eq!(a.n_preds_base(), b.n_preds_base());
-    assert_eq!(a.has_inverses(), b.has_inverses());
     let ta: Vec<Triple> = a.iter_triples().collect();
     let tb: Vec<Triple> = b.iter_triples().collect();
     assert_eq!(ta, tb);
@@ -85,29 +84,15 @@ fn assert_dicts_equal(a: &Dict, b: &Dict) {
 fn roundtrip_every_boundary_kind_and_inverse_setting() {
     let dir = tmpdir("roundtrip");
     let (graph, nodes, preds) = sample();
-    for kind in [
-        BoundaryKind::Dense,
-        BoundaryKind::Sparse,
-        BoundaryKind::EliasFano,
-    ] {
-        for with_inverses in [true, false] {
-            let ring = Ring::build(
-                &graph,
-                RingOptions {
-                    with_inverses,
-                    node_boundaries: kind,
-                },
-            );
-            let path = dir.join(format!("{kind:?}_{with_inverses}.rpqm"));
-            let written = write_index(&path, &ring, &nodes, &preds).unwrap();
-            assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-            let idx = open_index(&path, OpenMode::Heap).unwrap();
-            assert_rings_equal(&ring, &idx.ring);
-            assert_dicts_equal(&nodes, &idx.nodes);
-            assert_dicts_equal(&preds, &idx.preds);
-            assert!(idx.nodes.is_mapped() && idx.preds.is_mapped());
-        }
-    }
+    let ring = Ring::build(&graph, RingOptions::default());
+    let path = dir.join("roundtrip.rpqm");
+    let written = write_index(&path, &ring, &nodes, &preds).unwrap();
+    assert_eq!(written, std::fs::metadata(&path).unwrap().len());
+    let idx = open_index(&path, OpenMode::Heap).unwrap();
+    assert_rings_equal(&ring, &idx.ring);
+    assert_dicts_equal(&nodes, &idx.nodes);
+    assert_dicts_equal(&preds, &idx.preds);
+    assert!(idx.nodes.is_mapped() && idx.preds.is_mapped());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -311,12 +296,12 @@ fn inconsistent_metadata_is_rejected() {
     fix_crc(&mut bad, 0);
     assert!(open_bytes(&dir, "count.rpqm", &bad).is_err());
 
-    // Invalid has_inverses flag.
+    // Invalid inverse-edges flag.
     let mut bad = bytes.clone();
     put_u64(&mut bad, meta_off + 32, 7);
     fix_crc(&mut bad, 0);
     let msg = open_bytes(&dir, "flag.rpqm", &bad).unwrap_err().to_string();
-    assert!(msg.contains("has_inverses"), "{msg}");
+    assert!(msg.contains("inverse-edges flag"), "{msg}");
 
     // Node universe shrunk: dictionary / boundary universes disagree.
     let mut bad = bytes.clone();

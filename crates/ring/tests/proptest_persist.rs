@@ -1,5 +1,5 @@
-//! Persistence round-trips on random inputs: every boundary
-//! representation, dictionaries and full rings must survive a write/open
+//! Persistence round-trips on random inputs: both boundary
+//! representations, dictionaries and full rings must survive a write/open
 //! cycle through the `RRPQM01` file bit-exactly in behaviour, under both
 //! residencies, and a cut file must be refused.
 
@@ -7,16 +7,10 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 use ring::mapped::{open_index, open_ring, write_index};
-use ring::ring::{BoundaryKind, RingOptions};
+use ring::ring::RingOptions;
 use ring::{Dict, Graph, Ring, Triple};
 
 mod common;
-
-const KINDS: [BoundaryKind; 3] = [
-    BoundaryKind::Dense,
-    BoundaryKind::Sparse,
-    BoundaryKind::EliasFano,
-];
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rpq_ppersist_{name}_{}.rpqm", std::process::id()))
@@ -51,8 +45,9 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `C_o` of a graph whose node `c` is the object of `counts[c]`
-    /// triples is the boundary array of `counts`, in every representation.
+    /// The boundary arrays of a graph whose node `c` is the object of
+    /// `counts[c]` triples — the unary `C_s` and `C_o`, the dense `C_p` —
+    /// come back as they were written.
     #[test]
     fn boundaries_roundtrip_all_kinds(counts in prop::collection::vec(0u64..20, 1..30)) {
         let path = tmp("boundaries");
@@ -63,15 +58,19 @@ proptest! {
             .flat_map(|(o, &c)| (0..c).map(move |s| Triple::new(s, 0, o as u64)))
             .collect();
         let graph = Graph::new(triples, n_nodes, 1);
-        for kind in KINDS {
-            let ring = Ring::build(&graph, RingOptions { with_inverses: false, node_boundaries: kind });
-            let b = ring.c_o_ref();
-            for back in reopened(&path, &ring) {
-                let back = back.c_o_ref();
-                for c in 0..=n_nodes {
+        let ring = Ring::build(&graph, RingOptions::default());
+        for back in reopened(&path, &ring) {
+            for (b, back) in [
+                (ring.c_s_ref(), back.c_s_ref()),
+                (ring.c_p_ref(), back.c_p_ref()),
+                (ring.c_o_ref(), back.c_o_ref()),
+            ] {
+                let universe = b.universe();
+                prop_assert_eq!(universe, back.universe());
+                for c in 0..=universe {
                     prop_assert_eq!(b.get(c), back.get(c), "C[{}]", c);
                 }
-                for pos in 0..b.get(n_nodes) {
+                for pos in 0..b.get(universe) {
                     prop_assert_eq!(b.owner(pos), back.owner(pos));
                 }
             }
@@ -82,15 +81,13 @@ proptest! {
     #[test]
     fn ring_roundtrip_all_kinds(g in arb_graph()) {
         let path = tmp("ring");
-        for kind in KINDS {
-            let ring = Ring::build(&g, RingOptions { with_inverses: true, node_boundaries: kind });
-            for back in reopened(&path, &ring) {
-                prop_assert_eq!(back.n_triples(), ring.n_triples());
-                prop_assert_eq!(back.n_preds_base(), ring.n_preds_base());
-                let a: Vec<Triple> = ring.iter_triples().collect();
-                let b: Vec<Triple> = back.iter_triples().collect();
-                prop_assert_eq!(a, b, "{:?}", kind);
-            }
+        let ring = Ring::build(&g, RingOptions::default());
+        for back in reopened(&path, &ring) {
+            prop_assert_eq!(back.n_triples(), ring.n_triples());
+            prop_assert_eq!(back.n_preds_base(), ring.n_preds_base());
+            let a: Vec<Triple> = ring.iter_triples().collect();
+            let b: Vec<Triple> = back.iter_triples().collect();
+            prop_assert_eq!(a, b);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -154,20 +151,12 @@ proptest! {
 fn empty_graph_ring_roundtrips() {
     let path = tmp("empty");
     let g = Graph::new(vec![], 0, 0);
-    for kind in KINDS {
-        let ring = Ring::build(
-            &g,
-            RingOptions {
-                with_inverses: true,
-                node_boundaries: kind,
-            },
-        );
-        for back in reopened(&path, &ring) {
-            assert_eq!(back.n_triples(), 0);
-            assert_eq!(back.n_preds_base(), 0);
-            assert_eq!(back.iter_triples().count(), 0);
-            assert_eq!(back.decode_triples(true).unwrap(), vec![]);
-        }
+    let ring = Ring::build(&g, RingOptions::default());
+    for back in reopened(&path, &ring) {
+        assert_eq!(back.n_triples(), 0);
+        assert_eq!(back.n_preds_base(), 0);
+        assert_eq!(back.iter_triples().count(), 0);
+        assert_eq!(back.decode_triples(true).unwrap(), vec![]);
     }
     std::fs::remove_file(&path).ok();
 }

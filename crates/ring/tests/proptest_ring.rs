@@ -3,7 +3,7 @@
 //! graphs.
 
 use proptest::prelude::*;
-use ring::ring::{BoundaryKind, RingOptions};
+use ring::ring::RingOptions;
 use ring::{Graph, Id, Ring, Triple};
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -26,10 +26,11 @@ proptest! {
 
     #[test]
     fn triples_roundtrip(g in arb_graph()) {
-        let r = Ring::build(&g, RingOptions { with_inverses: false, node_boundaries: BoundaryKind::Sparse });
+        let r = Ring::build(&g, RingOptions::default());
         let mut decoded: Vec<Triple> = r.iter_triples().collect();
         decoded.sort_unstable();
-        prop_assert_eq!(decoded.as_slice(), g.triples());
+        let completed = g.completed();
+        prop_assert_eq!(decoded.as_slice(), completed.triples());
     }
 
     /// The bulk decode is the per-position one: the same triples in the
@@ -37,13 +38,8 @@ proptest! {
     /// in memory and opened from a file under both residencies, on graphs
     /// that may be empty or have one node or one label.
     #[test]
-    fn bulk_decode_matches_iter_triples(
-        g in arb_graph(),
-        with_inverses in any::<bool>(),
-        kind in 0usize..3,
-    ) {
-        let kind = [BoundaryKind::Dense, BoundaryKind::Sparse, BoundaryKind::EliasFano][kind];
-        let built = Ring::build(&g, RingOptions { with_inverses, node_boundaries: kind });
+    fn bulk_decode_matches_iter_triples(g in arb_graph()) {
+        let built = Ring::build(&g, RingOptions::default());
         let path = std::env::temp_dir().join(format!("rpq_bulk_decode_{}.rpqm", std::process::id()));
         ring::mapped::write_index(&path, &built, &ring::Dict::new(), &ring::Dict::new()).unwrap();
         let mut rings = vec![built];
@@ -54,11 +50,7 @@ proptest! {
             let all: Vec<Triple> = r.iter_triples().collect();
             prop_assert_eq!(r.decode_triples(false).unwrap(), all.clone());
             let mut base = r.decode_triples(true).unwrap();
-            if with_inverses {
-                prop_assert!(base.iter().eq(all.iter().filter(|t| t.p < g.n_preds())));
-            } else {
-                prop_assert_eq!(&base, &all);
-            }
+            prop_assert!(base.iter().eq(all.iter().filter(|t| t.p < g.n_preds())));
             base.sort_unstable();
             prop_assert_eq!(base.as_slice(), g.triples());
         }
@@ -70,7 +62,7 @@ proptest! {
     /// exactly the completed graph.
     #[test]
     fn lf_cycle_identity(g in arb_graph()) {
-        let r = Ring::build(&g, RingOptions { with_inverses: true, node_boundaries: BoundaryKind::EliasFano });
+        let r = Ring::build(&g, RingOptions::default());
         let mut reached: Vec<usize> = (0..r.n_triples()).map(|i| r.lf_p(i)).collect();
         reached.sort_unstable();
         prop_assert!(reached.into_iter().eq(0..r.n_triples()));
@@ -81,12 +73,11 @@ proptest! {
     }
 
     /// `contains` goes `L_p → L_s`: pinned to the completed graph on every
-    /// id triple of the universes and one past them, with and without
-    /// inverses.
+    /// id triple of the universes and one past them.
     #[test]
-    fn contains_matches_graph(g in arb_graph(), with_inverses in any::<bool>()) {
-        let r = Ring::build(&g, RingOptions { with_inverses, node_boundaries: BoundaryKind::Sparse });
-        let indexed = if with_inverses { g.completed() } else { g.clone() };
+    fn contains_matches_graph(g in arb_graph()) {
+        let r = Ring::build(&g, RingOptions::default());
+        let indexed = g.completed();
         for s in 0..=indexed.n_nodes() {
             for p in 0..=indexed.n_preds() {
                 for o in 0..=indexed.n_nodes() {
@@ -99,7 +90,7 @@ proptest! {
 
     #[test]
     fn backward_step_lists_exact_subjects(g in arb_graph()) {
-        let r = Ring::build(&g, RingOptions { with_inverses: false, node_boundaries: BoundaryKind::Sparse });
+        let r = Ring::build(&g, RingOptions::default());
         for o in 0..g.n_nodes() {
             for p in 0..g.n_preds() {
                 let mut got = Vec::new();
@@ -133,7 +124,7 @@ proptest! {
     /// enumeration the `(s, p, o)`-order column gave.
     #[test]
     fn objects_for_matches_graph(g in arb_graph()) {
-        let r = Ring::build(&g, RingOptions { with_inverses: true, node_boundaries: BoundaryKind::EliasFano });
+        let r = Ring::build(&g, RingOptions::default());
         for s in 0..g.n_nodes() {
             for p in 0..g.n_preds() {
                 let mut got = Vec::new();

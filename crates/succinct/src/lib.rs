@@ -30,10 +30,15 @@
 //!
 //! All structures report their heap footprint through [`SpaceUsage`], which
 //! the benchmark harness uses to regenerate the space column of Table 2.
+//!
+//! Two public operations have no caller in the product paths and stay
+//! for the reason given: [`WaveletMatrix::select`], timed by the
+//! benchmark driver's `succinct.wm_select_ns` row and deleted with it
+//! (ROADMAP item 1(f)), and [`WaveletMatrix::range_next_value`], the
+//! seek of the `join_rpq` example's leapfrog join.
 
 pub mod bitvec;
 pub mod checksum;
-pub mod elias_fano;
 pub mod int_vec;
 pub mod io;
 pub mod mapped;
@@ -45,7 +50,6 @@ pub mod wavelet_matrix;
 
 pub use bitvec::BitVec;
 pub use checksum::{crc32c, Crc32c};
-pub use elias_fano::EliasFano;
 pub use int_vec::IntVec;
 pub use mmap::{MappedFile, ResidentMode};
 pub use rank_select::{hardware_popcount, with_popcnt, PopcntKernel, RankSelect};

@@ -15,7 +15,7 @@
 //! [`MappedFile`], enforcing bounds and the 8-byte alignment invariant
 //! on every array it hands out. On top of those, this module provides
 //! the codecs for the succinct primitives ([`RankSelect`], [`IntVec`],
-//! [`WaveletMatrix`], [`EliasFano`]); the ring crate composes them into
+//! [`WaveletMatrix`]); the ring crate composes them into
 //! whole-index sections.
 
 use std::io::{self, Write};
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crate::mmap::MappedFile;
 use crate::storage::Slab;
-use crate::{EliasFano, IntVec, RankSelect, WaveletMatrix};
+use crate::{IntVec, RankSelect, WaveletMatrix};
 
 /// Alignment (bytes) of every array in the mapped format: the strictest
 /// alignment of the element types (`u64`).
@@ -331,27 +331,6 @@ pub fn read_wavelet_matrix(r: &mut MapReader) -> io::Result<WaveletMatrix> {
     WaveletMatrix::from_raw_parts(levels, len, sigma).map_err(err_data)
 }
 
-/// Writes an [`EliasFano`] in place: `[n, universe, low_bits]`, the low
-/// halves, then the unary high bits.
-pub fn write_elias_fano<W: Write>(w: &mut SectionWriter<W>, ef: &EliasFano) -> io::Result<()> {
-    let (lows, highs, low_bits) = ef.raw_parts();
-    w.u64(ef.len() as u64)?;
-    w.u64(ef.universe())?;
-    w.u64(low_bits as u64)?;
-    write_int_vec(w, lows)?;
-    write_rank_select(w, highs)
-}
-
-/// Reads an [`EliasFano`] written by [`write_elias_fano`].
-pub fn read_elias_fano(r: &mut MapReader) -> io::Result<EliasFano> {
-    let n = r.len_u64(MAX_LEN)?;
-    let universe = r.u64()?;
-    let low_bits = r.len_u64(64)?;
-    let lows = read_int_vec(r)?;
-    let highs = read_rank_select(r)?;
-    EliasFano::from_raw_parts(lows, highs, low_bits, n, universe).map_err(err_data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,22 +398,6 @@ mod tests {
         }
         assert_eq!(back.rank(33, 2500), wm.rank(33, 2500));
         assert_eq!(write_section(|w| write_wavelet_matrix(w, &back)), buf);
-    }
-
-    #[test]
-    fn elias_fano_roundtrips_in_place() {
-        let mut vals: Vec<u64> = (0..800u64).map(|i| i * 37 % 20000).collect();
-        vals.sort_unstable();
-        let ef = EliasFano::new(&vals, 20000);
-        let buf = write_section(|w| write_elias_fano(w, &ef));
-        let map = map_of(&buf);
-        let mut r = MapReader::new(map, 0, buf.len()).unwrap();
-        let back = read_elias_fano(&mut r).unwrap();
-        r.finish().unwrap();
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(back.get(i), v);
-        }
-        assert_eq!(back.rank_leq(9999), ef.rank_leq(9999));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! `is_x86_feature_detected!` finds it on the running CPU; on any other
 //! CPU or architecture the batch runs as compiled. The batched kernels —
 //! the wavelet matrix's `access_batch`, `rank_batch`, `guided_traverse`
-//! (and so `range_symbols` / `range_distinct`), `range_intersect_from`,
+//! (and so `range_distinct`), `range_intersect_from`,
 //! [`MultiTraversal::run`](crate::wavelet_matrix::MultiTraversal::run),
 //! and the ring's `object_ranges` (part one's `C_o` selects) — run
 //! through it, so one source is compiled twice and the platform picks
@@ -50,14 +50,13 @@ const WORDS_PER_SUPER: usize = 8; // 512-bit superblocks
 const SUPER_STRIDE: usize = WORDS_PER_SUPER + 2;
 const BITS_PER_SUPER: usize = WORDS_PER_SUPER * 64;
 
-/// Bounds for the **adaptive** select sampling rate [`RankSelect::new`]
-/// picks: the rate is chosen per bit kind so that the expected hunt
-/// window is ~2 superblocks (≈ 2 directory probes per select) while the
-/// sample directory stays a fraction of a percent of the bits.
-/// [`RankSelect::with_select_sample`] overrides it.
+/// Lower bound of the **adaptive** select sampling rate
+/// [`RankSelect::new`] picks: the rate is chosen per bit kind so that the
+/// expected hunt window is ~2 superblocks (≈ 2 directory probes per
+/// select) while the sample directory stays a fraction of a percent of
+/// the bits. The rate tops out at `TARGET_WINDOW · 512` (a vector of that
+/// bit kind alone).
 pub const MIN_SELECT_SAMPLE: usize = 16;
-/// Upper bound of the adaptive sampling rate.
-pub const MAX_SELECT_SAMPLE: usize = 1 << 16;
 /// Target hunt-window width, in superblocks.
 const TARGET_WINDOW: usize = 1;
 
@@ -144,23 +143,10 @@ pub struct RankSelect {
 impl RankSelect {
     /// Builds the rank/select directories for `bits`, picking the select
     /// sampling rate adaptively per bit kind: every
-    /// `TARGET_WINDOW · 512 · density`-th position is sampled (clamped to
-    /// `[MIN_SELECT_SAMPLE, MAX_SELECT_SAMPLE]`), so the superblock hunt
-    /// is ~2 probes at any density.
+    /// `TARGET_WINDOW · 512 · density`-th position is sampled (at least
+    /// every [`MIN_SELECT_SAMPLE`]-th), so the superblock hunt is ~2
+    /// probes at any density.
     pub fn new(bits: BitVec) -> Self {
-        Self::build(bits, None)
-    }
-
-    /// Builds with an explicit select sampling rate (`>= 1`) for both bit
-    /// kinds: the superblock of every `sample_rate`-th one/zero is
-    /// indexed. This is the space/time knob of the select directory;
-    /// [`Self::new`] picks it adaptively.
-    pub fn with_select_sample(bits: BitVec, sample_rate: usize) -> Self {
-        assert!(sample_rate >= 1, "select sample rate must be positive");
-        Self::build(bits, Some(sample_rate))
-    }
-
-    fn build(bits: BitVec, sample_rate: Option<usize>) -> Self {
         let (words, len) = bits.into_raw();
         let n_super = words.len().div_ceil(WORDS_PER_SUPER);
         let mut data = Vec::with_capacity(n_super * SUPER_STRIDE);
@@ -189,11 +175,10 @@ impl RankSelect {
         }
         let n_ones = acc as usize;
         let adaptive = |count: usize| {
-            (TARGET_WINDOW * BITS_PER_SUPER * count / len.max(1))
-                .clamp(MIN_SELECT_SAMPLE, MAX_SELECT_SAMPLE)
+            (TARGET_WINDOW * BITS_PER_SUPER * count / len.max(1)).max(MIN_SELECT_SAMPLE)
         };
-        let rate1 = sample_rate.unwrap_or_else(|| adaptive(n_ones));
-        let rate0 = sample_rate.unwrap_or_else(|| adaptive(len - n_ones));
+        let rate1 = adaptive(n_ones);
+        let rate0 = adaptive(len - n_ones);
         let mut rs = Self {
             data: data.into(),
             len,
@@ -400,7 +385,7 @@ impl RankSelect {
     }
 
     /// The select sampling rates `(ones, zeros)` this vector was built
-    /// with (equal when set explicitly, density-adapted otherwise).
+    /// with, each adapted to its bit kind's density.
     #[inline]
     pub fn select_sample_rates(&self) -> (usize, usize) {
         (self.rate1, self.rate0)
@@ -799,21 +784,51 @@ mod tests {
         assert_eq!(rs.select0(zeros.len()), None);
     }
 
+    /// The adaptive rate at both ends: a vector's dense bit kind is
+    /// sampled close to every `TARGET_WINDOW · 512`-th, its sparse kind
+    /// every [`MIN_SELECT_SAMPLE`]-th. On a dense and a sparse vector,
+    /// `select` inverts a naive scan for both kinds, through windows the
+    /// hunt scans linearly and windows it binary-searches.
     #[test]
-    fn select_with_small_sample_rates() {
-        // Tiny rates exercise sample-window boundaries exactly.
-        let bits: Vec<bool> = (0..6000).map(|i| i % 37 == 0 || i % 5 == 2).collect();
-        for rate in [1, 2, 7, 64, 512] {
-            let rs = RankSelect::with_select_sample(BitVec::from_bits(bits.iter().copied()), rate);
-            assert_eq!(rs.select_sample_rates(), (rate, rate));
-            let ones: Vec<usize> = (0..6000).filter(|&i| bits[i]).collect();
+    fn adaptive_sample_rates_reach_their_bounds() {
+        let n = 1 << 17;
+        let top = TARGET_WINDOW * BITS_PER_SUPER;
+        for ones_dense in [true, false] {
+            let bits: Vec<bool> = (0..n).map(|i| (i % 9973 == 17) != ones_dense).collect();
+            let rs = RankSelect::new(BitVec::from_bits(bits.iter().copied()));
+            let ones: Vec<usize> = (0..n).filter(|&i| bits[i]).collect();
+            let zeros: Vec<usize> = (0..n).filter(|&i| !bits[i]).collect();
+            // The superblocks each sample's hunt spans: to the next
+            // sample, the last one to the final superblock.
+            let windows = |samples: &Slab<u32>| -> Vec<usize> {
+                let ends = samples.iter().skip(1).map(|&s| s as usize);
+                let ends = ends.chain([rs.n_super() - 1]);
+                samples
+                    .iter()
+                    .zip(ends)
+                    .map(|(&lo, hi)| hi - lo as usize)
+                    .collect()
+            };
+            let (rate1, rate0) = rs.select_sample_rates();
+            let (w1, w0) = (windows(&rs.select1_samples), windows(&rs.select0_samples));
+            let (dense_rate, dense_w, sparse_rate, sparse_w, dense_count) = if ones_dense {
+                (rate1, w1, rate0, w0, ones.len())
+            } else {
+                (rate0, w0, rate1, w1, zeros.len())
+            };
+            assert_eq!(dense_rate, top * dense_count / n);
+            assert!(dense_rate >= top - 1, "dense rate {dense_rate}");
+            assert_eq!(sparse_rate, MIN_SELECT_SAMPLE);
+            assert!(dense_w.iter().all(|&w| w <= LINEAR_HUNT), "dense windows");
+            assert!(sparse_w.iter().any(|&w| w > LINEAR_HUNT), "sparse windows");
             for (k, &pos) in ones.iter().enumerate() {
-                assert_eq!(rs.select1(k), Some(pos), "rate {rate} select1({k})");
+                assert_eq!(rs.select1(k), Some(pos), "select1({k})");
             }
-            let zeros: Vec<usize> = (0..6000).filter(|&i| !bits[i]).collect();
-            for (k, &pos) in zeros.iter().enumerate().step_by(11) {
-                assert_eq!(rs.select0(k), Some(pos), "rate {rate} select0({k})");
+            for (k, &pos) in zeros.iter().enumerate() {
+                assert_eq!(rs.select0(k), Some(pos), "select0({k})");
             }
+            assert_eq!(rs.select1(ones.len()), None);
+            assert_eq!(rs.select0(zeros.len()), None);
         }
     }
 

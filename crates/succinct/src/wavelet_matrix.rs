@@ -309,7 +309,6 @@ impl MultiTraversal {
 /// let mut distinct = Vec::new();
 /// wm.range_distinct(0, 4, &mut |sym, _, _| distinct.push(sym));
 /// assert_eq!(distinct, vec![1, 3, 4]);
-/// assert_eq!(wm.range_quantile(0, 7, 3), 2); // 4th smallest overall
 /// ```
 #[derive(Clone, Debug)]
 pub struct WaveletMatrix {
@@ -736,26 +735,6 @@ impl WaveletMatrix {
         }
     }
 
-    /// Frontier-batched guided traversal: [`MultiTraversal::run`] on
-    /// scratch allocated for this call. Hot paths hold a
-    /// [`MultiTraversal`] and reuse it.
-    ///
-    /// # Panics
-    /// Panics where [`MultiTraversal::run`] does, and if a range does not
-    /// fit its 32-bit positions.
-    pub fn guided_traverse_multi<G: MultiRangeGuide>(
-        &self,
-        ranges: &[(usize, usize)],
-        guide: &mut G,
-    ) {
-        let narrow = |p: usize| u32::try_from(p).expect("range out of bounds");
-        let ranges: Vec<(u32, u32)> = ranges
-            .iter()
-            .map(|&(b, e)| (narrow(b), narrow(e)))
-            .collect();
-        MultiTraversal::new().run(self, &ranges, guide)
-    }
-
     /// Batched [`Self::rank`]: replaces each `positions[i]` with
     /// `rank(sym, positions[i])`. The per-symbol node-start chain is
     /// computed once for the whole batch instead of once per position,
@@ -801,26 +780,6 @@ impl WaveletMatrix {
         }
     }
 
-    /// Calls `f(sym)` for the distinct symbols of `[b, e)` in increasing
-    /// order, until `f` returns `false` — at the cost of the symbols
-    /// visited, not of the range, and without ranking node starts.
-    pub fn range_symbols<F: FnMut(u64) -> bool>(&self, b: usize, e: usize, f: &mut F) {
-        struct While<'a, F> {
-            f: &'a mut F,
-            more: bool,
-        }
-        impl<F: FnMut(u64) -> bool> RangeGuide for While<'_, F> {
-            const LEAF_RANKS: bool = false;
-            fn enter(&mut self, _: usize, _: u64) -> bool {
-                self.more
-            }
-            fn leaf(&mut self, sym: u64, _: usize, _: usize) {
-                self.more = (self.f)(sym);
-            }
-        }
-        self.guided_traverse(b, e, &mut While { f, more: true });
-    }
-
     /// Calls `f(sym, rank_b, rank_e)` for every distinct symbol in `[b, e)`,
     /// in increasing symbol order.
     pub fn range_distinct<F: FnMut(u64, usize, usize)>(&self, b: usize, e: usize, f: &mut F) {
@@ -843,16 +802,8 @@ impl WaveletMatrix {
         n
     }
 
-    /// Symbols occurring in **both** ranges, in increasing order, with rank
-    /// offsets in each.
-    pub fn range_intersect(&self, r1: (usize, usize), r2: (usize, usize)) -> Vec<IntersectionHit> {
-        let mut out = Vec::new();
-        self.range_intersect_from(r1, r2, 0, usize::MAX, &mut out);
-        out
-    }
-
     /// Replaces `out` with the first `cap` symbols `>= from` that occur in
-    /// both ranges, as [`Self::range_intersect`] lists them: a subtree
+    /// both ranges, in increasing order, with their rank offsets in each: a subtree
     /// whose symbols all lie below `from` is not entered, and the
     /// traversal ends at the `cap`-th hit — so walking an intersection a
     /// batch at a time, each batch from one past the last, costs what the
@@ -984,91 +935,6 @@ impl WaveletMatrix {
             return self.next_value_rec(level + 1, (prefix << 1) | 1, s1, b1, e1, x);
         }
         None
-    }
-
-    /// Number of occurrences of symbols in `[lo, hi)` within positions
-    /// `[b, e)` — a two-dimensional count in *O*(log σ), one of the
-    /// "powerful operations providing on-the-fly selectivity statistics"
-    /// §6 proposes for query planning.
-    pub fn range_count_within(&self, b: usize, e: usize, lo: u64, hi: u64) -> usize {
-        assert!(b <= e && e <= self.len);
-        if b == e || lo >= hi {
-            return 0;
-        }
-        self.count_within_rec(0, 0, b, e, lo, hi.min(1u64 << self.width.min(63)))
-    }
-
-    fn count_within_rec(
-        &self,
-        level: usize,
-        prefix: u64,
-        b: usize,
-        e: usize,
-        lo: u64,
-        hi: u64,
-    ) -> usize {
-        if b == e {
-            return 0;
-        }
-        let span = self.width - level;
-        let node_lo = if span >= 64 { 0 } else { prefix << span };
-        let node_hi = if span >= 63 {
-            u64::MAX
-        } else {
-            node_lo + (1u64 << span)
-        };
-        if node_hi <= lo || node_lo >= hi {
-            return 0;
-        }
-        if lo <= node_lo && node_hi <= hi {
-            return e - b;
-        }
-        let lvl = &self.levels[level];
-        let (b0, e0) = (lvl.rank0(b), lvl.rank0(e));
-        let z = self.zeros[level];
-        self.count_within_rec(level + 1, prefix << 1, b0, e0, lo, hi)
-            + self.count_within_rec(
-                level + 1,
-                (prefix << 1) | 1,
-                z + (b - b0),
-                z + (e - e0),
-                lo,
-                hi,
-            )
-    }
-
-    /// The `k`-th smallest symbol (0-based, counting multiplicity) in
-    /// `[b, e)`, in *O*(log σ) — the classic wavelet-tree quantile
-    /// \[21\].
-    ///
-    /// # Panics
-    /// Panics if `k >= e - b` or the range is invalid.
-    pub fn range_quantile(&self, b: usize, e: usize, k: usize) -> u64 {
-        assert!(b <= e && e <= self.len);
-        assert!(
-            k < e - b,
-            "quantile index {k} out of range of size {}",
-            e - b
-        );
-        let (mut b, mut e, mut k) = (b, e, k);
-        let mut sym = 0u64;
-        for l in 0..self.width {
-            let lvl = &self.levels[l];
-            let (b0, e0) = (lvl.rank0(b), lvl.rank0(e));
-            let zeros_here = e0 - b0;
-            if k < zeros_here {
-                sym <<= 1;
-                b = b0;
-                e = e0;
-            } else {
-                k -= zeros_here;
-                sym = (sym << 1) | 1;
-                let z = self.zeros[l];
-                b = z + (b - b0);
-                e = z + (e - e0);
-            }
-        }
-        sym
     }
 
     /// Total number of conceptual tree nodes (`2^(width+1) - 1`), for sizing
@@ -1229,7 +1095,7 @@ mod tests {
                     Some((s, (b1, e1), (b2, e2)))
                 })
                 .collect();
-            assert_eq!(wm.range_intersect(r1, r2), expected, "ranges {r1:?} {r2:?}");
+            assert_eq!(intersect(&wm, r1, r2), expected, "ranges {r1:?} {r2:?}");
         }
     }
 
@@ -1344,33 +1210,25 @@ mod tests {
         assert_eq!(wm.node_table_len(), 7);
     }
 
-    #[test]
-    fn range_count_within_matches_naive() {
-        let syms = sample(300, 40);
-        let wm = WaveletMatrix::new(&syms, 40);
-        for (b, e) in [(0usize, 300usize), (25, 120), (100, 101), (50, 50)] {
-            for (lo, hi) in [(0u64, 40u64), (5, 12), (39, 40), (10, 10), (0, 1)] {
-                let naive = syms[b..e].iter().filter(|&&s| s >= lo && s < hi).count();
-                assert_eq!(
-                    wm.range_count_within(b, e, lo, hi),
-                    naive,
-                    "range [{b},{e}) values [{lo},{hi})"
-                );
-            }
-        }
+    /// [`MultiTraversal::run`] over `usize` ranges, on fresh scratch.
+    fn traverse_multi<G: MultiRangeGuide>(
+        wm: &WaveletMatrix,
+        ranges: &[(usize, usize)],
+        guide: &mut G,
+    ) {
+        let ranges: Vec<(u32, u32)> = ranges.iter().map(|&(b, e)| (b as u32, e as u32)).collect();
+        MultiTraversal::new().run(wm, &ranges, guide)
     }
 
-    #[test]
-    fn range_quantile_matches_sorted() {
-        let syms = sample(200, 25);
-        let wm = WaveletMatrix::new(&syms, 25);
-        for (b, e) in [(0usize, 200usize), (30, 90), (150, 153)] {
-            let mut sorted: Vec<u64> = syms[b..e].to_vec();
-            sorted.sort_unstable();
-            for (k, &expected) in sorted.iter().enumerate() {
-                assert_eq!(wm.range_quantile(b, e, k), expected, "k={k} in [{b},{e})");
-            }
-        }
+    /// Every symbol occurring in both ranges.
+    fn intersect(
+        wm: &WaveletMatrix,
+        r1: (usize, usize),
+        r2: (usize, usize),
+    ) -> Vec<IntersectionHit> {
+        let mut out = Vec::new();
+        wm.range_intersect_from(r1, r2, 0, usize::MAX, &mut out);
+        out
     }
 
     /// An all-admitting multi guide recording `(item, sym, rb, re)`.
@@ -1399,7 +1257,7 @@ mod tests {
             (499, 500),
         ];
         let mut guide = CollectMulti(Vec::new());
-        wm.guided_traverse_multi(&ranges, &mut guide);
+        traverse_multi(&wm, &ranges, &mut guide);
         let mut got = guide.0;
         got.sort_unstable();
         let mut expected = Vec::new();
@@ -1436,7 +1294,7 @@ mod tests {
             width: wm.width(),
             out: Vec::new(),
         };
-        wm.guided_traverse_multi(&[(0, 300), (0, 300)], &mut guide);
+        traverse_multi(&wm, &[(0, 300), (0, 300)], &mut guide);
         let below8: Vec<u64> = guide
             .out
             .iter()
@@ -1482,8 +1340,8 @@ mod tests {
     fn multi_traversal_empty_and_degenerate() {
         let wm = WaveletMatrix::new(&[1u64, 2, 3], 4);
         let mut guide = CollectMulti(Vec::new());
-        wm.guided_traverse_multi(&[], &mut guide);
-        wm.guided_traverse_multi(&[(0, 0), (3, 3)], &mut guide);
+        traverse_multi(&wm, &[], &mut guide);
+        traverse_multi(&wm, &[(0, 0), (3, 3)], &mut guide);
         assert!(guide.0.is_empty());
     }
 
@@ -1666,7 +1524,7 @@ mod tests {
                 ((0, 3000), (0, 3000)),
                 ((5, 6), (0, 3000)),
             ] {
-                let all = wm.range_intersect(r1, r2);
+                let all = intersect(&wm, r1, r2);
                 for cap in [1usize, 3, 64] {
                     let (mut walked, mut batch, mut from) = (Vec::new(), Vec::new(), 0);
                     loop {
@@ -1678,24 +1536,6 @@ mod tests {
                     }
                     assert_eq!(walked, all, "sigma {sigma}, {r1:?} {r2:?}, cap {cap}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn range_symbols_lists_ascending_until_told_to_stop() {
-        let syms = sample(900, 300);
-        let wm = WaveletMatrix::new(&syms, 300);
-        for (b, e) in [(0usize, 900usize), (10, 11), (400, 400), (250, 700)] {
-            let mut all = Vec::new();
-            wm.range_distinct(b, e, &mut |s, _, _| all.push(s));
-            for take in [1usize, 5, all.len(), usize::MAX] {
-                let mut got = Vec::new();
-                wm.range_symbols(b, e, &mut |s| {
-                    got.push(s);
-                    got.len() < take
-                });
-                assert_eq!(got, all[..take.min(all.len())], "[{b}, {e}), {take}");
             }
         }
     }

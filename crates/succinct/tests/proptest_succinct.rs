@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use succinct::mapped::{read_wavelet_matrix, write_wavelet_matrix, MapReader, SectionWriter};
-use succinct::wavelet_matrix::MultiRangeGuide;
+use succinct::wavelet_matrix::{MultiRangeGuide, MultiTraversal};
 use succinct::{BitVec, IntVec, MappedFile, RankSelect, WaveletMatrix};
 
 fn naive_rank(syms: &[u64], sym: u64, i: usize) -> usize {
@@ -90,28 +90,31 @@ proptest! {
     }
 
     /// The sampled select directory at every stride boundary: for each
-    /// multiple of the sampling rate, `select` must invert `rank` exactly
-    /// (these are the positions the directory indexes directly, where an
-    /// off-by-one in sample construction would surface).
+    /// multiple of the (density-adapted) sampling rate, `select` must
+    /// invert `rank` exactly (these are the positions the directory
+    /// indexes directly, where an off-by-one in sample construction would
+    /// surface). `cut` sets the density, from no ones to all ones.
     #[test]
     fn select_inverts_rank_at_sample_strides(
-        bits in prop::collection::vec(any::<bool>(), 0..6000),
-        rate in 1usize..64,
+        draws in prop::collection::vec(0u8..64, 0..6000),
+        cut in 0u8..65,
     ) {
-        let rs = RankSelect::with_select_sample(BitVec::from_bits(bits.iter().copied()), rate);
+        let bits: Vec<bool> = draws.iter().map(|&d| d < cut).collect();
+        let rs = RankSelect::new(BitVec::from_bits(bits.iter().copied()));
+        let (rate1, rate0) = rs.select_sample_rates();
         let ones: Vec<usize> = (0..bits.len()).filter(|&i| bits[i]).collect();
         let zeros: Vec<usize> = (0..bits.len()).filter(|&i| !bits[i]).collect();
         let mut k = 0usize;
         while k < ones.len() {
             prop_assert_eq!(rs.select1(k), Some(ones[k]), "select1 stride {}", k);
             prop_assert_eq!(rs.rank1(ones[k]), k);
-            k += rate;
+            k += rate1;
         }
         let mut k = 0usize;
         while k < zeros.len() {
             prop_assert_eq!(rs.select0(k), Some(zeros[k]), "select0 stride {}", k);
             prop_assert_eq!(rs.rank0(zeros[k]), k);
-            k += rate;
+            k += rate0;
         }
         prop_assert_eq!(rs.select1(ones.len()), None);
         prop_assert_eq!(rs.select0(zeros.len()), None);
@@ -156,8 +159,9 @@ proptest! {
             .map(|&(b, w)| (b.min(n), (b + w).min(n)))
             .chain(wide.iter().map(|&(x, y)| (x.min(y).min(n), x.max(y).min(n))))
             .collect();
+        let narrow: Vec<(u32, u32)> = ranges.iter().map(|&(b, e)| (b as u32, e as u32)).collect();
         let mut guide = CollectMulti(Vec::new());
-        wm.guided_traverse_multi(&ranges, &mut guide);
+        MultiTraversal::new().run(&wm, &narrow, &mut guide);
         let mut got = guide.0;
         prop_assert!(got.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)));
         got.sort_by_key(|&(item, ..)| item);
@@ -288,7 +292,9 @@ proptest! {
                 Some((s, (b1, e1), (b2, e2)))
             })
             .collect();
-        prop_assert_eq!(wm.range_intersect(r1, r2), expected);
+        let mut got = Vec::new();
+        wm.range_intersect_from(r1, r2, 0, usize::MAX, &mut got);
+        prop_assert_eq!(got, expected);
     }
 
     #[test]

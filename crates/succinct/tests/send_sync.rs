@@ -2,7 +2,7 @@
 //! worker threads must be free of interior mutability. The succinct
 //! layer is the foundation — a `Ring` is built out of these.
 
-use succinct::{BitVec, EliasFano, IntVec, RankSelect, WaveletMatrix};
+use succinct::{BitVec, IntVec, RankSelect, WaveletMatrix};
 
 fn assert_send_sync<T: Send + Sync>() {}
 
@@ -11,6 +11,5 @@ fn shared_structures_are_send_sync() {
     assert_send_sync::<BitVec>();
     assert_send_sync::<RankSelect>();
     assert_send_sync::<IntVec>();
-    assert_send_sync::<EliasFano>();
     assert_send_sync::<WaveletMatrix>();
 }

@@ -63,11 +63,9 @@ impl TriplePattern {
 /// as vectors indexed by variable id.
 ///
 /// # Panics
-/// Panics if the ring lacks inverse edges (needed to seek on objects), if
-/// a pattern mentions a variable missing from `var_order`, or if a
-/// predicate id is out of range.
+/// Panics if a pattern mentions a variable missing from `var_order`, or
+/// if a predicate id is out of range.
 pub fn leapfrog_join(ring: &Ring, patterns: &[TriplePattern], var_order: &[usize]) -> Vec<Vec<Id>> {
-    assert!(ring.has_inverses(), "leapfrog join requires inverse edges");
     let n_vars = var_order.len();
     for pat in patterns {
         assert!(pat.p < ring.n_preds(), "predicate {} out of range", pat.p);

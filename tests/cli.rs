@@ -829,9 +829,10 @@ fn stats_names_the_popcount_kernels() {
 }
 
 /// Indexes in formats this build no longer reads, as earlier builds wrote
-/// them from `data/metro.nt`: a stream-format file and a version-2
-/// `RRPQM01` one (a dictionary of two `u64` arrays around every name, and a
-/// slot holding the paper's third column). Every verb refuses each by
+/// them from `data/metro.nt`: a stream-format file, a version-2 `RRPQM01`
+/// one (a dictionary of two `u64` arrays around every name, and a slot
+/// holding the paper's third column), and a version-3 one whose node
+/// boundaries are Elias–Fano coded. Every verb refuses each by
 /// name, with the command that rebuilds it, `verify` reports it
 /// unsupported (exit 2), and neither file is touched.
 #[test]
@@ -840,6 +841,7 @@ fn indexes_in_formats_no_longer_read_are_refused_by_name() {
     for (file, format) in [
         ("metro_with_l_o.db", "RRPQDB02"),
         ("metro_with_l_o.rpqm", "RRPQM01 version 2"),
+        ("metro_elias_fano.rpqm", "elias-fano node boundaries"),
     ] {
         let old = fixtures.join(file);
         let before = std::fs::read(&old).unwrap();
