@@ -308,9 +308,9 @@ fn main() {
     let (_, phases) = ring::Ring::build_timed(db.graph(), ring::ring::RingOptions::default());
     let build_s = t.elapsed().as_secs_f64();
     eprintln!(
-        "  ring build {build_s:.3} s: completed {:.3} s, order {:.3} s, wavelet {:.3} s, \
+        "  ring build {build_s:.3} s: order {:.3} s, wavelet {:.3} s, \
          boundaries {:.3} s (column seconds summed over {} thread(s))",
-        phases.completed_s, phases.order_s, phases.wavelet_s, phases.boundaries_s, phases.threads
+        phases.order_s, phases.wavelet_s, phases.boundaries_s, phases.threads
     );
 
     let t = Instant::now();
@@ -422,7 +422,6 @@ fn main() {
         "  commit of 256 ops: {commit_1k:.0} us at overlay 1k, {commit_32k:.0} us at overlay 32k"
     );
     let ring::ring::BuildTimings {
-        completed_s,
         order_s,
         wavelet_s,
         boundaries_s,
@@ -442,7 +441,7 @@ fn main() {
 \"cold_open_mmap_us\":{:.1},\"rss_open_heap_kb\":{},\
 \"rss_open_mmap_kb\":{},\"open_speedup\":{open_speedup:.1},\"mmap_supported\":{mmap_supported},\
 \"cold_open_durable_us\":{:.1},\"hwm_open_durable_kb\":{},\"wal_replay_us\":{wal_replay_us:.1},\"wal_replay_ops\":{wal_replay_ops},\
-\"completed_s\":{completed_s:.3},\"order_s\":{order_s:.3},\"wavelet_s\":{wavelet_s:.3},\
+\"order_s\":{order_s:.3},\"wavelet_s\":{wavelet_s:.3},\
 \"boundaries_s\":{boundaries_s:.3},\"build_threads\":{build_threads},\
 \"commit_us_overlay_1k\":{commit_1k:.1},\"commit_us_overlay_32k\":{commit_32k:.1},\
 \"probe_rows\":{}}}",

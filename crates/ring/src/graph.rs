@@ -47,12 +47,16 @@ pub(crate) fn scatter<T: Copy + Default>(
     out
 }
 
-/// Merges two strictly increasing runs that share no element.
-pub(crate) fn merge_sorted(a: &[Triple], b: &[Triple]) -> Vec<Triple> {
+/// Merges two runs strictly increasing in `key` that share no element.
+pub(crate) fn merge_sorted<K: Ord>(
+    a: &[Triple],
+    b: &[Triple],
+    key: impl Fn(&Triple) -> K,
+) -> Vec<Triple> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        if a[i] < b[j] {
+        if key(&a[i]) < key(&b[j]) {
             out.push(a[i]);
             i += 1;
         } else {
@@ -65,16 +69,68 @@ pub(crate) fn merge_sorted(a: &[Triple], b: &[Triple]) -> Vec<Triple> {
     out
 }
 
+/// The shift that buckets subjects `0..n_nodes` by their high bits,
+/// `s >> shift`, into at most `len` buckets: 0 while there are no more
+/// nodes than triples.
+fn bucket_shift(n_nodes: Id, len: usize) -> u32 {
+    let top = n_nodes.saturating_sub(1);
+    (0..Id::BITS)
+        .find(|&shift| top >> shift < len as Id)
+        .unwrap_or(Id::BITS)
+}
+
+/// # Panics
+/// Panics if a triple mentions an id outside `0..n_nodes` or
+/// `0..n_preds`.
+fn check_ids(triples: &[Triple], n_nodes: Id, n_preds: Id) {
+    for t in triples {
+        assert!(
+            t.s < n_nodes && t.o < n_nodes,
+            "triple {t} mentions a node >= {n_nodes}"
+        );
+        assert!(
+            t.p < n_preds,
+            "triple {t} mentions a predicate >= {n_preds}"
+        );
+    }
+}
+
 impl Graph {
     /// Builds a graph from `triples`; node and predicate universes are
     /// `0..n_nodes` and `0..n_preds`.
     ///
+    /// No comparison sort over the whole list: one counting pass buckets
+    /// the triples by subject — by its high bits where there are more
+    /// nodes than triples, so that there are never more buckets than
+    /// triples — and each bucket is sorted on its own; the duplicates,
+    /// each pair inside one bucket, go last.
+    ///
     /// # Panics
     /// Panics if a triple mentions an out-of-range id.
-    pub fn new(mut triples: Vec<Triple>, n_nodes: Id, n_preds: Id) -> Self {
-        triples.sort_unstable();
+    pub fn new(triples: Vec<Triple>, n_nodes: Id, n_preds: Id) -> Self {
+        check_ids(&triples, n_nodes, n_preds);
+        let shift = bucket_shift(n_nodes, triples.len());
+        let buckets = if triples.is_empty() {
+            0
+        } else {
+            ((n_nodes - 1) >> shift) as usize + 1
+        };
+        let mut counts = vec![0u64; buckets];
+        for t in &triples {
+            counts[(t.s >> shift) as usize] += 1;
+        }
+        let mut triples = scatter(&counts, triples.into_iter().map(|t| (t.s >> shift, t)));
+        let mut at = 0;
+        for &c in &counts {
+            triples[at..at + c as usize].sort_unstable();
+            at += c as usize;
+        }
         triples.dedup();
-        Self::from_sorted(triples, n_nodes, n_preds)
+        Self {
+            triples,
+            n_nodes,
+            n_preds,
+        }
     }
 
     /// [`Self::new`] for a run that is already strictly increasing in
@@ -85,16 +141,7 @@ impl Graph {
     /// Panics if a triple mentions an out-of-range id or the run is not
     /// sorted and duplicate-free.
     pub(crate) fn from_sorted(triples: Vec<Triple>, n_nodes: Id, n_preds: Id) -> Self {
-        for t in &triples {
-            assert!(
-                t.s < n_nodes && t.o < n_nodes,
-                "triple {t} mentions a node >= {n_nodes}"
-            );
-            assert!(
-                t.p < n_preds,
-                "triple {t} mentions a predicate >= {n_preds}"
-            );
-        }
+        check_ids(&triples, n_nodes, n_preds);
         assert!(
             triples.windows(2).all(|w| w[0] < w[1]),
             "triples are not in strictly increasing (s, p, o) order"
@@ -167,7 +214,7 @@ impl Graph {
                 .iter()
                 .map(|t| (t.o, Triple::new(t.o, t.p + np, t.s))),
         );
-        let all = merge_sorted(&self.triples, &inverses);
+        let all = merge_sorted(&self.triples, &inverses, Triple::spo_key);
         Graph::from_sorted(all, self.n_nodes, np * 2)
     }
 
@@ -206,6 +253,59 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The buckets sort and deduplicate as `sort_unstable` + `dedup`
+        /// do: on duplicates, no triples, ids at `universe − 1` and node
+        /// universes far above the triple count — where there are still
+        /// no more buckets than triples.
+        #[test]
+        fn new_sorts_like_a_comparison_sort(
+            n_nodes in prop_oneof![1u64..20, 1u64..5_000, Just(1u64 << 40)],
+            n_preds in 1u64..8,
+            raw in prop::collection::vec((0u64..u64::MAX, 0u64..8, 0u64..u64::MAX, 0u64..6), 0..60),
+        ) {
+            let mut triples: Vec<Triple> = raw
+                .iter()
+                .map(|&(s, p, o, top)| {
+                    let id = |x: u64| if top == 0 { n_nodes - 1 } else { x % n_nodes };
+                    Triple::new(id(s), p % n_preds, id(o))
+                })
+                .collect();
+            // Duplicates: the first half once more.
+            triples.extend_from_within(..triples.len() / 2);
+            let mut want = triples.clone();
+            want.sort_unstable();
+            want.dedup();
+            let shift = bucket_shift(n_nodes, triples.len());
+            if !triples.is_empty() {
+                prop_assert!(((n_nodes - 1) >> shift) < triples.len() as Id);
+            }
+            let g = Graph::new(triples, n_nodes, n_preds);
+            prop_assert_eq!(g.triples(), want.as_slice());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mentions a node >= 4")]
+    fn new_refuses_a_subject_past_the_universe() {
+        Graph::new(vec![Triple::new(0, 0, 1), Triple::new(4, 0, 1)], 4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "mentions a node >= 4")]
+    fn new_refuses_an_object_past_the_universe() {
+        Graph::new(vec![Triple::new(0, 0, 4)], 4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "mentions a predicate >= 1")]
+    fn new_refuses_a_predicate_past_the_alphabet() {
+        Graph::new(vec![Triple::new(0, 1, 0)], 4, 1);
+    }
 
     #[test]
     fn dedup_and_sort() {

@@ -67,9 +67,8 @@ pub struct Ring {
 /// Where one [`Ring::build_timed`] call spent its time, phase by phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BuildTimings {
-    /// [`Graph::completed`].
-    pub completed_s: f64,
-    /// Counting the symbols and deriving the `osp` and `pos` orders.
+    /// Listing the completed triples in `(o, s, p)` order and deriving
+    /// the `(p, o, s)` order from them.
     pub order_s: f64,
     /// The two [`WaveletMatrix`] builds, summed over the columns: with
     /// threads they overlap, so the sum can exceed the wall time.
@@ -85,17 +84,83 @@ pub struct BuildTimings {
 /// is a measurable share of that.
 const THREADED_BUILD_MIN_TRIPLES: usize = 1 << 16;
 
+/// Checks that a ring's universes fit the 32-bit symbols its columns
+/// are built from.
+///
+/// # Panics
+/// Panics if a universe exceeds 2³² ids (the per-id count arrays alone
+/// would take 32 GiB there).
+fn check_universes(n_nodes: Id, n_preds: Id) {
+    assert!(
+        n_nodes <= 1 << 32 && n_preds <= 1 << 32,
+        "ring universes are limited to 2^32 ids ({n_nodes} nodes, {n_preds} predicates)"
+    );
+}
+
+/// The completion of `spo`, a graph's triples in `(s, p, o)` order over
+/// `n_nodes` nodes and `n_preds` labels, as the `(o, s, p)` run
+/// [`Ring::from_osp_run`] takes, without listing it as triples: each
+/// node's edges in `(s, p)` and its inverse edges `(o, p̂)` — its edges
+/// out — merged, ascending.
+fn completed_osp_run(spo: &[Triple], n_nodes: Id, n_preds: Id) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+    let mut in_deg = vec![0u64; n_nodes as usize];
+    let mut out_deg = vec![0u64; n_nodes as usize];
+    for t in spo {
+        in_deg[t.o as usize] += 1;
+        out_deg[t.s as usize] += 1;
+    }
+    // Each node's edges in as `(s, p)`, ascending: the scatter is stable.
+    let ins = scatter(&in_deg, spo.iter().map(|t| (t.o, (t.s as u32, t.p as u32))));
+    // Each node's edges out as `(o, p)`, ascending: `ins` by subject.
+    let objects = in_deg
+        .iter()
+        .enumerate()
+        .flat_map(|(o, &d)| std::iter::repeat_n(o as u32, d as usize));
+    let outs = scatter(
+        &out_deg,
+        objects.zip(&ins).map(|(o, &(s, p))| (Id::from(s), (o, p))),
+    );
+    let inverse = n_preds as u32;
+    let (mut subjects, mut labels) = (
+        Vec::with_capacity(2 * spo.len()),
+        Vec::with_capacity(2 * spo.len()),
+    );
+    let (mut i, mut j) = (0, 0);
+    let mut obj_counts = in_deg;
+    for (count, &out) in obj_counts.iter_mut().zip(&out_deg) {
+        let (in_end, out_end) = (i + *count as usize, j + out as usize);
+        while i < in_end || j < out_end {
+            // A base label sorts below every inverse one: on a tie in the
+            // subject, the edge in comes first.
+            if j == out_end || (i < in_end && ins[i].0 <= outs[j].0) {
+                subjects.push(ins[i].0);
+                labels.push(ins[i].1);
+                i += 1;
+            } else {
+                subjects.push(outs[j].0);
+                labels.push(outs[j].1 + inverse);
+                j += 1;
+            }
+        }
+        *count += out;
+    }
+    (obj_counts, subjects, labels)
+}
+
 impl Ring {
     /// Builds the ring for `graph`, completed with its inverse edges
     /// `(o, p̂, s)`, `p̂ = p + |P|`, so that 2RPQs can be evaluated.
     ///
     /// The paper constructs the BWT with a suffix array; sorting the triple
-    /// list in the three circular orders yields the identical columns: row
-    /// `i` of the BWT matrix of §3.2 is the `i`-th triple in one of those
-    /// orders. The graph is `(s, p, o)`-sorted already, so a stable
-    /// counting sort by object gives the `(o, s, p)` order and one more by
-    /// predicate the `(p, o, s)` order: `O(n + |V| + |P|)`, no comparison
-    /// sort.
+    /// list in the circular orders yields the identical columns: row `i`
+    /// of the BWT matrix of §3.2 is the `i`-th triple in one of those
+    /// orders. The completion is never materialized. The graph is
+    /// `(s, p, o)`-sorted already, so a stable counting sort by object
+    /// lists each node's edges in as `(s, p)`, ascending, and one more by
+    /// subject its edges out as `(o, p)`. Merged per node — an edge out
+    /// `(v, p, o)` is the inverse `(o, p̂, v)` into `v` — the two lists
+    /// are the completed `(o, s, p)` run, which the ring's one constructor
+    /// indexes. `O(n + |V| + |P|)`, no comparison sort.
     ///
     /// # Panics
     /// Panics if a universe exceeds 2³² ids: the columns are built from
@@ -114,47 +179,75 @@ impl Ring {
     /// calling one made by the caller; both give the same ring.
     fn build_on(graph: &Graph, threaded: bool) -> (Self, BuildTimings) {
         let started = Instant::now();
-        let completed = graph.completed();
-        let completed_s = started.elapsed().as_secs_f64();
-        let (ring, timings) = Self::index(&completed, graph.n_preds(), threaded);
-        (
-            ring,
-            BuildTimings {
-                completed_s,
-                ..timings
-            },
-        )
+        let (n_nodes, n_preds) = (graph.n_nodes().max(1), graph.n_preds());
+        check_universes(n_nodes, 2 * n_preds);
+        let (obj_counts, subjects, labels) = completed_osp_run(graph.triples(), n_nodes, n_preds);
+        let run_s = started.elapsed().as_secs_f64();
+        let (ring, timings) = Self::from_run_on(
+            obj_counts,
+            subjects,
+            labels,
+            (2 * n_preds).max(1),
+            n_preds,
+            threaded,
+        );
+        let order_s = run_s + timings.order_s;
+        (ring, BuildTimings { order_s, ..timings })
     }
 
-    /// The ring of `g` as it stands — [`Self::build_on`] after the
-    /// completion — with the labels below `n_preds_base` its base ones.
-    fn index(g: &Graph, n_preds_base: Id, threaded: bool) -> (Self, BuildTimings) {
-        let n = g.len();
-        let n_nodes = g.n_nodes().max(1);
-        let n_preds = g.n_preds().max(1);
-        assert!(
-            n_nodes <= 1 << 32 && n_preds <= 1 << 32,
-            "ring universes are limited to 2^32 ids ({n_nodes} nodes, {n_preds} predicates)"
-        );
+    /// The ring of a completed graph given as its `(o, s, p)` run: entry
+    /// `i` is the triple `(subjects[i], labels[i], o)` for the object `o`
+    /// whose block of `obj_counts` holds `i`. Labels below `n_preds_base`
+    /// are the base ones, the rest their inverses; the node universe is
+    /// `obj_counts.len()`. Every ring is made here: [`Self::build`] and
+    /// a compaction ([`crate::store::StoreSnapshot::compacted`]) only
+    /// merge sorted runs into one.
+    pub(crate) fn from_osp_run(
+        obj_counts: Vec<u64>,
+        subjects: Vec<u32>,
+        labels: Vec<u32>,
+        n_preds: Id,
+        n_preds_base: Id,
+    ) -> Self {
+        let threaded = labels.len() >= THREADED_BUILD_MIN_TRIPLES;
+        Self::from_run_on(
+            obj_counts,
+            subjects,
+            labels,
+            n_preds,
+            n_preds_base,
+            threaded,
+        )
+        .0
+    }
 
+    /// [`Self::from_osp_run`] on two threads or the calling one.
+    fn from_run_on(
+        obj_counts: Vec<u64>,
+        subjects: Vec<u32>,
+        labels: Vec<u32>,
+        n_preds: Id,
+        n_preds_base: Id,
+        threaded: bool,
+    ) -> (Self, BuildTimings) {
+        let n = labels.len();
+        let n_nodes = obj_counts.len() as Id;
+        check_universes(n_nodes, n_preds);
+        assert_eq!(subjects.len(), n, "a run has a subject per label");
+
+        // One pass counts the subjects and labels, one stable scatter by
+        // label lists the subjects in `(p, o, s)` order.
         let started = Instant::now();
-        let spo = g.triples();
         let mut subj_counts = vec![0u64; n_nodes as usize];
-        let mut obj_counts = vec![0u64; n_nodes as usize];
         let mut pred_counts = vec![0u64; n_preds as usize];
-        for t in spo {
-            subj_counts[t.s as usize] += 1;
-            obj_counts[t.o as usize] += 1;
-            pred_counts[t.p as usize] += 1;
+        for (&s, &p) in subjects.iter().zip(&labels) {
+            subj_counts[s as usize] += 1;
+            pred_counts[p as usize] += 1;
         }
-        // `(s, p)` in `(o, s, p)` order, then `s` in `(p, o, s)` order.
-        let osp = scatter(
-            &obj_counts,
-            spo.iter().map(|t| (t.o, (t.s as u32, t.p as u32))),
+        let l_s_syms = scatter(
+            &pred_counts,
+            labels.iter().zip(subjects).map(|(&p, s)| (Id::from(p), s)),
         );
-        let l_p_syms: Vec<u32> = osp.iter().map(|&(_, p)| p).collect();
-        let l_s_syms = scatter(&pred_counts, osp.iter().map(|&(s, p)| (Id::from(p), s)));
-        drop(osp);
         let order_s = started.elapsed().as_secs_f64();
 
         // Each part with the seconds it took.
@@ -176,7 +269,7 @@ impl Ring {
             (l_s, c_p, wavelet_s, boundaries_s)
         };
         let build_l_p = || {
-            let (l_p, wavelet_s) = column(l_p_syms, n_preds);
+            let (l_p, wavelet_s) = column(labels, n_preds);
             let (c_o, c_o_s) = bounds(&obj_counts, Boundaries::sparse_from_counts);
             let (c_s, c_s_s) = bounds(&subj_counts, Boundaries::sparse_from_counts);
             (l_p, c_o, c_s, wavelet_s, c_o_s + c_s_s)
@@ -193,7 +286,6 @@ impl Ring {
         let (l_s, c_p, s_wavelet_s, s_boundaries_s) = s_side;
         let (l_p, c_o, c_s, p_wavelet_s, p_boundaries_s) = p_side;
         let timings = BuildTimings {
-            completed_s: 0.0,
             order_s,
             wavelet_s: s_wavelet_s + p_wavelet_s,
             boundaries_s: s_boundaries_s + p_boundaries_s,
@@ -421,12 +513,6 @@ impl Ring {
     /// contradict each other (a symbol outside its alphabet, a label with
     /// more occurrences than its block has room for).
     pub fn decode_triples(&self, base_only: bool) -> Result<Vec<Triple>, &'static str> {
-        let l_p = self.l_p.decode_all();
-        let l_s = self.l_s.decode_all();
-        // Label `p` owns `L_s[bounds[p]..bounds[p + 1]]`; `next[p]` is the
-        // first position of it not yet handed out.
-        let bounds: Vec<usize> = (0..=self.n_preds).map(|p| self.c_p.get(p)).collect();
-        let mut next = bounds.clone();
         let kept = if base_only {
             self.n_preds_base
         } else {
@@ -437,6 +523,25 @@ impl Ring {
         } else {
             self.n
         });
+        self.for_each_osp(|o, s, p| {
+            if p < kept {
+                triples.push(Triple::new(s, p, o));
+            }
+        })?;
+        Ok(triples)
+    }
+
+    /// Hands `f` every indexed triple as `(o, s, p)`, in `L_p` position
+    /// order — the completed `(o, s, p)` run the ring was built from —
+    /// decoded as [`Self::decode_triples`] says. An error is that
+    /// method's, after the triples before it.
+    pub(crate) fn for_each_osp(&self, mut f: impl FnMut(Id, Id, Id)) -> Result<(), &'static str> {
+        let l_p = self.l_p.decode_all();
+        let l_s = self.l_s.decode_all();
+        // Label `p` owns `L_s[bounds[p]..bounds[p + 1]]`; `next[p]` is the
+        // first position of it not yet handed out.
+        let bounds: Vec<usize> = (0..=self.n_preds).map(|p| self.c_p.get(p)).collect();
+        let mut next = bounds.clone();
         let mut i = 0;
         for o in 0..self.n_nodes {
             let end = self.c_o.get(o + 1).min(self.n);
@@ -455,15 +560,13 @@ impl Ring {
                 if s >= self.n_nodes {
                     return Err("L_s holds a node outside the universe");
                 }
-                if p < kept {
-                    triples.push(Triple::new(s, p, o));
-                }
+                f(o, s, p);
             }
         }
         if i < self.n {
             return Err("C_o does not cover L_p");
         }
-        Ok(triples)
+        Ok(())
     }
 
     /// Whether `(s, p, o)` is indexed: one backward step from `o`'s block
@@ -512,10 +615,56 @@ impl Ring {
     }
 }
 
+/// The builder this crate shipped before the counting sorts: the
+/// completion re-sorted, `pos` and `osp` by comparison sorts, the
+/// columns from 64-bit symbols. What every ring this crate makes is
+/// held to, byte for byte.
+#[cfg(test)]
+pub(crate) fn build_reference(graph: &Graph) -> Ring {
+    let np = graph.n_preds();
+    let mut all = graph.triples().to_vec();
+    all.extend(
+        graph
+            .triples()
+            .iter()
+            .map(|t| Triple::new(t.o, t.p + np, t.s)),
+    );
+    all.sort_unstable();
+    let g = Graph::from_sorted(all, graph.n_nodes(), np * 2);
+    let (n_nodes, n_preds) = (g.n_nodes().max(1), g.n_preds().max(1));
+    let spo = g.triples();
+    let mut pos = spo.to_vec();
+    pos.sort_unstable_by_key(Triple::pos_key);
+    let mut osp = spo.to_vec();
+    osp.sort_unstable_by_key(Triple::osp_key);
+    let column = |ts: &[Triple], sym: fn(&Triple) -> Id, sigma: Id| {
+        WaveletMatrix::new(&ts.iter().map(sym).collect::<Vec<_>>(), sigma)
+    };
+    let bounds = |build: fn(&[u64]) -> Boundaries, universe: Id, sym: fn(&Triple) -> Id| {
+        let mut counts = vec![0u64; universe as usize];
+        for t in spo {
+            counts[sym(t) as usize] += 1;
+        }
+        build(&counts)
+    };
+    Ring::from_raw_parts(
+        column(&pos, |t| t.s, n_nodes),
+        column(&osp, |t| t.p, n_preds),
+        bounds(Boundaries::sparse_from_counts, n_nodes, |t| t.s),
+        bounds(Boundaries::dense_from_counts, n_preds, |t| t.p),
+        bounds(Boundaries::sparse_from_counts, n_nodes, |t| t.o),
+        g.len(),
+        n_nodes,
+        n_preds,
+        np,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapped::stored_bytes;
+    use proptest::prelude::*;
     use succinct::util::BitSet;
 
     /// The paper's running example (Figs. 1 and 3), 0-based:
@@ -563,9 +712,18 @@ mod tests {
         )
     }
 
-    /// The fixture is already completed: it is indexed as it stands.
+    /// The fixture is already completed: it is indexed as it stands, its
+    /// `(o, s, p)` run one stable scatter by object away.
     fn paper_ring() -> Ring {
-        Ring::index(&paper_graph(), 5, false).0
+        let g = paper_graph();
+        let mut obj_counts = vec![0u64; 5];
+        for t in g.triples() {
+            obj_counts[t.o as usize] += 1;
+        }
+        let run = scatter(&obj_counts, g.triples().iter().map(|t| (t.o, *t)));
+        let subjects = run.iter().map(|t| t.s as u32).collect();
+        let labels = run.iter().map(|t| t.p as u32).collect();
+        Ring::from_osp_run(obj_counts, subjects, labels, 5, 5)
     }
 
     /// Fig. 3: the exact contents of the two stored columns (converted to
@@ -749,48 +907,6 @@ mod tests {
         assert!(!r.contains(0, 0, 0));
     }
 
-    /// The builder this crate shipped before the counting sorts: the
-    /// completion re-sorted, `pos` and `osp` by comparison sorts, the
-    /// columns from 64-bit symbols.
-    fn build_reference(graph: &Graph) -> Ring {
-        let np = graph.n_preds();
-        let mut all = graph.triples().to_vec();
-        all.extend(
-            graph
-                .triples()
-                .iter()
-                .map(|t| Triple::new(t.o, t.p + np, t.s)),
-        );
-        let g = Graph::new(all, graph.n_nodes(), np * 2);
-        let (n_nodes, n_preds) = (g.n_nodes().max(1), g.n_preds().max(1));
-        let spo = g.triples();
-        let mut pos = spo.to_vec();
-        pos.sort_unstable_by_key(Triple::pos_key);
-        let mut osp = spo.to_vec();
-        osp.sort_unstable_by_key(Triple::osp_key);
-        let column = |ts: &[Triple], sym: fn(&Triple) -> Id, sigma: Id| {
-            WaveletMatrix::new(&ts.iter().map(sym).collect::<Vec<_>>(), sigma)
-        };
-        let bounds = |build: fn(&[u64]) -> Boundaries, universe: Id, sym: fn(&Triple) -> Id| {
-            let mut counts = vec![0u64; universe as usize];
-            for t in spo {
-                counts[sym(t) as usize] += 1;
-            }
-            build(&counts)
-        };
-        Ring::from_raw_parts(
-            column(&pos, |t| t.s, n_nodes),
-            column(&osp, |t| t.p, n_preds),
-            bounds(Boundaries::sparse_from_counts, n_nodes, |t| t.s),
-            bounds(Boundaries::dense_from_counts, n_preds, |t| t.p),
-            bounds(Boundaries::sparse_from_counts, n_nodes, |t| t.o),
-            g.len(),
-            n_nodes,
-            n_preds,
-            np,
-        )
-    }
-
     /// Threaded or inline, the build writes the file the comparison-sort
     /// builder wrote.
     #[test]
@@ -820,6 +936,50 @@ mod tests {
                     stored_bytes(&ring) == reference,
                     "graph {g}, threaded {threaded}"
                 );
+            }
+        }
+    }
+
+    /// Graphs with what a merge per node can get wrong: self-loops (a
+    /// node's edge in and its edge out with one subject), isolated nodes,
+    /// unused labels, a node universe far above the largest id used, and
+    /// — one draw in four — at most one edge.
+    fn arb_graph() -> impl Strategy<Value = Graph> {
+        (
+            1u64..30,
+            1u64..6,
+            0usize..3,
+            0u64..4,
+            prop::collection::vec((0u64..30, 0u64..6, 0u64..30, 0u64..5), 0..150),
+        )
+            .prop_map(|(used, n_preds, spread, few, raw)| {
+                let n_nodes = used + [0, 7, 1 << 16][spread];
+                let mut triples: Vec<Triple> = raw
+                    .into_iter()
+                    .map(|(s, p, o, lp)| {
+                        let s = s % used;
+                        Triple::new(s, p % n_preds, if lp == 0 { s } else { o % used })
+                    })
+                    .collect();
+                if few == 0 {
+                    triples.truncate(triples.len() % 2);
+                }
+                Graph::new(triples, n_nodes, n_preds)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Threaded or inline, [`Ring::build`] writes the bytes of the
+        /// comparison-sort builder.
+        #[test]
+        fn build_writes_the_reference_bytes(g in arb_graph()) {
+            let reference = stored_bytes(&build_reference(&g));
+            for threaded in [false, true] {
+                let (ring, timings) = Ring::build_on(&g, threaded);
+                prop_assert_eq!(timings.threads, if threaded { 2 } else { 1 });
+                prop_assert!(stored_bytes(&ring) == reference, "threaded {}", threaded);
             }
         }
     }

@@ -14,10 +14,13 @@
 //! commit of `b` operations over an overlay of `|δ|` entries costs
 //! `O(b log b + b log σ + |δ|)` — the batch is sorted, each of its
 //! triples looked up in the ring ([`Ring::contains`]), the overlay only
-//! merged (see [`crate::delta`]); a compaction decodes the base out of
-//! the ring ([`Ring::decode_triples`]), merges the overlay in and runs
-//! one [`Ring::build`]. Both run on the calling thread, outside the lock
-//! readers take.
+//! merged (see [`crate::delta`]). A compaction is a merge too
+//! ([`StoreSnapshot::compacted`]): the ring's completed `(o, s, p)` run,
+//! decoded column by column, and the overlay's, whose inverse edges are
+//! the only thing sorted, go into one run the ring's constructor indexes
+//! — `O(n + |δ| log |δ| + |V| + |P|)` plus the two column builds, with no
+//! triple list of the base. Both run on the calling thread, outside the
+//! lock readers take.
 //!
 //! Node and predicate ids are stable forever: compaction preserves the
 //! id universes (a node keeps its id even if all its edges are deleted),
@@ -31,7 +34,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 use crate::delta::{DeltaIndex, SideChange};
-use crate::graph::scatter;
+use crate::graph::{merge_sorted, scatter};
 use crate::ring::RingOptions;
 use crate::{Graph, Id, Ring, Triple};
 
@@ -130,8 +133,9 @@ impl StoreSnapshot {
     /// ([`Ring::decode_triples`]); one two-pointer merge with the
     /// overlay's arrays in that order — the deletes a subset of the base,
     /// the adds disjoint from it — then two stable counting passes, by
-    /// predicate and by subject. `O(base + delta + |V| + |P|)`;
-    /// compaction and tests use this, not queries.
+    /// predicate and by subject. `O(base + delta + |V| + |P|)`; for
+    /// tests and tools — a compaction or a save merges without listing
+    /// the triples ([`Self::compacted`]).
     ///
     /// # Panics
     /// Panics if the ring's columns and boundaries contradict each other
@@ -164,6 +168,115 @@ impl StoreSnapshot {
         let pos = scatter(&pred_counts, live.into_iter().map(|t| (t.p, t)));
         scatter(&subj_counts, pos.into_iter().map(|t| (t.s, t)))
     }
+
+    /// The ring of the live triples over node and predicate universes at
+    /// least `n_nodes` and `n_preds` wide (and at least this snapshot's):
+    /// what [`Ring::build`] makes of them, byte for byte, without
+    /// listing them. The ring's completed `(o, s, p)` run is decoded as
+    /// [`Ring::decode_triples`] decodes it and merged with the delta's
+    /// completed run; the only sort is of the delta's inverse edges.
+    /// `O(n + |δ| log |δ| + |V| + |P|)` plus the two column builds.
+    ///
+    /// # Panics
+    /// Panics if the ring's columns and boundaries contradict each other
+    /// (the ring of a file whose checksums were not verified).
+    pub fn compacted(&self, n_nodes: Id, n_preds: Id) -> Ring {
+        self.merged(&[], n_nodes, n_preds)
+    }
+
+    /// [`Self::compacted`] with `ops` applied after the delta, in order;
+    /// they may introduce labels, which widen the alphabet.
+    fn merged(&self, ops: &[UpdateOp], n_nodes: Id, n_preds: Id) -> Ring {
+        let old_preds = self.ring.n_preds_base();
+        let mut n_nodes = n_nodes.max(self.ring.n_nodes()).max(self.delta.n_nodes());
+        let mut n_preds = n_preds.max(old_preds);
+        // What the ring's triples gain and lose: the delta's adds and
+        // tombstones, then the operations' (a label past the ring's names
+        // no triple it holds, so its delete deletes nothing).
+        let owned: [Vec<Triple>; 4];
+        let [adds_osp, adds, dels_osp, dels]: [&[Triple]; 4] = if ops.is_empty() {
+            let delta = &self.delta;
+            [
+                delta.adds_osp(),
+                delta.adds(),
+                delta.dels_osp(),
+                delta.dels(),
+            ]
+        } else {
+            let mut put = SideChange::default();
+            let mut taken = SideChange::default();
+            for (t, insert) in last_ops(ops) {
+                if insert {
+                    n_nodes = n_nodes.max(t.s.max(t.o) + 1);
+                    n_preds = n_preds.max(t.p + 1);
+                    put.plus.push(t);
+                } else {
+                    put.minus.push(t);
+                    if t.p < old_preds {
+                        taken.plus.push(t);
+                    }
+                }
+            }
+            let adds = put.merge(self.delta.adds(), Triple::spo_key);
+            let dels = taken.merge(self.delta.dels(), Triple::spo_key);
+            let osp = |spo: &[Triple]| {
+                let mut osp = spo.to_vec();
+                osp.sort_unstable_by_key(Triple::osp_key);
+                osp
+            };
+            owned = [osp(&adds), adds, osp(&dels), dels];
+            [&owned[0], &owned[1], &owned[2], &owned[3]]
+        };
+        let plus = completed_run(adds_osp, adds, n_preds);
+        let minus = completed_run(dels_osp, dels, n_preds);
+
+        // The ring's inverse labels move up with the alphabet, in order.
+        let relabel = |p: Id| {
+            if p < old_preds {
+                p
+            } else {
+                p - old_preds + n_preds
+            }
+        };
+        let len = (self.ring.n_triples() + plus.len()).saturating_sub(minus.len());
+        let mut obj_counts = vec![0u64; n_nodes as usize];
+        let (mut subjects, mut labels) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        let mut push = |t: &Triple| {
+            obj_counts[t.o as usize] += 1;
+            subjects.push(t.s as u32);
+            labels.push(t.p as u32);
+        };
+        let (mut plus, mut minus) = (plus.iter().peekable(), minus.iter().peekable());
+        self.ring
+            .for_each_osp(|o, s, p| {
+                let t = Triple::new(s, relabel(p), o);
+                while let Some(a) = plus.next_if(|a| a.osp_key() < t.osp_key()) {
+                    push(a);
+                }
+                let put = plus.next_if_eq(&&t).is_some();
+                while minus.next_if(|d| d.osp_key() < t.osp_key()).is_some() {}
+                if put || minus.next_if_eq(&&t).is_none() {
+                    push(&t);
+                }
+            })
+            .unwrap_or_else(|e| panic!("the index does not decode to a graph: {e}"));
+        plus.for_each(push);
+        Ring::from_osp_run(obj_counts, subjects, labels, (2 * n_preds).max(1), n_preds)
+    }
+}
+
+/// The completion of a set of canonical triples, given in `(o, s, p)`
+/// and in `(s, p, o)` order, over `n_preds` base labels: the triples and
+/// their inverses `(o, p̂, s)`, in `(o, s, p)` order. The inverses are
+/// sorted here — out of `spo` they come grouped by object already — and
+/// that sort, over the change alone, is the only one a compaction makes.
+fn completed_run(osp: &[Triple], spo: &[Triple], n_preds: Id) -> Vec<Triple> {
+    let mut inverses: Vec<Triple> = spo
+        .iter()
+        .map(|t| Triple::new(t.o, t.p + n_preds, t.s))
+        .collect();
+    inverses.sort_unstable_by_key(Triple::osp_key);
+    merge_sorted(osp, &inverses, Triple::osp_key)
 }
 
 /// Live update counters a serving layer exports as metrics.
@@ -180,8 +293,9 @@ pub struct StoreStats {
     /// and publishing it, since construction; the rebuild a commit
     /// triggers is counted in `compact_ns` instead.
     pub commit_ns: u64,
-    /// Nanoseconds spent in ring rebuilds, since construction: the
-    /// stall `compactions` times over.
+    /// Nanoseconds spent in ring rebuilds — the merge of the ring's run
+    /// with the overlay's and the column builds over it — since
+    /// construction: the stall `compactions` times over.
     pub compact_ns: u64,
     /// Added triples in the current committed delta.
     pub delta_adds: usize,
@@ -364,8 +478,8 @@ impl TripleStore {
             .iter()
             .any(|op| matches!(op, UpdateOp::Insert(t) if t.p >= n_preds));
         if new_preds {
-            // The completed alphabet must grow: fold everything into a
-            // fresh graph and ring in one step.
+            // The completed alphabet must grow: merge the delta and the
+            // batch into a new ring in one step.
             return self.rebuild(&writer, &snap, &pending);
         }
 
@@ -421,9 +535,9 @@ impl TripleStore {
         next
     }
 
-    /// Materializes the live triples of `snap` (plus `extra_ops`, applied
-    /// in order) and publishes a ring rebuilt from them with an empty
-    /// overlay, preserving the id universes. Returns the new epoch.
+    /// Publishes the ring of the live triples of `snap`, `extra_ops`
+    /// applied after its delta ([`StoreSnapshot::compacted`]), with an
+    /// empty overlay, preserving the id universes. Returns the new epoch.
     fn rebuild(
         &self,
         writer: &MutexGuard<'_, ()>,
@@ -435,35 +549,7 @@ impl TripleStore {
         if let Some(hook) = self.on_rebuild.lock().unwrap().as_ref() {
             hook();
         }
-        let mut live = snap.live_triples();
-        if !extra_ops.is_empty() {
-            let mut change = SideChange::default();
-            for (t, insert) in last_ops(extra_ops) {
-                if insert {
-                    change.plus.push(t);
-                } else {
-                    change.minus.push(t);
-                }
-            }
-            live = change.merge(&live, Triple::spo_key);
-        }
-        let n_nodes = live
-            .iter()
-            .map(|t| t.s.max(t.o) + 1)
-            .max()
-            .unwrap_or(0)
-            .max(snap.ring.n_nodes())
-            .max(snap.delta.n_nodes());
-        let n_preds = live
-            .iter()
-            .map(|t| t.p + 1)
-            .max()
-            .unwrap_or(0)
-            .max(snap.ring.n_preds_base());
-        let ring = Ring::build(
-            &Graph::from_sorted(live, n_nodes, n_preds),
-            RingOptions::default(),
-        );
+        let ring = snap.merged(extra_ops, 0, 0);
         let delta = DeltaIndex::empty(ring.n_preds_base());
         let epoch = self
             .publish(
@@ -481,6 +567,10 @@ impl TripleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapped::stored_bytes;
+    use crate::ring::build_reference;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn t(s: Id, p: Id, o: Id) -> Triple {
         Triple::new(s, p, o)
@@ -679,6 +769,162 @@ mod tests {
         let snap = store.snapshot();
         assert_eq!(snap.graph.len(), 0);
         assert_eq!(snap.ring.n_nodes(), 3, "ids stay valid after deletion");
+    }
+
+    /// splitmix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = self.0;
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (x ^ (x >> 31)) % n
+        }
+
+        fn pick(&mut self, from: &BTreeSet<Triple>) -> Option<Triple> {
+            let i = self.below(from.len().max(1) as u64) as usize;
+            from.iter().nth(i).copied()
+        }
+    }
+
+    /// The ring [`build_reference`] makes of `live` over the given
+    /// universes, as stored bytes.
+    fn reference_bytes(live: &BTreeSet<Triple>, n_nodes: Id, n_preds: Id) -> Vec<u8> {
+        let graph = Graph::from_sorted(live.iter().copied().collect(), n_nodes, n_preds);
+        stored_bytes(&build_reference(&graph))
+    }
+
+    /// One random commit stream against a set model: after every commit
+    /// the live triples are the model's, and every ring the store makes
+    /// — compactions, commits that introduce a label, and
+    /// [`StoreSnapshot::compacted`] over wider universes — has the
+    /// reference's bytes. The streams revive tombstones, delete every
+    /// edge of a node, add nodes past the ring's universe and, now and
+    /// then, a label past its alphabet.
+    fn run_compaction_stream(seed: u64) {
+        const N_NODES: Id = 16;
+        let mut rng = Rng(seed);
+        let n_base = 1 + rng.below(3);
+        let base: BTreeSet<Triple> = (0..rng.below(40))
+            .map(|_| t(rng.below(N_NODES), rng.below(n_base), rng.below(N_NODES)))
+            .collect();
+        let store = TripleStore::new(Graph::from_sorted(
+            base.iter().copied().collect(),
+            N_NODES,
+            n_base,
+        ))
+        .with_auto_compact_ratio(None);
+        let (mut model, mut n_preds) = (base.clone(), n_base);
+        for round in 0..20 {
+            let mut ops = Vec::new();
+            for _ in 0..rng.below(10) {
+                let op = match rng.below(9) {
+                    0 => rng.pick(&base).map(UpdateOp::Insert),
+                    1 | 2 => rng.pick(&model).map(UpdateOp::Delete),
+                    3 => {
+                        let v = rng.below(N_NODES);
+                        let edges = model.iter().filter(|tr| tr.s == v || tr.o == v);
+                        ops.extend(edges.map(|&tr| UpdateOp::Delete(tr)));
+                        None
+                    }
+                    // A label past the alphabet: inserted it widens the
+                    // alphabet; deleted it names nothing the batch did not
+                    // insert.
+                    4 if rng.below(3) == 0 => {
+                        let tr = t(
+                            rng.below(N_NODES),
+                            n_preds + rng.below(2),
+                            rng.below(N_NODES),
+                        );
+                        Some(if rng.below(2) == 0 {
+                            UpdateOp::Insert(tr)
+                        } else {
+                            UpdateOp::Delete(tr)
+                        })
+                    }
+                    // A live triple's inverse, named by a label past the
+                    // alphabet as it is or as a new label widens it: a
+                    // delete of nothing the batch did not insert.
+                    5 => rng
+                        .pick(&model)
+                        .map(|tr| UpdateOp::Delete(t(tr.o, tr.p + n_preds + rng.below(3), tr.s))),
+                    6 => Some(UpdateOp::Delete(t(
+                        rng.below(N_NODES + 4),
+                        rng.below(n_preds),
+                        rng.below(N_NODES + 4),
+                    ))),
+                    _ => Some(UpdateOp::Insert(t(
+                        rng.below(N_NODES + 4),
+                        rng.below(n_preds),
+                        rng.below(N_NODES + 4),
+                    ))),
+                };
+                ops.extend(op);
+            }
+            for &op in &ops {
+                match op {
+                    UpdateOp::Insert(tr) => model.insert(tr),
+                    UpdateOp::Delete(tr) => model.remove(&tr),
+                };
+            }
+            // A label widens the alphabet once a commit leaves it live.
+            n_preds = n_preds.max(model.iter().map(|tr| tr.p + 1).max().unwrap_or(0));
+            store.apply(ops.iter().copied());
+            store.commit();
+            let snap = store.snapshot();
+            let at = format!("seed {seed:#x}, round {round}, batch {ops:?}");
+            assert!(snap.live_triples().iter().eq(&model), "{at}");
+            match rng.below(3) {
+                0 => {
+                    store.compact();
+                }
+                1 => {
+                    let (wide_nodes, wide_preds) =
+                        (snap.n_nodes() + rng.below(3), n_preds + rng.below(2));
+                    assert!(
+                        stored_bytes(&snap.compacted(wide_nodes, wide_preds))
+                            == reference_bytes(&model, wide_nodes, wide_preds),
+                        "compacted over wider universes, {at}"
+                    );
+                }
+                _ => {}
+            }
+            let snap = store.snapshot();
+            assert_eq!(snap.graph.n_preds(), n_preds, "{at}");
+            if snap.delta.is_empty() {
+                assert!(
+                    stored_bytes(&snap.ring)
+                        == reference_bytes(&model, snap.ring.n_nodes(), n_preds),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compaction_streams_write_the_reference_bytes() {
+        let mut bases: Vec<u64> = vec![0xC0_4AC7, 0x5E_ED05, 0xFEED];
+        if let Ok(s) = std::env::var("RPQ_TEST_SEED") {
+            bases.push(s.parse().expect("RPQ_TEST_SEED is a decimal u64"));
+        }
+        for base in bases {
+            for i in 0..40u64 {
+                run_compaction_stream(base.wrapping_add(i.wrapping_mul(0x9E37_79B9)));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Fresh streams on every run; failing seeds persist under
+        /// `proptest-regressions/` and replay first.
+        #[test]
+        fn random_compaction_streams_write_the_reference_bytes(seed in 0u64..u64::MAX) {
+            run_compaction_stream(seed);
+        }
     }
 
     /// Readers are served from the old snapshot for the whole of a ring

@@ -19,7 +19,7 @@
 //! ([`IngestTimings`]): reading, scanning (on the pool), merging — the
 //! one serial pass over every chunk's names, a block of them at a time
 //! (`Dict::intern_many`) — and the final sort and deduplication
-//! of the triples in [`Graph::new`].
+//! of the triples in [`Graph::new`], one sort per subject bucket.
 //!
 //! Errors keep absolute line numbers: a worker numbers its chunk's lines
 //! from 1, and the merge — which is in chunk order and so knows how many
@@ -51,7 +51,8 @@ pub struct IngestTimings {
     /// Folding the chunks' dictionaries and triples into the global
     /// ones, in chunk order.
     pub merge_s: f64,
-    /// Sorting and deduplicating the triples ([`Graph::new`]).
+    /// Sorting and deduplicating the triples ([`Graph::new`]: a
+    /// counting pass by subject, then a sort per subject bucket).
     pub sort_s: f64,
     /// Threads the scans could use (the pool plus the caller).
     pub threads: usize,

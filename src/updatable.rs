@@ -20,14 +20,15 @@
 //! the base ring and both dictionaries stay in the mapping, commits look
 //! triples up in the ring, and only the overlay, the write-ahead log's
 //! tail and — from the first insert on — the dictionaries live on the
-//! heap. A compaction decodes the base out of the ring.
+//! heap. A compaction — and a save with uncompacted commits — merges
+//! the overlay into the ring's decoded `(o, s, p)` run and builds the
+//! new ring from that ([`ring::store::StoreSnapshot::compacted`]).
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
 use ring::delta::DeltaIndex;
 use ring::mapped::OpenMode;
-use ring::ring::RingOptions;
 use ring::store::{StoreSnapshot, StoreStats, TripleStore};
 use ring::wal::{Wal, WalOp};
 use ring::{Dict, Graph, Id, Ring, Triple};
@@ -39,7 +40,9 @@ use crate::{DbError, Dicts, RpqDatabase};
 /// universes as large as the dictionaries — append-only interning leaves
 /// those larger than the store's whenever a name is used only by
 /// uncommitted or deleted triples, and a file's dictionaries and ring
-/// must agree. The store's own ring when that is already it.
+/// must agree ([`StoreSnapshot::compacted`]: a merge of the ring's run
+/// with the overlay's, as a compaction makes). The store's own ring when
+/// that is already it.
 fn folded(snap: &StoreSnapshot, dicts: &Dicts) -> Arc<Ring> {
     let base = (snap.ring.n_nodes(), snap.ring.n_preds_base());
     let n_nodes = (dicts.nodes.len() as Id).max(base.0);
@@ -47,8 +50,7 @@ fn folded(snap: &StoreSnapshot, dicts: &Dicts) -> Arc<Ring> {
     if snap.delta.is_empty() && (n_nodes, n_preds) == base {
         return Arc::clone(&snap.ring);
     }
-    let graph = Graph::new(snap.live_triples(), n_nodes, n_preds);
-    Arc::new(Ring::build(&graph, RingOptions::default()))
+    Arc::new(snap.compacted(n_nodes, n_preds))
 }
 
 /// The durability side-car of a database opened with
