@@ -15,7 +15,8 @@
 //!   Glushkov product automaton + bit-parallel tables, one `Arc` for all
 //!   workers;
 //! * [`result_cache`] — an LRU over complete answer sets with byte-size
-//!   accounting and an invalidation hook;
+//!   accounting and an invalidation hook; `submit` answers a hit on the
+//!   caller's thread, and only a miss is queued for a worker;
 //! * admission control — a bounded queue ([`RpqError::Overloaded`]) and
 //!   per-query [`QueryBudget`]s (result/time partials,
 //!   [`RpqError::BudgetExceeded`] hard aborts);

@@ -33,12 +33,18 @@ pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_us: AtomicU64,
+    /// The sub-µs parts of the latency samples, in nanoseconds: summed
+    /// apart so a 1.8 µs sample adds 1.8 µs to [`Self::sum_us`], not 1.
+    sum_sub_us_ns: AtomicU64,
 }
 
 impl Histogram {
     /// Records one latency sample.
     pub fn record(&self, latency: Duration) {
         self.record_value(latency.as_micros().min(u128::from(u64::MAX)) as u64);
+        let sub_us_ns = latency.subsec_nanos() % 1000;
+        self.sum_sub_us_ns
+            .fetch_add(u64::from(sub_us_ns), Ordering::Relaxed);
     }
 
     /// Records one raw sample (microseconds for latency histograms, but
@@ -56,9 +62,10 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of samples, microseconds.
+    /// Sum of samples, microseconds (rounded down once, not per sample).
     pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
+        let sub_us = self.sum_sub_us_ns.load(Ordering::Relaxed) / 1000;
+        self.sum_us.load(Ordering::Relaxed) + sub_us
     }
 
     /// Snapshot of the per-bucket counts (bucket `i` = samples in
@@ -122,7 +129,8 @@ const ROUTES: usize = EvalRoute::ALL.len();
 /// execution time, and the all-routes end-to-end aggregate).
 pub struct Metrics {
     started: Instant,
-    /// Queries accepted into the queue.
+    /// Queries accepted: queued, or answered from the result cache at
+    /// submit.
     pub submitted: AtomicU64,
     /// Queries that produced an answer (including truncated/timed-out
     /// partials and result-cache hits).
@@ -454,7 +462,7 @@ static TABLE: &[Desc] = {
     &[
     row(&[], "uptime_ms", One, Value::Uptime).prom(0, "rpq_uptime_seconds", "Seconds since the server started."),
     row(&[], "workers", One, Num(|v, _| v.config.workers as u64)).prom(0, "rpq_workers", "Configured worker threads."),
-    row(&["queries"], "submitted", One, Num(|v, _| g(&v.m.submitted))).prom(1, "rpq_queries_submitted_total", "Queries accepted into the queue."),
+    row(&["queries"], "submitted", One, Num(|v, _| g(&v.m.submitted))).prom(1, "rpq_queries_submitted_total", "Queries accepted: queued, or answered from the result cache at submit."),
     row(&["queries"], "completed", One, Num(|v, _| g(&v.m.completed))).prom(1, "rpq_queries_completed_total", "Queries that produced an answer."),
     row(&["queries"], "failed", One, Num(|v, _| g(&v.m.failed))).prom(1, "rpq_queries_failed_total", "Queries that failed evaluation."),
     row(&["queries"], "cancelled", One, Num(|v, _| g(&v.m.cancelled))).prom(1, "rpq_queries_cancelled_total", "Queries cancelled before an answer."),
@@ -677,6 +685,18 @@ mod tests {
         // p99 is the 5 ms outlier's bucket: upper bound 8192.
         assert_eq!(h.quantile_us(0.99), 8192);
         assert_eq!(Histogram::default().quantile_us(0.5), 0);
+    }
+
+    /// Each sample keeps its sub-µs part in the sum: a thousand 1.5 µs
+    /// hits sum to 1500 µs, not to the 1000 of whole-µs truncation.
+    #[test]
+    fn latency_sums_keep_sub_microsecond_parts() {
+        let h = Histogram::default();
+        for _ in 0..1000 {
+            h.record(Duration::from_nanos(1500));
+        }
+        assert_eq!(h.sum_us(), 1500);
+        assert_eq!(h.quantile_us(0.5), 2, "buckets stay whole-µs");
     }
 
     #[test]

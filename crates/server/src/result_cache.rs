@@ -59,26 +59,28 @@ impl ResultCache {
         }
     }
 
-    /// Looks up a cached answer.
+    /// Looks up a cached answer, counting a hit or a miss.
     pub fn get(&self, key: &ResultKey) -> Option<Arc<QueryAnswer>> {
-        let hit = {
-            let gen = self.generation.load(Ordering::Acquire);
-            let mut inner = crate::lock_ignore_poison(&self.inner);
-            match inner.get(key) {
-                Some((g, ans)) if *g == gen => Some(Arc::clone(ans)),
-                _ => None,
-            }
-        };
-        match hit {
-            Some(ans) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(ans)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let hit = self.get_hit(key);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        hit
+    }
+
+    /// Looks up a cached answer, counting a hit but not a miss: for a
+    /// look ahead whose miss a later [`Self::get`] of the same request
+    /// counts, so that every request counts one hit or one miss.
+    pub(crate) fn get_hit(&self, key: &ResultKey) -> Option<Arc<QueryAnswer>> {
+        let gen = self.generation.load(Ordering::Acquire);
+        let hit = match crate::lock_ignore_poison(&self.inner).get(key) {
+            Some((g, ans)) if *g == gen => Some(Arc::clone(ans)),
+            _ => None,
+        };
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
     }
 
     /// Caches a complete answer (the caller guarantees completeness).
@@ -159,6 +161,10 @@ mod tests {
         assert_eq!(hit.pairs, vec![(0, 1), (0, 2)]);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
+        // A hit-only lookup counts its hit, and nothing on a miss.
+        assert!(cache.get_hit(&key("0+")).is_some());
+        assert!(cache.get_hit(&key("1")).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
         // Different endpoints are a different key.
         let other = ResultKey {
             subject: Term::Var,

@@ -3,12 +3,15 @@
 //! plan/result caches behind it.
 //!
 //! Life of a query: [`RpqServer::submit`] parses and resolves the string
-//! query on the caller's thread (so parse errors are synchronous), then
-//! tries to enqueue it — a full queue is an [`RpqError::Overloaded`]
-//! rejection, *before* any evaluation work is spent (admission control).
-//! A worker pops the job, consults the result cache, then the plan
-//! cache (compiling the Glushkov product automaton on a miss), and runs
-//! the engine under the job's [`QueryBudget`]. Results come back through
+//! query on the caller's thread (so parse errors are synchronous) and
+//! looks it up in the result cache there: a hit is answered on the spot,
+//! and its ticket is already `Done`. A miss is enqueued — a full queue
+//! is an [`RpqError::Overloaded`] rejection, *before* any evaluation
+//! work is spent (admission control). A worker pops the job, consults
+//! the result cache again (an identical earlier job may have filled it
+//! meanwhile), then the plan cache (compiling the Glushkov product
+//! automaton on a miss), and runs the engine under the job's
+//! [`QueryBudget`]. Results come back through
 //! [`RpqServer::poll`] / [`RpqServer::wait`] as shared `Arc` answers;
 //! [`RpqServer::cancel`] removes queued jobs immediately and flags
 //! running ones (best effort — the engine's own timeout bounds how long
@@ -81,7 +84,9 @@ pub struct ServerConfig {
     /// every query single-threaded.
     pub intra_query_threads: usize,
     /// Queue capacity; submissions beyond it are rejected
-    /// ([`RpqError::Overloaded`]).
+    /// ([`RpqError::Overloaded`]). Only result-cache misses are queued:
+    /// a hit at submit is answered on the caller's thread and takes no
+    /// slot, so it is served even when the queue is full.
     pub max_pending: usize,
     /// Byte budget of the compiled-plan cache.
     pub plan_cache_bytes: usize,
@@ -141,7 +146,8 @@ pub struct QueryAnswer {
     /// The query's execution profile, present when the server runs with
     /// [`ServerConfig::profile`] (or an active slow log). Cached answers
     /// get a fresh minimal profile per hit (`cache_hit: true`, queue
-    /// wait only) — the original run's profile is never replayed.
+    /// wait only: 0 for a hit answered at submit) — the original run's
+    /// profile is never replayed.
     pub profile: Option<Box<rpq_core::QueryProfile>>,
 }
 
@@ -206,7 +212,8 @@ struct Job {
     key: ResultKey,
     budget: QueryBudget,
     /// When the job was admitted — queue wait is measured from here to
-    /// worker pickup, end-to-end latency from here to the answer.
+    /// worker pickup, end-to-end latency from here to the answer (the
+    /// submit-time cache lookup included).
     submitted: Instant,
     /// The evaluation snapshot captured at submit time: the query runs
     /// against exactly this epoch's ring + delta, no matter how many
@@ -368,6 +375,13 @@ impl RpqServer {
     /// Submits a string query under an explicit budget. Parse and
     /// resolution errors are synchronous; admission rejections
     /// ([`RpqError::Overloaded`]) happen before any evaluation work.
+    ///
+    /// A result-cache hit is answered in this call, on the caller's
+    /// thread: the returned ticket [polls](Self::poll) `Done` at once,
+    /// and the hit takes no queue slot and wakes no worker. A miss is
+    /// queued, and the worker that picks it up looks in the cache once
+    /// more before it evaluates. Either way the request counts one cache
+    /// hit or one miss, by where its answer came from.
     pub fn submit_with(
         &self,
         subject: &str,
@@ -381,7 +395,8 @@ impl RpqServer {
     }
 
     /// Submits an id-level query (the path benchmarks and embedders use;
-    /// no dictionary lookups).
+    /// no dictionary lookups). A result-cache hit is answered in this
+    /// call, as in [`Self::submit_with`].
     pub fn submit_parsed(
         &self,
         query: RpqQuery,
@@ -410,7 +425,7 @@ impl RpqServer {
             epoch: snapshot.epoch,
         };
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let job = Arc::new(Job {
+        let mut job = Job {
             query,
             key,
             budget,
@@ -419,7 +434,22 @@ impl RpqServer {
             status: Mutex::new(QueryStatus::Queued),
             done: Condvar::new(),
             cancel: AtomicBool::new(false),
-        });
+        };
+        // A hit is answered here, on the caller's thread: the job is born
+        // `Done` and takes no queue slot, worker or `in_flight` count, so
+        // a full queue does not refuse it. A miss counts nothing yet; the
+        // worker's lookup at pickup counts it.
+        if let Some(cached) = self.shared.result_cache.get_hit(&job.key) {
+            let answer = answer_hit(&self.shared, &job, cached, 0);
+            job.status = Mutex::new(QueryStatus::Done(answer));
+            lock_ignore_poison(&self.shared.jobs).insert(id, Arc::new(job));
+            self.shared
+                .metrics
+                .submitted
+                .fetch_add(1, Ordering::Relaxed);
+            return Ok(QueryTicket { id });
+        }
+        let job = Arc::new(job);
         {
             let mut queue = lock_ignore_poison(&self.shared.queue);
             // Re-checked under the queue lock: shutdown() drains the queue
@@ -838,66 +868,89 @@ fn offer_slow(shared: &Shared, job: &Job, answer: &QueryAnswer, total_us: u64, q
     });
 }
 
+/// Whether answers get a profile: when asked for, or whenever the slow
+/// log is live (its entries are useless without one). Evaluation results
+/// are bit-identical either way — the planner never reads the flag.
+fn want_profile(shared: &Shared) -> bool {
+    shared.config.profile || shared.slow_log.enabled()
+}
+
+/// The one result-cache hit path, taken in two places: by
+/// [`RpqServer::submit_with`] on the caller's thread when the entry is
+/// there at submit (`queue_wait_us` 0, the job never queues), and by
+/// [`run_job`] when a worker finds the entry at pickup. Cuts the cached
+/// set to the requester's `max_results`, builds the hit's profile,
+/// records its latency and completion and offers it to the slow log.
+/// Returns the answer the job finishes with.
+fn answer_hit(
+    shared: &Shared,
+    job: &Job,
+    cached: Arc<QueryAnswer>,
+    queue_wait_us: u64,
+) -> Arc<QueryAnswer> {
+    let metrics = &shared.metrics;
+    // A cached complete set subsumes any partial, but the requester's
+    // `max_results` still bounds the payload it receives: hand back a
+    // truncated prefix when the cached set is larger. (`node_budget`
+    // caps evaluation work; a cache hit does none, so it never fails
+    // a hit.)
+    let answer = if cached.pairs.len() > job.budget.max_results {
+        Arc::new(QueryAnswer {
+            pairs: cached.pairs[..job.budget.max_results].to_vec(),
+            truncated: true,
+            timed_out: false,
+            route: cached.route,
+            stats: cached.stats,
+            profile: None,
+        })
+    } else {
+        cached
+    };
+    let total = job.submitted.elapsed();
+    let total_us = total.as_micros().min(u128::from(u64::MAX)) as u64;
+    let mut profiled = Arc::clone(&answer);
+    if want_profile(shared) {
+        // A hit does no planning or evaluation; its profile records
+        // the queue wait and lookup time only.
+        let mut fresh = (*answer).clone();
+        fresh.profile = Some(Box::new(rpq_core::QueryProfile {
+            total_us,
+            queue_wait_us: Some(queue_wait_us),
+            cache_hit: Some(true),
+            ..Default::default()
+        }));
+        profiled = Arc::new(fresh);
+    }
+    metrics.latency_cached.record(total);
+    metrics.latency_all.record(total);
+    metrics.completed.fetch_add(1, Ordering::Relaxed);
+    offer_slow(shared, job, &profiled, total_us, queue_wait_us);
+    // Profiles reach the client only when asked for; a slow-log-only
+    // configuration keeps them internal.
+    if shared.config.profile {
+        profiled
+    } else {
+        answer
+    }
+}
+
 fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
     let metrics = &shared.metrics;
     let picked = Instant::now();
     let queue_wait = picked.duration_since(job.submitted);
     let queue_wait_us = queue_wait.as_micros().min(u128::from(u64::MAX)) as u64;
     metrics.queue_wait.record(queue_wait);
-    // Profiles are collected when asked for, or whenever the slow log is
-    // live (its entries are useless without one). Evaluation results are
-    // bit-identical either way — the planner never reads the flag.
-    let want_profile = shared.config.profile || shared.slow_log.enabled();
 
-    if let Some(answer) = shared.result_cache.get(&job.key) {
-        // A cached complete set subsumes any partial, but the requester's
-        // `max_results` still bounds the payload it receives: hand back a
-        // truncated prefix when the cached set is larger. (`node_budget`
-        // caps evaluation work; a cache hit does none, so it never fails
-        // a hit.)
-        let answer = if answer.pairs.len() > job.budget.max_results {
-            Arc::new(QueryAnswer {
-                pairs: answer.pairs[..job.budget.max_results].to_vec(),
-                truncated: true,
-                timed_out: false,
-                route: answer.route,
-                stats: answer.stats,
-                profile: None,
-            })
-        } else {
-            answer
-        };
-        let total = job.submitted.elapsed();
-        let mut profiled = Arc::clone(&answer);
-        if want_profile {
-            // A hit does no planning or evaluation; its profile records
-            // the queue wait and lookup time only.
-            let mut fresh = (*answer).clone();
-            fresh.profile = Some(Box::new(rpq_core::QueryProfile {
-                total_us: total.as_micros().min(u128::from(u64::MAX)) as u64,
-                queue_wait_us: Some(queue_wait_us),
-                cache_hit: Some(true),
-                ..Default::default()
-            }));
-            profiled = Arc::new(fresh);
-        }
-        metrics.latency_cached.record(total);
-        metrics.latency_all.record(total);
-        metrics.completed.fetch_add(1, Ordering::Relaxed);
-        offer_slow(
+    // The second place a hit is answered: the entry was missing at
+    // submit, but an identical earlier job may have filled it while this
+    // one waited in the queue.
+    if let Some(cached) = shared.result_cache.get(&job.key) {
+        job.finish(QueryStatus::Done(answer_hit(
             shared,
             job,
-            &profiled,
-            total.as_micros().min(u128::from(u64::MAX)) as u64,
+            cached,
             queue_wait_us,
-        );
-        // Profiles reach the client only when asked for; a slow-log-only
-        // configuration keeps them internal.
-        job.finish(QueryStatus::Done(if shared.config.profile {
-            profiled
-        } else {
-            answer
-        }));
+        )));
         return;
     }
 
@@ -922,7 +975,7 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
         timeout: job.budget.timeout,
         node_budget: job.budget.node_budget,
         intra_query_threads: shared.config.intra_query_threads,
-        profile: want_profile,
+        profile: want_profile(shared),
         ..EngineOptions::default()
     };
     let mut engine = RpqEngine::with_scratch(&job.snapshot, std::mem::take(scratch));

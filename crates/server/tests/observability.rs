@@ -70,12 +70,13 @@ fn profiles_attach_and_answers_are_unchanged() {
         assert!(p.compile_us.is_some(), "compile time must be measured");
     }
 
-    // A repeat of the first key is a result-cache hit: still profiled,
-    // marked as a hit, with no execution phases to report.
+    // A repeat of the first key is a result-cache hit, answered at
+    // submit: still profiled, marked as a hit, no queue wait and no
+    // execution phases to report.
     let hit = profiled.query_blocking("?x", "0+", "?y").unwrap();
     let p = hit.profile.as_ref().expect("cache hits are profiled too");
     assert_eq!(p.cache_hit, Some(true));
-    assert!(p.queue_wait_us.is_some());
+    assert_eq!(p.queue_wait_us, Some(0));
     assert_eq!(p.exec_us, 0);
 
     plain.shutdown();

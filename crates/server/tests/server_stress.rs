@@ -161,12 +161,75 @@ fn cache_hits_respect_the_requesters_result_limit() {
             },
         )
         .unwrap();
+    // The hit goes through `submit`'s own lookup: done before any wait.
+    assert!(matches!(server.poll(&t), Some(QueryStatus::Done(_))));
     let small = server.wait(&t).unwrap();
     assert_eq!(small.pairs.len(), 3);
     assert!(small.truncated);
     assert_eq!(small.pairs[..], full.pairs[..3]);
     let json = server.metrics_json();
     assert!(json.contains("\"result_cache\":{\"hits\":1"), "{json}");
+    server.shutdown();
+}
+
+/// A result-cache hit is answered inside `submit`: its ticket polls
+/// `Done` at once, with the evaluated answer, and the hit never touches
+/// the queue — no queue-wait sample, no queue depth.
+#[test]
+fn a_cached_answer_is_done_at_submit() {
+    let graph = workload_graph(0xD0E);
+    let ring = Ring::build(&graph, RingOptions::default());
+    let server = RpqServer::start(
+        Arc::new(IndexSource::id_only(ring)),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let evaluated = server.query_blocking("?x", "0+", "?y").unwrap();
+    let m = server.metrics();
+    let (waits, peak) = (m.queue_wait.count(), m.queue_peak.load(Ordering::Relaxed));
+    let t = server.submit("?x", "0+", "?y").unwrap();
+    match server.poll(&t) {
+        Some(QueryStatus::Done(hit)) => assert_eq!(hit.pairs, evaluated.pairs),
+        other => panic!("a hit must be done at submit, got {other:?}"),
+    }
+    assert_eq!(server.wait(&t).unwrap().pairs, evaluated.pairs);
+    assert_eq!(m.queue_wait.count(), waits, "a hit must not queue");
+    assert_eq!(m.queue_peak.load(Ordering::Relaxed), peak);
+    assert_eq!(m.submitted.load(Ordering::Relaxed), 2);
+    assert_eq!(m.completed.load(Ordering::Relaxed), 2);
+    server.shutdown();
+}
+
+/// Two identical requests submitted before either is awaited (how the
+/// CLI pipelines a session) both queue; the worker evaluates the first
+/// and answers the second from the cache at pickup, unless it finished
+/// before the second was submitted. Either way the cache counts one
+/// hit and one miss: hits + misses = answered requests.
+#[test]
+fn pipelined_repeats_count_one_hit_and_one_miss() {
+    let graph = workload_graph(0xD0E);
+    let ring = Ring::build(&graph, RingOptions::default());
+    let server = RpqServer::start(
+        Arc::new(IndexSource::id_only(ring)),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let first = server.submit("?x", "0/1*", "?y").unwrap();
+    let second = server.submit("?x", "0/1*", "?y").unwrap();
+    let a = server.wait(&first).unwrap();
+    let b = server.wait(&second).unwrap();
+    assert_eq!(a.pairs, b.pairs);
+    let json = server.metrics_json();
+    assert!(
+        json.contains("\"result_cache\":{\"hits\":1,\"misses\":1,"),
+        "{json}"
+    );
     server.shutdown();
 }
 
