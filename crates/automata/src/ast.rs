@@ -177,7 +177,17 @@ impl Regex {
                     _ => Regex::alt(fa, fb),
                 }
             }
-            Regex::Concat(a, b) => Regex::concat(a.fuse_classes(), b.fuse_classes()),
+            Regex::Concat(..) => {
+                // A chain `e1/e2/…/en` parses left-nested, as deep as it
+                // is long: its spine is walked in a loop, not recursed.
+                let (mut head, mut factors) = (self, Vec::new());
+                while let Regex::Concat(a, b) = head {
+                    factors.push(b);
+                    head = a;
+                }
+                let fused = factors.iter().rev().map(|b| b.fuse_classes());
+                fused.fold(head.fuse_classes(), Regex::concat)
+            }
             Regex::Star(a) => Regex::Star(Box::new(a.fuse_classes())),
             Regex::Plus(a) => Regex::Plus(Box::new(a.fuse_classes())),
             Regex::Opt(a) => Regex::Opt(Box::new(a.fuse_classes())),

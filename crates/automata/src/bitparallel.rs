@@ -1,7 +1,9 @@
 //! Bit-parallel simulation of the Glushkov NFA (Navarro & Raffinot \[42\];
 //! §3.3 of the paper).
 //!
-//! A state set is one machine word `D`. Reading label `c` forward updates
+//! A state set is a mask `D` of one or more machine words
+//! ([`StateMask`]): one while `m < w`, `⌈(m+1)/w⌉` past it, every
+//! operation taken word by word (§3.3). Reading label `c` forward updates
 //! `D ← T[D] & B[c]` (Eq. 1); reading backward, `D ← T'[D & B[c]]`
 //! (Eq. 2). `T` (states reachable in one step from a set) and `T'` (states
 //! reaching a set in one step) are split vertically into `d`-bit subtables
@@ -10,7 +12,7 @@
 //! as §3.3 describes.
 
 use crate::ast::Lit;
-use crate::glushkov::{Glushkov, StateMask, INITIAL};
+use crate::glushkov::{Glushkov, StateMask};
 use crate::Label;
 use std::collections::HashMap;
 
@@ -19,28 +21,29 @@ pub const DEFAULT_SPLIT_WIDTH: usize = 8;
 
 /// A transition function over state masks, split into `d`-bit subtables.
 #[derive(Clone, Debug)]
-pub struct SplitTable {
+pub struct SplitTable<M> {
     /// `sub[j][x]` = image of the state subset encoded by chunk `j` holding
     /// pattern `x`.
-    sub: Vec<Vec<StateMask>>,
+    sub: Vec<Vec<M>>,
     d: usize,
 }
 
-impl SplitTable {
+impl<M: StateMask> SplitTable<M> {
     /// Builds the table for the function "OR of `f(q)` over all states `q`
     /// in the argument mask", where states are `0..=m`.
-    fn build(m: usize, d: usize, f: impl Fn(usize) -> StateMask) -> Self {
+    fn build(m: usize, d: usize, f: impl Fn(usize) -> M) -> Self {
         let n_states = m + 1;
+        let images: Vec<M> = (0..n_states).map(f).collect();
         let n_chunks = n_states.div_ceil(d);
         let mut sub = Vec::with_capacity(n_chunks);
         for j in 0..n_chunks {
             let lo = j * d;
             let width = d.min(n_states - lo);
-            let mut t = vec![0 as StateMask; 1 << width];
+            let mut t = vec![M::ZERO; 1 << width];
             // Dynamic-programming fill: T[x] = T[x without lowest bit] | f(lowest).
             for x in 1usize..(1 << width) {
                 let low = x.trailing_zeros() as usize;
-                t[x] = t[x & (x - 1)] | f(lo + low);
+                t[x] = t[x & (x - 1)].or(images[lo + low]);
             }
             sub.push(t);
         }
@@ -49,16 +52,16 @@ impl SplitTable {
 
     /// Applies the table: the OR of the images of every state in `mask`.
     #[inline]
-    pub fn apply(&self, mask: StateMask) -> StateMask {
-        let mut out = 0;
+    pub fn apply(&self, mask: M) -> M {
+        let mut out = M::ZERO;
         let mut rest = mask;
         let mut j = 0;
-        while rest != 0 {
-            let chunk = (rest & ((1u64 << self.d) - 1)) as usize;
+        while !rest.is_empty() {
+            let chunk = (rest.words()[0] & ((1 << self.d) - 1)) as usize;
             // Masking keeps the index valid even if a caller passes bits
             // beyond state m (well-formed masks never do).
-            out |= self.sub[j][chunk & (self.sub[j].len() - 1)];
-            rest >>= self.d;
+            out = out.or(self.sub[j][chunk & (self.sub[j].len() - 1)]);
+            rest = rest.shr(self.d);
             j += 1;
         }
         out
@@ -66,85 +69,75 @@ impl SplitTable {
 
     /// Table bytes (for the working-space accounting of Table 2).
     pub fn size_bytes(&self) -> usize {
-        self.sub.iter().map(|t| t.len() * 8).sum()
+        self.sub.iter().map(|t| t.len() * size_of::<M>()).sum()
     }
 }
 
-/// The bit-parallel simulator: cached `B` table plus split `T`/`T'`.
+/// The bit-parallel simulator: cached `B` table plus split `T`/`T'`,
+/// over state masks of type `M`.
 #[derive(Clone, Debug)]
-pub struct BitParallel {
-    m: usize,
+pub struct BitParallel<M: StateMask = u64> {
     nullable: bool,
-    accept: StateMask,
-    fwd: SplitTable,
-    bwd: SplitTable,
+    accept: M,
+    fwd: SplitTable<M>,
+    bwd: SplitTable<M>,
     /// `B[c]` for labels mentioned positively, sorted by label.
-    pos_masks: Vec<(Label, StateMask)>,
+    pos_masks: Vec<(Label, M)>,
     /// Negated-class positions: `(position bit, excluded labels)`.
-    neg_positions: Vec<(StateMask, Vec<Label>)>,
-    /// Memo for [`Self::label_mask`] lookups of negated classes.
-    memo: HashMap<Label, StateMask>,
+    neg_positions: Vec<(M, Vec<Label>)>,
 }
 
-impl BitParallel {
+impl<M: StateMask> BitParallel<M> {
     /// Builds the simulation tables with the default split width.
-    pub fn new(g: &Glushkov) -> Self {
+    pub fn new(g: &Glushkov<M>) -> Self {
         Self::with_split_width(g, DEFAULT_SPLIT_WIDTH)
     }
 
     /// Builds the simulation tables splitting `T`/`T'` into `d`-bit
     /// subtables (`1 ≤ d ≤ 16` is sensible; the A3 ablation sweeps this).
-    pub fn with_split_width(g: &Glushkov, d: usize) -> Self {
+    pub fn with_split_width(g: &Glushkov<M>, d: usize) -> Self {
         assert!((1..=20).contains(&d), "split width {d} out of range");
         let m = g.positions();
         let fwd = SplitTable::build(m, d, |q| g.trans(q));
         // T'[X]: states q whose one-step image intersects X.
-        let images: Vec<StateMask> = (0..=m).map(|q| g.trans(q)).collect();
+        let images: Vec<M> = (0..=m).map(|q| g.trans(q)).collect();
         let bwd = SplitTable::build(m, d, |p| {
             // States reaching state p in one step.
-            let target = 1u64 << p;
-            let mut mask = 0;
+            let target = M::bit(p);
+            let mut mask = M::ZERO;
             for (q, &img) in images.iter().enumerate() {
-                if img & target != 0 {
-                    mask |= 1u64 << q;
+                if img.intersects(target) {
+                    mask = mask.or(M::bit(q));
                 }
             }
             mask
         });
 
-        let mut pos_map: HashMap<Label, StateMask> = HashMap::new();
+        let mut pos_map: HashMap<Label, M> = HashMap::new();
         let mut neg_positions = Vec::new();
         for (i, lit) in g.literals().iter().enumerate() {
-            let bit = 1u64 << (i + 1);
+            let bit = M::bit(i + 1);
+            let mut add = |l: Label| {
+                let mask = pos_map.entry(l).or_insert(M::ZERO);
+                *mask = mask.or(bit);
+            };
             match lit {
-                Lit::Label(l) => *pos_map.entry(*l).or_default() |= bit,
-                Lit::Class(ls) => {
-                    for &l in ls {
-                        *pos_map.entry(l).or_default() |= bit;
-                    }
-                }
+                Lit::Label(l) => add(*l),
+                Lit::Class(ls) => ls.iter().for_each(|&l| add(l)),
                 Lit::NegClass(ls) => neg_positions.push((bit, ls.clone())),
             }
         }
-        let mut pos_masks: Vec<(Label, StateMask)> = pos_map.into_iter().collect();
+        let mut pos_masks: Vec<(Label, M)> = pos_map.into_iter().collect();
         pos_masks.sort_unstable_by_key(|&(l, _)| l);
 
         Self {
-            m,
             nullable: g.nullable(),
             accept: g.accept_mask(),
             fwd,
             bwd,
             pos_masks,
             neg_positions,
-            memo: HashMap::new(),
         }
-    }
-
-    /// Number of positions `m`.
-    #[inline]
-    pub fn positions(&self) -> usize {
-        self.m
     }
 
     /// Whether the empty word is accepted.
@@ -155,61 +148,19 @@ impl BitParallel {
 
     /// Mask of accepting states (`F`).
     #[inline]
-    pub fn accept_mask(&self) -> StateMask {
+    pub fn accept_mask(&self) -> M {
         self.accept
     }
 
-    /// Mask of the initial state.
-    #[inline]
-    pub fn initial_mask(&self) -> StateMask {
-        INITIAL
-    }
-
     /// `B[c]`: positions reachable by an edge labeled `c` from any state.
-    pub fn label_mask(&self, c: Label) -> StateMask {
+    pub fn label_mask(&self, c: Label) -> M {
         let mut mask = match self.pos_masks.binary_search_by_key(&c, |&(l, _)| l) {
             Ok(i) => self.pos_masks[i].1,
-            Err(_) => 0,
+            Err(_) => M::ZERO,
         };
-        for (bit, excluded) in &self.neg_positions {
+        for &(bit, ref excluded) in &self.neg_positions {
             if excluded.binary_search(&c).is_err() {
-                mask |= bit;
-            }
-        }
-        mask
-    }
-
-    /// Like [`Self::label_mask`] but memoized (useful when negated classes
-    /// make the computation non-trivial and the traversal re-tests labels).
-    pub fn label_mask_memo(&mut self, c: Label) -> StateMask {
-        if self.neg_positions.is_empty() {
-            return self.label_mask(c);
-        }
-        if let Some(&m) = self.memo.get(&c) {
-            return m;
-        }
-        let m = self.label_mask(c);
-        self.memo.insert(c, m);
-        m
-    }
-
-    /// OR of `B[c]` over all labels `c ∈ [lo, hi)` — the mask `B[v]` of a
-    /// wavelet-tree node covering that label interval (§4.1).
-    pub fn range_mask(&self, lo: Label, hi: Label) -> StateMask {
-        let start = self.pos_masks.partition_point(|&(l, _)| l < lo);
-        let mut mask = 0;
-        for &(l, m) in &self.pos_masks[start..] {
-            if l >= hi {
-                break;
-            }
-            mask |= m;
-        }
-        for (bit, excluded) in &self.neg_positions {
-            // The node qualifies unless every label in [lo, hi) is excluded.
-            let from = excluded.partition_point(|&l| l < lo);
-            let to = excluded.partition_point(|&l| l < hi);
-            if ((to - from) as u64) < hi - lo {
-                mask |= bit;
+                mask = mask.or(bit);
             }
         }
         mask
@@ -217,50 +168,50 @@ impl BitParallel {
 
     /// Positive-literal masks, sorted by label (for seeding per-node mask
     /// tables bottom-up as §4.1 prescribes).
-    pub fn positive_label_masks(&self) -> &[(Label, StateMask)] {
+    pub fn positive_label_masks(&self) -> &[(Label, M)] {
         &self.pos_masks
     }
 
     /// Negated-class positions `(bit, excluded labels)`.
-    pub fn negated_positions(&self) -> &[(StateMask, Vec<Label>)] {
+    pub fn negated_positions(&self) -> &[(M, Vec<Label>)] {
         &self.neg_positions
     }
 
     /// One forward step (Eq. 1): `T[D] & B[c]`.
     #[inline]
-    pub fn step_fwd(&self, d: StateMask, c: Label) -> StateMask {
-        self.fwd.apply(d) & self.label_mask(c)
+    pub fn step_fwd(&self, d: M, c: Label) -> M {
+        self.fwd.apply(d).and(self.label_mask(c))
     }
 
     /// One backward step (Eq. 2): `T'[D & B[c]]`.
     #[inline]
-    pub fn step_bwd(&self, d: StateMask, c: Label) -> StateMask {
-        self.bwd.apply(d & self.label_mask(c))
+    pub fn step_bwd(&self, d: M, c: Label) -> M {
+        self.bwd.apply(d.and(self.label_mask(c)))
     }
 
     /// `T'[X]` for a pre-intersected argument (the engine intersects with
     /// `B[p]` during the wavelet traversal, per Fact 1).
     #[inline]
-    pub fn apply_bwd(&self, x: StateMask) -> StateMask {
+    pub fn apply_bwd(&self, x: M) -> M {
         self.bwd.apply(x)
     }
 
     /// `T[X]` without the `B` intersection.
     #[inline]
-    pub fn apply_fwd(&self, x: StateMask) -> StateMask {
+    pub fn apply_fwd(&self, x: M) -> M {
         self.fwd.apply(x)
     }
 
     /// Forward word matching: simulates §3.3's algorithm.
     pub fn matches(&self, word: &[Label]) -> bool {
-        let mut d = INITIAL;
+        let mut d = M::INITIAL;
         for &c in word {
             d = self.step_fwd(d, c);
-            if d == 0 {
+            if d.is_empty() {
                 return false;
             }
         }
-        d & self.accept != 0
+        d.intersects(self.accept)
     }
 
     /// Backward word matching: reads `word` from last to first with Eq. 2
@@ -270,22 +221,22 @@ impl BitParallel {
         let mut d = self.accept;
         for &c in word.iter().rev() {
             d = self.step_bwd(d, c);
-            if d == 0 {
+            if d.is_empty() {
                 return false;
             }
         }
-        d & INITIAL != 0
+        d.intersects(M::INITIAL)
     }
 
     /// Working-space bytes of the tables (Table 2 accounting).
     pub fn size_bytes(&self) -> usize {
         self.fwd.size_bytes()
             + self.bwd.size_bytes()
-            + self.pos_masks.len() * 16
+            + self.pos_masks.len() * size_of::<(Label, M)>()
             + self
                 .neg_positions
                 .iter()
-                .map(|(_, v)| 8 + v.len() * 8)
+                .map(|(_, v)| size_of::<M>() + v.len() * 8)
                 .sum::<usize>()
     }
 }
@@ -298,7 +249,7 @@ mod tests {
     const R: NumericResolver = NumericResolver { n_base: 50 };
 
     fn bp(s: &str) -> BitParallel {
-        BitParallel::new(&Glushkov::new(&parse(s, &R).unwrap()).unwrap())
+        BitParallel::new(&Glushkov::<u64>::new(&parse(s, &R).unwrap()).unwrap())
     }
 
     /// The worked simulation of §3.3: running `a/b*/b` (a=1, b=2) over the
@@ -307,7 +258,7 @@ mod tests {
     #[test]
     fn fig2_forward_trace() {
         let bp = bp("1/2*/2");
-        let mut d = INITIAL;
+        let mut d = u64::INITIAL;
         d = bp.step_fwd(d, 1);
         assert_eq!(d, 0b0010); // state 1 active
         d = bp.step_fwd(d, 2);
@@ -331,7 +282,7 @@ mod tests {
         assert_eq!(d, 0b0110); // states 1 and 2
                                // Reading ^bus (=5) backward from {1}: predecessor is the initial state.
         let d2 = bp.step_bwd(0b0010, 5);
-        assert_eq!(d2, INITIAL);
+        assert_eq!(d2, u64::INITIAL);
     }
 
     #[test]
@@ -358,7 +309,7 @@ mod tests {
 
     #[test]
     fn split_widths_agree() {
-        let g = Glushkov::new(&parse("(1|2)+/3*/(4/5)?", &R).unwrap()).unwrap();
+        let g = Glushkov::<u64>::new(&parse("(1|2)+/3*/(4/5)?", &R).unwrap()).unwrap();
         let reference = BitParallel::with_split_width(&g, 16);
         for d in [1, 2, 4, 7, 8] {
             let bp = BitParallel::with_split_width(&g, d);
@@ -377,28 +328,37 @@ mod tests {
         }
     }
 
+    /// Past the word: `1/(2|3)*/4?` behind a chain `100/101/…` of 70
+    /// or 250 literals, as an alternative and as a prefix, runs over two
+    /// and four words as the NFA does, forward and backward.
     #[test]
-    fn range_mask_ors_labels() {
-        let bp = bp("1/(3|7)");
-        assert_eq!(
-            bp.range_mask(0, 50),
-            bp.label_mask(1) | bp.label_mask(3) | bp.label_mask(7)
-        );
-        assert_eq!(bp.range_mask(2, 4), bp.label_mask(3));
-        assert_eq!(bp.range_mask(4, 7), 0);
-        assert_eq!(bp.range_mask(7, 8), bp.label_mask(7));
-    }
-
-    #[test]
-    fn range_mask_with_negated_class() {
-        let bp = bp("!(3|4)");
-        let bit = 0b10;
-        assert_eq!(bp.label_mask(3), 0);
-        assert_eq!(bp.label_mask(5), bit);
-        // [3,5) is fully excluded; [3,6) is not.
-        assert_eq!(bp.range_mask(3, 5), 0);
-        assert_eq!(bp.range_mask(3, 6), bit);
-        assert_eq!(bp.range_mask(0, 100), bit);
+    fn wide_masks_agree_with_the_nfa() {
+        use crate::ast::Regex;
+        fn check<M: StateMask>(e: &Regex, words: &[Vec<Label>]) {
+            let bp = BitParallel::<M>::with_split_width(&Glushkov::new(e).unwrap(), 3);
+            let nfa = crate::Nfa::from_regex(e);
+            for w in words {
+                let want = nfa.matches(w);
+                assert_eq!((bp.matches(w), bp.matches_reverse(w)), (want, want));
+            }
+        }
+        let core = parse("1/(2|3)*/4?", &R).unwrap();
+        let mut words: Vec<Vec<Label>> = vec![vec![1, 4], vec![1, 2, 3, 2], vec![]];
+        for n in [70, 250] {
+            let pad =
+                (101..100 + n).fold(Regex::label(100), |e, l| Regex::concat(e, Regex::label(l)));
+            words.push((100..100 + n).collect());
+            words.push((100..100 + n).chain([1, 3, 4]).collect());
+            for e in [
+                Regex::alt(pad.clone(), core.clone()),
+                Regex::concat(pad, core.clone()),
+            ] {
+                check::<[u64; 4]>(&e, &words);
+                if n < 127 {
+                    check::<[u64; 2]>(&e, &words);
+                }
+            }
+        }
     }
 
     #[test]
@@ -407,15 +367,5 @@ mod tests {
         assert!(bp("1*").matches(&[]));
         assert!(bp("1*").matches_reverse(&[]));
         assert!(bp("1?").matches(&[]));
-    }
-
-    #[test]
-    fn memoized_label_mask_matches() {
-        let mut bp = bp("!(2)/1");
-        for c in 0..10 {
-            assert_eq!(bp.label_mask_memo(c), bp.label_mask(c));
-            // Second lookup hits the memo.
-            assert_eq!(bp.label_mask_memo(c), bp.label_mask(c));
-        }
     }
 }

@@ -7,56 +7,147 @@
 //! what makes the bit-parallel simulation (and the whole RPQ algorithm)
 //! work.
 //!
-//! States are bits of a `u64`: bit 0 is the initial state, bits `1..=m` the
-//! positions in left-to-right order of the expression.
+//! States are bits of a [`StateMask`]: bit 0 is the initial state, bits
+//! `1..=m` the positions in left-to-right order of the expression; past
+//! one `u64`, §3.3's `⌈(m+1)/w⌉` words, state `q` in word `⌊q/64⌋`.
+
+use succinct::util::Words;
 
 use crate::ast::{Lit, Regex};
 use crate::{AutomatonError, Label};
 
-/// A state set of the Glushkov NFA, as a bit mask.
-pub type StateMask = u64;
+/// The most words a state set spans.
+pub const MAX_WORDS: usize = 4;
 
-/// The bit of the initial state.
-pub const INITIAL: StateMask = 1;
+/// The widest state set, to which one of any width is zero-padded.
+pub type WideMask = [u64; MAX_WORDS];
 
-/// The Glushkov automaton of a regular expression.
+/// A state set of the Glushkov NFA, as a bit mask over [`Words::LEN`]
+/// machine words: `u64`, or `[u64; N]`. Every operation is §3.3's word
+/// operation, taken word by word.
+pub trait StateMask: Words + Eq + std::fmt::Debug + Send + Sync + 'static {
+    /// The set of the initial state alone (bit 0).
+    const INITIAL: Self;
+    /// The most positions an automaton over these masks holds: bit 0 is
+    /// the initial state.
+    const POSITIONS: usize = 64 * Self::LEN - 1;
+
+    /// The set of state `q` alone.
+    fn bit(q: usize) -> Self {
+        let mut mask = Self::ZERO;
+        mask.words_mut()[q / 64] = 1 << (q % 64);
+        mask
+    }
+
+    /// The two sets combined word by word with `f`.
+    fn map2(mut self, other: Self, f: impl Fn(u64, u64) -> u64) -> Self {
+        let words = self.words_mut().iter_mut().zip(other.words());
+        words.for_each(|(word, &by)| *word = f(*word, by));
+        self
+    }
+
+    /// Union.
+    fn or(self, other: Self) -> Self {
+        self.map2(other, |a, b| a | b)
+    }
+
+    /// Intersection.
+    fn and(self, other: Self) -> Self {
+        self.map2(other, |a, b| a & b)
+    }
+
+    /// The states of `self` not in `other`.
+    fn and_not(self, other: Self) -> Self {
+        self.map2(other, |a, b| a & !b)
+    }
+
+    /// Whether the set is empty.
+    fn is_empty(self) -> bool {
+        self.words().iter().all(|&word| word == 0)
+    }
+
+    /// Whether the two sets share a state.
+    fn intersects(self, other: Self) -> bool {
+        !self.and(other).is_empty()
+    }
+
+    /// The set shifted `k` states down (`0 < k < 64`): state `q + k`
+    /// becomes state `q`.
+    fn shr(self, k: usize) -> Self {
+        let mut out = Self::ZERO;
+        let words = self.words();
+        for (i, word) in out.words_mut().iter_mut().enumerate() {
+            let carry = words.get(i + 1).map_or(0, |&above| above << (64 - k));
+            *word = words[i] >> k | carry;
+        }
+        out
+    }
+
+    /// The states in the set, ascending.
+    fn states(self) -> impl Iterator<Item = usize> {
+        (0..64 * Self::LEN).filter(move |&q| self.words()[q / 64] >> (q % 64) & 1 != 0)
+    }
+
+    /// The set zero-padded to the widest mask.
+    fn wide(self) -> WideMask {
+        let mut wide = [0; MAX_WORDS];
+        wide[..Self::LEN].copy_from_slice(self.words());
+        wide
+    }
+}
+
+impl StateMask for u64 {
+    const INITIAL: Self = 1;
+}
+
+impl<const N: usize> StateMask for [u64; N] {
+    const INITIAL: Self = {
+        let mut mask = [0; N];
+        mask[0] = 1;
+        mask
+    };
+}
+
+/// The Glushkov automaton of a regular expression, its state sets
+/// masks of type `M`.
 #[derive(Clone, Debug)]
-pub struct Glushkov {
+pub struct Glushkov<M: StateMask = u64> {
     /// Number of positions (`m`).
     m: usize,
     /// Whether `ε ∈ L(E)`.
     nullable: bool,
     /// Positions that can start a match (`first(E)`).
-    first: StateMask,
+    first: M,
     /// Positions that can end a match (`last(E)`).
-    last: StateMask,
+    last: M,
     /// `follow[p - 1]`: positions that may follow position `p`.
-    follow: Vec<StateMask>,
+    follow: Vec<M>,
     /// `lits[p - 1]`: the literal of position `p` (the label test carried
     /// by every transition arriving at `p`).
     lits: Vec<Lit>,
 }
 
-impl Glushkov {
+impl<M: StateMask> Glushkov<M> {
     /// Builds the automaton for `expr`.
     ///
     /// # Errors
-    /// [`AutomatonError::TooManyPositions`] if `expr` has more than 63
-    /// literal occurrences; [`AutomatonError::EmptyClass`] on empty classes.
+    /// [`AutomatonError::TooManyPositions`] if `expr` has more literal
+    /// occurrences than an `M` holds positions ([`StateMask::POSITIONS`]);
+    /// [`AutomatonError::EmptyClass`] on empty classes.
     pub fn new(expr: &Regex) -> Result<Self, AutomatonError> {
         let m = expr.literal_count();
-        if m > 63 {
+        if m > M::POSITIONS {
             return Err(AutomatonError::TooManyPositions(m));
         }
         let mut g = Glushkov {
             m,
             nullable: false,
-            first: 0,
-            last: 0,
-            follow: vec![0; m],
+            first: M::ZERO,
+            last: M::ZERO,
+            follow: vec![M::ZERO; m],
             lits: Vec::with_capacity(m),
         };
-        let mut next_pos = 1u32;
+        let mut next_pos = 1;
         let info = g.visit(expr, &mut next_pos)?;
         g.nullable = info.nullable;
         g.first = info.first;
@@ -64,18 +155,18 @@ impl Glushkov {
         Ok(g)
     }
 
-    fn visit(&mut self, e: &Regex, next: &mut u32) -> Result<NodeInfo, AutomatonError> {
+    fn visit(&mut self, e: &Regex, next: &mut usize) -> Result<NodeInfo<M>, AutomatonError> {
         match e {
             Regex::Epsilon => Ok(NodeInfo {
                 nullable: true,
-                first: 0,
-                last: 0,
+                first: M::ZERO,
+                last: M::ZERO,
             }),
             Regex::Literal(lit) => {
                 if lit.mentioned_labels().is_empty() && !matches!(lit, Lit::NegClass(_)) {
                     return Err(AutomatonError::EmptyClass);
                 }
-                let bit = 1u64 << *next;
+                let bit = M::bit(*next);
                 *next += 1;
                 self.lits.push(lit.clone());
                 Ok(NodeInfo {
@@ -90,8 +181,16 @@ impl Glushkov {
                 self.link(ia.last, ib.first);
                 Ok(NodeInfo {
                     nullable: ia.nullable && ib.nullable,
-                    first: ia.first | if ia.nullable { ib.first } else { 0 },
-                    last: ib.last | if ib.nullable { ia.last } else { 0 },
+                    first: if ia.nullable {
+                        ia.first.or(ib.first)
+                    } else {
+                        ia.first
+                    },
+                    last: if ib.nullable {
+                        ib.last.or(ia.last)
+                    } else {
+                        ib.last
+                    },
                 })
             }
             Regex::Alt(a, b) => {
@@ -99,8 +198,8 @@ impl Glushkov {
                 let ib = self.visit(b, next)?;
                 Ok(NodeInfo {
                     nullable: ia.nullable || ib.nullable,
-                    first: ia.first | ib.first,
-                    last: ia.last | ib.last,
+                    first: ia.first.or(ib.first),
+                    last: ia.last.or(ib.last),
                 })
             }
             Regex::Star(a) => {
@@ -127,13 +226,10 @@ impl Glushkov {
     }
 
     /// Adds `firsts` to the follow set of every position in `lasts`.
-    fn link(&mut self, lasts: StateMask, firsts: StateMask) {
-        let mut rest = lasts;
-        while rest != 0 {
-            let p = rest.trailing_zeros() as usize;
+    fn link(&mut self, lasts: M, firsts: M) {
+        for p in lasts.states() {
             debug_assert!(p >= 1);
-            self.follow[p - 1] |= firsts;
-            rest &= rest - 1;
+            self.follow[p - 1] = self.follow[p - 1].or(firsts);
         }
     }
 
@@ -152,26 +248,24 @@ impl Glushkov {
     /// Mask of accepting states: `last(E)`, plus the initial state when the
     /// expression is nullable.
     #[inline]
-    pub fn accept_mask(&self) -> StateMask {
-        self.last | if self.nullable { INITIAL } else { 0 }
+    pub fn accept_mask(&self) -> M {
+        if self.nullable {
+            self.last.or(M::INITIAL)
+        } else {
+            self.last
+        }
     }
 
     /// States reachable in one step from state `q` (by whatever label their
     /// literals admit): `first(E)` for the initial state, `follow(q)`
     /// otherwise.
     #[inline]
-    pub fn trans(&self, q: usize) -> StateMask {
+    pub fn trans(&self, q: usize) -> M {
         if q == 0 {
             self.first
         } else {
             self.follow[q - 1]
         }
-    }
-
-    /// The literal of position `p` (`1..=m`).
-    #[inline]
-    pub fn literal(&self, p: usize) -> &Lit {
-        &self.lits[p - 1]
     }
 
     /// All position literals, `lits()[p-1]` belonging to position `p`.
@@ -183,11 +277,11 @@ impl Glushkov {
     /// Mask of positions whose literal matches label `c` — the table `B[c]`
     /// of the bit-parallel simulation, computed from scratch (the
     /// [`crate::BitParallel`] wrapper caches these).
-    pub fn label_mask(&self, c: Label) -> StateMask {
-        let mut mask = 0;
+    pub fn label_mask(&self, c: Label) -> M {
+        let mut mask = M::ZERO;
         for (i, lit) in self.lits.iter().enumerate() {
             if lit.matches(c) {
-                mask |= 1u64 << (i + 1);
+                mask = mask.or(M::bit(i + 1));
             }
         }
         mask
@@ -199,22 +293,17 @@ impl Glushkov {
     pub fn transitions(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for q in 0..=self.m {
-            let mut rest = self.trans(q);
-            while rest != 0 {
-                let p = rest.trailing_zeros() as usize;
-                out.push((q, p));
-                rest &= rest - 1;
-            }
+            out.extend(self.trans(q).states().map(|p| (q, p)));
         }
         out
     }
 }
 
 #[derive(Clone, Copy)]
-struct NodeInfo {
+struct NodeInfo<M> {
     nullable: bool,
-    first: StateMask,
-    last: StateMask,
+    first: M,
+    last: M,
 }
 
 #[cfg(test)]
@@ -225,7 +314,7 @@ mod tests {
     const R: NumericResolver = NumericResolver { n_base: 50 };
 
     fn g(s: &str) -> Glushkov {
-        Glushkov::new(&parse(s, &R).unwrap()).unwrap()
+        Glushkov::<u64>::new(&parse(s, &R).unwrap()).unwrap()
     }
 
     /// The paper's Fig. 2: the Glushkov automaton of `a/b*/b` (a=1, b=2)
@@ -260,13 +349,13 @@ mod tests {
     fn nullable_adds_initial_to_accepting() {
         let g = g("4*");
         assert!(g.nullable());
-        assert_eq!(g.accept_mask(), 0b10 | INITIAL);
+        assert_eq!(g.accept_mask(), 0b10 | u64::INITIAL);
     }
 
     #[test]
     fn class_literal_is_one_position() {
         let e = parse("(1|2|3)+", &R).unwrap().fuse_classes();
-        let g = Glushkov::new(&e).unwrap();
+        let g = Glushkov::<u64>::new(&e).unwrap();
         assert_eq!(g.positions(), 1);
         assert_eq!(g.label_mask(1), 0b10);
         assert_eq!(g.label_mask(2), 0b10);
@@ -292,9 +381,29 @@ mod tests {
         let e = parse(&s, &R).unwrap();
         assert_eq!(e.literal_count(), 64);
         assert_eq!(
-            Glushkov::new(&e).unwrap_err(),
+            Glushkov::<u64>::new(&e).unwrap_err(),
             AutomatonError::TooManyPositions(64)
         );
+    }
+
+    /// A chain of `n` literals `0/1/…/(n−1)`.
+    fn chain(n: u64) -> Regex {
+        (1..n).fold(Regex::label(0), |e, l| Regex::concat(e, Regex::label(l)))
+    }
+
+    /// Positions past the word land in the words above it: a 100-literal
+    /// chain in two words links position 63 to 64, and 99 accepts.
+    #[test]
+    fn wide_masks_cross_the_word_boundary() {
+        let g = Glushkov::<[u64; 2]>::new(&chain(100)).unwrap();
+        assert_eq!((g.trans(63), g.trans(64)), ([0, 1], [0, 2]));
+        assert_eq!((g.label_mask(62), g.label_mask(63)), ([1 << 63, 0], [0, 1]));
+        assert_eq!(g.accept_mask(), [0, 1 << 36]);
+        assert_eq!(g.transitions().len(), 100);
+        let err = Glushkov::<[u64; 2]>::new(&chain(128)).unwrap_err();
+        assert_eq!(err, AutomatonError::TooManyPositions(128));
+        let g = Glushkov::<[u64; 4]>::new(&chain(255)).unwrap();
+        assert_eq!(g.accept_mask().shr(8).wide(), [0, 0, 0, 1 << 55]);
     }
 
     #[test]
@@ -311,10 +420,10 @@ mod tests {
 
     #[test]
     fn epsilon_expression() {
-        let g = Glushkov::new(&Regex::Epsilon).unwrap();
+        let g = Glushkov::<u64>::new(&Regex::Epsilon).unwrap();
         assert_eq!(g.positions(), 0);
         assert!(g.nullable());
-        assert_eq!(g.accept_mask(), INITIAL);
+        assert_eq!(g.accept_mask(), u64::INITIAL);
     }
 
     use crate::ast::Regex;

@@ -157,8 +157,6 @@ impl Nfa {
     /// Whether the NFA accepts `word` (subset simulation; test oracle).
     pub fn matches(&self, word: &[Label]) -> bool {
         let mut current = vec![self.initial];
-        let mut in_current = vec![false; self.n_states];
-        in_current[self.initial] = true;
         for &c in word {
             let mut next = Vec::new();
             let mut in_next = vec![false; self.n_states];
@@ -174,24 +172,8 @@ impl Nfa {
                 return false;
             }
             current = next;
-            in_current = in_next;
         }
-        let _ = in_current;
         current.iter().any(|&q| self.accepting[q])
-    }
-
-    /// All distinct labels from `alphabet` that some transition admits
-    /// (utility for the baseline engines).
-    pub fn admitted_labels(&self, alphabet: &[Label]) -> Vec<Label> {
-        alphabet
-            .iter()
-            .copied()
-            .filter(|&c| {
-                self.transitions
-                    .iter()
-                    .any(|ts| ts.iter().any(|(lit, _)| lit.matches(c)))
-            })
-            .collect()
     }
 }
 

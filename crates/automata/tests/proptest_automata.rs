@@ -38,7 +38,7 @@ proptest! {
         e in regex_strategy(),
         words in prop::collection::vec(prop::collection::vec(0..SIGMA, 0..8), 1..12),
     ) {
-        let g = Glushkov::new(&e).unwrap();
+        let g = Glushkov::<u64>::new(&e).unwrap();
         let bp = BitParallel::new(&g);
         let nfa = Nfa::from_regex(&e);
         for w in &words {
@@ -86,7 +86,7 @@ proptest! {
 
     #[test]
     fn nullability_consistent(e in regex_strategy()) {
-        let g = Glushkov::new(&e).unwrap();
+        let g = Glushkov::<u64>::new(&e).unwrap();
         prop_assert_eq!(g.nullable(), e.nullable());
         prop_assert_eq!(g.nullable(), derivative::matches(&e, &[]));
         let bp = BitParallel::new(&g);

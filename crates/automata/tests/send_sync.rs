@@ -23,7 +23,7 @@ fn bitparallel_tables_are_safely_shared() {
         Regex::Plus(Box::new(Regex::alt(Regex::label(0), Regex::label(1)))),
         Regex::label(2),
     );
-    let bp = std::sync::Arc::new(BitParallel::new(&Glushkov::new(&expr).unwrap()));
+    let bp = std::sync::Arc::new(BitParallel::new(&Glushkov::<u64>::new(&expr).unwrap()));
     let word = [0u64, 1, 0, 2];
     let expected = bp.matches(&word);
     assert!(expected);

@@ -4,7 +4,7 @@
 //! headline trade-off: equal algorithmic machinery, ~3–5× more space, no
 //! wavelet-tree range batching.
 
-use automata::{BitParallel, Glushkov};
+use automata::{BitParallel, Glushkov, StateMask};
 use ring::Id;
 use rpq_core::{EngineOptions, QueryError, QueryOutput, RpqQuery, Term};
 use std::collections::VecDeque;
@@ -49,13 +49,13 @@ impl BitParallelAdjEngine {
         if !idx.node_exists(start) {
             return false;
         }
-        self.visited.reset();
-        self.reported.reset();
+        self.visited.reset(1);
+        self.reported.reset(1);
         let accept = bp.accept_mask();
-        let d0 = bp.initial_mask();
+        let d0 = u64::INITIAL;
         self.visited.set(start as usize, d0);
         if d0 & accept != 0 {
-            self.reported.set(start as usize, 1);
+            self.reported.set(start as usize, 1u64);
             if !report(start, out) {
                 return true;
             }
@@ -91,13 +91,13 @@ impl BitParallelAdjEngine {
                     out.stats.product_edges += 1;
                     for &w in &objs[i..j] {
                         let w = w as Id;
-                        let old = self.visited.get(w as usize);
+                        let old: u64 = self.visited.get(w as usize);
                         let fresh = dn & !old;
                         if fresh != 0 {
                             self.visited.set(w as usize, old | dn);
                             out.stats.product_nodes += 1;
-                            if fresh & accept != 0 && self.reported.get(w as usize) == 0 {
-                                self.reported.set(w as usize, 1);
+                            if fresh & accept != 0 && self.reported.get::<u64>(w as usize) == 0 {
+                                self.reported.set(w as usize, 1u64);
                                 if !report(w, out) {
                                     return true;
                                 }

@@ -33,7 +33,7 @@ fn bench_masked_vs_probing(c: &mut Criterion) {
     let r = NumericResolver { n_base: n_preds };
     // A query mentioning 4 of the 512 completed labels.
     let expr = parse("3/(7|19)*/41", &r).unwrap();
-    let g = Glushkov::new(&expr).unwrap();
+    let g = Glushkov::<u64>::new(&expr).unwrap();
     let bp = BitParallel::new(&g);
     let d = bp.accept_mask();
     let labels: Vec<u64> = expr.mentioned_labels();

@@ -16,7 +16,7 @@ fn bench_glushkov(c: &mut Criterion) {
     let r = NumericResolver { n_base: 64 };
     // A 16-position expression (the paper's D cells are 16-bit).
     let expr = parse("(1|2)/3*/4+/(5/6)?/7/8*/9/10/(11|12)*/13?/14/15/16", &r).unwrap();
-    let g = Glushkov::new(&expr).unwrap();
+    let g = Glushkov::<u64>::new(&expr).unwrap();
     assert_eq!(g.positions(), 16);
 
     for d in [4usize, 8, 16] {
@@ -42,7 +42,7 @@ fn bench_glushkov(c: &mut Criterion) {
     }
 
     c.bench_function("glushkov_construction", |b| {
-        b.iter(|| black_box(Glushkov::new(&expr).unwrap().positions()))
+        b.iter(|| black_box(Glushkov::<u64>::new(&expr).unwrap().positions()))
     });
 }
 

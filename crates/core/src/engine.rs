@@ -5,7 +5,7 @@ use ring::Ring;
 use std::time::Instant;
 
 use crate::kernel::{self, Traversal};
-use crate::plan::{EvalRoute, PreparedQuery};
+use crate::plan::{with_tables, EvalRoute, PreparedQuery};
 use crate::planner::{self, Plan};
 use crate::profile::{LevelProf, QueryProfile};
 use crate::query::{EngineOptions, QueryOutput, RpqQuery, Term};
@@ -228,20 +228,13 @@ impl<'r> RpqEngine<'r> {
                 deadline,
                 plan.intra_query_threads,
             )),
-            // Expressions beyond the bit-parallel word width evaluate
-            // through the explicit-state fallback (§3.3's m > w regime).
-            EvalRoute::Fallback => {
-                let query = RpqQuery::new(subject, prepared.expr().clone(), object);
-                crate::fallback::evaluate_view(&self.view, &query, opts)
-            }
             EvalRoute::Split => {
                 let split = plan.split.as_ref().expect("a split plan carries its split");
                 crate::split::evaluate_split_in(self, src, split, opts, deadline)
             }
-            EvalRoute::BitParallel => {
-                let tables = prepared
-                    .tables()
-                    .expect("the planner only picks bit-parallel when tables exist");
+            // One kernel entry; the width of the plan's state masks picks
+            // the copy of it that runs.
+            EvalRoute::BitParallel => Ok(with_tables!(prepared.tables(), tables => {
                 let mut kernel = Traversal {
                     src,
                     scratch: &mut self.scratch,
@@ -252,16 +245,9 @@ impl<'r> RpqEngine<'r> {
                     prof: levels,
                     negated_labels: [None, None],
                 };
-                let nullable = tables.0.is_nullable();
-                Ok(kernel::evaluate(
-                    &mut kernel,
-                    nullable,
-                    plan.direction,
-                    subject,
-                    object,
-                    opts,
-                ))
-            }
+                let (nullable, direction) = (prepared.nullable(), plan.direction);
+                kernel::evaluate(&mut kernel, nullable, direction, subject, object, opts)
+            })),
         }
     }
 }

@@ -112,13 +112,7 @@ fn explain_prepared(
 
     let fused = prepared.expr().fuse_classes();
     let positions = fused.literal_count();
-    let nullable = match prepared.tables() {
-        Some((bp, _)) => bp.is_nullable(),
-        None => {
-            let nfa = automata::Nfa::from_regex(prepared.expr());
-            nfa.accepting[nfa.initial]
-        }
-    };
+    let nullable = prepared.nullable();
 
     let mut label_cardinalities: Vec<(Id, usize)> = prepared
         .expr()
@@ -263,14 +257,6 @@ impl std::fmt::Display for QueryPlan {
                 f,
                 "rare-label split at label {} — enumerate its edges, complete both sides",
                 self.plan.split_label().unwrap_or(0)
-            )?,
-            (EvalRoute::Fallback, ..) => writeln!(
-                f,
-                "explicit-state fallback (expression beyond the word width), {}",
-                match self.plan.direction {
-                    Some(Direction::FromObject) => "backward traversal from the object",
-                    _ => "forward walk from the subject side",
-                }
             )?,
             (EvalRoute::BitParallel, Term::Var, Term::Const(o)) => {
                 writeln!(f, "backward traversal from object {o}")?

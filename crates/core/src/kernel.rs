@@ -7,8 +7,8 @@
 
 use std::time::Instant;
 
-use automata::glushkov::INITIAL;
-use automata::{BitParallel, Label};
+use automata::glushkov::WideMask;
+use automata::{BitParallel, Label, StateMask};
 use ring::Id;
 use succinct::util::EpochArray;
 
@@ -16,7 +16,7 @@ use crate::pairbuf::PairBuffer;
 use crate::planner::Direction;
 use crate::profile::{LevelProf, PhaseTimes};
 use crate::query::{EngineOptions, QueryOutput, Term, TraversalStats};
-use crate::scratch::EngineScratch;
+use crate::scratch::{EngineScratch, Mask};
 use crate::step::{group_by_key, negated_firing_labels, ChunkExpansion, Firing, StepSource};
 
 /// The frontier items a traversal's first chunk holds. A BFS level is
@@ -48,7 +48,7 @@ const RADIX_BITS: usize = 11;
 /// more than once kept once with its state sets united (`T'` distributes
 /// over union, so one step from the union is the steps from the parts).
 /// `spare` is a buffer to sort through; its contents are not kept.
-pub(crate) fn order_level(level: &mut Vec<(Id, u64)>, spare: &mut Vec<(Id, u64)>) {
+pub(crate) fn order_level<M: StateMask>(level: &mut Vec<(Id, M)>, spare: &mut Vec<(Id, M)>) {
     if level.len() < RADIX_MIN {
         level.sort_unstable_by_key(|entry| entry.0);
     } else {
@@ -56,12 +56,12 @@ pub(crate) fn order_level(level: &mut Vec<(Id, u64)>, spare: &mut Vec<(Id, u64)>
         let in_use = level.iter().fold(0, |bits, entry| bits | entry.0);
         let mut ends = Vec::new();
         spare.clear();
-        spare.resize(level.len(), (0, 0));
+        spare.resize(level.len(), (0, M::ZERO));
         for shift in (0..Id::BITS as usize).step_by(RADIX_BITS) {
             if in_use >> shift == 0 {
                 break;
             }
-            let digit = |entry: &(Id, u64)| (entry.0 >> shift) as usize & ((1 << RADIX_BITS) - 1);
+            let digit = |entry: &(Id, M)| (entry.0 >> shift) as usize & ((1 << RADIX_BITS) - 1);
             group_by_key(&mut ends, 1 << RADIX_BITS, level, digit, |slot, entry| {
                 spare[slot] = *entry
             });
@@ -70,7 +70,7 @@ pub(crate) fn order_level(level: &mut Vec<(Id, u64)>, spare: &mut Vec<(Id, u64)>
     }
     level.dedup_by(|later, kept| {
         kept.0 == later.0 && {
-            kept.1 |= later.1;
+            kept.1 = kept.1.or(later.1);
             true
         }
     });
@@ -129,7 +129,7 @@ pub(crate) trait Kernel {
         start: Start,
         bounds: Bounds,
         stats: &mut TraversalStats,
-        trace: Option<&mut Vec<(Id, u64)>>,
+        trace: Option<&mut Vec<(Id, WideMask)>>,
         report: &mut dyn FnMut(Id) -> bool,
     ) -> Stop;
 
@@ -344,12 +344,13 @@ fn eval_var_var(
 /// observable tells the result from a traversal that expands one item
 /// at a time, on any source or thread count (the crate's `README.md`,
 /// "How one BFS level is expanded", has the argument;
-/// `level_sync_identity` holds the code to it).
-pub(crate) struct Traversal<'a, S: StepSource + ?Sized> {
+/// `level_sync_identity` holds the code to it). `M` is the width of the
+/// query's state masks: each width is its own copy of the traversal.
+pub(crate) struct Traversal<'a, S: StepSource + ?Sized, M: StateMask> {
     pub(crate) src: &'a S,
     pub(crate) scratch: &'a mut EngineScratch,
-    /// The query's `(E, Ê)` tables.
-    pub(crate) tables: (&'a BitParallel, &'a BitParallel),
+    /// The query's `[E, Ê]` tables.
+    pub(crate) tables: &'a [BitParallel<M>; 2],
     pub(crate) opts: &'a EngineOptions,
     pub(crate) deadline: Option<Instant>,
     /// Threads the planner granted this evaluation.
@@ -359,17 +360,17 @@ pub(crate) struct Traversal<'a, S: StepSource + ?Sized> {
     /// negated classes: they depend on the tables alone, so every
     /// anchored run of a two-pass evaluation shares the one built on
     /// first use.
-    pub(crate) negated_labels: [Option<Vec<(Label, u64)>>; 2],
+    pub(crate) negated_labels: [Option<Vec<(Label, M)>>; 2],
 }
 
-impl<S: StepSource + ?Sized> Kernel for Traversal<'_, S> {
+impl<S: StepSource + ?Sized, M: Mask> Kernel for Traversal<'_, S, M> {
     fn traverse(
         &mut self,
         reversed: bool,
         start: Start,
         bounds: Bounds,
         stats: &mut TraversalStats,
-        trace: Option<&mut Vec<(Id, u64)>>,
+        trace: Option<&mut Vec<(Id, WideMask)>>,
         report: &mut dyn FnMut(Id) -> bool,
     ) -> Stop {
         let stop = self
@@ -394,7 +395,7 @@ impl<S: StepSource + ?Sized> Kernel for Traversal<'_, S> {
     }
 }
 
-impl<S: StepSource + ?Sized> Traversal<'_, S> {
+impl<S: StepSource + ?Sized, M: Mask> Traversal<'_, S, M> {
     /// The traversal proper; `Err` carries why it stopped early.
     fn run(
         &mut self,
@@ -402,13 +403,13 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
         start: Start,
         bounds: Bounds,
         stats: &mut TraversalStats,
-        trace: Option<&mut Vec<(Id, u64)>>,
+        trace: Option<&mut Vec<(Id, WideMask)>>,
         report: &mut dyn FnMut(Id) -> bool,
     ) -> Result<(), Stop> {
         let (src, opts) = (self.src, self.opts);
-        let bp = [self.tables.0, self.tables.1][usize::from(reversed)];
+        let bp = &self.tables[usize::from(reversed)];
         let d0 = bp.accept_mask();
-        if d0 == 0 {
+        if d0.is_empty() {
             return Ok(());
         }
         let labels = if bp.negated_positions().is_empty() {
@@ -418,16 +419,12 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
                 .get_or_insert_with(|| negated_firing_labels(src.ring().n_preds(), bp))
                 .as_slice()
         };
-        let EngineScratch {
-            lp_masks,
-            visited,
-            frontier,
-            next_frontier,
-            expansions,
-        } = &mut *self.scratch;
+        let (lp_masks, visited, levels) = M::parts(self.scratch);
+        let (frontier, expansions) = (&mut levels.frontier, &mut levels.expansions);
+        let next_frontier = &mut levels.next_frontier;
         src.prepare(bp, lp_masks);
+        visited.reset(M::LEN);
         visited.ensure_len(src.n_nodes() as usize);
-        visited.reset();
         let firing = Firing {
             labels,
             automaton: Some((bp, lp_masks)),
@@ -455,7 +452,7 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
                 // match if the initial state is already accepting.
                 visited.set(o as usize, d0);
                 if src.node_exists(o) {
-                    if d0 & INITIAL != 0 {
+                    if d0.intersects(M::INITIAL) {
                         replay.stats.reported += 1;
                         if !(replay.report)(o) {
                             return Ok(());
@@ -479,10 +476,12 @@ impl<S: StepSource + ?Sized> Traversal<'_, S> {
                 }
                 replay.step()?;
                 let mut listed = Vec::new();
-                for &(label, bmask) in labels.iter().filter(|l| l.1 & d0 != 0) {
-                    let d_new = bp.apply_bwd(d0 & bmask);
+                for &(label, bmask) in labels.iter().filter(|l| l.1.intersects(d0)) {
+                    let d_new = bp.apply_bwd(d0.and(bmask));
                     let mut cap = match bounds.wanted {
-                        Some(wanted) if d_new & INITIAL != 0 => replay.still_wanted(wanted).max(1),
+                        Some(wanted) if d_new.intersects(M::INITIAL) => {
+                            replay.still_wanted(wanted).max(1)
+                        }
                         _ => usize::MAX,
                     };
                     let mut done = 0;
@@ -592,20 +591,20 @@ pub(crate) fn nanos(d: std::time::Duration) -> u64 {
 /// What a traversal run mutates as it replays chunks — the only writer
 /// of the visited masks, and the one place budget, deadline, trace,
 /// `report`, the product-graph counters and the profile live.
-struct Replay<'a> {
+struct Replay<'a, M> {
     budget: Option<u64>,
     deadline: Option<Instant>,
     /// `stats.reported` when the run began.
     reported_before: u64,
     stats: &'a mut TraversalStats,
-    trace: Option<&'a mut Vec<(Id, u64)>>,
+    trace: Option<&'a mut Vec<(Id, WideMask)>>,
     report: &'a mut dyn FnMut(Id) -> bool,
     /// The next BFS level, accumulated while the current one is replayed.
-    next: &'a mut Vec<(Id, u64)>,
+    next: &'a mut Vec<(Id, M)>,
     prof: Option<&'a mut LevelProf>,
 }
 
-impl Replay<'_> {
+impl<M: Mask> Replay<'_, M> {
     /// The reports of this run so far.
     fn reported(&self) -> usize {
         (self.stats.reported - self.reported_before) as usize
@@ -630,7 +629,7 @@ impl Replay<'_> {
 
     /// Replays one expanded chunk in visiting order against the live masks.
     /// `Err` is the reason the whole traversal stops here.
-    fn chunk(&mut self, visited: &mut EpochArray, x: &ChunkExpansion) -> Result<(), Stop> {
+    fn chunk(&mut self, visited: &mut EpochArray, x: &ChunkExpansion<M>) -> Result<(), Stop> {
         let t = self.clock();
         let replayed = self.work_items(visited, x);
         if let Some(p) = self.prof.as_deref_mut() {
@@ -641,7 +640,7 @@ impl Replay<'_> {
         replayed
     }
 
-    fn work_items(&mut self, visited: &mut EpochArray, x: &ChunkExpansion) -> Result<(), Stop> {
+    fn work_items(&mut self, visited: &mut EpochArray, x: &ChunkExpansion<M>) -> Result<(), Stop> {
         self.stats.rank_ops += x.rank_ops;
         self.stats.rank_ops_saved += x.rank_ops_saved;
         self.stats.wavelet_nodes += x.wavelet_nodes;
@@ -676,27 +675,27 @@ impl Replay<'_> {
     fn subjects(
         &mut self,
         visited: &mut EpochArray,
-        d_new: u64,
+        d_new: M,
         subjects: &[Id],
     ) -> Result<(), Stop> {
         let stats = &mut *self.stats;
         for &s in subjects {
             // The per-node visited filter D[s]: soundness and Theorem
             // 4.1 depend on it.
-            let old = visited.get(s as usize);
-            let fresh = d_new & !old;
-            if fresh == 0 {
+            let old: M = visited.get(s as usize);
+            let fresh = d_new.and_not(old);
+            if fresh.is_empty() {
                 continue;
             }
             if self.budget.is_some_and(|nb| stats.product_nodes >= nb) {
                 return Err(Stop::Budget);
             }
-            visited.set(s as usize, old | d_new);
+            visited.set(s as usize, old.or(d_new));
             stats.product_nodes += 1;
             if let Some(t) = self.trace.as_deref_mut() {
-                t.push((s, fresh));
+                t.push((s, fresh.wide()));
             }
-            if fresh & INITIAL != 0 {
+            if fresh.intersects(M::INITIAL) {
                 stats.reported += 1;
                 if !(self.report)(s) {
                     return Err(Stop::Completed);

@@ -13,8 +13,8 @@
 //! counters that depend on visit order. (`wavelet_nodes` and `rank_ops`
 //! describe the work a strategy did and differ by design.)
 
-use automata::glushkov::INITIAL;
-use automata::{BitParallel, Label, Regex};
+use automata::glushkov::WideMask;
+use automata::{BitParallel, Label, Regex, StateMask};
 use ring::ring::RingOptions;
 use ring::{Graph, Id, Ring, Triple};
 use succinct::util::EpochArray;
@@ -24,16 +24,17 @@ use workload::{GraphGen, GraphGenConfig, QueryGen};
 
 use crate::engine::RpqEngine;
 use crate::kernel::{self, Bounds, Kernel, Start, Stop};
-use crate::plan::{EvalRoute, PreparedQuery};
+use crate::plan::{EvalRoute, PreparedQuery, Tables};
 use crate::query::{EngineOptions, RpqQuery, Term, TraversalStats};
 use crate::source::{MergedView, ShardedSource, TripleSource};
 use crate::step::{neg_range_mask, seed_label_masks};
 
 /// The item-at-a-time kernel: level by level, a level's `(node, D)` items
-/// in ascending node order, the items of one node united into one.
+/// in ascending node order, the items of one node united into one. Its
+/// state sets are one word.
 struct Reference<'a> {
     ring: &'a Ring,
-    tables: (&'a BitParallel, &'a BitParallel),
+    tables: &'a [BitParallel; 2],
     lp_masks: EpochArray,
     /// `D[s]` in cell `s`.
     visited: EpochArray,
@@ -46,19 +47,15 @@ impl Kernel for Reference<'_> {
         start: Start,
         bounds: Bounds,
         stats: &mut TraversalStats,
-        mut trace: Option<&mut Vec<(Id, u64)>>,
+        mut trace: Option<&mut Vec<(Id, WideMask)>>,
         report: &mut dyn FnMut(Id) -> bool,
     ) -> Stop {
-        let bp = if reversed {
-            self.tables.1
-        } else {
-            self.tables.0
-        };
+        let bp = &self.tables[usize::from(reversed)];
         let ring = self.ring;
         let (lp, ls) = (ring.l_p(), ring.l_s());
         seed_label_masks(&mut self.lp_masks, lp, bp);
+        self.visited.reset(1);
         self.visited.ensure_len(ring.n_nodes() as usize);
-        self.visited.reset();
 
         // A level as `(L_p range, D)` items in visiting order, and the
         // `(node, fresh states)` found while it is visited.
@@ -71,7 +68,7 @@ impl Kernel for Reference<'_> {
         match start {
             Start::Object(o) => {
                 self.visited.set(o as usize, d0);
-                if d0 & INITIAL != 0 && MergedView::ring_only(ring).node_exists(o) {
+                if d0 & u64::INITIAL != 0 && MergedView::ring_only(ring).node_exists(o) {
                     stats.reported += 1;
                     if !report(o) {
                         return Stop::Completed;
@@ -129,9 +126,9 @@ impl Kernel for Reference<'_> {
                         }
                         stats.product_nodes += 1;
                         if let Some(t) = trace.as_deref_mut() {
-                            t.push((s, fresh));
+                            t.push((s, fresh.wide()));
                         }
-                        if fresh & INITIAL != 0 {
+                        if fresh & u64::INITIAL != 0 {
                             stats.reported += 1;
                             if !report(s) {
                                 return Stop::Completed;
@@ -179,7 +176,7 @@ struct PredGuide<'a> {
 
 impl RangeGuide for PredGuide<'_> {
     fn enter(&mut self, level: usize, prefix: u64) -> bool {
-        let mut mask = self.masks.get(WaveletMatrix::node_index(level, prefix));
+        let mut mask: u64 = self.masks.get(WaveletMatrix::node_index(level, prefix));
         if !self.neg.is_empty() {
             mask |= neg_range_mask(self.neg, level, prefix, self.width);
         }
@@ -208,7 +205,7 @@ impl RangeGuide for SubjGuide<'_> {
         if level < self.width {
             return true;
         }
-        let old = self.visited.get(prefix as usize);
+        let old: u64 = self.visited.get(prefix as usize);
         let fresh = self.d_new & !old;
         if fresh == 0 {
             return false;
@@ -347,7 +344,9 @@ fn assert_identical(sources: &Sources, query: &RpqQuery, opts: &EngineOptions, w
     let prepared =
         PreparedQuery::compile(&query.expr, &|l| ring.inverse_label(l), opts.bp_split_width)
             .unwrap();
-    let tables = prepared.tables().unwrap();
+    let Tables::One(tables) = prepared.tables() else {
+        unreachable!("the corpus is of one-word expressions")
+    };
     let snapshot = sources.store.snapshot();
     let kinds: [(&str, &dyn TripleSource); 3] = [
         ("ring", ring),
@@ -375,7 +374,7 @@ fn assert_identical(sources: &Sources, query: &RpqQuery, opts: &EngineOptions, w
             };
             let want = kernel::evaluate(
                 &mut reference,
-                tables.0.is_nullable(),
+                tables[0].is_nullable(),
                 plan.direction,
                 query.subject,
                 query.object,

@@ -49,7 +49,6 @@
 
 pub mod engine;
 pub mod explain;
-pub mod fallback;
 pub mod fastpath;
 pub mod jsonw;
 mod kernel;

@@ -4,7 +4,8 @@
 //! Compiling a 2RPQ means fusing label classes, building the Glushkov
 //! position automaton for the expression *and* for its reversal `Ê`
 //! (§4.4 needs both directions), and materializing the split bit-parallel
-//! transition tables (§3.3). None of that depends on the query's
+//! transition tables (§3.3) over the narrowest state mask that holds the
+//! expression's positions. None of that depends on the query's
 //! endpoints, so a serving layer can key compiled plans by the
 //! *normalized pattern* — [`PreparedQuery::cache_key`] — and share one
 //! [`PreparedQuery`] across any number of concurrent workers: the type is
@@ -12,7 +13,7 @@
 //! [`RpqEngine::evaluate_prepared`](crate::RpqEngine::evaluate_prepared)
 //! only reads it.
 
-use automata::{BitParallel, Glushkov, Label, Regex};
+use automata::{AutomatonError, BitParallel, Glushkov, Label, Regex, StateMask, MAX_POSITIONS};
 
 use crate::fastpath::{self, Shape};
 use crate::QueryError;
@@ -32,17 +33,14 @@ pub enum EvalRoute {
     /// mandatory label and complete the prefix/suffix from each edge's
     /// endpoints. Variable-to-variable queries only.
     Split,
-    /// The explicit-state fallback for expressions beyond the word width.
-    Fallback,
 }
 
 impl EvalRoute {
     /// Every route, in metrics-index order (see [`Self::index`]).
-    pub const ALL: [EvalRoute; 4] = [
+    pub const ALL: [EvalRoute; 3] = [
         EvalRoute::FastPath,
         EvalRoute::BitParallel,
         EvalRoute::Split,
-        EvalRoute::Fallback,
     ];
 
     /// Stable lowercase name (used as a metrics key).
@@ -51,18 +49,78 @@ impl EvalRoute {
             EvalRoute::FastPath => "fastpath",
             EvalRoute::BitParallel => "bitparallel",
             EvalRoute::Split => "split",
-            EvalRoute::Fallback => "fallback",
         }
     }
 
     /// Dense index into per-route tables (`ALL[route.index()] == route`).
     pub fn index(self) -> usize {
-        match self {
-            EvalRoute::FastPath => 0,
-            EvalRoute::BitParallel => 1,
-            EvalRoute::Split => 2,
-            EvalRoute::Fallback => 3,
+        self as usize
+    }
+}
+
+/// Both directions' bit-parallel tables, `[E, Ê]`, over the narrowest
+/// state mask that holds the expression: one word up to 63 positions,
+/// two up to 127, four up to [`MAX_POSITIONS`] (§3.3's `⌈(m+1)/w⌉`).
+#[derive(Clone, Debug)]
+pub(crate) enum Tables {
+    One([BitParallel<u64>; 2]),
+    Two([BitParallel<[u64; 2]>; 2]),
+    Four([BitParallel<[u64; 4]>; 2]),
+}
+
+/// Runs `$body` with `$t` bound to the `[E, Ê]` tables of whichever width
+/// `$tables` holds: the one place the width is matched on.
+macro_rules! with_tables {
+    ($tables:expr, $t:ident => $body:expr) => {
+        match $tables {
+            $crate::plan::Tables::One($t) => $body,
+            $crate::plan::Tables::Two($t) => $body,
+            $crate::plan::Tables::Four($t) => $body,
         }
+    };
+}
+pub(crate) use with_tables;
+
+impl Tables {
+    /// Builds both directions' tables over the narrowest masks that hold
+    /// the `m` positions. (Not generic, so that it is compiled once, not
+    /// once per caller's label involution.)
+    fn new(m: usize, fused: &Regex, rev: &Regex, d: usize) -> Result<Self, AutomatonError> {
+        fn build<M: StateMask>(
+            e: [&Regex; 2],
+            d: usize,
+        ) -> Result<[BitParallel<M>; 2], AutomatonError> {
+            let tables = |e| Glushkov::new(e).map(|g| BitParallel::with_split_width(&g, d));
+            Ok([tables(e[0])?, tables(e[1])?])
+        }
+        Ok(if m <= u64::POSITIONS {
+            Tables::One(build([fused, rev], d)?)
+        } else if m <= <[u64; 2]>::POSITIONS {
+            Tables::Two(build([fused, rev], d)?)
+        } else {
+            Tables::Four(build([fused, rev], d)?)
+        })
+    }
+
+    /// The sum of `cost` over what the first backward step of `E` (of `Ê`
+    /// when `reversed`) can fire: `cost(Some(p))` for every label `p`
+    /// whose `B[p]` meets the accepting states, `cost(None)` for every
+    /// negated-class position among them (it fires on any label).
+    pub(crate) fn first_step_cost(
+        &self,
+        reversed: bool,
+        cost: impl Fn(Option<Label>) -> u64,
+    ) -> u64 {
+        fn sum<M: StateMask>(bp: &BitParallel<M>, cost: impl Fn(Option<Label>) -> u64) -> u64 {
+            let fires = |mask: M| mask.intersects(bp.accept_mask());
+            let labels = bp.positive_label_masks().iter().filter(|l| fires(l.1));
+            let negated = bp.negated_positions().iter().filter(|n| fires(n.0));
+            labels
+                .map(|l| cost(Some(l.0)))
+                .chain(negated.map(|_| cost(None)))
+                .sum()
+        }
+        with_tables!(self, t => sum(&t[usize::from(reversed)], cost))
     }
 }
 
@@ -71,17 +129,13 @@ impl EvalRoute {
 /// arbitrary endpoints.
 #[derive(Clone, Debug)]
 pub struct PreparedQuery {
-    /// The original expression (the fallback route and [`Self::cache_key`]
+    /// The original expression ([`Self::cache_key`] and the split route
     /// work on this form).
     expr: Regex,
     /// The §5 fast-path classification of `expr`.
     shape: Shape,
-    /// Whether the expression exceeds the bit-parallel word width.
-    fallback: bool,
-    /// Bit-parallel tables for the fused expression (absent on fallback).
-    bp: Option<BitParallel>,
-    /// Bit-parallel tables for the reversed-and-inverted expression.
-    bp_rev: Option<BitParallel>,
+    /// Bit-parallel tables for the fused expression and its reversal.
+    tables: Tables,
     /// The §3.3 vertical split width the tables were built with.
     bp_split_width: usize,
 }
@@ -91,6 +145,11 @@ impl PreparedQuery {
     /// (used to reverse the two-way expression), `bp_split_width` the
     /// §3.3 vertical split `d` of the bit-parallel transition tables
     /// (unrelated to rare-label splitting).
+    ///
+    /// # Errors
+    /// [`AutomatonError::TooManyPositions`] past [`MAX_POSITIONS`]
+    /// positions (counted after label classes are fused), and
+    /// [`AutomatonError::EmptyClass`].
     pub fn compile(
         expr: &Regex,
         inv: &impl Fn(Label) -> Label,
@@ -103,24 +162,15 @@ impl PreparedQuery {
         // queries pay one unused table build — a few microseconds
         // against the traversal they precede).
         let fused = expr.fuse_classes();
-        let fallback = crate::fallback::needs_fallback_fused(&fused);
-        let (bp, bp_rev) = if fallback {
-            (None, None)
-        } else {
-            let rev = fused.reversed(inv);
-            let g = Glushkov::new(&fused)?;
-            let g_rev = Glushkov::new(&rev)?;
-            (
-                Some(BitParallel::with_split_width(&g, bp_split_width)),
-                Some(BitParallel::with_split_width(&g_rev, bp_split_width)),
-            )
-        };
+        let m = fused.literal_count();
+        if m > MAX_POSITIONS {
+            return Err(AutomatonError::TooManyPositions(m).into());
+        }
+        let tables = Tables::new(m, &fused, &fused.reversed(inv), bp_split_width)?;
         Ok(Self {
             expr: expr.clone(),
             shape,
-            fallback,
-            bp,
-            bp_rev,
+            tables,
             bp_split_width,
         })
     }
@@ -149,11 +199,6 @@ impl PreparedQuery {
         &self.shape
     }
 
-    /// Whether evaluation goes through the explicit-state fallback.
-    pub fn uses_fallback(&self) -> bool {
-        self.fallback
-    }
-
     /// The §3.3 vertical split width the bit-parallel tables were built
     /// with (evaluation uses the prebuilt tables, not the per-call
     /// option). Unrelated to rare-label splitting.
@@ -161,19 +206,24 @@ impl PreparedQuery {
         self.bp_split_width
     }
 
-    /// Both directions' transition tables (absent on the fallback
-    /// route). The planner reads these for its cost estimates.
-    pub(crate) fn tables(&self) -> Option<(&BitParallel, &BitParallel)> {
-        Some((self.bp.as_ref()?, self.bp_rev.as_ref()?))
+    /// Whether the expression accepts the empty word.
+    pub fn nullable(&self) -> bool {
+        with_tables!(&self.tables, t => t[0].is_nullable())
+    }
+
+    /// Both directions' transition tables. The planner reads these for
+    /// its cost estimates, the engine traverses with them.
+    pub(crate) fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     /// Approximate heap footprint, for cache byte accounting.
     pub fn size_bytes(&self) -> usize {
-        let tables = self.bp.as_ref().map_or(0, BitParallel::size_bytes)
-            + self.bp_rev.as_ref().map_or(0, BitParallel::size_bytes);
         // The AST is pointer-heavy; charge a flat word-count estimate per
         // literal occurrence plus the enum spine.
         let ast = 64 + 48 * self.expr.literal_count().max(1);
+        let tables: usize =
+            with_tables!(&self.tables, t => t.iter().map(BitParallel::size_bytes).sum());
         std::mem::size_of::<Self>() + tables + ast
     }
 }
@@ -181,6 +231,12 @@ impl PreparedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use succinct::util::Words;
+
+    /// Machine words in the plan's state masks.
+    fn words(p: &PreparedQuery) -> usize {
+        with_tables!(p.tables(), t => t[0].accept_mask().words().len())
+    }
 
     fn inv(l: Label) -> Label {
         if l < 8 {
@@ -194,14 +250,14 @@ mod tests {
     fn routes_and_keys() {
         let single = Regex::label(1);
         let p = PreparedQuery::compile(&single, &inv, 8).unwrap();
-        assert!(!p.uses_fallback());
+        assert_eq!(words(&p), 1);
         assert_eq!(p.key(), "1");
         assert!(!matches!(p.shape(), Shape::Other));
 
         let star = Regex::Star(Box::new(Regex::label(1)));
         let p = PreparedQuery::compile(&star, &inv, 8).unwrap();
         assert!(matches!(p.shape(), Shape::Other));
-        assert!(p.tables().is_some());
+        assert!(p.nullable());
         assert!(p.size_bytes() > 0);
     }
 
@@ -223,14 +279,31 @@ mod tests {
         assert_eq!(PreparedQuery::cache_key(&e1), "(0/1)");
     }
 
+    /// `l0*/l0*/…` with `k` factors: `k` positions.
+    fn star_chain(k: usize) -> Regex {
+        let star = || Regex::Star(Box::new(Regex::label(0)));
+        (1..k).fold(star(), |e, _| Regex::concat(e, star()))
+    }
+
+    /// The width is the fewest words that hold the positions after class
+    /// fusion, bit 0 being the initial state; past the widest mask the
+    /// expression is refused by its position count.
     #[test]
-    fn fallback_plans_skip_tables() {
-        let mut e = Regex::label(0);
-        for _ in 1..70 {
-            e = Regex::concat(e, Regex::label(0));
+    fn the_mask_width_follows_the_position_count() {
+        for (k, w) in [(1, 1), (63, 1), (64, 2), (127, 2), (128, 4), (255, 4)] {
+            let p = PreparedQuery::compile(&star_chain(k), &inv, 8).unwrap();
+            assert_eq!(words(&p), w, "{k} positions");
+            assert!(p.nullable());
         }
-        let p = PreparedQuery::compile(&e, &inv, 8).unwrap();
-        assert!(p.uses_fallback());
-        assert!(p.tables().is_none());
+        assert_eq!(
+            PreparedQuery::compile(&star_chain(256), &inv, 8).unwrap_err(),
+            QueryError::Automaton(AutomatonError::TooManyPositions(256))
+        );
+        // A 300-way alternation of labels fuses into one class: one
+        // position, one word.
+        let wide = (1..300).fold(Regex::label(0), |e, l| Regex::alt(e, Regex::label(l)));
+        assert_eq!(wide.literal_count(), 300);
+        let p = PreparedQuery::compile(&wide, &|l| l, 8).unwrap();
+        assert_eq!(words(&p), 1);
     }
 }

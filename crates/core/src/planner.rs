@@ -24,16 +24,14 @@
 //! | Route | When it wins |
 //! |---|---|
 //! | [`EvalRoute::FastPath`] | §5 shapes (single label, disjunction, 2-step concat): plain backward search beats the automaton |
-//! | [`EvalRoute::BitParallel`] | the general §4 product-graph traversal, `m ≤ w` positions |
+//! | [`EvalRoute::BitParallel`] | the general §4 product-graph traversal, its state sets `⌈(m+1)/w⌉` words (§3.3) |
 //! | [`EvalRoute::Split`] | variable-to-variable `E1/p/E2` with a rare `p`: enumerate the `p`-edges, complete both sides (§2/§6) |
-//! | [`EvalRoute::Fallback`] | `m > w` positions: explicit-state BFS (§3.3's multi-word regime) |
 //!
 //! Costs are *first-expansion estimates* in edges, read off the ring's
 //! wavelet matrices in `O(log)` time per label — the §4.3 range/degree
 //! estimates: a predicate's cardinality is one `C_p` range length, the
 //! edges into an anchor one backward-search step.
 
-use automata::BitParallel;
 use ring::Id;
 
 use crate::fastpath::Shape;
@@ -117,43 +115,26 @@ impl Plan {
 /// two anchored sub-queries, not one wavelet step.
 const SPLIT_COST_FACTOR: u64 = 8;
 
-/// Σ of cardinalities of the predicates that can fire on the *first*
-/// backward expansion: labels whose `B[p]` intersects the accepting
-/// set. Negated-class positions can fire on any label, so they charge
-/// the whole triple count.
-fn first_expansion_cost(stats: &RingStatistics<'_>, bp: &BitParallel) -> u64 {
-    let accept = bp.accept_mask();
-    let mut cost: u64 = 0;
-    for &(label, mask) in bp.positive_label_masks() {
-        if mask & accept != 0 {
-            cost += stats.pred_cardinality(label) as u64;
-        }
-    }
-    for (bit, _) in bp.negated_positions() {
-        if bit & accept != 0 {
-            cost += stats.n_triples() as u64;
-        }
-    }
-    cost
-}
-
-/// First-expansion cost anchored at `anchor`: edges into the anchor
-/// whose label can fire on the first backward step — one backward-search
-/// range per label (the §4.3 range/degree estimate).
-fn anchored_expansion_cost(stats: &RingStatistics<'_>, bp: &BitParallel, anchor: Id) -> u64 {
-    let accept = bp.accept_mask();
-    let mut cost: u64 = 0;
-    for &(label, mask) in bp.positive_label_masks() {
-        if mask & accept != 0 {
-            cost += stats.edges_into(label, anchor) as u64;
-        }
-    }
-    for (bit, _) in bp.negated_positions() {
-        if bit & accept != 0 {
-            cost += stats.in_degree(anchor) as u64;
-        }
-    }
-    cost
+/// First-expansion cost of `E` (of `Ê` when `reversed`): the edges of
+/// the labels whose `B[p]` intersects the accepting set — all of a
+/// label's edges, or one backward-search range into `anchor` (the §4.3
+/// range/degree estimate). Negated-class positions can fire on any
+/// label, so they charge every edge (into the anchor).
+fn expansion_cost(
+    stats: &RingStatistics<'_>,
+    prepared: &PreparedQuery,
+    reversed: bool,
+    anchor: Option<Id>,
+) -> u64 {
+    let cost = |label: Option<Id>| match (label, anchor) {
+        (Some(p), None) => stats.pred_cardinality(p),
+        (None, None) => stats.n_triples(),
+        (Some(p), Some(o)) => stats.edges_into(p, o),
+        (None, Some(o)) => stats.in_degree(o),
+    };
+    prepared
+        .tables()
+        .first_step_cost(reversed, |label| cost(label) as u64)
 }
 
 /// Whether `route` can evaluate this `(prepared, endpoints)` pair at
@@ -168,11 +149,19 @@ pub fn route_is_feasible(
     subject: Term,
     object: Term,
 ) -> bool {
+    feasible(
+        route,
+        prepared,
+        split_choice(stats, prepared, subject, object).as_ref(),
+    )
+}
+
+/// [`route_is_feasible`], given the split the split route would run.
+fn feasible(route: EvalRoute, prepared: &PreparedQuery, split_choice: Option<&Split>) -> bool {
     match route {
         EvalRoute::FastPath => !matches!(prepared.shape(), Shape::Other),
-        EvalRoute::BitParallel => !prepared.uses_fallback(),
-        EvalRoute::Fallback => true,
-        EvalRoute::Split => split_choice(stats, prepared, subject, object).is_some(),
+        EvalRoute::BitParallel => true,
+        EvalRoute::Split => split_choice.is_some(),
     }
 }
 
@@ -197,8 +186,17 @@ pub fn plan(
         EvalRoute::Split => split_choice,
         _ => None,
     };
-    let direction = choose_direction(stats, prepared, subject, object, route);
-    let estimated_cost = estimate_cost(stats, prepared, subject, object, route, split.as_ref());
+    let (direction, estimated_cost) = match route {
+        // The fast paths are per-shape join algorithms and the split
+        // route is driven from the split label's edges — neither has an
+        // endpoint-direction choice.
+        EvalRoute::FastPath => (None, fast_path_cost(stats, prepared.shape())),
+        EvalRoute::Split => (None, split.as_ref().map_or(0, |s| split_cost(stats, s))),
+        EvalRoute::BitParallel => {
+            let (direction, cost) = driving_end(stats, prepared, subject, object);
+            (Some(direction), cost)
+        }
+    };
     let intra_query_threads =
         if opts.intra_query_threads > 1 && estimated_cost >= opts.parallel_min_frontier as u64 {
             opts.intra_query_threads
@@ -236,136 +234,80 @@ fn choose_route(
     opts: &EngineOptions,
     split_choice: Option<&Split>,
 ) -> EvalRoute {
-    if let Some(forced) = opts.forced_route {
-        let feasible = match forced {
-            EvalRoute::FastPath => !matches!(prepared.shape(), Shape::Other),
-            EvalRoute::BitParallel => !prepared.uses_fallback(),
-            EvalRoute::Fallback => true,
-            EvalRoute::Split => split_choice.is_some(),
-        };
-        if feasible {
-            return forced;
-        }
+    if let Some(forced) = opts
+        .forced_route
+        .filter(|&r| feasible(r, prepared, split_choice))
+    {
+        return forced;
     }
     if !matches!(prepared.shape(), Shape::Other) {
         return EvalRoute::FastPath;
     }
-    if prepared.uses_fallback() {
-        // A variable-to-variable fallback run is a per-source scan of the
-        // whole graph; completing each side of a split from its anchored
-        // endpoints is strictly more focused whenever a split exists.
-        return if split_choice.is_some() {
+    match split_choice {
+        Some(split)
+            if split_cost(stats, split) < driving_end(stats, prepared, Term::Var, Term::Var).1 =>
+        {
             EvalRoute::Split
-        } else {
-            EvalRoute::Fallback
-        };
-    }
-    if let Some(split) = split_choice {
-        let split_cost =
-            (stats.pred_cardinality(split.label) as u64).saturating_mul(SPLIT_COST_FACTOR);
-        if let Some((bp, bp_rev)) = prepared.tables() {
-            let two_pass = first_expansion_cost(stats, bp).min(first_expansion_cost(stats, bp_rev));
-            if split_cost < two_pass {
-                return EvalRoute::Split;
-            }
         }
+        _ => EvalRoute::BitParallel,
     }
-    EvalRoute::BitParallel
 }
 
-fn choose_direction(
+/// What the split route's first expansion is charged: the split label's
+/// edges, each worth [`SPLIT_COST_FACTOR`] wavelet steps.
+fn split_cost(stats: &RingStatistics<'_>, split: &Split) -> u64 {
+    (stats.pred_cardinality(split.label) as u64).saturating_mul(SPLIT_COST_FACTOR)
+}
+
+/// The end the bit-parallel traversal is driven from, and its
+/// first-expansion cost: `E` backward from the object (over the full
+/// range when it is a variable), or `Ê` from the subject.
+fn driving_end(
     stats: &RingStatistics<'_>,
     prepared: &PreparedQuery,
     subject: Term,
     object: Term,
-    route: EvalRoute,
-) -> Option<Direction> {
-    match route {
-        // The fast paths are per-shape join algorithms and the split
-        // route is driven from the split label's edges — neither has an
-        // endpoint-direction choice.
-        EvalRoute::FastPath | EvalRoute::Split => None,
-        // The explicit-state fallback always walks forward along `E`:
-        // from the subject constant when there is one, per source
-        // otherwise; only a `(x, E, o)` query flips to the reversed
-        // expression from the object.
-        EvalRoute::Fallback => Some(match (subject, object) {
-            (Term::Var, Term::Const(_)) => Direction::FromObject,
-            _ => Direction::FromSubject,
-        }),
-        EvalRoute::BitParallel => {
-            let (bp, bp_rev) = prepared.tables()?;
-            Some(match (subject, object) {
-                // Anchored queries have one sensible driving end.
-                (Term::Var, Term::Const(_)) => Direction::FromObject,
-                (Term::Const(_), Term::Var) => Direction::FromSubject,
-                // Existence check: start from whichever endpoint admits
-                // the cheaper first expansion (§4.3 / §5).
-                (Term::Const(s), Term::Const(o)) => {
-                    if anchored_expansion_cost(stats, bp, o)
-                        <= anchored_expansion_cost(stats, bp_rev, s)
-                    {
-                        Direction::FromObject
-                    } else {
-                        Direction::FromSubject
-                    }
-                }
-                // §4.4 two-pass: collect whichever end's predicates have
-                // the smaller total cardinality first.
-                (Term::Var, Term::Var) => {
-                    if first_expansion_cost(stats, bp) <= first_expansion_cost(stats, bp_rev) {
-                        Direction::FromSubject
-                    } else {
-                        Direction::FromObject
-                    }
-                }
-            })
-        }
-    }
-}
-
-fn estimate_cost(
-    stats: &RingStatistics<'_>,
-    prepared: &PreparedQuery,
-    subject: Term,
-    object: Term,
-    route: EvalRoute,
-    split: Option<&Split>,
-) -> u64 {
-    match route {
-        EvalRoute::FastPath => match prepared.shape() {
-            Shape::Single(p) => stats.pred_cardinality(*p) as u64,
-            Shape::Disjunction(ps) => ps
-                .iter()
-                .map(|&p| stats.pred_cardinality(p) as u64)
-                .sum::<u64>(),
-            // The intersection of targets(p1) and sources(p2) is bounded
-            // by the smaller side.
-            Shape::Concat2(p1, p2) => {
-                (stats.pred_cardinality(*p1).min(stats.pred_cardinality(*p2))) as u64
-            }
-            Shape::Other => 0,
+) -> (Direction, u64) {
+    let anchor = |t| match t {
+        Term::Const(c) => Some(c),
+        Term::Var => None,
+    };
+    let from_object = || expansion_cost(stats, prepared, false, anchor(object));
+    let from_subject = || expansion_cost(stats, prepared, true, anchor(subject));
+    match (subject, object) {
+        // Anchored queries have one sensible driving end.
+        (Term::Var, Term::Const(_)) => (Direction::FromObject, from_object()),
+        (Term::Const(_), Term::Var) => (Direction::FromSubject, from_subject()),
+        // Existence check: start from whichever endpoint admits the
+        // cheaper first expansion (§4.3 / §5).
+        (Term::Const(_), Term::Const(_)) => match (from_object(), from_subject()) {
+            (o, s) if o <= s => (Direction::FromObject, o),
+            (_, s) => (Direction::FromSubject, s),
         },
-        EvalRoute::Split => split
-            .map(|s| (stats.pred_cardinality(s.label) as u64).saturating_mul(SPLIT_COST_FACTOR))
-            .unwrap_or(0),
-        // The explicit-state fallback reads whole per-label adjacency
-        // ranges; the triple count is the honest coarse bound.
-        EvalRoute::Fallback => stats.n_triples() as u64,
-        EvalRoute::BitParallel => {
-            let Some((bp, bp_rev)) = prepared.tables() else {
-                return stats.n_triples() as u64;
-            };
-            match (subject, object) {
-                (Term::Var, Term::Const(o)) => anchored_expansion_cost(stats, bp, o),
-                (Term::Const(s), Term::Var) => anchored_expansion_cost(stats, bp_rev, s),
-                (Term::Const(s), Term::Const(o)) => anchored_expansion_cost(stats, bp, o)
-                    .min(anchored_expansion_cost(stats, bp_rev, s)),
-                (Term::Var, Term::Var) => {
-                    first_expansion_cost(stats, bp).min(first_expansion_cost(stats, bp_rev))
-                }
-            }
+        // §4.4 two-pass: pass 1 runs `E` from the full range, collecting
+        // sources first, when its predicates have the smaller total
+        // cardinality.
+        (Term::Var, Term::Var) => match (from_object(), from_subject()) {
+            (e, r) if e <= r => (Direction::FromSubject, e),
+            (_, r) => (Direction::FromObject, r),
+        },
+    }
+}
+
+/// The first-expansion cost of a §5 shape.
+fn fast_path_cost(stats: &RingStatistics<'_>, shape: &Shape) -> u64 {
+    match shape {
+        Shape::Single(p) => stats.pred_cardinality(*p) as u64,
+        Shape::Disjunction(ps) => ps
+            .iter()
+            .map(|&p| stats.pred_cardinality(p) as u64)
+            .sum::<u64>(),
+        // The intersection of targets(p1) and sources(p2) is bounded
+        // by the smaller side.
+        Shape::Concat2(p1, p2) => {
+            (stats.pred_cardinality(*p1).min(stats.pred_cardinality(*p2))) as u64
         }
+        Shape::Other => 0,
     }
 }
 
@@ -444,7 +386,6 @@ mod tests {
         for (forced, expect) in [
             // star is not a fast-path shape: forcing falls back.
             (EvalRoute::FastPath, EvalRoute::BitParallel),
-            (EvalRoute::Fallback, EvalRoute::Fallback),
             (EvalRoute::BitParallel, EvalRoute::BitParallel),
             // a* has no split point either.
             (EvalRoute::Split, EvalRoute::BitParallel),
@@ -461,63 +402,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn out_of_alphabet_split_labels_never_plan_a_split() {
-        // An oversized expression whose only literal factor lies outside
-        // the ring's alphabet compiles (the fallback regime never builds
-        // the reversed tables, so the label involution is not consulted)
-        // and has split *candidates* — but no executable split. The
-        // planner must not emit route=Split with split=None (it used to,
-        // panicking the engine's dispatch).
-        let r = ring();
-        let stats = RingStatistics::new(&r);
-        let mut big = star(0);
-        for _ in 0..70 {
-            big = Regex::concat(big, star(0));
-        }
-        let e = Regex::concat(big, Regex::label(99));
-        let p = prepared(&r, &e);
-        assert!(p.uses_fallback());
-        assert!(!crate::split::split_candidates(p.expr()).is_empty());
-        for opts in [
-            EngineOptions::default(),
-            EngineOptions {
-                forced_route: Some(EvalRoute::Split),
-                ..EngineOptions::default()
-            },
-        ] {
-            let plan = plan(&stats, &p, Term::Var, Term::Var, &opts);
-            assert_eq!(plan.route, EvalRoute::Fallback);
-            assert!(plan.split.is_none());
-        }
-        assert!(!route_is_feasible(
-            &stats,
-            EvalRoute::Split,
-            &p,
-            Term::Var,
-            Term::Var
-        ));
+    /// `l0*/…/l0*` with `k` factors: `k` positions, no split point.
+    fn star_chain(k: usize) -> Regex {
+        (1..k).fold(star(0), |e, _| Regex::concat(e, star(0)))
     }
 
     #[test]
-    fn oversized_expressions_route_to_fallback_or_split() {
+    fn out_of_alphabet_split_labels_never_plan_a_split() {
+        // An expression whose only literal factor lies outside the ring's
+        // alphabet (and fires on neither end) has split *candidates* —
+        // but no executable split. The planner must not emit route=Split
+        // with split=None (it once did, panicking the engine's dispatch).
+        // A two-word expression plans like a one-word one.
         let r = ring();
         let stats = RingStatistics::new(&r);
-        let mut e = star(0);
-        for _ in 0..70 {
-            e = Regex::concat(e, star(0));
+        let plus = |l| Regex::Plus(Box::new(Regex::label(l)));
+        for k in [1, 70] {
+            let rare = Regex::concat(Regex::concat(plus(0), Regex::label(99)), plus(2));
+            let e = Regex::concat(star_chain(k), rare);
+            let p = prepared(&r, &e);
+            assert!(!crate::split::split_candidates(p.expr()).is_empty());
+            for opts in [
+                EngineOptions::default(),
+                EngineOptions {
+                    forced_route: Some(EvalRoute::Split),
+                    ..EngineOptions::default()
+                },
+            ] {
+                let plan = plan(&stats, &p, Term::Var, Term::Var, &opts);
+                assert_eq!(plan.route, EvalRoute::BitParallel, "{k} factors");
+                assert!(plan.split.is_none());
+            }
+            assert!(!route_is_feasible(
+                &stats,
+                EvalRoute::Split,
+                &p,
+                Term::Var,
+                Term::Var
+            ));
         }
-        let p = prepared(&r, &e);
-        assert!(p.uses_fallback());
-        let plan = plan(&stats, &p, Term::Var, Term::Var, &EngineOptions::default());
-        assert_eq!(plan.route, EvalRoute::Fallback);
-        assert_eq!(plan.direction, Some(Direction::FromSubject));
-        // The same monster with a mandatory rare factor splits instead.
-        let e = Regex::concat(Regex::concat(e, Regex::label(1)), star(2));
-        let p = prepared(&r, &e);
-        assert!(p.uses_fallback());
-        let plan = super::plan(&stats, &p, Term::Var, Term::Var, &EngineOptions::default());
-        assert_eq!(plan.route, EvalRoute::Split);
-        assert_eq!(plan.split_label(), Some(1));
     }
 }

@@ -49,7 +49,7 @@ pub struct LevelSample {
 /// threads are timed on the thread that expanded them, so there the sum
 /// is CPU time and may exceed the wall time it was spent in. The §5 fast
 /// paths charge their label listings and intersections to part one and
-/// their steps to part two; the fallback leaves all four zero.
+/// their steps to part two.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Part one: the labels firing into each chunk, ns.

@@ -1,5 +1,6 @@
 //! Query types, evaluation options, outputs and statistics.
 
+use automata::glushkov::WideMask;
 use automata::Regex;
 use ring::Id;
 use std::time::Duration;
@@ -75,10 +76,10 @@ pub struct EngineOptions {
     /// be confused.
     pub bp_split_width: usize,
     /// Force the planner's evaluation route, bypassing its cost model.
-    /// Infeasible forcings — a fast path on a non-§5 shape, bit-parallel
-    /// beyond the word width, a split on an anchored or split-free query
-    /// — fall back to the natural choice. `Some(EvalRoute::BitParallel)`
-    /// runs a §5 shape through the traversal instead of its join.
+    /// Infeasible forcings — a fast path on a non-§5 shape, a split on
+    /// an anchored or split-free query — fall back to the natural choice.
+    /// `Some(EvalRoute::BitParallel)` runs a §5 shape through the
+    /// traversal instead of its join.
     /// Differential tests use this to drive every route over one corpus;
     /// `None` (the default) plans normally.
     pub forced_route: Option<crate::plan::EvalRoute>,
@@ -220,8 +221,9 @@ pub struct QueryOutput {
     /// outside the engine (the oracle, raw fast-path calls).
     pub plan: Option<crate::planner::Plan>,
     /// Product-graph visits `(node, fresh states)` in BFS order, when
-    /// [`EngineOptions::collect_trace`] is on.
-    pub trace: Vec<(Id, u64)>,
+    /// [`EngineOptions::collect_trace`] is on, the states zero-padded to
+    /// the widest mask (word 0: the initial state and positions 1–63).
+    pub trace: Vec<(Id, WideMask)>,
     /// The execution profile, when [`EngineOptions::profile`] is on
     /// (boxed: profiles are cold data and must not widen the common
     /// unprofiled output). `None` whenever profiling is off.

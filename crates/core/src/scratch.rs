@@ -10,6 +10,7 @@
 use std::mem::size_of;
 use std::sync::Mutex;
 
+use automata::StateMask;
 use ring::Id;
 use succinct::util::EpochArray;
 
@@ -17,12 +18,57 @@ use crate::engine::RpqEngine;
 use crate::source::TripleSource;
 use crate::step::ChunkExpansion;
 
+/// The frontier buffers of traversals whose state masks are `M`.
+#[derive(Default)]
+pub(crate) struct Levels<M> {
+    /// The current BFS level: `(node, state mask)` per item.
+    pub(crate) frontier: Vec<(Id, M)>,
+    /// The next BFS level, accumulated while the current one is replayed.
+    pub(crate) next_frontier: Vec<(Id, M)>,
+    /// One expansion per frontier chunk in flight: a single one, reused
+    /// chunk after chunk, unless a level fans out across threads.
+    pub(crate) expansions: Vec<ChunkExpansion<M>>,
+}
+
+impl<M: StateMask> Levels<M> {
+    /// Heap bytes of the buffers' capacity.
+    fn size_bytes(&self) -> usize {
+        let chunks = self.expansions.iter().map(ChunkExpansion::heap_bytes);
+        (self.frontier.capacity() + self.next_frontier.capacity()) * size_of::<(Id, M)>()
+            + self.expansions.capacity() * size_of::<ChunkExpansion<M>>()
+            + chunks.sum::<usize>()
+    }
+}
+
+/// A state-mask width the traversal is compiled for — `u64`, `[u64; 2]`
+/// or `[u64; 4]` (§3.3's `⌈(m+1)/w⌉` words) — each compiled to its own
+/// copy of the kernel. The width's cells in the scratch's mask tables
+/// are its words; its frontier buffers are its own.
+pub(crate) trait Mask: StateMask + Default {
+    /// The scratch's `B[v]` and `D[s]` tables, and this width's frontier
+    /// buffers.
+    fn parts(scratch: &mut EngineScratch) -> (&mut EpochArray, &mut EpochArray, &mut Levels<Self>);
+}
+
+macro_rules! mask_widths {
+    ($($mask:ty => $levels:ident),*) => {$(
+        impl Mask for $mask {
+            fn parts(s: &mut EngineScratch) -> (&mut EpochArray, &mut EpochArray, &mut Levels<Self>) {
+                (&mut s.lp_masks, &mut s.visited, &mut s.$levels)
+            }
+        }
+    )*};
+}
+mask_widths!(u64 => one_word, [u64; 2] => two_words, [u64; 4] => four_words);
+
 /// The mutable tables of a traversal (§4.1–4.2), each with constant-time
 /// logical reset, and its frontier buffers. A fresh scratch holds
 /// nothing; the first bit-parallel evaluation sizes what its source
 /// reads — `B[v]` only where `L_p` is swept (a bare ring), the visited
 /// table to the source's node universe — and later ones grow it in
-/// place. The §5 fast paths keep their batch buffers to themselves.
+/// place. The tables serve state masks of every width, a cell as many
+/// words as the mask; the frontier buffers are kept per width. The §5
+/// fast paths keep their batch buffers to themselves.
 ///
 /// Detach it from one engine ([`RpqEngine::into_scratch`]) and attach it
 /// to the next ([`RpqEngine::with_scratch`]) to reuse the allocations
@@ -35,13 +81,11 @@ pub struct EngineScratch {
     /// The visited sets, one cell per graph node: `D[s]` in cell `s`, on
     /// every source.
     pub(crate) visited: EpochArray,
-    /// The current BFS level: `(node, state mask)` per item.
-    pub(crate) frontier: Vec<(Id, u64)>,
-    /// The next BFS level, accumulated while the current one is replayed.
-    pub(crate) next_frontier: Vec<(Id, u64)>,
-    /// One expansion per frontier chunk in flight: a single one, reused
-    /// chunk after chunk, unless a level fans out across threads.
-    pub(crate) expansions: Vec<ChunkExpansion>,
+    /// Frontier buffers per state-mask width: up to 63 positions, up to
+    /// 127, up to 255.
+    pub(crate) one_word: Levels<u64>,
+    pub(crate) two_words: Levels<[u64; 2]>,
+    pub(crate) four_words: Levels<[u64; 4]>,
 }
 
 impl EngineScratch {
@@ -54,11 +98,10 @@ impl EngineScratch {
     /// Heap bytes currently held: the two mask tables plus the capacity
     /// of the traversal buffers.
     pub fn size_bytes(&self) -> usize {
-        let chunks = self.expansions.iter().map(ChunkExpansion::heap_bytes);
         self.table_bytes()
-            + (self.frontier.capacity() + self.next_frontier.capacity()) * size_of::<(Id, u64)>()
-            + self.expansions.capacity() * size_of::<ChunkExpansion>()
-            + chunks.sum::<usize>()
+            + self.one_word.size_bytes()
+            + self.two_words.size_bytes()
+            + self.four_words.size_bytes()
     }
 }
 

@@ -29,6 +29,7 @@ use succinct::util::{BitSet, EpochArray};
 
 use succinct::wavelet_matrix::IntersectionHit;
 
+use crate::scratch::Mask;
 use crate::step::{list_from, ChunkExpansion, CommonWalk, Firing, Hit, Range, StepSource};
 
 /// The fewest subjects a layered listing takes at a time when what it
@@ -832,12 +833,12 @@ impl StepSource for MergedView<'_> {
     /// node order, and a join steps ascending batches); then the hits
     /// regrouped item by item and the owners' ranges of one `(item,
     /// label)` folded into one work item.
-    fn fire(&self, firing: &Firing<'_>, chunk: &[(Id, u64)], x: &mut ChunkExpansion) {
+    fn fire<M: Mask>(&self, firing: &Firing<'_, M>, chunk: &[(Id, M)], x: &mut ChunkExpansion<M>) {
         x.begin();
-        let union_d = chunk.iter().fold(0, |all, &(_, d)| all | d);
+        let union_d = chunk.iter().fold(M::ZERO, |all, &(_, d)| all.or(d));
         let adds = self.delta.filter(|d| d.n_adds() > 0);
         let dels = self.delta.filter(|d| d.n_dels() > 0);
-        for &(label, bmask) in firing.labels.iter().filter(|l| l.1 & union_d != 0) {
+        for &(label, bmask) in firing.labels.iter().filter(|l| l.1.intersects(union_d)) {
             // Every ring holding the label: the owners the routing table
             // names (each noted as probed), or the one ring.
             match self.shards {
@@ -849,7 +850,7 @@ impl StepSource for MergedView<'_> {
             }
             let firing_from = || {
                 let items = chunk.iter().enumerate();
-                items.filter(move |(_, it)| it.1 & bmask != 0)
+                items.filter(move |(_, it)| it.1.intersects(bmask))
             };
             if let Some(delta) = adds {
                 let (mut into, listed) = (delta.added_into_cursor(label), &mut x.layered.listed);
@@ -862,7 +863,7 @@ impl StepSource for MergedView<'_> {
                             part: LISTED,
                             label,
                             range: crate::step::narrow((before, listed.len())),
-                            d: d & bmask,
+                            d: d.and(bmask),
                         });
                     }
                 }
@@ -916,7 +917,7 @@ impl StepSource for MergedView<'_> {
     /// parts' runs and the adds' run — each ascending — are laid out,
     /// merged only where more than one answered, and filtered against
     /// the work item's tombstones.
-    fn subjects(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion) {
+    fn subjects<M: Mask>(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion<M>) {
         let n_work = x.work_d.len();
         let mut runs = std::mem::take(&mut x.layered.runs);
         runs.resize_with(self.shards.map_or(1, |set| set.len()), Default::default);
@@ -925,7 +926,7 @@ impl StepSource for MergedView<'_> {
             x.ranges.resize(n_work, (0, 0));
             let mut any = false;
             for &(of, work, range) in &x.layered.ranges {
-                if of == part as u32 && x.work_d[work as usize] != 0 {
+                if of == part as u32 && !x.work_d[work as usize].is_empty() {
                     x.ranges[work as usize] = range;
                     any = true;
                 }
@@ -957,7 +958,7 @@ impl StepSource for MergedView<'_> {
             while let Some(&(_, _, (b, e))) = listed.next_if(|range| range.1 as usize == work) {
                 // (Not read against `visited`: the replay's leaf filter is
                 // exact, and a delta's adds are few.)
-                if x.work_d[work] != 0 {
+                if !x.work_d[work].is_empty() {
                     x.subjects
                         .extend_from_slice(&x.layered.listed[b as usize..e as usize]);
                     answered += 1;

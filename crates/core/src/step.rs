@@ -22,27 +22,29 @@
 
 use std::mem::size_of;
 
-use automata::{BitParallel, Label};
+use automata::{BitParallel, Label, StateMask};
 use ring::{Id, Ring};
 use succinct::util::EpochArray;
 use succinct::wavelet_matrix::{MultiRangeGuide, MultiTraversal, RangeGuide};
 use succinct::WaveletMatrix;
 
+use crate::scratch::Mask;
+
 /// Which labels fire from which states: what part one is asked with.
-pub(crate) struct Firing<'a> {
+pub(crate) struct Firing<'a, M: StateMask = u64> {
     /// `B[p]` of every label that can fire, ascending by label.
-    pub(crate) labels: &'a [(Label, u64)],
+    pub(crate) labels: &'a [(Label, M)],
     /// The automaton whose `T'` takes `D & B[p]` one step back (Eq. 2),
     /// and its `B[v]` masks over the wavelet nodes of `L_p` as
     /// [`StepSource::prepare`] left them. `None` for the §5 joins: a
     /// label is followed, no automaton, states pass through as they are.
-    pub(crate) automaton: Option<(&'a BitParallel, &'a EpochArray)>,
+    pub(crate) automaton: Option<(&'a BitParallel<M>, &'a EpochArray)>,
 }
 
-impl Firing<'_> {
+impl<M: StateMask> Firing<'_, M> {
     /// The states a work item's subjects are reached with, from its
     /// `D & B[p]`.
-    pub(crate) fn back(&self, d_and_b: u64) -> u64 {
+    pub(crate) fn back(&self, d_and_b: M) -> M {
         self.automaton
             .map_or(d_and_b, |(bp, _)| bp.apply_bwd(d_and_b))
     }
@@ -51,10 +53,13 @@ impl Firing<'_> {
 /// `B[p]` for every label of the completed alphabet that can fire under
 /// `bp`, ascending, when that is more than its positive literal masks:
 /// negated-class positions expanded against the alphabet.
-pub(crate) fn negated_firing_labels(n_preds: Id, bp: &BitParallel) -> Vec<(Label, u64)> {
+pub(crate) fn negated_firing_labels<M: StateMask>(
+    n_preds: Id,
+    bp: &BitParallel<M>,
+) -> Vec<(Label, M)> {
     (0..n_preds)
         .map(|p| (p, bp.label_mask(p)))
-        .filter(|&(_, mask)| mask != 0)
+        .filter(|&(_, mask)| !mask.is_empty())
         .collect()
 }
 
@@ -76,38 +81,39 @@ pub(crate) fn narrow((b, e): (usize, usize)) -> Range {
 /// A part-one leaf: label `label` reaches item `item` with `range` of
 /// some `L_s` holding the subjects.
 #[derive(Clone, Copy)]
-pub(crate) struct Hit {
+pub(crate) struct Hit<M> {
     pub(crate) item: u32,
     /// The part of a layered source that found it (0 on a bare ring).
     pub(crate) part: u32,
     pub(crate) label: Label,
     pub(crate) range: Range,
     /// `D_item & B[label]`.
-    pub(crate) d: u64,
+    pub(crate) d: M,
 }
 
 /// What expanding one chunk read-only produces, and the buffers it is
 /// produced in (all flat, all reused). A chunk's *work items* are its
 /// `(item, label)` pairs in visiting order — items as they stand in the
-/// chunk, each item's labels ascending.
+/// chunk, each item's labels ascending. `M` is the width of the state
+/// masks the chunk's items carry.
 #[derive(Default)]
-pub(crate) struct ChunkExpansion {
+pub(crate) struct ChunkExpansion<M = u64> {
     /// Level-synchronous traversal state of part one's sweep of `L_p`.
     pub(crate) mt: MultiTraversal,
     /// The ranges of the step in progress: the items' in part one, the
     /// work items' in part two.
     pub(crate) ranges: Vec<Range>,
     /// Part one's leaves in arrival order (label by label).
-    pub(crate) hits: Vec<Hit>,
+    pub(crate) hits: Vec<Hit<M>>,
     /// The items a batched backward step is taken for, each with its
     /// `D & B[p]`, and both ends of every range it maps.
-    stepped_items: Vec<(u32, u64)>,
+    stepped_items: Vec<(u32, M)>,
     stepped: Vec<usize>,
     /// Per item, where its work items end.
     pub(crate) item_end: Vec<usize>,
     /// Per work item, the state set `D'` of Eq. 2 its subjects are
-    /// reached with; 0 where the automaton has no way back.
-    pub(crate) work_d: Vec<u64>,
+    /// reached with; empty where the automaton has no way back.
+    pub(crate) work_d: Vec<M>,
     /// Part two's positions of `L_s`, work item after work item, each
     /// taken to its subject in place: `(position, subject)` (a ring's
     /// positions and node ids fit 32 bits).
@@ -129,7 +135,7 @@ pub(crate) struct ChunkExpansion {
     pub(crate) phase_ns: [u64; 2],
 }
 
-impl ChunkExpansion {
+impl<M: StateMask> ChunkExpansion<M> {
     /// Forgets the last chunk's work items; the buffers keep their
     /// capacity.
     pub(crate) fn begin(&mut self) {
@@ -157,21 +163,21 @@ impl ChunkExpansion {
     pub(crate) fn step_hits(
         &mut self,
         (part, ring): (u32, &Ring),
-        (label, bmask): (Label, u64),
-        chunk: &[(Id, u64)],
+        (label, bmask): (Label, M),
+        chunk: &[(Id, M)],
     ) {
         self.stepped_items.clear();
         self.stepped.clear();
         let firing = chunk
             .iter()
             .enumerate()
-            .filter(|&(_, &(o, d))| d & bmask != 0 && o < ring.n_nodes());
+            .filter(|&(_, &(o, d))| d.intersects(bmask) && o < ring.n_nodes());
         let mut items = firing.clone();
         let (stepped_items, stepped) = (&mut self.stepped_items, &mut self.stepped);
         ring.object_ranges(firing.map(|(_, &(o, _))| o), |(b, e)| {
             let (item, &(_, d)) = items.next().expect("one block per firing item");
             if e > b {
-                stepped_items.push((item as u32, d & bmask));
+                stepped_items.push((item as u32, d.and(bmask)));
                 stepped.extend([b, e]);
             }
         });
@@ -202,7 +208,7 @@ impl ChunkExpansion {
     pub(crate) fn access_subjects(&mut self, ls: &WaveletMatrix, visited: Option<&EpochArray>) {
         self.positions.clear();
         for (&(b, e), &d) in self.ranges.iter().zip(&self.work_d) {
-            if d != 0 {
+            if !d.is_empty() {
                 self.positions.extend((b..e).map(|at| (at, 0)));
             }
         }
@@ -212,8 +218,10 @@ impl ChunkExpansion {
         self.work_end.clear();
         let mut found = self.positions.iter().map(|&(_, s)| Id::from(s));
         for (&(b, e), &d) in self.ranges.iter().zip(&self.work_d) {
-            if d != 0 {
-                let fresh = |&s: &Id| visited.is_none_or(|seen| d & !seen.get(s as usize) != 0);
+            if !d.is_empty() {
+                let fresh = |&s: &Id| {
+                    visited.is_none_or(|seen| !d.and_not(seen.get(s as usize)).is_empty())
+                };
                 let range = found.by_ref().take((e - b) as usize);
                 self.subjects.extend(range.filter(fresh));
             }
@@ -224,10 +232,10 @@ impl ChunkExpansion {
     pub(crate) fn heap_bytes(&self) -> usize {
         self.mt.size_bytes()
             + self.ranges.capacity() * size_of::<Range>()
-            + self.stepped_items.capacity() * size_of::<(u32, u64)>()
+            + self.stepped_items.capacity() * size_of::<(u32, M)>()
             + self.stepped.capacity() * size_of::<usize>()
-            + self.work_d.capacity() * size_of::<u64>()
-            + self.hits.capacity() * size_of::<Hit>()
+            + self.work_d.capacity() * size_of::<M>()
+            + self.hits.capacity() * size_of::<Hit<M>>()
             + (self.item_end.capacity() + self.work_end.capacity()) * size_of::<usize>()
             + self.positions.capacity() * size_of::<(u32, u32)>()
             + self.subjects.capacity() * size_of::<Id>()
@@ -333,16 +341,16 @@ pub(crate) trait StepSource: Sync {
 
     /// Readies `lp_masks` for [`Self::fire`] under `bp`, if part one
     /// reads them.
-    fn prepare(&self, _bp: &BitParallel, _lp_masks: &mut EpochArray) {}
+    fn prepare<M: Mask>(&self, _bp: &BitParallel<M>, _lp_masks: &mut EpochArray) {}
 
     /// Part one: replaces `x`'s work items with those of `chunk`.
-    fn fire(&self, firing: &Firing<'_>, chunk: &[(Id, u64)], x: &mut ChunkExpansion);
+    fn fire<M: Mask>(&self, firing: &Firing<'_, M>, chunk: &[(Id, M)], x: &mut ChunkExpansion<M>);
 
     /// Part two: the subjects of `x`'s work items not ruled out by the
     /// `visited` table — one cell per node, `D[s]` in cell `s`; all of
     /// them under `None` — in `x.subjects` / `x.work_end`, work item by
     /// work item.
-    fn subjects(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion);
+    fn subjects<M: Mask>(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion<M>);
 }
 
 /// One label into one batch of nodes with no automaton in between: both
@@ -390,14 +398,14 @@ impl StepSource for Ring {
         crate::MergedView::ring_only(self).common_subjects(walk, cap, out)
     }
 
-    fn prepare(&self, bp: &BitParallel, lp_masks: &mut EpochArray) {
+    fn prepare<M: Mask>(&self, bp: &BitParallel<M>, lp_masks: &mut EpochArray) {
         seed_label_masks(lp_masks, self.l_p(), bp);
     }
 
     /// With an automaton, one sweep of `L_p` over the items' object
     /// ranges under `B[v]` (§4.1); without, one batched backward step per
     /// label.
-    fn fire(&self, firing: &Firing<'_>, chunk: &[(Id, u64)], x: &mut ChunkExpansion) {
+    fn fire<M: Mask>(&self, firing: &Firing<'_, M>, chunk: &[(Id, M)], x: &mut ChunkExpansion<M>) {
         x.begin();
         match firing.automaton {
             Some((bp, lp_masks)) => {
@@ -409,14 +417,14 @@ impl StepSource for Ring {
                 let mut guide = PredGuideMulti {
                     ring: self,
                     chunk,
-                    union_d: chunk.iter().fold(0, |all, &(_, d)| all | d),
+                    union_d: chunk.iter().fold(M::ZERO, |all, &(_, d)| all.or(d)),
                     masks: lp_masks,
                     neg: bp.negated_positions(),
                     width: self.l_p().width(),
                     out: &mut x.hits,
                     nodes_entered: &mut x.wavelet_nodes,
-                    node_mask: 0,
-                    pending: 0,
+                    node_mask: M::ZERO,
+                    pending: M::ZERO,
                     base: (Label::MAX, 0),
                 };
                 x.mt.run(self.l_p(), &x.ranges, &mut guide);
@@ -433,7 +441,7 @@ impl StepSource for Ring {
         let (ranges, work_d) = (&mut x.ranges, &mut x.work_d);
         ranges.clear();
         ranges.resize(x.hits.len(), (0, 0));
-        work_d.resize(x.hits.len(), 0);
+        work_d.resize(x.hits.len(), M::ZERO);
         group_by_key(
             &mut x.item_end,
             chunk.len(),
@@ -441,7 +449,7 @@ impl StepSource for Ring {
             |hit| hit.item as usize,
             |work, hit| {
                 let d_new = firing.back(hit.d);
-                if d_new != 0 {
+                if !d_new.is_empty() {
                     work_d[work] = d_new;
                     ranges[work] = hit.range;
                 }
@@ -449,21 +457,27 @@ impl StepSource for Ring {
         );
     }
 
-    fn subjects(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion) {
+    fn subjects<M: Mask>(&self, visited: Option<&EpochArray>, x: &mut ChunkExpansion<M>) {
         x.access_subjects(self.l_s(), visited);
     }
 }
 
-/// Resets `B[v]` and seeds it for all wavelet-node ancestors of the
-/// query's labels (lazy initialization, O(m log |P|), §4.1).
-pub(crate) fn seed_label_masks(lp_masks: &mut EpochArray, lp: &WaveletMatrix, bp: &BitParallel) {
+/// Resets `B[v]` to cells as wide as `bp`'s masks and seeds it for all
+/// wavelet-node ancestors of the query's labels (lazy initialization,
+/// O(m log |P|), §4.1).
+pub(crate) fn seed_label_masks<M: StateMask>(
+    lp_masks: &mut EpochArray,
+    lp: &WaveletMatrix,
+    bp: &BitParallel<M>,
+) {
     let width_p = lp.width();
+    lp_masks.reset(M::LEN);
     lp_masks.ensure_len(lp.node_table_len());
-    lp_masks.reset();
     for &(label, mask) in bp.positive_label_masks() {
         for level in 0..=width_p {
-            let prefix = label >> (width_p - level);
-            lp_masks.or_with(WaveletMatrix::node_index(level, prefix), mask);
+            let node = WaveletMatrix::node_index(level, label >> (width_p - level));
+            let seeded: M = lp_masks.get(node);
+            lp_masks.set(node, seeded.or(mask));
         }
     }
 }
@@ -473,42 +487,42 @@ pub(crate) fn seed_label_masks(lp_masks: &mut EpochArray, lp: &WaveletMatrix, bp
 /// per item against its own mask (item level). The expensive per-node
 /// work — the `B[v]` lookup and the negated-class range mask — is done
 /// once per node for the whole frontier.
-struct PredGuideMulti<'a> {
+struct PredGuideMulti<'a, M> {
     ring: &'a Ring,
     /// The items, for their state masks `D_i`.
-    chunk: &'a [(Id, u64)],
+    chunk: &'a [(Id, M)],
     /// OR of all `D_i`: the node-level admission mask.
-    union_d: u64,
+    union_d: M,
     masks: &'a EpochArray,
-    neg: &'a [(u64, Vec<Label>)],
+    neg: &'a [(M, Vec<Label>)],
     width: usize,
     /// The leaves, in arrival order.
-    out: &'a mut Vec<Hit>,
+    out: &'a mut Vec<Hit<M>>,
     nodes_entered: &'a mut u64,
     /// `B[v] | neg` of the node admitted most recently.
-    node_mask: u64,
+    node_mask: M,
     /// `D_i & B[p]` for the item whose `leaf` call comes next (the
     /// [`MultiRangeGuide`] contract: `leaf` immediately follows its
     /// item's `enter_item`); at a leaf this is exactly Eq. 2's input.
-    pending: u64,
+    pending: M,
     /// `C_p` of the label whose leaves are arriving.
     base: (Label, usize),
 }
 
-impl MultiRangeGuide for PredGuideMulti<'_> {
+impl<M: StateMask> MultiRangeGuide for PredGuideMulti<'_, M> {
     fn enter_node(&mut self, level: usize, prefix: u64) -> bool {
         *self.nodes_entered += 1;
-        let mut mask = self.masks.get(WaveletMatrix::node_index(level, prefix));
+        let mut mask: M = self.masks.get(WaveletMatrix::node_index(level, prefix));
         if !self.neg.is_empty() {
-            mask |= neg_range_mask(self.neg, level, prefix, self.width);
+            mask = mask.or(neg_range_mask(self.neg, level, prefix, self.width));
         }
         self.node_mask = mask;
-        mask & self.union_d != 0
+        mask.intersects(self.union_d)
     }
 
     fn enter_item(&mut self, item: u32, _level: usize, _prefix: u64) -> bool {
-        let active = self.node_mask & self.chunk[item as usize].1;
-        if active == 0 {
+        let active = self.node_mask.and(self.chunk[item as usize].1);
+        if active.is_empty() {
             return false;
         }
         self.pending = active;
@@ -532,21 +546,21 @@ impl MultiRangeGuide for PredGuideMulti<'_> {
 /// Mask contributed by negated-class positions to the wavelet node
 /// `(level, prefix)` covering labels `[prefix·2^span, (prefix+1)·2^span)`:
 /// the position fires unless the whole interval is excluded.
-pub(crate) fn neg_range_mask(
-    neg: &[(u64, Vec<Label>)],
+pub(crate) fn neg_range_mask<M: StateMask>(
+    neg: &[(M, Vec<Label>)],
     level: usize,
     prefix: u64,
     width: usize,
-) -> u64 {
+) -> M {
     let span = width - level;
     let lo = prefix << span;
     let len = 1u64 << span;
-    let mut mask = 0;
-    for (bit, excluded) in neg {
+    let mut mask = M::ZERO;
+    for &(bit, ref excluded) in neg {
         let from = excluded.partition_point(|&l| l < lo);
         let to = excluded.partition_point(|&l| l < lo + len);
         if ((to - from) as u64) < len {
-            mask |= bit;
+            mask = mask.or(bit);
         }
     }
     mask

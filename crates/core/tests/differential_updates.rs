@@ -121,7 +121,6 @@ fn check_snapshot(
         Some(EvalRoute::FastPath),
         Some(EvalRoute::BitParallel),
         Some(EvalRoute::Split),
-        Some(EvalRoute::Fallback),
     ];
     // Three queries per checkpoint, rotating through the 20 Table 1
     // patterns across checkpoints so the whole mix gets exercised.

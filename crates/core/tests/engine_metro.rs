@@ -132,10 +132,11 @@ fn fig6_exact_product_graph_trace() {
     // paper expands E+ to E*/E, yielding two); masks therefore differ by
     // that merged state: the paper's D = 0110 (both l5 states) is our
     // {1,2} = 0b110 on first arrival and {1} = 0b010 at Baq, whose start
-    // marking already covers the accepting l5 state.
-    let first_arrival = 0b110;
-    let baq_fresh = 0b010;
-    let initial = 0b001;
+    // marking already covers the accepting l5 state. A trace records a
+    // state set zero-padded to the widest mask; these sets are word 0.
+    let first_arrival = [0b110, 0, 0, 0];
+    let baq_fresh = [0b010, 0, 0, 0];
+    let initial = [0b001, 0, 0, 0];
     assert_eq!(out.trace.len(), 5, "Fig. 7 has five bold nodes");
     assert_eq!(out.trace[0], (BA, first_arrival), "level one");
     let mut level_two = out.trace[1..4].to_vec();
@@ -200,8 +201,8 @@ fn errors_are_typed() {
         engine.evaluate(&q, &EngineOptions::default()),
         Err(rpq_core::QueryError::NodeOutOfRange(99))
     ));
-    // Oversized expressions (> 63 positions) evaluate through the
-    // explicit-state fallback rather than erroring.
+    // Expressions past the word (> 63 positions) evaluate over state
+    // sets of more than one word.
     let mut big = String::from("0");
     for _ in 0..70 {
         big.push_str("/0");
@@ -224,8 +225,13 @@ fn engine_reuse_across_queries() {
     let ring = metro_ring();
     let mut engine = RpqEngine::new(&ring);
     let opts = EngineOptions::default();
+    // Two- and four-word state sets between one-word ones, on one scratch.
+    let (two, four) = (
+        vec!["2*"; 70].join("/") + "/3",
+        vec!["0*/1*"; 100].join("/"),
+    );
     for _ in 0..3 {
-        for e in ["2+/3", "0", "(0|1|2)+"] {
+        for e in ["2+/3", &two, "0", &four, "(0|1|2)+"] {
             for anchor in [SA, UCH, BA, BAQ] {
                 let q = RpqQuery::new(Term::Const(anchor), expr(e), Term::Var);
                 let got = engine.evaluate(&q, &opts).unwrap().sorted_pairs();

@@ -154,11 +154,11 @@ fn forced_routes_are_bit_identical_at_every_thread_count() {
                     ..EngineOptions::default()
                 };
                 assert_bit_identical(&mut engine, &query, &opts, &format!("forced {forced:?}"));
-                checked += 1;
             }
+            checked += 1;
         }
     }
-    assert!(checked >= 250, "corpus shrank: only {checked} combinations");
+    assert!(checked >= 63, "corpus shrank: only {checked} queries");
 }
 
 /// Truncation determinism: with a limit far below the full answer set,

@@ -2,12 +2,18 @@
 //! graphs and arbitrary 2RPQs, the ring engine (all option combinations)
 //! agrees exactly with the naive product-graph oracle.
 
+use std::sync::Arc;
+
 use automata::ast::{Lit, Regex};
 use proptest::prelude::*;
 use ring::ring::RingOptions;
+use ring::sharded::ShardedIndex;
+use ring::store::TripleStore;
 use ring::{Graph, Ring, Triple};
 use rpq_core::oracle::evaluate_naive;
-use rpq_core::{EngineOptions, EvalRoute, RpqEngine, RpqQuery, Term};
+use rpq_core::{
+    EngineOptions, EvalRoute, PreparedQuery, RpqEngine, RpqQuery, ShardedSource, Term, TripleSource,
+};
 
 const N_NODES: u64 = 9;
 const N_PREDS: u64 = 3; // completed alphabet: 0..6
@@ -44,6 +50,22 @@ fn arb_regex() -> impl Strategy<Value = Regex> {
     })
 }
 
+/// A store whose live triples are `g`'s: its base ring holds half of
+/// them and a stray, and its committed delta adds the rest and
+/// tombstones the stray.
+fn delta_store(g: &Graph) -> TripleStore {
+    let (late, mut base): (Vec<Triple>, _) = g.triples().iter().partition(|t| t.o % 2 == 0);
+    let stray = (0..N_NODES)
+        .map(|o| Triple::new(0, 0, o))
+        .find(|t| !g.triples().contains(t));
+    base.extend(stray);
+    let store = TripleStore::new(Graph::new(base, N_NODES, N_PREDS)).with_auto_compact_ratio(None);
+    late.into_iter().for_each(|t| store.insert(t));
+    stray.into_iter().for_each(|t| store.delete(t));
+    store.commit();
+    store
+}
+
 fn arb_term() -> impl Strategy<Value = Term> {
     prop_oneof![
         2 => Just(Term::Var),
@@ -77,22 +99,6 @@ proptest! {
     }
 
     #[test]
-    fn fallback_matches_oracle(
-        g in arb_graph(),
-        e in arb_regex(),
-        s in arb_term(),
-        o in arb_term(),
-    ) {
-        // Force the explicit-state fallback path on ordinary expressions:
-        // it must agree with the oracle (and hence the main engine) even
-        // though the engine would normally take the bit-parallel path.
-        let query = RpqQuery::new(s, e, o);
-        let ring = Ring::build(&g, RingOptions::default());
-        let out = rpq_core::fallback::evaluate(&ring, &query, &EngineOptions::default()).unwrap();
-        prop_assert_eq!(out.sorted_pairs(), evaluate_naive(&g, &query), "{:?}", query);
-    }
-
-    #[test]
     fn limits_are_respected(
         g in arb_graph(),
         e in arb_regex(),
@@ -111,6 +117,67 @@ proptest! {
         // Every returned pair must be a genuine answer.
         for p in &out.pairs {
             prop_assert!(full.contains(p), "bogus pair {:?}", p);
+        }
+    }
+}
+
+proptest! {
+    // Fewer cases: a padded traversal is about seventy BFS levels deep.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Expressions past the word: `arb_regex()`'s expression behind a pad
+    /// of one repeated literal, as an alternative and as a prefix, the pad
+    /// sized so the expression's positions straddle bit 63 (two words)
+    /// and, separately, bit 127 (four). Every endpoint shape, over a ring,
+    /// a ring under a delta and four shards (one engine each, its scratch
+    /// serving both widths), agrees exactly with the oracle.
+    #[test]
+    fn wide_masks_match_oracle(
+        g in arb_graph(),
+        e in arb_regex(),
+        pad_label in 0u64..2 * N_PREDS,
+        s in 0..N_NODES,
+        o in 0..N_NODES,
+    ) {
+        let ring = Ring::build(&g, RingOptions::default());
+        let store = delta_store(&g);
+        let snapshot = store.snapshot();
+        let sharded = ShardedSource::new(
+            ShardedIndex::build(&g, 4, RingOptions::default())
+                .into_shards()
+                .into_iter()
+                .map(Arc::new)
+                .collect(),
+        );
+        let sources: [(&str, &dyn TripleSource); 3] =
+            [("ring", &ring), ("ring + delta", &*snapshot), ("4 shards", &sharded)];
+        let mut engines = sources.map(|(kind, source)| (kind, RpqEngine::over(source)));
+        let n = e.fuse_classes().literal_count();
+        for word_end in [63, 127] {
+            let k = word_end - n / 2;
+            let pad = (1..k).fold(Regex::label(pad_label), |p, _| Regex::concat(p, Regex::label(pad_label)));
+            for padded in [Regex::alt(pad.clone(), e.clone()), Regex::concat(pad, e.clone())] {
+                // The pad ends at or below the word's last bit, the
+                // expression reaches past it.
+                let m = padded.fuse_classes().literal_count();
+                prop_assert!(m == k + n && k <= word_end && word_end < m, "{} positions", m);
+                let prepared =
+                    PreparedQuery::compile(&padded, &|l| ring.inverse_label(l), 8).unwrap();
+                let (vs, vo) = (Term::Const(s), Term::Const(o));
+                for (subject, object) in [(Term::Var, Term::Var), (vs, Term::Var), (Term::Var, vo), (vs, vo)] {
+                    let query = RpqQuery::new(subject, padded.clone(), object);
+                    let expected = evaluate_naive(&g, &query);
+                    for (kind, engine) in &mut engines {
+                        let opts = EngineOptions::default();
+                        let out = engine.evaluate_prepared(&prepared, subject, object, &opts).unwrap();
+                        prop_assert!(!out.truncated && !out.timed_out);
+                        prop_assert_eq!(
+                            out.sorted_pairs(), expected.clone(),
+                            "{} positions, {} on {:?}", m, kind, query
+                        );
+                    }
+                }
+            }
         }
     }
 }

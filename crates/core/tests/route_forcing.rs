@@ -145,17 +145,16 @@ fn every_forced_route_matches_the_oracle() {
                 } else {
                     assert_ne!(plan.route, forced);
                 }
-                checked += 1;
             }
+            checked += 1;
         }
     }
-    assert!(checked >= 300, "corpus shrank: only {checked} combinations");
+    assert!(checked >= 75, "corpus shrank: only {checked} queries");
 }
 
 /// A result limit caps every route on every kind of source: never more
 /// than `limit` pairs, all of them answers, and variable-to-variable
-/// answers sorted. (The fallback's per-source runs used to get the whole
-/// limit each and returned their union unsorted.)
+/// answers sorted.
 #[test]
 fn every_forced_route_honors_the_limit_on_every_source() {
     let graph = workload_graph(0x11417);
@@ -183,7 +182,7 @@ fn every_forced_route_honors_the_limit_on_every_source() {
         ("4-shard", &sharded),
         ("ring+delta", &*snapshot),
     ];
-    let mut truncated = [0usize; 4];
+    let mut truncated = [0usize; EvalRoute::ALL.len()];
     for (name, source) in sources {
         let mut engine = RpqEngine::over(source);
         for query in corpus(&graph, 10) {

@@ -14,8 +14,8 @@
 
 use std::sync::Arc;
 
-use automata::glushkov::INITIAL;
 use automata::Regex;
+use automata::StateMask;
 use ring::ring::RingOptions;
 use ring::sharded::ShardedIndex;
 use ring::store::TripleStore;
@@ -231,7 +231,7 @@ fn bounded_pass_one_returns_what_the_unbounded_order_would() {
             let anchors: Vec<Id> = full
                 .trace
                 .iter()
-                .filter(|&&(_, fresh)| fresh & INITIAL != 0)
+                .filter(|&&(_, fresh)| fresh.intersects(StateMask::INITIAL))
                 .map(|&(v, _)| v)
                 .take(distinct.len())
                 .collect();

@@ -158,7 +158,7 @@ pub struct Metrics {
     /// End-to-end latency of result-cache hits.
     pub latency_cached: Histogram,
     /// Evaluation latency per route, indexed by [`EvalRoute::index`]:
-    /// fastpath, bitparallel, split, fallback.
+    /// fastpath, bitparallel, split.
     pub latency_by_route: [Histogram; ROUTES],
     /// Planner decisions per route (every evaluated query counts once,
     /// whether or not it completed; cache hits never reach the planner).

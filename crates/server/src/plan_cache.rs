@@ -13,10 +13,10 @@
 //!
 //! A cached `PreparedQuery` is *route-agnostic*: it holds the compiled
 //! automata every route can need, and the cost-based planner
-//! (`rpq_core::planner`) picks the route — fastpath, bitparallel,
-//! split, or fallback — per call from the query's endpoints and the
-//! ring's live statistics. One cached entry therefore serves all four
-//! routes, the rare-label split route included.
+//! (`rpq_core::planner`) picks the route — fastpath, bitparallel or
+//! split — per call from the query's endpoints and the ring's live
+//! statistics. One cached entry therefore serves all three routes, the
+//! rare-label split route included.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

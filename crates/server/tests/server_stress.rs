@@ -4,12 +4,14 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use automata::AutomatonError;
 
 use ring::ring::RingOptions;
 use ring::{Graph, Ring, Triple};
 use rpq_core::oracle::evaluate_naive;
-use rpq_core::{RpqQuery, Term};
+use rpq_core::{QueryError, RpqQuery, Term};
 use rpq_server::{IndexSource, QueryBudget, QueryStatus, RpqError, RpqServer, ServerConfig};
 use workload::{GraphGen, GraphGenConfig, QueryGen};
 
@@ -287,6 +289,46 @@ fn admission_control_and_cancellation() {
     assert_eq!(m.rejected_overload.load(Ordering::Relaxed), 1);
     assert_eq!(m.cancelled.load(Ordering::Relaxed), 1);
     assert_eq!(m.queue_peak.load(Ordering::Relaxed), 4);
+    server.shutdown();
+}
+
+/// An expression past the widest state mask is refused by its position
+/// count before anything is compiled: on a one-worker server over the
+/// metro graph, a 3000-factor `l1*` chain fails fast with the typed
+/// error, leaves no plan-cache entry, and the worker answers the next
+/// ordinary query.
+#[test]
+fn a_refused_expression_does_not_take_a_session_down() {
+    let graph = workload::metro::metro();
+    let ring = Ring::build(&graph, RingOptions::default());
+    let server = RpqServer::start(
+        Arc::new(IndexSource::id_only(ring)),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let plan_entries = |server: &RpqServer| {
+        let json = server.metrics_json();
+        let cache = &json[json.find("\"plan_cache\":").unwrap()..];
+        let entries = &cache[cache.find("\"entries\":").unwrap() + 10..];
+        entries[..entries.find(',').unwrap()].to_string()
+    };
+
+    let t0 = Instant::now();
+    let refused = server.query_blocking("?x", &vec!["0*"; 3000].join("/"), "?y");
+    let took = t0.elapsed();
+    let too_many = QueryError::Automaton(AutomatonError::TooManyPositions(3000));
+    assert_eq!(refused.unwrap_err(), RpqError::Query(too_many));
+    assert!(took < Duration::from_millis(50), "refused in {took:?}");
+    assert_eq!(plan_entries(&server), "0");
+
+    let star = automata::Regex::Star(Box::new(automata::Regex::label(0)));
+    let answer = server.query_blocking("?x", "0*", "?y").unwrap();
+    let query = RpqQuery::new(Term::Var, star, Term::Var);
+    assert_eq!(answer.pairs, evaluate_naive(&graph, &query));
+    assert_eq!(plan_entries(&server), "1");
     server.shutdown();
 }
 

@@ -138,20 +138,66 @@ impl BitSet {
     }
 }
 
-/// An array of `u64` cells with *O*(1) logical reset.
+/// A fixed number of `u64` words, least significant first: what one
+/// cell of an [`EpochArray`] holds — a `u64`, or an array of them.
+pub trait Words: Copy {
+    /// Words per value.
+    const LEN: usize;
+    /// The all-zero value.
+    const ZERO: Self;
+    /// The words.
+    fn words(&self) -> &[u64];
+    /// The words, writable.
+    fn words_mut(&mut self) -> &mut [u64];
+}
+
+impl Words for u64 {
+    const LEN: usize = 1;
+    const ZERO: Self = 0;
+
+    #[inline]
+    fn words(&self) -> &[u64] {
+        std::slice::from_ref(self)
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        std::slice::from_mut(self)
+    }
+}
+
+impl<const N: usize> Words for [u64; N] {
+    const LEN: usize = N;
+    const ZERO: Self = [0; N];
+
+    fn words(&self) -> &[u64] {
+        self
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        self
+    }
+}
+
+/// An array of cells with *O*(1) logical reset, each cell one or more
+/// `u64` words wide ([`Words`]).
 ///
 /// This realizes the compact constant-time lazy-initialization structure the
 /// paper cites (\[40, App. C\]) for the per-node visited masks `D[s]` and the
 /// per-wavelet-node masks `B[v]`/`D[v]`: memory is allocated once and a
 /// 32-bit epoch stamp decides whether a cell's stored value is current.
+/// The width of a cell — the words of a state set — is set at each
+/// [`reset`](Self::reset); the stamps are one per cell whatever it is.
 ///
-/// The default array is empty; [`ensure_len`](Self::ensure_len) sizes it
-/// on first use.
+/// The default array is empty, its cells one word wide;
+/// [`ensure_len`](Self::ensure_len) sizes it on first use.
 #[derive(Clone, Debug)]
 pub struct EpochArray {
     values: Vec<u64>,
     stamps: Vec<u32>,
     epoch: u32,
+    /// Words per cell.
+    stride: usize,
 }
 
 impl Default for EpochArray {
@@ -161,12 +207,13 @@ impl Default for EpochArray {
 }
 
 impl EpochArray {
-    /// Creates an array of `len` cells, all logically zero.
+    /// Creates an array of `len` one-word cells, all logically zero.
     pub fn new(len: usize) -> Self {
         Self {
             values: vec![0; len],
             stamps: vec![0; len],
             epoch: 1,
+            stride: 1,
         }
     }
 
@@ -176,65 +223,55 @@ impl EpochArray {
     /// `>= 1`), and the epoch is unchanged. A no-op when the array is
     /// already that long.
     pub fn ensure_len(&mut self, n: usize) {
-        if n <= self.values.len() {
+        if n <= self.stamps.len() {
             return;
         }
-        if self.values.is_empty() {
+        if self.stamps.is_empty() {
             // First sizing: zeroed allocations leave untouched pages
             // unbacked, which `resize` (allocate, then fill) would not.
-            self.values = vec![0; n];
+            self.values = vec![0; n * self.stride];
             self.stamps = vec![0; n];
         } else {
-            self.values.resize(n, 0);
+            self.values.resize(n * self.stride, 0);
             self.stamps.resize(n, 0);
         }
     }
 
-    /// Number of cells.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the array has no cells.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Logically zeroes every cell in *O*(1) (amortized: a real wipe happens
-    /// once every `u32::MAX` resets when the epoch wraps).
-    pub fn reset(&mut self) {
+    /// once every `u32::MAX` resets when the epoch wraps) and makes every
+    /// cell `stride` words wide, reallocating the words only when there
+    /// are too few.
+    pub fn reset(&mut self, stride: usize) {
         if self.epoch == u32::MAX {
             self.stamps.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
+        self.stride = stride;
+        if self.values.len() < self.stamps.len() * stride {
+            self.values = vec![0; self.stamps.len() * stride];
+        }
     }
 
     /// Reads cell `i` (zero if untouched since the last [`reset`](Self::reset)).
     #[inline]
-    pub fn get(&self, i: usize) -> u64 {
+    pub fn get<W: Words>(&self, i: usize) -> W {
+        debug_assert_eq!(W::LEN, self.stride);
+        let mut value = W::ZERO;
         if self.stamps[i] == self.epoch {
-            self.values[i]
-        } else {
-            0
+            value
+                .words_mut()
+                .copy_from_slice(&self.values[i * W::LEN..][..W::LEN]);
         }
+        value
     }
 
     /// Writes cell `i`.
     #[inline]
-    pub fn set(&mut self, i: usize, value: u64) {
+    pub fn set<W: Words>(&mut self, i: usize, value: W) {
+        debug_assert_eq!(W::LEN, self.stride);
         self.stamps[i] = self.epoch;
-        self.values[i] = value;
-    }
-
-    /// ORs `mask` into cell `i`, returning the new value.
-    #[inline]
-    pub fn or_with(&mut self, i: usize, mask: u64) -> u64 {
-        let v = self.get(i) | mask;
-        self.set(i, v);
-        v
+        self.values[i * W::LEN..][..W::LEN].copy_from_slice(value.words());
     }
 
     /// Heap bytes owned by the array.
@@ -324,71 +361,89 @@ mod tests {
     #[test]
     fn epoch_array_reset_is_logical_zero() {
         let mut a = EpochArray::new(8);
-        a.set(3, 42);
-        a.or_with(4, 0b101);
-        assert_eq!(a.get(3), 42);
-        assert_eq!(a.get(4), 0b101);
-        assert_eq!(a.get(0), 0);
-        a.reset();
+        a.set(3, 42u64);
+        a.set(4, 0b101u64);
+        assert_eq!(a.get::<u64>(3), 42);
+        assert_eq!(a.get::<u64>(4), 0b101);
+        assert_eq!(a.get::<u64>(0), 0);
+        a.reset(1);
         for i in 0..8 {
-            assert_eq!(a.get(i), 0, "cell {i} after reset");
+            assert_eq!(a.get::<u64>(i), 0, "cell {i} after reset");
         }
-        assert_eq!(a.or_with(3, 0b10), 0b10);
     }
 
     #[test]
     fn epoch_array_grows_in_place() {
         let mut a = EpochArray::default();
-        assert!(a.is_empty());
         a.ensure_len(4);
-        a.reset();
-        a.set(1, 7);
-        a.or_with(3, 0b11);
+        a.reset(1);
+        a.set(1, 7u64);
+        a.set(3, 0b11u64);
         a.ensure_len(10);
-        assert_eq!(a.len(), 10);
         // Cells written before the grow read back; new cells read 0.
-        assert_eq!((a.get(1), a.get(3)), (7, 0b11));
+        assert_eq!((a.get::<u64>(1), a.get::<u64>(3)), (7, 0b11));
         for i in 4..10 {
-            assert_eq!(a.get(i), 0, "new cell {i}");
+            assert_eq!(a.get::<u64>(i), 0, "new cell {i}");
         }
-        a.set(9, 5);
+        a.set(9, 5u64);
         // Shrinking requests are no-ops.
         a.ensure_len(2);
-        assert_eq!((a.len(), a.get(9)), (10, 5));
-        a.reset();
-        assert_eq!((a.get(1), a.get(9)), (0, 0));
+        assert_eq!(a.get::<u64>(9), 5);
+        a.reset(1);
+        assert_eq!((a.get::<u64>(1), a.get::<u64>(9)), (0, 0));
+    }
+
+    /// A reset sets the cell width; wider cells reallocate the words
+    /// only when there are too few of them.
+    #[test]
+    fn cells_change_width_at_reset() {
+        let mut a = EpochArray::new(3);
+        a.reset(4);
+        a.set(2, [5u64, 6, 7, 8]);
+        a.ensure_len(5);
+        assert_eq!((a.get(2), a.get(4)), ([5u64, 6, 7, 8], [0; 4]));
+        let bytes = a.size_bytes();
+        a.reset(2);
+        assert_eq!(a.get::<[u64; 2]>(2), [0; 2]);
+        a.set(4, [7u64, 8]);
+        a.reset(1);
+        a.set(4, 3u64);
+        assert_eq!(
+            (a.get::<u64>(2), a.get::<u64>(4), a.size_bytes()),
+            (0, 3, bytes)
+        );
     }
 
     #[test]
     fn grown_epoch_array_survives_the_epoch_wrap() {
         let mut a = EpochArray::new(2);
         a.epoch = u32::MAX - 1;
-        a.set(0, 1);
+        a.set(0, 1u64);
         a.ensure_len(5);
-        a.set(4, 2);
-        a.reset(); // epoch == u32::MAX
-        assert_eq!((a.get(0), a.get(4)), (0, 0));
-        a.set(4, 3);
-        a.reset(); // wraps: stamps wiped, epoch back to 1
+        a.set(4, 2u64);
+        a.reset(1); // epoch == u32::MAX
+        assert_eq!((a.get::<u64>(0), a.get::<u64>(4)), (0, 0));
+        a.set(4, 3u64);
+        a.reset(1); // wraps: stamps wiped, epoch back to 1
         assert_eq!(a.epoch, 1);
         for i in 0..5 {
-            assert_eq!(a.get(i), 0, "cell {i} after the wrap");
+            assert_eq!(a.get::<u64>(i), 0, "cell {i} after the wrap");
         }
         // Growing right after the wrap: stamp-0 cells still read 0.
         a.ensure_len(8);
-        assert_eq!(a.get(7), 0);
-        a.set(7, 9);
-        assert_eq!(a.get(7), 9);
+        assert_eq!(a.get::<u64>(7), 0);
+        a.set(7, 9u64);
+        assert_eq!(a.get::<u64>(7), 9);
     }
 
     #[test]
     fn epoch_array_many_resets() {
         let mut a = EpochArray::new(2);
         for round in 0..1000u64 {
-            a.reset();
-            assert_eq!(a.get(0), 0);
+            a.reset(1);
+            assert_eq!(a.get::<u64>(0), 0);
             a.set(0, round);
-            assert_eq!(a.get(0), round);
+            assert_eq!(a.get::<u64>(0), round);
         }
     }
 }
