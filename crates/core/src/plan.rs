@@ -306,4 +306,18 @@ mod tests {
         let p = PreparedQuery::compile(&wide, &|l| l, 8).unwrap();
         assert_eq!(words(&p), 1);
     }
+
+    /// A plan past one word still builds both directions' tables, at the
+    /// same width: there is no table-less regime.
+    #[test]
+    fn wide_plans_build_both_tables() {
+        let e = (1..70).fold(Regex::label(0), |e, _| Regex::concat(e, Regex::label(0)));
+        let p = PreparedQuery::compile(&e, &inv, 8).unwrap();
+        assert_eq!(words(&p), 2);
+        assert!(!p.nullable());
+        with_tables!(p.tables(), t => {
+            assert_eq!(t[0].accept_mask().words().len(), 2);
+            assert_eq!(t[1].accept_mask().words().len(), 2);
+        });
+    }
 }

@@ -408,6 +408,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_expressions_run_bit_parallel_or_split() {
+        // A 71-position chain needs two mask words but plans like any
+        // other expression: the bit-parallel route, with a direction.
+        let r = ring();
+        let stats = RingStatistics::new(&r);
+        let e = star_chain(71);
+        let p = prepared(&r, &e);
+        assert!(matches!(p.tables(), crate::plan::Tables::Two(_)));
+        let plan = plan(&stats, &p, Term::Var, Term::Var, &EngineOptions::default());
+        assert_eq!(plan.route, EvalRoute::BitParallel);
+        assert!(plan.direction.is_some());
+        // The same monster with a mandatory rare factor splits instead.
+        let e = Regex::concat(Regex::concat(e, Regex::label(1)), star(2));
+        let p = prepared(&r, &e);
+        let plan = super::plan(&stats, &p, Term::Var, Term::Var, &EngineOptions::default());
+        assert_eq!(plan.route, EvalRoute::Split);
+        assert_eq!(plan.split_label(), Some(1));
+    }
+
+    #[test]
     fn out_of_alphabet_split_labels_never_plan_a_split() {
         // An expression whose only literal factor lies outside the ring's
         // alphabet (and fires on neither end) has split *candidates* —
