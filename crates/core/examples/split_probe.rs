@@ -6,9 +6,13 @@
 //! nodes, 128 predicates, 2^20 edges, seed 0x7AB1E).
 //! Labels are named by their rank in edge count: `common` is the most
 //! frequent, `mid` the ninth, `rare` the 65th, `rare2` the 121st.
+//! The same table runs the §5 fast paths: each §5 shape — a two-step
+//! concatenation and a disjunction, to `<n>` (the node with the most
+//! in-edges) and variable to variable, and an inverse label — forced onto
+//! [`EvalRoute::FastPath`] and onto `BitParallel`.
 //! `crates/core/README.md` ("What each mechanism buys") records the table
-//! this prints; the split route stays while the planner picks it here and
-//! it wins.
+//! in the `Split` and `FastPath` rows; each route stays while the planner
+//! picks it here and it wins.
 //!
 //! ```sh
 //! cargo run --release --offline -p rpq_core --example split_probe
@@ -23,7 +27,7 @@ use rpq_core::explain::explain;
 use rpq_core::{EngineOptions, EvalRoute, QueryOutput, RpqEngine, RpqQuery, Term};
 use workload::{GraphGen, GraphGenConfig};
 
-/// Runs `query` under `opts` until one run takes a second or three have
+/// Runs `query` under `opts` until one run takes a second or seven have
 /// run, and keeps the fastest.
 fn fastest(
     engine: &mut RpqEngine<'_>,
@@ -31,7 +35,7 @@ fn fastest(
     opts: &EngineOptions,
 ) -> (QueryOutput, Duration) {
     let mut best: Option<(QueryOutput, Duration)> = None;
-    for _ in 0..3 {
+    for _ in 0..7 {
         let t = Instant::now();
         let out = engine.evaluate(query, opts).expect("a valid query");
         let took = t.elapsed();
@@ -57,10 +61,11 @@ fn main() {
     .generate();
     let ring = Ring::build(&graph, RingOptions::default());
     let mut count = vec![0usize; graph.n_preds() as usize];
-    graph
-        .triples()
-        .iter()
-        .for_each(|t| count[t.p as usize] += 1);
+    let mut in_degree = vec![0usize; graph.n_nodes() as usize];
+    for t in graph.triples() {
+        count[t.p as usize] += 1;
+        in_degree[t.o as usize] += 1;
+    }
     let mut by_count: Vec<u64> = (0..graph.n_preds()).collect();
     by_count.sort_by_key(|&p| std::cmp::Reverse(count[p as usize]));
     let labels = [("common", 0), ("mid", 8), ("rare", 64), ("rare2", 120)]
@@ -68,14 +73,17 @@ fn main() {
     for (name, p) in labels {
         println!("{name:>6} = label {p:>3}: {:>6} edges", count[p as usize]);
     }
-    // A named label, starred or not.
+    // A named label, starred or not, or its inverse (`^name`).
     let factor = |f: &str| {
-        let name = f.trim_end_matches('*');
-        let p = labels
+        let name = f.trim_end_matches('*').trim_start_matches('^');
+        let mut p = labels
             .iter()
             .find(|l| l.0 == name)
             .expect("a named label")
             .1;
+        if f.starts_with('^') {
+            p = ring.inverse_label(p);
+        }
         if f.ends_with('*') {
             Regex::Star(Box::new(Regex::label(p)))
         } else {
@@ -88,38 +96,61 @@ fn main() {
         forced_route: Some(route),
         ..EngineOptions::default()
     };
-    println!(
-        "\n{:<22} {:>12} {:>9} {:>9} {:>15} {:>8}",
-        "query (?x E ?y)", "planner", "pairs", "split ms", "bitparallel ms", "ratio"
-    );
-    for name in [
+    let n = (0..in_degree.len()).max_by_key(|&v| in_degree[v]);
+    let n = Term::Const(n.expect("nodes") as u64);
+    let split = [
         "mid/rare/mid",
         "mid/rare2/mid",
         "mid*/rare/mid*",
         "common/rare/common",
         "common/rare2/common*",
         "common*/rare2/common*",
-    ] {
-        let expr = name.split('/').map(factor).reduce(Regex::concat);
-        let query = RpqQuery::new(Term::Var, expr.expect("three factors"), Term::Var);
+    ]
+    .map(|name| (name, Term::Var, EvalRoute::Split));
+    let fast = [
+        ("mid/mid", n),
+        ("common/rare", n),
+        ("mid|rare", n),
+        ("mid/mid", Term::Var),
+        ("common/rare", Term::Var),
+        ("mid|rare", Term::Var),
+        ("common|mid", Term::Var),
+        ("^mid", Term::Var),
+        ("^rare", Term::Var),
+    ]
+    .map(|(name, object)| (name, object, EvalRoute::FastPath));
+    println!(
+        "\n{:<24} {:>12} {:>9} {:>10} {:>10} {:>15} {:>8}",
+        "query (?x E O)", "planner", "pairs", "route", "route ms", "bitparallel ms", "ratio"
+    );
+    for (name, object, route) in split.into_iter().chain(fast) {
+        let expr = if name.contains('|') {
+            name.split('|').map(factor).reduce(Regex::alt)
+        } else {
+            name.split('/').map(factor).reduce(Regex::concat)
+        };
+        let query = RpqQuery::new(Term::Var, expr.expect("a factor"), object);
         let planned = explain(&ring, &query).expect("a valid query").plan.route;
-        let (split, split_took) = fastest(&mut engine, &query, &forced(EvalRoute::Split));
+        let (out, took) = fastest(&mut engine, &query, &forced(route));
         let (bp, bp_took) = fastest(&mut engine, &query, &forced(EvalRoute::BitParallel));
-        if !split.truncated && !bp.truncated {
+        if !out.truncated && !bp.truncated {
             assert_eq!(
-                split.sorted_pairs(),
+                out.sorted_pairs(),
                 bp.sorted_pairs(),
                 "{name}: the routes disagree"
             );
         }
+        let object = if object == Term::Var { "?y" } else { "<n>" };
         println!(
-            "{name:<22} {:>12} {:>8}{} {:>9.1} {:>15.1} {:>7.1}x",
+            "{:<24} {:>12} {:>8}{} {:>10} {:>10.3} {:>15.3} {:>7.1}x",
+            format!("{name} {object}"),
             planned.name(),
-            split.pairs.len(),
-            if split.truncated { "+" } else { " " },
-            split_took.as_secs_f64() * 1e3,
+            out.pairs.len(),
+            if out.truncated { "+" } else { " " },
+            route.name(),
+            took.as_secs_f64() * 1e3,
             bp_took.as_secs_f64() * 1e3,
-            bp_took.as_secs_f64() / split_took.as_secs_f64(),
+            bp_took.as_secs_f64() / took.as_secs_f64(),
         );
     }
 }

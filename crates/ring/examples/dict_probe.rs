@@ -1,12 +1,16 @@
 //! The node dictionary of a `RRPQM01` file, measured on its own: the bytes
 //! `NODES` stores per name, what validating it adds to an open, and the
-//! mapped form's `get` (a hit and a miss) and `name`, on 2^17 names of two
+//! opened dictionary's `get` (a hit and a miss) and `name`, on 2^17 names of two
 //! shapes — the benchmark's `<n{i}>` and Wikidata entity IRIs. Each file
 //! holds a ring of one edge per node beside the dictionary, so that it
 //! opens; the dictionary's share of an open is `open_index` less
 //! `open_ring` on the same file (medians of 25 alternating opens). Lookup
 //! times are the best of five rounds of 2^16 lookups in a pseudo-random
-//! order. `crates/ring/README.md` records the table this prints.
+//! order. The last three columns are an updatable store's first insert
+//! into the opened dictionary (`1st ins`: an intern into a copy, less the
+//! copy, medians of 25 alternating), then, [`NEW`] new names later, `get`
+//! of a name in the file and of a new one. `crates/ring/README.md` records
+//! the table this prints.
 //!
 //! ```sh
 //! cargo run --release --offline -p ring --example dict_probe
@@ -22,6 +26,8 @@ use ring::{Dict, Graph, Ring, Triple};
 
 const NAMES: u64 = 1 << 17;
 const LOOKUPS: u64 = 1 << 16;
+/// Names interned after the open, for the second table.
+const NEW: u64 = 1 << 10;
 
 /// The `k`-th of `LOOKUPS` ids spread over `0..NAMES` in a fixed
 /// pseudo-random order.
@@ -94,13 +100,34 @@ fn probe(path: &Path, shape: &str, name_of: fn(u64) -> String) {
     let name = ns_per_op(|k| {
         black_box(dict.name(spread(k)).len());
     });
+
+    let first_insert = extra_ms(
+        || {
+            black_box(dict.clone().intern(&misses[0]));
+        },
+        || drop(black_box(dict.clone())),
+    );
+    let mut live = dict.clone();
+    for k in 0..NEW {
+        live.intern(&misses[k as usize]);
+    }
+    assert_eq!(live.get(&misses[0]), Some(NAMES));
+    let base_get = ns_per_op(|k| {
+        black_box(live.get(&hits[k as usize]));
+    });
+    let new_get = ns_per_op(|k| {
+        black_box(live.get(&misses[(k % NEW) as usize]));
+    });
     println!(
-        "{shape:<40} {:>8.2} {:>14.2} {:>8.0} {:>8.0} {:>8.0}",
+        "{shape:<40} {:>8.2} {:>14.2} {:>8.0} {:>8.0} {:>8.0} {:>12.1} {:>8.0} {:>8.0}",
         bytes as f64 / NAMES as f64,
         validate,
         hit,
         miss,
         name,
+        first_insert * 1e3,
+        base_get,
+        new_get,
     );
 }
 
@@ -108,8 +135,8 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("dict_probe_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     println!(
-        "{:<40} {:>8} {:>14} {:>8} {:>8} {:>8}",
-        "2^17 names", "B/name", "validate ms", "hit ns", "miss ns", "name ns"
+        "{:<40}   B/name    validate ms   hit ns  miss ns  name ns   1st ins µs   get ns   new ns",
+        "2^17 names"
     );
     probe(&dir.join("n.rpqm"), "<n{i}>", |i| format!("<n{i}>"));
     probe(

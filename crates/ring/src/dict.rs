@@ -4,31 +4,31 @@
 //! The paper works on "a dictionary-encoded version of the graph" (§5);
 //! string-to-id translation is orthogonal to the index (they report ~3
 //! extra bytes/triple and ~3 ms/query for it). Ids are the ones the ingest
-//! assigned, in the order it met the names; a dictionary has two forms:
+//! assigned, in the order it met the names. A dictionary has one form:
 //!
-//! * the mutable **heap form** (the build path) is one name arena — every
-//!   name once, concatenated in id order in a UTF-8 blob, with an offset
-//!   table for `id → name` — plus an open-addressing table of ids, hashed
-//!   eight bytes a step, so [`Dict::intern`] and [`Dict::get`] allocate
-//!   nothing per call and a new name costs its bytes, one offset and a
-//!   table slot; a slot carries where its name lies, so a lookup touches
-//!   the table and the name and nothing else, and `Dict::intern_many`
-//!   fetches the slots of a block of names side by side — the bulk path of
-//!   the N-Triples loader, whose chunk-local dictionaries are this form;
-//! * the read-only **mapped form** borrows a `RRPQM01` section: the names
-//!   in byte order, front-coded in buckets of [`BUCKET`] — a bucket's first
-//!   name (its *head*) in full, every other one as the length of the prefix
-//!   it shares with the name before it and the bytes after that prefix —
-//!   beside the start of every bucket and two packed permutations, `order`
-//!   (sorted rank → id) and `rank` (id → sorted rank), ⌈log₂ n⌉ bits an
-//!   entry. [`Dict::get`] bisects the bucket heads in place and scans one
-//!   bucket without copying a byte; [`Dict::name`] finds the bucket through
-//!   `rank` and decodes into it. Opening allocates nothing per name.
+//! * a **base**, what a `RRPQM01` `NODES`/`PREDS` section stores and an
+//!   open borrows in place: the names in byte order, front-coded in
+//!   buckets of [`BUCKET`] — a bucket's first name (its *head*) in full,
+//!   every other one as the length of the prefix it shares with the name
+//!   before it and the bytes after that prefix — beside the start of
+//!   every bucket and two packed permutations, `order` (sorted rank → id)
+//!   and `rank` (id → sorted rank), ⌈log₂ n⌉ bits an entry. A lookup
+//!   bisects the bucket heads and scans one bucket without copying a
+//!   byte; [`Dict::name`] finds the bucket through `rank` and decodes;
+//! * plus the **new part**, the names interned since the base was
+//!   encoded, with ids from `base.len()` on — the dictionary's delta, as
+//!   `DeltaIndex` is the ring's. It is one name arena (the names in id
+//!   order, and their offsets) and an open-addressing table whose slots
+//!   say where a name lies, so a lookup touches the slot and the name; a
+//!   build interns every name here, a block at a time
+//!   (`Dict::intern_many`), and a loaded store its new ones, so the base
+//!   is never decoded.
 //!
-//! The writer sorts the names (`Dict::to_mapped_parts`), so it accepts
-//! any id order, including the names an updatable store appended after a
-//! load; [`Dict::make_owned`] decodes a mapped dictionary back into the
-//! heap form, ids unchanged.
+//! [`Dict::encode`] merges the base, walked in sorted order, with the new
+//! names sorted, and front-codes the result, ids unchanged. It runs where
+//! bytes leave the interner: a database encodes the dictionaries it is
+//! made of (`RpqDatabase::from_parts` and every path through it), and the
+//! writer a copy (`Dict::to_mapped_parts`). Compaction leaves it alone.
 
 use std::borrow::Cow;
 use std::hash::Hasher;
@@ -38,17 +38,17 @@ use succinct::int_vec::bits_for;
 use succinct::util::FxHasher;
 use succinct::{IntVec, Slab, SpaceUsage};
 
-/// A two-way map between names and dense ids `0..len`.
-#[derive(Clone, Debug)]
-pub struct Dict(Form);
-
-#[derive(Clone, Debug)]
-enum Form {
-    Heap(Heap),
-    Mapped(FrontCoded),
+/// A two-way map between names and dense ids `0..len`: a front-coded
+/// base and the names interned since it was encoded.
+#[derive(Clone, Debug, Default)]
+pub struct Dict {
+    base: FrontCoded,
+    /// Names absent from `base`; the id of its name `i` is
+    /// `base.len() + i`.
+    new: Heap,
 }
 
-/// The heap form: the name arena and the table that searches it.
+/// The new part: the name arena and the table that searches it.
 #[derive(Clone, Debug)]
 struct Heap {
     /// All names concatenated in id order; every name's slice is valid
@@ -62,15 +62,12 @@ struct Heap {
     table: Vec<Slot>,
 }
 
-/// One slot of the heap form's table. It holds what a probe needs to
+/// One slot of the new part's table. It holds what a probe needs to
 /// reject a name without reading another array, and to find the bytes it
 /// has to compare without the offset table: a lookup that hits is two
-/// cache misses in a dictionary that has outgrown the caches — this slot
-/// and the name — and one that misses is one. The same holds for a small
-/// dictionary in a cache other work has emptied, which is how an
-/// updatable store's `insert`/`delete` find it between queries: there an
-/// 8-byte `hash32 | id` slot read through `offsets` measured 9–20 % more
-/// per update.
+/// cache misses in a table that has outgrown the caches — this slot and
+/// the name — and one that misses is one (an 8-byte `hash32 | id` slot
+/// read through `offsets` measured 9–20 % more per update).
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
     /// `hash32 << 32 | id + 1`; 0 marks a free slot.
@@ -152,23 +149,6 @@ impl Default for Heap {
 }
 
 impl Heap {
-    /// The heap form over an arena of distinct names: the table is built
-    /// without a single comparison.
-    fn from_arena(blob: Vec<u8>, offsets: Vec<u64>) -> Self {
-        let n = offsets.len() - 1;
-        let mut table = vec![Slot::default(); (n * 2).next_power_of_two().max(MIN_SLOTS)];
-        for id in 0..n {
-            let (start, end) = (offsets[id] as usize, offsets[id + 1] as usize);
-            let slot = Slot::new(hash32(&blob[start..end]), id as Id, start, end - start);
-            place(&mut table, slot);
-        }
-        Self {
-            blob,
-            offsets,
-            table,
-        }
-    }
-
     fn len(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -180,9 +160,15 @@ impl Heap {
 
     fn name(&self, id: Id) -> &str {
         // SAFETY: `intern` appends the bytes of a `&str` and records
-        // exactly their ends, and `make_owned` copies names the mapped form
-        // validated whole.
+        // exactly their ends.
         unsafe { std::str::from_utf8_unchecked(self.bytes(id)) }
+    }
+
+    /// Payload bytes: the arena and the table.
+    fn size_bytes(&self) -> usize {
+        self.blob.capacity()
+            + self.offsets.capacity() * std::mem::size_of::<u64>()
+            + self.table.capacity() * std::mem::size_of::<Slot>()
     }
 
     /// Whether the name `slot` stands for is `name`, given that the slot
@@ -267,50 +253,18 @@ impl Heap {
             }
         }
     }
-
-    /// The mapped form of these names: sorted, then front-coded.
-    fn front_coded(&self) -> FrontCoded {
-        let mut order: Vec<u64> = (0..self.len() as u64).collect();
-        order.sort_unstable_by(|&a, &b| self.bytes(a).cmp(self.bytes(b)));
-        let mut rank = vec![0u64; order.len()];
-        let mut data = Vec::new();
-        let mut buckets = Vec::with_capacity(order.len().div_ceil(BUCKET));
-        let mut prev: &[u8] = &[];
-        for (r, &id) in order.iter().enumerate() {
-            rank[id as usize] = r as u64;
-            let name = self.bytes(id);
-            if r.is_multiple_of(BUCKET) {
-                buckets.push(data.len() as u64);
-                put_varint(&mut data, name.len());
-                data.extend_from_slice(name);
-            } else {
-                let lcp = common_prefix(prev, name);
-                put_varint(&mut data, lcp);
-                put_varint(&mut data, name.len() - lcp);
-                data.extend_from_slice(&name[lcp..]);
-            }
-            prev = name;
-        }
-        // A permutation of `0..n` packs into ⌈log₂ n⌉ bits.
-        FrontCoded {
-            data: data.into(),
-            buckets: buckets.into(),
-            order: IntVec::from_slice(&order),
-            rank: IntVec::from_slice(&rank),
-        }
-    }
 }
 
-/// Names a bucket of the mapped form holds. `crates/ring/README.md`
-/// records what 8, 16, 32 and 64 cost (`examples/dict_probe.rs`): on the
-/// benchmark's 2^17 `<n…>` names each doubling saves half the bytes the
-/// one before did (0.82, 0.41, 0.20 B a name) for more decode time in
-/// [`Dict::name`] (+23, +34, +67 ns), and `get` does not move. 16 takes
-/// the first halving and not the second.
+/// Names a bucket of the base holds. `crates/ring/README.md` records what
+/// 8, 16, 32 and 64 cost (`examples/dict_probe.rs`): on the benchmark's
+/// 2^17 `<n…>` names each doubling saves half the bytes the one before did
+/// (0.82, 0.41, 0.20 B a name) for more decode time in [`Dict::name`]
+/// (+23, +34, +67 ns), and `get` does not move. 16 takes the first halving
+/// and not the second.
 pub const BUCKET: usize = 16;
 
-/// The mapped form's arrays, as a `RRPQM01` `NODES`/`PREDS` section
-/// stores them, each borrowed from the file in place.
+/// The base's arrays, as a `RRPQM01` `NODES`/`PREDS` section stores them,
+/// each borrowed from the file in place or owned.
 #[derive(Clone, Debug)]
 pub(crate) struct FrontCoded {
     /// The buckets, back to back. A bucket is its head — `len` varint,
@@ -324,6 +278,56 @@ pub(crate) struct FrontCoded {
     pub(crate) order: IntVec,
     /// Id → sorted rank.
     pub(crate) rank: IntVec,
+}
+
+impl Default for FrontCoded {
+    fn default() -> Self {
+        Encoder::default().finish()
+    }
+}
+
+/// Front-codes names given in strictly increasing order, each with its id.
+#[derive(Default)]
+struct Encoder {
+    data: Vec<u8>,
+    buckets: Vec<u64>,
+    order: Vec<u64>,
+    /// The name pushed last.
+    prev: Vec<u8>,
+}
+
+impl Encoder {
+    fn push(&mut self, name: &[u8], id: Id) {
+        if self.order.len().is_multiple_of(BUCKET) {
+            self.buckets.push(self.data.len() as u64);
+            put_varint(&mut self.data, name.len());
+            self.data.extend_from_slice(name);
+        } else {
+            let lcp = common_prefix(&self.prev, name);
+            put_varint(&mut self.data, lcp);
+            put_varint(&mut self.data, name.len() - lcp);
+            self.data.extend_from_slice(&name[lcp..]);
+        }
+        self.prev.clear();
+        self.prev.extend_from_slice(name);
+        self.order.push(id);
+    }
+
+    fn finish(mut self) -> FrontCoded {
+        let mut rank = vec![0u64; self.order.len()];
+        for (r, &id) in self.order.iter().enumerate() {
+            rank[id as usize] = r as u64;
+        }
+        self.data.shrink_to_fit();
+        self.buckets.shrink_to_fit();
+        // A permutation of `0..n` packs into ⌈log₂ n⌉ bits.
+        FrontCoded {
+            data: self.data.into(),
+            buckets: self.buckets.into(),
+            order: IntVec::from_slice(&self.order),
+            rank: IntVec::from_slice(&rank),
+        }
+    }
 }
 
 /// Appends `x` as a LEB128 varint.
@@ -541,100 +545,87 @@ impl FrontCoded {
     }
 }
 
-impl Default for Dict {
-    fn default() -> Self {
-        Self(Form::Heap(Heap::default()))
-    }
-}
-
 impl Dict {
     /// Creates an empty dictionary.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Assembles the mapped, read-only representation from the arrays of
-    /// a `RRPQM01` dictionary section, validating every invariant
-    /// [`Dict::name`]/[`Dict::get`] later rely on: bucket offsets in
-    /// bounds and monotone, each shared prefix no longer than the name
-    /// before it, each name valid UTF-8 and strictly greater than the one
-    /// before (which also proves the names distinct), and `order[rank[i]]
-    /// == i` for every id.
+    /// A dictionary whose base is the arrays of a `RRPQM01` dictionary
+    /// section, validating every invariant [`Dict::name`]/[`Dict::get`]
+    /// later rely on: bucket offsets in bounds and monotone, each shared
+    /// prefix no longer than the name before it, each name valid UTF-8 and
+    /// strictly greater than the one before (which also proves the names
+    /// distinct), and `order[rank[i]] == i` for every id.
     pub(crate) fn from_mapped_parts(parts: FrontCoded) -> Result<Self, &'static str> {
         parts.validate()?;
-        Ok(Self(Form::Mapped(parts)))
+        Ok(Self {
+            base: parts,
+            new: Heap::default(),
+        })
     }
 
-    /// The mapped-form arrays of this dictionary — the `RRPQM01` writer.
-    /// A mapped dictionary lends its own; a heap one is sorted and
-    /// encoded here.
-    pub(crate) fn to_mapped_parts(&self) -> FrontCoded {
-        match &self.0 {
-            Form::Heap(heap) => heap.front_coded(),
-            Form::Mapped(parts) => parts.clone(),
+    /// The base's arrays with the new part folded in — what the `RRPQM01`
+    /// writer stores, and what [`Self::encode`] keeps. Borrowed when no
+    /// name is new; otherwise the base's names, walked in sorted order,
+    /// are merged with the new ones sorted, ids unchanged.
+    pub(crate) fn to_mapped_parts(&self) -> Cow<'_, FrontCoded> {
+        if self.new.len() == 0 {
+            return Cow::Borrowed(&self.base);
         }
-    }
-
-    /// Whether this dictionary borrows a mapped index file.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.0, Form::Mapped(_))
-    }
-
-    /// Rewrites a mapped dictionary into the mutable heap form (no-op on
-    /// heap dictionaries), ids unchanged. O(names); called once before
-    /// mutation, e.g. when a mapped index is promoted to an updatable
-    /// store.
-    pub fn make_owned(&mut self) {
-        let Form::Mapped(parts) = &self.0 else {
-            return;
-        };
-        // The names in sorted order, then re-laid in id order.
-        let mut sorted = Vec::new();
-        let mut ends = Vec::with_capacity(parts.len());
-        parts
+        let mut fresh: Vec<Id> = (0..self.new.len() as Id).collect();
+        fresh.sort_unstable_by(|&a, &b| self.new.bytes(a).cmp(self.new.bytes(b)));
+        let mut fresh = fresh.into_iter().peekable();
+        let first = self.base.len() as Id;
+        let mut out = Encoder::default();
+        let mut r = 0;
+        self.base
             .walk(|name| {
-                sorted.extend_from_slice(name);
-                ends.push(sorted.len());
+                while let Some(i) = fresh.next_if(|&i| self.new.bytes(i) < name) {
+                    out.push(self.new.bytes(i), first + i);
+                }
+                out.push(name, self.base.order.get(r));
+                r += 1;
             })
             .expect(VALID);
-        let mut blob = Vec::with_capacity(sorted.len());
-        let mut offsets = Vec::with_capacity(parts.len() + 1);
-        offsets.push(0);
-        for id in 0..parts.len() {
-            let r = parts.rank.get(id) as usize;
-            let start = r.checked_sub(1).map_or(0, |prev| ends[prev]);
-            blob.extend_from_slice(&sorted[start..ends[r]]);
-            offsets.push(blob.len() as u64);
+        for i in fresh {
+            out.push(self.new.bytes(i), first + i);
         }
-        self.0 = Form::Heap(Heap::from_arena(blob, offsets));
+        Cow::Owned(out.finish())
     }
 
-    /// The heap form, made so first.
-    fn heap_mut(&mut self) -> &mut Heap {
-        self.make_owned();
-        match &mut self.0 {
-            Form::Heap(heap) => heap,
-            Form::Mapped(_) => unreachable!("make_owned leaves the heap representation"),
+    /// Folds the names interned since the base was encoded into it, ids
+    /// unchanged ([`Self::to_mapped_parts`]). O(names) beyond the sort of
+    /// the new ones; nothing when none is new.
+    pub fn encode(&mut self) {
+        if let Cow::Owned(base) = self.to_mapped_parts() {
+            self.base = base;
+            self.new = Heap::default();
         }
     }
 
-    /// Returns the id of `name`, interning it if new. A mapped
-    /// dictionary is first materialized to the heap ([`Self::make_owned`]).
+    /// Returns the id of `name`, interning it into the new part if the
+    /// dictionary has no such name.
     pub fn intern(&mut self, name: &str) -> Id {
-        self.heap_mut().intern(name)
+        match self.base.get(name.as_bytes()) {
+            Some(id) => id,
+            None => self.base.len() as Id + self.new.intern(name),
+        }
     }
 
     /// Interns `names` in order and appends their ids to `ids` — what
     /// [`Self::intern`] on one after the other does, a block of names at a
-    /// time. A lookup in a dictionary that has outgrown the caches is two
-    /// dependent misses, the table slot and then the name's bytes; here
-    /// the home slots of a whole block are gathered in one short loop
-    /// before any is looked at, so the misses overlap instead of queueing
-    /// up. Names the block pass does not find (new ones, repeats of new
-    /// ones, and those behind a slot that only looks like theirs) take
-    /// [`Self::intern`].
+    /// time while the base is empty, as it is under a build. A lookup in a
+    /// table that has outgrown the caches is two dependent misses, the
+    /// slot and then the name; here the home slots of a block are gathered
+    /// before any is looked at, so the misses overlap. Names the block
+    /// pass does not find take [`Self::intern`].
     pub(crate) fn intern_many(&mut self, names: &[&str], ids: &mut Vec<Id>) {
-        self.heap_mut().intern_many(names, ids);
+        if self.base.len() == 0 {
+            self.new.intern_many(names, ids);
+        } else {
+            ids.extend(names.iter().map(|name| self.intern(name)));
+        }
     }
 
     /// Interns every name of `other` and returns their ids here, in
@@ -654,42 +645,37 @@ impl Dict {
         ids
     }
 
-    /// The id of `name`, if interned. O(1) on the heap form; on the mapped
-    /// form O(log(n / [`BUCKET`])) head comparisons and one bucket scan.
+    /// The id of `name`, if interned: O(log(n / [`BUCKET`])) head
+    /// comparisons and one bucket scan in the base, then, if it is not
+    /// there, O(1) in the new part.
     pub fn get(&self, name: &str) -> Option<Id> {
-        match &self.0 {
-            Form::Heap(heap) => heap.find(name.as_bytes(), hash32(name.as_bytes())),
-            Form::Mapped(parts) => parts.get(name.as_bytes()),
+        let bytes = name.as_bytes();
+        match self.base.get(bytes) {
+            Some(id) => Some(id),
+            None => Some(self.base.len() as Id + self.new.find(bytes, hash32(bytes))?),
         }
     }
 
-    /// The name of `id`: borrowed from the arena on the heap form, decoded
-    /// out of its bucket on the mapped form (borrowed when it heads one).
+    /// The name of `id`: decoded out of its bucket in the base (borrowed
+    /// when it heads one), borrowed from the arena in the new part.
     ///
     /// # Panics
     /// Panics if `id` was never interned.
     pub fn name(&self, id: Id) -> Cow<'_, str> {
-        match &self.0 {
-            Form::Heap(heap) => Cow::Borrowed(heap.name(id)),
-            Form::Mapped(parts) => {
-                assert!((id as usize) < parts.len(), "id {id} was never interned");
-                // SAFETY: `from_mapped_parts` validated every name whole.
-                match parts.name(parts.rank.get(id as usize) as usize) {
-                    Cow::Borrowed(bytes) => {
-                        Cow::Borrowed(unsafe { std::str::from_utf8_unchecked(bytes) })
-                    }
-                    Cow::Owned(bytes) => Cow::Owned(unsafe { String::from_utf8_unchecked(bytes) }),
-                }
-            }
+        if let Some(i) = (id as usize).checked_sub(self.base.len()) {
+            return Cow::Borrowed(self.new.name(i as Id));
+        }
+        // SAFETY: the base's names are valid UTF-8: `from_mapped_parts`
+        // validated them whole, and `Encoder` is given `&str`s' bytes.
+        match self.base.name(self.base.rank.get(id as usize) as usize) {
+            Cow::Borrowed(bytes) => Cow::Borrowed(unsafe { std::str::from_utf8_unchecked(bytes) }),
+            Cow::Owned(bytes) => Cow::Owned(unsafe { String::from_utf8_unchecked(bytes) }),
         }
     }
 
     /// Number of interned names.
     pub fn len(&self) -> usize {
-        match &self.0 {
-            Form::Heap(heap) => heap.len(),
-            Form::Mapped(parts) => parts.len(),
-        }
+        self.base.len() + self.new.len()
     }
 
     /// Whether the dictionary is empty.
@@ -702,22 +688,20 @@ impl Dict {
         (0..self.len() as Id).map(move |id| (id, self.name(id)))
     }
 
-    /// Payload bytes: the arena plus the hash table on the heap form, the
-    /// four arrays of the section on the mapped form.
+    /// Payload bytes: the base's four arrays, wherever they live, and the
+    /// new part's arena and table.
     pub fn size_bytes(&self) -> usize {
-        match &self.0 {
-            Form::Heap(heap) => {
-                heap.blob.capacity()
-                    + heap.offsets.capacity() * std::mem::size_of::<u64>()
-                    + heap.table.capacity() * std::mem::size_of::<Slot>()
-            }
-            Form::Mapped(parts) => {
-                parts.data.size_bytes()
-                    + parts.buckets.size_bytes()
-                    + parts.order.size_bytes()
-                    + parts.rank.size_bytes()
-            }
-        }
+        let b = &self.base;
+        let base = b.data.size_bytes() + b.buckets.size_bytes();
+        base + b.order.size_bytes() + b.rank.size_bytes() + self.new.size_bytes()
+    }
+
+    /// The bytes of [`Self::size_bytes`] on the heap: the base's unless
+    /// it borrows a mapped file, and the new part's.
+    pub fn heap_bytes(&self) -> usize {
+        let b = &self.base;
+        let base = b.data.heap_bytes() + b.buckets.heap_bytes();
+        base + b.order.heap_bytes() + b.rank.heap_bytes() + self.new.size_bytes()
     }
 }
 
@@ -751,9 +735,11 @@ mod tests {
         );
     }
 
-    /// The mapped form of `d`, over heap-owned copies of its arrays.
+    /// `d` as an open reads it back: its arrays, encoded and validated,
+    /// over heap-owned copies.
     fn mapped(d: &Dict) -> Dict {
-        Dict::from_mapped_parts(d.to_mapped_parts()).expect("the writer's arrays are valid")
+        Dict::from_mapped_parts(d.to_mapped_parts().into_owned())
+            .expect("the writer's arrays are valid")
     }
 
     /// The four arrays of a section, to compare.
@@ -772,18 +758,16 @@ mod tests {
         for n in ["<zeta>", "<alpha>", "_:b0", "\"lit\"@en", "<mid>"] {
             d.intern(n);
         }
-        let m = mapped(&d);
-        assert!(m.is_mapped());
+        let mut m = mapped(&d);
         assert_eq!(m.len(), d.len());
         for (id, name) in d.iter() {
             assert_eq!(m.name(id), name, "name({id})");
             assert_eq!(m.get(&name), Some(id), "get({name})");
         }
         assert_eq!(m.get("<nope>"), None);
-        let mut owned = m.clone();
-        owned.make_owned();
-        assert!(!owned.is_mapped());
-        assert_eq!(owned.intern("<new>"), d.len() as Id);
+        assert_eq!(m.intern("<new>"), d.len() as Id);
+        assert_eq!(m.intern("<zeta>"), 0);
+        assert_eq!(m.get("<new>"), Some(d.len() as Id));
     }
 
     /// A section put together by hand: `data` and `buckets` as given, the
@@ -806,7 +790,7 @@ mod tests {
         for i in 0..40 {
             d.intern(&format!("<n{i}>"));
         }
-        let valid = d.to_mapped_parts();
+        let valid = d.to_mapped_parts().into_owned();
         let rejects = |parts: FrontCoded, message: &str| {
             assert_eq!(Dict::from_mapped_parts(parts).unwrap_err(), message);
         };
@@ -1045,26 +1029,32 @@ mod tests {
                 }
                 let expected: Vec<(Id, &str)> =
                     (0..).zip(r.names.iter().map(String::as_str)).collect();
-                assert_answers(&d, &expected, &format!("heap, {context}"));
+                assert_answers(&d, &expected, &format!("new part, {context}"));
 
-                // The arrays of the mapped writer.
+                // The arrays of the writer, from the new part alone.
                 assert_eq!(arrays(&d.to_mapped_parts()), r.front_coded(), "{context}");
 
-                // Mapped form and back: same answers, and interning goes on
-                // where the ids left off.
+                // Read back, with an empty new part: same answers, same
+                // arrays.
                 let mut m = mapped(&d);
-                for round in 0..2 {
-                    let context = format!("round {round}, {context}");
-                    assert_answers(&m, &expected, &context);
-                    assert_eq!(arrays(&m.to_mapped_parts()), r.front_coded(), "{context}");
-                    m.make_owned();
-                    assert!(!m.is_mapped());
+                assert_answers(&m, &expected, &format!("encoded, {context}"));
+                assert_eq!(arrays(&m.to_mapped_parts()), r.front_coded(), "{context}");
+
+                // More names interned into it — repeats of base names,
+                // fresh names and repeats of those — go on where the ids
+                // left off, and encoding base ⊎ new keeps every id.
+                let more = name_stream(seed + 10, n / 2 + 20);
+                let again: Vec<String> = r.names.iter().step_by(3).cloned().collect();
+                for name in more.iter().cloned().chain(again).chain(more.clone()) {
+                    assert_eq!(m.intern(&name), r.intern(&name), "intern({name:?})");
                 }
-                assert_eq!(m.intern("<fresh>"), r.names.len() as Id);
-                assert_eq!(d.intern("<fresh>"), r.names.len() as Id);
-                if let Some((id, name)) = expected.first() {
-                    assert_eq!(m.intern(name), *id);
-                }
+                let expected: Vec<(Id, &str)> =
+                    (0..).zip(r.names.iter().map(String::as_str)).collect();
+                assert_answers(&m, &expected, &format!("base + new, {context}"));
+                assert_eq!(arrays(&m.to_mapped_parts()), r.front_coded(), "{context}");
+                m.encode();
+                assert_answers(&m, &expected, &format!("re-encoded, {context}"));
+                assert_eq!(arrays(&m.to_mapped_parts()), r.front_coded(), "{context}");
             }
         }
     }
@@ -1106,12 +1096,17 @@ mod tests {
                 arrays(&half.to_mapped_parts()),
                 arrays(&model.to_mapped_parts())
             );
-            // ... and into a mapped one, which it makes owned.
-            let mut from_mapped = mapped(&one);
+            // ... and into an encoded one, which knows all of them or half.
+            let mut encoded = mapped(&one);
             let same: Vec<Id> = (0..one.len() as Id).collect();
-            assert_eq!(from_mapped.intern_all(&one), same);
-            assert!(!from_mapped.is_mapped());
-            // ... and from a mapped one.
+            assert_eq!(encoded.intern_all(&one), same);
+            let mut encoded = mapped(&half);
+            assert_eq!(encoded.intern_all(&one), expected, "seed {seed}");
+            assert_eq!(
+                arrays(&encoded.to_mapped_parts()),
+                arrays(&model.to_mapped_parts())
+            );
+            // ... and from an encoded one.
             let mut into = Dict::new();
             assert_eq!(into.intern_all(&mapped(&one)), same);
         }
@@ -1164,12 +1159,13 @@ mod tests {
         }
         let expected: Vec<(Id, &str)> = (0..).zip(names).collect();
         let mut m = mapped(&d);
-        assert_answers(&m, &expected, "mapped");
+        assert_answers(&m, &expected, "encoded");
         assert_eq!(m.get(&long[..LONG]), None);
         assert_eq!(m.get(&format!("{long}x")), None);
-        m.make_owned();
-        assert_answers(&m, &expected, "made owned");
         assert_eq!(m.intern("b"), names.len() as Id);
+        m.encode();
+        let expected: Vec<(Id, &str)> = (0..).zip(names.into_iter().chain(["b"])).collect();
+        assert_answers(&m, &expected, "re-encoded");
     }
 
     #[test]
@@ -1192,14 +1188,16 @@ mod tests {
         );
         // Less than the least the two-`String`s-a-name form could take.
         assert!(d.size_bytes() < 2 * blob + n * (2 * std::mem::size_of::<String>() + 8));
-        // The mapped form: a fraction of the names' bytes, then two packed
-        // permutations of 17 bits an id and a word per bucket.
-        let m = mapped(&d);
+        // Encoded: a fraction of the names' bytes, then two packed
+        // permutations of 17 bits an id and a word per bucket, and an
+        // empty new part.
+        d.encode();
         let packed = 2 * (n * 17).div_ceil(64) * 8 + n.div_ceil(BUCKET) * 8;
+        let empty = Dict::new().size_bytes();
         assert!(
-            m.size_bytes() < blob / 2 + packed,
-            "{} bytes mapped over a {blob}-byte blob",
-            m.size_bytes()
+            d.size_bytes() < blob / 2 + packed + empty,
+            "{} bytes encoded over a {blob}-byte blob",
+            d.size_bytes()
         );
     }
 }

@@ -33,7 +33,7 @@
 //! a write-ahead log beside it is based on. An index at epoch 0 is written
 //! without it, and a file without it is at epoch 0.
 //!
-//! A dictionary section is the mapped form of a [`Dict`]: the names in
+//! A dictionary section is the base of a [`Dict`]: the names in
 //! byte order, front-coded in buckets of [`BUCKET`], and two packed
 //! permutations between sorted rank and id:
 //!
@@ -146,9 +146,9 @@ pub enum OpenMode {
 pub struct MappedIndex {
     /// The ring, its arrays borrowing the opened file.
     pub ring: Ring,
-    /// Node dictionary (mapped form).
+    /// Node dictionary, its base borrowing the file.
     pub nodes: Dict,
-    /// Predicate dictionary (mapped form).
+    /// Predicate dictionary, its base borrowing the file.
     pub preds: Dict,
     /// Epoch of the snapshot the file holds (0 for a file that stores
     /// none).

@@ -194,9 +194,9 @@ pub fn is_sharded_dir(path: &Path) -> bool {
 pub struct OpenedDir {
     /// The sub-rings, in shard order.
     pub rings: Vec<Ring>,
-    /// Node dictionary (mapped form), from shard 0's file.
+    /// Node dictionary, its base borrowing shard 0's file.
     pub nodes: Dict,
-    /// Predicate dictionary (mapped form), from shard 0's file.
+    /// Predicate dictionary, its base borrowing shard 0's file.
     pub preds: Dict,
     /// Whether the bytes live in kernel mappings or on the heap.
     pub resident: ResidentMode,

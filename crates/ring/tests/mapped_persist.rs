@@ -92,7 +92,15 @@ fn roundtrip_every_boundary_kind_and_inverse_setting() {
     assert_rings_equal(&ring, &idx.ring);
     assert_dicts_equal(&nodes, &idx.nodes);
     assert_dicts_equal(&preds, &idx.preds);
-    assert!(idx.nodes.is_mapped() && idx.preds.is_mapped());
+    // Opened in place, a dictionary's base stays in the file: interning a
+    // new name puts that name on the heap, and nothing of the base.
+    let mut mapped = open_index(&path, OpenMode::Mmap).unwrap().nodes;
+    assert_eq!(mapped.heap_bytes(), Dict::new().heap_bytes());
+    let mut alone = Dict::new();
+    alone.intern("<brand-new>");
+    assert_eq!(mapped.intern("<brand-new>"), nodes.len() as u64);
+    assert_eq!(mapped.heap_bytes(), alone.heap_bytes());
+    assert_eq!(mapped.get("<brand-new>"), Some(nodes.len() as u64));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -254,11 +254,11 @@ impl RpqDatabase {
         UpdatableDatabase::from_database(self)
     }
 
-    /// The parts an updatable store is assembled from: the ring as it is
-    /// (mapped, for a database opened from a file) and the dictionaries
-    /// in whichever form they are. A sharded database carries only
-    /// per-shard rings, so the store gets a monolithic one built from
-    /// the decoded graph; the error is that of [`Self::decode_graph`].
+    /// The parts an updatable store is assembled from: the ring and the
+    /// dictionaries as they are (mapped, for a database opened from a
+    /// file). A sharded database carries only per-shard rings, so the
+    /// store gets a monolithic one built from the decoded graph; the
+    /// error is that of [`Self::decode_graph`].
     pub(crate) fn into_raw_parts(self) -> Result<(Arc<Ring>, Dicts), String> {
         let ring = if self.is_sharded() {
             Arc::new(Ring::build(&self.decode_graph()?, RingOptions::default()))
@@ -269,8 +269,12 @@ impl RpqDatabase {
     }
 
     /// A database over `source`, with the open info of one built in
-    /// memory; its graph is decoded only if asked.
-    pub(crate) fn from_source(source: SourceSnapshot, nodes: Dict, preds: Dict) -> Self {
+    /// memory; its graph is decoded only if asked. Its dictionaries are
+    /// front-coded whole ([`Dict::encode`]): every database holds them
+    /// as a file stores them.
+    pub(crate) fn from_source(source: SourceSnapshot, mut nodes: Dict, mut preds: Dict) -> Self {
+        nodes.encode();
+        preds.encode();
         Self {
             graph: OnceLock::new(),
             source,

@@ -19,8 +19,9 @@
 //! [`RpqDatabase::open`] costs plus a check of every section's checksum:
 //! the base ring and both dictionaries stay in the mapping, commits look
 //! triples up in the ring, and only the overlay, the write-ahead log's
-//! tail and — from the first insert on — the dictionaries live on the
-//! heap. A compaction — and a save with uncompacted commits — merges
+//! tail and the names interned since the open live on the heap (a save
+//! writes them into the file's dictionaries; nothing decodes the mapped
+//! ones). A compaction — and a save with uncompacted commits — merges
 //! the overlay into the ring's decoded `(o, s, p)` run and builds the
 //! new ring from that ([`ring::store::StoreSnapshot::compacted`]).
 
@@ -320,7 +321,8 @@ impl UpdatableDatabase {
     }
 
     /// Folds the overlay and unwraps into an immutable [`RpqDatabase`]
-    /// (buffered, uncommitted operations are committed first).
+    /// (buffered, uncommitted operations are committed first), whose
+    /// dictionaries take the names interned since into their bases.
     pub fn into_database(self) -> RpqDatabase {
         self.store.commit();
         let snap = self.store.snapshot();
@@ -859,10 +861,11 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A loaded database reads its base from the file until it has to
-    /// write: the ring's arrays and both dictionaries stay there through
-    /// queries, deletes and their commit, and the first insert, which
-    /// interns, moves the dictionaries to the heap.
+    /// A loaded database reads its base from the file until a compaction
+    /// rewrites the ring: the ring's arrays stay there through queries,
+    /// deletes, inserts and their commits, and so do both dictionaries'
+    /// bases, compaction or not. An insert that names a new node puts
+    /// that name on the heap, and nothing of the base.
     #[test]
     fn a_loaded_store_stays_mapped_until_it_is_written_to() {
         let dir = std::env::temp_dir().join(format!("rpq-updatable-mapped-{}", std::process::id()));
@@ -875,24 +878,28 @@ mod tests {
         let db = UpdatableDatabase::load(&path)
             .unwrap()
             .with_auto_compact_ratio(None);
-        let mapped = |db: &UpdatableDatabase| {
+        let dict_heap_bytes = |db: &UpdatableDatabase| {
             let dicts = db.dicts.read().unwrap();
-            (dicts.nodes.is_mapped(), dicts.preds.is_mapped())
+            (dicts.nodes.heap_bytes(), dicts.preds.heap_bytes())
         };
         let ring_heap_bytes = |db: &UpdatableDatabase| db.store().snapshot().ring.heap_bytes();
-        assert_eq!(mapped(&db), (true, true));
+        let nothing_new = Dict::new().heap_bytes();
+        let mut d_alone = Dict::new();
+        d_alone.intern("d");
+        assert_eq!(dict_heap_bytes(&db), (nothing_new, nothing_new));
         assert_eq!(ring_heap_bytes(&db), 0);
 
         assert_eq!(db.query("a", "p+", "?y").unwrap().len(), 2);
         assert!(db.delete("a", "p", "b"));
         db.commit();
         assert_eq!(db.query("a", "p+", "?y").unwrap(), vec![]);
-        assert_eq!(mapped(&db), (true, true));
+        assert_eq!(dict_heap_bytes(&db), (nothing_new, nothing_new));
         assert_eq!(ring_heap_bytes(&db), 0);
 
         db.insert("c", "p", "d");
-        assert!(!mapped(&db).0, "the first insert interns");
         db.commit();
+        let only_d = (d_alone.heap_bytes(), nothing_new);
+        assert_eq!(dict_heap_bytes(&db), only_d, "the base stays in the file");
         assert_eq!(ring_heap_bytes(&db), 0, "commits leave the base ring alone");
         assert_eq!(
             db.query("?x", "p", "?y").unwrap(),
@@ -903,6 +910,7 @@ mod tests {
             ring_heap_bytes(&db) > 0,
             "a compaction builds the ring anew"
         );
+        assert_eq!(dict_heap_bytes(&db), only_d, "and leaves the dictionaries");
         std::fs::remove_dir_all(&dir).ok();
     }
 
