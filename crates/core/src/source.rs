@@ -116,9 +116,9 @@ impl ShardSet {
         for (i, ring) in rings.iter().enumerate() {
             ring.c_p_ref()
                 .for_each_nonempty(|p| owners[p as usize * words + i / 64] |= 1 << (i % 64));
-            // In the completed graph a node's subject block covers both
-            // directions of its incidence.
-            ring.c_s_ref().for_each_nonempty(|v| live.set(v as usize));
+            // In the completed graph a node's block of `C_o` (its
+            // subject block too) covers both directions of its incidence.
+            ring.c_o_ref().for_each_nonempty(|v| live.set(v as usize));
         }
         let parts = rings
             .into_iter()

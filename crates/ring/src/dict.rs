@@ -595,7 +595,7 @@ impl Dict {
     }
 
     /// Folds the names interned since the base was encoded into it, ids
-    /// unchanged ([`Self::to_mapped_parts`]). O(names) beyond the sort of
+    /// unchanged (`to_mapped_parts`). O(names) beyond the sort of
     /// the new ones; nothing when none is new.
     pub fn encode(&mut self) {
         if let Cow::Owned(base) = self.to_mapped_parts() {

@@ -11,9 +11,11 @@
 //! * `L_s`: subjects of the triples sorted by `(p, o, s)`,
 //! * `L_p`: predicates of the triples sorted by `(o, s, p)`,
 //!
-//! each as a wavelet matrix, plus the boundary arrays `C_s`, `C_p`, `C_o`
+//! each as a wavelet matrix, plus the boundary arrays `C_p` and `C_o`
 //! counting, for every symbol, how many triples sort strictly before it in
-//! the respective order. The `L_p → L_s` LF-step and the range
+//! the respective order. (`C_s` is `C_o`: every ring is completed with its
+//! inverse edges, and there a node is the subject of as many triples as
+//! it is the object of.) The `L_p → L_s` LF-step and the range
 //! backward-search step by predicate (Eqs. 3–5) decode every triple and
 //! power the RPQ traversal.
 //!
@@ -27,8 +29,7 @@
 //! `subjects_for(inverse_label(p), s)`; without them there is no
 //! substitute), the LF-steps out of `L_s` and `L_o` and with them the
 //! closed three-step cycle, and the backward step by object. The file
-//! format keeps the column's slot, empty, so files written with it still
-//! open ([`mapped`]).
+//! format has no slot for the column ([`mapped`]).
 //!
 //! Modules:
 //! * [`triple`]: the `Triple` type and sort orders.

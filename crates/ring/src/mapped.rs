@@ -5,20 +5,28 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
-//! │ "RRPQM01\0" │ version u64 │ n_sections u64                   │
-//! │ TOC: (tag u64, offset u64, byte_len u64, crc32c u64) × 8     │
+//! │ "RRPQM01\0" │ version u64 (4) │ n_sections u64               │
+//! │ TOC: (tag u64, offset u64, byte_len u64, crc32c u64) × 7     │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ 1 META    n, n_nodes, n_preds, n_preds_base, 1 (the ring is  │
 //! │           completed with inverse edges), snapshot epoch      │
 //! │ 2 L_S     wavelet matrix (subjects in (p,o) order)           │
 //! │ 3 L_P     wavelet matrix (predicates in (o,s) order)         │
-//! │ 4 C_S     boundaries, tag 1 (unary bits)                     │
-//! │ 5 C_P     boundaries, tag 0 (dense words)                    │
-//! │ 6 C_O     boundaries, tag 1 (unary bits)                     │
-//! │ 7 NODES   dictionary (front-coded buckets; see below)        │
-//! │ 8 PREDS   dictionary                                         │
+//! │ 4 C_P     boundaries, tag 0 (dense words)                    │
+//! │ 5 C_O     boundaries, tag 1 (unary bits with select samples) │
+//! │ 6 NODES   dictionary (front-coded buckets; see below)        │
+//! │ 7 PREDS   dictionary                                         │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! A wavelet matrix is `[sigma, len]` and one level per bit of a symbol;
+//! a level is `[len, n_ones]` followed by its 512-bit superblock records
+//! (two directory words, eight payload words). §4's backward search only
+//! ranks a level, so a level stores no select samples. The unary `C_O`
+//! is the one structure that selects: its bits are stored like a level,
+//! then `[rate1, rate0]` and its two sample arrays. There is no `C_S`:
+//! in a ring completed with its inverse edges a node is the subject of
+//! as many triples as it is the object of, so `C_s` is `C_o`.
 //!
 //! Every array inside a section is stored byte-identical to its
 //! in-memory form and 8-byte aligned relative to the file start, so
@@ -62,6 +70,12 @@
 //! reader rejects any table-of-contents offset off the 8-byte grid
 //! unconditionally (see `toc_offsets_must_be_aligned` in the tests).
 //!
+//! Version 3 stored the same ring in eight sections, with more bytes:
+//! every level carried `[rate1, rate0]` and two select sample arrays
+//! nothing read, and a `C_S` section (the fourth) held a second copy of
+//! `C_O`. On the 2^20-edge benchmark graph that was 10.46 bytes per
+//! triple, against 9.32 now.
+//!
 //! ## Checksums, and the formats this one replaced
 //!
 //! A file stores a CRC32C per section in the TOC and is written
@@ -73,11 +87,11 @@
 //! checksums), on heap opens (which touch every byte anyway;
 //! `rpq-cli verify` is one), and when `RPQ_VERIFY_ON_OPEN=1`.
 //!
-//! Versions 1 (no checksums) and 2 (a `NODES` section of two `u64` arrays
-//! around the names, and the unread third-column slot) of this format,
-//! version-3 files that earlier builds wrote with Elias–Fano node
-//! boundaries (boundaries tag 2) or without inverse edges (`META` word
-//! 0), and the stream formats of earlier builds, are refused with
+//! Versions 1 (no checksums), 2 (a `NODES` section of two `u64` arrays
+//! around the names, and the unread third-column slot) and 3 (select
+//! samples on every level and `C_S`, or, from earlier builds, Elias–Fano
+//! node boundaries) of this format, files without inverse edges (`META`
+//! word 0), and the stream formats of earlier builds, are refused with
 //! [`io::ErrorKind::Unsupported`] and the command that rebuilds the
 //! index, not read.
 
@@ -96,36 +110,33 @@ use crate::{Boundaries, Dict, Id, Ring};
 
 /// Magic bytes opening a mappable index file.
 pub const MAPPED_MAGIC: [u8; 8] = *b"RRPQM01\0";
-/// Version of the mapped format (front-coded dictionaries, eight
+/// Version of the mapped format (rank-only wavelet levels, seven
 /// sections).
-pub const MAPPED_VERSION: u64 = 3;
+pub const MAPPED_VERSION: u64 = 4;
 
 const TAG_META: u64 = 1;
 const TAG_L_S: u64 = 2;
 const TAG_L_P: u64 = 3;
-const TAG_C_S: u64 = 4;
-const TAG_C_P: u64 = 5;
-const TAG_C_O: u64 = 6;
-const TAG_NODES: u64 = 7;
-const TAG_PREDS: u64 = 8;
+const TAG_C_P: u64 = 4;
+const TAG_C_O: u64 = 5;
+const TAG_NODES: u64 = 6;
+const TAG_PREDS: u64 = 7;
 /// Boundaries tag of a dense array (`C_p`).
 const DENSE: u64 = 0;
-/// Boundaries tag of a unary bit vector (`C_s`, `C_o`).
+/// Boundaries tag of a unary bit vector (`C_o`).
 const SPARSE: u64 = 1;
-/// Boundaries tag earlier builds wrote for Elias–Fano node boundaries.
-const ELIAS_FANO: u64 = 2;
 /// Number of sections in a `RRPQM01` file.
-pub const N_SECTIONS: usize = 8;
+pub const N_SECTIONS: usize = 7;
 
 /// Header bytes before the first section: magic + version + count +
-/// the table of contents (32 bytes per entry). 280 bytes — itself a
+/// the table of contents (32 bytes per entry). 248 bytes — itself a
 /// multiple of 8, so the first section starts aligned.
 pub const HEADER_LEN: usize = 8 + 8 + 8 + N_SECTIONS * 32;
 
 /// Human names per section, indexed `tag - 1` (error messages, verify
 /// reports).
 pub const SECTION_NAMES: [&str; N_SECTIONS] =
-    ["META", "L_S", "L_P", "C_S", "C_P", "C_O", "NODES", "PREDS"];
+    ["META", "L_S", "L_P", "C_P", "C_O", "NODES", "PREDS"];
 
 /// How [`open_index`] should back the loaded structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -200,7 +211,6 @@ fn write_boundaries<W: Write>(w: &mut SectionWriter<W>, b: &Boundaries) -> io::R
 /// Reads a boundary array that must be stored under tag `want`.
 fn read_boundaries(r: &mut MapReader, want: u64) -> io::Result<Boundaries> {
     match r.u64()? {
-        ELIAS_FANO => Err(unsupported_format("RRPQM01 (elias-fano node boundaries)")),
         t if t != want => Err(err_data(format!(
             "boundaries tag {t} where tag {want} belongs"
         ))),
@@ -329,7 +339,6 @@ fn index_sections(
         ),
         (TAG_L_S, section(|w| write_wavelet_matrix(w, ring.l_s()))?),
         (TAG_L_P, section(|w| write_wavelet_matrix(w, ring.l_p()))?),
-        (TAG_C_S, section(|w| write_boundaries(w, ring.c_s_ref()))?),
         (TAG_C_P, section(|w| write_boundaries(w, ring.c_p_ref()))?),
         (TAG_C_O, section(|w| write_boundaries(w, ring.c_o_ref()))?),
         (TAG_NODES, section(|w| write_dict(w, nodes))?),
@@ -368,7 +377,7 @@ fn unsupported_format(what: &str) -> io::Error {
     )
 }
 
-/// Parses and validates the header (the TOC must list the eight known
+/// Parses and validates the header (the TOC must list the seven known
 /// tags in order). Every offset is checked to be 8-byte aligned — the
 /// soundness invariant behind the zero-copy `&[u64]` views — and in
 /// bounds.
@@ -393,6 +402,12 @@ fn read_toc(map: &MappedFile) -> io::Result<Toc> {
         2 => {
             return Err(unsupported_format(
                 "RRPQM01 version 2 (uncompressed dictionaries)",
+            ))
+        }
+        3 => {
+            return Err(unsupported_format(
+                "RRPQM01 version 3 (select-sampled wavelet levels and a C_S section, \
+                 or elias-fano node boundaries)",
             ))
         }
         v => {
@@ -566,7 +581,7 @@ fn read_section<T>(
     Ok(value)
 }
 
-/// Sections `META` and `L_S` to `C_O`: the ring, shape- and
+/// Sections `META` to `C_O`: the ring, shape- and
 /// cross-checked, and the snapshot epoch.
 fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<(Ring, u64)> {
     let (n, n_nodes, n_preds, n_preds_base, epoch) = read_section(map, toc, TAG_META, |meta| {
@@ -596,7 +611,6 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<(Ring, u64)> {
 
     let l_s = read_section(map, toc, TAG_L_S, read_wavelet_matrix)?;
     let l_p = read_section(map, toc, TAG_L_P, read_wavelet_matrix)?;
-    let c_s = read_section(map, toc, TAG_C_S, |r| read_boundaries(r, SPARSE))?;
     let c_p = read_section(map, toc, TAG_C_P, |r| read_boundaries(r, DENSE))?;
     let c_o = read_section(map, toc, TAG_C_O, |r| read_boundaries(r, SPARSE))?;
 
@@ -610,11 +624,7 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<(Ring, u64)> {
     if l_s.sigma() != n_nodes.max(1) || l_p.sigma() != n_preds.max(1) {
         return Err(err_data("column alphabet mismatch"));
     }
-    for (name, b, uni) in [
-        ("C_s", &c_s, n_nodes),
-        ("C_p", &c_p, n_preds),
-        ("C_o", &c_o, n_nodes),
-    ] {
+    for (name, b, uni) in [("C_p", &c_p, n_preds), ("C_o", &c_o, n_nodes)] {
         if b.universe() != uni {
             return Err(err_data(format!("{name} universe mismatch")));
         }
@@ -622,7 +632,7 @@ fn read_ring(map: &Arc<MappedFile>, toc: &Toc) -> io::Result<(Ring, u64)> {
             return Err(err_data(format!("{name} total mismatch")));
         }
     }
-    let ring = Ring::from_raw_parts(l_s, l_p, c_s, c_p, c_o, n, n_nodes, n_preds, n_preds_base);
+    let ring = Ring::from_raw_parts(l_s, l_p, c_p, c_o, n, n_nodes, n_preds, n_preds_base);
     Ok((ring, epoch))
 }
 
@@ -709,20 +719,40 @@ mod tests {
     }
 
     /// Each boundary array is read only in its own form: a dense tag in
-    /// the `C_s` slot is an error, and the Elias–Fano tag is refused by
-    /// name.
+    /// the `C_o` slot is an error, and so is the Elias–Fano tag (2), which
+    /// no version-4 file holds.
     #[test]
     fn boundary_tags_are_read_in_their_slot_only() {
         let (path, bytes) = image("tags");
-        let err = open_patched(&path, &bytes, TAG_C_S, 0, DENSE);
+        let err = open_patched(&path, &bytes, TAG_C_O, 0, DENSE);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(err.to_string().contains("where tag 1 belongs"), "{err}");
         let err = open_patched(&path, &bytes, TAG_C_P, 0, SPARSE);
         assert!(err.to_string().contains("where tag 0 belongs"), "{err}");
-        for tag in [TAG_C_S, TAG_C_O] {
-            let err = open_patched(&path, &bytes, tag, 0, ELIAS_FANO);
+        let err = open_patched(&path, &bytes, TAG_C_O, 0, 2);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string().contains("tag 2 where tag 1 belongs"),
+            "{err}"
+        );
+    }
+
+    /// A version-3 file is refused by name, with the command that
+    /// rebuilds it, before any of its sections is read.
+    #[test]
+    fn version_3_files_are_refused_by_name() {
+        let (path, mut bytes) = image("v3");
+        bytes[8..16].copy_from_slice(&3u64.to_le_bytes());
+        for len in [bytes.len(), 24] {
+            std::fs::write(&path, &bytes[..len]).unwrap();
+            let err = open_index(&path, OpenMode::Heap).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
-            assert!(err.to_string().contains("elias-fano"), "{err}");
+            assert!(err.to_string().contains("RRPQM01 version 3"), "{err}");
+            assert!(
+                err.to_string().contains("rpq-cli build <graph> <index>"),
+                "{err}"
+            );
         }
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,5 +1,5 @@
 //! The ring index, as the RPQ algorithm reads it: the two wavelet-matrix
-//! columns `L_s` and `L_p` plus the three boundary arrays, supporting the
+//! columns `L_s` and `L_p` plus two boundary arrays, supporting the
 //! `L_p → L_s` LF-step, range backward search and triple decoding (§3.4
 //! and §4 of the paper). The paper's third column — the objects in
 //! `(s, p, o)` order — is never read by §4's traversal and is not built,
@@ -15,7 +15,7 @@ use crate::{Boundaries, Graph, Id, Triple};
 
 /// Construction options for [`Ring::build`]: none. Every ring is built
 /// over the graph completed with its inverse edges (§5 "Index
-/// construction"), with a dense `C_p` and unary `C_s`/`C_o` (§5: "`C_p`
+/// construction"), with a dense `C_p` and a unary `C_o` (§5: "`C_p`
 /// is represented as a simple array", "`C_o` … using a plain
 /// bitvector"). The argument stays only because the benchmark driver
 /// passes it; the next change to the driver removes both (ROADMAP item
@@ -49,12 +49,13 @@ pub struct Ring {
     l_s: WaveletMatrix,
     /// Predicates in `(o, s, p)` order.
     l_p: WaveletMatrix,
-    /// `C_s[s]` = triples with subject `< s` (the `(s, p, o)` order's
-    /// partition: which nodes are subjects, and of how many triples).
-    c_s: Boundaries,
     /// `C_p[p]` = triples with predicate `< p` (partitions `L_s`).
     c_p: Boundaries,
-    /// `C_o[o]` = triples with object `< o` (partitions `L_p`).
+    /// `C_o[o]` = triples with object `< o` (partitions `L_p`). In a
+    /// completed ring a node is the subject of exactly as many triples as
+    /// it is the object of — its edges out and in, each once as itself
+    /// and once as an inverse — so this is also `C_s`, the `(s, p, o)`
+    /// order's partition.
     c_o: Boundaries,
     n: usize,
     n_nodes: Id,
@@ -73,7 +74,7 @@ pub struct BuildTimings {
     /// The two [`WaveletMatrix`] builds, summed over the columns: with
     /// threads they overlap, so the sum can exceed the wall time.
     pub wavelet_s: f64,
-    /// The three boundary arrays, summed like `wavelet_s`.
+    /// The two boundary arrays, summed like `wavelet_s`.
     pub boundaries_s: f64,
     /// Threads the columns were built on (1: inline).
     pub threads: usize,
@@ -235,13 +236,11 @@ impl Ring {
         check_universes(n_nodes, n_preds);
         assert_eq!(subjects.len(), n, "a run has a subject per label");
 
-        // One pass counts the subjects and labels, one stable scatter by
-        // label lists the subjects in `(p, o, s)` order.
+        // One pass counts the labels, one stable scatter by label lists
+        // the subjects in `(p, o, s)` order.
         let started = Instant::now();
-        let mut subj_counts = vec![0u64; n_nodes as usize];
         let mut pred_counts = vec![0u64; n_preds as usize];
-        for (&s, &p) in subjects.iter().zip(&labels) {
-            subj_counts[s as usize] += 1;
+        for &p in &labels {
             pred_counts[p as usize] += 1;
         }
         let l_s_syms = scatter(
@@ -261,8 +260,8 @@ impl Ring {
             (build(counts), started.elapsed().as_secs_f64())
         };
         // `L_s` has a level per bit of a node id, `L_p` one per bit of a
-        // predicate id: the shorter column's thread takes both node
-        // boundary arrays.
+        // predicate id: the shorter column's thread takes the node
+        // boundary array.
         let build_l_s = || {
             let (l_s, wavelet_s) = column(l_s_syms, n_nodes);
             let (c_p, boundaries_s) = bounds(&pred_counts, Boundaries::dense_from_counts);
@@ -270,9 +269,8 @@ impl Ring {
         };
         let build_l_p = || {
             let (l_p, wavelet_s) = column(labels, n_preds);
-            let (c_o, c_o_s) = bounds(&obj_counts, Boundaries::sparse_from_counts);
-            let (c_s, c_s_s) = bounds(&subj_counts, Boundaries::sparse_from_counts);
-            (l_p, c_o, c_s, wavelet_s, c_o_s + c_s_s)
+            let (c_o, boundaries_s) = bounds(&obj_counts, Boundaries::sparse_from_counts);
+            (l_p, c_o, wavelet_s, boundaries_s)
         };
         let (s_side, p_side) = if threaded {
             std::thread::scope(|scope| {
@@ -284,7 +282,7 @@ impl Ring {
             (build_l_s(), build_l_p())
         };
         let (l_s, c_p, s_wavelet_s, s_boundaries_s) = s_side;
-        let (l_p, c_o, c_s, p_wavelet_s, p_boundaries_s) = p_side;
+        let (l_p, c_o, p_wavelet_s, p_boundaries_s) = p_side;
         let timings = BuildTimings {
             order_s,
             wavelet_s: s_wavelet_s + p_wavelet_s,
@@ -294,7 +292,6 @@ impl Ring {
         let ring = Self {
             l_s,
             l_p,
-            c_s,
             c_p,
             c_o,
             n,
@@ -356,9 +353,15 @@ impl Ring {
         EMPTY.get_or_init(|| WaveletMatrix::new(&[], 1))
     }
 
-    /// The boundary array `C_s` (for persistence).
+    /// The array this index does not store: `C_s` is `C_o` (see
+    /// [`Self::subject_range`]), and this is an empty one, shared by every
+    /// ring. Kept only because the benchmark driver sizes it for
+    /// `ring.boundaries_bytes_per_triple`; it goes with [`Self::l_o`]
+    /// (ROADMAP item 1(f)).
+    #[doc(hidden)]
     pub fn c_s_ref(&self) -> &Boundaries {
-        &self.c_s
+        static EMPTY: OnceLock<Boundaries> = OnceLock::new();
+        EMPTY.get_or_init(|| Boundaries::sparse_from_counts(&[]))
     }
 
     /// The boundary array `C_p` (for persistence).
@@ -378,7 +381,6 @@ impl Ring {
     pub fn from_raw_parts(
         l_s: WaveletMatrix,
         l_p: WaveletMatrix,
-        c_s: Boundaries,
         c_p: Boundaries,
         c_o: Boundaries,
         n: usize,
@@ -389,7 +391,6 @@ impl Ring {
         Self {
             l_s,
             l_p,
-            c_s,
             c_p,
             c_o,
             n,
@@ -436,10 +437,11 @@ impl Ring {
     }
 
     /// The block of subject `s` in the `(s, p, o)` order: empty exactly
-    /// when `s` is the subject of no triple.
+    /// when `s` is the subject of no triple. It is `s`'s block of `C_o`:
+    /// a completed ring's `C_s` and `C_o` are one array.
     #[inline]
     pub fn subject_range(&self, s: Id) -> (usize, usize) {
-        self.c_s.block(s)
+        self.c_o.block(s)
     }
 
     /// The block of predicate `p` in `L_s`.
@@ -473,7 +475,7 @@ impl Ring {
     #[doc(hidden)]
     #[inline]
     pub fn backward_step_by_subject(&self, (b, e): (usize, usize), s: Id) -> (usize, usize) {
-        let base = self.c_s.get(s);
+        let base = self.c_o.get(s);
         (base + self.l_s.rank(s, b), base + self.l_s.rank(s, e))
     }
 
@@ -570,13 +572,25 @@ impl Ring {
     }
 
     /// Whether `(s, p, o)` is indexed: one backward step from `o`'s block
-    /// by `p`, then whether `s` occurs in the subjects it reaches.
+    /// by `p`, then whether `s` occurs in the subjects it reaches. One
+    /// popcount kernel ([`succinct::with_popcnt`]), whose descents stop
+    /// at the first level where the range empties.
     pub fn contains(&self, s: Id, p: Id, o: Id) -> bool {
         if s >= self.n_nodes || p >= self.n_preds || o >= self.n_nodes {
             return false;
         }
-        let (b, e) = self.backward_step_by_pred(self.object_range(o), p);
-        self.l_s.rank(s, e) > self.l_s.rank(s, b)
+        struct Contains<'a>(&'a Ring, [Id; 3]);
+        impl PopcntKernel for Contains<'_> {
+            type Output = bool;
+            #[inline(always)]
+            fn run(self) -> bool {
+                let Contains(ring, [s, p, o]) = self;
+                let ((b, e), base) = (ring.c_o.block(o), ring.c_p.get(p));
+                let step = ring.l_p.range_rank(p, b, e);
+                step.is_some_and(|(b, e)| ring.l_s.range_rank(s, base + b, base + e).is_some())
+            }
+        }
+        succinct::with_popcnt(Contains(self, [s, p, o]))
     }
 
     /// Calls `f(s)` for each distinct subject with an edge `s --p--> o`.
@@ -599,7 +613,6 @@ impl Ring {
     pub fn size_bytes(&self) -> usize {
         self.l_s.size_bytes()
             + self.l_p.size_bytes()
-            + self.c_s.size_bytes()
             + self.c_p.size_bytes()
             + self.c_o.size_bytes()
     }
@@ -609,7 +622,6 @@ impl Ring {
     pub fn heap_bytes(&self) -> usize {
         self.l_s.heap_bytes()
             + self.l_p.heap_bytes()
-            + self.c_s.heap_bytes()
             + self.c_p.heap_bytes()
             + self.c_o.heap_bytes()
     }
@@ -650,7 +662,6 @@ pub(crate) fn build_reference(graph: &Graph) -> Ring {
     Ring::from_raw_parts(
         column(&pos, |t| t.s, n_nodes),
         column(&osp, |t| t.p, n_preds),
-        bounds(Boundaries::sparse_from_counts, n_nodes, |t| t.s),
         bounds(Boundaries::dense_from_counts, n_preds, |t| t.p),
         bounds(Boundaries::sparse_from_counts, n_nodes, |t| t.o),
         g.len(),
@@ -841,7 +852,6 @@ mod tests {
         let bad = Ring::from_raw_parts(
             r.l_s.clone(),
             r.l_p.clone(),
-            r.c_s.clone(),
             shifted,
             r.c_o.clone(),
             16,
@@ -855,7 +865,6 @@ mod tests {
         let narrow = Ring::from_raw_parts(
             r.l_s.clone(),
             r.l_p.clone(),
-            r.c_s.clone(),
             Boundaries::dense_from_counts(&[4, 2, 4, 6]),
             r.c_o.clone(),
             16,
@@ -984,13 +993,14 @@ mod tests {
         }
     }
 
-    /// The ring's unary `C_s`/`C_o` and dense `C_p` agree with dense
-    /// arrays of the paper graph's counts: every `C[c]` and every owner.
+    /// The ring's unary `C_o` and dense `C_p` agree with dense arrays of
+    /// the paper graph's counts — `C_o` with the subjects' counts as well
+    /// as the objects' — every `C[c]` and every owner.
     #[test]
     fn dense_and_sparse_boundaries_agree() {
         let g = paper_graph();
         let r = paper_ring();
-        for (b, column) in [(r.c_s_ref(), 0), (r.c_p_ref(), 1), (r.c_o_ref(), 2)] {
+        for (b, column) in [(r.c_o_ref(), 0), (r.c_p_ref(), 1), (r.c_o_ref(), 2)] {
             let mut counts = vec![0u64; 5];
             for t in g.triples() {
                 counts[[t.s, t.p, t.o][column] as usize] += 1;

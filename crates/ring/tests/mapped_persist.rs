@@ -12,11 +12,12 @@ use std::path::PathBuf;
 use common::{put_u64, u64_at};
 
 use ring::mapped::{
-    open_index, open_index_verified, write_index, write_index_at, OpenMode, HEADER_LEN,
+    open_index, open_index_verified, open_ring, write_index, write_index_at, OpenMode, HEADER_LEN,
     MAPPED_MAGIC, N_SECTIONS,
 };
 use ring::ring::RingOptions;
 use ring::{Dict, Graph, Ring, Triple};
+use succinct::SpaceUsage;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rpq_mapped_{name}_{}", std::process::id()));
@@ -140,6 +141,50 @@ fn heap_and_mmap_opens_are_equivalent() {
 }
 
 /// Writes `bytes` to a file and opens it heap-resident.
+/// A built ring's arrays are allocated at the lengths the file stores:
+/// `Ring::size_bytes` of `Ring::build` equals that of the ring read back
+/// in place, on the bundled metro graph and on a 2^15-edge random one.
+#[cfg(all(unix, target_pointer_width = "64"))]
+#[test]
+fn a_built_ring_measures_what_its_file_holds() {
+    let dir = tmpdir("built_size");
+    let metro = include_str!("../../../data/metro.nt");
+    let (metro, _, _) = ring::ntriples::parse_ntriples(metro).unwrap();
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let random = (0..1 << 15)
+        .map(|_| Triple::new(next(1 << 12), next(24), next(1 << 12)))
+        .collect();
+    for (name, graph) in [
+        ("metro", metro),
+        ("random", Graph::new(random, 1 << 12, 24)),
+    ] {
+        let built = Ring::build(&graph, RingOptions::default());
+        let path = dir.join(format!("{name}.rpqm"));
+        write_index(&path, &built, &Dict::new(), &Dict::new()).unwrap();
+        let mapped = open_ring(&path, OpenMode::Mmap).unwrap().ring;
+        assert_eq!(mapped.heap_bytes(), 0, "{name}");
+        assert_eq!(built.size_bytes(), mapped.size_bytes(), "{name}");
+        for (part, b, m) in [
+            ("L_s", built.l_s().size_bytes(), mapped.l_s().size_bytes()),
+            ("L_p", built.l_p().size_bytes(), mapped.l_p().size_bytes()),
+            (
+                "C_o",
+                built.c_o_ref().size_bytes(),
+                mapped.c_o_ref().size_bytes(),
+            ),
+        ] {
+            assert_eq!(b, m, "{name}: {part}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn open_bytes(dir: &std::path::Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
     let path = dir.join(name);
     std::fs::write(&path, bytes).unwrap();

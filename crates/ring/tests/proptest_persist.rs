@@ -46,7 +46,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The boundary arrays of a graph whose node `c` is the object of
-    /// `counts[c]` triples — the unary `C_s` and `C_o`, the dense `C_p` —
+    /// `counts[c]` triples — the unary `C_o`, the dense `C_p` —
     /// come back as they were written.
     #[test]
     fn boundaries_roundtrip_all_kinds(counts in prop::collection::vec(0u64..20, 1..30)) {
@@ -61,7 +61,6 @@ proptest! {
         let ring = Ring::build(&graph, RingOptions::default());
         for back in reopened(&path, &ring) {
             for (b, back) in [
-                (ring.c_s_ref(), back.c_s_ref()),
                 (ring.c_p_ref(), back.c_p_ref()),
                 (ring.c_o_ref(), back.c_o_ref()),
             ] {

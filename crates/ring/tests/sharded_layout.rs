@@ -13,7 +13,7 @@ use ring::ring::RingOptions;
 use ring::sharded::{open_dir, shard_file_name, ShardedIndex};
 use ring::{Dict, Graph, Triple};
 
-const NODES: usize = 6; // index of the section in the table of contents
+const NODES: usize = 5; // index of the section in the table of contents
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rpq_layout_{name}_{}", std::process::id()));

@@ -7,9 +7,9 @@
 //! Rojas-Ledesma; arXiv:2111.04556) takes from `sdsl-lite`:
 //!
 //! * [`BitVec`]: a plain, growable bit vector.
-//! * [`RankSelect`]: an immutable bit vector with *O*(1) `rank` and
-//!   fast `select`, the primitive everything else is built from (§3.5 of the
-//!   paper, \[10, 39\]).
+//! * [`RankBits`]: an immutable bit vector with *O*(1) `rank`, the
+//!   primitive everything else is built from (§3.5 of the paper,
+//!   \[10, 39\]), and [`RankSelect`]: the same with fast `select`.
 //! * [`IntVec`]: a fixed-width packed integer vector (the "plain
 //!   representation" the paper compares index sizes against).
 //! * [`WaveletMatrix`]: the wavelet matrix of Claude, Navarro and
@@ -32,9 +32,10 @@
 //! the benchmark harness uses to regenerate the space column of Table 2.
 //!
 //! Two public operations have no caller in the product paths and stay
-//! for the reason given: [`WaveletMatrix::select`], timed by the
-//! benchmark driver's `succinct.wm_select_ns` row and deleted with it
-//! (ROADMAP item 1(f)), and [`WaveletMatrix::range_next_value`], the
+//! for the reason given: [`WaveletMatrix::select`], a binary search over
+//! `rank` (a level stores no select samples), timed by the benchmark
+//! driver's `succinct.wm_select_ns` row and deleted with it (ROADMAP item
+//! 1(f)), and [`WaveletMatrix::range_next_value`], the
 //! seek of the `join_rpq` example's leapfrog join.
 
 pub mod bitvec;
@@ -52,7 +53,7 @@ pub use bitvec::BitVec;
 pub use checksum::{crc32c, Crc32c};
 pub use int_vec::IntVec;
 pub use mmap::{MappedFile, ResidentMode};
-pub use rank_select::{hardware_popcount, with_popcnt, PopcntKernel, RankSelect};
+pub use rank_select::{hardware_popcount, with_popcnt, PopcntKernel, RankBits, RankSelect};
 pub use storage::Slab;
 pub use wavelet_matrix::WaveletMatrix;
 

@@ -14,8 +14,8 @@
 //! it can self-align); [`MapReader`] walks a section of a
 //! [`MappedFile`], enforcing bounds and the 8-byte alignment invariant
 //! on every array it hands out. On top of those, this module provides
-//! the codecs for the succinct primitives ([`RankSelect`], [`IntVec`],
-//! [`WaveletMatrix`]); the ring crate composes them into
+//! the codecs for the succinct primitives ([`RankBits`], [`RankSelect`],
+//! [`IntVec`], [`WaveletMatrix`]); the ring crate composes them into
 //! whole-index sections.
 
 use std::io::{self, Write};
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crate::mmap::MappedFile;
 use crate::storage::Slab;
-use crate::{IntVec, RankSelect, WaveletMatrix};
+use crate::{IntVec, RankBits, RankSelect, WaveletMatrix};
 
 /// Alignment (bytes) of every array in the mapped format: the strictest
 /// alignment of the element types (`u64`).
@@ -247,16 +247,32 @@ pub const MAX_LEN: u64 = 1 << 40;
 const WORDS_PER_SUPER: usize = 8;
 const SUPER_STRIDE: usize = WORDS_PER_SUPER + 2;
 
-/// Writes a [`RankSelect`] in place: `[len, n_ones, rate1, rate0]`, the
-/// interleaved superblock records, then both select sample directories.
+/// Writes a [`RankBits`] in place: `[len, n_ones]`, then the
+/// interleaved superblock records.
+pub fn write_rank_bits<W: Write>(w: &mut SectionWriter<W>, bits: &RankBits) -> io::Result<()> {
+    w.u64(bits.len() as u64)?;
+    w.u64(bits.count_ones() as u64)?;
+    w.u64s(bits.raw_parts())
+}
+
+/// Reads a [`RankBits`] written by [`write_rank_bits`], borrowing its
+/// records from the mapped file.
+pub fn read_rank_bits(r: &mut MapReader) -> io::Result<RankBits> {
+    let len = r.len_u64(MAX_LEN)?;
+    let n_ones = r.len_u64(MAX_LEN)?;
+    let n_super = len.div_ceil(64).div_ceil(WORDS_PER_SUPER);
+    let data = r.slab_u64(n_super * SUPER_STRIDE)?;
+    RankBits::from_raw_parts(data, len, n_ones).map_err(err_data)
+}
+
+/// Writes a [`RankSelect`] in place: its [`RankBits`], `[rate1, rate0]`,
+/// then both select sample directories.
 pub fn write_rank_select<W: Write>(w: &mut SectionWriter<W>, rs: &RankSelect) -> io::Result<()> {
-    let (data, sel1, sel0) = rs.raw_parts();
+    let (bits, sel1, sel0) = rs.raw_parts();
     let (rate1, rate0) = rs.select_sample_rates();
-    w.u64(rs.len() as u64)?;
-    w.u64(rs.count_ones() as u64)?;
+    write_rank_bits(w, bits)?;
     w.u64(rate1 as u64)?;
     w.u64(rate0 as u64)?;
-    w.u64s(data)?;
     w.u32s(sel1)?;
     w.pad()?;
     w.u32s(sel0)?;
@@ -266,21 +282,15 @@ pub fn write_rank_select<W: Write>(w: &mut SectionWriter<W>, rs: &RankSelect) ->
 /// Reads a [`RankSelect`] written by [`write_rank_select`], borrowing
 /// its arrays from the mapped file.
 pub fn read_rank_select(r: &mut MapReader) -> io::Result<RankSelect> {
-    let len = r.len_u64(MAX_LEN)?;
-    let n_ones = r.len_u64(MAX_LEN)?;
+    let bits = read_rank_bits(r)?;
     let rate1 = r.len_u64(MAX_LEN)?;
     let rate0 = r.len_u64(MAX_LEN)?;
-    if n_ones > len {
-        return Err(err_data("rank/select one-count exceeds bit length"));
-    }
     if rate1 == 0 || rate0 == 0 {
         return Err(err_data("rank/select sample rate must be positive"));
     }
-    let n_super = len.div_ceil(64).div_ceil(WORDS_PER_SUPER);
-    let data = r.slab_u64(n_super * SUPER_STRIDE)?;
-    let sel1 = r.slab_u32(n_ones.div_ceil(rate1))?;
-    let sel0 = r.slab_u32((len - n_ones).div_ceil(rate0))?;
-    RankSelect::from_raw_parts(data, len, n_ones, sel1, sel0, rate1, rate0).map_err(err_data)
+    let sel1 = r.slab_u32(bits.count_ones().div_ceil(rate1))?;
+    let sel0 = r.slab_u32(bits.count_zeros().div_ceil(rate0))?;
+    RankSelect::from_raw_parts(bits, sel1, sel0, rate1, rate0).map_err(err_data)
 }
 
 /// Writes an [`IntVec`] in place: `[width, len]` then the packed words.
@@ -302,7 +312,7 @@ pub fn read_int_vec(r: &mut MapReader) -> io::Result<IntVec> {
 }
 
 /// Writes a [`WaveletMatrix`] in place: `[sigma, len]` then one
-/// [`RankSelect`] per bit level (the level count is implied by `sigma`;
+/// [`RankBits`] per bit level (the level count is implied by `sigma`;
 /// the per-level zero counts are recomputed on load).
 pub fn write_wavelet_matrix<W: Write>(
     w: &mut SectionWriter<W>,
@@ -311,7 +321,7 @@ pub fn write_wavelet_matrix<W: Write>(
     w.u64(wm.sigma())?;
     w.u64(wm.len() as u64)?;
     for level in wm.raw_levels() {
-        write_rank_select(w, level)?;
+        write_rank_bits(w, level)?;
     }
     Ok(())
 }
@@ -326,7 +336,7 @@ pub fn read_wavelet_matrix(r: &mut MapReader) -> io::Result<WaveletMatrix> {
     let width = crate::int_vec::bits_for(sigma.saturating_sub(1)).max(1);
     let mut levels = Vec::with_capacity(width);
     for _ in 0..width {
-        levels.push(read_rank_select(r)?);
+        levels.push(read_rank_bits(r)?);
     }
     WaveletMatrix::from_raw_parts(levels, len, sigma).map_err(err_data)
 }
@@ -384,6 +394,28 @@ mod tests {
         assert_eq!(write_section(|w| write_rank_select(w, &back)), buf);
     }
 
+    /// A rank-only vector — a wavelet-matrix level — comes back with its
+    /// ranks, and its stored form is the select-sampled one's prefix.
+    #[test]
+    fn rank_bits_roundtrip_in_place() {
+        let bits: Vec<bool> = (0..5000).map(|i| i % 7 == 0 || i % 31 == 4).collect();
+        let rb = RankBits::new(BitVec::from_bits(bits.iter().copied()));
+        let buf = write_section(|w| write_rank_bits(w, &rb));
+        assert_eq!(buf.len(), 16 + 8 * rb.raw_parts().len());
+        let map = map_of(&buf);
+        let mut r = MapReader::new(Arc::clone(&map), 0, buf.len()).unwrap();
+        let back = read_rank_bits(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!((back.len(), back.count_ones()), (rb.len(), rb.count_ones()));
+        for i in 0..=5000 {
+            assert_eq!(back.rank1(i), rb.rank1(i), "rank1({i})");
+        }
+        back.verify_deep().unwrap();
+        assert_eq!(write_section(|w| write_rank_bits(w, &back)), buf);
+        let rs = RankSelect::new(BitVec::from_bits(bits.iter().copied()));
+        assert!(write_section(|w| write_rank_select(w, &rs)).starts_with(&buf));
+    }
+
     #[test]
     fn wavelet_matrix_roundtrips_in_place() {
         let syms: Vec<u64> = (0..3000u64).map(|i| (i * 2654435761) % 117).collect();
@@ -400,6 +432,8 @@ mod tests {
         assert_eq!(write_section(|w| write_wavelet_matrix(w, &back)), buf);
     }
 
+    /// Every cut of a stored vector, with select samples or without, is
+    /// an error and not a shorter vector.
     #[test]
     fn truncated_section_is_an_error() {
         let bits: Vec<bool> = (0..2000).map(|i| i % 3 == 0).collect();
@@ -409,6 +443,12 @@ mod tests {
             let map = map_of(&buf[..cut]);
             let mut r = MapReader::new(map, 0, cut).unwrap();
             assert!(read_rank_select(&mut r).is_err(), "cut at {cut}");
+        }
+        let level = write_section(|w| write_rank_bits(w, &rs));
+        for cut in [0, 8, 15, level.len() / 2, level.len() - 8] {
+            let map = map_of(&level[..cut]);
+            let mut r = MapReader::new(map, 0, cut).unwrap();
+            assert!(read_rank_bits(&mut r).is_err(), "level cut at {cut}");
         }
     }
 
@@ -433,11 +473,13 @@ mod tests {
         let buf = write_section(|w| {
             w.u64(MAX_LEN)?; // len
             w.u64(1)?; // n_ones
-            w.u64(16)?; // rate1
-            w.u64(16) // rate0
+            w.u64(16)?;
+            w.u64(16)
         });
         let map = map_of(&buf);
-        let mut r = MapReader::new(map, 0, buf.len()).unwrap();
+        let mut r = MapReader::new(Arc::clone(&map), 0, buf.len()).unwrap();
         assert!(read_rank_select(&mut r).is_err());
+        let mut r = MapReader::new(map, 0, buf.len()).unwrap();
+        assert!(read_rank_bits(&mut r).is_err());
     }
 }

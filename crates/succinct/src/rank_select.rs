@@ -1,4 +1,5 @@
-//! Immutable bit vector with constant-time `rank` and sampled-select.
+//! Immutable bit vectors: [`RankBits`] with constant-time `rank`, and
+//! [`RankSelect`], the same plus sampled `select`.
 //!
 //! Layout (fully interleaved): the bits and their rank directory live in
 //! **one** array. Each 512-bit superblock occupies ten consecutive words
@@ -10,14 +11,18 @@
 //! true *O*(1), as in the structures of Clark \[10\] and Munro \[39\]
 //! the paper cites. Space overhead: 2 words per 8 words of bits (25 %).
 //!
-//! `select1`/`select0` use a **sampled directory**: the superblock of
-//! every `sample_rate`-th one (zero) is recorded, so a query is one
-//! sample lookup, a short superblock hunt bounded by the sample window
-//! (linear when the window is small, binary otherwise), a sub-block
-//! scan over the packed counters, and a branch-free broadword in-word
-//! select. [`RankSelect::rank1_pair`] answers both ends of a range from
-//! one directory probe when they share a superblock — the common case
-//! in wavelet-matrix traversals over small ranges.
+//! [`RankBits::rank1_pair`] answers both ends of a range from one
+//! directory probe when they share a superblock — the common case in
+//! wavelet-matrix traversals over small ranges.
+//!
+//! Only [`RankSelect`] has `select1`/`select0`, over a **sampled
+//! directory** beside the records: the superblock of every
+//! `sample_rate`-th one (zero) is recorded, so a query is one sample
+//! lookup, a short superblock hunt bounded by the sample window (linear
+//! when the window is small, binary otherwise), a sub-block scan over
+//! the packed counters, and a branch-free broadword in-word select. The
+//! ring's unary `C_o` is one; a wavelet-matrix level is a [`RankBits`]
+//! and stores no samples, since the backward search only ranks.
 //!
 //! # The popcount instruction, where the CPU has one
 //!
@@ -31,11 +36,12 @@
 //! the wavelet matrix's `access_batch`, `rank_batch`, `guided_traverse`
 //! (and so `range_distinct`), `range_intersect_from`,
 //! [`MultiTraversal::run`](crate::wavelet_matrix::MultiTraversal::run),
-//! and the ring's `object_ranges` (part one's `C_o` selects) — run
-//! through it, so one source is compiled twice and the platform picks
-//! the copy; there is no option, feature or build flag. Scalar calls
-//! outside them run as compiled. Everything a kernel calls that counts
-//! bits (`rank1`, `rank1_get`, `rank1_pair`, `select1`, …) is
+//! and the ring's `object_ranges` (part one's `C_o` selects) and
+//! `contains` — run through it, so one source is compiled twice and the
+//! platform picks the copy; there is no option, feature or build flag.
+//! Scalar calls outside them run as compiled. Everything a kernel calls
+//! that counts bits (`rank1`, `rank1_get`, `rank1_pair`, `select1`, …,
+//! and the `Deref` from [`RankSelect`] to [`RankBits`]) is
 //! `#[inline(always)]`, or its popcount would stay in one shared copy
 //! built without the instruction. The one `unsafe` block is the call
 //! into the feature-enabled copy, made only after the detection
@@ -122,9 +128,11 @@ pub fn with_popcnt<K: PopcntKernel>(kernel: K) -> K::Output {
     kernel.run()
 }
 
-/// An immutable bit vector supporting `rank` and `select`.
+/// An immutable bit vector supporting `rank`: the bits and their
+/// interleaved rank directory, nothing else. What a wavelet-matrix level
+/// is — the backward search of §4 only ever ranks one.
 #[derive(Clone, Debug)]
-pub struct RankSelect {
+pub struct RankBits {
     /// Interleaved superblock records: `[abs, subs, w0..w7]` per block.
     /// `abs` = ones strictly before the block; `subs` packs, in 9-bit
     /// fields, the cumulative popcounts of the block's first 1..=7 words.
@@ -132,20 +140,10 @@ pub struct RankSelect {
     data: Slab<u64>,
     len: usize,
     n_ones: usize,
-    /// `select1_samples[m]` = superblock holding the `m·rate1`-th one.
-    select1_samples: Slab<u32>,
-    /// `select0_samples[m]` = superblock holding the `m·rate0`-th zero.
-    select0_samples: Slab<u32>,
-    rate1: usize,
-    rate0: usize,
 }
 
-impl RankSelect {
-    /// Builds the rank/select directories for `bits`, picking the select
-    /// sampling rate adaptively per bit kind: every
-    /// `TARGET_WINDOW · 512 · density`-th position is sampled (at least
-    /// every [`MIN_SELECT_SAMPLE`]-th), so the superblock hunt is ~2
-    /// probes at any density.
+impl RankBits {
+    /// Builds the rank directory for `bits`.
     pub fn new(bits: BitVec) -> Self {
         let (words, len) = bits.into_raw();
         let n_super = words.len().div_ceil(WORDS_PER_SUPER);
@@ -173,94 +171,36 @@ impl RankSelect {
             data.resize(data.len() + (WORDS_PER_SUPER - chunk.len()), 0);
             acc += within;
         }
-        let n_ones = acc as usize;
-        let adaptive = |count: usize| {
-            (TARGET_WINDOW * BITS_PER_SUPER * count / len.max(1)).max(MIN_SELECT_SAMPLE)
-        };
-        let rate1 = adaptive(n_ones);
-        let rate0 = adaptive(len - n_ones);
-        let mut rs = Self {
+        Self {
             data: data.into(),
             len,
-            n_ones,
-            select1_samples: Slab::new(),
-            select0_samples: Slab::new(),
-            rate1,
-            rate0,
-        };
-        let (s1, s0) = rs.compute_select_samples();
-        rs.select1_samples = s1.into();
-        rs.select0_samples = s0.into();
-        rs
-    }
-
-    fn compute_select_samples(&self) -> (Vec<u32>, Vec<u32>) {
-        let n_super = self.n_super();
-        let mut sel1 = Vec::new();
-        let mut sel0 = Vec::new();
-        let mut next1 = 0usize;
-        let mut next0 = 0usize;
-        let n_zeros = self.count_zeros();
-        for s in 0..n_super {
-            let ones_before = self.abs(s);
-            let ones_after = if s + 1 < n_super {
-                self.abs(s + 1)
-            } else {
-                self.n_ones
-            };
-            while next1 < self.n_ones && next1 < ones_after {
-                debug_assert!(next1 >= ones_before);
-                sel1.push(s as u32);
-                next1 += self.rate1;
-            }
-            // Zeros are counted over the logical length only; the final
-            // (partial) superblock holds all remaining zeros.
-            let zeros_before = s * BITS_PER_SUPER - ones_before;
-            let zeros_after = if s + 1 < n_super {
-                (s + 1) * BITS_PER_SUPER - ones_after
-            } else {
-                n_zeros
-            };
-            let zeros_after = zeros_after.min(n_zeros);
-            while next0 < n_zeros && next0 < zeros_after {
-                debug_assert!(next0 >= zeros_before);
-                sel0.push(s as u32);
-                next0 += self.rate0;
-            }
+            n_ones: acc as usize,
         }
-        (sel1, sel0)
     }
 
-    /// Internal views of the directory arrays, for the mapped on-disk
-    /// format writer ([`crate::mapped`]).
-    pub(crate) fn raw_parts(&self) -> (&Slab<u64>, &Slab<u32>, &Slab<u32>) {
-        (&self.data, &self.select1_samples, &self.select0_samples)
+    /// The superblock records, for the mapped on-disk format writer
+    /// ([`crate::mapped`]).
+    pub(crate) fn raw_parts(&self) -> &Slab<u64> {
+        &self.data
     }
 
-    /// Heap bytes of the arrays ([`Slab::heap_bytes`]): 0 when all of
-    /// them borrow a mapped file.
+    /// Heap bytes of the records ([`Slab::heap_bytes`]): 0 when they
+    /// borrow a mapped file.
     pub fn heap_bytes(&self) -> usize {
         self.data.heap_bytes()
-            + self.select1_samples.heap_bytes()
-            + self.select0_samples.heap_bytes()
     }
 
     /// Reassembles a vector from stored parts — the mapped-format load
-    /// path, where the slabs may point straight into a mapped file.
+    /// path, where the records may point straight into a mapped file.
     ///
-    /// Performs the structural validation that keeps queries in bounds
-    /// (sizes, rates, sample counts/monotonicity); in debug builds it
-    /// additionally re-derives the whole directory from the payload
-    /// words ([`Self::verify_deep`]), which an always-on check can't
-    /// afford because it would fault in every page of a mapped index.
+    /// Checks the sizes that keep queries in bounds; in debug builds it
+    /// additionally re-derives the directory from the payload words
+    /// ([`Self::verify_deep`]), which an always-on check can't afford
+    /// because it would fault in every page of a mapped index.
     pub(crate) fn from_raw_parts(
         data: Slab<u64>,
         len: usize,
         n_ones: usize,
-        select1_samples: Slab<u32>,
-        select0_samples: Slab<u32>,
-        rate1: usize,
-        rate0: usize,
     ) -> Result<Self, &'static str> {
         let n_super = len.div_ceil(64).div_ceil(WORDS_PER_SUPER);
         if data.len() != n_super * SUPER_STRIDE {
@@ -269,41 +209,14 @@ impl RankSelect {
         if n_ones > len {
             return Err("rank/select one-count exceeds bit length");
         }
-        if rate1 == 0 || rate0 == 0 {
-            return Err("rank/select sample rate must be positive");
-        }
-        let expect = |count: usize, rate: usize| count.div_ceil(rate);
-        if select1_samples.len() != expect(n_ones, rate1)
-            || select0_samples.len() != expect(len - n_ones, rate0)
-        {
-            return Err("rank/select sample directory has wrong length");
-        }
-        for samples in [&select1_samples, &select0_samples] {
-            let mut prev = 0u32;
-            for &s in samples.iter() {
-                if (s as usize) >= n_super || s < prev {
-                    return Err("rank/select sample directory is not monotone in range");
-                }
-                prev = s;
-            }
-        }
-        let rs = Self {
-            data,
-            len,
-            n_ones,
-            select1_samples,
-            select0_samples,
-            rate1,
-            rate0,
-        };
+        let bits = Self { data, len, n_ones };
         #[cfg(debug_assertions)]
-        rs.verify_deep()?;
-        Ok(rs)
+        bits.verify_deep()?;
+        Ok(bits)
     }
 
-    /// Recomputes the full rank directory and both select directories
-    /// from the payload words and compares them with the stored ones.
-    /// O(data) — debug builds and tests only.
+    /// Recomputes the rank directory from the payload words and compares
+    /// it with the stored one. O(data) — debug builds and tests only.
     #[allow(dead_code)]
     pub(crate) fn verify_deep(&self) -> Result<(), &'static str> {
         let mut acc = 0u64;
@@ -342,10 +255,6 @@ impl RankSelect {
                 return Err("superblock padding words are not zero");
             }
         }
-        let (sel1, sel0) = self.compute_select_samples();
-        if self.select1_samples[..] != sel1[..] || self.select0_samples[..] != sel0[..] {
-            return Err("select sample directory mismatch");
-        }
         Ok(())
     }
 
@@ -382,13 +291,6 @@ impl RankSelect {
     #[inline]
     pub fn count_zeros(&self) -> usize {
         self.len - self.n_ones
-    }
-
-    /// The select sampling rates `(ones, zeros)` this vector was built
-    /// with, each adapted to its bit kind's density.
-    #[inline]
-    pub fn select_sample_rates(&self) -> (usize, usize) {
-        (self.rate1, self.rate0)
     }
 
     /// Returns the bit at `i`.
@@ -497,6 +399,131 @@ impl RankSelect {
     pub fn same_superblock(b: usize, e: usize) -> bool {
         b / BITS_PER_SUPER == e / BITS_PER_SUPER
     }
+}
+
+impl SpaceUsage for RankBits {
+    fn size_bytes(&self) -> usize {
+        self.data.size_bytes()
+    }
+}
+
+/// An immutable bit vector supporting `rank` ([`RankBits`], which it
+/// dereferences to) and `select`.
+#[derive(Clone, Debug)]
+pub struct RankSelect {
+    bits: RankBits,
+    /// `select1_samples[m]` = superblock holding the `m·rate1`-th one.
+    select1_samples: Slab<u32>,
+    /// `select0_samples[m]` = superblock holding the `m·rate0`-th zero.
+    select0_samples: Slab<u32>,
+    rate1: usize,
+    rate0: usize,
+}
+
+impl std::ops::Deref for RankSelect {
+    type Target = RankBits;
+
+    #[inline(always)]
+    fn deref(&self) -> &RankBits {
+        &self.bits
+    }
+}
+
+impl RankSelect {
+    /// Builds the rank/select directories for `bits`, picking the select
+    /// sampling rate adaptively per bit kind: every
+    /// `TARGET_WINDOW · 512 · density`-th position is sampled (at least
+    /// every [`MIN_SELECT_SAMPLE`]-th), so the superblock hunt is ~2
+    /// probes at any density.
+    pub fn new(bits: BitVec) -> Self {
+        let bits = RankBits::new(bits);
+        let adaptive = |count: usize| {
+            (TARGET_WINDOW * BITS_PER_SUPER * count / bits.len.max(1)).max(MIN_SELECT_SAMPLE)
+        };
+        let (rate1, rate0) = (adaptive(bits.n_ones), adaptive(bits.count_zeros()));
+        let (s1, s0) = select_samples(&bits, rate1, rate0);
+        Self {
+            bits,
+            select1_samples: s1.into(),
+            select0_samples: s0.into(),
+            rate1,
+            rate0,
+        }
+    }
+
+    /// Internal views of the directory arrays, for the mapped on-disk
+    /// format writer ([`crate::mapped`]).
+    pub(crate) fn raw_parts(&self) -> (&RankBits, &Slab<u32>, &Slab<u32>) {
+        (&self.bits, &self.select1_samples, &self.select0_samples)
+    }
+
+    /// Heap bytes of the arrays ([`Slab::heap_bytes`]): 0 when all of
+    /// them borrow a mapped file.
+    pub fn heap_bytes(&self) -> usize {
+        self.bits.heap_bytes()
+            + self.select1_samples.heap_bytes()
+            + self.select0_samples.heap_bytes()
+    }
+
+    /// Reassembles a vector from stored parts — the mapped-format load
+    /// path, where the slabs may point straight into a mapped file.
+    ///
+    /// Checks what keeps a select in bounds (sample counts at the given
+    /// positive rates, and monotonicity); in debug builds it also
+    /// re-derives the samples from the rank directory.
+    pub(crate) fn from_raw_parts(
+        bits: RankBits,
+        select1_samples: Slab<u32>,
+        select0_samples: Slab<u32>,
+        rate1: usize,
+        rate0: usize,
+    ) -> Result<Self, &'static str> {
+        let expect = |count: usize, rate: usize| count.div_ceil(rate);
+        if select1_samples.len() != expect(bits.n_ones, rate1)
+            || select0_samples.len() != expect(bits.count_zeros(), rate0)
+        {
+            return Err("rank/select sample directory has wrong length");
+        }
+        for samples in [&select1_samples, &select0_samples] {
+            let mut prev = 0u32;
+            for &s in samples.iter() {
+                if (s as usize) >= bits.n_super() || s < prev {
+                    return Err("rank/select sample directory is not monotone in range");
+                }
+                prev = s;
+            }
+        }
+        let rs = Self {
+            bits,
+            select1_samples,
+            select0_samples,
+            rate1,
+            rate0,
+        };
+        #[cfg(debug_assertions)]
+        rs.verify_deep()?;
+        Ok(rs)
+    }
+
+    /// [`RankBits::verify_deep`], then the select samples recomputed from
+    /// the directory and compared with the stored ones. O(data) — debug
+    /// builds and tests only.
+    #[allow(dead_code)]
+    pub(crate) fn verify_deep(&self) -> Result<(), &'static str> {
+        self.bits.verify_deep()?;
+        let (sel1, sel0) = select_samples(&self.bits, self.rate1, self.rate0);
+        if self.select1_samples[..] != sel1[..] || self.select0_samples[..] != sel0[..] {
+            return Err("select sample directory mismatch");
+        }
+        Ok(())
+    }
+
+    /// The select sampling rates `(ones, zeros)` this vector was built
+    /// with, each adapted to its bit kind's density.
+    #[inline]
+    pub fn select_sample_rates(&self) -> (usize, usize) {
+        (self.rate1, self.rate0)
+    }
 
     /// Position of the `k`-th one (0-based): the returned position `p`
     /// satisfies `rank1(p) == k` and `get(p) == true`. Returns `None` if
@@ -518,14 +545,14 @@ impl RankSelect {
         let sup = self.hunt(lo, hi, |s| self.abs(s) <= k);
         let mut remaining = k - self.abs(sup);
         let base = sup * SUPER_STRIDE;
-        let packed = self.data[base + 1];
+        let packed = self.bits.data[base + 1];
         // Branch-free sub-block: count the 9-bit cumulative fields <= r.
         let j = uleq_step_9(packed, (remaining as u64) * ONES_STEP_9).count_ones() as usize;
         if j > 0 {
             remaining -= ((packed >> (9 * (j - 1))) & 0x1FF) as usize;
         }
         let word = sup * WORDS_PER_SUPER + j;
-        Some(word * 64 + select_in_word(self.data[base + 2 + j], remaining as u32) as usize)
+        Some(word * 64 + select_in_word(self.bits.data[base + 2 + j], remaining as u32) as usize)
     }
 
     /// Position of the `k`-th zero (0-based). Returns `None` if fewer than
@@ -546,13 +573,14 @@ impl RankSelect {
         let base = sup * SUPER_STRIDE;
         // Cumulative zero counts per sub-block: field-wise 64·(j+1) minus
         // the packed one counts (no borrows cross fields: ones <= 64·(j+1)).
-        let zpacked = ZEROS_CUM_STEP_9 - self.data[base + 1];
+        let zpacked = ZEROS_CUM_STEP_9 - self.bits.data[base + 1];
         let j = uleq_step_9(zpacked, (remaining as u64) * ONES_STEP_9).count_ones() as usize;
         if j > 0 {
             remaining -= ((zpacked >> (9 * (j - 1))) & 0x1FF) as usize;
         }
         let word = sup * WORDS_PER_SUPER + j;
-        let pos = word * 64 + select_in_word(!self.data[base + 2 + j], remaining as u32) as usize;
+        let pos =
+            word * 64 + select_in_word(!self.bits.data[base + 2 + j], remaining as u32) as usize;
         debug_assert!(pos < self.len);
         Some(pos)
     }
@@ -585,10 +613,50 @@ impl RankSelect {
 
 impl SpaceUsage for RankSelect {
     fn size_bytes(&self) -> usize {
-        self.data.size_bytes()
+        self.bits.size_bytes()
             + self.select1_samples.size_bytes()
             + self.select0_samples.size_bytes()
     }
+}
+
+/// The select sample directories of `bits` at rates `(rate1, rate0)`,
+/// each allocated at its exact length: a built vector takes the bytes a
+/// mapped one does.
+fn select_samples(bits: &RankBits, rate1: usize, rate0: usize) -> (Vec<u32>, Vec<u32>) {
+    let n_super = bits.n_super();
+    let n_zeros = bits.count_zeros();
+    let mut sel1 = Vec::with_capacity(bits.n_ones.div_ceil(rate1));
+    let mut sel0 = Vec::with_capacity(n_zeros.div_ceil(rate0));
+    let mut next1 = 0usize;
+    let mut next0 = 0usize;
+    for s in 0..n_super {
+        let ones_before = bits.abs(s);
+        let ones_after = if s + 1 < n_super {
+            bits.abs(s + 1)
+        } else {
+            bits.n_ones
+        };
+        while next1 < bits.n_ones && next1 < ones_after {
+            debug_assert!(next1 >= ones_before);
+            sel1.push(s as u32);
+            next1 += rate1;
+        }
+        // Zeros are counted over the logical length only; the final
+        // (partial) superblock holds all remaining zeros.
+        let zeros_before = s * BITS_PER_SUPER - ones_before;
+        let zeros_after = if s + 1 < n_super {
+            (s + 1) * BITS_PER_SUPER - ones_after
+        } else {
+            n_zeros
+        };
+        let zeros_after = zeros_after.min(n_zeros);
+        while next0 < n_zeros && next0 < zeros_after {
+            debug_assert!(next0 >= zeros_before);
+            sel0.push(s as u32);
+            next0 += rate0;
+        }
+    }
+    (sel1, sel0)
 }
 
 /// `rank1(i)` from `rec`, the superblock record holding bit `i`.

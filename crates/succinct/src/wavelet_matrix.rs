@@ -40,7 +40,7 @@
 //!   wants every symbol of, with multiplicity, is its positions.
 
 use crate::int_vec::bits_for;
-use crate::{with_popcnt, BitVec, PopcntKernel, RankSelect, SpaceUsage};
+use crate::{with_popcnt, BitVec, PopcntKernel, RankBits, SpaceUsage};
 
 /// Visitor guiding a pruned wavelet-matrix range traversal.
 pub trait RangeGuide {
@@ -129,7 +129,7 @@ pub struct MultiTraversal {
     pub ranks: u64,
     /// Rank computations a per-range traversal would have needed on top
     /// of [`ranks`](Self::ranks): shared node-start ranks, directory
-    /// probes merged by [`RankSelect::rank1_pair`], and the second end of
+    /// probes merged by [`RankBits::rank1_pair`], and the second end of
     /// single positions.
     pub ranks_saved: u64,
 }
@@ -233,7 +233,7 @@ impl MultiTraversal {
                     self.ranks_saved += 1;
                     let (ones, bit) = lvl.rank1_get(b);
                     (b - ones, b - ones + usize::from(!bit))
-                } else if RankSelect::same_superblock(b, e) {
+                } else if RankBits::same_superblock(b, e) {
                     self.ranks += 1;
                     self.ranks_saved += 1;
                     lvl.rank0_pair(b, e)
@@ -312,7 +312,7 @@ impl MultiTraversal {
 /// ```
 #[derive(Clone, Debug)]
 pub struct WaveletMatrix {
-    levels: Vec<RankSelect>,
+    levels: Vec<RankBits>,
     zeros: Vec<usize>,
     len: usize,
     width: usize,
@@ -417,12 +417,12 @@ impl WaveletMatrix {
                 words.push(word);
             }
             zeros.push(z);
-            levels.push(RankSelect::new(BitVec::from_raw(words, len)));
+            levels.push(RankBits::new(BitVec::from_raw(words, len)));
             std::mem::swap(&mut cur, &mut next);
             z = len - next_ones;
         }
         zeros.push(z);
-        levels.push(RankSelect::new(BitVec::from_raw(level_words(&cur, 0), len)));
+        levels.push(RankBits::new(BitVec::from_raw(level_words(&cur, 0), len)));
         Self {
             levels,
             zeros,
@@ -451,7 +451,7 @@ impl WaveletMatrix {
             let z = next.len();
             next.extend(cur.iter().copied().filter(|&s| (s >> shift) & 1 == 1));
             zeros.push(z);
-            levels.push(RankSelect::new(bits));
+            levels.push(RankBits::new(bits));
             std::mem::swap(&mut cur, &mut next);
         }
         Self {
@@ -465,14 +465,14 @@ impl WaveletMatrix {
 
     /// The per-level bit vectors, for the mapped on-disk format writer
     /// ([`crate::mapped`]).
-    pub(crate) fn raw_levels(&self) -> &[RankSelect] {
+    pub(crate) fn raw_levels(&self) -> &[RankBits] {
         &self.levels
     }
 
     /// Heap bytes of the level bit vectors: 0 when every level borrows a
     /// mapped file.
     pub fn heap_bytes(&self) -> usize {
-        self.levels.iter().map(RankSelect::heap_bytes).sum()
+        self.levels.iter().map(RankBits::heap_bytes).sum()
     }
 
     /// Reassembles a matrix from stored levels — the mapped-format load
@@ -480,7 +480,7 @@ impl WaveletMatrix {
     /// per-level zero count by construction), so it is never serialized
     /// and can't disagree with the bits.
     pub(crate) fn from_raw_parts(
-        levels: Vec<RankSelect>,
+        levels: Vec<RankBits>,
         len: usize,
         sigma: u64,
     ) -> Result<Self, &'static str> {
@@ -644,33 +644,47 @@ impl WaveletMatrix {
         b - start
     }
 
-    /// Position of the `k`-th occurrence of `sym` (0-based), or `None`.
+    /// Position of the `k`-th occurrence of `sym` (0-based), or `None`:
+    /// a binary search over [`Self::rank`], the levels storing no select
+    /// samples. No product path selects on a matrix.
     pub fn select(&self, sym: u64, k: usize) -> Option<usize> {
-        assert!(sym < self.sigma);
         if k >= self.rank(sym, self.len) {
             return None;
         }
-        // Descend to find the leaf-level start of sym's block.
-        let mut start = 0usize;
-        for l in 0..self.width {
-            let lvl = &self.levels[l];
-            if (sym >> (self.width - 1 - l)) & 1 == 1 {
-                start = self.zeros[l] + lvl.rank1(start);
+        // The last position `p` with at most `k` occurrences before it.
+        let (mut lo, mut hi) = (0, self.len);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if self.rank(sym, mid) <= k {
+                lo = mid;
             } else {
-                start = lvl.rank0(start);
+                hi = mid;
             }
         }
-        // Ascend, inverting each level's stable partition.
-        let mut pos = start + k;
-        for l in (0..self.width).rev() {
-            let lvl = &self.levels[l];
-            pos = if (sym >> (self.width - 1 - l)) & 1 == 1 {
-                lvl.select1(pos - self.zeros[l])?
+        Some(lo)
+    }
+
+    /// `(rank(sym, b), rank(sym, e))`, or `None` as soon as the range,
+    /// followed down the levels by `sym`'s bits, empties: `sym` does not
+    /// occur in `[b, e)`. Inlined into every caller, so that a
+    /// [`with_popcnt`] kernel's ranks count with the instruction.
+    #[inline(always)]
+    pub fn range_rank(&self, sym: u64, b: usize, e: usize) -> Option<(usize, usize)> {
+        debug_assert!(sym < self.sigma && b <= e && e <= self.len);
+        let (mut b, mut e, mut start) = (b, e, 0);
+        for (l, (lvl, &z)) in self.levels.iter().zip(&self.zeros).enumerate() {
+            if b == e {
+                return None;
+            }
+            let (ones_b, ones_e) = lvl.rank1_pair(b, e);
+            let ones_start = lvl.rank1(start);
+            (b, e, start) = if (sym >> (self.width - 1 - l)) & 1 == 1 {
+                (z + ones_b, z + ones_e, z + ones_start)
             } else {
-                lvl.select0(pos)?
+                (b - ones_b, e - ones_e, start - ones_start)
             };
         }
-        Some(pos)
+        (b < e).then(|| (b - start, e - start))
     }
 
     /// Runs a guided traversal of the range `[b, e)` (see [`RangeGuide`]).
@@ -1159,8 +1173,7 @@ mod tests {
     }
 
     /// The one-sweep builder lays out exactly what the old three-pass one
-    /// did: the same stored bytes — level words, rank and select
-    /// directories.
+    /// did: the same stored bytes — level words and rank directories.
     #[test]
     fn one_sweep_construction_is_byte_identical_to_the_reference() {
         // Widths 1, 7, 8, 17, and 40 for the 64-bit symbol path.
@@ -1178,11 +1191,6 @@ mod tests {
                         assert_eq!(a.len(), b.len(), "{what}, level {l}");
                         assert_eq!(a.count_ones(), b.count_ones(), "{what}, level {l}");
                         assert!(a.raw_parts() == b.raw_parts(), "{what}, level {l}");
-                        assert_eq!(
-                            a.select_sample_rates(),
-                            b.select_sample_rates(),
-                            "{what}, level {l}"
-                        );
                     }
                     if sigma <= 1 << 32 {
                         let narrow = syms.iter().map(|&s| s as u32).collect();
@@ -1535,6 +1543,29 @@ mod tests {
                         walked.append(&mut batch);
                     }
                     assert_eq!(walked, all, "sigma {sigma}, {r1:?} {r2:?}, cap {cap}");
+                }
+            }
+        }
+    }
+
+    /// `range_rank` is the pair of ranks where the symbol occurs in the
+    /// range and `None` where it does not: on every symbol of widths 1, 7
+    /// and 17, over the probe ranges.
+    #[test]
+    fn range_rank_is_the_rank_pair_of_a_symbol_that_occurs() {
+        for sigma in [2u64, 100, (1 << 16) + 3] {
+            let syms = drawn(2500, sigma, true);
+            let wm = WaveletMatrix::new(&syms, sigma);
+            let probe: Vec<u64> = (0..sigma.min(300)).chain([sigma - 1]).collect();
+            for (b, e) in probe_ranges(syms.len()) {
+                for &sym in &probe {
+                    let ranks = (wm.rank(sym, b), wm.rank(sym, e));
+                    let want = (ranks.1 > ranks.0).then_some(ranks);
+                    assert_eq!(
+                        wm.range_rank(sym, b, e),
+                        want,
+                        "sigma {sigma}, {sym} in [{b}, {e})"
+                    );
                 }
             }
         }

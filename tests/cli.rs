@@ -473,7 +473,7 @@ fn mmap_build_query_roundtrip() {
     let report = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{report}");
     assert!(report.contains("\"format\":\"RRPQM01\""), "{report}");
-    assert!(report.contains("\"checksum_sections\":8"), "{report}");
+    assert!(report.contains("\"checksum_sections\":7"), "{report}");
     assert!(report.contains("\"epoch\":1"), "{report}");
     assert!(
         report.contains("\"wal\":{\"base_epoch\":1,\"batches\":0,"),
@@ -665,7 +665,7 @@ fn a_resaved_sharded_directory_holds_no_stale_shards() {
     };
     let report = verify();
     assert!(report.contains("\"status\":\"ok\""), "{report}");
-    assert!(report.contains("\"checksum_sections\":16"), "{report}");
+    assert!(report.contains("\"checksum_sections\":14"), "{report}");
     assert!(report.contains("\"orphan_tmp\":2"), "{report}");
     assert!(report.contains("\"stale_files\":1"), "{report}");
 
@@ -745,8 +745,8 @@ fn stats_sizes_a_mapped_index_from_its_sections() {
             number_after(&text, "ring bytes/edge:") > 0.0,
             "{flag}:\n{text}"
         );
-        // The five ring sections are the ring, to a few header words each.
-        let ring: f64 = ["L_S", "L_P", "C_S", "C_P", "C_O"]
+        // The four ring sections are the ring, to a few header words each.
+        let ring: f64 = ["L_S", "L_P", "C_P", "C_O"]
             .iter()
             .map(|name| number_after(&text, name))
             .sum();
@@ -764,6 +764,7 @@ fn stats_sizes_a_mapped_index_from_its_sections() {
         assert_eq!(number_after(&text, "file"), file);
         assert!(sections < file && sections > file - 512.0);
         assert!(!text.contains("L_O"), "{text}");
+        assert!(!text.contains("C_S"), "{text}");
     }
     let text = stats(&sharded, "--mmap");
     assert!(text.contains("sections, all 4 shards:"), "{text}");
@@ -831,8 +832,9 @@ fn stats_names_the_popcount_kernels() {
 /// Indexes in formats this build no longer reads, as earlier builds wrote
 /// them from `data/metro.nt`: a stream-format file, a version-2 `RRPQM01`
 /// one (a dictionary of two `u64` arrays around every name, and a slot
-/// holding the paper's third column), and a version-3 one whose node
-/// boundaries are Elias–Fano coded. Every verb refuses each by
+/// holding the paper's third column), a version-3 one (select samples on
+/// every wavelet level, and a `C_S` section), and a version-3 one whose
+/// node boundaries are Elias–Fano coded. Every verb refuses each by
 /// name, with the command that rebuilds it, `verify` reports it
 /// unsupported (exit 2), and neither file is touched.
 #[test]
@@ -841,6 +843,7 @@ fn indexes_in_formats_no_longer_read_are_refused_by_name() {
     for (file, format) in [
         ("metro_with_l_o.db", "RRPQDB02"),
         ("metro_with_l_o.rpqm", "RRPQM01 version 2"),
+        ("metro_v3.rpqm", "RRPQM01 version 3"),
         ("metro_elias_fano.rpqm", "elias-fano node boundaries"),
     ] {
         let old = fixtures.join(file);
@@ -884,7 +887,7 @@ fn verify_names_the_shard_whose_checksum_fails() {
     build_metro(&sharded, &["--shards", "4"]);
     let shard1 = sharded.join("shard-001.rpqm");
     let mut image = std::fs::read(&shard1).unwrap();
-    // A payload byte: past the 280-byte header, inside the ring.
+    // A payload byte: past the 248-byte header, inside the ring.
     assert!(image.len() > 560);
     let at = image.len() / 2;
     image[at] ^= 0x01;

@@ -353,6 +353,7 @@ fn old_formats_are_refused_not_misread() {
     for (file, format) in [
         ("metro_with_l_o.db", "RRPQDB02"),
         ("metro_with_l_o.rpqm", "RRPQM01 version 2"),
+        ("metro_v3.rpqm", "RRPQM01 version 3"),
         ("metro_elias_fano.rpqm", "elias-fano node boundaries"),
     ] {
         let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -174,14 +174,15 @@ fn mapped_metro_index_bytes_are_pinned() {
     let written = db.save_mapped(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(written, 1728);
-    assert_eq!(bytes.len(), 1728);
+    assert_eq!(written, 1352);
+    assert_eq!(bytes.len(), 1352);
     assert_eq!(
         succinct::crc32c(&bytes),
-        0xe335_7ad1,
+        0x3828_bb1a,
         "save_mapped(data/metro.nt) changed: if the format moved on purpose, \
          re-pin, and bump its version unless older and newer files both \
-         still open (version 3's front-coded dictionaries: 1872 B before)"
+         still open (version 4's rank-only levels and no C_S: 1728 B before, \
+         tests/fixtures/metro_v3.rpqm)"
     );
 }
 
