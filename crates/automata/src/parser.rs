@@ -20,9 +20,25 @@
 //! denotes the complement over the *completed* alphabet `Σ↔`: any label of
 //! any direction other than `a` and `b̂`. This matches the paper's framing
 //! of 2RPQs as plain RPQs over `Σ↔` (§3.1).
+//!
+//! Two refusals keep one hostile line from taking a process down. An
+//! expression whose tree, or whose nesting of groups and `^`, is deeper
+//! than [`MAX_DEPTH`] is refused before any recursive pass walks it. A
+//! bounded repetition `{n,m}` whose copies would pass [`MAX_POSITIONS`]
+//! positions is refused before any copy is made.
 
 use crate::ast::{Lit, Regex};
-use crate::Label;
+use crate::{Label, MAX_POSITIONS};
+
+/// The deepest expression the parser accepts, in tree levels and in
+/// nested groups or inverses. Every pass over a [`Regex`] — reversal,
+/// class fusion, the Glushkov construction, `Display`, `Drop`, the
+/// parser itself — recurses once per level, and at this depth each one
+/// fits a 2 MiB thread stack (the `std::thread` default): measured on
+/// x86-64, the deepest accepted line needs under 512 KiB in a release
+/// build and under 1.25 MiB in an unoptimised one. A chain of
+/// [`MAX_POSITIONS`] factors stays below it.
+pub const MAX_DEPTH: usize = 300;
 
 /// Resolves label names to ids of the completed alphabet and provides the
 /// inversion involution `p ↔ p̂`.
@@ -87,6 +103,7 @@ pub fn parse(input: &str, resolver: &impl LabelResolver) -> Result<Regex, ParseE
     let mut p = Parser {
         chars: input.char_indices().collect(),
         pos: 0,
+        nesting: 0,
         resolver,
     };
     let e = p.alt()?;
@@ -94,13 +111,38 @@ pub fn parse(input: &str, resolver: &impl LabelResolver) -> Result<Regex, ParseE
     if p.pos < p.chars.len() {
         return Err(p.err("trailing input"));
     }
-    Ok(e)
+    Ok(e.e)
 }
 
 struct Parser<'a, R> {
     chars: Vec<(usize, char)>,
     pos: usize,
+    /// Groups and inverses open at `pos`: the parser's own recursion.
+    nesting: usize,
     resolver: &'a R,
+}
+
+/// A parsed subexpression and the two sizes the parser bounds.
+struct Sub {
+    e: Regex,
+    /// Tree levels from `e` down to its deepest leaf.
+    depth: usize,
+    /// A lower bound of its position count once label classes are fused
+    /// (`Regex::fuse_classes`): a literal counts 1, a concatenation the
+    /// sum of its parts, an alternation its larger side (the sides may
+    /// fuse into one class), a closure its operand.
+    positions: usize,
+}
+
+impl Sub {
+    fn leaf(e: Regex) -> Sub {
+        let positions = usize::from(matches!(e, Regex::Literal(_)));
+        Sub {
+            e,
+            depth: 1,
+            positions,
+        }
+    }
 }
 
 const RESERVED: &str = "/|*+?()!^{}";
@@ -144,55 +186,73 @@ impl<R: LabelResolver> Parser<'_, R> {
         }
     }
 
-    fn alt(&mut self) -> Result<Regex, ParseError> {
-        let mut e = self.concat()?;
+    /// Refuses an expression (or a nesting) `depth` levels deep past
+    /// [`MAX_DEPTH`].
+    fn check_depth(&self, depth: usize) -> Result<(), ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("expression nests deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// `e` as a subexpression `depth` levels deep.
+    fn sub(&self, e: Regex, depth: usize, positions: usize) -> Result<Sub, ParseError> {
+        self.check_depth(depth)?;
+        Ok(Sub {
+            e,
+            depth,
+            positions,
+        })
+    }
+
+    fn alt(&mut self) -> Result<Sub, ParseError> {
+        let mut a = self.concat()?;
         while self.eat('|') {
-            e = Regex::alt(e, self.concat()?);
+            let b = self.concat()?;
+            let depth = a.depth.max(b.depth) + 1;
+            a = self.sub(Regex::alt(a.e, b.e), depth, a.positions.max(b.positions))?;
         }
-        Ok(e)
+        Ok(a)
     }
 
-    fn concat(&mut self) -> Result<Regex, ParseError> {
-        let mut e = self.postfix()?;
+    fn concat(&mut self) -> Result<Sub, ParseError> {
+        let mut a = self.postfix()?;
         while self.eat('/') {
-            e = Regex::concat(e, self.postfix()?);
+            let b = self.postfix()?;
+            let depth = a.depth.max(b.depth) + 1;
+            a = self.sub(Regex::concat(a.e, b.e), depth, a.positions + b.positions)?;
         }
-        Ok(e)
+        Ok(a)
     }
 
-    fn postfix(&mut self) -> Result<Regex, ParseError> {
-        let mut e = self.atom()?;
+    fn postfix(&mut self) -> Result<Sub, ParseError> {
+        let mut a = self.atom()?;
         loop {
             self.skip_ws();
-            match self.peek() {
-                Some('*') => {
-                    self.pos += 1;
-                    e = Regex::Star(Box::new(e));
-                }
-                Some('+') => {
-                    self.pos += 1;
-                    e = Regex::Plus(Box::new(e));
-                }
-                Some('?') => {
-                    self.pos += 1;
-                    e = Regex::Opt(Box::new(e));
-                }
+            let closure: fn(Box<Regex>) -> Regex = match self.peek() {
+                Some('*') => Regex::Star,
+                Some('+') => Regex::Plus,
+                Some('?') => Regex::Opt,
                 Some('{') => {
                     self.pos += 1;
-                    e = self.bounded_repeat(e)?;
+                    a = self.bounded_repeat(a)?;
+                    continue;
                 }
-                _ => return Ok(e),
-            }
+                _ => return Ok(a),
+            };
+            self.pos += 1;
+            a = self.sub(closure(Box::new(a.e)), a.depth + 1, a.positions)?;
         }
     }
 
     /// `{n}`, `{n,}` or `{n,m}` — bounded repetition, desugared to
     /// concatenations: `E{n,m} = E^n / (E?)^(m-n)`, `E{n,} = E^n / E*`.
     /// (SPARQL 1.1 dropped the operator late in standardisation, but
-    /// engines and Cypher support it; Glushkov position counts grow
-    /// linearly with `m`, so oversized bounds fail automaton construction
-    /// with a typed error, not here.)
-    fn bounded_repeat(&mut self, e: Regex) -> Result<Regex, ParseError> {
+    /// engines and Cypher support it.) The copies multiply `E`'s
+    /// positions, so a repetition whose lower bound passes
+    /// [`MAX_POSITIONS`] — nested ones grow as the product of their
+    /// bounds — is refused here, before any copy is made.
+    fn bounded_repeat(&mut self, a: Sub) -> Result<Sub, ParseError> {
         let n = self.number()?;
         let (lo, hi) = if self.eat(',') {
             self.skip_ws();
@@ -210,13 +270,26 @@ impl<R: LabelResolver> Parser<'_, R> {
                 return Err(self.err(format!("bad repetition bounds {{{lo},{hi}}}")));
             }
             if hi == 0 {
-                return Ok(Regex::Epsilon);
+                return Ok(Sub::leaf(Regex::Epsilon));
             }
         }
         const MAX_REPEAT: u32 = 64;
         if lo > MAX_REPEAT || hi.is_some_and(|h| h > MAX_REPEAT) {
             return Err(self.err(format!("repetition bound exceeds {MAX_REPEAT}")));
         }
+        // `E{n,}` makes n + 1 copies (the last one starred).
+        let copies = hi.unwrap_or(lo + 1) as usize;
+        let positions = a.positions.saturating_mul(copies);
+        if positions > MAX_POSITIONS {
+            return Err(self.err(format!(
+                "repetition makes at least {positions} literal occurrences; \
+                 at most {MAX_POSITIONS} are supported"
+            )));
+        }
+        // A chain of `copies` parts, each at most one level over `E`.
+        let depth = a.depth + copies;
+        self.check_depth(depth)?;
+        let e = a.e;
         let mut parts: Vec<Regex> = Vec::new();
         for _ in 0..lo {
             parts.push(e.clone());
@@ -229,10 +302,11 @@ impl<R: LabelResolver> Parser<'_, R> {
             }
             None => parts.push(Regex::Star(Box::new(e.clone()))),
         }
-        Ok(parts
+        let e = parts
             .into_iter()
             .reduce(Regex::concat)
-            .unwrap_or(Regex::Epsilon))
+            .unwrap_or(Regex::Epsilon);
+        self.sub(e, depth, positions)
     }
 
     fn number(&mut self) -> Result<u32, ParseError> {
@@ -250,41 +324,53 @@ impl<R: LabelResolver> Parser<'_, R> {
             .map_err(|_| self.err("repetition bound too large"))
     }
 
-    fn atom(&mut self) -> Result<Regex, ParseError> {
+    fn atom(&mut self) -> Result<Sub, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some('(') => {
+            // A group or an inverse path: the parser's own recursion,
+            // refused past MAX_DEPTH open ones.
+            Some(open @ ('(' | '^')) => {
                 self.pos += 1;
-                let e = self.alt()?;
-                self.expect(')')?;
-                Ok(e)
-            }
-            Some('^') => {
-                self.pos += 1;
-                let e = self.atom()?;
-                Ok(e.reversed(&|l| self.resolver.inverse(l)))
-            }
-            Some('!') => {
-                self.pos += 1;
-                let mut excluded = Vec::new();
-                if self.eat('(') {
-                    loop {
-                        excluded.push(self.label()?);
-                        if !self.eat('|') {
-                            break;
-                        }
-                    }
-                    self.expect(')')?;
+                self.check_depth(self.nesting + 1)?;
+                self.nesting += 1;
+                let a = if open == '(' {
+                    self.alt()?
                 } else {
-                    excluded.push(self.label()?);
+                    self.atom()?
+                };
+                self.nesting -= 1;
+                if open == '(' {
+                    self.expect(')')?;
+                    return Ok(a);
                 }
-                excluded.sort_unstable();
-                excluded.dedup();
-                Ok(Regex::Literal(Lit::NegClass(excluded)))
+                let e = a.e.reversed(&|l| self.resolver.inverse(l));
+                Ok(Sub { e, ..a })
             }
-            Some(_) => Ok(Regex::Literal(Lit::Label(self.label()?))),
+            Some('!') => self.negated_class(),
+            Some(_) => Ok(Sub::leaf(Regex::label(self.label()?))),
             None => Err(self.err("expected an expression")),
         }
+    }
+
+    /// `!lbl` or `!(lbl|…)`: a negated label class, one literal. (Kept
+    /// out of `atom`, whose stack frame every nested group pays.)
+    fn negated_class(&mut self) -> Result<Sub, ParseError> {
+        self.pos += 1;
+        let mut excluded = Vec::new();
+        if self.eat('(') {
+            loop {
+                excluded.push(self.label()?);
+                if !self.eat('|') {
+                    break;
+                }
+            }
+            self.expect(')')?;
+        } else {
+            excluded.push(self.label()?);
+        }
+        excluded.sort_unstable();
+        excluded.dedup();
+        Ok(Sub::leaf(Regex::Literal(Lit::NegClass(excluded))))
     }
 
     /// A possibly-inverted label name.

@@ -9,8 +9,8 @@
 //!
 //! * [`RpqServer`] — a std-thread worker pool owning an
 //!   `Arc<dyn QuerySource>` (the façade's `RpqDatabase` implements the
-//!   trait), with a session API (`submit`, `submit_batch`, `poll`,
-//!   `cancel`, `wait`) and a blocking convenience (`query_blocking`);
+//!   trait), with a session API — `submit` returns a [`QueryTicket`],
+//!   `wait` redeems it — and a blocking convenience (`query_blocking`);
 //! * [`plan_cache`] — compiled-query sharing: normalized pattern →
 //!   Glushkov product automaton + bit-parallel tables, one `Arc` for all
 //!   workers;
@@ -55,15 +55,13 @@ pub mod source;
 
 pub use plan_cache::PlanCache;
 pub use result_cache::{ResultCache, ResultKey};
-pub use server::{
-    DrainReport, QueryAnswer, QueryBudget, QueryStatus, QueryTicket, RpqServer, ServerConfig,
-};
+pub use server::{DrainReport, QueryAnswer, QueryBudget, QueryTicket, RpqServer, ServerConfig};
 pub use slowlog::{SlowEntry, SlowLog};
 pub use source::{IndexSource, IndexStats, LiveSource, QuerySource, ShardStat, UpdateStats};
 
-/// Errors of the serving layer. `Parse` and `UnknownNode` are
-/// synchronous (reported at submit); the rest surface through
-/// `poll`/`wait`.
+/// Errors of the serving layer. `Parse`, `UnknownNode` and `Overloaded`
+/// are reported at submit; `ShuttingDown` at submit, or through `wait`
+/// for a job still queued at shutdown; the rest surface through `wait`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RpqError {
     /// The path expression failed to parse or mentions an unknown
@@ -87,12 +85,8 @@ pub enum RpqError {
     },
     /// The engine rejected the query.
     Query(rpq_core::QueryError),
-    /// The query was cancelled before producing an answer.
-    Cancelled,
     /// The server is shutting down.
     ShuttingDown,
-    /// The ticket does not name a live job.
-    UnknownTicket,
     /// Evaluation panicked; the worker recovered and kept serving.
     Internal(String),
     /// The server configuration is unusable (rejected at construction,
@@ -115,9 +109,7 @@ impl std::fmt::Display for RpqError {
                 )
             }
             RpqError::Query(e) => write!(f, "query error: {e}"),
-            RpqError::Cancelled => write!(f, "query cancelled"),
             RpqError::ShuttingDown => write!(f, "server shutting down"),
-            RpqError::UnknownTicket => write!(f, "unknown ticket"),
             RpqError::Internal(m) => write!(f, "internal error: {m}"),
             RpqError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
         }
@@ -130,11 +122,11 @@ impl std::error::Error for RpqError {}
 /// propagating the panic into the caller.
 ///
 /// A worker panicking mid-evaluation poisons whatever mutex its stack
-/// happened to hold — most damagingly a job's `status` mutex, which
-/// every client thread then touches through `wait`/`poll`/`cancel`. All
-/// server mutexes guard state that is consistent at every lock
-/// acquisition (status transitions are single-writer per job, the queue
-/// and jobs map are plain collections mutated under the lock), so
+/// happened to hold — most damagingly a job's `outcome` mutex, which
+/// every client thread then touches through `wait`. All server mutexes
+/// guard state that is consistent at every lock acquisition (a job's
+/// outcome is set once, by one writer; the queue is a plain collection
+/// mutated under the lock), so
 /// recovering the guard is sound: the panic is still surfaced — the
 /// worker's `catch_unwind` fails the job with [`RpqError::Internal`] —
 /// but it stays one query's failure instead of cascading panics into

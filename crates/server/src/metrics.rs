@@ -137,8 +137,6 @@ pub struct Metrics {
     pub completed: AtomicU64,
     /// Queries that failed evaluation.
     pub failed: AtomicU64,
-    /// Queries cancelled before producing an answer.
-    pub cancelled: AtomicU64,
     /// Submissions rejected because the queue was full.
     pub rejected_overload: AtomicU64,
     /// Queries aborted because their node budget ran out.
@@ -214,7 +212,6 @@ impl Metrics {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
             rejected_overload: AtomicU64::new(0),
             budget_exceeded: AtomicU64::new(0),
             queue_depth: AtomicUsize::new(0),
@@ -465,7 +462,6 @@ static TABLE: &[Desc] = {
     row(&["queries"], "submitted", One, Num(|v, _| g(&v.m.submitted))).prom(1, "rpq_queries_submitted_total", "Queries accepted: queued, or answered from the result cache at submit."),
     row(&["queries"], "completed", One, Num(|v, _| g(&v.m.completed))).prom(1, "rpq_queries_completed_total", "Queries that produced an answer."),
     row(&["queries"], "failed", One, Num(|v, _| g(&v.m.failed))).prom(1, "rpq_queries_failed_total", "Queries that failed evaluation."),
-    row(&["queries"], "cancelled", One, Num(|v, _| g(&v.m.cancelled))).prom(1, "rpq_queries_cancelled_total", "Queries cancelled before an answer."),
     row(&["queries"], "rejected_overload", One, Num(|v, _| g(&v.m.rejected_overload))).prom(1, "rpq_queries_rejected_overload_total", "Submissions rejected by admission control."),
     row(&["queries"], "budget_exceeded", One, Num(|v, _| g(&v.m.budget_exceeded))).prom(1, "rpq_queries_budget_exceeded_total", "Queries aborted on an exhausted node budget."),
     row(&["queue"], "depth", One, Num(|v, _| v.m.queue_depth.load(Ordering::Relaxed) as u64)).prom(4, "rpq_queue_depth", "Jobs currently queued."),

@@ -2,23 +2,22 @@
 //! immutable ring index, with admission control at the front and the
 //! plan/result caches behind it.
 //!
-//! Life of a query: [`RpqServer::submit`] parses and resolves the string
-//! query on the caller's thread (so parse errors are synchronous) and
-//! looks it up in the result cache there: a hit is answered on the spot,
-//! and its ticket is already `Done`. A miss is enqueued — a full queue
-//! is an [`RpqError::Overloaded`] rejection, *before* any evaluation
-//! work is spent (admission control). A worker pops the job, consults
-//! the result cache again (an identical earlier job may have filled it
-//! meanwhile), then the plan cache (compiling the Glushkov product
-//! automaton on a miss), and runs the engine under the job's
-//! [`QueryBudget`]. Results come back through
-//! [`RpqServer::poll`] / [`RpqServer::wait`] as shared `Arc` answers;
-//! [`RpqServer::cancel`] removes queued jobs immediately and flags
-//! running ones (best effort — the engine's own timeout bounds how long
-//! a running query can linger).
+//! Life of a query: submit, then wait. [`RpqServer::submit`] parses and
+//! resolves the string query on the caller's thread (so parse errors are
+//! synchronous) and looks it up in the result cache there: a hit is
+//! answered on the spot, and its [`QueryTicket`] holds the answer. A miss
+//! is enqueued — a full queue is an [`RpqError::Overloaded`] rejection,
+//! *before* any evaluation work is spent (admission control) — and its
+//! ticket holds the job. A worker pops the job, consults the result
+//! cache again (an identical earlier job may have filled it meanwhile),
+//! then the plan cache (compiling the Glushkov product automaton on a
+//! miss), and runs the engine under the job's [`QueryBudget`].
+//! [`RpqServer::wait`] returns the outcome as a shared `Arc` answer. The
+//! server keeps no table of jobs: a job lives in the queue, on a worker
+//! and in its ticket, and dropping the ticket frees it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -28,7 +27,6 @@ use rpq_core::{
     EngineOptions, EngineScratch, EvalRoute, PreparedQuery, RpqEngine, RpqQuery, SourceSnapshot,
     Term, TraversalStats,
 };
-use succinct::util::FxHashMap;
 
 use crate::metrics::{registry_json, registry_prometheus, Metrics, View};
 use crate::plan_cache::PlanCache;
@@ -73,8 +71,7 @@ pub struct ServerConfig {
     /// Admission-only mode: accept and queue submissions but spawn no
     /// workers, so nothing ever runs — for tests and drain scenarios.
     /// [`RpqServer::wait`] on a queued job fails fast with
-    /// [`RpqError::InvalidConfig`] instead of blocking forever; `poll`
-    /// as usual.
+    /// [`RpqError::InvalidConfig`] instead of blocking forever.
     pub admission_only: bool,
     /// Threads a single query may fan its BFS levels and fast-path
     /// sweeps across ([`EngineOptions::intra_query_threads`]). Clamped at
@@ -127,8 +124,8 @@ impl Default for ServerConfig {
 }
 
 /// A finished answer: distinct pairs in sorted order (deterministic
-/// across runs and thread counts), shared via `Arc` between the jobs
-/// map, the result cache and any number of clients.
+/// across runs and thread counts), shared via `Arc` between the ticket,
+/// the result cache and any number of clients.
 #[derive(Clone, Debug, Default)]
 pub struct QueryAnswer {
     /// Distinct `(subject, object)` pairs, sorted ascending.
@@ -179,33 +176,29 @@ pub struct DrainReport {
     pub checkpoint_error: Option<String>,
 }
 
-/// Handle to a submitted query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct QueryTicket {
-    id: u64,
+/// Handle to a submitted query, redeemed with [`RpqServer::wait`]. It
+/// owns its job: dropping a ticket nobody waited on frees the job and
+/// its answer once no worker holds it.
+pub struct QueryTicket(Ticket);
+
+enum Ticket {
+    /// A result-cache hit, answered at submit.
+    Answered(Arc<QueryAnswer>),
+    /// A miss, queued for a worker.
+    Queued(Arc<Job>),
 }
 
-impl QueryTicket {
-    /// The server-unique job id.
-    pub fn id(&self) -> u64 {
-        self.id
+impl std::fmt::Debug for QueryTicket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self.0 {
+            Ticket::Answered(_) => "QueryTicket(answered)",
+            Ticket::Queued(_) => "QueryTicket(queued)",
+        })
     }
 }
 
-/// Lifecycle of a submitted query.
-#[derive(Clone, Debug)]
-pub enum QueryStatus {
-    /// Admitted, waiting for a worker.
-    Queued,
-    /// A worker is evaluating it.
-    Running,
-    /// Finished with an answer.
-    Done(Arc<QueryAnswer>),
-    /// Finished with an error.
-    Failed(RpqError),
-    /// Cancelled before producing an answer.
-    Cancelled,
-}
+/// What a finished job hands its waiters.
+type Outcome = Result<Arc<QueryAnswer>, RpqError>;
 
 struct Job {
     query: RpqQuery,
@@ -219,17 +212,17 @@ struct Job {
     /// against exactly this epoch's ring + delta, no matter how many
     /// commits land before a worker picks it up.
     snapshot: SourceSnapshot,
-    status: Mutex<QueryStatus>,
+    /// `None` while pending, the outcome once finished.
+    outcome: Mutex<Option<Outcome>>,
     done: Condvar,
-    cancel: AtomicBool,
 }
 
 impl Job {
-    fn finish(&self, status: QueryStatus) {
+    fn finish(&self, outcome: Outcome) {
         // Recovering from poison matters most right here: the worker's
         // panic handler calls `finish` on the very job whose evaluation
         // just panicked, possibly with this mutex poisoned.
-        *lock_ignore_poison(&self.status) = status;
+        *lock_ignore_poison(&self.outcome) = Some(outcome);
         self.done.notify_all();
     }
 }
@@ -242,11 +235,9 @@ struct Shared {
     shutdown: AtomicBool,
     /// Set by [`RpqServer::drain`]: stop admitting, keep evaluating.
     draining: AtomicBool,
-    /// Jobs a worker has claimed (status `Running`) but not finished —
-    /// what a drain waits on after the queue empties.
-    in_flight: std::sync::atomic::AtomicUsize,
-    jobs: Mutex<FxHashMap<u64, Arc<Job>>>,
-    next_id: AtomicU64,
+    /// Jobs a worker has popped but not finished — what a drain waits
+    /// on after the queue empties.
+    in_flight: AtomicUsize,
     plan_cache: PlanCache,
     result_cache: ResultCache,
     metrics: Metrics,
@@ -269,8 +260,8 @@ impl RpqServer {
     /// Starts the worker pool over `source`.
     ///
     /// Rejects configurations that can never serve: `workers == 0`
-    /// without [`ServerConfig::admission_only`] would strand every
-    /// submission as `Queued` forever. `intra_query_threads` is clamped
+    /// without [`ServerConfig::admission_only`] would leave every
+    /// submission queued forever. `intra_query_threads` is clamped
     /// so `workers × intra_query_threads` cannot oversubscribe the
     /// machine.
     pub fn start(source: Arc<dyn QuerySource>, mut config: ServerConfig) -> Result<Self, RpqError> {
@@ -294,9 +285,7 @@ impl RpqServer {
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            in_flight: std::sync::atomic::AtomicUsize::new(0),
-            jobs: Mutex::new(FxHashMap::default()),
-            next_id: AtomicU64::new(1),
+            in_flight: AtomicUsize::new(0),
             plan_cache: PlanCache::new(config.plan_cache_bytes),
             result_cache: ResultCache::new(config.result_cache_bytes),
             metrics: Metrics::new(),
@@ -377,8 +366,8 @@ impl RpqServer {
     /// ([`RpqError::Overloaded`]) happen before any evaluation work.
     ///
     /// A result-cache hit is answered in this call, on the caller's
-    /// thread: the returned ticket [polls](Self::poll) `Done` at once,
-    /// and the hit takes no queue slot and wakes no worker. A miss is
+    /// thread: the returned ticket holds the answer, and the hit takes no
+    /// queue slot and wakes no worker. A miss is
     /// queued, and the worker that picks it up looks in the cache once
     /// more before it evaluates. Either way the request counts one cache
     /// hit or one miss, by where its answer came from.
@@ -424,38 +413,34 @@ impl RpqServer {
             object: query.object,
             epoch: snapshot.epoch,
         };
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut job = Job {
+        let job = Job {
             query,
             key,
             budget,
             submitted: Instant::now(),
             snapshot,
-            status: Mutex::new(QueryStatus::Queued),
+            outcome: Mutex::new(None),
             done: Condvar::new(),
-            cancel: AtomicBool::new(false),
         };
-        // A hit is answered here, on the caller's thread: the job is born
-        // `Done` and takes no queue slot, worker or `in_flight` count, so
-        // a full queue does not refuse it. A miss counts nothing yet; the
-        // worker's lookup at pickup counts it.
+        // A hit is answered here, on the caller's thread: the ticket
+        // holds the answer, and the job takes no queue slot, worker or
+        // `in_flight` count, so a full queue does not refuse it. A miss
+        // counts nothing yet; the worker's lookup at pickup counts it.
         if let Some(cached) = self.shared.result_cache.get_hit(&job.key) {
             let answer = answer_hit(&self.shared, &job, cached, 0);
-            job.status = Mutex::new(QueryStatus::Done(answer));
-            lock_ignore_poison(&self.shared.jobs).insert(id, Arc::new(job));
             self.shared
                 .metrics
                 .submitted
                 .fetch_add(1, Ordering::Relaxed);
-            return Ok(QueryTicket { id });
+            return Ok(QueryTicket(Ticket::Answered(answer)));
         }
         let job = Arc::new(job);
         {
             let mut queue = lock_ignore_poison(&self.shared.queue);
             // Re-checked under the queue lock: shutdown() drains the queue
             // after setting the flag, so a push racing past the earlier
-            // check would strand the job as Queued forever (and a drain
-            // that observed an empty queue must not admit a straggler).
+            // check would leave the job pending forever (and a drain that
+            // observed an empty queue must not admit a straggler).
             if self.shared.shutdown.load(Ordering::Acquire)
                 || self.shared.draining.load(Ordering::Acquire)
             {
@@ -474,110 +459,37 @@ impl RpqServer {
             queue.push_back(Arc::clone(&job));
             self.shared.metrics.note_queue_depth(queue.len());
         }
-        lock_ignore_poison(&self.shared.jobs).insert(id, job);
         self.shared
             .metrics
             .submitted
             .fetch_add(1, Ordering::Relaxed);
         self.shared.queue_cv.notify_one();
-        Ok(QueryTicket { id })
+        Ok(QueryTicket(Ticket::Queued(job)))
     }
 
-    /// Submits many string queries; each slot gets its own ticket or
-    /// synchronous error (one rejected query does not fail the batch).
-    pub fn submit_batch(
-        &self,
-        queries: &[(&str, &str, &str)],
-    ) -> Vec<Result<QueryTicket, RpqError>> {
-        queries
-            .iter()
-            .map(|&(s, e, o)| self.submit(s, e, o))
-            .collect()
-    }
-
-    /// Snapshot of a job's status; `None` for unknown (or forgotten)
-    /// tickets.
-    pub fn poll(&self, ticket: &QueryTicket) -> Option<QueryStatus> {
-        let job = lock_ignore_poison(&self.shared.jobs)
-            .get(&ticket.id)
-            .cloned()?;
-        let status = lock_ignore_poison(&job.status).clone();
-        Some(status)
-    }
-
-    /// Cancels a job. Queued jobs terminate immediately; running jobs
-    /// are flagged (best effort — their answer is discarded when the
-    /// worker finishes). Returns whether the job can still be affected.
-    pub fn cancel(&self, ticket: &QueryTicket) -> bool {
-        let Some(job) = lock_ignore_poison(&self.shared.jobs)
-            .get(&ticket.id)
-            .cloned()
-        else {
-            return false;
-        };
-        job.cancel.store(true, Ordering::Release);
-        let mut status = lock_ignore_poison(&job.status);
-        match &*status {
-            QueryStatus::Queued => {
-                *status = QueryStatus::Cancelled;
-                drop(status);
-                job.done.notify_all();
-                self.shared
-                    .metrics
-                    .cancelled
-                    .fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            QueryStatus::Running => true,
-            _ => false,
-        }
-    }
-
-    /// Blocks until the job finishes, then removes it from the job
-    /// table and returns its outcome.
+    /// Blocks until the ticket's job finishes and returns its outcome.
+    /// A ticket may be waited on any number of times; every call returns
+    /// the same outcome.
     ///
     /// On an admission-only server nothing ever runs, so waiting on a
     /// queued job fails fast with [`RpqError::InvalidConfig`] instead of
-    /// blocking forever (the job stays queued and pollable).
+    /// blocking forever (the job stays queued).
     pub fn wait(&self, ticket: &QueryTicket) -> Result<Arc<QueryAnswer>, RpqError> {
-        let job = lock_ignore_poison(&self.shared.jobs)
-            .get(&ticket.id)
-            .cloned()
-            .ok_or(RpqError::UnknownTicket)?;
-        if self.shared.config.admission_only
-            && matches!(*lock_ignore_poison(&job.status), QueryStatus::Queued)
-        {
+        let job = match &ticket.0 {
+            Ticket::Answered(answer) => return Ok(Arc::clone(answer)),
+            Ticket::Queued(job) => job,
+        };
+        let outcome = lock_ignore_poison(&job.outcome);
+        if outcome.is_none() && self.shared.config.admission_only {
             return Err(RpqError::InvalidConfig(
-                "wait() would block forever: this server is admission-only \
-                 (no workers); poll() instead"
-                    .into(),
+                "wait() would block forever: this server is admission-only (no workers)".into(),
             ));
         }
-        let outcome = {
-            let mut status = lock_ignore_poison(&job.status);
-            loop {
-                match &*status {
-                    QueryStatus::Done(a) => break Ok(Arc::clone(a)),
-                    QueryStatus::Failed(e) => break Err(e.clone()),
-                    QueryStatus::Cancelled => break Err(RpqError::Cancelled),
-                    QueryStatus::Queued | QueryStatus::Running => {
-                        status = job
-                            .done
-                            .wait(status)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                }
-            }
-        };
-        self.forget(ticket);
-        outcome
-    }
-
-    /// Drops a finished (or unwanted) job from the job table. Jobs whose
-    /// outcome was consumed through [`Self::wait`] are forgotten
-    /// automatically; pure [`Self::poll`] users call this when done.
-    pub fn forget(&self, ticket: &QueryTicket) {
-        lock_ignore_poison(&self.shared.jobs).remove(&ticket.id);
+        let outcome = job
+            .done
+            .wait_while(outcome, |o| o.is_none())
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        outcome.clone().expect("woken with an outcome")
     }
 
     /// Submit-and-wait convenience under the default budget.
@@ -629,11 +541,6 @@ impl RpqServer {
         }
     }
 
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        lock_ignore_poison(&self.shared.queue).len()
-    }
-
     /// What both metrics exports render: the registry, the configuration,
     /// and the caches' and the source's counters as of now.
     fn metrics_view(&self) -> View<'_> {
@@ -679,7 +586,7 @@ impl RpqServer {
 
     /// Stops accepting work, joins every worker, and fails whatever was
     /// still queued with [`RpqError::ShuttingDown`]. Idempotent; also
-    /// runs on drop. Tickets stay pollable afterwards.
+    /// runs on drop. Tickets can still be waited on afterwards.
     pub fn shutdown(&self) {
         self.shutdown_impl();
     }
@@ -755,18 +662,11 @@ impl RpqServer {
             let _ = h.join();
         }
         let leftovers: Vec<Arc<Job>> = lock_ignore_poison(&self.shared.queue).drain(..).collect();
-        let mut aborted = 0;
-        for job in leftovers {
-            let mut status = lock_ignore_poison(&job.status);
-            if matches!(*status, QueryStatus::Queued) {
-                *status = QueryStatus::Failed(RpqError::ShuttingDown);
-                drop(status);
-                job.done.notify_all();
-                aborted += 1;
-            }
+        for job in &leftovers {
+            job.finish(Err(RpqError::ShuttingDown));
         }
         self.shared.metrics.note_queue_depth(0);
-        aborted
+        leftovers.len()
     }
 }
 
@@ -784,7 +684,7 @@ impl Drop for RpqServer {
 /// returned used to open exactly that window, and a concurrent
 /// [`RpqServer::drain`] observing it reported the backlog drained while
 /// the job was still about to run.) Callers own the slot: they must
-/// decrement `in_flight` once the job is finished *or* skipped.
+/// decrement `in_flight` once the job is finished.
 fn pop_job(shared: &Shared) -> Option<Arc<Job>> {
     let mut queue = lock_ignore_poison(&shared.queue);
     loop {
@@ -811,17 +711,7 @@ fn worker_loop(shared: &Shared) {
     // compaction enlarges the index.
     let mut scratch = EngineScratch::default();
     while let Some(job) = pop_job(shared) {
-        // Claim the job: skip it if a cancel won the race. A skipped
-        // job gives its in-flight slot (taken by `pop_job`) back.
-        {
-            let mut status = lock_ignore_poison(&job.status);
-            if !matches!(*status, QueryStatus::Queued) {
-                shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                continue;
-            }
-            *status = QueryStatus::Running;
-        }
-        // A panicking evaluation must not strand the job as Running (a
+        // A panicking evaluation must not leave the job pending (a
         // `wait` would block forever) nor shrink the worker pool: fail
         // the job and keep serving. The scratch the evaluation took
         // unwinds with its engine (the mask tables may be mid-update);
@@ -831,7 +721,7 @@ fn worker_loop(shared: &Shared) {
         }));
         if outcome.is_err() {
             shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            job.finish(QueryStatus::Failed(RpqError::Internal(
+            job.finish(Err(RpqError::Internal(
                 "query evaluation panicked; see server logs".into(),
             )));
         }
@@ -945,12 +835,7 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
     // submit, but an identical earlier job may have filled it while this
     // one waited in the queue.
     if let Some(cached) = shared.result_cache.get(&job.key) {
-        job.finish(QueryStatus::Done(answer_hit(
-            shared,
-            job,
-            cached,
-            queue_wait_us,
-        )));
+        job.finish(Ok(answer_hit(shared, job, cached, queue_wait_us)));
         return;
     }
 
@@ -964,7 +849,7 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
         Ok(plan) => plan,
         Err(e) => {
             metrics.failed.fetch_add(1, Ordering::Relaxed);
-            job.finish(QueryStatus::Failed(RpqError::Query(e)));
+            job.finish(Err(RpqError::Query(e)));
             return;
         }
     };
@@ -986,7 +871,7 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
         Ok(out) => out,
         Err(e) => {
             metrics.failed.fetch_add(1, Ordering::Relaxed);
-            job.finish(QueryStatus::Failed(RpqError::Query(e)));
+            job.finish(Err(RpqError::Query(e)));
             return;
         }
     };
@@ -1011,7 +896,7 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
     if out.budget_exhausted {
         metrics.budget_exceeded.fetch_add(1, Ordering::Relaxed);
         metrics.failed.fetch_add(1, Ordering::Relaxed);
-        job.finish(QueryStatus::Failed(RpqError::BudgetExceeded {
+        job.finish(Err(RpqError::BudgetExceeded {
             visited: out.stats.product_nodes,
             budget: job.budget.node_budget.unwrap_or(0),
         }));
@@ -1058,24 +943,19 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
     if let Some(r) = route {
         metrics.route_histogram(r).record(exec);
     }
-    if job.cancel.load(Ordering::Acquire) {
-        metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-        job.finish(QueryStatus::Cancelled);
+    metrics.completed.fetch_add(1, Ordering::Relaxed);
+    offer_slow(
+        shared,
+        job,
+        &answer,
+        total.as_micros().min(u128::from(u64::MAX)) as u64,
+        queue_wait_us,
+    );
+    job.finish(Ok(if shared.config.profile {
+        answer
     } else {
-        metrics.completed.fetch_add(1, Ordering::Relaxed);
-        offer_slow(
-            shared,
-            job,
-            &answer,
-            total.as_micros().min(u128::from(u64::MAX)) as u64,
-            queue_wait_us,
-        );
-        job.finish(QueryStatus::Done(if shared.config.profile {
-            answer
-        } else {
-            stripped
-        }));
-    }
+        stripped
+    }));
 }
 
 #[cfg(test)]
@@ -1091,27 +971,35 @@ mod tests {
         RpqServer::start(Arc::new(IndexSource::id_only(ring)), config).unwrap()
     }
 
-    /// Panics while holding the job's status mutex, poisoning it — the
+    /// The job a queued ticket owns.
+    fn job_of(ticket: &QueryTicket) -> &Arc<Job> {
+        match &ticket.0 {
+            Ticket::Queued(job) => job,
+            Ticket::Answered(_) => panic!("expected a queued ticket"),
+        }
+    }
+
+    /// Panics while holding the job's outcome mutex, poisoning it — the
     /// state a worker panic used to leave behind.
-    fn poison_status(job: &Arc<Job>) {
+    fn poison_outcome(job: &Arc<Job>) {
         let j = Arc::clone(job);
         let outcome = std::thread::Builder::new()
             .name("poisoner".into())
             .spawn(move || {
-                let _guard = j.status.lock().unwrap();
-                panic!("deliberately poisoning the status mutex");
+                let _guard = j.outcome.lock().unwrap();
+                panic!("deliberately poisoning the outcome mutex");
             })
             .unwrap()
             .join();
         assert!(outcome.is_err());
-        assert!(job.status.is_poisoned());
+        assert!(job.outcome.is_poisoned());
     }
 
-    /// Regression: a poisoned status mutex used to turn every client
-    /// touch (`poll`, `cancel`, `wait`) into a fresh panic via
-    /// `.lock().unwrap()`. All of them must recover the lock and keep
-    /// the job's lifecycle working. Deterministic via `admission_only`:
-    /// the job is pinned at `Queued`, so the poison always lands first.
+    /// Regression: a poisoned outcome mutex used to turn every client
+    /// touch into a fresh panic via `.lock().unwrap()`. `wait` and the
+    /// shutdown that fails the queued job must both recover the lock.
+    /// Deterministic via `admission_only`: the job stays queued, so the
+    /// poison always lands first.
     #[test]
     fn poisoned_status_mutex_does_not_cascade_into_clients() {
         let server = tiny_server(ServerConfig {
@@ -1120,44 +1008,55 @@ mod tests {
             ..ServerConfig::default()
         });
         let ticket = server.submit("0", "0", "?y").unwrap();
-        let job = lock_ignore_poison(&server.shared.jobs)
-            .get(&ticket.id)
-            .cloned()
-            .unwrap();
-        poison_status(&job);
+        poison_outcome(job_of(&ticket));
 
-        assert!(matches!(server.poll(&ticket), Some(QueryStatus::Queued)));
-        assert!(server.cancel(&ticket), "cancel must work through poison");
-        assert!(matches!(server.poll(&ticket), Some(QueryStatus::Cancelled)));
-        assert!(matches!(server.wait(&ticket), Err(RpqError::Cancelled)));
+        assert!(matches!(
+            server.wait(&ticket),
+            Err(RpqError::InvalidConfig(_))
+        ));
         server.shutdown();
+        assert_eq!(server.wait(&ticket).unwrap_err(), RpqError::ShuttingDown);
     }
 
-    /// The same sweep on a serving pool: jobs whose status mutex was
-    /// poisoned mid-queue must still be claimed, evaluated and finished
-    /// by the worker, and `wait` must hand their answers back instead of
+    /// The same sweep on a serving pool: jobs whose outcome mutex was
+    /// poisoned mid-queue must still be evaluated and finished by the
+    /// worker, and `wait` must hand their answers back instead of
     /// propagating the poison.
     #[test]
     fn wait_on_a_poisoned_job_still_returns_its_answer() {
         let server = tiny_server(ServerConfig {
             workers: 1,
+            result_cache_bytes: 0,
             ..ServerConfig::default()
         });
         let tickets: Vec<QueryTicket> = (0..16)
             .map(|_| server.submit("?x", "0+", "?y").unwrap())
             .collect();
-        // Poison every job still reachable — some queued, some already
-        // running or done, covering both claim-time and finish-time
-        // recovery in the worker.
+        // Poison every job — some queued, some already running or done,
+        // covering finish-time recovery in the worker.
         for t in &tickets {
-            if let Some(job) = lock_ignore_poison(&server.shared.jobs).get(&t.id).cloned() {
-                poison_status(&job);
-            }
+            poison_outcome(job_of(t));
         }
         for t in &tickets {
             let answer = server.wait(t).expect("a poisoned job must still finish");
             assert_eq!(answer.pairs, vec![(0, 1), (0, 2), (1, 2)]);
         }
         server.shutdown();
+    }
+
+    /// The server keeps no reference to a job once it is finished: a
+    /// ticket dropped unwaited frees its job, answer and snapshot.
+    #[test]
+    fn a_dropped_ticket_frees_its_job() {
+        let server = tiny_server(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let ticket = server.submit("?x", "0+", "?y").unwrap();
+        let job = Arc::downgrade(job_of(&ticket));
+        drop(ticket);
+        // Once drained, no worker holds the job either.
+        assert_eq!(server.drain(Duration::from_secs(30)).aborted, 0);
+        assert!(job.upgrade().is_none(), "nothing may keep a dropped job");
     }
 }

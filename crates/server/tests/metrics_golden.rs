@@ -105,7 +105,6 @@ fn busy() -> RpqServer {
         (&m.submitted, 101),
         (&m.completed, 90),
         (&m.failed, 4),
-        (&m.cancelled, 3),
         (&m.rejected_overload, 2),
         (&m.budget_exceeded, 1),
         (&m.epoch_bumps, 8),

@@ -1,6 +1,6 @@
 //! Integration tests of the query service: concurrent differential
 //! correctness against the sequential oracle, admission control,
-//! budgets, cancellation, cache behavior and the metrics export.
+//! budgets, refusals, cache behavior and the metrics export.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use ring::ring::RingOptions;
 use ring::{Graph, Ring, Triple};
 use rpq_core::oracle::evaluate_naive;
 use rpq_core::{QueryError, RpqQuery, Term};
-use rpq_server::{IndexSource, QueryBudget, QueryStatus, RpqError, RpqServer, ServerConfig};
+use rpq_server::{IndexSource, QueryBudget, RpqError, RpqServer, ServerConfig};
 use workload::{GraphGen, GraphGenConfig, QueryGen};
 
 fn workload_graph(seed: u64) -> Graph {
@@ -154,6 +154,7 @@ fn cache_hits_respect_the_requesters_result_limit() {
     assert_eq!(full.pairs.len(), 20);
     assert!(full.is_complete());
     // Same key, tiny limit: served from cache, truncated to the limit.
+    let waits = server.metrics().queue_wait.count();
     let t = server
         .submit_parsed(
             q(),
@@ -163,8 +164,8 @@ fn cache_hits_respect_the_requesters_result_limit() {
             },
         )
         .unwrap();
-    // The hit goes through `submit`'s own lookup: done before any wait.
-    assert!(matches!(server.poll(&t), Some(QueryStatus::Done(_))));
+    // The hit goes through `submit`'s own lookup: it never queues.
+    assert_eq!(server.metrics().queue_wait.count(), waits);
     let small = server.wait(&t).unwrap();
     assert_eq!(small.pairs.len(), 3);
     assert!(small.truncated);
@@ -174,9 +175,9 @@ fn cache_hits_respect_the_requesters_result_limit() {
     server.shutdown();
 }
 
-/// A result-cache hit is answered inside `submit`: its ticket polls
-/// `Done` at once, with the evaluated answer, and the hit never touches
-/// the queue — no queue-wait sample, no queue depth.
+/// A result-cache hit is answered inside `submit`: its ticket holds the
+/// evaluated answer, and the hit never touches the queue — no queue-wait
+/// sample, no queue depth.
 #[test]
 fn a_cached_answer_is_done_at_submit() {
     let graph = workload_graph(0xD0E);
@@ -193,10 +194,6 @@ fn a_cached_answer_is_done_at_submit() {
     let m = server.metrics();
     let (waits, peak) = (m.queue_wait.count(), m.queue_peak.load(Ordering::Relaxed));
     let t = server.submit("?x", "0+", "?y").unwrap();
-    match server.poll(&t) {
-        Some(QueryStatus::Done(hit)) => assert_eq!(hit.pairs, evaluated.pairs),
-        other => panic!("a hit must be done at submit, got {other:?}"),
-    }
     assert_eq!(server.wait(&t).unwrap().pairs, evaluated.pairs);
     assert_eq!(m.queue_wait.count(), waits, "a hit must not queue");
     assert_eq!(m.queue_peak.load(Ordering::Relaxed), peak);
@@ -236,11 +233,11 @@ fn pipelined_repeats_count_one_hit_and_one_miss() {
 }
 
 /// Admission control: a full queue rejects synchronously with
-/// `Overloaded`, queued jobs can be cancelled, and the metrics gauges
-/// track depth and rejections. (`admission_only` keeps jobs queued
-/// forever, making the test deterministic.)
+/// `Overloaded`, and the metrics gauges track depth and rejections.
+/// (`admission_only` keeps jobs queued forever, making the test
+/// deterministic.)
 #[test]
-fn admission_control_and_cancellation() {
+fn admission_control_rejects_a_full_queue() {
     let graph = Graph::from_triples(vec![Triple::new(0, 0, 1), Triple::new(1, 0, 2)]);
     let ring = Ring::build(&graph, RingOptions::default());
     let server = RpqServer::start(
@@ -254,49 +251,107 @@ fn admission_control_and_cancellation() {
     )
     .unwrap();
 
-    let tickets: Vec<_> = (0..4)
+    let _tickets: Vec<_> = (0..4)
         .map(|_| server.submit("0", "0+", "?y").expect("queue has room"))
         .collect();
-    assert_eq!(server.queue_depth(), 4);
+    let m = server.metrics();
+    assert_eq!(m.queue_depth.load(Ordering::Relaxed), 4);
     match server.submit("0", "0+", "?y") {
         Err(RpqError::Overloaded { pending, capacity }) => {
             assert_eq!((pending, capacity), (4, 4));
         }
         other => panic!("expected Overloaded, got {other:?}"),
     }
-    assert!(matches!(
-        server.poll(&tickets[0]),
-        Some(QueryStatus::Queued)
-    ));
-
-    // Cancel a queued job: immediate, observable, idempotent.
-    assert!(server.cancel(&tickets[1]));
-    assert!(matches!(
-        server.poll(&tickets[1]),
-        Some(QueryStatus::Cancelled)
-    ));
-    assert!(!server.cancel(&tickets[1]), "already terminal");
-    assert_eq!(server.wait(&tickets[1]).unwrap_err(), RpqError::Cancelled);
-
-    // Unknown tickets are typed errors, not panics.
-    assert!(server.poll(&tickets[1]).is_none(), "wait() forgets the job");
-    assert_eq!(
-        server.wait(&tickets[1]).unwrap_err(),
-        RpqError::UnknownTicket
-    );
-
-    let m = server.metrics();
     assert_eq!(m.rejected_overload.load(Ordering::Relaxed), 1);
-    assert_eq!(m.cancelled.load(Ordering::Relaxed), 1);
+    assert_eq!(m.submitted.load(Ordering::Relaxed), 4);
     assert_eq!(m.queue_peak.load(Ordering::Relaxed), 4);
     server.shutdown();
 }
 
-/// An expression past the widest state mask is refused by its position
-/// count before anything is compiled: on a one-worker server over the
-/// metro graph, a 3000-factor `l1*` chain fails fast with the typed
-/// error, leaves no plan-cache entry, and the worker answers the next
-/// ordinary query.
+/// A ticket may be waited on more than once, and every wait returns the
+/// same outcome: for a queued miss, for a hit answered at submit, and for
+/// a failed job.
+#[test]
+fn waiting_twice_returns_the_same_outcome() {
+    let graph = Graph::from_triples((0..50).map(|i| Triple::new(i, 0, i + 1)).collect());
+    let ring = Ring::build(&graph, RingOptions::default());
+    let server = RpqServer::start(
+        Arc::new(IndexSource::id_only(ring)),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let miss = server.submit("?x", "0+", "?y").unwrap();
+    let first = server.wait(&miss).unwrap();
+    let again = server.wait(&miss).unwrap();
+    assert!(Arc::ptr_eq(&first, &again), "the same answer, not a copy");
+    assert_eq!(first.pairs.len(), 50 * 51 / 2);
+
+    let hit = server.submit("?x", "0+", "?y").unwrap();
+    let (a, b) = (server.wait(&hit).unwrap(), server.wait(&hit).unwrap());
+    assert!(Arc::ptr_eq(&a, &b));
+    assert_eq!(a.pairs, first.pairs);
+
+    let tiny = QueryBudget {
+        node_budget: Some(2),
+        ..QueryBudget::default()
+    };
+    let failed = server.submit_with("?x", "0/0/0+", "?y", tiny).unwrap();
+    let err = server.wait(&failed).unwrap_err();
+    assert!(matches!(err, RpqError::BudgetExceeded { .. }), "{err:?}");
+    assert_eq!(server.wait(&failed).unwrap_err(), err);
+
+    let m = server.metrics();
+    assert_eq!(m.submitted.load(Ordering::Relaxed), 3);
+    assert_eq!(m.completed.load(Ordering::Relaxed), 2);
+    assert_eq!(m.failed.load(Ordering::Relaxed), 1);
+    server.shutdown();
+}
+
+/// A panicking evaluation fails its own job with `Internal` and nothing
+/// else: the jobs queued around it are answered, and the one worker keeps
+/// serving. The trigger is an id-level query naming a label outside the
+/// ring's alphabet, which the engine does not check and panics on.
+#[test]
+fn a_panicking_evaluation_fails_only_its_own_job() {
+    let graph = Graph::from_triples(vec![Triple::new(0, 0, 1), Triple::new(1, 0, 2)]);
+    let ring = Ring::build(&graph, RingOptions::default());
+    let server = RpqServer::start(
+        Arc::new(IndexSource::id_only(ring)),
+        ServerConfig {
+            workers: 1,
+            result_cache_bytes: 0,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let good = || RpqQuery::new(Term::Var, automata::Regex::label(0), Term::Var);
+    let bad = RpqQuery::new(Term::Var, automata::Regex::label(77), Term::Var);
+    let before = server
+        .submit_parsed(good(), QueryBudget::default())
+        .unwrap();
+    let panics = server.submit_parsed(bad, QueryBudget::default()).unwrap();
+    let after = server
+        .submit_parsed(good(), QueryBudget::default())
+        .unwrap();
+    assert!(matches!(server.wait(&panics), Err(RpqError::Internal(_))));
+    assert_eq!(server.wait(&before).unwrap().pairs, vec![(0, 1), (1, 2)]);
+    assert_eq!(server.wait(&after).unwrap().pairs, vec![(0, 1), (1, 2)]);
+    let m = server.metrics();
+    assert_eq!(m.failed.load(Ordering::Relaxed), 1);
+    assert_eq!(m.completed.load(Ordering::Relaxed), 2);
+    server.shutdown();
+}
+
+/// One hostile line cannot take a session down. On a one-worker server
+/// over the metro graph, each family — deep nesting, flat alternation,
+/// nested repetition, long concatenation — is refused at submit with a
+/// typed parse error in under 50 ms, and a chain past the widest state
+/// mask by its position count before anything is compiled. None of them
+/// leaves a plan-cache entry, and the worker answers the ordinary query
+/// that follows each one.
 #[test]
 fn a_refused_expression_does_not_take_a_session_down() {
     let graph = workload::metro::metro();
@@ -315,20 +370,43 @@ fn a_refused_expression_does_not_take_a_session_down() {
         let entries = &cache[cache.find("\"entries\":").unwrap() + 10..];
         entries[..entries.find(',').unwrap()].to_string()
     };
-
-    let t0 = Instant::now();
-    let refused = server.query_blocking("?x", &vec!["0*"; 3000].join("/"), "?y");
-    let took = t0.elapsed();
-    let too_many = QueryError::Automaton(AutomatonError::TooManyPositions(3000));
-    assert_eq!(refused.unwrap_err(), RpqError::Query(too_many));
-    assert!(took < Duration::from_millis(50), "refused in {took:?}");
-    assert_eq!(plan_entries(&server), "0");
-
     let star = automata::Regex::Star(Box::new(automata::Regex::label(0)));
-    let answer = server.query_blocking("?x", "0*", "?y").unwrap();
-    let query = RpqQuery::new(Term::Var, star, Term::Var);
-    assert_eq!(answer.pairs, evaluate_naive(&graph, &query));
-    assert_eq!(plan_entries(&server), "1");
+    let expected = evaluate_naive(&graph, &RpqQuery::new(Term::Var, star, Term::Var));
+
+    let nested = format!("{}0{}", "(".repeat(12_000), ")".repeat(12_000));
+    let alternation = vec!["0"; 20_000].join("|");
+    let repetition = "((((0{64}){64}){64}){64}){64}".to_string();
+    let concatenation = vec!["0*"; 3000].join("/");
+    let too_many = QueryError::Automaton(AutomatonError::TooManyPositions(256));
+    let hostile: [(&str, &str, Option<RpqError>); 5] = [
+        (&nested, "nests deeper than", None),
+        (&alternation, "nests deeper than", None),
+        (&repetition, "at least 4096 literal occurrences", None),
+        (&concatenation, "nests deeper than", None),
+        (
+            &vec!["0*"; 256].join("/"),
+            "",
+            Some(RpqError::Query(too_many)),
+        ),
+    ];
+    for (round, (expr, needle, typed)) in hostile.into_iter().enumerate() {
+        let t0 = Instant::now();
+        let refused = server.query_blocking("?x", expr, "?y").unwrap_err();
+        let took = t0.elapsed();
+        match typed {
+            Some(err) => assert_eq!(refused, err),
+            None => assert!(
+                matches!(&refused, RpqError::Parse(m) if m.contains(needle)),
+                "{refused}"
+            ),
+        }
+        assert!(took < Duration::from_millis(50), "refused in {took:?}");
+        assert_eq!(plan_entries(&server), if round == 0 { "0" } else { "1" });
+
+        let answer = server.query_blocking("?x", "0*", "?y").unwrap();
+        assert_eq!(answer.pairs, expected);
+        assert_eq!(plan_entries(&server), "1");
+    }
     server.shutdown();
 }
 
@@ -388,10 +466,10 @@ fn node_budget_exceeded_is_a_hard_error() {
     server.shutdown();
 }
 
-/// Parse and resolution errors are synchronous at submit; one bad entry
-/// does not poison a batch.
+/// Parse and resolution errors are synchronous at submit, and a
+/// rejected line leaves the ones submitted around it untouched.
 #[test]
-fn submit_batch_isolates_bad_entries() {
+fn submit_errors_are_synchronous() {
     let graph = Graph::from_triples(vec![Triple::new(0, 0, 1)]);
     let ring = Ring::build(&graph, RingOptions::default());
     let server = RpqServer::start(
@@ -402,17 +480,19 @@ fn submit_batch_isolates_bad_entries() {
         },
     )
     .unwrap();
-    let results = server.submit_batch(&[
-        ("0", "0", "?y"),
-        ("0", "0/(", "?y"), // parse error
-        ("zzz", "0", "?y"), // unknown node
-        ("?x", "0", "1"),
-    ]);
-    assert!(results[0].is_ok());
-    assert!(matches!(results[1], Err(RpqError::Parse(_))));
-    assert!(matches!(results[2], Err(RpqError::UnknownNode(_))));
-    let good = results[3].as_ref().unwrap();
-    assert_eq!(server.wait(good).unwrap().pairs, vec![(0, 1)]);
+    let first = server.submit("0", "0", "?y").unwrap();
+    assert!(matches!(
+        server.submit("0", "0/(", "?y"),
+        Err(RpqError::Parse(_))
+    ));
+    assert!(matches!(
+        server.submit("zzz", "0", "?y"),
+        Err(RpqError::UnknownNode(_))
+    ));
+    let last = server.submit("?x", "0", "1").unwrap();
+    assert_eq!(server.wait(&first).unwrap().pairs, vec![(0, 1)]);
+    assert_eq!(server.wait(&last).unwrap().pairs, vec![(0, 1)]);
+    assert_eq!(server.metrics().submitted.load(Ordering::Relaxed), 2);
     server.shutdown();
 }
 
@@ -483,10 +563,6 @@ fn shutdown_drains_and_rejects() {
     .unwrap();
     let ticket = server.submit("0", "0", "?y").unwrap();
     server.shutdown();
-    assert!(matches!(
-        server.poll(&ticket),
-        Some(QueryStatus::Failed(RpqError::ShuttingDown))
-    ));
     assert_eq!(
         server.wait(&ticket).unwrap_err(),
         RpqError::ShuttingDown,
@@ -524,8 +600,8 @@ fn zero_worker_config_is_rejected_and_admission_only_wait_fails_fast() {
         Err(other) => panic!("expected InvalidConfig, got {other:?}"),
     }
 
-    // The sanctioned queue-only mode: submissions queue, `poll` works,
-    // and `wait` on a queued job is a typed error, not a hang.
+    // The sanctioned queue-only mode: submissions queue, and `wait` on a
+    // queued job is a typed error, not a hang.
     let server = RpqServer::start(
         source,
         ServerConfig {
@@ -536,15 +612,14 @@ fn zero_worker_config_is_rejected_and_admission_only_wait_fails_fast() {
     )
     .unwrap();
     let ticket = server.submit("0", "0", "?y").unwrap();
-    assert!(matches!(server.poll(&ticket), Some(QueryStatus::Queued)));
     assert!(matches!(
         server.wait(&ticket),
         Err(RpqError::InvalidConfig(_))
     ));
-    // The job is untouched: still queued, still pollable, cancellable.
-    assert!(matches!(server.poll(&ticket), Some(QueryStatus::Queued)));
-    assert!(server.cancel(&ticket));
+    // The job is untouched: still queued, and shutdown fails it.
+    assert_eq!(server.metrics().queue_depth.load(Ordering::Relaxed), 1);
     server.shutdown();
+    assert_eq!(server.wait(&ticket).unwrap_err(), RpqError::ShuttingDown);
 }
 
 /// Graceful drain: admissions stop immediately, the backlog finishes,
@@ -573,11 +648,14 @@ fn drain_finishes_backlog_then_deadline_aborts_stragglers() {
         report.checkpoint_epoch.is_none() && report.checkpoint_error.is_none(),
         "an immutable source has nothing durable to checkpoint"
     );
+    let m = server.metrics();
+    assert_eq!(
+        m.completed.load(Ordering::Relaxed),
+        8,
+        "drained jobs completed"
+    );
     for t in &tickets {
-        assert!(
-            matches!(server.poll(t), Some(QueryStatus::Done(_))),
-            "drained jobs must have completed"
-        );
+        assert!(server.wait(t).is_ok(), "drained jobs must have completed");
     }
     assert!(
         matches!(server.submit("?x", "0", "?y"), Err(RpqError::ShuttingDown)),
@@ -603,16 +681,16 @@ fn drain_finishes_backlog_then_deadline_aborts_stragglers() {
     let report = server.drain(Duration::from_millis(50));
     assert_eq!(report.drained, 0);
     assert_eq!(report.aborted, 1);
-    assert!(matches!(
-        server.poll(&ticket),
-        Some(QueryStatus::Failed(RpqError::ShuttingDown))
-    ));
+    assert_eq!(server.wait(&ticket).unwrap_err(), RpqError::ShuttingDown);
+    let m = server.metrics();
+    assert_eq!(m.drained_jobs.load(Ordering::Relaxed), 0);
+    assert_eq!(m.aborted_jobs.load(Ordering::Relaxed), 1);
 }
 
 /// Submissions racing a drain must never strand a job: each submit
 /// either gets a synchronous rejection (`ShuttingDown`/`Overloaded`) or
-/// its ticket resolves to a terminal state once `drain` returns — no
-/// ticket may still read `Queued` or `Running`. (The worker used to
+/// its job has finished once `drain` returns — every accepted job counts
+/// as completed before any ticket is waited on. (The worker used to
 /// count a popped job into `in_flight` only after releasing the queue
 /// lock, so a drain could observe the job in neither the queue nor the
 /// in-flight count and declare the backlog drained while it still ran.)
@@ -666,13 +744,18 @@ fn drain_racing_submissions_strands_no_job() {
             accepted = handles.into_iter().map(|h| h.join().unwrap()).collect();
         });
 
+        // Counted before any wait, so a pending job fails the test
+        // instead of hanging it.
+        let n = accepted.iter().map(Vec::len).sum::<usize>() as u64;
+        let m = server.metrics();
+        assert_eq!(m.submitted.load(Ordering::Relaxed), n, "round {round}");
+        assert_eq!(
+            m.completed.load(Ordering::Relaxed),
+            n,
+            "round {round}: an accepted job was left pending after a successful drain"
+        );
         for t in accepted.iter().flatten() {
-            match server.poll(t) {
-                Some(QueryStatus::Done(_)) => {}
-                other => {
-                    panic!("round {round}: accepted job left in {other:?} after a successful drain")
-                }
-            }
+            assert!(server.wait(t).is_ok(), "round {round}");
         }
     }
 }
