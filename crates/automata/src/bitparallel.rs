@@ -94,7 +94,7 @@ impl<M: StateMask> BitParallel<M> {
     }
 
     /// Builds the simulation tables splitting `T`/`T'` into `d`-bit
-    /// subtables (`1 ≤ d ≤ 16` is sensible; the A3 ablation sweeps this).
+    /// subtables (`1 ≤ d ≤ 16` is sensible).
     pub fn with_split_width(g: &Glushkov<M>, d: usize) -> Self {
         assert!((1..=20).contains(&d), "split width {d} out of range");
         let m = g.positions();

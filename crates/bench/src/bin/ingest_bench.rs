@@ -258,8 +258,8 @@ fn main() {
     let mapped_path = dir.join("index.rpqm");
 
     eprintln!(
-        "ingest bench: {n_triples} triples, pool capacity {}{}",
-        rpq_core::parallel::pool_capacity(),
+        "ingest bench: {n_triples} triples, {} host threads{}",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         if quick { " (quick)" } else { "" }
     );
 

@@ -226,7 +226,6 @@ impl<'r> RpqEngine<'r> {
                 object,
                 opts,
                 deadline,
-                plan.intra_query_threads,
             )),
             EvalRoute::Split => {
                 let split = plan.split.as_ref().expect("a split plan carries its split");
@@ -239,9 +238,7 @@ impl<'r> RpqEngine<'r> {
                     src,
                     scratch: &mut self.scratch,
                     tables,
-                    opts,
                     deadline,
-                    threads: plan.intra_query_threads,
                     prof: levels,
                     negated_labels: [None, None],
                 };

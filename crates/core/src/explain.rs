@@ -185,7 +185,6 @@ impl QueryPlan {
             }
         }
         w.field_u64("estimated_cost", self.plan.estimated_cost)
-            .field_u64("intra_query_threads", self.plan.intra_query_threads as u64)
             .field_u64("positions", self.positions as u64)
             .field_bool("nullable", self.nullable)
             .end_object();
@@ -218,8 +217,6 @@ impl QueryProfile {
             w.begin_object()
                 .field_u64("frontier", l.frontier)
                 .field_u64("rank_ops", l.rank_ops)
-                .field_u64("chunks", l.chunks)
-                .field_bool("parallel", l.parallel)
                 .end_object();
         }
         w.end_array();
@@ -411,8 +408,6 @@ mod tests {
             levels: vec![LevelSample {
                 frontier: 4,
                 rank_ops: 5,
-                chunks: 0,
-                parallel: false,
             }],
             queue_wait_us: None,
             compile_us: None,
@@ -422,7 +417,7 @@ mod tests {
             p.to_json(),
             "{\"plan_us\":1,\"exec_us\":2,\"total_us\":3,\"compactions\":1,\
              \"part_one_ns\":6,\"part_two_ns\":7,\"replay_ns\":8,\"order_ns\":9,\
-             \"levels\":[{\"frontier\":4,\"rank_ops\":5,\"chunks\":0,\"parallel\":false}]}"
+             \"levels\":[{\"frontier\":4,\"rank_ops\":5}]}"
         );
         // Server-path keys appear exactly when filled, in fixed order.
         let p = QueryProfile {

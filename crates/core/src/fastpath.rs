@@ -79,9 +79,7 @@ pub fn shape_of(expr: &Regex) -> Shape {
     }
 }
 
-/// Evaluates a specializable shape anchored at the given endpoints,
-/// fanning large variable-to-variable sweeps across up to `threads`
-/// pool workers.
+/// Evaluates a specializable shape anchored at the given endpoints.
 pub(crate) fn evaluate<S: StepSource + ?Sized>(
     src: &S,
     shape: &Shape,
@@ -89,7 +87,6 @@ pub(crate) fn evaluate<S: StepSource + ?Sized>(
     object: Term,
     opts: &EngineOptions,
     deadline: Option<Instant>,
-    threads: usize,
 ) -> QueryOutput {
     let mut sink = Sink {
         limit: opts.limit,
@@ -97,7 +94,6 @@ pub(crate) fn evaluate<S: StepSource + ?Sized>(
         // node budget degenerates to a pair cap here.
         node_budget: opts.node_budget.map_or(usize::MAX, |nb| nb as usize),
         deadline,
-        fan_out: (threads > 1).then(|| (threads - 1, opts.parallel_min_frontier.max(2))),
         phases: opts.profile.then(PhaseTimes::default),
         ..Sink::default()
     };
@@ -123,8 +119,6 @@ pub(crate) fn evaluate<S: StepSource + ?Sized>(
     out.stats = TraversalStats {
         reported: distinct,
         product_nodes: distinct,
-        parallel_levels: sink.par_levels,
-        parallel_chunks: sink.par_chunks,
         pair_compactions: sink.buf.compactions(),
         ..sink.work
     };
@@ -149,8 +143,6 @@ struct Batch {
     y: ChunkExpansion,
     /// The batch's `(s, o)` pairs, item by item.
     pairs: Vec<(Id, Id)>,
-    /// Nanoseconds the batch took, when the query is profiled.
-    ns: u64,
 }
 
 /// Result collector: a [`PairBuffer`] (sorted-vec dedup, no hashing on
@@ -167,15 +159,9 @@ struct Sink {
     truncated: bool,
     timed_out: bool,
     budget_exhausted: bool,
-    /// Pool helpers a sweep may ask for, and the fewest items it must
-    /// have to ask (small joins pay nothing); `None` on one thread.
-    fan_out: Option<(usize, usize)>,
-    /// Sweeps that fanned out across pool workers.
-    par_levels: u64,
-    /// Chunks whose speculative results were merged from the pool.
-    par_chunks: u64,
-    /// The buffers sweeps step their batches in, kept from one to the next.
-    batches: Vec<Batch>,
+    /// The buffers sweeps step their batches in, kept from one to the
+    /// next; allocated by the first sweep.
+    batch: Option<Box<Batch>>,
     /// What the steps, listings and intersections did: their
     /// `rank_ops`, `rank_ops_saved` and `wavelet_nodes`.
     work: TraversalStats,
@@ -280,43 +266,27 @@ impl Sink {
         false
     }
 
-    /// Sweeps `items` a [`STEP_BATCH`] at a time — on the pool when there
-    /// are enough of them — handing on what `pairs_of` makes of each
-    /// batch in batch order, until the sink is full. Chunk geometry is
-    /// the same on every thread count and results are consumed in order,
-    /// so the output, truncation point included, is too.
-    fn sweep(&mut self, items: &[(Id, u64)], pairs_of: impl Fn(&[(Id, u64)], &mut Batch) + Sync) {
-        let fan_out = self
-            .fan_out
-            .filter(|&(_, min_items)| items.len() >= min_items);
-        let extra = fan_out.map_or(0, |(helpers, _)| helpers);
-        self.par_levels += u64::from(extra > 0);
-        let mut batches = std::mem::take(&mut self.batches);
-        crate::parallel::map_chunks_into(
-            self,
-            items,
-            STEP_BATCH,
-            extra,
-            &mut batches,
-            |sink, chunk, batch: &mut Batch| {
-                let t = sink.clock();
-                pairs_of(chunk, batch);
-                batch.ns = t.map_or(0, |t| nanos(t.elapsed()));
-            },
-            |sink, batch| {
-                sink.stepped(&batch.x, batch.ns);
-                sink.stepped(&batch.y, 0);
-                if sink.full() {
-                    return false;
-                }
-                sink.par_chunks += u64::from(extra > 0);
-                for &pair in &batch.pairs {
-                    sink.push(pair);
-                }
-                !(sink.truncated || sink.budget_exhausted)
-            },
-        );
-        self.batches = batches;
+    /// Sweeps `items` a [`STEP_BATCH`] at a time, handing on what
+    /// `pairs_of` makes of each batch in batch order, until the sink is
+    /// full.
+    fn sweep(&mut self, items: &[(Id, u64)], pairs_of: impl Fn(&[(Id, u64)], &mut Batch)) {
+        let mut batch = self.batch.take().unwrap_or_default();
+        for chunk in items.chunks(STEP_BATCH) {
+            let t = self.clock();
+            pairs_of(chunk, &mut batch);
+            self.stepped(&batch.x, t.map_or(0, |t| nanos(t.elapsed())));
+            self.stepped(&batch.y, 0);
+            if self.full() {
+                break;
+            }
+            for &pair in &batch.pairs {
+                self.push(pair);
+            }
+            if self.truncated || self.budget_exhausted {
+                break;
+            }
+        }
+        self.batch = Some(batch);
     }
 }
 

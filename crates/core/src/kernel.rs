@@ -26,7 +26,7 @@ use crate::step::{group_by_key, negated_firing_labels, ChunkExpansion, Firing, S
 /// `L_s` and `C_o` once, front to back, where narrow ones walk them over
 /// and over; a narrow first chunk keeps a traversal the limit cuts short
 /// from paying for a level it abandons. The geometry is a function of the
-/// traversal's own history: the same on every source and thread count.
+/// traversal's own history: the same on every source.
 /// A run whose `report` stops after a known number of reports also caps
 /// its chunks by what is still wanted ([`Bounds::wanted`]).
 pub(crate) const FRONTIER_CHUNK: usize = 1024;
@@ -334,16 +334,14 @@ fn eval_var_var(
 /// level by level, each level's `(node, D)` items ascending by node
 /// ([`order_level`]) so that every sweep reads its bit vectors front to
 /// back, in chunks that grow with the traversal ([`FRONTIER_CHUNK`]),
-/// each chunk in two steps. *Expand* writes nothing shared: the source's
+/// each chunk in two steps on the calling thread. *Expand*: the source's
 /// part one finds the chunk's work items, its part two their subjects
-/// under the visited masks as they stood when the chunk began — a
-/// superset of what the live masks admit, in the same order, since masks
-/// only grow. *Replay* ([`Replay::chunk`]) then walks the chunk's work in
-/// visiting order against the live masks and discards precisely that
-/// excess; the subjects it admits are the next level's items. Nothing
-/// observable tells the result from a traversal that expands one item
-/// at a time, on any source or thread count (the crate's `README.md`,
-/// "How one BFS level is expanded", has the argument;
+/// under the visited masks as they stood when the chunk began. *Replay*
+/// ([`Replay::chunk`]) then walks the chunk's work in visiting order
+/// against the live masks, which it alone writes; the subjects it admits
+/// are the next level's items. Nothing observable tells the result from a
+/// traversal that expands one item at a time, on any source (the crate's
+/// `README.md`, "How one BFS level is expanded", has the argument;
 /// `level_sync_identity` holds the code to it). `M` is the width of the
 /// query's state masks: each width is its own copy of the traversal.
 pub(crate) struct Traversal<'a, S: StepSource + ?Sized, M: StateMask> {
@@ -351,10 +349,7 @@ pub(crate) struct Traversal<'a, S: StepSource + ?Sized, M: StateMask> {
     pub(crate) scratch: &'a mut EngineScratch,
     /// The query's `[E, Ê]` tables.
     pub(crate) tables: &'a [BitParallel<M>; 2],
-    pub(crate) opts: &'a EngineOptions,
     pub(crate) deadline: Option<Instant>,
-    /// Threads the planner granted this evaluation.
-    pub(crate) threads: usize,
     pub(crate) prof: Option<&'a mut LevelProf>,
     /// `B[p]` per firing label and direction (`[E, Ê]`) of a query with
     /// negated classes: they depend on the tables alone, so every
@@ -381,7 +376,7 @@ impl<S: StepSource + ?Sized, M: Mask> Kernel for Traversal<'_, S, M> {
         // counters — the traversal has many early exits (deadline,
         // budget, report abort) and this covers them all.
         if let Some(p) = self.prof.as_deref_mut() {
-            p.finish(stats.rank_ops, stats.parallel_chunks);
+            p.finish(stats.rank_ops);
         }
         stop
     }
@@ -406,7 +401,7 @@ impl<S: StepSource + ?Sized, M: Mask> Traversal<'_, S, M> {
         trace: Option<&mut Vec<(Id, WideMask)>>,
         report: &mut dyn FnMut(Id) -> bool,
     ) -> Result<(), Stop> {
-        let (src, opts) = (self.src, self.opts);
+        let src = self.src;
         let bp = &self.tables[usize::from(reversed)];
         let d0 = bp.accept_mask();
         if d0.is_empty() {
@@ -420,7 +415,8 @@ impl<S: StepSource + ?Sized, M: Mask> Traversal<'_, S, M> {
                 .as_slice()
         };
         let (lp_masks, visited, levels) = M::parts(self.scratch);
-        let (frontier, expansions) = (&mut levels.frontier, &mut levels.expansions);
+        let x = &mut **levels.expansion.get_or_insert_with(Box::default);
+        let frontier = &mut levels.frontier;
         let next_frontier = &mut levels.next_frontier;
         src.prepare(bp, lp_masks);
         visited.reset(M::LEN);
@@ -431,10 +427,6 @@ impl<S: StepSource + ?Sized, M: Mask> Traversal<'_, S, M> {
         };
         frontier.clear();
         next_frontier.clear();
-        if expansions.is_empty() {
-            expansions.push(ChunkExpansion::default());
-        }
-        let profiled = self.prof.is_some();
         let mut replay = Replay {
             budget: bounds.budget,
             deadline: self.deadline,
@@ -472,7 +464,7 @@ impl<S: StepSource + ?Sized, M: Mask> Traversal<'_, S, M> {
                 // wanted, then twice as far — the new part replayed —
                 // until the replay stops or the label runs out.
                 if let Some(p) = replay.prof.as_deref_mut() {
-                    p.enter(1, replay.stats.rank_ops, replay.stats.parallel_chunks);
+                    p.enter(1, replay.stats.rank_ops);
                 }
                 replay.step()?;
                 let mut listed = Vec::new();
@@ -508,7 +500,6 @@ impl<S: StepSource + ?Sized, M: Mask> Traversal<'_, S, M> {
             }
         }
 
-        let threads = self.threads.max(1);
         let (mut chunk, mut expanded) = (FRONTIER_CHUNK, 0);
         loop {
             let t = replay.clock();
@@ -520,20 +511,8 @@ impl<S: StepSource + ?Sized, M: Mask> Traversal<'_, S, M> {
                 return Ok(());
             }
             if let Some(p) = replay.prof.as_deref_mut() {
-                let stats = &replay.stats;
-                p.enter(frontier.len() as u64, stats.rank_ops, stats.parallel_chunks);
+                p.enter(frontier.len() as u64, replay.stats.rank_ops);
             }
-            // A level wide enough for the threads the planner granted has
-            // every chunk cut into ~4 pieces per thread, so that claiming
-            // them one by one balances skew: by `(frontier.len(), threads)`
-            // alone, never by how many helpers the pool can spare right now.
-            let fan = threads > 1 && frontier.len() >= opts.parallel_min_frontier.max(2);
-            let (cuts, extra) = if fan {
-                (threads * 4, threads - 1)
-            } else {
-                (1, 0)
-            };
-            replay.stats.parallel_levels += u64::from(fan);
             let mut rest = frontier.as_slice();
             while !rest.is_empty() {
                 // One chunk's expansion cannot be interrupted: the clock
@@ -555,29 +534,13 @@ impl<S: StepSource + ?Sized, M: Mask> Traversal<'_, S, M> {
                 if now.len() == chunk {
                     chunk = (2 * chunk).min(FRONTIER_CHUNK_MAX);
                 }
-                let mut stopped = Ok(());
-                crate::parallel::map_chunks_into(
-                    visited,
-                    now,
-                    now.len().div_ceil(cuts).max(64),
-                    extra,
-                    expansions,
-                    |visited, piece, x| {
-                        let t0 = profiled.then(Instant::now);
-                        src.fire(&firing, piece, x);
-                        let t1 = profiled.then(Instant::now);
-                        src.subjects(Some(visited), x);
-                        if let (Some(t0), Some(t1)) = (t0, t1) {
-                            x.phase_ns = [nanos(t1 - t0), nanos(t1.elapsed())];
-                        }
-                    },
-                    |visited, x| {
-                        replay.stats.parallel_chunks += u64::from(fan);
-                        stopped = replay.chunk(visited, x);
-                        stopped.is_ok()
-                    },
-                );
-                stopped?;
+                let t = replay.clock();
+                src.fire(&firing, now, x);
+                replay.charge(t, |phases| &mut phases.part_one_ns);
+                let t = replay.clock();
+                src.subjects(Some(visited), x);
+                replay.charge(t, |phases| &mut phases.part_two_ns);
+                replay.chunk(visited, x)?;
             }
         }
     }
@@ -632,10 +595,6 @@ impl<M: Mask> Replay<'_, M> {
     fn chunk(&mut self, visited: &mut EpochArray, x: &ChunkExpansion<M>) -> Result<(), Stop> {
         let t = self.clock();
         let replayed = self.work_items(visited, x);
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.phases.part_one_ns += x.phase_ns[0];
-            p.phases.part_two_ns += x.phase_ns[1];
-        }
         self.charge(t, |phases| &mut phases.replay_ns);
         replayed
     }

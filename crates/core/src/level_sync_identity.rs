@@ -220,19 +220,6 @@ impl RangeGuide for SubjGuide<'_> {
     }
 }
 
-/// Thread counts above 1 to run the engine at, besides 1
-/// (`RPQ_TEST_THREADS`, comma-separated, as in the differential suites).
-fn test_threads() -> Vec<usize> {
-    match std::env::var("RPQ_TEST_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t > 1)
-            .collect(),
-        Err(_) => vec![2, 4],
-    }
-}
-
 fn star(l: Label) -> Regex {
     Regex::Star(Box::new(Regex::label(l)))
 }
@@ -336,9 +323,8 @@ impl Sources {
     }
 }
 
-/// Runs `query` on the engine — over every kind of source, at one thread
-/// and at every test thread count — and on the reference over the one
-/// ring, under the same plan.
+/// Runs `query` on the engine — over every kind of source — and on the
+/// reference over the one ring, under the same plan.
 fn assert_identical(sources: &Sources, query: &RpqQuery, opts: &EngineOptions, what: &str) -> bool {
     let ring = &sources.ring;
     let prepared =
@@ -357,11 +343,10 @@ fn assert_identical(sources: &Sources, query: &RpqQuery, opts: &EngineOptions, w
     // One reference run per direction the planner picks.
     let mut wanted: Vec<(Option<crate::planner::Direction>, crate::QueryOutput)> = Vec::new();
     for (kind, source) in kinds {
-        let mut engine = RpqEngine::over(source);
-        let sequential = engine
+        let got = RpqEngine::over(source)
             .evaluate_prepared(&prepared, query.subject, query.object, opts)
             .unwrap();
-        let plan = sequential.plan.clone().unwrap();
+        let plan = got.plan.clone().unwrap();
         if plan.route != EvalRoute::BitParallel {
             return false;
         }
@@ -383,38 +368,19 @@ fn assert_identical(sources: &Sources, query: &RpqQuery, opts: &EngineOptions, w
             wanted.push((plan.direction, want));
         }
         let want = &wanted.iter().find(|(d, _)| *d == plan.direction).unwrap().1;
-        let mut runs = vec![(1, sequential)];
-        for threads in test_threads() {
-            let fanned = EngineOptions {
-                intra_query_threads: threads,
-                parallel_min_frontier: 2,
-                ..*opts
-            };
-            let out = engine
-                .evaluate_prepared(&prepared, query.subject, query.object, &fanned)
-                .unwrap();
-            runs.push((threads, out));
-        }
-        for (threads, got) in runs {
-            let what = format!("{what}, {kind}, {threads} thread(s), {query:?}");
-            assert_eq!(
-                got.plan.as_ref().unwrap().direction,
-                plan.direction,
-                "{what}"
-            );
-            assert_eq!(got.pairs, want.pairs, "{what}: pairs");
-            assert_eq!(
-                (got.truncated, got.budget_exhausted),
-                (want.truncated, want.budget_exhausted),
-                "{what}: flags"
-            );
-            assert_eq!(got.trace, want.trace, "{what}: trace");
-            assert_eq!(
-                counters(&got.stats),
-                counters(&want.stats),
-                "{what}: counters"
-            );
-        }
+        let what = format!("{what}, {kind}, {query:?}");
+        assert_eq!(got.pairs, want.pairs, "{what}: pairs");
+        assert_eq!(
+            (got.truncated, got.budget_exhausted),
+            (want.truncated, want.budget_exhausted),
+            "{what}: flags"
+        );
+        assert_eq!(got.trace, want.trace, "{what}: trace");
+        assert_eq!(
+            counters(&got.stats),
+            counters(&want.stats),
+            "{what}: counters"
+        );
     }
     true
 }

@@ -1,202 +1,21 @@
-//! Threaded evaluation: batch parallelism across queries and the shared
-//! worker-token pool behind intra-query frontier fan-out.
+//! Batch parallelism across queries: many queries at once, one thread
+//! each.
 //!
 //! The ring is immutable after construction, so any number of engines can
 //! read it concurrently — each worker thread gets its own [`RpqEngine`]
 //! (the per-query mask tables are the only mutable state). This is the
 //! intra-machine counterpart of the parallel/distributed RPQ frameworks
 //! §2 surveys, and what a server embedding the ring would do per client.
-//!
-//! ## The process-wide helper pool
-//!
-//! Every parallel region — a batch, a BFS level fanned out by
-//! [`EngineOptions::intra_query_threads`], a fast-path sweep — draws its
-//! *extra* threads from one global token budget of
-//! `available_parallelism − 1` tokens (`acquire_helpers`). The calling
-//! thread always participates, so total running threads can never exceed
-//! the core count no matter how many queries (or server workers) fan out
-//! concurrently; when tokens run dry a region simply degrades to the
-//! caller-only sequential path. Tokens are released on drop, making the
-//! accounting panic-safe.
+//! One query always runs on one thread: the paper's parallelism is the
+//! bit-parallelism inside a traversal step, not a fan-out across threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::engine::RpqEngine;
 use crate::query::{EngineOptions, QueryOutput, RpqQuery};
 use crate::source::TripleSource;
 use crate::QueryError;
-
-/// The global budget of *extra* worker tokens (the calling thread is
-/// always implicit and free). Initialized on first use to
-/// `available_parallelism − 1`, overridable with the
-/// `RPQ_PARALLEL_POOL` environment variable (useful to exercise real
-/// concurrency in tests on small machines, or to fence the engine off a
-/// few cores).
-static HELPER_TOKENS: OnceLock<AtomicUsize> = OnceLock::new();
-static POOL_CAPACITY: OnceLock<usize> = OnceLock::new();
-
-/// The total extra-worker budget of the process-wide pool (see module
-/// docs): `available_parallelism − 1`, or the `RPQ_PARALLEL_POOL`
-/// override. Observability surfaces (the server's metrics JSON) report
-/// it so parallel-efficiency numbers have a denominator.
-pub fn pool_capacity() -> usize {
-    *POOL_CAPACITY.get_or_init(|| {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        std::env::var("RPQ_PARALLEL_POOL")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| cores.saturating_sub(1))
-    })
-}
-
-fn tokens() -> &'static AtomicUsize {
-    HELPER_TOKENS.get_or_init(|| AtomicUsize::new(pool_capacity()))
-}
-
-/// Extra-worker tokens currently checked out of the pool — a
-/// point-in-time utilization gauge (`pool_capacity()` is the
-/// denominator). Exported by the server's metrics endpoints; inherently
-/// racy, like any gauge.
-pub fn pool_in_use() -> usize {
-    pool_capacity().saturating_sub(tokens().load(Ordering::Acquire))
-}
-
-/// A grant of extra worker tokens; tokens return to the pool on drop
-/// (panic-safe, so an unwinding parallel region cannot leak capacity).
-pub struct HelperGrant(usize);
-
-impl HelperGrant {
-    /// How many extra threads this grant allows (0 = run caller-only).
-    pub fn count(&self) -> usize {
-        self.0
-    }
-}
-
-impl Drop for HelperGrant {
-    fn drop(&mut self) {
-        if self.0 > 0 {
-            tokens().fetch_add(self.0, Ordering::AcqRel);
-        }
-    }
-}
-
-/// Takes up to `want` extra-worker tokens from the process-wide pool
-/// (possibly 0 — the caller then runs alone). Never blocks: intra-query
-/// parallelism is opportunistic by design, so contention degrades to
-/// sequential evaluation instead of queuing.
-pub fn acquire_helpers(want: usize) -> HelperGrant {
-    if want == 0 {
-        return HelperGrant(0);
-    }
-    let pool = tokens();
-    let mut cur = pool.load(Ordering::Acquire);
-    loop {
-        let take = cur.min(want);
-        if take == 0 {
-            return HelperGrant(0);
-        }
-        match pool.compare_exchange_weak(cur, cur - take, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return HelperGrant(take),
-            Err(now) => cur = now,
-        }
-    }
-}
-
-/// Maps `items` chunk by chunk on the shared pool and consumes the
-/// results **in chunk order** — the one fan-out behind a BFS level, a
-/// fast-path sweep and the chunked ingest. `map(state, chunk, slot)`
-/// fills a slot from its chunk alone, reading `state` (it runs
-/// concurrently); `consume(state, slot)` runs on the caller thread, in
-/// ascending chunk order, may change `state`, and returns `false` to
-/// stop early (pending speculative chunks are discarded, exactly like a
-/// sequential loop never computing them). `slots` are the buffers the
-/// chunks are mapped into, reused wave after wave and call after call.
-///
-/// A wave of `4 × workers` chunks is mapped at once — every one against
-/// the state the wave began under — so an early stop bounds wasted
-/// speculation; within a wave each thread claims the next chunk when it
-/// is done with its last, so skew balances. With an empty grant a wave
-/// is one chunk and this is the plain sequential map-consume loop.
-pub(crate) fn map_chunks_into<S, I, T>(
-    state: &mut S,
-    items: &[I],
-    chunk_size: usize,
-    extra_threads: usize,
-    slots: &mut Vec<T>,
-    map: impl Fn(&S, &[I], &mut T) + Sync,
-    mut consume: impl FnMut(&mut S, &mut T) -> bool,
-) where
-    S: Sync,
-    I: Sync,
-    T: Default + Send,
-{
-    let grant = acquire_helpers(extra_threads);
-    let wave = match grant.count() {
-        0 => 1,
-        helpers => (helpers + 1) * 4,
-    };
-    for wave_items in items.chunks(chunk_size * wave) {
-        let n_chunks = wave_items.len().div_ceil(chunk_size);
-        if slots.len() < n_chunks {
-            slots.resize_with(n_chunks, T::default);
-        }
-        let slots = &mut slots[..n_chunks];
-        let shared = &*state;
-        let jobs = slots.iter_mut().zip(wave_items.chunks(chunk_size));
-        let spawn = grant.count().min(n_chunks - 1);
-        if spawn == 0 {
-            jobs.for_each(|(slot, chunk)| map(shared, chunk, slot));
-        } else {
-            let jobs = Mutex::new(jobs);
-            std::thread::scope(|scope| {
-                let work = || loop {
-                    let job = jobs
-                        .lock()
-                        .expect("the job queue is only locked to take a job")
-                        .next();
-                    match job {
-                        Some((slot, chunk)) => map(shared, chunk, slot),
-                        None => break,
-                    }
-                };
-                for _ in 0..spawn {
-                    scope.spawn(work);
-                }
-                work();
-            });
-        }
-        for slot in slots {
-            if !consume(state, slot) {
-                return;
-            }
-        }
-    }
-}
-
-/// Maps `items` chunk by chunk on the shared pool and consumes the
-/// results **in chunk order**: `map(chunk_index, chunk)` runs
-/// concurrently, `consume` on the caller thread, and its `false` stops
-/// early. The closure-returning form of the crate's one ordered fan-out,
-/// for callers with no state to share and no buffers to keep.
-pub fn map_chunks_ordered<I: Sync, T: Send>(
-    items: &[I],
-    chunk_size: usize,
-    extra_threads: usize,
-    map: impl Fn(usize, &[I]) -> T + Sync,
-    mut consume: impl FnMut(T) -> bool,
-) {
-    let chunks: Vec<(usize, &[I])> = items.chunks(chunk_size).enumerate().collect();
-    map_chunks_into(
-        &mut (),
-        &chunks,
-        1,
-        extra_threads,
-        &mut Vec::new(),
-        |_, numbered, slot| *slot = Some(map(numbered[0].0, numbered[0].1)),
-        |_, slot| consume(slot.take().expect("every chunk of a wave is mapped")),
-    );
-}
 
 /// Evaluates `queries` over `source` — a ring, a store snapshot or a
 /// sharded source — using up to `n_threads` workers (clamped to at
@@ -432,81 +251,5 @@ mod tests {
             }
         }
         std::panic::set_hook(prev_hook);
-    }
-
-    /// Serializes the tests that observe or drain the global token pool
-    /// (the test harness runs tests concurrently).
-    static POOL_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn helper_tokens_are_returned_on_drop() {
-        let _guard = POOL_TEST_LOCK.lock().unwrap();
-        // Capacity is machine-dependent; what must hold is conservation.
-        let before = tokens().load(Ordering::Acquire);
-        {
-            let g1 = acquire_helpers(2);
-            assert!(g1.count() <= before.min(2));
-            let remaining = tokens().load(Ordering::Acquire);
-            assert_eq!(remaining, before - g1.count());
-            let g2 = acquire_helpers(usize::MAX);
-            assert_eq!(g2.count(), remaining);
-            assert_eq!(tokens().load(Ordering::Acquire), 0);
-        }
-        assert_eq!(tokens().load(Ordering::Acquire), before);
-        assert_eq!(acquire_helpers(0).count(), 0);
-    }
-
-    #[test]
-    fn map_chunks_ordered_replays_in_order_and_stops_early() {
-        let _guard = POOL_TEST_LOCK.lock().unwrap();
-        let items: Vec<usize> = (0..1000).collect();
-        for extra in [0, 3] {
-            let mut seen = Vec::new();
-            map_chunks_ordered(
-                &items,
-                64,
-                extra,
-                |c, chunk| (c, chunk.iter().sum::<usize>()),
-                |t| {
-                    seen.push(t);
-                    true
-                },
-            );
-            let expect: Vec<(usize, usize)> = items
-                .chunks(64)
-                .enumerate()
-                .map(|(c, ch)| (c, ch.iter().sum()))
-                .collect();
-            assert_eq!(seen, expect, "extra={extra}");
-            // Early stop after 3 chunks consumes exactly 3.
-            let mut n = 0;
-            map_chunks_ordered(
-                &items,
-                64,
-                extra,
-                |c, _| c,
-                |_| {
-                    n += 1;
-                    n < 3
-                },
-            );
-            assert_eq!(n, 3, "extra={extra}");
-            // What a chunk maps to sees the state the consumed ones left.
-            let mut n = 0;
-            let see = |n: &usize, _: &[usize], slot: &mut usize| *slot = *n;
-            map_chunks_into(
-                &mut n,
-                &items,
-                64,
-                extra,
-                &mut Vec::new(),
-                see,
-                |n, slot| {
-                    assert!(*slot <= *n && (extra > 0 || *slot == *n));
-                    *n += 1;
-                    true
-                },
-            );
-        }
     }
 }

@@ -83,14 +83,6 @@ pub struct Plan {
     pub split: Option<Split>,
     /// Estimated first-expansion cost of the chosen route, in edges.
     pub estimated_cost: u64,
-    /// Threads the executed route may fan frontier work across: the
-    /// caller's [`EngineOptions::intra_query_threads`] when the
-    /// estimated cost clears
-    /// [`EngineOptions::parallel_min_frontier`], else 1 — small queries
-    /// never pay fan-out overhead. Purely advisory above 1: the runtime
-    /// additionally gates each BFS level on its actual frontier size
-    /// and on the process-wide worker-token pool.
-    pub intra_query_threads: usize,
 }
 
 impl Plan {
@@ -197,18 +189,11 @@ pub fn plan(
             (Some(direction), cost)
         }
     };
-    let intra_query_threads =
-        if opts.intra_query_threads > 1 && estimated_cost >= opts.parallel_min_frontier as u64 {
-            opts.intra_query_threads
-        } else {
-            1
-        };
     Plan {
         route,
         direction,
         split,
         estimated_cost,
-        intra_query_threads,
     }
 }
 

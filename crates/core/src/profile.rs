@@ -5,7 +5,7 @@
 //! a [`QueryProfile`] answers *what the execution actually did*:
 //! per-phase wall time (planning vs. execution), where the traversal
 //! kernel's time went ([`PhaseTimes`]), a per-BFS-level record of
-//! frontier sizes, rank-operation deltas and fan-out decisions, and the
+//! frontier sizes and rank-operation deltas, and the
 //! [`PairBuffer`](crate::pairbuf::PairBuffer) compaction count. The paper's
 //! whole argument is cost accounting — rank/select operations decide
 //! whether the ring beats the baselines — and the profile is where
@@ -31,11 +31,6 @@ pub struct LevelSample {
     pub frontier: u64,
     /// Wavelet rank operations charged to this level.
     pub rank_ops: u64,
-    /// Frontier chunks fanned across the intra-query pool on this level
-    /// (0 when the level ran sequentially).
-    pub chunks: u64,
-    /// Whether the level took the speculative parallel path.
-    pub parallel: bool,
 }
 
 /// Where a traversal's time went, in nanoseconds summed over its chunks
@@ -45,10 +40,7 @@ pub struct LevelSample {
 /// labels firing into it, §4.1), `part_two_ns` their subjects (§4.2, and
 /// the label listing of a full-range first level), `replay_ns` walks them
 /// against the live visited table, and `order_ns` puts each BFS level in
-/// node order. Parts one and two of a level fanned across intra-query
-/// threads are timed on the thread that expanded them, so there the sum
-/// is CPU time and may exceed the wall time it was spent in. The §5 fast
-/// paths charge their label listings and intersections to part one and
+/// node order. The §5 fast paths charge their label listings and intersections to part one and
 /// their steps to part two.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
@@ -114,7 +106,7 @@ pub struct QueryProfile {
 /// The loops feed it *cumulative* counters; the collector turns them
 /// into per-level deltas. Protocol: call [`enter`](Self::enter) at each
 /// level head with the frontier size and the current cumulative
-/// rank-op / parallel-chunk counts, and [`finish`](Self::finish) once
+/// rank-op count, and [`finish`](Self::finish) once
 /// after the loop (early exits included). `enter` closes the previous
 /// level, so a query that runs several traversals (two-pass var-to-var,
 /// split sub-queries) can share one collector — the passes simply
@@ -123,7 +115,6 @@ pub struct QueryProfile {
 pub struct LevelProf {
     samples: Vec<LevelSample>,
     mark_rank: u64,
-    mark_chunks: u64,
     open: bool,
     pub(crate) phases: PhaseTimes,
 }
@@ -136,32 +127,29 @@ impl LevelProf {
 
     /// Begin a level: `frontier` items about to expand, cumulative
     /// counters as of now.
-    pub fn enter(&mut self, frontier: u64, rank_ops: u64, chunks: u64) {
-        self.close(rank_ops, chunks);
+    pub fn enter(&mut self, frontier: u64, rank_ops: u64) {
+        self.close(rank_ops);
         self.samples.push(LevelSample {
             frontier,
             ..LevelSample::default()
         });
         self.mark_rank = rank_ops;
-        self.mark_chunks = chunks;
         self.open = true;
     }
 
     /// Close the last open level with the final cumulative counters.
     /// Idempotent; safe to call on a collector that never saw a level.
-    pub fn finish(&mut self, rank_ops: u64, chunks: u64) {
-        self.close(rank_ops, chunks);
+    pub fn finish(&mut self, rank_ops: u64) {
+        self.close(rank_ops);
     }
 
-    fn close(&mut self, rank_ops: u64, chunks: u64) {
+    fn close(&mut self, rank_ops: u64) {
         if !self.open {
             return;
         }
         self.open = false;
         if let Some(last) = self.samples.last_mut() {
             last.rank_ops = rank_ops.saturating_sub(self.mark_rank);
-            last.chunks = chunks.saturating_sub(self.mark_chunks);
-            last.parallel = last.chunks > 0;
         }
     }
 
@@ -188,39 +176,36 @@ mod tests {
     #[test]
     fn deltas_are_per_level() {
         let mut p = LevelProf::new();
-        p.enter(4, 0, 0);
-        p.enter(9, 10, 0); // closes level 0: 10 rank ops, sequential
-        p.enter(2, 25, 3); // closes level 1: 15 rank ops, 3 chunks
-        p.finish(27, 3); // closes level 2: 2 rank ops, no new chunks
-        p.finish(99, 9); // idempotent: already closed
+        p.enter(4, 0);
+        p.enter(9, 10); // closes level 0: 10 rank ops
+        p.enter(2, 25); // closes level 1: 15 rank ops
+        p.finish(27); // closes level 2: 2 rank ops
+        p.finish(99); // idempotent: already closed
         let s = p.into_samples();
         assert_eq!(s.len(), 3);
-        assert_eq!((s[0].frontier, s[0].rank_ops, s[0].chunks), (4, 10, 0));
-        assert!(!s[0].parallel);
-        assert_eq!((s[1].frontier, s[1].rank_ops, s[1].chunks), (9, 15, 3));
-        assert!(s[1].parallel);
-        assert_eq!((s[2].frontier, s[2].rank_ops, s[2].chunks), (2, 2, 0));
+        assert_eq!((s[0].frontier, s[0].rank_ops), (4, 10));
+        assert_eq!((s[1].frontier, s[1].rank_ops), (9, 15));
+        assert_eq!((s[2].frontier, s[2].rank_ops), (2, 2));
     }
 
     #[test]
     fn passes_concatenate_with_independent_marks() {
         let mut p = LevelProf::new();
-        // Pass one, counters end at 7/1.
-        p.enter(3, 0, 0);
-        p.finish(7, 1);
+        // Pass one, its counter ends at 7.
+        p.enter(3, 0);
+        p.finish(7);
         // Pass two restarts from its own cumulative baseline.
-        p.enter(5, 7, 1);
-        p.finish(9, 1);
+        p.enter(5, 7);
+        p.finish(9);
         let s = p.into_samples();
         assert_eq!(s[0].rank_ops, 7);
         assert_eq!(s[1].rank_ops, 2);
-        assert_eq!(s[1].chunks, 0);
     }
 
     #[test]
     fn empty_collector_is_harmless() {
         let mut p = LevelProf::new();
-        p.finish(0, 0);
+        p.finish(0);
         assert!(p.is_empty());
         assert_eq!(p.len(), 0);
         assert!(p.into_samples().is_empty());

@@ -100,34 +100,20 @@ pub struct EngineOptions {
     /// budgeted on any route — `timeout` is the route-independent bound
     /// on raw work. `None` (the default) is unbounded.
     pub node_budget: Option<u64>,
-    /// Maximum threads one query may use for intra-query frontier
-    /// expansion (the scoped worker pool of [`crate::parallel`]). `1`
-    /// (the default) is exactly the sequential code path; higher values
-    /// let a single large query fan BFS-level chunks across cores. The
-    /// answer set, flags, trace and truncation are **bit-for-bit
-    /// identical** at any thread count — expansion is speculative and a
-    /// sequential merge replays it in frontier order. Extra threads are
-    /// drawn from a process-wide token budget
-    /// ([`crate::parallel`] caps the sum at `available_parallelism`),
-    /// so concurrent queries degrade gracefully instead of
-    /// oversubscribing.
+    /// Read by nothing: every query runs on the calling thread. Kept
+    /// only while the e2e benchmark's `core.parallel.*` rows set it;
+    /// ROADMAP item 1(g) deletes it with them.
+    #[doc(hidden)]
     pub intra_query_threads: usize,
-    /// Smallest BFS frontier (or fast-path batch) worth fanning out:
-    /// below this, a level runs sequentially even when
-    /// `intra_query_threads > 1`, so small queries pay zero overhead.
-    /// The planner also compares the query's estimated first-expansion
-    /// cost against this threshold before engaging parallelism at all.
-    pub parallel_min_frontier: usize,
     /// Collect an execution profile ("EXPLAIN ANALYZE") into
     /// [`QueryOutput::profile`]: per-phase wall time (planning vs.
-    /// execution) and per-BFS-level frontier sizes, rank-op deltas and
-    /// fan-out decisions. Strictly observational — the planner never
-    /// reads this flag, no evaluation decision depends on it, and the
-    /// answer set, flags, trace and truncation point are bit-identical
-    /// with it on or off (`crates/core/tests/profile_identity.rs` pins
-    /// this across all four forced routes and thread counts). Off (the
-    /// default) costs nothing: no clocks are read and nothing is
-    /// allocated.
+    /// execution) and per-BFS-level frontier sizes and rank-op deltas.
+    /// Strictly observational — the planner never reads this flag, no
+    /// evaluation decision depends on it, and the answer set, flags,
+    /// trace and truncation point are bit-identical with it on or off
+    /// (`crates/core/tests/profile_identity.rs` pins this across every
+    /// forced route). Off (the default) costs nothing: no clocks are read
+    /// and nothing is allocated.
     pub profile: bool,
 }
 
@@ -141,7 +127,6 @@ impl Default for EngineOptions {
             collect_trace: false,
             node_budget: None,
             intra_query_threads: 1,
-            parallel_min_frontier: 2048,
             profile: false,
         }
     }
@@ -169,17 +154,16 @@ pub struct TraversalStats {
     /// per-range traversal (shared node starts, merged directory
     /// probes) — the win the succinct hot-path layer is measured by.
     pub rank_ops_saved: u64,
-    /// BFS levels whose expansion was fanned across the intra-query
-    /// worker pool (0 on the sequential path).
+    /// Always 0: no level is fanned across threads. Kept only while the
+    /// e2e benchmark's `core.parallel.*` rows read it; ROADMAP item 1(g)
+    /// deletes it with them.
+    #[doc(hidden)]
     pub parallel_levels: u64,
-    /// Frontier chunks expanded under intra-query parallelism (the unit
-    /// of work the pool schedules; ≥ `parallel_levels` when non-zero).
-    pub parallel_chunks: u64,
     /// [`PairBuffer`](crate::pairbuf::PairBuffer) compaction passes that did real
     /// work (sort-merge-dedup of a raw tail). Counted unconditionally —
     /// the counter is one branch-free increment inside an already
-    /// *O*(n log n) pass — and deterministic across thread counts, since
-    /// the push sequence is bit-identical on every path.
+    /// *O*(n log n) pass — and deterministic, since the push sequence is
+    /// a function of the query and the source alone.
     pub pair_compactions: u64,
 }
 
@@ -192,8 +176,6 @@ impl TraversalStats {
         self.reported += other.reported;
         self.rank_ops += other.rank_ops;
         self.rank_ops_saved += other.rank_ops_saved;
-        self.parallel_levels += other.parallel_levels;
-        self.parallel_chunks += other.parallel_chunks;
         self.pair_compactions += other.pair_compactions;
     }
 }

@@ -25,18 +25,18 @@ pub(crate) struct Levels<M> {
     pub(crate) frontier: Vec<(Id, M)>,
     /// The next BFS level, accumulated while the current one is replayed.
     pub(crate) next_frontier: Vec<(Id, M)>,
-    /// One expansion per frontier chunk in flight: a single one, reused
-    /// chunk after chunk, unless a level fans out across threads.
-    pub(crate) expansions: Vec<ChunkExpansion<M>>,
+    /// The expansion of the frontier chunk in hand, reused chunk after
+    /// chunk; allocated by the first traversal at this width.
+    pub(crate) expansion: Option<Box<ChunkExpansion<M>>>,
 }
 
 impl<M: StateMask> Levels<M> {
     /// Heap bytes of the buffers' capacity.
     fn size_bytes(&self) -> usize {
-        let chunks = self.expansions.iter().map(ChunkExpansion::heap_bytes);
+        let expansion = (self.expansion.as_deref())
+            .map_or(0, |x| size_of::<ChunkExpansion<M>>() + x.heap_bytes());
         (self.frontier.capacity() + self.next_frontier.capacity()) * size_of::<(Id, M)>()
-            + self.expansions.capacity() * size_of::<ChunkExpansion<M>>()
-            + chunks.sum::<usize>()
+            + expansion
     }
 }
 

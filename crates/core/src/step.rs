@@ -130,9 +130,6 @@ pub(crate) struct ChunkExpansion<M = u64> {
     pub(crate) rank_ops_saved: u64,
     /// Wavelet nodes part one's sweeps entered.
     pub(crate) wavelet_nodes: u64,
-    /// Nanoseconds parts one and two took, when the traversal is
-    /// profiled (the kernel sets them; unread otherwise).
-    pub(crate) phase_ns: [u64; 2],
 }
 
 impl<M: StateMask> ChunkExpansion<M> {

@@ -28,21 +28,6 @@ use rpq_core::{EngineOptions, EvalRoute, RpqEngine, RpqQuery};
 use std::sync::Arc;
 use workload::{GraphGen, GraphGenConfig, QueryGen};
 
-/// Intra-query thread counts the ring-engine matrix runs under.
-/// Parallel expansion must be answer-invisible, so every count joins
-/// the same oracle comparison. `RPQ_TEST_THREADS` (comma-separated)
-/// overrides — the knob CI's parallel differential job turns.
-fn test_threads() -> Vec<usize> {
-    match std::env::var("RPQ_TEST_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .collect(),
-        Err(_) => vec![1, 4],
-    }
-}
-
 /// Runs every engine on one `(graph, query)` pair and asserts that all
 /// of them reproduce the oracle's answer set exactly.
 fn assert_all_engines_agree(
@@ -54,31 +39,26 @@ fn assert_all_engines_agree(
 ) {
     let expected = evaluate_naive(graph, query);
 
-    // The ring engine, across its option matrix (including intra-query
-    // parallelism, which must be invisible in the answers).
+    // The ring engine, across its option matrix.
     let mut engine = RpqEngine::new(ring);
     for forced_route in [None, Some(EvalRoute::BitParallel)] {
-        for threads in test_threads() {
-            let opts = EngineOptions {
-                forced_route,
-                intra_query_threads: threads,
-                parallel_min_frontier: if threads > 1 { 2 } else { 2048 },
-                ..Default::default()
-            };
-            let out = engine
-                .evaluate(query, &opts)
-                .unwrap_or_else(|e| panic!("{context}: ring engine failed: {e}"));
-            assert!(
-                !out.truncated && !out.timed_out,
-                "{context}: ring engine hit limits unexpectedly"
-            );
-            assert_eq!(
-                out.sorted_pairs(),
-                expected,
-                "{context}: ring engine (forced_route={forced_route:?}, \
-                 threads={threads}) disagrees with oracle on {query:?}"
-            );
-        }
+        let opts = EngineOptions {
+            forced_route,
+            ..Default::default()
+        };
+        let out = engine
+            .evaluate(query, &opts)
+            .unwrap_or_else(|e| panic!("{context}: ring engine failed: {e}"));
+        assert!(
+            !out.truncated && !out.timed_out,
+            "{context}: ring engine hit limits unexpectedly"
+        );
+        assert_eq!(
+            out.sorted_pairs(),
+            expected,
+            "{context}: ring engine (forced_route={forced_route:?}) \
+             disagrees with oracle on {query:?}"
+        );
     }
 
     // The baseline engines, through the uniform PathEngine interface.

@@ -16,9 +16,6 @@
 //! queries additionally pin snapshot isolation: uncommitted operations
 //! are invisible.
 //!
-//! `RPQ_TEST_THREADS` (comma-separated) overrides the intra-query thread
-//! counts the snapshot engines run under, as in `differential.rs`.
-//!
 //! Coverage: 5 fixed seed bases × 40 derived interleavings = 200
 //! deterministic interleavings (plus an extra base from `RPQ_TEST_SEED`,
 //! the knob CI's `test-seeds` job turns), and a proptest sweep whose
@@ -48,30 +45,14 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Intra-query thread counts the snapshot engines run under; the
-/// rebuilt ring they are compared with runs at one thread.
-fn test_threads() -> Vec<usize> {
-    match std::env::var("RPQ_TEST_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .collect(),
-        Err(_) => vec![1, 4],
-    }
-}
-
 /// Evaluates `query` over `source` through one route choice.
 fn run_route(
     source: &(impl TripleSource + ?Sized),
     query: &RpqQuery,
     forced: Option<EvalRoute>,
-    threads: usize,
 ) -> QueryOutput {
     let opts = EngineOptions {
         forced_route: forced,
-        intra_query_threads: threads,
-        parallel_min_frontier: if threads > 1 { 2 } else { 2048 },
         ..EngineOptions::default()
     };
     let mut engine = RpqEngine::over(source);
@@ -129,29 +110,27 @@ fn check_snapshot(
     for gq in picks.map(|i| log[i].clone()) {
         let expected = evaluate_naive(&base, &gq.query);
         for forced in routes {
-            let want = run_route(&rebuilt, &gq.query, forced, 1);
-            for threads in test_threads() {
-                let what = format!(
-                    "{context}: route {forced:?}, {threads} threads, pattern {:?} ({:?})",
-                    gq.pattern, gq.query
-                );
-                let got = run_route(snap, &gq.query, forced, threads);
-                assert_eq!(
-                    got.sorted_pairs(),
-                    expected,
-                    "{what}: diverged from the rebuild oracle"
-                );
-                assert_eq!(
-                    got.pairs, want.pairs,
-                    "{what}: raw pair stream diverged from the rebuilt ring"
-                );
-                assert_eq!(
-                    counters(&got),
-                    counters(&want),
-                    "{what}: (product_nodes, product_edges, bfs_steps, reported) diverged \
-                     from the rebuilt ring"
-                );
-            }
+            let want = run_route(&rebuilt, &gq.query, forced);
+            let what = format!(
+                "{context}: route {forced:?}, pattern {:?} ({:?})",
+                gq.pattern, gq.query
+            );
+            let got = run_route(snap, &gq.query, forced);
+            assert_eq!(
+                got.sorted_pairs(),
+                expected,
+                "{what}: diverged from the rebuild oracle"
+            );
+            assert_eq!(
+                got.pairs, want.pairs,
+                "{what}: raw pair stream diverged from the rebuilt ring"
+            );
+            assert_eq!(
+                counters(&got),
+                counters(&want),
+                "{what}: (product_nodes, product_edges, bfs_steps, reported) diverged \
+                 from the rebuilt ring"
+            );
         }
     }
 }

@@ -7,8 +7,7 @@
 //! ring, and the first ring again. On every source the engine built
 //! around the travelling scratch must be **bit-identical** to a freshly
 //! constructed one: raw pair stream (so truncation points match), flags,
-//! trace, counters and plan — on all four forced routes, sequentially
-//! and at every `RPQ_TEST_THREADS` fan-out.
+//! trace, counters and plan — on every forced route.
 //!
 //! The second half pins what [`RpqEngine::working_space_bytes`] reports
 //! on a pure, a delta and a sharded source.
@@ -24,19 +23,6 @@ use rpq_core::{
     EngineOptions, EngineScratch, EvalRoute, RpqEngine, RpqQuery, ShardedSource, Term, TripleSource,
 };
 use workload::{GraphGen, GraphGenConfig, QueryGen};
-
-/// Sequential, plus the fan-outs CI's parallel differential job sets.
-fn test_threads() -> Vec<usize> {
-    let fanned = match std::env::var("RPQ_TEST_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t > 1)
-            .collect(),
-        Err(_) => vec![2, 4],
-    };
-    std::iter::once(1).chain(fanned).collect()
-}
 
 fn star(l: u64) -> Regex {
     Regex::Star(Box::new(Regex::label(l)))
@@ -83,40 +69,34 @@ fn assert_matches_fresh<S: TripleSource>(
     let mut checked = 0usize;
     for query in queries {
         for forced in EvalRoute::ALL {
-            for threads in test_threads() {
-                for limit in [EngineOptions::default().limit, 3] {
-                    let opts = EngineOptions {
-                        forced_route: Some(forced),
-                        collect_trace: true,
-                        intra_query_threads: threads,
-                        parallel_min_frontier: 2,
-                        limit,
-                        ..EngineOptions::default()
-                    };
-                    let context = format!(
-                        "{stage}: {query:?}, forced {forced:?}, {threads} threads, limit {limit}"
-                    );
-                    let want = RpqEngine::over(source)
-                        .evaluate(query, &opts)
-                        .unwrap_or_else(|e| panic!("{context}: fresh engine failed: {e}"));
-                    let got = reused
-                        .evaluate(query, &opts)
-                        .unwrap_or_else(|e| panic!("{context}: reused scratch failed: {e}"));
-                    assert_eq!(got.pairs, want.pairs, "{context}: pair stream");
-                    assert_eq!(
-                        (got.truncated, got.timed_out, got.budget_exhausted),
-                        (want.truncated, want.timed_out, want.budget_exhausted),
-                        "{context}: flags"
-                    );
-                    assert_eq!(got.trace, want.trace, "{context}: trace");
-                    assert_eq!(got.stats, want.stats, "{context}: counters");
-                    assert_eq!(
-                        format!("{:?}", got.plan),
-                        format!("{:?}", want.plan),
-                        "{context}: plan"
-                    );
-                    checked += 1;
-                }
+            for limit in [EngineOptions::default().limit, 3] {
+                let opts = EngineOptions {
+                    forced_route: Some(forced),
+                    collect_trace: true,
+                    limit,
+                    ..EngineOptions::default()
+                };
+                let context = format!("{stage}: {query:?}, forced {forced:?}, limit {limit}");
+                let want = RpqEngine::over(source)
+                    .evaluate(query, &opts)
+                    .unwrap_or_else(|e| panic!("{context}: fresh engine failed: {e}"));
+                let got = reused
+                    .evaluate(query, &opts)
+                    .unwrap_or_else(|e| panic!("{context}: reused scratch failed: {e}"));
+                assert_eq!(got.pairs, want.pairs, "{context}: pair stream");
+                assert_eq!(
+                    (got.truncated, got.timed_out, got.budget_exhausted),
+                    (want.truncated, want.timed_out, want.budget_exhausted),
+                    "{context}: flags"
+                );
+                assert_eq!(got.trace, want.trace, "{context}: trace");
+                assert_eq!(got.stats, want.stats, "{context}: counters");
+                assert_eq!(
+                    format!("{:?}", got.plan),
+                    format!("{:?}", want.plan),
+                    "{context}: plan"
+                );
+                checked += 1;
             }
         }
     }

@@ -3,11 +3,7 @@
 //! the unsharded ring — same sorted answers (equal to the naive oracle),
 //! same raw pair stream, same traces, truncation points and product-graph
 //! counters, same plans — under every forced route, every shard count,
-//! every intra-query thread count, and both residency modes of the
-//! on-disk `RRPQSH01` directory.
-//!
-//! `RPQ_TEST_THREADS` (comma-separated) overrides the thread counts,
-//! matching the other differential suites.
+//! and both residency modes of the on-disk `RRPQSH01` directory.
 
 use std::sync::Arc;
 
@@ -21,29 +17,6 @@ use rpq_core::{EngineOptions, EvalRoute, RpqEngine, RpqQuery, ShardedSource, Ter
 use workload::{GraphGen, GraphGenConfig, QueryGen};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Intra-query thread counts the sharded engines run under; the
-/// unsharded side of every comparison runs at one thread.
-fn test_threads() -> Vec<usize> {
-    match std::env::var("RPQ_TEST_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .collect(),
-        Err(_) => vec![1, 4],
-    }
-}
-
-/// `opts` at `threads` intra-query threads, fanning out from the
-/// smallest frontier when there is more than one.
-fn at_threads(opts: EngineOptions, threads: usize) -> EngineOptions {
-    EngineOptions {
-        intra_query_threads: threads,
-        parallel_min_frontier: if threads > 1 { 2 } else { 2048 },
-        ..opts
-    }
-}
 
 fn star(l: u64) -> Regex {
     Regex::Star(Box::new(Regex::label(l)))
@@ -118,27 +91,25 @@ fn every_forced_route_is_bit_identical_across_shard_counts() {
                         ..EngineOptions::default()
                     };
                     let base_out = base.evaluate(&query, &opts).unwrap();
-                    for threads in test_threads() {
-                        let what = format!("{n_shards} shards, {threads} threads, {forced:?}");
-                        let out = engine
-                            .evaluate(&query, &at_threads(opts, threads))
-                            .unwrap_or_else(|e| panic!("{what}: {e}"));
-                        assert_eq!(
-                            out.sorted_pairs(),
-                            expected,
-                            "{what}: disagrees with the oracle on {query:?}"
-                        );
-                        assert_eq!(
-                            out.pairs, base_out.pairs,
-                            "{what}: raw pair stream diverges from unsharded on {query:?}"
-                        );
-                        assert_eq!(
-                            out.plan.as_ref().map(|p| p.route),
-                            base_out.plan.as_ref().map(|p| p.route),
-                            "{what}: executed route diverges on {query:?}"
-                        );
-                        checked += 1;
-                    }
+                    let what = format!("{n_shards} shards, {forced:?}");
+                    let out = engine
+                        .evaluate(&query, &opts)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(
+                        out.sorted_pairs(),
+                        expected,
+                        "{what}: disagrees with the oracle on {query:?}"
+                    );
+                    assert_eq!(
+                        out.pairs, base_out.pairs,
+                        "{what}: raw pair stream diverges from unsharded on {query:?}"
+                    );
+                    assert_eq!(
+                        out.plan.as_ref().map(|p| p.route),
+                        base_out.plan.as_ref().map(|p| p.route),
+                        "{what}: executed route diverges on {query:?}"
+                    );
+                    checked += 1;
                 }
             }
         }
@@ -185,7 +156,7 @@ fn natural_plans_are_partition_independent() {
 /// work items label-ascending and their subjects sorted-distinct, so the
 /// BFS visit sequence, what it counts, and the exact prefix surviving a
 /// result limit cannot depend on how the triples were partitioned — and
-/// all equal the unsharded engine's, on every route and thread count:
+/// all equal the unsharded engine's, on every route:
 /// one traversal and one set of §5 joins run over both, testing the limit
 /// at the same points. (Shard count 1 is the bare ring and is excluded.)
 #[test]
@@ -212,22 +183,18 @@ fn traces_counters_and_truncation_points_are_partition_independent() {
             for n_shards in [2usize, 4, 8] {
                 let source = sharded_source(&graph, n_shards);
                 let mut engine = RpqEngine::over(&source);
-                for threads in test_threads() {
-                    let what = format!("{n_shards} shards, {threads} threads, forced {forced:?}");
-                    let out = engine
-                        .evaluate(&query, &at_threads(traced, threads))
-                        .unwrap();
-                    assert_eq!(
-                        out.trace, base_out.trace,
-                        "{what}: BFS trace diverges from unsharded on {query:?}"
-                    );
-                    assert_eq!(
-                        counters(&out),
-                        counters(&base_out),
-                        "{what}: (product_nodes, product_edges, bfs_steps, reported) diverge \
-                         from unsharded on {query:?}"
-                    );
-                }
+                let what = format!("{n_shards} shards, forced {forced:?}");
+                let out = engine.evaluate(&query, &traced).unwrap();
+                assert_eq!(
+                    out.trace, base_out.trace,
+                    "{what}: BFS trace diverges from unsharded on {query:?}"
+                );
+                assert_eq!(
+                    counters(&out),
+                    counters(&base_out),
+                    "{what}: (product_nodes, product_edges, bfs_steps, reported) diverge \
+                     from unsharded on {query:?}"
+                );
             }
         }
         for limit in [1usize, 5, 64] {
@@ -239,26 +206,22 @@ fn traces_counters_and_truncation_points_are_partition_independent() {
             for n_shards in [2usize, 4, 8] {
                 let source = sharded_source(&graph, n_shards);
                 let mut engine = RpqEngine::over(&source);
-                for threads in test_threads() {
-                    let what = format!("{n_shards} shards, {threads} threads, limit {limit}");
-                    let out = engine
-                        .evaluate(&query, &at_threads(limited, threads))
-                        .unwrap();
-                    assert_eq!(
-                        out.truncated, base_out.truncated,
-                        "{what}: truncated flag diverges on {query:?}"
-                    );
-                    truncations += usize::from(out.truncated);
-                    assert_eq!(
-                        out.pairs, base_out.pairs,
-                        "{what}: truncation point diverges from unsharded on {query:?}"
-                    );
-                    assert_eq!(
-                        counters(&out),
-                        counters(&base_out),
-                        "{what}: counters diverge from unsharded on {query:?}"
-                    );
-                }
+                let what = format!("{n_shards} shards, limit {limit}");
+                let out = engine.evaluate(&query, &limited).unwrap();
+                assert_eq!(
+                    out.truncated, base_out.truncated,
+                    "{what}: truncated flag diverges on {query:?}"
+                );
+                truncations += usize::from(out.truncated);
+                assert_eq!(
+                    out.pairs, base_out.pairs,
+                    "{what}: truncation point diverges from unsharded on {query:?}"
+                );
+                assert_eq!(
+                    counters(&out),
+                    counters(&base_out),
+                    "{what}: counters diverge from unsharded on {query:?}"
+                );
             }
         }
     }

@@ -7,10 +7,6 @@
 //! two-pass evaluation may take only a few BFS steps per product node it
 //! visits (no step per node of the universe), and under a small result
 //! limit pass 1 may collect only as many anchors as the limit can use.
-//!
-//! `RPQ_TEST_THREADS` (comma-separated) adds thread counts, like the
-//! parallel differential suite: the counters are bit-identical across
-//! them, so the bounds must hold there too.
 
 use std::sync::Arc;
 
@@ -89,14 +85,6 @@ fn queries() -> [Case; 2] {
     ]
 }
 
-fn test_threads() -> Vec<usize> {
-    let mut threads = vec![1];
-    if let Ok(v) = std::env::var("RPQ_TEST_THREADS") {
-        threads.extend(v.split(',').filter_map(|s| s.trim().parse::<usize>().ok()));
-    }
-    threads
-}
-
 fn evaluate(source: &impl TripleSource, query: &RpqQuery, opts: &EngineOptions) -> QueryOutput {
     let out = RpqEngine::over(source).evaluate(query, opts).unwrap();
     assert_eq!(
@@ -146,27 +134,22 @@ fn on_every_source(mut check: impl FnMut(&str, &dyn Fn(&RpqQuery, &EngineOptions
 #[test]
 fn steps_follow_the_product_nodes_not_the_universe() {
     on_every_source(|source, run| {
-        for threads in test_threads() {
-            let opts = EngineOptions {
-                forced_route: Some(EvalRoute::BitParallel),
-                intra_query_threads: threads,
-                parallel_min_frontier: 2,
-                ..EngineOptions::default()
-            };
-            for (expr, labels, expected) in queries() {
-                let out = run(&var_var(&expr), &opts);
-                assert_eq!(out.pairs, expected, "{source}, {threads} threads: {expr:?}");
-                let stats = out.stats;
-                assert!(
-                    stats.product_nodes < 400,
-                    "{source}: {expr:?} left the 75 nodes that carry its labels: {stats:?}"
-                );
-                assert!(
-                    stats.bfs_steps <= 4 * (stats.product_nodes + labels),
-                    "{source}, {threads} threads: {expr:?} steps through nodes it never \
-                     visits: {stats:?}"
-                );
-            }
+        let opts = EngineOptions {
+            forced_route: Some(EvalRoute::BitParallel),
+            ..EngineOptions::default()
+        };
+        for (expr, labels, expected) in queries() {
+            let out = run(&var_var(&expr), &opts);
+            assert_eq!(out.pairs, expected, "{source}: {expr:?}");
+            let stats = out.stats;
+            assert!(
+                stats.product_nodes < 400,
+                "{source}: {expr:?} left the 75 nodes that carry its labels: {stats:?}"
+            );
+            assert!(
+                stats.bfs_steps <= 4 * (stats.product_nodes + labels),
+                "{source}: {expr:?} steps through nodes it never visits: {stats:?}"
+            );
         }
     });
 }
@@ -175,26 +158,21 @@ fn steps_follow_the_product_nodes_not_the_universe() {
 fn a_small_limit_bounds_the_anchors_collected() {
     const LIMIT: usize = 8;
     on_every_source(|source, run| {
-        for threads in test_threads() {
-            let opts = EngineOptions {
-                forced_route: Some(EvalRoute::BitParallel),
-                limit: LIMIT,
-                intra_query_threads: threads,
-                parallel_min_frontier: 2,
-                ..EngineOptions::default()
-            };
-            for (expr, _, expected) in queries() {
-                let out = run(&var_var(&expr), &opts);
-                assert!(out.truncated);
-                assert_eq!(out.pairs.len(), LIMIT);
-                assert!(out.pairs.iter().all(|p| expected.contains(p)));
-                assert!(
-                    out.stats.product_nodes <= 6 * LIMIT as u64,
-                    "{source}, {threads} threads: {expr:?} visited {} product nodes for {LIMIT} \
-                     pairs",
-                    out.stats.product_nodes
-                );
-            }
+        let opts = EngineOptions {
+            forced_route: Some(EvalRoute::BitParallel),
+            limit: LIMIT,
+            ..EngineOptions::default()
+        };
+        for (expr, _, expected) in queries() {
+            let out = run(&var_var(&expr), &opts);
+            assert!(out.truncated);
+            assert_eq!(out.pairs.len(), LIMIT);
+            assert!(out.pairs.iter().all(|p| expected.contains(p)));
+            assert!(
+                out.stats.product_nodes <= 6 * LIMIT as u64,
+                "{source}: {expr:?} visited {} product nodes for {LIMIT} pairs",
+                out.stats.product_nodes
+            );
         }
     });
 }

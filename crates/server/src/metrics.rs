@@ -178,18 +178,6 @@ pub struct Metrics {
     /// Rank computations the frontier batching avoided (vs per-range
     /// traversal) — the succinct hot-path win, observable in production.
     pub rank_ops_saved: AtomicU64,
-    /// BFS levels / fast-path sweeps that fanned out across the
-    /// intra-query worker pool, summed over every evaluated query.
-    pub parallel_levels: AtomicU64,
-    /// Frontier chunks merged back from the pool (chunks ÷ levels is the
-    /// average fan-out actually achieved).
-    pub parallel_chunks: AtomicU64,
-    /// Parallel levels per evaluation route, indexed by
-    /// [`EvalRoute::index`] — which routes actually benefit from
-    /// intra-query fan-out.
-    pub parallel_levels_by_route: [AtomicU64; ROUTES],
-    /// Parallel chunks per evaluation route.
-    pub parallel_chunks_by_route: [AtomicU64; ROUTES],
     /// Snapshot-epoch bumps observed at submit time (each one dropped
     /// the plan and result caches).
     pub epoch_bumps: AtomicU64,
@@ -228,10 +216,6 @@ impl Metrics {
             misprediction_by_route: Default::default(),
             rank_ops: AtomicU64::new(0),
             rank_ops_saved: AtomicU64::new(0),
-            parallel_levels: AtomicU64::new(0),
-            parallel_chunks: AtomicU64::new(0),
-            parallel_levels_by_route: Default::default(),
-            parallel_chunks_by_route: Default::default(),
             epoch_bumps: AtomicU64::new(0),
             drains: AtomicU64::new(0),
             drained_jobs: AtomicU64::new(0),
@@ -241,22 +225,11 @@ impl Metrics {
         }
     }
 
-    /// Folds one query's traversal counters into the registry
-    /// (per-route parallel counters when the route is known).
-    pub fn note_traversal(&self, route: Option<EvalRoute>, stats: &rpq_core::TraversalStats) {
+    /// Folds one query's traversal counters into the registry.
+    pub fn note_traversal(&self, stats: &rpq_core::TraversalStats) {
         self.rank_ops.fetch_add(stats.rank_ops, Ordering::Relaxed);
         self.rank_ops_saved
             .fetch_add(stats.rank_ops_saved, Ordering::Relaxed);
-        self.parallel_levels
-            .fetch_add(stats.parallel_levels, Ordering::Relaxed);
-        self.parallel_chunks
-            .fetch_add(stats.parallel_chunks, Ordering::Relaxed);
-        if let Some(r) = route {
-            self.parallel_levels_by_route[r.index()]
-                .fetch_add(stats.parallel_levels, Ordering::Relaxed);
-            self.parallel_chunks_by_route[r.index()]
-                .fetch_add(stats.parallel_chunks, Ordering::Relaxed);
-        }
     }
 
     /// The histogram for one evaluation route.
@@ -474,13 +447,6 @@ static TABLE: &[Desc] = {
     row(&["planner", "accuracy"], "misprediction_x1000", Route, Hist(|m, i| &m.misprediction_by_route[i], 1.0)).sparse().prom(5, "rpq_planner_misprediction_x1000", "Actual-vs-estimated cost ratio x1000 per executed route (1000 = perfect)."),
     row(&["traversal"], "rank_ops", One, Num(|v, _| g(&v.m.rank_ops))).prom(3, "rpq_rank_ops_total", "Wavelet rank operations performed."),
     row(&["traversal"], "rank_ops_saved", One, Num(|v, _| g(&v.m.rank_ops_saved))).prom(3, "rpq_rank_ops_saved_total", "Rank operations avoided by frontier batching."),
-    row(&["parallel"], "intra_query_threads", One, Num(|v, _| v.config.intra_query_threads as u64)).prom(0, "rpq_intra_query_threads", "Threads one query may fan its BFS levels across."),
-    row(&["parallel"], "pool_capacity", One, Num(|_, _| rpq_core::parallel::pool_capacity() as u64)).prom(7, "rpq_helper_pool_capacity", "Process-wide intra-query helper token capacity."),
-    row(&["parallel"], "pool_in_use", One, Num(|_, _| rpq_core::parallel::pool_in_use() as u64)).prom(7, "rpq_helper_pool_in_use", "Helper tokens currently checked out."),
-    row(&["parallel"], "levels", One, Num(|v, _| g(&v.m.parallel_levels))),
-    row(&["parallel"], "chunks", One, Num(|v, _| g(&v.m.parallel_chunks))),
-    row(&["parallel", "by_route"], "levels", Route, Num(|v, i| g(&v.m.parallel_levels_by_route[i]))).sparse().prom(6, "rpq_parallel_levels_total", "BFS levels fanned across the intra-query pool, per route."),
-    row(&["parallel", "by_route"], "chunks", Route, Num(|v, i| g(&v.m.parallel_chunks_by_route[i]))).sparse().prom(6, "rpq_parallel_chunks_total", "Frontier chunks merged back from the pool, per route."),
     row(&["updates"], "epoch", One, Num(|v, _| v.epoch)).prom(9, "rpq_snapshot_epoch", "Current snapshot epoch."),
     row(&["updates"], "epoch_bumps_observed", One, Num(|v, _| g(&v.m.epoch_bumps))).prom(2, "rpq_epoch_bumps_total", "Snapshot-epoch bumps observed at submit time."),
     row(&["updates"], "commits", One, Num(|v, _| v.updates.commits)).prom(9, "rpq_update_commits_total", "Update batches committed."),

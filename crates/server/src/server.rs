@@ -73,13 +73,6 @@ pub struct ServerConfig {
     /// [`RpqServer::wait`] on a queued job fails fast with
     /// [`RpqError::InvalidConfig`] instead of blocking forever.
     pub admission_only: bool,
-    /// Threads a single query may fan its BFS levels and fast-path
-    /// sweeps across ([`EngineOptions::intra_query_threads`]). Clamped at
-    /// start so `workers × intra_query_threads` cannot exceed the
-    /// machine's parallelism; the process-wide token pool additionally
-    /// bounds actual helper threads at runtime. `1` (the default) keeps
-    /// every query single-threaded.
-    pub intra_query_threads: usize,
     /// Queue capacity; submissions beyond it are rejected
     /// ([`RpqError::Overloaded`]). Only result-cache misses are queued:
     /// a hit at submit is answered on the caller's thread and takes no
@@ -111,7 +104,6 @@ impl Default for ServerConfig {
         Self {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             admission_only: false,
-            intra_query_threads: 1,
             max_pending: 1024,
             plan_cache_bytes: 4 << 20,
             result_cache_bytes: 16 << 20,
@@ -261,10 +253,8 @@ impl RpqServer {
     ///
     /// Rejects configurations that can never serve: `workers == 0`
     /// without [`ServerConfig::admission_only`] would leave every
-    /// submission queued forever. `intra_query_threads` is clamped
-    /// so `workers × intra_query_threads` cannot oversubscribe the
-    /// machine.
-    pub fn start(source: Arc<dyn QuerySource>, mut config: ServerConfig) -> Result<Self, RpqError> {
+    /// submission queued forever.
+    pub fn start(source: Arc<dyn QuerySource>, config: ServerConfig) -> Result<Self, RpqError> {
         if config.workers == 0 && !config.admission_only {
             return Err(RpqError::InvalidConfig(
                 "workers == 0 would queue every submission forever; \
@@ -272,11 +262,6 @@ impl RpqServer {
                     .into(),
             ));
         }
-        let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-        config.intra_query_threads = config
-            .intra_query_threads
-            .max(1)
-            .min((avail / config.workers.max(1)).max(1));
         let epoch0 = source.snapshot().epoch;
         let shared = Arc::new(Shared {
             source,
@@ -859,7 +844,6 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
         limit: job.budget.max_results,
         timeout: job.budget.timeout,
         node_budget: job.budget.node_budget,
-        intra_query_threads: shared.config.intra_query_threads,
         profile: want_profile(shared),
         ..EngineOptions::default()
     };
@@ -881,7 +865,7 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
     if let Some(r) = route {
         metrics.note_planner_decision(r);
     }
-    metrics.note_traversal(route, &out.stats);
+    metrics.note_traversal(&out.stats);
     // Cost-model accountability: every executed plan's estimate against
     // what evaluation actually visited (budget-aborted runs included —
     // gross underestimates are exactly the interesting samples).

@@ -10,9 +10,8 @@
 //! scripted handful of queries; only its two cache sections are pinned,
 //! its histograms hold wall-clock samples).
 //!
-//! Masked as `#`, being the host's and not the renderer's: uptime, the
-//! helper pool's capacity and the plan cache's `used` bytes (the heap
-//! size of `automata`'s tables). `RPQ_UPDATE_GOLDEN=1` rewrites the
+//! Masked as `#`, being the host's and not the renderer's: uptime and
+//! the plan cache's `used` bytes (the heap size of `automata`'s tables). `RPQ_UPDATE_GOLDEN=1` rewrites the
 //! files; a change that means to keep the output does not set it.
 
 use std::sync::atomic::Ordering::Relaxed;
@@ -144,11 +143,9 @@ fn busy() -> RpqServer {
         let stats = TraversalStats {
             rank_ops: 1000 * k,
             rank_ops_saved: 10 * k,
-            parallel_levels: 2 * k,
-            parallel_chunks: 5 * k,
             ..TraversalStats::default()
         };
-        m.note_traversal(route, &stats);
+        m.note_traversal(&stats);
     }
     server
 }
@@ -192,7 +189,7 @@ fn check(name: &str, actual: String) {
 
 #[test]
 fn registry_json_is_byte_identical_to_the_golden() {
-    let host = |json: String| mask(&mask(&json, "\"uptime_ms\":"), "\"pool_capacity\":");
+    let host = |json: String| mask(&json, "\"uptime_ms\":");
     let cached = caches().metrics_json();
     let from = cached.find("\"plan_cache\":").unwrap();
     let to = cached.find(",\"latency_us\":").unwrap();
@@ -207,10 +204,7 @@ fn registry_json_is_byte_identical_to_the_golden() {
 
 #[test]
 fn registry_prometheus_is_byte_identical_to_the_golden() {
-    let host = |text: String| {
-        let text = mask(&text, "\nrpq_uptime_seconds ");
-        mask(&text, "\nrpq_helper_pool_capacity ")
-    };
+    let host = |text: String| mask(&text, "\nrpq_uptime_seconds ");
     let cached: String = caches()
         .prometheus_metrics()
         .lines()

@@ -208,7 +208,6 @@ fn prometheus_export_covers_the_registry() {
         "rpq_query_exec_seconds_count",
         "rpq_planner_decisions_total",
         "rpq_cache_hits_total{cache=\"result\"}",
-        "rpq_helper_pool_capacity",
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
     }

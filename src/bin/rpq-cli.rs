@@ -116,8 +116,6 @@ query/batch options:
                    split label, cost estimate) as stable JSON, one object
                    per query, without evaluating anything
 query/serve/batch options:
-  --threads <n>    threads a single query may fan its frontier across
-                   (default 1; answers are identical at any value)
   --profile        collect an execution profile (per-phase timings,
                    per-level frontier sizes, compaction and cache
                    counters; answers are bit-identical either way).
@@ -291,11 +289,10 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
 fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let (explain_only, rest): (bool, Vec<String>) = split_flag(args, "--explain");
     let (profile, rest) = split_flag(&rest, "--profile");
-    let (threads, rest) = split_threads_flag(&rest)?;
     let (mode, rest) = split_residency(&rest)?;
     let [index, s, expr, o] = &rest[..] else {
         return Err(format!(
-            "query needs <index.db> <s> <expr> <o> [--explain] [--profile] [--threads n] [--mmap|--heap]\n{USAGE}"
+            "query needs <index.db> <s> <expr> <o> [--explain] [--profile] [--mmap|--heap]\n{USAGE}"
         )
         .into());
     };
@@ -307,7 +304,6 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     }
     let opts = EngineOptions {
         timeout: Some(Duration::from_secs(60)),
-        intra_query_threads: threads.unwrap_or(1).max(1),
         profile,
         ..EngineOptions::default()
     };
@@ -324,8 +320,8 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
             )
         })
         .collect();
-    // Deterministic output: sorted, distinct rows (stable across engines
-    // and thread counts, so cross-engine diffs are byte-identical).
+    // Deterministic output: sorted, distinct rows (stable across engines,
+    // so cross-engine diffs are byte-identical).
     named.sort();
     named.dedup();
     for (a, b) in &named {
@@ -370,12 +366,6 @@ fn split_flag(args: &[String], flag: &str) -> (bool, Vec<String>) {
     (rest.len() != args.len(), rest)
 }
 
-/// Extracts `--threads <n>` from an argument list, returning it and the
-/// remaining arguments.
-fn split_threads_flag(args: &[String]) -> Result<(Option<usize>, Vec<String>), CliError> {
-    split_uint_flag(args, "--threads")
-}
-
 /// Extracts a `<flag> <n>` pair from an argument list, returning the
 /// parsed value (if present) and the remaining arguments.
 fn split_uint_flag(args: &[String], flag: &str) -> Result<(Option<usize>, Vec<String>), CliError> {
@@ -397,7 +387,6 @@ fn split_uint_flag(args: &[String], flag: &str) -> Result<(Option<usize>, Vec<St
 struct ServeOpts {
     positional: Vec<String>,
     workers: Option<usize>,
-    threads: Option<usize>,
     metrics: Option<String>,
     explain: bool,
     profile: bool,
@@ -411,7 +400,6 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, CliError> {
     let mut opts = ServeOpts {
         positional: Vec::new(),
         workers: None,
-        threads: None,
         metrics: None,
         explain: false,
         profile: false,
@@ -434,13 +422,6 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, CliError> {
                 opts.workers = Some(
                     v.parse()
                         .map_err(|_| format!("bad --workers value '{v}'"))?,
-                );
-            }
-            "--threads" => {
-                let v = value("--threads", &mut it)?;
-                opts.threads = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --threads value '{v}'"))?,
                 );
             }
             "--slow-log" => {
@@ -471,9 +452,6 @@ fn start_server(index: &str, opts: &ServeOpts) -> Result<RpqServer, CliError> {
     let mut config = ServerConfig::default();
     if let Some(w) = opts.workers {
         config.workers = w.max(1);
-    }
-    if let Some(t) = opts.threads {
-        config.intra_query_threads = t.max(1);
     }
     config.profile = opts.profile;
     if let Some(n) = opts.slow_log {
@@ -647,10 +625,9 @@ fn emit_metrics(server: &RpqServer, target: Option<&str>) -> Result<(), CliError
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let opts = parse_serve_opts(args)?;
     let [index] = &opts.positional[..] else {
-        return Err(format!(
-            "serve needs <index.db> [--workers n] [--threads n] [--metrics file]\n{USAGE}"
-        )
-        .into());
+        return Err(
+            format!("serve needs <index.db> [--workers n] [--metrics file]\n{USAGE}").into(),
+        );
     };
     let server = start_server(index, &opts)?;
     let stdin = std::io::stdin();
@@ -670,7 +647,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     let opts = parse_serve_opts(args)?;
     let [index, queries] = &opts.positional[..] else {
         return Err(format!(
-            "batch needs <index.db> <queries.txt> [--explain] [--workers n] [--threads n] [--metrics file]\n{USAGE}"
+            "batch needs <index.db> <queries.txt> [--explain] [--workers n] [--metrics file]\n{USAGE}"
         )
         .into());
     };

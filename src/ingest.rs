@@ -2,11 +2,12 @@
 //!
 //! [`load_ntriples_file`] reads a `.nt` file through a bounded window
 //! instead of one giant `String`: the file is consumed in ~8 MiB chunks
-//! cut at line boundaries, and a *wave* of chunks goes to the shared
-//! helper pool ([`rpq_core::parallel`]) **as raw bytes** — the worker
-//! that scans a chunk ([`ring::ntriples::parse_ntriples_chunk`]) is also
-//! the one that checks its UTF-8 and counts its lines, in the same pass,
-//! so the reading thread only reads. The chunk-local dictionaries are
+//! cut at line boundaries, and a *wave* of chunks is scanned on scoped
+//! helper threads and the caller (`map_chunks_ordered`) **as raw
+//! bytes** — the thread that scans a chunk
+//! ([`ring::ntriples::parse_ntriples_chunk`]) is also the one that checks
+//! its UTF-8 and counts its lines, in the same pass, so the reading
+//! thread only reads. The chunk-local dictionaries are
 //! merged **in chunk order**, which reproduces the exact ids a sequential
 //! [`ring::ntriples::parse_ntriples`] pass would assign (first appearance
 //! of a name is in its first chunk, in local first-appearance order).
@@ -16,7 +17,7 @@
 //!
 //! The calling thread takes part in every phase, and
 //! [`load_ntriples_file_timed`] reports where its time went
-//! ([`IngestTimings`]): reading, scanning (on the pool), merging — the
+//! ([`IngestTimings`]): reading, scanning (on the helpers), merging — the
 //! one serial pass over every chunk's names, a block of them at a time
 //! (`Dict::intern_many`) — and the final sort and deduplication
 //! of the triples in [`Graph::new`], one sort per subject bucket.
@@ -29,11 +30,12 @@
 
 use std::io::Read;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use ring::ntriples::{merge_chunk, parse_ntriples_chunk, NtError};
 use ring::{Dict, Graph, Id, Triple};
-use rpq_core::parallel::{map_chunks_ordered, pool_capacity};
 
 /// Target byte size of one parser chunk. Big enough that per-chunk
 /// dictionary merging is negligible, small enough that a wave of them
@@ -46,7 +48,7 @@ const CHUNK_BYTES: usize = 8 << 20;
 pub struct IngestTimings {
     /// Reading the input into chunks.
     pub read_s: f64,
-    /// Scanning the chunks into chunk-local ids, on the pool.
+    /// Scanning the chunks into chunk-local ids, on the helpers.
     pub scan_s: f64,
     /// Folding the chunks' dictionaries and triples into the global
     /// ones, in chunk order.
@@ -54,13 +56,55 @@ pub struct IngestTimings {
     /// Sorting and deduplicating the triples ([`Graph::new`]: a
     /// counting pass by subject, then a sort per subject bucket).
     pub sort_s: f64,
-    /// Threads the scans could use (the pool plus the caller).
+    /// Threads the scans could use (the helpers plus the caller).
     pub threads: usize,
 }
 
 /// The result of an ingest: the graph and its node and predicate
 /// dictionaries.
 type Parts = (Graph, Dict, Dict);
+
+/// The helper threads a wave's scans run on besides the caller: one
+/// per core the caller leaves free.
+fn helpers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()) - 1
+}
+
+/// Maps `items` chunk by chunk on the caller and up to `helpers` scoped
+/// threads — each takes the next unmapped chunk when it is done with its
+/// last, so skew balances — then hands the results to `consume` on the
+/// caller, **in chunk order**, until it returns `false` (the results
+/// after that are dropped, as a sequential loop would never have made
+/// them).
+fn map_chunks_ordered<I: Sync, T: Send>(
+    items: &[I],
+    chunk_size: usize,
+    helpers: usize,
+    map: impl Fn(usize, &[I]) -> T + Sync,
+    mut consume: impl FnMut(T) -> bool,
+) {
+    let chunks: Vec<&[I]> = items.chunks(chunk_size).collect();
+    let slots: Vec<Mutex<Option<T>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let c = next.fetch_add(1, Ordering::Relaxed);
+        let Some(chunk) = chunks.get(c) else { break };
+        let mapped = map(c, chunk);
+        *slots[c].lock().expect("no thread panics holding a slot") = Some(mapped);
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..helpers.min(chunks.len().saturating_sub(1)) {
+            scope.spawn(work);
+        }
+        work();
+    });
+    for slot in slots {
+        let mapped = slot.into_inner().expect("no thread panics holding a slot");
+        if !consume(mapped.expect("every chunk is mapped")) {
+            return;
+        }
+    }
+}
 
 /// What an ingest accumulates, wave after wave.
 struct Ingest {
@@ -83,7 +127,7 @@ impl Ingest {
         map_chunks_ordered(
             wave,
             1,
-            pool_capacity(),
+            helpers(),
             |_, chunk| parse_ntriples_chunk(&chunk[0], 1),
             |scanned| {
                 let started = Instant::now();
@@ -124,13 +168,13 @@ fn stream_with(mut input: impl Read, chunk_bytes: usize) -> Result<(Parts, Inges
         triples: Vec::new(),
         next_line: 1,
         timings: IngestTimings {
-            threads: pool_capacity() + 1,
+            threads: helpers() + 1,
             ..IngestTimings::default()
         },
     };
     // Waves sized to keep every helper busy while bounding resident
     // text at (wave × chunk) bytes.
-    let wave_cap = (pool_capacity() + 1) * 2;
+    let wave_cap = (helpers() + 1) * 2;
     let mut wave: Vec<Vec<u8>> = Vec::with_capacity(wave_cap);
     let mut carry: Vec<u8> = Vec::new();
     loop {
@@ -202,6 +246,43 @@ pub fn load_ntriples_file_timed(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn map_chunks_ordered_replays_in_order_and_stops_early() {
+        let items: Vec<usize> = (0..1000).collect();
+        for helpers in [0, 3] {
+            let mut seen = Vec::new();
+            map_chunks_ordered(
+                &items,
+                64,
+                helpers,
+                |c, chunk| (c, chunk.iter().sum::<usize>()),
+                |t| {
+                    seen.push(t);
+                    true
+                },
+            );
+            let expect: Vec<(usize, usize)> = items
+                .chunks(64)
+                .enumerate()
+                .map(|(c, ch)| (c, ch.iter().sum()))
+                .collect();
+            assert_eq!(seen, expect, "helpers={helpers}");
+            // Early stop after 3 chunks consumes exactly 3.
+            let mut n = 0;
+            map_chunks_ordered(
+                &items,
+                64,
+                helpers,
+                |c, _| c,
+                |_| {
+                    n += 1;
+                    n < 3
+                },
+            );
+            assert_eq!(n, 3, "helpers={helpers}");
+        }
+    }
 
     fn stream(text: &[u8], chunk_bytes: usize) -> Result<Parts, String> {
         stream_with(text, chunk_bytes).map(|(parts, _)| parts)

@@ -339,7 +339,7 @@ fn serve_session_over_stdin() {
 }
 
 /// The `batch` subcommand runs a query file through the service and
-/// produces byte-deterministic output across thread counts.
+/// produces byte-deterministic output across worker counts.
 #[test]
 fn batch_is_deterministic_across_worker_counts() {
     let dir = tmpdir("batch");
