@@ -64,9 +64,9 @@ pub use source::{IndexSource, IndexStats, LiveSource, QuerySource, ShardStat, Up
 /// for a job still queued at shutdown; the rest surface through `wait`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RpqError {
-    /// The path expression failed to parse or mentions an unknown
-    /// predicate.
-    Parse(String),
+    /// The path expression failed to parse or mentions a predicate the
+    /// snapshot's alphabet lacks.
+    Parse(automata::parser::ParseError),
     /// An endpoint names a node absent from the dictionary.
     UnknownNode(String),
     /// Admission control rejected the query: the pending queue is full.
@@ -97,7 +97,7 @@ pub enum RpqError {
 impl std::fmt::Display for RpqError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RpqError::Parse(m) => write!(f, "parse error: {m}"),
+            RpqError::Parse(e) => write!(f, "parse error: {e}"),
             RpqError::UnknownNode(n) => write!(f, "unknown node '{n}'"),
             RpqError::Overloaded { pending, capacity } => {
                 write!(f, "server overloaded: {pending}/{capacity} queries pending")

@@ -129,11 +129,11 @@ const ROUTES: usize = EvalRoute::ALL.len();
 /// execution time, and the all-routes end-to-end aggregate).
 pub struct Metrics {
     started: Instant,
-    /// Queries accepted: queued, or answered from the result cache at
-    /// submit.
+    /// Queries accepted: queued, or answered at submit (from the result
+    /// cache, or empty for an endpoint the snapshot does not hold).
     pub submitted: AtomicU64,
     /// Queries that produced an answer (including truncated/timed-out
-    /// partials and result-cache hits).
+    /// partials, result-cache hits and empty answers at submit).
     pub completed: AtomicU64,
     /// Queries that failed evaluation.
     pub failed: AtomicU64,

@@ -3,8 +3,10 @@
 //! plan/result caches behind it.
 //!
 //! Life of a query: submit, then wait. [`RpqServer::submit`] parses and
-//! resolves the string query on the caller's thread (so parse errors are
-//! synchronous) and looks it up in the result cache there: a hit is
+//! resolves the string query on the caller's thread
+//! ([`crate::source::resolve_query`], so parse errors are synchronous,
+//! and an endpoint the captured snapshot does not hold is answered
+//! empty there) and looks it up in the result cache there: a hit is
 //! answered on the spot, and its [`QueryTicket`] holds the answer. A miss
 //! is enqueued — a full queue is an [`RpqError::Overloaded`] rejection,
 //! *before* any evaluation work is spent (admission control) — and its
@@ -32,7 +34,7 @@ use crate::metrics::{registry_json, registry_prometheus, Metrics, View};
 use crate::plan_cache::PlanCache;
 use crate::result_cache::{ResultCache, ResultKey};
 use crate::slowlog::{SlowEntry, SlowLog};
-use crate::source::{QuerySource, SourceResolver};
+use crate::source::{name_pairs, resolve_query, QuerySource};
 use crate::{lock_ignore_poison, RpqError};
 
 /// Per-query evaluation budgets. `max_results` and `timeout` return
@@ -127,8 +129,9 @@ pub struct QueryAnswer {
     /// The timeout was hit (answer is partial).
     pub timed_out: bool,
     /// The evaluation route the planner chose and the worker executed
-    /// (`None` only for answers predating evaluation, which do not
-    /// occur in practice; cache hits keep the original run's route).
+    /// (`None` for the empty answer to an endpoint the snapshot does not
+    /// hold, which nothing evaluates; cache hits keep the original run's
+    /// route).
     pub route: Option<EvalRoute>,
     /// Engine traversal statistics.
     pub stats: TraversalStats,
@@ -307,40 +310,6 @@ impl RpqServer {
         &self.shared.metrics
     }
 
-    /// Parses a string query against the source's dictionaries without
-    /// submitting it.
-    pub fn parse(&self, subject: &str, expr: &str, object: &str) -> Result<RpqQuery, RpqError> {
-        let snapshot = self.shared.source.snapshot();
-        self.parse_at(subject, expr, object, &snapshot)
-    }
-
-    fn parse_at(
-        &self,
-        subject: &str,
-        expr: &str,
-        object: &str,
-        snapshot: &SourceSnapshot,
-    ) -> Result<RpqQuery, RpqError> {
-        let resolver = SourceResolver {
-            source: &*self.shared.source,
-            snapshot,
-        };
-        let e = automata::parser::parse(expr, &resolver)
-            .map_err(|err| RpqError::Parse(err.to_string()))?;
-        let term = |name: &str| -> Result<Term, RpqError> {
-            if name.starts_with('?') {
-                Ok(Term::Var)
-            } else {
-                self.shared
-                    .source
-                    .node_id(name)
-                    .map(Term::Const)
-                    .ok_or_else(|| RpqError::UnknownNode(name.to_string()))
-            }
-        };
-        Ok(RpqQuery::new(term(subject)?, e, term(object)?))
-    }
-
     /// Submits a string query under the default budget.
     pub fn submit(&self, subject: &str, expr: &str, object: &str) -> Result<QueryTicket, RpqError> {
         self.submit_with(subject, expr, object, self.shared.config.default_budget)
@@ -348,7 +317,9 @@ impl RpqServer {
 
     /// Submits a string query under an explicit budget. Parse and
     /// resolution errors are synchronous; admission rejections
-    /// ([`RpqError::Overloaded`]) happen before any evaluation work.
+    /// ([`RpqError::Overloaded`]) happen before any evaluation work. An
+    /// endpoint the dictionary knows but the captured snapshot does not
+    /// hold is answered here, empty (see [`crate::source`]).
     ///
     /// A result-cache hit is answered in this call, on the caller's
     /// thread: the returned ticket holds the answer, and the hit takes no
@@ -364,8 +335,8 @@ impl RpqServer {
         budget: QueryBudget,
     ) -> Result<QueryTicket, RpqError> {
         let snapshot = self.shared.source.snapshot();
-        let query = self.parse_at(subject, expr, object, &snapshot)?;
-        self.submit_parsed_at(query, budget, snapshot)
+        let query = resolve_query(&*self.shared.source, &snapshot, subject, expr, object)?;
+        self.submit_at(query, budget, snapshot)
     }
 
     /// Submits an id-level query (the path benchmarks and embedders use;
@@ -377,12 +348,14 @@ impl RpqServer {
         budget: QueryBudget,
     ) -> Result<QueryTicket, RpqError> {
         let snapshot = self.shared.source.snapshot();
-        self.submit_parsed_at(query, budget, snapshot)
+        self.submit_at(Some(query), budget, snapshot)
     }
 
-    fn submit_parsed_at(
+    /// Admits `query` at `snapshot`; `None` is a query with nothing to
+    /// evaluate, answered here, empty.
+    fn submit_at(
         &self,
-        query: RpqQuery,
+        query: Option<RpqQuery>,
         budget: QueryBudget,
         snapshot: SourceSnapshot,
     ) -> Result<QueryTicket, RpqError> {
@@ -391,6 +364,12 @@ impl RpqServer {
         {
             return Err(RpqError::ShuttingDown);
         }
+        let Some(query) = query else {
+            let metrics = &self.shared.metrics;
+            metrics.submitted.fetch_add(1, Ordering::Relaxed);
+            metrics.completed.fetch_add(1, Ordering::Relaxed);
+            return Ok(QueryTicket(Ticket::Answered(Arc::default())));
+        };
         self.note_epoch(snapshot.epoch);
         let key = ResultKey {
             pattern: PreparedQuery::cache_key(&query.expr),
@@ -488,20 +467,11 @@ impl RpqServer {
         self.wait(&ticket)
     }
 
-    /// Renders an answer's id pairs as name pairs (ids without a
-    /// dictionary entry print as decimal).
+    /// Renders an answer's id pairs as name pairs, sorted and distinct
+    /// ([`crate::source::name_pairs`]; ids without a dictionary entry
+    /// print as decimal).
     pub fn resolve_pairs(&self, answer: &QueryAnswer) -> Vec<(String, String)> {
-        let name = |id: Id| {
-            self.shared
-                .source
-                .node_name(id)
-                .unwrap_or_else(|| id.to_string())
-        };
-        answer
-            .pairs
-            .iter()
-            .map(|&(s, o)| (name(s), name(o)))
-            .collect()
+        name_pairs(&*self.shared.source, &answer.pairs)
     }
 
     /// Drops every cached plan and result (the invalidation hook an

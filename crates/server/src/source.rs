@@ -1,19 +1,36 @@
 //! What a server serves: an evaluation **snapshot** (ring plus optional
 //! delta overlay, stamped with an epoch) and the name dictionaries
-//! needed to parse string-level queries.
+//! needed to parse string-level queries — and the one name-level query
+//! path over them.
 //!
 //! The façade crate's `RpqDatabase` and `UpdatableDatabase` implement
 //! [`QuerySource`] with their dictionaries; id-level embedders
 //! (benchmarks, tests) can use [`IndexSource`] (immutable) or
 //! [`LiveSource`] (an updatable [`TripleStore`] behind the same
 //! interface) directly, where names are decimal ids.
+//!
+//! A string query `s expr o` becomes an id-level [`RpqQuery`] over one
+//! captured snapshot in one place, [`resolve_query`], which both façade
+//! databases and [`RpqServer::submit`](crate::RpqServer::submit) call;
+//! answers become names in one place, [`name_pairs`]. The rule for names
+//! at a snapshot:
+//!
+//! * a label resolves only if the snapshot's alphabet holds it — a label
+//!   interned for an uncommitted insert is unknown (a parse error);
+//! * a node name the dictionary does not know is
+//!   [`RpqError::UnknownNode`];
+//! * a node name the dictionary knows but the snapshot does not hold
+//!   (interned for an uncommitted insert) has no edges there: the answer
+//!   is empty, and nothing is evaluated.
 
 use std::sync::Arc;
 
-use automata::parser::LabelResolver;
+use automata::parser::{self, LabelResolver};
 use ring::store::TripleStore;
 use ring::{Id, Ring};
-use rpq_core::SourceSnapshot;
+use rpq_core::{MergedView, RpqQuery, SourceSnapshot, Term, TripleSource};
+
+use crate::RpqError;
 
 /// Live update counters an updatable source exports (rendered into the
 /// server's metrics JSON).
@@ -243,23 +260,80 @@ impl QuerySource for LiveSource {
     }
 }
 
-/// The [`LabelResolver`] a server builds over its source to parse path
-/// expressions: predicate names through the source, inverses through the
-/// completed alphabet of the snapshot captured for the query.
-pub(crate) struct SourceResolver<'a> {
-    pub(crate) source: &'a dyn QuerySource,
-    pub(crate) snapshot: &'a SourceSnapshot,
+/// The [`LabelResolver`] of every string query: predicate names through
+/// the source, inverses through the completed alphabet of the snapshot
+/// captured for the query.
+struct SourceResolver<'a, S: ?Sized> {
+    source: &'a S,
+    ring: &'a Ring,
 }
 
-impl LabelResolver for SourceResolver<'_> {
+impl<S: QuerySource + ?Sized> LabelResolver for SourceResolver<'_, S> {
     // A label the source interned for an uncommitted insert is not in
     // this snapshot's alphabet yet: its id there is an inverse label's.
     fn resolve(&self, name: &str) -> Option<Id> {
-        let known = |p: &Id| *p < self.snapshot.ring.n_preds_base();
+        let known = |p: &Id| *p < self.ring.n_preds_base();
         self.source.pred_id(name).filter(known)
     }
 
     fn inverse(&self, label: Id) -> Id {
-        self.snapshot.ring.inverse_label(label)
+        self.ring.inverse_label(label)
     }
+}
+
+/// Parses `subject expr object` into an id-level [`RpqQuery`] over
+/// `ring`'s alphabet. Endpoints are variables (any token starting with
+/// `?`) or node names, looked up in the source's dictionary as it is
+/// now; a constant may lie beyond the snapshot (see [`resolve_query`]).
+pub fn parse_query<S: QuerySource + ?Sized>(
+    source: &S,
+    ring: &Ring,
+    subject: &str,
+    expr: &str,
+    object: &str,
+) -> Result<RpqQuery, RpqError> {
+    let expr = parser::parse(expr, &SourceResolver { source, ring }).map_err(RpqError::Parse)?;
+    let term = |name: &str| {
+        if name.starts_with('?') {
+            return Ok(Term::Var);
+        }
+        source
+            .node_id(name)
+            .map(Term::Const)
+            .ok_or_else(|| RpqError::UnknownNode(name.to_string()))
+    };
+    Ok(RpqQuery::new(term(subject)?, expr, term(object)?))
+}
+
+/// [`parse_query`] at `snapshot`, with the rule for a node the snapshot
+/// does not hold: `None` when an endpoint names one — the answer is
+/// empty, and there is nothing to evaluate.
+pub fn resolve_query<S, T>(
+    source: &S,
+    snapshot: &T,
+    subject: &str,
+    expr: &str,
+    object: &str,
+) -> Result<Option<RpqQuery>, RpqError>
+where
+    S: QuerySource + ?Sized,
+    T: TripleSource + ?Sized,
+{
+    let query = parse_query(source, snapshot.ring(), subject, expr, object)?;
+    let universe = MergedView::new(snapshot).n_nodes();
+    let held = |t: Term| !matches!(t, Term::Const(c) if c >= universe);
+    Ok((held(query.subject) && held(query.object)).then_some(query))
+}
+
+/// `pairs` by name, sorted and distinct: how every name-level answer is
+/// rendered. Ids the source cannot name print as decimal.
+pub fn name_pairs<S: QuerySource + ?Sized>(
+    source: &S,
+    pairs: &[(Id, Id)],
+) -> Vec<(String, String)> {
+    let name = |id: Id| source.node_name(id).unwrap_or_else(|| id.to_string());
+    let mut named: Vec<_> = pairs.iter().map(|&(s, o)| (name(s), name(o))).collect();
+    named.sort_unstable();
+    named.dedup();
+    named
 }

@@ -396,7 +396,7 @@ fn a_refused_expression_does_not_take_a_session_down() {
         match typed {
             Some(err) => assert_eq!(refused, err),
             None => assert!(
-                matches!(&refused, RpqError::Parse(m) if m.contains(needle)),
+                matches!(&refused, RpqError::Parse(e) if e.to_string().contains(needle)),
                 "{refused}"
             ),
         }

@@ -23,6 +23,7 @@
 //! (pattern parse error or unknown node) — typed, no backtrace.
 
 use ring_rpq::ring::mapped::OpenMode;
+use ring_rpq::rpq_server::source::name_pairs;
 use ring_rpq::rpq_server::{RpqError, RpqServer, ServerConfig};
 use ring_rpq::{DbError, RpqDatabase, UpdatableDatabase};
 use rpq_core::EngineOptions;
@@ -310,20 +311,9 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let t = Instant::now();
     let out = db.query_with(s, expr, o, &opts)?;
     let secs = t.elapsed().as_secs_f64();
-    let mut named: Vec<(String, String)> = out
-        .pairs
-        .iter()
-        .map(|&(a, b)| {
-            (
-                db.nodes().name(a).into_owned(),
-                db.nodes().name(b).into_owned(),
-            )
-        })
-        .collect();
     // Deterministic output: sorted, distinct rows (stable across engines,
-    // so cross-engine diffs are byte-identical).
-    named.sort();
-    named.dedup();
+    // so cross-engine diffs are byte-identical), as `serve` prints them.
+    let named = name_pairs(&db, &out.pairs);
     for (a, b) in &named {
         println!("{a}\t{b}");
     }
@@ -581,12 +571,8 @@ fn flush_one(
     writeln!(out, "# query {n}: {text}").map_err(echo)?;
     match server.wait(&ticket) {
         Ok(answer) => {
-            // Deterministic rows: answers come id-sorted and distinct;
-            // re-sort by name so output matches `rpq-cli query`.
-            let mut named = server.resolve_pairs(&answer);
-            named.sort();
-            named.dedup();
-            for (s, o) in named {
+            // Sorted, distinct rows by name, as `rpq-cli query` prints.
+            for (s, o) in server.resolve_pairs(&answer) {
                 writeln!(out, "{s}\t{o}").map_err(echo)?;
             }
             writeln!(

@@ -54,11 +54,12 @@ mod updatable;
 pub use rpq_core::{LevelSample, QueryProfile};
 pub use updatable::UpdatableDatabase;
 
-use automata::parser::{self, LabelResolver};
+use automata::parser;
 use ring::mapped::OpenMode;
 use ring::ring::RingOptions;
 use ring::{Dict, Graph, Id, Ring};
-use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, Term};
+use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, TripleSource};
+use rpq_server::{source, QuerySource, RpqError};
 use std::sync::{Arc, OnceLock};
 use succinct::ResidentMode;
 
@@ -140,67 +141,39 @@ pub(crate) struct Dicts {
     pub(crate) preds: Dict,
 }
 
-/// Predicate names through the dictionary, inverses through `ring`'s
-/// completed alphabet.
-struct DictResolver<'a> {
-    preds: &'a Dict,
-    ring: &'a Ring,
-}
-
-impl LabelResolver for DictResolver<'_> {
-    // A label an updatable database interned for an uncommitted insert is
-    // not in `ring`'s alphabet yet: its id there is an inverse label's.
-    // (Every label of an immutable database is.)
-    fn resolve(&self, name: &str) -> Option<Id> {
-        let known = |p: &Id| *p < self.ring.n_preds_base();
-        self.preds.get(name).filter(known)
-    }
-
-    fn inverse(&self, label: Id) -> Id {
-        self.ring.inverse_label(label)
-    }
-}
-
 impl Dicts {
-    /// Parses endpoints and expression into an id-level [`RpqQuery`] over
-    /// `ring`'s alphabet.
-    fn parse(
-        &self,
-        ring: &Ring,
-        subject: &str,
-        expr: &str,
-        object: &str,
-    ) -> Result<RpqQuery, DbError> {
-        let resolver = DictResolver {
-            preds: &self.preds,
-            ring,
-        };
-        let e = parser::parse(expr, &resolver).map_err(DbError::Parse)?;
-        let term = |name: &str| -> Result<Term, DbError> {
-            if name.starts_with('?') {
-                Ok(Term::Var)
-            } else {
-                self.nodes
-                    .get(name)
-                    .map(Term::Const)
-                    .ok_or_else(|| DbError::UnknownNode(name.to_string()))
-            }
-        };
-        Ok(RpqQuery::new(term(subject)?, e, term(object)?))
-    }
-
-    /// `pairs` by name, sorted lexicographically.
-    fn named(&self, pairs: &[(Id, Id)]) -> Vec<(String, String)> {
-        let name = |v: Id| self.nodes.name(v).into_owned();
-        let mut named: Vec<_> = pairs.iter().map(|&(s, o)| (name(s), name(o))).collect();
-        named.sort();
-        named
-    }
-
     /// The name of node `id`, if the dictionary has one.
     fn node_name(&self, id: Id) -> Option<String> {
         (id < self.nodes.len() as Id).then(|| self.nodes.name(id).into_owned())
     }
+}
+
+/// A refusal of the name-level query path ([`rpq_server::source`]) as
+/// the façade reports it. That path refuses expressions and node names
+/// only.
+pub(crate) fn refused(e: RpqError) -> DbError {
+    match e {
+        RpqError::Parse(e) => DbError::Parse(e),
+        RpqError::UnknownNode(name) => DbError::UnknownNode(name),
+        other => unreachable!("name resolution refused a query with: {other}"),
+    }
+}
+
+/// Evaluates a string query resolved by [`source::resolve_query`] on a
+/// pooled scratch. `None`, an endpoint the snapshot does not hold, is
+/// the empty answer.
+pub(crate) fn evaluate<S: TripleSource + ?Sized>(
+    query: Option<RpqQuery>,
+    snapshot: &S,
+    scratch: &ScratchPool,
+    opts: &EngineOptions,
+) -> Result<QueryOutput, DbError> {
+    let Some(q) = query else {
+        return Ok(QueryOutput::default());
+    };
+    scratch
+        .with_engine(snapshot, |engine| engine.evaluate(&q, opts))
+        .map_err(DbError::Query)
 }
 
 impl RpqDatabase {
@@ -337,17 +310,19 @@ impl RpqDatabase {
         &self.dicts.preds
     }
 
-    /// Parses endpoints and expression into an id-level [`RpqQuery`].
+    /// Parses endpoints and expression into an id-level [`RpqQuery`]
+    /// ([`rpq_server::source::parse_query`]).
     pub fn parse_query(
         &self,
         subject: &str,
         expr: &str,
         object: &str,
     ) -> Result<RpqQuery, DbError> {
-        self.dicts.parse(self.ring(), subject, expr, object)
+        source::parse_query(self, self.ring(), subject, expr, object).map_err(refused)
     }
 
-    /// Evaluates a query, returning name pairs sorted lexicographically.
+    /// Evaluates a query, returning name pairs sorted lexicographically
+    /// and distinct ([`rpq_server::source::name_pairs`]).
     pub fn query(
         &self,
         subject: &str,
@@ -355,7 +330,7 @@ impl RpqDatabase {
         object: &str,
     ) -> Result<Vec<(String, String)>, DbError> {
         let out = self.query_with(subject, expr, object, &EngineOptions::default())?;
-        Ok(self.dicts.named(&out.pairs))
+        Ok(source::name_pairs(self, &out.pairs))
     }
 
     /// Evaluates with explicit options, returning the raw id-level output.
@@ -366,10 +341,8 @@ impl RpqDatabase {
         object: &str,
         opts: &EngineOptions,
     ) -> Result<QueryOutput, DbError> {
-        let q = self.parse_query(subject, expr, object)?;
-        self.scratch
-            .with_engine(&self.source, |engine| engine.evaluate(&q, opts))
-            .map_err(DbError::Query)
+        let query = source::resolve_query(self, &self.source, subject, expr, object);
+        evaluate(query.map_err(refused)?, &self.source, &self.scratch, opts)
     }
 
     /// Explains the evaluation plan for a query (route, direction,
@@ -540,7 +513,7 @@ impl RpqDatabase {
 /// plus the name dictionaries. All of it is immutable after
 /// construction, so one instance backs any number of workers (every
 /// snapshot is the same epoch-0 view).
-impl rpq_server::QuerySource for RpqDatabase {
+impl QuerySource for RpqDatabase {
     fn snapshot(&self) -> SourceSnapshot {
         self.source.clone()
     }

@@ -33,9 +33,10 @@ use ring::mapped::OpenMode;
 use ring::store::{StoreSnapshot, StoreStats, TripleStore};
 use ring::wal::{Wal, WalOp};
 use ring::{Dict, Graph, Id, Ring, Triple};
-use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, Term};
+use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot};
+use rpq_server::{source, QuerySource};
 
-use crate::{DbError, Dicts, RpqDatabase};
+use crate::{evaluate, refused, DbError, Dicts, RpqDatabase};
 
 /// `snap` as a file holds it: one ring with the overlay folded in, over
 /// universes as large as the dictionaries — append-only interning leaves
@@ -331,33 +332,26 @@ impl UpdatableDatabase {
         RpqDatabase::from_source(source, dicts.nodes, dicts.preds)
     }
 
-    /// Parses endpoints and expression against the given snapshot.
-    fn parse_query_at(
-        &self,
-        snap: &StoreSnapshot,
-        subject: &str,
-        expr: &str,
-        object: &str,
-    ) -> Result<RpqQuery, DbError> {
-        let dicts = self.dicts.read().unwrap();
-        dicts.parse(&snap.ring, subject, expr, object)
-    }
-
     /// Parses endpoints and expression into an id-level [`RpqQuery`]
-    /// against the current snapshot's alphabet.
+    /// against the current snapshot's alphabet
+    /// ([`rpq_server::source::parse_query`]). A label interned for an
+    /// uncommitted insert is unknown; a node interned for one resolves
+    /// to its id, which the snapshot does not hold yet (the id-level
+    /// engine refuses it).
     pub fn parse_query(
         &self,
         subject: &str,
         expr: &str,
         object: &str,
     ) -> Result<RpqQuery, DbError> {
-        self.parse_query_at(&self.store.snapshot(), subject, expr, object)
+        let ring = &self.store.snapshot().ring;
+        source::parse_query(self, ring, subject, expr, object).map_err(refused)
     }
 
     /// Evaluates a query against the current snapshot, returning name
-    /// pairs sorted lexicographically. Concurrent commits never tear the
-    /// answer: the whole evaluation runs against the snapshot captured
-    /// here.
+    /// pairs sorted lexicographically and distinct. Concurrent commits
+    /// never tear the answer: the whole evaluation runs against the
+    /// snapshot captured here.
     pub fn query(
         &self,
         subject: &str,
@@ -365,11 +359,13 @@ impl UpdatableDatabase {
         object: &str,
     ) -> Result<Vec<(String, String)>, DbError> {
         let out = self.query_with(subject, expr, object, &EngineOptions::default())?;
-        Ok(self.dicts.read().unwrap().named(&out.pairs))
+        Ok(source::name_pairs(self, &out.pairs))
     }
 
     /// Evaluates with explicit options, returning the raw id-level
-    /// output (snapshot-consistent, like [`Self::query`]).
+    /// output (snapshot-consistent, like [`Self::query`]). A node
+    /// interned for an uncommitted insert is absent from the snapshot:
+    /// its answer is empty.
     pub fn query_with(
         &self,
         subject: &str,
@@ -378,30 +374,8 @@ impl UpdatableDatabase {
         opts: &EngineOptions,
     ) -> Result<QueryOutput, DbError> {
         let snap = self.store.snapshot();
-        let q = self.parse_query_at(&snap, subject, expr, object)?;
-        self.evaluate_at(&snap, &q, opts)
-    }
-
-    /// Evaluates an id-level query against the given snapshot. A
-    /// constant naming an interned-but-not-yet-committed node is simply
-    /// absent from this snapshot: the answer is empty.
-    fn evaluate_at(
-        &self,
-        snap: &StoreSnapshot,
-        q: &RpqQuery,
-        opts: &EngineOptions,
-    ) -> Result<QueryOutput, DbError> {
-        let universe = snap.n_nodes();
-        for t in [q.subject, q.object] {
-            if let Term::Const(c) = t {
-                if c >= universe {
-                    return Ok(QueryOutput::default());
-                }
-            }
-        }
-        self.scratch
-            .with_engine(snap, |engine| engine.evaluate(q, opts))
-            .map_err(DbError::Query)
+        let query = source::resolve_query(self, &*snap, subject, expr, object);
+        evaluate(query.map_err(refused)?, &*snap, &self.scratch, opts)
     }
 
     /// Persists the committed state as an `RRPQM01` file
@@ -588,7 +562,7 @@ impl UpdatableDatabase {
     }
 }
 
-impl rpq_server::QuerySource for UpdatableDatabase {
+impl QuerySource for UpdatableDatabase {
     fn snapshot(&self) -> SourceSnapshot {
         SourceSnapshot::from_store(&self.store.snapshot())
     }
