@@ -56,7 +56,6 @@ mod kernel;
 mod level_sync_identity;
 pub mod oracle;
 pub mod pairbuf;
-pub mod parallel;
 pub mod plan;
 pub mod planner;
 pub mod profile;
@@ -75,17 +74,16 @@ pub use query::{EngineOptions, QueryOutput, RpqQuery, Term, TraversalStats};
 pub use scratch::{EngineScratch, ScratchPool};
 pub use source::{MergedView, ShardPart, ShardSet, ShardedSource, SourceSnapshot, TripleSource};
 
-/// Errors from query evaluation.
+/// Errors from query evaluation: each is a property of the query. The
+/// engine starts no threads, so a failure of the machinery (a panicking
+/// evaluation) is the caller's to contain; the server reports it as
+/// `rpq_server::RpqError::Internal`, for that query alone.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QueryError {
     /// The regular expression could not be compiled.
     Automaton(automata::AutomatonError),
     /// A constant term is outside the graph's node universe.
     NodeOutOfRange(ring::Id),
-    /// The evaluation machinery itself failed (a panicked batch worker,
-    /// a poisoned engine) — not a property of the query. The payload is
-    /// a human-readable diagnostic.
-    Internal(String),
 }
 
 impl std::fmt::Display for QueryError {
@@ -93,7 +91,6 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::Automaton(e) => write!(f, "automaton construction failed: {e}"),
             QueryError::NodeOutOfRange(id) => write!(f, "node id {id} out of range"),
-            QueryError::Internal(msg) => write!(f, "internal evaluation failure: {msg}"),
         }
     }
 }

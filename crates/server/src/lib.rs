@@ -57,7 +57,7 @@ pub use plan_cache::PlanCache;
 pub use result_cache::{ResultCache, ResultKey};
 pub use server::{DrainReport, QueryAnswer, QueryBudget, QueryTicket, RpqServer, ServerConfig};
 pub use slowlog::{SlowEntry, SlowLog};
-pub use source::{IndexSource, IndexStats, LiveSource, QuerySource, ShardStat, UpdateStats};
+pub use source::{IndexSource, IndexStats, LiveSource, QuerySource, ShardStat};
 
 /// Errors of the serving layer. `Parse`, `UnknownNode` and `Overloaded`
 /// are reported at submit; `ShuttingDown` at submit, or through `wait`
@@ -97,7 +97,7 @@ pub enum RpqError {
 impl std::fmt::Display for RpqError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RpqError::Parse(e) => write!(f, "parse error: {e}"),
+            RpqError::Parse(e) => write!(f, "{e}"),
             RpqError::UnknownNode(n) => write!(f, "unknown node '{n}'"),
             RpqError::Overloaded { pending, capacity } => {
                 write!(f, "server overloaded: {pending}/{capacity} queries pending")

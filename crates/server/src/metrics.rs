@@ -19,10 +19,11 @@ use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use ring::store::StoreStats;
 use rpq_core::jsonw::JsonWriter;
 use rpq_core::EvalRoute;
 
-use crate::source::{IndexStats, ShardStat, UpdateStats};
+use crate::source::{IndexStats, ShardStat};
 use crate::ServerConfig;
 
 const BUCKETS: usize = 32;
@@ -293,7 +294,7 @@ pub(crate) struct View<'a> {
     /// The plan cache, then the result cache.
     pub caches: [CacheStats; 2],
     pub epoch: u64,
-    pub updates: UpdateStats,
+    pub updates: StoreStats,
     pub index: IndexStats,
     /// An unsharded source has no shard section at all — an always-zero
     /// `rpq_shards` would read as "sharded, 0 shards".
@@ -627,7 +628,7 @@ mod tests {
             config: CONFIG.get_or_init(ServerConfig::default),
             caches: [cache; 2],
             epoch: 0,
-            updates: UpdateStats::default(),
+            updates: StoreStats::default(),
             index: IndexStats::default(),
             sharded: false,
             shards: Vec::new(),

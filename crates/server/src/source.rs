@@ -26,48 +26,11 @@
 use std::sync::Arc;
 
 use automata::parser::{self, LabelResolver};
-use ring::store::TripleStore;
+use ring::store::{StoreStats, TripleStore};
 use ring::{Id, Ring};
 use rpq_core::{MergedView, RpqQuery, SourceSnapshot, Term, TripleSource};
 
 use crate::RpqError;
-
-/// Live update counters an updatable source exports (rendered into the
-/// server's metrics JSON).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct UpdateStats {
-    /// Current snapshot epoch.
-    pub epoch: u64,
-    /// Committed update batches.
-    pub commits: u64,
-    /// Ring rebuilds (explicit, automatic, or alphabet-extending).
-    pub compactions: u64,
-    /// Nanoseconds spent merging batches into the overlay, cumulative.
-    pub commit_ns: u64,
-    /// Nanoseconds spent in ring rebuilds, cumulative.
-    pub compact_ns: u64,
-    /// Added triples in the committed overlay.
-    pub delta_adds: usize,
-    /// Tombstoned triples in the committed overlay.
-    pub delta_deletes: usize,
-    /// Buffered, uncommitted operations.
-    pub pending_ops: usize,
-}
-
-impl From<ring::store::StoreStats> for UpdateStats {
-    fn from(s: ring::store::StoreStats) -> Self {
-        Self {
-            epoch: s.epoch,
-            commits: s.commits,
-            compactions: s.compactions,
-            commit_ns: s.commit_ns,
-            compact_ns: s.compact_ns,
-            delta_adds: s.delta_adds,
-            delta_deletes: s.delta_deletes,
-            pending_ops: s.pending_ops,
-        }
-    }
-}
 
 /// Cold-start facts about the served index: how it was brought into
 /// memory and where its payload bytes live. Sources opened from a
@@ -122,7 +85,7 @@ pub trait QuerySource: Send + Sync {
     /// Resolves a predicate name to its id.
     fn pred_id(&self, name: &str) -> Option<Id>;
     /// Live update counters, for sources that support updates.
-    fn update_stats(&self) -> Option<UpdateStats> {
+    fn update_stats(&self) -> Option<StoreStats> {
         None
     }
     /// Cold-start facts (open latency, heap-vs-mmap residency), for
@@ -255,8 +218,8 @@ impl QuerySource for LiveSource {
             .filter(|&id| id < snap.ring.n_preds_base())
     }
 
-    fn update_stats(&self) -> Option<UpdateStats> {
-        Some(self.store.stats().into())
+    fn update_stats(&self) -> Option<StoreStats> {
+        Some(self.store.stats())
     }
 }
 

@@ -19,13 +19,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ring::ring::RingOptions;
+use ring::store::StoreStats;
 use ring::{Graph, Id, Ring, Triple};
 use rpq_core::{EvalRoute, SourceSnapshot, TraversalStats};
-use rpq_server::{
-    IndexSource, IndexStats, QuerySource, RpqServer, ServerConfig, ShardStat, UpdateStats,
-};
+use rpq_server::{IndexSource, IndexStats, QuerySource, RpqServer, ServerConfig, ShardStat};
 
-type Facts = (UpdateStats, IndexStats, Vec<ShardStat>);
+type Facts = (StoreStats, IndexStats, Vec<ShardStat>);
 
 /// An id-only source that reports the facts it is given.
 struct Fixed(IndexSource, Option<Facts>);
@@ -46,7 +45,7 @@ impl QuerySource for Fixed {
     fn pred_id(&self, name: &str) -> Option<Id> {
         self.0.pred_id(name)
     }
-    fn update_stats(&self) -> Option<UpdateStats> {
+    fn update_stats(&self) -> Option<StoreStats> {
         self.1.as_ref().map(|facts| facts.0)
     }
     fn index_info(&self) -> Option<IndexStats> {
@@ -77,7 +76,7 @@ fn server(facts: Option<Facts>, workers: usize) -> RpqServer {
 }
 
 fn busy() -> RpqServer {
-    let updates = UpdateStats {
+    let updates = StoreStats {
         epoch: 7,
         commits: 11,
         compactions: 2,

@@ -368,17 +368,6 @@ impl RpqDatabase {
         rpq_core::explain::explain(&self.source, &q).map_err(DbError::Query)
     }
 
-    /// Evaluates many queries concurrently (`n_threads` workers, dynamic
-    /// load balancing); results come back in input order.
-    pub fn query_batch(
-        &self,
-        queries: &[rpq_core::RpqQuery],
-        opts: &EngineOptions,
-        n_threads: usize,
-    ) -> Vec<Result<QueryOutput, rpq_core::QueryError>> {
-        rpq_core::parallel::evaluate_batch(&self.source, queries, opts, n_threads)
-    }
-
     /// Persists the database as an `RRPQM01` file — the one index file
     /// format (see [`ring::mapped`]): the ring's arrays as they are in
     /// memory, aligned, plus the dictionaries, written atomically (temp

@@ -579,8 +579,8 @@ impl QuerySource for UpdatableDatabase {
         self.dicts.read().unwrap().preds.get(name)
     }
 
-    fn update_stats(&self) -> Option<rpq_server::UpdateStats> {
-        Some(self.store.stats().into())
+    fn update_stats(&self) -> Option<StoreStats> {
+        Some(self.store.stats())
     }
 
     fn checkpoint(&self) -> Option<std::io::Result<u64>> {

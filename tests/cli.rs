@@ -327,7 +327,11 @@ fn serve_session_over_stdin() {
     assert!(stdout.contains("bellas_artes\tsanta_ana"), "{stdout}");
     assert!(stdout.contains("# 1 pairs"), "{stdout}");
     // The malformed third query fails in isolation.
-    assert!(stdout.contains("# error: parse error"), "{stdout}");
+    assert!(
+        stdout.contains("# error: parse error at offset"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("parse error: parse error"), "{stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("served 3 queries (2 ok, 1 failed)"),

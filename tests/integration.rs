@@ -1,12 +1,14 @@
 //! Workspace-level integration tests: the name-level façade, the four
 //! engines and the workload generator working together on shared data.
 
+use automata::Regex;
 use baselines::{
     AdjacencyIndex, BitParallelAdjEngine, NfaBfsEngine, PathEngine, RingEngine, SemiNaiveEngine,
 };
+use ring_rpq::rpq_server::{QueryBudget, RpqError, ServerConfig};
 use ring_rpq::RpqDatabase;
 use rpq_core::oracle::evaluate_naive;
-use rpq_core::EngineOptions;
+use rpq_core::{EngineOptions, QueryError, RpqQuery, Term};
 use std::sync::Arc;
 use workload::{metro, GraphGen, GraphGenConfig, QueryGen};
 
@@ -108,20 +110,50 @@ fn facade_explain_and_batch() {
     assert!(plan.contains("strategy:"), "{plan}");
     assert!(plan.contains("backward traversal"), "{plan}");
 
-    let queries: Vec<_> = ["l5+/bus", "(l1|l2|l5)+", "bus/bus"]
+    // A batch runs through the server: submit every query, then wait on
+    // each ticket in input order. Answers equal sequential evaluation.
+    let mut queries: Vec<_> = ["l5+/bus", "(l1|l2|l5)+", "bus/bus"]
         .iter()
         .map(|e| db.parse_query("Baquedano", e, "?y").unwrap())
         .collect();
-    let batch = db.query_batch(&queries, &EngineOptions::default(), 3);
-    assert_eq!(batch.len(), 3);
     let mut engine = rpq_core::RpqEngine::new(db.ring());
-    for (q, r) in queries.iter().zip(&batch) {
-        let sequential = engine.evaluate(q, &EngineOptions::default()).unwrap();
-        assert_eq!(
-            r.as_ref().unwrap().sorted_pairs(),
-            sequential.sorted_pairs()
-        );
-    }
+    let sequential: Vec<_> = queries
+        .iter()
+        .map(|q| {
+            let mut pairs = engine
+                .evaluate(q, &EngineOptions::default())
+                .unwrap()
+                .sorted_pairs();
+            pairs.dedup();
+            pairs
+        })
+        .collect();
+    // One out-of-range constant fails its own query and no other.
+    let out_of_range = 9999;
+    queries.insert(
+        1,
+        RpqQuery::new(Term::Const(out_of_range), Regex::label(0), Term::Var),
+    );
+
+    let server = db.into_server(ServerConfig::default()).unwrap();
+    let tickets: Vec<_> = queries
+        .into_iter()
+        .map(|q| server.submit_parsed(q, QueryBudget::default()).unwrap())
+        .collect();
+    let answers: Vec<_> = tickets.iter().map(|t| server.wait(t)).collect();
+    assert_eq!(answers.len(), 4);
+    assert!(matches!(
+        answers[1],
+        Err(RpqError::Query(QueryError::NodeOutOfRange(id))) if id == out_of_range
+    ));
+    let answered: Vec<_> = answers
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != 1)
+        .map(|(_, a)| a.as_ref().unwrap().pairs.clone())
+        .collect();
+    assert_eq!(answered, sequential);
+    server.shutdown();
 }
 
 #[test]
