@@ -35,16 +35,6 @@ impl<'r> RingStatistics<'r> {
         }
     }
 
-    /// Creates the provider over a ring plus a delta overlay (an empty
-    /// delta degenerates to [`Self::new`]).
-    pub fn with_delta(ring: &'r Ring, delta: Option<&'r DeltaIndex>) -> Self {
-        Self {
-            ring,
-            delta: delta.filter(|d| !d.is_empty()),
-            extra: &[],
-        }
-    }
-
     /// Creates the provider over a full source: ring, optional delta,
     /// and an optional shard partition (`shards[0].ring` must be `ring`;
     /// an empty slice means unsharded).

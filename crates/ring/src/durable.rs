@@ -7,7 +7,7 @@
 //! fsync'd so the rename itself is durable. A crash (or injected fault) at
 //! any point leaves either the old file or the new file — never a torn
 //! mixture — and at worst an orphaned `*.tmp` that [`cleanup_orphans`]
-//! removes on the next open.
+//! removes the next time the file is opened for writing.
 //!
 //! The shard manifest additionally carries a 16-byte checksum footer
 //! (`[crc32c u32][covered_len u64][b"RPQF"]`, all little-endian) produced
@@ -440,44 +440,55 @@ pub fn atomic_write(
 /// Fsyncs the directory containing `path`, making a rename or file
 /// creation inside it durable. Subject to the armed fsync fault.
 pub fn fsync_parent_dir(path: &Path) -> io::Result<()> {
-    let Some(dir) = path.parent() else {
-        return Ok(());
-    };
-    let dir = if dir.as_os_str().is_empty() {
-        Path::new(".")
-    } else {
-        dir
-    };
     hook_fsync()?;
-    File::open(dir)?.sync_all()
+    File::open(parent_dir(path))?.sync_all()
 }
 
-/// Best-effort removal of orphaned `*.tmp` files a crashed save left next
-/// to `path` (any sibling named `<file_name>.<...>.tmp`). Returns how many
-/// were removed; never fails — an unreadable directory just cleans nothing.
-pub fn cleanup_orphans(path: &Path) -> usize {
-    let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-        return 0;
-    };
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let Ok(entries) = fs::read_dir(&dir) else {
-        return 0;
-    };
-    let prefix = format!("{name}.");
-    let mut removed = 0;
-    for entry in entries.flatten() {
-        let file = entry.file_name().to_string_lossy().into_owned();
-        if file.starts_with(&prefix)
-            && file.ends_with(".tmp")
-            && fs::remove_file(entry.path()).is_ok()
-        {
-            removed += 1;
-        }
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
     }
-    removed
+}
+
+/// The file a temp file named `file` stages a save of: `Some(target)`
+/// when `file` is `<target>.<pid>.<seq>.tmp`, the name [`atomic_write`]
+/// gives it.
+pub fn staged_target(file: &str) -> Option<&str> {
+    let (rest, seq) = file.strip_suffix(".tmp")?.rsplit_once('.')?;
+    let (target, pid) = rest.rsplit_once('.')?;
+    let number = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    (number(pid) && number(seq) && !target.is_empty()).then_some(target)
+}
+
+/// The temp files beside `path` that stage a save of it (see
+/// [`staged_target`]). Once no save of `path` is running they are
+/// orphans: what a crashed save stranded. An unreadable directory lists
+/// nothing.
+pub fn orphans(path: &Path) -> Vec<PathBuf> {
+    let (Some(name), Ok(entries)) = (
+        path.file_name().and_then(|n| n.to_str()),
+        fs::read_dir(parent_dir(path)),
+    ) else {
+        return Vec::new();
+    };
+    entries
+        .flatten()
+        .filter(|e| e.file_name().to_str().and_then(staged_target) == Some(name))
+        .map(|e| e.path())
+        .collect()
+}
+
+/// Removes the [`orphans`] beside `path` and returns how many went; never
+/// fails. Only the writer of `path` may call this — it deletes the temp
+/// file of any save still running — so readers leave the debris alone
+/// and `rpq-cli verify` counts it.
+pub fn cleanup_orphans(path: &Path) -> usize {
+    orphans(path)
+        .iter()
+        .filter(|tmp| fs::remove_file(tmp).is_ok())
+        .count()
 }
 
 // ---------------------------------------------------------------------------
@@ -694,9 +705,12 @@ mod tests {
         fs::write(dir.join("index.ring.123.0.tmp"), b"orphan").unwrap();
         fs::write(dir.join("index.ring.999.7.tmp"), b"orphan").unwrap();
         fs::write(dir.join("other.ring.5.5.tmp"), b"keep").unwrap();
+        fs::write(dir.join("index.ring.backup.tmp"), b"keep").unwrap();
+        assert_eq!(orphans(&path).len(), 2);
         assert_eq!(cleanup_orphans(&path), 2);
         assert!(path.exists());
         assert!(dir.join("other.ring.5.5.tmp").exists());
+        assert!(dir.join("index.ring.backup.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

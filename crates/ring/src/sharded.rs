@@ -35,8 +35,8 @@ use succinct::io::{read_u64, write_u64};
 use succinct::ResidentMode;
 
 use crate::durable::{
-    atomic_write, checksum_error, durability_error, finish_footer, verify_footer, DurabilityError,
-    FaultReader,
+    self, atomic_write, checksum_error, durability_error, finish_footer, verify_footer,
+    DurabilityError, FaultReader,
 };
 use crate::mapped::{self, OpenMode};
 use crate::ring::RingOptions;
@@ -111,8 +111,8 @@ impl ShardedIndex {
     /// Persists the index as a directory: `shard-NNN.rpqm` per shard —
     /// the dictionaries in shard 0's file only — plus the CRC-footered
     /// `MANIFEST`. Once the new manifest is durable, shard files of an
-    /// earlier save with more shards are removed. Returns total bytes
-    /// written.
+    /// earlier save with more shards are removed, and so are the temp
+    /// files an interrupted save stranded. Returns total bytes written.
     pub fn save_dir(&self, dir: &Path, nodes: &Dict, preds: &Dict) -> io::Result<u64> {
         std::fs::create_dir_all(dir)?;
         let empty = Dict::new();
@@ -126,11 +126,13 @@ impl ShardedIndex {
             total += mapped::write_index(&dir.join(shard_file_name(i)), ring, nodes, preds)?;
         }
         total += write_manifest(&dir.join(MANIFEST_FILE), &self.shards)?;
-        for stale in unnamed_files(dir, self.shards.len()).stale {
+        let unnamed = unnamed_files(dir, self.shards.len());
+        let stale_shards = unnamed.stale.into_iter().filter(|stale| {
             let name = stale.file_name().and_then(|n| n.to_str());
-            if name.and_then(shard_index).is_some() {
-                std::fs::remove_file(&stale)?;
-            }
+            name.and_then(shard_index).is_some()
+        });
+        for file in unnamed.orphan_tmps.into_iter().chain(stale_shards) {
+            std::fs::remove_file(&file)?;
         }
         Ok(total)
     }
@@ -160,11 +162,7 @@ pub fn unnamed_files(dir: &Path, n_shards: usize) -> UnnamedFiles {
         if name == MANIFEST_FILE || shard_index(&name).is_some_and(|i| i < n_shards) {
             continue;
         }
-        // `durable::atomic_write` stages `<file>` as `<file>.<pid>.<seq>.tmp`.
-        let staged = name
-            .strip_suffix(".tmp")
-            .is_some_and(|n| n.match_indices('.').any(|(at, _)| saved(&n[..at])));
-        if staged {
+        if durable::staged_target(&name).is_some_and(saved) {
             out.orphan_tmps.push(entry.path());
         } else {
             out.stale.push(entry.path());
@@ -548,7 +546,8 @@ mod tests {
     }
 
     /// A save over a directory that held more shards leaves none of them
-    /// behind, and says what else is lying around without touching it.
+    /// behind, nor the temp files of an interrupted save, and says what
+    /// else is lying around without touching it.
     #[test]
     fn resave_with_fewer_shards_removes_the_stale_ones() {
         let dir = tmpdir("resave");
@@ -564,6 +563,9 @@ mod tests {
         std::fs::write(&tmp, b"torn").unwrap();
         std::fs::write(dir.join("MANIFEST.77.1.tmp"), b"torn").unwrap();
         std::fs::write(dir.join("notes.txt"), b"mine").unwrap();
+        let unnamed = unnamed_files(&dir, 4);
+        assert_eq!(unnamed.orphan_tmps, [dir.join("MANIFEST.77.1.tmp"), tmp]);
+        assert_eq!(unnamed.stale, [dir.join("notes.txt")]);
         let written = save(2);
 
         let mut left: Vec<String> = std::fs::read_dir(&dir)
@@ -573,14 +575,7 @@ mod tests {
         left.sort();
         assert_eq!(
             left,
-            [
-                "MANIFEST",
-                "MANIFEST.77.1.tmp",
-                "notes.txt",
-                "shard-000.rpqm",
-                "shard-001.rpqm",
-                "shard-001.rpqm.77.0.tmp"
-            ]
+            ["MANIFEST", "notes.txt", "shard-000.rpqm", "shard-001.rpqm"]
         );
         let on_disk = |f: &str| std::fs::metadata(dir.join(f)).unwrap().len();
         assert_eq!(
@@ -588,7 +583,7 @@ mod tests {
             on_disk("MANIFEST") + on_disk("shard-000.rpqm") + on_disk("shard-001.rpqm")
         );
         let unnamed = unnamed_files(&dir, 2);
-        assert_eq!(unnamed.orphan_tmps, [dir.join("MANIFEST.77.1.tmp"), tmp]);
+        assert!(unnamed.orphan_tmps.is_empty());
         assert_eq!(unnamed.stale, [dir.join("notes.txt")]);
         assert_eq!(open_dir(&dir, OpenMode::Heap).unwrap().rings.len(), 2);
         std::fs::remove_dir_all(&dir).ok();

@@ -27,7 +27,9 @@
 //!
 //! ## Recovery
 //!
-//! [`Wal::recover`] scans forward, keeping only batches closed by a
+//! [`WalState::judge`] sorts what sits beside a snapshot as its log into
+//! four cases; [`Wal::open`] repairs by that verdict and `rpq-cli verify`
+//! reports it. Parsing scans forward, keeping only batches closed by a
 //! commit record. An incomplete or checksum-broken *final* frame is a
 //! torn tail from a crashed append — it is physically truncated and
 //! recovery proceeds. A broken frame with more data *behind* it is
@@ -41,7 +43,7 @@
 //! `save()`/`compact()` checkpoints [`rotate`](Wal::rotate) the log back
 //! to an empty header once the snapshot on disk covers everything.
 
-use std::fs::{File, OpenOptions};
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -91,15 +93,18 @@ pub struct WalBatch {
     pub ops: Vec<WalOp>,
 }
 
-/// What [`Wal::recover`] found.
+/// What parsing a log found.
 #[derive(Debug)]
 pub struct WalRecovery {
     /// The snapshot epoch the log says it is relative to.
     pub base_epoch: u64,
     /// All committed batches, in order.
     pub batches: Vec<WalBatch>,
-    /// Bytes of torn tail that were truncated away (0 on a clean log).
+    /// Bytes of torn or uncommitted tail past the last committed batch
+    /// (0 on a clean log).
     pub truncated_bytes: u64,
+    /// Where the last committed batch ends: the length a repair cuts to.
+    committed_end: u64,
 }
 
 impl WalRecovery {
@@ -109,11 +114,58 @@ impl WalRecovery {
     }
 }
 
+/// What a log beside a snapshot holds, judged against the snapshot's
+/// epoch: the one copy of the rules a durable open repairs by and
+/// `verify` reports by.
+#[derive(Debug)]
+pub enum WalState {
+    /// There is no log; a durable open creates one.
+    Absent,
+    /// The log is shorter than its header: a create or rotate torn
+    /// mid-write. The header is fsynced before any append is
+    /// acknowledged, so no committed op is in it, and a durable open
+    /// recreates it.
+    TornRotation {
+        /// The log's length.
+        bytes: u64,
+    },
+    /// The log is based on a later epoch than the snapshot's: the
+    /// snapshot it belongs to was lost. A durable open refuses it.
+    AheadOfSnapshot {
+        /// The epoch the log is based on.
+        base_epoch: u64,
+    },
+    /// A log a durable open replays, after cutting off its torn or
+    /// uncommitted tail (`truncated_bytes`).
+    Log(WalRecovery),
+}
+
+impl WalState {
+    /// Judges the log at `path` against a snapshot at `snapshot_epoch`,
+    /// changing nothing. Errors are a log that cannot be parsed (bad
+    /// magic, corruption in front of committed data).
+    pub fn judge(path: &Path, snapshot_epoch: u64) -> io::Result<WalState> {
+        let Ok(meta) = fs::metadata(path) else {
+            return Ok(WalState::Absent);
+        };
+        if meta.len() < WAL_HEADER_LEN {
+            return Ok(WalState::TornRotation { bytes: meta.len() });
+        }
+        let recovery = inspect(path)?;
+        Ok(if recovery.base_epoch > snapshot_epoch {
+            WalState::AheadOfSnapshot {
+                base_epoch: recovery.base_epoch,
+            }
+        } else {
+            WalState::Log(recovery)
+        })
+    }
+}
+
 /// An open write-ahead log, positioned for appends.
 pub struct Wal {
     file: FaultWriter<File>,
     path: PathBuf,
-    base_epoch: u64,
 }
 
 fn corrupt(context: String) -> io::Error {
@@ -176,46 +228,50 @@ impl Wal {
         Ok(Wal {
             file: fault,
             path: path.to_path_buf(),
-            base_epoch,
         })
     }
 
-    /// Opens an existing log: parses every committed batch, physically
-    /// truncates any torn tail, and returns the log positioned for
-    /// appends together with what was recovered.
-    pub fn recover(path: &Path) -> io::Result<(Wal, WalRecovery)> {
-        let (recovery, committed_end) = parse_log(path)?;
-        let file = OpenOptions::new().write(true).open(path)?;
-        if recovery.truncated_bytes > 0 {
-            file.set_len(committed_end as u64)?;
-            file.sync_all()?;
-        }
-        let mut fault = FaultWriter::new(file);
-        fault.seek_end(committed_end as u64)?;
-        let base_epoch = recovery.base_epoch;
-        Ok((
-            Wal {
-                file: fault,
-                path: path.to_path_buf(),
-                base_epoch,
-            },
-            recovery,
-        ))
-    }
-
-    /// Read-only variant of [`Wal::recover`]: parses the log and reports
-    /// what recovery would find — committed batches and torn-tail bytes —
-    /// without truncating anything or opening the file for append (the
-    /// `verify` subcommand's WAL check).
-    pub fn inspect(path: &Path) -> io::Result<WalRecovery> {
-        parse_log(path).map(|(recovery, _)| recovery)
+    /// Opens the log beside a snapshot at `snapshot_epoch` for appends,
+    /// repairing what [`WalState::judge`] finds: an absent or torn log is
+    /// created afresh at `snapshot_epoch`, a torn tail is truncated, and
+    /// a log based ahead of the snapshot is refused
+    /// ([`io::ErrorKind::InvalidData`]). Returns the verdict with the log.
+    pub fn open(path: &Path, snapshot_epoch: u64) -> io::Result<(Wal, WalState)> {
+        let state = WalState::judge(path, snapshot_epoch)?;
+        let wal = match &state {
+            WalState::Absent | WalState::TornRotation { .. } => Wal::create(path, snapshot_epoch)?,
+            WalState::AheadOfSnapshot { base_epoch } => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "WAL {} is based on epoch {base_epoch} but the snapshot is at epoch \
+                         {snapshot_epoch}; the snapshot it belongs to was lost",
+                        path.display()
+                    ),
+                ))
+            }
+            WalState::Log(recovery) => {
+                let file = OpenOptions::new().write(true).open(path)?;
+                if recovery.truncated_bytes > 0 {
+                    file.set_len(recovery.committed_end)?;
+                    file.sync_all()?;
+                }
+                let mut fault = FaultWriter::new(file);
+                fault.seek_end(recovery.committed_end)?;
+                Wal {
+                    file: fault,
+                    path: path.to_path_buf(),
+                }
+            }
+        };
+        Ok((wal, state))
     }
 }
 
-/// Parses the log at `path`, returning the recovery summary plus the
-/// byte offset where the last committed batch ends (the truncation
-/// point for torn or uncommitted tails).
-fn parse_log(path: &Path) -> io::Result<(WalRecovery, usize)> {
+/// Parses the log at `path` and reports its committed batches and
+/// torn-tail bytes, without truncating anything or opening the file for
+/// append.
+pub fn inspect(path: &Path) -> io::Result<WalRecovery> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
     if bytes.len() < WAL_HEADER_LEN as usize {
@@ -315,14 +371,12 @@ fn parse_log(path: &Path) -> io::Result<(WalRecovery, usize)> {
     // never acknowledged: drop them along with any torn frame.
     let truncated_bytes = (bytes.len() - committed_end) as u64;
     let _ = torn; // both torn frames and uncommitted ops truncate
-    Ok((
-        WalRecovery {
-            base_epoch,
-            batches,
-            truncated_bytes,
-        },
-        committed_end,
-    ))
+    Ok(WalRecovery {
+        base_epoch,
+        batches,
+        truncated_bytes,
+        committed_end: committed_end as u64,
+    })
 }
 
 impl Wal {
@@ -349,16 +403,6 @@ impl Wal {
         *self = Wal::create(&self.path, base_epoch)?;
         Ok(())
     }
-
-    /// The log's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The snapshot epoch the log is relative to.
-    pub fn base_epoch(&self) -> u64 {
-        self.base_epoch
-    }
 }
 
 #[cfg(test)]
@@ -366,6 +410,15 @@ mod tests {
     use super::*;
     use crate::durable::{durability_error, DurabilityError};
     use std::fs;
+
+    /// What a durable open does to the log at `path` beside a snapshot
+    /// no log can be ahead of.
+    fn recover(path: &Path) -> io::Result<(Wal, WalRecovery)> {
+        match Wal::open(path, u64::MAX)? {
+            (wal, WalState::Log(recovery)) => Ok((wal, recovery)),
+            (_, state) => panic!("not a log: {state:?}"),
+        }
+    }
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rpq-wal-{tag}-{}", std::process::id()));
@@ -398,7 +451,7 @@ mod tests {
         wal.append_batch(&[ins("e", "p", "f")], 9).unwrap();
         drop(wal);
 
-        let (_wal, rec) = Wal::recover(&path).unwrap();
+        let (_wal, rec) = recover(&path).unwrap();
         assert_eq!(rec.base_epoch, 7);
         assert_eq!(rec.truncated_bytes, 0);
         assert_eq!(rec.batches.len(), 2);
@@ -424,7 +477,7 @@ mod tests {
         let full = fs::read(&path).unwrap();
         for cut in 1..40 {
             fs::write(&path, &full[..full.len() - cut]).unwrap();
-            let (_w, rec) = Wal::recover(&path).unwrap();
+            let (_w, rec) = recover(&path).unwrap();
             assert_eq!(rec.batches.len(), 1, "cut {cut}");
             assert_eq!(rec.batches[0].ops, vec![ins("a", "p", "b")]);
             assert!(rec.truncated_bytes > 0, "cut {cut}");
@@ -432,10 +485,10 @@ mod tests {
 
         // After recovery the log accepts appends and replays cleanly.
         fs::write(&path, &full[..full.len() - 5]).unwrap();
-        let (mut w, _rec) = Wal::recover(&path).unwrap();
+        let (mut w, _rec) = recover(&path).unwrap();
         w.append_batch(&[ins("n", "p", "m")], 2).unwrap();
         drop(w);
-        let (_w, rec) = Wal::recover(&path).unwrap();
+        let (_w, rec) = recover(&path).unwrap();
         assert_eq!(rec.batches.len(), 2);
         assert_eq!(rec.batches[1].ops, vec![ins("n", "p", "m")]);
         fs::remove_file(&path).unwrap();
@@ -455,7 +508,7 @@ mod tests {
         bytes.extend_from_slice(&extra);
         fs::write(&path, &bytes).unwrap();
 
-        let (_w, rec) = Wal::recover(&path).unwrap();
+        let (_w, rec) = recover(&path).unwrap();
         assert_eq!(rec.batches.len(), 1);
         assert_eq!(rec.truncated_bytes, extra.len() as u64);
         assert_eq!(
@@ -477,7 +530,7 @@ mod tests {
         let idx = WAL_HEADER_LEN as usize + 8 + 2;
         bytes[idx] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        let err = Wal::recover(&path).err().expect("corruption must error");
+        let err = recover(&path).err().expect("corruption must error");
         assert!(
             matches!(
                 durability_error(&err),
@@ -494,13 +547,53 @@ mod tests {
         let mut wal = Wal::create(&path, 0).unwrap();
         wal.append_batch(&[ins("a", "p", "b")], 1).unwrap();
         wal.rotate(1).unwrap();
-        assert_eq!(wal.base_epoch(), 1);
         wal.append_batch(&[ins("c", "p", "d")], 2).unwrap();
         drop(wal);
-        let (_w, rec) = Wal::recover(&path).unwrap();
+        let (_w, rec) = recover(&path).unwrap();
         assert_eq!(rec.base_epoch, 1);
         assert_eq!(rec.batches.len(), 1);
         assert_eq!(rec.batches[0].ops, vec![ins("c", "p", "d")]);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Judging changes nothing, and an open refuses a log ahead of the
+    /// snapshot before it repairs anything.
+    #[test]
+    fn judge_sorts_the_four_states_and_changes_nothing() {
+        let path = tmp("judge");
+        let _ = fs::remove_file(&path);
+        assert!(matches!(
+            WalState::judge(&path, 3).unwrap(),
+            WalState::Absent
+        ));
+        let mut wal = Wal::create(&path, 3).unwrap();
+        wal.append_batch(&[ins("a", "p", "b")], 4).unwrap();
+        drop(wal);
+        let full = fs::read(&path).unwrap();
+        fs::write(&path, &full[..15]).unwrap();
+        let state = WalState::judge(&path, 3).unwrap();
+        assert!(
+            matches!(state, WalState::TornRotation { bytes: 15 }),
+            "{state:?}"
+        );
+        let torn = &full[..full.len() - 1];
+        fs::write(&path, torn).unwrap();
+        match WalState::judge(&path, 3).unwrap() {
+            WalState::Log(rec) => assert!(rec.batches.is_empty() && rec.truncated_bytes > 0),
+            state => panic!("{state:?}"),
+        }
+        let state = WalState::judge(&path, 2).unwrap();
+        assert!(
+            matches!(state, WalState::AheadOfSnapshot { base_epoch: 3 }),
+            "{state:?}"
+        );
+        let err = Wal::open(&path, 2).err().expect("a log ahead is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            torn,
+            "judging or refusing changed the log"
+        );
         fs::remove_file(&path).unwrap();
     }
 
@@ -508,7 +601,7 @@ mod tests {
     fn bad_magic_rejected() {
         let path = tmp("magic");
         fs::write(&path, b"NOTAWAL!\0\0\0\0\0\0\0\0").unwrap();
-        assert!(Wal::recover(&path).is_err());
+        assert!(recover(&path).is_err());
         fs::remove_file(&path).unwrap();
     }
 }

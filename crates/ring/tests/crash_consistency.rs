@@ -20,7 +20,7 @@ use std::sync::{Mutex, MutexGuard};
 use ring::durable::{arm, disarm, is_injected, IoPolicy};
 use ring::mapped::{open_index, write_index, OpenMode};
 use ring::ring::RingOptions;
-use ring::wal::{Wal, WalBatch, WalOp};
+use ring::wal::{Wal, WalBatch, WalOp, WalState};
 use ring::{Dict, Graph, Ring, Triple};
 
 static FAULTS: Mutex<()> = Mutex::new(());
@@ -213,9 +213,11 @@ fn wal_append_is_old_or_new_under_every_fault() {
             let res = wal.append_batch(&second, 3);
             let fired = disarm();
             drop(wal); // crash model: the handle dies with the process
-            let (_, recovery) = Wal::recover(&path).unwrap_or_else(|e| {
-                panic!("[{category}:{n}] torn append left {path:?} unrecoverable: {e}")
-            });
+            let recovery = match Wal::open(&path, 1) {
+                Ok((_, WalState::Log(recovery))) => recovery,
+                Ok((_, state)) => panic!("[{category}:{n}] torn append left {state:?}"),
+                Err(e) => panic!("[{category}:{n}] torn append left {path:?} unrecoverable: {e}"),
+            };
             assert_eq!(recovery.base_epoch, 1, "[{category}:{n}]");
             let key = batch_key(&recovery.batches);
             if !fired {
@@ -266,31 +268,24 @@ fn wal_rotate_is_old_or_new_under_every_fault() {
 
             if !fired {
                 res.unwrap_or_else(|e| panic!("[{category}:{n}] clean rotate failed: {e}"));
-                let recovery = Wal::inspect(&path).unwrap();
+                let recovery = ring::wal::inspect(&path).unwrap();
                 assert_eq!(recovery.base_epoch, 9, "[{category}:{n}]");
                 assert!(recovery.batches.is_empty(), "[{category}:{n}]");
                 break;
             }
             assert!(res.is_err(), "[{category}:{n}] fired fault but rotate Ok");
-            match Wal::inspect(&path) {
-                Ok(recovery) => {
-                    // Old log intact, or new header already durable.
-                    if recovery.base_epoch == 1 {
-                        assert_eq!(batch_key(&recovery.batches), vec![(2, ops.len())]);
-                    } else {
-                        assert_eq!(recovery.base_epoch, 9, "[{category}:{n}]");
-                        assert!(recovery.batches.is_empty(), "[{category}:{n}]");
-                    }
+            match WalState::judge(&path, 9).unwrap() {
+                // Old log intact, or new header already durable.
+                WalState::Log(recovery) if recovery.base_epoch == 1 => {
+                    assert_eq!(batch_key(&recovery.batches), vec![(2, ops.len())]);
                 }
-                Err(_) => {
-                    // Only a sub-header torn file is allowed to be
-                    // unparseable — exactly what open_durable recreates.
-                    let len = std::fs::metadata(&path).unwrap().len();
-                    assert!(
-                        len < ring::wal::WAL_HEADER_LEN,
-                        "[{category}:{n}] unreadable WAL with a full header ({len} bytes)"
-                    );
+                WalState::Log(recovery) => {
+                    assert_eq!(recovery.base_epoch, 9, "[{category}:{n}]");
+                    assert!(recovery.batches.is_empty(), "[{category}:{n}]");
                 }
+                // A header torn mid-write: what a durable open recreates.
+                WalState::TornRotation { .. } => {}
+                state => panic!("[{category}:{n}] rotate left {state:?}"),
             }
             n += 1;
             assert!(

@@ -109,11 +109,6 @@ impl ResultCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Bytes currently accounted to cached answers.
-    pub fn used_bytes(&self) -> usize {
-        crate::lock_ignore_poison(&self.inner).used()
-    }
-
     pub(crate) fn stats(&self) -> CacheStats {
         let inner = crate::lock_ignore_poison(&self.inner);
         CacheStats {
@@ -182,7 +177,7 @@ mod tests {
         cache.insert(key("b"), answer(vec![(1, 1); 5]));
         assert!(cache.get(&key("a")).is_none());
         assert!(cache.get(&key("b")).is_some());
-        assert!(cache.used_bytes() <= 200);
+        assert!(cache.stats().used <= 200);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! (pattern parse error or unknown node) — typed, no backtrace.
 
 use ring_rpq::ring::mapped::OpenMode;
+use ring_rpq::ring::wal::WalState;
 use ring_rpq::rpq_server::source::name_pairs;
 use ring_rpq::rpq_server::{RpqError, RpqServer, ServerConfig};
 use ring_rpq::{DbError, RpqDatabase, UpdatableDatabase};
@@ -886,42 +887,32 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
             return fail(if typed { "checksums" } else { "structure" }, e.to_string());
         }
     };
-    // WAL tail: parse-only (no truncation), committed batches counted,
-    // and the base epoch must not be ahead of the snapshot.
+    // The WAL beside the file, judged read-only by the rules a durable
+    // open repairs by.
     let wal_path = UpdatableDatabase::wal_path(path);
-    let wal_len = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-    let wal_json = if wal_path.exists() && wal_len < ring_rpq::ring::wal::WAL_HEADER_LEN {
-        // A log shorter than its fsynced header is a create/rotate torn
-        // mid-write: no committed op can live in it, and a durable open
-        // recreates it — recoverable, not corrupt.
-        format!("{{\"torn_rotation\":true,\"bytes\":{wal_len}}}")
-    } else if wal_path.exists() {
-        let rec = match ring_rpq::ring::wal::Wal::inspect(&wal_path) {
-            Ok(rec) => rec,
-            Err(e) => return fail("wal", e.to_string()),
-        };
-        if rec.base_epoch > epoch {
+    let wal_json = match WalState::judge(&wal_path, epoch) {
+        Err(e) => return fail("wal", e.to_string()),
+        Ok(WalState::AheadOfSnapshot { base_epoch }) => {
             return fail(
                 "wal",
-                format!(
-                    "WAL base epoch {} is ahead of snapshot epoch {epoch}",
-                    rec.base_epoch
-                ),
-            );
+                format!("WAL base epoch {base_epoch} is ahead of snapshot epoch {epoch}"),
+            )
         }
-        format!(
+        Ok(WalState::Absent) => "null".to_string(),
+        Ok(WalState::TornRotation { bytes }) => {
+            format!("{{\"torn_rotation\":true,\"bytes\":{bytes}}}")
+        }
+        Ok(WalState::Log(rec)) => format!(
             "{{\"base_epoch\":{},\"batches\":{},\"ops\":{},\"torn_bytes\":{}}}",
             rec.base_epoch,
             rec.batches.len(),
             rec.op_count(),
             rec.truncated_bytes
-        )
-    } else {
-        "null".to_string()
+        ),
     };
-    // Orphaned temp files from an interrupted save (informational —
-    // opening the index durably would clean them up).
-    let orphans = count_orphan_tmps(path);
+    // Temp files of an interrupted save, counted: only the writer (a
+    // durable open) removes them.
+    let orphans = ring_rpq::ring::durable::orphans(path).len();
     println!(
         "{{\"path\":{},\"format\":\"RRPQM01\",\"status\":\"ok\",\"checksummed\":true,\
          \"checksum_sections\":{},\"epoch\":{epoch},\"wal\":{wal_json},\"orphan_tmp\":{orphans}}}",
@@ -974,8 +965,8 @@ fn verify_sharded_dir(index: &str, dir: &Path) -> Result<(), CliError> {
         }
     };
     let sections = n_shards * ring_rpq::ring::mapped::N_SECTIONS;
-    // Informational: what an interrupted save stranded (opening the
-    // directory sweeps it) and whatever else the manifest does not name.
+    // Informational: what an interrupted save stranded (the next save
+    // sweeps it) and whatever else the manifest does not name.
     let unnamed = ring_rpq::ring::sharded::unnamed_files(dir, n_shards);
     println!(
         "{{\"path\":{},\"format\":\"RRPQSH01\",\"status\":\"ok\",\"checksummed\":true,\
@@ -986,30 +977,6 @@ fn verify_sharded_dir(index: &str, dir: &Path) -> Result<(), CliError> {
         unnamed.stale.len(),
     );
     Ok(())
-}
-
-/// Counts `<file_name>.*.tmp` siblings — the debris an interrupted
-/// atomic save leaves behind — without removing them.
-fn count_orphan_tmps(path: &Path) -> usize {
-    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-        return 0;
-    };
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    let prefix = format!("{name}.");
-    entries
-        .filter_map(|e| e.ok())
-        .filter(|e| {
-            e.file_name()
-                .to_str()
-                .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".tmp"))
-        })
-        .count()
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), CliError> {

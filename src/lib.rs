@@ -387,6 +387,12 @@ impl RpqDatabase {
     /// reads (the stream formats of earlier builds, checksum-less
     /// `RRPQM01`) is refused with [`std::io::ErrorKind::Unsupported`] and
     /// the command that rebuilds it.
+    ///
+    /// An open only reads: it deletes nothing beside the index, not even
+    /// the `*.tmp` a crashed save stranded, since that name is also the
+    /// temp file of a save still running. The writer sweeps them
+    /// ([`UpdatableDatabase::open_durable`], a sharded re-save), and
+    /// `rpq-cli verify` counts them.
     pub fn open(path: &std::path::Path) -> std::io::Result<Self> {
         Self::open_with(path, OpenMode::Auto)
     }
@@ -394,19 +400,12 @@ impl RpqDatabase {
     /// [`Self::open`] with an explicit residency request:
     /// [`OpenMode::Mmap`] requires a real kernel mapping,
     /// [`OpenMode::Heap`] forces an aligned heap read (the differential-
-    /// testing path).
+    /// testing path). Like [`Self::open`], it deletes nothing.
     pub fn open_with(path: &std::path::Path, mode: OpenMode) -> std::io::Result<Self> {
         if ring::sharded::is_sharded_dir(path) {
             return Self::open_sharded(path, mode);
         }
         let started = std::time::Instant::now();
-        let orphans = ring::durable::cleanup_orphans(path);
-        if orphans > 0 {
-            eprintln!(
-                "recovery: removed {orphans} orphaned temp file(s) from an interrupted save of {}",
-                path.display()
-            );
-        }
         let idx = ring::mapped::open_index(path, mode)?;
         let source = SourceSnapshot::immutable(Arc::new(idx.ring));
         Ok(Self {
@@ -464,17 +463,6 @@ impl RpqDatabase {
     pub fn open_sharded(dir: &std::path::Path, mode: OpenMode) -> std::io::Result<Self> {
         let t0 = std::time::Instant::now();
         let opened = ring::sharded::open_dir(dir, mode)?;
-        let orphans = ring::sharded::unnamed_files(dir, opened.rings.len()).orphan_tmps;
-        let removed = orphans
-            .iter()
-            .filter(|tmp| std::fs::remove_file(tmp).is_ok())
-            .count();
-        if removed > 0 {
-            eprintln!(
-                "recovery: removed {removed} orphaned temp file(s) from an interrupted save of {}",
-                dir.display()
-            );
-        }
         let rings = opened.rings.into_iter().map(Arc::new).collect();
         let source = rpq_core::ShardedSource::new(rings).snapshot();
         Ok(Self {

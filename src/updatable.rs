@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use ring::delta::DeltaIndex;
 use ring::mapped::OpenMode;
 use ring::store::{StoreSnapshot, StoreStats, TripleStore};
-use ring::wal::{Wal, WalOp};
+use ring::wal::{Wal, WalOp, WalState};
 use ring::{Dict, Graph, Id, Ring, Triple};
 use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot};
 use rpq_server::{source, QuerySource};
@@ -59,7 +59,7 @@ fn folded(snap: &StoreSnapshot, dicts: &Dicts) -> Arc<Ring> {
 /// [`UpdatableDatabase::open_durable`]: the open write-ahead log, the
 /// name-level mirror of buffered (uncommitted) ops, and the snapshot
 /// path checkpoints rewrite.
-struct WalState {
+struct DurableLog {
     wal: Wal,
     pending: Vec<WalOp>,
     path: PathBuf,
@@ -88,7 +88,7 @@ pub struct UpdatableDatabase {
     /// serialises mutations against commits and checkpoints, so every
     /// committed op is WAL'd first. Lock order: `durable` before
     /// `dicts` — never the other way around.
-    durable: Mutex<Option<WalState>>,
+    durable: Mutex<Option<DurableLog>>,
     /// Mask tables reused from query to query, across epochs: a commit
     /// or compaction that enlarges the index grows them in place.
     scratch: ScratchPool,
@@ -458,12 +458,17 @@ impl UpdatableDatabase {
     }
 
     /// Opens a saved database **durably**: recovers the `<path>.wal`
-    /// write-ahead log (creating a fresh one when absent), replays every
-    /// committed batch the snapshot may be missing, and from then on
-    /// write-ahead logs each [`Self::commit`] so acknowledged updates
-    /// survive a crash. [`Self::save`] to the same path (or
-    /// [`Self::checkpoint`]) rotates the log. Orphaned temp files from
-    /// an interrupted earlier save are cleaned up first.
+    /// write-ahead log by the rules of [`ring::wal::WalState`] (creating
+    /// a fresh one when absent or torn mid-rotation, truncating a torn
+    /// tail), replays every committed batch the snapshot may be missing,
+    /// and from then on write-ahead logs each [`Self::commit`] so
+    /// acknowledged updates survive a crash. [`Self::save`] to the same
+    /// path (or [`Self::checkpoint`]) rotates the log.
+    ///
+    /// The caller becomes the file's writer, so the orphaned temp files
+    /// of an interrupted earlier save are removed first
+    /// ([`ring::durable::cleanup_orphans`]); no save of `path` may be
+    /// running. Read-only opens leave them alone.
     ///
     /// Replay is idempotent (the last op on a triple wins), so batches
     /// the snapshot already folded in are harmless; a log whose base
@@ -481,64 +486,47 @@ impl UpdatableDatabase {
         }
         let db = Self::load(path)?;
         let wal_path = Self::wal_path(path);
-        let wal_len = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-        let wal = if wal_path.exists() && wal_len < ring::wal::WAL_HEADER_LEN {
-            // Shorter than the header: only a create/rotate torn
-            // mid-write can produce this — the header is fsynced before
-            // any append is acknowledged, so no committed op is lost.
-            eprintln!(
-                "recovery: {} torn during log rotation ({wal_len} byte(s)); starting a fresh log",
+        let (wal, state) = Wal::open(&wal_path, db.epoch())?;
+        match state {
+            WalState::TornRotation { bytes } => eprintln!(
+                "recovery: {} torn during log rotation ({bytes} byte(s)); starting a fresh log",
                 wal_path.display()
-            );
-            Wal::create(&wal_path, db.epoch())?
-        } else if wal_path.exists() {
-            let (wal, recovery) = Wal::recover(&wal_path)?;
-            if recovery.base_epoch > db.epoch() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "WAL {} is based on epoch {} but the snapshot is at epoch {}; \
-                         the snapshot it belongs to was lost",
-                        wal_path.display(),
-                        recovery.base_epoch,
-                        db.epoch()
-                    ),
-                ));
-            }
-            if recovery.truncated_bytes > 0 {
-                eprintln!(
-                    "recovery: truncated {} byte(s) of torn tail from {}",
-                    recovery.truncated_bytes,
-                    wal_path.display()
-                );
-            }
-            if recovery.op_count() > 0 {
-                // Replay through the normal name-level path (the WAL is
-                // not attached yet, so nothing is re-logged); dictionary
-                // interning is deterministic, reproducing the ids.
-                for batch in &recovery.batches {
-                    for op in &batch.ops {
-                        match op {
-                            WalOp::Insert { s, p, o } => db.insert(s, p, o),
-                            WalOp::Delete { s, p, o } => {
-                                db.delete(s, p, o);
+            ),
+            WalState::Log(recovery) => {
+                if recovery.truncated_bytes > 0 {
+                    eprintln!(
+                        "recovery: truncated {} byte(s) of torn tail from {}",
+                        recovery.truncated_bytes,
+                        wal_path.display()
+                    );
+                }
+                if recovery.op_count() > 0 {
+                    // Replay through the normal name-level path (the WAL
+                    // is not attached yet, so nothing is re-logged);
+                    // dictionary interning is deterministic, reproducing
+                    // the ids.
+                    for batch in &recovery.batches {
+                        for op in &batch.ops {
+                            match op {
+                                WalOp::Insert { s, p, o } => db.insert(s, p, o),
+                                WalOp::Delete { s, p, o } => {
+                                    db.delete(s, p, o);
+                                }
                             }
                         }
+                        db.store.commit();
                     }
-                    db.store.commit();
+                    eprintln!(
+                        "recovery: replayed {} op(s) in {} committed batch(es) from {}",
+                        recovery.op_count(),
+                        recovery.batches.len(),
+                        wal_path.display()
+                    );
                 }
-                eprintln!(
-                    "recovery: replayed {} op(s) in {} committed batch(es) from {}",
-                    recovery.op_count(),
-                    recovery.batches.len(),
-                    wal_path.display()
-                );
             }
-            wal
-        } else {
-            Wal::create(&wal_path, db.epoch())?
-        };
-        *db.durable.lock().unwrap() = Some(WalState {
+            WalState::Absent | WalState::AheadOfSnapshot { .. } => {}
+        }
+        *db.durable.lock().unwrap() = Some(DurableLog {
             wal,
             pending: Vec::new(),
             path: path.to_path_buf(),

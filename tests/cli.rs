@@ -673,7 +673,9 @@ fn a_resaved_sharded_directory_holds_no_stale_shards() {
     assert!(report.contains("\"orphan_tmp\":2"), "{report}");
     assert!(report.contains("\"stale_files\":1"), "{report}");
 
-    // Opening sweeps the temp files; only a save removes a shard file.
+    // A query only reads: the temp files may be a running save's, so
+    // they stay until the next save, which removes them with the stale
+    // shard.
     let out = cli()
         .arg("query")
         .arg(&sharded)
@@ -686,14 +688,90 @@ fn a_resaved_sharded_directory_holds_no_stale_shards() {
         names(),
         [
             "MANIFEST",
+            "MANIFEST.4242.1.tmp",
             "shard-000.rpqm",
             "shard-001.rpqm",
+            "shard-001.rpqm.4242.0.tmp",
             "shard-007.rpqm"
         ]
     );
     let report = verify();
-    assert!(report.contains("\"orphan_tmp\":0"), "{report}");
+    assert!(report.contains("\"orphan_tmp\":2"), "{report}");
     assert!(report.contains("\"stale_files\":1"), "{report}");
+
+    build_metro(&sharded, &["--shards", "2"]);
+    assert_eq!(names(), ["MANIFEST", "shard-000.rpqm", "shard-001.rpqm"]);
+    let report = verify();
+    assert!(report.contains("\"orphan_tmp\":0"), "{report}");
+    assert!(report.contains("\"stale_files\":0"), "{report}");
+}
+
+/// `verify` and a durable open judge `<index>.wal` by one set of rules:
+/// for every state the log can be in, `verify` reports `"status":"ok"`
+/// exactly when `open_durable` succeeds, and counts the batches and ops
+/// that the open replays.
+#[test]
+fn verify_and_a_durable_open_agree_on_every_wal_state() {
+    use ring_rpq::UpdatableDatabase;
+    let dir = tmpdir("wal_states");
+    let index = dir.join("metro.rpqm");
+    build_metro(&index, &[]);
+    let snapshot = std::fs::read(&index).unwrap();
+    let l5_pairs = |db: &UpdatableDatabase| db.query("?x", "<l5>", "?y").unwrap().len();
+    let base_pairs = l5_pairs(&UpdatableDatabase::load(&index).unwrap());
+    // Two committed batches, two new edges and then one, that no
+    // checkpoint folds into the snapshot: they live in the log only.
+    let log = {
+        let db = UpdatableDatabase::open_durable(&index).unwrap();
+        db.insert("<a>", "<l5>", "<b>");
+        db.insert("<b>", "<l5>", "<c>");
+        db.commit();
+        db.insert("<c>", "<l5>", "<d>");
+        db.commit();
+        std::fs::read(UpdatableDatabase::wal_path(&index)).unwrap()
+    };
+    let mut ahead = log.clone();
+    ahead[8..16].copy_from_slice(&5u64.to_le_bytes());
+    // (state, the log's bytes, the batches and ops replayed; None: refused)
+    let states = [
+        ("absent", None, Some((0, 0))),
+        ("0 bytes", Some(&log[..0]), Some((0, 0))),
+        ("15 bytes", Some(&log[..15]), Some((0, 0))),
+        ("clean with batches", Some(&log), Some((2, 3))),
+        ("torn tail", Some(&log[..log.len() - 3]), Some((1, 2))),
+        ("based ahead of the snapshot", Some(&ahead), None),
+    ];
+    let count = |report: &str, key: &str| {
+        report
+            .split_once(&format!("\"{key}\":"))
+            .map_or(0, |(_, rest)| {
+                let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+                rest[..digits].parse::<usize>().unwrap()
+            })
+    };
+    for (i, (state, bytes, want)) in states.into_iter().enumerate() {
+        let path = dir.join(format!("state-{i}.rpqm"));
+        std::fs::write(&path, &snapshot).unwrap();
+        let wal = UpdatableDatabase::wal_path(&path);
+        let _ = std::fs::remove_file(&wal);
+        if let Some(bytes) = bytes {
+            std::fs::write(&wal, bytes).unwrap();
+        }
+        let out = cli().arg("verify").arg(&path).output().unwrap();
+        let report = String::from_utf8(out.stdout).unwrap();
+        let verified = report.contains("\"status\":\"ok\"");
+        assert_eq!(out.status.success(), verified, "{state}: {report}");
+
+        let opened = UpdatableDatabase::open_durable(&path);
+        assert_eq!(verified, opened.is_ok(), "{state}: {report}");
+        assert_eq!(want.is_some(), verified, "{state}: {report}");
+        let Ok(db) = opened else { continue };
+        // Each replayed batch is one commit; each op one new edge.
+        let replayed = (db.epoch() as usize, l5_pairs(&db) - base_pairs);
+        let reported = (count(&report, "batches"), count(&report, "ops"));
+        assert_eq!(reported, replayed, "{state}: {report}");
+        assert_eq!(Some(replayed), want, "{state}: {report}");
+    }
 }
 
 /// One shard file of a directory is not an index: all but the first carry

@@ -3,8 +3,9 @@
 //! snapshot bytes untouched, the snapshot's epoch survives a checkpoint,
 //! a checkpoint leaves a mapped reader its file, the formats earlier
 //! builds wrote are refused, bit-flipped snapshots are detected, random
-//! update/save/reopen sequences come back as their model, and a drain on
-//! a durable server checkpoints the source.
+//! update/save/reopen sequences come back as their model, a drain on
+//! a durable server checkpoints the source, and a read-only open leaves
+//! a running save its temp file.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -101,7 +102,7 @@ fn checkpoint_after_compaction_stays_openable() {
     let want = edges(&db);
     drop(db);
 
-    let wal = ring::wal::Wal::inspect(&UpdatableDatabase::wal_path(&path)).unwrap();
+    let wal = ring::wal::inspect(&UpdatableDatabase::wal_path(&path)).unwrap();
     assert_eq!(wal.base_epoch, epoch, "the WAL is based on the snapshot");
     let back = UpdatableDatabase::open_durable(&path)
         .expect("snapshot + rotated WAL must agree on the base epoch");
@@ -278,7 +279,7 @@ fn checkpoint_rotates_the_wal() {
     let want = edges(&db);
     drop(db);
 
-    let wal = ring::wal::Wal::inspect(&UpdatableDatabase::wal_path(&path)).unwrap();
+    let wal = ring::wal::inspect(&UpdatableDatabase::wal_path(&path)).unwrap();
     assert_eq!(wal.base_epoch, epoch, "WAL must be rebased on the snapshot");
     assert_eq!(wal.op_count(), 0, "checkpointed ops must leave the WAL");
     assert_eq!(
@@ -341,6 +342,41 @@ fn open_durable_cleans_orphaned_temp_files() {
     let db = UpdatableDatabase::open_durable(&path).unwrap();
     assert!(!orphan.exists(), "orphaned temp file survived open_durable");
     drop(db);
+}
+
+/// A read-only open deletes nothing beside the index: a save that is
+/// still running has staged its temp file under the same name a crashed
+/// save strands, and the save must still land.
+#[test]
+fn a_read_only_open_leaves_a_running_save_its_temp_file() {
+    let _guard = lock_faults();
+    let dir = tmpdir("running_save");
+    let path = fresh_saved(&dir, "db.rpq");
+    let bytes = std::fs::read(&path).unwrap();
+    let (staged_tx, staged_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let save = std::thread::spawn({
+        let path = path.clone();
+        move || {
+            ring::durable::atomic_write(&path, |w| {
+                staged_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                w.write_all(&bytes)
+            })
+        }
+    });
+    staged_rx.recv().unwrap();
+    assert_eq!(
+        ring::durable::orphans(&path).len(),
+        1,
+        "no temp file staged"
+    );
+    let db = RpqDatabase::open(&path).unwrap();
+    assert_eq!(db.query("?x", "p", "?y").unwrap().len(), 2);
+    release_tx.send(()).unwrap();
+    let saved = save.join().unwrap();
+    assert!(saved.is_ok(), "the running save failed: {saved:?}");
+    assert!(ring::durable::orphans(&path).is_empty());
 }
 
 /// The formats earlier builds wrote are refused, not misread: every way
@@ -531,7 +567,7 @@ fn drain_checkpoints_a_durable_source() {
     assert_eq!(report.checkpoint_epoch, Some(want_epoch));
     drop(server);
 
-    let wal = ring::wal::Wal::inspect(&UpdatableDatabase::wal_path(&path)).unwrap();
+    let wal = ring::wal::inspect(&UpdatableDatabase::wal_path(&path)).unwrap();
     assert_eq!(wal.base_epoch, want_epoch);
     assert_eq!(wal.op_count(), 0);
     // The checkpointed snapshot holds the committed edge.
