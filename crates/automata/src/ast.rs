@@ -8,6 +8,8 @@
 //! SPARQL negated property sets); §6 of the paper points out that Glushkov
 //! automata handle both without growing the NFA.
 
+use std::borrow::Cow;
+
 use crate::Label;
 
 /// A literal: the label test attached to one Glushkov position.
@@ -148,6 +150,28 @@ impl Regex {
             Regex::Star(a) => Regex::Star(Box::new(a.reversed(inv))),
             Regex::Plus(a) => Regex::Plus(Box::new(a.reversed(inv))),
             Regex::Opt(a) => Regex::Opt(Box::new(a.reversed(inv))),
+        }
+    }
+
+    /// [`Self::fuse_classes`], borrowing `self` when no alternation fuses
+    /// (none has two positive literals for its sides), so that nothing
+    /// is rebuilt.
+    pub fn fused(&self) -> Cow<'_, Regex> {
+        fn fuses(e: &Regex) -> bool {
+            match e {
+                Regex::Epsilon | Regex::Literal(_) => false,
+                Regex::Alt(a, b) if positive(a) && positive(b) => true,
+                Regex::Concat(a, b) | Regex::Alt(a, b) => fuses(a) || fuses(b),
+                Regex::Star(a) | Regex::Plus(a) | Regex::Opt(a) => fuses(a),
+            }
+        }
+        fn positive(e: &Regex) -> bool {
+            matches!(e, Regex::Literal(Lit::Label(_) | Lit::Class(_)))
+        }
+        if fuses(self) {
+            Cow::Owned(self.fuse_classes())
+        } else {
+            Cow::Borrowed(self)
         }
     }
 

@@ -14,73 +14,119 @@
 use crate::ast::Lit;
 use crate::glushkov::{Glushkov, StateMask};
 use crate::Label;
-use std::collections::HashMap;
 
 /// Default vertical split width for the transition tables.
 pub const DEFAULT_SPLIT_WIDTH: usize = 8;
 
-/// A transition function over state masks, split into `d`-bit subtables.
-#[derive(Clone, Debug)]
-pub struct SplitTable<M> {
-    /// `sub[j][x]` = image of the state subset encoded by chunk `j` holding
-    /// pattern `x`.
-    sub: Vec<Vec<M>>,
+/// The transition functions `T` (forward) and `T'` (backward) over
+/// state masks, each split into `d`-bit subtables, in one array.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct SplitTables<M> {
+    /// `T`'s subtables back to back, then `T'`'s: in each half,
+    /// `[j << d | x]` is the image of the state subset chunk `j` holds
+    /// as pattern `x`. Every chunk has `2^d` entries but the last, which
+    /// has `2^w` for its width `w`.
+    flat: Vec<M>,
     d: usize,
 }
 
-impl<M: StateMask> SplitTable<M> {
-    /// Builds the table for the function "OR of `f(q)` over all states `q`
-    /// in the argument mask", where states are `0..=m`.
-    fn build(m: usize, d: usize, f: impl Fn(usize) -> M) -> Self {
-        let n_states = m + 1;
-        let images: Vec<M> = (0..n_states).map(f).collect();
-        let n_chunks = n_states.div_ceil(d);
-        let mut sub = Vec::with_capacity(n_chunks);
-        for j in 0..n_chunks {
-            let lo = j * d;
-            let width = d.min(n_states - lo);
-            let mut t = vec![M::ZERO; 1 << width];
-            // Dynamic-programming fill: T[x] = T[x without lowest bit] | f(lowest).
-            for x in 1usize..(1 << width) {
-                let low = x.trailing_zeros() as usize;
-                t[x] = t[x & (x - 1)].or(images[lo + low]);
-            }
-            sub.push(t);
-        }
-        Self { sub, d }
+impl<M: StateMask> SplitTables<M> {
+    /// Both tables over the states `0..n_states`, every entry empty.
+    fn zeroed(n_states: usize, d: usize) -> Self {
+        let last_width = n_states - (n_states - 1) / d * d;
+        let len = (((n_states - 1) / d) << d) + (1 << last_width);
+        // Allocated, then zeroed: for tables this small, faster than an
+        // allocation that comes zeroed.
+        let mut flat = Vec::with_capacity(2 * len);
+        flat.resize(2 * len, M::ZERO);
+        Self { flat, d }
     }
 
-    /// Applies the table: the OR of the images of every state in `mask`.
+    /// `T` (`T'` when `backward`).
     #[inline]
-    pub fn apply(&self, mask: M) -> M {
+    fn table(&self, backward: bool) -> &[M] {
+        let (fwd, bwd) = self.flat.split_at(self.flat.len() / 2);
+        if backward {
+            bwd
+        } else {
+            fwd
+        }
+    }
+
+    /// Sets the single-state entries from `trans(q)`, state `q`'s
+    /// one-step image: `T[{q}]` is the image, and `q` joins `T'[{p}]` for
+    /// every state `p` in it. Entries are found chunk by chunk, as
+    /// [`Self::apply`] reads them, so that no place takes a division.
+    fn enter(&mut self, n_states: usize, trans: impl Fn(usize) -> M) {
+        let d = self.d;
+        let half = self.flat.len() / 2;
+        let (fwd, bwd) = self.flat.split_at_mut(half);
+        let (mut chunk_at, mut bit) = (0, 1);
+        for q in 0..n_states {
+            let image = trans(q);
+            fwd[chunk_at | bit] = image;
+            let (mut rest, mut at) = (image, 0);
+            while !rest.is_empty() {
+                let mut chunk = rest.words()[0] & ((1 << d) - 1);
+                while chunk != 0 {
+                    let reaching = &mut bwd[at | 1 << chunk.trailing_zeros()];
+                    *reaching = reaching.or(M::bit(q));
+                    chunk &= chunk - 1;
+                }
+                rest = rest.shr(d);
+                at += 1 << d;
+            }
+            bit <<= 1;
+            if bit == 1 << d {
+                (chunk_at, bit) = (chunk_at + bit, 1);
+            }
+        }
+    }
+
+    /// Fills every entry from the single-state ones, by dynamic
+    /// programming: `T[x] = T[x without its lowest state] | T[that
+    /// state]`.
+    fn fill(&mut self) {
+        let half = self.flat.len() / 2;
+        for table in self.flat.chunks_mut(half) {
+            for sub in table.chunks_mut(1 << self.d) {
+                for x in 3..sub.len() {
+                    let rest = x & (x - 1);
+                    if rest != 0 {
+                        sub[x] = sub[rest].or(sub[x ^ rest]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `T[mask]` (`T'[mask]` when `backward`): the OR of the images of
+    /// every state in `mask`.
+    #[inline]
+    fn apply(&self, backward: bool, mask: M) -> M {
+        let table = self.table(backward);
         let mut out = M::ZERO;
         let mut rest = mask;
-        let mut j = 0;
+        let mut at = 0;
         while !rest.is_empty() {
             let chunk = (rest.words()[0] & ((1 << self.d) - 1)) as usize;
-            // Masking keeps the index valid even if a caller passes bits
-            // beyond state m (well-formed masks never do).
-            out = out.or(self.sub[j][chunk & (self.sub[j].len() - 1)]);
+            // An index past the table, which only bits beyond state m
+            // make (well-formed masks carry none), reads as no state.
+            out = out.or(table.get(at | chunk).copied().unwrap_or(M::ZERO));
             rest = rest.shr(self.d);
-            j += 1;
+            at += 1 << self.d;
         }
         out
-    }
-
-    /// Table bytes (for the working-space accounting of Table 2).
-    pub fn size_bytes(&self) -> usize {
-        self.sub.iter().map(|t| t.len() * size_of::<M>()).sum()
     }
 }
 
 /// The bit-parallel simulator: cached `B` table plus split `T`/`T'`,
 /// over state masks of type `M`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitParallel<M: StateMask = u64> {
     nullable: bool,
     accept: M,
-    fwd: SplitTable<M>,
-    bwd: SplitTable<M>,
+    split: SplitTables<M>,
     /// `B[c]` for labels mentioned positively, sorted by label.
     pos_masks: Vec<(Label, M)>,
     /// Negated-class positions: `(position bit, excluded labels)`.
@@ -97,44 +143,41 @@ impl<M: StateMask> BitParallel<M> {
     /// subtables (`1 ≤ d ≤ 16` is sensible).
     pub fn with_split_width(g: &Glushkov<M>, d: usize) -> Self {
         assert!((1..=20).contains(&d), "split width {d} out of range");
-        let m = g.positions();
-        let fwd = SplitTable::build(m, d, |q| g.trans(q));
-        // T'[X]: states q whose one-step image intersects X.
-        let images: Vec<M> = (0..=m).map(|q| g.trans(q)).collect();
-        let bwd = SplitTable::build(m, d, |p| {
-            // States reaching state p in one step.
-            let target = M::bit(p);
-            let mut mask = M::ZERO;
-            for (q, &img) in images.iter().enumerate() {
-                if img.intersects(target) {
-                    mask = mask.or(M::bit(q));
-                }
-            }
-            mask
-        });
+        let n_states = g.positions() + 1;
+        // T[{q}] is q's one-step image; T'[{p}], the states whose image
+        // holds p, is the same relation transposed.
+        let mut split = SplitTables::<M>::zeroed(n_states, d);
+        split.enter(n_states, |q| g.trans(q));
+        split.fill();
 
-        let mut pos_map: HashMap<Label, M> = HashMap::new();
+        let mentions = |lit: &Lit| match lit {
+            Lit::Label(_) => 1,
+            Lit::Class(ls) => ls.len(),
+            Lit::NegClass(_) => 0,
+        };
+        let mut pos_masks = Vec::with_capacity(g.literals().map(mentions).sum());
         let mut neg_positions = Vec::new();
-        for (i, lit) in g.literals().iter().enumerate() {
+        for (i, lit) in g.literals().enumerate() {
             let bit = M::bit(i + 1);
-            let mut add = |l: Label| {
-                let mask = pos_map.entry(l).or_insert(M::ZERO);
-                *mask = mask.or(bit);
-            };
             match lit {
-                Lit::Label(l) => add(*l),
-                Lit::Class(ls) => ls.iter().for_each(|&l| add(l)),
+                Lit::Label(l) => pos_masks.push((*l, bit)),
+                Lit::Class(ls) => pos_masks.extend(ls.iter().map(|&l| (l, bit))),
                 Lit::NegClass(ls) => neg_positions.push((bit, ls.clone())),
             }
         }
-        let mut pos_masks: Vec<(Label, M)> = pos_map.into_iter().collect();
         pos_masks.sort_unstable_by_key(|&(l, _)| l);
+        pos_masks.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.or(later.1);
+            }
+            same
+        });
 
         Self {
             nullable: g.nullable(),
             accept: g.accept_mask(),
-            fwd,
-            bwd,
+            split,
             pos_masks,
             neg_positions,
         }
@@ -180,26 +223,26 @@ impl<M: StateMask> BitParallel<M> {
     /// One forward step (Eq. 1): `T[D] & B[c]`.
     #[inline]
     pub fn step_fwd(&self, d: M, c: Label) -> M {
-        self.fwd.apply(d).and(self.label_mask(c))
+        self.apply_fwd(d).and(self.label_mask(c))
     }
 
     /// One backward step (Eq. 2): `T'[D & B[c]]`.
     #[inline]
     pub fn step_bwd(&self, d: M, c: Label) -> M {
-        self.bwd.apply(d.and(self.label_mask(c)))
+        self.apply_bwd(d.and(self.label_mask(c)))
     }
 
     /// `T'[X]` for a pre-intersected argument (the engine intersects with
     /// `B[p]` during the wavelet traversal, per Fact 1).
     #[inline]
     pub fn apply_bwd(&self, x: M) -> M {
-        self.bwd.apply(x)
+        self.split.apply(true, x)
     }
 
     /// `T[X]` without the `B` intersection.
     #[inline]
     pub fn apply_fwd(&self, x: M) -> M {
-        self.fwd.apply(x)
+        self.split.apply(false, x)
     }
 
     /// Forward word matching: simulates §3.3's algorithm.
@@ -230,8 +273,7 @@ impl<M: StateMask> BitParallel<M> {
 
     /// Working-space bytes of the tables (Table 2 accounting).
     pub fn size_bytes(&self) -> usize {
-        self.fwd.size_bytes()
-            + self.bwd.size_bytes()
+        self.split.flat.len() * size_of::<M>()
             + self.pos_masks.len() * size_of::<(Label, M)>()
             + self
                 .neg_positions

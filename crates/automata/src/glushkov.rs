@@ -85,7 +85,16 @@ pub trait StateMask: Words + Eq + std::fmt::Debug + Send + Sync + 'static {
 
     /// The states in the set, ascending.
     fn states(self) -> impl Iterator<Item = usize> {
-        (0..64 * Self::LEN).filter(move |&q| self.words()[q / 64] >> (q % 64) & 1 != 0)
+        let (mut i, mut word) = (0, self.words()[0]);
+        std::iter::from_fn(move || {
+            while word == 0 {
+                i += 1;
+                word = *self.words().get(i)?;
+            }
+            let q = 64 * i + word.trailing_zeros() as usize;
+            word &= word - 1;
+            Some(q)
+        })
     }
 
     /// The set zero-padded to the widest mask.
@@ -110,7 +119,7 @@ impl<const N: usize> StateMask for [u64; N] {
 
 /// The Glushkov automaton of a regular expression, its state sets
 /// masks of type `M`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Glushkov<M: StateMask = u64> {
     /// Number of positions (`m`).
     m: usize,
@@ -120,11 +129,22 @@ pub struct Glushkov<M: StateMask = u64> {
     first: M,
     /// Positions that can end a match (`last(E)`).
     last: M,
-    /// `follow[p - 1]`: positions that may follow position `p`.
-    follow: Vec<M>,
-    /// `lits[p - 1]`: the literal of position `p` (the label test carried
-    /// by every transition arriving at `p`).
-    lits: Vec<Lit>,
+    /// `positions[p - 1]`: position `p`.
+    positions: Vec<Position<M>>,
+}
+
+/// One position of a Glushkov automaton.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Position<M> {
+    /// Its literal: the label test carried by every transition arriving
+    /// at it.
+    lit: Lit,
+    /// The positions that may follow it.
+    follow: M,
+    /// Its number in the reversed expression, whose concatenations list
+    /// their factors right to left (what [`Glushkov::reversed`]
+    /// renumbers by).
+    mirror: u16,
 }
 
 impl<M: StateMask> Glushkov<M> {
@@ -144,15 +164,74 @@ impl<M: StateMask> Glushkov<M> {
             nullable: false,
             first: M::ZERO,
             last: M::ZERO,
-            follow: vec![M::ZERO; m],
-            lits: Vec::with_capacity(m),
+            positions: Vec::with_capacity(m),
         };
         let mut next_pos = 1;
         let info = g.visit(expr, &mut next_pos)?;
         g.nullable = info.nullable;
         g.first = info.first;
         g.last = info.last;
+        // `visit` left the shifts as differences at the ends of position
+        // ranges; summed from the last position down, they are each
+        // position's shift.
+        let mut shift = 0u16;
+        for p in g.positions.iter_mut().rev() {
+            shift = shift.wrapping_add(p.mirror);
+            p.mirror = shift + 1;
+        }
         Ok(g)
+    }
+
+    /// Adds `by` to the mirrored number of positions `lo..hi`, all
+    /// visited: a difference at the range's last position and one at the
+    /// position before it, summed once at the end.
+    fn shift_mirror(&mut self, lo: usize, hi: usize, by: usize) {
+        if lo == hi {
+            return;
+        }
+        let last = &mut self.positions[hi - 2].mirror;
+        *last = last.wrapping_add(by as u16);
+        if let Some(before) = lo.checked_sub(2) {
+            let before = &mut self.positions[before].mirror;
+            *before = before.wrapping_sub(by as u16);
+        }
+    }
+
+    /// The automaton of the reversal `Ê` of this one's expression
+    /// ([`Regex::reversed`] through `inv`), derived without a second
+    /// construction: `first` and `last` swap, `follow` is transposed,
+    /// every literal is mapped through `inv`, and the positions are
+    /// renumbered to `Ê`'s left-to-right order. It equals
+    /// `Glushkov::new(&expr.reversed(inv))` field for field.
+    pub fn reversed(&self, inv: &impl Fn(Label) -> Label) -> Self {
+        let mirror = |p: usize| usize::from(self.positions[p - 1].mirror);
+        let renumber = |mask: M| {
+            let bits = mask.states().map(|p| M::bit(mirror(p)));
+            bits.fold(M::ZERO, M::or)
+        };
+        let unset = Position {
+            lit: Lit::Label(0),
+            follow: M::ZERO,
+            mirror: 0,
+        };
+        let mut positions = vec![unset; self.m];
+        for (q, at) in (1..).zip(&self.positions) {
+            let to = &mut positions[usize::from(at.mirror) - 1];
+            to.lit = at.lit.map_labels(inv);
+            to.mirror = q;
+            let from = M::bit(at.mirror.into());
+            for p in at.follow.states() {
+                let to = &mut positions[mirror(p) - 1].follow;
+                *to = to.or(from);
+            }
+        }
+        Glushkov {
+            m: self.m,
+            nullable: self.nullable,
+            first: renumber(self.last),
+            last: renumber(self.first),
+            positions,
+        }
     }
 
     fn visit(&mut self, e: &Regex, next: &mut usize) -> Result<NodeInfo<M>, AutomatonError> {
@@ -168,7 +247,11 @@ impl<M: StateMask> Glushkov<M> {
                 }
                 let bit = M::bit(*next);
                 *next += 1;
-                self.lits.push(lit.clone());
+                self.positions.push(Position {
+                    lit: lit.clone(),
+                    follow: M::ZERO,
+                    mirror: 0,
+                });
                 Ok(NodeInfo {
                     nullable: false,
                     first: bit,
@@ -176,8 +259,12 @@ impl<M: StateMask> Glushkov<M> {
                 })
             }
             Regex::Concat(a, b) => {
+                let lo = *next;
                 let ia = self.visit(a, next)?;
+                let mid = *next;
                 let ib = self.visit(b, next)?;
+                // Reversed, `b`'s positions come first.
+                self.shift_mirror(lo, mid, *next - mid);
                 self.link(ia.last, ib.first);
                 Ok(NodeInfo {
                     nullable: ia.nullable && ib.nullable,
@@ -194,8 +281,12 @@ impl<M: StateMask> Glushkov<M> {
                 })
             }
             Regex::Alt(a, b) => {
+                let lo = *next;
                 let ia = self.visit(a, next)?;
+                let mid = *next;
                 let ib = self.visit(b, next)?;
+                // Reversed, an alternation keeps its order.
+                self.shift_mirror(mid, *next, mid - lo);
                 Ok(NodeInfo {
                     nullable: ia.nullable || ib.nullable,
                     first: ia.first.or(ib.first),
@@ -229,7 +320,8 @@ impl<M: StateMask> Glushkov<M> {
     fn link(&mut self, lasts: M, firsts: M) {
         for p in lasts.states() {
             debug_assert!(p >= 1);
-            self.follow[p - 1] = self.follow[p - 1].or(firsts);
+            let follow = &mut self.positions[p - 1].follow;
+            *follow = follow.or(firsts);
         }
     }
 
@@ -264,14 +356,14 @@ impl<M: StateMask> Glushkov<M> {
         if q == 0 {
             self.first
         } else {
-            self.follow[q - 1]
+            self.positions[q - 1].follow
         }
     }
 
-    /// All position literals, `lits()[p-1]` belonging to position `p`.
+    /// All position literals, in position order (`1..=m`).
     #[inline]
-    pub fn literals(&self) -> &[Lit] {
-        &self.lits
+    pub fn literals(&self) -> impl ExactSizeIterator<Item = &Lit> {
+        self.positions.iter().map(|p| &p.lit)
     }
 
     /// Mask of positions whose literal matches label `c` — the table `B[c]`
@@ -279,7 +371,7 @@ impl<M: StateMask> Glushkov<M> {
     /// [`crate::BitParallel`] wrapper caches these).
     pub fn label_mask(&self, c: Label) -> M {
         let mut mask = M::ZERO;
-        for (i, lit) in self.lits.iter().enumerate() {
+        for (i, lit) in self.literals().enumerate() {
             if lit.matches(c) {
                 mask = mask.or(M::bit(i + 1));
             }

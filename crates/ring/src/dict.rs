@@ -31,6 +31,7 @@
 //! writer a copy (`Dict::to_mapped_parts`). Compaction leaves it alone.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::hash::Hasher;
 
 use crate::Id;
@@ -43,6 +44,8 @@ use succinct::{IntVec, Slab, SpaceUsage};
 #[derive(Clone, Debug, Default)]
 pub struct Dict {
     base: FrontCoded,
+    /// The base's bucket heads, condensed for the lookups' bisection.
+    heads: HeadKeys,
     /// Names absent from `base`; the id of its name `i` is
     /// `base.len() + i`.
     new: Heap,
@@ -339,9 +342,71 @@ fn put_varint(out: &mut Vec<u8>, mut x: usize) {
     out.push(x as u8);
 }
 
-/// Length of the longest common prefix of `a` and `b`.
+/// Length of the longest common prefix of `a` and `b`, compared eight
+/// bytes at a time.
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+    let (a8, b8) = (a.chunks_exact(8), b.chunks_exact(8));
+    let mut at = 0;
+    for (x, y) in a8.zip(b8) {
+        let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("chunks of eight"));
+        let differ = word(x) ^ word(y);
+        if differ != 0 {
+            return at + differ.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    at + a[at..]
+        .iter()
+        .zip(&b[at..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The base's bucket heads for the lookups' bisection, built where a base
+/// is made or opened: the length of the prefix every name shares, and for
+/// each bucket the eight bytes of its head after it, big-endian and
+/// zero-padded. One `u64` per [`BUCKET`] names, in one array, so most
+/// steps of a bisection compare a key and never read a head (in the
+/// benchmark's 2^17-name dictionary the heads lie across a megabyte). It
+/// is derived, not stored: no file holds it, and [`Dict::size_bytes`]
+/// counts what a section stores.
+#[derive(Clone, Debug, Default)]
+struct HeadKeys {
+    shared: usize,
+    keys: Vec<u64>,
+}
+
+impl HeadKeys {
+    fn of(base: &FrontCoded) -> Self {
+        let Some(last) = base.len().checked_sub(1) else {
+            return Self::default();
+        };
+        let shared = common_prefix(base.head(0), &base.name(last));
+        let keys = (0..base.buckets.len()).map(|b| key(&base.head(b)[shared..]));
+        Self {
+            shared,
+            keys: keys.collect(),
+        }
+    }
+
+    /// The key of `name`, or `None` if it lacks the prefix every name of
+    /// `base` shares (so `base` does not hold it). A head whose key is
+    /// smaller than the name's is smaller than the name, and one whose key
+    /// is larger is larger; equal keys leave it open.
+    fn key(&self, base: &FrontCoded, name: &[u8]) -> Option<u64> {
+        if base.len() == 0 || name.get(..self.shared)? != &base.head(0)[..self.shared] {
+            return None;
+        }
+        Some(key(&name[self.shared..]))
+    }
+}
+
+/// The first eight bytes of `bytes` as a big-endian number, zero-padded.
+fn key(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    let n = bytes.len().min(8);
+    word[..n].copy_from_slice(&bytes[..n]);
+    u64::from_be_bytes(word)
 }
 
 /// A reader over one bucket's bytes. Every read is bounds-checked, so the
@@ -399,6 +464,15 @@ impl FrontCoded {
         BUCKET.min(self.len() - b * BUCKET)
     }
 
+    /// The head of bucket `b`.
+    fn head(&self, b: usize) -> &[u8] {
+        let mut cursor = Cursor {
+            bytes: &self.data[self.buckets[b] as usize..],
+            at: 0,
+        };
+        cursor.head().expect(VALID)
+    }
+
     fn bucket(&self, b: usize) -> Cursor<'_> {
         let start = self.buckets[b] as usize;
         let end = self
@@ -412,15 +486,23 @@ impl FrontCoded {
     }
 
     /// The id of `name`: the last bucket whose head is at most `name`,
-    /// then a scan of it that keeps `m`, the prefix the name last decoded
-    /// shares with `name`, and so compares each entry's suffix and nothing
-    /// before it. Every name passed is smaller than `name`; the scan stops
-    /// at the first that is not.
-    fn get(&self, name: &[u8]) -> Option<Id> {
+    /// bisected by the heads' `keys` and, where a key ties with the
+    /// name's, by the head itself; then a scan of the bucket that keeps
+    /// `m`, the prefix the name last decoded shares with `name`, and so
+    /// compares each entry's suffix and nothing before it. Every name
+    /// passed is smaller than `name`; the scan stops at the first that is
+    /// not.
+    fn get(&self, heads: &HeadKeys, name: &[u8]) -> Option<Id> {
+        let key = heads.key(self, name)?;
         let (mut lo, mut hi) = (0, self.buckets.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.bucket(mid).head().expect(VALID) <= name {
+            let at_most = match heads.keys[mid].cmp(&key) {
+                Ordering::Less => true,
+                Ordering::Greater => false,
+                Ordering::Equal => self.head(mid) <= name,
+            };
+            if at_most {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -560,6 +642,7 @@ impl Dict {
     pub(crate) fn from_mapped_parts(parts: FrontCoded) -> Result<Self, &'static str> {
         parts.validate()?;
         Ok(Self {
+            heads: HeadKeys::of(&parts),
             base: parts,
             new: Heap::default(),
         })
@@ -599,6 +682,7 @@ impl Dict {
     /// the new ones; nothing when none is new.
     pub fn encode(&mut self) {
         if let Cow::Owned(base) = self.to_mapped_parts() {
+            self.heads = HeadKeys::of(&base);
             self.base = base;
             self.new = Heap::default();
         }
@@ -607,7 +691,7 @@ impl Dict {
     /// Returns the id of `name`, interning it into the new part if the
     /// dictionary has no such name.
     pub fn intern(&mut self, name: &str) -> Id {
-        match self.base.get(name.as_bytes()) {
+        match self.base.get(&self.heads, name.as_bytes()) {
             Some(id) => id,
             None => self.base.len() as Id + self.new.intern(name),
         }
@@ -645,13 +729,14 @@ impl Dict {
         ids
     }
 
-    /// The id of `name`, if interned: O(log(n / [`BUCKET`])) head
+    /// The id of `name`, if interned: O(log(n / [`BUCKET`])) key
     /// comparisons and one bucket scan in the base, then, if it is not
-    /// there, O(1) in the new part.
+    /// there and names were interned since, O(1) in the new part.
     pub fn get(&self, name: &str) -> Option<Id> {
         let bytes = name.as_bytes();
-        match self.base.get(bytes) {
+        match self.base.get(&self.heads, bytes) {
             Some(id) => Some(id),
+            None if self.new.len() == 0 => None,
             None => Some(self.base.len() as Id + self.new.find(bytes, hash32(bytes))?),
         }
     }

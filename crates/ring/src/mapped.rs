@@ -95,6 +95,7 @@
 //! [`io::ErrorKind::Unsupported`] and the command that rebuilds the
 //! index, not read.
 
+use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -274,6 +275,26 @@ fn read_dict(r: &mut MapReader) -> io::Result<Dict> {
 /// [`write_index_at`].
 pub fn write_index(path: &Path, ring: &Ring, nodes: &Dict, preds: &Dict) -> io::Result<u64> {
     write_index_at(path, ring, nodes, preds, 0)
+}
+
+/// [`write_index`] for a save that starts a history of its own, such as
+/// a fresh build over an existing index: the file supersedes the
+/// write-ahead log beside `path` ([`crate::wal::path_beside`]), which is
+/// removed once the file is in place. The file is stamped at the last
+/// epoch that log reached (0 when there is none, or none that parses),
+/// so a crash before the removal leaves a log that is not ahead of the
+/// snapshot and whose every batch the snapshot's epoch covers: no durable
+/// open replays it. Returns the total bytes written.
+pub fn write_fresh_index(path: &Path, ring: &Ring, nodes: &Dict, preds: &Dict) -> io::Result<u64> {
+    let wal = crate::wal::path_beside(path);
+    let epoch = crate::wal::inspect(&wal).map_or(0, |log| log.last_epoch());
+    let written = write_index_at(path, ring, nodes, preds, epoch)?;
+    match fs::remove_file(&wal) {
+        Ok(()) => crate::durable::fsync_parent_dir(path)?,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+    }
+    Ok(written)
 }
 
 /// Writes `ring` plus its dictionaries as a mappable `RRPQM01` file

@@ -35,10 +35,13 @@
 //! recovery proceeds. A broken frame with more data *behind* it is
 //! mid-file corruption of acknowledged data and surfaces as a typed
 //! [`DurabilityError`](crate::durable::DurabilityError) instead of being
-//! silently dropped. Replay applies **all** committed batches on top of
-//! the snapshot: re-applying a suffix of ops is idempotent (the final
-//! state of each triple is decided by its last op), so recovery does not
-//! need to know exactly which batches the snapshot already folded in.
+//! silently dropped. Replay applies the committed batches that published
+//! an epoch past the snapshot's ([`WalRecovery::batches_past`]): a
+//! snapshot at epoch `e` holds every batch up to `e`, so a log a crash
+//! left behind a newer snapshot replays nothing the snapshot has, and a
+//! save that starts a history of its own
+//! ([`write_fresh_index`](crate::mapped::write_fresh_index)) stamps its
+//! file past the log it supersedes.
 //!
 //! `save()`/`compact()` checkpoints [`rotate`](Wal::rotate) the log back
 //! to an empty header once the snapshot on disk covers everything.
@@ -86,8 +89,9 @@ pub enum WalOp {
 /// One committed batch recovered from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalBatch {
-    /// The epoch the commit published (informational; replay is
-    /// idempotent and does not depend on it).
+    /// The epoch the commit published: a snapshot at this epoch or a
+    /// later one holds the batch, and replay skips it
+    /// ([`WalRecovery::batches_past`]).
     pub epoch: u64,
     /// The ops of the batch, in logged order.
     pub ops: Vec<WalOp>,
@@ -112,6 +116,29 @@ impl WalRecovery {
     pub fn op_count(&self) -> usize {
         self.batches.iter().map(|b| b.ops.len()).sum()
     }
+
+    /// The last epoch the log reached: its last committed batch's, or
+    /// its base epoch before any.
+    pub fn last_epoch(&self) -> u64 {
+        let last = self.batches.last().map_or(0, |b| b.epoch);
+        last.max(self.base_epoch)
+    }
+
+    /// The committed batches a snapshot at `snapshot_epoch` does not
+    /// hold — those that published a later epoch — in order: what a
+    /// durable open replays.
+    pub fn batches_past(&self, snapshot_epoch: u64) -> impl Iterator<Item = &WalBatch> {
+        self.batches
+            .iter()
+            .filter(move |b| b.epoch > snapshot_epoch)
+    }
+}
+
+/// The write-ahead log of the index at `index`: `<index>.wal` beside it.
+pub fn path_beside(index: &Path) -> PathBuf {
+    let mut os = index.as_os_str().to_os_string();
+    os.push(".wal");
+    PathBuf::from(os)
 }
 
 /// What a log beside a snapshot holds, judged against the snapshot's

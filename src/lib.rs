@@ -58,7 +58,10 @@ use automata::parser;
 use ring::mapped::OpenMode;
 use ring::ring::RingOptions;
 use ring::{Dict, Graph, Id, Ring};
-use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot, TripleSource};
+use rpq_core::{
+    EngineOptions, PreparedQuery, QueryOutput, RpqEngine, RpqQuery, ScratchPool, SourceSnapshot,
+    TripleSource,
+};
 use rpq_server::{source, QuerySource, RpqError};
 use std::sync::{Arc, OnceLock};
 use succinct::ResidentMode;
@@ -171,9 +174,15 @@ pub(crate) fn evaluate<S: TripleSource + ?Sized>(
     let Some(q) = query else {
         return Ok(QueryOutput::default());
     };
-    scratch
-        .with_engine(snapshot, |engine| engine.evaluate(&q, opts))
-        .map_err(DbError::Query)
+    // What `RpqEngine::evaluate` does, but the plan keeps the query's
+    // expression instead of copying it.
+    let ring = snapshot.ring();
+    let inv = |l| ring.inverse_label(l);
+    let prepared = PreparedQuery::compile_owned(q.expr, &inv, opts.bp_split_width);
+    let prepared = prepared.map_err(DbError::Query)?;
+    let run =
+        |engine: &mut RpqEngine| engine.evaluate_prepared(&prepared, q.subject, q.object, opts);
+    scratch.with_engine(snapshot, run).map_err(DbError::Query)
 }
 
 impl RpqDatabase {
@@ -374,9 +383,13 @@ impl RpqDatabase {
     /// file + fsync + rename) with a CRC32C per section. The file is
     /// usable *in place*: [`Self::open`] maps it and answers queries
     /// without deserializing, so cold starts cost page faults instead of
-    /// an index rebuild. Returns the total bytes written.
+    /// an index rebuild. The file starts a history of its own: a
+    /// write-ahead log beside `path`, which an updatable database wrote
+    /// for the index it replaces, is superseded and removed
+    /// ([`ring::mapped::write_fresh_index`]). Returns the total bytes
+    /// written.
     pub fn save_mapped(&self, path: &std::path::Path) -> std::io::Result<u64> {
-        ring::mapped::write_index(path, self.ring(), self.nodes(), self.preds())
+        ring::mapped::write_fresh_index(path, self.ring(), self.nodes(), self.preds())
     }
 
     /// Opens a persisted database: an `RRPQM01` file

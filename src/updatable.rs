@@ -452,9 +452,7 @@ impl UpdatableDatabase {
 
     /// The write-ahead-log sibling of a snapshot file: `<path>.wal`.
     pub fn wal_path(path: &Path) -> PathBuf {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".wal");
-        PathBuf::from(os)
+        ring::wal::path_beside(path)
     }
 
     /// Opens a saved database **durably**: recovers the `<path>.wal`
@@ -500,12 +498,15 @@ impl UpdatableDatabase {
                         wal_path.display()
                     );
                 }
-                if recovery.op_count() > 0 {
+                let snapshot_epoch = db.epoch();
+                let replay = || recovery.batches_past(snapshot_epoch);
+                let ops: usize = replay().map(|batch| batch.ops.len()).sum();
+                if ops > 0 {
                     // Replay through the normal name-level path (the WAL
                     // is not attached yet, so nothing is re-logged);
                     // dictionary interning is deterministic, reproducing
                     // the ids.
-                    for batch in &recovery.batches {
+                    for batch in replay() {
                         for op in &batch.ops {
                             match op {
                                 WalOp::Insert { s, p, o } => db.insert(s, p, o),
@@ -517,9 +518,8 @@ impl UpdatableDatabase {
                         db.store.commit();
                     }
                     eprintln!(
-                        "recovery: replayed {} op(s) in {} committed batch(es) from {}",
-                        recovery.op_count(),
-                        recovery.batches.len(),
+                        "recovery: replayed {ops} op(s) in {} committed batch(es) from {}",
+                        replay().count(),
                         wal_path.display()
                     );
                 }

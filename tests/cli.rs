@@ -774,6 +774,62 @@ fn verify_and_a_durable_open_agree_on_every_wal_state() {
     }
 }
 
+/// `build` over an index that updates have logged starts a history of
+/// its own: the log beside the index goes, the new file verifies, and a
+/// later insert commits on top of it. Put back, as a crash between the
+/// new file's rename and the log's removal leaves it, the old log is
+/// replayed by nothing: the new file is stamped at the epoch the log
+/// reached. (Before, `verify` exited 2 with "WAL base epoch 1 is ahead
+/// of snapshot epoch 0" and every later insert was refused.)
+#[test]
+fn a_rebuild_supersedes_the_log_beside_the_index() {
+    use ring_rpq::UpdatableDatabase;
+    let dir = tmpdir("rebuild_log");
+    let index = dir.join("metro.db");
+    let wal = UpdatableDatabase::wal_path(&index);
+    let delta = dir.join("delta.nt");
+    std::fs::write(&delta, "<brand_new> <l5> <baquedano> .\n").unwrap();
+    let run = |args: &[&str]| {
+        let out = cli().args(args).output().unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stdout}{stderr}");
+        stdout
+    };
+    let at = index.to_str().unwrap();
+    let delta_at = delta.to_str().unwrap();
+    let has_new_edge = || run(&["query", at, "?x", "<l5>", "<baquedano>"]).contains("<brand_new>");
+
+    build_metro(&index, &[]);
+    run(&["insert", at, delta_at]);
+    assert!(wal.exists());
+    build_metro(&index, &[]);
+    assert!(!wal.exists(), "the rebuild leaves the log it supersedes");
+    let report = run(&["verify", at]);
+    assert!(report.contains("\"status\":\"ok\""), "{report}");
+    assert!(report.contains("\"epoch\":1,\"wal\":null"), "{report}");
+    assert!(!has_new_edge(), "the rebuilt graph has no <brand_new>");
+    run(&["insert", at, delta_at]);
+    assert!(has_new_edge());
+
+    // A log with a batch no checkpoint folded in, left beside a rebuild.
+    build_metro(&index, &[]);
+    let log = {
+        let db = UpdatableDatabase::open_durable(&index).unwrap();
+        db.insert("<a>", "<l5>", "<b>");
+        db.commit();
+        std::fs::read(&wal).unwrap()
+    };
+    build_metro(&index, &[]);
+    std::fs::write(&wal, &log).unwrap();
+    let report = run(&["verify", at]);
+    assert!(report.contains("\"status\":\"ok\""), "{report}");
+    assert!(report.contains("\"batches\":0,\"ops\":0"), "{report}");
+    let db = UpdatableDatabase::open_durable(&index).unwrap();
+    assert_eq!(db.epoch(), 3, "the epoch the log reached, nothing replayed");
+    assert!(db.query("<a>", "<l5>", "?y").is_err(), "<a> is unknown");
+}
+
 /// One shard file of a directory is not an index: all but the first carry
 /// no dictionaries, and `query` on one says which directory to open.
 #[test]
