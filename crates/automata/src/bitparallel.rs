@@ -270,17 +270,6 @@ impl<M: StateMask> BitParallel<M> {
         }
         d.intersects(M::INITIAL)
     }
-
-    /// Working-space bytes of the tables (Table 2 accounting).
-    pub fn size_bytes(&self) -> usize {
-        self.split.flat.len() * size_of::<M>()
-            + self.pos_masks.len() * size_of::<(Label, M)>()
-            + self
-                .neg_positions
-                .iter()
-                .map(|(_, v)| size_of::<M>() + v.len() * 8)
-                .sum::<usize>()
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
-//! `Send + Sync` audit: compiled automata are shared across server
-//! workers through the plan cache (`Arc<PreparedQuery>` holds
-//! `BitParallel` tables), so the whole compilation pipeline must be free
-//! of interior mutability.
+//! `Send + Sync` audit: a compiled `PreparedQuery` holds `BitParallel`
+//! tables and may be shared between threads (`rpq_core` checks that it
+//! is `Send + Sync`), so the whole compilation pipeline must be free of
+//! interior mutability.
 
 use automata::{BitParallel, Glushkov, Lit, Nfa, Regex};
 

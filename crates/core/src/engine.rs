@@ -112,8 +112,9 @@ impl<'r> RpqEngine<'r> {
 
     /// Evaluates a 2RPQ under the given options: compiles a one-shot
     /// [`PreparedQuery`] and runs [`Self::evaluate_prepared`]. Callers
-    /// that re-run the same pattern (a server's plan cache) should
-    /// compile once and call `evaluate_prepared` directly.
+    /// that evaluate through `&self` — the databases, the server's
+    /// workers — use [`ScratchPool::evaluate`](crate::ScratchPool::evaluate),
+    /// which does the same on a pooled scratch.
     pub fn evaluate(
         &mut self,
         query: &RpqQuery,

@@ -94,8 +94,8 @@ pub fn explain_with(
     ))
 }
 
-/// Explains an already-compiled query (what a serving layer holds in its
-/// plan cache) anchored at the given endpoints, over any [`TripleSource`]
+/// Explains an already-compiled query anchored at the given endpoints,
+/// over any [`TripleSource`]
 /// (delta overlays and shard parts feed the same statistics the engine
 /// plans with). Endpoint validity is the caller's responsibility here;
 /// the string entry points check it.

@@ -40,7 +40,8 @@
 //!
 //! Modules: [`query`] (query types, options, outputs, statistics),
 //! [`engine`] (the engine: planning, dispatch, profiles), [`scratch`]
-//! (the traversal's reusable working memory and the pool facades share),
+//! (the traversal's reusable working memory, and the pool through which
+//! the databases and the server evaluate every resolved query),
 //! [`source`] (what an engine evaluates over, and the layered step
 //! source), [`planner`] (the §4.3/§6 cost-based route
 //! and direction choice), [`fastpath`] (§5 specializations), [`split`]
@@ -110,7 +111,8 @@ mod tests {
     /// `Send + Sync` audit: everything a serving layer shares between
     /// worker threads — queries, plans, options, outputs — must be free
     /// of interior mutability. (The engine itself is deliberately *not*
-    /// shared: each worker owns one, for its mask tables.)
+    /// shared: each evaluation builds one around a pooled scratch, for
+    /// its mask tables.)
     #[test]
     fn shared_query_types_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

@@ -6,10 +6,8 @@
 //! (§4.4 needs both directions), and materializing the split bit-parallel
 //! transition tables (§3.3) over the narrowest state mask that holds the
 //! expression's positions. None of that depends on the query's
-//! endpoints, so a serving layer can key compiled plans by the
-//! *normalized pattern* — [`PreparedQuery::cache_key`] — and share one
-//! [`PreparedQuery`] across any number of concurrent workers: the type is
-//! immutable after construction (`Send + Sync`), and
+//! endpoints, so one [`PreparedQuery`] can be re-anchored at any of them:
+//! the type is immutable after construction (`Send + Sync`), and
 //! [`RpqEngine::evaluate_prepared`](crate::RpqEngine::evaluate_prepared)
 //! only reads it.
 
@@ -138,8 +136,7 @@ impl Tables {
 /// arbitrary endpoints.
 #[derive(Clone, Debug)]
 pub struct PreparedQuery {
-    /// The original expression ([`Self::cache_key`] and the split route
-    /// work on this form).
+    /// The original expression (the split route works on this form).
     expr: Regex,
     /// The §5 fast-path classification of `expr`.
     shape: Shape,
@@ -200,14 +197,9 @@ impl PreparedQuery {
     /// rendering of an id-level expression. Two surface strings that parse
     /// to the same expression (whitespace, redundant parentheses, IRI
     /// prefixes resolved to the same predicate ids) share one key, hence
-    /// one cached plan.
+    /// one cached answer per pair of endpoints.
     pub fn cache_key(expr: &Regex) -> String {
         expr.to_string()
-    }
-
-    /// This plan's own normalized key.
-    pub fn key(&self) -> String {
-        Self::cache_key(&self.expr)
     }
 
     /// The original expression.
@@ -237,16 +229,6 @@ impl PreparedQuery {
     pub(crate) fn tables(&self) -> &Tables {
         &self.tables
     }
-
-    /// Approximate heap footprint, for cache byte accounting.
-    pub fn size_bytes(&self) -> usize {
-        // The AST is pointer-heavy; charge a flat word-count estimate per
-        // literal occurrence plus the enum spine.
-        let ast = 64 + 48 * self.expr.literal_count().max(1);
-        let tables: usize =
-            with_tables!(&self.tables, t => t.iter().map(BitParallel::size_bytes).sum());
-        std::mem::size_of::<Self>() + tables + ast
-    }
 }
 
 #[cfg(test)]
@@ -272,14 +254,12 @@ mod tests {
         let single = Regex::label(1);
         let p = PreparedQuery::compile(&single, &inv, 8).unwrap();
         assert_eq!(words(&p), 1);
-        assert_eq!(p.key(), "1");
         assert!(!matches!(p.shape(), Shape::Other));
 
         let star = Regex::Star(Box::new(Regex::label(1)));
         let p = PreparedQuery::compile(&star, &inv, 8).unwrap();
         assert!(matches!(p.shape(), Shape::Other));
         assert!(p.nullable());
-        assert!(p.size_bytes() > 0);
     }
 
     #[test]

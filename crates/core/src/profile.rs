@@ -20,9 +20,10 @@
 //! nothing is allocated; the only unconditional cost anywhere is the
 //! one-increment compaction counter inside `PairBuffer`.
 //!
-//! The server fills the three `Option` fields with its own phase
-//! timings (queue wait, pattern compilation, cache disposition); core
-//! evaluation leaves them `None`.
+//! The three `Option` fields are phases outside the engine:
+//! [`ScratchPool::evaluate`](crate::ScratchPool::evaluate) fills the
+//! pattern compilation time, the server the queue wait and the cache
+//! disposition; the engine's own calls leave them `None`.
 
 /// One BFS level of a product-graph traversal, as the profiler saw it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -92,8 +93,10 @@ pub struct QueryProfile {
     /// Server path only: wall time the job waited in the queue before a
     /// worker picked it up, µs.
     pub queue_wait_us: Option<u64>,
-    /// Server path only: pattern compilation time on a plan-cache miss,
-    /// µs (`Some(0)` on a plan-cache hit).
+    /// Pattern compilation time, µs: set on every profiled evaluation
+    /// through [`ScratchPool::evaluate`](crate::ScratchPool::evaluate) —
+    /// the databases' and the server's — and `None` from the engine's
+    /// own calls and on a result-cache hit.
     pub compile_us: Option<u64>,
     /// Server path only: whether the answer came from the result cache
     /// (a hit skips planning and execution entirely).

@@ -9,14 +9,18 @@
 
 use std::mem::size_of;
 use std::sync::Mutex;
+use std::time::Instant;
 
 use automata::StateMask;
 use ring::Id;
 use succinct::util::EpochArray;
 
 use crate::engine::RpqEngine;
+use crate::plan::PreparedQuery;
+use crate::query::{EngineOptions, QueryOutput, RpqQuery};
 use crate::source::TripleSource;
 use crate::step::ChunkExpansion;
+use crate::QueryError;
 
 /// The frontier buffers of traversals whose state masks are `M`.
 #[derive(Default)]
@@ -105,25 +109,70 @@ impl EngineScratch {
     }
 }
 
-/// The most scratches a [`ScratchPool`] keeps between queries.
+/// The most scratches a default [`ScratchPool`] keeps between queries.
 const MAX_POOLED: usize = 16;
 
 /// A small pool of [`EngineScratch`]es for callers that evaluate through
 /// `&self` from any number of threads: each query checks one out (or
 /// starts an empty one), and returns it when it completes. The pool
 /// therefore never holds more scratches than queries were in flight at
-/// once — nor more than a fixed few — and retains at most that many
+/// once — nor more than its capacity — and retains at most that many
 /// times one query's working memory.
-#[derive(Default)]
+///
+/// [`Self::evaluate`] is the one way the databases and the server run a
+/// resolved query.
 pub struct ScratchPool {
     free: Mutex<Vec<EngineScratch>>,
+    /// The most scratches kept between queries.
+    capacity: usize,
+}
+
+impl Default for ScratchPool {
+    fn default() -> Self {
+        Self::with_capacity(MAX_POOLED)
+    }
 }
 
 impl ScratchPool {
+    /// A pool that keeps at most `capacity` scratches between queries:
+    /// for a caller that knows how many it runs at once.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            free: Mutex::default(),
+            capacity,
+        }
+    }
+
+    /// Compiles `query` and evaluates it over `source` on a pooled
+    /// scratch: what [`RpqEngine::evaluate`] does, but the plan keeps the
+    /// query's expression instead of copying it. With `opts.profile` set
+    /// the profile carries the compile time
+    /// ([`QueryProfile::compile_us`](crate::QueryProfile::compile_us)).
+    pub fn evaluate<S: TripleSource + ?Sized>(
+        &self,
+        source: &S,
+        query: RpqQuery,
+        opts: &EngineOptions,
+    ) -> Result<QueryOutput, QueryError> {
+        let compile_t0 = opts.profile.then(Instant::now);
+        let ring = source.ring();
+        let inv = |l| ring.inverse_label(l);
+        let prepared = PreparedQuery::compile_owned(query.expr, &inv, opts.bp_split_width)?;
+        let compile_us = compile_t0.map(|t0| t0.elapsed().as_micros() as u64);
+        let (subject, object) = (query.subject, query.object);
+        let mut out = self.with_engine(source, |engine| {
+            engine.evaluate_prepared(&prepared, subject, object, opts)
+        })?;
+        if let Some(profile) = out.profile.as_deref_mut() {
+            profile.compile_us = compile_us;
+        }
+        Ok(out)
+    }
+
     /// Runs `f` with an engine over `source` built around a pooled
     /// scratch. If `f` panics the scratch unwinds with the engine and is
     /// dropped, never returned: its tables may be mid-update.
-    pub fn with_engine<'r, S, R>(&self, source: &'r S, f: impl FnOnce(&mut RpqEngine<'r>) -> R) -> R
+    fn with_engine<'r, S, R>(&self, source: &'r S, f: impl FnOnce(&mut RpqEngine<'r>) -> R) -> R
     where
         S: TripleSource + ?Sized,
     {
@@ -131,7 +180,7 @@ impl ScratchPool {
         let mut engine = RpqEngine::with_scratch(source, scratch);
         let out = f(&mut engine);
         let mut free = self.free();
-        if free.len() < MAX_POOLED {
+        if free.len() < self.capacity {
             free.push(engine.into_scratch());
         }
         out

@@ -11,12 +11,11 @@
 //!   `Arc<dyn QuerySource>` (the façade's `RpqDatabase` implements the
 //!   trait), with a session API — `submit` returns a [`QueryTicket`],
 //!   `wait` redeems it — and a blocking convenience (`query_blocking`);
-//! * [`plan_cache`] — compiled-query sharing: normalized pattern →
-//!   Glushkov product automaton + bit-parallel tables, one `Arc` for all
-//!   workers;
 //! * [`result_cache`] — an LRU over complete answer sets with byte-size
-//!   accounting and an invalidation hook; `submit` answers a hit on the
-//!   caller's thread, and only a miss is queued for a worker;
+//!   accounting, keyed by snapshot epoch; `submit` answers a hit on the
+//!   caller's thread, and only a miss is queued for a worker, which
+//!   compiles and evaluates it through `rpq_core::ScratchPool::evaluate`
+//!   like the façade's databases;
 //! * admission control — a bounded queue ([`RpqError::Overloaded`]) and
 //!   per-query [`QueryBudget`]s (result/time partials,
 //!   [`RpqError::BudgetExceeded`] hard aborts);
@@ -47,13 +46,11 @@
 
 pub mod lru;
 pub mod metrics;
-pub mod plan_cache;
 pub mod result_cache;
 pub mod server;
 pub mod slowlog;
 pub mod source;
 
-pub use plan_cache::PlanCache;
 pub use result_cache::{ResultCache, ResultKey};
 pub use server::{DrainReport, QueryAnswer, QueryBudget, QueryTicket, RpqServer, ServerConfig};
 pub use slowlog::{SlowEntry, SlowLog};
@@ -150,7 +147,6 @@ mod tests {
     fn server_types_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<RpqServer>();
-        assert_send_sync::<PlanCache>();
         assert_send_sync::<ResultCache>();
         assert_send_sync::<metrics::Metrics>();
         assert_send_sync::<SlowLog>();

@@ -180,7 +180,7 @@ pub struct Metrics {
     /// traversal) — the succinct hot-path win, observable in production.
     pub rank_ops_saved: AtomicU64,
     /// Snapshot-epoch bumps observed at submit time (each one dropped
-    /// the plan and result caches).
+    /// the result cache).
     pub epoch_bumps: AtomicU64,
     /// Graceful drains started ([`RpqServer::drain`](crate::RpqServer::drain)).
     pub drains: AtomicU64,
@@ -274,8 +274,8 @@ impl Metrics {
     }
 }
 
-/// Cache counters the server snapshots into both exports.
-#[derive(Clone, Copy)]
+/// Result-cache counters the server snapshots into both exports.
+#[derive(Clone, Copy, Default)]
 pub(crate) struct CacheStats {
     pub hits: u64,
     pub misses: u64,
@@ -291,8 +291,7 @@ pub(crate) struct CacheStats {
 pub(crate) struct View<'a> {
     pub m: &'a Metrics,
     pub config: &'a ServerConfig,
-    /// The plan cache, then the result cache.
-    pub caches: [CacheStats; 2],
+    pub cache: CacheStats,
     pub epoch: u64,
     pub updates: StoreStats,
     pub index: IndexStats,
@@ -303,9 +302,9 @@ pub(crate) struct View<'a> {
 }
 
 /// What a metric has one sample per: the server; a route (`Latency`: or
-/// the result cache, as route `cached`); a cache; a place the index can
-/// live, as 0 or 1 (in JSON, the one place's name); the shard set, which
-/// an unsharded source does not have; a shard.
+/// the result cache, as route `cached`); the result cache; a place the
+/// index can live, as 0 or 1 (in JSON, the one place's name); the shard
+/// set, which an unsharded source does not have; a shard.
 #[derive(Clone, Copy, PartialEq)]
 enum Per {
     One,
@@ -324,7 +323,8 @@ impl Per {
             Per::One => 1,
             Per::Route => ROUTES,
             Per::Latency => ROUTES + 1,
-            Per::Cache | Per::Mode => 2,
+            Per::Cache => 1,
+            Per::Mode => 2,
             Per::Sharded => v.sharded.then_some(1)?,
             Per::Shard => v.sharded.then_some(v.shards.len())?,
         })
@@ -337,7 +337,7 @@ impl Per {
         match self {
             Per::One | Per::Sharded => ("", "".into()),
             Per::Route | Per::Latency => ("route", route.into()),
-            Per::Cache => ("cache", ["plan", "result"][i].into()),
+            Per::Cache => ("cache", "result".into()),
             Per::Mode => ("mode", ["heap", "mmap"][i].into()),
             Per::Shard => ("shard", i.to_string().into()),
         }
@@ -469,13 +469,13 @@ static TABLE: &[Desc] = {
     row(&["shards"], "triples", Shard, Num(|v, i| v.shards[i].triples as u64)).prom(9, "rpq_shard_triples", "Completed triples held by one shard."),
     row(&["shards"], "bytes", Shard, Num(|v, i| v.shards[i].bytes as u64)).prom(9, "rpq_shard_bytes", "Index bytes of one shard's ring."),
     row(&["shards"], "probes", Shard, Num(|v, i| v.shards[i].probes)).prom(9, "rpq_shard_probes_total", "Scatter-gather probes served by one shard."),
-    row(&[], "hits", Cache, Num(|v, i| v.caches[i].hits)).prom(8, "rpq_cache_hits_total", "Cache hits."),
-    row(&[], "misses", Cache, Num(|v, i| v.caches[i].misses)).prom(8, "rpq_cache_misses_total", "Cache misses."),
-    row(&[], "evictions", Cache, Num(|v, i| v.caches[i].evictions)).prom(8, "rpq_cache_evictions_total", "Cache evictions."),
-    row(&[], "invalidations", Cache, Num(|v, i| v.caches[i].invalidations)).prom(8, "rpq_cache_invalidations_total", "Cache invalidations."),
-    row(&[], "entries", Cache, Num(|v, i| v.caches[i].entries as u64)).prom(8, "rpq_cache_entries", "Live cache entries."),
-    row(&[], "used", Cache, Num(|v, i| v.caches[i].used as u64)).prom(8, "rpq_cache_used_bytes", "Bytes held by the cache."),
-    row(&[], "budget", Cache, Num(|v, i| v.caches[i].budget as u64)).prom(8, "rpq_cache_budget_bytes", "Cache byte budget."),
+    row(&[], "hits", Cache, Num(|v, _| v.cache.hits)).prom(8, "rpq_cache_hits_total", "Cache hits."),
+    row(&[], "misses", Cache, Num(|v, _| v.cache.misses)).prom(8, "rpq_cache_misses_total", "Cache misses."),
+    row(&[], "evictions", Cache, Num(|v, _| v.cache.evictions)).prom(8, "rpq_cache_evictions_total", "Cache evictions."),
+    row(&[], "invalidations", Cache, Num(|v, _| v.cache.invalidations)).prom(8, "rpq_cache_invalidations_total", "Cache invalidations."),
+    row(&[], "entries", Cache, Num(|v, _| v.cache.entries as u64)).prom(8, "rpq_cache_entries", "Live cache entries."),
+    row(&[], "used", Cache, Num(|v, _| v.cache.used as u64)).prom(8, "rpq_cache_used_bytes", "Bytes held by the cache."),
+    row(&[], "budget", Cache, Num(|v, _| v.cache.budget as u64)).prom(8, "rpq_cache_budget_bytes", "Cache byte budget."),
     row(&["latency_us"], "all", One, Hist(|m, _| &m.latency_all, 1e6)).prom(9, "rpq_query_latency_seconds", "End-to-end query latency (queue wait included)."),
     row(&["latency_us"], "queue_wait", One, Hist(|m, _| &m.queue_wait, 1e6)).sparse().prom(9, "rpq_queue_wait_seconds", "Time jobs waited in the queue."),
     row(&["latency_us"], "exec", One, Hist(|m, _| &m.latency_exec, 1e6)).sparse().prom(9, "rpq_query_exec_seconds", "Pure evaluation time (cache hits excluded)."),
@@ -527,7 +527,7 @@ pub(crate) fn registry_json(v: &View) -> String {
         for i in (0..n).filter(|&i| !(d.sparse && run.iter().all(|r| r.value.is_empty(v, i)))) {
             match d.per {
                 Per::Shard => &mut w,
-                Per::Cache => w.key(["plan_cache", "result_cache"][i]),
+                Per::Cache => w.key("result_cache"),
                 per => w.key(&per.label(i).1),
             };
             if d.key.is_empty() {
@@ -626,7 +626,7 @@ mod tests {
         View {
             m,
             config: CONFIG.get_or_init(ServerConfig::default),
-            caches: [cache; 2],
+            cache,
             epoch: 0,
             updates: StoreStats::default(),
             index: IndexStats::default(),
@@ -730,11 +730,10 @@ mod tests {
         let cache = CacheStats {
             hits: 1,
             misses: 2,
-            evictions: 0,
-            invalidations: 0,
             entries: 1,
             used: 64,
             budget: 1024,
+            ..CacheStats::default()
         };
         let shard_rows = [
             ShardStat {
@@ -823,16 +822,7 @@ mod tests {
     #[test]
     fn prometheus_omits_shard_families_when_unsharded() {
         let m = Metrics::new();
-        let cache = CacheStats {
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            invalidations: 0,
-            entries: 0,
-            used: 0,
-            budget: 0,
-        };
-        let text = registry_prometheus(&view(&m, cache));
+        let text = registry_prometheus(&view(&m, CacheStats::default()));
         assert!(!text.contains("rpq_shard"));
     }
 
@@ -841,12 +831,10 @@ mod tests {
         let m = Metrics::new();
         let cache = CacheStats {
             hits: 1,
-            misses: 0,
-            evictions: 0,
-            invalidations: 0,
             entries: 1,
             used: 16,
             budget: 1024,
+            ..CacheStats::default()
         };
         let json = registry_json(&view(&m, cache));
         // The CI server-smoke step greps for this exact byte shape.

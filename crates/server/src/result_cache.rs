@@ -5,11 +5,16 @@
 //! budget-aborted is request-specific and gets recomputed. A cached
 //! answer is therefore valid for any later request of the same key
 //! regardless of that request's limits (a full set subsumes every
-//! partial). The ring is immutable, so entries never go stale today;
-//! [`ResultCache::invalidate_all`] is the hook a future update path
-//! (reindex, delta overlay) must call, and bumps a generation counter so
-//! in-flight insertions from before the invalidation are dropped instead
-//! of resurrecting stale data.
+//! partial).
+//!
+//! A commit to an updatable source publishes a snapshot at a new epoch,
+//! and every key carries the epoch its query was submitted under, so an
+//! entry only ever answers queries of its own epoch. The server clears
+//! the cache the first time a submit sees a newer epoch
+//! (`RpqServer::note_epoch`), so the old epoch's answers do not hold the
+//! byte budget; [`ResultCache::invalidate_all`] does the clearing, and
+//! bumps a generation counter so in-flight insertions from before it are
+//! dropped instead of resurrecting old answers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -20,7 +25,7 @@ use crate::lru::Lru;
 use crate::metrics::CacheStats;
 use crate::server::QueryAnswer;
 
-/// Cache key: the plan's normalized pattern, the two endpoints, and the
+/// Cache key: the query's normalized pattern, the two endpoints, and the
 /// snapshot epoch the query was submitted under. The epoch makes cross-
 /// epoch hits structurally impossible — even a pre-bump answer inserted
 /// *after* the bump-triggered invalidation (a worker racing a commit)

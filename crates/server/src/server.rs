@@ -1,6 +1,7 @@
-//! The query service: a std-thread worker pool over one shared,
-//! immutable ring index, with admission control at the front and the
-//! plan/result caches behind it.
+//! The query service: a std-thread worker pool over one shared query
+//! source — a ring, a shard set, or an updatable store whose commits
+//! each publish a new snapshot — with admission control at the front and
+//! the result cache behind it.
 //!
 //! Life of a query: submit, then wait. [`RpqServer::submit`] parses and
 //! resolves the string query on the caller's thread
@@ -12,8 +13,9 @@
 //! *before* any evaluation work is spent (admission control) — and its
 //! ticket holds the job. A worker pops the job, consults the result
 //! cache again (an identical earlier job may have filled it meanwhile),
-//! then the plan cache (compiling the Glushkov product automaton on a
-//! miss), and runs the engine under the job's [`QueryBudget`].
+//! then compiles and evaluates it under the job's [`QueryBudget`]
+//! through the workers' shared [`ScratchPool::evaluate`] — the path the
+//! databases answer through too.
 //! [`RpqServer::wait`] returns the outcome as a shared `Arc` answer. The
 //! server keeps no table of jobs: a job lives in the queue, on a worker
 //! and in its ticket, and dropping the ticket frees it.
@@ -26,12 +28,11 @@ use std::time::{Duration, Instant};
 
 use ring::Id;
 use rpq_core::{
-    EngineOptions, EngineScratch, EvalRoute, PreparedQuery, RpqEngine, RpqQuery, SourceSnapshot,
-    Term, TraversalStats,
+    EngineOptions, EvalRoute, PreparedQuery, RpqQuery, ScratchPool, SourceSnapshot, Term,
+    TraversalStats,
 };
 
 use crate::metrics::{registry_json, registry_prometheus, Metrics, View};
-use crate::plan_cache::PlanCache;
 use crate::result_cache::{ResultCache, ResultKey};
 use crate::slowlog::{SlowEntry, SlowLog};
 use crate::source::{name_pairs, resolve_query, QuerySource};
@@ -80,8 +81,6 @@ pub struct ServerConfig {
     /// a hit at submit is answered on the caller's thread and takes no
     /// slot, so it is served even when the queue is full.
     pub max_pending: usize,
-    /// Byte budget of the compiled-plan cache.
-    pub plan_cache_bytes: usize,
     /// Byte budget of the result cache (`0` disables it).
     pub result_cache_bytes: usize,
     /// Budget applied to queries submitted without an explicit one.
@@ -107,7 +106,6 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             admission_only: false,
             max_pending: 1024,
-            plan_cache_bytes: 4 << 20,
             result_cache_bytes: 16 << 20,
             default_budget: QueryBudget::default(),
             profile: false,
@@ -233,13 +231,15 @@ struct Shared {
     /// Jobs a worker has popped but not finished — what a drain waits
     /// on after the queue empties.
     in_flight: AtomicUsize,
-    plan_cache: PlanCache,
+    /// The workers' working memory: one scratch per worker, checked out
+    /// for each evaluation.
+    scratch: ScratchPool,
     result_cache: ResultCache,
     metrics: Metrics,
     slow_log: SlowLog,
     /// Highest snapshot epoch observed; a submit that sees a newer one
-    /// invalidates both caches (compiled plans may embed a stale
-    /// alphabet after a rebuild; results are epoch-keyed on top).
+    /// drops the result cache (its keys carry the epoch on top, so no
+    /// entry ever answers another epoch).
     cache_epoch: AtomicU64,
 }
 
@@ -274,7 +274,7 @@ impl RpqServer {
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
-            plan_cache: PlanCache::new(config.plan_cache_bytes),
+            scratch: ScratchPool::with_capacity(config.workers),
             result_cache: ResultCache::new(config.result_cache_bytes),
             metrics: Metrics::new(),
             slow_log: SlowLog::new(config.slow_log_capacity, config.slow_log_threshold),
@@ -474,17 +474,15 @@ impl RpqServer {
         name_pairs(&*self.shared.source, &answer.pairs)
     }
 
-    /// Drops every cached plan and result (the invalidation hook an
-    /// index-update path must call; epoch bumps observed at submit time
-    /// call it automatically).
+    /// Drops every cached result. Epoch bumps observed at submit time
+    /// call it automatically.
     pub fn invalidate_caches(&self) {
-        self.shared.plan_cache.invalidate_all();
         self.shared.result_cache.invalidate_all();
     }
 
     /// Observes a snapshot epoch: a bump past the last one seen drops
-    /// both caches (results are additionally epoch-keyed, so even racing
-    /// insertions of older answers cannot serve a newer epoch).
+    /// the result cache (results are additionally epoch-keyed, so even
+    /// racing insertions of older answers cannot serve a newer epoch).
     fn note_epoch(&self, epoch: u64) {
         let prev = self.shared.cache_epoch.fetch_max(epoch, Ordering::AcqRel);
         if epoch > prev {
@@ -497,17 +495,14 @@ impl RpqServer {
     }
 
     /// What both metrics exports render: the registry, the configuration,
-    /// and the caches' and the source's counters as of now.
+    /// and the result cache's and the source's counters as of now.
     fn metrics_view(&self) -> View<'_> {
         let Shared { source, config, .. } = &*self.shared;
         let shards = source.shard_stats();
         View {
             m: &self.shared.metrics,
             config,
-            caches: [
-                self.shared.plan_cache.stats(),
-                self.shared.result_cache.stats(),
-            ],
+            cache: self.shared.result_cache.stats(),
             epoch: source.snapshot().epoch,
             updates: source.update_stats().unwrap_or_default(),
             index: source.index_info().unwrap_or_default(),
@@ -659,21 +654,14 @@ fn pop_job(shared: &Shared) -> Option<Arc<Job>> {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Jobs run against the snapshot captured at their submit time, which
-    // may differ from job to job. The worker's mask tables belong to no
-    // snapshot: a job that misses the result cache builds its engine
-    // around them in O(1), and they grow in place when a commit or
-    // compaction enlarges the index.
-    let mut scratch = EngineScratch::default();
     while let Some(job) = pop_job(shared) {
         // A panicking evaluation must not leave the job pending (a
         // `wait` would block forever) nor shrink the worker pool: fail
         // the job and keep serving. The scratch the evaluation took
         // unwinds with its engine (the mask tables may be mid-update);
-        // the next one starts empty.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(shared, &mut scratch, &job)
-        }));
+        // the pool never gets it back.
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(shared, &job)));
         if outcome.is_err() {
             shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
             job.finish(Err(RpqError::Internal(
@@ -779,7 +767,7 @@ fn answer_hit(
     }
 }
 
-fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
+fn run_job(shared: &Shared, job: &Job) {
     let metrics = &shared.metrics;
     let picked = Instant::now();
     let queue_wait = picked.duration_since(job.submitted);
@@ -794,22 +782,10 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
         return;
     }
 
-    let ring = &*job.snapshot.ring;
-    let compile_t0 = Instant::now();
-    let plan = match shared
-        .plan_cache
-        .get_or_compile(&job.query.expr, job.snapshot.epoch, &|l| {
-            ring.inverse_label(l)
-        }) {
-        Ok(plan) => plan,
-        Err(e) => {
-            metrics.failed.fetch_add(1, Ordering::Relaxed);
-            job.finish(Err(RpqError::Query(e)));
-            return;
-        }
-    };
-    // Plan-cache lookup + (on a miss) Glushkov compilation time.
-    let compile_us = compile_t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    // Jobs run against the snapshot captured at their submit time, which
+    // may differ from job to job; the pooled mask tables belong to no
+    // snapshot, and grow in place when a commit or compaction enlarges
+    // the index.
     let opts = EngineOptions {
         limit: job.budget.max_results,
         timeout: job.budget.timeout,
@@ -817,11 +793,8 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
         profile: want_profile(shared),
         ..EngineOptions::default()
     };
-    let mut engine = RpqEngine::with_scratch(&job.snapshot, std::mem::take(scratch));
-    let result = engine.evaluate_prepared(&plan, job.query.subject, job.query.object, &opts);
-    *scratch = engine.into_scratch();
-
-    let out = match result {
+    let query = job.query.clone();
+    let out = match shared.scratch.evaluate(&job.snapshot, query, &opts) {
         Ok(out) => out,
         Err(e) => {
             metrics.failed.fetch_add(1, Ordering::Relaxed);
@@ -863,7 +836,6 @@ fn run_job(shared: &Shared, scratch: &mut EngineScratch, job: &Job) {
     let mut profile = out.profile;
     if let Some(p) = profile.as_deref_mut() {
         p.queue_wait_us = Some(queue_wait_us);
-        p.compile_us = Some(compile_us);
         p.cache_hit = Some(false);
     }
     let answer = Arc::new(QueryAnswer {

@@ -19,7 +19,7 @@ use rpq_core::{EvalRoute, QueryProfile};
 pub struct SlowEntry {
     /// Monotonic sequence number (order of admission into the log).
     pub seq: u64,
-    /// Normalized path-expression pattern (the plan-cache key).
+    /// Normalized path-expression pattern (the result-cache key's).
     pub pattern: String,
     /// Subject endpoint (`?var` or a node id rendered as decimal).
     pub subject: String,

@@ -7,12 +7,12 @@
 //! (fixed counters and samples on every route, update counters, a mapped
 //! index, two shard rows — on an admission-only server, so nothing but
 //! the test records a sample) and `caches` (a one-worker server answers a
-//! scripted handful of queries; only its two cache sections are pinned,
+//! scripted handful of queries; only its result-cache section is pinned,
 //! its histograms hold wall-clock samples).
 //!
-//! Masked as `#`, being the host's and not the renderer's: uptime and
-//! the plan cache's `used` bytes (the heap size of `automata`'s tables). `RPQ_UPDATE_GOLDEN=1` rewrites the
-//! files; a change that means to keep the output does not set it.
+//! Masked as `#`, being the host's and not the renderer's: uptime.
+//! `RPQ_UPDATE_GOLDEN=1` rewrites the files; a change that means to keep
+//! the output does not set it.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -68,7 +68,6 @@ fn server(facts: Option<Facts>, workers: usize) -> RpqServer {
         workers: if workers == 0 { 3 } else { workers },
         admission_only: workers == 0,
         max_pending: 48,
-        plan_cache_bytes: 1 << 16,
         result_cache_bytes: 1 << 18,
         ..ServerConfig::default()
     };
@@ -149,8 +148,7 @@ fn busy() -> RpqServer {
     server
 }
 
-/// Plan misses and hits, result misses and hits, an invalidation, live
-/// entries and bytes.
+/// Result misses and hits, an invalidation, live entries and bytes.
 fn caches() -> RpqServer {
     let server = server(None, 1);
     for (s, e, o) in [("0", "0+", "?y"), ("0", "0+", "?y"), ("1", "0+", "?y")] {
@@ -190,13 +188,13 @@ fn check(name: &str, actual: String) {
 fn registry_json_is_byte_identical_to_the_golden() {
     let host = |json: String| mask(&json, "\"uptime_ms\":");
     let cached = caches().metrics_json();
-    let from = cached.find("\"plan_cache\":").unwrap();
+    let from = cached.find("\"result_cache\":").unwrap();
     let to = cached.find(",\"latency_us\":").unwrap();
     let text = format!(
         "## idle\n{}\n## busy\n{}\n## caches\n{}\n",
         host(server(None, 0).metrics_json()),
         host(busy().metrics_json()),
-        mask(&cached[from..to], "\"used\":"),
+        &cached[from..to],
     );
     check("registry.json.txt", text);
 }
@@ -214,7 +212,7 @@ fn registry_prometheus_is_byte_identical_to_the_golden() {
         "## idle\n{}## busy\n{}## caches\n{}",
         host(server(None, 0).prometheus_metrics()),
         host(busy().prometheus_metrics()),
-        mask(&cached, "rpq_cache_used_bytes{cache=\"plan\"} "),
+        cached,
     );
     check("registry.prom.txt", text);
 }

@@ -92,8 +92,6 @@ fn split_route_flows_through_the_server_path() {
     assert!(decisions.contains("\"fastpath\":1"), "{json}");
     assert!(decisions.contains("\"bitparallel\":1"), "{json}");
 
-    // The plan cache serves the split pattern like any other: the
-    // repeated submission above hit the compiled plan.
     assert!(
         server
             .metrics()

@@ -58,10 +58,7 @@ use automata::parser;
 use ring::mapped::OpenMode;
 use ring::ring::RingOptions;
 use ring::{Dict, Graph, Id, Ring};
-use rpq_core::{
-    EngineOptions, PreparedQuery, QueryOutput, RpqEngine, RpqQuery, ScratchPool, SourceSnapshot,
-    TripleSource,
-};
+use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot};
 use rpq_server::{source, QuerySource, RpqError};
 use std::sync::{Arc, OnceLock};
 use succinct::ResidentMode;
@@ -160,29 +157,6 @@ pub(crate) fn refused(e: RpqError) -> DbError {
         RpqError::UnknownNode(name) => DbError::UnknownNode(name),
         other => unreachable!("name resolution refused a query with: {other}"),
     }
-}
-
-/// Evaluates a string query resolved by [`source::resolve_query`] on a
-/// pooled scratch. `None`, an endpoint the snapshot does not hold, is
-/// the empty answer.
-pub(crate) fn evaluate<S: TripleSource + ?Sized>(
-    query: Option<RpqQuery>,
-    snapshot: &S,
-    scratch: &ScratchPool,
-    opts: &EngineOptions,
-) -> Result<QueryOutput, DbError> {
-    let Some(q) = query else {
-        return Ok(QueryOutput::default());
-    };
-    // What `RpqEngine::evaluate` does, but the plan keeps the query's
-    // expression instead of copying it.
-    let ring = snapshot.ring();
-    let inv = |l| ring.inverse_label(l);
-    let prepared = PreparedQuery::compile_owned(q.expr, &inv, opts.bp_split_width);
-    let prepared = prepared.map_err(DbError::Query)?;
-    let run =
-        |engine: &mut RpqEngine| engine.evaluate_prepared(&prepared, q.subject, q.object, opts);
-    scratch.with_engine(snapshot, run).map_err(DbError::Query)
 }
 
 impl RpqDatabase {
@@ -351,7 +325,14 @@ impl RpqDatabase {
         opts: &EngineOptions,
     ) -> Result<QueryOutput, DbError> {
         let query = source::resolve_query(self, &self.source, subject, expr, object);
-        evaluate(query.map_err(refused)?, &self.source, &self.scratch, opts)
+        // `None`, an endpoint the snapshot does not hold, is the empty
+        // answer.
+        let Some(query) = query.map_err(refused)? else {
+            return Ok(QueryOutput::default());
+        };
+        self.scratch
+            .evaluate(&self.source, query, opts)
+            .map_err(DbError::Query)
     }
 
     /// Explains the evaluation plan for a query (route, direction,
@@ -433,7 +414,7 @@ impl RpqDatabase {
 
     /// Starts a concurrent query server over this database (see
     /// [`rpq_server::RpqServer`]): a worker pool sharing the ring, with
-    /// plan/result caches, admission control and metrics.
+    /// a result cache, admission control and metrics.
     ///
     /// ```
     /// use ring_rpq::RpqDatabase;

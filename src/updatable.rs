@@ -36,7 +36,7 @@ use ring::{Dict, Graph, Id, Ring, Triple};
 use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot};
 use rpq_server::{source, QuerySource};
 
-use crate::{evaluate, refused, DbError, Dicts, RpqDatabase};
+use crate::{refused, DbError, Dicts, RpqDatabase};
 
 /// `snap` as a file holds it: one ring with the overlay folded in, over
 /// universes as large as the dictionaries — append-only interning leaves
@@ -375,7 +375,12 @@ impl UpdatableDatabase {
     ) -> Result<QueryOutput, DbError> {
         let snap = self.store.snapshot();
         let query = source::resolve_query(self, &*snap, subject, expr, object);
-        evaluate(query.map_err(refused)?, &*snap, &self.scratch, opts)
+        let Some(query) = query.map_err(refused)? else {
+            return Ok(QueryOutput::default());
+        };
+        self.scratch
+            .evaluate(&*snap, query, opts)
+            .map_err(DbError::Query)
     }
 
     /// Persists the committed state as an `RRPQM01` file

@@ -338,7 +338,7 @@ fn serve_session_over_stdin() {
         "{stderr}"
     );
     // Metrics JSON lands on stderr with the expected sections.
-    assert!(stderr.contains("\"plan_cache\""), "{stderr}");
+    assert!(stderr.contains("\"result_cache\""), "{stderr}");
     assert!(stderr.contains("\"latency_us\""), "{stderr}");
 }
 
