@@ -18,9 +18,14 @@
 //! `*_ns` median regresses more than [`CHECK_FACTOR`]× against the
 //! committed baseline — a guard against accidental O(n) fallbacks, not
 //! against machine noise. Output path honours `RPQ_BENCH_OUT`. The
-//! artifact names the copy of the batched kernels that ran (`"popcount":
+//! artifact names the copies of the batched kernels that ran (`"popcount":
 //! "hardware"` where the CPU has the instruction, else `"portable"`;
 //! `succinct::with_popcnt`): the two differ by the cost of a popcount.
+//! It also names the level step of `access_batch` and `rank_batch`
+//! (`"gather": "avx512"` where the CPU has AVX-512 with its 64-bit
+//! popcount, else `"portable"`; `succinct::gather`), and the two `sweep_*`
+//! rows are timed on the portable loop as well (`sweep_*_portable_*`), so
+//! the artifact shows the gather step's gain at this layer.
 
 use ring::ring::RingOptions;
 use ring::Ring;
@@ -377,16 +382,29 @@ fn bench_narrow_ranges(reps: usize, out: &mut Vec<(String, f64)>) {
     // ranges as a FIFO queue does.
     let mut sorted = shuffled.clone();
     sorted.sort_unstable();
+    // Each as dispatched on this CPU, and on the portable loop: where
+    // the AVX-512 level step runs, the two rows differ by its gain.
     for (order, ranges) in [("sorted", &sorted), ("shuffled", &shuffled)] {
-        let (mut samples, mut leaves) = (Vec::with_capacity(reps), 0);
-        for _ in 0..reps {
-            let t = Instant::now();
-            positions_of(ranges, &mut units);
-            wm.access_batch(&mut units);
-            samples.push(t.elapsed().as_nanos() as f64);
-            leaves = std::hint::black_box(units.len());
+        for (copy, access) in [
+            (
+                "",
+                WaveletMatrix::access_batch as fn(&WaveletMatrix, &mut [(u32, u32)]),
+            ),
+            ("_portable", WaveletMatrix::access_batch_portable),
+        ] {
+            let (mut samples, mut leaves) = (Vec::with_capacity(reps), 0);
+            for _ in 0..reps {
+                let t = Instant::now();
+                positions_of(ranges, &mut units);
+                access(&wm, &mut units);
+                samples.push(t.elapsed().as_nanos() as f64);
+                leaves = std::hint::black_box(units.len());
+            }
+            out.push((
+                format!("sweep_{order}{copy}_leaf_ns"),
+                per_leaf(&samples, leaves),
+            ));
         }
-        out.push((format!("sweep_{order}_leaf_ns"), per_leaf(&samples, leaves)));
     }
 }
 
@@ -504,14 +522,20 @@ fn main() {
         .iter()
         .map(|(k, v)| format!("\"{k}\":{v:.2}"))
         .collect();
-    // Which copy of the batched kernels ran: `succinct::with_popcnt`'s.
+    // Which copies of the batched kernels ran: `succinct::with_popcnt`'s,
+    // and the wavelet level step's (`succinct::gather`).
     let popcount = if succinct::hardware_popcount() {
         "hardware"
     } else {
         "portable"
     };
+    let gather = if succinct::hardware_gather() {
+        "avx512"
+    } else {
+        "portable"
+    };
     let json = format!(
-        "{{\"quick\":{quick},\"popcount\":\"{popcount}\",\"bits\":{n_bits},\"symbols\":{n_syms},{}}}",
+        "{{\"quick\":{quick},\"popcount\":\"{popcount}\",\"gather\":\"{gather}\",\"bits\":{n_bits},\"symbols\":{n_syms},{}}}",
         body.join(",")
     );
     let out = std::env::var("RPQ_BENCH_OUT").unwrap_or_else(|_| "BENCH_succinct.json".to_string());

@@ -226,6 +226,60 @@ fn every_forced_route_honors_the_limit_on_every_source() {
     );
 }
 
+/// Every route agrees at the exact limit: with `limit` equal to a
+/// query's answer count, every forced route returns exactly the
+/// oracle's pairs, and with `limit` one below it, `limit` of them; at
+/// either limit every route raises the same `truncated` flag as the
+/// bit-parallel route. (Which pairs a truncated answer holds is not
+/// meaningful, so only their number and membership are compared.)
+#[test]
+fn every_forced_route_agrees_at_the_exact_limit() {
+    let mut checked = 0usize;
+    for (graph, seed) in [
+        (workload_graph(0xA11CE), 7),
+        (workload_graph(0xB0B), 8),
+        (rare_label_graph(), 9),
+    ] {
+        let ring = Ring::build(&graph, RingOptions::default());
+        let mut engine = RpqEngine::new(&ring);
+        for query in corpus(&graph, seed) {
+            let answers = evaluate_naive(&graph, &query);
+            let count = answers.len();
+            for limit in [count, count.saturating_sub(1)] {
+                if limit == 0 {
+                    continue;
+                }
+                let mut run = |forced| {
+                    let opts = EngineOptions {
+                        forced_route: Some(forced),
+                        limit,
+                        ..EngineOptions::default()
+                    };
+                    let out = engine.evaluate(&query, &opts).unwrap();
+                    (out.sorted_pairs(), out.truncated)
+                };
+                let (_, truncated) = run(EvalRoute::BitParallel);
+                for forced in EvalRoute::ALL {
+                    let (pairs, flag) = run(forced);
+                    let context = format!("forced {forced:?}, limit {limit} of {count}: {query:?}");
+                    assert_eq!(flag, truncated, "{context}: truncated");
+                    if limit == count {
+                        assert_eq!(pairs, answers, "{context}: pairs");
+                    } else {
+                        assert_eq!(pairs.len(), limit, "{context}: pairs");
+                        assert!(
+                            pairs.iter().all(|p| answers.binary_search(p).is_ok()),
+                            "{context}: a pair that is no answer"
+                        );
+                    }
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 100, "corpus shrank: only {checked} checks");
+}
+
 /// The acceptance criterion: for every corpus query, the explained
 /// route/direction/split equals the route/direction/split actually
 /// executed (both sides consult the one planner, but this pins the

@@ -26,7 +26,11 @@
 //!
 //! The batched kernels run on the CPU's `popcnt` instruction where it
 //! has one, detected at run time ([`with_popcnt`], [`hardware_popcount`];
-//! the [`rank_select`] module docs say why and where).
+//! the [`rank_select`] module docs say why and where). The level step of
+//! [`WaveletMatrix::access_batch`] and [`WaveletMatrix::rank_batch`]
+//! takes eight positions per AVX-512 gather where the CPU has
+//! `avx512f` and `avx512vpopcntdq`, on batches of at least
+//! [`MIN_GATHER_BATCH`] ([`gather`], [`hardware_gather`]).
 //!
 //! All structures report their heap footprint through [`SpaceUsage`], which
 //! the benchmark harness uses to regenerate the space column of Table 2.
@@ -40,6 +44,7 @@
 
 pub mod bitvec;
 pub mod checksum;
+pub mod gather;
 pub mod int_vec;
 pub mod io;
 pub mod mapped;
@@ -51,6 +56,7 @@ pub mod wavelet_matrix;
 
 pub use bitvec::BitVec;
 pub use checksum::{crc32c, Crc32c};
+pub use gather::{hardware_gather, MIN_GATHER_BATCH};
 pub use int_vec::IntVec;
 pub use mmap::{MappedFile, ResidentMode};
 pub use rank_select::{hardware_popcount, with_popcnt, PopcntKernel, RankBits, RankSelect};

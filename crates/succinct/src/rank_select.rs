@@ -33,7 +33,8 @@
 //! inside a function compiled with the instruction enabled when
 //! `is_x86_feature_detected!` finds it on the running CPU; on any other
 //! CPU or architecture the batch runs as compiled. The batched kernels —
-//! the wavelet matrix's `access_batch`, `rank_batch`, `guided_traverse`
+//! the wavelet matrix's `access_batch` and `rank_batch` (on batches the
+//! AVX-512 level step of [`crate::gather`] does not take), `guided_traverse`
 //! (and so `range_distinct`), `range_intersect_from`,
 //! [`MultiTraversal::run`](crate::wavelet_matrix::MultiTraversal::run),
 //! and the ring's `object_ranges` (part one's `C_o` selects) and
@@ -53,8 +54,8 @@ use crate::{BitVec, SpaceUsage};
 const WORDS_PER_SUPER: usize = 8; // 512-bit superblocks
 /// Words per interleaved superblock record: absolute count, packed
 /// sub-block counters, then the payload words.
-const SUPER_STRIDE: usize = WORDS_PER_SUPER + 2;
-const BITS_PER_SUPER: usize = WORDS_PER_SUPER * 64;
+pub(crate) const SUPER_STRIDE: usize = WORDS_PER_SUPER + 2;
+pub(crate) const BITS_PER_SUPER: usize = WORDS_PER_SUPER * 64;
 
 /// Lower bound of the **adaptive** select sampling rate
 /// [`RankSelect::new`] picks: the rate is chosen per bit kind so that the
@@ -179,7 +180,7 @@ impl RankBits {
     }
 
     /// The superblock records, for the mapped on-disk format writer
-    /// ([`crate::mapped`]).
+    /// ([`crate::mapped`]) and the gather step ([`crate::gather`]).
     pub(crate) fn raw_parts(&self) -> &Slab<u64> {
         &self.data
     }

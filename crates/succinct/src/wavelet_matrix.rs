@@ -37,8 +37,11 @@
 //! * [`WaveletMatrix::access_batch`] takes a batch of positions to their
 //!   symbols — one rank per level per position, no node, no guide — and
 //!   hands them back in the order they were given. A range the caller
-//!   wants every symbol of, with multiplicity, is its positions.
+//!   wants every symbol of, with multiplicity, is its positions. Its
+//!   level step, like [`WaveletMatrix::rank_batch`]'s, takes eight
+//!   positions per AVX-512 gather where the CPU has it ([`crate::gather`]).
 
+use crate::gather;
 use crate::int_vec::bits_for;
 use crate::{with_popcnt, BitVec, PopcntKernel, RankBits, SpaceUsage};
 
@@ -559,10 +562,27 @@ impl WaveletMatrix {
     /// which costs more than the locality it buys). The first component
     /// is left unspecified.
     ///
+    /// Batches of [`crate::MIN_GATHER_BATCH`] units or more run the
+    /// AVX-512 level step of [`crate::gather`] where the CPU has it
+    /// ([`crate::hardware_gather`]), eight positions a gather; the others
+    /// run the portable loop. Both give the same symbols.
+    ///
     /// # Panics
     /// Panics if a position is out of bounds, or the matrix is wider than
     /// 32 bits.
     pub fn access_batch(&self, units: &mut [(u32, u32)]) {
+        self.access_batch_with(units, true)
+    }
+
+    /// [`Self::access_batch`] on the portable loop whatever the CPU and
+    /// the batch: what the tests pin the gather step to, and what
+    /// `succinct_bench` times it against.
+    #[doc(hidden)]
+    pub fn access_batch_portable(&self, units: &mut [(u32, u32)]) {
+        self.access_batch_with(units, false)
+    }
+
+    fn access_batch_with(&self, units: &mut [(u32, u32)], may_gather: bool) {
         assert!(
             self.width <= u32::BITS as usize,
             "a batched access returns 32-bit symbols"
@@ -570,6 +590,9 @@ impl WaveletMatrix {
         for (i, (at, sym)) in units.iter_mut().enumerate() {
             assert!((*at as usize) < self.len, "position {i} out of bounds");
             *sym = 0;
+        }
+        if may_gather && gather::access(&self.levels, &self.zeros, units) {
+            return;
         }
         struct Access<'a>(&'a WaveletMatrix, &'a mut [(u32, u32)]);
         impl PopcntKernel for Access<'_> {
@@ -753,11 +776,27 @@ impl WaveletMatrix {
     /// `rank(sym, positions[i])`. The per-symbol node-start chain is
     /// computed once for the whole batch instead of once per position,
     /// halving the level ranks for large batches — the backward-step
-    /// primitive batched frontier expansion is built on.
+    /// primitive batched frontier expansion is built on. Long batches
+    /// take the AVX-512 level step where the CPU has it, as
+    /// [`Self::access_batch`] does.
     pub fn rank_batch(&self, sym: u64, positions: &mut [usize]) {
+        self.rank_batch_with(sym, positions, true)
+    }
+
+    /// [`Self::rank_batch`] on the portable loop whatever the CPU and the
+    /// batch: what the tests pin the gather step to.
+    #[doc(hidden)]
+    pub fn rank_batch_portable(&self, sym: u64, positions: &mut [usize]) {
+        self.rank_batch_with(sym, positions, false)
+    }
+
+    fn rank_batch_with(&self, sym: u64, positions: &mut [usize], may_gather: bool) {
         assert!(sym < self.sigma);
         for (i, &p) in positions.iter().enumerate() {
             assert!(p <= self.len, "position {i} out of bounds");
+        }
+        if may_gather && gather::rank(&self.levels, &self.zeros, sym, positions) {
+            return;
         }
         struct Rank<'a>(&'a WaveletMatrix, u64, &'a mut [usize]);
         impl PopcntKernel for Rank<'_> {

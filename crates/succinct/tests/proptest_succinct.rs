@@ -309,3 +309,92 @@ proptest! {
         prop_assert_eq!(wm.range_next_value(b, e, x), expected);
     }
 }
+
+/// The batch lengths the two copies of the level step are pinned at:
+/// empty, one, around a vector of eight, around the smallest batch the
+/// gather copy takes, and long.
+const BATCH_LENGTHS: [usize; 9] = [0, 1, 7, 8, 9, 31, 32, 33, 1000];
+
+fn lcg(seed: &mut u64) -> u64 {
+    *seed = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *seed >> 17
+}
+
+/// `n` positions below `bound`, unsorted, every third one a repeat of the
+/// one before it.
+fn positions(n: usize, bound: usize, seed: &mut u64) -> Vec<usize> {
+    let mut out: Vec<usize> = Vec::with_capacity(n);
+    for k in 0..n {
+        let p = match out.last() {
+            Some(&prev) if k % 3 == 2 => prev,
+            _ => lcg(seed) as usize % bound,
+        };
+        out.push(p);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `access_batch` and `rank_batch` as dispatched on this CPU ≡ the
+    /// portable loop (and ≡ the symbols and per-position ranks): random
+    /// matrices with σ from 2 to 2¹⁷, lengths that end a level mid-
+    /// superblock or exactly at a superblock's end, at every length of
+    /// [`BATCH_LENGTHS`], positions duplicated and unsorted, rank
+    /// positions up to and including the length. Prints which copy the
+    /// dispatch chose, so a `--nocapture` log shows whether the AVX-512
+    /// copy ran.
+    #[test]
+    fn dispatched_batches_equal_the_portable_copy(
+        sigma_pick in any::<u64>(),
+        raw_len in 1usize..2600,
+        whole_blocks in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let mut seed = seed;
+        let sigma = 2 + sigma_pick % ((1 << 17) - 1);
+        let len = if whole_blocks == 0 { raw_len } else { 512 * whole_blocks };
+        let syms: Vec<u64> = (0..len).map(|_| lcg(&mut seed) % sigma).collect();
+        let heap = WaveletMatrix::new(&syms, sigma);
+        static SAID: std::sync::Once = std::sync::Once::new();
+        SAID.call_once(|| println!(
+            "level step of access_batch/rank_batch: {} (batches of {} or more)",
+            if succinct::hardware_gather() { "avx512 gather" } else { "portable" },
+            succinct::MIN_GATHER_BATCH
+        ));
+        for wm in [&heap, &mapped(&heap)] {
+            for n in BATCH_LENGTHS {
+                let at = positions(n, len, &mut seed);
+                let units = |fill| -> Vec<(u32, u32)> { at.iter().map(|&p| (p as u32, fill)).collect() };
+                let (mut dispatched, mut portable) = (units(u32::MAX), units(7));
+                wm.access_batch(&mut dispatched);
+                wm.access_batch_portable(&mut portable);
+                let sym_of = |units: &[(u32, u32)]| -> Vec<u64> {
+                    units.iter().map(|&(_, s)| u64::from(s)).collect()
+                };
+                let expected: Vec<u64> = at.iter().map(|&p| syms[p]).collect();
+                prop_assert_eq!(sym_of(&dispatched), expected.clone(), "access, n = {}", n);
+                prop_assert_eq!(sym_of(&portable), expected, "portable access, n = {}", n);
+
+                let mut ranked = positions(n, len + 1, &mut seed);
+                if let Some(last) = ranked.last_mut() {
+                    *last = len;
+                }
+                let sym = if lcg(&mut seed).is_multiple_of(2) {
+                    syms[lcg(&mut seed) as usize % len]
+                } else {
+                    lcg(&mut seed) % sigma
+                };
+                let expected: Vec<usize> = ranked.iter().map(|&p| wm.rank(sym, p)).collect();
+                let mut portable = ranked.clone();
+                wm.rank_batch(sym, &mut ranked);
+                wm.rank_batch_portable(sym, &mut portable);
+                prop_assert_eq!(&ranked, &expected, "rank of {}, n = {}", sym, n);
+                prop_assert_eq!(&portable, &expected, "portable rank of {}, n = {}", sym, n);
+            }
+        }
+    }
+}

@@ -705,14 +705,19 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         info.resident.as_str(),
         info.mapped_bytes
     );
-    // Which copy of the batched rank kernels this CPU runs: a speed gap
+    // Which copies of the batched rank kernels this CPU runs: a speed gap
     // between two hosts may be this line.
     let popcount = if ring_rpq::succinct::hardware_popcount() {
         "hardware (popcnt, detected at run time)"
     } else {
         "portable"
     };
-    println!("kernels:             popcount: {popcount}");
+    let gather = if ring_rpq::succinct::hardware_gather() {
+        "avx512 (detected at run time)"
+    } else {
+        "portable"
+    };
+    println!("kernels:             popcount: {popcount}, gather: {gather}");
     // Sharded indexes aggregate across every shard (the per-shard
     // breakdown shows skew); a single ring reports itself.
     let shard_rows = if db.is_sharded() {

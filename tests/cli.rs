@@ -951,7 +951,8 @@ fn stats_prints_the_space_claim() {
     }
 }
 
-/// `stats` names the copy of the batched rank kernels this CPU runs.
+/// `stats` names the copies of the batched rank kernels this CPU runs:
+/// the popcount and the wavelet level step.
 #[test]
 fn stats_names_the_popcount_kernels() {
     let index = tmpdir("stats_kernels").join("metro.rpqm");
@@ -959,11 +960,17 @@ fn stats_names_the_popcount_kernels() {
     let out = cli().arg("stats").arg(&index).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
-    let expected = if ring_rpq::succinct::hardware_popcount() {
-        "kernels:             popcount: hardware (popcnt, detected at run time)"
+    let popcount = if ring_rpq::succinct::hardware_popcount() {
+        "hardware (popcnt, detected at run time)"
     } else {
-        "kernels:             popcount: portable"
+        "portable"
     };
+    let gather = if ring_rpq::succinct::hardware_gather() {
+        "avx512 (detected at run time)"
+    } else {
+        "portable"
+    };
+    let expected = format!("kernels:             popcount: {popcount}, gather: {gather}");
     assert!(text.lines().any(|l| l == expected), "{expected}\n{text}");
 }
 
