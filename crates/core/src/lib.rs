@@ -24,9 +24,10 @@
 //!
 //! There is one traversal, and it takes the three parts a frontier chunk
 //! at a time over a crate-private batch *step source*: over a bare ring
-//! each part is one pass taken level by level — a sweep of `L_p`, a
-//! batched access of `L_s`, the `C_o` lookups — whose memory accesses
-//! overlap; over a delta overlay or a shard partition
+//! each part is one pass taken level by level — a sweep of `L_p` or,
+//! where few labels fire, one batched backward step per label, a batched
+//! access of `L_s`, the `C_o` lookups — whose memory accesses overlap;
+//! over a delta overlay or a shard partition
 //! ([`MergedView`]) the same batch is stepped through every shard owning
 //! the label and merged with the delta. The §5 fast paths run over the
 //! same source. The crate's `README.md` ("How one BFS level is expanded")

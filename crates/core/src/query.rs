@@ -140,7 +140,9 @@ pub struct TraversalStats {
     pub product_nodes: u64,
     /// Product-graph edge batches: (object-range, predicate) expansions.
     pub product_edges: u64,
-    /// Wavelet-matrix nodes entered across all guided traversals.
+    /// Wavelet-matrix nodes entered across all guided traversals: part
+    /// one's sweeps of `L_p` (none where it steps label by label, see
+    /// [`Self::rank_ops`]) and the §5 listings' walks.
     pub wavelet_nodes: u64,
     /// BFS steps: `(node, D)` items visited, a node reached several
     /// times within one level counting once (its state sets are united
@@ -148,7 +150,12 @@ pub struct TraversalStats {
     pub bfs_steps: u64,
     /// Answers reported before deduplication.
     pub reported: u64,
-    /// Wavelet-level rank computations performed by batched traversals.
+    /// Wavelet-level rank computations performed by batched traversals:
+    /// part one's sweeps of `L_p`, or its batched backward steps — one
+    /// `rank_batch` of `L_p` per firing label, taken instead of the sweep
+    /// where at most six labels fire into a chunk and the CPU has the
+    /// AVX-512 gather step, and on layered sources — and part two's
+    /// accesses of `L_s`.
     pub rank_ops: u64,
     /// Rank computations the frontier batching avoided relative to
     /// per-range traversal (shared node starts, merged directory

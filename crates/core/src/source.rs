@@ -30,7 +30,7 @@ use succinct::util::{BitSet, EpochArray};
 use succinct::wavelet_matrix::IntersectionHit;
 
 use crate::scratch::Mask;
-use crate::step::{list_from, ChunkExpansion, CommonWalk, Firing, Hit, Range, StepSource};
+use crate::step::{fired, list_from, ChunkExpansion, CommonWalk, Firing, Hit, Range, StepSource};
 
 /// The fewest subjects a layered listing takes at a time when what it
 /// takes can be dropped — tombstoned subjects, or subjects of one label
@@ -143,6 +143,11 @@ impl ShardSet {
             words: 0,
             live: BitSet::new(0),
         }
+    }
+
+    /// Whether shard `i` holds at least one triple labeled `p`.
+    fn owns(&self, p: Id, i: usize) -> bool {
+        self.owners[p as usize * self.words + i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Indices of the shards holding at least one triple labeled `p`
@@ -827,10 +832,11 @@ impl StepSource for MergedView<'_> {
         ranks
     }
 
-    /// One batched backward step per firing label and owner, and the
-    /// delta's adds and tombstones into the items, read with one forward
-    /// cursor per label (a chunk's items ascend by node: a level is put in
-    /// node order, and a join steps ascending batches); then the hits
+    /// One batched backward step per firing label and owner, over the
+    /// items' object ranges looked up once per ring, and the delta's adds
+    /// and tombstones into the items, read with one forward cursor per
+    /// label (a chunk's items ascend by node: a level is put in node
+    /// order, and a join steps ascending batches); then the hits
     /// regrouped item by item and the owners' ranges of one `(item,
     /// label)` folded into one work item.
     fn fire<M: Mask>(&self, firing: &Firing<'_, M>, chunk: &[(Id, M)], x: &mut ChunkExpansion<M>) {
@@ -838,16 +844,34 @@ impl StepSource for MergedView<'_> {
         let union_d = chunk.iter().fold(M::ZERO, |all, &(_, d)| all.or(d));
         let adds = self.delta.filter(|d| d.n_adds() > 0);
         let dels = self.delta.filter(|d| d.n_dels() > 0);
-        for &(label, bmask) in firing.labels.iter().filter(|l| l.1.intersects(union_d)) {
-            // Every ring holding the label: the owners the routing table
-            // names (each noted as probed), or the one ring.
-            match self.shards {
-                None => x.step_hits((0, self.ring), (label, bmask), chunk),
-                Some(set) => set.owners(label).for_each(|i| {
-                    set[i].note_probe();
-                    x.step_hits((i as u32, &set[i].ring), (label, bmask), chunk)
-                }),
+        let fires = firing.labels.iter().filter(|l| l.1.intersects(union_d));
+        // Every ring holding a label — the one ring, or the owners the
+        // routing table names, each noted as probed per label — with the
+        // object ranges of the items its labels fire from looked up in it
+        // once.
+        match self.shards {
+            None => {
+                x.object_ranges(self.ring, chunk, fired(fires.clone()));
+                fires
+                    .clone()
+                    .for_each(|&label| x.step_hits((0, self.ring), label, chunk));
             }
+            Some(set) => {
+                for i in 0..set.len() {
+                    let owned = fires.clone().filter(|l| set.owns(l.0, i));
+                    let owned_fired = fired(owned.clone());
+                    if owned_fired.is_empty() {
+                        continue;
+                    }
+                    x.object_ranges(&set[i].ring, chunk, owned_fired);
+                    for &label in owned {
+                        set[i].note_probe();
+                        x.step_hits((i as u32, &set[i].ring), label, chunk);
+                    }
+                }
+            }
+        }
+        for &(label, bmask) in fires {
             let firing_from = || {
                 let items = chunk.iter().enumerate();
                 items.filter(move |(_, it)| it.1.intersects(bmask))
@@ -879,10 +903,11 @@ impl StepSource for MergedView<'_> {
             }
         }
 
-        // The hits arrived label by label; the stable sort leaves each
-        // item's label by label still, a label's owner by owner. The
-        // tombstone counts, few, are put in the same order.
-        x.hits.sort_by_key(|hit| hit.item);
+        // The hits arrived ring by ring, each ring's label by label, the
+        // adds' last; the stable sort leaves each item's label by label, a
+        // label's owner by owner and its adds after. The tombstone counts,
+        // few, are put in the same order.
+        x.hits.sort_by_key(|hit| (hit.item, hit.label));
         x.layered.deleted.sort_unstable();
         let mut tombstones = x.layered.deleted.iter().peekable();
         let mut hits = x.hits.iter().peekable();

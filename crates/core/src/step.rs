@@ -12,13 +12,17 @@
 //!   item, ascending and distinct, read-only against the visited table —
 //!   one cell per graph node, `D[s]` in cell `s`, on every source.
 //!
-//! A bare [`Ring`] answers part one with one level-synchronous sweep of
-//! `L_p` and part two with one batched access of `L_s` over every
-//! position of every work item; a [`MergedView`](crate::MergedView) over
-//! a delta or a shard set answers with the same per owner shard, merged
-//! with the delta arrays ([`crate::source`]). Everything else — frontier,
-//! visited table, replay, budget, trace, limits — is written once over
-//! this trait.
+//! A bare [`Ring`] answers part one from the chunk's object ranges, looked
+//! up once: with one batched backward step of `L_p` per firing label
+//! ([`ChunkExpansion::step_hits`]) where the CPU has the AVX-512 gather
+//! step and at most [`MAX_STEPPED_LABELS`] labels fire, else with one
+//! level-synchronous sweep of `L_p` ([`ChunkExpansion::sweep_hits`]) —
+//! the same hits either way. It answers part two with one batched access
+//! of `L_s` over every position of every work item. A
+//! [`MergedView`](crate::MergedView) over a delta or a shard set steps
+//! label by label in each owner shard, merged with the delta arrays
+//! ([`crate::source`]). Everything else — frontier, visited table,
+//! replay, budget, trace, limits — is written once over this trait.
 
 use std::mem::size_of;
 
@@ -76,6 +80,35 @@ pub(crate) type Range = (u32, u32);
 pub(crate) fn narrow((b, e): (usize, usize)) -> Range {
     let e = u32::try_from(e).expect("a chunk addresses 32-bit positions");
     (b as u32, e)
+}
+
+/// The most labels that may fire into a chunk — labels whose `B[p]` meets
+/// the OR of the chunk's `D` — for part one to take one batched backward
+/// step per label ([`ChunkExpansion::step_hits`]) rather than sweep
+/// `L_p`. On a 2-thread AVX-512 Xeon, part one of `?x (<p0>|…|<pk−1>)*
+/// <n>` over 6 anchors of a 2^20-edge generated graph (each query's
+/// fastest of 9, the fastest of 5 runs) took, per label against the
+/// sweep, 0.58 of the time at k = 1, 0.67 at 2, 0.64 at 3, 0.73 at 4 and
+/// 0.79 at 6, then 0.98 at 8, 1.65 at 16 and 1.38 at 32.
+pub(crate) const MAX_STEPPED_LABELS: usize = 6;
+
+/// Whether part one sweeps `L_p` for a chunk `firing` labels fire into,
+/// under `bp`, rather than step label by label: where the CPU lacks the
+/// AVX-512 level step of [`WaveletMatrix::rank_batch`]
+/// ([`succinct::hardware_gather`]; on the same family the portable step
+/// was 1.3–2.5× slower than the gather one, 0.81–0.89 of the sweep's time
+/// at one or two labels and 1.6–1.9× of it from three on), where the
+/// expression has a negated class, and where more than
+/// [`MAX_STEPPED_LABELS`] fire.
+pub(crate) fn sweeps<M: StateMask>(bp: &BitParallel<M>, firing: usize) -> bool {
+    !succinct::hardware_gather()
+        || !bp.negated_positions().is_empty()
+        || firing > MAX_STEPPED_LABELS
+}
+
+/// The states any of `labels` fires from: the OR of their `B[p]`.
+pub(crate) fn fired<'a, M: StateMask>(labels: impl Iterator<Item = &'a (Label, M)>) -> M {
+    labels.fold(M::ZERO, |all, &(_, b)| all.or(b))
 }
 
 /// A part-one leaf: label `label` reaches item `item` with `range` of
@@ -152,9 +185,35 @@ impl<M: StateMask> ChunkExpansion<M> {
         &self.subjects[subjects_before(first)..subjects_before(self.item_end[item])]
     }
 
+    /// Replaces `ranges` with the object range (block of `L_p`) in `ring`
+    /// of every item whose `D` meets `fired`, item by item — the `C_o`
+    /// lookups of the chunk in one run ([`Ring::object_ranges`]). Every
+    /// other item gets an empty range, and so does an item past the ring's
+    /// nodes (a delta's new node).
+    pub(crate) fn object_ranges(&mut self, ring: &Ring, chunk: &[(Id, M)], fired: M) {
+        let looked_up = |&(o, d): &(Id, M)| d.intersects(fired) && o < ring.n_nodes();
+        let ranges = &mut self.ranges;
+        ranges.clear();
+        ranges.reserve(chunk.len());
+        let mut items = chunk.iter();
+        let objects = chunk.iter().filter(|item| looked_up(item));
+        ring.object_ranges(objects.map(|&(o, _)| o), |block| {
+            for item in items.by_ref() {
+                if looked_up(item) {
+                    ranges.push(narrow(block));
+                    break;
+                }
+                ranges.push((0, 0));
+            }
+        });
+        ranges.resize(chunk.len(), (0, 0));
+    }
+
     /// One batched backward step (Eqs. 4–5) in `ring`, from the items of
-    /// `chunk` the label fires from: their object ranges (of `L_p`) are
-    /// mapped to subject ranges (of `L_s`) with the ranks of the whole
+    /// `chunk` the label fires from, `ranges` holding their object ranges
+    /// in that ring ([`Self::object_ranges`], under a `fired` that covers
+    /// `B[label]`): the ranges are mapped to subject ranges (of `L_s`) by
+    /// one [`WaveletMatrix::rank_batch`] of `L_p`, the ranks of the whole
     /// batch sharing one node-start chain, and every item the label has
     /// edges into is a hit.
     pub(crate) fn step_hits(
@@ -165,19 +224,12 @@ impl<M: StateMask> ChunkExpansion<M> {
     ) {
         self.stepped_items.clear();
         self.stepped.clear();
-        let firing = chunk
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(o, d))| d.intersects(bmask) && o < ring.n_nodes());
-        let mut items = firing.clone();
-        let (stepped_items, stepped) = (&mut self.stepped_items, &mut self.stepped);
-        ring.object_ranges(firing.map(|(_, &(o, _))| o), |(b, e)| {
-            let (item, &(_, d)) = items.next().expect("one block per firing item");
-            if e > b {
-                stepped_items.push((item as u32, d.and(bmask)));
-                stepped.extend([b, e]);
+        for (item, (&(_, d), &(b, e))) in chunk.iter().zip(&self.ranges).enumerate() {
+            if e > b && d.intersects(bmask) {
+                self.stepped_items.push((item as u32, d.and(bmask)));
+                self.stepped.extend([b as usize, e as usize]);
             }
-        });
+        }
         ring.l_p().rank_batch(label, &mut self.stepped);
         self.rank_ops += (self.stepped.len() * ring.l_p().width()) as u64;
         let base = ring.c_p_ref().get(label);
@@ -192,6 +244,36 @@ impl<M: StateMask> ChunkExpansion<M> {
                 d,
             });
         }
+    }
+
+    /// Part one by one level-synchronous sweep of `ring`'s `L_p` over
+    /// `ranges` ([`Self::object_ranges`]) under `B[v]` and the negated
+    /// classes (§4.1): the hits [`Self::step_hits`] gives label after
+    /// label, in that order, with every wavelet node entered once for the
+    /// whole chunk. `union_d` is the OR of the chunk's `D`.
+    pub(crate) fn sweep_hits(
+        &mut self,
+        ring: &Ring,
+        (bp, lp_masks): (&BitParallel<M>, &EpochArray),
+        chunk: &[(Id, M)],
+        union_d: M,
+    ) {
+        let mut guide = PredGuideMulti {
+            ring,
+            chunk,
+            union_d,
+            masks: lp_masks,
+            neg: bp.negated_positions(),
+            width: ring.l_p().width(),
+            out: &mut self.hits,
+            nodes_entered: &mut self.wavelet_nodes,
+            node_mask: M::ZERO,
+            pending: M::ZERO,
+            base: (Label::MAX, 0),
+        };
+        self.mt.run(ring.l_p(), &self.ranges, &mut guide);
+        self.rank_ops += self.mt.ranks;
+        self.rank_ops_saved += self.mt.ranks_saved;
     }
 
     /// Part two in one `L_s`: every position of every live work item's
@@ -399,38 +481,24 @@ impl StepSource for Ring {
         seed_label_masks(lp_masks, self.l_p(), bp);
     }
 
-    /// With an automaton, one sweep of `L_p` over the items' object
-    /// ranges under `B[v]` (§4.1); without, one batched backward step per
-    /// label.
+    /// The items' object ranges looked up once, then one batched backward
+    /// step per label that fires into the chunk — those of the items some
+    /// label fires from — or, with an automaton whose chunk [`sweeps`],
+    /// one sweep of `L_p` over the ranges of all items under `B[v]`
+    /// (§4.1). Both give the same hits in the same order.
     fn fire<M: Mask>(&self, firing: &Firing<'_, M>, chunk: &[(Id, M)], x: &mut ChunkExpansion<M>) {
         x.begin();
+        let union_d = chunk.iter().fold(M::ZERO, |all, &(_, d)| all.or(d));
+        let fires = firing.labels.iter().filter(|l| l.1.intersects(union_d));
         match firing.automaton {
-            Some((bp, lp_masks)) => {
-                let ranges = &mut x.ranges;
-                ranges.reserve(chunk.len());
-                self.object_ranges(chunk.iter().map(|&(o, _)| o), |block| {
-                    ranges.push(narrow(block))
-                });
-                let mut guide = PredGuideMulti {
-                    ring: self,
-                    chunk,
-                    union_d: chunk.iter().fold(M::ZERO, |all, &(_, d)| all.or(d)),
-                    masks: lp_masks,
-                    neg: bp.negated_positions(),
-                    width: self.l_p().width(),
-                    out: &mut x.hits,
-                    nodes_entered: &mut x.wavelet_nodes,
-                    node_mask: M::ZERO,
-                    pending: M::ZERO,
-                    base: (Label::MAX, 0),
-                };
-                x.mt.run(self.l_p(), &x.ranges, &mut guide);
-                (x.rank_ops, x.rank_ops_saved) = (x.mt.ranks, x.mt.ranks_saved);
+            Some((bp, lp_masks)) if sweeps(bp, fires.clone().count()) => {
+                x.object_ranges(self, chunk, union_d);
+                x.sweep_hits(self, (bp, lp_masks), chunk, union_d)
             }
-            None => firing
-                .labels
-                .iter()
-                .for_each(|&label| x.step_hits((0, self), label, chunk)),
+            _ => {
+                x.object_ranges(self, chunk, fired(fires.clone()));
+                fires.for_each(|&label| x.step_hits((0, self), label, chunk))
+            }
         }
 
         // The leaves arrived label by label; item by item they are the
@@ -587,5 +655,201 @@ pub(crate) fn group_by_key<T>(
         let slot = &mut ends[key(record)];
         place(*slot, record);
         *slot += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use automata::Regex;
+    use ring::ring::RingOptions;
+    use ring::Graph;
+    use workload::{GraphGen, GraphGenConfig, QueryGen};
+
+    use super::*;
+    use crate::plan::{with_tables, PreparedQuery};
+    use crate::query::EngineOptions;
+
+    /// What the comparisons covered.
+    #[derive(Default)]
+    struct Seen {
+        hits: usize,
+        /// Items whose node has an empty `C_o` block.
+        empty_blocks: usize,
+        /// Chunks into which 6 and 7 labels fired.
+        firing: [bool; 2],
+        /// Comparisons at 1, 2 and 4 words of state mask.
+        widths: [usize; 3],
+    }
+
+    /// A hit as the comparison reads it: every field.
+    fn fields<M: StateMask>(hit: &Hit<M>) -> (u32, u32, Label, Range, M) {
+        (hit.item, hit.part, hit.label, hit.range, hit.d)
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Chunks over every node of `ring` (an item per node, nodes
+    /// ascending, as a level is put) and over every third: each item's
+    /// `D` all states any label fires from, a random part of them and of
+    /// the initial state (which no label fires from), or the states of
+    /// one label alone.
+    fn chunks<M: StateMask>(ring: &Ring, bp: &BitParallel<M>, seed: u64) -> Vec<Vec<(Id, M)>> {
+        let labels = bp.positive_label_masks();
+        let all = labels.iter().fold(M::ZERO, |all, &(_, b)| all.or(b));
+        let mut state = seed;
+        let mut random = || {
+            let mut d = M::ZERO;
+            d.words_mut()
+                .iter_mut()
+                .for_each(|w| *w = splitmix(&mut state));
+            d.and(all.or(M::INITIAL))
+        };
+        let nodes = 0..ring.n_nodes();
+        vec![
+            nodes.clone().map(|o| (o, all)).collect(),
+            nodes.clone().map(|o| (o, random())).collect(),
+            nodes
+                .step_by(3)
+                .map(|o| (o, labels[o as usize % labels.len()].1))
+                .collect(),
+        ]
+    }
+
+    /// Part one of every chunk under `bp` both ways — one sweep of `L_p`,
+    /// and one batched backward step per label that fires — with the
+    /// object ranges looked up once per chunk for each.
+    fn compare<M: Mask>(ring: &Ring, bp: &BitParallel<M>, seen: &mut Seen, what: &str) {
+        let mut lp_masks = EpochArray::default();
+        seed_label_masks(&mut lp_masks, ring.l_p(), bp);
+        let mut x = ChunkExpansion::<M>::default();
+        for (c, chunk) in chunks(ring, bp, seen.hits as u64).iter().enumerate() {
+            let union_d = chunk.iter().fold(M::ZERO, |all, &(_, d)| all.or(d));
+            let labels = bp.positive_label_masks();
+            let fires: Vec<_> = labels.iter().filter(|l| l.1.intersects(union_d)).collect();
+
+            x.begin();
+            x.object_ranges(ring, chunk, union_d);
+            let looked_up = chunk
+                .iter()
+                .zip(&x.ranges)
+                .filter(|(it, _)| !it.1.is_empty());
+            seen.empty_blocks += looked_up.filter(|(_, (b, e))| b == e).count();
+            x.sweep_hits(ring, (bp, &lp_masks), chunk, union_d);
+            let swept: Vec<_> = x.hits.iter().map(fields).collect();
+
+            x.begin();
+            x.object_ranges(ring, chunk, fired(fires.iter().copied()));
+            fires
+                .iter()
+                .for_each(|&&label| x.step_hits((0, ring), label, chunk));
+            let stepped: Vec<_> = x.hits.iter().map(fields).collect();
+
+            assert_eq!(stepped, swept, "{what}, chunk {c}: hits");
+            assert_eq!(
+                sweeps(bp, fires.len()),
+                !succinct::hardware_gather() || fires.len() > MAX_STEPPED_LABELS,
+                "{what}, chunk {c}: which step part one takes"
+            );
+            seen.hits += swept.len();
+            for (k, fired) in [6, 7].into_iter().zip(&mut seen.firing) {
+                *fired |= fires.len() == k;
+            }
+            seen.widths[M::LEN.trailing_zeros() as usize] += 1;
+        }
+    }
+
+    /// `(<p0>|…|<pk−1>)*`, one position (a class), and `(<p0>/…/<pk−1>)*`
+    /// concatenated `times` times, `k · times` positions: stars the same
+    /// `k` labels fire into.
+    fn stars(k: Label, times: usize) -> [Regex; 2] {
+        let labels = (1..k).map(Regex::label);
+        let alt = labels.clone().fold(Regex::label(0), Regex::alt);
+        let cat = labels.fold(Regex::label(0), Regex::concat);
+        let star = |e| Regex::Star(Box::new(e));
+        let cats = (1..times).fold(star(cat.clone()), |e, _| {
+            Regex::concat(e, star(cat.clone()))
+        });
+        [star(alt), cats]
+    }
+
+    /// Both directions of every Table 1 pattern instantiated over
+    /// `graph`, and of stars of 6, 7 and every label, at 1, 2 and 4 words.
+    fn compare_all(graph: &Graph, seed: u64, what: &str, seen: &mut Seen) {
+        let ring = Ring::build(graph, RingOptions::default());
+        let mut exprs: Vec<Regex> = QueryGen::new(graph, seed)
+            .scaled_log(0.0)
+            .into_iter()
+            .map(|gq| gq.query.expr)
+            .collect();
+        for k in [6, 7, ring.n_preds()]
+            .into_iter()
+            .filter(|&k| k <= ring.n_preds())
+        {
+            exprs.extend([1, 10, 20].into_iter().flat_map(|times| stars(k, times)));
+        }
+        let split = EngineOptions::default().bp_split_width;
+        for expr in &exprs {
+            let prepared = PreparedQuery::compile(expr, &|l| ring.inverse_label(l), split).unwrap();
+            with_tables!(prepared.tables(), tables => {
+                for (dir, bp) in ["forward", "reversed"].into_iter().zip(tables) {
+                    compare(&ring, bp, seen, &format!("{what}, {expr:?}, {dir}"));
+                }
+            });
+        }
+    }
+
+    /// The two part-one steps give the same hits — item, label, range and
+    /// `D & B[p]`, in the same order — whichever of them the running CPU
+    /// takes.
+    #[test]
+    fn part_one_steps_give_the_same_hits() {
+        println!(
+            "part one on this CPU: {}",
+            if succinct::hardware_gather() {
+                "one batched backward step per label where at most 6 fire (AVX-512 gather), \
+                 else the L_p sweep"
+            } else {
+                "the L_p sweep (no AVX-512 gather)"
+            }
+        );
+        let mut seen = Seen::default();
+        compare_all(&workload::metro::metro(), 1, "metro", &mut seen);
+        let foaf = include_str!("../../../data/foaf.nt");
+        let (foaf, _, _) = ring::ntriples::parse_ntriples(foaf).unwrap();
+        compare_all(&foaf, 2, "foaf", &mut seen);
+        let generated = GraphGen::new(GraphGenConfig {
+            n_nodes: 600,
+            n_preds: 6,
+            n_edges: 2400,
+            pred_zipf: 1.0,
+            node_skew: 1.0,
+            seed: 0x5E7,
+        })
+        .generate();
+        // Nodes past every edge: empty `C_o` blocks.
+        let generated = Graph::new(
+            generated.triples().to_vec(),
+            generated.n_nodes() + 9,
+            generated.n_preds(),
+        );
+        compare_all(&generated, 3, "generated", &mut seen);
+        println!(
+            "compared {} hits, {} items with an empty C_o block, chunks at 1/2/4 words: {:?}",
+            seen.hits, seen.empty_blocks, seen.widths
+        );
+        assert!(seen.hits > 10_000, "only {} hits compared", seen.hits);
+        assert!(seen.empty_blocks > 0, "no item with an empty C_o block");
+        assert_eq!(seen.firing, [true; 2], "6 and 7 firing labels");
+        assert!(
+            seen.widths.iter().all(|&n| n > 0),
+            "widths {:?}",
+            seen.widths
+        );
     }
 }

@@ -72,7 +72,7 @@ fn main() -> ExitCode {
         ))),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(CliError::Closed) => ExitCode::SUCCESS,
         Err(CliError::Parse(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::from(2)
@@ -140,10 +140,23 @@ serve session meta-commands (one per stdin line, answers flush first):
 ";
 
 /// CLI failures, split by exit code: malformed queries (pattern parse
-/// errors, unknown nodes) exit 2; everything else exits 1.
+/// errors, unknown nodes) exit 2; everything else exits 1. A closed
+/// stdout (`rpq-cli query … | head -3`) is no failure: the run ends
+/// there and exits 0.
 enum CliError {
     Parse(String),
     Other(String),
+    Closed,
+}
+
+/// The error of a failed write to stdout: [`CliError::Closed`] once the
+/// reader has gone.
+fn output_error(e: std::io::Error) -> CliError {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        CliError::Closed
+    } else {
+        CliError::Other(format!("writing output: {e}"))
+    }
 }
 
 impl From<DbError> for CliError {
@@ -300,10 +313,10 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         .into());
     };
     let db = load_as(index, mode)?;
+    let mut stdout = std::io::stdout().lock();
     if explain_only {
         let plan = db.explain_plan(s, expr, o)?;
-        println!("{}", plan.to_json());
-        return Ok(());
+        return writeln!(stdout, "{}", plan.to_json()).map_err(output_error);
     }
     let opts = EngineOptions {
         timeout: Some(Duration::from_secs(60)),
@@ -317,7 +330,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     // so cross-engine diffs are byte-identical), as `serve` prints them.
     let named = name_pairs(&db, &out.pairs);
     for (a, b) in &named {
-        println!("{a}\t{b}");
+        writeln!(stdout, "{a}\t{b}").map_err(output_error)?;
     }
     let batching = if out.stats.rank_ops_saved > 0 {
         format!(
@@ -338,7 +351,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     // The profile is the final stdout line (a lone JSON object), so
     // scripts can split rows from profile with a '^{' match.
     if let Some(p) = &out.profile {
-        println!("{}", p.to_json());
+        writeln!(stdout, "{}", p.to_json()).map_err(output_error)?;
     }
     Ok(())
 }
@@ -462,17 +475,31 @@ fn start_server(index: &str, opts: &ServeOpts) -> Result<RpqServer, CliError> {
 /// but a line that fails synchronously (malformed fields, parse error,
 /// unknown node) prints its `# error` block immediately, possibly ahead
 /// of earlier queries still in flight; every block is labelled
-/// `# query N`, so association is unambiguous either way.
+/// `# query N`, so association is unambiguous either way. A closed
+/// stdout ends the session as the end of its input does.
 fn run_session(
     server: &RpqServer,
     input: impl BufRead,
     out: &mut impl Write,
     show_profile: bool,
 ) -> Result<(usize, usize), CliError> {
+    let mut counts = (0, 0);
+    match session(server, input, out, show_profile, &mut counts) {
+        Ok(()) | Err(CliError::Closed) => Ok(counts),
+        Err(e) => Err(e),
+    }
+}
+
+/// [`run_session`]'s loop, counting the queries it submits and those
+/// that fail into `(submitted, errors)`.
+fn session(
+    server: &RpqServer,
+    input: impl BufRead,
+    out: &mut impl Write,
+    show_profile: bool,
+    (submitted, errors): &mut (usize, usize),
+) -> Result<(), CliError> {
     let mut pending: VecDeque<(usize, String, ring_rpq::rpq_server::QueryTicket)> = VecDeque::new();
-    let mut submitted = 0usize;
-    let mut errors = 0usize;
-    let echo = |e: &std::io::Error| CliError::Other(format!("writing output: {e}"));
     for line in input.lines() {
         let line = line.map_err(|e| format!("reading queries: {e}"))?;
         let text = line.trim();
@@ -484,7 +511,7 @@ fn run_session(
         // everything submitted above it.
         if text == ".drain" {
             while let Some(entry) = pending.pop_front() {
-                errors += flush_one(server, entry, out, show_profile)?;
+                *errors += flush_one(server, entry, out, show_profile)?;
             }
             let report = server.drain(Duration::from_secs(30));
             writeln!(
@@ -500,14 +527,14 @@ fn run_session(
                     .as_deref()
                     .map_or_else(|| "null".to_string(), rpq_core::jsonw::quoted),
             )
-            .map_err(|e| echo(&e))?;
+            .map_err(output_error)?;
             // The server rejects everything after a drain; end the
             // session rather than erroring the rest of the input.
             break;
         }
         if matches!(text, ".metrics" | ".prometheus" | ".slow") {
             while let Some(entry) = pending.pop_front() {
-                errors += flush_one(server, entry, out, show_profile)?;
+                *errors += flush_one(server, entry, out, show_profile)?;
             }
             match text {
                 ".metrics" => writeln!(out, "{}", server.metrics_json()),
@@ -515,21 +542,21 @@ fn run_session(
                 ".slow" => writeln!(out, "{}", server.slow_queries_json()),
                 _ => unreachable!(),
             }
-            .map_err(|e| echo(&e))?;
+            .map_err(output_error)?;
             continue;
         }
-        submitted += 1;
-        let n = submitted;
+        *submitted += 1;
+        let n = *submitted;
         let tokens: Vec<&str> = text.split_whitespace().collect();
         let [s, expr, o] = tokens[..] else {
-            writeln!(out, "# query {n}: {text}").map_err(|e| echo(&e))?;
+            writeln!(out, "# query {n}: {text}").map_err(output_error)?;
             writeln!(
                 out,
                 "# error: expected 3 fields 's expr o', got {}",
                 tokens.len()
             )
-            .map_err(|e| echo(&e))?;
-            errors += 1;
+            .map_err(output_error)?;
+            *errors += 1;
             continue;
         };
         loop {
@@ -542,23 +569,23 @@ fn run_session(
                     // Backpressure: finish the oldest in-flight query
                     // before retrying.
                     match pending.pop_front() {
-                        Some(entry) => errors += flush_one(server, entry, out, show_profile)?,
+                        Some(entry) => *errors += flush_one(server, entry, out, show_profile)?,
                         None => std::thread::sleep(Duration::from_millis(1)),
                     }
                 }
                 Err(e) => {
-                    writeln!(out, "# query {n}: {text}").map_err(|err| echo(&err))?;
-                    writeln!(out, "# error: {e}").map_err(|err| echo(&err))?;
-                    errors += 1;
+                    writeln!(out, "# query {n}: {text}").map_err(output_error)?;
+                    writeln!(out, "# error: {e}").map_err(output_error)?;
+                    *errors += 1;
                     break;
                 }
             }
         }
     }
     while let Some(entry) = pending.pop_front() {
-        errors += flush_one(server, entry, out, show_profile)?;
+        *errors += flush_one(server, entry, out, show_profile)?;
     }
-    Ok((submitted, errors))
+    Ok(())
 }
 
 /// Waits for one pending query and prints its block; returns 1 if it
@@ -569,13 +596,12 @@ fn flush_one(
     out: &mut impl Write,
     show_profile: bool,
 ) -> Result<usize, CliError> {
-    let echo = |e: std::io::Error| CliError::Other(format!("writing output: {e}"));
-    writeln!(out, "# query {n}: {text}").map_err(echo)?;
+    writeln!(out, "# query {n}: {text}").map_err(output_error)?;
     match server.wait(&ticket) {
         Ok(answer) => {
             // Sorted, distinct rows by name, as `rpq-cli query` prints.
             for (s, o) in server.resolve_pairs(&answer) {
-                writeln!(out, "{s}\t{o}").map_err(echo)?;
+                writeln!(out, "{s}\t{o}").map_err(output_error)?;
             }
             writeln!(
                 out,
@@ -584,16 +610,16 @@ fn flush_one(
                 if answer.truncated { " (limit hit)" } else { "" },
                 if answer.timed_out { " (timed out)" } else { "" },
             )
-            .map_err(echo)?;
+            .map_err(output_error)?;
             if show_profile {
                 if let Some(p) = &answer.profile {
-                    writeln!(out, "# profile: {}", p.to_json()).map_err(echo)?;
+                    writeln!(out, "# profile: {}", p.to_json()).map_err(output_error)?;
                 }
             }
             Ok(0)
         }
         Err(e) => {
-            writeln!(out, "# error: {e}").map_err(echo)?;
+            writeln!(out, "# error: {e}").map_err(output_error)?;
             Ok(1)
         }
     }
@@ -670,6 +696,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
 /// objects in place, so line N of the output always describes query N).
 fn batch_explain(index: &str, input: impl BufRead) -> Result<(), CliError> {
     let db = load(index)?;
+    let mut stdout = std::io::stdout().lock();
     for line in input.lines() {
         let line = line.map_err(|e| format!("reading queries: {e}"))?;
         let text = line.trim();
@@ -678,16 +705,23 @@ fn batch_explain(index: &str, input: impl BufRead) -> Result<(), CliError> {
         }
         let tokens: Vec<&str> = text.split_whitespace().collect();
         let [s, expr, o] = tokens[..] else {
-            println!(
+            writeln!(
+                stdout,
                 "{{\"error\":\"expected 3 fields 's expr o', got {}\"}}",
                 tokens.len()
-            );
+            )
+            .map_err(output_error)?;
             continue;
         };
         match db.explain_plan(s, expr, o) {
-            Ok(plan) => println!("{}", plan.to_json()),
-            Err(e) => println!("{{\"error\":{}}}", rpq_core::jsonw::quoted(&e.to_string())),
+            Ok(plan) => writeln!(stdout, "{}", plan.to_json()),
+            Err(e) => writeln!(
+                stdout,
+                "{{\"error\":{}}}",
+                rpq_core::jsonw::quoted(&e.to_string())
+            ),
         }
+        .map_err(output_error)?;
     }
     Ok(())
 }

@@ -1046,3 +1046,62 @@ fn verify_names_the_shard_whose_checksum_fails() {
         "{report}"
     );
 }
+
+/// A reader that stops early (`rpq-cli query … | head -3`) ends the run
+/// of `query`, `batch` and `serve`: exit 0, no panic, no error. Each
+/// answer is longer than a pipe holds, so the write after the reader has
+/// gone fails.
+#[test]
+fn a_closed_stdout_ends_the_run() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+    let dir = tmpdir("closed_stdout");
+    let graph = dir.join("chain.txt");
+    let chain: String = (0..20_000)
+        .map(|i| format!("n{i} p n{}\n", i + 1))
+        .collect();
+    std::fs::write(&graph, chain).unwrap();
+    let index = dir.join("chain.db");
+    let index = index.to_str().unwrap();
+    assert!(cli()
+        .args(["build", graph.to_str().unwrap(), index])
+        .output()
+        .unwrap()
+        .status
+        .success());
+    let queries = dir.join("queries.txt");
+    std::fs::write(&queries, "?x p ?y\n?x ^p ?y\n").unwrap();
+
+    let runs: [(&str, Vec<&str>); 3] = [
+        ("query", vec!["query", index, "?x", "p", "?y"]),
+        ("batch", vec!["batch", index, queries.to_str().unwrap()]),
+        ("serve", vec!["serve", index]),
+    ];
+    for (verb, args) in runs {
+        let mut child = cli()
+            .args(&args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut stdin = child.stdin.take().unwrap();
+        if verb == "serve" {
+            stdin.write_all(b"?x p ?y\n?x ^p ?y\n").unwrap();
+        }
+        drop(stdin);
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut head = String::new();
+        for _ in 0..3 {
+            stdout.read_line(&mut head).unwrap();
+        }
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(head.lines().count(), 3, "{verb}: {head}");
+        assert!(head.contains("\tn"), "{verb}: {head}");
+        assert!(out.status.success(), "{verb}: {:?} {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{verb}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{verb}: {stderr}");
+    }
+}
