@@ -14,49 +14,170 @@
 //! here): adds and deletes are disjoint, deletes refer to triples present
 //! in the base ring, and adds to triples absent from it.
 //!
+//! Each order is one sorted array of 12-byte entries: a triple's three
+//! ids in the order's key order, 32 bits each (the ring's columns hold
+//! 32-bit ids too), compared as one integer, so a lookup reads half the
+//! bytes a `Triple` would take and a comparison takes no branch.
+//!
 //! A delta is never edited in place. A commit derives its successor with
 //! `DeltaIndex::merged`: each of the six arrays is one linear merge of
-//! the old array with the batch's insertions and removals, so a commit
-//! costs `O(b log b + |δ|)` for a batch of `b` operations — it sorts the
-//! batch, never the overlay. [`DeltaIndex::new`] (six sorts) is what the
-//! tests use.
+//! the old array with the batch's insertions and removals, written into
+//! the memory of the delta the commit before retired once no reader
+//! holds it (first-touched pages cost a fault each: at 16 000 entries a
+//! merge into fresh memory took 236 µs, into reused memory 85). A commit
+//! of `b` operations costs `O(b log b + |δ|)`: it sorts the batch, never
+//! the overlay, and copies the overlay's entries, 36 bytes for each add
+//! or tombstone. A young run of `√(|δ|·b)` entries, folded into the old
+//! one when full, would bound the copy, but at a compaction cycle's sizes
+//! the batch's own work is most of a merge (six merges of a 256-operation
+//! batch: 20 µs over an empty delta, 47 over 2 000 entries, 90 over
+//! 28 000), and readers would merge two runs with the removals of one
+//! from the other; ROADMAP item 26 has the probe. [`DeltaIndex::new`]
+//! (six sorts) is what the tests use.
 //!
 //! A delta is not persisted: a saved database is one ring with the
 //! overlay folded in, and the commits since are in its write-ahead log.
 
 use crate::{Id, Triple};
 
-/// An immutable, committed delta: sorted adds plus tombstoned deletes in
-/// the three ring orders. See the module docs for the label-space
-/// convention.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DeltaIndex {
-    /// Added triples, `(s, p, o)` order — the authoritative copy.
-    adds_spo: Vec<Triple>,
-    /// Added triples, `(p, o, s)` order (the `L_s` order: backward steps
-    /// by predicate land here).
-    adds_pos: Vec<Triple>,
-    /// Added triples, `(o, s, p)` order (the `L_p` order: per-object
-    /// incidence).
-    adds_osp: Vec<Triple>,
-    /// Deleted triples, `(s, p, o)` order.
-    dels_spo: Vec<Triple>,
-    /// Deleted triples, `(p, o, s)` order.
-    dels_pos: Vec<Triple>,
-    /// Deleted triples, `(o, s, p)` order.
-    dels_osp: Vec<Triple>,
-    /// Base (pre-completion) predicate alphabet size; canonical triples
-    /// satisfy `p < n_preds_base`.
-    n_preds_base: Id,
-    /// One past the largest node id mentioned by the delta (0 if empty).
-    n_nodes: Id,
+/// One triple in one sorted order: its ids in the order's key order
+/// (`(s, p, o)`, `(p, o, s)` or `(o, s, p)`), 32 bits each, compared as
+/// a tuple.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Entry(u32, u32, u32);
+
+impl Entry {
+    /// The entry as one integer with the tuple's order: one comparison
+    /// without branches, where the tuple's takes up to three (a merge's
+    /// searches went a quarter faster).
+    #[inline(always)]
+    fn rank(self) -> u128 {
+        u128::from(self.0) << 64 | u128::from(self.1) << 32 | u128::from(self.2)
+    }
 }
 
-/// Sorts a triple list by the given key and deduplicates it.
-fn order_by(mut v: Vec<Triple>, key: fn(&Triple) -> (Id, Id, Id)) -> Vec<Triple> {
-    v.sort_unstable_by_key(key);
-    v.dedup();
-    v
+impl Ord for Entry {
+    #[inline(always)]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.rank().cmp(&other.rank())
+    }
+}
+
+impl PartialOrd for Entry {
+    #[inline(always)]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+
+    #[inline(always)]
+    fn lt(&self, other: &Self) -> bool {
+        self.rank() < other.rank()
+    }
+}
+
+/// An id as an entry holds it: below `u32::MAX`, which stands for the
+/// ids [`key`] cannot look up.
+///
+/// # Panics
+/// Panics if `id` does not fit: a ring's columns hold 32-bit ids, so no
+/// id past them can be compacted either.
+#[inline]
+fn narrow(id: Id) -> u32 {
+    match u32::try_from(id) {
+        Ok(id) if id < u32::MAX => id,
+        _ => panic!("id {id} does not fit in 32 bits"),
+    }
+}
+
+/// The three sorted orders a side of the delta is kept in.
+#[derive(Clone, Copy, Debug)]
+enum Order {
+    Spo,
+    Pos,
+    Osp,
+}
+
+impl Order {
+    #[inline]
+    fn entry(self, t: &Triple) -> Entry {
+        let (s, p, o) = (narrow(t.s), narrow(t.p), narrow(t.o));
+        match self {
+            Order::Spo => Entry(s, p, o),
+            Order::Pos => Entry(p, o, s),
+            Order::Osp => Entry(o, s, p),
+        }
+    }
+
+    #[inline]
+    fn triple(self, Entry(a, b, c): Entry) -> Triple {
+        let (a, b, c) = (Id::from(a), Id::from(b), Id::from(c));
+        match self {
+            Order::Spo => Triple::new(a, b, c),
+            Order::Pos => Triple::new(c, a, b),
+            Order::Osp => Triple::new(b, c, a),
+        }
+    }
+}
+
+/// One side of a delta (its adds, or its tombstones) in the three
+/// orders.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Side {
+    /// `(s, p, o)` order — the authoritative copy.
+    spo: Vec<Entry>,
+    /// `(p, o, s)` order (the `L_s` order: backward steps by predicate
+    /// land here).
+    pos: Vec<Entry>,
+    /// `(o, s, p)` order (the `L_p` order: per-object incidence).
+    osp: Vec<Entry>,
+}
+
+impl Side {
+    /// The side holding `triples` (sorted and deduplicated here).
+    fn new(triples: &[Triple]) -> Self {
+        let order = |order: Order| {
+            let mut v: Vec<Entry> = triples.iter().map(|t| order.entry(t)).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        Self {
+            spo: order(Order::Spo),
+            pos: order(Order::Pos),
+            osp: order(Order::Osp),
+        }
+    }
+
+    /// The side `change` leaves behind, each order by one merge into the
+    /// memory of `spare`'s.
+    fn merged(&self, change: &SideChange, spare: Side) -> Self {
+        Self {
+            spo: change.merge(&self.spo, Order::Spo, spare.spo),
+            pos: change.merge(&self.pos, Order::Pos, spare.pos),
+            osp: change.merge(&self.osp, Order::Osp, spare.osp),
+        }
+    }
+
+    /// One past the largest node id the side mentions (0 if empty): the
+    /// largest subject ends the spo order, the largest object the osp one.
+    fn n_nodes(&self) -> Id {
+        let s = self.spo.last().map_or(0, |e| Id::from(e.0) + 1);
+        let o = self.osp.last().map_or(0, |e| Id::from(e.0) + 1);
+        s.max(o)
+    }
+
+    fn contains(&self, t: &Triple) -> bool {
+        self.spo.binary_search(&Order::Spo.entry(t)).is_ok()
+    }
+
+    fn triples(&self, order: Order) -> impl ExactSizeIterator<Item = Triple> + '_ {
+        let entries = match order {
+            Order::Spo => &self.spo,
+            Order::Pos => &self.pos,
+            Order::Osp => &self.osp,
+        };
+        entries.iter().map(move |&e| order.triple(e))
+    }
 }
 
 /// What one commit changes on one side (adds or tombstones) of a delta:
@@ -70,47 +191,56 @@ pub(crate) struct SideChange {
 }
 
 impl SideChange {
-    /// `(old ∪ plus) ∖ minus` in the order of `key`, which `old` is in
-    /// already. The batch is sorted and each of its triples located in
-    /// `old` ahead of the one before; the runs of `old` in between are
-    /// copied whole.
-    pub(crate) fn merge<K>(&mut self, old: &[Triple], key: K) -> Vec<Triple>
-    where
-        K: Fn(&Triple) -> (Id, Id, Id),
-    {
-        self.plus.sort_unstable_by_key(&key);
-        self.minus.sort_unstable_by_key(&key);
-        let mut out = Vec::with_capacity(old.len() + self.plus.len());
+    /// `(old ∪ plus) ∖ minus` in `order`, which `old` is in already,
+    /// written over `out`. The batch is sorted and each of its entries
+    /// located in `old` ahead of the one before; the runs of `old` in
+    /// between are copied whole.
+    fn merge(&self, old: &[Entry], order: Order, mut out: Vec<Entry>) -> Vec<Entry> {
+        let sorted = |triples: &[Triple]| {
+            let mut v: Vec<Entry> = triples.iter().map(|t| order.entry(t)).collect();
+            // A commit lists its changes in the spo order already.
+            if !v.is_sorted() {
+                v.sort_unstable();
+            }
+            v
+        };
+        let (plus, minus) = (sorted(&self.plus), sorted(&self.minus));
+        out.clear();
+        let most = old.len() + plus.len();
+        if out.capacity() < most {
+            // Room for the growth of a few commits: memory a merge writes
+            // for the first time costs a page fault a page.
+            out = Vec::with_capacity(most + most / 2);
+        }
         let mut rest = old;
-        let mut plus = self.plus.iter().peekable();
-        let mut minus = self.minus.iter().peekable();
+        let mut plus = plus.iter().peekable();
+        let mut minus = minus.iter().peekable();
         loop {
-            // The batch's next triple in key order; the lists are disjoint.
-            let (t, put) = match (plus.peek(), minus.peek()) {
-                (Some(p), Some(m)) if key(m) < key(p) => (minus.next(), false),
+            // The batch's next entry in order; the lists are disjoint.
+            let (e, put) = match (plus.peek(), minus.peek()) {
+                (Some(p), Some(m)) if m < p => (minus.next(), false),
                 (Some(_), _) => (plus.next(), true),
                 (None, _) => (minus.next(), false),
             };
-            let Some(t) = t else { break };
-            let k = key(t);
+            let Some(&e) = e else { break };
             // Walk `old` a block at a time — one comparison per block,
             // front to back as the copy will read it — then search the
-            // block the triple falls into.
+            // block the entry falls into.
             const BLOCK: usize = 32;
             let mut skip = 0;
-            while skip + BLOCK <= rest.len() && key(&rest[skip + BLOCK - 1]) < k {
+            while skip + BLOCK <= rest.len() && rest[skip + BLOCK - 1] < e {
                 skip += BLOCK;
             }
             let window = &rest[skip..rest.len().min(skip + BLOCK)];
-            let at = skip + window.partition_point(|x| key(x) < k);
+            let at = skip + window.partition_point(|x| *x < e);
             let (before, from) = rest.split_at(at);
             out.extend_from_slice(before);
             rest = match from.split_first() {
-                Some((x, tail)) if x == t => tail,
+                Some((x, tail)) if *x == e => tail,
                 _ => from,
             };
             if put {
-                out.push(*t);
+                out.push(e);
             }
         }
         out.extend_from_slice(rest);
@@ -118,28 +248,31 @@ impl SideChange {
     }
 }
 
-/// The contiguous block of `v` (sorted by `key`) whose key starts with
-/// `(a, b)`.
-fn block2(v: &[Triple], key: fn(&Triple) -> (Id, Id, Id), a: Id, b: Id) -> &[Triple] {
-    let lo = v.partition_point(|t| key(t) < (a, b, 0));
-    let hi = v[lo..].partition_point(|t| {
-        let k = key(t);
-        (k.0, k.1) <= (a, b)
-    }) + lo;
+/// The contiguous block of `v` whose entries start with `(a, b)`.
+fn block2(v: &[Entry], a: u32, b: u32) -> &[Entry] {
+    let lo = v.partition_point(|e| (e.0, e.1) < (a, b));
+    let hi = v[lo..].partition_point(|e| (e.0, e.1) <= (a, b)) + lo;
     &v[lo..hi]
 }
 
-/// The contiguous block of `v` (sorted by `key`) whose key starts with `a`.
-fn block1(v: &[Triple], key: fn(&Triple) -> (Id, Id, Id), a: Id) -> &[Triple] {
-    let lo = v.partition_point(|t| key(t).0 < a);
-    let hi = v[lo..].partition_point(|t| key(t).0 <= a) + lo;
+/// The contiguous block of `v` whose entries start with `a`.
+fn block1(v: &[Entry], a: u32) -> &[Entry] {
+    let lo = v.partition_point(|e| e.0 < a);
+    let hi = v[lo..].partition_point(|e| e.0 <= a) + lo;
     &v[lo..hi]
 }
 
-/// The first index at or after `from` whose triple is not `before`, in a
+/// An id as a key component to look up: `u32::MAX`, which no entry
+/// holds ([`narrow`]), for the ids that do not fit.
+#[inline]
+fn key(id: Id) -> u32 {
+    u32::try_from(id).unwrap_or(u32::MAX)
+}
+
+/// The first index at or after `from` whose entry is not `before`, in a
 /// `v` that is `before` up to some point and not after it: a galloping
 /// search, `O(log d)` for an answer `d` places on.
-fn gallop(v: &[Triple], from: usize, before: impl Fn(&Triple) -> bool) -> usize {
+fn gallop(v: &[Entry], from: usize, before: impl Fn(&Entry) -> bool) -> usize {
     let (mut lo, mut hi, mut step) = (from, from, 1);
     while hi < v.len() && before(&v[hi]) {
         lo = hi + 1;
@@ -157,54 +290,60 @@ fn gallop(v: &[Triple], from: usize, before: impl Fn(&Triple) -> bool) -> usize 
 /// An object below the last one asked restarts from the front.
 #[derive(Clone, Debug)]
 pub struct IntoCursor<'a> {
-    /// The `pos` array for a canonical label, the `spo` array for an
-    /// inverse one (whose `(·, p̂, o)` edges are the canonical `(o, p, ·)`).
-    side: &'a [Triple],
+    /// The `pos` order for a canonical label, the `spo` order for an
+    /// inverse one (whose `(·, p̂, o)` edges are the canonical `(o, p,
+    /// ·)`): either way the block of `o` is the entries whose first two
+    /// ids are `(p, o)`, or `(o, p)`, and the third is the subject.
+    side: &'a [Entry],
     /// The canonical label.
-    p: Id,
+    p: u32,
     inverse: bool,
     /// Where the block of the last object asked ends.
     at: usize,
 }
 
 impl<'a> IntoCursor<'a> {
-    fn new(pos: &'a [Triple], spo: &'a [Triple], base: Id, p: Id) -> Self {
+    fn new(side: &'a Side, base: Id, p: Id) -> Self {
         let inverse = p >= base;
         Self {
-            side: if inverse { spo } else { pos },
-            p: if inverse { p - base } else { p },
+            side: if inverse { &side.spo } else { &side.pos },
+            p: key(if inverse { p - base } else { p }),
             inverse,
             at: 0,
         }
     }
 
-    /// The block's two leading key components, in the side's order.
-    fn key(&self, t: &Triple) -> (Id, Id) {
-        if self.inverse {
-            (t.s, t.p)
-        } else {
-            (t.p, t.o)
-        }
-    }
-
     /// The subjects of the edges `(·, p, o)`, ascending.
     pub fn seek(&mut self, o: Id) -> impl ExactSizeIterator<Item = Id> + 'a {
+        let o = key(o);
         let want = if self.inverse {
             (o, self.p)
         } else {
             (self.p, o)
         };
-        if self.at > 0 && self.key(&self.side[self.at - 1]) >= want {
+        let lead = |e: &Entry| (e.0, e.1);
+        if self.at > 0 && lead(&self.side[self.at - 1]) >= want {
             self.at = 0;
         }
-        let lo = gallop(self.side, self.at, |t| self.key(t) < want);
-        let hi = gallop(self.side, lo, |t| self.key(t) <= want);
+        let lo = gallop(self.side, self.at, |e| lead(e) < want);
+        let hi = gallop(self.side, lo, |e| lead(e) <= want);
         self.at = hi;
-        let inverse = self.inverse;
-        self.side[lo..hi]
-            .iter()
-            .map(move |t| if inverse { t.o } else { t.s })
+        self.side[lo..hi].iter().map(|e| Id::from(e.2))
     }
+}
+
+/// An immutable, committed delta: sorted adds plus tombstoned deletes in
+/// the three ring orders. See the module docs for the label-space
+/// convention and the entries' layout.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DeltaIndex {
+    adds: Side,
+    dels: Side,
+    /// Base (pre-completion) predicate alphabet size; canonical triples
+    /// satisfy `p < n_preds_base`.
+    n_preds_base: Id,
+    /// One past the largest node id mentioned by the delta (0 if empty).
+    n_nodes: Id,
 }
 
 impl DeltaIndex {
@@ -222,7 +361,8 @@ impl DeltaIndex {
     /// # Panics
     /// Panics if a triple mentions a predicate at or beyond the base
     /// alphabet — deltas never extend the ring's label space (a commit
-    /// introducing new predicates rebuilds the ring instead).
+    /// introducing new predicates rebuilds the ring instead) — or an id
+    /// that does not fit in 32 bits.
     pub fn new(adds: Vec<Triple>, dels: Vec<Triple>, n_preds_base: Id) -> Self {
         for t in adds.iter().chain(dels.iter()) {
             assert!(
@@ -230,65 +370,46 @@ impl DeltaIndex {
                 "delta triple {t} outside the base alphabet ({n_preds_base})"
             );
         }
-        let n_nodes = adds
-            .iter()
-            .chain(dels.iter())
-            .map(|t| t.s.max(t.o) + 1)
-            .max()
-            .unwrap_or(0);
+        let (adds, dels) = (Side::new(&adds), Side::new(&dels));
         Self {
-            adds_pos: order_by(adds.clone(), Triple::pos_key),
-            adds_osp: order_by(adds.clone(), Triple::osp_key),
-            adds_spo: order_by(adds, Triple::spo_key),
-            dels_pos: order_by(dels.clone(), Triple::pos_key),
-            dels_osp: order_by(dels.clone(), Triple::osp_key),
-            dels_spo: order_by(dels, Triple::spo_key),
+            n_nodes: adds.n_nodes().max(dels.n_nodes()),
+            adds,
+            dels,
             n_preds_base,
-            n_nodes,
         }
     }
 
     /// The delta one commit leaves behind: `adds` and `dels` applied to
     /// the respective side, every array by one merge (see the module
     /// docs). Equal, field for field, to [`Self::new`] over the resulting
-    /// triple sets.
-    pub(crate) fn merged(&self, mut adds: SideChange, mut dels: SideChange) -> Self {
-        let adds_spo = adds.merge(&self.adds_spo, Triple::spo_key);
-        let adds_osp = adds.merge(&self.adds_osp, Triple::osp_key);
-        let dels_spo = dels.merge(&self.dels_spo, Triple::spo_key);
-        let dels_osp = dels.merge(&self.dels_osp, Triple::osp_key);
-        // The largest subject ends an spo array, the largest object an
-        // osp one.
-        let bound = |spo: &[Triple], osp: &[Triple]| {
-            let s = spo.last().map_or(0, |t| t.s + 1);
-            let o = osp.last().map_or(0, |t| t.o + 1);
-            s.max(o)
-        };
+    /// triple sets. The arrays are written into the memory of `spare`, a
+    /// delta nothing reads any more, where it has room.
+    pub(crate) fn merged(&self, adds: SideChange, dels: SideChange, spare: Self) -> Self {
+        let (adds, dels) = (
+            self.adds.merged(&adds, spare.adds),
+            self.dels.merged(&dels, spare.dels),
+        );
         Self {
-            n_nodes: bound(&adds_spo, &adds_osp).max(bound(&dels_spo, &dels_osp)),
-            adds_pos: adds.merge(&self.adds_pos, Triple::pos_key),
-            dels_pos: dels.merge(&self.dels_pos, Triple::pos_key),
-            adds_spo,
-            adds_osp,
-            dels_spo,
-            dels_osp,
+            n_nodes: adds.n_nodes().max(dels.n_nodes()),
+            adds,
+            dels,
             n_preds_base: self.n_preds_base,
         }
     }
 
     /// Whether the delta holds no adds and no deletes.
     pub fn is_empty(&self) -> bool {
-        self.adds_spo.is_empty() && self.dels_spo.is_empty()
+        self.adds.spo.is_empty() && self.dels.spo.is_empty()
     }
 
     /// Number of added triples.
     pub fn n_adds(&self) -> usize {
-        self.adds_spo.len()
+        self.adds.spo.len()
     }
 
     /// Number of tombstoned triples.
     pub fn n_dels(&self) -> usize {
-        self.dels_spo.len()
+        self.dels.spo.len()
     }
 
     /// Total overlay size (adds + deletes) — the quantity the size-ratio
@@ -310,44 +431,46 @@ impl DeltaIndex {
     }
 
     /// The added triples in `(s, p, o)` order (canonical labels).
-    pub fn adds(&self) -> &[Triple] {
-        &self.adds_spo
+    pub fn adds(&self) -> impl ExactSizeIterator<Item = Triple> + '_ {
+        self.adds.triples(Order::Spo)
     }
 
     /// The tombstoned triples in `(s, p, o)` order (canonical labels).
-    pub fn dels(&self) -> &[Triple] {
-        &self.dels_spo
+    pub fn dels(&self) -> impl ExactSizeIterator<Item = Triple> + '_ {
+        self.dels.triples(Order::Spo)
     }
 
     /// The added triples in `(o, s, p)` order (canonical labels).
-    pub(crate) fn adds_osp(&self) -> &[Triple] {
-        &self.adds_osp
+    pub(crate) fn adds_osp(&self) -> impl ExactSizeIterator<Item = Triple> + '_ {
+        self.adds.triples(Order::Osp)
     }
 
     /// The tombstoned triples in `(o, s, p)` order (canonical labels).
-    pub(crate) fn dels_osp(&self) -> &[Triple] {
-        &self.dels_osp
+    pub(crate) fn dels_osp(&self) -> impl ExactSizeIterator<Item = Triple> + '_ {
+        self.dels.triples(Order::Osp)
     }
 
     /// Canonicalizes a completed-alphabet edge: `(s, p̂, o)` is stored as
-    /// `(o, p, s)`.
+    /// `(o, p, s)`. `None` for an id no entry can hold.
     #[inline]
-    fn canon(&self, s: Id, p: Id, o: Id) -> Triple {
-        if p < self.n_preds_base {
+    fn canon(&self, s: Id, p: Id, o: Id) -> Option<Triple> {
+        let t = if p < self.n_preds_base {
             Triple::new(s, p, o)
         } else {
             Triple::new(o, p - self.n_preds_base, s)
-        }
+        };
+        let fits = |id: Id| id < Id::from(u32::MAX);
+        (fits(t.s) && fits(t.p) && fits(t.o)).then_some(t)
     }
 
     /// Whether the completed-alphabet edge `(s, p, o)` was added.
     pub fn add_contains(&self, s: Id, p: Id, o: Id) -> bool {
-        self.adds_spo.binary_search(&self.canon(s, p, o)).is_ok()
+        self.canon(s, p, o).is_some_and(|t| self.adds.contains(&t))
     }
 
     /// Whether the completed-alphabet edge `(s, p, o)` is tombstoned.
     pub fn del_contains(&self, s: Id, p: Id, o: Id) -> bool {
-        self.dels_spo.binary_search(&self.canon(s, p, o)).is_ok()
+        self.canon(s, p, o).is_some_and(|t| self.dels.contains(&t))
     }
 
     /// The subjects of the added completed-alphabet edges `(s, p, o)`, the
@@ -357,12 +480,12 @@ impl DeltaIndex {
     /// ones are the canonical `(o, p, x)`, an `(o, p)` block of the spo
     /// order, objects ascending.
     pub fn added_into_cursor(&self, p: Id) -> IntoCursor<'_> {
-        IntoCursor::new(&self.adds_pos, &self.adds_spo, self.n_preds_base, p)
+        IntoCursor::new(&self.adds, self.n_preds_base, p)
     }
 
     /// Like [`Self::added_into_cursor`], over the tombstones.
     pub fn deleted_into_cursor(&self, p: Id) -> IntoCursor<'_> {
-        IntoCursor::new(&self.dels_pos, &self.dels_spo, self.n_preds_base, p)
+        IntoCursor::new(&self.dels, self.n_preds_base, p)
     }
 
     /// Pushes the subjects of tombstoned completed-alphabet edges `(s, p,
@@ -372,24 +495,24 @@ impl DeltaIndex {
     }
 
     /// Pushes the subjects of completed-alphabet edges labeled `p` of one
-    /// side (its pos order) into `out`, ascending, once per edge.
-    fn sources(&self, pos: &[Triple], p: Id, out: &mut Vec<Id>) {
+    /// side into `out`, ascending, once per edge.
+    fn sources(&self, side: &Side, p: Id, out: &mut Vec<Id>) {
         let before = out.len();
         if p < self.n_preds_base {
-            out.extend(block1(pos, Triple::pos_key, p).iter().map(|t| t.s));
+            out.extend(block1(&side.pos, key(p)).iter().map(|e| Id::from(e.2)));
             out[before..].sort_unstable();
         } else {
             // Subjects of p̂ are the canonical objects of p, ascending in
             // the pos order already.
-            let canonical = p - self.n_preds_base;
-            out.extend(block1(pos, Triple::pos_key, canonical).iter().map(|t| t.o));
+            let canonical = key(p - self.n_preds_base);
+            out.extend(block1(&side.pos, canonical).iter().map(|e| Id::from(e.1)));
         }
     }
 
     /// Pushes the distinct subjects of added completed-alphabet edges
     /// labeled `p` into `out` (ascending).
     pub fn added_sources(&self, p: Id, out: &mut Vec<Id>) {
-        self.sources(&self.adds_pos, p, out);
+        self.sources(&self.adds, p, out);
         out.dedup();
     }
 
@@ -397,45 +520,45 @@ impl DeltaIndex {
     /// `p` into `out`, ascending, a subject once per tombstone: how many
     /// of its `p`-edges a ring subject lost.
     pub fn deleted_sources(&self, p: Id, out: &mut Vec<Id>) {
-        self.sources(&self.dels_pos, p, out);
+        self.sources(&self.dels, p, out);
+    }
+
+    /// The canonical label of a completed-alphabet one.
+    fn canonical_label(&self, p: Id) -> u32 {
+        key(if p < self.n_preds_base {
+            p
+        } else {
+            p - self.n_preds_base
+        })
     }
 
     /// Number of added edges with the completed-alphabet label `p`
     /// (labels and their inverses have equal counts, as in the ring).
     pub fn add_count_label(&self, p: Id) -> usize {
-        let c = if p < self.n_preds_base {
-            p
-        } else {
-            p - self.n_preds_base
-        };
-        block1(&self.adds_pos, Triple::pos_key, c).len()
+        block1(&self.adds.pos, self.canonical_label(p)).len()
     }
 
     /// Number of tombstoned edges with the completed-alphabet label `p`.
     pub fn del_count_label(&self, p: Id) -> usize {
-        let c = if p < self.n_preds_base {
-            p
-        } else {
-            p - self.n_preds_base
-        };
-        block1(&self.dels_pos, Triple::pos_key, c).len()
+        block1(&self.dels.pos, self.canonical_label(p)).len()
     }
 
     /// Number of added completed-alphabet edges `(·, p, o)`.
     pub fn add_count_into(&self, o: Id, p: Id) -> usize {
-        Self::count_into(&self.adds_pos, &self.adds_spo, self.n_preds_base, o, p)
+        self.count_into(&self.adds, o, p)
     }
 
     /// Number of tombstoned completed-alphabet edges `(·, p, o)`.
     pub fn del_count_into(&self, o: Id, p: Id) -> usize {
-        Self::count_into(&self.dels_pos, &self.dels_spo, self.n_preds_base, o, p)
+        self.count_into(&self.dels, o, p)
     }
 
-    fn count_into(pos: &[Triple], spo: &[Triple], base: Id, o: Id, p: Id) -> usize {
-        if p < base {
-            block2(pos, Triple::pos_key, p, o).len()
+    fn count_into(&self, side: &Side, o: Id, p: Id) -> usize {
+        let (o, c) = (key(o), self.canonical_label(p));
+        if p < self.n_preds_base {
+            block2(&side.pos, c, o).len()
         } else {
-            block2(spo, Triple::spo_key, o, p - base).len()
+            block2(&side.spo, o, c).len()
         }
     }
 
@@ -443,28 +566,23 @@ impl DeltaIndex {
     /// subject of the completed graph: canonical out-edges plus canonical
     /// in-edges).
     pub fn added_incidence(&self, v: Id) -> usize {
-        block1(&self.adds_spo, Triple::spo_key, v).len()
-            + block1(&self.adds_osp, Triple::osp_key, v).len()
+        Self::incidence(&self.adds, v)
     }
 
     /// Completed-graph incidence the tombstones remove at node `v`.
     pub fn deleted_incidence(&self, v: Id) -> usize {
-        block1(&self.dels_spo, Triple::spo_key, v).len()
-            + block1(&self.dels_osp, Triple::osp_key, v).len()
+        Self::incidence(&self.dels, v)
+    }
+
+    fn incidence(side: &Side, v: Id) -> usize {
+        let v = key(v);
+        block1(&side.spo, v).len() + block1(&side.osp, v).len()
     }
 
     /// Bytes of the six sorted orders: three hold every add, three every
-    /// tombstone.
+    /// tombstone, 12 bytes an entry.
     pub fn size_bytes(&self) -> usize {
-        let orders = [
-            &self.adds_spo,
-            &self.adds_pos,
-            &self.adds_osp,
-            &self.dels_spo,
-            &self.dels_pos,
-            &self.dels_osp,
-        ];
-        orders.iter().map(|order| order.len()).sum::<usize>() * std::mem::size_of::<Triple>()
+        3 * self.len() * std::mem::size_of::<Entry>()
     }
 }
 
@@ -566,9 +684,9 @@ mod tests {
 
     #[test]
     fn size_counts_each_order_once() {
-        // Four adds and two tombstones, three orders each, 24 B a triple.
-        assert_eq!(std::mem::size_of::<Triple>(), 24);
-        assert_eq!(sample().size_bytes(), 18 * 24);
+        // Four adds and two tombstones, three orders each, 12 B an entry.
+        assert_eq!(std::mem::size_of::<Entry>(), 12);
+        assert_eq!(sample().size_bytes(), 18 * 12);
         assert_eq!(DeltaIndex::empty(3).size_bytes(), 0);
     }
 
@@ -645,11 +763,22 @@ mod tests {
             );
             let (add_change, del_change) = (rng.change(&adds, batch), rng.change(&dels, batch));
             let expected = DeltaIndex::new(apply(&adds, &add_change), apply(&dels, &del_change), 3);
-            assert_eq!(
-                old.merged(add_change, del_change),
-                expected,
-                "overlay {size}, batch {batch}"
-            );
+            // Into fresh memory, and into a spare too small and one large
+            // enough, whose old entries must not show through.
+            let (a, d) = (rng.draw(3000, 100), rng.draw(3000, 100));
+            let roomy = DeltaIndex::new(a.into_iter().collect(), d.into_iter().collect(), 3);
+            let spares = [DeltaIndex::empty(3), old.clone(), roomy];
+            for spare in spares {
+                let change = |c: &SideChange| SideChange {
+                    plus: c.plus.clone(),
+                    minus: c.minus.clone(),
+                };
+                assert_eq!(
+                    old.merged(change(&add_change), change(&del_change), spare),
+                    expected,
+                    "overlay {size}, batch {batch}"
+                );
+            }
         }
     }
 

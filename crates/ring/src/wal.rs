@@ -202,22 +202,31 @@ fn corrupt(context: String) -> io::Error {
     )
 }
 
-fn encode_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
+/// Appends to `buf` the frame of one update of the triple `(s, p, o)`,
+/// an insert or a delete: the bytes [`Wal::append_batch`] writes for the
+/// [`WalOp`] of the same update. A writer that encodes each update as it
+/// is buffered hands the frames to [`Wal::append_frames`] at its commit.
+pub fn encode_update(buf: &mut Vec<u8>, insert: bool, s: &str, p: &str, o: &str) {
+    let start = buf.len();
+    // The header's place; its length and checksum follow the payload.
+    buf.extend_from_slice(&[0; 8]);
+    buf.push(if insert { TAG_INSERT } else { TAG_DELETE });
+    for name in [s, p, o] {
+        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        buf.extend_from_slice(name.as_bytes());
+    }
+    let payload = start + 8;
+    let crc = crc32c(&buf[payload..]);
+    let len = (buf.len() - payload) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn encode_op(buf: &mut Vec<u8>, op: &WalOp) {
-    let mut payload = Vec::new();
-    let (tag, s, p, o) = match op {
-        WalOp::Insert { s, p, o } => (TAG_INSERT, s, p, o),
-        WalOp::Delete { s, p, o } => (TAG_DELETE, s, p, o),
-    };
-    payload.push(tag);
-    encode_str(&mut payload, s);
-    encode_str(&mut payload, p);
-    encode_str(&mut payload, o);
-    frame(buf, &payload);
+    match op {
+        WalOp::Insert { s, p, o } => encode_update(buf, true, s, p, o),
+        WalOp::Delete { s, p, o } => encode_update(buf, false, s, p, o),
+    }
 }
 
 fn frame(buf: &mut Vec<u8>, payload: &[u8]) {
@@ -415,11 +424,21 @@ impl Wal {
         for op in ops {
             encode_op(&mut buf, op);
         }
-        let mut commit = Vec::with_capacity(9);
-        commit.push(TAG_COMMIT);
-        commit.extend_from_slice(&epoch.to_le_bytes());
-        frame(&mut buf, &commit);
-        self.file.write_all(&buf)?;
+        self.append_frames(&mut buf, epoch)
+    }
+
+    /// [`Self::append_batch`] of ops already framed by [`encode_update`]:
+    /// `frames` followed by a commit record carrying `epoch`, as a single
+    /// write, then an fsync. The commit record is put behind `frames` for
+    /// the write and taken off again, whatever the outcome.
+    pub fn append_frames(&mut self, frames: &mut Vec<u8>, epoch: u64) -> io::Result<()> {
+        let ops_end = frames.len();
+        let mut commit = [TAG_COMMIT; 9];
+        commit[1..].copy_from_slice(&epoch.to_le_bytes());
+        frame(frames, &commit);
+        let written = self.file.write_all(frames);
+        frames.truncate(ops_end);
+        written?;
         self.file.sync_all()
     }
 
@@ -622,6 +641,40 @@ mod tests {
             "judging or refusing changed the log"
         );
         fs::remove_file(&path).unwrap();
+    }
+
+    /// Frames encoded one update at a time and appended with
+    /// [`Wal::append_frames`] make the log [`Wal::append_batch`] makes of
+    /// the same ops, byte for byte, and `frames` comes back as it went.
+    #[test]
+    fn frames_encoded_at_apply_are_the_batch_bytes() {
+        let ops = [
+            ins("a", "p", "b"),
+            del("c", "q", "d"),
+            ins("", "é", &"x".repeat(300)),
+            del("a", "p", "b"),
+        ];
+        let (by_ops, by_frames) = (tmp("pin-ops"), tmp("pin-frames"));
+        let mut wal = Wal::create(&by_ops, 4).unwrap();
+        wal.append_batch(&ops, 5).unwrap();
+        wal.append_batch(&[], 6).unwrap();
+        let mut frames = Vec::new();
+        for op in &ops {
+            match op {
+                WalOp::Insert { s, p, o } => encode_update(&mut frames, true, s, p, o),
+                WalOp::Delete { s, p, o } => encode_update(&mut frames, false, s, p, o),
+            }
+        }
+        let encoded = frames.clone();
+        let mut wal = Wal::create(&by_frames, 4).unwrap();
+        wal.append_frames(&mut frames, 5).unwrap();
+        assert_eq!(frames, encoded);
+        wal.append_frames(&mut Vec::new(), 6).unwrap();
+        assert_eq!(fs::read(&by_ops).unwrap(), fs::read(&by_frames).unwrap());
+        let (_w, rec) = recover(&by_frames).unwrap();
+        assert_eq!(rec.batches[0].ops, ops);
+        fs::remove_file(&by_ops).unwrap();
+        fs::remove_file(&by_frames).unwrap();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Commit-by-merge against the definition: after every commit the store's
 //! [`DeltaIndex`] must equal — `PartialEq` over all six arrays and the
 //! node bound — `DeltaIndex::new` over a `BTreeSet` model that applies
-//! the same operations one by one.
+//! the same operations one by one, and every accessor the read path
+//! uses must answer what the model's sets answer.
 //!
 //! The streams are built to hit what a merge can get wrong: reviving a
 //! tombstoned base triple, tombstoning and reviving in one batch,
@@ -65,6 +66,84 @@ impl Model {
             N_PREDS,
         )
     }
+}
+
+/// Every accessor the read path uses, over the completed alphabet and
+/// one node past the delta's, against the sets `adds` and `dels`.
+fn accessors_answer_the_model(d: &DeltaIndex, adds: &BTreeSet<Triple>, dels: &BTreeSet<Triple>) {
+    // The completed-alphabet edge `(s, p, o)` as a canonical triple.
+    let canon = |s: Id, p: Id, o: Id| match p < N_PREDS {
+        true => Triple::new(s, p, o),
+        false => Triple::new(o, p - N_PREDS, s),
+    };
+    let nodes = N_NODES + 9;
+    for (side, set) in [(true, adds), (false, dels)] {
+        for p in 0..2 * N_PREDS {
+            let canonical = p % N_PREDS;
+            let count = set.iter().filter(|t| t.p == canonical).count();
+            let label = if side {
+                d.add_count_label(p)
+            } else {
+                d.del_count_label(p)
+            };
+            assert_eq!(label, count, "label count {p}");
+            let mut cursor = if side {
+                d.added_into_cursor(p)
+            } else {
+                d.deleted_into_cursor(p)
+            };
+            for o in (0..nodes).chain([3, 1]) {
+                let mut want: Vec<Id> = set
+                    .iter()
+                    .filter_map(|t| match p < N_PREDS {
+                        true => (t.p == p && t.o == o).then_some(t.s),
+                        false => (t.p == canonical && t.s == o).then_some(t.o),
+                    })
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(cursor.seek(o).collect::<Vec<_>>(), want, "cursor {p} {o}");
+                let count = if side {
+                    d.add_count_into(o, p)
+                } else {
+                    d.del_count_into(o, p)
+                };
+                assert_eq!(count, want.len(), "count into {p} {o}");
+                for s in (0..nodes).filter(|s| s % 4 == o % 4 || want.contains(s)) {
+                    let has = if side {
+                        d.add_contains(s, p, o)
+                    } else {
+                        d.del_contains(s, p, o)
+                    };
+                    assert_eq!(has, set.contains(&canon(s, p, o)), "contains {s} {p} {o}");
+                }
+            }
+            let mut sources = Vec::new();
+            let mut want: Vec<Id> = set
+                .iter()
+                .filter(|t| t.p == canonical)
+                .map(|t| if p < N_PREDS { t.s } else { t.o })
+                .collect();
+            want.sort_unstable();
+            if side {
+                d.added_sources(p, &mut sources);
+                want.dedup();
+            } else {
+                d.deleted_sources(p, &mut sources);
+            }
+            assert_eq!(sources, want, "sources {p}");
+        }
+        for v in 0..nodes {
+            let incidence =
+                set.iter().filter(|t| t.s == v).count() + set.iter().filter(|t| t.o == v).count();
+            let got = if side {
+                d.added_incidence(v)
+            } else {
+                d.deleted_incidence(v)
+            };
+            assert_eq!(got, incidence, "incidence {v}");
+        }
+    }
+    assert!(d.adds().eq(adds.iter().copied()) && d.dels().eq(dels.iter().copied()));
 }
 
 /// One batch of operations, drawn so that every case of the module docs
@@ -145,6 +224,9 @@ fn run_stream(seed: u64) {
             model.delta(),
             "seed {seed:#x}, round {round}, batch {ops:?}"
         );
+        if round % 10 == 9 {
+            accessors_answer_the_model(&snap.delta, &model.adds, &model.dels);
+        }
         let live: Vec<Triple> = model
             .base
             .difference(&model.dels)

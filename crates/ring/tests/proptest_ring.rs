@@ -88,6 +88,22 @@ proptest! {
         prop_assert!(!r.contains(Id::MAX, 0, 0) && !r.contains(0, Id::MAX, 0) && !r.contains(0, 0, Id::MAX));
     }
 
+    /// `contains_batch` is `contains` triple by triple, over the same
+    /// grid, asked in reverse with every triple twice, and with ids past
+    /// every universe.
+    #[test]
+    fn contains_batch_is_contains_per_triple(g in arb_graph()) {
+        let r = Ring::build(&g, RingOptions::default());
+        let (n, p) = (r.n_nodes() + 1, r.n_preds() + 1);
+        let mut asked: Vec<Triple> = (0..n * p * n)
+            .map(|i| Triple::new(i / (p * n), i / n % p, i % n))
+            .collect();
+        asked.extend(asked.clone().into_iter().rev());
+        asked.extend([Triple::new(Id::MAX, 0, 0), Triple::new(0, Id::MAX, 0), Triple::new(0, 0, Id::MAX)]);
+        let per_triple: Vec<bool> = asked.iter().map(|t| r.contains(t.s, t.p, t.o)).collect();
+        prop_assert_eq!(r.contains_batch(&asked), per_triple);
+    }
+
     #[test]
     fn backward_step_lists_exact_subjects(g in arb_graph()) {
         let r = Ring::build(&g, RingOptions::default());
@@ -141,4 +157,25 @@ proptest! {
             }
         }
     }
+}
+
+/// Blocks longer than [`Ring::SCAN_BLOCK`] take a descent of their own,
+/// shorter ones are read whole: on a graph with both, `contains_batch`
+/// is `contains` triple by triple.
+#[test]
+fn contains_batch_reads_short_blocks_and_descends_long_ones() {
+    // Every node points at node 0 by label 0 (one block of 12 subjects
+    // into 0) and at its successor by label 1 (blocks of one).
+    let n: Id = 12;
+    let triples = (0..n)
+        .flat_map(|s| [Triple::new(s, 0, 0), Triple::new(s, 1, (s + 1) % n)])
+        .collect();
+    let r = Ring::build(&Graph::new(triples, n, 2), RingOptions::default());
+    assert!(n as usize > Ring::SCAN_BLOCK);
+    let asked: Vec<Triple> = (0..n + 1)
+        .flat_map(|s| (0..5).flat_map(move |p| (0..n + 1).map(move |o| Triple::new(s, p, o))))
+        .collect();
+    let per_triple: Vec<bool> = asked.iter().map(|t| r.contains(t.s, t.p, t.o)).collect();
+    assert_eq!(r.contains_batch(&asked), per_triple);
+    assert_eq!(per_triple.iter().filter(|&&x| x).count(), 4 * n as usize);
 }

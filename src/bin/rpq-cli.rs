@@ -159,6 +159,21 @@ fn output_error(e: std::io::Error) -> CliError {
     }
 }
 
+/// `println!` to stdout for a verb's output: a closed stdout ends the
+/// verb with [`CliError::Closed`] instead of a panic.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(output_error)?
+    };
+}
+
+/// `print!` to stdout, as [`outln!`] is `println!`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(output_error)?
+    };
+}
+
 impl From<DbError> for CliError {
     fn from(e: DbError) -> Self {
         match e {
@@ -187,13 +202,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let t = Instant::now();
     let db = RpqDatabase::from_graph_file(Path::new(input)).map_err(|e| e.to_string())?;
     let build_secs = t.elapsed().as_secs_f64();
-    println!(
-        "indexed {} edges, {} nodes, {} predicates in {:.2}s",
-        db.graph().len(),
-        db.graph().n_nodes(),
-        db.graph().n_preds(),
-        build_secs
-    );
     let (written, what) = match shards {
         // A sharded index is a directory: one mappable RRPQM01 file per
         // shard, bound by a checksummed RRPQSH01 manifest.
@@ -207,7 +215,15 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         ),
     };
     let bytes = written.map_err(|e| format!("writing {output}: {e}"))?;
-    println!(
+    // Printed once the index is written: a closed stdout ends the verb.
+    outln!(
+        "indexed {} edges, {} nodes, {} predicates in {:.2}s",
+        db.graph().len(),
+        db.graph().n_nodes(),
+        db.graph().n_preds(),
+        build_secs
+    );
+    outln!(
         "index: {bytes} bytes ({:.2} bytes/edge) -> {what}",
         bytes as f64 / db.graph().len().max(1) as f64,
     );
@@ -276,9 +292,11 @@ fn cmd_update(args: &[String], is_insert: bool) -> Result<(), CliError> {
     let stats = db.stats();
     db.save(Path::new(index))
         .map_err(|e| format!("writing {index}: {e}"))?;
-    println!(
+    outln!(
         "{verb}: {n} triples committed at epoch {epoch} (delta: +{} -{}; compactions: {})",
-        stats.delta_adds, stats.delta_deletes, stats.compactions
+        stats.delta_adds,
+        stats.delta_deletes,
+        stats.compactions
     );
     Ok(())
 }
@@ -295,9 +313,10 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
     let secs = t.elapsed().as_secs_f64();
     db.save(Path::new(index))
         .map_err(|e| format!("writing {index}: {e}"))?;
-    println!(
+    outln!(
         "compacted {} adds and {} deletes into the ring in {secs:.2}s (epoch {epoch})",
-        before.delta_adds, before.delta_deletes
+        before.delta_adds,
+        before.delta_deletes
     );
     Ok(())
 }
@@ -360,7 +379,7 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let [index, s, expr, o] = args else {
         return Err(format!("explain needs <index.db> <s> <expr> <o>\n{USAGE}").into());
     };
-    print!("{}", load(index)?.explain(s, expr, o)?);
+    out!("{}", load(index)?.explain(s, expr, o)?);
     Ok(())
 }
 
@@ -733,7 +752,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     };
     let db = load_as(index, mode)?;
     let info = db.open_info();
-    println!(
+    outln!(
         "open:                {} us ({}, {} mapped bytes)",
         info.open_us,
         info.resident.as_str(),
@@ -751,7 +770,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     } else {
         "portable"
     };
-    println!("kernels:             popcount: {popcount}, gather: {gather}");
+    outln!("kernels:             popcount: {popcount}, gather: {gather}");
     // Sharded indexes aggregate across every shard (the per-shard
     // breakdown shows skew); a single ring reports itself.
     let shard_rows = if db.is_sharded() {
@@ -761,11 +780,12 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         Vec::new()
     };
     if !shard_rows.is_empty() {
-        println!("shards:              {}", shard_rows.len());
+        outln!("shards:              {}", shard_rows.len());
         for (i, s) in shard_rows.iter().enumerate() {
-            println!(
+            outln!(
                 "  shard {i:<3}          {} triples, {} bytes",
-                s.triples, s.bytes
+                s.triples,
+                s.bytes
             );
         }
     }
@@ -779,16 +799,18 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             shard_rows.iter().map(|s| s.bytes).sum(),
         )
     };
-    println!("edges (base):        {}", g.len());
-    println!("edges (indexed G^):  {indexed}");
-    println!("nodes:               {}", g.n_nodes());
-    println!("predicates (base):   {}", g.n_preds());
-    println!("ring bytes:          {ring_bytes}");
-    println!(
+    outln!("edges (base):        {}", g.len());
+    outln!("edges (indexed G^):  {indexed}");
+    outln!("nodes:               {}", g.n_nodes());
+    outln!("predicates (base):   {}", g.n_preds());
+    outln!("ring bytes:          {ring_bytes}");
+    outln!(
         "ring bytes/edge:     {:.2}",
         ring_bytes as f64 / g.len().max(1) as f64
     );
-    print_section_table(Path::new(index), &db).map_err(|e| format!("reading {index}: {e}"))?;
+    let table =
+        section_table(Path::new(index), &db).map_err(|e| format!("reading {index}: {e}"))?;
+    out!("{table}");
     // Top predicates by cardinality — the selectivity the planner uses.
     // For a sharded index the base graph (the shards' exact union) is
     // counted directly; per-shard `pred_cardinality` would need summing
@@ -809,9 +831,9 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             .collect()
     };
     cards.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-    println!("top predicates:");
+    outln!("top predicates:");
     for &(p, c) in cards.iter().take(5) {
-        println!("  {:<24} {c} edges", db.preds().name(p));
+        outln!("  {:<24} {c} edges", db.preds().name(p));
     }
     Ok(())
 }
@@ -825,8 +847,9 @@ const PAPER_RING_BYTES_PER_TRIPLE: f64 = 16.41;
 /// sharded directory, summed over the shards and then shard by shard —
 /// and then the whole index against the adjacency lists the baselines
 /// share and against the paper's ring.
-fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
+fn section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<String> {
     use ring_rpq::ring::{mapped, sharded};
+    use std::fmt::Write as _;
     let files: Vec<std::path::PathBuf> = if db.is_sharded() {
         (0..db.n_shards())
             .map(|i| index.join(sharded::shard_file_name(i)))
@@ -835,21 +858,24 @@ fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
         vec![index.to_path_buf()]
     };
     let edges = db.graph().len().max(1) as f64;
-    let row = |name: &str, bytes: u64| {
-        println!(
+    let row = |out: &mut String, name: &str, bytes: u64| {
+        let _ = writeln!(
+            out,
             "  {name:<18} {bytes:>12} {:>7.2} B/edge",
             bytes as f64 / edges
         );
     };
     // `total` is the bytes on disk: the sections below, the five words of
     // META and the headers.
-    let table = |title: &str, lens: &[u64; mapped::N_SECTIONS], total: (&str, u64)| {
-        println!("sections, {title}:");
-        for (name, &bytes) in mapped::SECTION_NAMES.iter().zip(lens).skip(1) {
-            row(name, bytes);
-        }
-        row(total.0, total.1);
-    };
+    let table =
+        |out: &mut String, title: &str, lens: &[u64; mapped::N_SECTIONS], total: (&str, u64)| {
+            let _ = writeln!(out, "sections, {title}:");
+            for (name, &bytes) in mapped::SECTION_NAMES.iter().zip(lens).skip(1) {
+                row(out, name, bytes);
+            }
+            row(out, total.0, total.1);
+        };
+    let mut out = String::new();
     let mut summed = [0u64; mapped::N_SECTIONS];
     let mut per_file = Vec::with_capacity(files.len());
     for file in &files {
@@ -863,26 +889,28 @@ fn print_section_table(index: &Path, db: &RpqDatabase) -> std::io::Result<()> {
         let manifest = std::fs::metadata(index.join(sharded::MANIFEST_FILE))?.len();
         let all = per_file.iter().map(|&(_, bytes)| bytes).sum::<u64>() + manifest;
         table(
+            &mut out,
             &format!("all {} shards", files.len()),
             &summed,
             ("files + MANIFEST", all),
         );
         for (i, (lens, bytes)) in per_file.iter().enumerate() {
-            table(&format!("shard {i}"), lens, ("file", *bytes));
+            table(&mut out, &format!("shard {i}"), lens, ("file", *bytes));
         }
         all
     } else {
-        table("RRPQM01", &summed, ("file", per_file[0].1));
+        table(&mut out, "RRPQM01", &summed, ("file", per_file[0].1));
         per_file[0].1
     };
     let adjacency = ring_rpq::baselines::AdjacencyIndex::from_graph(db.graph()).size_bytes();
-    println!(
+    let _ = writeln!(
+        out,
         "space, B/edge:       {:.2} this index, {:.2} adjacency baseline, \
          {PAPER_RING_BYTES_PER_TRIPLE:.2} the paper's ring",
         on_disk as f64 / edges,
         adjacency as f64 / edges,
     );
-    Ok(())
+    Ok(out)
 }
 
 /// `verify`: deep-check an index file without modifying it — header,
@@ -899,8 +927,11 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     if path.is_dir() {
         return verify_sharded_dir(index, path);
     }
+    // The verdict's exit code stands whether or not anyone reads the
+    // report.
     let report = |status: &str, stage: &str, err: String| -> Result<(), CliError> {
-        println!(
+        let _ = writeln!(
+            std::io::stdout(),
             "{{\"path\":{},\"status\":{},\"stage\":{},\"error\":{}}}",
             rpq_core::jsonw::quoted(index),
             rpq_core::jsonw::quoted(status),
@@ -954,7 +985,7 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     // Temp files of an interrupted save, counted: only the writer (a
     // durable open) removes them.
     let orphans = ring_rpq::ring::durable::orphans(path).len();
-    println!(
+    outln!(
         "{{\"path\":{},\"format\":\"RRPQM01\",\"status\":\"ok\",\"checksummed\":true,\
          \"checksum_sections\":{},\"epoch\":{epoch},\"wal\":{wal_json},\"orphan_tmp\":{orphans}}}",
         rpq_core::jsonw::quoted(index),
@@ -970,7 +1001,8 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
 /// single-file path.
 fn verify_sharded_dir(index: &str, dir: &Path) -> Result<(), CliError> {
     let fail = |stage: &str, err: String| -> Result<(), CliError> {
-        println!(
+        let _ = writeln!(
+            std::io::stdout(),
             "{{\"path\":{},\"format\":\"RRPQSH01\",\"status\":\"corrupt\",\"stage\":{},\"error\":{}}}",
             rpq_core::jsonw::quoted(index),
             rpq_core::jsonw::quoted(stage),
@@ -1009,7 +1041,7 @@ fn verify_sharded_dir(index: &str, dir: &Path) -> Result<(), CliError> {
     // Informational: what an interrupted save stranded (the next save
     // sweeps it) and whatever else the manifest does not name.
     let unnamed = ring_rpq::ring::sharded::unnamed_files(dir, n_shards);
-    println!(
+    outln!(
         "{{\"path\":{},\"format\":\"RRPQSH01\",\"status\":\"ok\",\"checksummed\":true,\
          \"checksum_sections\":{sections},\"shards\":{n_shards},\"epoch\":null,\"wal\":null,\
          \"orphan_tmp\":{},\"stale_files\":{}}}",
@@ -1052,7 +1084,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         pairs = out.pairs.len();
     }
     times.sort_by(f64::total_cmp);
-    println!(
+    outln!(
         "{} pairs; {} runs: min {:.2} µs median {:.2} µs max {:.2} µs",
         pairs,
         n,
@@ -1089,7 +1121,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         }
     }
     let [resolve, compile, plan, plan_exec] = fastest;
-    println!(
+    outln!(
         "fastest of {n}: resolve {resolve:.2} µs, compile {compile:.2} µs, \
          plan+exec {plan_exec:.2} µs (plan alone {plan:.2} µs)"
     );

@@ -30,8 +30,8 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use ring::delta::DeltaIndex;
 use ring::mapped::OpenMode;
-use ring::store::{StoreSnapshot, StoreStats, TripleStore};
-use ring::wal::{Wal, WalOp, WalState};
+use ring::store::{StoreSnapshot, StoreStats, TripleStore, UpdateOp};
+use ring::wal::{self, Wal, WalOp, WalState};
 use ring::{Dict, Graph, Id, Ring, Triple};
 use rpq_core::{EngineOptions, QueryOutput, RpqQuery, ScratchPool, SourceSnapshot};
 use rpq_server::{source, QuerySource};
@@ -56,13 +56,31 @@ fn folded(snap: &StoreSnapshot, dicts: &Dicts) -> Arc<Ring> {
 }
 
 /// The durability side-car of a database opened with
-/// [`UpdatableDatabase::open_durable`]: the open write-ahead log, the
-/// name-level mirror of buffered (uncommitted) ops, and the snapshot
-/// path checkpoints rewrite.
+/// [`UpdatableDatabase::open_durable`]: the open write-ahead log and the
+/// snapshot path checkpoints rewrite.
 struct DurableLog {
     wal: Wal,
-    pending: Vec<WalOp>,
     path: PathBuf,
+}
+
+/// The dictionaries and the operations buffered since the last commit,
+/// under one lock: an insert or a delete interns or looks up its names
+/// and buffers itself in one critical section. Each operation is kept
+/// id-level, for the store, and as its write-ahead-log frame
+/// ([`wal::encode_update`]), which a durable commit writes as it is; a
+/// database without a log drops the frames at its commit.
+struct Buffered {
+    dicts: Dicts,
+    ops: Vec<UpdateOp>,
+    frames: Vec<u8>,
+}
+
+impl Buffered {
+    fn push(&mut self, op: UpdateOp, (s, p, o): (&str, &str, &str)) {
+        let insert = matches!(op, UpdateOp::Insert(_));
+        self.ops.push(op);
+        wal::encode_update(&mut self.frames, insert, s, p, o);
+    }
 }
 
 /// A live-updatable RPQ database: the ring plus a delta overlay behind
@@ -83,11 +101,13 @@ struct DurableLog {
 /// ```
 pub struct UpdatableDatabase {
     store: TripleStore,
-    dicts: RwLock<Dicts>,
+    /// Readers take it to resolve names; inserts and deletes to buffer.
+    buffered: RwLock<Buffered>,
     /// `Some` when opened via [`Self::open_durable`]. The mutex also
-    /// serialises mutations against commits and checkpoints, so every
-    /// committed op is WAL'd first. Lock order: `durable` before
-    /// `dicts` — never the other way around.
+    /// serialises commits and checkpoints, so every committed op is
+    /// WAL'd first; an operation buffered while a commit is in flight
+    /// belongs to the next one. Lock order: `durable` before `buffered`
+    /// — never the other way around.
     durable: Mutex<Option<DurableLog>>,
     /// Mask tables reused from query to query, across epochs: a commit
     /// or compaction that enlarges the index grows them in place.
@@ -126,7 +146,11 @@ impl UpdatableDatabase {
     fn over((ring, dicts): (Arc<Ring>, Dicts), epoch: u64) -> Self {
         Self {
             store: TripleStore::from_built(ring, DeltaIndex::empty(0), epoch),
-            dicts: RwLock::new(dicts),
+            buffered: RwLock::new(Buffered {
+                dicts,
+                ops: Vec::new(),
+                frames: Vec::new(),
+            }),
             durable: Mutex::new(None),
             scratch: ScratchPool::default(),
         }
@@ -167,29 +191,22 @@ impl UpdatableDatabase {
     /// makes that commit rebuild the ring (the succinct alphabet is
     /// fixed per build).
     pub fn insert(&self, subject: &str, predicate: &str, object: &str) {
-        let mut durable = self.durable.lock().unwrap();
-        let mut dicts = self.dicts.write().unwrap();
+        let mut buffered = self.buffered.write().unwrap();
+        let dicts = &mut buffered.dicts;
         let t = Triple::new(
             dicts.nodes.intern(subject),
             dicts.preds.intern(predicate),
             dicts.nodes.intern(object),
         );
-        self.store.insert(t);
-        if let Some(state) = durable.as_mut() {
-            state.pending.push(WalOp::Insert {
-                s: subject.to_string(),
-                p: predicate.to_string(),
-                o: object.to_string(),
-            });
-        }
+        buffered.push(UpdateOp::Insert(t), (subject, predicate, object));
     }
 
     /// Buffers the deletion of `(subject, predicate, object)`. Returns
     /// `false` (and buffers nothing) when a name is unknown — such a
     /// triple cannot be live.
     pub fn delete(&self, subject: &str, predicate: &str, object: &str) -> bool {
-        let mut durable = self.durable.lock().unwrap();
-        let dicts = self.dicts.read().unwrap();
+        let mut buffered = self.buffered.write().unwrap();
+        let dicts = &buffered.dicts;
         let (Some(s), Some(p), Some(o)) = (
             dicts.nodes.get(subject),
             dicts.preds.get(predicate),
@@ -197,14 +214,8 @@ impl UpdatableDatabase {
         ) else {
             return false;
         };
-        self.store.delete(Triple::new(s, p, o));
-        if let Some(state) = durable.as_mut() {
-            state.pending.push(WalOp::Delete {
-                s: subject.to_string(),
-                p: predicate.to_string(),
-                o: object.to_string(),
-            });
-        }
+        let t = Triple::new(s, p, o);
+        buffered.push(UpdateOp::Delete(t), (subject, predicate, object));
         true
     }
 
@@ -279,24 +290,33 @@ impl UpdatableDatabase {
     }
 
     /// [`Self::commit`] with the durability error surfaced: appends the
-    /// buffered ops plus a commit marker to the write-ahead log and
-    /// fsyncs **before** publishing the new epoch, so an acknowledged
+    /// buffered ops' frames plus a commit marker to the write-ahead log
+    /// and fsyncs **before** publishing the new epoch, so an acknowledged
     /// commit survives a crash. On a non-durable database this is
-    /// exactly [`TripleStore::commit`] and cannot fail.
+    /// [`TripleStore::commit`] of the buffered ops and cannot fail.
     pub fn commit_durable(&self) -> std::io::Result<u64> {
         let mut durable = self.durable.lock().unwrap();
-        let Some(state) = durable.as_mut() else {
-            return Ok(self.store.commit());
+        let (mut ops, mut frames) = {
+            let mut buffered = self.buffered.write().unwrap();
+            let buffered = &mut *buffered;
+            (
+                std::mem::take(&mut buffered.ops),
+                std::mem::take(&mut buffered.frames),
+            )
         };
-        if state.pending.is_empty() {
-            return Ok(self.store.commit());
+        if let Some(log) = durable.as_mut().filter(|_| !ops.is_empty()) {
+            let next = self.store.epoch() + 1;
+            if let Err(err) = log.wal.append_frames(&mut frames, next) {
+                // Keep the batch, ahead of what was buffered since, for a
+                // retry.
+                let mut buffered = self.buffered.write().unwrap();
+                ops.append(&mut buffered.ops);
+                frames.append(&mut buffered.frames);
+                (buffered.ops, buffered.frames) = (ops, frames);
+                return Err(err);
+            }
         }
-        let next = self.store.epoch() + 1;
-        let ops = std::mem::take(&mut state.pending);
-        if let Err(err) = state.wal.append_batch(&ops, next) {
-            state.pending = ops; // keep the mirror for a retry
-            return Err(err);
-        }
+        self.store.apply(ops);
         Ok(self.store.commit())
     }
 
@@ -313,21 +333,25 @@ impl UpdatableDatabase {
 
     /// Buffered, uncommitted operations.
     pub fn pending_ops(&self) -> usize {
-        self.store.pending_ops()
+        self.stats().pending_ops
     }
 
-    /// Live update counters.
+    /// Live update counters; `pending_ops` counts the operations buffered
+    /// here as well as any buffered in [`Self::store`] directly.
     pub fn stats(&self) -> StoreStats {
-        self.store.stats()
+        let mut stats = self.store.stats();
+        stats.pending_ops += self.buffered.read().unwrap().ops.len();
+        stats
     }
 
     /// Folds the overlay and unwraps into an immutable [`RpqDatabase`]
     /// (buffered, uncommitted operations are committed first), whose
     /// dictionaries take the names interned since into their bases.
     pub fn into_database(self) -> RpqDatabase {
+        let Buffered { dicts, ops, .. } = self.buffered.into_inner().unwrap();
+        self.store.apply(ops);
         self.store.commit();
         let snap = self.store.snapshot();
-        let dicts = self.dicts.into_inner().unwrap();
         let source = SourceSnapshot::immutable(folded(&snap, &dicts));
         RpqDatabase::from_source(source, dicts.nodes, dicts.preds)
     }
@@ -401,8 +425,8 @@ impl UpdatableDatabase {
         // log truncation (its ops would vanish from both).
         let mut durable = self.durable.lock().unwrap();
         let snap = self.store.snapshot();
-        let dicts = self.dicts.read().unwrap();
-        let ring = folded(&snap, &dicts);
+        let dicts = &self.buffered.read().unwrap().dicts;
+        let ring = folded(&snap, dicts);
         ring::mapped::write_index_at(path, &ring, &dicts.nodes, &dicts.preds, snap.epoch)?;
         if let Some(state) = durable.as_mut() {
             if state.path == path {
@@ -520,7 +544,7 @@ impl UpdatableDatabase {
                                 }
                             }
                         }
-                        db.store.commit();
+                        db.commit_durable()?;
                     }
                     eprintln!(
                         "recovery: replayed {ops} op(s) in {} committed batch(es) from {}",
@@ -533,7 +557,6 @@ impl UpdatableDatabase {
         }
         *db.durable.lock().unwrap() = Some(DurableLog {
             wal,
-            pending: Vec::new(),
             path: path.to_path_buf(),
         });
         Ok(db)
@@ -561,19 +584,19 @@ impl QuerySource for UpdatableDatabase {
     }
 
     fn node_id(&self, name: &str) -> Option<Id> {
-        self.dicts.read().unwrap().nodes.get(name)
+        self.buffered.read().unwrap().dicts.nodes.get(name)
     }
 
     fn node_name(&self, id: Id) -> Option<String> {
-        self.dicts.read().unwrap().node_name(id)
+        self.buffered.read().unwrap().dicts.node_name(id)
     }
 
     fn pred_id(&self, name: &str) -> Option<Id> {
-        self.dicts.read().unwrap().preds.get(name)
+        self.buffered.read().unwrap().dicts.preds.get(name)
     }
 
     fn update_stats(&self) -> Option<StoreStats> {
-        Some(self.store.stats())
+        Some(self.stats())
     }
 
     fn checkpoint(&self) -> Option<std::io::Result<u64>> {
@@ -846,7 +869,7 @@ mod tests {
             .unwrap()
             .with_auto_compact_ratio(None);
         let dict_heap_bytes = |db: &UpdatableDatabase| {
-            let dicts = db.dicts.read().unwrap();
+            let dicts = &db.buffered.read().unwrap().dicts;
             (dicts.nodes.heap_bytes(), dicts.preds.heap_bytes())
         };
         let ring_heap_bytes = |db: &UpdatableDatabase| db.store().snapshot().ring.heap_bytes();

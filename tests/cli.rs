@@ -1104,4 +1104,44 @@ fn a_closed_stdout_ends_the_run() {
         assert!(!stderr.contains("panicked"), "{verb}: {stderr}");
         assert!(!stderr.contains("Broken pipe"), "{verb}: {stderr}");
     }
+
+    // The verbs that print a few lines, each into a pipe whose reader is
+    // gone before the verb starts: its first write fails. Each still
+    // does its work — the index is built, the delta committed — and
+    // exits as it would have.
+    let delta = dir.join("delta.txt");
+    std::fs::write(
+        &delta, "n0 p n7
+",
+    )
+    .unwrap();
+    let copy = dir.join("copy.db");
+    let (delta, copy) = (delta.to_str().unwrap(), copy.to_str().unwrap());
+    let verbs: [(&str, Vec<&str>); 8] = [
+        ("build", vec!["build", graph.to_str().unwrap(), copy]),
+        ("stats", vec!["stats", index]),
+        ("explain", vec!["explain", index, "n0", "p+", "?y"]),
+        ("verify", vec!["verify", index]),
+        ("bench", vec!["bench", index, "n0", "p/p", "?y", "2"]),
+        ("insert", vec!["insert", copy, delta]),
+        ("delete", vec!["delete", copy, delta]),
+        ("compact", vec!["compact", copy]),
+    ];
+    for (verb, args) in verbs {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = cli().args(&args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{verb}: {:?} {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{verb}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{verb}: {stderr}");
+    }
+    // What the verbs did with nobody reading: a built index, one insert
+    // and one delete committed, at epoch 2.
+    let verified = cli().args(["verify", copy]).output().unwrap();
+    let report = String::from_utf8_lossy(&verified.stdout);
+    assert!(
+        report.contains("\"status\":\"ok\"") && report.contains("\"epoch\":2"),
+        "{report}"
+    );
 }
